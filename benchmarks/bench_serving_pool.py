@@ -273,8 +273,7 @@ def _seed_expansion_shrink(backend):
     (b halves + a 32-byte PRG seed per key)."""
     stored = seeded = 0
     for key in _switching_keys(backend):
-        for b, a in key.pairs:
-            stored += b.data.nbytes + a.data.nbytes
+        stored += key.tensor.nbytes
         seeded += key.size_bytes()
     return stored / seeded
 

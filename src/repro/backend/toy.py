@@ -2,8 +2,8 @@
 
 Wraps :class:`repro.ckks.context.CkksContext`.  Ledger charges use the
 same analytical cost model as the simulator so counts and modeled
-latencies are comparable; actual wall-clock of the toy arithmetic is
-irrelevant (tiny rings).
+latencies are comparable.  Its wall-clock and resident memory are what
+``benchmarks/e2e`` measures (N up to 4096), so both matter here.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class ToyBackend(FheBackend):
         digit decomposition (:meth:`CkksContext.rotate_hoisted_raw`);
         the per-offset products against Q_l * P-lifted weight plaintexts
         are summed lazily in int64 (the chunked-reduction trick of
-        ``_ks_inner``) and a single ``_ks_moddown`` per output block
+        ``CkksContext._ks_inner``) and a single ``_ks_moddown`` per output block
         replaces the per-rotation mod-downs of the unfused path.
 
         The per-term Python loop only *collects* terms; the arithmetic

@@ -71,9 +71,6 @@ class CkksContext:
             params.primes, params.ring_degree, num_special=params.num_special_primes
         )
         self.encoder = get_encoder(params.ring_degree)
-        # (exponents, ks_chain, num_digits) -> (per-key tensor ids, stacked
-        # (O, 2, digits, ks_limbs, N) key tensor); see _stacked_key_tensors.
-        self._stacked_key_cache: Dict = {}
         self.keys = self._generate_keys()
 
     # ------------------------------------------------------------------
@@ -139,6 +136,7 @@ class CkksContext:
         from_key: RnsPolynomial,
         to_key: RnsPolynomial,
         max_level: Optional[int] = None,
+        exponent: int = 1,
     ) -> SwitchingKey:
         """Hybrid switching key encrypting P*g_i*from_key per digit i.
 
@@ -149,45 +147,53 @@ class CkksContext:
         including the special limbs, since P | g_i — so no big-integer
         work is needed regardless of the grouping.
 
-        ``max_level`` generates a *compressed* key: pairs live on the
+        ``max_level`` generates a *compressed* key: rows live on the
         key-switch chain of that level only — ``dnum(max_level)`` digits
         over ``max_level + 1`` data limbs plus the special basis —
         instead of the full chain.  A compressed key serves any key
-        switch at ``level <= max_level`` (the use-time restriction in
-        :meth:`_key_tensors` selects a sub-chain either way) and shrinks
-        storage by the dropped digits *and* the dropped limbs per digit.
+        switch at ``level <= max_level`` (every level reads a prefix
+        view either way) and shrinks storage by the dropped digits *and*
+        the dropped limbs per digit.
 
-        Every key is *seed-expandable*: the uniform ``a_i`` halves come
-        from a counter-based PRG keyed by one 32-byte seed (drawn here
-        from the context rng), so persistent storage needs only the
-        ``b_i`` halves plus the seed — see
-        :meth:`repro.ckks.keys.SwitchingKey.from_seed`.
+        ``exponent`` is the Galois element whose rotated secret
+        ``from_key`` is (1 for the relin key).  Rows are computed over
+        the key's own special-first chain and written through the
+        inverse permutation straight into the one resident tensor
+        (:class:`repro.ckks.keys.SwitchingKey`); the uniform ``a_i``
+        rows expand from a 32-byte seed drawn here from the context rng,
+        so persistent storage needs only the ``b_i`` rows plus the seed.
         """
         if max_level is None or max_level >= self.params.max_level:
             max_level = None
-            chain = self._full_chain()
             num_data = self.params.max_level + 1
         else:
-            chain = self._ks_chain(max_level)
             num_data = max_level + 1
-            from_key = self._restrict(from_key, chain)
-            to_key = self._restrict(to_key, chain)
+        ns = self.params.num_special_primes
         alpha = self.params.ks_alpha
         num_digits = self._ks_num_digits(num_data - 1)
-        special = self.basis.special_modulus()
         seed = self.rng.bytes(KEY_PRG_SEED_BYTES)
-        pairs = []
+        tensor = np.empty(
+            (2, num_digits, ns + num_data, self.params.ring_degree), dtype=np.int64
+        )
+        key = SwitchingKey(tensor, self.basis, exponent, max_level, seed)
+        chain = key.primes
+        order = key.slot_order()
+        mod_col = self.basis.moduli_column(chain)
+        s_from = self._restrict(from_key, chain).data
+        s_to = self._restrict(to_key, chain).data
+        special = self.basis.special_modulus()
+        gadget = np.array([[special % q] for q in chain], dtype=np.int64)
         for digit in range(num_digits):
-            a_i = expand_a_half(seed, digit, self.basis, chain)
-            e_i = self._noise_poly(chain)
-            b_i = (-(a_i * to_key)) + e_i
-            gadget_factors = [
-                (special % q) if (idx < num_data and idx // alpha == digit) else 0
-                for idx, q in enumerate(chain)
-            ]
-            b_i = b_i + from_key.scalar_mul(gadget_factors)
-            pairs.append((b_i, a_i))
-        return SwitchingKey(pairs, max_level=max_level, seed=seed)
+            a_i = expand_a_half(seed, digit, self.basis, chain).data
+            own = slice(ns + digit * alpha, ns + min((digit + 1) * alpha, num_data))
+            # b_i = e_i - a_i*s + g_i*s'; |.| < 2 q^2 < 2^63 for the
+            # < 2^31 primes the exact backend admits, so ONE reduction.
+            b_i = self._noise_poly(chain).data - a_i * s_to
+            b_i[own] += gadget[own] * s_from[own]
+            b_i %= mod_col
+            tensor[0, digit] = b_i[:, order]
+            tensor[1, digit] = a_i[:, order]
+        return key
 
     def galois_key(
         self, exponent: int, max_level: Optional[int] = None
@@ -207,7 +213,9 @@ class CkksContext:
         key = self.keys.galois.get(exponent)
         if key is None or not key.covers(need):
             rotated_secret = self.keys.secret.automorphism(exponent)
-            key = self._make_switching_key(rotated_secret, self.keys.secret)
+            key = self._make_switching_key(
+                rotated_secret, self.keys.secret, exponent=exponent
+            )
             self.keys.galois[exponent] = key
         return key
 
@@ -218,11 +226,11 @@ class CkksContext:
 
         Stores only the digits and limbs any key switch at
         ``level <= max_level`` consumes.  If a key for the exponent
-        already exists it is *restricted* — its pairs are truncated to
+        already exists it is *restricted* — its tensor is truncated to
         ``dnum(max_level)`` digits over the bounded chain, which leaves
         every key switch at a covered level **bit-identical** to the
-        original key (use-time tensor extraction selects exactly those
-        rows either way).  Fresh keys are generated directly in the
+        original key (each level reads exactly that prefix of the tensor
+        either way).  Fresh keys are generated directly in the
         compressed form.  An existing *compressed* key that already
         covers the bound is kept as is (never shrunk further — callers
         ask per use site, and the widest recorded bound must survive).
@@ -241,7 +249,7 @@ class CkksContext:
             # program now outgrows: generate fresh at the wider bound.
             rotated_secret = self.keys.secret.automorphism(exponent)
             key = self._make_switching_key(
-                rotated_secret, self.keys.secret, max_level=max_level
+                rotated_secret, self.keys.secret, max_level, exponent
             )
         self.keys.galois[exponent] = key
         return key
@@ -251,42 +259,27 @@ class CkksContext:
     ) -> SwitchingKey:
         """Compress an existing key by dropping digits and limbs.
 
-        Keeps the first ``dnum(max_level)`` pairs, each restricted to
-        the ``Q_max_level * P`` chain — exactly the rows
-        :meth:`_key_tensors` would extract for any key switch at
-        ``level <= max_level``, so results are bit-identical to the
-        uncompressed key's.
+        Copies the prefix :meth:`SwitchingKey.chain_view` of
+        ``max_level`` (a copy, so the wider tensor is actually freed) —
+        exactly the rows any key switch at ``level <= max_level`` reads,
+        so results are bit-identical to the uncompressed key's.
         """
         if not key.covers(max_level):
             raise ValueError(
                 f"cannot restrict a level-{key.max_level} key to level "
                 f"{max_level}"
             )
-        chain = self._ks_chain(max_level)
-        num_digits = self._ks_num_digits(max_level)
-        pairs = [
-            (self._restrict(b, chain), self._restrict(a, chain))
-            for b, a in key.pairs[:num_digits]
-        ]
         # The seed survives restriction: the PRG is keyed by prime
         # *value*, so re-expanding over the restricted chain regenerates
         # exactly the rows kept here (asserted in the key-lifecycle
         # tests).
-        return SwitchingKey(pairs, max_level=max_level, seed=key.seed)
-
-    def install_keychain(self, keys: KeyChain) -> None:
-        """Replace this context's key material wholesale.
-
-        The restore half of key spill-to-disk
-        (:class:`repro.serve.keys.KeyRegistry`): a freshly constructed
-        context adopts a previously serialized :class:`KeyChain` instead
-        of the one its own keygen produced.  The stacked key-tensor
-        cache is cleared — its entries are validated by per-key tensor
-        *identity*, so stale stacks could never be served, but keeping
-        them alive would pin the replaced tensors in memory.
-        """
-        self.keys = keys
-        self._stacked_key_cache.clear()
+        return SwitchingKey(
+            key.chain_view(self._ks_num_digits(max_level), max_level).copy(),
+            self.basis,
+            key.exponent,
+            max_level,
+            key.seed,
+        )
 
     def generate_rotation_keys(
         self, steps: Iterable[int], levels: Optional[Dict[int, int]] = None
@@ -430,7 +423,7 @@ class CkksContext:
     def _restrict(self, poly: RnsPolynomial, primes) -> RnsPolynomial:
         """Restrict a full-chain polynomial to a sub-chain of its primes."""
         index = [poly.primes.index(q) for q in primes]
-        return RnsPolynomial(self.basis, primes, poly.data[index].copy(), poly.is_ntt)
+        return RnsPolynomial(self.basis, primes, poly.data[index], poly.is_ntt)
 
     # ------------------------------------------------------------------
     # Homomorphic operations (paper Section 2.5)
@@ -587,11 +580,9 @@ class CkksContext:
         if ct.c2 is not None:
             raise ValueError("relinearize before rotating")
         key = self.galois_key(exponent, max_level=ct.level)
-        rot0 = ct.c0.automorphism(exponent)
-        rot1 = ct.c1.automorphism(exponent)
-        p0, p1 = self._keyswitch(rot1, key, ct.level)
+        p0, p1 = self._keyswitch(ct.c1, key, ct.level)
         return Ciphertext(
-            c0=rot0 + p0,
+            c0=ct.c0.automorphism(exponent) + p0,
             c1=p1,
             level=ct.level,
             scale=ct.scale,
@@ -631,119 +622,65 @@ class CkksContext:
             )
         return self.basis.forward_chain(lifted, ks_chain)
 
-    def _key_tensors(self, key: SwitchingKey, level: int) -> np.ndarray:
-        """Switching-key pairs stacked as one (2, digits, ks_limbs, N)
-        tensor (b rows first, a rows second), cached per ks chain.
-
-        Compressed keys (``SwitchingKey.max_level`` set) only carry the
-        digits and limbs of their bounded chain; using one above its
-        bound is a caller bug and fails loudly here rather than
-        silently dropping digits from the inner product.
-        """
-        if not key.covers(level):
-            raise ValueError(
-                f"switching key is compressed to level {key.max_level} "
-                f"but the key switch runs at level {level}; regenerate "
-                "the key (or raise its bound in the key manifest)"
-            )
-        ks_chain = self._ks_chain(level)
-        num_digits = self._ks_num_digits(level)
-        cache_key = (ks_chain, num_digits)
-        tensor = key.cache.get(cache_key)
-        if tensor is None:
-            idx = [key.pairs[0][0].primes.index(q) for q in ks_chain]
-            tensor = np.stack(
-                [
-                    np.stack([b.data[idx] for b, _ in key.pairs[:num_digits]]),
-                    np.stack([a.data[idx] for _, a in key.pairs[:num_digits]]),
-                ]
-            )
-            key.cache[cache_key] = tensor
-        return tensor
-
-    def _stacked_key_tensors(
-        self, exponents, keys, level: int
-    ) -> np.ndarray:
-        """All requested switching keys stacked as one contiguous
-        ``(O, 2, digits, ks_limbs, N)`` tensor for the stacked inner
-        product, cached per (exponent set, ks chain).
-
-        Each key's slot axis is stored *inverse-permuted*: with
-        ``ba_inv[o][..., perm_o] == ba[o]`` the stacked product-sum can
-        run directly against the UN-permuted shared digit tensor —
-
-            acc[o, c, k, n] = sum_d digits[d, k, perm_o[n]] * ba[o, c, d, k, n]
-                            = (sum_d digits * ba_inv[o])[c, k, perm_o[n]]
-
-        so the per-call Galois gather moves only the small ``(O, 2,
-        ks_limbs, N)`` accumulator instead of the D-times-larger digit
-        stack, and the digit tensor stays cache-resident across the
-        whole offset axis.  The permutation cost lands here, once per
-        cache fill.
-
-        The cache is validated against the *identity* of the per-key
-        tensors: :meth:`galois_key` / :meth:`generate_compressed_galois_key`
-        may replace a key object (e.g. regenerating a compressed key
-        with a higher bound), and a stale stack must never outlive the
-        keys it was built from.  The entry holds strong references to
-        the source tensors so the ``is`` comparison cannot be fooled by
-        a recycled allocation (``id()`` values are reusable after GC).
-        """
-        tensors = [self._key_tensors(key, level) for key in keys]
-        cache_key = (
-            tuple(exponents),
-            self._ks_chain(level),
-            self._ks_num_digits(level),
-        )
-        hit = self._stacked_key_cache.get(cache_key)
-        if (
-            hit is not None
-            and len(hit[0]) == len(tensors)
-            and all(old is new for old, new in zip(hit[0], tensors))
-        ):
-            return hit[1]
-        n = self.params.ring_degree
-        inv = np.empty(n, dtype=np.int64)
-        rows = []
-        for exponent, tensor in zip(exponents, tensors):
-            inv[galois_eval_permutation(n, exponent)] = np.arange(n)
-            # np.take (unlike tensor[..., inv]) returns a C-contiguous
-            # row — the layout the stacked einsum streams fastest.
-            rows.append(np.take(tensor, inv, axis=-1))
-        stacked = np.stack(rows)
-        self._stacked_key_cache[cache_key] = (tensors, stacked)
-        return stacked
-
     def _ks_inner(
         self,
         digits: np.ndarray,
-        key: SwitchingKey,
+        keys: Sequence[SwitchingKey],
         level: int,
         _max_chunk: Optional[int] = None,
     ) -> np.ndarray:
-        """Inner products sum_i digit_i * key_i over the Q_l * P chain.
+        """Inner products sum_i digit_i * key_i over the Q_l * P chain,
+        one per switching key, against one shared digit tensor.
 
-        Returns a ``(2, ks_limbs, N)`` evaluation-form tensor holding
-        both accumulators.  Products are summed lazily in int64 —
+        Returns a ``(2, ks_limbs, len(keys), N)`` evaluation-form tensor
+        (limb rows in ``(data..., special)`` chain order) through the
+        ``ks_inner_stacked`` kernel, which reads each key's prefix
+        :meth:`SwitchingKey.chain_view` in place — no key material is
+        copied, stacked or cached per level or offset group.
+
+        Galois keys are stored slot-axis *inverse-permuted*: with
+        ``key_inv[..., perm_t] == key`` the product-sum runs directly
+        against the UN-rotated digit tensor —
+
+            acc[c, k, n] = sum_d digits[d, k, perm_t[n]] * key[c, d, k, n]
+                         = (sum_d digits * key_inv)[c, k, perm_t[n]]
+
+        so column ``o`` is the accumulator of ``sigma_t(d)`` *before*
+        its Galois gather, which the caller applies to the small
+        accumulator instead of the D-times-larger digit stack (the relin
+        key's permutation is the identity).
+
+        Products are summed lazily in int64:
         :func:`repro.kernels.lazy_reduction_chunk` digits fit before a
         reduction is needed, so the hot path performs a single ``%`` on
-        the small accumulator instead of one full-size ``%`` per digit
-        product.  The product-sum dispatches through the ``ks_inner``
-        kernel (every backend is bit-exact).  ``_max_chunk`` caps the
-        chunk size (tests use it to force the chunked fallback that
-        real parameter sets only hit with ~31-bit primes).
+        the accumulator.  ``_max_chunk`` caps the chunk (tests force the
+        chunked fallback real parameter sets only hit with ~31-bit
+        primes).  A compressed key used above its bound is a caller bug
+        and fails loudly rather than silently dropping digits.
         """
+        for key in keys:
+            if not key.covers(level):
+                raise ValueError(
+                    f"switching key is compressed to level {key.max_level} "
+                    f"but the key switch runs at level {level}; regenerate "
+                    "the key (or raise its bound in the key manifest)"
+                )
         ks_chain = self._ks_chain(level)
-        ba = self._key_tensors(key, level)
-        mod_col = self.basis.moduli_column(ks_chain)
-        chunk = kernels.lazy_reduction_chunk(max(ks_chain), _max_chunk)
-        return kernels.get("ks_inner")(digits, ba, mod_col, chunk)
+        num_digits = self._ks_num_digits(level)
+        return kernels.get("ks_inner_stacked")(
+            digits,
+            [key.chain_view(num_digits, level) for key in keys],
+            self.params.num_special_primes,
+            self.basis.moduli_column(ks_chain),
+            kernels.lazy_reduction_chunk(max(ks_chain), _max_chunk),
+        )
 
     def _ks_moddown(self, acc: np.ndarray, level: int):
         """Divide both accumulators by the special modulus P.
 
-        ``acc`` is the ``(2, ks_limbs, N)`` tensor from :meth:`_ks_inner`;
-        both rows share each batched divide-and-round pass.
+        ``acc`` is a (Galois-gathered) ``(2, ks_limbs, N)`` column of
+        :meth:`_ks_inner`; both rows share each batched divide-and-round
+        pass.
         """
         chain = self._ks_chain(level)
         for _ in range(self.params.num_special_primes):
@@ -755,15 +692,20 @@ class CkksContext:
         )
 
     def _keyswitch(self, d: RnsPolynomial, key: SwitchingKey, level: int):
-        """Hybrid key switch of polynomial ``d`` at the given level.
+        """Hybrid key switch of ``sigma_t(d)`` at the given level, ``t``
+        being the key's Galois element (``d`` itself for the relin key).
 
-        Decomposes d into per-limb digits, multiplies by the switching
-        key over Q_l * P, and divides by the special modulus P.  All
-        three stages are limb-batched; see :meth:`rotate_hoisted` for
-        the variant that shares the decomposition across many keys.
+        Decomposes the UN-rotated d into digits, multiplies by the
+        switching key over Q_l * P, Galois-gathers the accumulator, and
+        divides by the special modulus P.  All stages are limb-batched;
+        see :meth:`rotate_hoisted` for the variant that shares the
+        decomposition across many keys.
         """
         digits = self._ks_decompose(d, level)
-        acc = self._ks_inner(digits, key, level)
+        acc = self._ks_inner(digits, [key], level)[:, :, 0]
+        if key.exponent != 1:
+            perm = galois_eval_permutation(self.params.ring_degree, key.exponent)
+            acc = acc[..., perm]
         return self._ks_moddown(acc, level)
 
     def galois_offset_exponent(self, offset) -> int:
@@ -797,18 +739,16 @@ class CkksContext:
         ``(2, ks_limbs, N)`` evaluation-form key-switch accumulator
         still over Q_l * P.
 
-        With more than one offset the per-offset ``_ks_inner`` loop is
-        replaced by ONE stacked product-sum: the shared digit tensor is
-        multiplied against the cached ``(O, 2, digits, ks_limbs, N)``
-        stack of inverse-permuted switching keys in a single dispatch
-        through the ``ks_inner_stacked`` kernel, and only the small
-        resulting accumulator is Galois-permuted — in one flat gather
-        over the fused offset-slot axis (see
-        :meth:`_stacked_key_tensors` for why the two formulations are
-        the same sum, element by element).  The stacked path preserves
-        the lazy int64 chunked reduction exactly (modular sums are
-        invariant under regrouping), so results are bit-identical to the
-        loop; ``_max_chunk`` forces the chunked fallback for tests.
+        The shared digit tensor is multiplied against every offset's
+        inverse-permuted switching key in ONE dispatch of
+        :meth:`_ks_inner` (each key read in place as a prefix view of
+        its resident tensor), and only the small resulting accumulator
+        is Galois-permuted — in one flat gather over the fused
+        offset-slot axis (see :meth:`_ks_inner` for why that equals the
+        rotate-the-digits formulation, element by element).  The lazy
+        int64 chunked reduction is preserved exactly (modular sums are
+        invariant under regrouping); ``_max_chunk`` forces the chunked
+        fallback for tests.
 
         Offsets are plain rotation steps (``int``) or conjugation-
         composed elements ``("conj", k)`` — conjugate, then rotate by
@@ -858,26 +798,14 @@ class CkksContext:
         level = ct.level
         exponents = [self.galois_offset_exponent(o) for o in nonzero]
         keys = [self.galois_key(e, max_level=level) for e in exponents]
-        if len(nonzero) == 1:
-            # One offset: the stacking overhead buys nothing.
-            perm = galois_eval_permutation(n, exponents[0])
-            acc = self._ks_inner(digits[..., perm], keys[0], level, _max_chunk)
-            outputs[nonzero[0]] = (ct.c0.automorphism(exponents[0]), acc)
-            return outputs
         perms = np.stack([galois_eval_permutation(n, e) for e in exponents])
-        ba_inv = self._stacked_key_tensors(exponents, keys, level)
-        ks_chain = self._ks_chain(level)
-        mod_col = self.basis.moduli_column(ks_chain)
-        chunk = kernels.lazy_reduction_chunk(max(ks_chain), _max_chunk)
         num = len(nonzero)
-        pre = kernels.get("ks_inner_stacked")(digits, ba_inv, mod_col, chunk)
+        pre = self._ks_inner(digits, keys, level, _max_chunk)
         # The (C, K, O, N) layout fuses the offset and slot axes, so all
         # O accumulator permutations are ONE flat gather.
         flat_idx = (np.arange(num)[:, None] * n + perms).reshape(-1)
-        acc_flat = np.take(
-            pre.reshape(2, len(ks_chain), num * n), flat_idx, axis=-1
-        )
-        accs = np.moveaxis(acc_flat.reshape(2, len(ks_chain), num, n), 2, 0)
+        acc_flat = np.take(pre.reshape(2, -1, num * n), flat_idx, axis=-1)
+        accs = np.moveaxis(acc_flat.reshape(2, -1, num, n), 2, 0)
         if ct.c0.is_ntt:
             rot0_data = kernels.get("galois_gather")(ct.c0.data, perms)
             rot0s = [
@@ -898,9 +826,9 @@ class CkksContext:
         raising every digit to the Q_l * P basis — depends only on c1,
         not on the rotation amount, because digit decomposition commutes
         with Galois automorphisms.  It is computed once (in
-        :meth:`rotate_hoisted_raw`); each step then costs one
-        evaluation-form permutation of the digit tensor, one inner
-        product with its switching key, and the mod-down.
+        :meth:`rotate_hoisted_raw`); each step then costs one inner
+        product with its switching key, one evaluation-form permutation
+        of the accumulator, and the mod-down.
 
         Returns ``{step: rotated ciphertext}``; step 0 maps to ``ct``.
         """

@@ -21,6 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ntt import galois_eval_permutation
+from repro.rns.basis import RnsBasis
 from repro.rns.poly import RnsPolynomial
 
 #: Bytes of PRG seed stored per switching key in place of its uniform
@@ -71,74 +73,113 @@ def expand_a_half(seed: bytes, digit: int, basis, primes) -> RnsPolynomial:
 class SwitchingKey:
     """One RLWE pair (b_i, a_i) per decomposition digit, over Q*P.
 
-    ``cache`` holds the pairs re-stacked as ``(digits, limbs, N)``
-    tensors per key-switch chain, so the hoisted inner product is a
-    single broadcasted multiply instead of a per-digit Python loop.
+    The key *is* one int64 tensor ``(2, D, K, N)`` — b rows then a rows,
+    ``D`` digits, ``K`` limbs, ``N`` slots — held in the layout the
+    hoisted inner product streams, so no level, offset group or batch
+    view ever copies key material (docs/keys.md):
 
-    ``max_level`` marks a *compressed* key: its pairs carry only the
+    * **limb axis: special primes first, then data primes** — the
+      key-switch chain of any level up to the key's bound is the
+      *prefix* :meth:`chain_view`, a plain view;
+    * **slot axis inverse-Galois-permuted** (``tensor[..., perm_t]`` is
+      the natural evaluation-form key; identity for the relin key,
+      ``exponent == 1``) — the product-sum runs against the UN-rotated
+      digit tensor and only the small accumulator is gathered
+      (:meth:`CkksContext._ks_inner`).
+
+    ``max_level`` marks a *compressed* key: the tensor carries only the
     digits and limbs a key switch at ``level <= max_level`` consumes
-    (``dnum(max_level)`` digits over the ``Q_max_level * P`` chain)
-    instead of the full-chain form.  ``None`` is the full-chain key.
-    Grouped digits (``ks_alpha > 1``) compound the saving: compression
-    drops whole digit *groups* above the bound as well as the limbs
-    of every surviving digit.
+    (``dnum(max_level)`` digits over the ``Q_max_level * P`` chain;
+    grouped digits drop whole digit *groups* above the bound too).
+    ``None`` is the full-chain key.
 
-    ``seed`` marks a *seed-expandable* key: its uniform ``a_i`` halves
-    were generated by the counter-based PRG (:func:`expand_a_half`)
-    keyed by this 32-byte seed, so persistent storage only needs the
-    ``b_i`` halves plus the seed — roughly half the compressed footprint
-    again.  The materialized ``a_i`` halves stay resident for compute
-    (the hoisted inner product and the stacked-tensor caches read them
-    directly); :meth:`from_seed` rebuilds them bit-identically on load.
+    ``seed`` marks a *seed-expandable* key: its uniform a rows came from
+    the counter-based PRG (:func:`expand_a_half`) keyed by this 32-byte
+    seed, so persistent storage only needs the b rows plus the seed;
+    :meth:`from_seed` rebuilds the a rows bit-identically.
     """
 
-    pairs: List[Tuple[RnsPolynomial, RnsPolynomial]]
-    cache: Dict = field(default_factory=dict)
+    tensor: np.ndarray
+    basis: RnsBasis
+    exponent: int = 1
     max_level: Optional[int] = None
     seed: Optional[bytes] = None
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.tensor.shape[1]
 
     def covers(self, level: int) -> bool:
         """Whether this key can serve a key switch at ``level``."""
         return self.max_level is None or level <= self.max_level
 
+    @property
+    def primes(self) -> Tuple[int, ...]:
+        """Prime of each limb-axis row (special primes first)."""
+        num_data = self.tensor.shape[2] - self.basis.num_special
+        return self.basis.special_primes + self.basis.primes[:num_data]
+
+    def chain_view(self, num_digits: int, level: int) -> np.ndarray:
+        """The ``(2, num_digits, num_special + level + 1, N)`` prefix
+        view a key switch at ``level`` multiplies against."""
+        return self.tensor[:, :num_digits, : self.basis.num_special + level + 1]
+
+    def slot_order(self) -> np.ndarray:
+        """Gather that stores a natural evaluation-form row in this
+        key's slot order: the inverse of sigma_t's permutation, which is
+        the permutation of sigma_{1/t}."""
+        n = self.basis.ring_degree
+        return galois_eval_permutation(n, pow(self.exponent, -1, 2 * n))
+
+    @property
+    def pairs(self) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
+        """The key as natural ``(b_i, a_i)`` polynomials over the
+        ``(data..., special)`` chain — a *derived copy* for references,
+        tests and tooling; nothing on the evaluation path reads it."""
+        ns = self.basis.num_special
+        perm = galois_eval_permutation(self.basis.ring_degree, self.exponent)
+        rows = np.roll(self.tensor, -ns, axis=2)[..., perm]
+        chain = self.primes[ns:] + self.primes[:ns]
+        return [
+            tuple(RnsPolynomial(self.basis, chain, half[d], is_ntt=True) for half in rows)
+            for d in range(len(self))
+        ]
+
     @classmethod
     def from_seed(
         cls,
         seed: bytes,
-        b_halves: List[RnsPolynomial],
-        basis,
+        b_rows: np.ndarray,
+        basis: RnsBasis,
+        exponent: int = 1,
         max_level: Optional[int] = None,
     ) -> "SwitchingKey":
-        """Rebuild a seed-expandable key from its stored halves.
+        """Rebuild a seed-expandable key from its stored b rows.
 
-        ``b_halves`` are the persistent halves in digit order; each
-        ``a_i`` is regenerated over the *same prime chain its ``b_i``
-        carries*, so a key stored compressed (or restricted after
-        storage) expands bit-identically to the resident original.
+        ``b_rows`` is ``tensor[0]`` as stored — ``(D, K, N)`` in the
+        key's own layout.  Each a row is regenerated for the prime its
+        b row carries (the PRG is keyed by prime *value*), so a key
+        stored compressed (or restricted after storage) expands
+        bit-identically to the resident original.
         """
-        pairs = [
-            (b, expand_a_half(seed, digit, basis, b.primes))
-            for digit, b in enumerate(b_halves)
-        ]
-        return cls(pairs, max_level=max_level, seed=seed)
+        tensor = np.empty((2,) + b_rows.shape, dtype=np.int64)
+        tensor[0] = b_rows
+        key = cls(tensor, basis, exponent, max_level, seed)
+        primes, order = key.primes, key.slot_order()
+        for digit in range(len(key)):
+            tensor[1, digit] = expand_a_half(seed, digit, basis, primes).data[:, order]
+        return key
 
     def size_bytes(self) -> int:
         """Stored key material in bytes (the compression win metric).
 
-        Counts the persistent residue tensors only — the per-chain
-        ``cache`` re-stackings are derived views that exist for full
-        keys and compressed keys alike.  For a seed-expandable key the
-        uniform ``a_i`` halves are derived too (regenerated from
-        :attr:`seed` on load), so storage is the ``b_i`` halves plus
-        the seed.
+        What persistent storage needs, not what is resident: for a
+        seed-expandable key the uniform a rows regenerate from
+        :attr:`seed`, so storage is the b rows plus the seed.  Resident
+        bytes are exactly ``tensor.nbytes`` — there is no other array.
         """
-        b_bytes = sum(b.data.nbytes for b, _ in self.pairs)
         if self.seed is not None:
-            return b_bytes + len(self.seed)
-        return b_bytes + sum(a.data.nbytes for _, a in self.pairs)
+            return self.tensor[0].nbytes + len(self.seed)
+        return self.tensor.nbytes
 
 
 @dataclass

@@ -95,7 +95,7 @@ def _run_slabs(tasks) -> None:
 
 
 # ---------------------------------------------------------------------------
-# ks_inner: (stacked) key-switch inner products
+# ks_inner: broadcast product-sums (fused-matvec accumulations)
 # ---------------------------------------------------------------------------
 def _product_sum(factors, pairs, out) -> None:
     """``out[..., c, k, n] = sum_d factors[..., d, k, n] * pairs[..., c, d, k, n]``.
@@ -107,13 +107,6 @@ def _product_sum(factors, pairs, out) -> None:
     """
     if factors.ndim == 3 and pairs.ndim == 4:
         np.einsum("dkn,cdkn->ckn", factors, pairs, out=out)
-    elif factors.ndim == 3 and pairs.ndim == 5:
-        # One shared digit tensor against a stack of key tensors (the
-        # hoisted-rotation hot path: digits stay cache-resident while
-        # the offset axis streams).
-        np.einsum("dkn,ocdkn->ockn", factors, pairs, out=out)
-    elif factors.ndim == 4 and pairs.ndim == 5 and factors.shape[0] == pairs.shape[0]:
-        np.einsum("odkn,ocdkn->ockn", factors, pairs, out=out)
     else:
         np.sum(np.expand_dims(factors, -4) * pairs, axis=-3, out=out)
 
@@ -192,72 +185,89 @@ def ks_inner_threaded(factors, pairs, mod_col, chunk):
 
 
 # ---------------------------------------------------------------------------
-# ks_inner_stacked: one shared digit tensor against a stack of keys
+# ks_inner_stacked: one shared digit tensor against many resident keys
 # ---------------------------------------------------------------------------
-def _ks_inner_stacked_into(out, digits, keys, mod_col, chunk) -> None:
-    """Chunked stacked product-sum into ``out`` (``(C, K, O, N)``).
+def _ks_inner_stacked_into(out, digits, keys, num_special, mod_col, chunk) -> None:
+    """Chunked per-key product-sums into ``out`` (``(C, K, O, N)``).
 
-    ``digits``: ``(D, K, N)`` shared digit tensor; ``keys``: ``(O, C, D,
-    K, N)`` stacked (inverse-permuted) switching keys.  The ``(C, K, O,
-    N)`` output layout keeps the offset and slot axes adjacent, so the
-    caller's per-offset Galois permutations collapse into ONE flat
-    gather over the fused ``O * N`` axis.  Same lazy int64 chunking
-    contract as :func:`_ks_inner_into` — bit-identical for any chunk.
+    ``digits``: ``(D, K, N)`` shared digit tensor, limb rows in chain
+    order ``(data..., special)``; ``keys``: O switching-key views
+    ``(C, D, K, N)`` whose limb axis is stored *special primes first*
+    (``repro.ckks.keys.SwitchingKey.chain_view``), read in place — the
+    two limb blocks of each key contract separately into the matching
+    rows of ``out``, so neither the keys nor the digits are reordered.
+    The ``(C, K, O, N)`` output layout keeps the offset and slot axes
+    adjacent, so the caller's per-offset Galois permutations collapse
+    into ONE flat gather over the fused ``O * N`` axis.  Same lazy int64
+    chunking contract as :func:`_ks_inner_into` — bit-identical for any
+    chunk.
     """
-    num_digits = keys.shape[-3]
+    num_digits = digits.shape[0]
+    split = digits.shape[1] - num_special
+
+    def product_sum(lo, hi, target):
+        for o, key in enumerate(keys):
+            np.einsum(
+                "dkn,cdkn->ckn",
+                digits[lo:hi, :split],
+                key[:, lo:hi, num_special:],
+                out=target[:, :split, o],
+            )
+            np.einsum(
+                "dkn,cdkn->ckn",
+                digits[lo:hi, split:],
+                key[:, lo:hi, :num_special],
+                out=target[:, split:, o],
+            )
+
     if num_digits <= chunk:
-        np.einsum("dkn,ocdkn->ckon", digits, keys, out=out)
+        product_sum(0, num_digits, out)
         out %= mod_col[:, None]
         return
     out[...] = 0
     part = np.empty_like(out)
     for start in range(0, num_digits, chunk):
-        np.einsum(
-            "dkn,ocdkn->ckon",
-            digits[start : start + chunk],
-            keys[:, :, start : start + chunk],
-            out=part,
-        )
+        product_sum(start, start + chunk, part)
         part %= mod_col[:, None]
         out += part
     out %= mod_col[:, None]
 
 
 @registry.register("ks_inner_stacked", "numpy")
-def ks_inner_stacked_numpy(digits, keys, mod_col, chunk):
-    """``out[c, k, o, n] = sum_d digits[d, k, n] * keys[o, c, d, k, n] mod q_k``.
+def ks_inner_stacked_numpy(digits, keys, num_special, mod_col, chunk):
+    """``out[c, k, o, n] = sum_d digits[d, k, n] * keys[o][c, d, k', n] mod q_k``
+    (``k'`` = ``k`` rotated to the keys' special-first limb order).
 
-    The hoisted-rotation hot path: the shared digit tensor stays
-    cache-resident while the offset axis streams, and no per-offset
-    digit gather is needed (the keys are stored inverse-permuted; see
-    ``CkksContext._stacked_key_tensors``).  Returns ``(C, K, O, N)``.
+    The key-switch hot path: the shared digit tensor stays
+    cache-resident while the keys stream from where they live, and no
+    per-offset digit gather is needed (the keys are stored
+    inverse-permuted; see ``CkksContext._ks_inner``).  Returns
+    ``(C, K, O, N)``.
     """
-    num_offsets, num_c = keys.shape[0], keys.shape[1]
-    num_limbs, n = keys.shape[-2], keys.shape[-1]
-    out = np.empty((num_c, num_limbs, num_offsets, n), dtype=np.int64)
-    _ks_inner_stacked_into(out, digits, keys, mod_col, chunk)
+    num_limbs, n = digits.shape[1:]
+    out = np.empty((keys[0].shape[0], num_limbs, len(keys), n), dtype=np.int64)
+    _ks_inner_stacked_into(out, digits, keys, num_special, mod_col, chunk)
     return out
 
 
 @registry.register("ks_inner_stacked", "threaded")
-def ks_inner_stacked_threaded(digits, keys, mod_col, chunk):
-    """Limb-slab threaded stacked inner product (bit-exact)."""
-    num_offsets, num_c = keys.shape[0], keys.shape[1]
-    num_limbs, n = keys.shape[-2], keys.shape[-1]
-    bounds = _slab_bounds(num_limbs, os.cpu_count() or 1)
+def ks_inner_stacked_threaded(digits, keys, num_special, mod_col, chunk):
+    """Offset-slab threaded stacked inner product (bit-exact): each
+    slab owns a disjoint range of keys and of ``out``'s offset axis."""
+    num_limbs, n = digits.shape[1:]
+    out = np.empty((keys[0].shape[0], num_limbs, len(keys), n), dtype=np.int64)
+    bounds = _slab_bounds(len(keys), max(2, os.cpu_count() or 1))
     if len(bounds) < 2:
-        bounds = _slab_bounds(num_limbs, 2)
-    out = np.empty((num_c, num_limbs, num_offsets, n), dtype=np.int64)
-    if len(bounds) < 2:
-        _ks_inner_stacked_into(out, digits, keys, mod_col, chunk)
+        _ks_inner_stacked_into(out, digits, keys, num_special, mod_col, chunk)
         return out
     _run_slabs(
         (
             _ks_inner_stacked_into,
-            out[:, lo:hi],
-            digits[:, lo:hi],
-            keys[..., lo:hi, :],
-            mod_col[lo:hi],
+            out[:, :, lo:hi],
+            digits,
+            keys[lo:hi],
+            num_special,
+            mod_col,
             chunk,
         )
         for lo, hi in bounds
@@ -315,7 +325,9 @@ def _ntt_stage_into(a, twiddles, q3, scratch, half) -> None:
     right = blocks[..., half:]
     t = scratch.reshape(a.shape[:-1] + (n // span, half))
     np.multiply(right, twiddles, out=t)
-    t %= q3
+    # fmod, not %: the butterfly only needs a congruent |t| < q, and
+    # numpy's floor-mod costs ~2.5x more on mixed-sign int64.
+    np.fmod(t, q3, out=t)
     np.subtract(left, t, out=right)
     left += t
 

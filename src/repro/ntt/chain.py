@@ -7,13 +7,16 @@ matrices) moves through every butterfly stage in a single vectorized
 numpy pass, instead of one Python-level transform per limb.
 
 Butterflies are fully lazy: each stage performs exactly one modular
-reduction (the twiddle product) plus one add and one subtract, letting
-the signed residues drift by +-q per stage.  A growth budget derived
-from ``q_max^2`` bounds how many stages fit before a product could
-overflow int64 — with the < 2^31 primes :class:`NttContext` admits the
-budget is always >= 2, and with the <= 29-bit primes the toy parameter
-sets use it exceeds 30 stages, so transforms up to N = 2^30 run with a
-single trailing ``%`` and no per-stage corrections at all.
+reduction (the twiddle product, truncated ``np.fmod`` — any congruent
+value with ``|t| < q`` serves, and floor-``%`` on mixed-sign int64 costs
+~2.5x more) plus one add and one subtract, letting the signed residues
+drift by +-q per stage (``|t| < q`` under either reduction, so the
+bound is unchanged).  A growth budget derived from ``q_max^2`` bounds
+how many stages fit before a product could overflow int64 — with the
+< 2^31 primes :class:`NttContext` admits the budget is always >= 2, and
+with the <= 29-bit primes the toy parameter sets use it exceeds 30
+stages, so transforms up to N = 2^30 run with a single trailing
+canonicalization and no per-stage corrections at all.
 """
 
 from __future__ import annotations
@@ -108,12 +111,11 @@ class NttChainEngine:
     def _fft(self, a: np.ndarray, stages: List[np.ndarray], tables: _ChainTables) -> np.ndarray:
         """Iterative DIT cyclic FFT over all selected limbs at once.
 
-        ``a`` must hold residues in ``[0, q)``; returns ``(out, growth)``
-        where ``out`` is a fresh array (the initial bit-reverse gather
-        copies) of *signed lazy* residues with magnitude below
-        ``growth * q``.  Callers renormalize — explicitly in
-        :meth:`forward`, for free in :meth:`inverse`'s fused final
-        multiply (numpy ``%`` maps negatives into ``[0, q)``).
+        ``a`` must hold residues with ``|a| < q``; returns ``(out,
+        growth)`` where ``out`` is a fresh array (the initial
+        bit-reverse gather copies) of *signed lazy* residues with
+        magnitude below ``growth * q``.  Callers canonicalize into
+        ``[0, q)`` (:meth:`_canonicalize`).
         """
         n = self.n
         shape = a.shape
@@ -135,7 +137,7 @@ class NttChainEngine:
         scratch = np.empty(shape[:-1] + (n // 2,), dtype=np.int64)
         # Hoisted kernel lookup: one dispatch for the whole transform.
         # Every backend of "ntt_stage" performs the identical lazy
-        # butterfly (one %, one add, one subtract) in place.
+        # butterfly (one fmod, one add, one subtract) in place.
         ntt_stage = kernels.get("ntt_stage")
         half = 2
         stage = 1
@@ -158,17 +160,16 @@ class NttChainEngine:
         Args:
             data: int64 array of shape ``(..., len(rows), N)``.  Values
                 may be any signed residues with ``|v| < 2^31``; the twist
-                multiply renormalizes them into ``[0, q)``.  Broadcast
+                multiply renormalizes them into ``(-q, q)``.  Broadcast
                 (stride-0) views are fine — the twist materializes them.
             rows: indices into the engine's prime chain, one per limb
                 row of ``data`` (repeats allowed).
         """
         tables = self._tables(tuple(rows))
         a = np.asarray(data, dtype=np.int64) * tables.twist
-        a %= tables.q
+        np.fmod(a, tables.q, out=a)
         a, _ = self._fft(a, tables.stages, tables)
-        a %= tables.q
-        return a
+        return self._canonicalize(a, tables.q)
 
     def inverse(self, data: np.ndarray, rows: Sequence[int]) -> np.ndarray:
         """Evaluation -> coefficient form; expects residues in [0, q)."""
@@ -176,8 +177,17 @@ class NttChainEngine:
         a, growth = self._fft(np.asarray(data, dtype=np.int64), tables.stages_inv, tables)
         if growth > self._growth_budget:
             a %= tables.q
-        # The fused twist * 1/N multiply renormalizes the lazy output:
+        # The fused twist * 1/N multiply rides the final reduction:
         # |a| < growth*q and twist < q keep the product inside int64.
         np.multiply(a, tables.twist_inv_n, out=a)
-        a %= tables.q
+        return self._canonicalize(a, tables.q)
+
+    @staticmethod
+    def _canonicalize(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Signed lazy residues -> ``[0, q)``, in place: truncated
+        ``fmod`` into ``(-q, q)``, then add ``q`` where negative."""
+        np.fmod(a, q, out=a)
+        fix = a >> 63  # -1 where negative, else 0 ...
+        fix &= q  # ... so q exactly where a needs it
+        a += fix
         return a

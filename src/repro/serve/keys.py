@@ -37,9 +37,11 @@ import numpy as np
 from repro.ckks.keys import KeyChain, KeyManifest, SwitchingKey
 
 #: Spill-file format tag and version (stored in the ``__spill__`` JSON
-#: member; loaders reject anything else loudly).
+#: member; loaders reject anything else loudly).  Version 2 stores each
+#: key's b rows in the resident tensor layout (special-first limbs,
+#: inverse-permuted slots); a version-1 file would restore wrong keys.
 SPILL_FORMAT = "repro-key-spill"
-SPILL_VERSION = 1
+SPILL_VERSION = 2
 
 
 def default_backend_factory(params, seed: int):
@@ -61,60 +63,48 @@ class KeySpillError(RuntimeError):
 def _serialize_switching_key(
     key: SwitchingKey, arrays: Dict[str, np.ndarray], prefix: str
 ) -> Dict:
-    """Stack one switching key's persistent halves into ``arrays``.
+    """Add one switching key's persistent rows to ``arrays``.
 
     Seed-expandable keys (the normal case — every key the context
-    generates carries a PRG seed) store only the stacked ``b_i`` halves;
-    the uniform ``a_i`` halves regenerate from the seed on restore.
-    Keys without a seed fall back to storing both halves.
+    generates carries a PRG seed) store only the b rows, ``tensor[0]``
+    in the key's resident layout; the uniform a rows regenerate from
+    the seed on restore.  Keys without a seed store both halves.
     """
-    arrays[f"{prefix}_b"] = np.stack([b.data for b, _ in key.pairs])
+    arrays[f"{prefix}_b"] = key.tensor[0]
     if key.seed is None:
-        arrays[f"{prefix}_a"] = np.stack([a.data for _, a in key.pairs])
+        arrays[f"{prefix}_a"] = key.tensor[1]
     return {
-        "digits": len(key.pairs),
+        "digits": len(key),
         "max_level": key.max_level,
         "seed": key.seed.hex() if key.seed is not None else None,
     }
 
 
 def _restore_switching_key(
-    context, arrays: Dict[str, np.ndarray], prefix: str, meta: Dict
+    context, arrays: Dict[str, np.ndarray], prefix: str, meta: Dict, exponent: int = 1
 ) -> SwitchingKey:
     """Rebuild a switching key from its spill-file members."""
-    from repro.rns.poly import RnsPolynomial
-
     max_level = meta["max_level"]
-    chain = (
-        context._full_chain() if max_level is None else context._ks_chain(max_level)
+    level = context.params.max_level if max_level is None else max_level
+    shape = (
+        meta["digits"],
+        context.params.num_special_primes + level + 1,
+        context.params.ring_degree,
     )
-    b_stack = arrays[f"{prefix}_b"]
-    if b_stack.shape[0] != meta["digits"]:
-        raise KeySpillError(
-            f"spill member {prefix}_b has {b_stack.shape[0]} digits, "
-            f"manifest says {meta['digits']}"
-        )
-    b_halves = [
-        RnsPolynomial(
-            context.basis, chain, np.ascontiguousarray(b_stack[i]), is_ntt=True
-        )
-        for i in range(meta["digits"])
-    ]
+    halves = [arrays[f"{prefix}_b"]]
+    if meta["seed"] is None:
+        halves.append(arrays[f"{prefix}_a"])
+    for half in halves:
+        if half.shape != shape:
+            raise KeySpillError(
+                f"spill member of {prefix} has shape {half.shape}, "
+                f"manifest says {shape}"
+            )
     if meta["seed"] is not None:
         return SwitchingKey.from_seed(
-            bytes.fromhex(meta["seed"]), b_halves, context.basis, max_level=max_level
+            bytes.fromhex(meta["seed"]), halves[0], context.basis, exponent, max_level
         )
-    a_stack = arrays[f"{prefix}_a"]
-    pairs = [
-        (
-            b_halves[i],
-            RnsPolynomial(
-                context.basis, chain, np.ascontiguousarray(a_stack[i]), is_ntt=True
-            ),
-        )
-        for i in range(meta["digits"])
-    ]
-    return SwitchingKey(pairs, max_level=max_level)
+    return SwitchingKey(np.stack(halves), context.basis, exponent, max_level)
 
 
 class KeyRegistry:
@@ -359,12 +349,12 @@ class KeyRegistry:
             relin=_restore_switching_key(context, arrays, "relin", meta["relin"]),
             galois={
                 int(exponent): _restore_switching_key(
-                    context, arrays, f"g{exponent}", key_meta
+                    context, arrays, f"g{exponent}", key_meta, int(exponent)
                 )
                 for exponent, key_meta in meta["galois"].items()
             },
         )
-        context.install_keychain(restored)
+        context.keys = restored
         context.rng.set_state(meta["rng_state"])
         os.remove(path)  # promoted = resident again; disk copy retired
         self.promote_count += 1

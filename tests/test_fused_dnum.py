@@ -37,8 +37,11 @@ def _digit_groups(level, alpha):
 
 
 def reference_keyswitch(ctx, d, key, level):
-    """Per-digit key switch with exact big-integer digit lifts."""
+    """Per-digit key switch of ``d`` with exact big-integer digit lifts,
+    against the key's natural ``pairs`` (derived from its one resident
+    tensor, so the stored layout is itself under test)."""
     ks_chain = ctx._ks_chain(level)
+    pairs = key.pairs
     acc0 = RnsPolynomial.zero(ctx.basis, ks_chain)
     acc1 = RnsPolynomial.zero(ctx.basis, ks_chain)
     d_coeff = d.to_coeff()
@@ -46,7 +49,7 @@ def reference_keyswitch(ctx, d, key, level):
         group = d.primes[lo:hi]
         centered = ctx.basis.crt_reconstruct(d_coeff.data[lo:hi], group)
         digit_poly = RnsPolynomial.from_bigint_coeffs(ctx.basis, ks_chain, centered)
-        b_i, a_i = key.pairs[digit]
+        b_i, a_i = pairs[digit]
         acc0 = acc0 + digit_poly * ctx._restrict(b_i, ks_chain)
         acc1 = acc1 + digit_poly * ctx._restrict(a_i, ks_chain)
     for _ in range(ctx.params.num_special_primes):
@@ -128,8 +131,11 @@ class TestGroupedDecomposition:
         values = np.linspace(-1, 1, backend.slot_count)
         ct = backend.encode_encrypt(values)
         ct = backend.level_down(ct, ct.level - level_drop)
+        # _keyswitch takes the UN-rotated polynomial and switches
+        # sigma_t(d); the reference switches the rotated one it is given.
         key = ctx.galois_key(ctx.encoder.rotation_exponent(1))
-        ref0, ref1 = reference_keyswitch(ctx, ct.c1, key, ct.level)
+        rot1 = ct.c1.automorphism(key.exponent)
+        ref0, ref1 = reference_keyswitch(ctx, rot1, key, ct.level)
         got0, got1 = ctx._keyswitch(ct.c1, key, ct.level)
         assert np.array_equal(ref0.data, got0.data)
         assert np.array_equal(ref1.data, got1.data)
@@ -138,8 +144,11 @@ class TestGroupedDecomposition:
         ctx = alpha3_backend.context
         values = np.linspace(-1, 1, alpha3_backend.slot_count)
         ct = alpha3_backend.encode_encrypt(values)
+        # _keyswitch takes the UN-rotated polynomial and switches
+        # sigma_t(d); the reference switches the rotated one it is given.
         key = ctx.galois_key(ctx.encoder.rotation_exponent(1))
-        ref0, ref1 = reference_keyswitch(ctx, ct.c1, key, ct.level)
+        rot1 = ct.c1.automorphism(key.exponent)
+        ref0, ref1 = reference_keyswitch(ctx, rot1, key, ct.level)
         got0, got1 = ctx._keyswitch(ct.c1, key, ct.level)
         assert np.array_equal(ref0.data, got0.data)
         assert np.array_equal(ref1.data, got1.data)
@@ -230,7 +239,7 @@ def reference_fused_matvec(backend, packed, in_cts, pt_scale):
                 continue
             rotated = True
             exponent = ctx.encoder.rotation_exponent(off)
-            key = ctx.galois_key(exponent)
+            pairs = ctx.galois_key(exponent).pairs
             rot1 = in_cts[bi].c1.automorphism(exponent)
             t = np.zeros_like(acc)
             d_coeff = rot1.to_coeff()
@@ -238,7 +247,7 @@ def reference_fused_matvec(backend, packed, in_cts, pt_scale):
                 group = rot1.primes[lo:hi]
                 centered = ctx.basis.crt_reconstruct(d_coeff.data[lo:hi], group)
                 dig = RnsPolynomial.from_bigint_coeffs(ctx.basis, ks_chain, centered)
-                b_i, a_i = key.pairs[digit]
+                b_i, a_i = pairs[digit]
                 t[0] = (t[0] + dig.data * ctx._restrict(b_i, ks_chain).data) % mod_ks
                 t[1] = (t[1] + dig.data * ctx._restrict(a_i, ks_chain).data) % mod_ks
             pt_ext = pt.poly.extend_primes_reference(ks_chain)

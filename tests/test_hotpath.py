@@ -214,9 +214,9 @@ class TestHoistedKeySwitch:
         ct = backend.encode_encrypt(values)
         key = ctx.galois_key(ctx.encoder.rotation_exponent(1))
         digits = ctx._ks_decompose(ct.c1, ct.level)
-        fast = ctx._ks_inner(digits, key, ct.level)
+        fast = ctx._ks_inner(digits, [key], ct.level)
         for max_chunk in (1, 2, 3):
-            chunked = ctx._ks_inner(digits, key, ct.level, _max_chunk=max_chunk)
+            chunked = ctx._ks_inner(digits, [key], ct.level, _max_chunk=max_chunk)
             assert np.array_equal(fast, chunked)
 
     def test_rejects_degree_two(self, backend):

@@ -8,7 +8,8 @@ Three layers:
   (:func:`repro.kernels.lazy_reduction_chunk`), including the headroom
   regression at the boundary chunk size;
 - bit-exactness of the stacked hot paths against independent naive
-  references: stacked ``rotate_hoisted_raw`` vs a per-offset loop
+  references: ``rotate_hoisted_raw`` (every key read in place from its
+  one resident tensor) vs a per-offset loop over natural-layout keys
   (across ks_alpha values, partial digit groups, mixed int and
   ``("conj", k)`` offsets, compressed keys at their level bound, and a
   forced ``_max_chunk`` fallback), the grouped fused matvec, the
@@ -188,43 +189,66 @@ class TestLazyReductionChunk:
 
     def test_boundary_chunk_no_overflow_in_stacked_kernel(self):
         """Same worst-case drive for ks_inner_stacked (shared digits
-        against a key stack, (C, K, O, N) output layout)."""
+        against per-key views, (C, K, O, N) output layout)."""
         max_q = 2**31 - 1
         chunk = kernels.lazy_reduction_chunk(max_q)
         num_digits, num_offsets = 3, 5
-        digits = np.full((num_digits, 1, 4), max_q - 1, dtype=np.int64)
-        keys = np.full(
-            (num_offsets, 2, num_digits, 1, 4), max_q - 1, dtype=np.int64
-        )
-        mod_col = np.array([[max_q]], dtype=np.int64)
+        digits = np.full((num_digits, 2, 4), max_q - 1, dtype=np.int64)
+        keys = [
+            np.full((2, num_digits, 2, 4), max_q - 1, dtype=np.int64)
+            for _ in range(num_offsets)
+        ]
+        mod_col = np.array([[max_q], [max_q]], dtype=np.int64)
         want = (num_digits * pow(max_q - 1, 2, max_q)) % max_q
         for forced in (chunk, 1, 2):
-            got = kernels.get("ks_inner_stacked")(digits, keys, mod_col, forced)
-            assert got.shape == (2, 1, num_offsets, 4)
+            got = kernels.get("ks_inner_stacked")(digits, keys, 1, mod_col, forced)
+            assert got.shape == (2, 2, num_offsets, 4)
             assert np.all(got == want)
 
     def test_stacked_kernel_backends_and_chunks_agree(self):
         """Random-data equality of every ks_inner_stacked backend and
-        chunking against a materialize-then-sum reference."""
+        chunking against a materialize-then-sum reference, with the
+        keys' limb axis stored special-first (rotated by num_special
+        against the digits' chain order) and longer than the digits'
+        — the prefix-view shape a below-bound key switch reads."""
         from repro.kernels import ops
 
         rng = np.random.default_rng(5)
         digits = rng.integers(0, 2**29, size=(4, 6, 16), dtype=np.int64)
-        keys = rng.integers(0, 2**29, size=(3, 2, 4, 6, 16), dtype=np.int64)
         mod_col = rng.integers(2**28, 2**29, size=(6, 1)).astype(np.int64)
-        ref = np.moveaxis(
-            (digits[None, None] * keys).sum(axis=2) % mod_col, 0, 2
-        )
-        for impl in (ops.ks_inner_stacked_numpy, ops.ks_inner_stacked_threaded):
-            for chunk in (8, 2, 1):
-                assert np.array_equal(impl(digits, keys, mod_col, chunk), ref)
+        for num_special in (1, 2, 3):
+            stored = rng.integers(0, 2**29, size=(3, 2, 5, 8, 16), dtype=np.int64)
+            keys = [key[:, :4, :6] for key in stored]
+            natural = np.roll(np.stack(keys), -num_special, axis=3)
+            ref = np.moveaxis(
+                (digits[None, None] * natural).sum(axis=2) % mod_col, 0, 2
+            )
+            for impl in (ops.ks_inner_stacked_numpy, ops.ks_inner_stacked_threaded):
+                for chunk in (8, 2, 1):
+                    got = impl(digits, keys, num_special, mod_col, chunk)
+                    assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
 # Naive references (independent of the kernels module)
 # ---------------------------------------------------------------------------
+def natural_key_tensor(ctx, key, level):
+    """``(2, digits, ks_limbs, N)`` over the level's ``(data...,
+    special)`` chain in natural slot order, rebuilt from the key's
+    derived ``pairs`` — independent of the resident tensor's layout."""
+    ks_chain = ctx._ks_chain(level)
+    pairs = key.pairs[: ctx._ks_num_digits(level)]
+    return np.stack(
+        [
+            np.stack([ctx._restrict(pair[half], ks_chain).data for pair in pairs])
+            for half in (0, 1)
+        ]
+    )
+
+
 def naive_hoisted_raw(ctx, ct, offsets):
-    """Per-offset rotate_hoisted_raw: the seed's loop, kernel-free."""
+    """Per-offset rotate_hoisted_raw: the seed's loop (rotate the digit
+    tensor, multiply the natural key), kernel-free."""
     digits = ctx._ks_decompose(ct.c1, ct.level)
     ks_chain = ctx._ks_chain(ct.level)
     mod_col = ctx.basis.moduli_column(ks_chain)
@@ -234,7 +258,7 @@ def naive_hoisted_raw(ctx, ct, offsets):
         exponent = ctx.galois_offset_exponent(offset)
         key = ctx.galois_key(exponent, max_level=ct.level)
         perm = galois_eval_permutation(n, exponent)
-        ba = ctx._key_tensors(key, ct.level)
+        ba = natural_key_tensor(ctx, key, ct.level)
         # Digit counts at toy scale fit one lazy pass: plain product-sum.
         acc = (digits[..., perm] * ba).sum(axis=1) % mod_col
         out[offset] = (ct.c0.automorphism(exponent), acc)
@@ -309,21 +333,31 @@ class TestStackedHoistedRaw:
         got = ctx.rotate_hoisted_raw(ct, steps)
         assert_raw_equal(got, naive_hoisted_raw(ctx, ct, set(got)))
 
-    def test_stacked_key_cache_survives_key_regeneration(self, toy_backend):
-        """The stacked key tensor cache is id-validated: regenerating a
-        switching key must invalidate the stack, not serve stale rows."""
+    def test_regenerated_key_is_used_by_the_next_call(self, toy_backend):
+        """No key-derived state outlives a key object: a compressed key
+        regenerated at a wider bound (fresh rows, same exponent) is what
+        the very next call multiplies against, at the old level and at
+        one only the new bound covers."""
         ctx = toy_backend.context
         ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
         steps = [2, 6]
-        first = ctx.rotate_hoisted_raw(ct, steps)
-        again = ctx.rotate_hoisted_raw(ct, steps)
-        assert_raw_equal(again, first)
-        # Force-replace one key object (same exponent, fresh pairs).
         exponent = ctx.galois_offset_exponent(2)
-        del ctx.keys.galois[exponent]
-        ctx.galois_key(exponent, max_level=ct.level)
-        regen = ctx.rotate_hoisted_raw(ct, steps)
-        assert_raw_equal(regen, naive_hoisted_raw(ctx, ct, set(regen)))
+        ctx.keys.galois.pop(exponent, None)
+        narrow = ctx.generate_compressed_galois_key(exponent, 2)
+        low = toy_backend.level_down(ct, 2)
+        first = ctx.rotate_hoisted_raw(low, steps)
+        assert_raw_equal(ctx.rotate_hoisted_raw(low, steps), first)
+        wide = ctx.generate_compressed_galois_key(exponent, 4)
+        assert wide is not narrow and wide.max_level == 4
+        for level in (2, 4):
+            at = toy_backend.level_down(ct, level)
+            regen = ctx.rotate_hoisted_raw(at, steps)
+            assert_raw_equal(regen, naive_hoisted_raw(ctx, at, set(regen)))
+        assert not np.array_equal(
+            np.asarray(ctx.rotate_hoisted_raw(low, steps)[2][1]),
+            np.asarray(first[2][1]),
+        )
+        del ctx.keys.galois[exponent]  # leave the shared fixture full-chain
 
     def test_single_offset_path_matches_stack(self, toy_backend):
         ctx = toy_backend.context

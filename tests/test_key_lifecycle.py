@@ -21,6 +21,7 @@ from repro.backend import ToyBackend
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import (
     KEY_PRG_SEED_BYTES,
+    KeyManifest,
     SwitchingKey,
     expand_a_half,
     expand_uniform_row,
@@ -110,12 +111,15 @@ class TestSeedExpansion:
             assert len(key.seed) == KEY_PRG_SEED_BYTES
             rebuilt = SwitchingKey.from_seed(
                 key.seed,
-                [b for b, _ in key.pairs],
+                key.tensor[0],
                 context.basis,
+                exponent=key.exponent,
                 max_level=key.max_level,
             )
-            for (_, a), (_, a2) in zip(key.pairs, rebuilt.pairs):
-                assert np.array_equal(a.data, a2.data)
+            assert np.array_equal(rebuilt.tensor, key.tensor)
+            for digit, (_, a) in enumerate(key.pairs):
+                expanded = expand_a_half(key.seed, digit, context.basis, a.primes)
+                assert np.array_equal(a.data, expanded.data)
 
     @pytest.mark.parametrize("ks_alpha", [1, 2])
     def test_expansion_at_compressed_level_bounds(self, ks_alpha):
@@ -147,10 +151,89 @@ class TestSeedExpansion:
         context.generate_rotation_keys([1, 2, 3])
         stored = seeded = 0
         for key in [context.keys.relin] + list(context.keys.galois.values()):
-            for b, a in key.pairs:
-                stored += b.data.nbytes + a.data.nbytes
+            stored += key.tensor.nbytes
             seeded += key.size_bytes()
         assert stored / seeded >= 1.8
+
+
+class TestOneResidentTensor:
+    """A switching key is one tensor the hot path slices (docs/keys.md):
+    every level reads a prefix view, and nothing key-sized is built on
+    the request path."""
+
+    @pytest.mark.parametrize("ks_alpha, num_special", [(1, 1), (1, 2), (3, 3)])
+    @pytest.mark.parametrize("bound", [None, 3])
+    def test_every_level_is_a_prefix_view(self, ks_alpha, num_special, bound):
+        params = toy_parameters(
+            ring_degree=64,
+            max_level=5,
+            scale_bits=20,
+            num_special_primes=num_special,
+            ks_alpha=ks_alpha,
+        )
+        context = CkksContext(params, seed=3)
+        exponent = context.encoder.rotation_exponent(1)
+        if bound is None:
+            key = context.galois_key(exponent)
+        else:
+            key = context.generate_compressed_galois_key(exponent, bound)
+        for key in (key, context.keys.relin):
+            top = params.max_level if key.max_level is None else key.max_level
+            assert key.tensor.shape[2] == num_special + top + 1
+            assert key.primes[:num_special] == context.basis.special_primes
+            for level in range(top + 1):
+                num_digits = context._ks_num_digits(level)
+                view = key.chain_view(num_digits, level)
+                assert np.shares_memory(view, key.tensor)
+                assert view.shape == (
+                    2, num_digits, num_special + level + 1, params.ring_degree
+                )
+                assert (
+                    key.primes[num_special : view.shape[2]] + key.primes[:num_special]
+                    == context._ks_chain(level)
+                )
+
+    def test_request_path_allocates_nothing_key_sized(self):
+        import tracemalloc
+
+        params = toy_parameters(ring_degree=1024, max_level=6, scale_bits=24)
+        backend = ToyBackend(params, seed=4)
+        context = backend.context
+        steps = list(range(1, 11))
+        context.generate_rotation_keys(steps)
+        key_bytes = sum(key.tensor.nbytes for key in context.keys.galois.values())
+        ct = backend.encode_encrypt(np.linspace(-1, 1, backend.slot_count))
+        low = backend.level_down(ct, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for at in (ct, low):
+                context.rotate_hoisted_raw(at, steps)
+                grown = tracemalloc.get_traced_memory()[0] - before
+                assert grown < 0.1 * key_bytes, (grown, key_bytes)
+        finally:
+            tracemalloc.stop()
+
+    def test_mlp_solo_manifest_stores_the_same_bytes(self):
+        """The e2e harness's exact ``keys.bytes`` row for ``mlp_solo``
+        (SecureMlp(784, 128) at N=4096, L=6): stored bytes — b rows plus
+        seed — did not move with the layout; resident bytes are the
+        tensors and nothing else."""
+        init.seed_init(0)
+        onet = OrionNetwork(SecureMlp(input_pixels=784, hidden=128), (1, 28, 28))
+        onet.fit([np.random.default_rng(0).normal(0.0, 0.5, (8, 1, 28, 28))])
+        params = toy_parameters(
+            ring_degree=4096, max_level=6, boot_levels=1, scale_bits=24
+        )
+        manifest = KeyManifest.for_program(params, onet.compile(params).program)
+        context = CkksContext(manifest.to_params(), seed=7)
+        context.generate_rotation_keys(
+            manifest.rotation_steps, levels=manifest.step_level_map()
+        )
+        keys = [context.keys.relin] + list(context.keys.galois.values())
+        assert sum(key.size_bytes() for key in keys) == 197_406_208
+        resident = sum(key.tensor.nbytes for key in keys)
+        assert resident == 2 * (197_406_208 - len(keys) * KEY_PRG_SEED_BYTES)
 
 
 class TestSpillPromote:
@@ -194,6 +277,16 @@ class TestSpillPromote:
             loaded.program.run(promoted, second),
             loaded.program.run(ctrl, second),
         )
+        restored, kept = promoted.context.keys, ctrl.context.keys
+        assert restored.galois.keys() == kept.galois.keys()
+        for key, want in zip(
+            [restored.relin, *restored.galois.values()],
+            [kept.relin, *kept.galois.values()],
+        ):
+            assert np.array_equal(key.tensor, want.tensor)
+            assert (key.exponent, key.max_level, key.seed) == (
+                want.exponent, want.max_level, want.seed
+            )
 
     def test_no_cache_dir_keeps_discard_semantics(self, mlp_deployment):
         params, base_path, _, _ = mlp_deployment

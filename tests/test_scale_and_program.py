@@ -110,6 +110,45 @@ class TestProgramInvariants:
             assert instr.name in policy
 
 
+class TestActivationConstantCache:
+    def test_second_tenant_encodes_no_activation_constants(self):
+        """PolyInstr / MultJoinInstr keep their keyless constant
+        plaintexts (coefficients, scale-matching ones) across requests
+        and tenants: after one inference the activation path encodes
+        nothing, and cached runs equal uncached ones bit for bit."""
+        from repro.core.program import MultJoinInstr, PolyInstr
+        from repro.models import relu_act
+
+        init.seed_init(8)
+        net = on.Sequential(on.Flatten(), on.Linear(16, 8), relu_act((7, 7))(), on.Linear(8, 4))
+        rng = np.random.default_rng(8)
+        onet = OrionNetwork(net, (1, 4, 4))
+        onet.fit([rng.normal(0, 0.5, (8, 1, 4, 4))])
+        program = onet.compile(paper_parameters()).program
+        acts = [i for i in program.instructions if isinstance(i, (PolyInstr, MultJoinInstr))]
+        assert {type(i) for i in acts} == {PolyInstr, MultJoinInstr}
+        img = rng.normal(0, 0.5, (1, 4, 4))
+
+        def run_counting(seed):
+            backend = SimBackend(paper_parameters(), seed=seed)
+            encode, consts = backend.encode, []
+
+            def counting(values, level, scale):
+                values = np.asarray(values)
+                if values.size == backend.slot_count and np.all(values == values.flat[0]):
+                    consts.append(level)
+                return encode(values, level, scale)
+
+            backend.encode = counting
+            return program.run(backend, img), len(consts)
+
+        cold_out, cold_consts = run_counting(seed=5)
+        assert cold_consts > 0 and all(i._pt_cache[SimBackend] for i in acts)
+        warm_out, warm_consts = run_counting(seed=5)
+        assert warm_consts == 0
+        assert np.array_equal(warm_out, cold_out)
+
+
 class TestOrionApi:
     def test_fit_requires_batches(self):
         init.seed_init(0)
