@@ -55,12 +55,9 @@ class FheBackend(abc.ABC):
     # -- capacity ---------------------------------------------------------
     @property
     def kernel_backend(self) -> str:
-        """Name of the kernel backend hot paths currently dispatch to.
+        """Name of the :mod:`repro.kernels` implementation hot paths run.
 
-        Resolved by :mod:`repro.kernels` (capability probe, overridable
-        via the ``REPRO_KERNELS`` env var or
-        :func:`repro.kernels.select_backend`).  Every backend is
-        bit-exact; the name is telemetry, not semantics — it is also
+        Telemetry, not semantics (there is one implementation) — also
         recorded in :meth:`OpLedger.snapshot` and serve stats.
         """
         from repro.kernels import active_backend

@@ -173,7 +173,6 @@ class ToyBackend(FheBackend):
         # Lazy int64 accumulation: `chunk` products fit between
         # reductions (entries stay < max_q after each `%` pass).
         chunk = kernels.lazy_reduction_chunk(max(ks_chain), _max_chunk)
-        ks_inner = kernels.get("ks_inner")
         outputs: List[Optional[Ciphertext]] = []
         for bo in range(num_out):
             bo_terms = sorted(
@@ -215,20 +214,20 @@ class ToyBackend(FheBackend):
             if plain_pts:
                 # One (2, T_plain, limbs, N) stack: c0 and c1 rows of
                 # every off==0 input against the same weight stack.
-                plain_acc = ks_inner(
+                plain_acc = kernels.ks_inner(
                     np.stack(plain_pts),
                     np.stack([np.stack(plain_c0s), np.stack(plain_c1s)]),
                     mod_q,
                     chunk,
                 )
             if rot_pts:
-                acc_ext = ks_inner(
+                acc_ext = kernels.ks_inner(
                     np.stack(rot_exts),
                     np.swapaxes(np.stack(rot_accs), 0, 1),
                     mod_ks,
                     chunk,
                 )
-                rot_c0 = ks_inner(
+                rot_c0 = kernels.ks_inner(
                     np.stack(rot_pts), np.stack(rot0s)[None], mod_q, chunk
                 )[0]
                 p0, p1 = ctx._ks_moddown(acc_ext, level)

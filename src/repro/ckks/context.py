@@ -667,7 +667,7 @@ class CkksContext:
                 )
         ks_chain = self._ks_chain(level)
         num_digits = self._ks_num_digits(level)
-        return kernels.get("ks_inner_stacked")(
+        return kernels.ks_inner_stacked(
             digits,
             [key.chain_view(num_digits, level) for key in keys],
             self.params.num_special_primes,
@@ -807,7 +807,7 @@ class CkksContext:
         acc_flat = np.take(pre.reshape(2, -1, num * n), flat_idx, axis=-1)
         accs = np.moveaxis(acc_flat.reshape(2, -1, num, n), 2, 0)
         if ct.c0.is_ntt:
-            rot0_data = kernels.get("galois_gather")(ct.c0.data, perms)
+            rot0_data = kernels.galois_gather(ct.c0.data, perms)
             rot0s = [
                 RnsPolynomial(self.basis, ct.c0.primes, rot0_data[i], is_ntt=True)
                 for i in range(len(nonzero))

@@ -122,13 +122,21 @@ class CompiledNetwork:
 
         return save_artifact(self, params, path)
 
-    def summary(self) -> Dict[str, float]:
+    def artifact_summary(self) -> Dict[str, float]:
+        """The summary fields that are a function of the compile alone:
+        what a serving artifact records.  No wall-clock timings, so two
+        exports of one compile are byte-identical."""
         return {
             "rotations": self.total_rotations,
             "pmults": self.total_pmults,
             "bootstraps": self.num_bootstraps,
             "depth": self.multiplicative_depth,
             "modeled_seconds": self.modeled_seconds,
+        }
+
+    def summary(self) -> Dict[str, float]:
+        return {
+            **self.artifact_summary(),
             "placement_seconds": self.placement.solve_seconds,
             "compile_seconds": self.compile_seconds,
             "graph_opt_seconds": self.graph_opt_seconds,

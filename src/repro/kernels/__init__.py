@@ -1,36 +1,40 @@
-"""Runtime-dispatched hot-path kernels (stacked inner products, NTT stages).
+"""Hot-path kernels (key-switch inner products, Galois gathers, NTT stages).
 
-See :mod:`repro.kernels.dispatch` for the registry/selection contract and
-:mod:`repro.kernels.ops` for the kernel implementations.  ``docs/kernels.md``
-documents how to add a backend.
+Plain numpy functions, one implementation each, called directly.  See
+:mod:`repro.kernels.ops` and ``docs/kernels.md``.
 """
 
-from repro.kernels.dispatch import (
-    BACKEND_NAMES,
-    ENV_VAR,
-    KernelDispatchError,
-    KernelRegistry,
-    active_backend,
-    drain_dispatch_counts,
-    enable_dispatch_counts,
-    get,
-    numba_available,
-    registry,
-    select_backend,
+from types import SimpleNamespace
+
+from repro.kernels.ops import (
+    galois_gather,
+    ks_inner,
+    ks_inner_stacked,
+    lazy_reduction_chunk,
+    ntt_stage,
 )
-from repro.kernels.ops import lazy_reduction_chunk
+
+
+def active_backend() -> str:
+    """The kernel implementation name recorded in telemetry (a constant)."""
+    return "numpy"
+
+
+# For benchmarks/e2e only (a frozen harness that still pins a backend by
+# environment variable); the next two names leave with that pin.
+def select_backend(name=None) -> str:
+    if name not in (None, "numpy"):
+        raise ValueError(f"the only kernel backend is 'numpy', got {name!r}")
+    return "numpy"
+
+
+registry = SimpleNamespace(probe=active_backend)
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ENV_VAR",
-    "KernelDispatchError",
-    "KernelRegistry",
     "active_backend",
-    "drain_dispatch_counts",
-    "enable_dispatch_counts",
-    "get",
+    "galois_gather",
+    "ks_inner",
+    "ks_inner_stacked",
     "lazy_reduction_chunk",
-    "numba_available",
-    "registry",
-    "select_backend",
+    "ntt_stage",
 ]

@@ -135,10 +135,6 @@ class NttChainEngine:
         growth += 1
         # One scratch buffer holds every stage's twiddle products.
         scratch = np.empty(shape[:-1] + (n // 2,), dtype=np.int64)
-        # Hoisted kernel lookup: one dispatch for the whole transform.
-        # Every backend of "ntt_stage" performs the identical lazy
-        # butterfly (one fmod, one add, one subtract) in place.
-        ntt_stage = kernels.get("ntt_stage")
         half = 2
         stage = 1
         while half < n:
@@ -148,7 +144,7 @@ class NttChainEngine:
                 a %= tables.q
                 growth = 1
             # Signed drift is bounded by +q per stage, repaired at the end.
-            ntt_stage(a, stages[stage], q3, scratch, half)
+            kernels.ntt_stage(a, stages[stage], q3, scratch, half)
             growth += 1
             half *= 2
             stage += 1

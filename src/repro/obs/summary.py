@@ -59,7 +59,6 @@ def summarize_ledger(ledger) -> Dict[str, float]:
     }
     out["seconds"] = ledger.seconds
     out["rotations"] = ledger.rotations
-    # Which kernel backend produced these charges (numpy / threaded /
-    # numba) — bit-exact across backends, but runs must record it.
+    # Which kernel implementation produced these charges (telemetry).
     out["kernel_backend"] = active_backend()
     return out

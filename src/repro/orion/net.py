@@ -127,7 +127,7 @@ class OrionNetwork:
             manifest=manifest,
             program=compiled.program,
             layer_reports=[],
-            summary=compiled.summary(),
+            summary=compiled.artifact_summary(),
         )
         if backend is None:
             backend = ToyBackend(params)

@@ -27,13 +27,7 @@ Behind it:
 - :mod:`repro.serve.scheduler` — cross-request SIMD slot batching;
 - :mod:`repro.serve.keys`     — the multi-tenant key registry;
 - :mod:`repro.serve.runtime`  — the per-worker inference loop.
-
-``InferenceServer`` and ``SlotBatchingScheduler`` remain importable
-from this package for one release as deprecation shims; new code goes
-through :func:`open`.
 """
-
-import warnings as _warnings
 
 from repro.serve.api import Server, ServerConfig, open
 from repro.serve.artifact import (
@@ -52,12 +46,11 @@ from repro.serve.pool import (
     AdmissionError,
     ArtifactSpec,
     Dispatcher,
+    WorkerLostError,
     WorkerPool,
 )
-from repro.serve.runtime import InferenceServer as _InferenceServer
 from repro.serve.runtime import ServeResult
 from repro.serve.scheduler import PendingRequest
-from repro.serve.scheduler import SlotBatchingScheduler as _SlotBatchingScheduler
 from repro.serve.stats import (
     STATS_SCHEMA_VERSION,
     HistogramStats,
@@ -66,44 +59,6 @@ from repro.serve.stats import (
     StatsSchemaError,
     WorkerStats,
 )
-
-
-class InferenceServer(_InferenceServer):
-    """Deprecated alias for :class:`repro.serve.runtime.InferenceServer`.
-
-    The single-worker loop is now an internal building block of the
-    pool; construct deployments with :func:`repro.serve.open` instead.
-    Behavior is identical to the internal class (the parity tests in
-    ``tests/test_serve_pool.py`` pin this) — only the import location
-    is deprecated.
-    """
-
-    def __init__(self, *args, **kwargs):
-        _warnings.warn(
-            "repro.serve.InferenceServer is deprecated; use "
-            "repro.serve.open(artifact, ServerConfig(...)) — or import "
-            "repro.serve.runtime.InferenceServer if you really need the "
-            "bare worker loop",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-
-
-class SlotBatchingScheduler(_SlotBatchingScheduler):
-    """Deprecated alias for
-    :class:`repro.serve.scheduler.SlotBatchingScheduler` — batching is
-    configured through :class:`ServerConfig` now."""
-
-    def __init__(self, *args, **kwargs):
-        _warnings.warn(
-            "repro.serve.SlotBatchingScheduler is deprecated; configure "
-            "batching via ServerConfig (or import "
-            "repro.serve.scheduler.SlotBatchingScheduler directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
 
 
 __all__ = [
@@ -115,6 +70,7 @@ __all__ = [
     "WorkerPool",
     "Dispatcher",
     "AdmissionError",
+    "WorkerLostError",
     "ArtifactSpec",
     # shared artifact memory
     "ArtifactMap",
@@ -140,7 +96,4 @@ __all__ = [
     # results / scheduling primitives
     "ServeResult",
     "PendingRequest",
-    # deprecated shims
-    "InferenceServer",
-    "SlotBatchingScheduler",
 ]

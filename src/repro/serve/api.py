@@ -7,17 +7,13 @@ control without breaking every caller.  This module is the deliberate
 redesign:
 
 - :class:`ServerConfig` — one validated, frozen dataclass holding every
-  serving knob (worker count, batch window, admission limits, kernel
-  backend, key policy) instead of constructor-kwarg sprawl;
+  serving knob (worker count, batch window, admission limits, key
+  policy) instead of constructor-kwarg sprawl;
 - :func:`open` — the single entry point: give it an artifact path (or
   several, or an already-loaded :class:`ServingArtifact`) and a config,
   get a :class:`Server`;
 - :class:`Server` — the facade over the dispatcher + worker pool, with
   typed, schema-versioned :meth:`Server.stats`.
-
-The old ``InferenceServer`` / ``SlotBatchingScheduler`` names remain
-importable from :mod:`repro.serve` for one release behind deprecation
-shims; ``tests/test_serve_pool.py`` pins shim == new-path behavior.
 """
 
 from __future__ import annotations
@@ -39,8 +35,6 @@ from repro.serve.stats import (
     STATS_SCHEMA_VERSION,
     ServerStats,
 )
-
-_KERNEL_BACKENDS = ("auto", "numpy", "threaded", "numba")
 
 
 @dataclass(frozen=True)
@@ -76,8 +70,6 @@ class ServerConfig:
         max_tenants: per-(worker, artifact) key-registry LRU capacity —
             how many tenants' key chains stay resident in RAM before
             the coldest spill (or drop, without ``key_cache_dir``).
-        kernel_backend: optional :mod:`repro.kernels` selection applied
-            in each worker (``None`` keeps the ambient selection).
         preload: seed backend caches from the artifact's pre-encoded
             tables at worker start.
         backend_factory: ``(params, seed) -> FheBackend`` override
@@ -102,7 +94,6 @@ class ServerConfig:
     key_seed: int = 0
     key_cache_dir: Optional[str] = None
     max_tenants: int = 16
-    kernel_backend: Optional[str] = None
     preload: bool = True
     backend_factory: Optional[Callable] = None
     tracing: bool = False
@@ -138,14 +129,6 @@ class ServerConfig:
             )
         if self.max_tenants < 1:
             raise ValueError("ServerConfig.max_tenants must be at least 1")
-        if (
-            self.kernel_backend is not None
-            and self.kernel_backend not in _KERNEL_BACKENDS
-        ):
-            raise ValueError(
-                f"ServerConfig.kernel_backend must be one of "
-                f"{_KERNEL_BACKENDS}, got {self.kernel_backend!r}"
-            )
         if not 0.0 < self.trace_sample_rate <= 1.0:
             raise ValueError(
                 "ServerConfig.trace_sample_rate must be in (0, 1], got "
@@ -226,19 +209,10 @@ class Server:
             spec.artifact_id for spec in specs
         )
         self._default_artifact = self.artifact_ids[0]
-        if config.kernel_backend is not None and config.mode == "inline":
-            from repro import kernels
-
-            kernels.select_backend(
-                None
-                if config.kernel_backend == "auto"
-                else config.kernel_backend
-            )
         pool = WorkerPool(
             specs,
             config.workers,
             mode=config.mode,
-            kernel_backend=config.kernel_backend,
             key_seed=config.key_seed,
             key_policy=config.key_policy,
             key_cache_dir=config.key_cache_dir,

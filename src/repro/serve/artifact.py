@@ -286,7 +286,7 @@ def build_artifact(compiled, params) -> ServingArtifact:
         manifest=manifest,
         program=program,
         layer_reports=reports,
-        summary=compiled.summary(),
+        summary=compiled.artifact_summary(),
         encoded=encoded,
     )
 

@@ -40,12 +40,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import queue
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.serve.artifact import ServingArtifact
@@ -59,6 +59,14 @@ from repro.serve.stats import WorkerStats
 #: permanently in flight, so the LRU may spill cold *tenant* keys around
 #: it but never the keys requests are being served under.
 POOL_CLIENT_ID = "__pool__"
+
+#: How often a parent blocked on a fork worker's response queue checks
+#: that the child still exists.
+_LIVENESS_POLL_SECONDS = 0.5
+
+
+class WorkerLostError(RuntimeError):
+    """A fork worker exited (killed, OOM) without answering."""
 
 
 class AdmissionError(RuntimeError):
@@ -266,13 +274,6 @@ class InlineWorker:
         #: one tracer per worker shard — its spans become this worker's
         #: track in the Chrome-trace export.
         self.tracer = Tracer(sample_rate=sample_rate) if tracing else None
-        if tracing:
-            # Kernel dispatch counting is opt-in (a dict increment on the
-            # hot path); only a tracing pool pays for it.
-            kernels.enable_dispatch_counts()
-        # Cumulative process-wide kernel dispatch counts accumulated from
-        # the registry's destructive drain (see metrics_registry).
-        self._dispatch_totals: Dict[str, int] = {}
         # Kept for hot reload: a swapped-in artifact rebuilds its server
         # with the same batching/preload options it was opened with.
         self._build_opts = dict(build_opts)
@@ -519,21 +520,6 @@ class InlineWorker:
                     phase=phase,
                     **labels,
                 )
-        # Dispatch counts are process-global (the kernel registry is a
-        # module singleton), so this metric carries no worker label:
-        # whichever worker drains first claims the counts, and summing
-        # across workers always yields the true process total.
-        for kernel, count in kernels.drain_dispatch_counts().items():
-            self._dispatch_totals[kernel] = (
-                self._dispatch_totals.get(kernel, 0) + count
-            )
-        for kernel, count in sorted(self._dispatch_totals.items()):
-            registry.counter(
-                "repro_kernel_dispatch_total",
-                count,
-                help="Kernel registry dispatches (process-wide).",
-                kernel=kernel,
-            )
         return registry
 
     def telemetry(self) -> Dict:
@@ -563,7 +549,6 @@ def _process_worker_main(
     worker_id: int,
     specs: Tuple[ArtifactSpec, ...],
     build_opts: Dict,
-    kernel_backend: Optional[str],
     request_queue,
     response_queue,
 ) -> None:
@@ -574,12 +559,6 @@ def _process_worker_main(
     and then runs a plain message loop: submit / step / drain / stats.
     """
     try:
-        if kernel_backend is not None:
-            from repro import kernels
-
-            kernels.select_backend(
-                None if kernel_backend == "auto" else kernel_backend
-            )
         worker = InlineWorker(worker_id, specs, **build_opts)
         response_queue.put(
             ("ready", worker_id, {aid: p for aid, p in worker.profiles.items()})
@@ -655,8 +634,6 @@ class ProcessWorker:
         self,
         worker_id: int,
         specs: Tuple[ArtifactSpec, ...],
-        *,
-        kernel_backend: Optional[str] = None,
         **build_opts,
     ):
         import multiprocessing
@@ -690,17 +667,41 @@ class ProcessWorker:
                 worker_id,
                 specs,
                 build_opts,
-                kernel_backend,
                 self._requests,
                 self._responses,
             ),
             daemon=True,
         )
         self._process.start()
-        kind, _, payload = self._responses.get()
-        if kind == "error":
-            raise RuntimeError(f"worker {worker_id} failed to start: {payload}")
-        self.profiles: Dict[str, WorkerProfile] = dict(payload)
+        self.profiles: Dict[str, WorkerProfile] = dict(self._recv("ready")[1])
+
+    def _recv(self, *kinds: str):
+        """The child's next response of one of ``kinds``: ``(kind, payload)``.
+
+        Every parent-side wait goes through here.  A child that posted
+        ``"error"`` raises ``RuntimeError``; one that is gone without a
+        word (SIGKILL, OOM) raises :class:`WorkerLostError` instead of
+        blocking forever.  Liveness is sampled *before* each poll, so an
+        answer the child flushed just before exiting is still delivered.
+        """
+        while True:
+            alive = self._process.is_alive()
+            try:
+                kind, _, payload = self._responses.get(
+                    timeout=_LIVENESS_POLL_SECONDS
+                )
+            except queue.Empty:
+                if not alive:
+                    raise WorkerLostError(
+                        f"worker {self.worker_id} (pid {self._process.pid}) "
+                        f"exited with code {self._process.exitcode} while "
+                        f"the parent waited for {'/'.join(kinds)}"
+                    ) from None
+                continue
+            if kind == "error":
+                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
+            if kind in kinds:
+                return kind, payload
 
     # -- intake ------------------------------------------------------------
     def submit(self, ticket, artifact_id, client_id, payload, now, deadline):
@@ -739,28 +740,20 @@ class ProcessWorker:
     def reload(self, artifact_id: str) -> WorkerProfile:
         """Hot-swap the artifact inside the child; mirror its profile."""
         self._requests.put(("reload", artifact_id))
-        while True:
-            kind, _, payload = self._responses.get()
-            if kind == "profile":
-                _, profile = payload
-                self.profiles[artifact_id] = profile
-                return profile
-            if kind == "error":
-                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
+        _, profile = self._recv("profile")[1]
+        self.profiles[artifact_id] = profile
+        return profile
 
     def _collect(self) -> List[ServeResult]:
         """Read responses until the worker's 'done' marker."""
         results: List[ServeResult] = []
         while True:
-            kind, _, payload = self._responses.get()
-            if kind == "result":
-                result = ServeResult(**payload)
-                self._depths[result.artifact_id] -= 1
-                results.append(result)
-            elif kind == "done":
+            kind, payload = self._recv("result", "done")
+            if kind == "done":
                 return results
-            elif kind == "error":
-                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
+            result = ServeResult(**payload)
+            self._depths[result.artifact_id] -= 1
+            results.append(result)
 
     # -- observability -----------------------------------------------------
     def queue_depths(self) -> Dict[str, int]:
@@ -780,13 +773,8 @@ class ProcessWorker:
                 )
             return WorkerStats.from_payload(self._cached_stats_payload)
         self._requests.put(("stats",))
-        while True:
-            kind, _, payload = self._responses.get()
-            if kind == "stats":
-                self._cached_stats_payload = payload
-                return WorkerStats.from_payload(payload)
-            if kind == "error":
-                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
+        self._cached_stats_payload = self._recv("stats")[1]
+        return WorkerStats.from_payload(self._cached_stats_payload)
 
     def _fetch_telemetry(self) -> None:
         """Round-trip one telemetry snapshot from the child into the
@@ -796,20 +784,12 @@ class ProcessWorker:
         if not self._process.is_alive():
             return
         self._requests.put(("telemetry",))
-        while True:
-            try:
-                kind, _, payload = self._responses.get(timeout=30.0)
-            except Exception:  # pragma: no cover - child wedged/raced exit
-                return
-            if kind == "telemetry":
-                self._cached_stats_payload = payload["stats"]
-                self._cached_metrics_payload = payload["metrics"]
-                self._pending_trace.extend(payload["trace"])
-                self._clock_offset = payload["clock_offset"]
-                self._dropped_roots = payload["dropped_roots"]
-                return
-            if kind == "error":
-                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
+        payload = self._recv("telemetry")[1]
+        self._cached_stats_payload = payload["stats"]
+        self._cached_metrics_payload = payload["metrics"]
+        self._pending_trace.extend(payload["trace"])
+        self._clock_offset = payload["clock_offset"]
+        self._dropped_roots = payload["dropped_roots"]
 
     def telemetry(self) -> Dict:
         """Same bundle as :meth:`InlineWorker.telemetry`, served from
@@ -850,7 +830,6 @@ class WorkerPool:
         num_workers: int,
         *,
         mode: str = "inline",
-        kernel_backend: Optional[str] = None,
         **build_opts,
     ):
         if num_workers < 1:
@@ -875,12 +854,7 @@ class WorkerPool:
         elif mode == "process":
             for worker_id in range(num_workers):
                 self.workers.append(
-                    ProcessWorker(
-                        worker_id,
-                        self.specs,
-                        kernel_backend=kernel_backend,
-                        **build_opts,
-                    )
+                    ProcessWorker(worker_id, self.specs, **build_opts)
                 )
         else:
             raise ValueError(f"unknown pool mode {mode!r}")

@@ -2,6 +2,7 @@
 build, so session-scoped fixtures keep the suite fast."""
 
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -28,6 +29,24 @@ def _ambient_tracer():
         yield tracer
     finally:
         set_tracer(None)
+
+
+@pytest.fixture()
+def fork_deadline():
+    """SIGALRM guard for every ``mode="process"`` test: a parent wedged
+    on a fork worker fails here with a traceback after 120 s instead of
+    eating the CI job's 30 minutes."""
+
+    def expired(signum, frame):
+        raise TimeoutError("process-mode test exceeded 120 s (fork deadlock?)")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

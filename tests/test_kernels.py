@@ -1,9 +1,7 @@
 """Tests for the repro.kernels subsystem.
 
-Three layers:
+Two layers:
 
-- the dispatch registry itself (capability probe, env/API selection,
-  per-kernel numpy fallback, error paths);
 - the shared int64 lazy-accumulator chunk bound
   (:func:`repro.kernels.lazy_reduction_chunk`), including the headroom
   regression at the boundary chunk size;
@@ -12,12 +10,12 @@ Three layers:
   one resident tensor) vs a per-offset loop over natural-layout keys
   (across ks_alpha values, partial digit groups, mixed int and
   ``("conj", k)`` offsets, compressed keys at their level bound, and a
-  forced ``_max_chunk`` fallback), the grouped fused matvec, the
-  simulator's batched gathers, and numpy-vs-threaded agreement for
-  every dispatched kernel.
-"""
+  forced ``_max_chunk`` fallback), the grouped fused matvec and the
+  simulator's batched gathers.
 
-import os
+There is one implementation of each kernel and nothing selects between
+them (docs/kernels.md); ``TestTelemetry`` pins that.
+"""
 
 import numpy as np
 import pytest
@@ -28,23 +26,9 @@ from repro.backend.ledger import OpLedger
 from repro.backend.sim import SimBackend
 from repro.ckks.galois import galois_offset_key
 from repro.ckks.params import toy_parameters
-from repro.kernels.dispatch import KernelDispatchError, KernelRegistry
 from repro.ntt import galois_eval_permutation
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Isolate every test from ambient REPRO_KERNELS and API overrides."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    kernels.select_backend(None)
-    yield
-    # This teardown runs before monkeypatch's env restore: drop any env
-    # override the test set so clearing the API override cannot trip on
-    # an invalid REPRO_KERNELS value.
-    os.environ.pop(kernels.ENV_VAR, None)
-    kernels.select_backend(None)
 
 
 @pytest.fixture(scope="module", params=[1, 2])
@@ -59,78 +43,6 @@ def toy_backend(request):
         ),
         seed=7,
     )
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-class TestRegistry:
-    def test_known_kernels_registered(self):
-        names = kernels.registry.kernels()
-        for kernel in (
-            "galois_gather",
-            "ks_inner",
-            "ks_inner_stacked",
-            "ntt_stage",
-        ):
-            assert kernel in names
-            assert "numpy" in kernels.registry.backends_for(kernel)
-            assert "threaded" in kernels.registry.backends_for(kernel)
-
-    def test_unknown_kernel_raises(self):
-        with pytest.raises(KernelDispatchError, match="unknown kernel"):
-            kernels.get("no_such_kernel")
-
-    def test_unknown_backend_rejected_at_registration(self):
-        reg = KernelRegistry()
-        with pytest.raises(KernelDispatchError, match="unknown backend"):
-            reg.register("k", "cuda", lambda: None)
-
-    def test_probe_matches_cpu_count(self):
-        expected = "threaded" if (os.cpu_count() or 1) > 1 else "numpy"
-        assert kernels.registry.probe() == expected
-        assert kernels.active_backend() == expected
-
-    def test_env_var_selection(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "threaded")
-        assert kernels.active_backend() == "threaded"
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert kernels.active_backend() == "numpy"
-        monkeypatch.setenv(kernels.ENV_VAR, "auto")
-        assert kernels.active_backend() == kernels.registry.probe()
-
-    def test_env_var_invalid_name(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "cuda")
-        with pytest.raises(KernelDispatchError, match="unknown kernel backend"):
-            kernels.active_backend()
-
-    def test_api_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert kernels.select_backend("threaded") == "threaded"
-        assert kernels.active_backend() == "threaded"
-        kernels.select_backend(None)
-        assert kernels.active_backend() == "numpy"
-
-    @pytest.mark.skipif(
-        kernels.numba_available(), reason="numba installed: selection is legal"
-    )
-    def test_numba_unavailable_fails_loudly(self, monkeypatch):
-        with pytest.raises(KernelDispatchError, match="not available"):
-            kernels.select_backend("numba")
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        with pytest.raises(KernelDispatchError, match="not available"):
-            kernels.active_backend()
-
-    def test_missing_impl_falls_back_to_numpy(self):
-        reg = KernelRegistry()
-        reg.register("only_ref", "numpy", lambda: "ref")
-        assert reg.select("threaded") == "threaded"
-        assert reg.get("only_ref")() == "ref"
-
-    def test_available_backends_always_include_portable_pair(self):
-        names = kernels.registry.available_backends()
-        assert "numpy" in names and "threaded" in names
-        assert ("numba" in names) == kernels.numba_available()
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +95,7 @@ class TestLazyReductionChunk:
         mod_col = np.array([[max_q]], dtype=np.int64)
         want = (num_digits * pow(max_q - 1, 2, max_q)) % max_q
         for forced in (chunk, 1, 2):
-            got = kernels.get("ks_inner")(factors, pairs, mod_col, forced)
+            got = kernels.ks_inner(factors, pairs, mod_col, forced)
             assert got.shape == (2, 1, 4)
             assert np.all(got == want)
 
@@ -201,18 +113,16 @@ class TestLazyReductionChunk:
         mod_col = np.array([[max_q], [max_q]], dtype=np.int64)
         want = (num_digits * pow(max_q - 1, 2, max_q)) % max_q
         for forced in (chunk, 1, 2):
-            got = kernels.get("ks_inner_stacked")(digits, keys, 1, mod_col, forced)
+            got = kernels.ks_inner_stacked(digits, keys, 1, mod_col, forced)
             assert got.shape == (2, 2, num_offsets, 4)
             assert np.all(got == want)
 
-    def test_stacked_kernel_backends_and_chunks_agree(self):
-        """Random-data equality of every ks_inner_stacked backend and
+    def test_stacked_kernel_chunks_agree(self):
+        """Random-data equality of ks_inner_stacked under every
         chunking against a materialize-then-sum reference, with the
         keys' limb axis stored special-first (rotated by num_special
         against the digits' chain order) and longer than the digits'
         — the prefix-view shape a below-bound key switch reads."""
-        from repro.kernels import ops
-
         rng = np.random.default_rng(5)
         digits = rng.integers(0, 2**29, size=(4, 6, 16), dtype=np.int64)
         mod_col = rng.integers(2**28, 2**29, size=(6, 1)).astype(np.int64)
@@ -223,10 +133,11 @@ class TestLazyReductionChunk:
             ref = np.moveaxis(
                 (digits[None, None] * natural).sum(axis=2) % mod_col, 0, 2
             )
-            for impl in (ops.ks_inner_stacked_numpy, ops.ks_inner_stacked_threaded):
-                for chunk in (8, 2, 1):
-                    got = impl(digits, keys, num_special, mod_col, chunk)
-                    assert np.array_equal(got, ref)
+            for chunk in (8, 2, 1):
+                got = kernels.ks_inner_stacked(
+                    digits, keys, num_special, mod_col, chunk
+                )
+                assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +280,6 @@ class TestStackedHoistedRaw:
         assert np.array_equal(rot0_s.data, rot0_m.data)
         assert np.array_equal(np.asarray(acc_s), np.asarray(acc_m))
 
-    def test_threaded_matches_numpy(self, toy_backend):
-        ctx = toy_backend.context
-        ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
-        steps = [1, 3, ("conj", 2)]
-        kernels.select_backend("numpy")
-        ref = ctx.rotate_hoisted_raw(ct, steps)
-        kernels.select_backend("threaded")
-        got = ctx.rotate_hoisted_raw(ct, steps)
-        assert_raw_equal(got, ref)
-
 
 # ---------------------------------------------------------------------------
 # Grouped fused matvec / rotate-sum (toy)
@@ -412,31 +313,6 @@ class TestGroupedFusedMatvec:
         for got, want in zip(forced, base):
             assert np.array_equal(got.c0.data, want.c0.data)
             assert np.array_equal(got.c1.data, want.c1.data)
-
-    def test_threaded_matches_numpy(self, toy_backend):
-        cts = [
-            toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count)),
-            toy_backend.encode_encrypt(np.linspace(1, -1, toy_backend.slot_count)),
-        ]
-        terms = _matvec_terms(toy_backend, 2, 2, self.OFFS)
-        scale = toy_backend.params.scale
-        kernels.select_backend("numpy")
-        ref = toy_backend._matvec_fused_no_charge(cts, terms, 2, scale)
-        kernels.select_backend("threaded")
-        got = toy_backend._matvec_fused_no_charge(cts, terms, 2, scale)
-        for g, w in zip(got, ref):
-            assert np.array_equal(g.c0.data, w.c0.data)
-            assert np.array_equal(g.c1.data, w.c1.data)
-
-    def test_rotate_sum_threaded_matches_numpy(self, toy_backend):
-        ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
-        steps = [1, 2, 5]
-        kernels.select_backend("numpy")
-        ref = toy_backend._rotate_sum_no_charge(ct, steps)
-        kernels.select_backend("threaded")
-        got = toy_backend._rotate_sum_no_charge(ct, steps)
-        assert np.array_equal(got.c0.data, ref.c0.data)
-        assert np.array_equal(got.c1.data, ref.c1.data)
 
 
 # ---------------------------------------------------------------------------
@@ -482,40 +358,20 @@ class TestSimBatchedGathers:
 
 
 # ---------------------------------------------------------------------------
-# NTT stage kernel
-# ---------------------------------------------------------------------------
-class TestNttStageKernel:
-    def test_threaded_transform_matches_numpy(self, toy_backend):
-        ctx = toy_backend.context
-        engine = ctx.basis.engine
-        rng = np.random.default_rng(5)
-        rows = list(range(engine.num_primes))
-        data = rng.integers(
-            0, engine._full.q, size=(3, len(rows), ctx.params.ring_degree)
-        )
-        kernels.select_backend("numpy")
-        fwd_ref = engine.forward(data, rows)
-        inv_ref = engine.inverse(fwd_ref, rows)
-        kernels.select_backend("threaded")
-        fwd_thr = engine.forward(data, rows)
-        inv_thr = engine.inverse(fwd_thr, rows)
-        assert np.array_equal(fwd_thr, fwd_ref)
-        assert np.array_equal(inv_thr, inv_ref)
-        assert np.array_equal(inv_ref, data)
-
-
-# ---------------------------------------------------------------------------
 # Telemetry
 # ---------------------------------------------------------------------------
 class TestTelemetry:
-    def test_ledger_snapshot_reports_backend(self):
-        snap = OpLedger().snapshot()
-        assert snap["kernel_backend"] == kernels.active_backend()
-        kernels.select_backend("threaded")
-        assert OpLedger().snapshot()["kernel_backend"] == "threaded"
-
-    def test_backend_property(self, toy_backend):
-        kernels.select_backend("numpy")
+    def test_one_implementation_is_what_telemetry_reports(self, toy_backend):
+        assert kernels.active_backend() == "numpy"
+        assert OpLedger().snapshot()["kernel_backend"] == "numpy"
         assert toy_backend.kernel_backend == "numpy"
-        kernels.select_backend("threaded")
-        assert toy_backend.kernel_backend == "threaded"
+
+    def test_environment_selects_nothing(self, toy_backend, monkeypatch):
+        """REPRO_KERNELS used to pick a backend; src/ no longer reads it."""
+        ctx = toy_backend.context
+        ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
+        steps = [1, 3, ("conj", 2)]
+        want = ctx.rotate_hoisted_raw(ct, steps)
+        monkeypatch.setenv("REPRO_KERNELS", "threaded")
+        assert kernels.active_backend() == "numpy"
+        assert_raw_equal(ctx.rotate_hoisted_raw(ct, steps), want)

@@ -421,6 +421,29 @@ class TestDeltaArtifacts:
         with pytest.raises(ArtifactDeltaError, match="fingerprint"):
             load_artifact(delta_path, base_path=out)
 
+    def test_reexport_is_byte_identical_and_takes_the_same_delta(
+        self, mlp_deployment, tmp_path
+    ):
+        """Artifact bytes are a function of the compile: no wall-clock
+        timing reaches the manifest, so a delta pinned to one export's
+        fingerprint applies to a re-export of the same network."""
+        params, _, full_path, _ = mlp_deployment
+        onet = _make_net(seed=0)
+        first, again = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+        onet.export(first, params)
+        onet.export(again, params)
+        with open(first, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+        delta = str(tmp_path / "delta.npz")
+        retrained = _make_net(seed=0, perturb_last=42).compile(params)
+        save_artifact_delta(retrained, params, first, delta)
+        apply_artifact_delta(again, delta)
+        img = np.random.default_rng(5).normal(0, 0.5, (1, 8, 8))
+        assert np.array_equal(
+            load_artifact(again).program.run_cleartext_packed(img),
+            load_artifact(full_path).program.run_cleartext_packed(img),
+        )
+
     def test_structural_mismatch_refuses_delta(self, mlp_deployment, tmp_path):
         params, base_path, _, _ = mlp_deployment
         init.seed_init(8)

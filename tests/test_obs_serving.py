@@ -228,8 +228,8 @@ class TestMetricsEndpoint:
         assert "repro_in_flight_requests 0" in text
         # noise telemetry rides the same endpoint
         assert 'repro_noise_boundary_total' in text
-        # tracing pools count kernel dispatches
-        assert "repro_kernel_dispatch_total" in text
+        # the work counter is per FHE op
+        assert "# TYPE repro_fhe_ops_total counter" in text
 
     def test_metrics_without_tracing(self, artifact_path):
         with serve.open(artifact_path, _config()) as server:
@@ -244,6 +244,7 @@ class TestMetricsEndpoint:
             assert total == 2
 
 
+@pytest.mark.usefixtures("fork_deadline")
 class TestForkModeTelemetry:
     def test_metrics_and_trace_over_the_pipe(self, artifact_path):
         config = _config(mode="process", tracing=True)

@@ -13,8 +13,6 @@ The correctness gates of the pool PR:
   including under overload and after drain;
 - **shared mmap tables** — workers serve from read-only mmap-backed
   views of the artifact; no table is ever copied on the request path;
-- **shim parity** — the deprecated ``repro.serve.InferenceServer``
-  import warns but behaves bit-identically to the internal class;
 - **typed stats** — ``ServerStats`` round-trips through JSON and
   rejects foreign schema versions;
 - **key pinning** — the registry never LRU-evicts key material with
@@ -22,7 +20,9 @@ The correctness gates of the pool PR:
 """
 
 import json
-import warnings
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +39,7 @@ from repro.serve import (
     ServerConfig,
     ServerStats,
     StatsSchemaError,
+    WorkerLostError,
     is_mmap_backed,
 )
 from repro.serve.keys import default_backend_factory
@@ -287,8 +288,8 @@ class TestFrontDoor:
             ServerConfig(mode="threads")
         with pytest.raises(ValueError):
             ServerConfig(key_policy="rotating")
-        with pytest.raises(ValueError):
-            ServerConfig(kernel_backend="cuda")
+        with pytest.raises(TypeError):  # the kernels have nothing to select
+            ServerConfig(kernel_backend="numpy")
         with pytest.raises(ValueError):
             ServerConfig(max_queue_depth=0)
         with pytest.raises(ValueError):
@@ -321,36 +322,6 @@ class TestFrontDoor:
             serve.open([artifact_path, artifact_path])
         with pytest.raises(TypeError):
             serve.open(123)
-
-    def test_deprecated_shims_warn_and_match(self, artifact_path):
-        artifact = ArtifactMap(artifact_path).load()
-        params = artifact.manifest.to_params()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = serve.InferenceServer(
-                artifact,
-                default_backend_factory(params, 0),
-                max_wait_seconds=0.0,
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        internal = InferenceServer(
-            artifact,
-            default_backend_factory(params, 0),
-            max_wait_seconds=0.0,
-        )
-        image = _images(1)[0]
-        assert np.array_equal(
-            shim.serve_now(image).output, internal.serve_now(image).output
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            scheduler = serve.SlotBatchingScheduler(capacity=4)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert scheduler.capacity == 4
 
 
 class TestStatsSchema:
@@ -456,6 +427,7 @@ class TestKeyPinning:
             registry.unpin("a")
 
 
+@pytest.mark.usefixtures("fork_deadline")
 class TestProcessMode:
     def test_process_pool_smoke(self, artifact_path):
         """Two real multiprocessing workers over the same mapped file,
@@ -484,3 +456,38 @@ class TestProcessMode:
                 process_results[client].worker_id
                 == inline_results[client].worker_id
             )
+
+    def test_fork_after_kernels_ran_in_the_parent(self, artifact_path):
+        """The parent has already run a hoisted rotation and an NTT when
+        the pool forks.  A kernel thread pool in the parent used to
+        deadlock the child here; the kernels hold no threads now."""
+        backend = default_backend_factory(_params(), 0)
+        ct = backend.encode_encrypt(np.linspace(-1, 1, backend.slot_count))
+        backend.rotate_hoisted(ct, [1, 2, 3])
+        ct.c0.to_coeff()  # an inverse NTT over the whole chain
+        config = _pool_config(workers=1, mode="process")
+        image = _images(1)[0]
+        with serve.open(artifact_path, config) as server:
+            forked = server.serve_now(image, client_id="alice")
+        with serve.open(artifact_path, config.with_overrides(mode="inline")) as server:
+            inline = server.serve_now(image, client_id="alice")
+        assert np.array_equal(forked.output, inline.output)
+
+    def test_killed_worker_is_a_typed_error_not_a_hang(self, artifact_path):
+        """A child that dies without posting "error" (SIGKILL, OOM)
+        surfaces as WorkerLostError on the next wait, and close() still
+        returns."""
+        config = _pool_config(workers=1, mode="process")
+        server = serve.open(artifact_path, config)
+        try:
+            server.warm()
+            worker = server._dispatcher.pool.workers[0]
+            server.submit(_images(1)[0], client_id="alice")
+            os.kill(worker._process.pid, signal.SIGKILL)
+            start = time.monotonic()
+            with pytest.raises(WorkerLostError, match="exited with code"):
+                server.drain()
+            assert time.monotonic() - start < 5.0
+        finally:
+            server.close()
+        assert not worker._process.is_alive()
