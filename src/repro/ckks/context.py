@@ -191,8 +191,8 @@ class CkksContext:
             b_i = self._noise_poly(chain).data - a_i * s_to
             b_i[own] += gadget[own] * s_from[own]
             b_i %= mod_col
-            tensor[0, digit] = b_i[:, order]
-            tensor[1, digit] = a_i[:, order]
+            tensor[0, digit] = np.take(b_i, order, axis=-1)
+            tensor[1, digit] = np.take(a_i, order, axis=-1)
         return key
 
     def galois_key(
@@ -705,7 +705,7 @@ class CkksContext:
         acc = self._ks_inner(digits, [key], level)[:, :, 0]
         if key.exponent != 1:
             perm = galois_eval_permutation(self.params.ring_degree, key.exponent)
-            acc = acc[..., perm]
+            acc = np.take(acc, perm, axis=-1)
         return self._ks_moddown(acc, level)
 
     def galois_offset_exponent(self, offset) -> int:

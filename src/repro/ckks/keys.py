@@ -166,7 +166,9 @@ class SwitchingKey:
         key = cls(tensor, basis, exponent, max_level, seed)
         primes, order = key.primes, key.slot_order()
         for digit in range(len(key)):
-            tensor[1, digit] = expand_a_half(seed, digit, basis, primes).data[:, order]
+            tensor[1, digit] = np.take(
+                expand_a_half(seed, digit, basis, primes).data, order, axis=-1
+            )
         return key
 
     def size_bytes(self) -> int:

@@ -183,25 +183,27 @@ def galois_gather(source, perms):
 # ---------------------------------------------------------------------------
 # ntt_stage: one lazy butterfly stage across all limbs
 # ---------------------------------------------------------------------------
-def ntt_stage(a, twiddles, q3, scratch, half):
-    """One lazy DIT butterfly stage, in place on ``a``.
+def ntt_stage(a, out, twiddles, q, scratch):
+    """One lazy constant-geometry (Pease) butterfly stage, ``a`` -> ``out``.
 
-    ``a``: int64 ``(..., K, N)`` signed lazy residues; ``twiddles``:
-    ``(K, 1, half)`` stage twiddles; ``q3``: ``(K, 1, 1)`` moduli;
-    ``scratch``: ``(..., K, N // 2)`` reusable product buffer.  Exactly
-    one modular reduction (the twiddle product) plus one add and one
-    subtract — the laziness contract of
-    :class:`repro.ntt.chain.NttChainEngine`.
+    ``a``, ``out``: distinct int64 ``(..., K, N)`` buffers, ``a`` holding
+    signed lazy residues; ``twiddles``: ``(K, N // 2)`` — pair ``m``
+    (``a[..., 2m]``, ``a[..., 2m + 1]``) uses ``twiddles[:, m]`` — or
+    ``None`` for the all-ones first stage, which needs ``|a| < q``;
+    ``q``: ``(K, 1)`` moduli; ``scratch``: ``(..., K, N // 2)`` product
+    buffer.  Sums land in ``out[..., :N // 2]``, differences in
+    ``out[..., N // 2:]``, so every operand of every call is an ``N // 2``
+    long run whatever the stage.  Exactly one modular reduction (the
+    twiddle product) plus one add and one subtract: ``|out| <= |a| + q``,
+    the laziness contract of :class:`repro.ntt.chain.NttChainEngine`.
     """
-    n = a.shape[-1]
-    span = half * 2
-    blocks = a.reshape(a.shape[:-1] + (n // span, span))
-    left = blocks[..., :half]
-    right = blocks[..., half:]
-    t = scratch.reshape(a.shape[:-1] + (n // span, half))
-    np.multiply(right, twiddles, out=t)
-    # fmod, not %: the butterfly only needs a congruent |t| < q, and
-    # numpy's floor-mod costs ~2.5x more on mixed-sign int64.
-    np.fmod(t, q3, out=t)
-    np.subtract(left, t, out=right)
-    left += t
+    half = a.shape[-1] // 2
+    even = a[..., 0::2]
+    t = a[..., 1::2]
+    if twiddles is not None:
+        np.multiply(t, twiddles, out=scratch)
+        # fmod, not %: the butterfly only needs a congruent |t| < q, and
+        # numpy's floor-mod costs ~2.5x more on mixed-sign int64.
+        t = np.fmod(scratch, q, out=scratch)
+    np.add(even, t, out=out[..., :half])
+    np.subtract(even, t, out=out[..., half:])

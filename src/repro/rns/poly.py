@@ -151,7 +151,7 @@ class RnsPolynomial:
         if self.is_ntt:
             perm = galois_eval_permutation(n, exponent)
             return RnsPolynomial(
-                self.basis, self.primes, self.data[:, perm], is_ntt=True
+                self.basis, self.primes, np.take(self.data, perm, axis=-1), is_ntt=True
             )
         src = np.arange(n, dtype=np.int64)
         dest = (src * exponent) % two_n

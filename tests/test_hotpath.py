@@ -12,9 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.backend import ToyBackend
 from repro.ckks.params import toy_parameters
-from repro.ntt import galois_eval_permutation, negacyclic_convolve_reference
+from repro.ntt import (
+    NttChainEngine,
+    NttContext,
+    galois_eval_permutation,
+    negacyclic_convolve_reference,
+)
 from repro.rns import RnsBasis, RnsPolynomial
 from repro.utils.primes import find_ntt_primes
 
@@ -27,7 +33,113 @@ def basis():
     return RnsBasis(primes, N, num_special=1)
 
 
+# Engine row selections: a data chain, a key-switch chain (data prefix +
+# special row), and the degenerate orders that fall back to 1-row runs.
+ROW_SELECTIONS = {
+    "prefix": (0, 1, 2),
+    "prefix_plus_last": (0, 1, 4),
+    "descending": (3, 2, 1, 0),
+    "repeated": (2, 2, 0, 2),
+}
+
+
+def _per_prime(contexts, rows, data, inverse=False):
+    """The reference: one NttContext transform per limb row."""
+    return np.stack(
+        [
+            (contexts[r].inverse if inverse else contexts[r].forward)(data[..., k, :])
+            for k, r in enumerate(rows)
+        ],
+        axis=-2,
+    )
+
+
 class TestBatchedNtt:
+    @pytest.mark.parametrize("rows", ROW_SELECTIONS.values(), ids=ROW_SELECTIONS.keys())
+    @pytest.mark.parametrize("n", [1, 2, 4, 64, 4096])
+    def test_engine_matches_per_prime_reference(self, n, rows):
+        """forward/inverse equal NttContext limb by limb for any row
+        selection, with leading batch dimensions and a stride-0 input
+        (what ``_ks_decompose`` and ``divide_round_last`` pass), and
+        hand back natural-order C-contiguous arrays."""
+        contexts = [
+            NttContext(q, n) for q in find_ntt_primes(26, 4, n) + find_ntt_primes(28, 1, n)
+        ]
+        engine = NttChainEngine(contexts)
+        rng = np.random.default_rng(n)
+        # Below the smallest prime, so a row is a residue under any limb.
+        data = rng.integers(0, min(c.q for c in contexts), (2, 3, len(rows), n))
+        shared = np.broadcast_to(data[:, :, :1], data.shape)
+        assert shared.strides[-2] == 0
+        for inverse in (False, True):
+            transform = engine.inverse if inverse else engine.forward
+            for x in (data, shared):
+                out = transform(x, rows)
+                assert out.flags.c_contiguous
+                assert np.array_equal(out, _per_prime(contexts, rows, x, inverse))
+        assert np.array_equal(engine.inverse(engine.forward(data, rows), rows), data)
+
+    def test_wide_primes_renormalize_inside_the_stage_loop(self):
+        """Three 31-bit primes + one 24-bit: the growth budget is 2, so
+        the in-loop renormalisation runs (every other test prime is
+        <= 29 bits and never reaches it)."""
+        primes = find_ntt_primes(31, 3, N) + find_ntt_primes(24, 1, N)
+        wide_contexts = [NttContext(q, N) for q in primes]
+        engine = NttChainEngine(wide_contexts)
+        assert engine._growth_budget == 2
+        rows = range(len(primes))
+        rng = np.random.default_rng(31)
+        a, b = (np.stack([rng.integers(0, q, (3, N)) for q in primes], axis=1) for _ in "ab")
+        fa, fb = engine.forward(a, rows), engine.forward(b, rows)
+        assert np.array_equal(fa, _per_prime(wide_contexts, rows, a))
+        assert np.array_equal(engine.inverse(a, rows), _per_prime(wide_contexts, rows, a, True))
+        assert np.array_equal(engine.inverse(fa, rows), a)
+        prod = engine.inverse((fa * fb) % np.array(primes)[:, None], rows)
+        for k, q in enumerate(primes):
+            assert np.array_equal(
+                prod[0, k], negacyclic_convolve_reference(a[0, k], b[0, k], q)
+            )
+        # forward() admits any signed |v| < 2^31, not only residues.
+        bound = 2**31 - 1
+        signed = rng.integers(-bound, bound + 1, a.shape)
+        signed[0, :, :2] = (-bound, bound)
+        assert np.array_equal(
+            engine.forward(signed, rows), _per_prime(wide_contexts, rows, signed)
+        )
+
+    @pytest.mark.parametrize("first_stage", [False, True])
+    def test_ntt_stage_matches_naive_butterfly(self, basis, first_stage):
+        """The kernel against a Python-int butterfly on lazy residues,
+        and its laziness bound: one stage adds at most q."""
+        rng = np.random.default_rng(5)
+        primes = basis.primes
+        q = np.array(primes, dtype=np.int64)[:, None]
+        growth = 1 if first_stage else 8
+        a = rng.integers(-(growth * q) + 1, growth * q, (2, len(primes), N))
+        twiddles = None if first_stage else rng.integers(0, q, (len(primes), N // 2))
+        out = np.full_like(a, -1)
+        kernels.ntt_stage(a, out, twiddles, q, np.empty(a.shape[:-1] + (N // 2,), np.int64))
+        for d, k, m in np.ndindex(2, len(primes), N // 2):
+            even, t = int(a[d, k, 2 * m]), int(a[d, k, 2 * m + 1])
+            if not first_stage:
+                t *= int(twiddles[k, m])
+                t = abs(t) % primes[k] * (1 if t >= 0 else -1)  # truncated, like fmod
+            assert (out[d, k, m], out[d, k, m + N // 2]) == (even + t, even - t)
+        assert (np.abs(out).max(axis=(0, 2)) <= np.abs(a).max(axis=(0, 2)) + q[:, 0]).all()
+
+    def test_sub_chain_tables_are_views_of_the_full_tables(self, basis):
+        """~40 sub-chains per context: a copied stage table each would
+        cost tens of MB, so every run reads slices of the one full set."""
+        engine = basis.engine
+        special = basis.num_data_primes
+        assert engine._plan((0, 1, 2)) == [(slice(0, 3), slice(0, 3))]
+        ks_plan = engine._plan((0, 1, special))
+        assert ks_plan == [(slice(0, 2), slice(0, 2)), (slice(2, 3), slice(special, special + 1))]
+        full = engine._full
+        for _, chain in ks_plan:
+            for table in (full.twist, full.twist_inv_n, *full.stages[1:], *full.stages_inv[1:]):
+                assert np.shares_memory(table[chain], table)
+
     def test_chain_roundtrip_all_levels(self, basis):
         rng = np.random.default_rng(0)
         for limbs in range(1, len(basis.primes) + 1):
@@ -113,6 +225,7 @@ class TestNttDomainAutomorphism:
         poly = self._random_poly(basis, basis.primes[:3], exponent)
         fast = poly.automorphism(exponent)
         assert fast.is_ntt
+        assert fast.data.flags.c_contiguous
         slow = poly.to_coeff().automorphism(exponent).to_ntt()
         assert np.array_equal(fast.data, slow.data)
 
@@ -190,6 +303,15 @@ class TestHoistedKeySwitch:
             plain = ctx.rotate(ct, step)
             assert np.array_equal(hoisted[step].c0.data, plain.c0.data)
             assert np.array_equal(hoisted[step].c1.data, plain.c1.data)
+
+    def test_galois_outputs_keep_the_slot_axis_contiguous(self, backend):
+        """A slot permutation is np.take(..., axis=-1): fancy indexing
+        would hand every later ufunc a slot-slowest array."""
+        ctx = backend.context
+        ct = backend.encode_encrypt(np.linspace(-1, 1, backend.slot_count))
+        for out in (ctx.rotate(ct, 1), ctx.conjugate(ct)):
+            assert out.c0.data.flags.c_contiguous
+            assert out.c1.data.flags.c_contiguous
 
     def test_rotate_group_uses_real_hoisting(self, backend):
         values = np.linspace(-1, 1, backend.slot_count)
