@@ -269,8 +269,9 @@ class FheBackend(abc.ABC):
         or ``None`` when the backend has no fused path — callers then
         fall back to the per-rotation BSGS pipeline.
 
-        ``pt_cache`` persists encoded/lifted weight plaintexts across
-        executions.  Backends key its entries by term id *plus*
+        ``pt_cache`` persists the encoded weights across executions —
+        on the exact backend one static table per (out, in) block
+        group.  Backends key its entries by group *plus*
         :meth:`plaintext_cache_key`, so one dict may be shared across
         levels, scales, and key-switch configurations (the serve-many
         artifact preload does exactly that) without ever serving a

@@ -23,6 +23,22 @@ from repro.ckks.params import CkksParameters
 from repro.rns.poly import RnsPolynomial
 
 
+def fused_term_groups(terms) -> Dict:
+    """``(out block, in block) -> offsets`` of a fused matvec's terms, in
+    the row order of the group's static table: its nonzero offsets in
+    :func:`galois_offset_key` order — how
+    :meth:`CkksContext.rotate_hoisted_stacked` lays out its offset axis,
+    so table row ``i`` meets accumulator column ``i`` — then the
+    ``off == 0`` term, if the group has one, as the single trailing row.
+    """
+    groups: Dict = {}
+    for bo, bi, off in terms:
+        groups.setdefault((bo, bi), []).append(off)
+    for offsets in groups.values():
+        offsets.sort(key=lambda off: (off == 0, galois_offset_key(off)))
+    return groups
+
+
 class ToyBackend(FheBackend):
     """Exact CKKS execution for validation-scale programs."""
 
@@ -124,19 +140,23 @@ class ToyBackend(FheBackend):
 
         Every Galois offset of an input ciphertext — plain rotations
         *and* conjugation-composed ``("conj", k)`` elements — reuses one
-        digit decomposition (:meth:`CkksContext.rotate_hoisted_raw`);
-        the per-offset products against Q_l * P-lifted weight plaintexts
-        are summed lazily in int64 (the chunked-reduction trick of
-        ``CkksContext._ks_inner``) and a single ``_ks_moddown`` per output block
-        replaces the per-rotation mod-downs of the unfused path.
+        digit decomposition (:meth:`CkksContext.rotate_hoisted_stacked`)
+        and a single ``_ks_moddown`` per output block replaces the
+        per-rotation mod-downs of the unfused path.
 
-        The per-term Python loop only *collects* terms; the arithmetic
-        runs as grouped stacked product-sums per output block (rotated
-        terms against their raw accumulators and transformed c0s, plain
-        terms against the input c0/c1 pair), each one dispatch through
-        the ``ks_inner`` kernel.  Modular sums are invariant under this
-        regrouping, so outputs stay bit-identical to the per-term loop;
-        ``_max_chunk`` forces the chunked int64 fallback for tests.
+        The weights of one ``(out block, in block)`` group are ONE
+        static uint32 ``(T, ks_limbs, N)`` table
+        (:meth:`CkksContext.encode_table`, rows in
+        :func:`fused_term_groups` order), built on first use unless
+        ``pt_cache`` already holds it (:meth:`ServingArtifact.preload`
+        installs mmapped views).  It is contracted in place against the
+        stacked hoisted pair: the whole rows against the raw Q_l * P
+        accumulators, their data-limb prefix against the transformed
+        c0s, the trailing ``off == 0`` row against the input itself —
+        nothing is re-stacked, widened or copied per request.  Sums are
+        lazy int64 (``kernels.ks_inner``); modular sums are invariant
+        under regrouping, so outputs are bit-identical to a per-term
+        loop.  ``_max_chunk`` forces the chunked reduction for tests.
         """
         ctx = self.context
         level = in_cts[0].level
@@ -155,19 +175,20 @@ class ToyBackend(FheBackend):
         mod_q = basis.moduli_column(data_primes)
         cache = {} if pt_cache is None else pt_cache
         pt_scale = Fraction(pt_scale)
-        # Entries are keyed by term id + the full encode fingerprint, so
-        # a shared/preloaded cache can never serve a stale encode to a
+        # Tables are keyed by group + the full encode fingerprint, so a
+        # shared/preloaded cache can never serve a stale encode to a
         # request entering at a different level, scale, or ks config.
         cache_fp = self.plaintext_cache_key(level, pt_scale)
+        groups = fused_term_groups(terms)
 
         # One shared decomposition per input block, raw (pre mod-down).
         offsets_by_bi: Dict[int, set] = {}
-        for (_, bi, off) in terms:
-            if off:
-                offsets_by_bi.setdefault(bi, set()).add(off)
+        for (_, bi), offsets in groups.items():
+            offsets_by_bi.setdefault(bi, set()).update(o for o in offsets if o)
         raw = {
-            bi: ctx.rotate_hoisted_raw(in_cts[bi], offs, _max_chunk)
-            for bi, offs in offsets_by_bi.items()
+            bi: ctx.rotate_hoisted_stacked(in_cts[bi], offsets, _max_chunk)
+            for bi, offsets in offsets_by_bi.items()
+            if offsets
         }
 
         # Lazy int64 accumulation: `chunk` products fit between
@@ -175,75 +196,52 @@ class ToyBackend(FheBackend):
         chunk = kernels.lazy_reduction_chunk(max(ks_chain), _max_chunk)
         outputs: List[Optional[Ciphertext]] = []
         for bo in range(num_out):
-            bo_terms = sorted(
-                ((bi, off) for (bo2, bi, off), _ in terms.items() if bo2 == bo),
-                key=lambda t: (t[0], galois_offset_key(t[1])),
-            )
-            if not bo_terms:
+            in_blocks = sorted(bi for (bo2, bi) in groups if bo2 == bo)
+            if not in_blocks:
                 outputs.append(None)
                 continue
-            # Collect terms into two groups; all arithmetic below runs
-            # as stacked product-sums over the term axis.
-            rot_pts: List[np.ndarray] = []
-            rot_exts: List[np.ndarray] = []
-            rot0s: List[np.ndarray] = []
-            rot_accs: List[np.ndarray] = []
-            plain_pts: List[np.ndarray] = []
-            plain_c0s: List[np.ndarray] = []
-            plain_c1s: List[np.ndarray] = []
-            for bi, off in bo_terms:
-                entry = cache.get((bo, bi, off, cache_fp))
-                if entry is None:
-                    pt = ctx.encode(terms[(bo, bi, off)], level=level, scale=pt_scale)
-                    pt_ext = (
-                        pt.poly.extend_primes(ks_chain).data if off else None
+            # Reduced per-in-block partial sums: `direct` over Q_l (the
+            # c0-side products and the off == 0 terms), `acc_ext` over
+            # Q_l * P (what the one mod-down divides).
+            direct = np.zeros((2, len(data_primes), basis.ring_degree), np.int64)
+            acc_ext = None
+            for bi in in_blocks:
+                offsets = groups[(bo, bi)]
+                table = cache.get((bo, bi, cache_fp))
+                if table is None:
+                    table = ctx.encode_table(
+                        [terms[(bo, bi, off)] for off in offsets], level, pt_scale
                     )
-                    entry = (pt, pt_ext)
-                    cache[(bo, bi, off, cache_fp)] = entry
-                pt, pt_ext = entry
-                if off:
-                    rot0, acc = raw[bi][off]
-                    rot_pts.append(pt.poly.data)
-                    rot_exts.append(pt_ext)
-                    rot0s.append(rot0.data)
-                    rot_accs.append(acc)
-                else:
-                    plain_pts.append(pt.poly.data)
-                    plain_c0s.append(in_cts[bi].c0.data)
-                    plain_c1s.append(in_cts[bi].c1.data)
-            if plain_pts:
-                # One (2, T_plain, limbs, N) stack: c0 and c1 rows of
-                # every off==0 input against the same weight stack.
-                plain_acc = kernels.ks_inner(
-                    np.stack(plain_pts),
-                    np.stack([np.stack(plain_c0s), np.stack(plain_c1s)]),
-                    mod_q,
-                    chunk,
-                )
-            if rot_pts:
-                acc_ext = kernels.ks_inner(
-                    np.stack(rot_exts),
-                    np.swapaxes(np.stack(rot_accs), 0, 1),
-                    mod_ks,
-                    chunk,
-                )
-                rot_c0 = kernels.ks_inner(
-                    np.stack(rot_pts), np.stack(rot0s)[None], mod_q, chunk
-                )[0]
+                    cache[(bo, bi, cache_fp)] = table
+                has_plain = offsets[-1] == 0
+                rotated = len(offsets) - has_plain
+                if rotated:
+                    order, rot0, acc = raw[bi]
+                    if rotated != len(order):
+                        # This output reads a subset of the offsets its
+                        # input was hoisted for (shared with other blocks).
+                        cols = [order.index(off) for off in offsets[:rotated]]
+                        rot0, acc = rot0.take(cols, axis=0), acc.take(cols, axis=2)
+                    part = kernels.ks_inner(
+                        table[:rotated], acc.swapaxes(1, 2), mod_ks, chunk
+                    )
+                    acc_ext = part if acc_ext is None else (acc_ext + part) % mod_ks
+                    direct[0] += kernels.ks_inner(
+                        table[:rotated, : level + 1], rot0[None], mod_q, chunk
+                    )[0]
+                if has_plain:
+                    plain = table[-1, : level + 1]
+                    direct[0] += plain * in_cts[bi].c0.data % mod_q
+                    direct[1] += plain * in_cts[bi].c1.data % mod_q
+            if acc_ext is not None:
                 p0, p1 = ctx._ks_moddown(acc_ext, level)
-                c0_data = rot_c0 + p0.data
-                c1_data = p1.data
-                if plain_pts:
-                    c0_data = (c0_data + plain_acc[0]) % mod_q
-                    c1_data = (c1_data + plain_acc[1]) % mod_q
-                else:
-                    c0_data %= mod_q
-            else:
-                c0_data, c1_data = plain_acc[0], plain_acc[1]
+                direct[0] += p0.data
+                direct[1] += p1.data
+            direct %= mod_q
             outputs.append(
                 Ciphertext(
-                    c0=RnsPolynomial(basis, data_primes, c0_data, is_ntt=True),
-                    c1=RnsPolynomial(basis, data_primes, c1_data, is_ntt=True),
+                    c0=RnsPolynomial(basis, data_primes, direct[0], is_ntt=True),
+                    c1=RnsPolynomial(basis, data_primes, direct[1], is_ntt=True),
                     level=level,
                     scale=scale * pt_scale,
                     slot_count=in_cts[0].slot_count,
@@ -257,26 +255,23 @@ class ToyBackend(FheBackend):
         """Exact fused rotate-and-sum (the Gazelle fold, double-hoisted).
 
         All rotations share one digit decomposition of ``a.c1`` via
-        :meth:`CkksContext.rotate_hoisted_raw`; their raw Q_l * P
+        :meth:`CkksContext.rotate_hoisted_stacked`; their raw Q_l * P
         accumulators are summed lazily in int64 and a single
         :meth:`CkksContext._ks_moddown` replaces the per-fold key
         switches of the sequential path.
         """
         ctx = self.context
         level = a.level
-        raw = ctx.rotate_hoisted_raw(a, steps)
+        _, rot0, acc = ctx.rotate_hoisted_stacked(a, steps)
         ks_chain = ctx._ks_chain(level)
         data_primes = ctx._data_chain(level)
         mod_ks = ctx.basis.moduli_column(ks_chain)
         mod_q = ctx.basis.moduli_column(data_primes)
         # Entries stay < max prime (~2^31), so len(steps)+1 summands fit
-        # int64 with > 2^31 headroom: one stacked sum per accumulator,
-        # no intermediate reductions needed.
-        pairs = [raw[step] for step in steps]
-        acc_ext = np.sum(np.stack([acc for _, acc in pairs]), axis=0)
-        c0_data = a.c0.data + np.sum(np.stack([rot0.data for rot0, _ in pairs]), axis=0)
-        p0, p1 = ctx._ks_moddown(acc_ext % mod_ks, level)
-        c0_data = (c0_data + p0.data) % mod_q
+        # int64 with > 2^31 headroom: one sum over the offset axis per
+        # tensor, no intermediate reductions needed.
+        p0, p1 = ctx._ks_moddown(acc.sum(axis=2) % mod_ks, level)
+        c0_data = (a.c0.data + rot0.sum(axis=0) + p0.data) % mod_q
         c1_data = (a.c1.data + p1.data) % mod_q
         return Ciphertext(
             c0=RnsPolynomial(ctx.basis, data_primes, c0_data, is_ntt=True),

@@ -39,6 +39,8 @@ from repro.ckks.keys import (
     KeyChain,
     SwitchingKey,
     expand_a_half,
+    key_chain_primes,
+    key_slot_order,
 )
 from repro.ckks.params import CkksParameters, RingType
 from repro.ntt import galois_eval_permutation
@@ -158,7 +160,7 @@ class CkksContext:
         ``exponent`` is the Galois element whose rotated secret
         ``from_key`` is (1 for the relin key).  Rows are computed over
         the key's own special-first chain and written through the
-        inverse permutation straight into the one resident tensor
+        inverse permutation straight into the one resident uint32 tensor
         (:class:`repro.ckks.keys.SwitchingKey`); the uniform ``a_i``
         rows expand from a 32-byte seed drawn here from the context rng,
         so persistent storage needs only the ``b_i`` rows plus the seed.
@@ -171,13 +173,17 @@ class CkksContext:
         ns = self.params.num_special_primes
         alpha = self.params.ks_alpha
         num_digits = self._ks_num_digits(num_data - 1)
+        chain = key_chain_primes(self.basis, ns + num_data)
+        if max(chain) >= 2**32:
+            raise ValueError(
+                f"prime {max(chain)} does not fit the 32-bit residues a "
+                "switching key stores"
+            )
         seed = self.rng.bytes(KEY_PRG_SEED_BYTES)
         tensor = np.empty(
-            (2, num_digits, ns + num_data, self.params.ring_degree), dtype=np.int64
+            (2, num_digits, len(chain), self.params.ring_degree), dtype=np.uint32
         )
-        key = SwitchingKey(tensor, self.basis, exponent, max_level, seed)
-        chain = key.primes
-        order = key.slot_order()
+        order = key_slot_order(self.basis, exponent)
         mod_col = self.basis.moduli_column(chain)
         s_from = self._restrict(from_key, chain).data
         s_to = self._restrict(to_key, chain).data
@@ -193,7 +199,7 @@ class CkksContext:
             b_i %= mod_col
             tensor[0, digit] = np.take(b_i, order, axis=-1)
             tensor[1, digit] = np.take(a_i, order, axis=-1)
-        return key
+        return SwitchingKey(tensor, self.basis, exponent, max_level, seed)
 
     def galois_key(
         self, exponent: int, max_level: Optional[int] = None
@@ -306,15 +312,8 @@ class CkksContext:
     def slot_count(self) -> int:
         return self.params.slot_count
 
-    def encode(
-        self,
-        values: Sequence[float],
-        level: Optional[int] = None,
-        scale: Optional[Fraction] = None,
-    ) -> Plaintext:
-        """Cleartext vector -> plaintext polynomial (paper Section 2.2)."""
-        level = self.params.max_level if level is None else level
-        scale = Fraction(self.params.scale) if scale is None else Fraction(scale)
+    def _encode_poly(self, values: Sequence[float], primes, scale) -> RnsPolynomial:
+        """Slot vector -> evaluation-form polynomial over ``primes``."""
         slots = np.zeros(self.slot_count, dtype=np.complex128)
         values = np.asarray(values)
         if values.size > self.slot_count:
@@ -324,17 +323,48 @@ class CkksContext:
         slots[: values.size] = values
         coeffs = self.encoder.slots_to_coeffs(slots) * float(scale)
         rounded = np.rint(coeffs)
-        primes = self._data_chain(level)
         if np.all(np.abs(rounded) < 2.0**62):
             # Hot path: rounded coefficients fit int64 (always true for
             # toy scales), so RNS reduction is one broadcasted %.
             data = rounded.astype(np.int64)[None, :] % self.basis.moduli_column(primes)
-            poly = RnsPolynomial(self.basis, primes, data, is_ntt=False).to_ntt()
-        else:
-            poly = RnsPolynomial.from_bigint_coeffs(
-                self.basis, primes, rounded.astype(object)
-            )
+            return RnsPolynomial(self.basis, primes, data, is_ntt=False).to_ntt()
+        return RnsPolynomial.from_bigint_coeffs(
+            self.basis, primes, rounded.astype(object)
+        )
+
+    def encode(
+        self,
+        values: Sequence[float],
+        level: Optional[int] = None,
+        scale: Optional[Fraction] = None,
+    ) -> Plaintext:
+        """Cleartext vector -> plaintext polynomial (paper Section 2.2)."""
+        level = self.params.max_level if level is None else level
+        scale = Fraction(self.params.scale) if scale is None else Fraction(scale)
+        poly = self._encode_poly(values, self._data_chain(level), scale)
         return Plaintext(poly=poly, level=level, scale=scale, slot_count=self.slot_count)
+
+    def encode_table(self, vectors: Sequence, level: int, scale) -> np.ndarray:
+        """Static slot vectors -> one read-only uint32 ``(T, ks_limbs, N)``
+        residue table, the operand the fused matvec contracts in place.
+
+        Row ``t`` is ``vectors[t]`` encoded **directly over the
+        key-switch chain** of ``level`` — limb rows in chain order
+        ``(data..., special)`` — so ``table[:, : level + 1]`` is a view
+        holding exactly :meth:`encode`'s data-chain residues and the
+        whole row what ``extend_primes`` would lift them to: one array
+        where a plaintext and its Q_l * P extension used to be two.
+        Residues are < 2^31, so 32 bits lose nothing; multiply the table
+        only against int64 operands (uint32 * uint32 wraps silently).
+        """
+        ks_chain = self._ks_chain(level)
+        table = np.empty(
+            (len(vectors), len(ks_chain), self.params.ring_degree), dtype=np.uint32
+        )
+        for row, vec in zip(table, vectors):
+            row[...] = self._encode_poly(vec, ks_chain, scale).data
+        table.setflags(write=False)
+        return table
 
     def decode(self, plaintext: Plaintext) -> np.ndarray:
         """Plaintext polynomial -> cleartext vector of real parts."""
@@ -723,21 +753,26 @@ class CkksContext:
             )
         return self.encoder.rotation_exponent(offset)
 
-    def rotate_hoisted_raw(
+    def rotate_hoisted_stacked(
         self,
         ct: Ciphertext,
         steps_list: Iterable,
         _max_chunk: Optional[int] = None,
-    ) -> Dict:
-        """Hoisted Galois maps left in the extended Q_l * P basis.
+    ):
+        """Hoisted Galois maps left in the extended Q_l * P basis, as
+        ONE stacked pair — the primitive fused consumers contract in
+        place (:meth:`rotate_hoisted_raw` is the per-offset view of it).
 
         Shares one key-switch digit decomposition of ``ct.c1`` across
         all requested offsets (they act on the same c1 — the digit
         tensor commutes with Galois permutations), but defers the
-        mod-down: each offset returns ``(rot0, acc)`` where ``rot0`` is
-        the transformed c0 over Q_l and ``acc`` is the raw
-        ``(2, ks_limbs, N)`` evaluation-form key-switch accumulator
-        still over Q_l * P.
+        mod-down.  Returns ``(offsets, rot0, acc)``: ``offsets`` the
+        distinct nonzero offsets in :func:`galois_offset_key` order,
+        ``rot0`` the ``(O, level + 1, N)`` transformed c0s over Q_l and
+        ``acc`` the raw ``(2, ks_limbs, O, N)`` evaluation-form
+        key-switch accumulators still over Q_l * P, both with the offset
+        axis in that order (``rot0`` and ``acc`` are ``None`` when no
+        nonzero offset was asked for).
 
         The shared digit tensor is multiplied against every offset's
         inverse-permuted switching key in ONE dispatch of
@@ -759,17 +794,15 @@ class CkksContext:
         the mod-down stays shared).
 
         Callers that accumulate many plaintext-weighted rotations (the
-        fused BSGS matvec) add ``pt * acc`` terms lazily and pay one
-        :meth:`_ks_moddown` per output instead of one per rotation.
-        Applying :meth:`_ks_moddown` to each ``acc`` directly reproduces
-        :meth:`rotate_hoisted` (or the standalone :meth:`conjugate` key
-        switch) bit-for-bit.  Step 0 is excluded (it needs no key
-        switch; callers handle it as the identity) — but ``("conj", 0)``
-        is a real Galois map and is processed like any other element.
+        fused BSGS matvec) contract a static table against ``acc`` along
+        its offset axis and pay one :meth:`_ks_moddown` per output
+        instead of one per rotation.  Step 0 is excluded (it needs no
+        key switch; callers handle it as the identity) — but
+        ``("conj", 0)`` is a real Galois map and is processed like any
+        other element.
         """
         if ct.c2 is not None:
             raise ValueError("relinearize before rotating")
-        outputs: Dict = {}
         unique = {
             ("conj", s[1] % self.slot_count)
             if isinstance(s, tuple)
@@ -778,45 +811,54 @@ class CkksContext:
         }
         nonzero = sorted(unique - {0}, key=galois_offset_key)
         if not nonzero:
-            return outputs
+            return nonzero, None, None
+        n = self.params.ring_degree
+        level = ct.level
+        num = len(nonzero)
         # Observe-only span (one per hoisted key switch, not per offset);
         # the null-tracer context manager costs two trivial calls, far
         # below the NTT work it brackets (gated by tracing_overhead).
         with get_tracer().span(
-            "keyswitch.hoisted",
-            category="keyswitch",
-            level=ct.level,
-            num_offsets=len(nonzero),
+            "keyswitch.hoisted", category="keyswitch", level=level, num_offsets=num
         ):
-            return self._rotate_hoisted_raw_traced(
-                ct, nonzero, outputs, _max_chunk
+            digits = self._ks_decompose(ct.c1, level)
+            exponents = [self.galois_offset_exponent(o) for o in nonzero]
+            keys = [self.galois_key(e, max_level=level) for e in exponents]
+            perms = np.stack([galois_eval_permutation(n, e) for e in exponents])
+            # The (C, K, O, N) layout fuses the offset and slot axes, so
+            # all O accumulator permutations are ONE flat gather (of an
+            # unnamed temporary: it is as large as the result, and gone
+            # before the c0 gather allocates).
+            flat_idx = (np.arange(num)[:, None] * n + perms).reshape(-1)
+            acc = np.take(
+                self._ks_inner(digits, keys, level, _max_chunk).reshape(2, -1, num * n),
+                flat_idx,
+                axis=-1,
             )
+            rot0 = kernels.galois_gather(ct.c0.to_ntt().data, perms)
+        return nonzero, rot0, acc.reshape(2, -1, num, n)
 
-    def _rotate_hoisted_raw_traced(self, ct, nonzero, outputs, _max_chunk):
-        digits = self._ks_decompose(ct.c1, ct.level)
-        n = self.params.ring_degree
-        level = ct.level
-        exponents = [self.galois_offset_exponent(o) for o in nonzero]
-        keys = [self.galois_key(e, max_level=level) for e in exponents]
-        perms = np.stack([galois_eval_permutation(n, e) for e in exponents])
-        num = len(nonzero)
-        pre = self._ks_inner(digits, keys, level, _max_chunk)
-        # The (C, K, O, N) layout fuses the offset and slot axes, so all
-        # O accumulator permutations are ONE flat gather.
-        flat_idx = (np.arange(num)[:, None] * n + perms).reshape(-1)
-        acc_flat = np.take(pre.reshape(2, -1, num * n), flat_idx, axis=-1)
-        accs = np.moveaxis(acc_flat.reshape(2, -1, num, n), 2, 0)
-        if ct.c0.is_ntt:
-            rot0_data = kernels.galois_gather(ct.c0.data, perms)
-            rot0s = [
-                RnsPolynomial(self.basis, ct.c0.primes, rot0_data[i], is_ntt=True)
-                for i in range(len(nonzero))
-            ]
-        else:
-            rot0s = [ct.c0.automorphism(e) for e in exponents]
-        for i, offset in enumerate(nonzero):
-            outputs[offset] = (rot0s[i], accs[i])
-        return outputs
+    def rotate_hoisted_raw(
+        self,
+        ct: Ciphertext,
+        steps_list: Iterable,
+        _max_chunk: Optional[int] = None,
+    ) -> Dict:
+        """:meth:`rotate_hoisted_stacked` as ``{offset: (rot0, acc)}``:
+        ``rot0`` the transformed c0 polynomial, ``acc`` its raw
+        ``(2, ks_limbs, N)`` accumulator — views of the stacked pair.
+        Applying :meth:`_ks_moddown` to each ``acc`` reproduces
+        :meth:`rotate_hoisted` (or the standalone :meth:`conjugate` key
+        switch) bit-for-bit.
+        """
+        offsets, rot0, acc = self.rotate_hoisted_stacked(ct, steps_list, _max_chunk)
+        return {
+            offset: (
+                RnsPolynomial(self.basis, ct.c0.primes, rot0[i], is_ntt=True),
+                acc[:, :, i],
+            )
+            for i, offset in enumerate(offsets)
+        }
 
     def rotate_hoisted(self, ct: Ciphertext, steps_list: Iterable[int]) -> Dict[int, Ciphertext]:
         """Rotate one ciphertext by many step amounts, hoisting the

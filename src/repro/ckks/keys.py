@@ -69,14 +69,31 @@ def expand_a_half(seed: bytes, digit: int, basis, primes) -> RnsPolynomial:
     return RnsPolynomial(basis, primes, rows, is_ntt=True)
 
 
+def key_chain_primes(basis: RnsBasis, num_limbs: int) -> Tuple[int, ...]:
+    """Prime of each limb-axis row of a ``num_limbs``-row key tensor
+    (special primes first, then the data-prime prefix)."""
+    return basis.special_primes + basis.primes[: num_limbs - basis.num_special]
+
+
+def key_slot_order(basis: RnsBasis, exponent: int) -> np.ndarray:
+    """Gather that stores a natural evaluation-form row in the slot
+    order of sigma_t's key: the inverse of sigma_t's permutation, which
+    is the permutation of sigma_{1/t}."""
+    n = basis.ring_degree
+    return galois_eval_permutation(n, pow(exponent, -1, 2 * n))
+
+
 @dataclass
 class SwitchingKey:
     """One RLWE pair (b_i, a_i) per decomposition digit, over Q*P.
 
-    The key *is* one int64 tensor ``(2, D, K, N)`` — b rows then a rows,
-    ``D`` digits, ``K`` limbs, ``N`` slots — held in the layout the
-    hoisted inner product streams, so no level, offset group or batch
-    view ever copies key material (docs/keys.md):
+    The key *is* one uint32 tensor ``(2, D, K, N)`` — b rows then a
+    rows, ``D`` digits, ``K`` limbs, ``N`` slots — held at the width of
+    its residues (every prime the exact backend admits is < 2^31) and in
+    the layout the hoisted inner product streams, so no level, offset
+    group or batch view ever copies or widens key material
+    (docs/keys.md).  It is read-only once constructed, and legal only as
+    one factor against an int64 operand: uint32 * uint32 wraps silently.
 
     * **limb axis: special primes first, then data primes** — the
       key-switch chain of any level up to the key's bound is the
@@ -105,6 +122,13 @@ class SwitchingKey:
     max_level: Optional[int] = None
     seed: Optional[bytes] = None
 
+    def __post_init__(self):
+        if self.tensor.dtype != np.uint32:
+            raise TypeError(
+                f"a switching-key tensor is uint32, got {self.tensor.dtype}"
+            )
+        self.tensor.setflags(write=False)
+
     def __len__(self) -> int:
         return self.tensor.shape[1]
 
@@ -115,29 +139,22 @@ class SwitchingKey:
     @property
     def primes(self) -> Tuple[int, ...]:
         """Prime of each limb-axis row (special primes first)."""
-        num_data = self.tensor.shape[2] - self.basis.num_special
-        return self.basis.special_primes + self.basis.primes[:num_data]
+        return key_chain_primes(self.basis, self.tensor.shape[2])
 
     def chain_view(self, num_digits: int, level: int) -> np.ndarray:
         """The ``(2, num_digits, num_special + level + 1, N)`` prefix
         view a key switch at ``level`` multiplies against."""
         return self.tensor[:, :num_digits, : self.basis.num_special + level + 1]
 
-    def slot_order(self) -> np.ndarray:
-        """Gather that stores a natural evaluation-form row in this
-        key's slot order: the inverse of sigma_t's permutation, which is
-        the permutation of sigma_{1/t}."""
-        n = self.basis.ring_degree
-        return galois_eval_permutation(n, pow(self.exponent, -1, 2 * n))
-
     @property
     def pairs(self) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
         """The key as natural ``(b_i, a_i)`` polynomials over the
-        ``(data..., special)`` chain — a *derived copy* for references,
-        tests and tooling; nothing on the evaluation path reads it."""
+        ``(data..., special)`` chain — a *derived copy*, widened to the
+        int64 every polynomial carries, for references, tests and
+        tooling; nothing on the evaluation path reads it."""
         ns = self.basis.num_special
         perm = galois_eval_permutation(self.basis.ring_degree, self.exponent)
-        rows = np.roll(self.tensor, -ns, axis=2)[..., perm]
+        rows = np.roll(self.tensor, -ns, axis=2)[..., perm].astype(np.int64)
         chain = self.primes[ns:] + self.primes[:ns]
         return [
             tuple(RnsPolynomial(self.basis, chain, half[d], is_ntt=True) for half in rows)
@@ -161,15 +178,17 @@ class SwitchingKey:
         stored compressed (or restricted after storage) expands
         bit-identically to the resident original.
         """
-        tensor = np.empty((2,) + b_rows.shape, dtype=np.int64)
+        if b_rows.dtype != np.uint32:
+            raise TypeError(f"stored key rows are uint32, got {b_rows.dtype}")
+        tensor = np.empty((2,) + b_rows.shape, dtype=np.uint32)
         tensor[0] = b_rows
-        key = cls(tensor, basis, exponent, max_level, seed)
-        primes, order = key.primes, key.slot_order()
-        for digit in range(len(key)):
+        primes = key_chain_primes(basis, b_rows.shape[1])
+        order = key_slot_order(basis, exponent)
+        for digit in range(b_rows.shape[0]):
             tensor[1, digit] = np.take(
                 expand_a_half(seed, digit, basis, primes).data, order, axis=-1
             )
-        return key
+        return cls(tensor, basis, exponent, max_level, seed)
 
     def size_bytes(self) -> int:
         """Stored key material in bytes (the compression win metric).

@@ -1,8 +1,10 @@
 """The hot-path kernels: key-switch inner products, Galois gathers, NTT stages.
 
 Four plain numpy functions, called directly by the evaluator.  Results
-are exact int64 modular arithmetic.  ``docs/kernels.md`` has the
-contract and why there is exactly one implementation.
+are exact int64 modular arithmetic; the static operand of an inner
+product (key views, weight tables) is uint32 and numpy promotes it
+against the int64 one exactly.  ``docs/kernels.md`` has the contract and
+why there is exactly one implementation.
 
 Shared here too: :func:`lazy_reduction_chunk`, the single
 correctly-headroomed bound on how many ``< max_q`` residue products an
@@ -71,11 +73,12 @@ def _product_sum(factors, pairs, out) -> None:
 def ks_inner(factors, pairs, mod_col, chunk):
     """``sum_d factors[..., d] * pairs[..., c, d] mod mod_col``.
 
-    ``factors``: int64 ``(..., D, K, N)`` (e.g. permuted digit tensors,
-    one row per offset — or lifted weight plaintexts, one per term);
-    ``pairs``: int64 ``(..., C, D, K, N)`` (e.g. ``C = 2`` switching-key
-    halves); ``mod_col``: ``(K, 1)`` moduli column; ``chunk``: from
-    :func:`lazy_reduction_chunk`.  Returns ``(..., C, K, N)``.
+    ``factors``: ``(..., D, K, N)``, int64 or a static uint32 table
+    (the fused matvec's weight rows, one per term); ``pairs``: int64
+    ``(..., C, D, K, N)``, any strides (views of the hoisted
+    accumulators, ``C = 2``); ``mod_col``: ``(K, 1)`` moduli column;
+    ``chunk``: from :func:`lazy_reduction_chunk`.  Returns int64
+    ``(..., C, K, N)``.
 
     Summation is lazy int64: ``chunk`` products are summed exactly,
     reduced once, and accumulated; a final ``%`` renormalizes.  The
@@ -116,9 +119,9 @@ def ks_inner_stacked(digits, keys, num_special, mod_col, chunk):
     per-offset digit gather is needed (the keys are stored
     inverse-permuted; see ``CkksContext._ks_inner``).
 
-    ``digits``: ``(D, K, N)`` shared digit tensor, limb rows in chain
-    order ``(data..., special)``; ``keys``: O switching-key views
-    ``(C, D, K, N)`` whose limb axis is stored *special primes first*
+    ``digits``: int64 ``(D, K, N)`` shared digit tensor, limb rows in
+    chain order ``(data..., special)``; ``keys``: O uint32 switching-key
+    views ``(C, D, K, N)`` whose limb axis is stored *special primes first*
     (``repro.ckks.keys.SwitchingKey.chain_view``), read in place — the
     two limb blocks of each key contract separately into the matching
     rows of the output, so neither the keys nor the digits are

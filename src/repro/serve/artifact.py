@@ -9,9 +9,11 @@ A :class:`ServingArtifact` is a single ``.npz`` file containing
   parameter set and Galois steps execution will request;
 - the weight-plaintext tables as raw numpy payloads (diagonal vectors,
   biases — float64, bit-exact round-trip);
-- optionally, the tables **pre-encoded** into RNS plaintext polynomials
-  at the exact (level, scale) each layer executes at, so a worker can
-  seed its backend's caches before the first request ever arrives.
+- optionally, the tables **pre-encoded** at the exact (level, scale)
+  each layer executes at — one uint32 residue table per layer and
+  (out-block, in-block) group, in the layout the fused matvec contracts
+  in place — so a worker seeds its backend's caches with views of the
+  mapped file before the first request ever arrives.
 
 Keys are deliberately absent: they are per-client secrets, produced on
 the client side (or by :class:`repro.serve.keys.KeyRegistry` acting for
@@ -31,7 +33,6 @@ compile load on workers that never saw the optimizer.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from fractions import Fraction
@@ -56,7 +57,13 @@ from repro.core.program import FheProgram, LinearInstr
 # manifest document.  A delta is resolved against its base at load time
 # (:func:`load_artifact` with ``base_path``) or merged into a new full
 # artifact file (:func:`apply_artifact_delta`) for the mmap serve path.
-SCHEMA_VERSION = 3
+#
+# Version 4: the pre-encoded section ships one uint32 ``(T, ks_limbs, N)``
+# table per layer and (out-block, in-block) group, encoded over the
+# key-switch chain (:meth:`repro.ckks.context.CkksContext.encode_table`),
+# where version 3 shipped one int64 data-chain polynomial per term and
+# left the Q_l * P extension to ``preload``.
+SCHEMA_VERSION = 4
 FORMAT_NAME = "repro-serving-artifact"
 FINGERPRINT_BYTES = 16
 
@@ -113,18 +120,20 @@ class ServingArtifact:
 
     # -- cache warm-up ------------------------------------------------------
     def preload(self, backend) -> int:
-        """Seed ``backend``'s weight-plaintext caches from the artifact's
-        pre-encoded tables; returns the number of plaintexts installed.
+        """Seed ``backend``'s weight-plaintext caches with the artifact's
+        pre-encoded tables; returns the number of plaintexts (table
+        rows) installed.
 
-        Entries are installed under the backend's full encode
-        fingerprint (level, scale, ks_alpha, prime chain), so a backend
-        built for different parameters simply — and loudly — cannot
-        consume them.
+        A load, not a computation: each cache entry *is* the shipped
+        table — a view of the mapped file when the artifact came through
+        :class:`repro.serve.mmapio.ArtifactMap` — installed under the
+        backend's full encode fingerprint (level, scale, ks_alpha, prime
+        chain), so a backend built for different parameters simply — and
+        loudly — cannot consume them.
         """
         if not self.encoded:
             return 0
-        from repro.ckks.ciphertext import Plaintext
-        from repro.rns.poly import RnsPolynomial
+        from repro.backend.toy import fused_term_groups
 
         context = getattr(backend, "context", None)
         if context is None:
@@ -135,43 +144,37 @@ class ServingArtifact:
             raise ValueError(
                 "backend parameters do not match the artifact's key manifest"
             )
-        linears = [
-            instr
+        by_name = {
+            instr.name: instr
             for instr in self.program.instructions
             if isinstance(instr, LinearInstr)
-        ]
-        by_name = {instr.name: instr for instr in linears}
+        }
         installed = 0
         for section in self.encoded:
             instr = by_name.get(section["name"])
             if instr is None:
                 continue
             level = section["level"]
-            pt_scale = Fraction(section["pt_scale"][0], section["pt_scale"][1])
+            pt_scale = Fraction(*section["pt_scale"])
             fp = backend.plaintext_cache_key(level, pt_scale)
-            ks_chain = context._ks_chain(level)
-            data_primes = context._data_chain(level)
             packed = instr.packed
-            per_backend = packed._pt_cache.get(backend)
-            if per_backend is None:
-                per_backend = {}
-                packed._pt_cache[backend] = per_backend
-            cache = per_backend.setdefault(("fused",) + fp, {})
-            for term in section["terms"]:
-                poly = RnsPolynomial(
-                    context.basis, data_primes, term["data"], is_ntt=True
-                )
-                pt = Plaintext(
-                    poly=poly,
-                    level=level,
-                    scale=pt_scale,
-                    slot_count=backend.slot_count,
-                )
-                pt_ext = (
-                    poly.extend_primes(ks_chain).data if term["off"] else None
-                )
-                cache[(term["bo"], term["bi"], term["off"], fp)] = (pt, pt_ext)
-                installed += 1
+            rows = fused_term_groups(packed._fused_term_vectors())
+            limbs = len(context._ks_chain(level))
+            cache = packed._pt_cache.setdefault(backend, {}).setdefault(
+                ("fused",) + fp, {}
+            )
+            for group in section["groups"]:
+                bo, bi, table = group["bo"], group["bi"], group["table"]
+                want = (len(rows[(bo, bi)]), limbs, context.params.ring_degree)
+                if table.shape != want or table.dtype != np.uint32:
+                    raise ArtifactSchemaError(
+                        f"{section['name']}[bo={bo},bi={bi}]: table is "
+                        f"{table.dtype} {table.shape}, the program needs "
+                        f"uint32 {want}; re-export the artifact"
+                    )
+                table.setflags(write=False)
+                cache[(bo, bi, fp)] = table
+                installed += table.shape[0]
         return installed
 
     # -- io ----------------------------------------------------------------
@@ -195,17 +198,10 @@ class ServingArtifact:
         if self.encoded is not None:
             manifest_doc["encoded"] = [
                 {
-                    "name": section["name"],
-                    "level": section["level"],
-                    "pt_scale": section["pt_scale"],
-                    "terms": [
-                        {
-                            "bo": term["bo"],
-                            "bi": term["bi"],
-                            "off": term["off"],
-                            "data": store(term["data"]),
-                        }
-                        for term in section["terms"]
+                    **section,
+                    "groups": [
+                        {**group, "table": store(group["table"])}
+                        for group in section["groups"]
                     ],
                 }
                 for section in self.encoded
@@ -238,18 +234,18 @@ def _write_npz(
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
-    buffer = io.BytesIO()
     writer = np.savez_compressed if compress else np.savez
-    writer(
-        buffer,
-        __manifest__=np.frombuffer(
-            json.dumps(manifest_doc).encode("utf-8"), dtype=np.uint8
-        ),
-        **arrays,
-    )
     tmp = path + ".tmp"
+    # Straight into the file handle: the zip writer streams one member
+    # at a time, so the export never holds a second copy of the tables.
     with open(tmp, "wb") as f:
-        f.write(buffer.getvalue())
+        writer(
+            f,
+            __manifest__=np.frombuffer(
+                json.dumps(manifest_doc).encode("utf-8"), dtype=np.uint8
+            ),
+            **arrays,
+        )
     os.replace(tmp, path)
     return path
 
@@ -305,8 +301,9 @@ def save_artifact(
 
 
 def _pre_encode_tables(program: FheProgram, params) -> List[Dict]:
-    """Encode every linear layer's fused diagonal table into RNS
-    plaintext polynomials at its runtime (level, scale).
+    """Encode every linear layer's fused diagonals into the static
+    tables the exact backend contracts in place — one per (out-block,
+    in-block) group, at the layer's runtime (level, scale).
 
     The runtime scale of each layer depends on what the preceding
     activation produced (paper Section 6's errorless policy encodes
@@ -316,6 +313,7 @@ def _pre_encode_tables(program: FheProgram, params) -> List[Dict]:
     keys — only the ring and prime chain.
     """
     from repro.backend.sim import SimBackend
+    from repro.backend.toy import fused_term_groups
     from repro.ckks.context import CkksContext
     from repro.ckks.params import RingType
 
@@ -339,16 +337,23 @@ def _pre_encode_tables(program: FheProgram, params) -> List[Dict]:
         if not fused_keys:
             continue
         (_, level, pt_scale, *_rest) = fused_keys[0]
-        terms = []
-        for (bo, bi, off), vec in sorted(packed._fused_term_vectors().items()):
-            pt = context.encode(vec, level=level, scale=pt_scale)
-            terms.append({"bo": bo, "bi": bi, "off": off, "data": pt.poly.data})
+        terms = packed._fused_term_vectors()
+        groups = [
+            {
+                "bo": bo,
+                "bi": bi,
+                "table": context.encode_table(
+                    [terms[(bo, bi, off)] for off in offsets], level, pt_scale
+                ),
+            }
+            for (bo, bi), offsets in sorted(fused_term_groups(terms).items())
+        ]
         sections.append(
             {
                 "name": instr.name,
                 "level": level,
                 "pt_scale": [pt_scale.numerator, pt_scale.denominator],
-                "terms": terms,
+                "groups": groups,
             }
         )
     return sections
@@ -388,17 +393,10 @@ def artifact_from_doc(manifest_doc: Dict, get_array, path: str = "<artifact>"):
     if manifest_doc.get("encoded") is not None:
         encoded = [
             {
-                "name": section["name"],
-                "level": section["level"],
-                "pt_scale": tuple(section["pt_scale"]),
-                "terms": [
-                    {
-                        "bo": term["bo"],
-                        "bi": term["bi"],
-                        "off": term["off"],
-                        "data": get_array(term["data"]),
-                    }
-                    for term in section["terms"]
+                **section,
+                "groups": [
+                    {**group, "table": get_array(group["table"])}
+                    for group in section["groups"]
                 ],
             }
             for section in manifest_doc["encoded"]

@@ -37,11 +37,12 @@ import numpy as np
 from repro.ckks.keys import KeyChain, KeyManifest, SwitchingKey
 
 #: Spill-file format tag and version (stored in the ``__spill__`` JSON
-#: member; loaders reject anything else loudly).  Version 2 stores each
-#: key's b rows in the resident tensor layout (special-first limbs,
-#: inverse-permuted slots); a version-1 file would restore wrong keys.
+#: member; loaders reject anything else loudly).  Version 3 stores each
+#: key's b rows as the resident tensor holds them — uint32, special-first
+#: limbs, inverse-permuted slots; a version-2 file holds the same rows in
+#: int64 and a version-1 file in another layout, so neither may restore.
 SPILL_FORMAT = "repro-key-spill"
-SPILL_VERSION = 2
+SPILL_VERSION = 3
 
 
 def default_backend_factory(params, seed: int):
@@ -57,7 +58,8 @@ def default_backend_factory(params, seed: int):
 
 
 class KeySpillError(RuntimeError):
-    """A spill file failed validation (wrong format, version, or shape)."""
+    """A spill file failed validation (wrong format, version, shape or
+    dtype)."""
 
 
 def _serialize_switching_key(
@@ -95,10 +97,10 @@ def _restore_switching_key(
     if meta["seed"] is None:
         halves.append(arrays[f"{prefix}_a"])
     for half in halves:
-        if half.shape != shape:
+        if half.shape != shape or half.dtype != np.uint32:
             raise KeySpillError(
-                f"spill member of {prefix} has shape {half.shape}, "
-                f"manifest says {shape}"
+                f"spill member of {prefix} is {half.dtype} {half.shape}, "
+                f"manifest says uint32 {shape}"
             )
     if meta["seed"] is not None:
         return SwitchingKey.from_seed(

@@ -107,8 +107,9 @@ def verify_mmap_tables(server: InferenceServer, artifact_path: str) -> bool:
 
     Checks both table tiers an artifact ships: the float diagonal/bias
     weight tables inside every linear instruction, and the pre-encoded
-    RNS plaintext polynomials preloading installed into the backend's
-    caches.  Raises ``RuntimeError`` naming the offender on violation —
+    residue tables preloading installed into the backend's caches — the
+    whole operand the fused matvec multiplies, data and special limbs
+    alike.  Raises ``RuntimeError`` naming the offender on violation —
     a copied table silently multiplies fleet RSS by the worker count,
     which is exactly the regression this guard exists to catch.
     """
@@ -143,8 +144,8 @@ def verify_mmap_tables(server: InferenceServer, artifact_path: str) -> bool:
         for key, cache in per_backend.items():
             if not (isinstance(key, tuple) and key and key[0] == "fused"):
                 continue
-            for pt, _pt_ext in cache.values():
-                if not is_mmap_backed(pt.poly.data):
+            for table in cache.values():
+                if not is_mmap_backed(table):
                     raise RuntimeError(
                         f"{artifact_path}: pre-encoded plaintext table of "
                         f"{instr.name} was copied off the artifact map"

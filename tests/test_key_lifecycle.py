@@ -179,6 +179,8 @@ class TestOneResidentTensor:
             key = context.generate_compressed_galois_key(exponent, bound)
         for key in (key, context.keys.relin):
             top = params.max_level if key.max_level is None else key.max_level
+            assert key.tensor.dtype == np.uint32
+            assert not key.tensor.flags.writeable
             assert key.tensor.shape[2] == num_special + top + 1
             assert key.primes[:num_special] == context.basis.special_primes
             for level in range(top + 1):
@@ -201,24 +203,45 @@ class TestOneResidentTensor:
         context = backend.context
         steps = list(range(1, 11))
         context.generate_rotation_keys(steps)
-        key_bytes = sum(key.tensor.nbytes for key in context.keys.galois.values())
         ct = backend.encode_encrypt(np.linspace(-1, 1, backend.slot_count))
         low = backend.level_down(ct, 3)
+        # An absolute budget, not a share of key bytes (which halved
+        # with the residue width): what a call may legitimately hand
+        # back is one (2, K, O, N) int64 accumulator — a seventh of
+        # these ten keys — and it retains none of it.
+        budget = 2 * len(context._ks_chain(ct.level)) * len(steps) * 1024 * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for at in (ct, low):
                 context.rotate_hoisted_raw(at, steps)
                 grown = tracemalloc.get_traced_memory()[0] - before
-                assert grown < 0.1 * key_bytes, (grown, key_bytes)
+                assert grown < budget, (grown, budget)
         finally:
             tracemalloc.stop()
 
+    def test_only_a_uint32_tensor_is_a_key(self):
+        """No int64 key is constructible, and keygen refuses a chain
+        whose residues would not fit 32 bits before touching the rng."""
+        context = CkksContext(_tiny_params(), seed=1)
+        relin = context.keys.relin
+        with pytest.raises(TypeError, match="uint32"):
+            SwitchingKey(relin.tensor.astype(np.int64), context.basis)
+        with pytest.raises(TypeError, match="uint32"):
+            SwitchingKey.from_seed(
+                relin.seed, relin.tensor[0].astype(np.int64), context.basis
+            )
+        state = context.rng.get_state()
+        context.basis.primes = context.basis.primes[:-1] + (2**32 + 15,)
+        with pytest.raises(ValueError, match="32-bit"):
+            context._make_switching_key(context.keys.secret, context.keys.secret)
+        assert context.rng.get_state() == state
+
     def test_mlp_solo_manifest_stores_the_same_bytes(self):
         """The e2e harness's exact ``keys.bytes`` row for ``mlp_solo``
-        (SecureMlp(784, 128) at N=4096, L=6): stored bytes — b rows plus
-        seed — did not move with the layout; resident bytes are the
-        tensors and nothing else."""
+        (SecureMlp(784, 128) at N=4096, L=6): stored bytes — 4-byte b
+        rows plus seed; resident bytes are the tensors and nothing
+        else."""
         init.seed_init(0)
         onet = OrionNetwork(SecureMlp(input_pixels=784, hidden=128), (1, 28, 28))
         onet.fit([np.random.default_rng(0).normal(0.0, 0.5, (8, 1, 28, 28))])
@@ -231,9 +254,9 @@ class TestOneResidentTensor:
             manifest.rotation_steps, levels=manifest.step_level_map()
         )
         keys = [context.keys.relin] + list(context.keys.galois.values())
-        assert sum(key.size_bytes() for key in keys) == 197_406_208
+        assert sum(key.size_bytes() for key in keys) == 98_708_992
         resident = sum(key.tensor.nbytes for key in keys)
-        assert resident == 2 * (197_406_208 - len(keys) * KEY_PRG_SEED_BYTES)
+        assert resident == 2 * (98_708_992 - len(keys) * KEY_PRG_SEED_BYTES)
 
 
 class TestSpillPromote:
@@ -283,6 +306,7 @@ class TestSpillPromote:
             [restored.relin, *restored.galois.values()],
             [kept.relin, *kept.galois.values()],
         ):
+            assert key.tensor.dtype == np.uint32 and not key.tensor.flags.writeable
             assert np.array_equal(key.tensor, want.tensor)
             assert (key.exponent, key.max_level, key.seed) == (
                 want.exponent, want.max_level, want.seed
@@ -364,6 +388,26 @@ class TestSpillPromote:
         )
         np.savez(open(path, "wb"), **arrays)
         with pytest.raises(KeySpillError, match="version"):
+            registry.backend_for("alice")
+
+    def test_int64_spill_member_never_becomes_a_key(
+        self, mlp_deployment, tmp_path
+    ):
+        """A file with the right version but a widened b member (what a
+        version-2 writer produced) is rejected by dtype, not cast."""
+        params, base_path, _, _ = mlp_deployment
+        loaded = load_artifact(base_path)
+        registry = self._registry(loaded.manifest, tmp_path, max_clients=2)
+        registry.backend_for("alice")
+        assert registry.spill("alice") is True
+        path = registry._spill_path("alice")
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        assert arrays["relin_b"].dtype == np.uint32
+        arrays["relin_b"] = arrays["relin_b"].astype(np.int64)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        with pytest.raises(KeySpillError, match="int64"):
             registry.backend_for("alice")
 
     def test_evict_removes_spill_file(self, mlp_deployment, tmp_path):

@@ -108,21 +108,27 @@ class TestArtifactRoundTrip:
         assert loaded.manifest.to_params() == params
         assert loaded.manifest.rotation_steps  # a real manifest, not empty
 
-    def test_schema_version_mismatch_fails_loudly(self, tmp_path, mlp_artifact):
+    @pytest.mark.parametrize("version", [99, 3])
+    def test_schema_version_mismatch_fails_loudly(
+        self, tmp_path, mlp_artifact, version
+    ):
+        """Any other version — the previous one (per-term int64
+        plaintexts) included — is one loud rejection, never a
+        compatibility branch."""
         import json
 
         _, _, _, path, _ = mlp_artifact
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
         doc = json.loads(bytes(arrays.pop("__manifest__")).decode())
-        doc["schema_version"] = 99
+        doc["schema_version"] = version
         bad_path = str(tmp_path / "bad.npz")
         np.savez(
             bad_path,
             __manifest__=np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8),
             **arrays,
         )
-        with pytest.raises(ArtifactSchemaError, match="schema version"):
+        with pytest.raises(ArtifactSchemaError, match="schema version.*re-export"):
             load_artifact(bad_path)
 
     def test_non_artifact_fails_loudly(self, tmp_path):
