@@ -1,8 +1,7 @@
 """Hot-path microbenchmarks: limb-batched engine vs the seed's per-limb loops.
 
 Measures NTT forward/inverse, automorphism, key switching, rotation
-(single and hoisted batch), rescale, and a BSGS matvec (fused
-deferred-mod-down vs the per-rotation pipeline), comparing the batched
+(single and hoisted batch) and rescale, comparing the batched
 engine against faithful reimplementations of the seed's per-limb Python
 loops (kept here, not in the library, so the library carries exactly
 one implementation).  Every legacy result is asserted bit-identical to
@@ -438,94 +437,6 @@ def test_stacked_keyswitch(record_table):
     assert stacked_ms < loop_ms / 1.15
 
 
-def test_bsgs_matvec_hoisting(setup, record_table):
-    """End-to-end BSGS matvec (babies + giants, no folds): unhoisted vs
-    the PR 1 per-rotation double-hoisted pipeline vs the fused
-    deferred-mod-down path."""
-    backend, ct, _, values = setup
-    params = backend.params
-    n = backend.slot_count
-    # Banded square matrix: diagonal offsets 0..band-1, which the BSGS
-    # plan splits into genuine baby and giant steps (no Gazelle fold).
-    band = 16 if QUICK else 32
-    rng = np.random.default_rng(0)
-    matrix = np.zeros((n, n))
-    row_idx = np.arange(n)[:, None]
-    col_idx = (row_idx + np.arange(band)[None, :]) % n
-    matrix[row_idx, col_idx] = rng.uniform(-1, 1, (n, band))
-    packed = build_linear_packing(matrix, None, VectorLayout(n, n), name="bench_fc")
-    diag, babies, giants = packed.counts()
-    assert not packed.fold_shifts and babies and giants
-    level = backend.level_of(ct)
-    pt_scale = Fraction(params.data_primes[level])
-
-    def run(hoisting):
-        return packed.execute(backend, [ct], pt_scale, hoisting=hoisting)
-
-    # Contract check before timing: applying mod-down to each raw
-    # accumulator must reproduce the materialized hoisted rotation.
-    ctx = backend.context
-    raw = ctx.rotate_hoisted_raw(ct, [1, 2])
-    full = ctx.rotate_hoisted(ct, [1, 2])
-    for step, (rot0, acc) in raw.items():
-        p0, p1 = ctx._ks_moddown(acc, ct.level)
-        assert np.array_equal((rot0 + p0).data, full[step].c0.data)
-        assert np.array_equal(p1.data, full[step].c1.data)
-
-    reps = max(1, REPS // 2)
-    none_ms, none_med = _time_stats(lambda: run("none"), reps=reps)
-    unfused_ms, unfused_med = _time_stats(lambda: run("double-unfused"), reps=reps)
-    fused_ms, fused_med = _time_stats(lambda: run("double"), reps=reps)
-    expected = matrix @ values
-    tol = 0.05 * max(1.0, np.abs(expected).max())
-    got = backend.decrypt(run("double")[0])
-    got_unfused = backend.decrypt(run("double-unfused")[0])
-    # Toy-backend precision is ~8 bits relative to the output magnitude;
-    # fused and unfused agree to noise precision (the deferred mod-down
-    # reorders one rounding) and both match the cleartext product.
-    assert np.abs(got - expected).max() < tol
-    assert np.abs(got_unfused - expected).max() < tol
-    assert np.abs(got - got_unfused).max() < tol
-
-    record_table(
-        "ckks_hotpath_matvec",
-        f"BSGS matvec wall-clock on the exact backend (N={RING_DEGREE}, "
-        f"alpha={ALPHA}, banded {n}x{n} layer: {diag} diagonals, "
-        f"{babies} babies + {giants} giants)",
-        ("execution", "wall-clock (ms)", "speedup"),
-        [
-            ("per-rotation keyswitch", f"{none_ms:.1f}", "1.00x"),
-            (
-                "double-hoisted BSGS (PR 1)",
-                f"{unfused_ms:.1f}",
-                f"{none_ms / unfused_ms:.2f}x",
-            ),
-            (
-                "fused deferred mod-down",
-                f"{fused_ms:.1f}",
-                f"{none_ms / fused_ms:.2f}x",
-            ),
-        ],
-    )
-    merge_json(
-        "bsgs_matvec",
-        {
-            "diagonals": diag,
-            "babies": babies,
-            "giants": giants,
-            "none_median_ms": round(none_med, 3),
-            "unfused_median_ms": round(unfused_med, 3),
-            "fused_median_ms": round(fused_med, 3),
-            "speedup_fused_vs_unfused": round(unfused_med / fused_med, 3),
-            "speedup_fused_vs_none": round(none_med / fused_med, 3),
-        },
-    )
-    # The acceptance floor: fused >= 1.5x over the PR 1 baseline at
-    # N=2048/L=8 (quick CI rings are smaller and noisier -> 1.2x).
-    assert fused_ms < unfused_ms / (1.2 if QUICK else 1.5)
-    assert unfused_ms < none_ms * 1.05
-
-
 def test_tracing_overhead(setup, record_table):
     """Observability overhead gate on the fused BSGS matvec hot path.
 
@@ -559,14 +470,14 @@ def test_tracing_overhead(setup, record_table):
         pytest.skip("ambient tracer installed; overhead baseline unavailable")
 
     def run():
-        return packed.execute(backend, [ct], pt_scale, hoisting="double")
+        return packed.execute(backend, [ct], pt_scale)
 
     tracer = Tracer()
 
     def run_traced():
         tracer.reset()
         with use_tracer(tracer):
-            return packed.execute(backend, [ct], pt_scale, hoisting="double")
+            return packed.execute(backend, [ct], pt_scale)
 
     # Observe-only before timing: traced and untraced are bit-identical,
     # and the traced run actually recorded spans (the gate isn't vacuous).

@@ -18,7 +18,8 @@ Checks two things:
    (ring_degree / max_level / ks_alpha / quick) and every recorded
    section has the expected numeric fields (medians > 0, speedups
    finite), so a half-written or hand-mangled JSON cannot pass.
-2. **Floors** — every recorded speedup median must clear its floor.
+2. **Floors** — every recorded speedup median (and the bootstrap's
+   refreshed precision) must clear its floor.
    Floors are quick/full aware (quick CI rings are smaller and
    noisier).  A section missing from a config is fine — only numbers
    that were recorded are gated — but at least one config must carry
@@ -52,27 +53,21 @@ FLOORS = {
         "keyswitch.speedup": (1.2, 1.2),
         "rotate.speedup": (1.2, 1.2),
     },
-    "bsgs_matvec": {
-        "speedup_fused_vs_unfused": (1.2, 1.5),
-        "speedup_fused_vs_none": (1.5, 2.0),
-    },
     # Stacked key-switch inner products vs the per-offset loop (both
     # double-hoisted; the stack removes per-offset Python overhead).
     "stacked_keyswitch": {
         "speedup_stacked_vs_loop": (1.15, 1.15),
     },
-    "bootstrap_transforms": {
-        "speedup_fused_vs_per_rotation": (1.5, 1.5),
-        "speedup_fused_vs_bsgs": (1.05, 1.05),
-    },
-    # End-to-end bootstrap latency: the whole ModRaise -> CoeffToSlot ->
-    # EvalMod -> SlotToCoeff pipeline (shared-conjugation + cached
-    # constants) vs the pre-sharing fused pipeline.  The 1.1x floor is
-    # deliberately identical in quick and full mode: the stage-level
-    # gates above cannot see a regression that only shows up end to end
-    # (e.g. the conjugation falling back to its standalone key switch).
+    # End-to-end bootstrap: the whole ModRaise -> CoeffToSlot -> EvalMod
+    # -> SlotToCoeff pipeline, recorded as absolutes (median, "# Rots",
+    # refreshed precision in bits — the one floor here).  The 1.1x
+    # speedup floor that used to sit here guarded against "the
+    # conjugation falling back to its standalone key switch"; that
+    # fallback no longer exists (a backend without the fused primitives
+    # fails at construction), so the regression is impossible by
+    # construction and the benchmark asserts hrot == 0 instead.
     "bootstrap_e2e": {
-        "speedup_shared_vs_pre_pr": (1.1, 1.1),
+        "precision_bits": (7.0, 7.0),
     },
     "serving": {
         "speedup_batched_vs_single": (2.0, 2.0),
@@ -122,9 +117,7 @@ CEILINGS = {
 REQUIRED_SECTIONS = {
     "BENCH_ckks_hotpath.json": (
         "ops",
-        "bsgs_matvec",
         "stacked_keyswitch",
-        "bootstrap_transforms",
         "bootstrap_e2e",
         "graph_opt",
         "tracing_overhead",
@@ -135,14 +128,8 @@ REQUIRED_SECTIONS = {
 # Numeric fields every section entry must carry (besides the speedups).
 SECTION_MEDIANS = {
     "ops": ("median_ms", "baseline_median_ms"),
-    "bsgs_matvec": ("fused_median_ms", "unfused_median_ms", "none_median_ms"),
     "stacked_keyswitch": ("stacked_median_ms", "loop_median_ms"),
-    "bootstrap_transforms": (
-        "fused_median_ms",
-        "bsgs_median_ms",
-        "per_rotation_median_ms",
-    ),
-    "bootstrap_e2e": ("shared_median_ms", "pre_pr_median_ms"),
+    "bootstrap_e2e": ("median_ms", "rotations"),
     "serving": ("single_request_median_ms", "batched_request_median_ms"),
     "serving_pool": ("p50_ms", "p99_ms"),
     "tenant_keys": (
@@ -285,7 +272,7 @@ def check(path):
                 value = _lookup(section_data, dotted)
                 if value is None:
                     errors.append(
-                        f"{config_key}/{section}.{dotted}: missing (floor {floor}x)"
+                        f"{config_key}/{section}.{dotted}: missing (floor {floor})"
                     )
                 elif not isinstance(value, (int, float)) or not math.isfinite(value):
                     errors.append(
@@ -294,7 +281,7 @@ def check(path):
                 elif value < floor:
                     errors.append(
                         f"PERF REGRESSION {config_key}/{section}.{dotted}: "
-                        f"{value}x is below the {floor}x floor"
+                        f"{value} is below the {floor} floor"
                     )
         for section, metrics in CEILINGS.items():
             section_data = config.get(section)

@@ -37,9 +37,10 @@ class CostModel:
     alpha: int = 4
     # Per-unit constants (seconds at the N = 2^16 normalization point).
     #
-    # c_decompose / c_inner are calibrated against the measured medians
-    # in BENCH_ckks_hotpath.json (exact backend, N=2048, L=8): one
-    # keyswitch = 28.4 ms splits into a dominant digit-decomposition
+    # c_decompose / c_inner were calibrated against medians measured on
+    # the exact backend (N=2048, L=8) against a per-rotation BSGS
+    # pipeline that no longer exists (these constants are its record):
+    # one keyswitch = 28.4 ms splits into a dominant digit-decomposition
     # (inverse NTT + batched forward NTTs) and a cheap lazy int64 inner
     # product (~5% of the keyswitch from the hoisted-x8 median), and
     # the fused BSGS matvec beats the per-rotation double-hoisted
@@ -55,8 +56,8 @@ class CostModel:
     # pipeline reduces every digit product immediately (one `%` pass
     # per rotation over the full (2, ks_limbs, N) accumulator), while
     # the *fused* pipeline sums products lazily in int64 and amortizes
-    # the reduction across `chunk` offsets — measured in
-    # BENCH_ckks_hotpath.json as a fused advantage that *grows* with
+    # the reduction across `chunk` offsets — measured then
+    # as a fused advantage that *grows* with
     # grouped digits (alpha=2 fused/bsgs 2.3-2.6x vs alpha=1's 1.4-1.6x
     # on the bootstrap transforms), which a shared constant cannot
     # express.  c_inner_fused is fit so the modeled alpha=2 fused gain
@@ -214,10 +215,11 @@ class CostModel:
     ) -> float:
         """Price of the post-matvec Gazelle rotate-and-sum folds.
 
-        Non-fused modes execute them as plain rotations + additions;
-        the fused mode uses whichever of the sequential and expanded
-        (hoisted, deferred-mod-down) forms is cheaper, mirroring
-        :meth:`repro.core.packing.matvec.PackedMatVec` execution.
+        The non-fused (analytic-only) modes price them as plain
+        rotations + additions; the fused mode uses whichever of the
+        sequential and expanded (hoisted, deferred-mod-down) forms is
+        cheaper, mirroring :meth:`repro.core.packing.matvec.PackedMatVec`
+        execution.
 
         Priced at the matvec's *input* level (like every other term of
         :meth:`matvec_cost`); the executor makes its sequential-vs-fused
@@ -243,9 +245,9 @@ class CostModel:
     ) -> float:
         """Rotation cost of the fully-fused matvec path.
 
-        One digit decomposition per input ciphertext (every rotation —
-        baby or giant — acts on the same c1 after the giant steps are
-        folded into the pre-rotated plaintexts), one inner product per
+        One digit decomposition per input ciphertext (every diagonal
+        offset rotates the same input, so all share its c1), one inner
+        product per
         distinct nonzero diagonal offset — priced at the fused
         pipeline's lazy-accumulation rate (:meth:`ks_inner_fused`) —
         and one deferred mod-down per output ciphertext.  dnum-aware
@@ -301,8 +303,10 @@ class CostModel:
             num_giant: distinct giant-step rotations (non-fused modes
                 include the Gazelle fold rotations here, matching
                 ``PackedMatVec.counts``).
-            hoisting: 'none' | 'single' | 'double' (Section 3.3), or
-                'fused' (the default, matching execution) for the
+            hoisting: 'fused' (the default — the one pipeline that
+                executes) or the analytic prices 'none' | 'single' |
+                'double' of the Section 3.3 ablation, which execute
+                nothing (docs/hoisting.md).  'fused' is the
                 fully-hoisted deferred-mod-down path (one decomposition,
                 one inner product per diagonal offset, one mod-down;
                 plaintext multiplies run over the extended Q_l * P

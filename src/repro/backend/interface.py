@@ -159,88 +159,42 @@ class FheBackend(abc.ABC):
     def bootstrap(self, a): ...
 
     # -- hoisted rotations (Section 3.3) ---------------------------------------
-    def rotate_group(self, a, steps: Sequence[int], hoisting: str = "double") -> Dict[int, object]:
-        """Rotate one ciphertext by many amounts, amortizing key-switch work.
-
-        Charges the price of the requested hoisting mode, then delegates
-        to :meth:`_rotate_group_no_charge` (per-step rotations by
-        default; exact backends share the real decomposition there).
-        ``hoisting="none"`` always executes and charges per-step
-        rotations, for faithful unhoisted baselines.  Rotation by 0 is
-        free (returns the input).
-        """
-        outputs: Dict[int, object] = {}
-        unique_steps: List[int] = sorted({s % self.slot_count for s in steps})
-        nonzero = [s for s in unique_steps if s != 0]
-        if 0 in unique_steps:
-            outputs[0] = a
-        level = self.level_of(a)
-        if nonzero:
-            if hoisting == "none":
-                self.ledger.charge("hrot", self.costs.hrot(level) * len(nonzero), len(nonzero))
-                for step in nonzero:
-                    outputs[step] = self._rotate_no_charge(a, step)
-                return outputs
-            else:
-                shared = self.costs.ks_decompose(level)
-                per = self.costs.ks_inner(level)
-                if hoisting == "single":
-                    per += self.costs.ks_moddown(level)
-                    shared += 0.0
-                else:  # double hoisting defers mod-down to the giant step
-                    shared += self.costs.ks_moddown(level)
-                self.ledger.charge(
-                    "hrot_hoisted", shared + per * len(nonzero), len(nonzero)
-                )
-            outputs.update(self._rotate_group_no_charge(a, nonzero))
-        return outputs
-
     def rotate_hoisted(self, a, steps: Sequence[int]) -> Dict[int, object]:
         """Rotate one ciphertext by many amounts with a shared (hoisted)
-        key-switch decomposition, charged at the double-hoisted price.
+        key-switch digit decomposition.
 
-        This is the primitive :class:`repro.core.packing.matvec.PackedMatVec`
-        baby steps execute against; exact backends override the
-        underlying :meth:`_rotate_group_no_charge` so the decomposition
-        really is computed once (not just priced once).
+        Returns ``{step: rotated ciphertext}`` over the distinct steps
+        reduced mod the slot count; rotation by 0 is free (maps to the
+        input).  Charges what runs: one decomposition for the group,
+        then one inner product and one mod-down per nonzero step —
+        deferring the mod-down across steps is what
+        :meth:`matvec_fused` / :meth:`rotate_sum_hoisted` are for.
         """
-        return self.rotate_group(a, steps, hoisting="double")
+        unique_steps = sorted({s % self.slot_count for s in steps})
+        nonzero = [s for s in unique_steps if s]
+        outputs: Dict[int, object] = {0: a} if 0 in unique_steps else {}
+        if nonzero:
+            level = self.level_of(a)
+            per_step = self.costs.ks_inner(level) + self.costs.ks_moddown(level)
+            self.ledger.charge(
+                "hrot_hoisted",
+                self.costs.ks_decompose(level) + per_step * len(nonzero),
+                len(nonzero),
+            )
+            outputs.update(self._rotate_hoisted_no_charge(a, nonzero))
+        return outputs
 
-    def _rotate_group_no_charge(self, a, steps: Sequence[int]) -> Dict[int, object]:
+    def _rotate_hoisted_no_charge(self, a, steps: Sequence[int]) -> Dict[int, object]:
         """Multi-rotation primitive without ledger charges.
 
         ``steps`` are unique, nonzero, already reduced mod slot count.
-        Default: one independent rotation per step; backends with a real
-        hoisted path override this.
+        Default: one independent rotation per step; exact backends
+        override this so the decomposition really is computed once (not
+        just priced once).
         """
         return {step: self._rotate_no_charge(a, step) for step in steps}
 
     # -- fused matvec (deferred mod-down, Section 3.3) --------------------------
-    @property
-    def supports_fused_matvec(self) -> bool:
-        """Whether this backend overrides :meth:`_matvec_fused_no_charge`.
-
-        Callers check this before building the fused term vectors so
-        backends without a fused path never pay the preparation cost.
-        """
-        return (
-            type(self)._matvec_fused_no_charge
-            is not FheBackend._matvec_fused_no_charge
-        )
-
-    @property
-    def supports_shared_conjugation(self) -> bool:
-        """Whether :meth:`matvec_fused` accepts conjugation-composed
-        offsets ``("conj", k)`` — conjugate the input, then rotate by
-        ``k``, as ONE Galois element riding the input's shared digit
-        decomposition (one extra inner product; the deferred mod-down
-        stays shared).  The bootstrap CoeffToSlot path uses this to
-        eliminate its standalone conjugation key switch.  Backends with
-        a fused path are expected to support it; the default mirrors
-        :attr:`supports_fused_matvec`.
-        """
-        return self.supports_fused_matvec
-
     def matvec_fused(
         self,
         in_cts: Sequence,
@@ -249,25 +203,26 @@ class FheBackend(abc.ABC):
         pt_scale: ScaleLike,
         pt_cache: Optional[Dict] = None,
         charged_rotations: Optional[int] = None,
-    ) -> Optional[List]:
-        """Fully-hoisted diagonal accumulation with deferred mod-down.
+    ) -> List:
+        """Fully-hoisted diagonal accumulation with deferred mod-down —
+        the one executor of a diagonal matvec.
 
         ``terms`` maps ``(out_block, in_block, offset)`` to the slot
-        vector of that diagonal (the *original* diagonal — the giant
-        pre-rotation is already folded out, so every offset rotates the
-        input ciphertext directly and all rotations of one input share a
-        single key-switch digit decomposition).  An offset is a plain
-        rotation step (``int``) or a conjugation-composed Galois element
-        ``("conj", k)`` — conjugate the input, then rotate by ``k`` —
-        which shares the same decomposition (see
-        :attr:`supports_shared_conjugation`).  Exact backends keep the
-        per-offset products in the extended Q_l * P basis and mod down
-        once per output block (Bossuat et al. [11] double hoisting).
+        vector of that diagonal: entry ``j`` multiplies input slot
+        ``j + offset``, so every offset rotates the input ciphertext
+        directly and all rotations of one input share a single
+        key-switch digit decomposition.  An offset is a plain rotation
+        step (``int``) or a conjugation-composed Galois element
+        ``("conj", k)`` — conjugate the input, then rotate by ``k``, as
+        ONE Galois element riding the same decomposition (one extra
+        inner product; the bootstrap CoeffToSlot uses it so the
+        conjugation never pays a standalone key switch).  Exact
+        backends keep the per-offset products in the extended Q_l * P
+        basis and mod down once per output block (Bossuat et al. [11]
+        double hoisting).
 
         Returns one pre-rescale ciphertext per output block at scale
-        ``input_scale * pt_scale`` (``None`` for blocks with no terms),
-        or ``None`` when the backend has no fused path — callers then
-        fall back to the per-rotation BSGS pipeline.
+        ``input_scale * pt_scale`` (``None`` for blocks with no terms).
 
         ``pt_cache`` persists the encoded weights across executions —
         on the exact backend one static table per (out, in) block
@@ -282,8 +237,6 @@ class FheBackend(abc.ABC):
         the *seconds* charged are always the fused price.
         """
         outs = self._matvec_fused_no_charge(in_cts, terms, num_out, pt_scale, pt_cache)
-        if outs is None:
-            return None
         level = self.level_of(in_cts[0])
         num_offsets = len({(bi, off) for (_, bi, off) in terms if off})
         # Only blocks with nonzero offsets pay decompose / mod-down
@@ -307,6 +260,7 @@ class FheBackend(abc.ABC):
             self.ledger.charge("hadd", self.costs.hadd(level) * adds, adds)
         return outs
 
+    @abc.abstractmethod
     def _matvec_fused_no_charge(
         self,
         in_cts: Sequence,
@@ -314,32 +268,19 @@ class FheBackend(abc.ABC):
         num_out: int,
         pt_scale: ScaleLike,
         pt_cache: Optional[Dict] = None,
-    ) -> Optional[List]:
-        """Fused-matvec primitive without ledger charges.
-
-        Default: unsupported (``None``), which makes :meth:`matvec_fused`
-        report "no fused path" and callers fall back.
-        """
-        return None
+    ) -> List:
+        """Fused-matvec primitive without ledger charges."""
 
     # -- fused rotate-and-sum fold (Gazelle hybrid, Section 8.2) ---------------
-    @property
-    def supports_fused_fold(self) -> bool:
-        """Whether this backend overrides :meth:`_rotate_sum_no_charge`."""
-        return (
-            type(self)._rotate_sum_no_charge
-            is not FheBackend._rotate_sum_no_charge
-        )
-
     def rotate_sum_hoisted(
         self, a, steps: Sequence[int], charged_rotations: Optional[int] = None
     ):
         """Return ``a + sum_s rot(a, s)`` with one hoisted key switch.
 
         (Named to avoid confusion with
-        :func:`repro.core.attention.rotate_sum`, the sequential
-        slot-folding tree — which routes through this primitive when
-        the backend supports it.)
+        :func:`repro.core.attention.rotate_sum`, the slot-folding tree —
+        which routes through this primitive when the cost model prices
+        it cheaper.)
 
         The Gazelle rotate-and-sum fold ``t -> t + rot(t, shift)``
         cannot be hoisted directly (each fold rotates a *different*
@@ -353,19 +294,11 @@ class FheBackend(abc.ABC):
         the ledger (the matvec layer passes ``len(fold_shifts)`` so
         "# Rots" stays comparable with the sequential fold and the
         compile-time plan); the *seconds* charged are the fused price.
-        Backends without a fused path fall back to per-step hoisted
-        rotations and additions.
         """
         nonzero = sorted({s % self.slot_count for s in steps} - {0})
         if not nonzero:
             return a
         out = self._rotate_sum_no_charge(a, nonzero)
-        if out is None:
-            rotated = self.rotate_group(a, nonzero)
-            result = a
-            for step in nonzero:
-                result = self.add(result, rotated[step])
-            return result
         level = self.level_of(a)
         rot_count = len(nonzero) if charged_rotations is None else charged_rotations
         self.ledger.charge(
@@ -378,15 +311,13 @@ class FheBackend(abc.ABC):
         )
         return out
 
+    @abc.abstractmethod
     def _rotate_sum_no_charge(self, a, steps: Sequence[int]):
         """Fused rotate-and-sum primitive without ledger charges.
 
         ``steps`` are unique, nonzero, already reduced mod slot count.
-        Default: unsupported (``None``); :meth:`rotate_sum` then falls
-        back to per-step hoisted rotations.
         """
-        return None
 
     @abc.abstractmethod
     def _rotate_no_charge(self, a, steps: int):
-        """Rotation primitive without ledger charges (used by rotate_group)."""
+        """Rotation primitive without ledger charges."""

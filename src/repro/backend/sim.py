@@ -229,15 +229,15 @@ class SimBackend(FheBackend):
         num_out: int,
         pt_scale: ScaleLike,
         pt_cache=None,
-    ) -> Optional[list]:
+    ) -> list:
         """Functional fused matvec: exact SIMD semantics, fused noise.
 
         Mirrors the exact backend's fused path: every diagonal offset
         rotates the input directly (one hoisted decomposition per input
         block) and each output block pays a single deferred mod-down, so
         one key-switch noise term is injected per distinct offset plus
-        one for the mod-down — slightly *less* noise than the per-baby
-        mod-downs of the unfused path, matching Bossuat et al. [11].
+        one for the mod-down — slightly *less* noise than one mod-down
+        per rotation, matching Bossuat et al. [11].
 
         Conjugation-composed offsets ``("conj", k)`` are supported: on
         the simulator's real slot vectors conjugation is the identity,

@@ -119,7 +119,7 @@ class ToyBackend(FheBackend):
     def _rotate_no_charge(self, a: Ciphertext, steps: int) -> Ciphertext:
         return self.context.rotate(a, steps)
 
-    def _rotate_group_no_charge(self, a: Ciphertext, steps) -> dict:
+    def _rotate_hoisted_no_charge(self, a: Ciphertext, steps) -> dict:
         """Real hoisting: decompose c1 once, reuse it for every step."""
         return self.context.rotate_hoisted(a, steps)
 
@@ -135,14 +135,14 @@ class ToyBackend(FheBackend):
         pt_scale: ScaleLike,
         pt_cache: Optional[Dict] = None,
         _max_chunk: Optional[int] = None,
-    ) -> Optional[List[Optional[Ciphertext]]]:
+    ) -> List[Optional[Ciphertext]]:
         """Exact fused diagonal accumulation (true double hoisting).
 
         Every Galois offset of an input ciphertext — plain rotations
         *and* conjugation-composed ``("conj", k)`` elements — reuses one
         digit decomposition (:meth:`CkksContext.rotate_hoisted_stacked`)
-        and a single ``_ks_moddown`` per output block replaces the
-        per-rotation mod-downs of the unfused path.
+        and a single ``_ks_moddown`` per output block replaces one
+        mod-down per rotation.
 
         The weights of one ``(out block, in block)`` group are ONE
         static uint32 ``(T, ks_limbs, N)`` table
@@ -251,7 +251,7 @@ class ToyBackend(FheBackend):
 
     def _rotate_sum_no_charge(
         self, a: Ciphertext, steps: Sequence[int]
-    ) -> Optional[Ciphertext]:
+    ) -> Ciphertext:
         """Exact fused rotate-and-sum (the Gazelle fold, double-hoisted).
 
         All rotations share one digit decomposition of ``a.c1`` via

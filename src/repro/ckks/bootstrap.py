@@ -17,17 +17,29 @@ the real one:
    at toy scale).
 2. **CoeffToSlot** — a homomorphic linear transform moving polynomial
    coefficients into slots.  Because the decoding matrix V = [E; conj(E)]
-   satisfies V V^H = N*I, its inverse is V^H / N, and the transform is
-   two BSGS diagonal-method matvecs on (ct, conj(ct)) per output half —
-   exactly the machinery of paper Section 3, reused inside bootstrapping
-   just as the paper reuses its matvec kernels for bootstrap transforms.
+   satisfies V V^H = N*I, its inverse is V^H / N, and each output half
+   is a diagonal-method matvec on (ct, conj(ct)) — the machinery of
+   paper Section 3, reused inside bootstrapping just as the paper
+   reuses its matvec kernels for bootstrap transforms.  Both halves run
+   as ONE ``FheBackend.matvec_fused`` call off one key-switch digit
+   decomposition: the conjugate-matrix diagonals are
+   conjugation-composed Galois elements ``("conj", k)`` of the same
+   input, so the conjugation never pays a standalone key switch.
 3. **EvalMod** — the modular reduction x -> x mod q0 is approximated by
    the scaled sine q0/(2*pi) * sin(2*pi*x/q0), fitted as a Chebyshev
    series and evaluated with the errorless BSGS evaluator of
    :mod:`repro.core.approx.evaluator`.
 4. **SlotToCoeff** — the forward transform E moves the cleaned
-   coefficients back, yielding a fresh ciphertext at scale Delta whose
-   slots approximate the original message.
+   coefficients back (one fused matvec over both halves), yielding a
+   fresh ciphertext at scale Delta whose slots approximate the original
+   message.
+
+Every transform runs through the fused deferred-mod-down matvec
+(docs/hoisting.md); the BSGS baby/giant split survives only as the
+"# Rots" count the transforms report to the ledger.  Encoded transform
+tables and the EvalMod / re-centering constants persist across
+bootstrap calls (the pipeline always runs at the same levels and
+scales).
 
 Use :func:`repro.ckks.params.bootstrap_parameters` for a parameter set
 sized for this pipeline, and ``ToyBackend(params, real_bootstrap=True)``
@@ -38,7 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,27 +126,6 @@ class CkksBootstrapper:
             viable in production libraries; at the toy ring's 30-bit
             prime width the rescale-noise floor (amplified 4x per
             doubling) still requires a sparse secret here.
-        fused: route the CoeffToSlot/SlotToCoeff matvecs through the
-            backend's fused deferred-mod-down path (default).  False
-            forces the per-rotation BSGS pipeline — the reference the
-            fused transforms are benchmarked against.
-        shared_conjugation: on the fused path, fold the CoeffToSlot
-            conjugation into the transform itself (default): the conj
-            matrices' diagonals become conjugation-composed Galois
-            elements ``("conj", k)`` riding the *same* digit
-            decomposition as the rotations, both output halves are
-            produced by ONE ``matvec_fused`` call, and the standalone
-            ``backend.conjugate`` key switch disappears.  False keeps
-            the pre-sharing pipeline (explicit conjugate ciphertext,
-            one fused call per half) — the baseline the end-to-end
-            bootstrap benchmark gates against.
-        cache_eval_consts: persist the EvalMod constant-plaintext
-            encodes (Chebyshev coefficients, scale-matching ones) and
-            the pipeline's re-centering ones-plaintexts across
-            bootstrap calls (default).  False re-encodes every call —
-            together with ``shared_conjugation=False`` this is the
-            exact pre-sharing ("pre-PR") fused pipeline the end-to-end
-            benchmark floors are measured against.
     """
 
     def __init__(
@@ -143,9 +134,6 @@ class CkksBootstrapper:
         eval_degree: int = 63,
         window: Optional[int] = None,
         double_angles: int = 0,
-        fused: bool = True,
-        shared_conjugation: bool = True,
-        cache_eval_consts: bool = True,
     ):
         params = backend.params
         if params.ring_type is not RingType.STANDARD:
@@ -178,13 +166,10 @@ class CkksBootstrapper:
             self._stc_gain = 1.0
         self._build_transform_matrices()
         self._evalmod_depth: Optional[int] = None
-        # Fused transform machinery: per-transform diagonal plans (the
-        # nonzero diagonals, BSGS split, and "# Rots" accounting) plus
-        # encoded-plaintext caches, both persistent across bootstrap
-        # calls — the transforms always run at the same level and scale.
-        self.fused = fused
-        self.shared_conjugation = shared_conjugation
-        self.cache_eval_consts = cache_eval_consts
+        # Per-transform diagonal plans (the nonzero diagonals and their
+        # "# Rots" accounting) plus encoded-plaintext caches, both
+        # persistent across bootstrap calls — the transforms always run
+        # at the same level and scale.
         self._plans: dict = {}
         self._pt_caches: dict = {}
 
@@ -219,28 +204,23 @@ class CkksBootstrapper:
         self.stc_hi = decode[:, n:] * self._stc_gain
 
     # ------------------------------------------------------------------
-    # BSGS diagonal-method matvec over live ciphertexts
+    # Diagonal-method matvec over live ciphertexts
     # ------------------------------------------------------------------
     def _transform_plan(
         self, table: Optional[str], pairs: Sequence[Tuple[Ciphertext, np.ndarray]]
     ) -> dict:
         """Diagonal plan for one named transform, built once and cached.
 
-        Extracts the nonzero diagonals of every matrix in ``pairs``,
-        chooses the BSGS split, and precomputes:
+        Extracts the nonzero diagonals of every matrix in ``pairs``:
 
-        - ``terms``: (0, input_index, offset) -> original diagonal slot
-          vector, the shape :meth:`FheBackend.matvec_fused` consumes
-          (giant pre-rotations folded out — every offset rotates the
-          input directly off one shared digit decomposition);
-        - ``babies``: per-input *used* baby offsets (identity included
-          only when an offset actually lands on it — rotation by 0 is
-          free and must never be planned or charged);
-        - ``by_giant``: giant step -> per-input offsets, driving the
-          per-rotation fallback exactly like paper Eq. 1;
-        - ``rot_count``: the BSGS rotation count (nonzero babies +
-          nonzero giants) that both execution paths report to the
-          ledger, keeping "# Rots" comparable with the paper tables.
+        - ``terms``: (0, input_index, offset) -> diagonal slot vector,
+          the shape :meth:`FheBackend.matvec_fused` consumes (every
+          offset rotates the input directly off one shared digit
+          decomposition);
+        - ``rot_count``: the BSGS rotation count (nonzero babies per
+          input + nonzero giants, at the balanced split n1 ~ sqrt(n))
+          reported to the ledger, keeping "# Rots" comparable with the
+          paper tables.  Rotation by 0 is free and never counted.
         """
         plan = self._plans.get(table) if table is not None else None
         if plan is not None:
@@ -249,28 +229,18 @@ class CkksBootstrapper:
         n1 = 1 << max(1, math.ceil(math.log2(math.sqrt(n))))
         indices = np.arange(n)
         terms: dict = {}
-        babies: List[List[int]] = []
-        by_giant: dict = {}
+        babies = set()
+        giants = set()
         for i, (_, matrix) in enumerate(pairs):
-            used_babies = set()
             for k in range(n):
                 diagonal = matrix[indices, (indices + k) % n]
                 if np.max(np.abs(diagonal)) < 1e-15:
                     continue
                 terms[(0, i, k)] = diagonal
-                used_babies.add(k % n1)
-                by_giant.setdefault(k - k % n1, {}).setdefault(i, []).append(k)
-            babies.append(sorted(used_babies))
-        rot_count = sum(
-            sum(1 for b in used if b) for used in babies
-        ) + sum(1 for g in by_giant if g)
-        plan = {
-            "n1": n1,
-            "terms": terms,
-            "babies": babies,
-            "by_giant": {g: by_giant[g] for g in sorted(by_giant)},
-            "rot_count": rot_count,
-        }
+                babies.add((i, k % n1))
+                giants.add(k - k % n1)
+        rot_count = sum(1 for _, b in babies if b) + sum(1 for g in giants if g)
+        plan = {"terms": terms, "rot_count": rot_count}
         if table is not None:
             self._plans[table] = plan
         return plan
@@ -283,76 +253,29 @@ class CkksBootstrapper:
     ) -> Ciphertext:
         """Evaluate sum_i M_i x_i with one shared level (paper eq. 1).
 
-        All input ciphertexts must share a level and scale.  On backends
-        with a fused matvec this runs fully hoisted: one key-switch
-        digit decomposition per input ciphertext, giant steps folded
-        into the diagonal plaintexts (encoded once per transform and
-        cached across bootstrap calls), products accumulated in the
-        extended Q_l * P basis, and one deferred mod-down for the
-        output (Bossuat et al. double hoisting).  Other backends — or
-        ``fused=False`` — take the per-rotation BSGS pipeline of
-        :meth:`_matvec_sum_unfused`.  A single rescale lands the output
-        on the target scale either way.
-        """
-        backend = self.backend
-        if self.fused and getattr(backend, "supports_fused_matvec", False):
-            plan = self._transform_plan(table, pairs)
-            level = backend.level_of(pairs[0][0])
-            cache = self._pt_caches.setdefault(
-                ("fused", table) + backend.plaintext_cache_key(level, pt_scale),
-                {},
-            )
-            outs = backend.matvec_fused(
-                [ct for ct, _ in pairs],
-                plan["terms"],
-                1,
-                pt_scale,
-                pt_cache=cache,
-                charged_rotations=plan["rot_count"],
-            )
-            if outs is not None and outs[0] is not None:
-                return backend.rescale(outs[0])
-        return self._matvec_sum_unfused(pairs, pt_scale, table)
-
-    def _matvec_sum_unfused(
-        self,
-        pairs: Sequence[Tuple[Ciphertext, np.ndarray]],
-        pt_scale: Fraction,
-        table: Optional[str] = None,
-    ) -> Ciphertext:
-        """Per-rotation BSGS reference pipeline (paper Eq. 1).
-
-        Baby rotations are hoisted per input (only the *used* nonzero
-        baby offsets — the identity never rotates or charges), diagonals
-        are pre-rotated in cleartext for the giant steps (encodes cached
-        across calls), and giant rotations apply to accumulated sums.
+        All input ciphertexts must share a level and scale.  Runs fully
+        hoisted: one key-switch digit decomposition per input
+        ciphertext, diagonal plaintexts encoded once per transform and
+        cached across bootstrap calls, products accumulated in the
+        extended Q_l * P basis, and one deferred mod-down for the output
+        (Bossuat et al. double hoisting).  A single rescale lands the
+        output on the target scale.
         """
         backend = self.backend
         plan = self._transform_plan(table, pairs)
         level = backend.level_of(pairs[0][0])
-        n1 = plan["n1"]
-        baby: List[dict] = [
-            backend.rotate_group(ct, plan["babies"][i])
-            for i, (ct, _) in enumerate(pairs)
-        ]
         cache = self._pt_caches.setdefault(
-            ("unfused", table) + backend.plaintext_cache_key(level, pt_scale), {}
+            ("fused", table) + backend.plaintext_cache_key(level, pt_scale), {}
         )
-        acc = None
-        for giant, offsets_by_input in plan["by_giant"].items():
-            part = None
-            for i, offsets in offsets_by_input.items():
-                for k in offsets:
-                    plaintext = cache.get((i, k))
-                    if plaintext is None:
-                        shifted = np.roll(plan["terms"][(0, i, k)], giant)
-                        plaintext = backend.encode(shifted, level, pt_scale)
-                        cache[(i, k)] = plaintext
-                    term = backend.mul_plain(baby[i][k % n1], plaintext)
-                    part = term if part is None else backend.add(part, term)
-            part = backend.rotate(part, giant)
-            acc = part if acc is None else backend.add(acc, part)
-        return backend.rescale(acc)
+        (out,) = backend.matvec_fused(
+            [ct for ct, _ in pairs],
+            plan["terms"],
+            1,
+            pt_scale,
+            pt_cache=cache,
+            charged_rotations=plan["rot_count"],
+        )
+        return backend.rescale(out)
 
     # ------------------------------------------------------------------
     # Pipeline stages
@@ -389,15 +312,13 @@ class CkksBootstrapper:
             1.0,
             level,
             scale,
-            self._pt_caches.setdefault("ones_consts", {})
-            if self.cache_eval_consts
-            else None,
+            self._pt_caches.setdefault("ones_consts", {}),
         )
 
     def _shared_cts_plan(self) -> dict:
         """CoeffToSlot plan with the conjugation folded into the terms.
 
-        Reuses the per-half BSGS plans (``cts_lo`` / ``cts_hi``) but
+        Reuses the per-half plans (``cts_lo`` / ``cts_hi``) but
         re-keys every conjugate-matrix diagonal from input 1 to a
         conjugation-composed Galois element ``("conj", k)`` on input 0,
         and stacks both halves as output blocks 0 and 1 of a single
@@ -406,9 +327,8 @@ class CkksBootstrapper:
         product per distinct element, and one deferred mod-down per
         output half — the standalone conjugation key switch is gone.
 
-        ``rot_count`` keeps ledger parity with the unshared pipeline:
-        both halves' BSGS counts plus 1 for the conjugation, which the
-        unshared path charges as an explicit HRot.
+        ``rot_count`` is both halves' BSGS counts plus 1 for the
+        conjugation (an explicit HRot in the paper's accounting).
         """
         plan = self._plans.get("cts_shared")
         if plan is not None:
@@ -431,19 +351,15 @@ class CkksBootstrapper:
 
     def _coeff_to_slot_shared(
         self, raised: Ciphertext, pt_scale: Fraction
-    ) -> Optional[Tuple[Ciphertext, Ciphertext]]:
-        """Both CoeffToSlot halves off one shared decomposition.
-
-        Returns ``None`` when the backend has no fused path (callers
-        fall back to the explicit-conjugate pipeline).
-        """
+    ) -> Tuple[Ciphertext, Ciphertext]:
+        """Both CoeffToSlot halves off one shared decomposition."""
         backend = self.backend
         plan = self._shared_cts_plan()
         level = backend.level_of(raised)
         cache = self._pt_caches.setdefault(
             ("cts_shared",) + backend.plaintext_cache_key(level, pt_scale), {}
         )
-        outs = backend.matvec_fused(
+        lo, hi = backend.matvec_fused(
             [raised],
             plan["terms"],
             2,
@@ -451,9 +367,7 @@ class CkksBootstrapper:
             pt_cache=cache,
             charged_rotations=plan["rot_count"],
         )
-        if outs is None or outs[0] is None or outs[1] is None:
-            return None
-        return backend.rescale(outs[0]), backend.rescale(outs[1])
+        return backend.rescale(lo), backend.rescale(hi)
 
     def coeff_to_slot(self, raised: Ciphertext) -> Tuple[Ciphertext, Ciphertext]:
         """Move coefficients into slots: one shared multiplicative level.
@@ -462,11 +376,11 @@ class CkksBootstrapper:
         ciphertexts whose slots hold (u + q0*I)[:n] / (q0*B) and the
         upper half — EvalMod-ready values in [-1, 1] — at scale Delta.
 
-        On backends with a fused matvec the default pipeline shares ONE
-        key-switch digit decomposition across everything CoeffToSlot
-        does — both halves' rotations *and* the conjugation, which rides
-        the decomposition as composed Galois elements instead of paying
-        its own key switch (:meth:`_coeff_to_slot_shared`).
+        ONE key-switch digit decomposition is shared across everything
+        CoeffToSlot does — both halves' rotations *and* the conjugation,
+        which rides the decomposition as composed Galois elements
+        instead of paying its own key switch
+        (:meth:`_coeff_to_slot_shared`).
         """
         backend = self.backend
         level = backend.level_of(raised)
@@ -477,26 +391,7 @@ class CkksBootstrapper:
         # entries wide enough to survive plaintext rounding.
         out_scale = Fraction(self.params.primes[level - 1])
         pt_scale = out_scale * rescale_prime / backend.scale_of(raised)
-        if (
-            self.fused
-            and self.shared_conjugation
-            and getattr(backend, "supports_shared_conjugation", False)
-        ):
-            shared = self._coeff_to_slot_shared(raised, pt_scale)
-            if shared is not None:
-                return shared
-        conjugated = backend.conjugate(raised)
-        lo = self._matvec_sum(
-            [(raised, self.cts_lo[0]), (conjugated, self.cts_lo[1])],
-            pt_scale,
-            "cts_lo",
-        )
-        hi = self._matvec_sum(
-            [(raised, self.cts_hi[0]), (conjugated, self.cts_hi[1])],
-            pt_scale,
-            "cts_hi",
-        )
-        return lo, hi
+        return self._coeff_to_slot_shared(raised, pt_scale)
 
     def eval_mod(self, ct: Ciphertext) -> Ciphertext:
         """Remove the q0*I overflow with the scaled-sine approximation.
@@ -509,11 +404,7 @@ class CkksBootstrapper:
             self.backend,
             ct,
             self.evalmod_poly,
-            pt_cache=(
-                self._pt_caches.setdefault("evalmod_consts", {})
-                if self.cache_eval_consts
-                else None
-            ),
+            pt_cache=self._pt_caches.setdefault("evalmod_consts", {}),
         )
         if self.double_angles:
             out = self._pin_scale_to_prime(out)

@@ -46,19 +46,14 @@ def rotate_sum(backend, ct, width: int):
     After the fold, slot 0 holds the sum of slots 0..width-1 (other
     slots hold rotated partial sums).  The log2(width) rotation tree
     expands into ``width - 1`` rotations of the original ciphertext, so
-    on fused-capable backends it rides one shared key-switch digit
-    decomposition and one deferred mod-down
-    (:meth:`FheBackend.rotate_sum_hoisted`) whenever the cost model
-    prices that cheaper; "# Rots" stays at the tree's log2(width).
+    it rides one shared key-switch digit decomposition and one deferred
+    mod-down (:meth:`FheBackend.rotate_sum_hoisted`) whenever the cost
+    model prices that cheaper; "# Rots" stays at the tree's log2(width).
     """
     if width & (width - 1):
         raise ValueError("rotate_sum needs a power-of-two width")
     num_folds = int(math.log2(width)) if width > 1 else 0
-    if (
-        num_folds
-        and getattr(backend, "supports_fused_fold", False)
-        and backend.costs.fused_fold_cheaper(backend.level_of(ct), num_folds)
-    ):
+    if num_folds and backend.costs.fused_fold_cheaper(backend.level_of(ct), num_folds):
         return backend.rotate_sum_hoisted(
             ct, range(1, width), charged_rotations=num_folds
         )
@@ -74,17 +69,13 @@ def broadcast_slot0(backend, ct):
 
     The input must already be zero outside slot 0 (mask first).  Like
     :func:`rotate_sum`, the tree expands into all n - 1 nonzero
-    rotations of the original ciphertext, so fused-capable backends can
-    hoist it onto one shared decomposition when the cost model agrees
-    (for large n the sequential tree usually stays cheaper).
+    rotations of the original ciphertext, hoisted onto one shared
+    decomposition when the cost model agrees (for large n the
+    sequential tree usually stays cheaper).
     """
     n = backend.slot_count
     num_folds = int(math.log2(n)) if n > 1 else 0
-    if (
-        num_folds
-        and getattr(backend, "supports_fused_fold", False)
-        and backend.costs.fused_fold_cheaper(backend.level_of(ct), num_folds)
-    ):
+    if num_folds and backend.costs.fused_fold_cheaper(backend.level_of(ct), num_folds):
         return backend.rotate_sum_hoisted(
             ct, range(1, n), charged_rotations=num_folds
         )

@@ -6,12 +6,17 @@ offset d = g*n1 + b splits the n rotations of the diagonal method into
 convolution matrices have *sparse* offset sets, so instead of fixing
 n1 = sqrt(n) we search over n1 for the split minimizing the actual
 rotation count of the offsets present.
+
+The plan is the paper's "# Rots" accounting and the input to the
+analytic hoisting prices (``CostModel.matvec_cost``).  Execution does
+not consult it: the fused matvec rotates the input by each whole offset
+off one shared decomposition (docs/hoisting.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -78,14 +83,3 @@ def plan_bsgs_square_matrix(n: int) -> Tuple[int, int]:
     n1 = 1 << ((n.bit_length() - 1) // 2)
     n2 = n // n1
     return n - 1, (n1 - 1) + (n2 - 1)
-
-
-def group_offsets_by_giant(
-    offsets: Iterable[int], plan: BsgsPlan
-) -> Dict[int, List[int]]:
-    """giant -> [full offsets] grouping used by the executor."""
-    grouped: Dict[int, List[int]] = {}
-    for offset in sorted(set(offsets)):
-        giant, _ = plan.split(offset)
-        grouped.setdefault(giant, []).append(offset)
-    return grouped

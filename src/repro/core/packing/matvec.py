@@ -12,26 +12,23 @@ convolution, strided or not.
 between the plain diagonal form and Gazelle's hybrid method (replicated
 squat rows + rotate-and-sum fold) by modeled rotation count.
 
-Execution defaults to the *fused* double-hoisted path on backends that
-implement ``FheBackend.matvec_fused``: the giant pre-rotation of every
-diagonal is folded back into the plaintext, so each diagonal offset
-rotates the input ciphertext directly and all rotations of one input
-share a single key-switch digit decomposition; products accumulate in
-the extended Q_l * P basis and one deferred mod-down per output block
-replaces the per-baby-step mod-downs (true double hoisting, Bossuat et
-al.).  Backends without a fused path fall back to the per-rotation BSGS
-pipeline: baby rotations go through ``rotate_hoisted`` and diagonals
-are pre-rotated at build time so giant steps apply to accumulated sums
-(Eq. 1 of the paper); ``hoisting="double-unfused"`` forces this
-fallback for apples-to-apples benchmarking.
+Execution is the fused double-hoisted path of paper Section 3.3
+(Bossuat et al. [11]), the one way a diagonal matvec runs: every
+diagonal offset rotates the *input* ciphertext directly, all rotations
+of one input share a single key-switch digit decomposition, products
+accumulate in the extended Q_l * P basis and one deferred mod-down per
+output block replaces the per-rotation mod-downs
+(``FheBackend.matvec_fused``).  ``diags`` therefore stores each diagonal
+exactly as that path multiplies it — un-rotated — and the BSGS plan is
+kept purely as the paper's "# Rots" accounting (baby + giant counts).
 
-The Gazelle rotate-and-sum folds ride the same fast path: instead of
+The Gazelle rotate-and-sum folds ride the same primitive when the cost
+model prices it cheaper (``CostModel.fused_fold_cheaper``): instead of
 log2(n/m2) sequential key switches on successively accumulated
 ciphertexts, the fold composition is expanded into rotations of the
 original accumulator by every subset sum of the shifts and executed via
 ``FheBackend.rotate_sum_hoisted`` — one shared digit decomposition, one
-deferred mod-down — whenever the backend supports it and the cost model
-prices the expansion cheaper (see ``CostModel.fused_fold_cheaper``).
+deferred mod-down.  Deep folds at low levels stay sequential.
 """
 
 from __future__ import annotations
@@ -61,8 +58,11 @@ class PackedMatVec:
         slots: ciphertext slot count n.
         num_in: input ciphertexts.
         num_out: output ciphertexts.
-        diags: (out_block, in_block) -> {offset -> plaintext vector}.
-        plan: the BSGS split shared by all blocks.
+        diags: (out_block, in_block) -> {offset -> diagonal vector};
+            ``diags[(bo, bi)][off][j]`` multiplies input slot
+            ``(j + off) % slots`` into output slot ``j``.
+        plan: the BSGS split shared by all blocks ("# Rots" accounting
+            only — execution never splits an offset).
         fold_shifts: rotate-and-sum shifts applied after accumulation
             (Gazelle hybrid; empty for the standard path).
         bias_vecs: optional per-output-block bias slot vectors.
@@ -83,11 +83,6 @@ class PackedMatVec:
     # level, scale) and reuse across executions ("pre-processable").
     _pt_cache: WeakKeyDictionary = field(
         default_factory=WeakKeyDictionary, repr=False, compare=False
-    )
-    # Diagonals with the giant pre-rotation folded back out, keyed
-    # (out_block, in_block, offset); built lazily for the fused path.
-    _fused_terms: Optional[Dict] = field(
-        default=None, repr=False, compare=False
     )
     # Cached subset-sum expansion of fold_shifts ("unset" = not yet
     # computed; None = subset sums collide, keep the sequential fold).
@@ -151,9 +146,10 @@ class PackedMatVec:
     def cost(self, level: int, cost_model, hoisting: str = "fused") -> float:
         """Modeled latency at the given level (drives placement).
 
-        Defaults to the ``"fused"`` price, matching how :meth:`execute`
-        actually runs on fused-capable backends; non-fused modes price
-        the Gazelle folds inside the giant count, the fused mode prices
+        Defaults to the ``"fused"`` price — what :meth:`execute` runs.
+        The other ``hoisting`` values are analytic prices only (the
+        paper's hoisting ablation, docs/hoisting.md); they count the
+        Gazelle folds inside the giant count, the fused price counts
         them separately (``CostModel.fold_cost``).
         """
         diag, baby, giant = self.counts()
@@ -170,20 +166,17 @@ class PackedMatVec:
         return self.rotation_count() - len(self.fold_shifts) * self.num_out
 
     def required_rotation_steps(self) -> Tuple[int, ...]:
-        """Every rotation step any execution mode of this layer can ask
-        the backend for — the layer's contribution to an artifact's key
-        manifest (docs/serving.md).
+        """Every rotation step executing this layer can ask the backend
+        for — the layer's contribution to an artifact's key manifest
+        (docs/serving.md).
 
-        Covers the fused path (composite offsets rotate the input
-        directly), the per-rotation BSGS fallback (babies + giants), and
-        both fold forms (sequential shifts and their subset-sum
-        expansion).  Identity rotations are never required.
+        Covers the diagonal offsets (each rotates the input directly)
+        and both fold forms (sequential shifts and their subset-sum
+        expansion: which one runs depends on the execution level, which
+        this query does not know).  Identity rotations are never
+        required.
         """
-        steps = set()
-        for (_, bi), dmap in self.diags.items():
-            for offset in dmap:
-                giant, baby = self.plan.split(offset)
-                steps.update((offset % self.slots, baby, giant % self.slots))
+        steps = {off % self.slots for dmap in self.diags.values() for off in dmap}
         steps.update(s % self.slots for s in self.fold_shifts)
         expansion = self._fold_expansion()
         if expansion:
@@ -218,9 +211,9 @@ class PackedMatVec:
           more are dropped; the surviving suffix (S/2 ... m2) folds each
           client's row replicas inside its own block.
 
-        The batched instance re-plans BSGS over its (possibly enlarged)
-        offset set, shares nothing mutable with the original (fresh
-        plaintext caches), and is cached per batch size.
+        The batched instance re-plans its "# Rots" accounting over the
+        (possibly enlarged) offset set, shares nothing mutable with the
+        original (fresh plaintext caches), and is cached per batch size.
         """
         if batch == 1:
             return self
@@ -245,14 +238,12 @@ class PackedMatVec:
         # new_offset -> {(out_block, in_block) -> out-position-indexed vector}
         acc: Dict[int, Dict[Tuple[int, int], np.ndarray]] = {}
         for (bo, bi), dmap in self.diags.items():
-            for offset, stored in dmap.items():
-                giant, _ = self.plan.split(offset)
-                orig = np.roll(stored, -giant) if giant else stored
+            for offset, vec in dmap.items():
                 # Split scratch by the block it falls in; relocate every
                 # out-of-block piece into [0, S) with a compensating
                 # whole-block offset shift (reads are unchanged:
                 # j'' + off'' == j + off mod n).
-                pieces = orig.reshape(batch, block)
+                pieces = vec.reshape(batch, block)
                 for q in range(batch):
                     piece = pieces[q]
                     if not piece.any():
@@ -272,15 +263,10 @@ class PackedMatVec:
                     else:
                         by_block[(bo, bi)] = relocated
 
-        plan = plan_bsgs(sorted(acc), n)
         diags: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
         for new_offset, by_block in acc.items():
-            giant, _ = plan.split(new_offset)
             for (bo, bi), vec in by_block.items():
-                replicated = replicate(vec)
-                diags.setdefault((bo, bi), {})[new_offset] = (
-                    np.roll(replicated, giant) if giant else replicated
-                )
+                diags.setdefault((bo, bi), {})[new_offset] = replicate(vec)
         bias_vecs = None
         if self.bias_vecs is not None:
             bias_vecs = [replicate(vec) for vec in self.bias_vecs]
@@ -289,7 +275,7 @@ class PackedMatVec:
             num_in=self.num_in,
             num_out=self.num_out,
             diags=diags,
-            plan=plan,
+            plan=plan_bsgs(sorted(acc), n),
             out_layout=BlockReplicatedLayout(self.out_layout, batch, n),
             fold_shifts=tuple(s for s in self.fold_shifts if s < block),
             bias_vecs=bias_vecs,
@@ -298,24 +284,15 @@ class PackedMatVec:
         self._batched[batch] = view
         return view
 
-    def _fused_term_vectors(self) -> Dict:
-        """Original diagonals for the fused path, keyed (bo, bi, offset).
-
-        ``diags`` stores each diagonal pre-rotated down by its giant
-        step (Eq. 1) so that ``rot_g(pt * rot_b(ct))`` aligns.  The
-        fused path uses the identity ``rot_g(pt * rot_b(ct)) ==
-        rot_g(pt) * rot_{g+b}(ct)``: it rotates the *input* by the
-        composite offset and needs the diagonal with the pre-rotation
-        undone (``rot_g`` of the stored vector is the original).
-        """
-        if self._fused_terms is None:
-            terms: Dict = {}
-            for (bo, bi), dmap in self.diags.items():
-                for offset, vec in dmap.items():
-                    giant, _ = self.plan.split(offset)
-                    terms[(bo, bi, offset)] = np.roll(vec, -giant) if giant else vec
-            self._fused_terms = terms
-        return self._fused_terms
+    def terms(self) -> Dict:
+        """``diags`` flattened to ``(out_block, in_block, offset) ->
+        vector`` — the shape :meth:`FheBackend.matvec_fused` consumes.
+        The vectors are the stored arrays themselves, never copies."""
+        return {
+            (bo, bi, offset): vec
+            for (bo, bi), dmap in self.diags.items()
+            for offset, vec in dmap.items()
+        }
 
     def _fold_expansion(self) -> Optional[List[int]]:
         """Composite rotation steps equivalent to the sequential fold.
@@ -339,13 +316,13 @@ class PackedMatVec:
                 self._fold_steps = sorted(s for s in sums if s)
         return self._fold_steps
 
-    def _apply_folds(self, backend, total, hoisting: str, level: int):
+    def _apply_folds(self, backend, total, level: int):
         """Run the Gazelle rotate-and-sum fold on one output block.
 
         Takes the fused expanded form (one shared decomposition, one
         deferred mod-down via ``backend.rotate_sum_hoisted``) when the
-        backend supports it and the cost model says the expansion is
-        cheaper; otherwise the classic log-depth sequential fold.
+        cost model says the expansion is cheaper; otherwise the classic
+        log-depth sequential fold.
 
         ``level`` is the matvec's *input* level — the same level
         ``CostModel.fold_cost`` prices the folds at — so the executed
@@ -355,11 +332,7 @@ class PackedMatVec:
         """
         if not self.fold_shifts:
             return total
-        if (
-            hoisting == "double"
-            and getattr(backend, "supports_fused_fold", False)
-            and backend.costs.fused_fold_cheaper(level, len(self.fold_shifts))
-        ):
+        if backend.costs.fused_fold_cheaper(level, len(self.fold_shifts)):
             steps = self._fold_expansion()
             if steps is not None:
                 return backend.rotate_sum_hoisted(
@@ -370,8 +343,8 @@ class PackedMatVec:
         return total
 
     # -- execution -------------------------------------------------------------
-    def execute(self, backend, in_cts: List, pt_scale: Fraction, hoisting: str = "double"):
-        """Run the matvec homomorphically.
+    def execute(self, backend, in_cts: List, pt_scale: Fraction):
+        """Run the matvec homomorphically (fused, deferred mod-down).
 
         Args:
             backend: any :class:`FheBackend`.
@@ -379,10 +352,6 @@ class PackedMatVec:
             pt_scale: scale for the weight plaintexts; the compiler sets
                 q_level * Delta / input_scale so the rescale after this
                 layer lands exactly on Delta (errorless scale policy).
-            hoisting: ``"double"`` (fused deferred-mod-down path when the
-                backend supports it, else hoisted BSGS), ``"double-unfused"``
-                (force the per-rotation BSGS pipeline), ``"single"``, or
-                ``"none"``.
 
         Returns:
             list of output ciphertexts at level-1, scale input*pt/q.
@@ -397,23 +366,14 @@ class PackedMatVec:
         # invariant that keeps a second request entering at a different
         # level from hitting a stale encode.
         cache_fp = backend.plaintext_cache_key(level, pt_scale)
-        totals = None
-        if hoisting == "double" and getattr(backend, "supports_fused_matvec", False):
-            terms = self._fused_term_vectors()
-            pt_cache = per_backend.setdefault(("fused",) + cache_fp, {})
-            totals = backend.matvec_fused(
-                in_cts,
-                terms,
-                self.num_out,
-                pt_scale,
-                pt_cache=pt_cache,
-                charged_rotations=self._bsgs_rotation_count(),
-            )
-        if totals is None:
-            mode = "double" if hoisting == "double-unfused" else hoisting
-            totals = self._accumulate_bsgs(
-                backend, in_cts, level, pt_scale, per_backend, mode
-            )
+        totals = backend.matvec_fused(
+            in_cts,
+            self.terms(),
+            self.num_out,
+            pt_scale,
+            pt_cache=per_backend.setdefault(("fused",) + cache_fp, {}),
+            charged_rotations=self._bsgs_rotation_count(),
+        )
         outputs = []
         for bo, total in enumerate(totals):
             if total is None:
@@ -423,7 +383,7 @@ class PackedMatVec:
                     per_backend[("zero",) + cache_fp] = zero_pt
                 total = backend.mul_plain(in_cts[0], zero_pt)
             total = backend.rescale(total)
-            total = self._apply_folds(backend, total, hoisting, level)
+            total = self._apply_folds(backend, total, level)
             if self.bias_vecs is not None:
                 out_level = backend.level_of(total)
                 out_scale = backend.scale_of(total)
@@ -437,55 +397,6 @@ class PackedMatVec:
                 total = backend.add_plain(total, bias_pt)
             outputs.append(total)
         return outputs
-
-    def _accumulate_bsgs(
-        self, backend, in_cts: List, level: int, pt_scale: Fraction,
-        per_backend: Dict, hoisting: str,
-    ) -> List:
-        """Per-rotation BSGS accumulation (the pre-fused pipeline).
-
-        Baby-rotates every input block (hoisted for ``"double"``),
-        multiplies the pre-rotated diagonals in, applies giant rotations
-        to accumulated sums, and returns one pre-rescale total per
-        output block (``None`` where a block has no diagonals).
-        """
-        rotated: Dict[int, Dict[int, object]] = {}
-        for bi in range(self.num_in):
-            babies = self._babies_for_in_block(bi)
-            if hoisting == "double":
-                rotated[bi] = backend.rotate_hoisted(in_cts[bi], babies)
-            else:
-                rotated[bi] = backend.rotate_group(in_cts[bi], babies, hoisting=hoisting)
-        pt_cache = per_backend.setdefault(
-            ("diag",) + backend.plaintext_cache_key(level, pt_scale), {}
-        )
-        totals = []
-        for bo in range(self.num_out):
-            acc_by_giant: Dict[int, object] = {}
-            for bi in range(self.num_in):
-                dmap = self.diags.get((bo, bi))
-                if not dmap:
-                    continue
-                for offset, vec in dmap.items():
-                    giant, baby = self.plan.split(offset)
-                    pt = pt_cache.get((bo, bi, offset))
-                    if pt is None:
-                        pt = backend.encode(vec, level, pt_scale)
-                        pt_cache[(bo, bi, offset)] = pt
-                    term = backend.mul_plain(rotated[bi][baby], pt)
-                    if giant in acc_by_giant:
-                        acc_by_giant[giant] = backend.add(acc_by_giant[giant], term)
-                    else:
-                        acc_by_giant[giant] = term
-            if not acc_by_giant:
-                totals.append(None)
-                continue
-            total = None
-            for giant, part in sorted(acc_by_giant.items()):
-                part = backend.rotate(part, giant)
-                total = part if total is None else backend.add(total, part)
-            totals.append(total)
-        return totals
 
     # -- artifact serialization (docs/serving.md) ----------------------------
     def to_payload(self, store) -> Dict:
@@ -560,9 +471,7 @@ class PackedMatVec:
                 if not dmap:
                     continue
                 for offset, vec in dmap.items():
-                    giant, baby = self.plan.split(offset)
-                    acc_term = vec * np.roll(in_vecs[bi], -baby)
-                    acc += np.roll(acc_term, -giant)
+                    acc += vec * np.roll(in_vecs[bi], -offset)
             for shift in self.fold_shifts:
                 acc = acc + np.roll(acc, -shift)
             if self.bias_vecs is not None:
@@ -617,19 +526,18 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
     """Concatenate sibling layers reading the same input into one layer.
 
     The graph optimizer's concat-linear fusion: all siblings' diagonal
-    tables join under ONE BSGS plan over the union of their offsets, so
-    the fused execution shares a single digit decomposition per input
-    block and de-duplicates (input block, offset) inner products the
+    tables join into one layer (re-planned over the union of their
+    offsets for the "# Rots" accounting), so the fused execution shares
+    a single digit decomposition per input block and de-duplicates (input block, offset) inner products the
     siblings had in common — (k-1) * num_in decompositions and every
     shared rotation disappear outright.  Output block b of sibling k
     lands at global block ``offset(k) + b`` (a :class:`StackedLayout`);
     a cheap ciphertext-list slice recovers each branch afterwards.
 
-    Bit-exactness: a stored diagonal contributes
-    ``orig[j] * in[j + offset]`` to its output block regardless of how
-    the plan splits the offset into baby and giant steps, so re-planning
-    over the union set leaves every per-block sum made of the identical
-    float products in the identical (insertion-preserved) order.
+    Bit-exactness: a diagonal contributes ``vec[j] * in[j + offset]`` to
+    its output block whatever the plan, so every per-block sum is made
+    of the identical float products in the identical
+    (insertion-preserved) order.
 
     Requires identical slot counts, input block counts, and fold shifts
     (``fold_shifts`` run per output block, so equal shift ladders fold
@@ -648,7 +556,6 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
     union_offsets = sorted(
         {off for p in packeds for dmap in p.diags.values() for off in dmap}
     )
-    plan = plan_bsgs(union_offsets, first.slots)
     diags: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
     bias_vecs: Optional[List[np.ndarray]] = None
     if any(p.bias_vecs is not None for p in packeds):
@@ -656,12 +563,7 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
     bo_base = 0
     for p in packeds:
         for (bo, bi), dmap in p.diags.items():
-            merged = diags.setdefault((bo_base + bo, bi), {})
-            for offset, vec in dmap.items():
-                old_giant, _ = p.plan.split(offset)
-                orig = np.roll(vec, -old_giant) if old_giant else vec
-                new_giant, _ = plan.split(offset)
-                merged[offset] = np.roll(orig, new_giant) if new_giant else orig
+            diags[(bo_base + bo, bi)] = dict(dmap)
         if bias_vecs is not None:
             if p.bias_vecs is not None:
                 bias_vecs.extend(p.bias_vecs)
@@ -673,7 +575,7 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
         num_in=first.num_in,
         num_out=bo_base,
         diags=diags,
-        plan=plan,
+        plan=plan_bsgs(union_offsets, first.slots),
         out_layout=StackedLayout(
             parts=tuple(p.out_layout for p in packeds), slots=first.slots
         ),
@@ -726,25 +628,25 @@ class _DiagAccumulator:
             key = (int(bo[s]), int(bi[s]), int(diag[s]))
             vec = self.vecs.get(key)
             if vec is None:
-                self.vecs[key] = buf[row]
+                # Own the row: the vector outlives this call as the
+                # layer's stored diagonal, and a view would pin the
+                # whole (runs, n) buffer with it.
+                self.vecs[key] = buf[row].copy()
             else:
                 vec += buf[row]
 
     def finalize(self, num_in: int, num_out: int, out_layout, bias_vecs,
                  fold_shifts=(), name="linear") -> PackedMatVec:
         offsets = sorted({diag for (_, _, diag) in self.vecs})
-        plan = plan_bsgs(offsets, self.slots)
         diags: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
         for (bo, bi, diag), vec in self.vecs.items():
-            giant, _ = plan.split(diag)
-            # Pre-rotate the diagonal down by the giant step (Eq. 1).
-            diags.setdefault((bo, bi), {})[diag] = np.roll(vec, giant)
+            diags.setdefault((bo, bi), {})[diag] = vec
         return PackedMatVec(
             slots=self.slots,
             num_in=num_in,
             num_out=num_out,
             diags=diags,
-            plan=plan,
+            plan=plan_bsgs(offsets, self.slots),
             out_layout=out_layout,
             fold_shifts=tuple(fold_shifts),
             bias_vecs=bias_vecs,

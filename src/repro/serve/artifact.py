@@ -63,7 +63,13 @@ from repro.core.program import FheProgram, LinearInstr
 # key-switch chain (:meth:`repro.ckks.context.CkksContext.encode_table`),
 # where version 3 shipped one int64 data-chain polynomial per term and
 # left the Q_l * P extension to ``preload``.
-SCHEMA_VERSION = 4
+#
+# Version 5: every weight diagonal is stored un-rotated — entry ``j`` of
+# ``diags[(bo, bi)][off]`` multiplies input slot ``j + off``, the form
+# the fused matvec reads — where version 4 stored it pre-rolled by its
+# BSGS giant step.  Same shapes and dtypes, different meaning, so a
+# version-4 file must be re-exported rather than silently mis-multiplied.
+SCHEMA_VERSION = 5
 FORMAT_NAME = "repro-serving-artifact"
 FINGERPRINT_BYTES = 16
 
@@ -158,7 +164,7 @@ class ServingArtifact:
             pt_scale = Fraction(*section["pt_scale"])
             fp = backend.plaintext_cache_key(level, pt_scale)
             packed = instr.packed
-            rows = fused_term_groups(packed._fused_term_vectors())
+            rows = fused_term_groups(packed.terms())
             limbs = len(context._ks_chain(level))
             cache = packed._pt_cache.setdefault(backend, {}).setdefault(
                 ("fused",) + fp, {}
@@ -337,7 +343,7 @@ def _pre_encode_tables(program: FheProgram, params) -> List[Dict]:
         if not fused_keys:
             continue
         (_, level, pt_scale, *_rest) = fused_keys[0]
-        terms = packed._fused_term_vectors()
+        terms = packed.terms()
         groups = [
             {
                 "bo": bo,

@@ -144,9 +144,9 @@ class TestSimBackend:
         with pytest.raises(ValueError):
             sim_backend.bootstrap(ct)
 
-    def test_rotate_group_counts_once_per_step(self, sim_backend):
+    def test_rotate_hoisted_counts_once_per_step(self, sim_backend):
         ct = sim_backend.encode_encrypt(np.arange(16.0) / 16.0)
-        outs = sim_backend.rotate_group(ct, [0, 1, 2, 3])
+        outs = sim_backend.rotate_hoisted(ct, [0, 1, 2, 3])
         assert sim_backend.ledger.counts["hrot_hoisted"] == 3
         assert outs[0] is ct
         got = sim_backend.decrypt(outs[2])
@@ -160,8 +160,15 @@ class TestSimBackend:
             individual.rotate(ct, k)
         grouped = SimBackend(sim_params, seed=0)
         ct2 = grouped.encode_encrypt(np.ones(8))
-        grouped.rotate_group(ct2, list(range(1, 9)))
+        grouped.rotate_hoisted(ct2, list(range(1, 9)))
         assert grouped.ledger.seconds < individual.ledger.seconds
+        # Charged as executed: one decomposition for the group, then an
+        # inner product AND a mod-down per step (nothing defers it).
+        costs, level = grouped.costs, grouped.level_of(ct2)
+        assert grouped.ledger.seconds == pytest.approx(
+            costs.ks_decompose(level)
+            + 8 * (costs.ks_inner(level) + costs.ks_moddown(level))
+        )
 
     def test_noise_free_mode_is_exact(self, sim_params):
         backend = SimBackend(sim_params, noise_free=True)
@@ -200,8 +207,8 @@ class TestToyBackendInterface:
         toy_backend.rotate(ct, 2)
         assert toy_backend.ledger.rotations == 2
 
-    def test_rotate_group_exact_values(self, toy_backend):
+    def test_rotate_hoisted_exact_values(self, toy_backend):
         a = np.linspace(-1, 1, toy_backend.slot_count)
         ct = toy_backend.encode_encrypt(a)
-        outs = toy_backend.rotate_group(ct, [1, 4])
+        outs = toy_backend.rotate_hoisted(ct, [1, 4])
         assert np.abs(toy_backend.decrypt(outs[4]) - np.roll(a, -4)).max() < 2e-2

@@ -42,7 +42,7 @@ BOOT_PARAM_SETS = {
 def boot_setup(request):
     params = bootstrap_parameters(**BOOT_PARAM_SETS[request.param])
     backend = ToyBackend(params, seed=7)
-    bs = CkksBootstrapper(backend, fused=True)
+    bs = CkksBootstrapper(backend)
     rng = np.random.default_rng(3)
     message = rng.uniform(-0.9, 0.9, params.slot_count)
     ct = backend.encode_encrypt(message, level=0)
@@ -158,38 +158,11 @@ class TestSharedConjugation:
             assert np.array_equal(got.c0.data, rescaled[0]), bo
             assert np.array_equal(got.c1.data, rescaled[1]), bo
 
-    def test_full_bootstrap_shared_matches_pre_sharing(self, boot_setup):
-        """Same rotation accounting, same contract, same precision as
-        the pre-sharing fused pipeline."""
-        params, backend, bs, message, ct, _ = boot_setup
-        pre = CkksBootstrapper(
-            backend, fused=True, shared_conjugation=False,
-            cache_eval_consts=False,
-        )
-        backend.ledger.reset()
-        out_s = bs.bootstrap(ct)
-        rots_shared = backend.ledger.rotations
-        hrot_standalone = backend.ledger.counts["hrot"]
-        backend.ledger.reset()
-        out_p = pre.bootstrap(ct)
-        assert backend.ledger.rotations == rots_shared
-        # The shared pipeline performs no standalone rotation at all —
-        # the conjugation is an accounting rotation riding the hoisted
-        # decomposition.
-        assert hrot_standalone == 0
-        assert backend.ledger.counts["hrot"] == 1  # pre-PR pays the conj
-        assert out_s.level == out_p.level
-        assert out_s.scale == out_p.scale == Fraction(params.scale)
-        got_s, got_p = backend.decrypt(out_s), backend.decrypt(out_p)
-        assert np.abs(got_s - message).mean() < 2.0**-7
-        assert np.abs(got_s - got_p).max() < 2.0**-6
-
     def test_sim_backend_conj_offsets(self):
         """The simulator accepts conjugation-composed offsets with the
         fused noise model (identity on real slots, still a key switch)."""
         params = toy_parameters(ring_degree=256, max_level=5)
         sim = SimBackend(params, seed=9)
-        assert sim.supports_shared_conjugation
         vals = np.linspace(-1, 1, params.slot_count)
         ct = sim.encode_encrypt(vals)
         ones = np.ones(params.slot_count)

@@ -10,7 +10,7 @@ Covers the three layers of the true-double-hoisting rebuild:
 - the fused BSGS matvec (Q_l * P-lazy accumulation, one mod-down per
   output block), asserted bit-exact against an independent slow
   reference of the same deferred-mod-down math, and numerically against
-  the unfused pipeline and the cleartext reference.
+  the cleartext reference.
 
 Also guards the satellite work: grouped ``_DiagAccumulator`` entry
 accumulation and weight/bias/zero plaintext caching.
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.backend import ToyBackend
+from repro.backend.interface import FheBackend
 from repro.backend.sim import SimBackend
 from repro.ckks.params import CkksParameters, toy_parameters
 from repro.core.packing.layouts import VectorLayout
@@ -220,7 +221,7 @@ def reference_fused_matvec(backend, packed, in_cts, pt_scale):
     ks_chain = ctx._ks_chain(level)
     mod_ks = ctx.basis.moduli_column(ks_chain)
     data_chain = ctx._data_chain(level)
-    terms = packed._fused_term_vectors()
+    terms = packed.terms()
     outs = []
     for bo in range(packed.num_out):
         bo_terms = sorted((bi, off) for (bo2, bi, off) in terms if bo2 == bo)
@@ -282,7 +283,7 @@ class TestFusedMatvec:
         same deferred-mod-down computation bit-for-bit."""
         backend, packed, ct, _, pt_scale = setup
         got = backend._matvec_fused_no_charge(
-            [ct], packed._fused_term_vectors(), packed.num_out, pt_scale
+            [ct], packed.terms(), packed.num_out, pt_scale
         )
         ref = reference_fused_matvec(backend, packed, [ct], pt_scale)
         assert len(got) == len(ref) and got
@@ -293,21 +294,16 @@ class TestFusedMatvec:
             assert np.array_equal(g.c0.data, r[0].data)
             assert np.array_equal(g.c1.data, r[1].data)
 
-    def test_fused_execute_matches_cleartext_and_unfused(self, setup):
+    def test_fused_execute_matches_cleartext(self, setup):
+        """To noise precision; the bitwise contract is against
+        reference_fused_matvec above."""
         backend, packed, ct, values, pt_scale = setup
         expected = packed.execute_cleartext([values])[0]
         tol = 0.03 * max(1.0, np.abs(expected).max())
-        fused = backend.decrypt(packed.execute(backend, [ct], pt_scale)[0])
-        unfused = backend.decrypt(
-            packed.execute(backend, [ct], pt_scale, hoisting="double-unfused")[0]
-        )
-        assert np.abs(fused - expected).max() < tol
-        assert np.abs(unfused - expected).max() < tol
-        # The fused path reorders the mod-down rounding (one deferred
-        # division instead of one per baby step), so outputs agree to
-        # noise precision, not bitwise; the bitwise contract is against
-        # reference_fused_matvec above.
-        assert np.abs(fused - unfused).max() < tol
+        (out,) = packed.execute(backend, [ct], pt_scale)
+        assert out.level == ct.level - 1
+        assert out.scale == ct.scale * pt_scale / backend.params.data_primes[ct.level]
+        assert np.abs(backend.decrypt(out) - expected).max() < tol
 
     def test_fused_ledger_rotations_match_plan(self, setup):
         """Fused execution must keep '# Rots' accounting identical to
@@ -347,20 +343,20 @@ class TestFusedMatvec:
         packed.execute(sim, [ct], pt_scale)
         assert sim.ledger.rotations == packed.rotation_count()
 
-    def test_unsupported_backend_falls_back(self, setup):
-        """A backend without a fused path must silently take the
-        per-rotation BSGS pipeline."""
-        backend, packed, ct, values, pt_scale = setup
-
-        class NoFused(ToyBackend):
-            def _matvec_fused_no_charge(self, *args, **kwargs):
-                return None
-
-        nf = NoFused(backend.params, seed=3)
-        ct2 = nf.encode_encrypt(values)
-        expected = packed.execute_cleartext([values])[0]
-        got = nf.decrypt(packed.execute(nf, [ct2], pt_scale)[0])
-        assert np.abs(got - expected).max() < 0.03 * max(1.0, np.abs(expected).max())
+    @pytest.mark.parametrize(
+        "missing", ["_matvec_fused_no_charge", "_rotate_sum_no_charge"]
+    )
+    def test_backend_without_a_fused_primitive_fails_at_construction(
+        self, setup, missing
+    ):
+        """Loud, not slow: no slower pipeline exists to fall back to,
+        so a backend lacking either fused primitive cannot be built."""
+        backend = setup[0]
+        incomplete = type(
+            "Incomplete", (ToyBackend,), {missing: getattr(FheBackend, missing)}
+        )
+        with pytest.raises(TypeError, match=missing):
+            incomplete(backend.params, seed=3)
 
 
 class TestDiagAccumulatorGrouped:

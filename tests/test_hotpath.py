@@ -313,10 +313,10 @@ class TestHoistedKeySwitch:
             assert out.c0.data.flags.c_contiguous
             assert out.c1.data.flags.c_contiguous
 
-    def test_rotate_group_uses_real_hoisting(self, backend):
+    def test_rotate_hoisted_uses_real_hoisting(self, backend):
         values = np.linspace(-1, 1, backend.slot_count)
         ct = backend.encode_encrypt(values)
-        outs = backend.rotate_group(ct, [1, 2])
+        outs = backend.rotate_hoisted(ct, [1, 2])
         for step in (1, 2):
             got = backend.decrypt(outs[step])
             assert np.abs(got - np.roll(values, -step)).max() < 2e-2

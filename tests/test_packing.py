@@ -20,6 +20,7 @@ from repro.core.packing import (
 )
 from repro.core.packing.analysis import analyze_toeplitz_strided_diagonals
 from repro.core.packing.bsgs import plan_bsgs_square_matrix
+from repro.core.packing.matvec import PackedMatVec, merge_packed_matvecs
 
 N = 1024
 RNG = np.random.default_rng(7)
@@ -188,6 +189,59 @@ class TestLinearPacking:
         lay = VectorLayout(16, N)
         with pytest.raises(ValueError):
             build_linear_packing(np.zeros((4, 32)), None, lay)
+
+    @pytest.mark.parametrize("kind", ["plain", "hybrid", "batched", "merged"])
+    def test_stored_vector_is_the_diagonal(self, kind):
+        """``diags[(bo, bi)][off][j]`` multiplies input slot ``j + off``
+        into output slot ``j`` — un-rotated, the form the fused matvec
+        reads — for every way a layer comes to exist, and through the
+        artifact payload round-trip (batched views are re-derived from
+        the loaded layer, as a server does), bit for bit."""
+        wide, squat = VectorLayout(128, N), VectorLayout(64, N)
+        if kind == "plain":
+            packed = build_linear_packing(
+                RNG.normal(size=(600, 128)), RNG.normal(size=600), wide
+            )
+        elif kind == "merged":
+            packed = merge_packed_matvecs(
+                [
+                    build_linear_packing(RNG.normal(size=(600, 128)), None, wide),
+                    build_linear_packing(
+                        RNG.normal(size=(700, 128)), RNG.normal(size=700), wide
+                    ),
+                ]
+            )
+        else:
+            packed = build_linear_packing(
+                RNG.normal(size=(8, 64)), RNG.normal(size=8), squat,
+                force_mode="hybrid",
+            )
+        assert bool(packed.fold_shifts) == (kind in ("hybrid", "batched"))
+        stored = {}
+
+        def store(array):
+            stored[f"a{len(stored)}"] = array
+            return f"a{len(stored) - 1}"
+
+        loaded = PackedMatVec.from_payload(packed.to_payload(store), stored.__getitem__)
+        if kind == "batched":
+            packed, loaded = packed.batched(2), loaded.batched(2)
+        x = [RNG.normal(size=N) for _ in range(packed.num_in)]
+        slots = np.arange(N)
+        expected = []
+        for bo in range(loaded.num_out):
+            acc = np.zeros(N)
+            for (bo2, bi), dmap in loaded.diags.items():
+                if bo2 == bo:
+                    for off, vec in dmap.items():
+                        acc += vec * x[bi][(slots + off) % N]
+            for shift in loaded.fold_shifts:
+                acc = acc + acc[(slots + shift) % N]
+            if loaded.bias_vecs is not None:
+                acc = acc + loaded.bias_vecs[bo]
+            expected.append(acc)
+        for got in (packed.execute_cleartext(x), loaded.execute_cleartext(x)):
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 class TestAnalysisMode:

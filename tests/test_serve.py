@@ -26,6 +26,7 @@ from repro.serve import (
     ArtifactSchemaError,
     KeyRegistry,
     load_artifact,
+    save_artifact_delta,
 )
 from repro.serve.runtime import InferenceServer
 from repro.serve.scheduler import SlotBatchingScheduler
@@ -108,16 +109,17 @@ class TestArtifactRoundTrip:
         assert loaded.manifest.to_params() == params
         assert loaded.manifest.rotation_steps  # a real manifest, not empty
 
-    @pytest.mark.parametrize("version", [99, 3])
+    @pytest.mark.parametrize("version", [99, 3, 4])
     def test_schema_version_mismatch_fails_loudly(
         self, tmp_path, mlp_artifact, version
     ):
-        """Any other version — the previous one (per-term int64
-        plaintexts) included — is one loud rejection, never a
-        compatibility branch."""
+        """Any other version — the previous ones (3: per-term int64
+        plaintexts; 4: diagonals pre-rolled by their giant step)
+        included — is one loud rejection, never a compatibility branch,
+        whether the file is loaded or used as a delta base."""
         import json
 
-        _, _, _, path, _ = mlp_artifact
+        _, _, params, path, compiled = mlp_artifact
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
         doc = json.loads(bytes(arrays.pop("__manifest__")).decode())
@@ -130,6 +132,10 @@ class TestArtifactRoundTrip:
         )
         with pytest.raises(ArtifactSchemaError, match="schema version.*re-export"):
             load_artifact(bad_path)
+        with pytest.raises(ArtifactSchemaError, match="schema version.*re-export"):
+            save_artifact_delta(
+                compiled, params, bad_path, str(tmp_path / "delta.npz")
+            )
 
     def test_non_artifact_fails_loudly(self, tmp_path):
         path = str(tmp_path / "junk.npz")

@@ -213,7 +213,8 @@ class TestPreloadIsAView:
     @pytest.fixture()
     def preloaded(self, mapped_artifact):
         params, path = mapped_artifact
-        artifact = ArtifactMap(path).load()
+        artifact_map = ArtifactMap(path)
+        artifact = artifact_map.load()
         backend = ToyBackend(params, seed=2)
         server = InferenceServer(artifact, backend, max_wait_seconds=0.0)
         linears = [
@@ -221,10 +222,11 @@ class TestPreloadIsAView:
             for instr in artifact.program.instructions
             if hasattr(instr, "packed")
         ]
-        return params, path, artifact, backend, server, linears
+        mapped = list(artifact_map.arrays.values())
+        return params, path, artifact, backend, server, linears, mapped
 
     def test_preload_installs_mapped_tables(self, preloaded):
-        params, path, artifact, backend, server, linears = preloaded
+        params, path, artifact, backend, server, linears, mapped = preloaded
         tables = [
             table
             for packed in linears
@@ -233,7 +235,7 @@ class TestPreloadIsAView:
         ]
         assert server.preloaded_plaintexts == sum(t.shape[0] for t in tables)
         assert server.preloaded_plaintexts == sum(
-            len(packed._fused_term_vectors()) for packed in linears
+            len(packed.terms()) for packed in linears
         )
         for table in tables:
             assert table.dtype == np.uint32 and not table.flags.writeable
@@ -245,6 +247,12 @@ class TestPreloadIsAView:
         assert np.array_equal(
             artifact.program.run(backend, image), artifact.program.run(cold, image)
         )
+        # Still true after a run: the float diagonals the fused matvec is
+        # handed are the mapped vectors themselves, never heap copies.
+        assert verify_mmap_tables(server, path)
+        for packed in linears:
+            for vec in packed.terms().values():
+                assert any(np.shares_memory(vec, m) for m in mapped)
         for packed in linears:
             built = _fused_caches(packed, cold)
             for key, cache in _fused_caches(packed, backend).items():
@@ -254,7 +262,7 @@ class TestPreloadIsAView:
     def test_verify_checks_the_whole_operand(self, preloaded):
         """The audit covers the array the matvec multiplies — special
         limb included — so an anonymous copy of it is caught."""
-        _, path, _, backend, server, linears = preloaded
+        _, path, _, backend, server, linears, _ = preloaded
         (cache,) = _fused_caches(linears[0], backend).values()
         group = next(iter(cache))
         cache[group] = cache[group].copy()
