@@ -32,7 +32,11 @@ from repro.core.approx.evaluator import poly_eval_ops
 from repro.core.approx.sign import CompositeSign
 from repro.core.graphopt import OptContext, optimize_graph
 from repro.core.graphopt.passes import sibling_profile
-from repro.core.packing.analysis import analyze_conv_packing, merged_packing_stats
+from repro.core.packing.analysis import (
+    ConvAnalysisTable,
+    analyze_linear_packing,
+    merged_packing_stats,
+)
 from repro.core.packing.layouts import MultiplexedLayout, VectorLayout
 from repro.core.packing.matvec import (
     build_conv_packing,
@@ -216,6 +220,10 @@ class OrionCompiler:
         graph = self._trace(net, input_shape)
         folded = self._fold_batchnorms(graph)
         ranges = self._ranges(net, graph, calibration_batches, input_shape)
+        # One conv analysis table per compile: the optimizer's gate, the
+        # fused lowering and the emitter share an entry per geometry,
+        # and nothing outlives this call.
+        analysis = ConvAnalysisTable()
 
         # Graph-level optimizer: cost-gated rewrites over the traced DAG
         # (docs/graphopt.md).  Runs after range estimation — rewrites
@@ -230,13 +238,14 @@ class OrionCompiler:
                 costs=self.costs,
                 input_shape=tuple(input_shape),
                 folded=folded,
+                analysis=analysis,
             )
             with get_tracer().span("graph_opt", category="compile"):
                 graph_opt_report = optimize_graph(graph, ctx)
             graph_opt_seconds = time.perf_counter() - opt_start
 
         tree = build_region_tree(graph)
-        build = _ProgramBuilder(self, graph, folded, ranges, input_shape)
+        build = _ProgramBuilder(self, graph, folded, ranges, input_shape, analysis)
         build.walk(tree)
 
         with get_tracer().span("placement", category="compile") as place_span:
@@ -349,11 +358,13 @@ class OrionCompiler:
 class _ProgramBuilder:
     """Walks the region tree emitting instructions + placement items."""
 
-    def __init__(self, compiler: OrionCompiler, graph, folded, ranges, input_shape):
+    def __init__(self, compiler: OrionCompiler, graph, folded, ranges,
+                 input_shape, analysis: ConvAnalysisTable):
         self.compiler = compiler
         self.graph = graph
         self.folded = folded
         self.ranges = ranges
+        self.analysis = analysis
         self.instructions: List[Instruction] = []
         self.reports: List[LayerReport] = []
         self.chain = PlacementChain()
@@ -376,7 +387,9 @@ class _ProgramBuilder:
         return self.layouts[self._resolve(uid)].num_ciphertexts
 
     def _poly_cost_fn(self, degree: int, num_cts: int):
-        ops = _POLY_OPS_CACHE.setdefault(degree, poly_eval_ops(degree))
+        ops = _POLY_OPS_CACHE.get(degree)
+        if ops is None:
+            ops = _POLY_OPS_CACHE[degree] = poly_eval_ops(degree)
         costs = self.compiler.costs
 
         def cost(level: int) -> float:
@@ -565,10 +578,10 @@ class _ProgramBuilder:
                 "pmults": packed.pmult_count(),
                 "cost_obj": _MatVecCost(packed),
             }
-        stats = analyze_conv_packing(
+        stats = self.analysis.lookup(
             weight.shape, in_layout, stride=stride, padding=padding,
             dilation=dilation, groups=groups,
-        )
+        ).stats
         return None, {
             "out_layout": stats.out_layout,
             "rotations": stats.rotations,
@@ -585,8 +598,6 @@ class _ProgramBuilder:
                 "pmults": packed.pmult_count(),
                 "cost_obj": _MatVecCost(packed),
             }
-        from repro.core.packing.analysis import analyze_linear_packing
-
         stats = analyze_linear_packing(weight.shape[0], in_layout)
         return None, {
             "out_layout": stats.out_layout,
@@ -618,6 +629,9 @@ class _ProgramBuilder:
             zip(fmod.siblings, fmod.terminal_uids)
         ):
             module = sib.module
+            if mode == "analyze":  # geometry only: no weights to scale
+                profiles.append(sibling_profile(module, in_layout, self.analysis))
+                continue
             if sib.index in self.folded:
                 weight, bias = self.folded[sib.index]
             else:
@@ -637,8 +651,6 @@ class _ProgramBuilder:
             else:
                 packed, _ = self._pack_fc(weight, bias, in_layout, sub_name, mode)
             packeds.append(packed)
-            if mode == "analyze":
-                profiles.append(sibling_profile(module, in_layout))
 
         if mode == "materialize":
             merged = merge_packed_matvecs(packeds, name=node.name)

@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.backend.costs import CostModel
 from repro.core.packing.analysis import (
+    ConvAnalysisTable,
     OffsetProfile,
-    conv_offset_profile,
     linear_offset_profile,
     merged_packing_stats,
 )
@@ -40,14 +40,17 @@ from repro.core.graphopt.fused import FusedLinear, Slice
 
 @dataclass
 class OptContext:
-    """Everything a pass may consult: parameters, prices, and the
+    """Everything a pass may consult: parameters, prices, the
     batch-norm folding table (rewrites must respect what the compiler
-    already decided to fold)."""
+    already decided to fold), and the compile's conv analysis table
+    (shared with the program builder, so a gate's offset profile is
+    the entry the lowering reads)."""
 
     params: object  # CkksParameters
     costs: CostModel
     input_shape: Tuple[int, ...]
     folded: Dict[int, Tuple] = field(default_factory=dict)
+    analysis: ConvAnalysisTable = field(default_factory=ConvAnalysisTable)
 
     @property
     def slots(self) -> int:
@@ -136,19 +139,22 @@ def _linear_out_layout(module, in_layout, slots: int):
     return VectorLayout(module.out_features, slots)
 
 
-def sibling_profile(module, in_layout) -> Optional[OffsetProfile]:
+def sibling_profile(
+    module, in_layout, analysis: ConvAnalysisTable
+) -> Optional[OffsetProfile]:
     """Geometry-only offset profile of a fusable linear node (None for
-    layers the concat pass does not handle, e.g. pools)."""
+    layers the concat pass does not handle, e.g. pools).  Conv profiles
+    are entries of the compile's ``analysis`` table."""
     if getattr(module, "weight", None) is None:
         return None
     if getattr(module, "kernel_size", None) is not None:
         if not isinstance(in_layout, MultiplexedLayout):
             return None
-        return conv_offset_profile(
+        return analysis.lookup(
             module.weight.data.shape, in_layout,
             stride=module.stride, padding=module.padding,
             dilation=module.dilation, groups=module.groups,
-        )
+        ).profile
     if hasattr(module, "out_features"):
         return linear_offset_profile(module.out_features, in_layout)
     return None
@@ -182,7 +188,10 @@ def concat_linear_fusion(graph: LayerGraph, ctx: OptContext) -> int:
             in_layout = layouts.get(fork_uid)
             if in_layout is None:
                 continue
-            profiles = [sibling_profile(node.module, in_layout) for node in cons]
+            profiles = [
+                sibling_profile(node.module, in_layout, ctx.analysis)
+                for node in cons
+            ]
             if any(p is None for p in profiles):
                 continue
             if profiles[0].num_in != profiles[1].num_in:
@@ -190,13 +199,12 @@ def concat_linear_fusion(graph: LayerGraph, ctx: OptContext) -> int:
             if profiles[0].fold_shifts != profiles[1].fold_shifts:
                 continue
             merged = merged_packing_stats(profiles)
-            separate = sum(
-                p.stats().cost(ctx.level, ctx.costs) for p in profiles
-            )
+            stats = [p.stats() for p in profiles]
+            separate = sum(s.cost(ctx.level, ctx.costs) for s in stats)
             gain = ctx.costs.sibling_fusion_gain(
                 ctx.level,
                 num_in=profiles[0].num_in,
-                total_offsets=sum(max(0, p.stats()._offsets) for p in profiles),
+                total_offsets=sum(max(0, s._offsets) for s in stats),
                 merged_offsets=max(0, merged._offsets),
                 num_siblings=len(profiles),
             )

@@ -8,6 +8,37 @@ structure alone by evaluating offsets at one interior output position —
 no O(FLOPs) materialization.  This powers the Table 2 rows for Tiny
 ImageNet / ImageNet / YOLO scale networks.
 
+How a conv's offset table is formed (:func:`conv_diagonal_keys`):
+
+- **Separable slots.**  ``MultiplexedLayout.slot(c, y, x)`` is a sum
+  ``A(c) + S(y, x)`` of a channel term and a spatial term.  A tap
+  ``(dy, dx)`` evaluated at one representative output position
+  therefore touches output slots ``A_out(co) + So(tap)`` and input
+  slots ``A_in(ci) + Si(tap)``: two channel vectors computed once per
+  geometry, two scalars per tap.  Taps valid at no output position
+  (tiny maps) contribute nothing.
+- **Per-tap outer difference.**  A diagonal is a triple ``(bo, bi,
+  diag)`` — output ciphertext, input ciphertext, offset ``(in_slot -
+  out_slot) mod n`` — encoded as the integer ``(bo * B + bi) * n +
+  diag`` with ``B`` the input ciphertext count.  Per tap these are one
+  ``(c_out, c_in/groups)`` outer difference of the channel vectors; no
+  array ever has a kernel axis.
+- **Bitmap de-dup over a bounded key space.**  Keys live in ``[0,
+  num_out * B * n)``, so the distinct set is a scatter into a boolean
+  bitmap of that size followed by ``flatnonzero`` (which also sorts).
+  When the bitmap would outweigh the keys themselves (``space > 8 *
+  count``: many ciphertexts, few channels — a network's first layers)
+  the handful of keys is sorted with ``np.unique`` instead, so the
+  working set never exceeds the smaller of the two.
+
+Everything else — BSGS plan, baby/giant counts, the Gazelle-hybrid
+choice, the ``OffsetProfile`` the graph optimizer gates on — is derived
+from that one sorted key array (:class:`ConvAnalysis`).  A compile owns
+one :class:`ConvAnalysisTable`, so the optimizer's fusion gate, the
+fused lowering and the emitter read one entry per distinct geometry;
+the table dies with the compile.  The tap-enumerating form survives as
+the test oracle ``tests/reference/conv_analysis_bruteforce.py``.
+
 The analysis ignores image-border effects, which only *remove* matrix
 entries (never add diagonals), and assumes channel regions do not
 straddle ciphertext boundaries mid-position (true for all power-of-two
@@ -17,12 +48,19 @@ benchmark shapes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
 from repro.core.packing.bsgs import plan_bsgs
-from repro.core.packing.layouts import MultiplexedLayout, StackedLayout
+from repro.core.packing.layouts import (
+    MultiplexedLayout,
+    StackedLayout,
+    VectorLayout,
+)
+from repro.core.packing.matvec import _conv_hybrid_modulus
+from repro.utils.intmath import int_log2, next_power_of_two
 
 
 @dataclass(frozen=True)
@@ -57,20 +95,46 @@ class PackingStats:
     _offsets: int = -1
 
 
-def _conv_tap_slots(
+def _tap_positions(kernel, dil, pad, stride, in_size, out_size) -> np.ndarray:
+    """Per kernel tap, the smallest output index where it reads inside
+    the input (-1: valid nowhere, as on maps smaller than the kernel)."""
+    reps = np.full(kernel, -1, dtype=np.int64)
+    for tap in range(kernel):
+        # smallest o with 0 <= o*s + tap*dil - pad < in_size
+        o = max(0, -(-(pad - tap * dil) // stride))
+        if o < out_size and 0 <= o * stride + tap * dil - pad < in_size:
+            reps[tap] = o
+    return reps
+
+
+def _distinct(key_arrays, count: int, space: int) -> np.ndarray:
+    """Sorted distinct values of ``count`` integers in ``[0, space)``,
+    handed over as an iterable of arrays.
+
+    A boolean bitmap over the key space when that is no larger than the
+    keys would be as int64 (each array is scattered and dropped, nothing
+    is sorted); otherwise ``np.unique`` over the few keys.
+    """
+    if space > 8 * count:
+        return np.unique(np.concatenate([keys.ravel() for keys in key_arrays]))
+    seen = np.zeros(space, dtype=bool)
+    for keys in key_arrays:
+        seen[keys] = True
+    return np.flatnonzero(seen)
+
+
+def conv_diagonal_keys(
     weight_shape: Tuple[int, int, int, int],
     in_layout: MultiplexedLayout,
-    stride=(1, 1),
-    padding=(0, 0),
-    dilation=(1, 1),
-    groups: int = 1,
-):
-    """Representative (out_slot, in_slot) pairs of every conv tap.
+    stride,
+    padding,
+    dilation,
+    groups: int,
+) -> Tuple[np.ndarray, MultiplexedLayout]:
+    """The conv's distinct diagonals and its output layout.
 
-    Each tap's diagonal offset is position-independent (Section 4.1),
-    so evaluating every tap at *some* output position where it is valid
-    enumerates the full offset structure.  Shared by
-    :func:`analyze_conv_packing` and :func:`conv_offset_profile`.
+    Diagonals come back as the sorted int64 keys ``(bo * B + bi) * n +
+    diag`` with ``B = in_layout.num_ciphertexts`` (module docstring).
     """
     c_out, c_in_g, kh, kw = weight_shape
     sh, sw = stride
@@ -83,124 +147,81 @@ def _conv_tap_slots(
         gap=in_layout.gap * sh,
         slots=in_layout.slots,
     )
-    co_per_group = c_out // groups
-    ci_per_group = in_layout.channels // groups if groups > 1 else c_in_g
-
-    # Per-tap representative output positions.  (Tiny spatial maps may
-    # have no position where all taps are valid simultaneously; taps
-    # invalid everywhere contribute nothing.)
-    def _tap_positions(kernel, dil, pad, stride_1d, in_size, out_size):
-        reps = np.full(kernel, -1, dtype=np.int64)
-        for tap in range(kernel):
-            # smallest o with 0 <= o*s + tap*dil - pad < in_size
-            low = -(-(pad - tap * dil) // stride_1d)
-            o = max(0, low)
-            if o < out_size and 0 <= o * stride_1d + tap * dil - pad < in_size:
-                reps[tap] = o
-        return reps
-
-    oy_rep = _tap_positions(kh, dilation[0], padding[0], sh, in_layout.height, out_h)
-    ox_rep = _tap_positions(kw, dilation[1], padding[1], sw, in_layout.width, out_w)
-
-    co = np.arange(c_out)
-    ci_rel = np.arange(c_in_g)
-    dy = np.arange(kh)
-    dx = np.arange(kw)
-    co_g, ci_g, dy_g, dx_g = np.meshgrid(co, ci_rel, dy, dx, indexing="ij")
-    group_of_co = co_g // co_per_group
-    ci_global = group_of_co * ci_per_group + ci_g
-
-    oy0 = oy_rep[dy_g]
-    ox0 = ox_rep[dx_g]
-    valid = (oy0 >= 0) & (ox0 >= 0)
-    oy0 = np.where(valid, oy0, 0)
-    ox0 = np.where(valid, ox0, 0)
-    iy = oy0 * sh + dy_g * dilation[0] - padding[0]
-    ix = ox0 * sw + dx_g * dilation[1] - padding[1]
-    iy = np.clip(iy, 0, in_layout.height - 1)
-    ix = np.clip(ix, 0, in_layout.width - 1)
-
-    out_slot = out_layout.slot(co_g, oy0, ox0)
-    in_slot = in_layout.slot(ci_global, iy, ix)
-    return out_slot[valid], in_slot[valid], out_layout
-
-
-def analyze_conv_packing(
-    weight_shape: Tuple[int, int, int, int],
-    in_layout: MultiplexedLayout,
-    stride=(1, 1),
-    padding=(0, 0),
-    dilation=(1, 1),
-    groups: int = 1,
-) -> PackingStats:
-    """Count diagonals/rotations of a conv without building plaintexts."""
     n = in_layout.slots
-    out_slot, in_slot, out_layout = _conv_tap_slots(
-        weight_shape, in_layout, stride, padding, dilation, groups
+    num_in = in_layout.num_ciphertexts
+
+    # One representative (output, input) position per tap valid anywhere.
+    oy = _tap_positions(kh, dilation[0], padding[0], sh, in_layout.height, out_h)
+    ox = _tap_positions(kw, dilation[1], padding[1], sw, in_layout.width, out_w)
+    dy, dx = np.nonzero((oy >= 0)[:, None] & (ox >= 0)[None, :])
+    oy, ox = oy[dy], ox[dx]
+    tap_out = out_layout.slot(0, oy, ox)
+    tap_in = in_layout.slot(
+        0, oy * sh + dy * dilation[0] - padding[0], ox * sw + dx * dilation[1] - padding[1]
     )
 
-    bo = out_slot // n
-    bi = in_slot // n
-    diag = (in_slot - out_slot) % n
-    num_in_blocks = int(bi.max()) + 1
-    key = (bo * num_in_blocks + bi) * n + diag
-    unique_keys = np.unique(key)
-    pmults = int(unique_keys.size)
-    offsets = np.unique(unique_keys % n)
-    # Distinct (input block, offset) pairs with a nonzero offset: the
-    # key-switch inner products of the fused execution path.  Because
-    # key = (bo*B + bi)*n + diag, reducing mod B*n isolates bi*n + diag.
-    bi_diag = np.unique(unique_keys % (num_in_blocks * n))
-    nonzero_offsets = int(np.count_nonzero(bi_diag % n))
+    # Channel terms: output channel co reads input channels ci[co, :].
+    co = np.arange(c_out)
+    ci_per_group = in_layout.channels // groups if groups > 1 else c_in_g
+    ci = (co // (c_out // groups))[:, None] * ci_per_group + np.arange(c_in_g)
+    chan_out = out_layout.slot(co, 0, 0)[:, None]
+    chan_in = in_layout.slot(ci, 0, 0)
 
-    plan = plan_bsgs(offsets.tolist(), n)
-    # Babies hoist per input ciphertext; giants per output ciphertext.
-    rest = unique_keys // n
-    bi_of_key = rest % (int(bi.max()) + 1)
-    bo_of_key = rest // (int(bi.max()) + 1)
-    babies = 0
-    for block in np.unique(bi_of_key):
-        offs = unique_keys[bi_of_key == block] % n
-        babies += int(np.count_nonzero(np.unique(offs % plan.n1)))
-    giants = 0
-    for block in np.unique(bo_of_key):
-        offs = unique_keys[bo_of_key == block] % n
-        giants += int(np.count_nonzero(np.unique(offs - offs % plan.n1)))
+    def tap_keys():
+        for s_out, s_in in zip(tap_out.tolist(), tap_in.tolist()):
+            out_slot = chan_out + s_out
+            in_slot = chan_in + s_in
+            yield (
+                (out_slot // n * num_in + in_slot // n) * n
+                + (in_slot - out_slot) % n
+            )
 
-    stats = PackingStats(
-        rotations=babies + giants,
-        pmults=pmults,
-        num_in_cts=in_layout.num_ciphertexts,
-        num_out_cts=out_layout.num_ciphertexts,
+    keys = _distinct(
+        tap_keys(),
+        count=tap_out.size * ci.size,
+        space=out_layout.num_ciphertexts * num_in * n,
+    )
+    return keys, out_layout
+
+
+def _count_stats(
+    bo, bi, off, num_in: int, num_out: int, fold_shifts, out_layout, slots: int
+) -> PackingStats:
+    """PackingStats of distinct (bo, bi, offset) diagonals, as columns.
+
+    Uses the same :func:`plan_bsgs` over the same offset union and the
+    same per-block baby/giant counting as
+    :meth:`repro.core.packing.matvec.PackedMatVec.rotation_count`
+    (babies hoist per input ciphertext, giants per output ciphertext),
+    so analyzed, merged and materialized layers report equal counts.
+    """
+    offsets = np.unique(off)
+    plan = plan_bsgs(offsets, slots)
+    baby = off % plan.n1
+    giant = off - baby
+
+    def distinct_nonzero(block, steps) -> int:
+        return int(np.unique((block * slots + steps)[steps != 0]).size)
+
+    giants = distinct_nonzero(bo, giant) + len(fold_shifts) * num_out
+    return PackingStats(
+        rotations=distinct_nonzero(bi, baby) + giants,
+        pmults=int(off.size),
+        num_in_cts=num_in,
+        num_out_cts=num_out,
         num_unique_offsets=int(offsets.size),
         out_layout=out_layout,
         _giants=giants,
-        _offsets=nonzero_offsets,
+        num_folds=len(fold_shifts),
+        # Distinct nonzero (input block, offset) pairs: the key-switch
+        # inner products of the fused execution path.
+        _offsets=distinct_nonzero(bi, off),
     )
 
-    # Mirror build_conv_packing's Gazelle-hybrid choice for small outputs.
-    from repro.core.packing.matvec import _conv_hybrid_modulus
-    from repro.utils.intmath import int_log2
 
-    m2 = _conv_hybrid_modulus(in_layout, out_layout)
-    if m2 is not None:
-        hybrid_offsets = np.unique((in_slot - out_slot) % m2)
-        plan_h = plan_bsgs(hybrid_offsets.tolist(), n)
-        folds = int_log2(n // m2)
-        hybrid_rots = plan_h.num_rotations + folds
-        if hybrid_rots < stats.rotations:
-            stats = PackingStats(
-                rotations=hybrid_rots,
-                pmults=int(hybrid_offsets.size),
-                num_in_cts=1,
-                num_out_cts=1,
-                num_unique_offsets=int(hybrid_offsets.size),
-                out_layout=out_layout,
-                _giants=sum(1 for g in plan_h.giants if g) + folds,
-                num_folds=folds,
-                _offsets=int(np.count_nonzero(hybrid_offsets)),
-            )
-    return stats
+def _key_columns(keys) -> np.ndarray:
+    """(bo, bi, offset) triples -> three int64 columns."""
+    return np.array(keys, dtype=np.int64).reshape(-1, 3).T
 
 
 def analyze_linear_packing(
@@ -213,9 +234,6 @@ def analyze_linear_packing(
     from the slot geometry alone (a dense matrix's offset set does not
     depend on the weight values).
     """
-    from repro.core.packing.layouts import VectorLayout
-    from repro.utils.intmath import int_log2, next_power_of_two
-
     n = in_layout.slots
     length = in_layout.logical_length
     in_slots = np.asarray(in_layout.slot_of_logical(np.arange(length)))
@@ -276,48 +294,98 @@ class OffsetProfile:
     out_layout: object
 
     def stats(self) -> PackingStats:
-        return _stats_from_keys(
-            self.keys, self.num_in, self.num_out, self.fold_shifts,
-            self.out_layout, self.slots,
+        return _count_stats(
+            *_key_columns(self.keys), self.num_in, self.num_out,
+            self.fold_shifts, self.out_layout, self.slots,
         )
 
 
-def _stats_from_keys(
-    keys, num_in: int, num_out: int, fold_shifts, out_layout, slots: int
-) -> PackingStats:
-    """PackingStats from an explicit (bo, bi, offset) key set.
+class ConvAnalysis:
+    """What the compiler asks about one conv geometry, from one key table.
 
-    Uses the same :func:`plan_bsgs` over the same offset union and the
-    same per-block baby/giant counting as
-    :meth:`repro.core.packing.matvec.PackedMatVec.rotation_count`, so a
-    merged profile's stats equal the merged materialized layer's counts.
+    Mirrors ``build_conv_packing``'s plain-vs-Gazelle-hybrid choice
+    (a hybrid pick is visible as ``stats.num_folds > 0``): for a small
+    single-ciphertext output the offsets collapse modulo the padded
+    output length and a rotate-and-sum fold ladder finishes the product,
+    taken when that costs fewer rotations.
     """
-    offsets = sorted({off for (_, _, off) in keys})
-    plan = plan_bsgs(offsets, slots)
-    by_bi: dict = {}
-    by_bo: dict = {}
-    for bo, bi, off in keys:
-        by_bi.setdefault(bi, set()).add(off)
-        by_bo.setdefault(bo, set()).add(off)
-    babies = sum(
-        len({off % plan.n1 for off in offs} - {0}) for offs in by_bi.values()
-    )
-    giants = sum(
-        len({off - off % plan.n1 for off in offs} - {0}) for offs in by_bo.values()
-    )
-    folds = len(fold_shifts)
-    nonzero = len({(bi, off) for (_, bi, off) in keys if off})
-    return PackingStats(
-        rotations=babies + giants + folds * num_out,
-        pmults=len(keys),
-        num_in_cts=num_in,
-        num_out_cts=num_out,
-        num_unique_offsets=len(offsets),
-        out_layout=out_layout,
-        _giants=giants + folds * num_out,
-        num_folds=folds,
-        _offsets=nonzero,
-    )
+
+    def __init__(self, weight_shape, in_layout, stride, padding, dilation, groups):
+        n = in_layout.slots
+        keys, out_layout = conv_diagonal_keys(
+            weight_shape, in_layout, stride, padding, dilation, groups
+        )
+        blocks, off = np.divmod(keys, n)
+        bo, bi = np.divmod(blocks, in_layout.num_ciphertexts)
+        chosen = (
+            bo, bi, off, in_layout.num_ciphertexts, out_layout.num_ciphertexts,
+            (), out_layout, n,
+        )
+        stats = _count_stats(*chosen)
+        m2 = _conv_hybrid_modulus(in_layout, out_layout)
+        if m2 is not None:
+            hybrid_off = np.unique(off % m2)
+            zeros = np.zeros_like(hybrid_off)
+            fold_shifts = tuple(n >> (i + 1) for i in range(int_log2(n // m2)))
+            hybrid = (zeros, zeros, hybrid_off, 1, 1, fold_shifts, out_layout, n)
+            hybrid_stats = _count_stats(*hybrid)
+            if hybrid_stats.rotations < stats.rotations:
+                chosen, stats = hybrid, hybrid_stats
+        self.stats: PackingStats = stats
+        self._chosen = chosen
+
+    @cached_property
+    def profile(self) -> OffsetProfile:
+        """The chosen form's diagonals as an :class:`OffsetProfile`
+        (built on first use: only fusion candidates need the triples)."""
+        bo, bi, off, num_in, num_out, fold_shifts, out_layout, n = self._chosen
+        return OffsetProfile(
+            slots=n, num_in=num_in, num_out=num_out,
+            keys=tuple(zip(bo.tolist(), bi.tolist(), off.tolist())),
+            fold_shifts=fold_shifts, out_layout=out_layout,
+        )
+
+
+class ConvAnalysisTable:
+    """The conv analyses of one compile, one per distinct geometry.
+
+    ``OrionCompiler._compile`` creates one and hands it to the graph
+    optimizer's context and to the program builder, so the fusion gate
+    (and its re-scans), the fused lowering and the per-layer emitter
+    share entries — a ResNet stage repeats one geometry 5-11 times.
+    Deliberately not a module-level cache: nothing outlives the compile.
+    """
+
+    def __init__(self):
+        self._by_geometry: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._by_geometry)
+
+    def lookup(self, weight_shape, in_layout, stride=(1, 1), padding=(0, 0),
+               dilation=(1, 1), groups: int = 1) -> ConvAnalysis:
+        geometry = (
+            tuple(weight_shape), in_layout, tuple(stride), tuple(padding),
+            tuple(dilation), groups,
+        )
+        entry = self._by_geometry.get(geometry)
+        if entry is None:
+            entry = self._by_geometry[geometry] = ConvAnalysis(*geometry)
+        return entry
+
+
+def analyze_conv_packing(
+    weight_shape: Tuple[int, int, int, int],
+    in_layout: MultiplexedLayout,
+    stride=(1, 1),
+    padding=(0, 0),
+    dilation=(1, 1),
+    groups: int = 1,
+) -> PackingStats:
+    """Count diagonals/rotations of a conv without building plaintexts."""
+    return ConvAnalysis(
+        weight_shape, in_layout, stride, padding, dilation, groups
+    ).stats
 
 
 def conv_offset_profile(
@@ -328,49 +396,16 @@ def conv_offset_profile(
     dilation=(1, 1),
     groups: int = 1,
 ) -> OffsetProfile:
-    """Offset structure of a conv, mirroring the builder's plain-vs-
-    hybrid choice (``analyze_conv_packing`` already makes it; a hybrid
-    pick is visible as ``num_folds > 0``)."""
-    from repro.utils.intmath import int_log2, next_power_of_two
-
-    n = in_layout.slots
-    out_slot, in_slot, out_layout = _conv_tap_slots(
+    """Offset structure of a conv (the form ``analyze_conv_packing``
+    counted: plain, or hybrid when ``num_folds > 0``)."""
+    return ConvAnalysis(
         weight_shape, in_layout, stride, padding, dilation, groups
-    )
-    stats = analyze_conv_packing(
-        weight_shape, in_layout, stride, padding, dilation, groups
-    )
-    if stats.num_folds:
-        m2 = next_power_of_two(out_layout.total_slots)
-        offsets = np.unique((in_slot - out_slot) % m2)
-        keys = tuple((0, 0, int(off)) for off in offsets)
-        fold_shifts = tuple(n >> (i + 1) for i in range(int_log2(n // m2)))
-        return OffsetProfile(
-            slots=n, num_in=1, num_out=1, keys=keys,
-            fold_shifts=fold_shifts, out_layout=out_layout,
-        )
-    bo = out_slot // n
-    bi = in_slot // n
-    diag = (in_slot - out_slot) % n
-    keys = tuple(
-        sorted({(int(o), int(i), int(d)) for o, i, d in zip(bo, bi, diag)})
-    )
-    return OffsetProfile(
-        slots=n,
-        num_in=in_layout.num_ciphertexts,
-        num_out=out_layout.num_ciphertexts,
-        keys=keys,
-        fold_shifts=(),
-        out_layout=out_layout,
-    )
+    ).profile
 
 
 def linear_offset_profile(out_features: int, in_layout) -> OffsetProfile:
     """Offset structure of a dense FC layer (mirrors
     ``analyze_linear_packing``'s hybrid rule and dense-offset model)."""
-    from repro.core.packing.layouts import VectorLayout
-    from repro.utils.intmath import int_log2, next_power_of_two
-
     n = in_layout.slots
     length = in_layout.logical_length
     in_slots = np.asarray(in_layout.slot_of_logical(np.arange(length)))
@@ -414,16 +449,18 @@ def merged_packing_stats(profiles) -> PackingStats:
             raise ValueError("profiles must share slots and input blocks")
         if p.fold_shifts != first.fold_shifts:
             raise ValueError("profiles must share fold shifts")
-    keys = []
+    columns = []
     bo_base = 0
     for p in profiles:
-        keys.extend((bo_base + bo, bi, off) for (bo, bi, off) in p.keys)
+        bo, bi, off = _key_columns(p.keys)
+        columns.append((bo + bo_base, bi, off))
         bo_base += p.num_out
     out_layout = StackedLayout(
         parts=tuple(p.out_layout for p in profiles), slots=first.slots
     )
-    return _stats_from_keys(
-        keys, first.num_in, bo_base, first.fold_shifts, out_layout, first.slots
+    return _count_stats(
+        *(np.concatenate(column) for column in zip(*columns)),
+        first.num_in, bo_base, first.fold_shifts, out_layout, first.slots,
     )
 
 

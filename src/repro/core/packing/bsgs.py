@@ -16,7 +16,7 @@ off one shared decomposition (docs/hoisting.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
@@ -48,27 +48,42 @@ class BsgsPlan:
         return offset - baby, baby
 
 
-def plan_bsgs(offsets: Iterable[int], slots: int) -> BsgsPlan:
+def plan_bsgs(offsets: Union[Iterable[int], np.ndarray], slots: int) -> BsgsPlan:
     """Choose the rotation-minimizing power-of-two baby modulus.
 
+    Every candidate ``n1`` is only *counted* — one ``(candidates,
+    offsets)`` array of babies and one of giants, distinct nonzero
+    values per row — and the plan's tuples are built for the winner
+    alone.  The first ``n1`` reaching the minimum wins.
+
     Args:
-        offsets: diagonal offsets in [0, slots).
+        offsets: diagonal offsets in [0, slots) — any iterable of ints,
+            or an integer ndarray (used as is, no list round-trip).
         slots: the ciphertext slot count n.
     """
-    offset_arr = np.unique(np.asarray(list(offsets), dtype=np.int64) % slots)
+    if not isinstance(offsets, np.ndarray):
+        offsets = np.asarray(list(offsets), dtype=np.int64)
+    offset_arr = np.unique(offsets % slots)
     if offset_arr.size == 0:
         return BsgsPlan(n1=1, babies=(), giants=())
-    best: BsgsPlan | None = None
-    n1 = 1
-    while n1 <= slots:
-        babies = np.unique(offset_arr % n1)
-        giants = np.unique(offset_arr - (offset_arr % n1))
-        count = int(np.count_nonzero(babies)) + int(np.count_nonzero(giants))
-        plan = BsgsPlan(n1=n1, babies=tuple(babies.tolist()), giants=tuple(giants.tolist()))
-        if best is None or count < best.num_rotations:
-            best = plan
-        n1 *= 2
-    return best
+    candidates = 1 << np.arange(int(slots).bit_length())  # powers of two <= slots
+    babies = offset_arr % candidates[:, None]
+    giants = offset_arr - babies  # rows stay sorted: offset_arr is
+    babies.sort(axis=1)
+    counts = _distinct_nonzero_sorted(babies) + _distinct_nonzero_sorted(giants)
+    best = int(np.argmin(counts))  # first occurrence of the minimum
+    return BsgsPlan(
+        n1=int(candidates[best]),
+        babies=tuple(np.unique(babies[best]).tolist()),
+        giants=tuple(np.unique(giants[best]).tolist()),
+    )
+
+
+def _distinct_nonzero_sorted(rows: np.ndarray) -> np.ndarray:
+    """Per row of non-negative, non-decreasing ints: how many distinct
+    nonzero values it holds (value changes + 1, less one for a zero)."""
+    changes = np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+    return changes + 1 - (rows[:, 0] == 0)
 
 
 def plan_bsgs_square_matrix(n: int) -> Tuple[int, int]:

@@ -183,6 +183,69 @@ class TestAnalyzeMode:
             compiled.run(SimBackend(params), np.zeros((1, 8, 8)))
 
 
+class TestCompileDoesEachAnalysisOnce:
+    """Work, not wall-clock: the per-compile conv table and the
+    polynomial op-count cache are exercised by counting calls."""
+
+    def test_one_key_table_per_conv_geometry_per_compile(self, params, monkeypatch):
+        from repro.core.packing import analysis
+        from repro.models import relu_act
+
+        built = []
+        real = analysis.conv_diagonal_keys
+
+        def counting(weight_shape, in_layout, stride, padding, dilation, groups):
+            built.append(
+                (tuple(weight_shape), in_layout, tuple(stride), tuple(padding),
+                 tuple(dilation), groups)
+            )
+            return real(weight_shape, in_layout, stride, padding, dilation, groups)
+
+        monkeypatch.setattr(analysis, "conv_diagonal_keys", counting)
+        init.seed_init(0)
+        onet = OrionNetwork(resnet_cifar(20, act=relu_act()), (3, 32, 32))
+        compiled = onet.compile(params, mode="analyze", optimize=True)
+        first = list(built)
+        # The optimizer's gate, the fused lowering and the emitter all
+        # asked; every distinct geometry was still built exactly once.
+        assert compiled.graph_opt_report.total > 0
+        assert len(first) == len(set(first))
+        convs = sum(r.kind == "linear" for r in compiled.layer_reports)
+        assert 0 < len(first) < convs  # a stage repeats one geometry
+        # No state survives a compile: the next one builds its own.
+        onet.compile(params, mode="analyze", optimize=True)
+        assert built[len(first):] == first
+
+    def test_poly_eval_ops_runs_once_per_degree(self, params, monkeypatch):
+        from repro.core import compiler
+
+        calls = []
+        real = compiler.poly_eval_ops
+
+        def counting(degree):
+            calls.append(degree)
+            return real(degree)
+
+        monkeypatch.setattr(compiler, "poly_eval_ops", counting)
+        monkeypatch.setattr(compiler, "_POLY_OPS_CACHE", {})
+        onet, _ = make_net(
+            lambda: resnet_cifar(8, act=silu_act(31), width=4), (3, 8, 8), seed=3
+        )
+        compiled = onet.compile(params, mode="analyze")
+        assert sum(r.kind == "poly" for r in compiled.layer_reports) > 1
+        assert calls == [31]
+        onet.compile(params, mode="analyze")
+        assert calls == [31]
+
+    def test_poly_eval_op_counts_pinned(self):
+        from repro.core.approx.evaluator import poly_eval_ops
+
+        assert poly_eval_ops(15) == {"hmult": 6, "hadd": 8, "padd": 5, "rescale": 7, "pmult": 5}
+        assert poly_eval_ops(27) == {"hmult": 7, "hadd": 16, "padd": 6, "rescale": 8, "pmult": 12}
+        assert poly_eval_ops(31) == {"hmult": 10, "hadd": 18, "padd": 7, "rescale": 11, "pmult": 11}
+        assert poly_eval_ops(127) == {"hmult": 20, "hadd": 39, "padd": 13, "rescale": 21, "pmult": 23}
+
+
 class TestRangeEstimation:
     def test_values_stay_in_unit_range(self, params):
         """After fit(), every bootstrap input is within [-1, 1] — the
