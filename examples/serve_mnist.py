@@ -47,9 +47,7 @@ def main():
 
     # -- online: open a pool over the artifact (no compiler, ever) ------
     compilations = OrionCompiler.invocations
-    config = serve.ServerConfig(
-        workers=2, batch_window_seconds=0.0, max_queue_depth=8
-    )
+    config = serve.ServerConfig(workers=2, max_queue_depth=8)
     with serve.open(path, config) as server:
         artifact_id = server.artifact_ids[0]
         print(

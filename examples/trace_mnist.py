@@ -60,9 +60,7 @@ def main():
     onet.export(path, params)
 
     # -- online: a traced 2-worker pool ---------------------------------
-    config = serve.ServerConfig(
-        workers=2, batch_window_seconds=0.0, max_queue_depth=8, tracing=True
-    )
+    config = serve.ServerConfig(workers=2, max_queue_depth=8, tracing=True)
     with serve.open(path, config) as server:
         print(f"  pool of {server.workers} workers, tracing on\n")
         for index in range(4):

@@ -48,13 +48,16 @@ class ServerConfig:
             ``multiprocessing`` children over the same mmapped files).
         batching: enable cross-request slot batching inside each worker.
         max_batch: cap on the slot-batch size (power-of-two floored).
-        batch_window_seconds: default latency budget a request may wait
-            in the batching window (the old ``max_wait_seconds``).
+        batch_window_seconds: default deadline (``now +
+            batch_window_seconds``) of a request submitted without one.
+            Orders a worker's queue, earliest deadline first; never
+            delays an idle worker — batches form from backlog only.
         max_queue_depth: bound on each worker's pending queue; beyond it
             the dispatcher rejects with :class:`AdmissionError`.
-        admission_budget_seconds: optional modeled-backlog latency
-            budget; a routed worker whose backlog would exceed it
-            rejects at admission instead of queueing.
+        admission_budget_seconds: optional backlog latency budget; a
+            routed worker whose backlog (queued batches times the batch
+            time measured on that worker) would exceed it rejects at
+            admission instead of queueing.
         routing_seed: seed folded into rendezvous routing, pinning the
             client -> worker assignment reproducibly.
         key_policy: ``"shared"`` (all workers hold the same key domain —
@@ -186,7 +189,7 @@ class Server:
     shuts the pool down.
 
     The request surface is three calls: :meth:`submit` enqueues a
-    request for slot batching (``step()`` later runs the due batches),
+    request for slot batching (``step()`` later runs whatever queued),
     :meth:`serve_now` runs one request immediately, and :meth:`drain`
     flushes everything queued.  Observability is :meth:`stats` (typed,
     schema-versioned), :meth:`metrics` / :meth:`metrics_text`
@@ -266,7 +269,7 @@ class Server:
         )
 
     def step(self, now: Optional[float] = None) -> List[ServeResult]:
-        """Run every due batch on every worker."""
+        """Run every worker's queue empty, in backlog-sized batches."""
         return self._dispatcher.step(now)
 
     def drain(self) -> List[ServeResult]:

@@ -4,8 +4,8 @@ The asynchronous-architecture decoupling that fleet-scale serving
 needs: a front-of-house :class:`Dispatcher` that routes, admits, and
 accounts for requests, and a :class:`WorkerPool` of N workers each
 running *today's* :class:`repro.serve.runtime.InferenceServer` loop —
-one server per hosted artifact, slot-batching its own queue by the
-existing cost/deadline rule.  Nothing about the execution hot path
+one server per hosted artifact, slot-batching its own backlog by the
+scheduler's work-conserving rule.  Nothing about the execution hot path
 changes; the pool is pure orchestration:
 
 - **Shared read-only artifact memory.**  Workers open artifacts through
@@ -22,9 +22,10 @@ changes; the pool is pure orchestration:
   non-deterministic migration.
 - **Admission control.**  Per-worker queues are bounded
   (``max_queue_depth``); once the routed worker is full — or its
-  modeled backlog exceeds the configured latency budget — the
-  dispatcher refuses the request with :class:`AdmissionError` carrying
-  a ``retry_after_ms`` hint, rather than letting queues grow without
+  backlog, priced at the batch time the dispatcher has *measured* on
+  that lane, exceeds the configured latency budget — the dispatcher
+  refuses the request with :class:`AdmissionError` carrying a
+  ``retry_after_ms`` hint, rather than letting queues grow without
   bound.  Conservation holds at every instant:
   ``submitted == admitted + rejected`` and
   ``admitted == completed + in_flight``.
@@ -64,6 +65,10 @@ POOL_CLIENT_ID = "__pool__"
 #: that the child still exists.
 _LIVENESS_POLL_SECONDS = 0.5
 
+#: Weight of the newest batch in the dispatcher's exponentially weighted
+#: mean of measured batch seconds (fixed on purpose: not a serving knob).
+_BATCH_SECONDS_WEIGHT = 0.25
+
 
 class WorkerLostError(RuntimeError):
     """A fork worker exited (killed, OOM) without answering."""
@@ -74,8 +79,8 @@ class AdmissionError(RuntimeError):
 
     Attributes:
         retry_after_ms: the dispatcher's hint for when capacity should
-            free up (modeled batch latency, or the backlog's overhang
-            past the latency budget).
+            free up (the lane's measured batch time, or the backlog's
+            overhang past the latency budget at that batch time).
         worker_id: the worker the request routed to.
         queue_depth: that worker's queue depth at refusal time.
     """
@@ -247,7 +252,7 @@ def _build_servers(
         registries[spec.artifact_id] = registry
         profiles[spec.artifact_id] = WorkerProfile(
             capacity=server.scheduler.capacity,
-            modeled_seconds=server.scheduler.modeled_run_seconds,
+            modeled_seconds=server.modeled_seconds,
             mmap_backed=mmapped,
         )
     return servers, profiles, registries
@@ -321,11 +326,7 @@ class InlineWorker:
         return results
 
     def drain(self) -> List[ServeResult]:
-        results: List[ServeResult] = []
-        for artifact_id, server in self.servers.items():
-            for result in server.drain():
-                results.append(self._stamp(result, artifact_id))
-        return results
+        return self.finish_step(None)  # a step leaves nothing queued
 
     def warm(self, batch_sizes=None) -> None:
         for server in self.servers.values():
@@ -380,7 +381,7 @@ class InlineWorker:
         self.servers[artifact_id] = server
         self.profiles[artifact_id] = WorkerProfile(
             capacity=server.scheduler.capacity,
-            modeled_seconds=server.scheduler.modeled_run_seconds,
+            modeled_seconds=server.modeled_seconds,
             mmap_backed=spec.path is not None,
         )
         return self.profiles[artifact_id]
@@ -510,7 +511,14 @@ class InlineWorker:
             registry.record_histogram(
                 "repro_request_latency_seconds",
                 server.request_latency,
-                help="Wall-clock latency per served request.",
+                help="Execution wall of the batch that served each "
+                "request (one observation per request; excludes queue wait).",
+                **labels,
+            )
+            registry.record_histogram(
+                "repro_serve_queue_wait_seconds",
+                server.queue_wait,
+                help="Time each request spent queued before its batch started.",
                 **labels,
             )
             for phase, histogram in sorted(server.op_histograms.items()):
@@ -557,7 +565,7 @@ def _process_worker_main(
 
     The child maps the same artifact files as every sibling (shared
     page-cache residency — the whole point), builds its own key domain,
-    and then runs a plain message loop: submit / step / drain / stats.
+    and then runs a plain message loop: submit / step / stats / ...
     """
     try:
         worker = InlineWorker(worker_id, specs, **build_opts)
@@ -581,11 +589,6 @@ def _process_worker_main(
                 response_queue.put(("done", worker_id, 1))
             elif kind == "step":
                 results = worker.finish_step(message[1])
-                for result in results:
-                    response_queue.put(("result", worker_id, _result_payload(result)))
-                response_queue.put(("done", worker_id, len(results)))
-            elif kind == "drain":
-                results = worker.drain()
                 for result in results:
                     response_queue.put(("result", worker_id, _result_payload(result)))
                 response_queue.put(("done", worker_id, len(results)))
@@ -726,7 +729,7 @@ class ProcessWorker:
         return self._collect()
 
     def drain(self) -> List[ServeResult]:
-        self._requests.put(("drain",))
+        self.begin_step(None)  # a step leaves nothing queued
         results = self._collect()
         # Flush the child's telemetry after the final batches: without
         # this, metrics and trace spans recorded by drain-time runs only
@@ -914,6 +917,11 @@ class Dispatcher:
         self.requests_completed = 0
         self._next_ticket = 0
         self._closed = False
+        # (worker id, artifact id) -> running mean of the batch wall
+        # seconds that lane's results reported.  A lane that has
+        # delivered nothing yet is absent, and priced at its profile's
+        # modeled seconds.
+        self._batch_seconds: Dict[Tuple[int, str], float] = {}
 
     # -- routing -----------------------------------------------------------
     def route(self, artifact_id: str, client_id: str) -> int:
@@ -929,22 +937,45 @@ class Dispatcher:
         return best_worker
 
     # -- admission ---------------------------------------------------------
+    def batch_seconds(self, worker, artifact_id: str) -> float:
+        """What one batch on this lane takes: measured once the lane has
+        delivered, the cost model's figure until then."""
+        return self._batch_seconds.get(
+            (worker.worker_id, artifact_id),
+            worker.profiles[artifact_id].modeled_seconds,
+        )
+
+    def _delivered(self, results: List[ServeResult]) -> List[ServeResult]:
+        """Count deliveries and fold each batch's wall into its lane's mean."""
+        self.requests_completed += len(results)
+        index = 0
+        while index < len(results):
+            head = results[index]  # a batch's results arrive together
+            lane = (head.worker_id, head.artifact_id)
+            mean = self._batch_seconds.get(lane, head.wall_seconds)
+            self._batch_seconds[lane] = mean + _BATCH_SECONDS_WEIGHT * (
+                head.wall_seconds - mean
+            )
+            index += head.batch_size
+        return results
+
     def _backlog_seconds(self, worker) -> float:
-        """Modeled time to clear the worker's current queues."""
+        """Time to clear the worker's current queues at its batch times."""
         total = 0.0
         for artifact_id, depth in worker.queue_depths().items():
             if depth == 0:
                 continue
-            profile = worker.profiles[artifact_id]
-            batches = math.ceil(depth / max(1, profile.capacity))
-            total += batches * profile.modeled_seconds
+            capacity = max(1, worker.profiles[artifact_id].capacity)
+            total += math.ceil(depth / capacity) * self.batch_seconds(
+                worker, artifact_id
+            )
         return total
 
     def _admit(self, worker, artifact_id: str) -> None:
         depth = worker.queue_depth()
-        profile = worker.profiles[artifact_id]
+        batch_seconds = self.batch_seconds(worker, artifact_id)
         if depth >= self.max_queue_depth:
-            retry_ms = max(1.0, profile.modeled_seconds * 1e3)
+            retry_ms = max(1.0, batch_seconds * 1e3)
             self.requests_rejected += 1
             raise AdmissionError(
                 f"worker {worker.worker_id} queue is full "
@@ -954,7 +985,7 @@ class Dispatcher:
                 queue_depth=depth,
             )
         if self.admission_budget_seconds is not None:
-            estimate = self._backlog_seconds(worker) + profile.modeled_seconds
+            estimate = self._backlog_seconds(worker) + batch_seconds
             if estimate > self.admission_budget_seconds:
                 overhang = estimate - self.admission_budget_seconds
                 retry_ms = max(1.0, overhang * 1e3)
@@ -998,26 +1029,23 @@ class Dispatcher:
         self._next_ticket += 1
         self.requests_admitted += 1
         result = worker.serve_now(ticket, artifact_id, client_id, payload)
-        self.requests_completed += 1
-        return result
+        return self._delivered([result])[0]
 
     def step(self, now: Optional[float] = None) -> List[ServeResult]:
-        """Run every due batch on every worker (process workers overlap)."""
+        """Run every worker's queue empty (process workers overlap)."""
         for worker in self.pool.workers:
             worker.begin_step(now)
         results: List[ServeResult] = []
         for worker in self.pool.workers:
             results.extend(worker.finish_step(now))
-        self.requests_completed += len(results)
-        return results
+        return self._delivered(results)
 
     def drain(self) -> List[ServeResult]:
         """Flush every queue (graceful shutdown: zero in-flight after)."""
         results: List[ServeResult] = []
         for worker in self.pool.workers:
             results.extend(worker.drain())
-        self.requests_completed += len(results)
-        return results
+        return self._delivered(results)
 
     def reload(self, artifact_id: str) -> None:
         """Hot-swap one artifact across the pool (quiesced swap).

@@ -10,8 +10,8 @@ Ties the serving pieces together (docs/serving.md):
   one encryption key — cross-tenant isolation lives in
   :class:`repro.serve.keys.KeyRegistry`);
 - drives a :class:`repro.serve.scheduler.SlotBatchingScheduler`,
-  executing due batches through the program's block-replicated views
-  and de-multiplexing per-client outputs;
+  executing whatever its queue holds through the program's
+  block-replicated views and de-multiplexing per-client outputs;
 - attributes cost to requests: every run executes under a scratch
   :class:`repro.backend.ledger.OpLedger` that is merged into the
   server's cumulative ledger afterwards, while per-op and per-request
@@ -64,7 +64,8 @@ class InferenceServer:
         batching: enable cross-request slot batching.
         max_batch: cap on the batch size (defaults to the program's
             slot capacity).
-        max_wait_seconds: default latency budget per request.
+        max_wait_seconds: default deadline per request (queue order
+            only; an idle worker never waits — see the scheduler).
         preload: seed the backend's plaintext caches from the
             artifact's pre-encoded tables at construction.
     """
@@ -97,13 +98,18 @@ class InferenceServer:
                     capacity, 1 << (max_batch.bit_length() - 1)
                 )
         self.scheduler = SlotBatchingScheduler(
-            capacity=capacity,
-            modeled_run_seconds=float(artifact.summary.get("modeled_seconds", 0.0)),
-            max_wait_seconds=max_wait_seconds,
+            capacity=capacity, max_wait_seconds=max_wait_seconds
         )
+        #: cost-model seconds of one program execution (batched or
+        #: single — same ciphertext count); the dispatcher's estimate of
+        #: a batch until it has measured one.
+        self.modeled_seconds = float(artifact.summary.get("modeled_seconds", 0.0))
         self.state = ExecutionState(backend)
         self.ledger = OpLedger()
         self.request_latency = LatencyHistogram()
+        #: enqueue -> start of the batch that ran the request, on the
+        #: scheduler's (injectable) clock.
+        self.queue_wait = LatencyHistogram()
         self.op_histograms: Dict[str, LatencyHistogram] = {}
         self.requests_served = 0
         self.batches_run = 0
@@ -174,9 +180,8 @@ class InferenceServer:
 
     def serve_now(self, image: np.ndarray, client_id: str = "anon") -> ServeResult:
         """Run one request immediately, bypassing the queue."""
-        request = self.scheduler.submit(client_id, image)
+        request = self.scheduler.ticket(client_id, image)
         self._stamp_trace(request)
-        self.scheduler.queue.remove(request)
         return self._run_batch(Batch(requests=[request], reason="single"))[0]
 
     def _stamp_trace(self, request) -> None:
@@ -186,24 +191,26 @@ class InferenceServer:
 
     # -- worker loop ---------------------------------------------------------
     def step(self, now: Optional[float] = None) -> List[ServeResult]:
-        """Run every batch the decision rule says is due."""
+        """Run the queue empty, one backlog-sized batch after another
+        (``now`` only dates the queue-wait histogram)."""
         results: List[ServeResult] = []
         while True:
-            batch = self.scheduler.due(now)
+            batch = self.scheduler.next_batch()
             if batch is None:
                 return results
-            results.extend(self._run_batch(batch))
+            results.extend(self._run_batch(batch, now))
 
-    def drain(self) -> List[ServeResult]:
-        """Flush the queue regardless of deadlines (end of tick)."""
-        results: List[ServeResult] = []
-        for batch in self.scheduler.flush():
-            results.extend(self._run_batch(batch))
-        return results
+    #: Work-conserving: a step already leaves nothing queued.
+    drain = step
 
     # -- execution -----------------------------------------------------------
-    def _run_batch(self, batch: Batch) -> List[ServeResult]:
+    def _run_batch(
+        self, batch: Batch, now: Optional[float] = None
+    ) -> List[ServeResult]:
         size = batch.size
+        started = time.monotonic() if now is None else now
+        for request in batch.requests:
+            self.queue_wait.observe(started - request.enqueued_at)
         program = self.program.batched(size)
         if size > 1:
             inputs = np.stack([np.asarray(r.payload) for r in batch.requests])
@@ -291,9 +298,10 @@ class InferenceServer:
         return outputs, end - start
 
     def _record(self, scratch: OpLedger, wall: float, size: int) -> None:
-        # Every request in the batch *waited* the full run — the
-        # histogram reports latency; amortized per-request cost lives in
-        # ServeResult.modeled_seconds and the throughput benchmarks.
+        # Every request in the batch sat through the full run, so the
+        # batch's execution wall is observed once per request (time in
+        # the queue is ``queue_wait``); amortized per-request cost lives
+        # in ServeResult.modeled_seconds and the throughput benchmarks.
         for _ in range(size):
             self.request_latency.observe(wall)
         for phase, seconds in scratch.seconds_by_phase.items():
@@ -314,6 +322,7 @@ class InferenceServer:
             "compilations_since_load": self.compilations_since_load,
             "placements_since_load": self.placements_since_load,
             "request_latency": self.request_latency.snapshot(),
+            "queue_wait": self.queue_wait.snapshot(),
             "modeled_seconds": self.ledger.seconds,
             "kernel_backend": kernels.active_backend(),
             "ops": {

@@ -8,21 +8,26 @@ layers swapped for block-replicated views, see
 :meth:`repro.core.program.FheProgram.batched`) serves all of them in
 one execution: ~B x requests/sec for ~1 x the latency.
 
-The decision rule (docs/serving.md) is cost-model-driven:
+The decision rule (docs/serving.md) is work-conserving: a worker that
+asks for work while its queue is non-empty always gets a batch, so
+batches grow from *backlog* — requests that arrived while the worker
+was busy, which is exactly when throughput needs them — and never from
+an idle worker waiting for company.
 
-- **Full batch** — when the queue holds a full ciphertext's worth of
-  requests (the program's slot capacity), run immediately; waiting
-  cannot improve throughput further.
-- **Deadline** — each request carries a latency deadline (or inherits
-  ``max_wait_seconds``).  The scheduler flushes a partial batch as soon
-  as waiting any longer would make the earliest deadline unmeetable,
-  using the modeled batched-run latency from the cost model: flush when
-  ``now + modeled_run_seconds >= earliest_deadline``.
+- **Full batch** — the queue holds a full ciphertext's worth of
+  requests (the program's slot capacity): run a capacity-sized batch.
+- **Partial batch** — otherwise the largest power of two the backlog
+  holds, provided it passes the worthwhileness check below.
+- **Single** — one request waiting, or batching not worthwhile.
 - **Worthwhileness** — a batch of B is only formed when the modeled
   batched run beats B sequential runs (it essentially always does —
   the batched program runs the same ciphertext count — but the rule is
   checked against the cost model, not assumed, so a future layout whose
   batched view were more expensive would fall back to run-now).
+
+Each request carries a deadline (explicit, or ``enqueued_at +
+max_wait_seconds``).  It never delays anyone: it is the
+earliest-deadline-first order in which requests leave the queue.
 
 The scheduler is deterministic and clock-injected (pass ``now``) so the
 runtime — and the tests — fully control time.
@@ -37,7 +42,7 @@ from typing import List, Optional
 
 @dataclass
 class PendingRequest:
-    """One enqueued inference request."""
+    """One inference request, queued or about to run."""
 
     client_id: str
     payload: object
@@ -55,7 +60,7 @@ class Batch:
     """A group of requests scheduled to run in one ciphertext."""
 
     requests: List[PendingRequest]
-    reason: str  # "full" | "deadline" | "flush" | "single"
+    reason: str  # "full" | "partial" | "single"
 
     @property
     def size(self) -> int:
@@ -63,15 +68,13 @@ class Batch:
 
 
 class SlotBatchingScheduler:
-    """Coalesces requests into slot-batched runs under a latency knob.
+    """Coalesces a worker's backlog into slot-batched runs.
 
     Args:
         capacity: the program's slot-batch capacity (power of two).
-        modeled_run_seconds: cost-model latency of one (batched or
-            single — same ciphertext count) program execution; drives
-            the deadline rule.
-        max_wait_seconds: default latency budget for requests without
-            an explicit deadline.
+        max_wait_seconds: default deadline (``now + max_wait_seconds``)
+            for requests submitted without one.  Orders the queue;
+            never delays an idle worker.
         batch_worthwhile: predicate ``(batch_size) -> bool`` from the
             cost model; defaults to "always" for B >= 2.
     """
@@ -79,27 +82,26 @@ class SlotBatchingScheduler:
     def __init__(
         self,
         capacity: int,
-        modeled_run_seconds: float = 0.0,
         max_wait_seconds: float = 0.05,
         batch_worthwhile=None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self.modeled_run_seconds = modeled_run_seconds
         self.max_wait_seconds = max_wait_seconds
         self.batch_worthwhile = batch_worthwhile or (lambda size: size >= 2)
         self.queue: List[PendingRequest] = []
         self._next_ticket = 0
 
     # -- queue -------------------------------------------------------------
-    def submit(
+    def ticket(
         self,
         client_id: str,
         payload,
         now: Optional[float] = None,
         deadline: Optional[float] = None,
     ) -> PendingRequest:
+        """A ticketed request that is *not* queued (the run-now path)."""
         now = time.monotonic() if now is None else now
         request = PendingRequest(
             client_id=client_id,
@@ -109,6 +111,16 @@ class SlotBatchingScheduler:
             ticket=self._next_ticket,
         )
         self._next_ticket += 1
+        return request
+
+    def submit(
+        self,
+        client_id: str,
+        payload,
+        now: Optional[float] = None,
+        deadline: Optional[float] = None,
+    ) -> PendingRequest:
+        request = self.ticket(client_id, payload, now=now, deadline=deadline)
         self.queue.append(request)
         return request
 
@@ -116,41 +128,18 @@ class SlotBatchingScheduler:
         return len(self.queue)
 
     # -- decision rule -----------------------------------------------------
-    def earliest_deadline(self) -> Optional[float]:
+    def next_batch(self) -> Optional[Batch]:
+        """The batch to run right now; ``None`` only when the queue is
+        empty.  Call repeatedly to clear a backlog."""
         if not self.queue:
             return None
-        return min(r.deadline for r in self.queue)
-
-    def due(self, now: Optional[float] = None) -> Optional[Batch]:
-        """The batch to run right now, or None to keep waiting.
-
-        Call repeatedly until it returns None (a full queue can yield
-        several capacity-sized batches).
-        """
-        if not self.queue:
-            return None
-        now = time.monotonic() if now is None else now
-        if len(self.queue) >= self.capacity:
-            return self._take(self.capacity, "full")
-        if now + self.modeled_run_seconds >= self.earliest_deadline():
-            size = _floor_power_of_two(len(self.queue))
-            if size >= 2 and self.batch_worthwhile(size):
-                return self._take(size, "deadline")
-            return self._take(1, "single")
-        return None
-
-    def flush(self, now: Optional[float] = None) -> List[Batch]:
-        """Drain the whole queue into maximal power-of-two batches
-        (shutdown / end-of-tick semantics)."""
-        batches: List[Batch] = []
-        while self.queue:
-            size = min(self.capacity, _floor_power_of_two(len(self.queue)))
-            if size >= 2 and not self.batch_worthwhile(size):
-                size = 1
-            batches.append(self._take(size, "flush" if size > 1 else "single"))
-        return batches
-
-    def _take(self, size: int, reason: str) -> Batch:
+        size = min(self.capacity, _floor_power_of_two(len(self.queue)))
+        if size >= 2 and not self.batch_worthwhile(size):
+            size = 1
+        if size == 1:
+            reason = "single"
+        else:
+            reason = "full" if size == self.capacity else "partial"
         self.queue.sort(key=lambda r: (r.deadline, r.ticket))
         taken, self.queue = self.queue[:size], self.queue[size:]
         return Batch(requests=taken, reason=reason)

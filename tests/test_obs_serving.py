@@ -243,6 +243,24 @@ class TestMetricsEndpoint:
             )
             assert total == 2
 
+    def test_queue_wait_histogram(self, artifact_path):
+        """Queue wait (enqueue -> start of the batch that ran the
+        request, on the injected clock) is its own family, beside the
+        batch-execution wall ``repro_request_latency_seconds`` reports."""
+        with serve.open(artifact_path, _config(workers=1)) as server:
+            for i, image in enumerate(_images(3)):
+                server.submit(image, client_id="alice", now=10.0 + 0.1 * i)
+            assert len(server.step(now=10.25)) == 3
+            registry = server.metrics()
+            wait = registry.histogram_value(
+                "repro_serve_queue_wait_seconds", worker="0", artifact="mlp"
+            )
+            assert wait.count == 3
+            assert wait.total == pytest.approx(0.25 + 0.15 + 0.05)
+            text = registry.to_prometheus_text()
+            assert "# TYPE repro_serve_queue_wait_seconds histogram" in text
+            assert "excludes queue wait" in text  # the corrected help text
+
 
 @pytest.mark.usefixtures("fork_deadline")
 class TestForkModeTelemetry:

@@ -292,30 +292,53 @@ class TestStaleCacheRegression:
             assert np.max(np.abs(got - np.array(reference))) < 1e-2
 
 
+def _simulate_open_loop(sched, arrivals, service_seconds):
+    """One worker over ``sched`` on a fake clock: submit what has come
+    due, run one batch (``service_seconds`` each), repeat.  Returns
+    ``[(start, batch), ...]``."""
+    arrivals = list(arrivals)
+    runs, clock, sent = [], 0.0, 0
+    while sent < len(arrivals) or len(sched):
+        while sent < len(arrivals) and arrivals[sent] <= clock:
+            sched.submit(f"c{sent}", sent, now=arrivals[sent])
+            sent += 1
+        batch = sched.next_batch()
+        if batch is None:
+            clock = arrivals[sent]  # idle until the next arrival
+            continue
+        runs.append((clock, batch))
+        clock += service_seconds
+    return runs
+
+
 class TestScheduler:
-    def test_waits_below_capacity_before_deadline(self):
-        sched = SlotBatchingScheduler(capacity=8, max_wait_seconds=1.0)
-        sched.submit("a", 1, now=0.0)
-        sched.submit("b", 2, now=0.0)
-        assert sched.due(now=0.0) is None  # plenty of budget left
+    """The work-conserving rule.  Three tests that pinned the deleted
+    hold are gone: ``test_waits_below_capacity_before_deadline`` (now
+    ``test_idle_worker_never_waits_out_the_window``, which asserts the
+    opposite), the "one left, deadline far away" half of
+    ``test_full_queue_flushes_immediately`` (the one left now runs) and
+    ``test_deadline_forces_partial_batch`` (a partial batch needs
+    backlog, not a deadline: ``test_backlog_forms_partial_batch`` and
+    the property test)."""
 
     def test_full_queue_flushes_immediately(self):
         sched = SlotBatchingScheduler(capacity=4, max_wait_seconds=100.0)
         for i in range(5):
             sched.submit(f"c{i}", i, now=0.0)
-        batch = sched.due(now=0.0)
-        assert batch is not None and batch.size == 4 and batch.reason == "full"
-        assert sched.due(now=0.0) is None  # one left, deadline far away
+        batch = sched.next_batch()
+        assert batch.size == 4 and batch.reason == "full"
+        # The one left runs too, deadline far away or not.
+        batch = sched.next_batch()
+        assert batch.size == 1 and batch.reason == "single"
+        assert sched.next_batch() is None
 
-    def test_deadline_forces_partial_batch(self):
-        sched = SlotBatchingScheduler(
-            capacity=8, modeled_run_seconds=0.5, max_wait_seconds=1.0
-        )
+    def test_backlog_forms_partial_batch(self):
+        sched = SlotBatchingScheduler(capacity=8, max_wait_seconds=1.0)
         for i in range(3):
             sched.submit(f"c{i}", i, now=0.0)
-        # At t=0.6, t + 0.5 modeled run >= 1.0 deadline: flush 2 (pow2).
-        batch = sched.due(now=0.6)
-        assert batch is not None and batch.size == 2 and batch.reason == "deadline"
+        batch = sched.next_batch()  # no clock: nothing to wait for
+        assert batch.size == 2 and batch.reason == "partial"
+        assert [r.ticket for r in batch.requests] == [0, 1]
 
     def test_single_when_batching_not_worthwhile(self):
         sched = SlotBatchingScheduler(
@@ -323,16 +346,98 @@ class TestScheduler:
         )
         sched.submit("a", 1, now=0.0)
         sched.submit("b", 2, now=0.0)
-        batch = sched.due(now=1.0)
+        batch = sched.next_batch()
         assert batch.size == 1 and batch.reason == "single"
 
-    def test_flush_drains_into_power_of_two_batches(self):
+    def test_backlog_drains_into_power_of_two_batches(self):
         sched = SlotBatchingScheduler(capacity=4, max_wait_seconds=100.0)
         for i in range(7):
             sched.submit(f"c{i}", i, now=0.0)
-        sizes = [b.size for b in sched.flush()]
+        sizes = []
+        while (batch := sched.next_batch()) is not None:
+            sizes.append(batch.size)
         assert sizes == [4, 2, 1]
         assert len(sched) == 0
+
+    def test_ticket_never_touches_the_queue(self):
+        sched = SlotBatchingScheduler(capacity=4)
+        queued = sched.submit("a", 1, now=0.0)
+        loose = sched.ticket("b", 2, now=0.0)
+        assert (queued.ticket, loose.ticket) == (0, 1)
+        assert sched.queue == [queued]
+        assert sched.submit("c", 3, now=0.0).ticket == 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_interleavings_conserve_and_order(self, seed):
+        """Random submit/take interleavings on a fake clock: a
+        non-empty queue always yields a batch, sizes are powers of two
+        within capacity, requests leave earliest-deadline-first, and
+        every ticket is served exactly once."""
+        rng = np.random.default_rng(seed)
+        capacity = int(2 ** rng.integers(0, 5))
+        sched = SlotBatchingScheduler(capacity=capacity, max_wait_seconds=0.05)
+        clock, submitted, served = 0.0, [], []
+
+        def take():
+            queued = sorted(sched.queue, key=lambda r: (r.deadline, r.ticket))
+            batch = sched.next_batch()
+            if not queued:
+                assert batch is None
+                return
+            assert batch is not None
+            assert batch.size <= capacity and batch.size & (batch.size - 1) == 0
+            assert batch.size == min(capacity, 1 << (len(queued).bit_length() - 1))
+            assert batch.reason == (
+                "single" if batch.size == 1
+                else "full" if batch.size == capacity else "partial"
+            )
+            assert batch.requests == queued[: batch.size]
+            served.extend(r.ticket for r in batch.requests)
+
+        for _ in range(200):
+            clock += float(rng.exponential(0.01))
+            if rng.random() < 0.6:
+                deadline = None
+                if rng.random() < 0.3:  # explicit, possibly out of order
+                    deadline = clock + float(rng.uniform(-0.1, 0.1))
+                submitted.append(
+                    sched.submit("c", None, now=clock, deadline=deadline).ticket
+                )
+            else:
+                take()
+        while len(sched):
+            take()
+        assert sorted(served) == submitted == list(range(len(submitted)))
+
+    def test_idle_worker_never_waits_out_the_window(self):
+        """Open loop, arrivals slower than the service time, default
+        50 ms window: every request starts the instant it arrives.  The
+        deleted deadline rule held each one for window - modeled run
+        (28.8 ms on ``serve_mlp_pool``) while its worker idled."""
+        service = 0.02
+        sched = SlotBatchingScheduler(capacity=8)  # default window
+        arrivals = [k * 0.03 for k in range(40)]
+        runs = _simulate_open_loop(sched, arrivals, service)
+        assert len(runs) == len(arrivals)
+        for start, batch in runs:
+            assert batch.size == 1
+            assert start - batch.requests[0].enqueued_at == 0.0
+
+    def test_backlog_fills_batches_to_capacity(self):
+        """Arrivals faster than service/capacity: after the first run
+        the backlog always holds a full batch."""
+        service, capacity = 0.08, 4
+        sched = SlotBatchingScheduler(capacity=capacity)
+        arrivals = [k * 0.01 for k in range(200)]  # < service / capacity
+        runs = _simulate_open_loop(sched, arrivals, service)
+        sizes = [batch.size for _, batch in runs]
+        assert sizes[0] == 1  # nothing had queued behind the first arrival
+        # While arrivals last every batch is full; the tail drains.
+        loaded = [
+            batch.size for start, batch in runs[1:] if start <= arrivals[-1]
+        ]
+        assert loaded and all(size == capacity for size in loaded)
+        assert sum(sizes) == len(arrivals)
 
 
 class TestKeyRegistry:

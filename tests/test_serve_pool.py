@@ -43,8 +43,8 @@ from repro.serve import (
     is_mmap_backed,
 )
 from repro.serve.keys import default_backend_factory
-from repro.serve.pool import verify_mmap_tables
-from repro.serve.runtime import InferenceServer
+from repro.serve.pool import Dispatcher, WorkerProfile, verify_mmap_tables
+from repro.serve.runtime import InferenceServer, ServeResult
 
 
 def _params():
@@ -227,6 +227,163 @@ class TestAdmission:
             stats = server.stats()
             assert stats.in_flight == 0
             assert stats.requests_completed == len(tickets)
+
+
+class _StubWorker:
+    """A dispatcher-facing worker whose batches report a scripted wall."""
+
+    worker_id = 0
+
+    def __init__(self, modeled_seconds, walls, capacity=2):
+        self.profiles = {
+            "mlp": WorkerProfile(
+                capacity=capacity,
+                modeled_seconds=modeled_seconds,
+                mmap_backed=False,
+            )
+        }
+        self.walls = iter(walls)
+        self.queue = []
+
+    def queue_depths(self):
+        return {"mlp": len(self.queue)}
+
+    def queue_depth(self):
+        return len(self.queue)
+
+    def submit(self, ticket, artifact_id, client_id, payload, now, deadline):
+        self.queue.append((ticket, client_id))
+
+    def begin_step(self, now):
+        pass
+
+    def finish_step(self, now):
+        capacity = self.profiles["mlp"].capacity
+        results = []
+        while self.queue:
+            batch, self.queue = self.queue[:capacity], self.queue[capacity:]
+            wall = next(self.walls)
+            results.extend(
+                ServeResult(
+                    ticket=ticket,
+                    client_id=client_id,
+                    output=None,
+                    batch_size=len(batch),
+                    reason="full",
+                    wall_seconds=wall,
+                    modeled_seconds=0.0,
+                    artifact_id="mlp",
+                    worker_id=self.worker_id,
+                )
+                for ticket, client_id in batch
+            )
+        return results
+
+
+class _StubPool:
+    def __init__(self, worker):
+        self.workers = [worker]
+
+    def __len__(self):
+        return len(self.workers)
+
+
+def _refusal(dispatcher):
+    with pytest.raises(AdmissionError) as exc_info:
+        dispatcher.submit("mlp", "alice", None)
+    return exc_info.value
+
+
+class TestMeasuredAdmission:
+    """Admission prices a batch at what the lane has *measured*: the
+    modeled figure only stands in until the first delivery."""
+
+    MODELED, MEASURED = 0.02, 0.2
+
+    def test_retry_hint_tracks_measured_batch_time(self):
+        walls = [0.18, 0.22, 0.21, 0.19, 0.2, 0.2]
+        worker = _StubWorker(self.MODELED, walls)
+        dispatcher = Dispatcher(_StubPool(worker), max_queue_depth=2)
+        for round_index in range(len(walls)):
+            dispatcher.submit("mlp", "alice", None)
+            dispatcher.submit("mlp", "alice", None)
+            refusal = _refusal(dispatcher)  # queue full
+            if round_index == 0:  # nothing delivered yet: the model
+                assert refusal.retry_after_ms == pytest.approx(self.MODELED * 1e3)
+            else:
+                assert refusal.retry_after_ms == pytest.approx(
+                    self.MEASURED * 1e3, rel=0.25
+                )
+            assert len(dispatcher.step()) == 2
+        assert dispatcher.in_flight == 0
+        assert (
+            dispatcher.requests_submitted
+            == dispatcher.requests_admitted + dispatcher.requests_rejected
+        )
+
+    def test_mean_observes_batches_not_requests(self):
+        worker = _StubWorker(self.MODELED, [0.18, 0.22])
+        dispatcher = Dispatcher(_StubPool(worker), max_queue_depth=4)
+        assert dispatcher.batch_seconds(worker, "mlp") == self.MODELED
+        for _ in range(4):
+            dispatcher.submit("mlp", "alice", None)
+        dispatcher.step()  # two batches of two
+        # The first measurement replaces the model outright; the second
+        # moves the mean a quarter of the way, once.
+        assert dispatcher.batch_seconds(worker, "mlp") == pytest.approx(
+            0.18 + 0.25 * (0.22 - 0.18)
+        )
+
+    def test_budget_rejects_on_measured_backlog(self):
+        # 0.1 s of budget holds the modeled backlog (one queued batch +
+        # the request's own = 0.04 s) but not the measured one (0.4 s).
+        worker = _StubWorker(self.MODELED, [self.MEASURED] * 4)
+        dispatcher = Dispatcher(
+            _StubPool(worker), max_queue_depth=64, admission_budget_seconds=0.1
+        )
+        dispatcher.submit("mlp", "alice", None)
+        dispatcher.submit("mlp", "alice", None)  # modeled backlog: admitted
+        dispatcher.step()
+        refusal = _refusal(dispatcher)
+        assert "budget" in str(refusal)
+        assert refusal.retry_after_ms == pytest.approx(
+            (self.MEASURED - 0.1) * 1e3
+        )
+
+
+class TestWorkConserving:
+    def test_window_does_not_change_what_executes(self, artifact_path):
+        """One scripted submit/step sequence at the default 50 ms window
+        and at 0: same batches, same reasons, same bits.  (The deleted
+        deadline rule answered the first two steps with nothing.)"""
+        images = _images(9)
+
+        def play(window):
+            config = _pool_config(
+                workers=2, batch_window_seconds=window, max_batch=4
+            )
+            log = []
+            with serve.open(artifact_path, config) as server:
+                for i in range(3):
+                    server.submit(images[i], client_id="alice", now=0.0)
+                log.extend(server.step(now=0.0))
+                server.submit(images[3], client_id="bob", now=0.001)
+                log.extend(server.step(now=0.001))
+                for i in range(4, 9):
+                    server.submit(images[i], client_id=f"client-{i}", now=0.002)
+                log.extend(server.step(now=0.002))
+                assert server.stats().in_flight == 0
+                assert server.drain() == []
+            return log
+
+        windowed, immediate = play(0.05), play(0.0)
+        assert len(windowed) == len(images)
+        assert [(r.ticket, r.batch_size, r.reason, r.worker_id) for r in windowed] == [
+            (r.ticket, r.batch_size, r.reason, r.worker_id) for r in immediate
+        ]
+        assert [r.batch_size for r in windowed[:4]] == [2, 2, 1, 1]
+        for a, b in zip(windowed, immediate):
+            assert np.array_equal(a.output, b.output)
 
 
 class TestSharedMmapTables:
