@@ -1,4 +1,4 @@
-"""Ablations for the design choices DESIGN.md calls out.
+"""Ablations for the design choices the paper calls out.
 
 1. Hoisting (none / single / double) on matvec cost — Table 4's conv
    speedup source.

@@ -1,9 +1,9 @@
 """Ablation + end-to-end latency of the real bootstrapping pipeline.
 
-DESIGN.md substitutes the paper's Lattigo bootstrap with an oracle
-refresh whose external contract (level reset to L_eff, L_boot levels
-consumed, bounded error, large modeled latency) matches the primitive
-the compiler reasons about.  This bench validates that substitution by
+The repository substitutes the paper's Lattigo bootstrap with an oracle
+refresh (docs/substitutions.md) whose external contract (level reset to
+L_eff, L_boot levels consumed, bounded error, large modeled latency)
+matches the primitive the compiler reasons about.  This bench validates that substitution by
 running the *real* ModRaise -> CoeffToSlot -> EvalMod -> SlotToCoeff
 pipeline (repro.ckks.bootstrap) on the exact toy arithmetic and
 comparing both flavours on every contract clause.

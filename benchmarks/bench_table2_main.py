@@ -117,7 +117,7 @@ def test_table2_mnist_rows(results, record_table, benchmark):
             # Paper: no bootstrapping needed for MNIST networks.  (Our
             # LeNet-5 does not fuse average pools into the adjacent
             # linear layers, so its depth is 11 rather than the paper's
-            # 7 and one bootstrap appears; see EXPERIMENTS.md.)
+            # 7 and one bootstrap appears; see docs/substitutions.md.)
             assert compiled.num_bootstraps == 0
         if name == "MLP":
             assert compiled.multiplicative_depth == 5

@@ -1,4 +1,4 @@
-"""Shared benchmark helpers: result recording for EXPERIMENTS.md."""
+"""Shared benchmark helpers: result tables under benchmarks/results/."""
 
 import os
 

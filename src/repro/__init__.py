@@ -19,7 +19,8 @@ system in pure Python/numpy:
 - ``repro.models``: the paper's model zoo (MLP through ResNet-50 and
   YOLO-v1).
 
-See DESIGN.md for the system inventory and the per-experiment index.
+See docs/architecture.md for the system inventory and
+docs/substitutions.md for what stands in for the paper's stack.
 """
 
 __version__ = "1.0.0"

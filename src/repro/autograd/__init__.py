@@ -1,7 +1,7 @@
 """A compact reverse-mode automatic differentiation engine over numpy.
 
-This is the repository's stand-in for PyTorch's autograd (DESIGN.md
-Section 1): enough machinery to *train* every network in the model zoo
+This is the repository's stand-in for PyTorch's autograd
+(docs/substitutions.md): enough machinery to *train* every network in the model zoo
 (convolutions with stride/padding/dilation/groups, batch norm, pooling,
 the activations Orion supports) and to run the cleartext forward passes
 that Orion's range estimation and validation require.

@@ -13,7 +13,8 @@ pieces of CKKS state the compiler reasons about exact:
   measurable at paper scale.
 
 Latency is charged from the analytical cost model (paper Figure 1).
-This is the substitute for running Lattigo at N = 2^16 (see DESIGN.md):
+This is the substitute for running Lattigo at N = 2^16 (see
+docs/substitutions.md):
 operation counts, levels, scales, and noise are faithful; wall-clock is
 modeled.
 """

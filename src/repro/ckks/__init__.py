@@ -6,7 +6,8 @@ encoding, RLWE encryption, and the homomorphic evaluator (PAdd, HAdd,
 PMult, HMult, HRot, conjugation, rescaling, hybrid key switching) from
 paper Section 2.  Bootstrapping comes in two flavours: the *oracle*
 primitive used by default (paper's external contract — level reset to
-L_eff, fixed L_boot budget, calibrated noise; DESIGN.md §1) and the
+L_eff, fixed L_boot budget, calibrated noise; docs/substitutions.md)
+and the
 *real* ModRaise -> CoeffToSlot -> EvalMod -> SlotToCoeff pipeline in
 :mod:`repro.ckks.bootstrap`, which validates that contract end to end.
 """

@@ -3,7 +3,8 @@
 The paper (and this reproduction's compiler) treats bootstrapping as a
 primitive with a fixed external contract: level reset to L_eff, L_boot
 levels consumed, bounded added error, large latency.  The default toy
-backend satisfies that contract with an oracle refresh (DESIGN.md §1).
+backend satisfies that contract with an oracle refresh
+(docs/substitutions.md, "Oracle bootstrap contract").
 This module implements the *actual* pipeline on top of the exact toy
 CKKS arithmetic, validating that the substituted primitive behaves like
 the real one:

@@ -4,7 +4,7 @@ Everything here is *exact* RNS-CKKS on small rings: real NTT arithmetic,
 real RLWE encryption, real hybrid key switching with a special prime,
 real rescaling.  The single substituted primitive is bootstrapping,
 which is an oracle refresh with the paper's external contract (see
-``bootstrap`` below and DESIGN.md Section 1).
+``bootstrap`` below and docs/substitutions.md).
 
 Evaluation runs on the limb-batched hot-path engine: representation
 changes go through :class:`repro.ntt.NttChainEngine`, rotations apply

@@ -34,7 +34,7 @@ class ChebyshevPoly:
         Measured by probing the evaluator with these exact coefficients
         (at most ceil(log2(d+1)) + 1: our base-case coefficient
         combination can spend one level more than the depth-optimal
-        evaluator of [11]; see EXPERIMENTS.md).
+        evaluator of [11]; see docs/substitutions.md).
         """
         from repro.core.approx.evaluator import measure_poly_depth
 

@@ -13,7 +13,7 @@ scale, which shares the subsequent rescale (no extra level).  The one
 systematic difference from [11]: our base-case coefficient combination
 spends one level, so a degree-d polynomial consumes
 ceil(log2(d+1)) + 1 levels instead of ceil(log2(d+1)) (documented in
-EXPERIMENTS.md).
+docs/substitutions.md).
 """
 
 from __future__ import annotations

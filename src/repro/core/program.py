@@ -150,7 +150,7 @@ def normalize_scale(backend, ct, target_scale: Fraction, pt_cache=None):
     activation outputs are pinned back to Delta so the between-layer
     invariant of paper Section 6 holds at residual joins.  (The paper's
     depth-optimal evaluator [11] achieves this without the extra level;
-    see EXPERIMENTS.md for the accounting difference.)
+    see docs/substitutions.md for the accounting difference.)
     """
     level = backend.level_of(ct)
     if level == 0:

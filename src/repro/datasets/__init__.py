@@ -1,6 +1,6 @@
 """Synthetic dataset generators (offline stand-ins for the paper's data).
 
-See DESIGN.md Section 1: the real MNIST/CIFAR/ImageNet/PASCAL-VOC files
+See docs/substitutions.md: the real MNIST/CIFAR/ImageNet/PASCAL-VOC files
 are unavailable offline, so seeded generators produce datasets of the
 same shapes with learnable class structure.  The reproducible quantity
 in the paper's evaluation — agreement between FHE and cleartext outputs

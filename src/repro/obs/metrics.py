@@ -14,7 +14,7 @@ passed as kwargs and serialize sorted, so the same series is the same
 series regardless of call-site kwarg order.
 
 Registries serialize to plain dicts (:meth:`MetricsRegistry.to_payload`)
-so fork-mode workers can ship them over the existing pipe protocol; the
+so a fork-mode worker can return one in its telemetry bundle; the
 parent folds them with :meth:`MetricsRegistry.merge_payload` (counters
 and histogram buckets sum; gauges sum — every gauge exported here is a
 per-worker quantity like queue depth, for which the pool-level reading
@@ -164,7 +164,7 @@ class MetricsRegistry:
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 
-    # -- serialization (pipe protocol) ------------------------------------
+    # -- serialization -------------------------------------------------------
     def to_payload(self) -> Dict:
         payload: Dict = {"meta": {}, "counters": {}, "gauges": {}, "histograms": {}}
         for name, (kind, help) in self._meta.items():

@@ -1,14 +1,8 @@
 """The serving front door: ``serve.open(artifact, config) -> Server``.
 
-PR 4's surface grew organically — ``InferenceServer`` construction
-kwargs, caller-assembled schedulers and registries, raw-dict
-``stats()`` — and could not express workers, shards, or admission
-control without breaking every caller.  This module is the deliberate
-redesign:
-
 - :class:`ServerConfig` — one validated, frozen dataclass holding every
   serving knob (worker count, batch window, admission limits, key
-  policy) instead of constructor-kwarg sprawl;
+  seed) instead of constructor-kwarg sprawl;
 - :func:`open` — the single entry point: give it an artifact path (or
   several, or an already-loaded :class:`ServingArtifact`) and a config,
   get a :class:`Server`;
@@ -43,9 +37,10 @@ class ServerConfig:
 
     Args:
         workers: pool size (shards).
-        mode: ``"inline"`` (in-process workers; deterministic, the mode
-            every correctness gate runs under) or ``"process"`` (real
-            ``multiprocessing`` children over the same mmapped files).
+        mode: ``"inline"`` (workers called in-process; deterministic,
+            the mode every correctness gate runs under) or ``"process"``
+            (the same workers in forked children over the same mmapped
+            files, called through a pipe).
         batching: enable cross-request slot batching inside each worker.
         max_batch: cap on the slot-batch size (power-of-two floored).
         batch_window_seconds: default deadline (``now +
@@ -60,10 +55,10 @@ class ServerConfig:
             admission instead of queueing.
         routing_seed: seed folded into rendezvous routing, pinning the
             client -> worker assignment reproducibly.
-        key_policy: ``"shared"`` (all workers hold the same key domain —
-            any worker's response decrypts under the pool key) or
-            ``"per_worker"`` (each worker its own domain).
-        key_seed: base seed for worker key generation.
+        key_seed: seed of the pool's key domain.  Every worker generates
+            the same keys from it, so any worker's response decrypts
+            under the pool key and a solo replay with this seed
+            reproduces any worker bit for bit.
         key_cache_dir: optional spill directory for per-worker
             :class:`repro.serve.keys.KeyRegistry` instances.  When set,
             cold tenant key chains are demoted to fingerprint-addressed
@@ -93,7 +88,6 @@ class ServerConfig:
     max_queue_depth: int = 32
     admission_budget_seconds: Optional[float] = None
     routing_seed: int = 0
-    key_policy: str = "shared"
     key_seed: int = 0
     key_cache_dir: Optional[str] = None
     max_tenants: int = 16
@@ -124,11 +118,6 @@ class ServerConfig:
         ):
             raise ValueError(
                 "ServerConfig.admission_budget_seconds must be positive"
-            )
-        if self.key_policy not in ("shared", "per_worker"):
-            raise ValueError(
-                f"ServerConfig.key_policy must be 'shared' or 'per_worker', "
-                f"got {self.key_policy!r}"
             )
         if self.max_tenants < 1:
             raise ValueError("ServerConfig.max_tenants must be at least 1")
@@ -217,7 +206,6 @@ class Server:
             config.workers,
             mode=config.mode,
             key_seed=config.key_seed,
-            key_policy=config.key_policy,
             key_cache_dir=config.key_cache_dir,
             max_tenants=config.max_tenants,
             batching=config.batching,
@@ -293,9 +281,8 @@ class Server:
         The caller first replaces the artifact's file on disk — e.g. by
         applying a weight delta with
         :func:`repro.serve.artifact.apply_artifact_delta` — and then
-        calls this.  Every worker re-opens the path (the ``<path>.mmap``
-        stamp discipline notices the changed bytes and re-extracts) and
-        rebuilds its serving lane around the new tables while **keeping
+        calls this.  Every worker re-maps the path and rebuilds its
+        serving lane around the new tables while **keeping
         its backend and key domain**: clients holding ciphertexts keep
         decrypting, which is why the new version must carry the same key
         manifest.  Requires an idle pool — :meth:`drain` first;
@@ -360,9 +347,8 @@ class Server:
 
     def metrics(self) -> MetricsRegistry:
         """One aggregated :class:`repro.obs.MetricsRegistry` for the
-        deployment: every worker's counters/gauges/histograms (fetched
-        over the pipe protocol in fork mode) plus the dispatcher's
-        admission-conservation counters."""
+        deployment: every worker's counters/gauges/histograms plus the
+        dispatcher's admission-conservation counters."""
         self._pump_telemetry()
         registry = MetricsRegistry()
         for worker_id in sorted(self._metrics_payloads):

@@ -214,38 +214,32 @@ class ServingArtifact:
             ]
         return manifest_doc
 
-    def save(self, path: str, compress: bool = False) -> str:
+    def save(self, path: str) -> str:
         """Write the artifact.
 
-        Uncompressed (the default) every array member is ``ZIP_STORED``
-        contiguously in the file, so serving workers can map the tables
-        **in place** (:class:`repro.serve.mmapio.ArtifactMap`) and share
-        one resident copy across the whole pool.  ``compress=True``
-        trades that for a smaller file — mapping then goes through the
-        one-time sidecar extraction instead.
+        Every array member is ``ZIP_STORED`` contiguously in the file,
+        so serving workers can map the tables **in place**
+        (:class:`repro.serve.mmapio.ArtifactMap`) and share one resident
+        copy across the whole pool.
         """
         store = _ArrayStore()
         manifest_doc = self.to_doc(store)
-        return _write_npz(path, manifest_doc, store.arrays, compress=compress)
+        return _write_npz(path, manifest_doc, store.arrays)
 
 
-def _write_npz(
-    path: str, manifest_doc: Dict, arrays: Dict[str, np.ndarray], compress: bool
-) -> str:
+def _write_npz(path: str, manifest_doc: Dict, arrays: Dict[str, np.ndarray]) -> str:
     """Write a manifest + arrays npz atomically (tmp + ``os.replace``).
 
     Atomic publication matters for :func:`apply_artifact_delta` merging
-    over a live base: readers either see the old file or the new one,
-    and the ``<path>.mmap`` stamp (size + mtime) invalidates cleanly.
+    over a live base: readers see either the old file or the new one.
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
-    writer = np.savez_compressed if compress else np.savez
     tmp = path + ".tmp"
     # Straight into the file handle: the zip writer streams one member
     # at a time, so the export never holds a second copy of the tables.
     with open(tmp, "wb") as f:
-        writer(
+        np.savez(
             f,
             __manifest__=np.frombuffer(
                 json.dumps(manifest_doc).encode("utf-8"), dtype=np.uint8
@@ -293,16 +287,14 @@ def build_artifact(compiled, params) -> ServingArtifact:
     )
 
 
-def save_artifact(
-    compiled, params, path: str, compress: bool = False
-) -> ServingArtifact:
+def save_artifact(compiled, params, path: str) -> ServingArtifact:
     """Serialize a :class:`repro.core.compiler.CompiledNetwork` to
     ``path`` as a full (self-contained) artifact; see
     :func:`build_artifact` for what goes in it and
     :func:`save_artifact_delta` for the weight-update variant.
     """
     artifact = build_artifact(compiled, params)
-    artifact.save(path, compress=compress)
+    artifact.save(path)
     return artifact
 
 
@@ -365,14 +357,9 @@ def _pre_encode_tables(program: FheProgram, params) -> List[Dict]:
     return sections
 
 
-def artifact_from_doc(manifest_doc: Dict, get_array, path: str = "<artifact>"):
-    """Build a :class:`ServingArtifact` from a parsed ``__manifest__``
-    document plus an array resolver (``ref -> ndarray``).
-
-    Shared by :func:`load_artifact` (arrays materialized from the npz)
-    and :meth:`repro.serve.mmapio.ArtifactMap.load` (arrays are
-    zero-copy views into shared read-only mapped memory).
-    """
+def _check_header(manifest_doc: Dict, path: str) -> None:
+    """The one format + schema-version gate every artifact file — full,
+    delta, or a delta's base — passes before anything else reads it."""
     if manifest_doc.get("format") != FORMAT_NAME:
         raise ArtifactSchemaError(
             f"{path}: unknown format {manifest_doc.get('format')!r}"
@@ -384,6 +371,17 @@ def artifact_from_doc(manifest_doc: Dict, get_array, path: str = "<artifact>"):
             f"(this build reads version {SCHEMA_VERSION}); "
             "re-export the artifact"
         )
+
+
+def artifact_from_doc(manifest_doc: Dict, get_array, path: str = "<artifact>"):
+    """Build a :class:`ServingArtifact` from a parsed ``__manifest__``
+    document plus an array resolver (``ref -> ndarray``).
+
+    Shared by :func:`load_artifact` (arrays materialized from the npz)
+    and :meth:`repro.serve.mmapio.ArtifactMap.load` (arrays are
+    zero-copy views into shared read-only mapped memory).
+    """
+    _check_header(manifest_doc, path)
     kind = manifest_doc.get("kind", "full")
     if kind == "delta":
         raise ArtifactDeltaError(
@@ -445,16 +443,7 @@ def artifact_fingerprint(path: str) -> str:
 
 
 def _check_delta_doc(manifest_doc: Dict, path: str) -> None:
-    if manifest_doc.get("format") != FORMAT_NAME:
-        raise ArtifactSchemaError(
-            f"{path}: unknown format {manifest_doc.get('format')!r}"
-        )
-    version = manifest_doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ArtifactSchemaError(
-            f"{path}: schema version {version!r} is not supported "
-            f"(this build reads version {SCHEMA_VERSION})"
-        )
+    _check_header(manifest_doc, path)
     if manifest_doc.get("kind") != "delta":
         raise ArtifactDeltaError(
             f"{path}: expected a delta artifact, found kind "
@@ -469,7 +458,7 @@ def _normalize_json(doc) -> Dict:
 
 
 def save_artifact_delta(
-    compiled, params, base_path: str, path: str, compress: bool = False
+    compiled, params, base_path: str, path: str
 ) -> ServingArtifact:
     """Export ``compiled`` as a *delta* against the artifact at
     ``base_path``, shipping only the array payloads that changed.
@@ -496,16 +485,7 @@ def save_artifact_delta(
     new_doc = artifact.to_doc(store)
 
     base_doc, base_arrays = _read_npz(base_path)
-    if base_doc.get("format") != FORMAT_NAME:
-        raise ArtifactSchemaError(
-            f"{base_path}: unknown format {base_doc.get('format')!r}"
-        )
-    if base_doc.get("schema_version") != SCHEMA_VERSION:
-        raise ArtifactSchemaError(
-            f"{base_path}: base artifact has schema version "
-            f"{base_doc.get('schema_version')!r}; re-export it at "
-            f"version {SCHEMA_VERSION} before building deltas against it"
-        )
+    _check_header(base_doc, base_path)
     if base_doc.get("kind", "full") != "full":
         raise ArtifactDeltaError(
             f"{base_path}: cannot build a delta against a delta; "
@@ -545,12 +525,7 @@ def save_artifact_delta(
         "changed": changed,
         "artifact": new_doc,
     }
-    _write_npz(
-        path,
-        delta_doc,
-        {ref: store.arrays[ref] for ref in changed},
-        compress=compress,
-    )
+    _write_npz(path, delta_doc, {ref: store.arrays[ref] for ref in changed})
     return artifact
 
 
@@ -617,8 +592,7 @@ def apply_artifact_delta(
     The merged file is published atomically (tmp + ``os.replace``), so
     with ``out_path`` left at its default — overwrite the base in place
     — a serving pool watching the file sees either the old artifact or
-    the new one, never a torn write, and the ``<path>.mmap`` sidecar
-    stamp (size + mtime) invalidates on the swap.  Pair with
+    the new one, never a torn write.  Pair with
     :meth:`repro.serve.api.Server.reload` to hot-swap the running pool.
 
     Returns the output path.
@@ -631,4 +605,4 @@ def apply_artifact_delta(
     )
     if out_path is None:
         out_path = base_path
-    return _write_npz(out_path, full_doc, merged, compress=False)
+    return _write_npz(out_path, full_doc, merged)

@@ -5,24 +5,15 @@ pre-encoded plaintext tables *per worker* — the tables are immutable
 after export, so every worker should read the same physical pages
 (the Cell-BE local-store discipline: stage shared read-only data once,
 stream it, never duplicate it).  :class:`ArtifactMap` opens a serving
-artifact so that every numpy payload is **mmap-backed**:
+artifact so that every numpy payload is **mmap-backed**: artifacts are
+written with ``ZIP_STORED`` members, so the ``.npz`` file is mapped *in
+place* — one ``mmap``, with each member's ``.npy`` data exposed as a
+zero-copy ndarray view at its offset inside the archive.  A deflated
+member is not addressable and is rejected by name.
 
-- artifacts written uncompressed (``ZIP_STORED`` members — the default
-  for serving exports) are mapped *in place*: one ``mmap`` of the
-  ``.npz`` file, with each member's ``.npy`` data exposed as a
-  zero-copy ndarray view at its offset inside the archive;
-- compressed artifacts cannot be mapped in place (deflate streams are
-  not addressable), so their members are extracted **once** into a
-  sidecar directory next to the artifact (``<path>.mmap/``) and then
-  opened with ``np.load(..., mmap_mode="r")``.  The extraction is
-  stamped with the artifact's size/mtime and re-used by every worker
-  on the machine — N workers still share one resident copy via the
-  page cache.
-
-Either way the arrays come back **read-only** (any in-place write
-raises), so the "never copied, never mutated on the request path"
-invariant of ``tests/test_serve_pool.py`` is enforced by the OS, not
-by convention.
+The arrays come back **read-only** (any in-place write raises), so the
+"never copied, never mutated on the request path" invariant of
+``tests/test_serve_pool.py`` is enforced by the OS, not by convention.
 """
 
 from __future__ import annotations
@@ -96,39 +87,53 @@ class ArtifactMap:
 
     Args:
         path: the ``.npz`` artifact path.
-        sidecar_dir: where compressed artifacts extract their members
-            for mapping (default: ``<path>.mmap/`` next to the file).
-
-    Attributes:
-        path: the artifact path.
-        inplace: True when members were mapped directly inside the zip
-            (uncompressed artifact); False when the sidecar was used.
     """
 
-    def __init__(self, path: str, sidecar_dir: Optional[str] = None):
+    def __init__(self, path: str):
         if not path.endswith(".npz"):
             path = path + ".npz"
         if not os.path.exists(path):
             raise FileNotFoundError(path)
         self.path = path
-        self._sidecar_dir = sidecar_dir or (path + ".mmap")
         self._file = None
         self._mmap: Optional[mmap.mmap] = None
         self._arrays: Dict[str, np.ndarray] = {}
-        self.inplace = False
         self._open()
 
     # -- opening -----------------------------------------------------------
     def _open(self) -> None:
+        """Map every ``ZIP_STORED`` member in place inside the archive."""
         with zipfile.ZipFile(self.path) as archive:
             members = archive.infolist()
-            stored = all(
-                info.compress_type == zipfile.ZIP_STORED for info in members
+        for info in members:
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise ArtifactSchemaError(
+                    f"{self.path}: member {info.filename} is compressed and "
+                    "cannot be mapped in place; re-export uncompressed"
+                )
+        self._file = open(self.path, "rb")
+        self._mmap = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+        for info in members:
+            # The central directory's extra field can differ from the
+            # local header's: read the local header to find the data.
+            header = self._mmap[
+                info.header_offset : info.header_offset + _LOCAL_HEADER_SIZE
+            ]
+            if header[:4] != b"PK\x03\x04":
+                raise ArtifactSchemaError(
+                    f"{self.path}: bad local header for {info.filename}"
+                )
+            name_len = int.from_bytes(header[26:28], "little")
+            extra_len = int.from_bytes(header[28:30], "little")
+            data_start = (
+                info.header_offset + _LOCAL_HEADER_SIZE + name_len + extra_len
             )
-        if stored:
-            self._open_inplace()
-        else:
-            self._open_sidecar()
+            name = info.filename
+            if name.endswith(".npy"):
+                name = name[: -len(".npy")]
+            self._arrays[name] = _npy_view(
+                self._mmap, data_start, info.file_size
+            )
         for name, array in self._arrays.items():
             if array.flags.writeable:  # pragma: no cover - mmap('r') is RO
                 array.flags.writeable = False
@@ -136,75 +141,6 @@ class ArtifactMap:
                 raise ArtifactSchemaError(
                     f"{self.path}: member {name} is not mmap-backed"
                 )
-
-    def _open_inplace(self) -> None:
-        """Map every ``ZIP_STORED`` member in place inside the archive."""
-        self._file = open(self.path, "rb")
-        self._mmap = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-        with zipfile.ZipFile(self.path) as archive:
-            for info in archive.infolist():
-                # The central directory's extra field can differ from the
-                # local header's: read the local header to find the data.
-                header = self._mmap[
-                    info.header_offset : info.header_offset + _LOCAL_HEADER_SIZE
-                ]
-                if header[:4] != b"PK\x03\x04":
-                    raise ArtifactSchemaError(
-                        f"{self.path}: bad local header for {info.filename}"
-                    )
-                name_len = int.from_bytes(header[26:28], "little")
-                extra_len = int.from_bytes(header[28:30], "little")
-                data_start = (
-                    info.header_offset + _LOCAL_HEADER_SIZE + name_len + extra_len
-                )
-                name = info.filename
-                if name.endswith(".npy"):
-                    name = name[: -len(".npy")]
-                self._arrays[name] = _npy_view(
-                    self._mmap, data_start, info.file_size
-                )
-        self.inplace = True
-
-    def _open_sidecar(self) -> None:
-        """Extract compressed members once, then map the extractions."""
-        stat = os.stat(self.path)
-        stamp = f"{stat.st_size}:{int(stat.st_mtime_ns)}"
-        stamp_path = os.path.join(self._sidecar_dir, "STAMP")
-        fresh = False
-        try:
-            with open(stamp_path) as f:
-                fresh = f.read().strip() == stamp
-        except OSError:
-            pass
-        if not fresh:
-            self._extract_sidecar(stamp)
-        with np.load(os.path.join(self._sidecar_dir, "__names__.npz")) as names:
-            member_names = [str(n) for n in names["names"]]
-        for name in member_names:
-            member = os.path.join(self._sidecar_dir, name + ".npy")
-            self._arrays[name] = np.load(member, mmap_mode="r")
-        self.inplace = False
-
-    def _extract_sidecar(self, stamp: str) -> None:
-        tmp_dir = self._sidecar_dir + ".tmp"
-        os.makedirs(tmp_dir, exist_ok=True)
-        names = []
-        with np.load(self.path, allow_pickle=False) as data:
-            for name in data.files:
-                np.save(os.path.join(tmp_dir, name + ".npy"), data[name])
-                names.append(name)
-        np.savez(
-            os.path.join(tmp_dir, "__names__.npz"), names=np.array(names)
-        )
-        with open(os.path.join(tmp_dir, "STAMP"), "w") as f:
-            f.write(stamp)
-        # Atomic-enough publish: a concurrent extractor racing us writes
-        # identical content, so replacing an existing dir is safe.
-        if os.path.isdir(self._sidecar_dir):
-            import shutil
-
-            shutil.rmtree(self._sidecar_dir)
-        os.replace(tmp_dir, self._sidecar_dir)
 
     # -- access ------------------------------------------------------------
     @property

@@ -29,11 +29,16 @@ changes; the pool is pure orchestration:
   bound.  Conservation holds at every instant:
   ``submitted == admitted + rejected`` and
   ``admitted == completed + in_flight``.
-- **Two execution modes.**  ``inline`` runs every worker in-process
-  (deterministic, the mode the correctness gates run under — process
-  parallelism is unmeasurable on a single-core host anyway);
-  ``process`` forks real ``multiprocessing`` workers that each map the
-  same artifact files and serve from their own queues.
+- **One worker, two transports.**  A shard is a :class:`Worker`.
+  ``inline`` calls it directly (deterministic, the reference every
+  bit-exactness gate runs under); ``process`` runs the same class in a
+  forked child behind :class:`ProcessWorker`, whose pipe carries
+  ``(method, args)`` one way and the return value — or the exception —
+  back.  The parent keeps only what a parent alone can hold: the queue
+  depths it has itself caused (so admission never blocks on a round
+  trip), the lane profiles, the last telemetry bundle (so a closed or
+  dead child can still be reported on), and the liveness check that
+  turns a vanished child into :class:`WorkerLostError`.
 """
 
 from __future__ import annotations
@@ -42,13 +47,12 @@ import hashlib
 import math
 import os
 import queue
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.serve.artifact import ServingArtifact
 from repro.serve.keys import KeyRegistry, default_backend_factory
 from repro.serve.mmapio import ArtifactMap, is_mmap_backed
@@ -171,98 +175,20 @@ class ArtifactSpec:
             raise ValueError("ArtifactSpec needs a path or a loaded artifact")
 
 
-def _worker_seed(key_seed: int, key_policy: str, worker_id: int) -> int:
-    # "shared": every worker holds the same key domain (bit-identical
-    # keygen), so any worker's response decrypts under the pool key and
-    # a solo replay with key_seed reproduces any worker bit-for-bit.
-    if key_policy == "shared":
-        return key_seed
-    return key_seed + worker_id
+class Worker:
+    """One shard: an :class:`InferenceServer` lane per hosted artifact.
 
+    The only implementation of a shard.  An inline pool calls it
+    directly; a process pool runs it in a forked child and calls it
+    through :class:`ProcessWorker`.
 
-def _build_servers(
-    worker_id: int,
-    specs: Tuple[ArtifactSpec, ...],
-    *,
-    key_seed: int,
-    key_policy: str,
-    batching: bool,
-    max_batch: Optional[int],
-    batch_window_seconds: float,
-    preload: bool,
-    backend_factory: Optional[Callable],
-    key_cache_dir: Optional[str] = None,
-    max_tenants: int = 16,
-    shared_artifacts: Optional[Dict[str, ServingArtifact]] = None,
-    tracer: Optional[Tracer] = None,
-) -> Tuple[
-    Dict[str, InferenceServer],
-    Dict[str, WorkerProfile],
-    Dict[str, KeyRegistry],
-]:
-    """Load every hosted artifact (mmap when given a path) and stand up
-    one InferenceServer per artifact for this worker.
-
-    Each (worker, artifact) lane also gets a
-    :class:`repro.serve.keys.KeyRegistry` over the artifact's manifest:
-    the worker's own backend is built by the factory exactly as before
-    (same deterministic seed — the bit-exactness contract is untouched)
-    and then *adopted* and pinned under :data:`POOL_CLIENT_ID`, so the
-    registry's resident/spilled key-bytes accounting covers the pool and
-    any per-tenant backends share its LRU/pin/spill discipline.
-    """
-    factory = backend_factory or default_backend_factory
-    seed = _worker_seed(key_seed, key_policy, worker_id)
-    servers: Dict[str, InferenceServer] = {}
-    profiles: Dict[str, WorkerProfile] = {}
-    registries: Dict[str, KeyRegistry] = {}
-    for spec in specs:
-        mmapped = False
-        if shared_artifacts is not None and spec.artifact_id in shared_artifacts:
-            artifact = shared_artifacts[spec.artifact_id]
-            mmapped = spec.path is not None
-        elif spec.path is not None:
-            artifact = ArtifactMap(spec.path).load()
-            mmapped = True
-            if shared_artifacts is not None:
-                shared_artifacts[spec.artifact_id] = artifact
-        else:
-            artifact = spec.artifact
-        backend = factory(artifact.manifest.to_params(), seed)
-        registry = KeyRegistry(
-            artifact.manifest,
-            backend_factory=factory,
-            max_clients=max_tenants,
-            cache_dir=key_cache_dir,
-        )
-        registry.adopt(POOL_CLIENT_ID, backend)
-        registry.pin(POOL_CLIENT_ID)
-        server = InferenceServer(
-            artifact,
-            backend,
-            batching=batching,
-            max_batch=max_batch,
-            max_wait_seconds=batch_window_seconds,
-            preload=preload,
-            tracer=tracer,
-        )
-        if mmapped:
-            verify_mmap_tables(server, spec.path)
-        servers[spec.artifact_id] = server
-        registries[spec.artifact_id] = registry
-        profiles[spec.artifact_id] = WorkerProfile(
-            capacity=server.scheduler.capacity,
-            modeled_seconds=server.modeled_seconds,
-            mmap_backed=mmapped,
-        )
-    return servers, profiles, registries
-
-
-class InlineWorker:
-    """One shard running in-process: a dict of InferenceServers.
-
-    The deterministic reference implementation — identical code to what
-    a process worker runs in its child, minus the queue transport.
+    Each lane also gets a :class:`repro.serve.keys.KeyRegistry` over
+    the artifact's manifest: the lane's own backend is built by the
+    factory from ``key_seed`` — every worker the same key domain, so a
+    solo replay with that seed reproduces any worker bit for bit — and
+    then *adopted* and pinned under :data:`POOL_CLIENT_ID`, so the
+    registry's resident/spilled key-bytes accounting covers the pool
+    and any per-tenant backends share its LRU/pin/spill discipline.
     """
 
     def __init__(
@@ -270,28 +196,76 @@ class InlineWorker:
         worker_id: int,
         specs: Tuple[ArtifactSpec, ...],
         *,
+        key_seed: int,
+        batching: bool,
+        max_batch: Optional[int],
+        batch_window_seconds: float,
+        preload: bool,
+        backend_factory: Optional[Callable],
+        key_cache_dir: Optional[str] = None,
+        max_tenants: int = 16,
+        tracing: bool = False,
+        trace_sample_rate: float = 1.0,
         shared_artifacts: Optional[Dict[str, ServingArtifact]] = None,
-        **build_opts,
     ):
         self.worker_id = worker_id
         self.specs = tuple(specs)
-        tracing = build_opts.pop("tracing", False)
-        sample_rate = build_opts.pop("trace_sample_rate", 1.0)
         #: one tracer per worker shard — its spans become this worker's
         #: track in the Chrome-trace export.
-        self.tracer = Tracer(sample_rate=sample_rate) if tracing else None
-        # Kept for hot reload: a swapped-in artifact rebuilds its server
-        # with the same batching/preload options it was opened with.
-        self._build_opts = dict(build_opts)
-        self.servers, self.profiles, self.registries = _build_servers(
-            worker_id,
-            specs,
-            shared_artifacts=shared_artifacts,
-            tracer=self.tracer,
-            **build_opts,
+        self.tracer = (
+            Tracer(sample_rate=trace_sample_rate) if tracing else NULL_TRACER
         )
+        # A lane rebuilt by reload() gets the options it was opened with.
+        self._server_opts = dict(
+            batching=batching,
+            max_batch=max_batch,
+            max_wait_seconds=batch_window_seconds,
+            preload=preload,
+        )
+        factory = backend_factory or default_backend_factory
+        self.servers: Dict[str, InferenceServer] = {}
+        self.profiles: Dict[str, WorkerProfile] = {}
+        self.registries: Dict[str, KeyRegistry] = {}
         # Inner (per-server) ticket -> the dispatcher's global ticket.
         self._tickets: Dict[Tuple[str, int], int] = {}
+        loaded = {} if shared_artifacts is None else shared_artifacts
+        for spec in self.specs:
+            if spec.artifact_id not in loaded:
+                loaded[spec.artifact_id] = self._load(spec)
+            artifact = loaded[spec.artifact_id]
+            backend = factory(artifact.manifest.to_params(), key_seed)
+            registry = KeyRegistry(
+                artifact.manifest,
+                backend_factory=factory,
+                max_clients=max_tenants,
+                cache_dir=key_cache_dir,
+            )
+            registry.adopt(POOL_CLIENT_ID, backend)
+            registry.pin(POOL_CLIENT_ID)
+            self.registries[spec.artifact_id] = registry
+            self._open_lane(spec, artifact, backend)
+
+    @staticmethod
+    def _load(spec: ArtifactSpec) -> ServingArtifact:
+        if spec.path is None:
+            return spec.artifact
+        return ArtifactMap(spec.path).load()
+
+    def _open_lane(self, spec: ArtifactSpec, artifact, backend) -> WorkerProfile:
+        """Stand up (or replace) the lane serving ``spec`` from ``artifact``."""
+        server = InferenceServer(
+            artifact, backend, tracer=self.tracer, **self._server_opts
+        )
+        mmapped = spec.path is not None
+        if mmapped:
+            verify_mmap_tables(server, spec.path)
+        self.servers[spec.artifact_id] = server
+        self.profiles[spec.artifact_id] = profile = WorkerProfile(
+            capacity=server.scheduler.capacity,
+            modeled_seconds=server.modeled_seconds,
+            mmap_backed=mmapped,
+        )
+        return profile
 
     # -- intake ------------------------------------------------------------
     def submit(
@@ -316,7 +290,7 @@ class InlineWorker:
 
     # -- execution ---------------------------------------------------------
     def begin_step(self, now: Optional[float]) -> None:
-        pass  # inline workers run synchronously in finish_step
+        pass  # a direct call has nothing to overlap; finish_step runs it
 
     def finish_step(self, now: Optional[float]) -> List[ServeResult]:
         results: List[ServeResult] = []
@@ -332,19 +306,21 @@ class InlineWorker:
         for server in self.servers.values():
             server.warm(batch_sizes=batch_sizes)
 
-    def reload(self, artifact_id: str, artifact: Optional[ServingArtifact] = None):
+    def reload(
+        self, artifact_id: str, artifact: Optional[ServingArtifact] = None
+    ) -> WorkerProfile:
         """Hot-swap a new artifact version into this worker.
 
         Re-opens the artifact's path (whose bytes the caller has already
         replaced — e.g. via
-        :func:`repro.serve.artifact.apply_artifact_delta` — so the
-        ``<path>.mmap`` stamp discipline re-extracts automatically) and
-        rebuilds the lane's :class:`InferenceServer` around it.  The
-        existing backend is **reused**: a weight update must not rotate
-        the key domain out from under clients that hold ciphertexts, so
-        the swapped-in artifact is required to carry the *same* key
-        manifest.  The lane's queue must be empty (``drain()`` first).
-        Returns the refreshed :class:`WorkerProfile`.
+        :func:`repro.serve.artifact.apply_artifact_delta`) unless the
+        pool hands over the fresh load it shares, and rebuilds the lane
+        around it.  The existing backend is **reused**: a weight update
+        must not rotate the key domain out from under clients that hold
+        ciphertexts, so the swapped-in artifact is required to carry the
+        *same* key manifest.  The lane's queue must be empty
+        (``drain()`` first).  Returns the refreshed
+        :class:`WorkerProfile`.
         """
         old = self.servers[artifact_id]
         if len(old.scheduler):
@@ -353,13 +329,13 @@ class InlineWorker:
                 f"{self.worker_id}; drain() before reload"
             )
         spec = next(s for s in self.specs if s.artifact_id == artifact_id)
+        if spec.path is None:
+            raise ValueError(
+                f"artifact {artifact_id!r} was opened in-memory; hot "
+                "reload needs a path-backed artifact"
+            )
         if artifact is None:
-            if spec.path is None:
-                raise ValueError(
-                    f"artifact {artifact_id!r} was opened in-memory; hot "
-                    "reload needs a path-backed artifact"
-                )
-            artifact = ArtifactMap(spec.path).load()
+            artifact = self._load(spec)
         registry = self.registries[artifact_id]
         if artifact.manifest.fingerprint() != registry.manifest.fingerprint():
             raise RuntimeError(
@@ -367,24 +343,7 @@ class InlineWorker:
                 "— tenants hold ciphertexts under the current keys; open a "
                 "new server for key-incompatible artifacts"
             )
-        server = InferenceServer(
-            artifact,
-            old.backend,
-            batching=self._build_opts["batching"],
-            max_batch=self._build_opts["max_batch"],
-            max_wait_seconds=self._build_opts["batch_window_seconds"],
-            preload=self._build_opts["preload"],
-            tracer=self.tracer,
-        )
-        if spec.path is not None:
-            verify_mmap_tables(server, spec.path)
-        self.servers[artifact_id] = server
-        self.profiles[artifact_id] = WorkerProfile(
-            capacity=server.scheduler.capacity,
-            modeled_seconds=server.modeled_seconds,
-            mmap_backed=spec.path is not None,
-        )
-        return self.profiles[artifact_id]
+        return self._open_lane(spec, artifact, old.backend)
 
     def _stamp(
         self, result: ServeResult, artifact_id: str, ticket: Optional[int] = None
@@ -542,16 +501,16 @@ class InlineWorker:
         return {
             "stats": self.stats().to_payload(),
             "metrics": self.metrics_registry().to_payload(),
-            "trace": tracer.drain() if tracer is not None else [],
-            "clock_offset": tracer.clock_offset if tracer is not None else 0.0,
-            "dropped_roots": tracer.dropped_roots if tracer is not None else 0,
+            "trace": tracer.drain(),
+            "clock_offset": tracer.clock_offset,
+            "dropped_roots": tracer.dropped_roots,
         }
 
     def close(self) -> None:
         pass
 
 
-# -- process workers --------------------------------------------------------
+# -- the fork transport -------------------------------------------------------
 
 
 def _process_worker_main(
@@ -561,77 +520,43 @@ def _process_worker_main(
     request_queue,
     response_queue,
 ) -> None:
-    """Child entry point: map the artifacts, serve the queue until stop.
+    """Child entry point: build the :class:`Worker`, then answer calls.
 
     The child maps the same artifact files as every sibling (shared
-    page-cache residency — the whole point), builds its own key domain,
-    and then runs a plain message loop: submit / step / stats / ...
+    page-cache residency — the whole point).  Every request is
+    ``(method, args)`` and gets exactly one reply, in order:
+    ``(True, return value)`` or ``(False, exception)``.  The first
+    reply, to the construction itself, is the lane profiles; ``None``
+    ends the loop.
     """
+
+    def failed(exc: Exception):
+        exc.add_note(f"in worker {worker_id}:\n{traceback.format_exc()}")
+        return False, exc
+
     try:
-        worker = InlineWorker(worker_id, specs, **build_opts)
-        response_queue.put(
-            ("ready", worker_id, {aid: p for aid, p in worker.profiles.items()})
-        )
-    except Exception as exc:  # pragma: no cover - startup failure path
-        response_queue.put(("error", worker_id, repr(exc)))
+        worker = Worker(worker_id, specs, **build_opts)
+    except Exception as exc:
+        response_queue.put(failed(exc))
         return
-    while True:
-        message = request_queue.get()
-        kind = message[0]
+    response_queue.put((True, worker.profiles))
+    for method, args in iter(request_queue.get, None):
         try:
-            if kind == "submit":
-                _, ticket, artifact_id, client_id, payload, now, deadline = message
-                worker.submit(ticket, artifact_id, client_id, payload, now, deadline)
-            elif kind == "serve_now":
-                _, ticket, artifact_id, client_id, payload = message
-                result = worker.serve_now(ticket, artifact_id, client_id, payload)
-                response_queue.put(("result", worker_id, _result_payload(result)))
-                response_queue.put(("done", worker_id, 1))
-            elif kind == "step":
-                results = worker.finish_step(message[1])
-                for result in results:
-                    response_queue.put(("result", worker_id, _result_payload(result)))
-                response_queue.put(("done", worker_id, len(results)))
-            elif kind == "stats":
-                response_queue.put(
-                    ("stats", worker_id, worker.stats().to_payload())
-                )
-            elif kind == "telemetry":
-                response_queue.put(("telemetry", worker_id, worker.telemetry()))
-            elif kind == "warm":
-                worker.warm(message[1])
-                response_queue.put(("done", worker_id, 0))
-            elif kind == "reload":
-                profile = worker.reload(message[1])
-                response_queue.put(("profile", worker_id, (message[1], profile)))
-            elif kind == "stop":
-                response_queue.put(("stopped", worker_id, None))
-                return
-        except Exception as exc:  # pragma: no cover - fail loudly upstream
-            response_queue.put(("error", worker_id, repr(exc)))
-            return
-
-
-def _result_payload(result: ServeResult) -> Dict:
-    return {
-        "ticket": result.ticket,
-        "client_id": result.client_id,
-        "output": np.asarray(result.output),
-        "batch_size": result.batch_size,
-        "reason": result.reason,
-        "wall_seconds": result.wall_seconds,
-        "modeled_seconds": result.modeled_seconds,
-        "artifact_id": result.artifact_id,
-        "worker_id": result.worker_id,
-    }
+            reply = True, getattr(worker, method)(*args)
+        except Exception as exc:  # raised in the parent by _receive
+            reply = failed(exc)
+        response_queue.put(reply)
 
 
 class ProcessWorker:
-    """One shard as a real ``multiprocessing`` child over the same maps.
+    """The pipe to a :class:`Worker` living in a forked child.
 
-    The parent mirrors queue depths (incremented on submit, decremented
-    as results stream back) so admission control never needs a blocking
-    round trip into the child.
+    No serving behaviour of its own: every method forwards
+    ``(method, args)`` and returns the child's reply.  ``submit`` and
+    ``begin_step`` only send — the parent never blocks to enqueue, and a
+    step on one child overlaps the next child's.  Replies arrive in
+    request order, so a call first reads the replies to those earlier
+    sends (raising any exception they carry), then its own.
     """
 
     def __init__(
@@ -654,17 +579,21 @@ class ProcessWorker:
         self.worker_id = worker_id
         self._requests = context.Queue()
         self._responses = context.Queue()
+        # Requests this parent has queued and not yet seen delivered:
+        # admission reads them without a round trip into the child.
         self._depths: Dict[str, int] = {spec.artifact_id: 0 for spec in specs}
-        # Parent-side telemetry mirror: the child's latest stats/metrics
-        # payloads plus the undelivered trace spans.  Refreshed by
-        # _fetch_telemetry — notably on drain() and close(), so the last
-        # batches before shutdown are never lost (the child's buffers
-        # would die with the fork otherwise).
-        self._cached_stats_payload: Optional[Dict] = None
-        self._cached_metrics_payload: Optional[Dict] = None
+        # The child's latest telemetry bundle (minus the trace spans,
+        # which wait in _pending_trace until someone takes them).
+        # Refreshed on stats()/telemetry() and — so the last batches
+        # before shutdown are never lost with the fork — on drain() and
+        # close().
+        self._bundle: Dict = {
+            "stats": None,
+            "metrics": None,
+            "clock_offset": 0.0,
+            "dropped_roots": 0,
+        }
         self._pending_trace: List[Dict] = []
-        self._clock_offset = 0.0
-        self._dropped_roots = 0
         self._process = context.Process(
             target=_process_worker_main,
             args=(
@@ -677,87 +606,85 @@ class ProcessWorker:
             daemon=True,
         )
         self._process.start()
-        self.profiles: Dict[str, WorkerProfile] = dict(self._recv("ready")[1])
+        self._unanswered = 1  # the construction's own reply: the profiles
+        self.profiles: Dict[str, WorkerProfile] = self._receive()
 
-    def _recv(self, *kinds: str):
-        """The child's next response of one of ``kinds``: ``(kind, payload)``.
+    # -- the wire ------------------------------------------------------------
+    def _send(self, method: str, *args) -> None:
+        self._requests.put((method, args))
+        self._unanswered += 1
 
-        Every parent-side wait goes through here.  A child that posted
-        ``"error"`` raises ``RuntimeError``; one that is gone without a
-        word (SIGKILL, OOM) raises :class:`WorkerLostError` instead of
+    def _receive(self):
+        """The child's reply to the oldest unanswered request.
+
+        Every parent-side wait goes through here.  A reply carrying an
+        exception raises it; a child that is gone without a word
+        (SIGKILL, OOM) raises :class:`WorkerLostError` instead of
         blocking forever.  Liveness is sampled *before* each poll, so an
         answer the child flushed just before exiting is still delivered.
         """
         while True:
             alive = self._process.is_alive()
             try:
-                kind, _, payload = self._responses.get(
-                    timeout=_LIVENESS_POLL_SECONDS
-                )
+                ok, value = self._responses.get(timeout=_LIVENESS_POLL_SECONDS)
             except queue.Empty:
                 if not alive:
                     raise WorkerLostError(
                         f"worker {self.worker_id} (pid {self._process.pid}) "
-                        f"exited with code {self._process.exitcode} while "
-                        f"the parent waited for {'/'.join(kinds)}"
+                        f"exited with code {self._process.exitcode} with "
+                        f"{self._unanswered} request(s) unanswered"
                     ) from None
                 continue
-            if kind == "error":
-                raise RuntimeError(f"worker {self.worker_id} died: {payload}")
-            if kind in kinds:
-                return kind, payload
+            self._unanswered -= 1
+            if not ok:
+                raise value
+            return value
+
+    def _await(self):
+        """The reply to the newest request, after every earlier one's."""
+        while self._unanswered > 1:
+            self._receive()
+        return self._receive()
+
+    def _call(self, method: str, *args):
+        self._send(method, *args)
+        return self._await()
+
+    def _delivered(self, results: List[ServeResult]) -> List[ServeResult]:
+        for result in results:
+            self._depths[result.artifact_id] -= 1
+        return results
 
     # -- intake ------------------------------------------------------------
     def submit(self, ticket, artifact_id, client_id, payload, now, deadline):
-        self._requests.put(
-            ("submit", ticket, artifact_id, client_id, np.asarray(payload), now, deadline)
-        )
         self._depths[artifact_id] += 1
+        self._send("submit", ticket, artifact_id, client_id, payload, now, deadline)
 
     def serve_now(self, ticket, artifact_id, client_id, payload) -> ServeResult:
-        self._requests.put(
-            ("serve_now", ticket, artifact_id, client_id, np.asarray(payload))
-        )
-        results = self._collect()
-        return results[0]
+        self._depths[artifact_id] += 1
+        result = self._call("serve_now", ticket, artifact_id, client_id, payload)
+        return self._delivered([result])[0]
 
     # -- execution ---------------------------------------------------------
     def begin_step(self, now: Optional[float]) -> None:
-        self._requests.put(("step", now))
+        self._send("finish_step", now)
 
     def finish_step(self, now: Optional[float]) -> List[ServeResult]:
-        return self._collect()
+        return self._delivered(self._await())
 
     def drain(self) -> List[ServeResult]:
-        self.begin_step(None)  # a step leaves nothing queued
-        results = self._collect()
-        # Flush the child's telemetry after the final batches: without
-        # this, metrics and trace spans recorded by drain-time runs only
-        # exist in the fork and disappear at close().
-        self._fetch_telemetry()
+        results = self._delivered(self._call("drain"))
+        self._refresh()
         return results
 
     def warm(self, batch_sizes=None) -> None:
-        self._requests.put(("warm", batch_sizes))
-        self._collect()
+        self._call("warm", batch_sizes)
 
-    def reload(self, artifact_id: str) -> WorkerProfile:
-        """Hot-swap the artifact inside the child; mirror its profile."""
-        self._requests.put(("reload", artifact_id))
-        _, profile = self._recv("profile")[1]
-        self.profiles[artifact_id] = profile
-        return profile
-
-    def _collect(self) -> List[ServeResult]:
-        """Read responses until the worker's 'done' marker."""
-        results: List[ServeResult] = []
-        while True:
-            kind, payload = self._recv("result", "done")
-            if kind == "done":
-                return results
-            result = ServeResult(**payload)
-            self._depths[result.artifact_id] -= 1
-            results.append(result)
+    def reload(
+        self, artifact_id: str, artifact: Optional[ServingArtifact] = None
+    ) -> WorkerProfile:
+        self.profiles[artifact_id] = self._call("reload", artifact_id, artifact)
+        return self.profiles[artifact_id]
 
     # -- observability -----------------------------------------------------
     def queue_depths(self) -> Dict[str, int]:
@@ -766,63 +693,49 @@ class ProcessWorker:
     def queue_depth(self) -> int:
         return sum(self._depths.values())
 
-    def stats(self) -> WorkerStats:
-        if not self._process.is_alive():
-            # The fork is gone; answer from the last flushed snapshot
-            # (populated by drain()/close()) instead of deadlocking on a
-            # queue nobody serves.
-            if self._cached_stats_payload is None:
-                raise RuntimeError(
-                    f"worker {self.worker_id} is gone and left no stats"
-                )
-            return WorkerStats.from_payload(self._cached_stats_payload)
-        self._requests.put(("stats",))
-        self._cached_stats_payload = self._recv("stats")[1]
-        return WorkerStats.from_payload(self._cached_stats_payload)
+    def _refresh(self) -> None:
+        """Pull the child's telemetry bundle, if there is a child to ask.
+        Trace spans accumulate (the child drains its buffer, so no span
+        arrives twice); the rest is cumulative and replaces the cache."""
+        if self._process.is_alive():
+            self._bundle = self._call("telemetry")
+            self._pending_trace.extend(self._bundle.pop("trace"))
 
-    def _fetch_telemetry(self) -> None:
-        """Round-trip one telemetry snapshot from the child into the
-        parent-side mirror.  Trace spans accumulate (the child drains
-        its buffer, so no span arrives twice); stats/metrics payloads
-        are cumulative and simply replace the cache."""
-        if not self._process.is_alive():
-            return
-        self._requests.put(("telemetry",))
-        payload = self._recv("telemetry")[1]
-        self._cached_stats_payload = payload["stats"]
-        self._cached_metrics_payload = payload["metrics"]
-        self._pending_trace.extend(payload["trace"])
-        self._clock_offset = payload["clock_offset"]
-        self._dropped_roots = payload["dropped_roots"]
+    def stats(self) -> WorkerStats:
+        self._refresh()
+        if self._bundle["stats"] is None:
+            raise RuntimeError(
+                f"worker {self.worker_id} is gone and left no stats"
+            )
+        return WorkerStats.from_payload(self._bundle["stats"])
 
     def telemetry(self) -> Dict:
-        """Same bundle as :meth:`InlineWorker.telemetry`, served from
-        the parent-side mirror (refreshed first if the child is alive).
-        Trace spans keep their drain semantics across the pipe: the
-        pending buffer is handed over exactly once."""
-        self._fetch_telemetry()
+        """:meth:`Worker.telemetry`, or the last bundle a child that is
+        gone reported.  Trace spans keep their drain semantics across
+        the pipe: the pending buffer is handed over exactly once."""
+        self._refresh()
         trace, self._pending_trace = self._pending_trace, []
-        return {
-            "stats": self._cached_stats_payload,
-            "metrics": self._cached_metrics_payload,
-            "trace": trace,
-            "clock_offset": self._clock_offset,
-            "dropped_roots": self._dropped_roots,
-        }
+        return {**self._bundle, "trace": trace}
 
     def close(self) -> None:
         if self._process.is_alive():
             # Final telemetry flush before the fork (and its buffers)
             # goes away; errors here must not block shutdown.
             try:
-                self._fetch_telemetry()
+                self._refresh()
             except RuntimeError:  # pragma: no cover - child died mid-close
                 pass
-            self._requests.put(("stop",))
+            self._requests.put(None)
             self._process.join(timeout=10.0)
             if self._process.is_alive():  # pragma: no cover - stuck child
                 self._process.terminate()
                 self._process.join(timeout=5.0)
+        # Whatever is still buffered for the child can never be read now
+        # (a lost worker leaves its whole backlog there): the feeder
+        # thread must not hold interpreter exit waiting to write it.
+        self._requests.cancel_join_thread()
+        self._requests.close()
+        self._responses.close()
 
 
 class WorkerPool:
@@ -840,28 +753,20 @@ class WorkerPool:
             raise ValueError("num_workers must be at least 1")
         self.specs = tuple(specs)
         self.mode = mode
-        self.workers: List[object] = []
         if mode == "inline":
             # One shared load of each mmapped artifact for the whole
             # pool: the program object (and its mapped tables) is
             # reference-shared; per-worker state lives in the backends.
-            shared: Dict[str, ServingArtifact] = {}
-            for worker_id in range(num_workers):
-                self.workers.append(
-                    InlineWorker(
-                        worker_id,
-                        self.specs,
-                        shared_artifacts=shared,
-                        **build_opts,
-                    )
-                )
+            build_opts["shared_artifacts"] = {}
+            transport = Worker
         elif mode == "process":
-            for worker_id in range(num_workers):
-                self.workers.append(
-                    ProcessWorker(worker_id, self.specs, **build_opts)
-                )
+            transport = ProcessWorker
         else:
             raise ValueError(f"unknown pool mode {mode!r}")
+        self.workers = [
+            transport(worker_id, self.specs, **build_opts)
+            for worker_id in range(num_workers)
+        ]
 
     def __len__(self) -> int:
         return len(self.workers)
@@ -879,15 +784,11 @@ class WorkerPool:
         )
         if spec is None:
             raise KeyError(f"unknown artifact {artifact_id!r}")
-        if self.mode == "inline":
-            fresh = None
-            if spec.path is not None:
-                fresh = ArtifactMap(spec.path).load()
-            for worker in self.workers:
-                worker.reload(artifact_id, artifact=fresh)
-        else:
-            for worker in self.workers:
-                worker.reload(artifact_id)
+        fresh = None
+        if self.mode == "inline" and spec.path is not None:
+            fresh = ArtifactMap(spec.path).load()
+        for worker in self.workers:
+            worker.reload(artifact_id, fresh)
 
     def close(self) -> None:
         for worker in self.workers:
@@ -1000,6 +901,18 @@ class Dispatcher:
                 )
 
     # -- request flow --------------------------------------------------------
+    def _admitted(self, artifact_id: str, client_id: str):
+        """Route, admit and ticket one request: ``(worker, ticket)``."""
+        if self._closed:
+            raise RuntimeError("dispatcher is closed")
+        worker = self.pool.workers[self.route(artifact_id, client_id)]
+        self.requests_submitted += 1
+        self._admit(worker, artifact_id)  # raises AdmissionError (counted)
+        ticket = self._next_ticket
+        self._next_ticket += 1
+        self.requests_admitted += 1
+        return worker, ticket
+
     def submit(
         self,
         artifact_id: str,
@@ -1008,26 +921,12 @@ class Dispatcher:
         now: Optional[float] = None,
         deadline: Optional[float] = None,
     ) -> int:
-        if self._closed:
-            raise RuntimeError("dispatcher is closed")
-        worker = self.pool.workers[self.route(artifact_id, client_id)]
-        self.requests_submitted += 1
-        self._admit(worker, artifact_id)  # raises AdmissionError (counted)
-        ticket = self._next_ticket
-        self._next_ticket += 1
+        worker, ticket = self._admitted(artifact_id, client_id)
         worker.submit(ticket, artifact_id, client_id, payload, now, deadline)
-        self.requests_admitted += 1
         return ticket
 
     def serve_now(self, artifact_id: str, client_id: str, payload) -> ServeResult:
-        if self._closed:
-            raise RuntimeError("dispatcher is closed")
-        worker = self.pool.workers[self.route(artifact_id, client_id)]
-        self.requests_submitted += 1
-        self._admit(worker, artifact_id)
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self.requests_admitted += 1
+        worker, ticket = self._admitted(artifact_id, client_id)
         result = worker.serve_now(ticket, artifact_id, client_id, payload)
         return self._delivered([result])[0]
 

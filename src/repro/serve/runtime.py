@@ -30,7 +30,7 @@ from repro import kernels
 from repro.backend.ledger import LatencyHistogram, OpLedger
 from repro.core.program import ExecutionState
 from repro.obs.noise import NoiseMonitor
-from repro.obs.tracing import use_tracer
+from repro.obs.tracing import NULL_TRACER, get_tracer, use_tracer
 from repro.serve.scheduler import Batch, SlotBatchingScheduler
 
 
@@ -113,10 +113,10 @@ class InferenceServer:
         self.op_histograms: Dict[str, LatencyHistogram] = {}
         self.requests_served = 0
         self.batches_run = 0
-        #: optional repro.obs.Tracer; when set and enabled, every batch
-        #: run produces a "serve.batch" span tree plus one
-        #: "serve.request" span per completed request.
-        self.tracer = tracer
+        #: this server's repro.obs.Tracer: every batch run produces a
+        #: "serve.batch" span tree plus one "serve.request" span per
+        #: completed request.  Untraced, the spans go to NULL_TRACER.
+        self.tracer = NULL_TRACER if tracer is None else tracer
         # Noise telemetry is always on: level/scale drift at modulus-
         # chain boundaries is counts-only (no events retained), cheap,
         # and observe-only — surfaced in ServerStats schema v2.
@@ -175,19 +175,14 @@ class InferenceServer:
     ) -> int:
         """Enqueue a request; returns its ticket."""
         request = self.scheduler.submit(client_id, image, now=now, deadline=deadline)
-        self._stamp_trace(request)
+        request.trace_enqueued = self.tracer.clock()
         return request.ticket
 
     def serve_now(self, image: np.ndarray, client_id: str = "anon") -> ServeResult:
         """Run one request immediately, bypassing the queue."""
         request = self.scheduler.ticket(client_id, image)
-        self._stamp_trace(request)
+        request.trace_enqueued = self.tracer.clock()
         return self._run_batch(Batch(requests=[request], reason="single"))[0]
-
-    def _stamp_trace(self, request) -> None:
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            request.trace_enqueued = tracer.clock()
 
     # -- worker loop ---------------------------------------------------------
     def step(self, now: Optional[float] = None) -> List[ServeResult]:
@@ -207,6 +202,12 @@ class InferenceServer:
     def _run_batch(
         self, batch: Batch, now: Optional[float] = None
     ) -> List[ServeResult]:
+        """Run one batch: a "serve.batch" root span (bound to the
+        scratch ledger, so its op counts are exactly this batch's) with
+        encrypt / execute / decrypt children, plus one "serve.request"
+        span per request covering enqueue → complete.  All spans are
+        observe-only (bit-exactness with tracing on and off is asserted
+        by the tracing tests)."""
         size = batch.size
         started = time.monotonic() if now is None else now
         for request in batch.requests:
@@ -220,23 +221,30 @@ class InferenceServer:
         main_ledger = self.backend.ledger
         self.backend.ledger = scratch
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            try:
-                outputs, wall = self._run_traced(
-                    tracer, program, inputs, batch, scratch
-                )
-            finally:
-                self.backend.ledger = main_ledger
-        else:
-            start = time.perf_counter()
-            try:
-                self.state.reset()
-                cts = program.encrypt_input(self.backend, inputs)
-                out_cts = program.execute(self.state, cts)
-                outputs = program.decrypt_output(self.backend, out_cts)
-            finally:
-                self.backend.ledger = main_ledger
-            wall = time.perf_counter() - start
+        # Library spans land on this server's tree; a server without a
+        # tracer leaves whichever one the process has installed in place.
+        try:
+            with use_tracer(tracer if tracer.enabled else get_tracer()):
+                with tracer.span(
+                    "serve.batch",
+                    category="serve",
+                    ledger=scratch,
+                    batch_size=size,
+                    reason=batch.reason,
+                    kernel_backend=kernels.active_backend(),
+                ):
+                    start = tracer.clock()
+                    self.state.reset()
+                    with tracer.span("encrypt", category="serve", ledger=scratch):
+                        cts = program.encrypt_input(self.backend, inputs)
+                    with tracer.span("execute", category="serve", ledger=scratch):
+                        out_cts = program.execute(self.state, cts)
+                    with tracer.span("decrypt", category="serve", ledger=scratch):
+                        outputs = program.decrypt_output(self.backend, out_cts)
+                    end = tracer.clock()
+        finally:
+            self.backend.ledger = main_ledger
+        wall = end - start
         self._record(scratch, wall, size)
         main_ledger.merge(scratch)
         self.ledger.merge(scratch)
@@ -244,6 +252,16 @@ class InferenceServer:
         self.requests_served += size
         results = []
         for index, request in enumerate(batch.requests):
+            tracer.record_span(
+                "serve.request",
+                request.trace_enqueued,
+                end,
+                category="serve",
+                client_id=request.client_id,
+                ticket=request.ticket,
+                batch_size=size,
+                reason=batch.reason,
+            )
             output = outputs[index] if size > 1 else outputs
             results.append(
                 ServeResult(
@@ -257,45 +275,6 @@ class InferenceServer:
                 )
             )
         return results
-
-    def _run_traced(self, tracer, program, inputs, batch: Batch, scratch):
-        """The traced batch body: a "serve.batch" root span (bound to
-        the scratch ledger, so its op counts are exactly this batch's)
-        with encrypt / execute / decrypt children, plus one
-        "serve.request" span per request covering enqueue → complete.
-        All spans are observe-only; the computation is identical to the
-        untraced path (asserted by the bit-exactness tracing tests)."""
-        with use_tracer(tracer):
-            with tracer.span(
-                "serve.batch",
-                category="serve",
-                ledger=scratch,
-                batch_size=batch.size,
-                reason=batch.reason,
-                kernel_backend=kernels.active_backend(),
-            ):
-                start = tracer.clock()
-                self.state.reset()
-                with tracer.span("encrypt", category="serve", ledger=scratch):
-                    cts = program.encrypt_input(self.backend, inputs)
-                with tracer.span("execute", category="serve", ledger=scratch):
-                    out_cts = program.execute(self.state, cts)
-                with tracer.span("decrypt", category="serve", ledger=scratch):
-                    outputs = program.decrypt_output(self.backend, out_cts)
-                end = tracer.clock()
-        for request in batch.requests:
-            enqueued = request.trace_enqueued
-            tracer.record_span(
-                "serve.request",
-                start if enqueued is None else enqueued,
-                end,
-                category="serve",
-                client_id=request.client_id,
-                ticket=request.ticket,
-                batch_size=batch.size,
-                reason=batch.reason,
-            )
-        return outputs, end - start
 
     def _record(self, scratch: OpLedger, wall: float, size: int) -> None:
         # Every request in the batch sat through the full run, so the
@@ -311,24 +290,3 @@ class InferenceServer:
                 histogram = LatencyHistogram()
                 self.op_histograms[op] = histogram
             histogram.observe(seconds)
-
-    # -- observability -------------------------------------------------------
-    def stats(self) -> Dict:
-        return {
-            "requests_served": self.requests_served,
-            "batches_run": self.batches_run,
-            "capacity": self.scheduler.capacity,
-            "preloaded_plaintexts": self.preloaded_plaintexts,
-            "compilations_since_load": self.compilations_since_load,
-            "placements_since_load": self.placements_since_load,
-            "request_latency": self.request_latency.snapshot(),
-            "queue_wait": self.queue_wait.snapshot(),
-            "modeled_seconds": self.ledger.seconds,
-            "kernel_backend": kernels.active_backend(),
-            "ops": {
-                op: histogram.snapshot()
-                for op, histogram in sorted(self.op_histograms.items())
-            },
-            "ledger": self.ledger.snapshot(),
-            "noise": self.noise.stats(),
-        }

@@ -50,8 +50,8 @@ class PendingRequest:
     deadline: Optional[float] = None
     ticket: int = 0
     # Enqueue timestamp on the *tracer* clock (perf_counter), stamped by
-    # the serving runtime when tracing is on; ``enqueued_at`` stays on
-    # the scheduler's injected monotonic clock, which tests control.
+    # the serving runtime; ``enqueued_at`` stays on the scheduler's
+    # injected monotonic clock, which tests control.
     trace_enqueued: Optional[float] = None
 
 

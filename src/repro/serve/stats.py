@@ -1,10 +1,5 @@
-"""Typed, schema-versioned serving telemetry.
-
-The PR-4 serving surface reported raw dicts assembled ad hoc from
-``OpLedger.snapshot()`` and ``LatencyHistogram.snapshot()``; every
-consumer (benchmarks, the CI bench gate, dashboards) re-invented the
-schema.  This module is the single typed schema both ``Server.stats()``
-and ``BENCH_serving.json`` speak:
+"""Typed, schema-versioned serving telemetry: the single schema both
+``Server.stats()`` and ``BENCH_serving.json`` speak.
 
 - :class:`HistogramStats` — one latency histogram, summarized;
 - :class:`WorkerStats`    — one worker's serving counters, per-op
@@ -31,8 +26,7 @@ from repro.obs.summary import merge_histogram_summaries, summarize_histogram
 #: counts) from the spill-capable :class:`repro.serve.keys.KeyRegistry`.
 #: Version 2 added the per-worker noise-budget telemetry
 #: (``WorkerStats.noise``).  Payloads from any other version are
-#: rejected loudly by ``ServerStats.from_payload``; see
-#: docs/observability.md for the migration notes.
+#: rejected loudly by ``ServerStats.from_payload``.
 STATS_SCHEMA_VERSION = 3
 
 
@@ -146,8 +140,7 @@ class WorkerStats:
     """One worker's serving telemetry.
 
     ``ops`` maps an operation phase (``linear``, ``act``, ...) to the
-    modeled-latency histogram of its per-batch charges — the typed
-    replacement for the raw ``stats()["ops"]`` dicts.
+    modeled-latency histogram of its per-batch charges.
 
     ``key_bytes_resident`` / ``key_bytes_spilled`` (schema v3) split the
     worker's key-material footprint between RAM and spill files, as
@@ -391,22 +384,10 @@ class ServerStats:
     def from_payload(cls, payload: Dict) -> "ServerStats":
         version = payload.get("schema_version")
         if version != STATS_SCHEMA_VERSION:
-            hints = {
-                1: (
-                    " (version 1 payloads predate the per-worker "
-                    "noise-budget telemetry; re-export from this build — "
-                    "there is no lossy auto-upgrade)"
-                ),
-                2: (
-                    " (version 2 payloads predate the per-worker "
-                    "key-material accounting; re-export from this build — "
-                    "there is no lossy auto-upgrade)"
-                ),
-            }
             raise StatsSchemaError(
                 f"stats schema version {version!r} is not supported "
-                f"(this build reads version {STATS_SCHEMA_VERSION})"
-                f"{hints.get(version, '')}"
+                f"(this build reads version {STATS_SCHEMA_VERSION}); "
+                "re-export from this build"
             )
         return cls(
             schema_version=int(version),

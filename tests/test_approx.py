@@ -73,7 +73,7 @@ class TestCompositeSign:
 
     def test_depth_accounting(self):
         """Paper: sign depth 13 + 1 for the multiply = 14.  Our
-        evaluator spends at most +1 per stage (see EXPERIMENTS.md)."""
+        evaluator spends at most +1 per stage (docs/substitutions.md)."""
         cs = CompositeSign.build((15, 15, 27))
         assert 13 <= cs.depth <= 16
 

@@ -5,7 +5,7 @@ RNS-CKKS toy backend and the noise-free functional simulator while a
 numpy mirror tracks the true slot values.  At every step all three must
 agree — values within tolerance, levels exactly, scales as *identical*
 ``Fraction`` objects.  This is the strongest cross-validation of the
-DESIGN.md substitution argument: the simulator that executes the
+docs/substitutions.md argument: the simulator that executes the
 paper-scale benchmarks has the same semantics as the real arithmetic.
 
 Also here: algebraic laws of the Galois machinery (rotation composition,

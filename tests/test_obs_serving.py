@@ -352,9 +352,7 @@ class TestSchemaV2:
         _, _, stats, _, _ = traced_run
         payload = stats.to_payload()
         payload["schema_version"] = 1
-        with pytest.raises(StatsSchemaError, match="version 1"):
-            ServerStats.from_payload(payload)
-        with pytest.raises(StatsSchemaError, match="noise"):
+        with pytest.raises(StatsSchemaError, match="version 1.*reads version 3"):
             ServerStats.from_payload(payload)
 
 

@@ -25,6 +25,7 @@ from repro.orion import OrionNetwork
 from repro.serve import (
     ArtifactSchemaError,
     KeyRegistry,
+    WorkerStats,
     load_artifact,
     save_artifact_delta,
 )
@@ -528,13 +529,15 @@ class TestInferenceServer:
 
     def test_telemetry_accumulates(self, served):
         *_, server = served
-        stats = server.stats()
-        assert stats["requests_served"] >= 5
-        assert stats["request_latency"]["count"] >= 5
-        assert stats["modeled_seconds"] > 0
-        assert stats["ledger"]["rotations"] > 0
-        assert "linear" in stats["ops"]
-        assert stats["preloaded_plaintexts"] > 0
+        stats = WorkerStats.from_server(
+            0, server, queue_depth=len(server.scheduler), mmap_backed=False
+        )
+        assert stats.requests_served >= 5
+        assert stats.request_latency.count >= 5
+        assert stats.modeled_seconds > 0
+        assert stats.rotations > 0
+        assert "linear" in dict(stats.ops)
+        assert stats.preloaded_plaintexts > 0
 
     def test_max_batch_floored_to_power_of_two(self, served):
         """A non-power-of-two cap must not produce an unexecutable

@@ -22,6 +22,8 @@ The correctness gates of the pool PR:
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -398,7 +400,6 @@ class TestSharedMmapTables:
 
     def test_mapped_arrays_are_read_only(self, artifact_path):
         amap = ArtifactMap(artifact_path)
-        assert amap.inplace  # serving exports are uncompressed
         assert amap.mapped_bytes() > 0
         for name, array in amap.arrays.items():
             assert is_mmap_backed(array), name
@@ -417,24 +418,15 @@ class TestSharedMmapTables:
         with pytest.raises(RuntimeError, match="copied off the artifact map"):
             verify_mmap_tables(solo, artifact_path)
 
-    def test_compressed_artifact_maps_via_sidecar(
-        self, artifact_path, tmp_path
-    ):
-        artifact = serve.load_artifact(artifact_path)
+    def test_compressed_artifact_is_rejected(self, artifact_path, tmp_path):
+        """A deflated member cannot be mapped in place; the one mapping
+        path refuses it by name instead of copying it somewhere."""
         compressed = str(tmp_path / "mlp_compressed.npz")
-        artifact.save(compressed, compress=True)
-        amap = ArtifactMap(compressed)
-        assert not amap.inplace
-        for name, array in amap.arrays.items():
-            assert is_mmap_backed(array), name
-        # The sidecar is stamped and re-used by subsequent opens.
-        again = ArtifactMap(compressed)
-        assert not again.inplace
-        reference = ArtifactMap(artifact_path).load()
-        image = _images(1)[0]
-        expected = reference.program.run_cleartext_packed(image)
-        actual = amap.load().program.run_cleartext_packed(image)
-        assert np.array_equal(expected, actual)
+        with np.load(artifact_path) as members:
+            np.savez_compressed(compressed, **members)
+        with pytest.raises(serve.ArtifactSchemaError, match="re-export uncompressed"):
+            ArtifactMap(compressed)
+        assert os.listdir(tmp_path) == ["mlp_compressed.npz"]  # nothing extracted
 
 
 class TestFrontDoor:
@@ -443,7 +435,7 @@ class TestFrontDoor:
             ServerConfig(workers=0)
         with pytest.raises(ValueError):
             ServerConfig(mode="threads")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # one key domain: nothing to choose
             ServerConfig(key_policy="rotating")
         with pytest.raises(TypeError):  # the kernels have nothing to select
             ServerConfig(kernel_backend="numpy")
@@ -586,33 +578,103 @@ class TestKeyPinning:
 
 @pytest.mark.usefixtures("fork_deadline")
 class TestProcessMode:
-    def test_process_pool_smoke(self, artifact_path):
-        """Two real multiprocessing workers over the same mapped file,
-        bit-exact against the inline pool under the same config."""
-        config = _pool_config(workers=2, mode="process", max_queue_depth=16)
-        images = _images(6)
-        clients = [f"client-{i}" for i in range(len(images))]
-        with serve.open(artifact_path, config) as server:
-            for client, image in zip(clients, images):
-                server.submit(image, client_id=client)
-            process_results = {r.client_id: r for r in server.drain()}
-            process_stats = server.stats()
-        assert process_stats.in_flight == 0
-        assert process_stats.requests_completed == len(images)
-        assert all(w.mmap_backed for w in process_stats.workers)
-        inline = config.with_overrides(mode="inline")
-        with serve.open(artifact_path, inline) as server:
-            for client, image in zip(clients, images):
-                server.submit(image, client_id=client)
-            inline_results = {r.client_id: r for r in server.drain()}
-        for client in clients:
-            assert np.array_equal(
-                process_results[client].output, inline_results[client].output
+    #: call scripts the contract test plays through both transports;
+    #: ("submit", n) enqueues n requests from n distinct clients.
+    SCRIPTS = {
+        "submit-drain": [("submit", 6), ("drain",)],
+        "whole-surface": [
+            ("submit", 5),
+            ("step",),
+            ("serve_now",),
+            ("serve_now",),
+            ("warm",),
+            ("telemetry",),
+            ("reload",),
+            ("submit", 3),
+            ("drain",),
+        ],
+    }
+
+    @staticmethod
+    def _play(artifact_path, mode, script):
+        """Run ``script`` on a 2-worker pool; returns every observable:
+        the per-call log (what the call returned + every worker's queue
+        depths right after it) and the final typed stats."""
+        config = _pool_config(workers=2, mode=mode, max_queue_depth=16)
+        images = iter(_images(16))
+        log = []
+        server = serve.open(artifact_path, config)
+        try:
+            workers = server._dispatcher.pool.workers
+            submitted = 0
+            for call, *args in script:
+                if call == "submit":
+                    returned = []
+                    for _ in range(args[0]):
+                        returned.append(
+                            server.submit(
+                                next(images), client_id=f"client-{submitted}"
+                            )
+                        )
+                        submitted += 1
+                elif call == "serve_now":
+                    returned = [server.serve_now(next(images), client_id="alice")]
+                elif call == "telemetry":
+                    returned = [
+                        (b["stats"]["requests_served"], b["stats"]["queue_depth"])
+                        for b in (worker.telemetry() for worker in workers)
+                    ]
+                else:  # step / warm / reload / drain
+                    returned = getattr(server, call)()
+                log.append((call, returned, [w.queue_depths() for w in workers]))
+            stats = server.stats()
+        finally:
+            server.close()
+        # A closed process pool answers from the child's last bundle.
+        assert server.stats() == stats
+        return log, stats
+
+    @pytest.mark.parametrize("script", sorted(SCRIPTS))
+    def test_process_transport_has_no_behaviour_of_its_own(
+        self, artifact_path, script
+    ):
+        """The same call script through ``mode="inline"`` and
+        ``mode="process"``: equal tickets, batches, bits, typed stats —
+        and equal queue depths after **every** call (the parent's depth
+        mirror used to go to -1 per ``serve_now``)."""
+        calls = self.SCRIPTS[script]
+
+        def stamp(r):
+            return r.ticket, r.client_id, r.batch_size, r.reason, r.worker_id
+
+        inline_log, inline_stats = self._play(artifact_path, "inline", calls)
+        process_log, process_stats = self._play(artifact_path, "process", calls)
+        for (call, want, want_depths), (_, got, got_depths) in zip(
+            inline_log, process_log
+        ):
+            assert got_depths == want_depths, f"queue depths after {call}"
+            if not (want and isinstance(want[0], ServeResult)):
+                assert got == want, call  # tickets, telemetry counters, None
+                continue
+            assert [stamp(r) for r in got] == [stamp(r) for r in want], call
+            for a, b in zip(got, want):
+                assert np.array_equal(a.output, b.output), call
+        assert all(d == {"mlp": 0} for d in inline_log[-1][2])
+        for a, b in zip(inline_stats.workers, process_stats.workers):
+            assert (a.requests_served, a.batches_run, a.rotations, a.queue_depth) == (
+                b.requests_served, b.batches_run, b.rotations, b.queue_depth
             )
-            assert (
-                process_results[client].worker_id
-                == inline_results[client].worker_id
+            assert a.mmap_backed and b.mmap_backed
+        assert process_stats.in_flight == inline_stats.in_flight == 0
+        assert (
+            process_stats.requests_completed
+            == inline_stats.requests_completed
+            == sum(
+                len(returned)
+                for call, returned, _ in inline_log
+                if call in ("step", "drain", "serve_now")
             )
+        )
 
     def test_fork_after_kernels_ran_in_the_parent(self, artifact_path):
         """The parent has already run a hoisted rotation and an NTT when
@@ -648,3 +710,50 @@ class TestProcessMode:
         finally:
             server.close()
         assert not worker._process.is_alive()
+
+    def test_lost_worker_cannot_wedge_interpreter_exit(self, artifact_path):
+        """More than a pipe's worth (64 KB) of requests queued to a
+        SIGKILLed child: ``drain()`` raises, ``close()`` returns, and the
+        interpreter then exits — the queue's feeder thread, blocked on a
+        pipe nobody reads, used to hold it forever."""
+        script = """
+import os, signal, sys, time
+import numpy as np
+from repro import serve
+
+config = serve.ServerConfig(
+    workers=1, mode="process", batch_window_seconds=0.0, max_queue_depth=1000
+)
+server = serve.open(sys.argv[1], config)
+child = server._dispatcher.pool.workers[0]._process
+os.kill(child.pid, signal.SIGKILL)
+child.join(5.0)
+for _ in range(400):  # 400 x 512-byte images
+    server.submit(np.zeros((1, 8, 8)), client_id="alice")
+try:
+    server.drain()
+except serve.WorkerLostError:
+    pass
+else:
+    sys.exit("drain() on a lost worker did not raise WorkerLostError")
+server.close()
+print("closed", time.time(), flush=True)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        process = subprocess.Popen(
+            [sys.executable, "-c", script, artifact_path],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            stdout, _ = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.communicate()
+            pytest.fail("the interpreter did not exit after close()")
+        exited = time.time()
+        assert process.returncode == 0, stdout
+        marker, closed_at = stdout.split()
+        assert marker == "closed"
+        assert exited - float(closed_at) < 10.0

@@ -9,6 +9,12 @@ hyphens).  External links (``http://``, ``https://``, ``mailto:``) are
 skipped — the gate is about keeping the docs' *internal* cross-links
 alive as pages move and sections rename, not about the network.
 
+Python sources cite docs by name in docstrings and comments
+(``docs/serving.md``, ``README.md``): every ``*.md`` name in a ``.py``
+file under ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` and
+``tools/`` must exist relative to the repository root or to the citing
+file's directory.
+
     python tools/check_doc_links.py [file ...]
 
 Exit code 0 = every link resolves; 1 = at least one dead link, each
@@ -27,6 +33,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*)$")
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+_MD_NAME = re.compile(r"[\w./-]*[\w-]\.md\b")
+_PY_ROOTS = ("src", "tests", "benchmarks", "examples", "tools")
 
 
 def _slugify(heading: str) -> str:
@@ -112,11 +120,40 @@ def check_file(path: str) -> list:
     return errors
 
 
+def _py_files():
+    for root in _PY_ROOTS:
+        for directory, _, names in os.walk(os.path.join(REPO_ROOT, root)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    yield os.path.join(directory, name)
+
+
+def check_py_file(path: str) -> list:
+    """Every ``*.md`` name the source cites must be a file that exists."""
+    errors = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            for name in _MD_NAME.findall(line):
+                if not any(
+                    os.path.exists(os.path.join(base, name))
+                    for base in (REPO_ROOT, os.path.dirname(path))
+                ):
+                    errors.append(
+                        f"{os.path.relpath(path, REPO_ROOT)}:{lineno}: cites "
+                        f"{name!r}, which does not exist"
+                    )
+    return errors
+
+
 def main(argv) -> int:
-    files = [os.path.abspath(p) for p in argv[1:]] or _doc_files()
+    files = [os.path.abspath(p) for p in argv[1:]] or [
+        *_doc_files(),
+        *_py_files(),
+    ]
     errors = []
     for path in files:
-        errors.extend(check_file(path))
+        check = check_py_file if path.endswith(".py") else check_file
+        errors.extend(check(path))
     if errors:
         print(f"doc-links FAILED ({len(errors)} dead link(s)):")
         for error in errors:
