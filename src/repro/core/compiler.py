@@ -2,9 +2,12 @@
 
 Pipeline (paper Sections 4-6):
 
-1. **Trace** the network into a layer DAG and parse its SESE region
-   tree (residual blocks; repro.trace).
-2. **Fold batch norms** into their producing convolutions (no level).
+1. **Trace** the network into a layer DAG from shape rules alone (no
+   forward runs) and parse its SESE region tree (residual blocks;
+   repro.trace).
+2. **Plan batch-norm folds** into their producing convolutions (no
+   level); the folded weights are computed per layer, and only when
+   materializing.
 3. **Range-estimate** normalization constants from calibration data and
    fuse the scale-downs into weights and activation fits.
 4. **Pack** every linear layer with single-shot multiplexing + BSGS
@@ -18,6 +21,7 @@ Pipeline (paper Sections 4-6):
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -62,9 +66,8 @@ from repro.core.program import (
     SquareInstr,
 )
 from repro.core.ranges import RangeEstimate, estimate_ranges
-from repro.trace.graph import LayerGraph, TracedValue, tracer
+from repro.trace.graph import LayerGraph, TraceNode, trace_structure
 from repro.trace.sese import Chain, RegionItem, build_region_tree
-from repro.autograd.tensor import Tensor, no_grad
 
 
 @dataclass
@@ -217,9 +220,9 @@ class OrionCompiler:
         OrionCompiler.invocations += 1
         start = time.perf_counter()
         net.eval()
-        graph = self._trace(net, input_shape)
-        folded = self._fold_batchnorms(graph)
-        ranges = self._ranges(net, graph, calibration_batches, input_shape)
+        graph = trace_structure(net, input_shape)
+        folds = plan_batchnorm_folds(graph)
+        ranges = self._ranges(net, graph, calibration_batches)
         # One conv analysis table per compile: the optimizer's gate, the
         # fused lowering and the emitter share an entry per geometry,
         # and nothing outlives this call.
@@ -237,7 +240,7 @@ class OrionCompiler:
                 params=self.params,
                 costs=self.costs,
                 input_shape=tuple(input_shape),
-                folded=folded,
+                folds=folds,
                 analysis=analysis,
             )
             with get_tracer().span("graph_opt", category="compile"):
@@ -245,7 +248,7 @@ class OrionCompiler:
             graph_opt_seconds = time.perf_counter() - opt_start
 
         tree = build_region_tree(graph)
-        build = _ProgramBuilder(self, graph, folded, ranges, input_shape, analysis)
+        build = _ProgramBuilder(self, graph, folds, ranges, input_shape, analysis)
         build.walk(tree)
 
         with get_tracer().span("placement", category="compile") as place_span:
@@ -300,69 +303,47 @@ class OrionCompiler:
         )
 
     # ------------------------------------------------------------------
-    def _trace(self, net, input_shape) -> LayerGraph:
-        dummy = np.zeros((1,) + tuple(input_shape))
-        with no_grad():
-            with tracer() as graph:
-                net(TracedValue(Tensor(dummy), graph.input_uid))
-        if graph.output_uid is None:
-            raise ValueError("tracing recorded no layers — not an orion network?")
-        return graph
-
-    def _fold_batchnorms(self, graph: LayerGraph) -> Dict[int, Tuple]:
-        """node index -> (weight, bias) with adjacent BN folded in.
-
-        Returns entries for linear nodes (possibly folded) and marks
-        folded BN nodes via the special value ("alias",).
-        """
-        folded: Dict[int, Tuple] = {}
-        consumers = graph.consumers()
-        producers = graph.producers()
-        for node in graph.nodes:
-            kind = getattr(node.module, "orion_kind", None)
-            if kind != "batchnorm":
-                continue
-            producer = producers.get(node.inputs[0])
-            only_consumer = len(consumers.get(node.inputs[0], [])) == 1
-            if (
-                producer is not None
-                and only_consumer
-                and getattr(producer.module, "orion_kind", None) == "linear"
-                and hasattr(producer.module, "weight")
-                and producer.module.weight is not None
-            ):
-                scale, shift = node.module.folded_affine()
-                lin = producer.module
-                base_weight = lin.weight.data
-                if base_weight.ndim == 4:  # convolution
-                    weight = base_weight * scale[:, None, None, None]
-                elif base_weight.ndim == 2:  # dense Linear
-                    weight = base_weight * scale[:, None]
-                else:
-                    continue
-                if lin.bias is not None:
-                    base_bias = lin.bias.data
-                else:
-                    base_bias = np.zeros(weight.shape[0])
-                bias = base_bias * scale + shift
-                folded[producer.index] = (weight, bias)
-                folded[node.index] = ("alias",)
-        return folded
-
-    def _ranges(self, net, graph, calibration_batches, input_shape) -> RangeEstimate:
+    def _ranges(self, net, graph, calibration_batches) -> RangeEstimate:
         if calibration_batches is None:
             return RangeEstimate({}, margin=1.0)
         return estimate_ranges(net, graph, calibration_batches)
 
 
+def plan_batchnorm_folds(graph: LayerGraph) -> Dict[int, TraceNode]:
+    """Which batch norms fold away: linear node index -> the BN node it
+    absorbs (the BN is the linear output's only consumer).
+
+    A plan, not weights: the folded ``(weight, bias)`` is computed per
+    layer by the program builder, and only in materialize mode.  Folding
+    preserves ``module.weight.shape``, all analyze mode reads.
+    """
+    folds: Dict[int, TraceNode] = {}
+    consumers = graph.consumers()
+    producers = graph.producers()
+    for node in graph.nodes:
+        if getattr(node.module, "orion_kind", None) != "batchnorm":
+            continue
+        producer = producers.get(node.inputs[0])
+        if (
+            producer is not None
+            and len(consumers.get(node.inputs[0], [])) == 1
+            and getattr(producer.module, "orion_kind", None) == "linear"
+            and getattr(producer.module, "weight", None) is not None
+            and len(producer.module.weight.shape) in (2, 4)  # dense or conv
+        ):
+            folds[producer.index] = node
+    return folds
+
+
 class _ProgramBuilder:
     """Walks the region tree emitting instructions + placement items."""
 
-    def __init__(self, compiler: OrionCompiler, graph, folded, ranges,
+    def __init__(self, compiler: OrionCompiler, graph, folds, ranges,
                  input_shape, analysis: ConvAnalysisTable):
         self.compiler = compiler
         self.graph = graph
-        self.folded = folded
+        self.folds = folds
+        self.folded_bns = {bn.index for bn in folds.values()}
         self.ranges = ranges
         self.analysis = analysis
         self.instructions: List[Instruction] = []
@@ -469,64 +450,72 @@ class _ProgramBuilder:
         raise ValueError(f"unsupported node kind {kind!r} for {node.name}")
 
     # -- linear layers -----------------------------------------------------
-    def _effective_linear_params(self, node, out_uid: int):
-        """Weights with BN folding, normalization, and pending factors.
-
-        The packed layer computes out/M_out from in/M_in, so weights
-        scale by M_in/M_out (times any pending factor from a preceding
-        Square) and biases divide by M_out — the fused scale-down
-        multiplications of paper Section 6.
-        """
-        module = node.module
-        if node.index in self.folded:
-            weight, bias = self.folded[node.index]
-        else:
-            weight = module.weight.data
-            bias = module.bias.data if module.bias is not None else None
-        in_uid = self._resolve(node.inputs[0])
+    def _pop_factor(self, in_uid: int, out_uid: int) -> float:
+        """The fused scale-down of paper Section 6: the packed layer
+        computes out/M_out from in/M_in, so its weights scale by
+        M_in/M_out, times any pending factor a preceding Square left on
+        the input (popped: only the first consumer applies it)."""
         m_in = self.ranges.norm(in_uid)
         m_out = self.ranges.norm(out_uid)
-        factor = (m_in / m_out) * self.pending.pop(in_uid, 1.0)
+        return (m_in / m_out) * self.pending.pop(in_uid, 1.0)
+
+    def _effective_linear_params(self, node, factor: float, out_uid: int):
+        """A linear node's packed ``(weight, bias)``: its planned BN fold
+        applied, the weight times ``factor``, the bias over M_out.
+
+        Materialize mode only, one layer at a time: analyze mode never
+        reads a weight value.
+        """
+        module = node.module
+        weight = module.weight.data
+        bias = module.bias.data if module.bias is not None else None
+        bn = self.folds.get(node.index)
+        if bn is not None:
+            scale, shift = bn.module.folded_affine()
+            weight = weight * scale.reshape((-1,) + (1,) * (weight.ndim - 1))
+            if bias is None:
+                bias = np.zeros(weight.shape[0])
+            bias = bias * scale + shift
         weight = weight * factor
         if bias is not None:
-            bias = np.asarray(bias) / m_out
-        return weight, bias, in_uid
+            bias = np.asarray(bias) / self.ranges.norm(out_uid)
+        return weight, bias
 
     def _emit_linear(self, node, chain: PlacementChain) -> int:
         module = node.module
-        out_uid = node.output
         # A folded-away BN redirects the conv's output uid to the BN's.
-        consumers = self.graph.consumers().get(out_uid, [])
-        if len(consumers) == 1 and _is_alias(self.folded.get(consumers[0].index)):
-            out_uid = consumers[0].output
+        bn = self.folds.get(node.index)
+        out_uid = node.output if bn is None else bn.output
         name = node.name
-        mode = self.compiler.mode
+        in_uid = self._resolve(node.inputs[0])
+        in_layout = self.layouts[in_uid]
+        factor = self._pop_factor(in_uid, out_uid)
         type_name = type(module).__name__
 
         if type_name in ("AvgPool2d", "AdaptiveAvgPool2d"):
-            in_uid = self._resolve(node.inputs[0])
-            in_layout = self.layouts[in_uid]
-            k = module.kernel_size if type_name == "AvgPool2d" else in_layout.height
-            stride = module.stride if type_name == "AvgPool2d" else k
+            if type_name == "AvgPool2d":
+                k, stride = module.kernel_size, module.stride
+            else:
+                k = stride = in_layout.global_pool_kernel(name)
             c = in_layout.channels
-            m_in = self.ranges.norm(in_uid)
-            m_out = self.ranges.norm(out_uid)
-            factor = (m_in / m_out) * self.pending.pop(in_uid, 1.0)
-            w_pool = np.full((c, 1, k, k), factor / (k * k))
+            shape = (c, 1, k, k)
             packed, stats = self._pack_conv(
-                w_pool, None, in_layout, (stride, stride), (0, 0), (1, 1),
-                c, name, mode,
+                shape, lambda: (np.full(shape, factor / (k * k)), None),
+                in_layout, (stride, stride), (0, 0), (1, 1), c, name,
             )
-        else:
-            weight, bias, in_uid = self._effective_linear_params(node, out_uid)
-            in_layout = self.layouts[in_uid]
-            if getattr(module, "kernel_size", None) is not None:  # convolution
-                packed, stats = self._pack_conv(
-                    weight, bias, in_layout, module.stride, module.padding,
-                    module.dilation, module.groups, name, mode,
-                )
-            else:  # fully connected
-                packed, stats = self._pack_fc(weight, bias, in_layout, name, mode)
+        elif getattr(module, "kernel_size", None) is not None:  # convolution
+            packed, stats = self._pack_conv(
+                module.weight.shape,
+                lambda: self._effective_linear_params(node, factor, out_uid),
+                in_layout, module.stride, module.padding, module.dilation,
+                module.groups, name,
+            )
+        else:  # fully connected
+            packed, stats = self._pack_fc(
+                module.weight.shape,
+                lambda: self._effective_linear_params(node, factor, out_uid),
+                in_layout, name,
+            )
 
         out_layout = stats["out_layout"]
         self.layouts[out_uid] = out_layout
@@ -563,48 +552,29 @@ class _ProgramBuilder:
         )
         return out_uid
 
-    def _pack_conv(self, weight, bias, in_layout, stride, padding, dilation,
-                   groups, name, mode):
-        if isinstance(stride, int):
-            stride = (stride, stride)
-        if mode == "materialize":
-            packed = build_conv_packing(
+    # ``params()`` yields a layer's ``(weight, bias)`` and is called in
+    # materialize mode only; analyze mode prices the layer from
+    # ``weight_shape`` and the input layout.
+    def _pack_conv(self, weight_shape, params, in_layout, stride, padding,
+                   dilation, groups, name):
+        if self.compiler.mode == "materialize":
+            weight, bias = params()
+            return _packed_stats(build_conv_packing(
                 weight, bias, in_layout, stride=stride, padding=padding,
                 dilation=dilation, groups=groups, name=name,
-            )
-            return packed, {
-                "out_layout": packed.out_layout,
-                "rotations": packed.rotation_count(),
-                "pmults": packed.pmult_count(),
-                "cost_obj": _MatVecCost(packed),
-            }
-        stats = self.analysis.lookup(
-            weight.shape, in_layout, stride=stride, padding=padding,
+            ))
+        return _analyzed_stats(self.analysis.lookup(
+            weight_shape, in_layout, stride=stride, padding=padding,
             dilation=dilation, groups=groups,
-        ).stats
-        return None, {
-            "out_layout": stats.out_layout,
-            "rotations": stats.rotations,
-            "pmults": stats.pmults,
-            "cost_obj": _StatsCost(stats),
-        }
+        ).stats)
 
-    def _pack_fc(self, weight, bias, in_layout, name, mode):
-        if mode == "materialize":
-            packed = build_linear_packing(weight, bias, in_layout, name=name)
-            return packed, {
-                "out_layout": packed.out_layout,
-                "rotations": packed.rotation_count(),
-                "pmults": packed.pmult_count(),
-                "cost_obj": _MatVecCost(packed),
-            }
-        stats = analyze_linear_packing(weight.shape[0], in_layout)
-        return None, {
-            "out_layout": stats.out_layout,
-            "rotations": stats.rotations,
-            "pmults": stats.pmults,
-            "cost_obj": _StatsCost(stats),
-        }
+    def _pack_fc(self, weight_shape, params, in_layout, name):
+        if self.compiler.mode == "materialize":
+            weight, bias = params()
+            return _packed_stats(
+                build_linear_packing(weight, bias, in_layout, name=name)
+            )
+        return _analyzed_stats(analyze_linear_packing(weight_shape[0], in_layout))
 
     # -- graph-optimizer rewrite artifacts ---------------------------------
     def _emit_fused_linear(self, node, chain: PlacementChain) -> int:
@@ -619,52 +589,43 @@ class _ProgramBuilder:
         fmod = node.module
         in_uid = self._resolve(node.inputs[0])
         in_layout = self.layouts[in_uid]
-        mode = self.compiler.mode
         m_in = self.ranges.norm(in_uid)
         pending = self.pending.pop(in_uid, 1.0)
 
-        packeds = []
-        profiles = []
-        for part, (sib, term_uid) in enumerate(
-            zip(fmod.siblings, fmod.terminal_uids)
-        ):
-            module = sib.module
-            if mode == "analyze":  # geometry only: no weights to scale
-                profiles.append(sibling_profile(module, in_layout, self.analysis))
-                continue
-            if sib.index in self.folded:
-                weight, bias = self.folded[sib.index]
-            else:
-                weight = module.weight.data
-                bias = module.bias.data if module.bias is not None else None
-            m_out = self.ranges.norm(term_uid)
-            factor = (m_in / m_out) * (pending if part == 0 else 1.0)
-            weight = weight * factor
-            if bias is not None:
-                bias = np.asarray(bias) / m_out
-            sub_name = f"{node.name}/{sib.name}"
-            if getattr(module, "kernel_size", None) is not None:
-                packed, _ = self._pack_conv(
-                    weight, bias, in_layout, module.stride, module.padding,
-                    module.dilation, module.groups, sub_name, mode,
-                )
-            else:
-                packed, _ = self._pack_fc(weight, bias, in_layout, sub_name, mode)
-            packeds.append(packed)
-
-        if mode == "materialize":
-            merged = merge_packed_matvecs(packeds, name=node.name)
-            out_layout = merged.out_layout
-            rotations = merged.rotation_count()
-            pmults = merged.pmult_count()
-            cost_obj = _MatVecCost(merged)
+        if self.compiler.mode == "analyze":  # geometry only
+            profiles = [
+                sibling_profile(sib.module, in_layout, self.analysis)
+                for sib in fmod.siblings
+            ]
+            merged, stats = _analyzed_stats(merged_packing_stats(profiles))
         else:
-            merged = None
-            stats = merged_packing_stats(profiles)
-            out_layout = stats.out_layout
-            rotations = stats.rotations
-            pmults = stats.pmults
-            cost_obj = _StatsCost(stats)
+            packeds = []
+            for part, (sib, term_uid) in enumerate(
+                zip(fmod.siblings, fmod.terminal_uids)
+            ):
+                module = sib.module
+                factor = (m_in / self.ranges.norm(term_uid)) * (
+                    pending if part == 0 else 1.0
+                )
+                params = functools.partial(
+                    self._effective_linear_params, sib, factor, term_uid
+                )
+                sub_name = f"{node.name}/{sib.name}"
+                if getattr(module, "kernel_size", None) is not None:
+                    packed, _ = self._pack_conv(
+                        module.weight.shape, params, in_layout, module.stride,
+                        module.padding, module.dilation, module.groups, sub_name,
+                    )
+                else:
+                    packed, _ = self._pack_fc(
+                        module.weight.shape, params, in_layout, sub_name
+                    )
+                packeds.append(packed)
+            merged, stats = _packed_stats(
+                merge_packed_matvecs(packeds, name=node.name)
+            )
+        out_layout = stats["out_layout"]
+        cost_obj = stats["cost_obj"]
 
         self.layouts[node.output] = out_layout
         costs = self.compiler.costs
@@ -687,8 +648,8 @@ class _ProgramBuilder:
             LayerReport(
                 name=node.name,
                 kind="linear",
-                rotations=rotations,
-                pmults=pmults,
+                rotations=stats["rotations"],
+                pmults=stats["pmults"],
                 depth=1,
                 num_cts=out_layout.num_ciphertexts,
             )
@@ -859,7 +820,7 @@ class _ProgramBuilder:
         return out_uid
 
     def _emit_batchnorm(self, node, chain: PlacementChain) -> int:
-        if _is_alias(self.folded.get(node.index)):
+        if node.index in self.folded_bns:
             # Folded into the producing conv; uid already redirected.
             return node.output
         # Standalone BN: a diagonal linear map (one level) — a
@@ -867,22 +828,23 @@ class _ProgramBuilder:
         # dense matrix on vector inputs (BatchNorm1d after a Linear).
         in_uid = self._resolve(node.inputs[0])
         in_layout = self.layouts[in_uid]
-        scale, shift = node.module.folded_affine()
-        m_in = self.ranges.norm(in_uid)
         m_out = self.ranges.norm(node.output)
-        factor = (m_in / m_out) * self.pending.pop(in_uid, 1.0)
-        bias = shift / m_out
-        if isinstance(in_layout, VectorLayout):
-            weight = np.diag(scale * factor)
-            packed, stats = self._pack_fc(
-                weight, bias, in_layout, node.name, self.compiler.mode
-            )
+        factor = self._pop_factor(in_uid, node.output)
+        vector = isinstance(in_layout, VectorLayout)
+        c = node.module.num_features
+
+        def params():
+            scale, shift = node.module.folded_affine()
+            if vector:
+                return np.diag(scale * factor), shift / m_out
+            return scale.reshape(c, 1, 1, 1) * factor, shift / m_out
+
+        if vector:
+            packed, stats = self._pack_fc((c, c), params, in_layout, node.name)
         else:
-            c = in_layout.channels
-            weight = scale.reshape(c, 1, 1, 1) * factor
             packed, stats = self._pack_conv(
-                weight, bias, in_layout, (1, 1), (0, 0), (1, 1), c,
-                node.name, self.compiler.mode,
+                (c, 1, 1, 1), params, in_layout, (1, 1), (0, 0), (1, 1), c,
+                node.name,
             )
         self.layouts[node.output] = stats["out_layout"]
         costs = self.compiler.costs
@@ -923,8 +885,22 @@ class _StatsCost:
         return self.stats.cost(level, cost_model)
 
 
+def _packed_stats(packed):
+    return packed, {
+        "out_layout": packed.out_layout,
+        "rotations": packed.rotation_count(),
+        "pmults": packed.pmult_count(),
+        "cost_obj": _MatVecCost(packed),
+    }
+
+
+def _analyzed_stats(stats):
+    return None, {
+        "out_layout": stats.out_layout,
+        "rotations": stats.rotations,
+        "pmults": stats.pmults,
+        "cost_obj": _StatsCost(stats),
+    }
+
+
 _POLY_OPS_CACHE: Dict[int, Dict[str, int]] = {}
-
-
-def _is_alias(entry) -> bool:
-    return isinstance(entry, tuple) and len(entry) == 1 and entry[0] == "alias"

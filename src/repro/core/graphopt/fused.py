@@ -15,10 +15,11 @@ class FusedLinear:
     """Concat-fusion of sibling linear/conv nodes sharing one input.
 
     Wraps the original :class:`~repro.trace.graph.TraceNode` objects so
-    the lowering can recover each sibling's module, folded weights (via
-    ``node.index``), and range normalization (via ``terminal_uids``,
-    the value ids the siblings originally produced — batchnorm-folded
-    siblings terminate at their BN's output).  ``part_layouts`` records
+    the lowering can recover each sibling's module, its batch-norm fold
+    (the fold plan is keyed by ``node.index``), and range normalization
+    (via ``terminal_uids``, the value ids the siblings originally
+    produced — batchnorm-folded siblings terminate at their BN's
+    output).  ``part_layouts`` records
     each sibling's output layout as inferred at rewrite time (used for
     layout propagation before lowering).
     """

@@ -41,15 +41,16 @@ from repro.core.graphopt.fused import FusedLinear, Slice
 @dataclass
 class OptContext:
     """Everything a pass may consult: parameters, prices, the
-    batch-norm folding table (rewrites must respect what the compiler
-    already decided to fold), and the compile's conv analysis table
-    (shared with the program builder, so a gate's offset profile is
-    the entry the lowering reads)."""
+    batch-norm fold plan (linear node index -> the BN node it absorbs;
+    rewrites must respect what the compiler already decided to fold),
+    and the compile's conv analysis table (shared with the program
+    builder, so a gate's offset profile is the entry the lowering
+    reads)."""
 
     params: object  # CkksParameters
     costs: CostModel
     input_shape: Tuple[int, ...]
-    folded: Dict[int, Tuple] = field(default_factory=dict)
+    folds: Dict[int, TraceNode] = field(default_factory=dict)
     analysis: ConvAnalysisTable = field(default_factory=ConvAnalysisTable)
 
     @property
@@ -65,10 +66,6 @@ class OptContext:
 
 def _kind(node: TraceNode) -> Optional[str]:
     return getattr(node.module, "orion_kind", None)
-
-
-def _is_alias(entry) -> bool:
-    return isinstance(entry, tuple) and len(entry) == 1 and entry[0] == "alias"
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +90,7 @@ def infer_layouts(graph: LayerGraph, input_shape, slots: int) -> Dict[int, objec
             continue
         kind = _kind(node)
         if kind == "linear":
-            layouts[node.output] = _linear_out_layout(node.module, in_layout, slots)
+            layouts[node.output] = _linear_out_layout(node, in_layout, slots)
         elif kind == "fused_linear":
             layouts[node.output] = StackedLayout(
                 parts=tuple(node.module.part_layouts), slots=slots
@@ -108,7 +105,8 @@ def infer_layouts(graph: LayerGraph, input_shape, slots: int) -> Dict[int, objec
     return layouts
 
 
-def _linear_out_layout(module, in_layout, slots: int):
+def _linear_out_layout(node: TraceNode, in_layout, slots: int):
+    module = node.module
     type_name = type(module).__name__
     if type_name == "AvgPool2d":
         k, s = module.kernel_size, module.stride
@@ -120,7 +118,7 @@ def _linear_out_layout(module, in_layout, slots: int):
             slots=slots,
         )
     if type_name == "AdaptiveAvgPool2d":
-        k = in_layout.height
+        k = in_layout.global_pool_kernel(node.name)
         return MultiplexedLayout(
             channels=in_layout.channels, height=1, width=1,
             gap=in_layout.gap * k, slots=slots,
@@ -151,7 +149,7 @@ def sibling_profile(
         if not isinstance(in_layout, MultiplexedLayout):
             return None
         return analysis.lookup(
-            module.weight.data.shape, in_layout,
+            module.weight.shape, in_layout,
             stride=module.stride, padding=module.padding,
             dilation=module.dilation, groups=module.groups,
         ).profile
@@ -210,7 +208,7 @@ def concat_linear_fusion(graph: LayerGraph, ctx: OptContext) -> int:
             )
             if gain <= 0 or merged.cost(ctx.level, ctx.costs) >= separate:
                 continue
-            terminals = [_terminal_node(graph, node, ctx.folded) for node in cons]
+            terminals = [ctx.folds.get(node.index) for node in cons]
             terminal_uids = [
                 (t.output if t is not None else node.output)
                 for t, node in zip(terminals, cons)
@@ -225,15 +223,6 @@ def concat_linear_fusion(graph: LayerGraph, ctx: OptContext) -> int:
             changed = True
             break  # caches and layouts are stale; restart the scan
     return rewrites
-
-
-def _terminal_node(graph, node, folded) -> Optional[TraceNode]:
-    """The folded-away BN riding on a sibling's output, if any (the
-    same redirect `_emit_linear` performs)."""
-    users = graph.consumers().get(node.output, [])
-    if len(users) == 1 and _is_alias(folded.get(users[0].index)):
-        return users[0]
-    return None
 
 
 def _apply_concat_fusion(graph, fork_uid, siblings, terminals, terminal_uids,

@@ -2,8 +2,9 @@
 
 ``optimize_graph`` runs the registered passes in order over a traced
 :class:`~repro.trace.graph.LayerGraph`, in place, and returns a
-:class:`GraphOptReport` of what fired.  It runs between
-``OrionCompiler._trace`` and program building, so every rewrite sees
+:class:`GraphOptReport` of what fired.  It runs between the compiler's
+structure trace (``repro.trace.trace_structure``) and program
+building, so every rewrite sees
 the whole network and the optimized graph flows through the unchanged
 placement solver and lowering.
 

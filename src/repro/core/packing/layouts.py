@@ -69,6 +69,21 @@ class MultiplexedLayout:
         """Shape of the tensor :meth:`pack` expects."""
         return (self.channels, self.height, self.width)
 
+    def global_pool_kernel(self, name: str) -> int:
+        """The k x k, stride-k kernel that global average pooling of this
+        layout lowers to (``name`` labels the layer in the error).
+
+        One gap serves both axes, so only a square map has such a
+        kernel; a non-square one is refused rather than pooled over a
+        height x height window.
+        """
+        if self.height != self.width:
+            raise ValueError(
+                f"{name}: global average pooling of a {self.height}x"
+                f"{self.width} map; the packed lowering needs a square map"
+            )
+        return self.height
+
     # -- index mapping ---------------------------------------------------
     def slot(self, c, y, x):
         """Global slot index of logical element (c, y, x) (vectorized).

@@ -28,6 +28,7 @@ import math
 from typing import Tuple
 
 from repro.core.packing.layouts import MultiplexedLayout
+from repro.trace.graph import trace_structure
 
 
 def _log2_ceil(x: float) -> int:
@@ -81,20 +82,11 @@ def lee_network_rotations(net, input_shape, slots: int) -> Tuple[int, int]:
     """Total (rotations, multiplicative depth) of a network under the
     Lee et al. scheme (the Table 3 baseline).
 
-    Traces the network, propagates the multiplexed gap the same way
-    their packing does, and sums per-layer rotation counts; strided
-    convolutions cost an extra level each (mask-and-collect).
+    Traces the network's structure, propagates the multiplexed gap the
+    same way their packing does, and sums per-layer rotation counts;
+    strided convolutions cost an extra level each (mask-and-collect).
     """
-    import numpy as np
-
-    from repro.autograd.tensor import Tensor, no_grad
-    from repro.trace.graph import TracedValue, tracer
-
-    net.eval()
-    with no_grad():
-        with tracer() as graph:
-            net(TracedValue(Tensor(np.zeros((1,) + tuple(input_shape))), graph.input_uid))
-
+    graph = trace_structure(net, input_shape)
     layouts = {graph.input_uid: MultiplexedLayout(*input_shape, gap=1, slots=slots)}
     total_rotations = 0
     total_depth = 0
@@ -124,7 +116,7 @@ def lee_network_rotations(net, input_shape, slots: int) -> Tuple[int, int]:
             )
             layouts[node.output] = MultiplexedLayout(c, h, w, in_layout.gap * k, slots)
         elif kind == "linear" and type_name == "AdaptiveAvgPool2d":
-            k = in_layout.height
+            k = in_layout.global_pool_kernel(node.name)
             total_rotations += lee_avgpool_rotations(in_layout, k)
             total_depth += lee_conv_depth(k)
             layouts[node.output] = MultiplexedLayout(

@@ -71,10 +71,12 @@ def estimate_ranges(
     maxima: Dict[int, float] = {}
     with no_grad():
         for batch in calibration_batches:
+            batch = np.asarray(batch)
             with tracer() as run:
-                value = TracedValue(Tensor(np.asarray(batch)), run.input_uid)
-                net(value)
-            peak_in = float(np.max(np.abs(np.asarray(batch))))
+                # A traced value with a tensor: every leaf runs its
+                # forward and checks it against its shape rule.
+                net(TracedValue(batch.shape[1:], run.input_uid, Tensor(batch)))
+            peak_in = float(np.max(np.abs(batch)))
             maxima[graph.input_uid] = max(maxima.get(graph.input_uid, 0.0), peak_in)
             if len(run.nodes) != len(graph.nodes):
                 raise ValueError("calibration trace does not match the graph")

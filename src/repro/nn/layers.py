@@ -182,7 +182,7 @@ class AdaptiveAvgPool2d(Module):
         self.output_size = output_size
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, kernel=x.shape[-1], stride=x.shape[-1])
+        return x.mean(axis=(2, 3), keepdims=True)
 
 
 class Flatten(Module):

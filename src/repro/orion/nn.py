@@ -5,12 +5,14 @@ validation run through repro.nn), and (b) the metadata the Orion
 compiler needs: its kind, multiplicative depth, and any polynomial
 approximation configuration.  ``__call__`` additionally records the
 module into an active trace (repro.trace) so the compiler can recover
-the layer DAG.
+the layer DAG; every leaf's ``traced_shape(*input_shapes)`` rule gives
+its output shape there without running ``forward``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,13 +21,17 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.trace.graph import TracedValue, record_node, trace_active
 
+Shape = Tuple[int, ...]
+
 
 class Module(base_nn.Module):
     """Base class for all orion modules.
 
     Subclass this (like paper Listing 1) to build networks.  Leaf
-    modules set ``orion_kind``; containers leave it ``None`` and simply
-    compose children in ``forward``.
+    modules set ``orion_kind`` and give a ``traced_shape`` rule (feature
+    shapes in, feature shape out, ``ValueError`` where ``forward`` would
+    reject the input); containers leave ``orion_kind`` ``None`` and
+    simply compose children in ``forward``.
     """
 
     orion_kind: Optional[str] = None  # None = container
@@ -42,8 +48,24 @@ class Module(base_nn.Module):
                     f"{type(self).__name__} received a raw tensor during "
                     "tracing; all values must flow from the traced input"
                 )
-        out_tensor = self.forward(*(v.tensor for v in values))
-        return record_node(self, values, out_tensor)
+        shape = tuple(self.traced_shape(*(v.feature_shape for v in values)))
+        if any(v.tensor is None for v in values):
+            return record_node(self, values, shape)
+        out = self.forward(*(v.tensor for v in values))
+        if tuple(out.shape[1:]) != shape:
+            raise ValueError(
+                f"{type(self).__name__}: forward produced feature shape "
+                f"{tuple(out.shape[1:])}, its traced_shape rule says {shape}"
+            )
+        return record_node(self, values, shape, out)
+
+
+def _channels_must_match(module, shape: Shape, expected: int, rank: int) -> None:
+    if len(shape) != rank or shape[0] != expected:
+        raise ValueError(
+            f"{type(module).__name__} expects a rank-{rank} feature shape "
+            f"whose first entry is {expected}, got {tuple(shape)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +83,20 @@ class Conv2d(Module, base_nn.Conv2d):
             dilation, groups, bias,
         )
 
+    def traced_shape(self, shape: Shape) -> Shape:
+        _channels_must_match(self, shape, self.in_channels, rank=3)
+        return self.output_shape(shape)
+
 
 class Linear(Module, base_nn.Linear):
     orion_kind = "linear"
 
     def __init__(self, in_features, out_features, bias=True):
         base_nn.Linear.__init__(self, in_features, out_features, bias)
+
+    def traced_shape(self, shape: Shape) -> Shape:
+        _channels_must_match(self, shape, self.in_features, rank=1)
+        return (self.out_features,)
 
 
 class AvgPool2d(Module, base_nn.AvgPool2d):
@@ -75,12 +105,18 @@ class AvgPool2d(Module, base_nn.AvgPool2d):
     def __init__(self, kernel_size, stride=None):
         base_nn.AvgPool2d.__init__(self, kernel_size, stride)
 
+    def traced_shape(self, shape: Shape) -> Shape:
+        return self.output_shape(shape)
+
 
 class AdaptiveAvgPool2d(Module, base_nn.AdaptiveAvgPool2d):
     orion_kind = "linear"
 
     def __init__(self, output_size=1):
         base_nn.AdaptiveAvgPool2d.__init__(self, output_size)
+
+    def traced_shape(self, shape: Shape) -> Shape:
+        return (shape[0], 1, 1)
 
 
 class BatchNorm2d(Module, base_nn.BatchNorm2d):
@@ -93,6 +129,10 @@ class BatchNorm2d(Module, base_nn.BatchNorm2d):
     def __init__(self, num_features, eps=1e-5, momentum=0.1):
         base_nn.BatchNorm2d.__init__(self, num_features, eps, momentum)
 
+    def traced_shape(self, shape: Shape) -> Shape:
+        _channels_must_match(self, shape, self.num_features, rank=3)
+        return shape
+
 
 class BatchNorm1d(Module, base_nn.BatchNorm1d):
     """Per-feature batch norm; folded into the adjacent dense Linear at
@@ -103,11 +143,18 @@ class BatchNorm1d(Module, base_nn.BatchNorm1d):
     def __init__(self, num_features, eps=1e-5, momentum=0.1):
         base_nn.BatchNorm1d.__init__(self, num_features, eps, momentum)
 
+    def traced_shape(self, shape: Shape) -> Shape:
+        _channels_must_match(self, shape, self.num_features, rank=1)
+        return shape
+
 
 class Flatten(Module, base_nn.Flatten):
     """Layout-only: flattening is free under packed layouts."""
 
     orion_kind = "reshape"
+
+    def traced_shape(self, shape: Shape) -> Shape:
+        return (math.prod(shape),)
 
 
 class Roll(Module):
@@ -139,6 +186,9 @@ class Roll(Module):
 
         return Tensor._make(np.asarray(data), (x,), backward)
 
+    def traced_shape(self, shape: Shape) -> Shape:
+        return shape
+
 
 class Add(Module):
     """Elementwise join for residual connections (paper Listing 1)."""
@@ -147,6 +197,14 @@ class Add(Module):
 
     def forward(self, a: Tensor, b: Tensor) -> Tensor:
         return a + b
+
+    def traced_shape(self, a: Shape, b: Shape) -> Shape:
+        if tuple(a) != tuple(b):
+            raise ValueError(
+                f"{type(self).__name__} joins operands of different shapes "
+                f"{tuple(a)} and {tuple(b)}"
+            )
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +243,9 @@ class _ActivationBase(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         raise NotImplementedError
+
+    def traced_shape(self, shape: Shape) -> Shape:
+        return shape
 
 
 class ReLU(_ActivationBase):

@@ -3,11 +3,18 @@
 The bootstrap placement algorithm (paper Section 5) operates on a
 program structure tree: chains of layers where each residual connection
 forms a single-entry single-exit (SESE) region bounded by a fork node
-and a join node.  This package builds that structure from a traced
-forward pass.
+and a join node.  This package builds that structure from a shape-only
+trace of the network (:func:`trace_structure`).
 """
 
-from repro.trace.graph import LayerGraph, TraceNode, TracedValue, trace_active, tracer
+from repro.trace.graph import (
+    LayerGraph,
+    TraceNode,
+    TracedValue,
+    trace_active,
+    trace_structure,
+    tracer,
+)
 from repro.trace.sese import Chain, LayerItem, RegionItem, build_region_tree
 
 __all__ = [
@@ -15,6 +22,7 @@ __all__ = [
     "TraceNode",
     "TracedValue",
     "trace_active",
+    "trace_structure",
     "tracer",
     "Chain",
     "LayerItem",

@@ -1,4 +1,4 @@
-"""Tracing machinery: record the module-level dataflow of a forward pass.
+"""Tracing machinery: record the module-level dataflow of a network.
 
 Orion modules (repro.orion.nn) check :func:`trace_active` inside
 ``__call__``; when a trace is live, each *leaf* module appends a
@@ -6,6 +6,12 @@ Orion modules (repro.orion.nn) check :func:`trace_active` inside
 Container modules (user subclasses, Sequential) contribute nothing —
 only the leaves appear in the graph, mirroring how the paper treats a
 "network layer" as a linear transform or polynomial evaluation.
+
+A trace is shape-only unless the caller feeds real data: each leaf
+derives its output shape from its ``traced_shape`` rule, and runs its
+``forward`` only when its inputs carry tensors (range estimation's
+calibration traces), where the forward's shape is checked against the
+rule.
 """
 
 from __future__ import annotations
@@ -15,25 +21,24 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.autograd.tensor import Tensor
 
 
 @dataclass
 class TracedValue:
-    """A tensor flowing through a traced forward pass."""
+    """A value flowing through a trace: its feature shape (no batch
+    dimension) always, its tensor only when the trace runs real data."""
 
-    tensor: Tensor
+    feature_shape: Tuple[int, ...]
     uid: int
-
-    @property
-    def feature_shape(self) -> Tuple[int, ...]:
-        """Shape without the batch dimension."""
-        return tuple(self.tensor.shape[1:])
+    tensor: Optional[Tensor] = None
 
 
 @dataclass
 class TraceNode:
-    """One executed leaf module."""
+    """One traced leaf module."""
 
     index: int
     module: object  # an orion leaf module
@@ -41,7 +46,9 @@ class TraceNode:
     output: int
     input_shapes: Tuple[Tuple[int, ...], ...]
     output_shape: Tuple[int, ...]
-    output_max_abs: float = 0.0  # peak |value| seen (range estimation)
+    # Peak |value| the forward produced: meaningful on calibration
+    # traces only (range estimation); a shape-only trace leaves 0.0.
+    output_max_abs: float = 0.0
 
     @property
     def name(self) -> str:
@@ -105,7 +112,7 @@ class LayerGraph:
     def fresh_index(self) -> int:
         """An unused node index for a rewrite-created node.
 
-        Node indices key the compiler's batch-norm folding table and the
+        Node indices key the compiler's batch-norm fold plan and the
         ``name`` property, so rewrites must never reuse one.
         """
         return max((node.index for node in self.nodes), default=-1) + 1
@@ -164,15 +171,20 @@ def tracer():
         _ACTIVE_TRACE.pop()
 
 
-def record_node(module, inputs: List[TracedValue], output_tensor: Tensor) -> TracedValue:
-    """Append a leaf-module execution to the active trace."""
+def record_node(
+    module,
+    inputs: List[TracedValue],
+    output_shape: Tuple[int, ...],
+    output_tensor: Optional[Tensor] = None,
+) -> TracedValue:
+    """Append a leaf module to the active trace."""
     graph = trace_active()
     if graph is None:
         raise RuntimeError("record_node called outside a tracer() scope")
-    out = TracedValue(output_tensor, graph.fresh_uid())
-    import numpy as _np
-
-    peak = float(_np.max(_np.abs(output_tensor.data))) if output_tensor.size else 0.0
+    out = TracedValue(tuple(output_shape), graph.fresh_uid(), output_tensor)
+    peak = 0.0
+    if output_tensor is not None and output_tensor.size:
+        peak = float(np.max(np.abs(output_tensor.data)))
     node = TraceNode(
         index=len(graph.nodes),
         module=module,
@@ -186,3 +198,16 @@ def record_node(module, inputs: List[TracedValue], output_tensor: Tensor) -> Tra
     graph.output_uid = out.uid
     graph.invalidate()
     return out
+
+
+def trace_structure(net, input_shape: Tuple[int, ...]) -> LayerGraph:
+    """The layer DAG of ``net`` on one ``input_shape`` (C, H, W) input.
+
+    Shape-only: every leaf's output shape comes from its
+    ``traced_shape`` rule, so no forward runs and no weight is read.
+    """
+    with tracer() as graph:
+        net(TracedValue(tuple(input_shape), graph.input_uid))
+    if graph.output_uid is None:
+        raise ValueError("tracing recorded no layers — not an orion network?")
+    return graph

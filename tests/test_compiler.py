@@ -5,6 +5,8 @@ program must reproduce the cleartext network output on both backends,
 with levels, scales, and bootstraps all enforced exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -12,10 +14,14 @@ from fractions import Fraction
 import repro.orion.nn as on
 from repro.backend import SimBackend, ToyBackend
 from repro.ckks.params import paper_parameters, toy_parameters
-from repro.models import LolaCnn, SecureMlp, resnet_cifar, silu_act
+from repro.core import compiler
+from repro.models import LolaCnn, SecureMlp, resnet_cifar, resnet_imagenet, silu_act
 from repro.models.resnet import BasicBlock
 from repro.nn import init
 from repro.orion import OrionNetwork
+from repro.trace import trace_structure
+
+from reference.batchnorm_fold import fold_batchnorms
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +272,115 @@ class TestRangeEstimation:
         onet = OrionNetwork(net, (1, 4, 4))
         compiled = onet.compile(params)  # no calibration
         assert compiled.multiplicative_depth == 5
+
+
+def _weight_tables(program):
+    """The program's artifact payload and every array it stores."""
+    arrays = []
+
+    def store(array):
+        arrays.append(np.array(array, copy=True))
+        return len(arrays) - 1
+
+    return program.to_payload(store), arrays
+
+
+class TestShapeOnlyCompile:
+    """The compiler learns a network's structure from shape rules: no
+    leaf forward runs unless calibration data is given, and analyze
+    mode never copies a weight."""
+
+    LEAVES = (on.Conv2d, on.Linear, on.AvgPool2d, on.AdaptiveAvgPool2d,
+              on.BatchNorm2d, on.Flatten, on.Add, on.SiLU, on.Square)
+
+    def test_no_forward_runs_without_calibration(self, params, monkeypatch):
+        def refuse(module, *args):
+            raise AssertionError(f"{type(module).__name__}.forward ran")
+
+        for leaf in self.LEAVES:
+            monkeypatch.setattr(leaf, "forward", refuse)
+        init.seed_init(0)
+        for net, shape in (
+            (resnet_cifar(8, act=silu_act(31), width=4), (3, 8, 8)),
+            (SecureMlp(input_pixels=16, hidden=8), (1, 4, 4)),
+        ):
+            for mode in ("analyze", "materialize"):
+                OrionNetwork(net, shape).compile(params, mode=mode)
+
+    def test_analyze_peak_memory_is_a_fraction_of_the_weights(self, params):
+        init.seed_init(0)
+        net = resnet_imagenet(18, act=silu_act(31))
+        onet = OrionNetwork(net, (3, 224, 224))
+        onet.compile(params, mode="analyze")  # warm the per-process caches
+        weight_bytes = sum(p.data.nbytes for p in net.parameters())
+        tracemalloc.start()
+        try:
+            onet.compile(params, mode="analyze")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A numeric trace plus a folded copy of every weight peaked at
+        # 1.34x the weights; the shape-only compile at 0.18x.
+        assert peak < 0.25 * weight_bytes, (peak, weight_bytes)
+
+    def test_per_layer_fold_is_bit_identical_to_the_whole_network_fold(
+        self, monkeypatch
+    ):
+        tparams = toy_parameters(ring_degree=2048, max_level=12, boot_levels=3,
+                                 scale_bits=24)
+        onet, _ = make_net(
+            lambda: resnet_cifar(8, act=silu_act(31), width=4), (3, 8, 8), seed=3
+        )
+        payload, arrays = _weight_tables(onet.compile(tparams).program)
+        folded = fold_batchnorms(trace_structure(onet.module, (3, 8, 8)))
+        assert folded
+
+        def whole_network_fold(builder, node, factor, out_uid):
+            module = node.module
+            bias = module.bias.data if module.bias is not None else None
+            weight, bias = folded.get(node.index, (module.weight.data, bias))
+            weight = weight * factor
+            if bias is not None:
+                bias = np.asarray(bias) / builder.ranges.norm(out_uid)
+            return weight, bias
+
+        monkeypatch.setattr(
+            compiler._ProgramBuilder, "_effective_linear_params", whole_network_fold
+        )
+        want_payload, want_arrays = _weight_tables(onet.compile(tparams).program)
+        assert payload == want_payload
+        assert len(arrays) == len(want_arrays)
+        for got, want in zip(arrays, want_arrays):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class _NonSquarePool(on.Module):
+    def __init__(self):
+        super().__init__()
+        self.pool = on.AdaptiveAvgPool2d(1)
+        self.flatten = on.Flatten()
+        self.fc = on.Linear(2, 2)
+
+    def forward(self, x):
+        return self.fc(self.flatten(self.pool(x)))
+
+
+class TestGlobalPooling:
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 12, 8), (2, 8, 12)])
+    def test_non_square_map_is_refused(self, params, shape, optimize):
+        init.seed_init(0)
+        onet = OrionNetwork(_NonSquarePool(), shape)
+        with pytest.raises(ValueError, match="adaptiveavgpool2d_0.*square"):
+            onet.compile(params, mode="analyze", optimize=optimize)
+
+    def test_lee_baseline_refuses_a_non_square_map(self, params):
+        from repro.core.packing.lee import lee_network_rotations
+
+        init.seed_init(0)
+        with pytest.raises(ValueError, match="adaptiveavgpool2d_0.*square"):
+            lee_network_rotations(_NonSquarePool(), (2, 12, 8), params.slot_count)
+        rotations, depth = lee_network_rotations(
+            _NonSquarePool(), (2, 8, 8), params.slot_count
+        )
+        assert rotations > 0 and depth == 3  # mask-and-collect pool + dense

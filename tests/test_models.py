@@ -17,7 +17,7 @@ from repro.models import (
     square_act,
 )
 from repro.nn import init
-from repro.trace.graph import TracedValue, tracer
+from repro.trace.graph import trace_structure
 from repro.trace.sese import build_region_tree
 
 
@@ -100,11 +100,7 @@ class TestTraceability:
     )
     def test_region_tree(self, builder, shape, regions):
         init.seed_init(0)
-        net = builder()
-        net.eval()
-        with no_grad():
-            with tracer() as graph:
-                net(TracedValue(Tensor(np.zeros((1,) + shape)), graph.input_uid))
+        graph = trace_structure(builder(), shape)
         tree = build_region_tree(graph)
         assert tree.region_count() == regions
         assert len(tree.layer_nodes()) == len(graph.nodes)

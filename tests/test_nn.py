@@ -90,6 +90,12 @@ class TestLayers:
         assert out.shape == (2, 3, 1, 1)
         assert np.allclose(out[..., 0, 0], x.mean(axis=(2, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 12, 8), (2, 2, 8, 12)])
+    def test_adaptive_pool_is_global_on_non_square_maps(self, shape):
+        x = np.random.default_rng(1).normal(size=shape)
+        out = nn.AdaptiveAvgPool2d(1)(Tensor(x)).data
+        assert np.allclose(out, x.mean((2, 3), keepdims=True), rtol=0, atol=1e-15)
+
     def test_flatten(self):
         out = nn.Flatten()(Tensor(np.zeros((2, 3, 4, 4))))
         assert out.shape == (2, 48)
