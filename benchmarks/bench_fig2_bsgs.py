@@ -43,7 +43,7 @@ def test_fig2_functional_equivalence(record_table, benchmark):
         "fig2_equivalence",
         "Figure 2 functional check: BSGS matvec == dense product",
         ("n", "max error", "rotations"),
-        [(n, f"{np.abs(got - matrix @ x).max():.2e}", packed.rotation_count())],
+        [(n, f"{np.abs(got - matrix @ x).max():.2e}", packed.stats.rotations)],
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 

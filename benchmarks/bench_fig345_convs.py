@@ -33,10 +33,10 @@ def test_fig3_siso_equivalence(record_table, benchmark):
         "fig3_siso",
         "Figure 3: SISO conv == Toeplitz diagonal matvec",
         ("diagonals", "rotations", "max error"),
-        [(packed.pmult_count(), packed.rotation_count(), f"{err:.2e}")],
+        [(packed.stats.pmults, packed.stats.rotations, f"{err:.2e}")],
     )
     assert err < 1e-10
-    assert packed.pmult_count() == 9  # one diagonal per filter tap
+    assert packed.stats.pmults == 9  # one diagonal per filter tap
     benchmark.pedantic(
         lambda: build_conv_packing(w, None, lay, padding=(1, 1)), rounds=5, iterations=1
     )
@@ -54,7 +54,7 @@ def test_fig4_mimo_equivalence(record_table, benchmark):
         "fig4_mimo",
         "Figure 4: MIMO conv == blocked Toeplitz matvec",
         ("diagonals", "rotations", "max error"),
-        [(packed.pmult_count(), packed.rotation_count(), f"{err:.2e}")],
+        [(packed.stats.pmults, packed.stats.rotations, f"{err:.2e}")],
     )
     assert err < 1e-10
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

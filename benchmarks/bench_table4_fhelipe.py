@@ -41,7 +41,7 @@ def _latency_breakdown(chain, placement, costs, hoisting, encode_on_the_fly):
         item = items[policy.name]
         boot_seconds += policy.bootstrap_before * costs.bootstrap()
         level = policy.exec_level
-        stats = getattr(item.cost_obj, "stats", None)
+        stats = item.cost_obj  # a packed layer's PackingStats
         if stats is not None:
             conv_seconds += stats.cost(level, costs, hoisting=hoisting)
             if encode_on_the_fly:

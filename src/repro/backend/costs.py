@@ -301,8 +301,9 @@ class CostModel:
             num_diagonals: plaintext diagonals multiplied (PMult count).
             num_baby: distinct baby-step rotations.
             num_giant: distinct giant-step rotations (non-fused modes
-                include the Gazelle fold rotations here, matching
-                ``PackedMatVec.counts``).
+                include the Gazelle fold rotations here, as
+                ``PackingStats.cost`` passes them — ``analysis._count_stats``
+                counts folds into ``_giants``).
             hoisting: 'fused' (the default — the one pipeline that
                 executes) or the analytic prices 'none' | 'single' |
                 'double' of the Section 3.3 ablation, which execute
@@ -310,10 +311,7 @@ class CostModel:
                 fully-hoisted deferred-mod-down path (one decomposition,
                 one inner product per diagonal offset, one mod-down;
                 plaintext multiplies run over the extended Q_l * P
-                basis).  The 'fused' price is slightly conservative: it
-                treats every diagonal as a rotated offset, while
-                execution skips the key switch (and the Q_l * P width)
-                for offset-0 diagonals.
+                basis).
             num_in: input ciphertext blocks ('fused' only: one
                 decomposition each).
             num_out: output ciphertext blocks ('fused' only: one
@@ -323,17 +321,16 @@ class CostModel:
                 ``num_giant``); priced by :meth:`fold_cost`.
             num_offsets: distinct nonzero (input block, diagonal offset)
                 pairs — the key-switch inner products the fused path
-                really performs.  Defaults to ``num_diagonals`` (the
-                conservative upper bound: every diagonal rotated).  Zero
-                means no rotation at all (e.g. a depthwise 1x1 conv):
-                the fused execution then skips decompose and mod-down
-                entirely and so does the price.
+                really performs.  Required by 'fused', unused by the
+                other modes.  Zero means no rotation at all (e.g. a
+                depthwise 1x1 conv): the fused execution then skips
+                decompose and mod-down entirely and so does the price.
         """
         if hoisting == "fused":
+            if num_offsets is None:
+                raise TypeError("the 'fused' price needs num_offsets")
             pm = num_diagonals * self.pmult_fused(level)
             adds = max(0, num_diagonals - 1) * self.hadd(level)
-            if num_offsets is None:
-                num_offsets = num_diagonals
             if num_offsets == 0:
                 rots = 0.0
             else:

@@ -11,8 +11,11 @@ Pipeline (paper Sections 4-6):
 3. **Range-estimate** normalization constants from calibration data and
    fuse the scale-downs into weights and activation fits.
 4. **Pack** every linear layer with single-shot multiplexing + BSGS
-   (materialized plaintext diagonals, or closed-form counts in
-   ``analyze`` mode for paper-scale networks).
+   (materialized plaintext diagonals, or in ``analyze`` mode for
+   paper-scale networks the layer's diagonal key set from its geometry
+   alone).  Either way the layer's ``PackingStats`` — counted from the
+   key set by ``packing.analysis._count_stats`` — prices it for
+   placement and fills its report.
 5. **Approximate** activations: composite minimax sign for ReLU,
    Chebyshev fits for SiLU/custom, direct squaring for x^2.
 6. **Place bootstraps** with the level-digraph planner and stamp every
@@ -38,7 +41,7 @@ from repro.core.graphopt import OptContext, optimize_graph
 from repro.core.graphopt.passes import sibling_profile
 from repro.core.packing.analysis import (
     ConvAnalysisTable,
-    analyze_linear_packing,
+    linear_structure,
     merged_packing_stats,
 )
 from repro.core.packing.layouts import MultiplexedLayout, VectorLayout
@@ -517,21 +520,23 @@ class _ProgramBuilder:
                 in_layout, name,
             )
 
-        out_layout = stats["out_layout"]
-        self.layouts[out_uid] = out_layout
+        self.layouts[out_uid] = stats.out_layout
         if out_uid != node.output:
             self.alias[node.output] = out_uid
+        self._append_packed(chain, name, "linear", in_uid, out_uid, packed, stats)
+        return out_uid
 
-        num_cts_in = in_layout.num_ciphertexts
-        cost_obj = stats["cost_obj"]
+    def _append_packed(self, chain, name, kind, in_uid, out_uid, packed, stats):
+        """One packed layer: its placement item (priced by ``stats``), its
+        instruction (``packed`` is None in analyze mode) and its report."""
         costs = self.compiler.costs
         chain.items.append(
             LayerSpec(
                 name,
                 depth=1,
-                cost_fn=lambda l, c=cost_obj: c.cost(l, costs),
-                boot_units=num_cts_in,
-                cost_obj=cost_obj,
+                cost_fn=lambda l: stats.cost(l, costs),
+                boot_units=stats.num_in_cts,
+                cost_obj=stats,
             )
         )
         self.instructions.append(
@@ -543,38 +548,38 @@ class _ProgramBuilder:
         self.reports.append(
             LayerReport(
                 name=name,
-                kind="linear",
-                rotations=stats["rotations"],
-                pmults=stats["pmults"],
+                kind=kind,
+                rotations=stats.rotations,
+                pmults=stats.pmults,
                 depth=1,
-                num_cts=out_layout.num_ciphertexts,
+                num_cts=stats.out_layout.num_ciphertexts,
             )
         )
-        return out_uid
 
-    # ``params()`` yields a layer's ``(weight, bias)`` and is called in
-    # materialize mode only; analyze mode prices the layer from
-    # ``weight_shape`` and the input layout.
+    # Each returns ``(packed or None, PackingStats)``.  ``params()``
+    # yields a layer's ``(weight, bias)`` and is called in materialize
+    # mode only; analyze mode counts the layer from ``weight_shape`` and
+    # the input layout.
     def _pack_conv(self, weight_shape, params, in_layout, stride, padding,
                    dilation, groups, name):
         if self.compiler.mode == "materialize":
             weight, bias = params()
-            return _packed_stats(build_conv_packing(
+            packed = build_conv_packing(
                 weight, bias, in_layout, stride=stride, padding=padding,
                 dilation=dilation, groups=groups, name=name,
-            ))
-        return _analyzed_stats(self.analysis.lookup(
+            )
+            return packed, packed.stats
+        return None, self.analysis.lookup(
             weight_shape, in_layout, stride=stride, padding=padding,
             dilation=dilation, groups=groups,
-        ).stats)
+        ).stats
 
-    def _pack_fc(self, weight_shape, params, in_layout, name):
+    def _pack_fc(self, weight_shape, params, in_layout, name, diagonal=False):
         if self.compiler.mode == "materialize":
             weight, bias = params()
-            return _packed_stats(
-                build_linear_packing(weight, bias, in_layout, name=name)
-            )
-        return _analyzed_stats(analyze_linear_packing(weight_shape[0], in_layout))
+            packed = build_linear_packing(weight, bias, in_layout, name=name)
+            return packed, packed.stats
+        return None, linear_structure(weight_shape[0], in_layout, diagonal).stats
 
     # -- graph-optimizer rewrite artifacts ---------------------------------
     def _emit_fused_linear(self, node, chain: PlacementChain) -> int:
@@ -597,7 +602,7 @@ class _ProgramBuilder:
                 sibling_profile(sib.module, in_layout, self.analysis)
                 for sib in fmod.siblings
             ]
-            merged, stats = _analyzed_stats(merged_packing_stats(profiles))
+            merged, stats = None, merged_packing_stats(profiles)
         else:
             packeds = []
             for part, (sib, term_uid) in enumerate(
@@ -621,38 +626,11 @@ class _ProgramBuilder:
                         module.weight.shape, params, in_layout, sub_name
                     )
                 packeds.append(packed)
-            merged, stats = _packed_stats(
-                merge_packed_matvecs(packeds, name=node.name)
-            )
-        out_layout = stats["out_layout"]
-        cost_obj = stats["cost_obj"]
-
-        self.layouts[node.output] = out_layout
-        costs = self.compiler.costs
-        chain.items.append(
-            LayerSpec(
-                node.name,
-                depth=1,
-                cost_fn=lambda l, c=cost_obj: c.cost(l, costs),
-                boot_units=in_layout.num_ciphertexts,
-                cost_obj=cost_obj,
-            )
-        )
-        self.instructions.append(
-            LinearInstr(
-                name=node.name, out_uid=node.output, exec_level=0,
-                boots_before=0, in_uid=in_uid, packed=merged,
-            )
-        )
-        self.reports.append(
-            LayerReport(
-                name=node.name,
-                kind="linear",
-                rotations=stats["rotations"],
-                pmults=stats["pmults"],
-                depth=1,
-                num_cts=out_layout.num_ciphertexts,
-            )
+            merged = merge_packed_matvecs(packeds, name=node.name)
+            stats = merged.stats
+        self.layouts[node.output] = stats.out_layout
+        self._append_packed(
+            chain, node.name, "linear", in_uid, node.output, merged, stats
         )
         return node.output
 
@@ -840,67 +818,19 @@ class _ProgramBuilder:
             return scale.reshape(c, 1, 1, 1) * factor, shift / m_out
 
         if vector:
-            packed, stats = self._pack_fc((c, c), params, in_layout, node.name)
+            packed, stats = self._pack_fc(
+                (c, c), params, in_layout, node.name, diagonal=True
+            )
         else:
             packed, stats = self._pack_conv(
                 (c, 1, 1, 1), params, in_layout, (1, 1), (0, 0), (1, 1), c,
                 node.name,
             )
-        self.layouts[node.output] = stats["out_layout"]
-        costs = self.compiler.costs
-        cost_obj = stats["cost_obj"]
-        chain.items.append(
-            LayerSpec(
-                node.name, depth=1,
-                cost_fn=lambda l, co=cost_obj: co.cost(l, costs),
-                boot_units=in_layout.num_ciphertexts,
-            )
-        )
-        self.instructions.append(
-            LinearInstr(
-                name=node.name, out_uid=node.output, exec_level=0,
-                boots_before=0, in_uid=in_uid, packed=packed,
-            )
-        )
-        self.reports.append(
-            LayerReport(node.name, "batchnorm", stats["rotations"],
-                        stats["pmults"], 1, in_layout.num_ciphertexts)
+        self.layouts[node.output] = stats.out_layout
+        self._append_packed(
+            chain, node.name, "batchnorm", in_uid, node.output, packed, stats
         )
         return node.output
-
-
-class _MatVecCost:
-    def __init__(self, packed):
-        self.packed = packed
-
-    def cost(self, level, cost_model):
-        return self.packed.cost(level, cost_model)
-
-
-class _StatsCost:
-    def __init__(self, stats):
-        self.stats = stats
-
-    def cost(self, level, cost_model):
-        return self.stats.cost(level, cost_model)
-
-
-def _packed_stats(packed):
-    return packed, {
-        "out_layout": packed.out_layout,
-        "rotations": packed.rotation_count(),
-        "pmults": packed.pmult_count(),
-        "cost_obj": _MatVecCost(packed),
-    }
-
-
-def _analyzed_stats(stats):
-    return None, {
-        "out_layout": stats.out_layout,
-        "rotations": stats.rotations,
-        "pmults": stats.pmults,
-        "cost_obj": _StatsCost(stats),
-    }
 
 
 _POLY_OPS_CACHE: Dict[int, Dict[str, int]] = {}

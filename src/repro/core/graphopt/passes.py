@@ -25,7 +25,7 @@ from repro.backend.costs import CostModel
 from repro.core.packing.analysis import (
     ConvAnalysisTable,
     OffsetProfile,
-    linear_offset_profile,
+    linear_structure,
     merged_packing_stats,
 )
 from repro.core.packing.layouts import (
@@ -154,7 +154,7 @@ def sibling_profile(
             dilation=module.dilation, groups=module.groups,
         ).profile
     if hasattr(module, "out_features"):
-        return linear_offset_profile(module.out_features, in_layout)
+        return linear_structure(module.out_features, in_layout).profile
     return None
 
 
@@ -202,8 +202,8 @@ def concat_linear_fusion(graph: LayerGraph, ctx: OptContext) -> int:
             gain = ctx.costs.sibling_fusion_gain(
                 ctx.level,
                 num_in=profiles[0].num_in,
-                total_offsets=sum(max(0, s._offsets) for s in stats),
-                merged_offsets=max(0, merged._offsets),
+                total_offsets=sum(s._offsets for s in stats),
+                merged_offsets=merged._offsets,
                 num_siblings=len(profiles),
             )
             if gain <= 0 or merged.cost(ctx.level, ctx.costs) >= separate:

@@ -1,12 +1,24 @@
-"""Closed-form packing analysis for layers too large to materialize.
+"""A packed linear layer's diagonal key set, and every count derived from it.
 
-For same-style multiplexed convolutions the diagonal offset of a weight
-entry is *independent of spatial position* (paper Section 4.1: this is
-the property that makes the Toeplitz form efficient).  So rotation and
-PMult counts can be computed from the filter geometry and channel
-structure alone by evaluating offsets at one interior output position —
-no O(FLOPs) materialization.  This powers the Table 2 rows for Tiny
-ImageNet / ImageNet / YOLO scale networks.
+A packed layer is a set of distinct diagonals ``(bo, bi, offset)`` —
+output ciphertext, input ciphertext, slot offset ``(in_slot -
+out_slot) mod n`` — plus a Gazelle rotate-and-sum fold ladder and a BSGS
+baby modulus ``n1``.  :func:`_count_stats` is the one function that
+turns that key set into a :class:`PackingStats` (rotations, PMults, the
+fused path's key-switch inner products, the modeled price).  Every
+source of a key set goes through it: a materialized
+:class:`~repro.core.packing.matvec.PackedMatVec` (its ``stats``), the
+closed-form conv and FC structures below (analyze-mode compiles, paper
+Tables 2-5 at scale), and the graph optimizer's fused-sibling gate.
+
+**Plain or hybrid, decided on key sets.**  The Gazelle hybrid (paper
+Section 8.2) replicates matrix rows modulo the padded output length
+``m2`` so offsets collapse into ``[0, m2)`` and ``log2(n / m2)`` folds
+finish the product.  It applies only when input and output are each one
+ciphertext, so every plain key is ``(0, 0, off)`` and the hybrid keys
+are exactly ``unique(off % m2)``.  :class:`DiagonalStructure` makes the
+choice from those two key sets; ``build_conv_packing`` and
+``build_linear_packing`` then pack once, with values, in the chosen form.
 
 How a conv's offset table is formed (:func:`conv_diagonal_keys`):
 
@@ -17,12 +29,11 @@ How a conv's offset table is formed (:func:`conv_diagonal_keys`):
   slots ``A_in(ci) + Si(tap)``: two channel vectors computed once per
   geometry, two scalars per tap.  Taps valid at no output position
   (tiny maps) contribute nothing.
-- **Per-tap outer difference.**  A diagonal is a triple ``(bo, bi,
-  diag)`` — output ciphertext, input ciphertext, offset ``(in_slot -
-  out_slot) mod n`` — encoded as the integer ``(bo * B + bi) * n +
-  diag`` with ``B`` the input ciphertext count.  Per tap these are one
-  ``(c_out, c_in/groups)`` outer difference of the channel vectors; no
-  array ever has a kernel axis.
+- **Per-tap outer difference.**  A diagonal ``(bo, bi, diag)`` is
+  encoded as the integer ``(bo * B + bi) * n + diag`` with ``B`` the
+  input ciphertext count.  Per tap these are one ``(c_out, c_in/groups)``
+  outer difference of the channel vectors; no array ever has a kernel
+  axis.
 - **Bitmap de-dup over a bounded key space.**  Keys live in ``[0,
   num_out * B * n)``, so the distinct set is a scatter into a boolean
   bitmap of that size followed by ``flatnonzero`` (which also sorts).
@@ -31,25 +42,36 @@ How a conv's offset table is formed (:func:`conv_diagonal_keys`):
   the handful of keys is sorted with ``np.unique`` instead, so the
   working set never exceeds the smaller of the two.
 
-Everything else — BSGS plan, baby/giant counts, the Gazelle-hybrid
-choice, the ``OffsetProfile`` the graph optimizer gates on — is derived
-from that one sorted key array (:class:`ConvAnalysis`).  A compile owns
-one :class:`ConvAnalysisTable`, so the optimizer's fusion gate, the
-fused lowering and the emitter read one entry per distinct geometry;
-the table dies with the compile.  The tap-enumerating form survives as
-the test oracle ``tests/reference/conv_analysis_bruteforce.py``.
+A compile owns one :class:`ConvAnalysisTable`, so the optimizer's fusion
+gate, the fused lowering and the emitter read one entry per distinct
+geometry; the table dies with the compile.  The tap-enumerating form
+survives as the test oracle ``tests/reference/conv_analysis_bruteforce.py``.
 
-The analysis ignores image-border effects, which only *remove* matrix
-entries (never add diagonals), and assumes channel regions do not
-straddle ciphertext boundaries mid-position (true for all power-of-two
-benchmark shapes).
+**Where the conv analysis is not exact.**  Evaluating each tap at one
+position is exact only when a tap's offset is the same at every output
+position.  Image borders are harmless (they only *remove* entries,
+never diagonals), but two layouts break it, and there the analysis
+undercounts what ``build_conv_packing`` packs:
+
+- a channel that straddles a ciphertext boundary (its slots fall in two
+  ciphertexts, so ``bo``/``bi`` change with position): all 13 distinct
+  conv geometries of the paper's 224x224 ResNet-34, and LeNet-5's first
+  conv and pool at N = 4096;
+- an output grid row narrower than the input's (an unpadded conv,
+  ``out_w * g_out != in_w * g_in``), so the offset drifts with the
+  output row: LeNet-5's second conv at N = 4096 (82 rotations / 1070
+  PMults counted, 94 / 2024 packed).
+
+ResNet-20's 9 geometries and the e2e workloads' convs hit neither;
+``tests/test_packing.py::TestConvAnalysisGaps`` pins the gap.  The FC
+structure (:func:`linear_structure`) is exact per block pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -59,40 +81,182 @@ from repro.core.packing.layouts import (
     StackedLayout,
     VectorLayout,
 )
-from repro.core.packing.matvec import _conv_hybrid_modulus
 from repro.utils.intmath import int_log2, next_power_of_two
 
 
 @dataclass(frozen=True)
 class PackingStats:
-    """Operation counts of a packed linear layer (no plaintexts built)."""
+    """Operation counts of a packed linear layer (from its key set)."""
 
     rotations: int
     pmults: int
     num_in_cts: int
     num_out_cts: int
     num_unique_offsets: int
-    out_layout: MultiplexedLayout
+    out_layout: object
+    # Giant rotations, the fold ladder's included.
+    _giants: int
+    num_folds: int
+    # Distinct nonzero (input block, offset) pairs: the key-switch inner
+    # products of the fused execution path.
+    _offsets: int
 
     def cost(self, level: int, cost_model, hoisting: str = "fused") -> float:
-        """Modeled latency; defaults to the fused price like
-        :meth:`repro.core.packing.matvec.PackedMatVec.cost` so analyze
-        and materialize modes agree on placement decisions."""
-        diag = self.pmults
-        # Split rotations between babies and giants the way the plan did.
-        baby = self.rotations - self._giants
+        """Modeled latency at the given level (drives placement).
+
+        Defaults to the ``"fused"`` price — what
+        :meth:`repro.core.packing.matvec.PackedMatVec.execute` runs.  The
+        other ``hoisting`` values are analytic prices only (the paper's
+        hoisting ablation, docs/hoisting.md); they count the Gazelle
+        folds inside the giant count, the fused price counts them
+        separately (``CostModel.fold_cost``).
+        """
         return cost_model.matvec_cost(
-            level, diag, baby, self._giants, hoisting,
-            num_in=self.num_in_cts, num_out=self.num_out_cts,
-            num_folds=self.num_folds,
-            num_offsets=None if self._offsets < 0 else self._offsets,
+            level, self.pmults, self.rotations - self._giants, self._giants,
+            hoisting, num_in=self.num_in_cts, num_out=self.num_out_cts,
+            num_folds=self.num_folds, num_offsets=self._offsets,
         )
 
-    _giants: int = 0
-    num_folds: int = 0
-    # Distinct nonzero (input block, offset) pairs; -1 = unknown (the
-    # fused price then conservatively treats every diagonal as rotated).
-    _offsets: int = -1
+
+def _count_stats(
+    bo, bi, off, num_in: int, num_out: int, fold_shifts, out_layout, slots: int,
+    n1: Optional[int] = None,
+) -> PackingStats:
+    """PackingStats of distinct (bo, bi, offset) diagonals, as columns.
+
+    Babies hoist per input ciphertext and giants per output ciphertext
+    (the paper's "# Rots"), split by the BSGS modulus ``n1`` — a packed
+    layer's own plan, or by default :func:`plan_bsgs` over the distinct
+    offsets, which is how every plan is made.  Each of the
+    ``len(fold_shifts)`` folds rotates every output ciphertext once.
+    """
+    offsets = np.unique(off)
+    if n1 is None:
+        n1 = plan_bsgs(offsets, slots).n1
+    baby = off % n1
+    giant = off - baby
+
+    def distinct_nonzero(block, steps) -> int:
+        return int(np.unique((block * slots + steps)[steps != 0]).size)
+
+    giants = distinct_nonzero(bo, giant) + len(fold_shifts) * num_out
+    return PackingStats(
+        rotations=distinct_nonzero(bi, baby) + giants,
+        pmults=int(off.size),
+        num_in_cts=num_in,
+        num_out_cts=num_out,
+        num_unique_offsets=int(offsets.size),
+        out_layout=out_layout,
+        _giants=giants,
+        num_folds=len(fold_shifts),
+        _offsets=distinct_nonzero(bi, off),
+    )
+
+
+def _key_columns(keys) -> np.ndarray:
+    """(bo, bi, offset) triples -> three int64 columns."""
+    return np.array(keys, dtype=np.int64).reshape(-1, 3).T
+
+
+def _split_keys(keys: np.ndarray, num_in: int, slots: int):
+    """Encoded keys ``(bo * num_in + bi) * slots + off`` -> (bo, bi, off)."""
+    blocks, off = np.divmod(keys, slots)
+    bo, bi = np.divmod(blocks, num_in)
+    return bo, bi, off
+
+
+def _diagonal_keys(out_slot, in_slot, num_in: int, slots: int):
+    """Matrix entries at global ``(out_slot, in_slot)`` -> their
+    diagonals' keys ``(bo * num_in + bi) * slots + (in - out) mod slots``."""
+    return (
+        (out_slot // slots * num_in + in_slot // slots) * slots
+        + (in_slot - out_slot) % slots
+    )
+
+
+def diagonal_columns(out_slot, in_slot, num_in: int, slots: int):
+    """Distinct diagonals touched by matrix entries ``(out_slot[k],
+    in_slot[k])``, as sorted (bo, bi, off) columns."""
+    keys = _diagonal_keys(
+        np.asarray(out_slot, dtype=np.int64), np.asarray(in_slot, dtype=np.int64),
+        num_in, slots,
+    )
+    return _split_keys(np.unique(keys), num_in, slots)
+
+
+def fold_ladder(slots: int, m2: int) -> Tuple[int, ...]:
+    """The Gazelle rotate-and-sum shifts n/2, n/4, ..., m2."""
+    return tuple(slots >> (i + 1) for i in range(int_log2(slots // m2)))
+
+
+def conv_hybrid_modulus(in_layout: MultiplexedLayout, out_layout) -> Optional[int]:
+    """Padded output length m2 when the Gazelle hybrid applies to a conv:
+    one input and one output ciphertext, output within half the slots."""
+    if in_layout.num_ciphertexts != 1 or out_layout.num_ciphertexts != 1:
+        return None
+    if out_layout.total_slots > in_layout.slots // 2:
+        return None
+    return next_power_of_two(out_layout.total_slots)
+
+
+def linear_hybrid_rule(out_features: int, in_layout, force_mode=None):
+    """``(m2, hybrid)`` for a dense layer: ``m2`` (``m`` padded to a
+    power of two) when the hybrid applies — one input ciphertext and
+    ``m <= n/2`` — else None with ``hybrid`` False; ``hybrid`` is True
+    for ``m <= n/4`` (taken outright), None between (raced on rotations).
+
+    ``force_mode="hybrid"`` forces it (``ValueError`` when it does not
+    apply); any other non-None ``force_mode`` forces the plain form.
+    """
+    n = in_layout.slots
+    if in_layout.num_ciphertexts != 1 or out_features > n // 2:
+        if force_mode == "hybrid":
+            raise ValueError("hybrid method requires a single-ciphertext input")
+        return None, False
+    m2 = next_power_of_two(out_features)
+    if force_mode is not None:
+        return m2, force_mode == "hybrid"
+    return m2, (True if out_features <= n // 4 else None)
+
+
+class DiagonalStructure:
+    """A linear layer's diagonal key set in the form it is packed in.
+
+    Built from the *plain* form's distinct ``(bo, bi, off)`` columns.
+    Given ``m2`` (the hybrid applies, so all keys are ``(0, 0, off)``),
+    the Gazelle-hybrid keys are ``unique(off % m2)`` with
+    :func:`fold_ladder` folds: ``hybrid`` True takes them, False keeps
+    plain, None keeps whichever costs fewer rotations (plain on a tie).
+    ``stats`` counts the chosen form (``num_folds > 0``: hybrid);
+    ``profile`` lists its triples.
+    """
+
+    def __init__(self, bo, bi, off, num_in: int, num_out: int, out_layout,
+                 slots: int, m2: Optional[int] = None,
+                 hybrid: Optional[bool] = None):
+        chosen = (bo, bi, off, num_in, num_out, (), out_layout, slots)
+        stats = None if hybrid else _count_stats(*chosen)
+        if m2 is not None and hybrid is not False:
+            hybrid_off = np.unique(off % m2)
+            zeros = np.zeros_like(hybrid_off)
+            folded = (zeros, zeros, hybrid_off, 1, 1, fold_ladder(slots, m2),
+                      out_layout, slots)
+            folded_stats = _count_stats(*folded)
+            if hybrid or folded_stats.rotations < stats.rotations:
+                chosen, stats = folded, folded_stats
+        self.stats: PackingStats = stats
+        self._chosen = chosen
+
+    @cached_property
+    def profile(self) -> "OffsetProfile":
+        """The chosen form's diagonals as an :class:`OffsetProfile`
+        (built on first use: only fusion candidates need the triples)."""
+        bo, bi, off, num_in, num_out, fold_shifts, out_layout, n = self._chosen
+        return OffsetProfile(
+            slots=n, num_in=num_in, num_out=num_out,
+            keys=tuple(zip(bo.tolist(), bi.tolist(), off.tolist())),
+            fold_shifts=fold_shifts, out_layout=out_layout,
+        )
 
 
 def _tap_positions(kernel, dil, pad, stride, in_size, out_size) -> np.ndarray:
@@ -169,12 +333,7 @@ def conv_diagonal_keys(
 
     def tap_keys():
         for s_out, s_in in zip(tap_out.tolist(), tap_in.tolist()):
-            out_slot = chan_out + s_out
-            in_slot = chan_in + s_in
-            yield (
-                (out_slot // n * num_in + in_slot // n) * n
-                + (in_slot - out_slot) % n
-            )
+            yield _diagonal_keys(chan_out + s_out, chan_in + s_in, num_in, n)
 
     keys = _distinct(
         tap_keys(),
@@ -184,92 +343,63 @@ def conv_diagonal_keys(
     return keys, out_layout
 
 
-def _count_stats(
-    bo, bi, off, num_in: int, num_out: int, fold_shifts, out_layout, slots: int
-) -> PackingStats:
-    """PackingStats of distinct (bo, bi, offset) diagonals, as columns.
-
-    Uses the same :func:`plan_bsgs` over the same offset union and the
-    same per-block baby/giant counting as
-    :meth:`repro.core.packing.matvec.PackedMatVec.rotation_count`
-    (babies hoist per input ciphertext, giants per output ciphertext),
-    so analyzed, merged and materialized layers report equal counts.
-    """
-    offsets = np.unique(off)
-    plan = plan_bsgs(offsets, slots)
-    baby = off % plan.n1
-    giant = off - baby
-
-    def distinct_nonzero(block, steps) -> int:
-        return int(np.unique((block * slots + steps)[steps != 0]).size)
-
-    giants = distinct_nonzero(bo, giant) + len(fold_shifts) * num_out
-    return PackingStats(
-        rotations=distinct_nonzero(bi, baby) + giants,
-        pmults=int(off.size),
-        num_in_cts=num_in,
-        num_out_cts=num_out,
-        num_unique_offsets=int(offsets.size),
-        out_layout=out_layout,
-        _giants=giants,
-        num_folds=len(fold_shifts),
-        # Distinct nonzero (input block, offset) pairs: the key-switch
-        # inner products of the fused execution path.
-        _offsets=distinct_nonzero(bi, off),
+def conv_structure(weight_shape, in_layout, stride=(1, 1), padding=(0, 0),
+                   dilation=(1, 1), groups: int = 1) -> DiagonalStructure:
+    """A conv's diagonal structure from its geometry alone (the plain
+    form from :func:`conv_diagonal_keys`, hybrid where it is cheaper)."""
+    n = in_layout.slots
+    num_in = in_layout.num_ciphertexts
+    keys, out_layout = conv_diagonal_keys(
+        weight_shape, in_layout, stride, padding, dilation, groups
+    )
+    return DiagonalStructure(
+        *_split_keys(keys, num_in, n), num_in, out_layout.num_ciphertexts,
+        out_layout, n, conv_hybrid_modulus(in_layout, out_layout),
     )
 
 
-def _key_columns(keys) -> np.ndarray:
-    """(bo, bi, offset) triples -> three int64 columns."""
-    return np.array(keys, dtype=np.int64).reshape(-1, 3).T
-
-
-def analyze_linear_packing(
-    out_features: int, in_layout, chunk_rows: int = 64
-) -> PackingStats:
-    """Exact rotation/PMult counts for a dense FC layer, no plaintexts.
-
-    Mirrors :func:`repro.core.packing.matvec.build_linear_packing`: the
-    same hybrid-vs-plain choice and the same BSGS planning, computed
-    from the slot geometry alone (a dense matrix's offset set does not
-    depend on the weight values).
-    """
+def _dense_columns(out_features: int, in_layout, chunk_rows: int = 64):
+    """Distinct (bo, bi, off) diagonals of a dense ``out_features x L``
+    matrix over ``in_layout``: every entry's key, ``chunk_rows`` rows at
+    a time, de-duplicated like a conv's (:func:`_distinct`)."""
     n = in_layout.slots
+    num_in = in_layout.num_ciphertexts
     length = in_layout.logical_length
     in_slots = np.asarray(in_layout.slot_of_logical(np.arange(length)))
-    single_block = in_layout.num_ciphertexts == 1 and out_features <= n // 2
-    use_hybrid = single_block and out_features <= n // 4
 
-    offsets = set()
-    fold_count = 0
-    if use_hybrid:
-        m2 = next_power_of_two(out_features)
+    def row_keys():
         for start in range(0, out_features, chunk_rows):
             rows = np.arange(start, min(start + chunk_rows, out_features))
-            offsets.update(
-                np.unique((in_slots[None, :] - rows[:, None]) % m2).tolist()
-            )
-        fold_count = int_log2(n // m2)
-    else:
-        for start in range(0, out_features, chunk_rows):
-            rows = np.arange(start, min(start + chunk_rows, out_features))
-            offsets.update(
-                np.unique((in_slots[None, :] - rows[:, None]) % n).tolist()
-            )
-    plan = plan_bsgs(offsets, n)
-    rotations = plan.num_rotations * in_layout.num_ciphertexts + fold_count
-    pmults = len(offsets) * in_layout.num_ciphertexts
+            yield _diagonal_keys(rows[:, None], in_slots[None, :], num_in, n)
+
+    keys = _distinct(
+        row_keys(),
+        count=out_features * length,
+        space=VectorLayout(out_features, n).num_ciphertexts * num_in * n,
+    )
+    return _split_keys(keys, num_in, n)
+
+
+def linear_structure(out_features: int, in_layout,
+                     diagonal: bool = False) -> DiagonalStructure:
+    """A dense layer's diagonal structure from its shape alone, exact per
+    input block (a partial last block included), under the hybrid rule
+    ``build_linear_packing`` applies (:func:`linear_hybrid_rule`).
+
+    ``diagonal=True`` is a diagonal ``m x m`` matrix — a standalone
+    BatchNorm1d on a vector layout — whose entries are ``(r, r)``.
+    """
+    n = in_layout.slots
+    num_in = in_layout.num_ciphertexts
     out_layout = VectorLayout(out_features, n)
-    return PackingStats(
-        rotations=rotations,
-        pmults=pmults,
-        num_in_cts=in_layout.num_ciphertexts,
-        num_out_cts=1,
-        num_unique_offsets=len(offsets),
-        out_layout=out_layout,
-        _giants=sum(1 for g in plan.giants if g) + fold_count,
-        num_folds=fold_count,
-        _offsets=sum(1 for o in offsets if o) * in_layout.num_ciphertexts,
+    if diagonal:
+        rows = np.arange(out_features)
+        columns = diagonal_columns(rows, in_layout.slot_of_logical(rows), num_in, n)
+    else:
+        columns = _dense_columns(out_features, in_layout)
+    return DiagonalStructure(
+        *columns, num_in, out_layout.num_ciphertexts, out_layout, n,
+        *linear_hybrid_rule(out_features, in_layout),
     )
 
 
@@ -300,54 +430,8 @@ class OffsetProfile:
         )
 
 
-class ConvAnalysis:
-    """What the compiler asks about one conv geometry, from one key table.
-
-    Mirrors ``build_conv_packing``'s plain-vs-Gazelle-hybrid choice
-    (a hybrid pick is visible as ``stats.num_folds > 0``): for a small
-    single-ciphertext output the offsets collapse modulo the padded
-    output length and a rotate-and-sum fold ladder finishes the product,
-    taken when that costs fewer rotations.
-    """
-
-    def __init__(self, weight_shape, in_layout, stride, padding, dilation, groups):
-        n = in_layout.slots
-        keys, out_layout = conv_diagonal_keys(
-            weight_shape, in_layout, stride, padding, dilation, groups
-        )
-        blocks, off = np.divmod(keys, n)
-        bo, bi = np.divmod(blocks, in_layout.num_ciphertexts)
-        chosen = (
-            bo, bi, off, in_layout.num_ciphertexts, out_layout.num_ciphertexts,
-            (), out_layout, n,
-        )
-        stats = _count_stats(*chosen)
-        m2 = _conv_hybrid_modulus(in_layout, out_layout)
-        if m2 is not None:
-            hybrid_off = np.unique(off % m2)
-            zeros = np.zeros_like(hybrid_off)
-            fold_shifts = tuple(n >> (i + 1) for i in range(int_log2(n // m2)))
-            hybrid = (zeros, zeros, hybrid_off, 1, 1, fold_shifts, out_layout, n)
-            hybrid_stats = _count_stats(*hybrid)
-            if hybrid_stats.rotations < stats.rotations:
-                chosen, stats = hybrid, hybrid_stats
-        self.stats: PackingStats = stats
-        self._chosen = chosen
-
-    @cached_property
-    def profile(self) -> OffsetProfile:
-        """The chosen form's diagonals as an :class:`OffsetProfile`
-        (built on first use: only fusion candidates need the triples)."""
-        bo, bi, off, num_in, num_out, fold_shifts, out_layout, n = self._chosen
-        return OffsetProfile(
-            slots=n, num_in=num_in, num_out=num_out,
-            keys=tuple(zip(bo.tolist(), bi.tolist(), off.tolist())),
-            fold_shifts=fold_shifts, out_layout=out_layout,
-        )
-
-
 class ConvAnalysisTable:
-    """The conv analyses of one compile, one per distinct geometry.
+    """The conv structures of one compile, one per distinct geometry.
 
     ``OrionCompiler._compile`` creates one and hands it to the graph
     optimizer's context and to the program builder, so the fusion gate
@@ -363,14 +447,14 @@ class ConvAnalysisTable:
         return len(self._by_geometry)
 
     def lookup(self, weight_shape, in_layout, stride=(1, 1), padding=(0, 0),
-               dilation=(1, 1), groups: int = 1) -> ConvAnalysis:
+               dilation=(1, 1), groups: int = 1) -> DiagonalStructure:
         geometry = (
             tuple(weight_shape), in_layout, tuple(stride), tuple(padding),
             tuple(dilation), groups,
         )
         entry = self._by_geometry.get(geometry)
         if entry is None:
-            entry = self._by_geometry[geometry] = ConvAnalysis(*geometry)
+            entry = self._by_geometry[geometry] = conv_structure(*geometry)
         return entry
 
 
@@ -383,7 +467,7 @@ def analyze_conv_packing(
     groups: int = 1,
 ) -> PackingStats:
     """Count diagonals/rotations of a conv without building plaintexts."""
-    return ConvAnalysis(
+    return conv_structure(
         weight_shape, in_layout, stride, padding, dilation, groups
     ).stats
 
@@ -398,49 +482,17 @@ def conv_offset_profile(
 ) -> OffsetProfile:
     """Offset structure of a conv (the form ``analyze_conv_packing``
     counted: plain, or hybrid when ``num_folds > 0``)."""
-    return ConvAnalysis(
+    return conv_structure(
         weight_shape, in_layout, stride, padding, dilation, groups
     ).profile
-
-
-def linear_offset_profile(out_features: int, in_layout) -> OffsetProfile:
-    """Offset structure of a dense FC layer (mirrors
-    ``analyze_linear_packing``'s hybrid rule and dense-offset model)."""
-    n = in_layout.slots
-    length = in_layout.logical_length
-    in_slots = np.asarray(in_layout.slot_of_logical(np.arange(length)))
-    single_block = in_layout.num_ciphertexts == 1 and out_features <= n // 2
-    use_hybrid = single_block and out_features <= n // 4
-    rows = np.arange(out_features)
-    if use_hybrid:
-        m2 = next_power_of_two(out_features)
-        offsets = np.unique((in_slots[None, :] - rows[:, None]) % m2)
-        fold_shifts = tuple(n >> (i + 1) for i in range(int_log2(n // m2)))
-    else:
-        offsets = np.unique((in_slots[None, :] - rows[:, None]) % n)
-        fold_shifts = ()
-    keys = tuple(
-        (0, bi, int(off))
-        for bi in range(in_layout.num_ciphertexts)
-        for off in offsets
-    )
-    return OffsetProfile(
-        slots=n,
-        num_in=in_layout.num_ciphertexts,
-        num_out=1,
-        keys=keys,
-        fold_shifts=fold_shifts,
-        out_layout=VectorLayout(out_features, n),
-    )
 
 
 def merged_packing_stats(profiles) -> PackingStats:
     """Counts of the concat-fused layer formed from sibling profiles.
 
     Globalizes each profile's output blocks onto the stacked ciphertext
-    axis and recounts over the union offset set — the exact computation
-    :meth:`PackedMatVec.rotation_count` performs on the merged layer
-    built by ``merge_packed_matvecs``, so analyze and materialize modes
+    axis and recounts over the union offset set — the key set
+    ``merge_packed_matvecs`` builds, so analyze and materialize modes
     report identical fused counts.
     """
     first = profiles[0]

@@ -8,9 +8,12 @@ stride, and the whole mask-and-collect step of Lee et al. is fused into
 the (pre-processable) weight plaintexts — one multiplicative level per
 convolution, strided or not.
 
-``build_linear_packing`` handles fully-connected layers, choosing
-between the plain diagonal form and Gazelle's hybrid method (replicated
-squat rows + rotate-and-sum fold) by modeled rotation count.
+``build_linear_packing`` handles fully-connected layers.  Both functions
+choose between the plain diagonal form and Gazelle's hybrid method
+(replicated squat rows + rotate-and-sum fold) on key sets alone
+(``analysis.DiagonalStructure``), then pack once, with values.  A
+layer's counts and price are its ``stats``, derived from its own
+diagonal keys by ``analysis._count_stats`` like every other count.
 
 Execution is the fused double-hoisted path of paper Section 3.3
 (Bossuat et al. [11]), the one way a diagonal matvec runs: every
@@ -35,11 +38,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.core.packing.analysis import (
+    DiagonalStructure,
+    PackingStats,
+    _count_stats,
+    _key_columns,
+    conv_hybrid_modulus,
+    diagonal_columns,
+    fold_ladder,
+    linear_hybrid_rule,
+)
 from repro.core.packing.bsgs import BsgsPlan, plan_bsgs
 from repro.core.packing.layouts import (
     BlockReplicatedLayout,
@@ -47,7 +61,6 @@ from repro.core.packing.layouts import (
     StackedLayout,
     VectorLayout,
 )
-from repro.utils.intmath import int_log2, next_power_of_two
 
 
 @dataclass
@@ -91,79 +104,16 @@ class PackedMatVec:
     # keyed by batch size (built lazily, shared across executions).
     _batched: Dict = field(default_factory=dict, repr=False, compare=False)
 
-    # -- op-count queries (paper Tables 2-4) ---------------------------------
-    def _babies_for_in_block(self, bi: int) -> List[int]:
-        offsets = set()
-        for (bo, bi2), dmap in self.diags.items():
-            if bi2 == bi:
-                offsets.update(dmap)
-        return sorted({d % self.plan.n1 for d in offsets})
-
-    def _giants_for_out_block(self, bo: int) -> List[int]:
-        offsets = set()
-        for (bo2, bi), dmap in self.diags.items():
-            if bo2 == bo:
-                offsets.update(dmap)
-        return sorted({d - (d % self.plan.n1) for d in offsets})
-
-    def rotation_count(self) -> int:
-        total = 0
-        for bi in range(self.num_in):
-            total += sum(1 for b in self._babies_for_in_block(bi) if b)
-        for bo in range(self.num_out):
-            total += sum(1 for g in self._giants_for_out_block(bo) if g)
-        total += len(self.fold_shifts) * self.num_out
-        return total
-
-    def pmult_count(self) -> int:
-        return sum(len(dmap) for dmap in self.diags.values())
-
-    def nonzero_offset_count(self) -> int:
-        """Distinct (input block, nonzero offset) pairs: the key-switch
-        inner products the fused path performs (offset-0 diagonals are
-        plain pt * ct products, no key switch)."""
-        return len(
-            {
-                (bi, offset)
-                for (_, bi), dmap in self.diags.items()
-                for offset in dmap
-                if offset
-            }
+    @cached_property
+    def stats(self) -> PackingStats:
+        """Rotation/PMult counts and modeled price of this layer (paper
+        Tables 2-4), from its own diagonal keys, plan and folds; computed
+        once per layer."""
+        keys = [(bo, bi, off) for (bo, bi), dmap in self.diags.items() for off in dmap]
+        return _count_stats(
+            *_key_columns(keys), self.num_in, self.num_out, self.fold_shifts,
+            self.out_layout, self.slots, n1=self.plan.n1,
         )
-
-    def counts(self) -> Tuple[int, int, int]:
-        """(num_diagonals, num_baby_rotations, num_giant_rotations)."""
-        babies = sum(
-            sum(1 for b in self._babies_for_in_block(bi) if b)
-            for bi in range(self.num_in)
-        )
-        giants = sum(
-            sum(1 for g in self._giants_for_out_block(bo) if g)
-            for bo in range(self.num_out)
-        ) + len(self.fold_shifts) * self.num_out
-        return self.pmult_count(), babies, giants
-
-    def cost(self, level: int, cost_model, hoisting: str = "fused") -> float:
-        """Modeled latency at the given level (drives placement).
-
-        Defaults to the ``"fused"`` price — what :meth:`execute` runs.
-        The other ``hoisting`` values are analytic prices only (the
-        paper's hoisting ablation, docs/hoisting.md); they count the
-        Gazelle folds inside the giant count, the fused price counts
-        them separately (``CostModel.fold_cost``).
-        """
-        diag, baby, giant = self.counts()
-        return cost_model.matvec_cost(
-            level, diag, baby, giant, hoisting,
-            num_in=self.num_in, num_out=self.num_out,
-            num_folds=len(self.fold_shifts),
-            num_offsets=self.nonzero_offset_count(),
-        )
-
-    def _bsgs_rotation_count(self) -> int:
-        """Baby + giant rotations of the BSGS plan (folds excluded —
-        they execute as real rotations and charge themselves)."""
-        return self.rotation_count() - len(self.fold_shifts) * self.num_out
 
     def required_rotation_steps(self) -> Tuple[int, ...]:
         """Every rotation step executing this layer can ask the backend
@@ -372,7 +322,9 @@ class PackedMatVec:
             self.num_out,
             pt_scale,
             pt_cache=per_backend.setdefault(("fused",) + cache_fp, {}),
-            charged_rotations=self._bsgs_rotation_count(),
+            # The BSGS plan's rotations; the folds charge themselves.
+            charged_rotations=self.stats.rotations
+            - len(self.fold_shifts) * self.num_out,
         )
         outputs = []
         for bo, total in enumerate(totals):
@@ -680,24 +632,13 @@ def build_conv_packing(
     The output layout's gap is g_in * stride (paper Figure 5b): strided
     convolutions densify into the channel dimension instead of leaving
     slot gaps, and the row permutation that achieves this is folded into
-    the weight matrix — consuming one level total.  For outputs much
-    smaller than the slot count, the Gazelle hybrid variant (replicated
-    rows + rotate-and-sum fold; paper Section 8.2) is also built and the
-    cheaper of the two (by rotation count) is kept.
+    the weight matrix — consuming one level total.  For a small
+    single-ciphertext output the Gazelle hybrid (replicated rows +
+    rotate-and-sum fold; paper Section 8.2) may apply: ``force_hybrid``
+    True/False picks the form, None the one whose key set costs fewer
+    rotations (``DiagonalStructure``; one pass over the taps without
+    values finds the plain offsets).  Either way the layer is packed once.
     """
-    if force_hybrid is None:
-        plain = build_conv_packing(
-            weight, bias, in_layout, stride, padding, dilation, groups,
-            name, force_hybrid=False,
-        )
-        probe_m2 = _conv_hybrid_modulus(in_layout, plain.out_layout)
-        if probe_m2 is None:
-            return plain
-        hybrid = build_conv_packing(
-            weight, bias, in_layout, stride, padding, dilation, groups,
-            name, force_hybrid=True,
-        )
-        return hybrid if hybrid.rotation_count() < plain.rotation_count() else plain
     c_out, c_in_g, kh, kw = weight.shape
     sh, sw = stride
     if sh != sw:
@@ -711,14 +652,6 @@ def build_conv_packing(
         slots=in_layout.slots,
     )
     n = in_layout.slots
-    # Gazelle hybrid (paper Section 8.2): when the output is much
-    # smaller than the slot count, replicate the matrix rows modulo the
-    # padded output length; diagonal offsets then collapse into [0, m2)
-    # and a log2(n/m2) rotate-and-sum fold finishes the product.
-    hybrid_m2 = _conv_hybrid_modulus(in_layout, out_layout) if force_hybrid else None
-    if force_hybrid and hybrid_m2 is None:
-        raise ValueError("hybrid conv packing requires a small single-ct output")
-    acc = _DiagAccumulator(n)
     co_per_group = c_out // groups
     ci_per_group = in_layout.channels // groups if groups > 1 else c_in_g
     co_idx = np.arange(c_out)
@@ -729,35 +662,57 @@ def build_conv_packing(
         co_idx[:, None, None], oy[None], ox[None]
     )  # (c_out, out_h, out_w)
 
-    for dy in range(kh):
-        for dx in range(kw):
-            iy = oy * sh + dy * dilation[0] - padding[0]
-            ix = ox * sw + dx * dilation[1] - padding[1]
-            valid = (
-                (iy >= 0)
-                & (iy < in_layout.height)
-                & (ix >= 0)
-                & (ix < in_layout.width)
-            )
-            if not valid.any():
-                continue
-            iy_v = iy[valid]
-            ix_v = ix[valid]
-            out_slot_v = out_slot_all[:, valid]  # (c_out, n_valid)
-            for ci_rel in range(c_in_g):
-                ci_global = group_of_co * ci_per_group + ci_rel  # (c_out,)
-                in_slot_v = in_layout.slot(
-                    ci_global[:, None], iy_v[None, :], ix_v[None, :]
+    def taps():
+        """(out slots, in slots, weight index) per tap and input channel."""
+        for dy in range(kh):
+            for dx in range(kw):
+                iy = oy * sh + dy * dilation[0] - padding[0]
+                ix = ox * sw + dx * dilation[1] - padding[1]
+                valid = (
+                    (iy >= 0)
+                    & (iy < in_layout.height)
+                    & (ix >= 0)
+                    & (ix < in_layout.width)
                 )
-                values = np.broadcast_to(
-                    weight[:, ci_rel, dy, dx][:, None], in_slot_v.shape
-                )
-                if hybrid_m2 is not None:
-                    offs = (in_slot_v - out_slot_v) % hybrid_m2
-                    j = (in_slot_v - offs) % n
-                    acc.add_entries(j, (j + offs) % n, values)
-                else:
-                    acc.add_entries(out_slot_v, in_slot_v, values)
+                if not valid.any():
+                    continue
+                iy_v = iy[valid]
+                ix_v = ix[valid]
+                out_slot_v = out_slot_all[:, valid]  # (c_out, n_valid)
+                for ci_rel in range(c_in_g):
+                    ci_global = group_of_co * ci_per_group + ci_rel  # (c_out,)
+                    in_slot_v = in_layout.slot(
+                        ci_global[:, None], iy_v[None, :], ix_v[None, :]
+                    )
+                    yield out_slot_v, in_slot_v, (slice(None), ci_rel, dy, dx)
+
+    # Gazelle hybrid (paper Section 8.2): when the output is much
+    # smaller than the slot count, replicate the matrix rows modulo the
+    # padded output length; diagonal offsets then collapse into [0, m2)
+    # and a log2(n/m2) rotate-and-sum fold finishes the product.
+    m2 = conv_hybrid_modulus(in_layout, out_layout)
+    if force_hybrid and m2 is None:
+        raise ValueError("hybrid conv packing requires a small single-ct output")
+    if force_hybrid is None and m2 is not None:
+        seen = np.zeros(n, dtype=bool)  # one ciphertext: keys are offsets
+        for out_slot_v, in_slot_v, _ in taps():
+            seen[(in_slot_v - out_slot_v) % n] = True
+        off = np.flatnonzero(seen)
+        zeros = np.zeros_like(off)
+        force_hybrid = bool(
+            DiagonalStructure(zeros, zeros, off, 1, 1, out_layout, n, m2).stats.num_folds
+        )
+    hybrid_m2 = m2 if force_hybrid else None
+
+    acc = _DiagAccumulator(n)
+    for out_slot_v, in_slot_v, index in taps():
+        values = np.broadcast_to(weight[index][:, None], in_slot_v.shape)
+        if hybrid_m2 is not None:
+            offs = (in_slot_v - out_slot_v) % hybrid_m2
+            j = (in_slot_v - offs) % n
+            acc.add_entries(j, (j + offs) % n, values)
+        else:
+            acc.add_entries(out_slot_v, in_slot_v, values)
 
     bias_vecs = None
     if bias is not None:
@@ -765,28 +720,14 @@ def build_conv_packing(
             bias[:, None, None], (c_out, out_h, out_w)
         )
         bias_vecs = out_layout.pack(np.array(bias_tensor))
-    fold_shifts = ()
-    if hybrid_m2 is not None:
-        fold_shifts = tuple(n >> (i + 1) for i in range(int_log2(n // hybrid_m2)))
     return acc.finalize(
         num_in=in_layout.num_ciphertexts,
         num_out=out_layout.num_ciphertexts,
         out_layout=out_layout,
         bias_vecs=bias_vecs,
-        fold_shifts=fold_shifts,
+        fold_shifts=fold_ladder(n, hybrid_m2) if hybrid_m2 is not None else (),
         name=name,
     )
-
-
-def _conv_hybrid_modulus(in_layout: MultiplexedLayout, out_layout) -> Optional[int]:
-    """Padded output length m2 when the Gazelle hybrid applies."""
-    n = in_layout.slots
-    if in_layout.num_ciphertexts != 1 or out_layout.num_ciphertexts != 1:
-        return None
-    total = out_layout.total_slots
-    if total > n // 2:
-        return None
-    return next_power_of_two(total)
 
 
 def build_linear_packing(
@@ -802,7 +743,10 @@ def build_linear_packing(
     (paper Section 8.2: "for small networks ... we rely on Gazelle's
     hybrid method"): replicate the squat matrix's rows modulo m2 (m
     padded to a power of two), BSGS over the m2 diagonal offsets, then
-    rotate-and-sum fold log2(n/m2) times.
+    rotate-and-sum fold log2(n/m2) times.  ``linear_hybrid_rule`` says
+    when; where it races the two forms, the race runs on the nonzero
+    entries' key sets (``DiagonalStructure``) and the layer is packed
+    once.
     """
     m, logical_len = matrix.shape
     if logical_len != in_layout.logical_length:
@@ -811,43 +755,34 @@ def build_linear_packing(
             f"{in_layout.logical_length}"
         )
     n = in_layout.slots
+    num_in = in_layout.num_ciphertexts
     out_layout = VectorLayout(m, n)
     rows, cols = np.nonzero(matrix)
     values = matrix[rows, cols]
     in_slots = in_layout.slot_of_logical(cols)
 
-    single_block = in_layout.num_ciphertexts == 1 and m <= n // 2
-    use_hybrid = force_mode == "hybrid" or (
-        force_mode is None and single_block and m <= n // 4
-    )
-    if use_hybrid and not single_block:
-        raise ValueError("hybrid method requires a single-ciphertext input")
+    m2, hybrid = linear_hybrid_rule(m, in_layout, force_mode)
+    if hybrid is None:
+        hybrid = bool(DiagonalStructure(
+            *diagonal_columns(rows, in_slots, num_in, n), num_in,
+            out_layout.num_ciphertexts, out_layout, n, m2,
+        ).stats.num_folds)
 
     acc = _DiagAccumulator(n)
-    if use_hybrid:
-        m2 = next_power_of_two(m)
+    if hybrid:
         offsets = (in_slots - rows) % m2
         j = (in_slots - offsets) % n
         # Entries land at row j with diagonal offset k in [0, m2); the
         # input slot (j + k) mod n stays inside the single ciphertext.
         acc.add_entries(j, (j + offsets) % n, values)
-        fold_shifts = tuple(n >> (i + 1) for i in range(int_log2(n // m2)))
     else:
         acc.add_entries(rows, in_slots, values)
-        fold_shifts = ()
 
-    bias_vecs = out_layout.pack(bias) if bias is not None else None
-    packed = acc.finalize(
-        num_in=in_layout.num_ciphertexts,
+    return acc.finalize(
+        num_in=num_in,
         num_out=out_layout.num_ciphertexts,
         out_layout=out_layout,
-        bias_vecs=bias_vecs,
-        fold_shifts=fold_shifts,
+        bias_vecs=out_layout.pack(bias) if bias is not None else None,
+        fold_shifts=fold_ladder(n, m2) if hybrid else (),
         name=name,
     )
-    if force_mode is None and not use_hybrid and single_block and m <= n // 2:
-        # Also try hybrid and keep the cheaper plan (by rotation count).
-        alt = build_linear_packing(matrix, bias, in_layout, name, force_mode="hybrid")
-        if alt.rotation_count() < packed.rotation_count():
-            return alt
-    return packed

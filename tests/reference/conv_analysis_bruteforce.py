@@ -18,9 +18,12 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.packing.analysis import OffsetProfile, PackingStats
+from repro.core.packing.analysis import (
+    OffsetProfile,
+    PackingStats,
+    conv_hybrid_modulus,
+)
 from repro.core.packing.layouts import MultiplexedLayout, StackedLayout
-from repro.core.packing.matvec import _conv_hybrid_modulus
 from repro.utils.intmath import int_log2, next_power_of_two
 
 from reference.bsgs_loop import plan_bsgs_loop as plan_bsgs
@@ -143,11 +146,12 @@ def analyze_conv_packing(
         num_unique_offsets=int(offsets.size),
         out_layout=out_layout,
         _giants=giants,
+        num_folds=0,
         _offsets=nonzero_offsets,
     )
 
     # Mirror build_conv_packing's Gazelle-hybrid choice for small outputs.
-    m2 = _conv_hybrid_modulus(in_layout, out_layout)
+    m2 = conv_hybrid_modulus(in_layout, out_layout)
     if m2 is not None:
         hybrid_offsets = np.unique((in_slot - out_slot) % m2)
         plan_h = plan_bsgs(hybrid_offsets.tolist(), n)

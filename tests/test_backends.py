@@ -77,9 +77,18 @@ class TestCostModelShapes:
         pipeline, so its price must beat hoisting="double" at shallow
         levels too — the previous constants made it look break-even."""
         for level in (2, 4, 8, 12):
-            fused = costs.matvec_cost(level, 16, 3, 3, hoisting="fused")
+            # Every diagonal rotated: the most inner products 16 can need.
+            fused = costs.matvec_cost(
+                level, 16, 3, 3, hoisting="fused", num_offsets=16
+            )
             double = costs.matvec_cost(level, 16, 3, 3, hoisting="double")
             assert fused < double, f"fused not cheaper at level {level}"
+
+    def test_fused_price_needs_the_offset_count(self, costs):
+        """Zero offsets prices no key switch at all, so a missing count
+        must not default to anything."""
+        with pytest.raises(TypeError, match="num_offsets"):
+            costs.matvec_cost(8, 16, 3, 3, hoisting="fused")
 
     def test_inner_product_is_small_fraction_of_keyswitch(self, costs):
         """Measured: the lazy int64 inner product is ~5% of a keyswitch

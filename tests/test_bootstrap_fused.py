@@ -261,7 +261,7 @@ class TestFusedGazelleFold:
             backend.ledger.reset()
             got = backend.decrypt(layer.execute(backend, [a], pt_scale)[0])
             assert np.abs(got - expected).max() < 0.05 * max(1.0, np.abs(expected).max())
-            assert backend.ledger.rotations == layer.rotation_count()
+            assert backend.ledger.rotations == layer.stats.rotations
         assert forms == {(3, True), (7, True), (7, False)}
 
     def test_fold_ledger_rotations_match_plan(self, fold_setup):
@@ -272,7 +272,7 @@ class TestFusedGazelleFold:
         packed.execute(backend, [ct], pt_scale)  # warm caches
         backend.ledger.reset()
         packed.execute(backend, [ct], pt_scale)
-        assert backend.ledger.rotations == packed.rotation_count()
+        assert backend.ledger.rotations == packed.stats.rotations
 
     def test_sim_backend_fused_fold(self, fold_setup):
         backend, packed, _, values = fold_setup
@@ -284,7 +284,7 @@ class TestFusedGazelleFold:
         assert np.abs(got - expected).max() < 0.05 * max(1.0, np.abs(expected).max())
         sim.ledger.reset()
         packed.execute(sim, [ct], pt_scale)
-        assert sim.ledger.rotations == packed.rotation_count()
+        assert sim.ledger.rotations == packed.stats.rotations
 
     def test_rotate_sum_identity_and_dedup(self, fold_setup):
         backend, _, ct, values = fold_setup
@@ -310,17 +310,19 @@ class TestFusedPlannerPricing:
             -1, 1, (n, band)
         )
         packed = build_linear_packing(matrix, None, VectorLayout(n, n))
-        assert not packed.fold_shifts
-        diag, baby, giant = packed.counts()
+        assert not packed.fold_shifts and packed.num_in == packed.num_out == 1
+        # One block: the stats are the plan's counts.
+        offsets = list(packed.diags[(0, 0)])
+        baby = sum(1 for b in packed.plan.babies if b)
+        giant = sum(1 for g in packed.plan.giants if g)
+        assert (packed.stats.pmults, packed.stats.rotations) == (len(offsets), baby + giant)
         level = 4
         fused = costs.matvec_cost(
-            level, diag, baby, giant, "fused",
-            num_in=packed.num_in, num_out=packed.num_out,
-            num_folds=len(packed.fold_shifts),
-            num_offsets=packed.nonzero_offset_count(),
+            level, len(offsets), baby, giant, "fused", num_in=1, num_out=1,
+            num_folds=0, num_offsets=sum(1 for off in offsets if off),
         )
-        assert packed.cost(level, costs) == fused
-        assert fused < packed.cost(level, costs, hoisting="none")
+        assert packed.stats.cost(level, costs) == fused
+        assert fused < packed.stats.cost(level, costs, hoisting="none")
         # At paper scale the deferred mod-down genuinely wins in-model:
         # deep chains make each giant step's decomposition (dnum NTT
         # batches) the dominant term the fused path amortizes away.
@@ -328,7 +330,7 @@ class TestFusedPlannerPricing:
 
         paper_costs = CostModel(paper_parameters())
         top = paper_parameters().max_level
-        assert packed.cost(top, paper_costs) < packed.cost(
+        assert packed.stats.cost(top, paper_costs) < packed.stats.cost(
             top, paper_costs, hoisting="double"
         )
 
@@ -373,7 +375,7 @@ class TestFusedPlannerPricing:
                 LayerSpec(
                     f"fc{i}",
                     depth=1,
-                    cost_fn=lambda l: packed.cost(l, costs),
+                    cost_fn=lambda l: packed.stats.cost(l, costs),
                     boot_units=1,
                 )
                 for i in range(6)
@@ -389,7 +391,7 @@ class TestFusedPlannerPricing:
             level = policy.exec_level - 1
             assert level >= 0
         # The chain total is built from the fused per-layer prices.
-        expected_layer = packed.cost(result.policies[0].exec_level, costs)
+        expected_layer = packed.stats.cost(result.policies[0].exec_level, costs)
         assert chain.items[0].cost_fn(result.policies[0].exec_level) == expected_layer
 
     def test_table5_placements_stay_valid_under_fused_prices(self):

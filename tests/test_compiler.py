@@ -171,16 +171,35 @@ class TestAnalyzeMode:
         materialized = onet.compile(params)
         analyzed = onet.compile(params, mode="analyze")
         assert analyzed.program is None
-        # Conv counts must agree exactly; only the final FC is
-        # approximated in analyze mode.
-        conv_rots_m = sum(
-            r.rotations for r in materialized.layer_reports if "fc" not in r.name
-        )
-        conv_rots_a = sum(
-            r.rotations for r in analyzed.layer_reports if "fc" not in r.name
-        )
-        assert conv_rots_a == conv_rots_m
+        # Every layer, the FC included, counts and prices identically.
+        assert analyzed.layer_reports == materialized.layer_reports
         assert analyzed.num_bootstraps == materialized.num_bootstraps
+        assert analyzed.modeled_seconds == materialized.modeled_seconds
+
+    def test_standalone_batchnorm1d_is_priced_as_its_diagonal(self):
+        """A BatchNorm1d no Linear absorbs is a diagonal matrix: one
+        PMult, not a dense c x c table, in analyze mode as when packed."""
+
+        class Net(on.Module):
+            def __init__(self):
+                super().__init__()
+                self.flatten = on.Flatten()
+                self.fc = on.Linear(16, 8)
+                self.act = on.Square()
+                self.bn = on.BatchNorm1d(8)
+
+            def forward(self, x):
+                return self.bn(self.act(self.fc(self.flatten(x))))
+
+        tparams = toy_parameters(ring_degree=2048, max_level=6, boot_levels=1)
+        onet, _ = make_net(Net, (1, 4, 4))
+        materialized = onet.compile(tparams)
+        analyzed = onet.compile(tparams, mode="analyze")
+        assert analyzed.layer_reports == materialized.layer_reports
+        assert analyzed.layer_reports[-1].kind == "batchnorm"
+        assert analyzed.layer_reports[-1].pmults == 1
+        assert analyzed.num_bootstraps == materialized.num_bootstraps
+        assert analyzed.modeled_seconds == materialized.modeled_seconds
 
     def test_analyze_cannot_run(self, params):
         onet, _ = make_net(lambda: SecureMlp(64, 8), (1, 8, 8))
@@ -221,6 +240,29 @@ class TestCompileDoesEachAnalysisOnce:
         # No state survives a compile: the next one builds its own.
         onet.compile(params, mode="analyze", optimize=True)
         assert built[len(first):] == first
+
+    def test_each_conv_is_packed_once(self, monkeypatch):
+        """The plain-vs-hybrid choice is made on key sets, so a
+        materialize compile builds every conv exactly once (resnet8_solo's
+        network: 10 convs and pools, every one hybrid-eligible)."""
+        from repro.core.packing import matvec
+
+        built = []
+        real = matvec.build_conv_packing
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("name"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(matvec, "build_conv_packing", counting)
+        monkeypatch.setattr(compiler, "build_conv_packing", counting)
+        onet, _ = make_net(
+            lambda: resnet_cifar(8, act=silu_act(31), width=4), (3, 8, 8)
+        )
+        onet.compile(
+            toy_parameters(ring_degree=2048, max_level=12, boot_levels=3, scale_bits=24)
+        )
+        assert len(built) == len(set(built)) == 10
 
     def test_poly_eval_ops_runs_once_per_degree(self, params, monkeypatch):
         from repro.core import compiler

@@ -311,8 +311,8 @@ class TestFusedMatvec:
         backend, packed, ct, _, pt_scale = setup
         backend.ledger.reset()
         packed.execute(backend, [ct], pt_scale)
-        assert backend.ledger.rotations == packed.rotation_count()
-        assert backend.ledger.counts["pmult"] >= packed.pmult_count()
+        assert backend.ledger.rotations == packed.stats.rotations
+        assert backend.ledger.counts["pmult"] >= packed.stats.pmults
 
     def test_plaintext_and_bias_caching(self, setup):
         """Weights, bias, and zero plaintexts encode once, not per run."""
@@ -341,7 +341,7 @@ class TestFusedMatvec:
         assert np.abs(got - expected).max() < 0.03 * max(1.0, np.abs(expected).max())
         sim.ledger.reset()
         packed.execute(sim, [ct], pt_scale)
-        assert sim.ledger.rotations == packed.rotation_count()
+        assert sim.ledger.rotations == packed.stats.rotations
 
     @pytest.mark.parametrize(
         "missing", ["_matvec_fused_no_charge", "_rotate_sum_no_charge"]
