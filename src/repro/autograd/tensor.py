@@ -22,10 +22,6 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff.
 
@@ -77,9 +73,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None

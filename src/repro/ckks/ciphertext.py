@@ -31,10 +31,6 @@ class Plaintext:
     scale: Fraction
     slot_count: int
 
-    @property
-    def scale_float(self) -> float:
-        return float(self.scale)
-
 
 @dataclass
 class Ciphertext:
@@ -51,14 +47,6 @@ class Ciphertext:
     scale: Fraction
     slot_count: int
     c2: Optional[RnsPolynomial] = None
-
-    @property
-    def is_linear(self) -> bool:
-        return self.c2 is None
-
-    @property
-    def scale_float(self) -> float:
-        return float(self.scale)
 
     def components(self):
         parts = [self.c0, self.c1]

@@ -352,7 +352,8 @@ class CkksContext:
         key-switch chain** of ``level`` — limb rows in chain order
         ``(data..., special)`` — so ``table[:, : level + 1]`` is a view
         holding exactly :meth:`encode`'s data-chain residues and the
-        whole row what ``extend_primes`` would lift them to: one array
+        whole row their basis extension to Q_l * P
+        (:meth:`RnsBasis.convert_residues`): one array
         where a plaintext and its Q_l * P extension used to be two.
         Residues are < 2^31, so 32 bits lose nothing; multiply the table
         only against int64 operands (uint32 * uint32 wraps silently).

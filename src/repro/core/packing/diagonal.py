@@ -43,9 +43,3 @@ def matvec_diagonal_cleartext(matrix: np.ndarray, vector: np.ndarray) -> np.ndar
     for k, diag in diagonals.items():
         out += diag * np.roll(vector, -k)
     return out
-
-
-def rotations_plain_diagonal(matrix: np.ndarray) -> int:
-    """Rotation count of the plain diagonal method: one per nonzero
-    diagonal, excluding the trivial rotation by zero."""
-    return sum(1 for k in extract_generalized_diagonals(matrix) if k != 0)

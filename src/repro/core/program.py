@@ -12,12 +12,24 @@ evaluation"): between layers every ciphertext sits at scale exactly
 Delta.  Linear-layer weight plaintexts are encoded at the *runtime*
 scale q_l * Delta / s_in so the post-layer rescale lands exactly back
 on Delta, whatever s_in the preceding activation produced.
+
+Instruction protocol: each instruction kind is one dataclass that owns
+everything about itself — its artifact payload tag ``kind``, its fields,
+:meth:`Instruction.execute` under FHE and
+:meth:`Instruction.execute_cleartext` over plain slot vectors.  The
+artifact codec is generic: :meth:`Instruction.to_payload` writes the
+common placement fields, ``"kind"``, then the kind's own init fields in
+declaration order, and :meth:`Instruction.from_payload` calls
+``cls(**fields)``; a kind whose fields are not plain JSON (a packed
+matvec, a Chebyshev polynomial) overrides the pair.  Defining the class
+registers its ``kind``, so :class:`FheProgram` encodes, decodes and runs
+in the clear by looping over instructions, never by branching on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Dict, List
 
@@ -76,17 +88,28 @@ class ExecutionState:
         ]
 
 
+#: ``{kind: class}`` for every instruction kind; a subclass registers
+#: itself when it is defined (:meth:`Instruction.__init_subclass__`).
+_KINDS: Dict[str, type] = {}
+
+
 @dataclass
 class Instruction:
     """Base instruction: placement metadata common to all ops."""
 
-    # Span/phase category (no annotation: class attribute, not a field).
+    # Class attributes (no annotation: not dataclass fields): the span /
+    # phase category and the artifact payload tag of a concrete kind.
     span_category = "op"
+    kind = ""
 
     name: str
     out_uid: int
     exec_level: int
     boots_before: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _KINDS[cls.kind] = cls
 
     def prepare(self, state: ExecutionState, uids: List[int]) -> List[List]:
         if self.boots_before:
@@ -97,15 +120,46 @@ class Instruction:
     def execute(self, state: ExecutionState) -> None:
         raise NotImplementedError
 
+    def execute_cleartext(
+        self, values: Dict[int, List[np.ndarray]], slots: int
+    ) -> List[np.ndarray]:
+        """The same step over plain slot vectors: reads its operands from
+        ``values`` (uid -> vectors) and returns the output register."""
+        raise NotImplementedError
+
+    # -- artifact codec (docs/serving.md) ------------------------------------
+    def to_payload(self, store) -> Dict:
+        """JSON-safe entry: the common fields, ``"kind"``, then this kind's
+        own fields in declaration order.  ``store(array) -> ref``
+        registers numpy payloads with the artifact's array registry."""
+        own = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        common = {f.name: own.pop(f.name) for f in fields(Instruction)}
+        return {**common, "kind": self.kind, **own}
+
+    @classmethod
+    def from_payload(cls, entry: Dict, fetch) -> "Instruction":
+        """Inverse of :meth:`to_payload` for an entry of this kind;
+        ``fetch(ref)`` returns a stored array."""
+        return cls(**{key: value for key, value in entry.items() if key != "kind"})
+
 
 @dataclass
 class LinearInstr(Instruction):
     """A packed linear layer (conv / fc / pool / folded bn)."""
 
     span_category = "linear"
+    kind = "linear"
 
     in_uid: int = 0
     packed: PackedMatVec = None
+
+    def to_payload(self, store) -> Dict:
+        return {**super().to_payload(store), "packed": self.packed.to_payload(store)}
+
+    @classmethod
+    def from_payload(cls, entry: Dict, fetch) -> "LinearInstr":
+        packed = PackedMatVec.from_payload(entry["packed"], fetch)
+        return super().from_payload({**entry, "packed": packed}, fetch)
 
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
@@ -115,6 +169,9 @@ class LinearInstr(Instruction):
             q_exec = backend.params.data_primes[self.exec_level]
             pt_scale = Fraction(q_exec) * Fraction(backend.params.scale) / in_scale
             state.set(self.out_uid, self.packed.execute(backend, cts, pt_scale))
+
+    def execute_cleartext(self, values, slots):
+        return self.packed.execute_cleartext(values[self.in_uid])
 
 
 def scale_log2(scale) -> float:
@@ -173,11 +230,26 @@ class PolyInstr(Instruction):
     """
 
     span_category = "act"
+    kind = "poly"
 
     in_uid: int = 0
     poly: ChebyshevPoly = None
     target_kind: str = "delta"
     _pt_cache: Dict = _const_cache_field()
+
+    def to_payload(self, store) -> Dict:
+        # ``poly`` travels as its coefficient list under "coeffs"; moving
+        # target_kind behind it keeps the fields in declaration order.
+        entry = super().to_payload(store)
+        entry["coeffs"] = list(entry.pop("poly").coeffs)
+        entry["target_kind"] = entry.pop("target_kind")
+        return entry
+
+    @classmethod
+    def from_payload(cls, entry: Dict, fetch) -> "PolyInstr":
+        entry = dict(entry)
+        entry["poly"] = ChebyshevPoly(tuple(entry.pop("coeffs")))
+        return super().from_payload(entry, fetch)
 
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
@@ -194,12 +266,16 @@ class PolyInstr(Instruction):
                 outs.append(out)
             state.set(self.out_uid, outs)
 
+    def execute_cleartext(self, values, slots):
+        return [self.poly(vec) for vec in values[self.in_uid]]
+
 
 @dataclass
 class SquareInstr(Instruction):
     """x^2 by direct HMult (depth 1; used by the MNIST networks)."""
 
     span_category = "act"
+    kind = "square"
 
     in_uid: int = 0
 
@@ -209,6 +285,9 @@ class SquareInstr(Instruction):
             (in_cts,) = self.prepare(state, [self.in_uid])
             outs = [backend.rescale(backend.mul(ct, ct)) for ct in in_cts]
             state.set(self.out_uid, outs)
+
+    def execute_cleartext(self, values, slots):
+        return [v * v for v in values[self.in_uid]]
 
 
 @dataclass
@@ -222,6 +301,7 @@ class MultJoinInstr(Instruction):
     """
 
     span_category = "act"
+    kind = "multjoin"
 
     x_uid: int = 0
     sign_uid: int = 0
@@ -241,12 +321,16 @@ class MultJoinInstr(Instruction):
                 outs.append(backend.rescale(backend.mul(x_aligned, s_norm)))
             state.set(self.out_uid, outs)
 
+    def execute_cleartext(self, values, slots):
+        return [x * s for x, s in zip(values[self.x_uid], values[self.sign_uid])]
+
 
 @dataclass
 class AddJoinInstr(Instruction):
     """Residual addition; both inputs sit at scale Delta by invariant."""
 
     span_category = "join"
+    kind = "addjoin"
 
     a_uid: int = 0
     b_uid: int = 0
@@ -258,17 +342,8 @@ class AddJoinInstr(Instruction):
             outs = [backend.add(a, b) for a, b in zip(a_cts, b_cts)]
             state.set(self.out_uid, outs)
 
-
-@dataclass
-class AliasInstr(Instruction):
-    """Free layout change (flatten / folded batchnorm placeholder)."""
-
-    span_category = "move"
-
-    in_uid: int = 0
-
-    def execute(self, state: ExecutionState) -> None:
-        state.set(self.out_uid, state.get(self.in_uid))
+    def execute_cleartext(self, values, slots):
+        return [a + b for a, b in zip(values[self.a_uid], values[self.b_uid])]
 
 
 @dataclass
@@ -284,6 +359,7 @@ class SliceInstr(Instruction):
     """
 
     span_category = "move"
+    kind = "slice"
 
     in_uid: int = 0
     start: int = 0
@@ -291,6 +367,9 @@ class SliceInstr(Instruction):
 
     def execute(self, state: ExecutionState) -> None:
         state.set(self.out_uid, list(state.get(self.in_uid)[self.start : self.stop]))
+
+    def execute_cleartext(self, values, slots):
+        return list(values[self.in_uid][self.start : self.stop])
 
 
 @dataclass
@@ -303,6 +382,7 @@ class RotateInstr(Instruction):
     """
 
     span_category = "rotate"
+    kind = "rotate"
 
     in_uid: int = 0
     steps: int = 0
@@ -315,6 +395,10 @@ class RotateInstr(Instruction):
             if steps:
                 cts = [backend.rotate(ct, steps) for ct in cts]
             state.set(self.out_uid, list(cts))
+
+    def execute_cleartext(self, values, slots):
+        steps = self.steps % slots
+        return [np.roll(vec, -steps) if steps else vec for vec in values[self.in_uid]]
 
 
 @dataclass
@@ -537,51 +621,6 @@ class FheProgram:
         else — uids, levels, Chebyshev coefficients, layouts — is plain
         JSON, so the format is inspectable and versionable.
         """
-        instrs = []
-        for instr in self.instructions:
-            entry = {
-                "name": instr.name,
-                "out_uid": instr.out_uid,
-                "exec_level": instr.exec_level,
-                "boots_before": instr.boots_before,
-            }
-            if isinstance(instr, LinearInstr):
-                entry["kind"] = "linear"
-                entry["in_uid"] = instr.in_uid
-                entry["packed"] = instr.packed.to_payload(store)
-            elif isinstance(instr, PolyInstr):
-                entry["kind"] = "poly"
-                entry["in_uid"] = instr.in_uid
-                entry["coeffs"] = list(instr.poly.coeffs)
-                entry["target_kind"] = instr.target_kind
-            elif isinstance(instr, SquareInstr):
-                entry["kind"] = "square"
-                entry["in_uid"] = instr.in_uid
-            elif isinstance(instr, MultJoinInstr):
-                entry["kind"] = "multjoin"
-                entry["x_uid"] = instr.x_uid
-                entry["sign_uid"] = instr.sign_uid
-            elif isinstance(instr, AddJoinInstr):
-                entry["kind"] = "addjoin"
-                entry["a_uid"] = instr.a_uid
-                entry["b_uid"] = instr.b_uid
-            elif isinstance(instr, AliasInstr):
-                entry["kind"] = "alias"
-                entry["in_uid"] = instr.in_uid
-            elif isinstance(instr, SliceInstr):
-                entry["kind"] = "slice"
-                entry["in_uid"] = instr.in_uid
-                entry["start"] = instr.start
-                entry["stop"] = instr.stop
-            elif isinstance(instr, RotateInstr):
-                entry["kind"] = "rotate"
-                entry["in_uid"] = instr.in_uid
-                entry["steps"] = instr.steps
-            else:
-                raise TypeError(
-                    f"cannot serialize instruction {type(instr).__name__}"
-                )
-            instrs.append(entry)
         return {
             "input_uid": self.input_uid,
             "output_uid": self.output_uid,
@@ -590,7 +629,7 @@ class FheProgram:
             "output_denorm": self.output_denorm,
             "input_layout": layout_payload(self.input_layout),
             "output_layout": layout_payload(self.output_layout),
-            "instructions": instrs,
+            "instructions": [instr.to_payload(store) for instr in self.instructions],
         }
 
     @classmethod
@@ -600,59 +639,10 @@ class FheProgram:
         artifact's npz registry)."""
         instructions: List[Instruction] = []
         for entry in payload["instructions"]:
-            kind = entry["kind"]
-            common = dict(
-                name=entry["name"],
-                out_uid=entry["out_uid"],
-                exec_level=entry["exec_level"],
-                boots_before=entry["boots_before"],
-            )
-            if kind == "linear":
-                instructions.append(
-                    LinearInstr(
-                        in_uid=entry["in_uid"],
-                        packed=PackedMatVec.from_payload(entry["packed"], fetch),
-                        **common,
-                    )
-                )
-            elif kind == "poly":
-                instructions.append(
-                    PolyInstr(
-                        in_uid=entry["in_uid"],
-                        poly=ChebyshevPoly(tuple(entry["coeffs"])),
-                        target_kind=entry["target_kind"],
-                        **common,
-                    )
-                )
-            elif kind == "square":
-                instructions.append(SquareInstr(in_uid=entry["in_uid"], **common))
-            elif kind == "multjoin":
-                instructions.append(
-                    MultJoinInstr(
-                        x_uid=entry["x_uid"], sign_uid=entry["sign_uid"], **common
-                    )
-                )
-            elif kind == "addjoin":
-                instructions.append(
-                    AddJoinInstr(a_uid=entry["a_uid"], b_uid=entry["b_uid"], **common)
-                )
-            elif kind == "alias":
-                instructions.append(AliasInstr(in_uid=entry["in_uid"], **common))
-            elif kind == "slice":
-                instructions.append(
-                    SliceInstr(
-                        in_uid=entry["in_uid"],
-                        start=entry["start"],
-                        stop=entry["stop"],
-                        **common,
-                    )
-                )
-            elif kind == "rotate":
-                instructions.append(
-                    RotateInstr(in_uid=entry["in_uid"], steps=entry["steps"], **common)
-                )
-            else:
-                raise ValueError(f"unknown instruction kind {kind!r}")
+            instr_cls = _KINDS.get(entry["kind"])
+            if instr_cls is None:
+                raise ValueError(f"unknown instruction kind {entry['kind']!r}")
+            instructions.append(instr_cls.from_payload(entry, fetch))
         return cls(
             instructions=instructions,
             input_uid=payload["input_uid"],
@@ -675,38 +665,8 @@ class FheProgram:
         values[self.input_uid] = self.input_layout.pack(
             np.asarray(image) / self.input_norm
         )
+        slots = self.input_layout.slots
         for instr in self.instructions:
-            if isinstance(instr, LinearInstr):
-                values[instr.out_uid] = instr.packed.execute_cleartext(
-                    values[instr.in_uid]
-                )
-            elif isinstance(instr, PolyInstr):
-                values[instr.out_uid] = [
-                    instr.poly(vec) for vec in values[instr.in_uid]
-                ]
-            elif isinstance(instr, SquareInstr):
-                values[instr.out_uid] = [v * v for v in values[instr.in_uid]]
-            elif isinstance(instr, MultJoinInstr):
-                values[instr.out_uid] = [
-                    x * s
-                    for x, s in zip(values[instr.x_uid], values[instr.sign_uid])
-                ]
-            elif isinstance(instr, AddJoinInstr):
-                values[instr.out_uid] = [
-                    a + b for a, b in zip(values[instr.a_uid], values[instr.b_uid])
-                ]
-            elif isinstance(instr, AliasInstr):
-                values[instr.out_uid] = values[instr.in_uid]
-            elif isinstance(instr, SliceInstr):
-                values[instr.out_uid] = list(
-                    values[instr.in_uid][instr.start : instr.stop]
-                )
-            elif isinstance(instr, RotateInstr):
-                slots = self.input_layout.slots
-                steps = instr.steps % slots
-                values[instr.out_uid] = [
-                    np.roll(vec, -steps) if steps else vec
-                    for vec in values[instr.in_uid]
-                ]
+            values[instr.out_uid] = instr.execute_cleartext(values, slots)
         out = values[self.output_uid]
         return self.output_layout.unpack(out) * self.output_denorm

@@ -78,31 +78,6 @@ class OrionNetwork:
         )
         return compiled.export(path, params)
 
-    def export_delta(
-        self,
-        path: str,
-        base_path: str,
-        params: CkksParameters,
-        cost_model: Optional[CostModel] = None,
-        entry_level: Optional[int] = None,
-        optimize: Optional[bool] = None,
-    ):
-        """Compile and write a *delta* artifact against ``base_path``.
-
-        The weight-update half of compile-once/serve-many: after
-        retraining the same architecture, export only the pre-encoded
-        tables that changed.  Workers merge it with
-        :func:`repro.serve.apply_artifact_delta` and hot-swap the
-        running pool via ``Server.reload()``.  Fails loudly if the
-        compile is not structurally compatible with the base.
-        """
-        from repro.serve.artifact import save_artifact_delta
-
-        compiled = self.compile(
-            params, cost_model, entry_level=entry_level, optimize=optimize
-        )
-        return save_artifact_delta(compiled, params, base_path, path)
-
     def serve(
         self,
         params: CkksParameters,

@@ -214,28 +214,11 @@ class _ActivationBase(Module):
     """Shared machinery for polynomially-approximated activations.
 
     Cleartext forward is the *exact* function (training matches normal
-    practice); the compiler swaps in the fitted polynomial.  Range
-    estimation records the observed input range during ``fit``.
+    practice); the compiler swaps in the fitted polynomial, fitted over
+    the input range :func:`repro.core.ranges.estimate_ranges` reports.
     """
 
     orion_kind = "poly"
-
-    def __init__(self):
-        super().__init__()
-        self.observed_max: float = 0.0
-        self._recording: bool = False
-
-    def start_range_recording(self):
-        self.observed_max = 0.0
-        self._recording = True
-
-    def stop_range_recording(self):
-        self._recording = False
-
-    def _observe(self, x: Tensor) -> None:
-        if self._recording:
-            peak = float(np.max(np.abs(x.data))) if x.size else 0.0
-            self.observed_max = max(self.observed_max, peak)
 
     def exact_fn(self, values: np.ndarray) -> np.ndarray:
         """The true activation on a numpy array (for fitting)."""
@@ -266,7 +249,6 @@ class ReLU(_ActivationBase):
         return np.maximum(values, 0.0)
 
     def forward(self, x: Tensor) -> Tensor:
-        self._observe(x)
         return F.relu(x)
 
 
@@ -281,7 +263,6 @@ class SiLU(_ActivationBase):
         return values / (1.0 + np.exp(-values))
 
     def forward(self, x: Tensor) -> Tensor:
-        self._observe(x)
         return F.silu(x)
 
 
@@ -296,7 +277,6 @@ class Square(_ActivationBase):
         return values * values
 
     def forward(self, x: Tensor) -> Tensor:
-        self._observe(x)
         return F.square(x)
 
 
@@ -316,7 +296,6 @@ class Activation(_ActivationBase):
         return self.fn(values)
 
     def forward(self, x: Tensor) -> Tensor:
-        self._observe(x)
         data = self.fn(x.data)
         out = Tensor._make(np.asarray(data), (x,), _numeric_backward(self.fn, x))
         return out

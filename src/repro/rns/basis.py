@@ -239,9 +239,9 @@ class RnsBasis:
         NTT engine's twist multiply reduces them); wider groups go
         through the int64 :meth:`convert_residues` lift, which is exact
         except for values within ~2^-48 of the +-Q_group/2 boundary —
-        the same guarantee the hot path already accepts in
-        :meth:`RnsPolynomial.extend_primes` (use :meth:`crt_reconstruct`
-        for boundary-exact validation).
+        the same guarantee every other basis extension on the hot path
+        accepts (use :meth:`crt_reconstruct` for boundary-exact
+        validation).
 
         Returns an int64 ``(ceil(len(src)/alpha), len(dst), N)`` tensor
         in coefficient form, ready for one batched forward NTT.

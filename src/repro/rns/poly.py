@@ -193,27 +193,14 @@ class RnsPolynomial:
         data = self.basis.divide_round_last(self.data, self.primes, self.is_ntt)
         return RnsPolynomial(self.basis, self.primes[:-1], data, self.is_ntt)
 
-    def extend_primes(self, new_primes) -> "RnsPolynomial":
-        """Extend the residue representation to more primes (fast path).
-
-        Converts the centered value to the new chain with the basis's
-        int64 fast conversion (:meth:`RnsBasis.convert_residues`); used
-        to raise ciphertext digits to the Q*P basis during hybrid key
-        switching.  See :meth:`extend_primes_reference` for the exact
-        big-integer CRT version this is validated against.
-        """
-        new_primes = tuple(new_primes)
-        coeff = self.to_coeff()
-        data = self.basis.convert_residues(coeff.data, coeff.primes, new_primes)
-        result = RnsPolynomial(self.basis, new_primes, data, is_ntt=False)
-        return result.to_ntt() if self.is_ntt else result
-
     def extend_primes_reference(self, new_primes) -> "RnsPolynomial":
         """Exact big-integer basis extension (validation reference).
 
         Reconstructs the centered integer value with the full CRT and
-        reduces modulo the new chain.  Allocates object-dtype arrays;
-        never used on the evaluator hot path.
+        reduces modulo the new chain: the oracle the int64 fast
+        conversion :meth:`RnsBasis.convert_residues` is tested against.
+        Allocates object-dtype arrays; never used on the evaluator hot
+        path.
         """
         bigints = self.to_bigint_coeffs()
         return RnsPolynomial.from_bigint_coeffs(

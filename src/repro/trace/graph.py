@@ -105,9 +105,6 @@ class LayerGraph:
         """Value ids consumed by more than one node (fork points)."""
         return [uid for uid, nodes in self.consumers().items() if len(nodes) > 1]
 
-    def node_by_output(self, uid: int) -> Optional[TraceNode]:
-        return self.producers().get(uid)
-
     # -- rewrite API (repro.core.graphopt) ---------------------------------
     def fresh_index(self) -> int:
         """An unused node index for a rewrite-created node.

@@ -1,4 +1,4 @@
-"""Shared utilities: integer math, primes, RNG, and disk storage."""
+"""Shared utilities: integer math, primes, and RNG."""
 
 from repro.utils.intmath import (
     bit_reverse_indices,
@@ -11,7 +11,6 @@ from repro.utils.intmath import (
 )
 from repro.utils.primes import find_ntt_primes, is_prime
 from repro.utils.rng import SeededRng
-from repro.utils.storage import DiagonalStore
 
 __all__ = [
     "bit_reverse_indices",
@@ -24,5 +23,4 @@ __all__ = [
     "find_ntt_primes",
     "is_prime",
     "SeededRng",
-    "DiagonalStore",
 ]

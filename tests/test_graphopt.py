@@ -9,6 +9,8 @@ legally choose different execution levels for the restructured chain,
 which changes plaintext-encoding rounding without changing semantics.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,29 @@ class Straight(on.Module):
 
     def forward(self, x):
         return self.fc(self.flat(self.sq(self.conv(x))))
+
+
+class AllKinds(on.Module):
+    """One of every instruction kind the compiler emits: linear layers,
+    a ReLU (poly + multjoin), fused sibling convs (slice), their
+    residual add (addjoin), a Square and a Roll (rotate)."""
+
+    def __init__(self):
+        super().__init__()
+        self.conv1 = on.Conv2d(2, 2, 3, padding=1, bias=True)
+        self.act = on.ReLU(degrees=(3, 3))
+        self.conv_a = on.Conv2d(2, 2, 3, padding=1, bias=True)
+        self.conv_b = on.Conv2d(2, 2, 3, padding=1, bias=False)
+        self.add = on.Add()
+        self.sq = on.Square()
+        self.flat = on.Flatten()
+        self.fc = on.Linear(32, 16)
+        self.roll = on.Roll(3)
+
+    def forward(self, x):
+        x = self.act(self.conv1(x))
+        x = self.sq(self.add(self.conv_a(x), self.conv_b(x)))
+        return self.roll(self.fc(self.flat(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +337,103 @@ class TestGraphCaches:
 # ---------------------------------------------------------------------------
 # artifact round-trip + switches
 # ---------------------------------------------------------------------------
+def _payload(program):
+    """The program's artifact payload and every array it stores."""
+    arrays = []
+
+    def store(array):
+        arrays.append(np.array(array, copy=True))
+        return len(arrays) - 1
+
+    return program.to_payload(store), arrays
+
+
 class TestIntegration:
     def test_optimized_program_round_trips_artifact(self, params, tmp_path):
-        onet, rng = make_net(SiblingConvs, (2, 4, 4))
+        onet, rng = make_net(AllKinds, (2, 4, 4))
         compiled = onet.compile(params, optimize=True)
-        onet.export(str(tmp_path / "art"), params, optimize=True)
+        kinds = {instr.kind for instr in compiled.program.instructions}
+        assert kinds == {"linear", "poly", "multjoin", "slice", "addjoin",
+                         "square", "rotate"}
+        compiled.export(str(tmp_path / "art"), params)
         from repro.serve.artifact import load_artifact
 
         art = load_artifact(str(tmp_path / "art"))
+        payload, arrays = _payload(compiled.program)
+        payload_loaded, arrays_loaded = _payload(art.program)
+        assert json.dumps(payload_loaded) == json.dumps(payload)
+        assert len(arrays_loaded) == len(arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, arrays_loaded))
         img = rng.normal(0, 0.5, (2, 4, 4))
         a = compiled.program.run_cleartext_packed(img)
         b = art.program.run_cleartext_packed(img)
         assert np.array_equal(a, b)
+
+    def test_unknown_instruction_kind_is_rejected(self, params):
+        """An entry whose kind no instruction class registers (here the
+        retired ``alias``) fails the load instead of building a program."""
+        from repro.core.program import FheProgram
+
+        onet, _ = make_net(Straight, (2, 4, 4))
+        payload, arrays = _payload(onet.compile(params).program)
+        last = payload["instructions"][-1]
+        payload["instructions"].append({
+            "name": "alias", "out_uid": last["out_uid"] + 1,
+            "exec_level": last["exec_level"], "boots_before": 0,
+            "kind": "alias", "in_uid": last["out_uid"],
+        })
+        with pytest.raises(ValueError, match="alias"):
+            FheProgram.from_payload(payload, arrays.__getitem__)
+
+    def test_each_kind_registers_its_own_class(self):
+        """The decode table holds the seven emitted kinds, each under the
+        tag its class writes — nothing under the base class's empty tag."""
+        from repro.core import program
+
+        classes = (program.LinearInstr, program.PolyInstr, program.SquareInstr,
+                   program.MultJoinInstr, program.AddJoinInstr,
+                   program.SliceInstr, program.RotateInstr)
+        assert program._KINDS == {cls.kind: cls for cls in classes}
+        assert len(program._KINDS) == 7
+
+    def test_new_kind_is_only_its_class(self, params, monkeypatch):
+        """Defining a subclass is the whole of adding a kind: the program
+        encodes, decodes and runs it in the clear with no other change."""
+        from dataclasses import dataclass, replace
+
+        from repro.core import program
+
+        monkeypatch.setattr(program, "_KINDS", dict(program._KINDS))
+
+        @dataclass
+        class NegateInstr(program.Instruction):
+            kind = "negate"
+
+            in_uid: int = 0
+
+            def execute_cleartext(self, values, slots):
+                return [-vec for vec in values[self.in_uid]]
+
+        onet, rng = make_net(Straight, (2, 4, 4))
+        base = onet.compile(params).program
+        last = base.instructions[-1]
+        negate = NegateInstr(name="negate", out_uid=last.out_uid + 1,
+                             exec_level=last.exec_level, boots_before=0,
+                             in_uid=base.output_uid)
+        extended = replace(base, instructions=base.instructions + [negate],
+                           output_uid=negate.out_uid, _batched={})
+        payload, arrays = _payload(extended)
+        assert payload["instructions"][-1] == {
+            "name": "negate", "out_uid": last.out_uid + 1,
+            "exec_level": last.exec_level, "boots_before": 0,
+            "kind": "negate", "in_uid": base.output_uid,
+        }
+        loaded = program.FheProgram.from_payload(payload, arrays.__getitem__)
+        assert isinstance(loaded.instructions[-1], NegateInstr)
+        assert loaded.instructions[-1] == negate
+        img = rng.normal(0, 0.5, (2, 4, 4))
+        assert np.array_equal(loaded.run_cleartext_packed(img),
+                              -base.run_cleartext_packed(img))
 
     def test_env_switch_controls_default(self, params, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH_OPT", "off")

@@ -138,8 +138,12 @@ class TestRnsPolynomial:
     def test_extend_primes_exact(self, basis):
         primes = basis.primes[:2]
         _, pa = self._random_poly(basis, primes, 12, magnitude=1000)
-        extended = pa.extend_primes(basis.primes[:2] + basis.special_primes)
+        target = primes + basis.special_primes
+        data = basis.convert_residues(pa.to_coeff().data, primes, target)
+        extended = RnsPolynomial(basis, target, data, is_ntt=False)
         assert np.array_equal(extended.to_bigint_coeffs(), pa.to_bigint_coeffs())
+        exact = pa.extend_primes_reference(target).to_coeff()
+        assert np.array_equal(data, exact.data)
 
     def test_incompatible_operands_raise(self, basis):
         _, pa = self._random_poly(basis, basis.primes[:2], 13)

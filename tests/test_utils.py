@@ -16,7 +16,6 @@ from repro.utils.intmath import (
 )
 from repro.utils.primes import find_ntt_primes, is_prime
 from repro.utils.rng import SeededRng
-from repro.utils.storage import DiagonalStore
 
 
 class TestIntMath:
@@ -124,31 +123,3 @@ class TestSeededRng:
         vals = SeededRng(0).gaussian(3.2, 100000)
         assert 2.8 < vals.std() < 3.6
 
-
-class TestDiagonalStore:
-    def test_memory_roundtrip(self):
-        store = DiagonalStore()
-        store.put_group("layer0", {"d0": np.arange(5), "d1": np.ones(3)})
-        assert np.array_equal(store.get("layer0", "d0"), np.arange(5))
-        assert store.groups() == ["layer0"]
-        assert "layer0" in store
-
-    def test_disk_roundtrip(self, tmp_path):
-        store = DiagonalStore(str(tmp_path))
-        data = {"diag_3": np.random.default_rng(0).normal(size=64)}
-        store.put_group("conv1", data)
-        store.evict()
-        reloaded = DiagonalStore(str(tmp_path))
-        assert np.allclose(reloaded.get("conv1", "diag_3"), data["diag_3"])
-        assert reloaded.nbytes() > 0
-
-    def test_missing_group_raises(self):
-        with pytest.raises(KeyError):
-            DiagonalStore().get_group("nope")
-
-    def test_overwrite_invalidates_cache(self):
-        store = DiagonalStore()
-        store.put_group("g", {"x": np.zeros(2)})
-        store.get_group("g")
-        store.put_group("g", {"x": np.ones(2)})
-        assert np.array_equal(store.get("g", "x"), np.ones(2))
