@@ -23,6 +23,7 @@ import time
 import numpy as np
 
 from repro import serve
+from repro.backend.ledger import LatencyHistogram
 from repro.ckks.params import toy_parameters
 from repro.core.compiler import OrionCompiler
 from repro.models import SecureMlp
@@ -76,10 +77,10 @@ def main():
         # -- slot-batched serving: clients coalesce per worker ----------
         start = time.perf_counter()
         tickets = {
-            server.submit(image, client_id=f"client-{index}", now=0.0): index
+            server.submit(image, client_id=f"client-{index}"): index
             for index, image in enumerate(images)
         }
-        results = server.step(now=1e9)
+        results = server.step()
         batched_s = time.perf_counter() - start
         for result in results:
             index = tickets[result.ticket]
@@ -99,7 +100,10 @@ def main():
 
         stats = server.stats()
         total_batches = sum(w.batches_run for w in stats.workers)
-        p50 = max(w.request_latency.p50_seconds for w in stats.workers)
+        latency = LatencyHistogram()
+        for worker in stats.workers:
+            latency.merge(worker.request_latency)
+        p50 = latency.quantile(0.5)
         modeled = sum(w.modeled_seconds for w in stats.workers)
         print(
             f"telemetry (schema v{stats.schema_version}): "

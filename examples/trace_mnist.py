@@ -64,12 +64,8 @@ def main():
     with serve.open(path, config) as server:
         print(f"  pool of {server.workers} workers, tracing on\n")
         for index in range(4):
-            server.submit(
-                rng.normal(0, 0.5, (1, 8, 8)),
-                client_id=f"client-{index}",
-                now=0.0,
-            )
-        results = server.step(now=1e9)
+            server.submit(rng.normal(0, 0.5, (1, 8, 8)), client_id=f"client-{index}")
+        results = server.step()
         print(f"served {len(results)} requests; spans recorded per worker:\n")
 
         for track in server.trace():

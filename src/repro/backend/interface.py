@@ -54,17 +54,6 @@ class FheBackend(abc.ABC):
 
     # -- capacity ---------------------------------------------------------
     @property
-    def kernel_backend(self) -> str:
-        """Name of the :mod:`repro.kernels` implementation hot paths run.
-
-        Telemetry, not semantics (there is one implementation) — also
-        recorded in :meth:`OpLedger.snapshot` and serve stats.
-        """
-        from repro.kernels import active_backend
-
-        return active_backend()
-
-    @property
     def slot_count(self) -> int:
         return self.params.slot_count
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Dict, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional
 
 
 class OpLedger:
@@ -90,11 +91,6 @@ class OpLedger:
             if phase.startswith(prefix)
         )
 
-    def snapshot(self) -> Dict[str, float]:
-        from repro.obs.summary import summarize_ledger
-
-        return summarize_ledger(self)
-
     def merge(self, other: "OpLedger") -> None:
         """Fold another ledger's charges into this one.
 
@@ -124,20 +120,23 @@ class OpLedger:
         )
 
 
+@dataclass
 class LatencyHistogram:
     """Log-bucketed latency histogram (serving telemetry).
 
-    Buckets are powers of two of ``base_seconds``: bucket i counts
-    observations in [base * 2^i, base * 2^(i+1)).  Cheap to merge and
-    to read percentiles from — the shape production serving stacks
-    track per-op and per-request latency with.
+    Buckets are powers of two of ``base``: bucket i counts observations
+    in [base * 2^i, base * 2^(i+1)) (bucket 0 also takes everything
+    below ``base``).  An observation at or past the last edge lands in
+    no finite bucket, only in ``count`` — the Prometheus ``+Inf``
+    bucket — so no edge ever claims it.  Cheap to merge and to read
+    percentiles from — the shape production serving stacks track
+    per-op and per-request latency with.
     """
 
-    def __init__(self, base_seconds: float = 1e-4, num_buckets: int = 32):
-        self.base = base_seconds
-        self.buckets = [0] * num_buckets
-        self.count = 0
-        self.total = 0.0
+    base: float = 1e-4
+    buckets: List[int] = field(default_factory=lambda: [0] * 32)
+    count: int = 0
+    total: float = 0.0
 
     def observe(self, seconds: float) -> None:
         self.count += 1
@@ -146,7 +145,11 @@ class LatencyHistogram:
             index = 0
         else:
             index = int(max(0.0, math.log2(seconds / self.base)))
-        self.buckets[min(index, len(self.buckets) - 1)] += 1
+        if index < len(self.buckets):
+            self.buckets[index] += 1
+
+    def copy(self) -> "LatencyHistogram":
+        return replace(self, buckets=list(self.buckets))
 
     def merge(self, other: "LatencyHistogram") -> None:
         if other.base != self.base or len(other.buckets) != len(self.buckets):
@@ -161,7 +164,8 @@ class LatencyHistogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Upper edge of the bucket holding the q-quantile observation."""
+        """Upper edge of the bucket holding the q-quantile observation
+        (``inf`` when it overflowed the last edge)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if self.count == 0:
@@ -172,9 +176,4 @@ class LatencyHistogram:
             seen += c
             if seen >= target:
                 return self.base * (2.0 ** (i + 1))
-        return self.base * (2.0 ** len(self.buckets))
-
-    def snapshot(self) -> Dict[str, float]:
-        from repro.obs.summary import summarize_histogram
-
-        return summarize_histogram(self)
+        return math.inf

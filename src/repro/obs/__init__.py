@@ -8,18 +8,10 @@ Three zero-dependency pillars (see docs/observability.md):
   Prometheus text-exposition writer;
 - :mod:`repro.obs.noise`   — level/scale drift at rescale / mod-down /
   bootstrap boundaries.
-
-:mod:`repro.obs.summary` holds the one shared histogram/ledger
-summarizer that ``OpLedger.snapshot`` and ``WorkerStats`` both consume.
 """
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.noise import NoiseMonitor
-from repro.obs.summary import (
-    merge_histogram_summaries,
-    summarize_histogram,
-    summarize_ledger,
-)
 from repro.obs.tracing import (
     NULL_SPAN,
     NULL_TRACER,
@@ -38,9 +30,6 @@ from repro.obs.tracing import (
 __all__ = [
     "MetricsRegistry",
     "NoiseMonitor",
-    "merge_histogram_summaries",
-    "summarize_histogram",
-    "summarize_ledger",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",

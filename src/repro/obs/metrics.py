@@ -13,12 +13,9 @@ with Prometheus unit suffixes (``_seconds``, ``_total``).  Labels are
 passed as kwargs and serialize sorted, so the same series is the same
 series regardless of call-site kwarg order.
 
-Registries serialize to plain dicts (:meth:`MetricsRegistry.to_payload`)
-so a fork-mode worker can return one in its telemetry bundle; the
-parent folds them with :meth:`MetricsRegistry.merge_payload` (counters
-and histogram buckets sum; gauges sum — every gauge exported here is a
-per-worker quantity like queue depth, for which the pool-level reading
-is the sum across shards).
+A registry is a rendering, built fresh from a stats snapshot when read
+(:meth:`repro.serve.ServerStats.to_metrics` writes every serving family);
+it is never shipped between processes or merged.
 """
 
 from __future__ import annotations
@@ -76,36 +73,18 @@ class MetricsRegistry:
         self._declare(name, "gauge", help)
         self._gauges.setdefault(name, {})[_label_key(labels)] = value
 
-    def observe(
-        self, name: str, seconds: float, help: str = "", **labels
-    ) -> None:
-        """Record one observation into the histogram ``name{labels}``."""
-        from repro.backend.ledger import LatencyHistogram
-
-        self._declare(name, "histogram", help)
-        series = self._histograms.setdefault(name, {})
-        key = _label_key(labels)
-        histogram = series.get(key)
-        if histogram is None:
-            histogram = series[key] = LatencyHistogram()
-        histogram.observe(seconds)
-
     def record_histogram(self, name: str, histogram, help: str = "", **labels):
         """Fold an existing ``LatencyHistogram`` into a series (the
         serving runtime already owns per-op histograms; re-observing
         every sample would double the work)."""
-        from repro.backend.ledger import LatencyHistogram
-
         self._declare(name, "histogram", help)
         series = self._histograms.setdefault(name, {})
         key = _label_key(labels)
         mine = series.get(key)
         if mine is None:
-            mine = series[key] = LatencyHistogram(
-                base_seconds=histogram.base,
-                num_buckets=len(histogram.buckets),
-            )
-        mine.merge(histogram)
+            series[key] = histogram.copy()
+        else:
+            mine.merge(histogram)
 
     # -- reads -------------------------------------------------------------
     def counter_value(self, name: str, **labels) -> float:
@@ -163,77 +142,6 @@ class MetricsRegistry:
                         f"{name}_count{_format_labels(key)} {hist.count}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
-
-    # -- serialization -------------------------------------------------------
-    def to_payload(self) -> Dict:
-        payload: Dict = {"meta": {}, "counters": {}, "gauges": {}, "histograms": {}}
-        for name, (kind, help) in self._meta.items():
-            payload["meta"][name] = [kind, help]
-        for name, series in self._counters.items():
-            payload["counters"][name] = [
-                [list(map(list, key)), value] for key, value in series.items()
-            ]
-        for name, series in self._gauges.items():
-            payload["gauges"][name] = [
-                [list(map(list, key)), value] for key, value in series.items()
-            ]
-        for name, series in self._histograms.items():
-            payload["histograms"][name] = [
-                [
-                    list(map(list, key)),
-                    {
-                        "base": hist.base,
-                        "buckets": list(hist.buckets),
-                        "count": hist.count,
-                        "total": hist.total,
-                    },
-                ]
-                for key, hist in series.items()
-            ]
-        return payload
-
-    def merge_payload(self, payload: Dict) -> None:
-        """Fold a serialized registry into this one (counters and
-        histogram buckets sum; gauges sum across workers)."""
-        from repro.backend.ledger import LatencyHistogram
-
-        for name, (kind, help) in payload.get("meta", {}).items():
-            self._declare(name, kind, help)
-        for name, series in payload.get("counters", {}).items():
-            mine = self._counters.setdefault(name, {})
-            for raw_key, value in series:
-                key = tuple(tuple(pair) for pair in raw_key)
-                mine[key] = mine.get(key, 0.0) + value
-        for name, series in payload.get("gauges", {}).items():
-            mine = self._gauges.setdefault(name, {})
-            for raw_key, value in series:
-                key = tuple(tuple(pair) for pair in raw_key)
-                mine[key] = mine.get(key, 0.0) + value
-        for name, series in payload.get("histograms", {}).items():
-            mine = self._histograms.setdefault(name, {})
-            for raw_key, state in series:
-                key = tuple(tuple(pair) for pair in raw_key)
-                incoming = LatencyHistogram(
-                    base_seconds=state["base"],
-                    num_buckets=len(state["buckets"]),
-                )
-                incoming.buckets = list(state["buckets"])
-                incoming.count = state["count"]
-                incoming.total = state["total"]
-                existing = mine.get(key)
-                if existing is None:
-                    mine[key] = incoming
-                else:
-                    existing.merge(incoming)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        self.merge_payload(other.to_payload())
-
-    def reset(self) -> None:
-        self._meta.clear()
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
 
 def _num(value) -> str:

@@ -21,8 +21,8 @@ Behind it:
 - :mod:`repro.serve.mmapio`   — :class:`ArtifactMap`: shared read-only
   mmapped artifact tables (one physical copy per machine);
 - :mod:`repro.serve.stats`    — :class:`ServerStats` /
-  :class:`WorkerStats`: the typed telemetry schema shared with
-  ``BENCH_serving.json``;
+  :class:`WorkerStats` / :class:`LaneStats`: the typed telemetry
+  schema that ``stats()`` returns and ``metrics()`` renders;
 - :mod:`repro.serve.artifact` — the versioned on-disk artifact;
 - :mod:`repro.serve.scheduler` — cross-request SIMD slot batching;
 - :mod:`repro.serve.keys`     — the multi-tenant key registry;
@@ -53,7 +53,7 @@ from repro.serve.runtime import ServeResult
 from repro.serve.scheduler import PendingRequest
 from repro.serve.stats import (
     STATS_SCHEMA_VERSION,
-    HistogramStats,
+    LaneStats,
     NoiseStats,
     ServerStats,
     StatsSchemaError,
@@ -78,7 +78,7 @@ __all__ = [
     # telemetry schema
     "ServerStats",
     "WorkerStats",
-    "HistogramStats",
+    "LaneStats",
     "NoiseStats",
     "StatsSchemaError",
     "STATS_SCHEMA_VERSION",

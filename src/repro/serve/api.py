@@ -59,15 +59,6 @@ class ServerConfig:
             the same keys from it, so any worker's response decrypts
             under the pool key and a solo replay with this seed
             reproduces any worker bit for bit.
-        key_cache_dir: optional spill directory for per-worker
-            :class:`repro.serve.keys.KeyRegistry` instances.  When set,
-            cold tenant key chains are demoted to fingerprint-addressed
-            files under it instead of being destroyed, and promoted
-            back (bit-exactly) on the next request; when ``None`` (the
-            default) demotion discards keys.  See docs/keys.md.
-        max_tenants: per-(worker, artifact) key-registry LRU capacity —
-            how many tenants' key chains stay resident in RAM before
-            the coldest spill (or drop, without ``key_cache_dir``).
         preload: seed backend caches from the artifact's pre-encoded
             tables at worker start.
         backend_factory: ``(params, seed) -> FheBackend`` override
@@ -89,8 +80,6 @@ class ServerConfig:
     admission_budget_seconds: Optional[float] = None
     routing_seed: int = 0
     key_seed: int = 0
-    key_cache_dir: Optional[str] = None
-    max_tenants: int = 16
     preload: bool = True
     backend_factory: Optional[Callable] = None
     tracing: bool = False
@@ -119,8 +108,6 @@ class ServerConfig:
             raise ValueError(
                 "ServerConfig.admission_budget_seconds must be positive"
             )
-        if self.max_tenants < 1:
-            raise ValueError("ServerConfig.max_tenants must be at least 1")
         if not 0.0 < self.trace_sample_rate <= 1.0:
             raise ValueError(
                 "ServerConfig.trace_sample_rate must be in (0, 1], got "
@@ -206,8 +193,6 @@ class Server:
             config.workers,
             mode=config.mode,
             key_seed=config.key_seed,
-            key_cache_dir=config.key_cache_dir,
-            max_tenants=config.max_tenants,
             batching=config.batching,
             max_batch=config.max_batch,
             batch_window_seconds=config.batch_window_seconds,
@@ -225,7 +210,6 @@ class Server:
         # Accumulated per-worker trace tracks (worker_id -> track dict);
         # fed by _pump_telemetry, exported by trace().
         self._trace_tracks: Dict[int, Dict] = {}
-        self._metrics_payloads: Dict[int, Dict] = {}
 
     # -- request flow --------------------------------------------------------
     def submit(
@@ -306,9 +290,8 @@ class Server:
 
     # -- observability -----------------------------------------------------
     def stats(self) -> ServerStats:
-        """Typed, schema-versioned pool telemetry (docs/serving.md)."""
-        from repro import kernels
-
+        """Typed, schema-versioned pool telemetry (docs/serving.md):
+        every worker's lane snapshots plus the dispatcher's counters."""
         dispatcher = self._dispatcher
         return ServerStats(
             schema_version=STATS_SCHEMA_VERSION,
@@ -318,19 +301,15 @@ class Server:
             requests_rejected=dispatcher.requests_rejected,
             requests_completed=dispatcher.requests_completed,
             in_flight=dispatcher.in_flight,
-            kernel_backend=kernels.active_backend(),
             workers=tuple(
                 worker.stats() for worker in dispatcher.pool.workers
             ),
         )
 
     def _pump_telemetry(self) -> None:
-        """Pull every worker's telemetry bundle into the server-side
-        accumulators (trace spans append; metrics payloads replace)."""
+        """Append every worker's drained trace spans to its track."""
         for worker in self._dispatcher.pool.workers:
             bundle = worker.telemetry()
-            if bundle["metrics"] is not None:
-                self._metrics_payloads[worker.worker_id] = bundle["metrics"]
             track = self._trace_tracks.get(worker.worker_id)
             if track is None:
                 track = {
@@ -346,36 +325,10 @@ class Server:
             track["dropped_roots"] = bundle["dropped_roots"]
 
     def metrics(self) -> MetricsRegistry:
-        """One aggregated :class:`repro.obs.MetricsRegistry` for the
-        deployment: every worker's counters/gauges/histograms plus the
-        dispatcher's admission-conservation counters."""
-        self._pump_telemetry()
-        registry = MetricsRegistry()
-        for worker_id in sorted(self._metrics_payloads):
-            registry.merge_payload(self._metrics_payloads[worker_id])
-        dispatcher = self._dispatcher
-        for outcome, count in (
-            ("submitted", dispatcher.requests_submitted),
-            ("admitted", dispatcher.requests_admitted),
-            ("rejected", dispatcher.requests_rejected),
-        ):
-            registry.counter(
-                "repro_admission_requests_total",
-                count,
-                help="Dispatcher admission outcomes.",
-                outcome=outcome,
-            )
-        registry.counter(
-            "repro_requests_completed_total",
-            dispatcher.requests_completed,
-            help="Requests whose results were delivered.",
-        )
-        registry.gauge(
-            "repro_in_flight_requests",
-            dispatcher.in_flight,
-            help="Admitted requests not yet completed.",
-        )
-        return registry
+        """:meth:`stats` as a :class:`repro.obs.MetricsRegistry`: every
+        lane's counters/gauges/histograms plus the dispatcher's
+        admission-conservation counters."""
+        return self.stats().to_metrics()
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of :meth:`metrics`."""

@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -357,20 +357,36 @@ def _pre_encode_tables(program: FheProgram, params) -> List[Dict]:
     return sections
 
 
+def check_header(
+    doc: Dict, expected: Tuple, error: type, source: str, remedy: str
+) -> None:
+    """The one gate every on-disk format passes before anything reads it.
+
+    ``expected`` lists ``(key, label, value)`` triples — a format tag, a
+    version, a fingerprint — that ``doc`` must carry exactly.  The first
+    mismatch raises the caller's ``error`` naming ``source``, the value
+    found and the value this build reads; there is no lossy upgrade.
+    """
+    for key, label, want in expected:
+        found = doc.get(key)
+        if found != want:
+            raise error(
+                f"{source}: {label} {found!r}, but this build reads "
+                f"{label} {want!r}; {remedy}"
+            )
+
+
 def _check_header(manifest_doc: Dict, path: str) -> None:
-    """The one format + schema-version gate every artifact file — full,
-    delta, or a delta's base — passes before anything else reads it."""
-    if manifest_doc.get("format") != FORMAT_NAME:
-        raise ArtifactSchemaError(
-            f"{path}: unknown format {manifest_doc.get('format')!r}"
-        )
-    version = manifest_doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ArtifactSchemaError(
-            f"{path}: schema version {version!r} is not supported "
-            f"(this build reads version {SCHEMA_VERSION}); "
-            "re-export the artifact"
-        )
+    """The gate every artifact file — full, delta, or a delta's base —
+    passes before anything else reads it."""
+    check_header(
+        manifest_doc,
+        (("format", "format", FORMAT_NAME),
+         ("schema_version", "schema version", SCHEMA_VERSION)),
+        ArtifactSchemaError,
+        path,
+        "re-export the artifact",
+    )
 
 
 def artifact_from_doc(manifest_doc: Dict, get_array, path: str = "<artifact>"):

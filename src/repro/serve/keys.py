@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.ckks.keys import KeyChain, KeyManifest, SwitchingKey
+from repro.serve.artifact import check_header
 
 #: Spill-file format tag and version (stored in the ``__spill__`` JSON
 #: member; loaders reject anything else loudly).  Version 3 stores each
@@ -57,9 +58,20 @@ def default_backend_factory(params, seed: int):
     return SimBackend(params, seed=seed)
 
 
+def backend_key_bytes(backend) -> int:
+    """Stored rotation-key bytes of one backend: the sum of its switching
+    keys' :meth:`repro.ckks.keys.SwitchingKey.size_bytes` (seed-expandable
+    keys count their ``b_i`` halves plus the 32-byte seed); 0 for a
+    functional backend, which holds no key material."""
+    context = getattr(backend, "context", None)
+    if context is None:
+        return 0
+    return sum(key.size_bytes() for key in context.keys.galois.values())
+
+
 class KeySpillError(RuntimeError):
-    """A spill file failed validation (wrong format, version, shape or
-    dtype)."""
+    """A spill file failed validation (wrong format, version, fingerprint,
+    shape or dtype)."""
 
 
 def _serialize_switching_key(
@@ -309,21 +321,15 @@ class KeyRegistry:
             if "__spill__" not in data:
                 raise KeySpillError(f"{path}: not a key spill file")
             meta = json.loads(bytes(data["__spill__"]).decode("utf-8"))
-            if meta.get("format") != SPILL_FORMAT:
-                raise KeySpillError(
-                    f"{path}: format {meta.get('format')!r}, "
-                    f"expected {SPILL_FORMAT!r}"
-                )
-            if meta.get("version") != SPILL_VERSION:
-                raise KeySpillError(
-                    f"{path}: spill version {meta.get('version')!r}, this "
-                    f"build reads version {SPILL_VERSION} — evict and re-keygen"
-                )
-            if meta.get("fingerprint") != self._fingerprint:
-                raise KeySpillError(
-                    f"{path}: manifest fingerprint mismatch "
-                    f"({meta.get('fingerprint')!r} != {self._fingerprint!r})"
-                )
+            check_header(
+                meta,
+                (("format", "format", SPILL_FORMAT),
+                 ("version", "spill version", SPILL_VERSION),
+                 ("fingerprint", "manifest fingerprint", self._fingerprint)),
+                KeySpillError,
+                path,
+                "evict and re-keygen",
+            )
             arrays = {k: data[k] for k in data.files if k != "__spill__"}
         chain = context._full_chain()
         secret = RnsPolynomial(
@@ -368,7 +374,7 @@ class KeyRegistry:
         Returns True if the client's keys now live in the spill file.
         Refuses (``RuntimeError``) while the client is pinned, exactly
         like :meth:`evict`.  Clients without key material (functional
-        backends) or registries without a ``cache_dir`` fall back to
+        backends), or a registry without a ``cache_dir``, fall back to
         plain eviction semantics and return False.
         """
         key = (self._fingerprint, client_id)
@@ -401,8 +407,7 @@ class KeyRegistry:
         Resident bytes count every resident client's stored rotation-key
         material (:meth:`key_material_bytes`); spilled bytes are the
         on-disk spill-file sizes under this manifest's fingerprint.
-        Surfaced per worker through ``ServerStats`` and the Prometheus
-        exposition, and gated by the serving-pool benchmark budget.
+        Gated by the serving-pool benchmark's tenant-key budget.
         """
         resident = sum(
             self.key_material_bytes(client_id)
@@ -422,10 +427,8 @@ class KeyRegistry:
     def key_material_bytes(self, client_id: str) -> int:
         """Stored rotation-key bytes for one client (compression metric).
 
-        For a resident client this is the sum of its switching keys'
-        :meth:`repro.ckks.keys.SwitchingKey.size_bytes` (seed-expandable
-        keys count their ``b_i`` halves plus the 32-byte seed).  For a
-        spilled client it is the spill file's on-disk size.
+        For a resident client this is :func:`backend_key_bytes` of its
+        backend; for a spilled client, the spill file's on-disk size.
         """
         backend = self._clients.get((self._fingerprint, client_id))
         if backend is None:
@@ -433,28 +436,7 @@ class KeyRegistry:
             if path is not None and os.path.exists(path):
                 return os.path.getsize(path)
             raise KeyError(f"unknown client {client_id!r}")
-        context = getattr(backend, "context", None)
-        if context is None:
-            return 0
-        return sum(
-            key.size_bytes() for key in context.keys.galois.values()
-        )
-
-    # -- pool integration ----------------------------------------------------
-    def adopt(self, client_id: str, backend) -> None:
-        """Register an externally built backend under this registry.
-
-        The pool's worker backends are built by the worker (same
-        factory, deterministic seed — the bit-exactness contract) and
-        then adopted here so the registry's LRU/pin/spill discipline
-        and key-bytes accounting cover them.  Adoption performs no
-        keygen and does not touch :attr:`keygen_count`.
-        """
-        key = (self._fingerprint, client_id)
-        if key in self._clients:
-            raise ValueError(f"client {client_id!r} already registered")
-        self._clients[key] = backend
-        self._shrink()
+        return backend_key_bytes(backend)
 
     # -- in-flight pinning ---------------------------------------------------
     def pin(self, client_id: str) -> None:

@@ -51,19 +51,12 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.serve.artifact import ServingArtifact
-from repro.serve.keys import KeyRegistry, default_backend_factory
+from repro.serve.keys import default_backend_factory
 from repro.serve.mmapio import ArtifactMap, is_mmap_backed
 from repro.serve.runtime import InferenceServer, ServeResult
-from repro.serve.stats import WorkerStats
-
-#: Registry client id under which each worker's own serving backend is
-#: adopted (and pinned for the worker's lifetime): the pool backend is
-#: permanently in flight, so the LRU may spill cold *tenant* keys around
-#: it but never the keys requests are being served under.
-POOL_CLIENT_ID = "__pool__"
+from repro.serve.stats import LaneStats, WorkerStats
 
 #: How often a parent blocked on a fork worker's response queue checks
 #: that the child still exists.
@@ -182,13 +175,10 @@ class Worker:
     directly; a process pool runs it in a forked child and calls it
     through :class:`ProcessWorker`.
 
-    Each lane also gets a :class:`repro.serve.keys.KeyRegistry` over
-    the artifact's manifest: the lane's own backend is built by the
-    factory from ``key_seed`` — every worker the same key domain, so a
-    solo replay with that seed reproduces any worker bit for bit — and
-    then *adopted* and pinned under :data:`POOL_CLIENT_ID`, so the
-    registry's resident/spilled key-bytes accounting covers the pool
-    and any per-tenant backends share its LRU/pin/spill discipline.
+    Each lane's backend is built by the factory from ``key_seed`` —
+    every worker the same key domain, so a solo replay with that seed
+    reproduces any worker bit for bit — and held by the lane's server
+    for the worker's lifetime (a reload keeps it).
     """
 
     def __init__(
@@ -202,8 +192,6 @@ class Worker:
         batch_window_seconds: float,
         preload: bool,
         backend_factory: Optional[Callable],
-        key_cache_dir: Optional[str] = None,
-        max_tenants: int = 16,
         tracing: bool = False,
         trace_sample_rate: float = 1.0,
         shared_artifacts: Optional[Dict[str, ServingArtifact]] = None,
@@ -225,7 +213,6 @@ class Worker:
         factory = backend_factory or default_backend_factory
         self.servers: Dict[str, InferenceServer] = {}
         self.profiles: Dict[str, WorkerProfile] = {}
-        self.registries: Dict[str, KeyRegistry] = {}
         # Inner (per-server) ticket -> the dispatcher's global ticket.
         self._tickets: Dict[Tuple[str, int], int] = {}
         loaded = {} if shared_artifacts is None else shared_artifacts
@@ -234,15 +221,6 @@ class Worker:
                 loaded[spec.artifact_id] = self._load(spec)
             artifact = loaded[spec.artifact_id]
             backend = factory(artifact.manifest.to_params(), key_seed)
-            registry = KeyRegistry(
-                artifact.manifest,
-                backend_factory=factory,
-                max_clients=max_tenants,
-                cache_dir=key_cache_dir,
-            )
-            registry.adopt(POOL_CLIENT_ID, backend)
-            registry.pin(POOL_CLIENT_ID)
-            self.registries[spec.artifact_id] = registry
             self._open_lane(spec, artifact, backend)
 
     @staticmethod
@@ -336,8 +314,7 @@ class Worker:
             )
         if artifact is None:
             artifact = self._load(spec)
-        registry = self.registries[artifact_id]
-        if artifact.manifest.fingerprint() != registry.manifest.fingerprint():
+        if artifact.manifest.fingerprint() != old.artifact.manifest.fingerprint():
             raise RuntimeError(
                 f"artifact {artifact_id!r}: reload changes the key manifest "
                 "— tenants hold ciphertexts under the current keys; open a "
@@ -366,141 +343,27 @@ class Worker:
         return sum(self.queue_depths().values())
 
     def stats(self) -> WorkerStats:
-        combined: Optional[WorkerStats] = None
-        for artifact_id, server in self.servers.items():
-            stats = WorkerStats.from_server(
-                self.worker_id,
-                server,
-                queue_depth=len(server.scheduler),
-                mmap_backed=self.profiles[artifact_id].mmap_backed,
-                registry=self.registries.get(artifact_id),
-            )
-            combined = stats if combined is None else combined.merged_with(stats)
-        return combined
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """This worker's counters/gauges/histograms as a fresh
-        :class:`repro.obs.MetricsRegistry` snapshot (naming scheme:
-        docs/observability.md)."""
-        registry = MetricsRegistry()
-        worker = str(self.worker_id)
-        for artifact_id, server in self.servers.items():
-            labels = {"worker": worker, "artifact": artifact_id}
-            registry.counter(
-                "repro_serve_requests_total",
-                server.requests_served,
-                help="Requests served (slot-batched or single).",
-                **labels,
-            )
-            registry.counter(
-                "repro_serve_batches_total",
-                server.batches_run,
-                help="Batched program executions run.",
-                **labels,
-            )
-            registry.counter(
-                "repro_modeled_seconds_total",
-                server.ledger.seconds,
-                help="Cost-model seconds charged by the op ledger.",
-                **labels,
-            )
-            for op, count in sorted(server.ledger.counts.items()):
-                registry.counter(
-                    "repro_fhe_ops_total",
-                    count,
-                    help="FHE primitive operations executed, by op.",
-                    op=op,
-                    **labels,
+        """This worker's one report: a frozen snapshot per lane."""
+        return WorkerStats(
+            self.worker_id,
+            tuple(
+                LaneStats.from_server(
+                    artifact_id, server, self.profiles[artifact_id].mmap_backed
                 )
-            noise = server.noise.stats()
-            for op, count in (
-                ("rescale", noise["rescales"]),
-                ("mod_down", noise["mod_downs"]),
-                ("bootstrap", noise["bootstraps"]),
-            ):
-                registry.counter(
-                    "repro_noise_boundary_total",
-                    count,
-                    help="Modulus-chain boundary events, by boundary op.",
-                    op=op,
-                    **labels,
-                )
-            registry.gauge(
-                "repro_serve_queue_depth",
-                len(server.scheduler),
-                help="Requests waiting in the slot-batching queue.",
-                **labels,
-            )
-            if noise["min_level"] is not None:
-                registry.gauge(
-                    "repro_noise_min_level",
-                    noise["min_level"],
-                    help="Lowest ciphertext level any boundary op reached.",
-                    **labels,
-                )
-            registry.gauge(
-                "repro_noise_max_scale_drift_log2",
-                noise["max_scale_drift_log2"],
-                help="Max |log2(scale/Delta)| seen after a boundary op.",
-                **labels,
-            )
-            key_registry = self.registries.get(artifact_id)
-            if key_registry is not None:
-                key_bytes = key_registry.key_bytes()
-                for state, value in sorted(key_bytes.items()):
-                    registry.gauge(
-                        "repro_key_material_bytes",
-                        value,
-                        help="Key-registry material bytes, by residency.",
-                        state=state,
-                        **labels,
-                    )
-                registry.counter(
-                    "repro_key_spills_total",
-                    key_registry.spill_count,
-                    help="Tenant key chains demoted to spill files.",
-                    **labels,
-                )
-                registry.counter(
-                    "repro_key_promotes_total",
-                    key_registry.promote_count,
-                    help="Tenant key chains promoted back from disk.",
-                    **labels,
-                )
-            registry.record_histogram(
-                "repro_request_latency_seconds",
-                server.request_latency,
-                help="Execution wall of the batch that served each "
-                "request (one observation per request; excludes queue wait).",
-                **labels,
-            )
-            registry.record_histogram(
-                "repro_serve_queue_wait_seconds",
-                server.queue_wait,
-                help="Time each request spent queued before its batch started.",
-                **labels,
-            )
-            for phase, histogram in sorted(server.op_histograms.items()):
-                registry.record_histogram(
-                    "repro_phase_modeled_seconds",
-                    histogram,
-                    help="Modeled seconds per batch, by program phase.",
-                    phase=phase,
-                    **labels,
-                )
-        return registry
+                for artifact_id, server in self.servers.items()
+            ),
+        )
 
     def telemetry(self) -> Dict:
-        """One plain-JSON bundle of everything observable about this
-        worker: stats payload, metrics payload, and the trace-span
-        backlog.  ``trace`` has drain semantics — each completed root
-        span is returned exactly once — so callers accumulate without
-        deduplicating; this is also what makes the fork-mode flush on
-        ``drain()``/``close()`` lossless."""
+        """Everything observable about this worker in one reply: its
+        :class:`WorkerStats` and the trace-span backlog.  ``trace`` has
+        drain semantics — each completed root span is returned exactly
+        once — so callers accumulate without deduplicating; this is also
+        what makes the fork-mode flush on ``drain()``/``close()``
+        lossless."""
         tracer = self.tracer
         return {
-            "stats": self.stats().to_payload(),
-            "metrics": self.metrics_registry().to_payload(),
+            "stats": self.stats(),
             "trace": tracer.drain(),
             "clock_offset": tracer.clock_offset,
             "dropped_roots": tracer.dropped_roots,
@@ -587,12 +450,7 @@ class ProcessWorker:
         # Refreshed on stats()/telemetry() and — so the last batches
         # before shutdown are never lost with the fork — on drain() and
         # close().
-        self._bundle: Dict = {
-            "stats": None,
-            "metrics": None,
-            "clock_offset": 0.0,
-            "dropped_roots": 0,
-        }
+        self._bundle: Dict = {"stats": None, "clock_offset": 0.0, "dropped_roots": 0}
         self._pending_trace: List[Dict] = []
         self._process = context.Process(
             target=_process_worker_main,
@@ -707,7 +565,7 @@ class ProcessWorker:
             raise RuntimeError(
                 f"worker {self.worker_id} is gone and left no stats"
             )
-        return WorkerStats.from_payload(self._bundle["stats"])
+        return self._bundle["stats"]
 
     def telemetry(self) -> Dict:
         """:meth:`Worker.telemetry`, or the last bundle a child that is

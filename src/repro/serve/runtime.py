@@ -26,7 +26,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import kernels
 from repro.backend.ledger import LatencyHistogram, OpLedger
 from repro.core.program import ExecutionState
 from repro.obs.noise import NoiseMonitor
@@ -231,7 +230,6 @@ class InferenceServer:
                     ledger=scratch,
                     batch_size=size,
                     reason=batch.reason,
-                    kernel_backend=kernels.active_backend(),
                 ):
                     start = tracer.clock()
                     self.state.reset()

@@ -1,33 +1,43 @@
-"""Typed, schema-versioned serving telemetry: the single schema both
-``Server.stats()`` and ``BENCH_serving.json`` speak.
+"""Typed, schema-versioned serving telemetry: what ``Server.stats()``
+returns and ``Server.metrics()`` renders.
 
-- :class:`HistogramStats` — one latency histogram, summarized;
-- :class:`WorkerStats`    — one worker's serving counters, per-op
-  latency, serve-path purity counters, and the mmap discipline flag;
-- :class:`ServerStats`    — the pool: per-worker stats plus the
-  dispatcher's admission-conservation counters.
+- :class:`LaneStats`   — one (worker, artifact) lane at one instant: its
+  counters, the ledger's op counts, noise, key bytes, and copies of its
+  :class:`repro.backend.ledger.LatencyHistogram` s.  The only thing a
+  pool worker reports (inline, or pickled over a fork's pipe);
+- :class:`WorkerStats` — one worker: its lanes, with every worker-level
+  attribute a sum or bucket merge over them, computed when read;
+- :class:`ServerStats` — the pool: per-worker stats plus the
+  dispatcher's admission-conservation counters, rendered to Prometheus
+  by :meth:`ServerStats.to_metrics`.
 
-All three are frozen dataclasses with ``to_payload`` / ``from_payload``
-(plain-JSON dicts) and ``to_json`` / ``from_json`` round-trips, pinned
-by ``STATS_SCHEMA_VERSION`` — a consumer reading a payload written by a
+All are frozen dataclasses.  ``ServerStats.to_json`` / ``from_json``
+run one codec over the dataclass fields, pinned by
+``STATS_SCHEMA_VERSION`` — a consumer reading a payload written by a
 different build fails loudly instead of mis-parsing it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.obs.summary import merge_histogram_summaries, summarize_histogram
+from repro.backend.ledger import LatencyHistogram
+from repro.obs.metrics import MetricsRegistry
+from repro.serve.artifact import check_header
+from repro.serve.keys import backend_key_bytes
 
-#: Version 3: adds per-worker key-material accounting (``WorkerStats.
-#: key_bytes_resident`` / ``key_bytes_spilled`` and the matching tenant
-#: counts) from the spill-capable :class:`repro.serve.keys.KeyRegistry`.
-#: Version 2 added the per-worker noise-budget telemetry
-#: (``WorkerStats.noise``).  Payloads from any other version are
-#: rejected loudly by ``ServerStats.from_payload``.
-STATS_SCHEMA_VERSION = 3
+#: Version 4: a worker row is its per-artifact ``lanes``, each carrying
+#: whole latency histograms (request, queue wait, per phase) and the
+#: ledger's op counts; the constant kernel name and the pool-side
+#: tenant/spill fields are gone.  Version 3 added per-worker key-material
+#: accounting, version 2 the noise-budget telemetry (``WorkerStats.noise``).
+#: Payloads from any other version are rejected loudly by
+#: ``ServerStats.from_payload``.
+STATS_SCHEMA_VERSION = 4
 
 
 class StatsSchemaError(ValueError):
@@ -35,55 +45,11 @@ class StatsSchemaError(ValueError):
 
 
 @dataclass(frozen=True)
-class HistogramStats:
-    """Summary of one :class:`repro.backend.ledger.LatencyHistogram`.
-
-    Produced by — and merged with — the shared summarizer in
-    :mod:`repro.obs.summary`, so this class and ``LatencyHistogram.
-    snapshot()`` can never disagree on the summary shape or the merge
-    arithmetic.
-    """
-
-    count: int
-    mean_seconds: float
-    p50_seconds: float
-    p99_seconds: float
-
-    @classmethod
-    def from_histogram(cls, histogram) -> "HistogramStats":
-        return cls(**summarize_histogram(histogram))
-
-    def merged_with(self, other: "HistogramStats") -> "HistogramStats":
-        """Count-weighted mean, max percentiles (the only merge possible
-        once the underlying buckets are gone)."""
-        return HistogramStats(
-            **merge_histogram_summaries(self.to_payload(), other.to_payload())
-        )
-
-    def to_payload(self) -> Dict:
-        return {
-            "count": self.count,
-            "mean_seconds": self.mean_seconds,
-            "p50_seconds": self.p50_seconds,
-            "p99_seconds": self.p99_seconds,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "HistogramStats":
-        return cls(
-            count=int(payload["count"]),
-            mean_seconds=float(payload["mean_seconds"]),
-            p50_seconds=float(payload["p50_seconds"]),
-            p99_seconds=float(payload["p99_seconds"]),
-        )
-
-
-@dataclass(frozen=True)
 class NoiseStats:
-    """Noise-budget telemetry of one worker (schema v2).
+    """Noise-budget telemetry of one lane (schema v2).
 
     Summarizes a :class:`repro.obs.NoiseMonitor`: how many modulus-chain
-    boundary events the worker executed, the lowest level any ciphertext
+    boundary events the lane executed, the lowest level any ciphertext
     reached (how close the run came to exhausting the chain), and the
     largest log2 drift of any post-boundary scale from the context's
     Delta (precision regressions localize here before they corrupt
@@ -100,217 +66,128 @@ class NoiseStats:
     def from_monitor(cls, monitor) -> "NoiseStats":
         return cls(**monitor.stats())
 
-    def merged_with(self, other: "NoiseStats") -> "NoiseStats":
-        levels = [
-            lvl for lvl in (self.min_level, other.min_level) if lvl is not None
-        ]
-        return NoiseStats(
-            rescales=self.rescales + other.rescales,
-            mod_downs=self.mod_downs + other.mod_downs,
-            bootstraps=self.bootstraps + other.bootstraps,
-            min_level=min(levels) if levels else None,
-            max_scale_drift_log2=max(
-                self.max_scale_drift_log2, other.max_scale_drift_log2
-            ),
-        )
-
-    def to_payload(self) -> Dict:
-        return {
-            "rescales": self.rescales,
-            "mod_downs": self.mod_downs,
-            "bootstraps": self.bootstraps,
-            "min_level": self.min_level,
-            "max_scale_drift_log2": self.max_scale_drift_log2,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "NoiseStats":
-        min_level = payload["min_level"]
-        return cls(
-            rescales=int(payload["rescales"]),
-            mod_downs=int(payload["mod_downs"]),
-            bootstraps=int(payload["bootstraps"]),
-            min_level=None if min_level is None else int(min_level),
-            max_scale_drift_log2=float(payload["max_scale_drift_log2"]),
-        )
-
 
 @dataclass(frozen=True)
-class WorkerStats:
-    """One worker's serving telemetry.
+class LaneStats:
+    """One (worker, artifact) lane's serving telemetry.
 
-    ``ops`` maps an operation phase (``linear``, ``act``, ...) to the
-    modeled-latency histogram of its per-batch charges.
-
-    ``key_bytes_resident`` / ``key_bytes_spilled`` (schema v3) split the
-    worker's key-material footprint between RAM and spill files, as
-    accounted by its :meth:`repro.serve.keys.KeyRegistry.key_bytes`;
-    ``tenants_resident`` / ``tenants_spilled`` count the clients on each
-    side.  The serving-pool benchmark gates the resident number against
-    a budget so tenant-density regressions fail CI.
+    ``ops`` are the lane ledger's per-op counts; ``phases`` map a program
+    phase (``linear``, ``act``, ...) to the modeled-seconds histogram of
+    its per-batch charges.  ``key_bytes_resident`` is the stored
+    rotation-key bytes of the lane's backend.
     """
 
-    worker_id: int
+    artifact_id: str
     requests_served: int
     batches_run: int
     queue_depth: int
     capacity: int
     preloaded_plaintexts: int
+    compilations_since_load: int
+    placements_since_load: int
+    mmap_backed: bool
+    key_bytes_resident: int
     modeled_seconds: float
     rotations: int
     bootstraps: int
-    compilations_since_load: int
-    placements_since_load: int
-    kernel_backend: str
-    mmap_backed: bool
-    request_latency: HistogramStats = field(
-        default_factory=lambda: HistogramStats(0, 0.0, 0.0, 0.0)
-    )
-    ops: Tuple[Tuple[str, HistogramStats], ...] = ()
-    noise: NoiseStats = field(default_factory=NoiseStats)
-    key_bytes_resident: int = 0
-    key_bytes_spilled: int = 0
-    tenants_resident: int = 0
-    tenants_spilled: int = 0
+    ops: Tuple[Tuple[str, int], ...]
+    noise: NoiseStats
+    request_latency: LatencyHistogram
+    queue_wait: LatencyHistogram
+    phases: Tuple[Tuple[str, LatencyHistogram], ...]
 
     @classmethod
-    def from_server(
-        cls,
-        worker_id: int,
-        server,
-        queue_depth: int,
-        mmap_backed: bool,
-        registry=None,
-    ) -> "WorkerStats":
-        """Summarize one :class:`repro.serve.runtime.InferenceServer`.
-
-        ``registry`` is the worker's :class:`repro.serve.keys.KeyRegistry`
-        for this artifact (when the pool routes key accounting through
-        one); it supplies the resident/spilled key-material split.
-        """
-        from repro import kernels
-
-        key_bytes = (
-            registry.key_bytes() if registry is not None else {"resident": 0, "spilled": 0}
-        )
+    def from_server(cls, artifact_id: str, server, mmap_backed: bool) -> "LaneStats":
+        """Snapshot one :class:`repro.serve.runtime.InferenceServer`."""
+        ledger = server.ledger
         return cls(
-            worker_id=worker_id,
+            artifact_id=artifact_id,
             requests_served=server.requests_served,
             batches_run=server.batches_run,
-            queue_depth=queue_depth,
+            queue_depth=len(server.scheduler),
             capacity=server.scheduler.capacity,
             preloaded_plaintexts=server.preloaded_plaintexts,
-            modeled_seconds=server.ledger.seconds,
-            rotations=server.ledger.rotations,
-            bootstraps=server.ledger.bootstraps,
             compilations_since_load=server.compilations_since_load,
             placements_since_load=server.placements_since_load,
-            kernel_backend=kernels.active_backend(),
             mmap_backed=mmap_backed,
-            request_latency=HistogramStats.from_histogram(
-                server.request_latency
-            ),
-            ops=tuple(
-                (op, HistogramStats.from_histogram(histogram))
-                for op, histogram in sorted(server.op_histograms.items())
-            ),
+            key_bytes_resident=backend_key_bytes(server.backend),
+            modeled_seconds=ledger.seconds,
+            rotations=ledger.rotations,
+            bootstraps=ledger.bootstraps,
+            ops=tuple(sorted(ledger.counts.items())),
             noise=NoiseStats.from_monitor(server.noise),
-            key_bytes_resident=key_bytes["resident"],
-            key_bytes_spilled=key_bytes["spilled"],
-            tenants_resident=len(registry) if registry is not None else 0,
-            tenants_spilled=(
-                registry.spilled_count() if registry is not None else 0
+            request_latency=server.request_latency.copy(),
+            queue_wait=server.queue_wait.copy(),
+            phases=tuple(
+                (phase, histogram.copy())
+                for phase, histogram in sorted(server.op_histograms.items())
             ),
         )
 
-    def merged_with(self, other: "WorkerStats") -> "WorkerStats":
-        """Fold another server's counters into this worker's (a worker
-        hosting several artifacts reports one combined row).  Histogram
-        summaries merge through the shared summarizer in
-        :mod:`repro.obs.summary`."""
-        ops: Dict[str, HistogramStats] = dict(self.ops)
-        for op, stats in other.ops:
-            ops[op] = ops[op].merged_with(stats) if op in ops else stats
-        latency = self.request_latency.merged_with(other.request_latency)
-        return WorkerStats(
-            worker_id=self.worker_id,
-            requests_served=self.requests_served + other.requests_served,
-            batches_run=self.batches_run + other.batches_run,
-            queue_depth=self.queue_depth + other.queue_depth,
-            capacity=max(self.capacity, other.capacity),
-            preloaded_plaintexts=self.preloaded_plaintexts
-            + other.preloaded_plaintexts,
-            modeled_seconds=self.modeled_seconds + other.modeled_seconds,
-            rotations=self.rotations + other.rotations,
-            bootstraps=self.bootstraps + other.bootstraps,
-            compilations_since_load=self.compilations_since_load
-            + other.compilations_since_load,
-            placements_since_load=self.placements_since_load
-            + other.placements_since_load,
-            kernel_backend=self.kernel_backend,
-            mmap_backed=self.mmap_backed and other.mmap_backed,
-            request_latency=latency,
-            ops=tuple(sorted(ops.items())),
-            noise=self.noise.merged_with(other.noise),
-            key_bytes_resident=self.key_bytes_resident
-            + other.key_bytes_resident,
-            key_bytes_spilled=self.key_bytes_spilled + other.key_bytes_spilled,
-            tenants_resident=self.tenants_resident + other.tenants_resident,
-            tenants_spilled=self.tenants_spilled + other.tenants_spilled,
-        )
 
-    def to_payload(self) -> Dict:
-        return {
-            "worker_id": self.worker_id,
-            "requests_served": self.requests_served,
-            "batches_run": self.batches_run,
-            "queue_depth": self.queue_depth,
-            "capacity": self.capacity,
-            "preloaded_plaintexts": self.preloaded_plaintexts,
-            "modeled_seconds": self.modeled_seconds,
-            "rotations": self.rotations,
-            "bootstraps": self.bootstraps,
-            "compilations_since_load": self.compilations_since_load,
-            "placements_since_load": self.placements_since_load,
-            "kernel_backend": self.kernel_backend,
-            "mmap_backed": self.mmap_backed,
-            "request_latency": self.request_latency.to_payload(),
-            "ops": {op: stats.to_payload() for op, stats in self.ops},
-            "noise": self.noise.to_payload(),
-            "key_bytes_resident": self.key_bytes_resident,
-            "key_bytes_spilled": self.key_bytes_spilled,
-            "tenants_resident": self.tenants_resident,
-            "tenants_spilled": self.tenants_spilled,
-        }
+class _LaneSum:
+    """A :class:`WorkerStats` attribute read as the sum over its lanes."""
 
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "WorkerStats":
-        return cls(
-            worker_id=int(payload["worker_id"]),
-            requests_served=int(payload["requests_served"]),
-            batches_run=int(payload["batches_run"]),
-            queue_depth=int(payload["queue_depth"]),
-            capacity=int(payload["capacity"]),
-            preloaded_plaintexts=int(payload["preloaded_plaintexts"]),
-            modeled_seconds=float(payload["modeled_seconds"]),
-            rotations=int(payload["rotations"]),
-            bootstraps=int(payload["bootstraps"]),
-            compilations_since_load=int(payload["compilations_since_load"]),
-            placements_since_load=int(payload["placements_since_load"]),
-            kernel_backend=str(payload["kernel_backend"]),
-            mmap_backed=bool(payload["mmap_backed"]),
-            request_latency=HistogramStats.from_payload(
-                payload["request_latency"]
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, stats, owner=None):
+        if stats is None:
+            return self
+        return sum(getattr(lane, self.name) for lane in stats.lanes)
+
+
+@dataclass(frozen=True)
+class WorkerStats:
+    """One worker's serving telemetry: one :class:`LaneStats` per hosted
+    artifact.  The worker-level attributes aggregate the lanes when
+    read — counters sum, histograms merge bucket for bucket — so a
+    worker hosting two artifacts reports exactly what one lane fed
+    every observation would."""
+
+    worker_id: int
+    lanes: Tuple[LaneStats, ...]
+
+    requests_served = _LaneSum()
+    batches_run = _LaneSum()
+    queue_depth = _LaneSum()
+    preloaded_plaintexts = _LaneSum()
+    compilations_since_load = _LaneSum()
+    placements_since_load = _LaneSum()
+    key_bytes_resident = _LaneSum()
+    modeled_seconds = _LaneSum()
+    rotations = _LaneSum()
+    bootstraps = _LaneSum()
+
+    @property
+    def capacity(self) -> int:
+        return max(lane.capacity for lane in self.lanes)
+
+    @property
+    def mmap_backed(self) -> bool:
+        return all(lane.mmap_backed for lane in self.lanes)
+
+    @property
+    def request_latency(self) -> LatencyHistogram:
+        merged = LatencyHistogram()
+        for lane in self.lanes:
+            merged.merge(lane.request_latency)
+        return merged
+
+    @property
+    def noise(self) -> NoiseStats:
+        """Counts sum, ``min_level`` is the lowest any lane reached,
+        drift the largest."""
+        parts = [lane.noise for lane in self.lanes]
+        levels = [n.min_level for n in parts if n.min_level is not None]
+        return NoiseStats(
+            rescales=sum(n.rescales for n in parts),
+            mod_downs=sum(n.mod_downs for n in parts),
+            bootstraps=sum(n.bootstraps for n in parts),
+            min_level=min(levels, default=None),
+            max_scale_drift_log2=max(
+                (n.max_scale_drift_log2 for n in parts), default=0.0
             ),
-            ops=tuple(
-                (op, HistogramStats.from_payload(entry))
-                for op, entry in sorted(payload["ops"].items())
-            ),
-            noise=NoiseStats.from_payload(payload["noise"]),
-            key_bytes_resident=int(payload["key_bytes_resident"]),
-            key_bytes_spilled=int(payload["key_bytes_spilled"]),
-            tenants_resident=int(payload["tenants_resident"]),
-            tenants_spilled=int(payload["tenants_spilled"]),
         )
 
 
@@ -332,7 +209,6 @@ class ServerStats:
     requests_rejected: int
     requests_completed: int
     in_flight: int
-    kernel_backend: str
     workers: Tuple[WorkerStats, ...]
 
     def __post_init__(self):
@@ -363,46 +239,175 @@ class ServerStats:
                 return stats
         raise KeyError(f"no worker {worker_id}")
 
+    # -- Prometheus ----------------------------------------------------------
+    def to_metrics(self) -> MetricsRegistry:
+        """The Prometheus view of these stats: the one place a serving
+        metric's name and help string are written (naming scheme:
+        docs/observability.md)."""
+        registry = MetricsRegistry()
+        for worker in self.workers:
+            for lane in worker.lanes:
+                labels = {"worker": worker.worker_id, "artifact": lane.artifact_id}
+                registry.counter(
+                    "repro_serve_requests_total",
+                    lane.requests_served,
+                    help="Requests served (slot-batched or single).",
+                    **labels,
+                )
+                registry.counter(
+                    "repro_serve_batches_total",
+                    lane.batches_run,
+                    help="Batched program executions run.",
+                    **labels,
+                )
+                registry.counter(
+                    "repro_modeled_seconds_total",
+                    lane.modeled_seconds,
+                    help="Cost-model seconds charged by the op ledger.",
+                    **labels,
+                )
+                for op, count in lane.ops:
+                    registry.counter(
+                        "repro_fhe_ops_total",
+                        count,
+                        help="FHE primitive operations executed, by op.",
+                        op=op,
+                        **labels,
+                    )
+                noise = lane.noise
+                for op, count in (
+                    ("rescale", noise.rescales),
+                    ("mod_down", noise.mod_downs),
+                    ("bootstrap", noise.bootstraps),
+                ):
+                    registry.counter(
+                        "repro_noise_boundary_total",
+                        count,
+                        help="Modulus-chain boundary events, by boundary op.",
+                        op=op,
+                        **labels,
+                    )
+                registry.gauge(
+                    "repro_serve_queue_depth",
+                    lane.queue_depth,
+                    help="Requests waiting in the slot-batching queue.",
+                    **labels,
+                )
+                if noise.min_level is not None:
+                    registry.gauge(
+                        "repro_noise_min_level",
+                        noise.min_level,
+                        help="Lowest ciphertext level any boundary op reached.",
+                        **labels,
+                    )
+                registry.gauge(
+                    "repro_noise_max_scale_drift_log2",
+                    noise.max_scale_drift_log2,
+                    help="Max |log2(scale/Delta)| seen after a boundary op.",
+                    **labels,
+                )
+                registry.gauge(
+                    "repro_key_material_bytes",
+                    lane.key_bytes_resident,
+                    help="Key-registry material bytes, by residency.",
+                    state="resident",
+                    **labels,
+                )
+                registry.record_histogram(
+                    "repro_request_latency_seconds",
+                    lane.request_latency,
+                    help="Execution wall of the batch that served each "
+                    "request (one observation per request; excludes queue wait).",
+                    **labels,
+                )
+                registry.record_histogram(
+                    "repro_serve_queue_wait_seconds",
+                    lane.queue_wait,
+                    help="Time each request spent queued before its batch started.",
+                    **labels,
+                )
+                for phase, histogram in lane.phases:
+                    registry.record_histogram(
+                        "repro_phase_modeled_seconds",
+                        histogram,
+                        help="Modeled seconds per batch, by program phase.",
+                        phase=phase,
+                        **labels,
+                    )
+        for outcome, count in (
+            ("submitted", self.requests_submitted),
+            ("admitted", self.requests_admitted),
+            ("rejected", self.requests_rejected),
+        ):
+            registry.counter(
+                "repro_admission_requests_total",
+                count,
+                help="Dispatcher admission outcomes.",
+                outcome=outcome,
+            )
+        registry.counter(
+            "repro_requests_completed_total",
+            self.requests_completed,
+            help="Requests whose results were delivered.",
+        )
+        registry.gauge(
+            "repro_in_flight_requests",
+            self.in_flight,
+            help="Admitted requests not yet completed.",
+        )
+        return registry
+
+    # -- JSON ----------------------------------------------------------------
     def to_payload(self) -> Dict:
-        return {
-            "schema_version": self.schema_version,
-            "artifacts": list(self.artifacts),
-            "requests_submitted": self.requests_submitted,
-            "requests_admitted": self.requests_admitted,
-            "requests_rejected": self.requests_rejected,
-            "requests_completed": self.requests_completed,
-            "in_flight": self.in_flight,
-            "reject_rate": self.reject_rate,
-            "kernel_backend": self.kernel_backend,
-            "workers": [stats.to_payload() for stats in self.workers],
-        }
+        return _encode(self)
 
     def to_json(self, indent=None) -> str:
         return json.dumps(self.to_payload(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "ServerStats":
-        version = payload.get("schema_version")
-        if version != STATS_SCHEMA_VERSION:
-            raise StatsSchemaError(
-                f"stats schema version {version!r} is not supported "
-                f"(this build reads version {STATS_SCHEMA_VERSION}); "
-                "re-export from this build"
-            )
-        return cls(
-            schema_version=int(version),
-            artifacts=tuple(payload["artifacts"]),
-            requests_submitted=int(payload["requests_submitted"]),
-            requests_admitted=int(payload["requests_admitted"]),
-            requests_rejected=int(payload["requests_rejected"]),
-            requests_completed=int(payload["requests_completed"]),
-            in_flight=int(payload["in_flight"]),
-            kernel_backend=str(payload["kernel_backend"]),
-            workers=tuple(
-                WorkerStats.from_payload(entry) for entry in payload["workers"]
-            ),
+        check_header(
+            payload,
+            (("schema_version", "schema version", STATS_SCHEMA_VERSION),),
+            StatsSchemaError,
+            "stats payload",
+            "re-export from this build",
         )
+        return _decode(cls, payload)
 
     @classmethod
     def from_json(cls, doc: str) -> "ServerStats":
         return cls.from_payload(json.loads(doc))
+
+
+def _encode(value):
+    """Plain JSON for a stats value: a dataclass becomes the dict of its
+    fields, a tuple or list a list."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _encode(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(kind, doc):
+    """Inverse of :func:`_encode`, directed by the field annotations."""
+    if dataclasses.is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        return kind(**{
+            f.name: _decode(hints[f.name], doc[f.name])
+            for f in dataclasses.fields(kind)
+        })
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is typing.Union:  # Optional[...]
+        return None if doc is None else _decode(args[0], doc)
+    if origin is list:
+        return [_decode(args[0], item) for item in doc]
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(doc)
+        return tuple(_decode(arg, item) for arg, item in zip(args, doc))
+    return kind(doc)

@@ -82,7 +82,7 @@ def test_counts_python_references_under_every_root(gate, tmp_path, capsys):
     assert gate.main() == 0
     assert "dead-defs OK: 6 definitions" in capsys.readouterr().out
 
-    write(tmp_path, "examples/README.md", "only_in_docs()\n")
+    write(tmp_path, "examples/notes.txt", "only_in_docs()\n")
     write(tmp_path, "src/pkg/docs_only.py", "def only_in_docs():\n    pass\n")
     assert gate.main() == 1
     assert "only_in_docs" in capsys.readouterr().out

@@ -7,7 +7,7 @@ bounds), the :class:`repro.serve.keys.KeyRegistry` spill-to-disk path
 under concurrency, loud spill-file validation), the weight-delta
 artifact format (resolution, atomic apply, fingerprint pinning), the
 hot reload of a running pool, and the telemetry that reports it all
-(stats schema v3, key-bytes Prometheus gauges).
+(the stats schema gate, the key-bytes Prometheus gauge).
 """
 
 import json
@@ -18,6 +18,7 @@ import pytest
 
 from repro import serve
 from repro.backend import ToyBackend
+from repro.backend.ledger import LatencyHistogram
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import (
     KEY_PRG_SEED_BYTES,
@@ -35,7 +36,6 @@ from repro.serve import (
     KeyRegistry,
     KeySpillError,
     apply_artifact_delta,
-    artifact_fingerprint,
     load_artifact,
     save_artifact,
     save_artifact_delta,
@@ -44,6 +44,8 @@ from repro.serve.keys import default_backend_factory
 from repro.serve.runtime import InferenceServer
 from repro.serve.stats import (
     STATS_SCHEMA_VERSION,
+    LaneStats,
+    NoiseStats,
     ServerStats,
     StatsSchemaError,
     WorkerStats,
@@ -372,23 +374,44 @@ class TestSpillPromote:
         assert not failures
         assert registry.pin_count("alice") == 0
 
+    def _spill_with_meta(self, registry, client_id, **meta_changes):
+        """Spill ``client_id``, then rewrite the spill file's header."""
+        registry.backend_for(client_id)
+        assert registry.spill(client_id) is True
+        path = registry._spill_path(client_id)
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(bytes(data["__spill__"]).decode("utf-8"))
+            arrays = {k: data[k] for k in data.files if k != "__spill__"}
+        meta.update(meta_changes)
+        arrays["__spill__"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        return path
+
     def test_spill_file_validation_is_loud(self, mlp_deployment, tmp_path):
         params, base_path, _, _ = mlp_deployment
         loaded = load_artifact(base_path)
         registry = self._registry(loaded.manifest, tmp_path, max_clients=2)
-        registry.backend_for("alice")
-        assert registry.spill("alice") is True
-        path = registry._spill_path("alice")
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(bytes(data["__spill__"]).decode("utf-8"))
-            arrays = {k: data[k] for k in data.files if k != "__spill__"}
-        meta["version"] = 999
-        arrays["__spill__"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        )
-        np.savez(open(path, "wb"), **arrays)
+        self._spill_with_meta(registry, "alice", version=999)
         with pytest.raises(KeySpillError, match="version"):
             registry.backend_for("alice")
+
+    def test_spill_from_another_manifest_rejected(self, mlp_deployment, tmp_path):
+        """A spill file keyed for a different manifest never becomes this
+        registry's keys: the error names the file, the fingerprint found
+        and the one this registry reads."""
+        params, base_path, _, _ = mlp_deployment
+        loaded = load_artifact(base_path)
+        registry = self._registry(loaded.manifest, tmp_path, max_clients=2)
+        path = self._spill_with_meta(registry, "alice", fingerprint="f" * 16)
+        with pytest.raises(KeySpillError) as raised:
+            registry.backend_for("alice")
+        message = str(raised.value)
+        assert message.startswith(f"{path}: manifest fingerprint 'ffffffffffffffff'")
+        assert f"reads manifest fingerprint {loaded.manifest.fingerprint()!r}" in message
+        assert registry.promote_count == 0
 
     def test_int64_spill_member_never_becomes_a_key(
         self, mlp_deployment, tmp_path
@@ -597,76 +620,69 @@ class TestHotReload:
                 server.reload()
 
 
-def _worker_stats(**overrides):
-    base = dict(
-        worker_id=0,
+def _stats(**lane_overrides):
+    lane = dict(
+        artifact_id="mlp",
         requests_served=1,
         batches_run=1,
         queue_depth=0,
         capacity=8,
         preloaded_plaintexts=0,
+        compilations_since_load=0,
+        placements_since_load=0,
+        mmap_backed=True,
+        key_bytes_resident=0,
         modeled_seconds=0.0,
         rotations=0,
         bootstraps=0,
-        compilations_since_load=0,
-        placements_since_load=0,
-        kernel_backend="numpy",
-        mmap_backed=True,
+        ops=(),
+        noise=NoiseStats(),
+        request_latency=LatencyHistogram(),
+        queue_wait=LatencyHistogram(),
+        phases=(),
     )
-    base.update(overrides)
-    return WorkerStats(**base)
+    lane.update(lane_overrides)
+    return ServerStats(
+        schema_version=STATS_SCHEMA_VERSION,
+        artifacts=("mlp",),
+        requests_submitted=1,
+        requests_admitted=1,
+        requests_rejected=0,
+        requests_completed=1,
+        in_flight=0,
+        workers=(WorkerStats(0, (LaneStats(**lane),)),),
+    )
 
 
 class TestTelemetry:
     def test_stats_v2_payload_rejected(self):
-        stats = ServerStats(
-            schema_version=STATS_SCHEMA_VERSION,
-            artifacts=("mlp",),
-            requests_submitted=1,
-            requests_admitted=1,
-            requests_rejected=0,
-            requests_completed=1,
-            in_flight=0,
-            kernel_backend="numpy",
-            workers=(_worker_stats(),),
-        )
-        payload = stats.to_payload()
-        assert payload["schema_version"] == STATS_SCHEMA_VERSION == 3
+        payload = _stats().to_payload()
+        assert payload["schema_version"] == STATS_SCHEMA_VERSION == 4
         payload["schema_version"] = 2
-        with pytest.raises(StatsSchemaError, match="version 2.*reads version 3"):
+        with pytest.raises(
+            StatsSchemaError, match="schema version 2, but this build reads schema version 4"
+        ):
             ServerStats.from_payload(payload)
 
     def test_stats_roundtrip_carries_key_bytes(self):
-        stats = _worker_stats(
-            worker_id=3,
-            key_bytes_resident=1024,
-            key_bytes_spilled=2048,
-            tenants_resident=2,
-            tenants_spilled=1,
-        )
-        back = WorkerStats.from_payload(stats.to_payload())
-        assert back.key_bytes_resident == 1024
-        assert back.key_bytes_spilled == 2048
-        assert back.tenants_resident == 2
-        assert back.tenants_spilled == 1
+        stats = _stats(key_bytes_resident=1024)
+        back = ServerStats.from_json(stats.to_json())
+        assert back == stats
+        assert back.workers[0].key_bytes_resident == 1024
 
-    def test_metrics_expose_key_material_gauges(
-        self, mlp_deployment, tmp_path
-    ):
+    def test_metrics_expose_key_material_gauges(self, mlp_deployment):
+        """A lane reports the rotation-key bytes its own backend holds."""
         params, base_path, _, _ = mlp_deployment
-        config = serve.ServerConfig(
-            workers=1,
-            batch_window_seconds=0.0,
-            key_cache_dir=str(tmp_path / "keycache"),
-        )
+        config = serve.ServerConfig(workers=1, batch_window_seconds=0.0)
         with serve.open(base_path, config) as server:
             img = np.random.default_rng(6).normal(0, 0.5, (1, 8, 8))
             server.submit(img, client_id="alice", now=0.0)
             server.drain()
-            text = server.metrics_text()
+            registry = server.metrics()
             stats = server.stats()
-        assert 'repro_key_material_bytes{' in text
-        assert 'state="resident"' in text
-        assert "repro_key_spills_total" in text
-        assert "repro_key_promotes_total" in text
-        assert any(w.key_bytes_resident > 0 for w in stats.workers)
+        key_bytes = stats.workers[0].key_bytes_resident
+        assert key_bytes > 0
+        assert registry.gauge_value(
+            "repro_key_material_bytes", state="resident", worker="0",
+            artifact=stats.artifacts[0],
+        ) == key_bytes

@@ -9,16 +9,15 @@ The contracts the observability PR rests on:
   nothing and hands out the shared NULL_SPAN;
 - **exports** — JSONL, Chrome ``trace_event`` JSON (Perfetto), and the
   Prometheus text exposition format all render from the same state;
-- **summarizer unification** — ``OpLedger.snapshot`` /
-  ``LatencyHistogram.snapshot`` and the typed stats schema consume one
-  shared summarizer, so they can never disagree;
 - **LatencyHistogram edges** — empty percentiles, single-sample
-  p50 == p99, disjoint-bucket merges;
+  p50 == p99, disjoint-bucket merges, overflow past the last edge
+  counted in ``+Inf`` only;
 - **NoiseMonitor** — boundary counts, min level, scale drift, and
   span attachment are observe-only.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -33,13 +32,9 @@ from repro.obs import (
     Tracer,
     chrome_trace,
     get_tracer,
-    merge_histogram_summaries,
-    summarize_histogram,
-    summarize_ledger,
     use_tracer,
     write_chrome_trace,
 )
-from repro.serve.stats import HistogramStats, NoiseStats
 
 
 class TestSpanTree:
@@ -233,6 +228,13 @@ class TestExports:
         assert any(e["name"] == "serve.batch" for e in doc["traceEvents"])
 
 
+def _histogram(*seconds):
+    hist = LatencyHistogram()
+    for value in seconds:
+        hist.observe(value)
+    return hist
+
+
 class TestMetricsRegistry:
     def test_counter_gauge_histogram(self):
         reg = MetricsRegistry()
@@ -240,7 +242,7 @@ class TestMetricsRegistry:
         reg.counter("repro_x_total", 3, worker="0")
         reg.counter("repro_x_total", 1, worker="1")
         reg.gauge("repro_depth", 4, worker="0")
-        reg.observe("repro_lat_seconds", 0.01, worker="0")
+        reg.record_histogram("repro_lat_seconds", _histogram(0.01), worker="0")
         assert reg.counter_value("repro_x_total", worker="0") == 5
         assert reg.counter_value("repro_x_total", worker="1") == 1
         assert reg.gauge_value("repro_depth", worker="0") == 4
@@ -266,8 +268,7 @@ class TestMetricsRegistry:
     def test_prometheus_text_exposition(self):
         reg = MetricsRegistry()
         reg.counter("repro_req_total", 3, help="Requests.", worker="0")
-        reg.observe("repro_lat_seconds", 2e-4)
-        reg.observe("repro_lat_seconds", 9e-4)
+        reg.record_histogram("repro_lat_seconds", _histogram(2e-4, 9e-4))
         text = reg.to_prometheus_text()
         assert "# HELP repro_req_total Requests." in text
         assert "# TYPE repro_req_total counter" in text
@@ -279,61 +280,13 @@ class TestMetricsRegistry:
         assert "repro_lat_seconds_count 2" in text
         assert "repro_lat_seconds_sum 0.0011" in text
 
-    def test_payload_round_trip_and_merge(self):
-        a = MetricsRegistry()
-        a.counter("c_total", 2, worker="0")
-        a.gauge("depth", 3, worker="0")
-        a.observe("lat_seconds", 0.01, worker="0")
-        b = MetricsRegistry()
-        b.merge_payload(a.to_payload())
-        b.merge_payload(a.to_payload())
-        assert b.counter_value("c_total", worker="0") == 4
-        assert b.gauge_value("depth", worker="0") == 6  # gauges sum
-        assert b.histogram_value("lat_seconds", worker="0").count == 2
-
     def test_record_histogram_folds_existing(self):
-        hist = LatencyHistogram()
-        hist.observe(0.01)
-        hist.observe(0.02)
+        hist = _histogram(0.01, 0.02)
         reg = MetricsRegistry()
         reg.record_histogram("lat_seconds", hist, phase="linear")
         reg.record_histogram("lat_seconds", hist, phase="linear")
         assert reg.histogram_value("lat_seconds", phase="linear").count == 4
-
-
-class TestSharedSummarizer:
-    def test_ledger_snapshot_delegates(self):
-        ledger = OpLedger()
-        ledger.charge("hrot", 1.5, count=2)
-        ledger.charge("hrot_hoisted", 0.5, count=3)
-        assert ledger.snapshot() == summarize_ledger(ledger)
-        snap = ledger.snapshot()
-        assert snap["rotations"] == 5
-        assert snap["seconds"] == pytest.approx(2.0)
-        assert "kernel_backend" in snap
-
-    def test_histogram_snapshot_delegates(self):
-        hist = LatencyHistogram()
-        hist.observe(0.003)
-        assert hist.snapshot() == summarize_histogram(hist)
-
-    def test_stats_merge_uses_shared_arithmetic(self):
-        a = HistogramStats(count=4, mean_seconds=1.0, p50_seconds=0.5,
-                           p99_seconds=2.0)
-        b = HistogramStats(count=6, mean_seconds=2.0, p50_seconds=1.5,
-                           p99_seconds=1.0)
-        merged = a.merged_with(b)
-        expected = merge_histogram_summaries(a.to_payload(), b.to_payload())
-        assert merged.to_payload() == expected
-        assert merged.count == 10
-        assert merged.mean_seconds == pytest.approx(1.6)
-        assert merged.p50_seconds == 1.5
-        assert merged.p99_seconds == 2.0
-
-    def test_merge_empty_summaries(self):
-        empty = {"count": 0, "mean_seconds": 0.0, "p50_seconds": 0.0,
-                 "p99_seconds": 0.0}
-        assert merge_histogram_summaries(empty, empty)["mean_seconds"] == 0.0
+        assert hist.count == 2  # the registry folded a copy
 
 
 class TestLatencyHistogramEdges:
@@ -343,9 +296,21 @@ class TestLatencyHistogramEdges:
         assert hist.mean == 0.0
         assert hist.quantile(0.5) == 0.0
         assert hist.quantile(0.99) == 0.0
-        snap = hist.snapshot()
-        assert snap == {"count": 0, "mean_seconds": 0.0,
-                        "p50_seconds": 0.0, "p99_seconds": 0.0}
+
+    def test_overflow_counts_in_inf_bucket_only(self):
+        """An observation past the last edge belongs to no finite
+        bucket: the exposition must not claim it is <= that edge, and
+        the quantile that lands on it is unbounded, not the edge."""
+        hist = _histogram(0.01, 4e9)
+        assert hist.count == 2 and sum(hist.buckets) == 1
+        assert hist.quantile(0.5) == hist.base * 2**7  # 0.01 s: bucket 6
+        assert hist.quantile(0.99) == math.inf
+        reg = MetricsRegistry()
+        reg.record_histogram("wait_seconds", hist)
+        text = reg.to_prometheus_text()
+        assert 'wait_seconds_bucket{le="429496.7296"} 1' in text
+        assert 'wait_seconds_bucket{le="+Inf"} 2' in text
+        assert "wait_seconds_count 2" in text
 
     def test_single_sample_p50_equals_p99(self):
         hist = LatencyHistogram()
@@ -373,7 +338,7 @@ class TestLatencyHistogramEdges:
 
     def test_merge_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            LatencyHistogram(num_buckets=8).merge(LatencyHistogram())
+            LatencyHistogram(buckets=[0] * 8).merge(LatencyHistogram())
 
 
 class TestNoiseMonitor:
@@ -415,20 +380,3 @@ class TestNoiseMonitor:
                 monitor.record("rescale", 4, 3)
         span, = tracer.roots
         assert span.noise == [("rescale", 4, 3, 0.0)]
-
-    def test_noise_stats_schema_round_trip(self):
-        monitor = NoiseMonitor()
-        monitor.record("rescale", 4, 3)
-        stats = NoiseStats.from_monitor(monitor)
-        restored = NoiseStats.from_payload(
-            json.loads(json.dumps(stats.to_payload()))
-        )
-        assert restored == stats
-        # merged_with: counts sum, min of min_levels, max drift
-        other = NoiseStats(rescales=1, mod_downs=2, bootstraps=0,
-                           min_level=1, max_scale_drift_log2=0.5)
-        merged = stats.merged_with(other)
-        assert merged.rescales == 2
-        assert merged.min_level == 1
-        assert merged.max_scale_drift_log2 == 0.5
-        assert NoiseStats().merged_with(NoiseStats()).min_level is None

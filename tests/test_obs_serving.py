@@ -10,30 +10,41 @@ The acceptance gates of the observability PR:
   sampling noise, no double counting);
 - **observe-only tracing** — pool outputs are bit-identical with
   tracing on and off, inline and fork mode;
-- **metrics endpoint** — ``Server.metrics()`` aggregates worker
-  registries (over the pipe protocol in fork mode) plus dispatcher
-  admission counters, and renders Prometheus text;
+- **metrics endpoint** — ``Server.metrics()`` renders the same lane
+  snapshots ``Server.stats()`` returns (pickled over the pipe in fork
+  mode) plus dispatcher admission counters as Prometheus text;
+- **exact aggregation** — a worker's histograms are bucket merges of
+  its lanes', so its quantiles are those of one histogram fed every
+  observation;
 - **fork-mode flush** — telemetry recorded by the last batches before
-  ``drain()``/``close()`` survives the child (the satellite-2
-  regression);
-- **schema v2** — ``ServerStats`` round-trips with the noise block and
-  rejects v1 payloads loudly;
+  ``drain()``/``close()`` survives the child;
+- **schema** — ``ServerStats`` round-trips through JSON, histograms and
+  noise included, and rejects foreign versions loudly;
 - **compile/bootstrap spans** — the compiler and the real bootstrap
   pipeline produce their own span trees.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro import serve
+from repro.backend.ledger import LatencyHistogram
 from repro.ckks.params import bootstrap_parameters, toy_parameters
 from repro.models import SecureMlp
 from repro.nn import init
 from repro.obs import Tracer, use_tracer
 from repro.orion import OrionNetwork
-from repro.serve import ServerConfig, ServerStats, StatsSchemaError
+from repro.serve import (
+    LaneStats,
+    NoiseStats,
+    ServerConfig,
+    ServerStats,
+    StatsSchemaError,
+    WorkerStats,
+)
 
 
 @pytest.fixture(scope="module")
@@ -333,27 +344,130 @@ class TestForkModeTelemetry:
             fork_stats = fork.stats()
         finally:
             fork.close()
+        # Field for field, except the two wall-clock histograms.
+        wall = dict(request_latency=None, queue_wait=None)
         for a, b in zip(inline_stats.workers, fork_stats.workers):
-            assert a.requests_served == b.requests_served
-            assert a.rotations == b.rotations
-            assert a.noise == b.noise
+            assert a.worker_id == b.worker_id
+            assert [dataclasses.replace(lane, **wall) for lane in a.lanes] == [
+                dataclasses.replace(lane, **wall) for lane in b.lanes
+            ]
+            assert a.request_latency.count == b.request_latency.count
+        assert dataclasses.replace(inline_stats, workers=()) == dataclasses.replace(
+            fork_stats, workers=()
+        )
+
+    def test_fork_metrics_text_matches_inline(self, artifact_path):
+        """Both modes render the same lane snapshots through one
+        function, so on an injected clock the exposition is identical —
+        except the wall-clock latency histogram's buckets and sum."""
+
+        def exposition(mode):
+            images = _images(4)
+            with serve.open(artifact_path, _config(mode=mode)) as server:
+                for i, image in enumerate(images):
+                    server.submit(image, client_id=f"c{i}", now=1.0 + 0.01 * i)
+                server.step(now=1.5)
+                text = server.metrics_text()
+            wall = ("repro_request_latency_seconds_bucket",
+                    "repro_request_latency_seconds_sum")
+            return [line for line in text.splitlines() if not line.startswith(wall)]
+
+        inline = exposition("inline")
+        assert any(
+            line.startswith("repro_request_latency_seconds_count") for line in inline
+        )
+        assert any(line.startswith("repro_serve_queue_wait_seconds_sum") for line in inline)
+        assert exposition("process") == inline
 
 
-class TestSchemaV2:
-    def test_round_trip_with_noise(self, traced_run):
+class TestStatsSchema:
+    def test_round_trip_with_histograms_and_noise(self, traced_run):
         _, _, stats, _, _ = traced_run
         restored = ServerStats.from_json(stats.to_json())
         assert restored == stats
         worker = restored.workers[0]
         assert worker.noise.rescales > 0
         assert worker.noise.min_level is not None
+        lane = worker.lanes[0]
+        assert isinstance(lane.request_latency, LatencyHistogram)
+        assert lane.request_latency == stats.workers[0].lanes[0].request_latency
+        assert dict(lane.phases)["linear"].count > 0
 
-    def test_v1_payload_rejected_loudly(self, traced_run):
+    def test_foreign_version_rejected_loudly(self, traced_run):
         _, _, stats, _, _ = traced_run
         payload = stats.to_payload()
-        payload["schema_version"] = 1
-        with pytest.raises(StatsSchemaError, match="version 1.*reads version 3"):
+        payload["schema_version"] = 3
+        with pytest.raises(
+            StatsSchemaError, match="schema version 3, but this build reads schema version 4"
+        ):
             ServerStats.from_payload(payload)
+
+
+def _lane(artifact_id, latencies, noise=NoiseStats()):
+    request_latency = LatencyHistogram()
+    for seconds in latencies:
+        request_latency.observe(seconds)
+    return LaneStats(
+        artifact_id=artifact_id,
+        requests_served=len(latencies),
+        batches_run=len(latencies),
+        queue_depth=0,
+        capacity=1,
+        preloaded_plaintexts=0,
+        compilations_since_load=0,
+        placements_since_load=0,
+        mmap_backed=True,
+        key_bytes_resident=0,
+        modeled_seconds=0.0,
+        rotations=0,
+        bootstraps=0,
+        ops=(),
+        noise=noise,
+        request_latency=request_latency,
+        queue_wait=LatencyHistogram(),
+        phases=(),
+    )
+
+
+class TestLaneAggregation:
+    def test_quantiles_are_those_of_every_observation(self):
+        """Three fast requests on one artifact, one slow on the other:
+        the worker's p50 is a fast bucket.  Taking the larger of the
+        lanes' p50s would report the slow one."""
+        fast, slow = [1e-3, 1e-3, 1e-3], [1.0]
+        worker = WorkerStats(0, (_lane("a", fast), _lane("b", slow)))
+        every = _lane("all", fast + slow).request_latency
+        assert worker.request_latency == every
+        assert worker.request_latency.quantile(0.5) == every.quantile(0.5) < 0.01
+        assert worker.requests_served == 4
+
+    def test_two_artifacts_on_one_worker_merge_exactly(self, artifact_path):
+        source = {"mlp-a": artifact_path, "mlp-b": artifact_path}
+        every = LatencyHistogram()
+        with serve.open(source, _config(workers=1)) as server:
+            for i, image in enumerate(_images(5)):
+                server.submit(image, client_id=f"c{i}", artifact=f"mlp-{'ab'[i % 2]}")
+            results = server.drain()
+            results.append(server.serve_now(_images(1)[0], artifact="mlp-b"))
+            worker = server.stats().workers[0]
+        for result in results:
+            every.observe(result.wall_seconds)
+        assert [lane.artifact_id for lane in worker.lanes] == ["mlp-a", "mlp-b"]
+        latency = worker.request_latency
+        assert latency.count == every.count == 6
+        assert latency.buckets == every.buckets
+        assert latency.total == pytest.approx(every.total)
+        for q in (0.5, 0.9, 0.99):
+            assert latency.quantile(q) == every.quantile(q)
+
+    def test_noise_aggregates_over_lanes(self):
+        a = NoiseStats(rescales=2, mod_downs=1, min_level=3, max_scale_drift_log2=0.25)
+        b = NoiseStats(rescales=1, bootstraps=1, min_level=1, max_scale_drift_log2=0.5)
+        worker = WorkerStats(0, (_lane("a", [], a), _lane("b", [], b), _lane("c", [])))
+        assert worker.noise == NoiseStats(
+            rescales=3, mod_downs=1, bootstraps=1, min_level=1, max_scale_drift_log2=0.5
+        )
+        assert WorkerStats(0, (_lane("c", []),)).noise.min_level is None
 
 
 class TestCompileSpans:

@@ -25,7 +25,7 @@ from repro.orion import OrionNetwork
 from repro.serve import (
     ArtifactSchemaError,
     KeyRegistry,
-    WorkerStats,
+    LaneStats,
     load_artifact,
     save_artifact_delta,
 )
@@ -143,6 +143,27 @@ class TestArtifactRoundTrip:
         np.savez(path, stuff=np.arange(3))
         with pytest.raises(ArtifactSchemaError, match="not a serving artifact"):
             load_artifact(path)
+
+    def test_header_gate_reports_first_mismatch_in_callers_error(self):
+        """Artifacts, key spills and stats payloads share one header
+        gate: it raises the caller's error type, naming the source, the
+        value found, the value this build reads and the remedy."""
+        from repro.serve.artifact import check_header
+
+        expected = (("format", "format", "fmt"), ("version", "version", 2))
+        check_header({"format": "fmt", "version": 2}, expected, KeyError, "src", "fix")
+
+        class GateError(ValueError):
+            pass
+
+        with pytest.raises(GateError) as raised:
+            check_header({"format": "other", "version": 1}, expected, GateError,
+                         "a/b.npz", "re-export")
+        assert str(raised.value) == (
+            "a/b.npz: format 'other', but this build reads format 'fmt'; re-export"
+        )
+        with pytest.raises(GateError, match="version None, but this build reads version 2"):
+            check_header({"format": "fmt"}, expected, GateError, "a/b.npz", "re-export")
 
     def test_manifest_covers_every_runtime_rotation(self, mlp_artifact):
         """Keys generated from the manifest alone must suffice — no
@@ -529,14 +550,13 @@ class TestInferenceServer:
 
     def test_telemetry_accumulates(self, served):
         *_, server = served
-        stats = WorkerStats.from_server(
-            0, server, queue_depth=len(server.scheduler), mmap_backed=False
-        )
+        stats = LaneStats.from_server("mlp", server, mmap_backed=False)
         assert stats.requests_served >= 5
         assert stats.request_latency.count >= 5
         assert stats.modeled_seconds > 0
         assert stats.rotations > 0
-        assert "linear" in dict(stats.ops)
+        assert dict(stats.ops)["pmult"] > 0
+        assert "linear" in dict(stats.phases)
         assert stats.preloaded_plaintexts > 0
 
     def test_max_batch_floored_to_power_of_two(self, served):

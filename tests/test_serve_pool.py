@@ -439,6 +439,10 @@ class TestFrontDoor:
             ServerConfig(key_policy="rotating")
         with pytest.raises(TypeError):  # the kernels have nothing to select
             ServerConfig(kernel_backend="numpy")
+        with pytest.raises(TypeError):  # a lane holds one backend, no registry
+            ServerConfig(key_cache_dir="keycache")
+        with pytest.raises(TypeError):
+            ServerConfig(max_tenants=4)
         with pytest.raises(ValueError):
             ServerConfig(max_queue_depth=0)
         with pytest.raises(ValueError):
@@ -484,7 +488,7 @@ class TestStatsSchema:
         assert ServerStats.from_json(doc) == stats
         payload = json.loads(doc)
         assert payload["schema_version"] == serve.STATS_SCHEMA_VERSION
-        assert payload["reject_rate"] == 0.0
+        assert stats.reject_rate == 0.0
         assert len(payload["workers"]) == 4
 
     def test_foreign_schema_version_rejected(self, artifact_path):
@@ -504,7 +508,6 @@ class TestStatsSchema:
                 requests_rejected=1,
                 requests_completed=3,
                 in_flight=0,
-                kernel_backend="numpy",
                 workers=(),
             )
 
@@ -621,7 +624,7 @@ class TestProcessMode:
                     returned = [server.serve_now(next(images), client_id="alice")]
                 elif call == "telemetry":
                     returned = [
-                        (b["stats"]["requests_served"], b["stats"]["queue_depth"])
+                        (b["stats"].requests_served, b["stats"].queue_depth)
                         for b in (worker.telemetry() for worker in workers)
                     ]
                 else:  # step / warm / reload / drain
