@@ -73,7 +73,7 @@ def served(tmp_path_factory):
     compilations = OrionCompiler.invocations
     placements = solve_placement.invocations
     artifact = load_artifact(path)
-    backend = ToyBackend(params, seed=3)
+    backend = ToyBackend(artifact.manifest.to_params(), seed=3)
     server = InferenceServer(artifact, backend, max_wait_seconds=0.0)
     # Warm both execution shapes once: key material and weight-plaintext
     # caches are a one-time per-worker cost, not a per-request one.

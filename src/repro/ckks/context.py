@@ -627,9 +627,9 @@ class CkksContext:
 
         With ks_alpha = 1 each digit is one centered limb; with grouped
         decomposition (ks_alpha > 1, dnum = ceil((level+1)/alpha)) each
-        digit is the exact int64 CRT lift of its alpha limbs
-        (:meth:`RnsBasis.decompose_digits`), shrinking both the digit
-        count and the forward-NTT batch.
+        digit is the exact int64 CRT lift of its alpha limbs, all digits
+        in one :meth:`RnsBasis.decompose_digits` pass, shrinking both the
+        digit count and the forward-NTT batch.
 
         Returns an int64 array of shape ``(dnum, len(ks_chain), N)``
         in evaluation form.  The decomposition commutes with Galois
@@ -710,16 +710,17 @@ class CkksContext:
         """Divide both accumulators by the special modulus P.
 
         ``acc`` is a (Galois-gathered) ``(2, ks_limbs, N)`` column of
-        :meth:`_ks_inner`; both rows share each batched divide-and-round
-        pass.
+        :meth:`_ks_inner`; both rows share one divide-and-round pass,
+        whatever the number of special primes: inverse-transform the
+        special rows, lift their centered value to Q_l, one forward NTT,
+        subtract, multiply by P^{-1} (docs/hoisting.md).
         """
+        ns = self.params.num_special_primes
         chain = self._ks_chain(level)
-        for _ in range(self.params.num_special_primes):
-            acc = self.basis.divide_round_last(acc, chain, is_ntt=True)
-            chain = chain[:-1]
+        acc = self.basis.divide_round_last(acc, chain, is_ntt=True, count=ns)
         return (
-            RnsPolynomial(self.basis, chain, acc[0], is_ntt=True),
-            RnsPolynomial(self.basis, chain, acc[1], is_ntt=True),
+            RnsPolynomial(self.basis, chain[:-ns], acc[0], is_ntt=True),
+            RnsPolynomial(self.basis, chain[:-ns], acc[1], is_ntt=True),
         )
 
     def _keyswitch(self, d: RnsPolynomial, key: SwitchingKey, level: int):

@@ -91,24 +91,36 @@ class CkksParameters:
             object.__setattr__(self, "prime_bits", self.scale_bits)
         if self.ks_alpha < 1:
             raise ValueError("ks_alpha must be at least 1")
-        if self.ks_alpha > 1:
-            # Key-switch noise stays bounded only while P = prod(special)
-            # exceeds every digit modulus: digit 0 holds the first prime
-            # plus ks_alpha - 1 rescale primes, inner digits hold
-            # ks_alpha rescale primes (wider when prime_bits dominates).
-            digit_bits = max(
-                self.first_prime_bits + (self.ks_alpha - 1) * self.prime_bits,
-                self.ks_alpha * self.prime_bits,
+        if self.ks_alpha > 1 and self.num_special_primes < self.min_special_primes(
+            self.ks_alpha
+        ):
+            raise ValueError(
+                f"ks_alpha={self.ks_alpha} needs a wider special basis: "
+                f"digit width ~{self._digit_bits(self.ks_alpha)} bits exceeds "
+                f"special width ~{self.num_special_primes * self.special_prime_bits} bits"
             )
-            special_bits = self.num_special_primes * self.special_prime_bits
-            if digit_bits > special_bits:
-                raise ValueError(
-                    f"ks_alpha={self.ks_alpha} needs a wider special basis: "
-                    f"digit width ~{digit_bits} bits exceeds "
-                    f"special width ~{special_bits} bits"
-                )
         if not self.primes:
             object.__setattr__(self, "primes", self._build_prime_chain())
+
+    def _digit_bits(self, ks_alpha: int) -> int:
+        # Digit 0 holds the first prime plus ks_alpha - 1 rescale primes,
+        # inner digits hold ks_alpha rescale primes (wider when
+        # prime_bits dominates).
+        return max(
+            self.first_prime_bits + (ks_alpha - 1) * self.prime_bits,
+            ks_alpha * self.prime_bits,
+        )
+
+    def min_special_primes(self, ks_alpha: int) -> int:
+        """Fewest special primes that let ``ks_alpha`` limbs share a digit.
+
+        Key-switch noise stays bounded only while P = prod(special)
+        exceeds every digit modulus (a bit-width check); the per-limb
+        decomposition (``ks_alpha = 1``) needs one special prime.
+        """
+        if ks_alpha == 1:
+            return 1
+        return -(-self._digit_bits(ks_alpha) // self.special_prime_bits)
 
     def _build_prime_chain(self) -> Tuple[int, ...]:
         n = self.ring_degree

@@ -89,23 +89,17 @@ class OrionNetwork:
 
         Convenience for single-process deployments and notebooks; the
         production path is :meth:`export` + ``repro.serve.load_artifact``
-        on each worker.
+        on each worker.  Both build the same artifact, so the default
+        backend is built from its key manifest's parameters — the digit
+        grouping export chose — exactly as a worker's would be.
         """
         from repro.backend.toy import ToyBackend
-        from repro.ckks.keys import KeyManifest
-        from repro.serve.artifact import ServingArtifact
+        from repro.serve.artifact import build_artifact
         from repro.serve.runtime import InferenceServer
 
-        compiled = self.compile(params, cost_model)
-        manifest = KeyManifest.for_program(params, compiled.program)
-        artifact = ServingArtifact(
-            manifest=manifest,
-            program=compiled.program,
-            layer_reports=[],
-            summary=compiled.artifact_summary(),
-        )
+        artifact = build_artifact(self.compile(params, cost_model), params)
         if backend is None:
-            backend = ToyBackend(params)
+            backend = ToyBackend(artifact.manifest.to_params())
         return InferenceServer(artifact, backend, **server_kwargs)
 
     # -- cleartext reference -------------------------------------------------

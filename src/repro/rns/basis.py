@@ -18,6 +18,7 @@ import numpy as np
 from repro.ntt import NttChainEngine, NttContext
 from repro.utils.intmath import mod_inverse
 
+_INT64_MAX = 2**63 - 1
 
 class RnsBasis:
     """A fixed ordered chain of primes ``(q_0, ..., q_L[, p_special...])``.
@@ -52,7 +53,7 @@ class RnsBasis:
         self._rows_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._mod_col_cache: Dict[Tuple[int, ...], np.ndarray] = {}
         self._inv_col_cache: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
-        self._convert_cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], tuple] = {}
+        self._convert_cache: Dict[Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]], tuple] = {}
 
     # -- structure -----------------------------------------------------
     @property
@@ -138,59 +139,108 @@ class RnsBasis:
 
     # -- divide-and-round (rescale / mod-down core) ---------------------
     def divide_round_last(
-        self, data: np.ndarray, primes: Sequence[int], is_ntt: bool
+        self, data: np.ndarray, primes: Sequence[int], is_ntt: bool, count: int = 1
     ) -> np.ndarray:
-        """Drop the last limb, dividing by its prime with exact rounding.
+        """Drop the last ``count`` limbs, dividing by their product with
+        exact rounding — in one pass, whatever ``count``.
 
-        Computes ``round(x / q_last)`` limb-wise on a ``(..., L, N)``
-        residue tensor: ``(x_i - [x]_{q_last}) * q_last^{-1} mod q_i``
-        with a centered lift of ``[x]_{q_last}``.  Evaluation-form input
-        stays in evaluation form: only the dropped limb is
-        inverse-transformed and its lift re-transformed onto the
-        remaining limbs in one batched pass.  Leading dimensions (e.g.
-        the (c0, c1) pair of a ciphertext) ride along for free.
+        With ``P`` the product of the dropped primes, computes
+        ``round(x / P)`` limb-wise on a ``(..., L, N)`` residue tensor:
+        ``(x_i - r) * P^{-1} mod q_i`` where ``r`` is the centered
+        residue of ``x`` mod ``P``.  A single dropped limb lifts ``r`` by
+        a centered broadcast; several go through the int64
+        :meth:`convert_residues`, which yields the same centered value.
+        Evaluation-form input stays in evaluation form: only the dropped
+        limbs are inverse-transformed and the lift re-transformed onto
+        the remaining limbs in one batched pass.  Leading dimensions
+        (e.g. the (c0, c1) pair of a ciphertext) ride along for free.
+
+        Dividing by the primes one at a time gives the same result bit
+        for bit (``tests/reference/moddown_loop.py`` states why and the
+        tests hold the two equal).
         """
         primes = tuple(primes)
-        if len(primes) < 2:
-            raise ValueError("need at least two limbs to divide")
-        last_prime = primes[-1]
-        remaining = primes[:-1]
+        if not 1 <= count < len(primes):
+            raise ValueError("need at least one limb left after dividing")
+        dropped = primes[-count:]
+        remaining = primes[:-count]
         mod_col = self.moduli_column(remaining)
-        inv_col = self.inverse_column(last_prime, remaining)
-        last_rows = data[..., -1:, :]
+        divisor = 1
+        for q in dropped:
+            divisor *= q
+        inv_col = self.inverse_column(divisor, remaining)
+        tail = data[..., -count:, :]
         if is_ntt:
-            last_rows = self.inverse_chain(last_rows, (last_prime,))
-        half = last_prime // 2
-        centered = np.where(last_rows > half, last_rows - last_prime, last_rows)
-        shape = data.shape[:-2] + (len(remaining), data.shape[-1])
-        if is_ntt:
-            lift = self.forward_chain(np.broadcast_to(centered, shape), remaining)
+            tail = self.inverse_chain(tail, dropped)
+        if count == 1:
+            half = divisor // 2
+            lift = np.where(tail > half, tail - divisor, tail)
+            shape = data.shape[:-2] + (len(remaining), data.shape[-1])
+            lift = np.broadcast_to(lift, shape) if is_ntt else lift % mod_col
         else:
-            lift = centered % mod_col
-        return ((data[..., :-1, :] - lift) * inv_col) % mod_col
+            lift = self.convert_residues(tail, dropped, remaining)
+        if is_ntt:
+            lift = self.forward_chain(lift, remaining)
+        return ((data[..., :-count, :] - lift) * inv_col) % mod_col
 
     # -- fast RNS basis conversion --------------------------------------
-    def _convert_tables(self, src: Tuple[int, ...], dst: Tuple[int, ...]):
-        key = (src, dst)
+    def _convert_tables(self, groups: Tuple[Tuple[int, ...], ...], dst: Tuple[int, ...]):
+        """Constants converting each source group to ``dst``, padded to
+        the widest group: a pad row has prime 1 and zero weights, so it
+        adds nothing to a sum."""
+        key = (groups, dst)
         tables = self._convert_cache.get(key)
         if tables is None:
-            q_total = 1
-            for p in src:
-                q_total *= p
+            width = max(len(src) for src in groups)
             # v_i = |x * (Q/q_i)^{-1}|_{q_i}; then
             # x = sum_i v_i * (Q/q_i) - alpha * Q with alpha = round(sum v_i/q_i).
-            inv_qhat = np.array(
-                [self.inverse(q_total // p, p) for p in src], dtype=np.int64
-            )[:, None]
-            qhat_mod = np.array(
-                [[(q_total // s) % d for s in src] for d in dst], dtype=np.int64
-            )[:, :, None]
-            q_mod = np.array([q_total % d for d in dst], dtype=np.int64)[:, None]
-            src_col = self.moduli_column(src)
-            dst_col = self.moduli_column(dst)
-            tables = (inv_qhat, qhat_mod, q_mod, src_col, dst_col[:, None, :], dst_col)
+            inv_qhat = np.zeros((len(groups), width, 1), dtype=np.int64)
+            src_col = np.ones((len(groups), width, 1), dtype=np.int64)
+            qhat_mod = np.zeros((len(groups), len(dst), width), dtype=np.int64)
+            q_mod = np.empty((len(groups), len(dst), 1), dtype=np.int64)
+            shared = []
+            for g, src in enumerate(groups):
+                q_total = 1
+                for p in src:
+                    q_total *= p
+                for s, p in enumerate(src):
+                    inv_qhat[g, s] = self.inverse(q_total // p, p)
+                    src_col[g, s] = p
+                    qhat_mod[g, :, s] = [(q_total // p) % d for d in dst]
+                    if p in dst:
+                        shared.append((g, dst.index(p), s))
+                q_mod[g, :, 0] = [q_total % d for d in dst]
+            # One lazy product-sum needs width products of residues to
+            # fit int64 before the single reduction.
+            largest = max(max(src) for src in groups)
+            lazy = width * (largest - 1) * (max(dst) - 1) <= _INT64_MAX
+            tables = (inv_qhat, src_col, qhat_mod, q_mod, self.moduli_column(dst), shared, lazy)
             self._convert_cache[key] = tables
         return tables
+
+    def _convert_groups(
+        self, limbs: np.ndarray, groups: Tuple[Tuple[int, ...], ...], dst: Tuple[int, ...]
+    ) -> np.ndarray:
+        """``(..., G, W, N)`` residues of ``G`` source groups (zero rows
+        padding short groups) -> ``(..., G, len(dst), N)``, each group's
+        centered value over ``dst``."""
+        inv_qhat, src_col, qhat_mod, q_mod, dst_col, shared, lazy = self._convert_tables(
+            groups, dst
+        )
+        v = (limbs * inv_qhat) % src_col
+        alpha = np.rint((v / src_col).sum(axis=-2, keepdims=True)).astype(np.int64)
+        if lazy:
+            out = np.einsum("gds,...gsn->...gdn", qhat_mod, v)
+        else:
+            out = np.zeros(v.shape[:-2] + (len(dst), v.shape[-1]), dtype=np.int64)
+            for s in range(v.shape[-2]):
+                out += qhat_mod[:, :, s, None] * v[..., s, None, :] % dst_col
+        out -= alpha * q_mod
+        out %= dst_col
+        # Shared primes carry over verbatim (Q = 0 mod q_i for q_i | Q).
+        for g, j, s in shared:
+            out[..., g, j, :] = limbs[..., g, s, :]
+        return out
 
     def convert_residues(
         self, limbs: np.ndarray, src_primes: Sequence[int], dst_primes: Sequence[int]
@@ -198,29 +248,20 @@ class RnsBasis:
         """Fast int64 RNS basis conversion (HPS-style, no big integers).
 
         Converts residues of the *centered* value represented by
-        ``limbs`` over ``src_primes`` into residues over ``dst_primes``.
+        ``limbs`` (``(..., len(src_primes), N)``) over ``src_primes``
+        into residues over ``dst_primes``: one product-sum over the
+        source limbs and one reduction, or a reduction per source limb
+        where the lazy sum could overflow int64 (primes near 2^31).
         The overflow count alpha is recovered with a float64 sum of
         ``v_i / q_i``, which is exact unless the centered value lies
         within ~2^-48 of +-Q/2 — far outside anything the evaluator
         produces.  Use :meth:`crt_reconstruct` when bit-exactness at the
         extreme boundary matters more than speed.
         """
-        src = tuple(src_primes)
-        dst = tuple(dst_primes)
-        inv_qhat, qhat_mod, q_mod, src_col, dst_3d, dst_col = self._convert_tables(
-            src, dst
-        )
-        v = (limbs * inv_qhat) % src_col  # (S, N)
-        alpha = np.rint((v / src_col).sum(axis=0)).astype(np.int64)  # (N,)
-        terms = (v[None, :, :] * qhat_mod) % dst_3d  # (D, S, N)
-        out = (terms.sum(axis=1) - alpha[None, :] * q_mod) % dst_col
-        # Shared primes carry over verbatim (Q = 0 mod q_i for q_i | Q).
-        src_pos = {p: i for i, p in enumerate(src)}
-        for j, p in enumerate(dst):
-            i = src_pos.get(p)
-            if i is not None:
-                out[j] = limbs[i]
-        return out
+        groups = (tuple(src_primes),)
+        return self._convert_groups(limbs[..., None, :, :], groups, tuple(dst_primes))[
+            ..., 0, :, :
+        ]
 
     def decompose_digits(
         self,
@@ -234,32 +275,26 @@ class RnsBasis:
         ``rows`` holds the residues of one polynomial over ``src_primes``
         (shape ``(len(src_primes), N)``).  Limbs are grouped ``alpha`` at
         a time; each group's centered CRT value is re-expressed over
-        ``dst_primes`` (the Q_l * P key-switch chain).  Single-limb
-        groups use the centered broadcast (rows may be negative — the
-        NTT engine's twist multiply reduces them); wider groups go
-        through the int64 :meth:`convert_residues` lift, which is exact
-        except for values within ~2^-48 of the +-Q_group/2 boundary —
-        the same guarantee every other basis extension on the hot path
-        accepts (use :meth:`crt_reconstruct` for boundary-exact
-        validation).
+        ``dst_primes`` (the Q_l * P key-switch chain) — every group in
+        one :meth:`convert_residues`-style pass, a short last group
+        padded with zero rows.  Exact except for values within ~2^-48 of
+        the +-Q_group/2 boundary — the same guarantee every other basis
+        extension on the hot path accepts (use :meth:`crt_reconstruct`
+        for boundary-exact validation).
 
         Returns an int64 ``(ceil(len(src)/alpha), len(dst), N)`` tensor
         in coefficient form, ready for one batched forward NTT.
         """
         src = tuple(src_primes)
-        dst = tuple(dst_primes)
-        num_limbs = len(src)
-        shape = (len(dst), rows.shape[-1])
-        digits = []
-        for lo in range(0, num_limbs, alpha):
-            hi = min(lo + alpha, num_limbs)
-            if hi - lo == 1:
-                q = src[lo]
-                centered = np.where(rows[lo] > q // 2, rows[lo] - q, rows[lo])
-                digits.append(np.broadcast_to(centered, shape))
-            else:
-                digits.append(self.convert_residues(rows[lo:hi], src[lo:hi], dst))
-        return np.stack(digits)
+        groups = tuple(src[lo : lo + alpha] for lo in range(0, len(src), alpha))
+        width = len(groups[0])
+        padded = rows
+        if len(groups) * width != len(src):
+            padded = np.zeros((len(groups) * width, rows.shape[-1]), dtype=np.int64)
+            padded[: len(src)] = rows
+        return self._convert_groups(
+            padded.reshape(len(groups), width, rows.shape[-1]), groups, tuple(dst_primes)
+        )
 
     # -- CRT -----------------------------------------------------------
     def crt_reconstruct(self, limbs: np.ndarray, primes: Sequence[int]) -> np.ndarray:

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.ckks.keys import KeyManifest
 from repro.core.program import FheProgram, LinearInstr
+from repro.serve.grouping import artifact_parameters, fused_tables
 
 # Version 2: the key manifest gained ``rotation_step_levels`` — the
 # per-step level bounds key generators use to emit *compressed*
@@ -254,6 +255,12 @@ def build_artifact(compiled, params) -> ServingArtifact:
     """Build the in-memory :class:`ServingArtifact` for a
     :class:`repro.core.compiler.CompiledNetwork`, without writing it.
 
+    The key manifest names ``params`` regrouped for this program
+    (:func:`repro.serve.grouping.artifact_parameters`: the key-switch
+    digit grouping holding the fewest key and table bytes without more
+    key-switch work per inference), so every consumer builds its backend
+    from ``manifest.to_params()``, never from the caller's set.
+
     Pre-encodes every fused weight-plaintext table at the exact
     (level, scale) it executes at — discovered by tracing one dummy
     inference through the exact-scale functional simulator, which is
@@ -263,6 +270,7 @@ def build_artifact(compiled, params) -> ServingArtifact:
     if compiled.program is None:
         raise ValueError("cannot export a network compiled in analyze mode")
     program = compiled.program
+    params, tally = artifact_parameters(program, params)
     manifest = KeyManifest.for_program(params, program)
     reports = [
         {
@@ -275,9 +283,7 @@ def build_artifact(compiled, params) -> ServingArtifact:
         }
         for r in compiled.layer_reports
     ]
-    encoded = None
-    if max(params.primes) < 2**31:
-        encoded = _pre_encode_tables(program, params)
+    encoded = None if tally is None else _pre_encode_tables(program, params, tally)
     return ServingArtifact(
         manifest=manifest,
         program=program,
@@ -298,7 +304,7 @@ def save_artifact(compiled, params, path: str) -> ServingArtifact:
     return artifact
 
 
-def _pre_encode_tables(program: FheProgram, params) -> List[Dict]:
+def _pre_encode_tables(program: FheProgram, params, tally) -> List[Dict]:
     """Encode every linear layer's fused diagonals into the static
     tables the exact backend contracts in place — one per (out-block,
     in-block) group, at the layer's runtime (level, scale).
@@ -306,36 +312,19 @@ def _pre_encode_tables(program: FheProgram, params) -> List[Dict]:
     The runtime scale of each layer depends on what the preceding
     activation produced (paper Section 6's errorless policy encodes
     weights at q_l * Delta / s_in), so the (level, scale) pairs are
-    *observed* by running one dummy input through the exact-scale
-    simulator rather than re-derived here.  Encoding itself needs no
-    keys — only the ring and prime chain.
+    *observed* — the ``tally`` ran one dummy input through the
+    exact-scale simulator — rather than re-derived here.  Encoding
+    itself needs no keys — only the ring and prime chain.
     """
-    from repro.backend.sim import SimBackend
-    from repro.backend.toy import fused_term_groups
     from repro.ckks.context import CkksContext
-    from repro.ckks.params import RingType
 
-    if params.ring_type is not RingType.STANDARD:
-        return None
-    sim = SimBackend(params, noise_free=True)
-    program.run(sim, np.zeros(program.input_layout.tensor_shape))
     # An encode-only context: CkksContext generates keys too, but at
     # artifact-export scale that one-time cost is irrelevant and it
     # guarantees the encoder/basis match the toy backend bit for bit.
     context = CkksContext(params, seed=0)
     sections: List[Dict] = []
-    for instr in program.instructions:
-        if not isinstance(instr, LinearInstr):
-            continue
-        packed = instr.packed
-        per_backend = packed._pt_cache.get(sim)
-        if not per_backend:
-            continue
-        fused_keys = [key for key in per_backend if key[0] == "fused"]
-        if not fused_keys:
-            continue
-        (_, level, pt_scale, *_rest) = fused_keys[0]
-        terms = packed.terms()
+    for instr, level, pt_scale, term_groups in fused_tables(program, tally):
+        terms = instr.packed.terms()
         groups = [
             {
                 "bo": bo,
@@ -344,7 +333,7 @@ def _pre_encode_tables(program: FheProgram, params) -> List[Dict]:
                     [terms[(bo, bi, off)] for off in offsets], level, pt_scale
                 ),
             }
-            for (bo, bi), offsets in sorted(fused_term_groups(terms).items())
+            for (bo, bi), offsets in sorted(term_groups.items())
         ]
         sections.append(
             {

@@ -460,8 +460,8 @@ class TestDeltaArtifacts:
             full.program.run_cleartext_packed(img),
         )
         assert np.array_equal(
-            resolved.program.run(ToyBackend(params, seed=7), img),
-            full.program.run(ToyBackend(params, seed=7), img),
+            resolved.program.run(ToyBackend(full.manifest.to_params(), seed=7), img),
+            full.program.run(ToyBackend(full.manifest.to_params(), seed=7), img),
         )
 
     def test_delta_without_base_fails_loudly(self, mlp_deployment):
@@ -481,8 +481,8 @@ class TestDeltaArtifacts:
         full = load_artifact(full_path)
         img = np.random.default_rng(4).normal(0, 0.5, (1, 8, 8))
         assert np.array_equal(
-            merged.program.run(ToyBackend(params, seed=7), img),
-            full.program.run(ToyBackend(params, seed=7), img),
+            merged.program.run(ToyBackend(full.manifest.to_params(), seed=7), img),
+            full.program.run(ToyBackend(full.manifest.to_params(), seed=7), img),
         )
         # A delta refuses to resolve against anything but its exact base.
         with pytest.raises(ArtifactDeltaError, match="fingerprint"):
@@ -556,7 +556,7 @@ class TestHotReload:
             server.submit(img2, client_id="alice", now=0.0)
             (r2,) = server.drain()
 
-        backend = default_backend_factory(params, 0)
+        backend = default_backend_factory(load_artifact(served).manifest.to_params(), 0)
         solo1 = self._solo(served, backend)
         solo1.warm()
         solo1.submit(img1, client_id="alice", now=0.0)

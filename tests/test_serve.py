@@ -80,8 +80,8 @@ class TestArtifactRoundTrip:
         )
         # Exact backend with the same seed: identical ciphertext math.
         assert np.array_equal(
-            loaded.program.run(ToyBackend(params, seed=7), img),
-            compiled.program.run(ToyBackend(params, seed=7), img),
+            loaded.program.run(ToyBackend(loaded.manifest.to_params(), seed=7), img),
+            compiled.program.run(ToyBackend(loaded.manifest.to_params(), seed=7), img),
         )
 
     @pytest.mark.parametrize("ks_alpha", [1, 2])
@@ -100,8 +100,8 @@ class TestArtifactRoundTrip:
             compiled.program.run_cleartext_packed(img),
         )
         assert np.array_equal(
-            loaded.program.run(ToyBackend(params, seed=11), img),
-            compiled.program.run(ToyBackend(params, seed=11), img),
+            loaded.program.run(ToyBackend(loaded.manifest.to_params(), seed=11), img),
+            compiled.program.run(ToyBackend(loaded.manifest.to_params(), seed=11), img),
         )
 
     def test_manifest_reconstructs_exact_params(self, mlp_artifact):
@@ -180,13 +180,13 @@ class TestArtifactRoundTrip:
     def test_preload_skips_every_weight_encode(self, mlp_artifact):
         _, rng, params, path, _ = mlp_artifact
         loaded = load_artifact(path)
-        backend = ToyBackend(params, seed=2)
+        backend = ToyBackend(loaded.manifest.to_params(), seed=2)
         installed = loaded.preload(backend)
         assert installed > 0
         img = rng.normal(0, 0.5, (1, 8, 8))
         out = loaded.program.run(backend, img)
         # A second backend without preload produces identical results.
-        cold = ToyBackend(params, seed=2)
+        cold = ToyBackend(loaded.manifest.to_params(), seed=2)
         assert np.array_equal(out, loaded.program.run(cold, img))
 
 
@@ -514,7 +514,7 @@ class TestInferenceServer:
         path = str(tmp_path_factory.mktemp("serve") / "mlp.npz")
         onet.export(path, params)
         artifact = load_artifact(path)
-        backend = ToyBackend(params, seed=9)
+        backend = ToyBackend(artifact.manifest.to_params(), seed=9)
         server = InferenceServer(artifact, backend, max_wait_seconds=0.0)
         return onet, rng, params, artifact, server
 
@@ -564,12 +564,12 @@ class TestInferenceServer:
         batch size (block replication divides the slot count)."""
         _, _, params, artifact, _ = served
         server = InferenceServer(
-            artifact, ToyBackend(params, seed=1), max_batch=3, preload=False
+            artifact, ToyBackend(artifact.manifest.to_params(), seed=1), max_batch=3, preload=False
         )
         assert server.scheduler.capacity == 2
         with pytest.raises(ValueError, match="max_batch"):
             InferenceServer(
-                artifact, ToyBackend(params, seed=1), max_batch=0, preload=False
+                artifact, ToyBackend(artifact.manifest.to_params(), seed=1), max_batch=0, preload=False
             )
 
     def test_drain_flushes_queue(self, served):

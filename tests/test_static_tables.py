@@ -215,7 +215,7 @@ class TestPreloadIsAView:
         params, path = mapped_artifact
         artifact_map = ArtifactMap(path)
         artifact = artifact_map.load()
-        backend = ToyBackend(params, seed=2)
+        backend = ToyBackend(artifact.manifest.to_params(), seed=2)
         server = InferenceServer(artifact, backend, max_wait_seconds=0.0)
         linears = [
             instr.packed
@@ -243,7 +243,7 @@ class TestPreloadIsAView:
         assert verify_mmap_tables(server, path)
         # Preloaded tables are the ones a cold backend builds for itself.
         image = np.random.default_rng(1).normal(0, 0.5, (1, 8, 8))
-        cold = ToyBackend(params, seed=2)
+        cold = ToyBackend(artifact.manifest.to_params(), seed=2)
         assert np.array_equal(
             artifact.program.run(backend, image), artifact.program.run(cold, image)
         )
