@@ -255,119 +255,3 @@ def test_pool_serve_path_never_compiles(deployment):
     stats = server.stats()
     assert all(w.compilations_since_load == 0 for w in stats.workers)
     assert all(w.placements_since_load == 0 for w in stats.workers)
-
-
-# -- tenant-density: key bytes per tenant --------------------------------
-
-TENANTS = 6
-RESIDENT_CAP = 3  # forces TENANTS - RESIDENT_CAP tenants to spill
-
-
-def _switching_keys(backend):
-    keys = backend.context.keys
-    return [keys.relin] + [keys.galois[t] for t in keys.galois_exponents()]
-
-
-def _seed_expansion_shrink(backend):
-    """Bytes if both key halves were stored vs bytes actually held
-    (b halves + a 32-byte PRG seed per key)."""
-    stored = seeded = 0
-    for key in _switching_keys(backend):
-        stored += key.tensor.nbytes
-        seeded += key.size_bytes()
-    return stored / seeded
-
-
-def test_tenant_key_budget(deployment, tmp_path_factory, record_table):
-    """The tenant-density gate: key bytes per tenant, spill-to-disk
-    behavior under a resident cap, and bit-exactness of a promoted
-    (spilled, then reloaded) tenant against one that never spilled.
-    """
-    _, paths = deployment
-    loaded = serve.load_artifact(paths["mlp_a"])
-    cache_dir = str(tmp_path_factory.mktemp("keycache"))
-    registry = serve.KeyRegistry(
-        loaded.manifest, max_clients=RESIDENT_CAP, cache_dir=cache_dir
-    )
-    control = serve.KeyRegistry(loaded.manifest, max_clients=TENANTS + 1)
-
-    rng = np.random.default_rng(7)
-    tenants = [f"tenant-{i}" for i in range(TENANTS)]
-    images = {t: rng.normal(0, 0.5, (1, 8, 8)) for t in tenants}
-    follow_up = rng.normal(0, 0.5, (1, 8, 8))
-
-    start = time.perf_counter()
-    outputs = {}
-    for tenant in tenants:
-        backend = registry.backend_for(tenant)
-        outputs[tenant] = loaded.program.run(backend, images[tenant])
-    keygen_seconds = time.perf_counter() - start
-
-    shrink = _seed_expansion_shrink(registry.backend_for(tenants[-1]))
-    assert shrink >= 1.8, f"seed expansion shrink regressed: {shrink:.2f}x"
-
-    # The cap held: cold tenants were demoted to disk, not dropped.
-    key_bytes = registry.key_bytes()
-    assert len(registry) <= RESIDENT_CAP
-    assert registry.spilled_count() == TENANTS - RESIDENT_CAP
-    assert registry.spill_count >= TENANTS - RESIDENT_CAP
-    assert key_bytes["spilled"] > 0
-
-    # Promote the first (spilled) tenant and serve another request; a
-    # control registry that never spilled must produce identical bytes
-    # for both requests — keys *and* the encryption randomness stream.
-    victim = tenants[0]
-    assert victim not in registry.resident_clients()
-    ctrl_backend = control.backend_for(victim)
-    ctrl_first = loaded.program.run(ctrl_backend, images[victim])
-    ctrl_second = loaded.program.run(ctrl_backend, follow_up)
-    promoted = registry.backend_for(victim)
-    assert registry.promote_count >= 1
-    promoted_second = loaded.program.run(promoted, follow_up)
-    spill_promote_bit_exact = bool(
-        np.array_equal(outputs[victim], ctrl_first)
-        and np.array_equal(promoted_second, ctrl_second)
-    )
-    assert spill_promote_bit_exact
-
-    key_bytes = registry.key_bytes()
-    total_bytes = key_bytes["resident"] + key_bytes["spilled"]
-    bytes_per_tenant = total_bytes / TENANTS
-
-    record_table(
-        "tenant_keys",
-        f"Tenant key density, {TENANTS} tenants, resident cap "
-        f"{RESIDENT_CAP} (N={RING_DEGREE}, L={MAX_LEVEL})",
-        ("metric", "value"),
-        [
-            ("tenants", TENANTS),
-            ("resident tenants", len(registry)),
-            ("spilled tenants", registry.spilled_count()),
-            ("resident bytes", key_bytes["resident"]),
-            ("spilled bytes", key_bytes["spilled"]),
-            ("bytes per tenant", f"{bytes_per_tenant:.0f}"),
-            ("seed expansion shrink", f"{shrink:.2f}x"),
-            ("spill+promote bit-exact", spill_promote_bit_exact),
-            ("keygen seconds (all tenants)", f"{keygen_seconds:.2f}"),
-        ],
-    )
-    _merge_json(
-        CONFIG_KEY,
-        "tenant_keys",
-        {
-            "tenants": TENANTS,
-            "resident_tenants": len(registry),
-            "spilled_tenants": registry.spilled_count(),
-            "resident_bytes": key_bytes["resident"],
-            "spilled_bytes": key_bytes["spilled"],
-            "bytes_per_tenant": round(bytes_per_tenant, 1),
-            "seed_expansion_shrink": round(shrink, 3),
-            "spill_promote_bit_exact": spill_promote_bit_exact,
-            "keygen_seconds": round(keygen_seconds, 3),
-        },
-        ring_degree=RING_DEGREE,
-        max_level=MAX_LEVEL,
-        ks_alpha=1,
-        quick=QUICK,
-        json_path=SERVING_JSON_PATH,
-    )

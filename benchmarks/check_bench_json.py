@@ -82,12 +82,6 @@ FLOORS = {
     "graph_opt": {
         "speedup_optimized_vs_unoptimized": (1.2, 1.2),
     },
-    # PRG-seeded switching keys: bytes if both RLWE halves were stored
-    # vs bytes actually held (b halves + a 32-byte seed).  ~2.0x in
-    # practice; 1.8x floor leaves room for metadata growth.
-    "tenant_keys": {
-        "seed_expansion_shrink": (1.8, 1.8),
-    },
 }
 
 # section -> metric -> (quick_ceiling, full_ceiling).  The mirror image
@@ -102,13 +96,6 @@ CEILINGS = {
         "disabled_overhead_pct": (5.0, 2.0),
         "enabled_overhead_pct": (15.0, 10.0),
     },
-    # Tenant density budget: total key bytes (resident + spilled) per
-    # tenant must not creep up — it is the denominator of tenants/GB.
-    # Measured ~31.7 MB (quick, N=1024) and ~95.6 MB (full, N=2048)
-    # with seeded keys; ceilings leave ~1.3x headroom.
-    "tenant_keys": {
-        "bytes_per_tenant": (42_000_000, 125_000_000),
-    },
 }
 
 # Which gated sections each benchmark JSON is responsible for carrying
@@ -122,7 +109,7 @@ REQUIRED_SECTIONS = {
         "graph_opt",
         "tracing_overhead",
     ),
-    "BENCH_serving.json": ("serving", "serving_pool", "tenant_keys"),
+    "BENCH_serving.json": ("serving", "serving_pool"),
 }
 
 # Numeric fields every section entry must carry (besides the speedups).
@@ -132,12 +119,6 @@ SECTION_MEDIANS = {
     "bootstrap_e2e": ("median_ms", "rotations"),
     "serving": ("single_request_median_ms", "batched_request_median_ms"),
     "serving_pool": ("p50_ms", "p99_ms"),
-    "tenant_keys": (
-        "resident_bytes",
-        "spilled_bytes",
-        "bytes_per_tenant",
-        "keygen_seconds",
-    ),
     "graph_opt": ("optimized_median_ms", "unoptimized_median_ms"),
     # Overhead *percentages* are deliberately absent: a clean run clips
     # them to 0.0, which is a pass, not a schema violation.
@@ -211,29 +192,6 @@ def _check_serving_pool(errors, config_key, data):
         errors.append(f"{prefix}: p99_ms ({p99}) below p50_ms ({p50})")
 
 
-def _check_tenant_keys(errors, config_key, data):
-    """Correctness gates for the tenant-density section: spill-to-disk
-    must actually have happened, and a promoted (spilled then reloaded)
-    tenant must have been proven bit-exact against one that never
-    spilled — keys *and* encryption randomness stream."""
-    prefix = f"{config_key}/tenant_keys"
-    if data.get("spill_promote_bit_exact") is not True:
-        errors.append(
-            f"{prefix}.spill_promote_bit_exact: must be true "
-            f"(got {data.get('spill_promote_bit_exact')!r}) — a promoted "
-            "tenant was not proven bit-exact against a never-spilled one"
-        )
-    tenants = data.get("tenants")
-    if not isinstance(tenants, int) or tenants < 4:
-        errors.append(f"{prefix}.tenants: expected >= 4, got {tenants!r}")
-    spilled = data.get("spilled_tenants")
-    if not isinstance(spilled, int) or spilled < 1:
-        errors.append(
-            f"{prefix}.spilled_tenants: expected >= 1 — the benchmark "
-            f"never exercised the spill path, got {spilled!r}"
-        )
-
-
 def check(path):
     errors = []
     try:
@@ -265,8 +223,6 @@ def check(path):
             _check_medians(errors, config_key, section, section_data)
             if section == "serving_pool":
                 _check_serving_pool(errors, config_key, section_data)
-            if section == "tenant_keys":
-                _check_tenant_keys(errors, config_key, section_data)
             for dotted, (quick_floor, full_floor) in metrics.items():
                 floor = quick_floor if quick else full_floor
                 value = _lookup(section_data, dotted)

@@ -236,16 +236,15 @@ class KeyManifest:
     A serving artifact (``repro.serve.artifact``) ships no keys — keys
     are per-client secrets.  Instead it ships this manifest: the exact
     parameter set the program was compiled for and the exact Galois
-    steps execution will request, so a client (or the server's
-    :class:`repro.serve.keys.KeyRegistry` acting for one) can generate
-    precisely the key material the program needs — no trial-and-error
-    keygen on the request path, no unused rotation keys.
+    steps execution will request, so a client can generate precisely
+    the key material the program needs — no trial-and-error keygen on
+    the request path, no unused rotation keys.
 
     ``params_dict`` holds every :class:`repro.ckks.params.CkksParameters`
     field including the realized prime chain, so reconstructed
     parameters are value-identical to the compiler's (the prime chain,
     ``ks_alpha`` digit grouping, and special basis all participate in
-    :meth:`fingerprint`, which keys multi-tenant backend caches).
+    :meth:`fingerprint`).
 
     ``rotation_step_levels`` (parallel to ``rotation_steps``) records
     the highest ciphertext level each step's key switch executes at, as
@@ -259,7 +258,6 @@ class KeyManifest:
 
     params_dict: Dict
     rotation_steps: Tuple[int, ...]
-    needs_conjugation: bool = False
     rotation_step_levels: Tuple[int, ...] = ()
 
     @classmethod
@@ -280,12 +278,11 @@ class KeyManifest:
             "secret_hamming_weight": params.secret_hamming_weight,
             "primes": list(params.primes),
         }
-        steps = tuple(program.required_rotation_steps())
         step_levels = program.required_rotation_step_levels()
+        steps = tuple(sorted(step_levels))
         return cls(
             params_dict=fields,
             rotation_steps=steps,
-            needs_conjugation=False,
             rotation_step_levels=tuple(step_levels[s] for s in steps),
         )
 
@@ -308,20 +305,21 @@ class KeyManifest:
         return {
             "params": dict(self.params_dict),
             "rotation_steps": list(self.rotation_steps),
-            "needs_conjugation": self.needs_conjugation,
             "rotation_step_levels": list(self.rotation_step_levels),
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "KeyManifest":
+        """Inverse of :meth:`to_dict`.  A document that still carries the
+        dropped ``needs_conjugation`` flag loads: the flag was always
+        false, so ignoring it changes nothing."""
         return cls(
             params_dict=dict(data["params"]),
             rotation_steps=tuple(data["rotation_steps"]),
-            needs_conjugation=bool(data["needs_conjugation"]),
             rotation_step_levels=tuple(data.get("rotation_step_levels", ())),
         )
 
     def fingerprint(self) -> str:
-        """Stable content hash (keys multi-tenant backend caches)."""
+        """Stable content hash of :meth:`to_dict`."""
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]

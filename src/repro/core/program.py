@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -491,25 +491,19 @@ class FheProgram:
         return self.decrypt_output(backend, outs)
 
     # -- serving hooks ------------------------------------------------------
-    def required_rotation_steps(self, include_batched: bool = True) -> List[int]:
-        """Every rotation step execution can request from the backend —
-        the program's key manifest contribution (docs/serving.md).
-
-        With ``include_batched`` (the default) the union also covers
-        every power-of-two slot-batched view up to the program's
-        capacity — batched Gazelle-hybrid layers relocate wrapped
-        scratch rows into extra diagonal offsets, so a server batching
-        requests must hold those keys too (no lazy keygen on the
-        request path).  Bootstraps are excluded: the oracle refresh
-        rotates nothing, and a real pipeline owns its own transform
-        keys.
-        """
-        return sorted(self.required_rotation_step_levels(include_batched))
-
     def required_rotation_step_levels(
-        self, include_batched: bool = True
+        self, max_batch: Optional[int] = None
     ) -> Dict[int, int]:
-        """``{step: highest execution level}`` across the program.
+        """``{step: highest execution level}`` of every rotation the
+        program's views up to ``max_batch`` requests per ciphertext can
+        request from the backend (docs/serving.md).
+
+        ``None`` means the program's full slot-batch capacity — the key
+        manifest's union; a serving lane passes its own cap.  Batched
+        views count because batched Gazelle-hybrid layers relocate
+        wrapped scratch rows into extra diagonal offsets.  Bootstraps
+        are excluded: the oracle refresh rotates nothing, and a real
+        pipeline owns its own transform keys.
 
         Every rotation a linear layer performs — BSGS babies, folded
         giants, Gazelle fold expansions — key-switches at that layer's
@@ -535,11 +529,12 @@ class FheProgram:
                         levels[step] = max(levels.get(step, -1), instr.exec_level)
 
         visit(self)
-        if include_batched:
-            batch = 2
-            while batch <= self.slot_batch_capacity():
-                visit(self.batched(batch))
-                batch *= 2
+        if max_batch is None:
+            max_batch = self.slot_batch_capacity()
+        batch = 2
+        while batch <= max_batch:
+            visit(self.batched(batch))
+            batch *= 2
         return levels
 
     def slot_batch_capacity(self) -> int:

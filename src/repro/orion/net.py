@@ -91,7 +91,8 @@ class OrionNetwork:
         production path is :meth:`export` + ``repro.serve.load_artifact``
         on each worker.  Both build the same artifact, so the default
         backend is built from its key manifest's parameters — the digit
-        grouping export chose — exactly as a worker's would be.
+        grouping export chose — and the server generates its rotation
+        keys exactly as a worker's lane would.
         """
         from repro.backend.toy import ToyBackend
         from repro.serve.artifact import build_artifact

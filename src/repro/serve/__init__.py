@@ -25,7 +25,8 @@ Behind it:
   schema that ``stats()`` returns and ``metrics()`` renders;
 - :mod:`repro.serve.artifact` — the versioned on-disk artifact;
 - :mod:`repro.serve.scheduler` — cross-request SIMD slot batching;
-- :mod:`repro.serve.keys`     — the multi-tenant key registry;
+- :mod:`repro.serve.keys`     — a lane's rotation keys, generated once
+  from its program;
 - :mod:`repro.serve.runtime`  — the per-worker inference loop.
 """
 
@@ -40,7 +41,6 @@ from repro.serve.artifact import (
     save_artifact,
     save_artifact_delta,
 )
-from repro.serve.keys import KeyRegistry, KeySpillError
 from repro.serve.mmapio import ArtifactMap, is_mmap_backed
 from repro.serve.pool import (
     AdmissionError,
@@ -82,7 +82,7 @@ __all__ = [
     "NoiseStats",
     "StatsSchemaError",
     "STATS_SCHEMA_VERSION",
-    # artifacts & keys
+    # artifacts
     "ArtifactSchemaError",
     "ArtifactDeltaError",
     "ServingArtifact",
@@ -91,8 +91,6 @@ __all__ = [
     "save_artifact_delta",
     "apply_artifact_delta",
     "artifact_fingerprint",
-    "KeyRegistry",
-    "KeySpillError",
     # results / scheduling primitives
     "ServeResult",
     "PendingRequest",

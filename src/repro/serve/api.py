@@ -170,9 +170,10 @@ class Server:
     flushes everything queued.  Observability is :meth:`stats` (typed,
     schema-versioned), :meth:`metrics` / :meth:`metrics_text`
     (Prometheus), and :meth:`trace` / :meth:`export_chrome_trace`
-    (span tracks).  Lifecycle extras: :meth:`warm` pre-pays keygen and
-    encodes, :meth:`reload` hot-swaps an updated artifact file into the
-    running pool.
+    (span tracks).  Lifecycle extras: :meth:`warm` pre-encodes the
+    weight plaintexts, :meth:`reload` hot-swaps an updated artifact file
+    into the running pool.  Keys need no warming: every lane generates
+    its rotation keys when the pool opens.
 
     Example::
 
@@ -249,12 +250,12 @@ class Server:
         return self._dispatcher.drain()
 
     def warm(self, batch_sizes=None) -> None:
-        """Pre-run key/cache warm-up on every worker (off the books).
+        """Pre-run plaintext-cache warm-up on every worker (off the books).
 
-        Runs one throwaway batch per listed batch size so lazy key
-        generation and plaintext encodes happen here, not under the
-        first paying request.  ``batch_sizes`` defaults to each
-        server's common sizes.
+        Runs one throwaway batch per listed batch size so weight
+        plaintext encodes happen here, not under the first paying
+        request.  ``batch_sizes`` defaults to 1 and each lane's
+        capacity; a size above a lane's capacity raises ``ValueError``.
         """
         for worker in self._dispatcher.pool.workers:
             worker.warm(batch_sizes)

@@ -15,9 +15,9 @@ A :class:`ServingArtifact` is a single ``.npz`` file containing
   in place — so a worker seeds its backend's caches with views of the
   mapped file before the first request ever arrives.
 
-Keys are deliberately absent: they are per-client secrets, produced on
-the client side (or by :class:`repro.serve.keys.KeyRegistry` acting for
-one) from the key manifest.
+Keys are deliberately absent: they derive from a secret, and are
+generated from the key manifest by whoever holds it — today each
+serving lane, through :func:`repro.serve.keys.generate_lane_keys`.
 
 Loading never invokes the compiler or the placement planner — the
 "zero compiler invocations on the serve path" contract asserted by

@@ -177,8 +177,9 @@ class Worker:
 
     Each lane's backend is built by the factory from ``key_seed`` —
     every worker the same key domain, so a solo replay with that seed
-    reproduces any worker bit for bit — and held by the lane's server
-    for the worker's lifetime (a reload keeps it).
+    reproduces any worker bit for bit — and gets its rotation keys when
+    the lane's server is constructed.  It is held for the worker's
+    lifetime (a reload keeps it, and its keys).
     """
 
     def __init__(
@@ -296,8 +297,9 @@ class Worker:
         around it.  The existing backend is **reused**: a weight update
         must not rotate the key domain out from under clients that hold
         ciphertexts, so the swapped-in artifact is required to carry the
-        *same* key manifest.  The lane's queue must be empty
-        (``drain()`` first).  Returns the refreshed
+        *same* key manifest, so the rebuilt lane finds every key it
+        needs already there and generates none.  The lane's queue must
+        be empty (``drain()`` first).  Returns the refreshed
         :class:`WorkerProfile`.
         """
         old = self.servers[artifact_id]

@@ -5,10 +5,12 @@ Ties the serving pieces together (docs/serving.md):
 - loads a program from a :class:`repro.serve.artifact.ServingArtifact`
   (never invoking the compiler — the construction-time counters are
   snapshotted so tests can assert exactly that);
-- owns one *pool* backend (a single key domain: slot batching packs
-  several requests into one ciphertext, which is only meaningful under
-  one encryption key — cross-tenant isolation lives in
-  :class:`repro.serve.keys.KeyRegistry`);
+- owns one backend — one key domain: slot batching packs several
+  requests into one ciphertext, which is only meaningful under one
+  encryption key — and generates its rotation keys at construction,
+  from the program's views up to the lane's batch capacity
+  (:func:`repro.serve.keys.generate_lane_keys`), so no key is ever
+  generated on the request path;
 - drives a :class:`repro.serve.scheduler.SlotBatchingScheduler`,
   executing whatever its queue holds through the program's
   block-replicated views and de-multiplexing per-client outputs;
@@ -30,6 +32,7 @@ from repro.backend.ledger import LatencyHistogram, OpLedger
 from repro.core.program import ExecutionState
 from repro.obs.noise import NoiseMonitor
 from repro.obs.tracing import NULL_TRACER, get_tracer, use_tracer
+from repro.serve.keys import generate_lane_keys
 from repro.serve.scheduler import Batch, SlotBatchingScheduler
 
 
@@ -59,7 +62,9 @@ class InferenceServer:
     Args:
         artifact: a loaded :class:`ServingArtifact` (or anything with
             ``program``/``summary``/``preload`` in its shape).
-        backend: the pool backend requests are encrypted under.
+        backend: the backend requests are encrypted under, built from
+            ``artifact.manifest.to_params()``.  Its rotation keys are
+            generated here, before anything runs.
         batching: enable cross-request slot batching.
         max_batch: cap on the batch size (defaults to the program's
             slot capacity).
@@ -99,6 +104,7 @@ class InferenceServer:
         self.scheduler = SlotBatchingScheduler(
             capacity=capacity, max_wait_seconds=max_wait_seconds
         )
+        generate_lane_keys(backend, self.program, capacity)
         #: cost-model seconds of one program execution (batched or
         #: single — same ciphertext count); the dispatcher's estimate of
         #: a batch until it has measured one.
@@ -145,10 +151,17 @@ class InferenceServer:
     # -- warm-up -------------------------------------------------------------
     def warm(self, batch_sizes=None) -> None:
         """Run a zeros inference through the given execution shapes so
-        galois keys and weight-plaintext caches are populated before the
-        first real request (off the books: nothing is recorded)."""
+        the weight-plaintext caches are populated before the first real
+        request (off the books: nothing is recorded).  The keys already
+        exist; a size above the lane's capacity has none and is refused."""
+        capacity = self.scheduler.capacity
         if batch_sizes is None:
-            batch_sizes = (1, self.scheduler.capacity)
+            batch_sizes = (1, capacity)
+        if max(batch_sizes) > capacity:
+            raise ValueError(
+                f"cannot warm batch size {max(batch_sizes)}: this lane runs "
+                f"batches of at most {capacity}"
+            )
         shape = self.program.input_layout.tensor_shape
         scratch = OpLedger()
         main_ledger = self.backend.ledger

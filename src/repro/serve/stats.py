@@ -33,7 +33,7 @@ from repro.serve.keys import backend_key_bytes
 #: Version 4: a worker row is its per-artifact ``lanes``, each carrying
 #: whole latency histograms (request, queue wait, per phase) and the
 #: ledger's op counts; the constant kernel name and the pool-side
-#: tenant/spill fields are gone.  Version 3 added per-worker key-material
+#: tenant key-cache fields are gone.  Version 3 added per-worker key-material
 #: accounting, version 2 the noise-budget telemetry (``WorkerStats.noise``).
 #: Payloads from any other version are rejected loudly by
 #: ``ServerStats.from_payload``.

@@ -71,20 +71,10 @@ class SeededRng:
         """Draw ``length`` random bytes (PRG seeds for expandable keys)."""
         return self._gen.bytes(length)
 
-    # -- stream state --------------------------------------------------
-    # The serving layer spills cold tenants to disk and later restores
-    # them *transparently*: a promoted backend must continue the exact
-    # randomness stream the resident backend would have used, so its
-    # encryption noise (and therefore its outputs) stay bit-identical
-    # to a never-spilled replica.  numpy bit-generator state is a plain
-    # JSON-serializable dict of ints/strings.
     def get_state(self) -> dict:
-        """Snapshot the underlying bit-generator state (serializable)."""
+        """Snapshot the underlying bit-generator state (a plain dict),
+        e.g. to check that a refused operation drew no randomness."""
         return self._gen.bit_generator.state
-
-    def set_state(self, state: dict) -> None:
-        """Restore a state captured by :meth:`get_state`."""
-        self._gen.bit_generator.state = state
 
     @property
     def generator(self) -> np.random.Generator:

@@ -15,8 +15,8 @@ Two tentpole mechanisms of the end-to-end bootstrap fast path:
   consumes (``SwitchingKey.max_level``).  Restriction-based compression
   must be bit-identical to the full key at every covered level, fail
   loudly above its bound, and measurably shrink stored key material —
-  including through the serving path (``KeyManifest`` level bounds ->
-  ``KeyRegistry`` eager compressed keygen).
+  including through the serving path (placement level bounds ->
+  a lane's eager compressed keygen, ``generate_lane_keys``).
 """
 
 from fractions import Fraction
@@ -270,55 +270,40 @@ class TestKeyCompression:
             params.special_primes
         )
 
-    def test_registry_generates_compressed_keys_from_manifest(self):
-        """Manifest level bounds -> eager *compressed* keygen, smaller
-        stored key material than the level-less manifest, same results."""
-        from repro.serve.keys import KeyRegistry
+    def test_lane_keys_are_compressed_from_the_program(self):
+        """Placement level bounds -> eager *compressed* lane keys: the
+        rotation set lazy keygen builds on the request path, in fewer
+        stored bytes, with the same results."""
+        from repro.models import SecureMlp
+        from repro.nn import init
+        from repro.orion import OrionNetwork
+        from repro.serve.keys import backend_key_bytes, generate_lane_keys
 
+        init.seed_init(0)
+        rng = np.random.default_rng(0)
+        onet = OrionNetwork(SecureMlp(input_pixels=64, hidden=16), (1, 8, 8))
+        onet.fit([rng.normal(0, 0.5, (8, 1, 8, 8))])
         params = toy_parameters(ring_degree=256, max_level=6, ks_alpha=2,
                                 num_special_primes=2)
-        steps = (1, 4, 16)
-        bounds = {1: 3, 4: 3, 16: 5}
+        program = onet.compile(params).program
+        image = rng.normal(0, 0.5, (1, 8, 8))
 
-        def manifest(levels):
-            return KeyManifest(
-                params_dict={
-                    "ring_degree": params.ring_degree,
-                    "scale_bits": params.scale_bits,
-                    "max_level": params.max_level,
-                    "first_prime_bits": params.first_prime_bits,
-                    "prime_bits": params.prime_bits,
-                    "special_prime_bits": params.special_prime_bits,
-                    "boot_levels": params.boot_levels,
-                    "ring_type": params.ring_type.value,
-                    "sigma": params.sigma,
-                    "num_special_primes": params.num_special_primes,
-                    "ks_alpha": params.ks_alpha,
-                    "secret_hamming_weight": params.secret_hamming_weight,
-                    "primes": list(params.primes),
-                },
-                rotation_steps=steps,
-                rotation_step_levels=levels,
-            )
-
-        compressed_reg = KeyRegistry(
-            manifest(tuple(bounds[s] for s in steps)), max_clients=2
+        eager = ToyBackend(params, seed=3)
+        generate_lane_keys(eager, program, max_batch=1)
+        lazy = ToyBackend(params, seed=3)
+        lazy_out = program.run(lazy, image)  # full-chain keys, made on use
+        assert set(eager.context.keys.galois) == set(lazy.context.keys.galois)
+        assert backend_key_bytes(eager) < backend_key_bytes(lazy)
+        assert all(k.max_level is None for k in lazy.context.keys.galois.values())
+        assert any(
+            k.max_level is not None for k in eager.context.keys.galois.values()
         )
-        full_reg = KeyRegistry(manifest(()), max_clients=2)
-        b_comp = compressed_reg.backend_for("tenant-a")
-        b_full = full_reg.backend_for("tenant-a")
-        assert compressed_reg.key_material_bytes(
-            "tenant-a"
-        ) < full_reg.key_material_bytes("tenant-a")
-        for step, bound in bounds.items():
-            exp = b_comp.context.encoder.rotation_exponent(step)
-            assert b_comp.context.keys.galois[exp].max_level == bound
-            assert b_full.context.keys.galois[exp].max_level is None
-        # Compressed keys serve their covered levels correctly.
-        vals = np.linspace(-1, 1, params.slot_count)
-        ct = b_comp.encode_encrypt(vals, level=3)
-        got = b_comp.decrypt(b_comp.rotate(ct, 4))
-        assert np.abs(got - np.roll(vals, -4)).max() < 1e-2
+        # Compressed keys serve their covered levels: nothing regenerated,
+        # and the output agrees with the full-chain run.
+        held = dict(eager.context.keys.galois)
+        eager_out = program.run(eager, image)
+        assert eager.context.keys.galois == held
+        assert np.abs(eager_out - lazy_out).max() < 2e-2 * np.abs(lazy_out).max()
 
     def test_manifest_step_levels_round_trip(self):
         manifest = KeyManifest(

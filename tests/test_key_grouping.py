@@ -288,8 +288,9 @@ class TestChooser:
 
 def test_serve_and_export_then_load_agree(tmp_path):
     """One decision point: ``serve()`` builds the artifact export writes,
-    with the same (regrouped) parameters, and answers bit for bit what a
-    worker built from the loaded manifest answers."""
+    with the same (regrouped) parameters and the same lane keys, and
+    answers bit for bit what a worker built from the loaded manifest
+    answers."""
     onet = _network(lambda: resnet_cifar(8, act=silu_act(15), width=2), (3, 8, 8))
     params = toy_parameters(ring_degree=1024, max_level=12, boot_levels=3, scale_bits=24)
     served = onet.serve(params)
@@ -300,5 +301,8 @@ def test_serve_and_export_then_load_agree(tmp_path):
     assert chosen.ks_alpha > 1 and chosen.data_primes == params.data_primes
     assert served.backend.params == chosen and served.backend.params.primes == chosen.primes
     worker = InferenceServer(loaded, ToyBackend(chosen))
+    # Both servers generated their keys at construction, the same way.
+    held = [s.backend.context.keys.galois for s in (served, worker)]
+    assert held[0] and held[0].keys() == held[1].keys()
     image = np.random.default_rng(0).normal(0.0, 0.5, (8, 3, 8, 8))[0]
     assert np.array_equal(served.serve_now(image).output, worker.serve_now(image).output)

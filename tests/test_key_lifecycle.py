@@ -2,16 +2,14 @@
 
 Covers the PRG-seeded switching keys (expansion bit-exact against the
 stored halves, across ``ks_alpha`` groupings and compressed level
-bounds), the :class:`repro.serve.keys.KeyRegistry` spill-to-disk path
-(promoted tenants bit-identical to never-spilled ones, pins respected
-under concurrency, loud spill-file validation), the weight-delta
-artifact format (resolution, atomic apply, fingerprint pinning), the
-hot reload of a running pool, and the telemetry that reports it all
-(the stats schema gate, the key-bytes Prometheus gauge).
+bounds), the one resident tensor per key, the weight-delta artifact
+format (resolution, atomic apply, fingerprint pinning, key-manifest
+pinning), the hot reload of a running pool, and the telemetry that
+reports it all (the stats schema gate, the key-bytes Prometheus
+gauge).
 """
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -33,8 +31,6 @@ from repro.nn import init
 from repro.orion import OrionNetwork
 from repro.serve import (
     ArtifactDeltaError,
-    KeyRegistry,
-    KeySpillError,
     apply_artifact_delta,
     load_artifact,
     save_artifact,
@@ -261,191 +257,6 @@ class TestOneResidentTensor:
         assert resident == 2 * (98_708_992 - len(keys) * KEY_PRG_SEED_BYTES)
 
 
-class TestSpillPromote:
-    def _registry(self, manifest, tmp_path, **kwargs):
-        return KeyRegistry(
-            manifest, cache_dir=str(tmp_path / "keycache"), **kwargs
-        )
-
-    def test_promoted_tenant_bit_exact_vs_never_spilled(
-        self, mlp_deployment, tmp_path
-    ):
-        params, base_path, _, _ = mlp_deployment
-        loaded = load_artifact(base_path)
-        rng = np.random.default_rng(11)
-        first, second = (rng.normal(0, 0.5, (1, 8, 8)) for _ in range(2))
-
-        registry = self._registry(loaded.manifest, tmp_path, max_clients=1)
-        control = KeyRegistry(loaded.manifest, max_clients=4)
-
-        out_first = loaded.program.run(
-            registry.backend_for("alice"), first
-        )
-        registry.backend_for("bob")  # evicts alice -> spill file
-        assert registry.resident_clients() == ["bob"]
-        assert registry.spilled_count() == 1
-        assert registry.spill_count == 1
-        # Spilled accounting: bytes come from the file, not RAM.
-        assert registry.key_material_bytes("alice") > 0
-        key_bytes = registry.key_bytes()
-        assert key_bytes["spilled"] > 0 and key_bytes["resident"] > 0
-
-        ctrl = control.backend_for("alice")
-        assert np.array_equal(out_first, loaded.program.run(ctrl, first))
-        promoted = registry.backend_for("alice")  # transparent promote
-        assert registry.promote_count == 1
-        assert registry.keygen_count == 2  # alice + bob, never a re-keygen
-        # Alice's spill file is retired; bob got demoted in her place.
-        assert registry.resident_clients() == ["alice"]
-        assert registry.spilled_count() == 1
-        assert np.array_equal(
-            loaded.program.run(promoted, second),
-            loaded.program.run(ctrl, second),
-        )
-        restored, kept = promoted.context.keys, ctrl.context.keys
-        assert restored.galois.keys() == kept.galois.keys()
-        for key, want in zip(
-            [restored.relin, *restored.galois.values()],
-            [kept.relin, *kept.galois.values()],
-        ):
-            assert key.tensor.dtype == np.uint32 and not key.tensor.flags.writeable
-            assert np.array_equal(key.tensor, want.tensor)
-            assert (key.exponent, key.max_level, key.seed) == (
-                want.exponent, want.max_level, want.seed
-            )
-
-    def test_no_cache_dir_keeps_discard_semantics(self, mlp_deployment):
-        params, base_path, _, _ = mlp_deployment
-        loaded = load_artifact(base_path)
-        registry = KeyRegistry(loaded.manifest, max_clients=1)
-        registry.backend_for("alice")
-        registry.backend_for("bob")
-        registry.backend_for("alice")  # discarded, so full re-keygen
-        assert registry.keygen_count == 3
-        assert registry.spilled_count() == 0
-
-    def test_pinned_client_never_spills(self, mlp_deployment, tmp_path):
-        params, base_path, _, _ = mlp_deployment
-        loaded = load_artifact(base_path)
-        registry = self._registry(loaded.manifest, tmp_path, max_clients=1)
-        with registry.lease("alice"):
-            registry.backend_for("bob")
-            registry.backend_for("carol")
-            assert "alice" in registry.resident_clients()
-            with pytest.raises(RuntimeError, match="in-flight"):
-                registry.spill("alice")
-        # Pin released: the deferred over-capacity demotion fires and
-        # alice's keys move to disk instead of being destroyed.
-        assert "alice" not in registry.resident_clients()
-        assert registry.spilled_count() >= 1
-        assert registry.backend_for("alice") is not None  # promotes back
-        assert registry.promote_count >= 1
-
-    def test_concurrent_pin_lease_while_churning(
-        self, mlp_deployment, tmp_path
-    ):
-        """Leases held across threads keep their client resident while
-        other tenants churn through a size-1 registry."""
-        params, base_path, _, _ = mlp_deployment
-        loaded = load_artifact(base_path)
-        registry = self._registry(loaded.manifest, tmp_path, max_clients=1)
-        registry.backend_for("alice")
-        stop = threading.Event()
-        failures = []
-
-        def hold_lease():
-            try:
-                for _ in range(5):
-                    with registry.lease("alice"):
-                        if "alice" not in registry.resident_clients():
-                            failures.append("alice demoted while leased")
-            except Exception as exc:  # pragma: no cover - diagnostic
-                failures.append(repr(exc))
-            finally:
-                stop.set()
-
-        thread = threading.Thread(target=hold_lease)
-        thread.start()
-        churn = 0
-        while not stop.is_set() and churn < 50:
-            registry.backend_for(f"tenant-{churn % 3}")
-            churn += 1
-        thread.join()
-        assert not failures
-        assert registry.pin_count("alice") == 0
-
-    def _spill_with_meta(self, registry, client_id, **meta_changes):
-        """Spill ``client_id``, then rewrite the spill file's header."""
-        registry.backend_for(client_id)
-        assert registry.spill(client_id) is True
-        path = registry._spill_path(client_id)
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(bytes(data["__spill__"]).decode("utf-8"))
-            arrays = {k: data[k] for k in data.files if k != "__spill__"}
-        meta.update(meta_changes)
-        arrays["__spill__"] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        )
-        with open(path, "wb") as f:
-            np.savez(f, **arrays)
-        return path
-
-    def test_spill_file_validation_is_loud(self, mlp_deployment, tmp_path):
-        params, base_path, _, _ = mlp_deployment
-        loaded = load_artifact(base_path)
-        registry = self._registry(loaded.manifest, tmp_path, max_clients=2)
-        self._spill_with_meta(registry, "alice", version=999)
-        with pytest.raises(KeySpillError, match="version"):
-            registry.backend_for("alice")
-
-    def test_spill_from_another_manifest_rejected(self, mlp_deployment, tmp_path):
-        """A spill file keyed for a different manifest never becomes this
-        registry's keys: the error names the file, the fingerprint found
-        and the one this registry reads."""
-        params, base_path, _, _ = mlp_deployment
-        loaded = load_artifact(base_path)
-        registry = self._registry(loaded.manifest, tmp_path, max_clients=2)
-        path = self._spill_with_meta(registry, "alice", fingerprint="f" * 16)
-        with pytest.raises(KeySpillError) as raised:
-            registry.backend_for("alice")
-        message = str(raised.value)
-        assert message.startswith(f"{path}: manifest fingerprint 'ffffffffffffffff'")
-        assert f"reads manifest fingerprint {loaded.manifest.fingerprint()!r}" in message
-        assert registry.promote_count == 0
-
-    def test_int64_spill_member_never_becomes_a_key(
-        self, mlp_deployment, tmp_path
-    ):
-        """A file with the right version but a widened b member (what a
-        version-2 writer produced) is rejected by dtype, not cast."""
-        params, base_path, _, _ = mlp_deployment
-        loaded = load_artifact(base_path)
-        registry = self._registry(loaded.manifest, tmp_path, max_clients=2)
-        registry.backend_for("alice")
-        assert registry.spill("alice") is True
-        path = registry._spill_path("alice")
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files}
-        assert arrays["relin_b"].dtype == np.uint32
-        arrays["relin_b"] = arrays["relin_b"].astype(np.int64)
-        with open(path, "wb") as f:
-            np.savez(f, **arrays)
-        with pytest.raises(KeySpillError, match="int64"):
-            registry.backend_for("alice")
-
-    def test_evict_removes_spill_file(self, mlp_deployment, tmp_path):
-        params, base_path, _, _ = mlp_deployment
-        loaded = load_artifact(base_path)
-        registry = self._registry(loaded.manifest, tmp_path, max_clients=2)
-        registry.backend_for("alice")
-        registry.spill("alice")
-        assert registry.spilled_count() == 1
-        assert registry.evict("alice") is True
-        assert registry.spilled_count() == 0
-        with pytest.raises(KeyError):
-            registry.key_material_bytes("alice")
-
-
 class TestDeltaArtifacts:
     def test_delta_is_smaller_and_resolves_bit_exact(self, mlp_deployment):
         params, base_path, full_path, delta_path = mlp_deployment
@@ -510,6 +321,41 @@ class TestDeltaArtifacts:
             load_artifact(again).program.run_cleartext_packed(img),
             load_artifact(full_path).program.run_cleartext_packed(img),
         )
+
+    def test_manifest_with_the_dropped_conjugation_flag(
+        self, mlp_deployment, tmp_path
+    ):
+        """A base exported while the key manifest still carried
+        ``needs_conjugation`` (always false) loads as it did, but a delta
+        built against it is refused: the raw manifests differ."""
+        params, base_path, _, _ = mlp_deployment
+        with np.load(base_path, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+        doc = json.loads(bytes(arrays.pop("__manifest__")).decode())
+        manifest = doc["key_manifest"]
+        assert "needs_conjugation" not in manifest
+        doc["key_manifest"] = {
+            "params": manifest["params"],
+            "rotation_steps": manifest["rotation_steps"],
+            "needs_conjugation": False,
+            "rotation_step_levels": manifest["rotation_step_levels"],
+        }
+        old_base = str(tmp_path / "old_base.npz")
+        np.savez(
+            old_base,
+            __manifest__=np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8),
+            **arrays,
+        )
+        old, current = load_artifact(old_base), load_artifact(base_path)
+        assert old.manifest == current.manifest
+        img = np.random.default_rng(9).normal(0, 0.5, (1, 8, 8))
+        assert np.array_equal(
+            old.program.run(ToyBackend(old.manifest.to_params(), seed=7), img),
+            current.program.run(ToyBackend(current.manifest.to_params(), seed=7), img),
+        )
+        retrained = _make_net(seed=0, perturb_last=42).compile(params)
+        with pytest.raises(ArtifactDeltaError, match="key manifests differ"):
+            save_artifact_delta(retrained, params, old_base, str(tmp_path / "d.npz"))
 
     def test_structural_mismatch_refuses_delta(self, mlp_deployment, tmp_path):
         params, base_path, _, _ = mlp_deployment

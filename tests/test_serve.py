@@ -4,8 +4,9 @@ Covers the artifact store (bit-exact round-trips, loud schema
 failures), cross-request SIMD slot batching (bit-exact against
 sequential execution on the cleartext-packed path, precision-equal on
 the exact backend), the scheduler's cost/deadline decision rule, the
-multi-tenant key registry, the inference server's zero-compilation
-serve path, and the serve-many stale-cache regression.
+key manifest and a lane's eagerly generated keys, the inference
+server's zero-compilation serve path, and the serve-many stale-cache
+regression.
 """
 
 import numpy as np
@@ -24,11 +25,11 @@ from repro.nn import init
 from repro.orion import OrionNetwork
 from repro.serve import (
     ArtifactSchemaError,
-    KeyRegistry,
     LaneStats,
     load_artifact,
     save_artifact_delta,
 )
+from repro.serve.keys import backend_key_bytes, generate_lane_keys
 from repro.serve.runtime import InferenceServer
 from repro.serve.scheduler import SlotBatchingScheduler
 
@@ -145,9 +146,9 @@ class TestArtifactRoundTrip:
             load_artifact(path)
 
     def test_header_gate_reports_first_mismatch_in_callers_error(self):
-        """Artifacts, key spills and stats payloads share one header
-        gate: it raises the caller's error type, naming the source, the
-        value found, the value this build reads and the remedy."""
+        """Artifacts and stats payloads share one header gate: it raises
+        the caller's error type, naming the source, the value found, the
+        value this build reads and the remedy."""
         from repro.serve.artifact import check_header
 
         expected = (("format", "format", "fmt"), ("version", "version", 2))
@@ -166,12 +167,12 @@ class TestArtifactRoundTrip:
             check_header({"format": "fmt"}, expected, GateError, "a/b.npz", "re-export")
 
     def test_manifest_covers_every_runtime_rotation(self, mlp_artifact):
-        """Keys generated from the manifest alone must suffice — no
-        lazy keygen on the request path, single-shot or slot-batched."""
+        """Lane keys generated at full capacity must suffice — no lazy
+        keygen on the request path, single-shot or slot-batched."""
         _, rng, params, path, _ = mlp_artifact
         loaded = load_artifact(path)
-        registry = KeyRegistry(loaded.manifest)
-        backend = registry.backend_for("tenant-a")
+        backend = ToyBackend(loaded.manifest.to_params(), seed=0)
+        generate_lane_keys(backend, loaded.program)
         keys_before = backend.context.keys.num_rotation_keys()
         loaded.program.run(backend, rng.normal(0, 0.5, (1, 8, 8)))
         loaded.program.batched(4).run(backend, rng.normal(0, 0.5, (4, 1, 8, 8)))
@@ -462,41 +463,35 @@ class TestScheduler:
         assert sum(sizes) == len(arrivals)
 
 
-class TestKeyRegistry:
+class TestKeyManifest:
     @pytest.fixture(scope="class")
-    def manifest(self):
+    def compiled(self):
         onet, _ = _make_net(lambda: SecureMlp(input_pixels=64, hidden=16), (1, 8, 8))
         params = _toy_params()
-        compiled = onet.compile(params)
-        return KeyManifest.for_program(params, compiled.program)
+        return params, onet.compile(params).program
 
-    def test_backend_cached_per_client(self, manifest):
-        registry = KeyRegistry(manifest)
-        a1 = registry.backend_for("alice")
-        a2 = registry.backend_for("alice")
-        b = registry.backend_for("bob")
-        assert a1 is a2 and a1 is not b
-        assert registry.keygen_count == 2
+    @pytest.fixture(scope="class")
+    def manifest(self, compiled):
+        return KeyManifest.for_program(*compiled)
 
-    def test_manifest_keys_pregenerated(self, manifest):
-        registry = KeyRegistry(manifest)
-        backend = registry.backend_for("alice")
-        have = set(backend.context.keys.galois)
-        needed = {
-            backend.context.encoder.rotation_exponent(step)
+    def test_manifest_keys_pregenerated(self, compiled, manifest):
+        """At full capacity a lane holds exactly the manifest's keys, each
+        at its recorded level; a lane capped below it holds a subset."""
+        _, program = compiled
+        backend = ToyBackend(manifest.to_params(), seed=0)
+        generate_lane_keys(backend, program)
+        context = backend.context
+        assert set(context.keys.galois) == {
+            context.encoder.rotation_exponent(step)
             for step in manifest.rotation_steps
         }
-        assert needed <= have
-
-    def test_lru_eviction(self, manifest):
-        registry = KeyRegistry(manifest, max_clients=2)
-        registry.backend_for("a")
-        registry.backend_for("b")
-        registry.backend_for("a")  # refresh a
-        registry.backend_for("c")  # evicts b
-        assert registry.keygen_count == 3
-        registry.backend_for("b")  # re-keygen
-        assert registry.keygen_count == 4
+        top = manifest.to_params().max_level
+        for step, level in manifest.step_level_map().items():
+            key = context.keys.galois[context.encoder.rotation_exponent(step)]
+            assert key.max_level == (None if level >= top else level)
+        capped = ToyBackend(manifest.to_params(), seed=0)
+        generate_lane_keys(capped, program, max_batch=1)
+        assert set(capped.context.keys.galois) < set(context.keys.galois)
 
     def test_fingerprint_distinguishes_manifests(self, manifest):
         other = KeyManifest(
@@ -504,6 +499,160 @@ class TestKeyRegistry:
             rotation_steps=manifest.rotation_steps + (999,),
         )
         assert other.fingerprint() != manifest.fingerprint()
+
+
+class TestLaneKeyGeneration:
+    """``generate_lane_keys`` is the one way a serving lane gets rotation
+    keys: the steps of its program's batch views up to the lane's cap,
+    in step order, each compressed to the level it key-switches at."""
+
+    @pytest.fixture(scope="class")
+    def artifact(self, mlp_artifact):
+        return load_artifact(mlp_artifact[3])
+
+    @staticmethod
+    def _lane(artifact, max_batch=None, seed=0):
+        backend = ToyBackend(artifact.manifest.to_params(), seed=seed)
+        generate_lane_keys(backend, artifact.program, max_batch)
+        return backend
+
+    @staticmethod
+    def _holds_exactly(backend, snapshot):
+        """The backend's keys are the very objects of ``snapshot``: none
+        added, none regenerated, none restricted."""
+        held = backend.context.keys.galois
+        return list(held) == list(snapshot) and all(
+            held[exponent] is key for exponent, key in snapshot.items()
+        )
+
+    @staticmethod
+    def _same_key_material(a, b):
+        keys_a, keys_b = a.context.keys.galois, b.context.keys.galois
+        return list(keys_a) == list(keys_b) and all(
+            keys_a[e].seed == keys_b[e].seed
+            and keys_a[e].max_level == keys_b[e].max_level
+            and np.array_equal(keys_a[e].tensor, keys_b[e].tensor)
+            for e in keys_a
+        )
+
+    def test_full_capacity_is_the_manifest(self, artifact):
+        program = artifact.program
+        levels = program.required_rotation_step_levels()
+        assert levels == program.required_rotation_step_levels(
+            program.slot_batch_capacity()
+        )
+        assert levels == artifact.manifest.step_level_map()
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_a_doubled_cap_only_adds_steps_or_raises_levels(self, artifact, cap):
+        program = artifact.program
+        smaller = program.required_rotation_step_levels(cap)
+        larger = program.required_rotation_step_levels(2 * cap)
+        assert smaller and set(smaller) <= set(larger)
+        assert all(larger[step] >= level for step, level in smaller.items())
+
+    @pytest.mark.parametrize("cap, views", [(3, 2), (5, 4)])
+    def test_a_cap_counts_the_power_of_two_views_below_it(
+        self, artifact, cap, views
+    ):
+        program = artifact.program
+        assert program.required_rotation_step_levels(
+            cap
+        ) == program.required_rotation_step_levels(views)
+
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_capped_lane_runs_every_view_it_admits_without_keygen(
+        self, artifact, cap
+    ):
+        backend = self._lane(artifact, cap)
+        snapshot = dict(backend.context.keys.galois)
+        rng = np.random.default_rng(cap)
+        artifact.program.run(backend, rng.normal(0, 0.5, (1, 8, 8)))
+        size = 2
+        while size <= cap:
+            artifact.program.batched(size).run(
+                backend, rng.normal(0, 0.5, (size, 1, 8, 8))
+            )
+            size *= 2
+        assert self._holds_exactly(backend, snapshot)
+
+    def test_keys_are_generated_in_step_order_at_their_levels(self, artifact):
+        backend = self._lane(artifact, max_batch=2)
+        levels = artifact.program.required_rotation_step_levels(2)
+        context = backend.context
+        assert list(context.keys.galois) == [
+            context.encoder.rotation_exponent(step) for step in sorted(levels)
+        ]
+        top = backend.params.max_level
+        for step, level in levels.items():
+            key = context.keys.galois[context.encoder.rotation_exponent(step)]
+            assert key.max_level == (None if level >= top else level)
+
+    def test_keyless_backend_is_left_untouched(self, artifact):
+        backend = SimBackend(artifact.manifest.to_params(), seed=0)
+        generate_lane_keys(backend, artifact.program)
+        assert not hasattr(backend, "context")
+        assert backend_key_bytes(backend) == 0
+
+    def test_a_second_call_draws_no_randomness(self, artifact):
+        backend = self._lane(artifact)
+        snapshot = dict(backend.context.keys.galois)
+        state = backend.context.rng.get_state()
+        generate_lane_keys(backend, artifact.program)
+        assert backend.context.rng.get_state() == state
+        assert self._holds_exactly(backend, snapshot)
+
+    def test_same_seed_same_keys(self, artifact):
+        first, again = (self._lane(artifact, 1, seed=3) for _ in range(2))
+        assert self._same_key_material(first, again)
+        assert backend_key_bytes(first) == backend_key_bytes(again) > 0
+
+    @pytest.mark.parametrize(
+        "batching, max_batch, cap",
+        [(False, None, 1), (True, 1, 1), (True, 3, 2), (True, None, None)],
+    )
+    def test_server_keys_are_the_functions_at_its_capacity(
+        self, artifact, batching, max_batch, cap
+    ):
+        server = InferenceServer(
+            artifact,
+            ToyBackend(artifact.manifest.to_params(), seed=5),
+            batching=batching,
+            max_batch=max_batch,
+            preload=False,
+        )
+        expected_capacity = (
+            artifact.program.slot_batch_capacity() if cap is None else cap
+        )
+        assert server.scheduler.capacity == expected_capacity
+        assert self._same_key_material(
+            server.backend, self._lane(artifact, cap, seed=5)
+        )
+
+    def test_warm_adds_no_keys_and_refuses_sizes_above_capacity(self, artifact):
+        server = InferenceServer(
+            artifact,
+            ToyBackend(artifact.manifest.to_params(), seed=6),
+            max_batch=2,
+            preload=False,
+        )
+        snapshot = dict(server.backend.context.keys.galois)
+        server.warm()
+        with pytest.raises(ValueError, match="at most 2"):
+            server.warm(batch_sizes=(1, 4))
+        assert self._holds_exactly(server.backend, snapshot)
+
+    def test_orion_network_serve_keys_like_a_lane(self, mlp_artifact, artifact):
+        onet, _, params, _, _ = mlp_artifact
+        server = onet.serve(
+            params,
+            backend=ToyBackend(artifact.manifest.to_params(), seed=4),
+            max_batch=1,
+            preload=False,
+        )
+        assert self._same_key_material(
+            server.backend, self._lane(artifact, 1, seed=4)
+        )
 
 
 class TestInferenceServer:

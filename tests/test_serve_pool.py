@@ -15,8 +15,8 @@ The correctness gates of the pool PR:
   views of the artifact; no table is ever copied on the request path;
 - **typed stats** — ``ServerStats`` round-trips through JSON and
   rejects foreign schema versions;
-- **key pinning** — the registry never LRU-evicts key material with
-  in-flight requests.
+- **lane keys** — every lane holds its rotation keys from the moment
+  the pool opens, and nothing on the serving path adds one.
 """
 
 import json
@@ -37,15 +37,14 @@ from repro.orion import OrionNetwork
 from repro.serve import (
     AdmissionError,
     ArtifactMap,
-    KeyRegistry,
     ServerConfig,
     ServerStats,
     StatsSchemaError,
     WorkerLostError,
     is_mmap_backed,
 )
-from repro.serve.keys import default_backend_factory
-from repro.serve.pool import Dispatcher, WorkerProfile, verify_mmap_tables
+from repro.serve.keys import backend_key_bytes, default_backend_factory
+from repro.serve.pool import Dispatcher, Worker, WorkerProfile, verify_mmap_tables
 from repro.serve.runtime import InferenceServer, ServeResult
 
 
@@ -72,8 +71,16 @@ def _images(n, seed=7):
     return [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(n)]
 
 
+#: Lanes generate their keys when the pool opens, one set per batch view
+#: up to the cap, so the pools here cap batches at 2 unless a test needs
+#: more: a 4-worker pool then generates 61 keys per worker, not 91.
+POOL_MAX_BATCH = 2
+
+
 def _pool_config(**overrides):
-    base = dict(workers=4, batch_window_seconds=0.0, max_queue_depth=8)
+    base = dict(
+        workers=4, batch_window_seconds=0.0, max_queue_depth=8, max_batch=POOL_MAX_BATCH
+    )
     base.update(overrides)
     return ServerConfig(**base)
 
@@ -111,7 +118,8 @@ class TestRouting:
 class TestBitExactness:
     def test_per_worker_matches_solo_server(self, artifact_path):
         """Each pool worker == a solo InferenceServer replaying its
-        share of the traffic (same key seed, same batching rule)."""
+        share of the traffic (same key seed, same batch cap — hence the
+        same lane keys — and the same batching rule)."""
         images = _images(10)
         clients = [f"client-{i}" for i in range(len(images))]
         with serve.open(artifact_path, _pool_config()) as server:
@@ -129,6 +137,7 @@ class TestBitExactness:
                 artifact,
                 default_backend_factory(artifact.manifest.to_params(), 0),
                 batching=True,
+                max_batch=POOL_MAX_BATCH,
                 max_wait_seconds=0.0,
             )
             for client, image in share:
@@ -148,6 +157,7 @@ class TestBitExactness:
             artifact,
             default_backend_factory(artifact.manifest.to_params(), 0),
             batching=True,
+            max_batch=POOL_MAX_BATCH,
             max_wait_seconds=0.0,
         )
         solo_result = solo.serve_now(image, client_id="alice")
@@ -512,71 +522,65 @@ class TestStatsSchema:
             )
 
 
-class TestKeyPinning:
-    @pytest.fixture(scope="class")
-    def manifest(self, artifact_path):
-        return serve.load_artifact(artifact_path).manifest
+def _lane_keys(worker):
+    """``[(rotation keys, stored key bytes)]`` of a :class:`Worker`'s lanes."""
+    return [
+        (
+            server.backend.context.keys.num_rotation_keys(),
+            backend_key_bytes(server.backend),
+        )
+        for server in worker.servers.values()
+    ]
 
-    def test_pinned_client_survives_lru_pressure(self, manifest):
-        registry = KeyRegistry(manifest, max_clients=2)
-        registry.backend_for("a")
-        registry.pin("a")  # request in flight on a's keys
-        registry.backend_for("b")
-        registry.backend_for("c")  # over capacity: 'a' is LRU but pinned,
-        assert registry.keygen_count == 3  # so 'b' is evicted instead
-        backend = registry.backend_for("a")  # no re-keygen
-        assert registry.keygen_count == 3
-        assert backend is registry.backend_for("a")
-        registry.backend_for("b")  # re-keygen 'b', evicts 'c'
-        assert registry.keygen_count == 4
-        registry.unpin("a")
-        # Released: 'a' is the LRU victim of the next insert.
-        registry.backend_for("c")
-        assert registry.keygen_count == 5
-        registry.backend_for("a")  # now a cache miss again
-        assert registry.keygen_count == 6
 
-    def test_unpin_releases_deferred_eviction(self, manifest):
-        registry = KeyRegistry(manifest, max_clients=1)
-        registry.backend_for("a")
-        registry.pin("a")
-        registry.backend_for("b")  # cannot shrink: 'a' pinned, 'b' newest
-        assert len(registry) == 2
-        registry.unpin("a")
-        assert len(registry) == 1
+@pytest.mark.usefixtures("fork_deadline")
+class TestLaneKeys:
+    """A lane generates its rotation keys once, when the pool opens,
+    for the batch views it can run: warming it, serving every batch size
+    up to its capacity and reloading it generate none."""
 
-    def test_evict_refuses_pinned(self, manifest):
-        registry = KeyRegistry(manifest)
-        registry.backend_for("a")
-        registry.pin("a")
-        registry.pin("a")
-        with pytest.raises(RuntimeError, match="in-flight"):
-            registry.evict("a")
-        registry.unpin("a")
-        with pytest.raises(RuntimeError, match="in-flight"):
-            registry.evict("a")
-        registry.unpin("a")
-        assert registry.evict("a")
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_keys_are_fixed_from_open(self, artifact_path, mode, monkeypatch):
+        # Forked children inherit the patched class, so both transports
+        # can be asked what their lanes hold.
+        monkeypatch.setattr(Worker, "lane_keys", _lane_keys, raising=False)
+        config = _pool_config(workers=2, mode=mode, max_batch=4)
+        with serve.open(artifact_path, config) as server:
+            workers = server._dispatcher.pool.workers
 
-    def test_lease_pins_for_the_duration(self, manifest):
-        registry = KeyRegistry(manifest)
-        with registry.lease("a") as backend:
-            assert registry.pin_count("a") == 1
-            assert backend is registry.backend_for("a")
-            with pytest.raises(RuntimeError):
-                registry.evict("a")
-        assert registry.pin_count("a") == 0
-        assert registry.evict("a")
+            def observe():
+                held = [
+                    w.lane_keys() if mode == "inline" else w._call("lane_keys")
+                    for w in workers
+                ]
+                reported = [
+                    [lane.key_bytes_resident for lane in w.lanes]
+                    for w in server.stats().workers
+                ]
+                assert reported == [[b for _, b in lanes] for lanes in held]
+                return held
 
-    def test_pin_unknown_client_and_double_unpin(self, manifest):
-        registry = KeyRegistry(manifest)
-        with pytest.raises(KeyError):
-            registry.pin("ghost")
-        registry.backend_for("a")
-        registry.pin("a")
-        registry.unpin("a")
-        with pytest.raises(RuntimeError):
-            registry.unpin("a")
+            at_open = observe()
+            program = ArtifactMap(artifact_path).load().program
+            expected = len(program.required_rotation_step_levels(4))
+            assert at_open == [[(expected, at_open[0][0][1])]] * 2
+            assert expected > 0 and at_open[0][0][1] > 0
+
+            server.warm()
+            assert observe() == at_open
+            with pytest.raises(ValueError, match="at most 4"):
+                server.warm(batch_sizes=(8,))  # no keys for it: refused
+            clients = {server.route(f"client-{i}"): f"client-{i}" for i in range(16)}
+            images = iter(_images(14))
+            for size in (1, 2, 4):
+                for worker_id in range(2):
+                    for _ in range(size):
+                        server.submit(next(images), client_id=clients[worker_id])
+                results = server.step()
+                assert sorted(r.batch_size for r in results) == [size] * 2 * size
+                assert observe() == at_open
+            server.reload()
+            assert observe() == at_open
 
 
 @pytest.mark.usefixtures("fork_deadline")

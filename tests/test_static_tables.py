@@ -23,6 +23,7 @@ from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
 from repro.serve import ArtifactMap, is_mmap_backed
+from repro.serve.keys import generate_lane_keys
 from repro.serve.pool import verify_mmap_tables
 from repro.serve.runtime import InferenceServer
 
@@ -241,9 +242,11 @@ class TestPreloadIsAView:
             assert table.dtype == np.uint32 and not table.flags.writeable
             assert is_mmap_backed(table)
         assert verify_mmap_tables(server, path)
-        # Preloaded tables are the ones a cold backend builds for itself.
+        # Preloaded tables are the ones a cold backend (holding the same
+        # lane keys) builds for itself.
         image = np.random.default_rng(1).normal(0, 0.5, (1, 8, 8))
         cold = ToyBackend(artifact.manifest.to_params(), seed=2)
+        generate_lane_keys(cold, artifact.program, server.scheduler.capacity)
         assert np.array_equal(
             artifact.program.run(backend, image), artifact.program.run(cold, image)
         )
