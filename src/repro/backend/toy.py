@@ -26,10 +26,10 @@ from repro.rns.poly import RnsPolynomial
 def fused_term_groups(terms) -> Dict:
     """``(out block, in block) -> offsets`` of a fused matvec's terms, in
     the row order of the group's static table: its nonzero offsets in
-    :func:`galois_offset_key` order — how
-    :meth:`CkksContext.rotate_hoisted_stacked` lays out its offset axis,
-    so table row ``i`` meets accumulator column ``i`` — then the
-    ``off == 0`` term, if the group has one, as the single trailing row.
+    :func:`galois_offset_key` order — the order
+    :meth:`CkksContext.rotate_hoisted_slabs` walks them in, so each slab
+    meets a contiguous run of the table's rows — then the ``off == 0``
+    term, if the group has one, as the single trailing row.
     """
     groups: Dict = {}
     for bo, bi, off in terms:
@@ -140,7 +140,7 @@ class ToyBackend(FheBackend):
 
         Every Galois offset of an input ciphertext — plain rotations
         *and* conjugation-composed ``("conj", k)`` elements — reuses one
-        digit decomposition (:meth:`CkksContext.rotate_hoisted_stacked`)
+        digit decomposition (:meth:`CkksContext.rotate_hoisted_slabs`)
         and a single ``_ks_moddown`` per output block replaces one
         mod-down per rotation.
 
@@ -149,14 +149,17 @@ class ToyBackend(FheBackend):
         (:meth:`CkksContext.encode_table`, rows in
         :func:`fused_term_groups` order), built on first use unless
         ``pt_cache`` already holds it (:meth:`ServingArtifact.preload`
-        installs mmapped views).  It is contracted in place against the
-        stacked hoisted pair: the whole rows against the raw Q_l * P
-        accumulators, their data-limb prefix against the transformed
-        c0s, the trailing ``off == 0`` row against the input itself —
-        nothing is re-stacked, widened or copied per request.  Sums are
-        lazy int64 (``kernels.ks_inner``); modular sums are invariant
-        under regrouping, so outputs are bit-identical to a per-term
-        loop.  ``_max_chunk`` forces the chunked reduction for tests.
+        installs mmapped views).  Each hoisted slab is contracted in
+        place, as it arrives, into the running sums of every output
+        block that reads its offsets — the matching table rows against
+        the raw Q_l * P accumulators, their data-limb prefix against the
+        transformed c0s — and then dropped, so the working set is one
+        slab whatever the layer's offset count; the trailing
+        ``off == 0`` row meets the input itself.  Nothing is re-stacked,
+        widened or copied per request.  Sums are lazy int64
+        (``kernels.ks_inner``); modular sums are invariant under
+        regrouping, so outputs are bit-identical to a per-term loop.
+        ``_max_chunk`` forces the chunked reduction for tests.
         """
         ctx = self.context
         level = in_cts[0].level
@@ -169,6 +172,7 @@ class ToyBackend(FheBackend):
             if ct.c2 is not None:
                 raise ValueError("relinearize before a matvec")
         basis = ctx.basis
+        n = basis.ring_degree
         ks_chain = ctx._ks_chain(level)
         data_primes = ctx._data_chain(level)
         mod_ks = basis.moduli_column(ks_chain)
@@ -180,68 +184,88 @@ class ToyBackend(FheBackend):
         # request entering at a different level, scale, or ks config.
         cache_fp = self.plaintext_cache_key(level, pt_scale)
         groups = fused_term_groups(terms)
+        tables = {}
+        for (bo, bi), offsets in groups.items():
+            table = cache.get((bo, bi, cache_fp))
+            if table is None:
+                table = ctx.encode_table(
+                    [terms[(bo, bi, off)] for off in offsets], level, pt_scale
+                )
+                cache[(bo, bi, cache_fp)] = table
+            tables[(bo, bi)] = table
 
-        # One shared decomposition per input block, raw (pre mod-down).
-        offsets_by_bi: Dict[int, set] = {}
-        for (_, bi), offsets in groups.items():
-            offsets_by_bi.setdefault(bi, set()).update(o for o in offsets if o)
-        raw = {
-            bi: ctx.rotate_hoisted_stacked(in_cts[bi], offsets, _max_chunk)
-            for bi, offsets in offsets_by_bi.items()
-            if offsets
-        }
-
-        # Lazy int64 accumulation: `chunk` products fit between
-        # reductions (entries stay < max_q after each `%` pass).
+        # Per output block: `direct` over Q_l (the c0-side products and
+        # the off == 0 terms), `acc_ext` over Q_l * P (what the one
+        # mod-down divides).  Both sum reduced (< 2^31) partials lazily:
+        # int64 holds 2^32 of them, far more than slabs times blocks.
+        direct = {bo: np.zeros((2, level + 1, n), np.int64) for bo, _ in groups}
+        acc_ext: Dict[int, np.ndarray] = {}
         chunk = kernels.lazy_reduction_chunk(max(ks_chain), _max_chunk)
+        for (bo, bi), offsets in groups.items():
+            if offsets[-1] == 0:
+                plain = tables[(bo, bi)][-1, : level + 1]
+                direct[bo][0] += plain * in_cts[bi].c0.data % mod_q
+                direct[bo][1] += plain * in_cts[bi].c1.data % mod_q
+
+        for bi in sorted({bi for _, bi in groups}):
+            # Each output block reading this input: its rotated offsets,
+            # its table and a cursor — the slab walk meets the offsets in
+            # table-row order, so each slab is a run of every group's rows.
+            readers = [
+                [bo, offsets[: len(offsets) - (offsets[-1] == 0)], tables[(bo, bi)], 0]
+                for (bo, bi2), offsets in groups.items()
+                if bi2 == bi
+            ]
+            hoisted = {off for _, offsets, _, _ in readers for off in offsets}
+            for slab, rot0, acc in ctx.rotate_hoisted_slabs(
+                in_cts[bi], hoisted, _max_chunk
+            ):
+                where = {off: i for i, off in enumerate(slab)}
+                for reader in readers:
+                    bo, offsets, table, lo = reader
+                    hi = lo
+                    while hi < len(offsets) and offsets[hi] in where:
+                        hi += 1
+                    if hi == lo:
+                        continue
+                    reader[3] = hi
+                    r0, a = rot0, acc
+                    if hi - lo != len(slab):
+                        # This output reads a subset of the slab (its
+                        # offsets are shared with other output blocks).
+                        cols = [where[off] for off in offsets[lo:hi]]
+                        r0, a = rot0.take(cols, axis=1), acc.take(cols, axis=2)
+                    rows = table[lo:hi]
+                    acc_ext[bo] = acc_ext.get(bo, 0) + kernels.ks_inner(
+                        rows, a.swapaxes(1, 2), mod_ks, chunk
+                    )
+                    direct[bo][0] += kernels.ks_inner(
+                        rows[:, : level + 1], r0.swapaxes(0, 1)[None], mod_q, chunk
+                    )[0]
+                # Drop the slab before the walk computes the next one.
+                rot0 = acc = r0 = a = None
+            for bo, offsets, _, done in readers:
+                if done != len(offsets):
+                    raise ValueError(
+                        f"offset {offsets[done]!r} of block ({bo}, {bi}) is not "
+                        "reduced mod the slot count"
+                    )
+
         outputs: List[Optional[Ciphertext]] = []
         for bo in range(num_out):
-            in_blocks = sorted(bi for (bo2, bi) in groups if bo2 == bo)
-            if not in_blocks:
+            if bo not in direct:
                 outputs.append(None)
                 continue
-            # Reduced per-in-block partial sums: `direct` over Q_l (the
-            # c0-side products and the off == 0 terms), `acc_ext` over
-            # Q_l * P (what the one mod-down divides).
-            direct = np.zeros((2, len(data_primes), basis.ring_degree), np.int64)
-            acc_ext = None
-            for bi in in_blocks:
-                offsets = groups[(bo, bi)]
-                table = cache.get((bo, bi, cache_fp))
-                if table is None:
-                    table = ctx.encode_table(
-                        [terms[(bo, bi, off)] for off in offsets], level, pt_scale
-                    )
-                    cache[(bo, bi, cache_fp)] = table
-                has_plain = offsets[-1] == 0
-                rotated = len(offsets) - has_plain
-                if rotated:
-                    order, rot0, acc = raw[bi]
-                    if rotated != len(order):
-                        # This output reads a subset of the offsets its
-                        # input was hoisted for (shared with other blocks).
-                        cols = [order.index(off) for off in offsets[:rotated]]
-                        rot0, acc = rot0.take(cols, axis=0), acc.take(cols, axis=2)
-                    part = kernels.ks_inner(
-                        table[:rotated], acc.swapaxes(1, 2), mod_ks, chunk
-                    )
-                    acc_ext = part if acc_ext is None else (acc_ext + part) % mod_ks
-                    direct[0] += kernels.ks_inner(
-                        table[:rotated, : level + 1], rot0[None], mod_q, chunk
-                    )[0]
-                if has_plain:
-                    plain = table[-1, : level + 1]
-                    direct[0] += plain * in_cts[bi].c0.data % mod_q
-                    direct[1] += plain * in_cts[bi].c1.data % mod_q
-            if acc_ext is not None:
-                p0, p1 = ctx._ks_moddown(acc_ext, level)
-                direct[0] += p0.data
-                direct[1] += p1.data
-            direct %= mod_q
+            out = direct[bo]
+            if bo in acc_ext:
+                p0, p1 = ctx._ks_moddown(acc_ext.pop(bo) % mod_ks, level)
+                out[0] += p0.data
+                out[1] += p1.data
+            out %= mod_q
             outputs.append(
                 Ciphertext(
-                    c0=RnsPolynomial(basis, data_primes, direct[0], is_ntt=True),
-                    c1=RnsPolynomial(basis, data_primes, direct[1], is_ntt=True),
+                    c0=RnsPolynomial(basis, data_primes, out[0], is_ntt=True),
+                    c1=RnsPolynomial(basis, data_primes, out[1], is_ntt=True),
                     level=level,
                     scale=scale * pt_scale,
                     slot_count=in_cts[0].slot_count,
@@ -255,23 +279,27 @@ class ToyBackend(FheBackend):
         """Exact fused rotate-and-sum (the Gazelle fold, double-hoisted).
 
         All rotations share one digit decomposition of ``a.c1`` via
-        :meth:`CkksContext.rotate_hoisted_stacked`; their raw Q_l * P
-        accumulators are summed lazily in int64 and a single
-        :meth:`CkksContext._ks_moddown` replaces the per-fold key
-        switches of the sequential path.
+        :meth:`CkksContext.rotate_hoisted_slabs`; each slab's raw
+        Q_l * P accumulators and transformed c0s are summed lazily in
+        int64 as it arrives, and a single :meth:`CkksContext._ks_moddown`
+        replaces the per-fold key switches of the sequential path.
         """
         ctx = self.context
         level = a.level
-        _, rot0, acc = ctx.rotate_hoisted_stacked(a, steps)
         ks_chain = ctx._ks_chain(level)
         data_primes = ctx._data_chain(level)
         mod_ks = ctx.basis.moduli_column(ks_chain)
         mod_q = ctx.basis.moduli_column(data_primes)
         # Entries stay < max prime (~2^31), so len(steps)+1 summands fit
-        # int64 with > 2^31 headroom: one sum over the offset axis per
-        # tensor, no intermediate reductions needed.
-        p0, p1 = ctx._ks_moddown(acc.sum(axis=2) % mod_ks, level)
-        c0_data = (a.c0.data + rot0.sum(axis=0) + p0.data) % mod_q
+        # int64 with > 2^31 headroom: no intermediate reductions needed.
+        acc_sum = 0
+        c0_data = a.c0.data
+        for _, rot0, acc in ctx.rotate_hoisted_slabs(a, steps):
+            acc_sum = acc_sum + acc.sum(axis=2)
+            c0_data = c0_data + rot0.sum(axis=1)
+            del rot0, acc
+        p0, p1 = ctx._ks_moddown(acc_sum % mod_ks, level)
+        c0_data = (c0_data + p0.data) % mod_q
         c1_data = (a.c1.data + p1.data) % mod_q
         return Ciphertext(
             c0=RnsPolynomial(ctx.basis, data_primes, c0_data, is_ntt=True),

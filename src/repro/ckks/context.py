@@ -15,12 +15,14 @@ across many rotation keys (paper Section 3.3 hoisting).  Digit
 decomposition supports grouping (``CkksParameters.ks_alpha`` limbs per
 digit, dnum = ceil((l+1)/alpha), with a matching multi-prime special
 basis), which shrinks both the decompose NTT batch and the inner
-product width.  :meth:`CkksContext.rotate_hoisted_raw` additionally
-defers the mod-down, returning raw accumulators in the extended
-Q_l * P basis so fused consumers (the BSGS matvec) can sum many
-plaintext-weighted rotations and divide by P once per output — true
-double hoisting (Bossuat et al. [11]).  No evaluator operation
-allocates object-dtype (bigint) arrays.
+product width.  :meth:`CkksContext.rotate_hoisted_slabs`, the one
+hoisted walk, additionally defers the mod-down: it yields raw
+accumulators in the extended Q_l * P basis a fixed-width slab of
+offsets at a time, so fused consumers (the BSGS matvec, the fold) sum
+many plaintext-weighted rotations into running sums and divide by P
+once per output — true double hoisting (Bossuat et al. [11]) — without
+ever holding every offset's accumulator at once.  No evaluator
+operation allocates object-dtype (bigint) arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +51,16 @@ from repro.rns.basis import RnsBasis
 from repro.rns.poly import RnsPolynomial
 from repro.utils.rng import SeededRng
 
-__all__ = ["CkksContext", "galois_offset_key"]
+__all__ = ["CkksContext", "HOISTED_SLAB", "galois_offset_key"]
+
+#: Distinct offsets per slab of a hoisted key switch
+#: (:meth:`CkksContext.rotate_hoisted_slabs`): wide enough that the
+#: per-slab dispatches vanish against the key stream, narrow enough that
+#: a slab's accumulators stay a few MB at N = 4096 however many offsets
+#: a layer hoists.  Chosen by a sweep (docs/hoisting.md, "Static
+#: operands"): 4 to 16 run a 128-offset matvec equally fast, 1 or 2 lose
+#: to per-call overhead, and each doubling from 4 adds a few MB of peak.
+HOISTED_SLAB = 8
 
 
 class CkksContext:
@@ -755,52 +766,49 @@ class CkksContext:
             )
         return self.encoder.rotation_exponent(offset)
 
-    def rotate_hoisted_stacked(
+    def rotate_hoisted_slabs(
         self,
         ct: Ciphertext,
         steps_list: Iterable,
         _max_chunk: Optional[int] = None,
     ):
-        """Hoisted Galois maps left in the extended Q_l * P basis, as
-        ONE stacked pair — the primitive fused consumers contract in
-        place (:meth:`rotate_hoisted_raw` is the per-offset view of it).
+        """The hoisted key switch: Galois maps of ``ct`` left in the
+        extended Q_l * P basis, yielded :data:`HOISTED_SLAB` offsets at a
+        time — the one walk every hoisted consumer is built from.
 
-        Shares one key-switch digit decomposition of ``ct.c1`` across
-        all requested offsets (they act on the same c1 — the digit
-        tensor commutes with Galois permutations), but defers the
-        mod-down.  Returns ``(offsets, rot0, acc)``: ``offsets`` the
-        distinct nonzero offsets in :func:`galois_offset_key` order,
-        ``rot0`` the ``(O, level + 1, N)`` transformed c0s over Q_l and
-        ``acc`` the raw ``(2, ks_limbs, O, N)`` evaluation-form
-        key-switch accumulators still over Q_l * P, both with the offset
-        axis in that order (``rot0`` and ``acc`` are ``None`` when no
-        nonzero offset was asked for).
+        ``ct.c1`` is digit-decomposed ONCE (the digit tensor commutes
+        with Galois permutations); the mod-down is deferred.  The
+        distinct nonzero offsets are walked in :func:`galois_offset_key`
+        order, and each slab yields ``(offsets, rot0, acc)``: ``rot0``
+        the ``(level + 1, S, N)`` transformed c0s over Q_l and ``acc``
+        the raw ``(2, ks_limbs, S, N)`` evaluation-form key-switch
+        accumulators still over Q_l * P, the offset axis second to last
+        in both.  The walk keeps no reference to a slab once it has
+        yielded it: a consumer that reduces each slab where it lies
+        (the fused matvec contracts it against its table rows, the fold
+        sums it) never holds more than one slab, whatever the number of
+        offsets.
 
-        The shared digit tensor is multiplied against every offset's
+        Per slab, the shared digit tensor meets every offset's
         inverse-permuted switching key in ONE dispatch of
         :meth:`_ks_inner` (each key read in place as a prefix view of
-        its resident tensor), and only the small resulting accumulator
-        is Galois-permuted — in one flat gather over the fused
-        offset-slot axis (see :meth:`_ks_inner` for why that equals the
-        rotate-the-digits formulation, element by element).  The lazy
-        int64 chunked reduction is preserved exactly (modular sums are
-        invariant under regrouping); ``_max_chunk`` forces the chunked
-        fallback for tests.
+        its resident tensor), and only the small accumulator is
+        Galois-permuted — one flat gather over the fused offset-slot
+        axis (see :meth:`_ks_inner` for why that equals the
+        rotate-the-digits formulation, element by element).  Every
+        offset's inner product is computed exactly once, and modular
+        sums are invariant under regrouping, so consumers are
+        bit-identical to a per-offset loop; ``_max_chunk`` forces the
+        chunked fallback for tests.
 
         Offsets are plain rotation steps (``int``) or conjugation-
         composed elements ``("conj", k)`` — conjugate, then rotate by
         ``k``.  The composition is a single Galois automorphism, so the
         bootstrap CoeffToSlot conjugation rides the *same* digit
         decomposition as the transform rotations instead of paying its
-        own standalone key switch (one extra inner product per element;
-        the mod-down stays shared).
-
-        Callers that accumulate many plaintext-weighted rotations (the
-        fused BSGS matvec) contract a static table against ``acc`` along
-        its offset axis and pay one :meth:`_ks_moddown` per output
-        instead of one per rotation.  Step 0 is excluded (it needs no
-        key switch; callers handle it as the identity) — but
-        ``("conj", 0)`` is a real Galois map and is processed like any
+        own standalone key switch.  Step 0 is skipped (it needs no key
+        switch; callers handle it as the identity) — but
+        ``("conj", 0)`` is a real Galois map and is walked like any
         other element.
         """
         if ct.c2 is not None:
@@ -813,32 +821,44 @@ class CkksContext:
         }
         nonzero = sorted(unique - {0}, key=galois_offset_key)
         if not nonzero:
-            return nonzero, None, None
+            return
         n = self.params.ring_degree
         level = ct.level
-        num = len(nonzero)
-        # Observe-only span (one per hoisted key switch, not per offset);
-        # the null-tracer context manager costs two trivial calls, far
-        # below the NTT work it brackets (gated by tracing_overhead).
+        # Observe-only span (one per hoisted key switch, not per slab; it
+        # stays open across the yields, so it also brackets what the
+        # consumer does with each slab); the null-tracer context manager
+        # costs two trivial calls, far below the NTT work it brackets
+        # (gated by tracing_overhead).
         with get_tracer().span(
-            "keyswitch.hoisted", category="keyswitch", level=level, num_offsets=num
+            "keyswitch.hoisted",
+            category="keyswitch",
+            level=level,
+            num_offsets=len(nonzero),
         ):
             digits = self._ks_decompose(ct.c1, level)
-            exponents = [self.galois_offset_exponent(o) for o in nonzero]
-            keys = [self.galois_key(e, max_level=level) for e in exponents]
-            perms = np.stack([galois_eval_permutation(n, e) for e in exponents])
-            # The (C, K, O, N) layout fuses the offset and slot axes, so
-            # all O accumulator permutations are ONE flat gather (of an
-            # unnamed temporary: it is as large as the result, and gone
-            # before the c0 gather allocates).
-            flat_idx = (np.arange(num)[:, None] * n + perms).reshape(-1)
-            acc = np.take(
-                self._ks_inner(digits, keys, level, _max_chunk).reshape(2, -1, num * n),
-                flat_idx,
-                axis=-1,
-            )
-            rot0 = kernels.galois_gather(ct.c0.to_ntt().data, perms)
-        return nonzero, rot0, acc.reshape(2, -1, num, n)
+            c0 = ct.c0.to_ntt().data
+            for start in range(0, len(nonzero), HOISTED_SLAB):
+                offsets = nonzero[start : start + HOISTED_SLAB]
+                num = len(offsets)
+                exponents = [self.galois_offset_exponent(o) for o in offsets]
+                keys = [self.galois_key(e, max_level=level) for e in exponents]
+                perms = np.stack([galois_eval_permutation(n, e) for e in exponents])
+                # The (C, K, S, N) layout fuses the offset and slot axes,
+                # so the slab's permutations are ONE flat gather each for
+                # the accumulator and c0.  Both are yielded as unnamed
+                # temporaries: the walk holds no slab across a yield.
+                flat_idx = (np.arange(num)[:, None] * n + perms).reshape(-1)
+                yield (
+                    offsets,
+                    np.take(c0, perms.reshape(-1), axis=-1).reshape(-1, num, n),
+                    np.take(
+                        self._ks_inner(digits, keys, level, _max_chunk).reshape(
+                            2, -1, num * n
+                        ),
+                        flat_idx,
+                        axis=-1,
+                    ).reshape(2, -1, num, n),
+                )
 
     def rotate_hoisted_raw(
         self,
@@ -846,18 +866,20 @@ class CkksContext:
         steps_list: Iterable,
         _max_chunk: Optional[int] = None,
     ) -> Dict:
-        """:meth:`rotate_hoisted_stacked` as ``{offset: (rot0, acc)}``:
-        ``rot0`` the transformed c0 polynomial, ``acc`` its raw
-        ``(2, ks_limbs, N)`` accumulator — views of the stacked pair.
-        Applying :meth:`_ks_moddown` to each ``acc`` reproduces
-        :meth:`rotate_hoisted` (or the standalone :meth:`conjugate` key
-        switch) bit-for-bit.
+        """Every slab of :meth:`rotate_hoisted_slabs`, kept, as
+        ``{offset: (rot0, acc)}``: ``rot0`` the transformed c0
+        polynomial, ``acc`` its raw ``(2, ks_limbs, N)`` accumulator —
+        views of the slabs.  Applying :meth:`_ks_moddown` to each
+        ``acc`` reproduces :meth:`rotate_hoisted` (or the standalone
+        :meth:`conjugate` key switch) bit-for-bit.
         """
-        offsets, rot0, acc = self.rotate_hoisted_stacked(ct, steps_list, _max_chunk)
         return {
             offset: (
-                RnsPolynomial(self.basis, ct.c0.primes, rot0[i], is_ntt=True),
+                RnsPolynomial(self.basis, ct.c0.primes, rot0[:, i], is_ntt=True),
                 acc[:, :, i],
+            )
+            for offsets, rot0, acc in self.rotate_hoisted_slabs(
+                ct, steps_list, _max_chunk
             )
             for i, offset in enumerate(offsets)
         }
@@ -870,7 +892,7 @@ class CkksContext:
         raising every digit to the Q_l * P basis — depends only on c1,
         not on the rotation amount, because digit decomposition commutes
         with Galois automorphisms.  It is computed once (in
-        :meth:`rotate_hoisted_raw`); each step then costs one inner
+        :meth:`rotate_hoisted_slabs`); each step then costs one inner
         product with its switching key, one evaluation-form permutation
         of the accumulator, and the mod-down.
 
@@ -880,15 +902,17 @@ class CkksContext:
         unique_steps = {s % self.slot_count for s in steps_list}
         if 0 in unique_steps:
             outputs[0] = ct
-        for step, (rot0, acc) in self.rotate_hoisted_raw(ct, unique_steps).items():
-            p0, p1 = self._ks_moddown(acc, ct.level)
-            outputs[step] = Ciphertext(
-                c0=rot0 + p0,
-                c1=p1,
-                level=ct.level,
-                scale=ct.scale,
-                slot_count=ct.slot_count,
-            )
+        for steps, rot0, acc in self.rotate_hoisted_slabs(ct, unique_steps):
+            for i, step in enumerate(steps):
+                p0, p1 = self._ks_moddown(acc[:, :, i], ct.level)
+                c0 = RnsPolynomial(self.basis, ct.c0.primes, rot0[:, i], is_ntt=True)
+                outputs[step] = Ciphertext(
+                    c0=c0 + p0,
+                    c1=p1,
+                    level=ct.level,
+                    scale=ct.scale,
+                    slot_count=ct.slot_count,
+                )
         return outputs
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hot-path kernels (key-switch inner products, Galois gathers, NTT stages).
+"""Hot-path kernels (key-switch inner products, NTT stages).
 
 Plain numpy functions, one implementation each, called directly.  See
 :mod:`repro.kernels.ops` and ``docs/kernels.md``.
@@ -7,7 +7,6 @@ Plain numpy functions, one implementation each, called directly.  See
 from types import SimpleNamespace
 
 from repro.kernels.ops import (
-    galois_gather,
     ks_inner,
     ks_inner_stacked,
     lazy_reduction_chunk,
@@ -32,7 +31,6 @@ registry = SimpleNamespace(probe=active_backend)
 
 __all__ = [
     "active_backend",
-    "galois_gather",
     "ks_inner",
     "ks_inner_stacked",
     "lazy_reduction_chunk",

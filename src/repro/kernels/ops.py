@@ -1,6 +1,6 @@
-"""The hot-path kernels: key-switch inner products, Galois gathers, NTT stages.
+"""The hot-path kernels: key-switch inner products and NTT stages.
 
-Four plain numpy functions, called directly by the evaluator.  Results
+Three plain numpy functions, called directly by the evaluator.  Results
 are exact int64 modular arithmetic; the static operand of an inner
 product (key views, weight tables) is uint32 and numpy promotes it
 against the int64 one exactly.  ``docs/kernels.md`` has the contract and
@@ -128,7 +128,7 @@ def ks_inner_stacked(digits, keys, num_special, mod_col, chunk):
     reordered.  Returns ``(C, K, O, N)``: the layout keeps the offset
     and slot axes adjacent, so the caller's per-offset Galois
     permutations collapse into ONE flat gather over the fused ``O * N``
-    axis.  Same lazy int64 chunking contract as :func:`ks_inner` —
+    axis (the hoisted walk passes one slab of keys at a time).  Same lazy int64 chunking contract as :func:`ks_inner` —
     bit-identical for any chunk.
     """
     num_digits, num_limbs, n = digits.shape
@@ -162,25 +162,6 @@ def ks_inner_stacked(digits, keys, num_special, mod_col, chunk):
         out += part
     out %= mod_col[:, None]
     return out
-
-
-# ---------------------------------------------------------------------------
-# galois_gather: batched evaluation-form permutations
-# ---------------------------------------------------------------------------
-def galois_gather(source, perms):
-    """Gather ``source[..., perms[o]]`` for every offset row.
-
-    ``source``: ``(..., N)`` (the shared digit tensor, or stacked c0
-    limbs); ``perms``: ``(O, N)`` evaluation-form Galois permutations.
-    Returns ``(O, ...source shape)``: ONE flat ``np.take`` over the
-    concatenated permutations (cheaper than a take per offset), with the
-    offset axis moved out front as a view — the last axis stays
-    contiguous, which is the layout the einsum product-sum streams.
-    """
-    perms = np.asarray(perms)
-    num, n = perms.shape
-    flat = np.take(source, perms.reshape(-1), axis=-1)
-    return np.moveaxis(flat.reshape(source.shape[:-1] + (num, n)), -2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,10 @@ from repro.ntt.chain import NttChainEngine
 from repro.ntt.transform import (
     NttContext,
     galois_eval_permutation,
-    negacyclic_convolve_reference,
 )
 
 __all__ = [
     "NttChainEngine",
     "NttContext",
     "galois_eval_permutation",
-    "negacyclic_convolve_reference",
 ]

@@ -170,23 +170,3 @@ def galois_eval_permutation(n: int, exponent: int) -> np.ndarray:
         perm = (((key[1] * (2 * k + 1)) % (2 * n)) - 1) // 2
         _GALOIS_EVAL_CACHE[key] = perm
     return perm
-
-
-def negacyclic_convolve_reference(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """O(N^2) schoolbook negacyclic convolution, used to validate the NTT."""
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    n = len(a)
-    out = [0] * n
-    for i in range(n):
-        ai = int(a[i])
-        if ai == 0:
-            continue
-        for j in range(n):
-            k = i + j
-            term = ai * int(b[j])
-            if k < n:
-                out[k] = (out[k] + term) % q
-            else:
-                out[k - n] = (out[k - n] - term) % q
-    return np.array([x % q for x in out], dtype=np.int64)

@@ -11,7 +11,7 @@ Galois automorphisms on evaluation-form data are a cached slot-index
 gather (no transforms), rescaling inverse-transforms only the dropped
 limb, and basis extension uses fast int64 conversion.  No operation
 here allocates an object-dtype (Python bigint) array except the
-explicitly ``*_reference`` / ``to_bigint_coeffs`` validation paths.
+explicit ``to_bigint_coeffs`` / ``from_bigint_coeffs`` conversions.
 """
 
 from __future__ import annotations
@@ -192,20 +192,6 @@ class RnsPolynomial:
         """
         data = self.basis.divide_round_last(self.data, self.primes, self.is_ntt)
         return RnsPolynomial(self.basis, self.primes[:-1], data, self.is_ntt)
-
-    def extend_primes_reference(self, new_primes) -> "RnsPolynomial":
-        """Exact big-integer basis extension (validation reference).
-
-        Reconstructs the centered integer value with the full CRT and
-        reduces modulo the new chain: the oracle the int64 fast
-        conversion :meth:`RnsBasis.convert_residues` is tested against.
-        Allocates object-dtype arrays; never used on the evaluator hot
-        path.
-        """
-        bigints = self.to_bigint_coeffs()
-        return RnsPolynomial.from_bigint_coeffs(
-            self.basis, tuple(new_primes), bigints, to_ntt=self.is_ntt
-        )
 
     def __repr__(self) -> str:
         form = "ntt" if self.is_ntt else "coeff"

@@ -21,10 +21,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference.bigint import extend_primes_reference
 from repro.backend import SimBackend, ToyBackend
 from repro.backend.costs import CostModel
 from repro.ckks.bootstrap import CkksBootstrapper
 from repro.ckks.ciphertext import Ciphertext
+from repro.ckks.context import HOISTED_SLAB
 from repro.ckks.params import bootstrap_parameters, toy_parameters
 from repro.core.packing.layouts import VectorLayout
 from repro.core.packing.matvec import build_linear_packing
@@ -86,7 +88,7 @@ def per_rotation_matvec_sum(bs, pairs, pt_scale, table):
             acc_c1 = (acc_c1 + pt.poly.data * in_cts[i].c1.data) % mod_q
             continue
         rot0, acc = ctx.rotate_hoisted_raw(in_cts[i], [k])[k]
-        pt_ext = pt.poly.extend_primes_reference(ks_chain).data
+        pt_ext = extend_primes_reference(pt.poly, ks_chain).data
         acc_ext = (acc_ext + pt_ext * acc) % mod_ks
         acc_c0 = (acc_c0 + pt.poly.data * rot0.data) % mod_q
     p0, p1 = ctx._ks_moddown(acc_ext, level)
@@ -241,6 +243,39 @@ class TestFusedGazelleFold:
             p0, p1 = ctx._ks_moddown(acc, level)
             assert np.array_equal(got.c0.data, (c0 + p0.data) % mod_q)
             assert np.array_equal(got.c1.data, (a.c1.data + p1.data) % mod_q)
+
+    def test_fold_across_slabs_equals_sequential_fold(self, fold_setup):
+        """A fold whose expansion spans several hoisted slabs (a single
+        output row: 7 folds, 127 rotations) is bit-identical to
+        per-rotation raw accumulators plus one mod-down, and decrypts to
+        the sequential fold t -> t + rot(t, shift)."""
+        backend = fold_setup[0]
+        ctx = backend.context
+        n = backend.slot_count
+        rng = np.random.default_rng(13)
+        row = rng.uniform(-1, 1, (1, n))
+        ct = backend.encode_encrypt(rng.uniform(0, 0.1, n))
+        deep = build_linear_packing(row, None, VectorLayout(n, n), name="row")
+        steps = deep._fold_expansion()
+        assert len(steps) > 2 * HOISTED_SLAB
+        got = backend.rotate_sum_hoisted(ct, steps)
+        level = ct.level
+        ks_chain = ctx._ks_chain(level)
+        mod_ks = ctx.basis.moduli_column(ks_chain)
+        mod_q = ctx.basis.moduli_column(ctx._data_chain(level))
+        acc = np.zeros((2, len(ks_chain), ctx.basis.ring_degree), dtype=np.int64)
+        c0 = ct.c0.data.copy()
+        for step, (rot0, raw) in ctx.rotate_hoisted_raw(ct, steps).items():
+            acc = (acc + raw) % mod_ks
+            c0 = (c0 + rot0.data) % mod_q
+        p0, p1 = ctx._ks_moddown(acc, level)
+        assert np.array_equal(got.c0.data, (c0 + p0.data) % mod_q)
+        assert np.array_equal(got.c1.data, (ct.c1.data + p1.data) % mod_q)
+        sequential = ct
+        for shift in deep.fold_shifts:
+            sequential = backend.add(sequential, backend.rotate(sequential, shift))
+        want = backend.decrypt(sequential)
+        assert np.abs(backend.decrypt(got) - want).max() < 2e-2 * max(1.0, np.abs(want).max())
 
     def test_fused_execute_matches_cleartext_in_both_fold_forms(self, fold_setup):
         """The cost model picks the fold form from (level, folds): the

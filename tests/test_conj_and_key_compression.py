@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference.bigint import extend_primes_reference
 from repro.backend import SimBackend, ToyBackend
 from repro.ckks.bootstrap import CkksBootstrapper
 from repro.ckks.galois import galois_offset_key
@@ -146,7 +147,7 @@ class TestSharedConjugation:
                     acc_c1 = (acc_c1 + pt.poly.data * raised.c1.data) % mod_q
                     continue
                 rot0, acc = ctx.rotate_hoisted_raw(raised, [off])[off]
-                pt_ext = pt.poly.extend_primes_reference(ks_chain).data
+                pt_ext = extend_primes_reference(pt.poly, ks_chain).data
                 acc_ext = (acc_ext + pt_ext * acc) % mod_ks
                 acc_c0 = (acc_c0 + pt.poly.data * rot0.data) % mod_q
             p0, p1 = ctx._ks_moddown(acc_ext, level)

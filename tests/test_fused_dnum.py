@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference.bigint import extend_primes_reference
 from repro.backend import ToyBackend
 from repro.backend.interface import FheBackend
 from repro.backend.sim import SimBackend
@@ -251,7 +252,7 @@ def reference_fused_matvec(backend, packed, in_cts, pt_scale):
                 b_i, a_i = pairs[digit]
                 t[0] = (t[0] + dig.data * ctx._restrict(b_i, ks_chain).data) % mod_ks
                 t[1] = (t[1] + dig.data * ctx._restrict(a_i, ks_chain).data) % mod_ks
-            pt_ext = pt.poly.extend_primes_reference(ks_chain)
+            pt_ext = extend_primes_reference(pt.poly, ks_chain)
             acc = (acc + pt_ext.data * t) % mod_ks
             c0 = c0 + pt.poly * in_cts[bi].c0.automorphism(exponent)
         if rotated:

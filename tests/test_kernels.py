@@ -6,12 +6,13 @@ Two layers:
   (:func:`repro.kernels.lazy_reduction_chunk`), including the headroom
   regression at the boundary chunk size;
 - bit-exactness of the stacked hot paths against independent naive
-  references: ``rotate_hoisted_raw`` (every key read in place from its
-  one resident tensor) vs a per-offset loop over natural-layout keys
-  (across ks_alpha values, partial digit groups, mixed int and
-  ``("conj", k)`` offsets, compressed keys at their level bound, and a
-  forced ``_max_chunk`` fallback), the grouped fused matvec and the
-  simulator's batched gathers.
+  references: ``rotate_hoisted_raw`` (the hoisted walk, every key read
+  in place from its one resident tensor) vs a per-offset loop over
+  natural-layout keys (across ks_alpha values, partial digit groups,
+  mixed int and ``("conj", k)`` offsets, walks of several slabs,
+  compressed keys at their level bound, and a forced ``_max_chunk``
+  fallback), the grouped fused matvec and the simulator's batched
+  gathers.
 
 There is one implementation of each kernel and nothing selects between
 them (docs/kernels.md); ``TestTelemetry`` pins that.
@@ -23,6 +24,7 @@ import pytest
 from repro import kernels
 from repro.backend import ToyBackend
 from repro.backend.sim import SimBackend
+from repro.ckks.context import HOISTED_SLAB
 from repro.ckks.galois import galois_offset_key
 from repro.ckks.params import toy_parameters
 from repro.ntt import galois_eval_permutation
@@ -185,7 +187,7 @@ def assert_raw_equal(got, want):
 
 
 # ---------------------------------------------------------------------------
-# Stacked rotate_hoisted_raw
+# rotate_hoisted_raw (the hoisted walk, every slab kept)
 # ---------------------------------------------------------------------------
 class TestStackedHoistedRaw:
     @pytest.mark.parametrize("level_drop", [0, 1, 2])
@@ -195,6 +197,8 @@ class TestStackedHoistedRaw:
             [1, 3, 7],
             [1, ("conj", 0), ("conj", 5)],
             [2, 5, ("conj", 2), 9, ("conj", 0)],
+            # Three slabs, the last one partial.
+            list(range(1, 2 * HOISTED_SLAB + 2)) + [("conj", 0), ("conj", 5)],
         ],
     )
     def test_bit_exact_vs_per_offset_loop(self, toy_backend, steps, level_drop):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ntt import NttContext, negacyclic_convolve_reference
+from reference.bigint import negacyclic_convolve_reference
+from repro.ntt import NttContext
 from repro.utils.primes import find_ntt_primes
 
 

@@ -2,21 +2,27 @@
 
 A fused matvec's weights are one read-only uint32 ``(T, ks_limbs, N)``
 table per ``(out block, in block)`` group — encoded directly over the
-key-switch chain, rows in the order the hoisted accumulator's offset
-axis has — contracted in place against the stacked hoisted pair.  These
-tests hold that path to a naive per-term reference bit for bit, the
-encode to the exact big-integer extension, the artifact's tables to the
-mapped file, and one warm call to a memory budget.
+key-switch chain, rows in the order the hoisted walk meets the offsets —
+contracted in place against each hoisted slab as it arrives.  These
+tests hold that path to a naive per-term reference bit for bit (groups
+spanning several slabs included), the encode to the exact big-integer
+extension, the artifact's tables to the mapped file, each input offset
+to one key-switch inner product, and one warm call's working set to a
+slab whatever the offset count.
 """
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from reference.bigint import extend_primes_reference
+from repro import kernels
 from repro.backend import ToyBackend
 from repro.backend.toy import fused_term_groups
+from repro.ckks.context import HOISTED_SLAB
 from repro.ckks.galois import galois_offset_key
 from repro.ckks.params import toy_parameters
 from repro.models import SecureMlp
@@ -36,10 +42,13 @@ def _backend(ring_degree=64, max_level=4, seed=3):
 
 
 def _terms(rng, slots, num_in, num_out):
-    """Diagonals for every (out, in) group: plain rotations, a
-    conjugation-composed offset and an ``off == 0`` term, with the
-    second out-block reading only a subset of its inputs' offsets."""
-    offsets = [0, 1, 2, 5, slots - 3, ("conj", 0), ("conj", 4)]
+    """Diagonals for every (out, in) group: every plain rotation, a run
+    of conjugation-composed offsets and an ``off == 0`` term — enough
+    that the first out-block's groups span more than two hoisted slabs,
+    with slab boundaries inside them — and a second out-block reading
+    only every other offset, so it takes a subset of each slab."""
+    offsets = [0] + list(range(1, slots)) + [("conj", k) for k in range(0, slots, 3)]
+    assert len(offsets) - 1 > 2 * HOISTED_SLAB
     terms = {}
     for bo in range(num_out):
         for bi in range(num_in):
@@ -71,7 +80,7 @@ def reference_per_term(backend, in_cts, terms, num_out, pt_scale):
                 c1 = (c1 + pt.data * in_cts[bi].c1.data) % mod_q
                 continue
             rot0, acc = ctx.rotate_hoisted_raw(in_cts[bi], [off])[off]
-            acc_ext = (acc_ext + pt.extend_primes_reference(ks_chain).data * acc) % mod_ks
+            acc_ext = (acc_ext + extend_primes_reference(pt, ks_chain).data * acc) % mod_ks
             c0 = (c0 + pt.data * rot0.data) % mod_q
         p0, p1 = ctx._ks_moddown(acc_ext, level)
         outs.append(((c0 + p0.data) % mod_q, (c1 + p1.data) % mod_q))
@@ -133,9 +142,21 @@ class TestStaticTables:
         groups = fused_term_groups(terms)
         assert groups == {(0, 0): [2, 7, ("conj", 1), 0], (1, 0): [2]}
         ct = backend.encode_encrypt(np.zeros(backend.slot_count))
-        order, _, _ = backend.context.rotate_hoisted_stacked(ct, groups[(0, 0)])
+        walk = backend.context.rotate_hoisted_slabs(ct, groups[(0, 0)])
+        order = [off for slab, _, _ in walk for off in slab]
         assert order == groups[(0, 0)][:-1]
         assert order == sorted(order, key=galois_offset_key)
+
+    def test_unreduced_offset_is_refused(self):
+        """Table rows follow the group's offsets as given, the walk the
+        offsets reduced mod the slot count: a row whose offset the walk
+        never meets is an error, not a product with another column."""
+        backend = _backend()
+        slots = backend.slot_count
+        terms = {(0, 0, off): np.full(slots, 0.1) for off in (1, -1)}
+        ct = backend.encode_encrypt(np.zeros(slots))
+        with pytest.raises(ValueError, match="not reduced"):
+            backend._matvec_fused_no_charge([ct], terms, 1, backend.params.scale)
 
     @pytest.mark.parametrize("level", [4, 1])
     def test_ks_chain_encode_equals_exact_extension(self, level):
@@ -155,7 +176,7 @@ class TestStaticTables:
         for row, vec in zip(table, vectors):
             poly = ctx.encode(vec, level=level, scale=scale).poly
             assert np.array_equal(row[: level + 1], poly.data)
-            assert np.array_equal(row, poly.extend_primes_reference(ks_chain).data)
+            assert np.array_equal(row, extend_primes_reference(poly, ks_chain).data)
 
     def test_a_table_multiplies_only_against_int64(self):
         """Why consumers never combine two static operands: the product
@@ -167,29 +188,73 @@ class TestStaticTables:
         assert (table * table).dtype == np.uint32
         assert not np.array_equal(table * table, wide * wide)
 
-    def test_warm_matvec_peak_memory(self):
-        """One warm fused matvec peaks at its hoisted accumulator plus
-        the equally large tensor it was gathered from (2.28x measured,
-        digit tensor and index included) — no restack of accumulators
-        or tables on top (3.02x when they were), no widened table."""
+    def test_each_input_offset_reaches_the_key_kernel_once(self, monkeypatch):
+        """One fused matvec computes each (input block, offset) inner
+        product exactly once — in slabs, whichever output blocks read
+        the offset."""
+        backend = _backend()
+        ctx = backend.context
+        rng = np.random.default_rng(7)
+        slots = backend.slot_count
+        terms = _terms(rng, slots, 2, 2)
+        cts = [backend.encode_encrypt(rng.normal(size=slots) * 0.1) for _ in range(2)]
+        pt_scale = Fraction(backend.params.data_primes[cts[0].level])
+        backend._matvec_fused_no_charge(cts, terms, 2, pt_scale)  # keys exist
+        level = cts[0].level
+        block_of = {
+            ctx._ks_decompose(ct.c1, level).tobytes(): bi for bi, ct in enumerate(cts)
+        }
+        offset_of = {
+            ctx.galois_offset_exponent(off): off for (_, _, off) in terms if off
+        }
+        calls = Counter()
+        slabs = []
+        real = kernels.ks_inner_stacked
+
+        def spy(digits, keys, *args):
+            bi = block_of[digits.tobytes()]
+            for view in keys:
+                (exponent,) = [
+                    e for e, key in ctx.keys.galois.items()
+                    if np.shares_memory(view, key.tensor)
+                ]
+                calls[(bi, offset_of[exponent])] += 1
+            slabs.append(len(keys))
+            return real(digits, keys, *args)
+
+        monkeypatch.setattr(kernels, "ks_inner_stacked", spy)
+        backend._matvec_fused_no_charge(cts, terms, 2, pt_scale)
+        wanted = {(bi, off) for (_, bi, off) in terms if off}
+        assert calls == Counter(dict.fromkeys(wanted, 1))
+        distinct = len(wanted) // 2  # both inputs hoist the same offsets
+        assert len(slabs) == 2 * -(-distinct // HOISTED_SLAB)
+        assert max(slabs) == HOISTED_SLAB
+
+    @staticmethod
+    def _warm_matvec_peak(num_offsets):
         backend = _backend(ring_degree=1024, max_level=4)
         rng = np.random.default_rng(0)
         slots = backend.slot_count
-        offsets = list(range(1, 25))
-        terms = {(0, 0, off): rng.normal(size=slots) * 0.1 for off in [0] + offsets}
+        offsets = [0] + list(range(1, num_offsets + 1))
+        terms = {(0, 0, off): rng.normal(size=slots) * 0.1 for off in offsets}
         ct = backend.encode_encrypt(rng.normal(size=slots) * 0.1)
         pt_scale = Fraction(backend.params.data_primes[ct.level])
         cache = {}
         backend._matvec_fused_no_charge([ct], terms, 1, pt_scale, pt_cache=cache)
-        acc_bytes = 2 * len(backend.context._ks_chain(ct.level)) * len(offsets) * 1024 * 8
         tracemalloc.start()
         try:
             backend._matvec_fused_no_charge([ct], terms, 1, pt_scale, pt_cache=cache)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * acc_bytes, (peak, acc_bytes)
 
+    def test_warm_matvec_working_set_is_one_slab(self):
+        """A warm fused matvec's peak does not grow with its offset
+        count: 4x the offsets stay within a small constant of the
+        smaller peak (the whole (2, K, O, N) accumulator and its
+        gathered copy made it ~4x)."""
+        small, large = self._warm_matvec_peak(24), self._warm_matvec_peak(96)
+        assert large < 1.2 * small, (small, large)
 
 @pytest.fixture(scope="module")
 def mapped_artifact(tmp_path_factory):
