@@ -27,8 +27,10 @@ operation allocates object-dtype (bigint) arrays.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +63,27 @@ __all__ = ["CkksContext", "HOISTED_SLAB", "galois_offset_key"]
 #: operands"): 4 to 16 run a 128-offset matvec equally fast, 1 or 2 lose
 #: to per-call overhead, and each doubling from 4 adds a few MB of peak.
 HOISTED_SLAB = 8
+
+
+def _fill_workers() -> int:
+    """How many switching keys may fill at once: the CPUs this process
+    may run on (its affinity mask — ``taskset``, cpusets), 1 where the
+    platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _KeyPlan(NamedTuple):
+    """A fresh switching key, sized and validated before any draw."""
+
+    to_key: RnsPolynomial
+    from_key: Optional[RnsPolynomial]  # None: sigma_exponent(to_key)
+    exponent: int
+    max_level: Optional[int]  # None: full chain
+    chain: Tuple[int, ...]  # special primes first
+    num_data: int
+    num_digits: int
 
 
 class CkksContext:
@@ -105,11 +128,18 @@ class CkksContext:
         return RnsPolynomial(self.basis, primes, np.stack(rows), is_ntt=True)
 
     def _noise_poly(self, primes) -> RnsPolynomial:
-        n = self.params.ring_degree
-        noise = self.rng.gaussian(self.params.sigma, n)
-        data = noise[None, :] % self.basis.moduli_column(primes)
-        poly = RnsPolynomial(self.basis, primes, data, is_ntt=False)
-        return poly.to_ntt()
+        return self._lift_noise(
+            self.rng.gaussian(self.params.sigma, self.params.ring_degree), primes
+        )
+
+    def _lift_noise(self, noise: np.ndarray, primes) -> RnsPolynomial:
+        """A drawn noise vector as an evaluation-form polynomial.  The
+        forward NTT takes the small signed coefficients as they are (its
+        twist multiply reduces them into ``(-q, q)`` and its output is
+        canonical), so no per-limb reduction runs first."""
+        rows = np.broadcast_to(noise, (len(primes), noise.size))
+        data = self.basis.forward_chain(rows, primes)
+        return RnsPolynomial(self.basis, primes, data, is_ntt=True)
 
     def _generate_keys(self) -> KeyChain:
         n = self.params.ring_degree
@@ -151,7 +181,59 @@ class CkksContext:
         max_level: Optional[int] = None,
         exponent: int = 1,
     ) -> SwitchingKey:
-        """Hybrid switching key encrypting P*g_i*from_key per digit i.
+        """One switching key from ``from_key`` to ``to_key``, drawn and
+        filled on the calling thread (the relin key; rotation keys come
+        from :meth:`_generate_galois_keys`, through the same halves)."""
+        plan = self._plan_switching_key(to_key, max_level, exponent, from_key)
+        return self._fill_switching_key(plan, *self._draw_switching_key(plan))
+
+    def _plan_switching_key(
+        self,
+        to_key: RnsPolynomial,
+        max_level: Optional[int],
+        exponent: int,
+        from_key: Optional[RnsPolynomial] = None,
+    ) -> _KeyPlan:
+        """Size a fresh key, refusing one that cannot be stored — before
+        any randomness is drawn, so a refused key leaves the rng as it
+        was.  ``max_level`` at or above the top level is the full chain."""
+        if max_level is None or max_level >= self.params.max_level:
+            max_level = None
+            num_data = self.params.max_level + 1
+        else:
+            num_data = max_level + 1
+        chain = key_chain_primes(self.basis, self.params.num_special_primes + num_data)
+        if max(chain) >= 2**32:
+            raise ValueError(
+                f"prime {max(chain)} does not fit the 32-bit residues a "
+                "switching key stores"
+            )
+        num_digits = self._ks_num_digits(num_data - 1)
+        return _KeyPlan(to_key, from_key, exponent, max_level, chain, num_data, num_digits)
+
+    def _draw_switching_key(self, plan: _KeyPlan):
+        """The draw half: everything a key takes from the context rng —
+        its 32-byte PRG seed, then one noise vector per digit, the order
+        keygen has always drawn in — and the tensor the fill writes.
+
+        Runs on the calling thread, so the rng stream never depends on
+        which thread fills.  The tensor is allocated here too: a key
+        allocated on a fill thread lands in that thread's malloc arena,
+        which stays resident after the thread is gone.
+        """
+        n = self.params.ring_degree
+        seed = self.rng.bytes(KEY_PRG_SEED_BYTES)
+        noise = [self.rng.gaussian(self.params.sigma, n) for _ in range(plan.num_digits)]
+        tensor = np.empty((2, plan.num_digits, len(plan.chain), n), dtype=np.uint32)
+        return seed, noise, tensor
+
+    def _fill_switching_key(
+        self, plan: _KeyPlan, seed: bytes, noise, tensor: np.ndarray
+    ) -> SwitchingKey:
+        """The fill half: the hybrid switching key encrypting
+        P*g_i*from_key per digit i, written into ``tensor``.  Reads the
+        context and the draws only, so fills of distinct keys may run on
+        any threads at once.
 
         Digit i covers the ks_alpha data limbs [i*alpha, (i+1)*alpha).
         The gadget g_i = P * Q-hat_i * [Q-hat_i^{-1}]_{Q_i} (with
@@ -160,57 +242,143 @@ class CkksContext:
         including the special limbs, since P | g_i — so no big-integer
         work is needed regardless of the grouping.
 
-        ``max_level`` generates a *compressed* key: rows live on the
-        key-switch chain of that level only — ``dnum(max_level)`` digits
-        over ``max_level + 1`` data limbs plus the special basis —
+        A bounded ``plan.max_level`` makes a *compressed* key: rows live
+        on the key-switch chain of that level only — ``dnum(max_level)``
+        digits over ``max_level + 1`` data limbs plus the special basis —
         instead of the full chain.  A compressed key serves any key
         switch at ``level <= max_level`` (every level reads a prefix
         view either way) and shrinks storage by the dropped digits *and*
         the dropped limbs per digit.
 
-        ``exponent`` is the Galois element whose rotated secret
-        ``from_key`` is (1 for the relin key).  Rows are computed over
+        ``plan.exponent`` is the Galois element whose rotated secret
+        ``from_key`` is (1 for the relin key; a plan without a
+        ``from_key`` rotates ``to_key`` here).  Rows are computed over
         the key's own special-first chain and written through the
         inverse permutation straight into the one resident uint32 tensor
         (:class:`repro.ckks.keys.SwitchingKey`); the uniform ``a_i``
-        rows expand from a 32-byte seed drawn here from the context rng,
-        so persistent storage needs only the ``b_i`` rows plus the seed.
+        rows expand from the drawn 32-byte seed, so persistent storage
+        needs only the ``b_i`` rows plus the seed.
         """
-        if max_level is None or max_level >= self.params.max_level:
-            max_level = None
-            num_data = self.params.max_level + 1
-        else:
-            num_data = max_level + 1
+        chain = plan.chain
         ns = self.params.num_special_primes
         alpha = self.params.ks_alpha
-        num_digits = self._ks_num_digits(num_data - 1)
-        chain = key_chain_primes(self.basis, ns + num_data)
-        if max(chain) >= 2**32:
-            raise ValueError(
-                f"prime {max(chain)} does not fit the 32-bit residues a "
-                "switching key stores"
-            )
-        seed = self.rng.bytes(KEY_PRG_SEED_BYTES)
-        tensor = np.empty(
-            (2, num_digits, len(chain), self.params.ring_degree), dtype=np.uint32
-        )
-        order = key_slot_order(self.basis, exponent)
+        to_key = self._restrict(plan.to_key, chain)
+        if plan.from_key is None:
+            from_key = to_key.automorphism(plan.exponent)
+        else:
+            from_key = self._restrict(plan.from_key, chain)
+        s_from, s_to = from_key.data, to_key.data
+        order = key_slot_order(self.basis, plan.exponent)
         mod_col = self.basis.moduli_column(chain)
-        s_from = self._restrict(from_key, chain).data
-        s_to = self._restrict(to_key, chain).data
         special = self.basis.special_modulus()
         gadget = np.array([[special % q] for q in chain], dtype=np.int64)
-        for digit in range(num_digits):
+        for digit, e_i in enumerate(noise):
             a_i = expand_a_half(seed, digit, self.basis, chain).data
-            own = slice(ns + digit * alpha, ns + min((digit + 1) * alpha, num_data))
+            own = slice(ns + digit * alpha, ns + min((digit + 1) * alpha, plan.num_data))
             # b_i = e_i - a_i*s + g_i*s'; |.| < 2 q^2 < 2^63 for the
             # < 2^31 primes the exact backend admits, so ONE reduction.
-            b_i = self._noise_poly(chain).data - a_i * s_to
+            b_i = self._lift_noise(e_i, chain).data
+            b_i -= a_i * s_to
             b_i[own] += gadget[own] * s_from[own]
             b_i %= mod_col
             tensor[0, digit] = np.take(b_i, order, axis=-1)
             tensor[1, digit] = np.take(a_i, order, axis=-1)
-        return SwitchingKey(tensor, self.basis, exponent, max_level, seed)
+        return SwitchingKey(tensor, self.basis, plan.exponent, plan.max_level, seed)
+
+    def _plan_galois_keys(self, requests) -> List[Tuple[int, object]]:
+        """What ``(exponent, bound)`` requests need, in request order.
+
+        ``bound`` is the highest level the key must serve (``None`` or
+        the top level: full chain).  Each request is judged against the
+        keys held *after the requests before it*: a full-chain key
+        covers a full-chain request and is restricted (bit-preserving,
+        :meth:`_restrict_switching_key`) to a compressed one; a
+        compressed key at a bound at least as high covers a compressed
+        request; anything else — no key, or a narrower compressed key a
+        wider request outgrows — is generated fresh at the request's
+        bound.  Returns ``(exponent, job)`` per restricted or fresh key:
+        the bound to restrict to, or the fresh key's :class:`_KeyPlan`.
+        """
+        two_n = 2 * self.params.ring_degree
+        top = self.params.max_level
+        covered: Dict[int, int] = {}  # highest level each exponent's key serves
+        actions = []
+        for exponent, bound in requests:
+            exponent %= two_n
+            bound = top if bound is None else min(int(bound), top)
+            if exponent not in covered:
+                key = self.keys.galois.get(exponent)
+                covered[exponent] = (
+                    -1 if key is None else top if key.max_level is None else key.max_level
+                )
+            held = covered[exponent]
+            if held == top:
+                if bound == top:
+                    continue
+                job = bound
+            elif bound <= held:
+                continue
+            else:
+                job = self._plan_switching_key(
+                    self.keys.secret, None if bound == top else bound, exponent
+                )
+            actions.append((exponent, job))
+            covered[exponent] = bound
+        return actions
+
+    def _generate_galois_keys(self, requests) -> None:
+        """Make ``keys.galois`` cover every ``(exponent, bound)`` request
+        (:meth:`_plan_galois_keys`) — the one place rotation keys are
+        generated, restricted or replaced.
+
+        Every request is planned first, so a key that cannot be stored
+        refuses the call before any draw.  Fresh keys are then drawn on
+        this thread in request order and filled on a thread pool sized
+        to the CPUs the process may run on, at most ``2 x workers`` keys
+        ahead of installation, and installed in request order: the rng
+        stream, every key and the order of ``keys.galois`` are those of
+        generating the keys one at a time.  The pool is created and
+        joined inside the call — one surviving into ``fork()`` once
+        deadlocked the process-mode serving pool (docs/kernels.md) —
+        and with one CPU or one fresh key the fills run inline.  A fill
+        that raises propagates once the keys before it are installed;
+        its own key never is.
+        """
+        actions = self._plan_galois_keys(requests)
+        workers = min(_fill_workers(), sum(isinstance(j, _KeyPlan) for _, j in actions))
+        pool, ahead = None, 0
+        if workers > 1:
+            # Imported here: a process that never fills keys on a pool
+            # (an analyze-mode compile) does not carry the module.
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool, ahead = ThreadPoolExecutor(workers), 2 * workers
+        window = deque()
+        try:
+            for exponent, job in actions:
+                if isinstance(job, _KeyPlan):
+                    draw = self._draw_switching_key(job)
+                    if pool is None:
+                        job = self._fill_switching_key(job, *draw)
+                    else:
+                        job = pool.submit(self._fill_switching_key, job, *draw)
+                window.append((exponent, job))
+                if len(window) > ahead:
+                    self._install_galois_key(*window.popleft())
+            for exponent, job in window:
+                self._install_galois_key(exponent, job)
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+    def _install_galois_key(self, exponent: int, job) -> None:
+        """Store one planned key: the held key restricted to a bound
+        (an int), a filled key, or a pool fill's result."""
+        if isinstance(job, int):
+            job = self._restrict_switching_key(self.keys.galois[exponent], job)
+        elif not isinstance(job, SwitchingKey):
+            job = job.result()
+        self.keys.galois[exponent] = job
 
     def galois_key(
         self, exponent: int, max_level: Optional[int] = None
@@ -229,11 +397,8 @@ class CkksContext:
         need = self.params.max_level if max_level is None else max_level
         key = self.keys.galois.get(exponent)
         if key is None or not key.covers(need):
-            rotated_secret = self.keys.secret.automorphism(exponent)
-            key = self._make_switching_key(
-                rotated_secret, self.keys.secret, exponent=exponent
-            )
-            self.keys.galois[exponent] = key
+            self._generate_galois_keys([(exponent, None)])
+            key = self.keys.galois[exponent]
         return key
 
     def generate_compressed_galois_key(
@@ -253,23 +418,8 @@ class CkksContext:
         ask per use site, and the widest recorded bound must survive).
         """
         exponent %= 2 * self.params.ring_degree
-        if max_level >= self.params.max_level:
-            return self.galois_key(exponent)
-        key = self.keys.galois.get(exponent)
-        if key is not None and key.max_level is not None and key.covers(max_level):
-            return key
-        if key is not None and key.covers(max_level):
-            # Full-chain key cached: restriction is bit-preserving.
-            key = self._restrict_switching_key(key, max_level)
-        else:
-            # No key yet — or a *narrower* compressed key that a second
-            # program now outgrows: generate fresh at the wider bound.
-            rotated_secret = self.keys.secret.automorphism(exponent)
-            key = self._make_switching_key(
-                rotated_secret, self.keys.secret, max_level, exponent
-            )
-        self.keys.galois[exponent] = key
-        return key
+        self._generate_galois_keys([(exponent, max_level)])
+        return self.keys.galois[exponent]
 
     def _restrict_switching_key(
         self, key: SwitchingKey, max_level: int
@@ -306,15 +456,17 @@ class CkksContext:
         ``levels`` optionally maps a step to the highest level it is
         used at (:meth:`repro.core.program.FheProgram.required_rotation_step_levels`);
         steps present in the map get compressed keys bounded at that
-        level, the rest get full-chain keys.
+        level, the rest get full-chain keys.  The fresh keys are filled
+        on every CPU the process may use and come out byte-identical to
+        generating them one at a time (:meth:`_generate_galois_keys`).
         """
-        for step in steps:
-            exponent = self.encoder.rotation_exponent(step)
-            bound = None if levels is None else levels.get(step)
-            if bound is not None and bound < self.params.max_level:
-                self.generate_compressed_galois_key(exponent, bound)
-            else:
-                self.galois_key(exponent)
+        self._generate_galois_keys(
+            (
+                self.encoder.rotation_exponent(step),
+                None if levels is None else levels.get(step),
+            )
+            for step in steps
+        )
 
     # ------------------------------------------------------------------
     # Encoding and encryption

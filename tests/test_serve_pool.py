@@ -24,6 +24,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -43,7 +44,11 @@ from repro.serve import (
     WorkerLostError,
     is_mmap_backed,
 )
-from repro.serve.keys import backend_key_bytes, default_backend_factory
+from repro.serve.keys import (
+    backend_key_bytes,
+    default_backend_factory,
+    generate_lane_keys,
+)
 from repro.serve.pool import Dispatcher, Worker, WorkerProfile, verify_mmap_tables
 from repro.serve.runtime import InferenceServer, ServeResult
 
@@ -683,14 +688,25 @@ class TestProcessMode:
             )
         )
 
-    def test_fork_after_kernels_ran_in_the_parent(self, artifact_path):
-        """The parent has already run a hoisted rotation and an NTT when
-        the pool forks.  A kernel thread pool in the parent used to
-        deadlock the child here; the kernels hold no threads now."""
+    def test_fork_after_kernels_ran_in_the_parent(self, artifact_path, monkeypatch):
+        """The parent has already run a hoisted rotation, an NTT and a
+        lane's keygen on the fill pool when the pool forks.  A kernel
+        thread pool in the parent used to deadlock the child here; the
+        kernels hold no threads, and keygen joins its pool before
+        returning."""
         backend = default_backend_factory(_params(), 0)
         ct = backend.encode_encrypt(np.linspace(-1, 1, backend.slot_count))
         backend.rotate_hoisted(ct, [1, 2, 3])
         ct.c0.to_coeff()  # an inverse NTT over the whole chain
+        artifact = ArtifactMap(artifact_path).load()
+        lane = default_backend_factory(artifact.manifest.to_params(), 0)
+        threads = threading.active_count()
+        # Two fill workers even on a one-CPU runner.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        generate_lane_keys(lane, artifact.program)
+        monkeypatch.undo()
+        assert len(lane.context.keys.galois) > 2
+        assert threading.active_count() == threads
         config = _pool_config(workers=1, mode="process")
         image = _images(1)[0]
         with serve.open(artifact_path, config) as server:
