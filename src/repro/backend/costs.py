@@ -17,7 +17,8 @@ every benchmark reports shapes and ratios, not wall-clock claims.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 from repro.ckks.params import CkksParameters
 
@@ -74,6 +75,10 @@ class CostModel:
     c_boot_base: float = 0.5
     c_boot_quad: float = 2.5e-3
     c_encode: float = 2.0e-3
+    # fused_fold_depth per level, filled on first use.
+    _fold_depths: Dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- helpers ---------------------------------------------------------
     @property
@@ -186,20 +191,12 @@ class CostModel:
         ) * self._unit
 
     # -- aggregated helpers for the packing planner -----------------------
-    def fused_fold_cheaper(self, level: int, num_folds: int) -> bool:
-        """Whether the fused Gazelle fold beats the sequential one.
-
-        The sequential rotate-and-sum fold pays ``num_folds`` full key
-        switches on successively accumulated ciphertexts (they cannot be
-        hoisted: each rotation acts on a *different* ciphertext).  The
-        fused fold expands the composition into ``2^num_folds - 1``
-        rotations of the *original* accumulator — all sharing one digit
-        decomposition and one deferred mod-down — trading per-rotation
-        decompose/mod-down work for extra inner products.  For the
-        shallow folds real layers produce the expansion wins; very deep
-        folds (tiny outputs in huge ciphertexts) can tip the other way,
-        so both the executor and the price model pick the cheaper form.
-        """
+    def _fold_prices(self, level: int, num_folds: int) -> Tuple[float, float]:
+        """``(expanded, sequential)`` price of a ``num_folds``-deep
+        Gazelle rotate-and-sum fold: ``num_folds`` full key switches on
+        successively accumulated ciphertexts, or ``2^num_folds - 1``
+        rotations of the *original* accumulator sharing one digit
+        decomposition and one deferred mod-down."""
         expanded = (1 << num_folds) - 1
         fused = (
             self.ks_decompose(level)
@@ -208,37 +205,44 @@ class CostModel:
             + expanded * self.hadd(level)
         )
         sequential = num_folds * (self.hrot(level) + self.hadd(level))
+        return fused, sequential
+
+    def fused_fold_cheaper(self, level: int, num_folds: int) -> bool:
+        """Whether the expanded fold is no dearer than the sequential one."""
+        fused, sequential = self._fold_prices(level, num_folds)
         return fused <= sequential
 
-    def fold_cost(
-        self, level: int, num_folds: int, num_out: int = 1, hoisting: str = "fused"
-    ) -> float:
-        """Price of the post-matvec Gazelle rotate-and-sum folds.
+    def fused_fold_depth(self, level: int) -> int:
+        """Deepest fold ladder that runs expanded at ``level``.
 
-        The non-fused (analytic-only) modes price them as plain
-        rotations + additions; the fused mode uses whichever of the
-        sequential and expanded (hoisted, deferred-mod-down) forms is
-        cheaper, mirroring :meth:`repro.core.packing.matvec.PackedMatVec`
-        execution.
+        The expanded price grows as ``2^k`` in the fold count ``k``, the
+        sequential one linearly, so :meth:`fused_fold_cheaper` holds
+        exactly for ``k <=`` this depth (at most log2 of the slot count,
+        the deepest fold there is).  The compiler stores it per linear
+        layer (``PackedMatVec.fused_folds``); :meth:`fold_cost` and the
+        attention trees read it too.
+        """
+        depth = self._fold_depths.get(level)
+        if depth is None:
+            depth, deepest = 0, self.params.slot_count.bit_length() - 1
+            while depth < deepest and self.fused_fold_cheaper(level, depth + 1):
+                depth += 1
+            self._fold_depths[level] = depth
+        return depth
+
+    def fold_cost(self, level: int, num_folds: int, num_out: int = 1) -> float:
+        """Price of the post-matvec Gazelle rotate-and-sum folds, in the
+        form :meth:`fused_fold_depth` picks.
 
         Priced at the matvec's *input* level (like every other term of
-        :meth:`matvec_cost`); the executor makes its sequential-vs-fused
-        choice at the same level so the model and the executed form
-        agree, even though the fold itself runs one level lower (after
-        the rescale).
+        :meth:`matvec_cost`), where the compiler fixes the fold form,
+        even though the fold itself runs one level lower.
         """
         if num_folds <= 0:
             return 0.0
-        sequential = num_folds * (self.hrot(level) + self.hadd(level))
-        if hoisting == "fused" and self.fused_fold_cheaper(level, num_folds):
-            expanded = (1 << num_folds) - 1
-            return num_out * (
-                self.ks_decompose(level)
-                + expanded * self.ks_inner_fused(level)
-                + self.ks_moddown(level)
-                + expanded * self.hadd(level)
-            )
-        return num_out * sequential
+        fused, sequential = self._fold_prices(level, num_folds)
+        expanded = num_folds <= self.fused_fold_depth(level)
+        return num_out * (fused if expanded else sequential)
 
     def matvec_fused_rotations(
         self, level: int, num_offsets: int, num_in: int = 1, num_out: int = 1

@@ -53,7 +53,7 @@ def rotate_sum(backend, ct, width: int):
     if width & (width - 1):
         raise ValueError("rotate_sum needs a power-of-two width")
     num_folds = int(math.log2(width)) if width > 1 else 0
-    if num_folds and backend.costs.fused_fold_cheaper(backend.level_of(ct), num_folds):
+    if 0 < num_folds <= backend.costs.fused_fold_depth(backend.level_of(ct)):
         return backend.rotate_sum_hoisted(
             ct, range(1, width), charged_rotations=num_folds
         )
@@ -75,7 +75,7 @@ def broadcast_slot0(backend, ct):
     """
     n = backend.slot_count
     num_folds = int(math.log2(n)) if n > 1 else 0
-    if num_folds and backend.costs.fused_fold_cheaper(backend.level_of(ct), num_folds):
+    if 0 < num_folds <= backend.costs.fused_fold_depth(backend.level_of(ct)):
         return backend.rotate_sum_hoisted(
             ct, range(1, n), charged_rotations=num_folds
         )

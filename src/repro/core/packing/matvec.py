@@ -25,8 +25,9 @@ output block replaces the per-rotation mod-downs
 exactly as that path multiplies it — un-rotated — and the BSGS plan is
 kept purely as the paper's "# Rots" accounting (baby + giant counts).
 
-The Gazelle rotate-and-sum folds ride the same primitive when the cost
-model prices it cheaper (``CostModel.fused_fold_cheaper``): instead of
+The Gazelle rotate-and-sum folds ride the same primitive when the
+compiler fixed that form (``fused_folds``, from
+``CostModel.fused_fold_depth`` at the layer's level): instead of
 log2(n/m2) sequential key switches on successively accumulated
 ciphertexts, the fold composition is expanded into rotations of the
 original accumulator by every subset sum of the shifts and executed via
@@ -78,6 +79,9 @@ class PackedMatVec:
             only — execution never splits an offset).
         fold_shifts: rotate-and-sum shifts applied after accumulation
             (Gazelle hybrid; empty for the standard path).
+        fused_folds: the compiled fold form: a view (this layer or a
+            batched one) with at most this many ``fold_shifts`` folds
+            expanded, a deeper one sequentially (0, the default, always).
         bias_vecs: optional per-output-block bias slot vectors.
         out_layout: layout of the produced tensor.
         name: label for ledger phases.
@@ -90,6 +94,7 @@ class PackedMatVec:
     plan: BsgsPlan
     out_layout: object
     fold_shifts: Tuple[int, ...] = ()
+    fused_folds: int = 0
     bias_vecs: Optional[List[np.ndarray]] = None
     name: str = "linear"
     # Weight/bias/zero plaintexts are static; encode once per (backend,
@@ -97,9 +102,6 @@ class PackedMatVec:
     _pt_cache: WeakKeyDictionary = field(
         default_factory=WeakKeyDictionary, repr=False, compare=False
     )
-    # Cached subset-sum expansion of fold_shifts ("unset" = not yet
-    # computed; None = subset sums collide, keep the sequential fold).
-    _fold_steps: object = field(default="unset", repr=False, compare=False)
     # Batched (block-replicated) views for serve-time slot batching,
     # keyed by batch size (built lazily, shared across executions).
     _batched: Dict = field(default_factory=dict, repr=False, compare=False)
@@ -115,22 +117,38 @@ class PackedMatVec:
             self.out_layout, self.slots, n1=self.plan.n1,
         )
 
-    def required_rotation_steps(self) -> Tuple[int, ...]:
-        """Every rotation step executing this layer can ask the backend
-        for — the layer's contribution to an artifact's key manifest
-        (docs/serving.md).
+    @cached_property
+    def fold_expansion(self) -> List[int]:
+        """Composite rotation steps equivalent to the sequential fold.
 
-        Covers the diagonal offsets (each rotates the input directly)
-        and both fold forms (sequential shifts and their subset-sum
-        expansion: which one runs depends on the execution level, which
-        this query does not know).  Identity rotations are never
-        required.
+        ``t -> t + rot(t, s)`` applied over ``fold_shifts`` equals
+        ``sum_S rot(t0, sum(S))`` over every subset S of the shifts; for
+        the power-of-two shift ladders the builders emit the subset sums
+        are distinct, and the nonzero ones all rotate the *original*
+        accumulator, so one decomposition is shared.  Computed once (the
+        expansion is O(2^folds) entries).
+        """
+        sums = [0]
+        for shift in self.fold_shifts:
+            sums = sums + [(s + shift) % self.slots for s in sums]
+        return sorted(s for s in sums if s)
+
+    def folds_expanded(self) -> bool:
+        """Whether this layer's fold runs in the expanded form."""
+        return 0 < len(self.fold_shifts) <= self.fused_folds
+
+    def required_rotation_steps(self) -> Tuple[int, ...]:
+        """Exactly the rotation steps executing this layer asks the
+        backend for — the layer's contribution to an artifact's key
+        manifest (docs/serving.md): the diagonal offsets (each rotates
+        the input directly) and the fold in its compiled form.  Identity
+        rotations are never required.
         """
         steps = {off % self.slots for dmap in self.diags.values() for off in dmap}
-        steps.update(s % self.slots for s in self.fold_shifts)
-        expansion = self._fold_expansion()
-        if expansion:
-            steps.update(expansion)
+        if self.folds_expanded():
+            steps.update(self.fold_expansion)
+        else:
+            steps.update(s % self.slots for s in self.fold_shifts)
         return tuple(sorted(steps - {0}))
 
     def batched(self, batch: int) -> "PackedMatVec":
@@ -228,6 +246,7 @@ class PackedMatVec:
             plan=plan_bsgs(sorted(acc), n),
             out_layout=BlockReplicatedLayout(self.out_layout, batch, n),
             fold_shifts=tuple(s for s in self.fold_shifts if s < block),
+            fused_folds=self.fused_folds,
             bias_vecs=bias_vecs,
             name=f"{self.name}@x{batch}",
         )
@@ -244,50 +263,13 @@ class PackedMatVec:
             for offset, vec in dmap.items()
         }
 
-    def _fold_expansion(self) -> Optional[List[int]]:
-        """Composite rotation steps equivalent to the sequential fold.
-
-        ``t -> t + rot(t, s)`` applied over ``fold_shifts`` equals
-        ``sum_S rot(t0, sum(S))`` over every subset S of the shifts.
-        For the power-of-two shift ladders the builders emit, the subset
-        sums are distinct — the nonzero ones are returned, all rotating
-        the *original* accumulator so one decomposition is shared.
-        Returns ``None`` when subset sums collide (multiplicities would
-        be needed); callers then keep the sequential fold.  Computed
-        once and cached (the expansion is O(2^folds) entries).
-        """
-        if self._fold_steps == "unset":
-            sums = [0]
-            for shift in self.fold_shifts:
-                sums = sums + [(s + shift) % self.slots for s in sums]
-            if len(set(sums)) != len(sums):
-                self._fold_steps = None
-            else:
-                self._fold_steps = sorted(s for s in sums if s)
-        return self._fold_steps
-
-    def _apply_folds(self, backend, total, level: int):
-        """Run the Gazelle rotate-and-sum fold on one output block.
-
-        Takes the fused expanded form (one shared decomposition, one
-        deferred mod-down via ``backend.rotate_sum_hoisted``) when the
-        cost model says the expansion is cheaper; otherwise the classic
-        log-depth sequential fold.
-
-        ``level`` is the matvec's *input* level — the same level
-        ``CostModel.fold_cost`` prices the folds at — so the executed
-        form always matches the planner's model even though the fold
-        itself runs one level lower (after the rescale).  The cheapness
-        check runs before the O(2^folds) expansion is built.
-        """
-        if not self.fold_shifts:
-            return total
-        if backend.costs.fused_fold_cheaper(level, len(self.fold_shifts)):
-            steps = self._fold_expansion()
-            if steps is not None:
-                return backend.rotate_sum_hoisted(
-                    total, steps, charged_rotations=len(self.fold_shifts)
-                )
+    def _apply_folds(self, backend, total):
+        """Fold one output block in the compiled form (expanded or
+        the classic log-depth sequential fold)."""
+        if self.folds_expanded():
+            return backend.rotate_sum_hoisted(
+                total, self.fold_expansion, charged_rotations=len(self.fold_shifts)
+            )
         for shift in self.fold_shifts:
             total = backend.add(total, backend.rotate(total, shift))
         return total
@@ -335,7 +317,7 @@ class PackedMatVec:
                     per_backend[("zero",) + cache_fp] = zero_pt
                 total = backend.mul_plain(in_cts[0], zero_pt)
             total = backend.rescale(total)
-            total = self._apply_folds(backend, total, level)
+            total = self._apply_folds(backend, total)
             if self.bias_vecs is not None:
                 out_level = backend.level_of(total)
                 out_scale = backend.scale_of(total)
@@ -376,6 +358,7 @@ class PackedMatVec:
                 "giants": list(self.plan.giants),
             },
             "fold_shifts": list(self.fold_shifts),
+            "fused_folds": self.fused_folds,
             "out_layout": layout_payload(self.out_layout),
             "bias": None
             if self.bias_vecs is None
@@ -409,6 +392,7 @@ class PackedMatVec:
             plan=plan,
             out_layout=layout_from_payload(payload["out_layout"]),
             fold_shifts=tuple(payload["fold_shifts"]),
+            fused_folds=payload["fused_folds"],
             bias_vecs=bias_vecs,
             name=payload["name"],
         )
@@ -491,9 +475,9 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
     of the identical float products in the identical
     (insertion-preserved) order.
 
-    Requires identical slot counts, input block counts, and fold shifts
-    (``fold_shifts`` run per output block, so equal shift ladders fold
-    each stacked block exactly as the separate layers did).
+    Requires identical slot counts, input block counts, fold shifts and
+    fold forms (``fold_shifts`` run per output block, so equal shift
+    ladders fold each stacked block exactly as the separate layers did).
     """
     if len(packeds) < 2:
         raise ValueError("need at least two layers to merge")
@@ -505,6 +489,8 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
             raise ValueError("merged layers must read the same input blocks")
         if p.fold_shifts != first.fold_shifts:
             raise ValueError("merged layers must share fold shifts")
+        if p.fused_folds != first.fused_folds:
+            raise ValueError("merged layers must share the fold form")
     union_offsets = sorted(
         {off for p in packeds for dmap in p.diags.values() for off in dmap}
     )
@@ -532,6 +518,7 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
             parts=tuple(p.out_layout for p in packeds), slots=first.slots
         ),
         fold_shifts=first.fold_shifts,
+        fused_folds=first.fused_folds,
         bias_vecs=bias_vecs,
         name=name,
     )

@@ -505,13 +505,15 @@ class FheProgram:
         are excluded: the oracle refresh rotates nothing, and a real
         pipeline owns its own transform keys.
 
-        Every rotation a linear layer performs — BSGS babies, folded
-        giants, Gazelle fold expansions — key-switches at that layer's
-        ``exec_level`` (folds run one level *lower*, after the rescale,
-        so ``exec_level`` bounds them too).  The per-step maximum is the
-        level bound key generators need to emit *compressed* switching
-        keys (:class:`repro.ckks.keys.SwitchingKey`): only the digits
-        and limbs any key switch at ``level <= bound`` consumes.
+        Exactly the steps an inference of each view rotates by (a
+        layer's fold form is compiled, ``PackedMatVec.fused_folds``).
+        A linear layer's rotations — diagonal offsets and its fold —
+        key-switch at its ``exec_level`` (folds run one level *lower*,
+        after the rescale, so ``exec_level`` bounds them too).  The
+        per-step maximum is the level bound key generators need to emit
+        *compressed* switching keys (:class:`repro.ckks.keys.
+        SwitchingKey`): only the digits and limbs any key switch at
+        ``level <= bound`` consumes.
         """
         levels: Dict[int, int] = {}
 

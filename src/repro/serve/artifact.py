@@ -70,7 +70,10 @@ from repro.serve.grouping import artifact_parameters, fused_tables
 # the fused matvec reads — where version 4 stored it pre-rolled by its
 # BSGS giant step.  Same shapes and dtypes, different meaning, so a
 # version-4 file must be re-exported rather than silently mis-multiplied.
-SCHEMA_VERSION = 5
+#
+# Version 6: every packed linear layer carries its compiled fold form
+# (``fused_folds``); a version-5 file has none and must be re-exported.
+SCHEMA_VERSION = 6
 FORMAT_NAME = "repro-serving-artifact"
 FINGERPRINT_BYTES = 16
 

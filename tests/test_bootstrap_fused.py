@@ -16,6 +16,7 @@ Three layers of coverage:
   with the ``"fused"`` model by default.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -209,13 +210,18 @@ def fold_setup(request):
     assert packed.fold_shifts, "expected the Gazelle hybrid plan"
     values = np.linspace(-1, 1, n)
     ct = backend.encode_encrypt(values)
+    # The form a compiler placing the layer at the top level fixes.
+    packed.fused_folds = min(
+        len(packed.fold_shifts), backend.costs.fused_fold_depth(ct.level)
+    )
+    assert packed.folds_expanded()
     return backend, packed, ct, values
 
 
 class TestFusedGazelleFold:
     def test_fold_expansion_is_subset_sums(self, fold_setup):
         _, packed, _, _ = fold_setup
-        steps = packed._fold_expansion()
+        steps = packed.fold_expansion
         m2 = min(packed.fold_shifts)
         f = packed.slots // m2
         assert steps == [j * m2 for j in range(1, f)]
@@ -228,7 +234,7 @@ class TestFusedGazelleFold:
         ctx = backend.context
         for level in (ct.level, ct.level - 1):  # odd limb count -> partial digit
             a = backend.level_down(ct, level)
-            steps = packed._fold_expansion()
+            steps = packed.fold_expansion
             got = backend.rotate_sum_hoisted(a, steps)
             ks_chain = ctx._ks_chain(level)
             mod_ks = ctx.basis.moduli_column(ks_chain)
@@ -256,7 +262,7 @@ class TestFusedGazelleFold:
         row = rng.uniform(-1, 1, (1, n))
         ct = backend.encode_encrypt(rng.uniform(0, 0.1, n))
         deep = build_linear_packing(row, None, VectorLayout(n, n), name="row")
-        steps = deep._fold_expansion()
+        steps = deep.fold_expansion
         assert len(steps) > 2 * HOISTED_SLAB
         got = backend.rotate_sum_hoisted(ct, steps)
         level = ct.level
@@ -278,26 +284,29 @@ class TestFusedGazelleFold:
         assert np.abs(backend.decrypt(got) - want).max() < 2e-2 * max(1.0, np.abs(want).max())
 
     def test_fused_execute_matches_cleartext_in_both_fold_forms(self, fold_setup):
-        """The cost model picks the fold form from (level, folds): the
-        fixture's 3-deep fold runs expanded; a 7-deep one (a single
-        output row) runs expanded at the top level and sequentially at
-        level 3.  Every form reproduces the cleartext product."""
+        """The compiled fold form (``fused_folds``) alone picks how the
+        fold runs: the fixture's 3-deep fold expanded, a 7-deep one (a
+        single output row) expanded and sequentially.  Every form
+        reproduces the cleartext product and charges the planned
+        rotation count; only the sequential one rotates un-hoisted."""
         backend, packed, ct, values = fold_setup
         n = backend.slot_count
         row = np.random.default_rng(12).uniform(-1, 1, (1, n))
         deep = build_linear_packing(row, None, VectorLayout(n, n), name="row")
-        forms = set()
-        for layer, level in ((packed, ct.level), (deep, ct.level), (deep, 3)):
-            folds = len(layer.fold_shifts)
-            forms.add((folds, backend.costs.fused_fold_cheaper(level, folds)))
+        assert len(packed.fold_shifts) == 3 and len(deep.fold_shifts) == 7
+        cases = ((packed, 3, True), (deep, 7, True), (deep, 6, False), (deep, 0, False))
+        pt_scale = Fraction(backend.params.data_primes[ct.level])
+        for layer, fused_folds, expanded in cases:
+            layer = replace(layer, fused_folds=fused_folds)
+            assert layer.folds_expanded() == expanded
             expected = layer.execute_cleartext([values])[0]
-            pt_scale = Fraction(backend.params.data_primes[level])
-            a = backend.level_down(ct, level)
             backend.ledger.reset()
-            got = backend.decrypt(layer.execute(backend, [a], pt_scale)[0])
+            got = backend.decrypt(layer.execute(backend, [ct], pt_scale)[0])
             assert np.abs(got - expected).max() < 0.05 * max(1.0, np.abs(expected).max())
             assert backend.ledger.rotations == layer.stats.rotations
-        assert forms == {(3, True), (7, True), (7, False)}
+            assert backend.ledger.counts.get("hrot", 0) == (
+                0 if expanded else len(layer.fold_shifts)
+            )
 
     def test_fold_ledger_rotations_match_plan(self, fold_setup):
         """The fused fold charges len(fold_shifts) rotations (not the

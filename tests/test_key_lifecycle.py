@@ -252,9 +252,9 @@ class TestOneResidentTensor:
             manifest.rotation_steps, levels=manifest.step_level_map()
         )
         keys = [context.keys.relin] + list(context.keys.galois.values())
-        assert sum(key.size_bytes() for key in keys) == 98_708_992
+        assert sum(key.size_bytes() for key in keys) == 93_890_528
         resident = sum(key.tensor.nbytes for key in keys)
-        assert resident == 2 * (98_708_992 - len(keys) * KEY_PRG_SEED_BYTES)
+        assert resident == 2 * (93_890_528 - len(keys) * KEY_PRG_SEED_BYTES)
 
 
 class TestDeltaArtifacts:

@@ -111,14 +111,15 @@ class TestArtifactRoundTrip:
         assert loaded.manifest.to_params() == params
         assert loaded.manifest.rotation_steps  # a real manifest, not empty
 
-    @pytest.mark.parametrize("version", [99, 3, 4])
+    @pytest.mark.parametrize("version", [99, 3, 4, 5])
     def test_schema_version_mismatch_fails_loudly(
         self, tmp_path, mlp_artifact, version
     ):
         """Any other version — the previous ones (3: per-term int64
-        plaintexts; 4: diagonals pre-rolled by their giant step)
-        included — is one loud rejection, never a compatibility branch,
-        whether the file is loaded or used as a delta base."""
+        plaintexts; 4: diagonals pre-rolled by their giant step; 5: no
+        compiled fold form) included — is one loud rejection, never a
+        compatibility branch, whether the file is loaded or used as a
+        delta base."""
         import json
 
         _, _, params, path, compiled = mlp_artifact
