@@ -38,6 +38,11 @@ def remez_odd_sign(
     Returns:
         (ChebyshevPoly, minimax_error): the polynomial (full Chebyshev
         basis on [-1, 1]) and the achieved equioscillation error.
+
+    Raises:
+        ValueError: when the residual on the grid alternates fewer times
+            than the exchange needs references (the degree is too high
+            for ``grid_points`` on [lower, 1]).
     """
     if degree % 2 == 0:
         raise ValueError("sign approximations use odd degrees")
@@ -52,8 +57,8 @@ def remez_odd_sign(
         np.pi * (num_refs - 1 - k) / (num_refs - 1)
     )
 
+    vandermonde = _odd_vandermonde(grid, degree)
     coeffs = np.zeros(num_coeffs)
-    error_level = 0.0
     for _ in range(max_iterations):
         # Solve p(r_i) + (-1)^i E = 1 for the coefficients and level E.
         design = np.zeros((num_refs, num_coeffs + 1))
@@ -63,42 +68,61 @@ def remez_odd_sign(
         coeffs = solution[:num_coeffs]
         error_level = abs(solution[num_coeffs])
 
-        residual = _odd_vandermonde(grid, degree) @ coeffs - 1.0
-        new_refs = _local_extrema(grid, residual, num_refs)
-        max_err = np.abs(residual).max()
-        if max_err - error_level < tolerance:
-            refs = new_refs
+        residual = vandermonde @ coeffs - 1.0
+        if np.abs(residual).max() - error_level < tolerance:
             break
-        refs = new_refs
+        try:
+            refs = _local_extrema(grid, residual, num_refs)
+        except ValueError as err:
+            raise ValueError(
+                f"remez_odd_sign(degree={degree}, lower={lower}, "
+                f"grid_points={grid_points}): {err}; raise grid_points "
+                "or lower the degree"
+            ) from None
 
     power = np.zeros(degree + 1)
     power[1::2] = coeffs
-    return from_power_basis(power), float(np.abs(
-        _odd_vandermonde(grid, degree) @ coeffs - 1.0
-    ).max())
+    return from_power_basis(power), float(np.abs(vandermonde @ coeffs - 1.0).max())
 
 
 def _local_extrema(grid: np.ndarray, residual: np.ndarray, count: int) -> np.ndarray:
-    """Pick ``count`` alternating extrema of the residual."""
-    candidates = [0]
-    for i in range(1, len(grid) - 1):
-        if (residual[i] - residual[i - 1]) * (residual[i + 1] - residual[i]) <= 0:
-            candidates.append(i)
-    candidates.append(len(grid) - 1)
-    # Keep the largest-magnitude extremum per sign run, preserving order.
-    chosen = []
-    for idx in candidates:
-        if chosen and np.sign(residual[idx]) == np.sign(residual[chosen[-1]]):
-            if abs(residual[idx]) > abs(residual[chosen[-1]]):
-                chosen[-1] = idx
+    """Pick ``count`` alternating extrema of the residual.
+
+    Candidates are the grid's two ends and every turning point
+    (``(r[i] - r[i-1]) * (r[i+1] - r[i]) <= 0``).  Each run of
+    same-sign candidates keeps its largest magnitude (the first, on a
+    tie).  While more than ``count`` remain, the weakest goes, the
+    leftmost first on a tie; that order is exactly a stable argsort of
+    the magnitudes, so one sort drops them all.  A residual one
+    alternation short takes the grid's right end as its last reference
+    when no run kept it.  Raises ``ValueError`` when fewer than
+    ``count`` references remain.
+    """
+    last = len(grid) - 1
+    steps = np.diff(residual)
+    turning = np.flatnonzero(steps[:-1] * steps[1:] <= 0) + 1
+    candidates = np.concatenate(([0], turning, [last]))
+    values = residual[candidates]
+    magnitudes = np.abs(values)
+    signs = np.sign(values).tolist()
+    mags = magnitudes.tolist()
+    chosen = [0]
+    for j in range(1, len(candidates)):
+        if signs[j] == signs[chosen[-1]]:
+            if mags[j] > mags[chosen[-1]]:
+                chosen[-1] = j
         else:
-            chosen.append(idx)
-    # If too many alternations, keep the strongest consecutive window.
-    while len(chosen) > count:
-        mags = [abs(residual[i]) for i in chosen]
-        drop = int(np.argmin(mags))
-        chosen.pop(drop)
-    while len(chosen) < count:
-        # Degenerate (shouldn't happen on reasonable grids): pad evenly.
-        chosen.append(len(grid) - 1)
-    return grid[np.array(sorted(set(chosen))[:count])]
+            chosen.append(j)
+    keep = candidates[chosen]
+    surplus = len(keep) - count
+    if surplus > 0:
+        weakest = np.argsort(magnitudes[chosen], kind="stable")[:surplus]
+        keep = np.delete(keep, weakest)
+    elif surplus < 0 and keep[-1] != last:
+        keep = np.append(keep, last)
+    if len(keep) < count:
+        raise ValueError(
+            f"the residual alternates {len(keep)} times where the exchange "
+            f"needs {count} references"
+        )
+    return grid[keep]
