@@ -4,7 +4,11 @@ Handles (ciphertexts/plaintexts) are backend-specific opaque objects;
 the program executor only moves them between the operations below.
 Every operation charges the backend's :class:`OpLedger` using the shared
 :class:`CostModel`, so rotation/bootstrap counts and modeled latency are
-comparable across backends.
+comparable across backends.  Every key-switching charge — a rotation,
+conjugation or relinearisation, and the hoisted groups below — also
+records its :class:`KeySwitch` shape on the ledger; export reads those
+shapes off one plain simulator run to pick an artifact's digit grouping
+(:func:`repro.serve.grouping.artifact_parameters`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.backend.costs import CostModel
-from repro.backend.ledger import OpLedger
+from repro.backend.ledger import KeySwitch, OpLedger
 from repro.ckks.params import CkksParameters
 
 ScaleLike = Union[int, Fraction]
@@ -132,8 +136,16 @@ class FheBackend(abc.ABC):
     @abc.abstractmethod
     def level_down(self, a, target_level: int): ...
 
-    @abc.abstractmethod
-    def rotate(self, a, steps: int): ...
+    def rotate(self, a, steps: int):
+        """Rotate the slots left by ``steps``: one Galois key switch,
+        free when ``steps`` is a multiple of the slot count."""
+        steps %= self.slot_count
+        if steps == 0:
+            return a
+        level = self.level_of(a)
+        self.ledger.charge("hrot", self.costs.hrot(level))
+        self.ledger.key_switches[KeySwitch(level, gathers=1)] += 1
+        return self._rotate_no_charge(a, steps)
 
     def conjugate(self, a):
         """Slot-wise complex conjugation (a Galois automorphism).
@@ -163,13 +175,14 @@ class FheBackend(abc.ABC):
         nonzero = [s for s in unique_steps if s]
         outputs: Dict[int, object] = {0: a} if 0 in unique_steps else {}
         if nonzero:
-            level = self.level_of(a)
+            level, count = self.level_of(a), len(nonzero)
             per_step = self.costs.ks_inner(level) + self.costs.ks_moddown(level)
             self.ledger.charge(
-                "hrot_hoisted",
-                self.costs.ks_decompose(level) + per_step * len(nonzero),
-                len(nonzero),
+                "hrot_hoisted", self.costs.ks_decompose(level) + per_step * count, count
             )
+            self.ledger.key_switches[
+                KeySwitch(level, products=count, gathers=count, moddowns=count)
+            ] += 1
             outputs.update(self._rotate_hoisted_no_charge(a, nonzero))
         return outputs
 
@@ -227,11 +240,12 @@ class FheBackend(abc.ABC):
         """
         outs = self._matvec_fused_no_charge(in_cts, terms, num_out, pt_scale, pt_cache)
         level = self.level_of(in_cts[0])
-        num_offsets = len({(bi, off) for (_, bi, off) in terms if off})
         # Only blocks with nonzero offsets pay decompose / mod-down
         # (offset-0 terms are plain pt * ct products, no key switch).
-        num_in_used = len({bi for (_, bi, off) in terms if off})
-        num_out_used = len({bo for (bo, _, off) in terms if off})
+        rotated = [(bo, bi, off) for (bo, bi, off) in terms if off]
+        num_offsets = len({(bi, off) for (_, bi, off) in rotated})
+        num_in_used = len({bi for (_, bi, _) in rotated})
+        num_out_used = len({bo for (bo, _, _) in rotated})
         rot_count = num_offsets if charged_rotations is None else charged_rotations
         self.ledger.charge(
             "hrot_hoisted",
@@ -240,6 +254,17 @@ class FheBackend(abc.ABC):
             ),
             rot_count,
         )
+        if rotated:
+            self.ledger.key_switches[
+                KeySwitch(
+                    level,
+                    decompositions=num_in_used,
+                    products=num_offsets,
+                    gathers=num_offsets,
+                    table_rows=len(rotated),
+                    moddowns=num_out_used,
+                )
+            ] += 1
         self.ledger.charge(
             "pmult", self.costs.pmult_fused(level) * len(terms), len(terms)
         )
@@ -288,16 +313,15 @@ class FheBackend(abc.ABC):
         if not nonzero:
             return a
         out = self._rotate_sum_no_charge(a, nonzero)
-        level = self.level_of(a)
-        rot_count = len(nonzero) if charged_rotations is None else charged_rotations
+        level, count = self.level_of(a), len(nonzero)
+        rot_count = count if charged_rotations is None else charged_rotations
         self.ledger.charge(
-            "hrot_hoisted",
-            self.costs.matvec_fused_rotations(level, len(nonzero)),
-            rot_count,
+            "hrot_hoisted", self.costs.matvec_fused_rotations(level, count), rot_count
         )
-        self.ledger.charge(
-            "hadd", self.costs.hadd(level) * len(nonzero), len(nonzero)
-        )
+        self.ledger.key_switches[
+            KeySwitch(level, products=count, gathers=count, table_rows=count)
+        ] += 1
+        self.ledger.charge("hadd", self.costs.hadd(level) * count, count)
         return out
 
     @abc.abstractmethod

@@ -4,7 +4,9 @@ Every backend charges its operations here.  Benchmarks read rotation
 counts (paper Tables 2-4), bootstrap counts, and accumulated modeled
 latency from the ledger, optionally broken down by phase label (e.g.
 per layer) so conv-time vs bootstrap-time splits can be reported
-(paper Table 4).
+(paper Table 4).  Every key-switching charge also records the switch's
+shape (:class:`KeySwitch`), which export prices per digit grouping
+(:mod:`repro.serve.grouping`).
 """
 
 from __future__ import annotations
@@ -15,24 +17,32 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 
+@dataclass(frozen=True)
+class KeySwitch:
+    """One key-switching operation, by shape.
+
+    ``decompositions`` digit decompositions (one per input ciphertext)
+    feed ``products`` key inner products (one per Galois element, or the
+    relinearisation key), of which ``gathers`` are Galois-permuted;
+    ``table_rows`` plaintext rows are contracted against the ``Q_l * P``
+    accumulators before ``moddowns`` divisions by ``P``.
+    """
+
+    level: int
+    decompositions: int = 1
+    products: int = 1
+    gathers: int = 0
+    table_rows: int = 0
+    moddowns: int = 1
+
+
 class OpLedger:
     """Mutable accounting of homomorphic operation counts and latency."""
 
-    TRACKED_OPS = (
-        "hadd",
-        "padd",
-        "pmult",
-        "hmult",
-        "hrot",
-        "hrot_hoisted",
-        "bootstrap",
-        "rescale",
-        "encode",
-        "keyswitch",
-    )
-
     def __init__(self):
         self.counts: Counter = Counter()
+        #: every key switch charged, by shape, with its multiplicity
+        self.key_switches: Counter = Counter()
         self.seconds: float = 0.0
         self.seconds_by_phase: Dict[str, float] = defaultdict(float)
         self.counts_by_phase: Dict[str, Counter] = defaultdict(Counter)
@@ -99,6 +109,7 @@ class OpLedger:
         merges it into the server's cumulative ledger afterwards.
         """
         self.counts.update(other.counts)
+        self.key_switches.update(other.key_switches)
         self.seconds += other.seconds
         for phase, secs in other.seconds_by_phase.items():
             self.seconds_by_phase[phase] += secs
@@ -107,6 +118,7 @@ class OpLedger:
 
     def reset(self) -> None:
         self.counts.clear()
+        self.key_switches.clear()
         self.seconds = 0.0
         self.seconds_by_phase.clear()
         self.counts_by_phase.clear()

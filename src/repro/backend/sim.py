@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.backend.costs import CostModel
 from repro.backend.interface import FheBackend, ScaleLike
+from repro.backend.ledger import KeySwitch
 from repro.ckks.galois import galois_offset_key
 from repro.ckks.params import CkksParameters
 from repro.utils.rng import SeededRng
@@ -169,6 +170,7 @@ class SimBackend(FheBackend):
     def mul(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
         self._check(a, b, "HMult", check_scale=False)
         self.ledger.charge("hmult", self.costs.hmult(a.level))
+        self.ledger.key_switches[KeySwitch(a.level)] += 1
         mag_a = float(np.max(np.abs(a.values))) if a.values.size else 0.0
         mag_b = float(np.max(np.abs(b.values))) if b.values.size else 0.0
         std = float(
@@ -202,13 +204,6 @@ class SimBackend(FheBackend):
             self._note_noise("mod_down", a, out)
         return out
 
-    def rotate(self, a: SimCiphertext, steps: int) -> SimCiphertext:
-        steps %= self.slot_count
-        if steps == 0:
-            return a
-        self.ledger.charge("hrot", self.costs.hrot(a.level))
-        return self._rotate_no_charge(a, steps)
-
     def _rotate_no_charge(self, a: SimCiphertext, steps: int) -> SimCiphertext:
         values = np.roll(a.values, -steps) + self._noise(self.slot_count, self._ks_noise)
         std = float(np.hypot(a.noise_std, self._ks_noise))
@@ -219,6 +214,7 @@ class SimBackend(FheBackend):
         slot vectors, but still a Galois key switch (priced and noised
         like a rotation)."""
         self.ledger.charge("hrot", self.costs.hrot(a.level))
+        self.ledger.key_switches[KeySwitch(a.level, gathers=1)] += 1
         values = a.values + self._noise(self.slot_count, self._ks_noise)
         std = float(np.hypot(a.noise_std, self._ks_noise))
         return SimCiphertext(values, a.level, a.scale, std)

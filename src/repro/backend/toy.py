@@ -16,6 +16,7 @@ import numpy as np
 from repro import kernels
 from repro.backend.costs import CostModel
 from repro.backend.interface import FheBackend, ScaleLike
+from repro.backend.ledger import KeySwitch
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import CkksContext
 from repro.ckks.galois import galois_offset_key
@@ -95,6 +96,7 @@ class ToyBackend(FheBackend):
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self.ledger.charge("hmult", self.costs.hmult(a.level))
+        self.ledger.key_switches[KeySwitch(a.level)] += 1
         return self.context.mul(a, b)
 
     def rescale(self, a: Ciphertext) -> Ciphertext:
@@ -109,13 +111,6 @@ class ToyBackend(FheBackend):
             self._note_noise("mod_down", a, out)
         return out
 
-    def rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
-        steps %= self.slot_count
-        if steps == 0:
-            return a
-        self.ledger.charge("hrot", self.costs.hrot(a.level))
-        return self.context.rotate(a, steps)
-
     def _rotate_no_charge(self, a: Ciphertext, steps: int) -> Ciphertext:
         return self.context.rotate(a, steps)
 
@@ -125,6 +120,7 @@ class ToyBackend(FheBackend):
 
     def conjugate(self, a: Ciphertext) -> Ciphertext:
         self.ledger.charge("hrot", self.costs.hrot(a.level))
+        self.ledger.key_switches[KeySwitch(a.level, gathers=1)] += 1
         return self.context.conjugate(a)
 
     def _matvec_fused_no_charge(

@@ -265,15 +265,16 @@ def build_artifact(compiled, params) -> ServingArtifact:
     from ``manifest.to_params()``, never from the caller's set.
 
     Pre-encodes every fused weight-plaintext table at the exact
-    (level, scale) it executes at — discovered by tracing one dummy
-    inference through the exact-scale functional simulator, which is
-    how runtime scales are defined — whenever the parameter set fits
-    the exact toy backend's NTT bound (sub-32-bit primes).
+    (level, scale) it executes at — discovered by the same plain
+    noise-free simulator run whose ledger lists the key switches the
+    grouping is priced on, which is how runtime scales are defined —
+    whenever the parameter set fits the exact toy backend's NTT bound
+    (sub-32-bit primes).
     """
     if compiled.program is None:
         raise ValueError("cannot export a network compiled in analyze mode")
     program = compiled.program
-    params, tally = artifact_parameters(program, params)
+    params, sim = artifact_parameters(program, params)
     manifest = KeyManifest.for_program(params, program)
     reports = [
         {
@@ -286,7 +287,7 @@ def build_artifact(compiled, params) -> ServingArtifact:
         }
         for r in compiled.layer_reports
     ]
-    encoded = None if tally is None else _pre_encode_tables(program, params, tally)
+    encoded = None if sim is None else _pre_encode_tables(program, params, sim)
     return ServingArtifact(
         manifest=manifest,
         program=program,
@@ -307,7 +308,7 @@ def save_artifact(compiled, params, path: str) -> ServingArtifact:
     return artifact
 
 
-def _pre_encode_tables(program: FheProgram, params, tally) -> List[Dict]:
+def _pre_encode_tables(program: FheProgram, params, sim) -> List[Dict]:
     """Encode every linear layer's fused diagonals into the static
     tables the exact backend contracts in place — one per (out-block,
     in-block) group, at the layer's runtime (level, scale).
@@ -315,9 +316,10 @@ def _pre_encode_tables(program: FheProgram, params, tally) -> List[Dict]:
     The runtime scale of each layer depends on what the preceding
     activation produced (paper Section 6's errorless policy encodes
     weights at q_l * Delta / s_in), so the (level, scale) pairs are
-    *observed* — the ``tally`` ran one dummy input through the
-    exact-scale simulator — rather than re-derived here.  Encoding
-    itself needs no keys — only the ring and prime chain.
+    *observed* — ``sim``, the plain noise-free :class:`SimBackend`
+    export priced the grouping with, ran one dummy input at exact
+    scales — rather than re-derived here.  Encoding itself needs no
+    keys — only the ring and prime chain.
     """
     from repro.ckks.context import CkksContext
 
@@ -326,7 +328,7 @@ def _pre_encode_tables(program: FheProgram, params, tally) -> List[Dict]:
     # guarantees the encoder/basis match the toy backend bit for bit.
     context = CkksContext(params, seed=0)
     sections: List[Dict] = []
-    for instr, level, pt_scale, term_groups in fused_tables(program, tally):
+    for instr, level, pt_scale, term_groups in fused_tables(program, sim):
         terms = instr.packed.terms()
         groups = [
             {

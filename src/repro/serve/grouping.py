@@ -15,22 +15,24 @@ among ``(ks_alpha, num_special_primes)`` candidates it picks the one
 holding the fewest bytes (switching keys at the manifest's step levels
 plus the pre-encoded tables), provided its key-switch work per inference
 does not exceed the caller's parameter set's.  Both sides are exact
-shape arithmetic over one noise-free functional run of the program
-(:class:`KeySwitchTally`); nothing is timed.  The compile-time cost
-model is untouched: placement and ``modeled_latency`` price the caller's
-parameters, and the choice only changes the key-switch layout the
-artifact's keys and tables are built for.
+shape arithmetic over one run of the program on a plain noise-free
+:class:`SimBackend`: its ledger records every key switch's shape where
+the switch is charged (``OpLedger.key_switches``), and the run fixes the
+(level, scale) of every table.  Nothing is timed.  The compile-time
+cost model is untouched: placement and ``modeled_latency`` price the
+caller's parameters, and the choice only changes the key-switch layout
+the artifact's keys and tables are built for.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend.ledger import KeySwitch
 from repro.backend.sim import SimBackend
 from repro.ckks.keys import KEY_PRG_SEED_BYTES
 from repro.ckks.params import CkksParameters, RingType
@@ -45,82 +47,6 @@ from repro.utils.primes import find_ntt_primes
 REDUCED_ROW = 5
 #: ... and a transformed row ~5 per butterfly stage.
 NTT_ROW_PER_STAGE = 5
-
-
-@dataclass(frozen=True)
-class KeySwitch:
-    """One key-switching operation of a program run, by shape.
-
-    ``decompositions`` digit decompositions (one per input ciphertext)
-    feed ``products`` key inner products (one per Galois element, or the
-    relinearisation key), of which ``gathers`` are Galois-permuted;
-    ``table_rows`` plaintext rows are contracted against the ``Q_l * P``
-    accumulators before ``moddowns`` divisions by ``P``.
-    """
-
-    level: int
-    decompositions: int = 1
-    products: int = 1
-    gathers: int = 0
-    table_rows: int = 0
-    moddowns: int = 1
-
-
-class KeySwitchTally(SimBackend):
-    """A noise-free functional backend that records every key switch.
-
-    Values, levels and scales are the simulator's, so one
-    ``program.run`` both lists the key switches an inference performs —
-    the same whatever the digit grouping — and observes the runtime
-    (level, scale) of every weight table the artifact pre-encodes.
-    """
-
-    def __init__(self, params: CkksParameters):
-        super().__init__(params, noise_free=True)
-        self.switches: List[KeySwitch] = []
-
-    def mul(self, a, b):
-        self.switches.append(KeySwitch(a.level))
-        return super().mul(a, b)
-
-    def rotate(self, a, steps: int):
-        if steps % self.slot_count:
-            self.switches.append(KeySwitch(a.level, gathers=1))
-        return super().rotate(a, steps)
-
-    def conjugate(self, a):
-        self.switches.append(KeySwitch(a.level, gathers=1))
-        return super().conjugate(a)
-
-    def _rotate_hoisted_no_charge(self, a, steps):
-        count = len(steps)
-        self.switches.append(
-            KeySwitch(a.level, products=count, gathers=count, moddowns=count)
-        )
-        return super()._rotate_hoisted_no_charge(a, steps)
-
-    def _matvec_fused_no_charge(self, in_cts, terms, num_out, pt_scale, pt_cache=None):
-        rotated = [(bo, bi, off) for (bo, bi, off) in terms if off]
-        if rotated:
-            offsets = len({(bi, off) for (_, bi, off) in rotated})
-            self.switches.append(
-                KeySwitch(
-                    in_cts[0].level,
-                    decompositions=len({bi for (_, bi, _) in rotated}),
-                    products=offsets,
-                    gathers=offsets,
-                    table_rows=len(rotated),
-                    moddowns=len({bo for (bo, _, _) in rotated}),
-                )
-            )
-        return super()._matvec_fused_no_charge(in_cts, terms, num_out, pt_scale, pt_cache)
-
-    def _rotate_sum_no_charge(self, a, steps):
-        count = len(steps)
-        self.switches.append(
-            KeySwitch(a.level, products=count, gathers=count, table_rows=count)
-        )
-        return super()._rotate_sum_no_charge(a, steps)
 
 
 def fused_tables(program, backend) -> Iterator[Tuple[object, int, Fraction, Dict]]:
@@ -178,8 +104,10 @@ def held_bytes(
     return (key_rows + table_rows) * params.ring_degree * 4 + len(levels) * KEY_PRG_SEED_BYTES
 
 
-def key_switch_work(params: CkksParameters, switches: Sequence[KeySwitch]) -> int:
-    """Work of ``switches`` under ``params``, in multiply-add rows.
+def key_switch_work(params: CkksParameters, switches: Mapping[KeySwitch, int]) -> int:
+    """Work of ``switches`` (shape -> multiplicity, as
+    ``OpLedger.key_switches`` holds them) under ``params``, in
+    multiply-add rows.
 
     Per key switch at level ``l``, with ``K = l + 1 + ns`` limbs over
     ``Q_l * P`` and ``D = ceil((l + 1) / ks_alpha)`` digits:
@@ -201,7 +129,7 @@ def key_switch_work(params: CkksParameters, switches: Sequence[KeySwitch]) -> in
     alpha = params.ks_alpha
     ns = params.num_special_primes
     total = 0
-    for ks in switches:
+    for ks, count in switches.items():
         limbs = ks.level + 1
         width = limbs + ns
         digits = -(-limbs // alpha)
@@ -211,7 +139,7 @@ def key_switch_work(params: CkksParameters, switches: Sequence[KeySwitch]) -> in
         moddown = ntt * 2 * (ns + limbs) + 2 * limbs * REDUCED_ROW
         if ns > 1:
             moddown += 2 * limbs * (ns + REDUCED_ROW)
-        total += (
+        total += count * (
             ks.decompositions * decompose
             + ks.products * 2 * width * (digits + REDUCED_ROW)
             + (ks.gathers + ks.table_rows) * 2 * width * REDUCED_ROW
@@ -222,7 +150,7 @@ def key_switch_work(params: CkksParameters, switches: Sequence[KeySwitch]) -> in
 
 def choose_key_grouping(
     params: CkksParameters,
-    switches: Sequence[KeySwitch],
+    switches: Mapping[KeySwitch, int],
     step_levels: Sequence[int],
     tables: Sequence[Tuple[int, int]],
 ) -> CkksParameters:
@@ -254,19 +182,24 @@ def choose_key_grouping(
 
 
 def artifact_parameters(program, params: CkksParameters):
-    """``(chosen parameters, tally)`` for exporting ``program`` compiled
-    at ``params``; the tally's run also fixes what the artifact
+    """``(chosen parameters, backend)`` for exporting ``program``
+    compiled at ``params``: ``backend`` is the noise-free
+    :class:`SimBackend` that ran one dummy inference, whose ledger lists
+    the key switches priced and whose run fixes what the artifact
     pre-encodes (:func:`fused_tables`).  Only the exact backend realises
     a grouping or reads pre-encoded tables: for a parameter set it
     cannot run this is ``(params, None)``."""
     if params.ring_type is not RingType.STANDARD or max(params.primes) >= 2**31:
         return params, None
-    tally = KeySwitchTally(params)
-    program.run(tally, np.zeros(program.input_layout.tensor_shape))
+    backend = SimBackend(params, noise_free=True)
+    program.run(backend, np.zeros(program.input_layout.tensor_shape))
     tables = [
         (len(offsets), level)
-        for _, level, _, groups in fused_tables(program, tally)
+        for _, level, _, groups in fused_tables(program, backend)
         for offsets in groups.values()
     ]
     step_levels = program.required_rotation_step_levels().values()
-    return choose_key_grouping(params, tally.switches, list(step_levels), tables), tally
+    chosen = choose_key_grouping(
+        params, backend.ledger.key_switches, list(step_levels), tables
+    )
+    return chosen, backend

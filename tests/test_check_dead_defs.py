@@ -86,3 +86,28 @@ def test_counts_python_references_under_every_root(gate, tmp_path, capsys):
     write(tmp_path, "src/pkg/docs_only.py", "def only_in_docs():\n    pass\n")
     assert gate.main() == 1
     assert "only_in_docs" in capsys.readouterr().out
+
+
+def test_flags_upper_case_constants_nothing_reads(gate, tmp_path, capsys):
+    """UPPER_CASE names assigned in a module or class body count as
+    definitions; a local, a lower-case global or a constant something
+    reads does not trip the gate."""
+    write(tmp_path, "src/pkg/consts.py",
+          "USED = 1\n"
+          "DEAD: int = 2\n"
+          "PAIR_A, PAIR_B = 3, 4\n"
+          "lower_case = 5\n"
+          "\n"
+          "\n"
+          "class Holder:\n"
+          "    KINDS = ('a', 'b')\n"
+          "\n"
+          "    def size(self):\n"
+          "        LOCAL = 6\n"
+          "        return LOCAL + USED + PAIR_A\n")
+    write(tmp_path, "tests/test_consts.py", "from pkg.consts import Holder\nHolder().size()\n")
+    assert gate.main() == 1
+    out = capsys.readouterr().out
+    assert "3 unreferenced definition(s)" in out
+    for line, name in ((2, "DEAD"), (3, "PAIR_B"), (8, "KINDS")):
+        assert os.path.join("src", "pkg", "consts.py") + f":{line}: {name}\n" in out

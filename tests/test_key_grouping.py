@@ -10,18 +10,26 @@
   decisions on the benchmark networks are pinned, the byte arithmetic
   equals what keygen and pre-encoding really hold, and ``serve()``
   builds the same artifact and backend as export then load.
+- The key switches export prices, read off a plain simulator's ledger,
+  are the multiset the reference tally
+  (``tests/reference/key_switch_tally.py``) lists, on the benchmark
+  networks and on zoo models with Gazelle folds.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from reference.bigint import extend_primes_reference
+from reference.key_switch_tally import KeySwitchTally
 from reference.moddown_loop import moddown_loop
 from repro.backend import ToyBackend
+from repro.backend.ledger import KeySwitch
 from repro.ckks.context import CkksContext
 from repro.ckks.params import CkksParameters, toy_parameters
+from repro.core.program import LinearInstr
 from repro.models import SecureMlp, resnet_cifar, silu_act
 from repro.nn import init
 from repro.orion import OrionNetwork
@@ -30,7 +38,6 @@ from repro.rns.poly import RnsPolynomial
 from repro.serve import load_artifact
 from repro.serve.artifact import build_artifact
 from repro.serve.grouping import (
-    KeySwitch,
     artifact_parameters,
     choose_key_grouping,
     held_bytes,
@@ -39,6 +46,7 @@ from repro.serve.grouping import (
 )
 from repro.serve.runtime import InferenceServer
 from repro.utils.primes import find_ntt_primes
+from test_trace import _zoo
 
 #: (ks_alpha, num_special_primes) pairs covering ns in {1, 2, 3, 5, 7}.
 GROUPINGS = [(1, 1), (2, 2), (3, 3), (5, 5), (7, 7)]
@@ -207,38 +215,85 @@ def _resnet8():
 RESNET8_PARAMS = dict(ring_degree=2048, max_level=12, boot_levels=3, scale_bits=24)
 
 
+#: The benchmark networks whose grouping decisions are pinned.
+CHOOSER_NETWORKS = [
+    pytest.param(
+        lambda: SecureMlp(input_pixels=784, hidden=128), (1, 28, 28),
+        dict(ring_degree=4096, max_level=6, boot_levels=1, scale_bits=24), (1, 1),
+        id="mlp784",
+    ),
+    pytest.param(
+        lambda: SecureMlp(input_pixels=64, hidden=16), (1, 8, 8),
+        dict(ring_degree=2048, max_level=6, boot_levels=1, scale_bits=24), (1, 1),
+        id="mlp64",
+    ),
+    pytest.param(
+        lambda: resnet_cifar(8, act=silu_act(31), width=4), (3, 8, 8),
+        RESNET8_PARAMS, (2, 2),
+        id="resnet8",
+    ),
+]
+
+#: Zoo models the ledger is checked against the tally on: an MLP, and
+#: two conv nets whose layers fold Gazelle-style (MobileNet's convs and
+#: classifier, expanded and sequential; LeNet's classifier).
+ZOO_SUBSET = ("secure_mlp", "lenet", "mobilenet")
+
+
+class TestLedgerIsTheTally:
+    """The ledger's Counter, read off the plain simulator run export
+    prices on, is the multiset the reference tally lists."""
+
+    @staticmethod
+    def _agree(program, params):
+        tally = KeySwitchTally(params)
+        program.run(tally, np.zeros(program.input_layout.tensor_shape))
+        _, sim = artifact_parameters(program, params)
+        assert tally.switches
+        assert Counter(tally.switches) == sim.ledger.key_switches
+
+    @pytest.mark.parametrize("build,shape,params,grouping", CHOOSER_NETWORKS)
+    def test_chooser_networks(self, build, shape, params, grouping):
+        params = toy_parameters(**params)
+        self._agree(_network(build, shape).compile(params, optimize=True).program, params)
+
+    @pytest.mark.parametrize("name", ZOO_SUBSET)
+    def test_zoo_networks(self, name):
+        build, shape = {z[0]: z[1:] for z in _zoo()}[name]
+        params = toy_parameters(**RESNET8_PARAMS)
+        program = _network(build, shape, images=4).compile(params, optimize=True).program
+        folded = [
+            instr.name
+            for instr in program.instructions
+            if isinstance(instr, LinearInstr) and instr.packed.fold_shifts
+        ]
+        assert folded
+        assert name != "mobilenet" or any(n.startswith("conv") for n in folded)
+        self._agree(program, params)
+
+
 class TestChooser:
-    @pytest.mark.parametrize(
-        "build,shape,params,grouping",
-        [
-            (lambda: SecureMlp(input_pixels=784, hidden=128), (1, 28, 28),
-             dict(ring_degree=4096, max_level=6, boot_levels=1, scale_bits=24), (1, 1)),
-            (lambda: SecureMlp(input_pixels=64, hidden=16), (1, 8, 8),
-             dict(ring_degree=2048, max_level=6, boot_levels=1, scale_bits=24), (1, 1)),
-            (lambda: resnet_cifar(8, act=silu_act(31), width=4), (3, 8, 8),
-             RESNET8_PARAMS, (2, 2)),
-        ],
-        ids=["mlp784", "mlp64", "resnet8"],
-    )
+    @pytest.mark.parametrize("build,shape,params,grouping", CHOOSER_NETWORKS)
     def test_pinned_decisions(self, build, shape, params, grouping):
         """Matvec-heavy programs stay per-limb: the hoisted offsets,
         gathers and tables widen with every special prime.  ResNet-8 is
         relinearisations; two limbs per digit hold the fewest bytes."""
         params = toy_parameters(**params)
         program = _network(build, shape).compile(params, optimize=True).program
-        chosen, tally = artifact_parameters(program, params)
+        chosen, sim = artifact_parameters(program, params)
+        switches = sim.ledger.key_switches
         assert (chosen.ks_alpha, chosen.num_special_primes) == grouping
         assert chosen.data_primes == params.data_primes
         if grouping == (1, 1):
             assert chosen is params
             for alpha in (2, 3):
                 grouped = with_grouping(params, alpha, params.min_special_primes(alpha))
-                assert key_switch_work(grouped, tally.switches) > key_switch_work(
-                    params, tally.switches
+                assert key_switch_work(grouped, switches) > key_switch_work(
+                    params, switches
                 )
         else:
-            assert key_switch_work(chosen, tally.switches) < key_switch_work(
-                params, tally.switches
+            assert key_switch_work(chosen, switches) < key_switch_work(
+                params, switches
             )
 
     def test_byte_arithmetic_is_what_keygen_and_the_artifact_hold(self):
@@ -273,7 +328,7 @@ class TestChooser:
         N = 8192 every extra special prime would break 128-bit security,
         so the caller's set stays — the same switches at N = 4096 (not
         secure to begin with) regroup."""
-        switches = [KeySwitch(level=6)] * 8
+        switches = Counter({KeySwitch(level=6): 8})
 
         def choose(ring_degree):
             params = CkksParameters(

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
-"""CI hygiene gate: every ``def`` / ``class`` under ``src/`` has a user.
+"""CI hygiene gate: every ``def`` / ``class`` / constant under ``src/``
+has a user.
 
 Ruff's F401/F841 see unused imports and locals, not a public function,
-method or class that nothing calls any more.  This gate counts, for each
-name defined by a ``def`` or ``class`` statement anywhere under
-``src/``, its whole-word occurrences in every ``*.py`` file under
-``src/``, ``tests/``, ``benchmarks/``, ``examples/`` and ``tools/``.  A
-name that occurs no more often than it is defined is referenced only by
-its own definitions: dead.
+method, class or constant that nothing reads any more.  This gate
+counts, for each name defined under ``src/`` by a ``def`` or ``class``
+statement anywhere, or by an assignment to an UPPER_CASE name directly
+in a module or class body, its whole-word occurrences in every ``*.py``
+file under ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` and
+``tools/``.  A name that occurs no more often than it is defined is
+referenced only by its own definitions: dead.
 
 Dunder methods (``__init__``, ``__call__``, ...) are skipped, since
 Python calls them by protocol rather than by name.  The count is by
@@ -30,6 +32,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _PY_ROOTS = ("src", "tests", "benchmarks", "examples", "tools")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _WORD = re.compile(r"\w+")
+_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 def _py_files(roots):
@@ -40,8 +43,26 @@ def _py_files(roots):
                     yield os.path.join(directory, name)
 
 
+def _constants(body):
+    """``(name, line)`` of each UPPER_CASE name a statement of ``body``
+    assigns."""
+    for statement in body:
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            continue
+        for target in targets:
+            names = target.elts if isinstance(target, ast.Tuple) else [target]
+            for name in names:
+                if isinstance(name, ast.Name) and _CONSTANT.fullmatch(name.id):
+                    yield name.id, statement.lineno
+
+
 def _definitions():
-    """``[(name, file, line)]`` for every def/class under ``src/``."""
+    """``[(name, file, line)]`` for every def/class, and every module- or
+    class-level UPPER_CASE constant, under ``src/``."""
     found = []
     for path in _py_files(("src",)):
         with open(path, encoding="utf-8") as f:
@@ -49,6 +70,8 @@ def _definitions():
         for node in ast.walk(tree):
             if isinstance(node, _DEFS) and not node.name.startswith("__"):
                 found.append((node.name, path, node.lineno))
+            if isinstance(node, (ast.Module, ast.ClassDef)):
+                found.extend((name, path, line) for name, line in _constants(node.body))
     return found
 
 
