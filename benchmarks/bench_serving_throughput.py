@@ -39,7 +39,7 @@ from repro.core.placement.planner import solve_placement
 from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
-from repro.serve import load_artifact
+from repro.serve import ArtifactMap
 from repro.serve.runtime import InferenceServer
 
 QUICK = bool(
@@ -72,7 +72,7 @@ def served(tmp_path_factory):
 
     compilations = OrionCompiler.invocations
     placements = solve_placement.invocations
-    artifact = load_artifact(path)
+    artifact = ArtifactMap(path).load()
     backend = ToyBackend(artifact.manifest.to_params(), seed=3)
     server = InferenceServer(artifact, backend, max_wait_seconds=0.0)
     # Warm both execution shapes once: key material and weight-plaintext

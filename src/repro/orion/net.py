@@ -70,7 +70,7 @@ class OrionNetwork:
 
         Returns the :class:`repro.serve.artifact.ServingArtifact`.  This
         is the *offline* half of compile-once/serve-many: workers then
-        ``repro.serve.load_artifact(path)`` and serve without ever
+        ``repro.serve.ArtifactMap(path).load()`` and serve without ever
         touching the compiler or the planner.
         """
         compiled = self.compile(
@@ -88,11 +88,12 @@ class OrionNetwork:
         """Compile in-process and stand up an :class:`InferenceServer`.
 
         Convenience for single-process deployments and notebooks; the
-        production path is :meth:`export` + ``repro.serve.load_artifact``
-        on each worker.  Both build the same artifact, so the default
-        backend is built from its key manifest's parameters — the digit
-        grouping export chose — and the server generates its rotation
-        keys exactly as a worker's lane would.
+        production path is :meth:`export` +
+        ``repro.serve.ArtifactMap(path).load()`` on each worker.  Both
+        build the same artifact, so the default backend is built from
+        its key manifest's parameters — the digit grouping export chose
+        — and the server generates its rotation keys exactly as a
+        worker's lane would.
         """
         from repro.backend.toy import ToyBackend
         from repro.serve.artifact import build_artifact

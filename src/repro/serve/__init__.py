@@ -18,8 +18,9 @@ Behind it:
 - :mod:`repro.serve.pool`     — :class:`WorkerPool` /
   :class:`Dispatcher`: sharded workers, rendezvous routing, admission
   control (:class:`AdmissionError` backpressure);
-- :mod:`repro.serve.mmapio`   — :class:`ArtifactMap`: shared read-only
-  mmapped artifact tables (one physical copy per machine);
+- :mod:`repro.serve.mmapio`   — :class:`ArtifactMap`: the one artifact
+  reader, ``ArtifactMap(path).load()``, over shared read-only mmapped
+  tables (one physical copy per machine);
 - :mod:`repro.serve.stats`    — :class:`ServerStats` /
   :class:`WorkerStats` / :class:`LaneStats`: the typed telemetry
   schema that ``stats()`` returns and ``metrics()`` renders;
@@ -31,16 +32,7 @@ Behind it:
 """
 
 from repro.serve.api import Server, ServerConfig, open
-from repro.serve.artifact import (
-    ArtifactDeltaError,
-    ArtifactSchemaError,
-    ServingArtifact,
-    apply_artifact_delta,
-    artifact_fingerprint,
-    load_artifact,
-    save_artifact,
-    save_artifact_delta,
-)
+from repro.serve.artifact import ArtifactSchemaError, ServingArtifact, save_artifact
 from repro.serve.mmapio import ArtifactMap, is_mmap_backed
 from repro.serve.pool import (
     AdmissionError,
@@ -84,13 +76,8 @@ __all__ = [
     "STATS_SCHEMA_VERSION",
     # artifacts
     "ArtifactSchemaError",
-    "ArtifactDeltaError",
     "ServingArtifact",
-    "load_artifact",
     "save_artifact",
-    "save_artifact_delta",
-    "apply_artifact_delta",
-    "artifact_fingerprint",
     # results / scheduling primitives
     "ServeResult",
     "PendingRequest",

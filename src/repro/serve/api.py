@@ -59,8 +59,6 @@ class ServerConfig:
             the same keys from it, so any worker's response decrypts
             under the pool key and a solo replay with this seed
             reproduces any worker bit for bit.
-        preload: seed backend caches from the artifact's pre-encoded
-            tables at worker start.
         backend_factory: ``(params, seed) -> FheBackend`` override
             (defaults to the exact toy backend for toy-sized primes).
         tracing: give every worker a :class:`repro.obs.Tracer` so each
@@ -80,7 +78,6 @@ class ServerConfig:
     admission_budget_seconds: Optional[float] = None
     routing_seed: int = 0
     key_seed: int = 0
-    preload: bool = True
     backend_factory: Optional[Callable] = None
     tracing: bool = False
     trace_sample_rate: float = 1.0
@@ -197,7 +194,6 @@ class Server:
             batching=config.batching,
             max_batch=config.max_batch,
             batch_window_seconds=config.batch_window_seconds,
-            preload=config.preload,
             backend_factory=config.backend_factory,
             tracing=config.tracing,
             trace_sample_rate=config.trace_sample_rate,
@@ -263,10 +259,12 @@ class Server:
     def reload(self, artifact: Optional[str] = None) -> None:
         """Hot-swap a new version of an artifact into the running pool.
 
-        The caller first replaces the artifact's file on disk — e.g. by
-        applying a weight delta with
-        :func:`repro.serve.artifact.apply_artifact_delta` — and then
-        calls this.  Every worker re-maps the path and rebuilds its
+        The caller first exports the retrained network over the served
+        path (``onet.export(path, params)``: the file is published
+        through tmp + ``os.replace``, so a reader sees the old bytes or
+        the new ones, never a torn write) and then calls this.  Until
+        then the pool keeps serving the file it mapped at open or last
+        reload.  Every worker re-maps the path and rebuilds its
         serving lane around the new tables while **keeping
         its backend and key domain**: clients holding ciphertexts keep
         decrypting, which is why the new version must carry the same key
@@ -388,10 +386,10 @@ def open(
     Paths are opened through :class:`repro.serve.mmapio.ArtifactMap`,
     so every worker shares one mmapped copy of the tables.  In-memory
     artifacts are accepted for ``inline`` pools only — process workers
-    need a path to map.  Delta artifacts
-    (:func:`repro.serve.artifact.save_artifact_delta`) cannot be
-    opened directly: apply them to their base first with
-    :func:`repro.serve.artifact.apply_artifact_delta`.
+    need a path to map.  Only full artifacts open; a manifest of any
+    other ``kind`` raises :class:`repro.serve.ArtifactSchemaError`.  To
+    update weights, export the retrained network over the same path and
+    call :meth:`Server.reload`.
 
     Example::
 

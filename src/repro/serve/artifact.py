@@ -32,7 +32,6 @@ compile load on workers that never saw the optimizer.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from fractions import Fraction
@@ -52,12 +51,12 @@ from repro.serve.grouping import artifact_parameters, fused_tables
 # full-chain keys for an artifact that promises compressed ones).
 #
 # Version 3: the manifest gained a ``kind`` field.  ``"full"`` is the
-# self-contained artifact everything before version 3 implicitly was;
-# ``"delta"`` ships only the pre-encoded tables that *changed* against
-# a base artifact (named by content fingerprint), plus the complete new
-# manifest document.  A delta is resolved against its base at load time
-# (:func:`load_artifact` with ``base_path``) or merged into a new full
-# artifact file (:func:`apply_artifact_delta`) for the mmap serve path.
+# self-contained artifact everything before version 3 implicitly was.
+# Version 3 also introduced ``"delta"`` files, which shipped only the
+# tables that changed against a base artifact; that format is gone, and
+# a manifest of any kind but ``"full"`` is refused by name.  A weight
+# update is a full re-export over the served path (see
+# :meth:`repro.serve.api.Server.reload`).
 #
 # Version 4: the pre-encoded section ships one uint32 ``(T, ks_limbs, N)``
 # table per layer and (out-block, in-block) group, encoded over the
@@ -75,11 +74,6 @@ from repro.serve.grouping import artifact_parameters, fused_tables
 # (``fused_folds``); a version-5 file has none and must be re-exported.
 SCHEMA_VERSION = 6
 FORMAT_NAME = "repro-serving-artifact"
-FINGERPRINT_BYTES = 16
-
-
-class ArtifactDeltaError(ValueError):
-    """Raised when a delta artifact cannot be built or resolved."""
 
 
 class ArtifactSchemaError(ValueError):
@@ -107,7 +101,7 @@ class ServingArtifact:
         layer_reports: per-layer compile stats (rotations, pmults, ...).
         summary: the compile summary (depth, bootstraps, modeled time).
         encoded: optional pre-encoded plaintext tables, as written by
-            :func:`save_artifact` (see :meth:`preload`).
+            :meth:`save` (see :meth:`preload`).
     """
 
     def __init__(
@@ -192,8 +186,8 @@ class ServingArtifact:
         """Serialize into a manifest document, pushing arrays to ``store``.
 
         The refs handed out by ``store`` are assigned in a deterministic
-        traversal order, so two compiles of the same architecture yield
-        ref-aligned documents — the property the delta format diffs on.
+        traversal order, so a re-export of the same compile is
+        byte-identical.
         """
         manifest_doc = {
             "format": FORMAT_NAME,
@@ -224,34 +218,27 @@ class ServingArtifact:
         Every array member is ``ZIP_STORED`` contiguously in the file,
         so serving workers can map the tables **in place**
         (:class:`repro.serve.mmapio.ArtifactMap`) and share one resident
-        copy across the whole pool.
+        copy across the whole pool.  The file is published atomically
+        (tmp + ``os.replace``): exporting over a served path leaves
+        readers the old file or the new one, never a torn write.
         """
         store = _ArrayStore()
         manifest_doc = self.to_doc(store)
-        return _write_npz(path, manifest_doc, store.arrays)
-
-
-def _write_npz(path: str, manifest_doc: Dict, arrays: Dict[str, np.ndarray]) -> str:
-    """Write a manifest + arrays npz atomically (tmp + ``os.replace``).
-
-    Atomic publication matters for :func:`apply_artifact_delta` merging
-    over a live base: readers see either the old file or the new one.
-    """
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    tmp = path + ".tmp"
-    # Straight into the file handle: the zip writer streams one member
-    # at a time, so the export never holds a second copy of the tables.
-    with open(tmp, "wb") as f:
-        np.savez(
-            f,
-            __manifest__=np.frombuffer(
-                json.dumps(manifest_doc).encode("utf-8"), dtype=np.uint8
-            ),
-            **arrays,
-        )
-    os.replace(tmp, path)
-    return path
+        if not path.endswith(".npz"):
+            path = path + ".npz"
+        tmp = path + ".tmp"
+        # Straight into the file handle: the zip writer streams one member
+        # at a time, so the export never holds a second copy of the tables.
+        with open(tmp, "wb") as f:
+            np.savez(
+                f,
+                __manifest__=np.frombuffer(
+                    json.dumps(manifest_doc).encode("utf-8"), dtype=np.uint8
+                ),
+                **store.arrays,
+            )
+        os.replace(tmp, path)
+        return path
 
 
 def build_artifact(compiled, params) -> ServingArtifact:
@@ -299,9 +286,8 @@ def build_artifact(compiled, params) -> ServingArtifact:
 
 def save_artifact(compiled, params, path: str) -> ServingArtifact:
     """Serialize a :class:`repro.core.compiler.CompiledNetwork` to
-    ``path`` as a full (self-contained) artifact; see
-    :func:`build_artifact` for what goes in it and
-    :func:`save_artifact_delta` for the weight-update variant.
+    ``path`` as a self-contained artifact; see :func:`build_artifact`
+    for what goes in it.
     """
     artifact = build_artifact(compiled, params)
     artifact.save(path)
@@ -370,9 +356,16 @@ def check_header(
             )
 
 
-def _check_header(manifest_doc: Dict, path: str) -> None:
-    """The gate every artifact file — full, delta, or a delta's base —
-    passes before anything else reads it."""
+def artifact_from_doc(manifest_doc: Dict, get_array, path: str = "<artifact>"):
+    """Build a :class:`ServingArtifact` from a parsed ``__manifest__``
+    document plus an array resolver (``ref -> ndarray``).
+
+    The reader is :meth:`repro.serve.mmapio.ArtifactMap.load`, whose
+    arrays are zero-copy views into shared read-only mapped memory.
+    Only a full artifact is accepted: any other ``kind`` — the retired
+    ``"delta"`` files included — raises :class:`ArtifactSchemaError`
+    naming it.
+    """
     check_header(
         manifest_doc,
         (("format", "format", FORMAT_NAME),
@@ -381,27 +374,12 @@ def _check_header(manifest_doc: Dict, path: str) -> None:
         path,
         "re-export the artifact",
     )
-
-
-def artifact_from_doc(manifest_doc: Dict, get_array, path: str = "<artifact>"):
-    """Build a :class:`ServingArtifact` from a parsed ``__manifest__``
-    document plus an array resolver (``ref -> ndarray``).
-
-    Shared by :func:`load_artifact` (arrays materialized from the npz)
-    and :meth:`repro.serve.mmapio.ArtifactMap.load` (arrays are
-    zero-copy views into shared read-only mapped memory).
-    """
-    _check_header(manifest_doc, path)
     kind = manifest_doc.get("kind", "full")
-    if kind == "delta":
-        raise ArtifactDeltaError(
-            f"{path}: this is a *delta* artifact; load it with "
-            "load_artifact(path, base_path=...) against its base, or "
-            "merge it into a full artifact with apply_artifact_delta() "
-            "before serving (the mmap path only maps full artifacts)"
-        )
     if kind != "full":
-        raise ArtifactSchemaError(f"{path}: unknown artifact kind {kind!r}")
+        raise ArtifactSchemaError(
+            f"{path}: artifact kind {kind!r}, but this build reads only "
+            "'full' artifacts; re-export the network"
+        )
     program = FheProgram.from_payload(manifest_doc["program"], get_array)
     encoded = None
     if manifest_doc.get("encoded") is not None:
@@ -422,197 +400,3 @@ def artifact_from_doc(manifest_doc: Dict, get_array, path: str = "<artifact>"):
         summary=manifest_doc["summary"],
         encoded=encoded,
     )
-
-
-def _read_npz(path: str):
-    """Read a manifest document + materialized arrays from an npz."""
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    with np.load(path, allow_pickle=False) as data:
-        if "__manifest__" not in data:
-            raise ArtifactSchemaError(f"{path}: not a serving artifact")
-        manifest_doc = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
-        arrays = {key: data[key] for key in data.files if key != "__manifest__"}
-    return manifest_doc, arrays
-
-
-def artifact_fingerprint(path: str) -> str:
-    """Content fingerprint of an artifact file (truncated sha256).
-
-    Deltas record their base's fingerprint, so applying a delta against
-    a rebuilt — byte-different — base fails loudly instead of silently
-    mixing tables from two compilations.
-    """
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()[: 2 * FINGERPRINT_BYTES]
-
-
-def _check_delta_doc(manifest_doc: Dict, path: str) -> None:
-    _check_header(manifest_doc, path)
-    if manifest_doc.get("kind") != "delta":
-        raise ArtifactDeltaError(
-            f"{path}: expected a delta artifact, found kind "
-            f"{manifest_doc.get('kind', 'full')!r}"
-        )
-
-
-def _normalize_json(doc) -> Dict:
-    # Round-trip through JSON so tuples/lists and int/float spellings
-    # compare equal regardless of which side came off disk.
-    return json.loads(json.dumps(doc))
-
-
-def save_artifact_delta(
-    compiled, params, base_path: str, path: str
-) -> ServingArtifact:
-    """Export ``compiled`` as a *delta* against the artifact at
-    ``base_path``, shipping only the array payloads that changed.
-
-    The intended use is weight updates: the same architecture recompiled
-    with retrained weights produces a ref-aligned manifest whose
-    pre-encoded tables differ only where the weights did.  The delta
-    file carries the complete new manifest document (so resolution never
-    consults the base's JSON) plus the changed arrays; unchanged arrays
-    are pulled from the base at load/apply time.
-
-    Fails loudly (:class:`ArtifactDeltaError`) when the new compile is
-    not structurally compatible with the base — different array refs,
-    shapes, dtypes, or a different key manifest.  The key-manifest check
-    is load-bearing: :meth:`repro.serve.api.Server.reload` refuses to
-    rotate the key domain under clients holding live ciphertexts, so a
-    delta that would change it could never be hot-swapped anyway.
-
-    Returns the in-memory :class:`ServingArtifact` (the full new one,
-    not the delta).
-    """
-    artifact = build_artifact(compiled, params)
-    store = _ArrayStore()
-    new_doc = artifact.to_doc(store)
-
-    base_doc, base_arrays = _read_npz(base_path)
-    _check_header(base_doc, base_path)
-    if base_doc.get("kind", "full") != "full":
-        raise ArtifactDeltaError(
-            f"{base_path}: cannot build a delta against a delta; "
-            "apply_artifact_delta() it into a full artifact first"
-        )
-    if _normalize_json(new_doc["key_manifest"]) != _normalize_json(
-        base_doc["key_manifest"]
-    ):
-        raise ArtifactDeltaError(
-            f"{base_path}: key manifests differ — the delta would change "
-            "the key domain, which cannot be hot-swapped under live "
-            "clients; export a full artifact instead"
-        )
-    if set(store.arrays) != set(base_arrays):
-        raise ArtifactDeltaError(
-            f"{base_path}: array refs differ from the base "
-            f"({len(store.arrays)} vs {len(base_arrays)}); the program "
-            "structure changed — export a full artifact instead"
-        )
-    changed = []
-    for ref in sorted(store.arrays, key=lambda r: int(r[1:])):
-        new_arr, base_arr = store.arrays[ref], base_arrays[ref]
-        if new_arr.shape != base_arr.shape or new_arr.dtype != base_arr.dtype:
-            raise ArtifactDeltaError(
-                f"{base_path}: array {ref} changed shape/dtype "
-                f"({base_arr.shape}/{base_arr.dtype} -> "
-                f"{new_arr.shape}/{new_arr.dtype}); the program structure "
-                "changed — export a full artifact instead"
-            )
-        if not np.array_equal(new_arr, base_arr):
-            changed.append(ref)
-    delta_doc = {
-        "format": FORMAT_NAME,
-        "schema_version": SCHEMA_VERSION,
-        "kind": "delta",
-        "base_fingerprint": artifact_fingerprint(base_path),
-        "changed": changed,
-        "artifact": new_doc,
-    }
-    _write_npz(path, delta_doc, {ref: store.arrays[ref] for ref in changed})
-    return artifact
-
-
-def _resolve_delta(delta_doc, delta_arrays, base_path, delta_path):
-    """Merge a delta's manifest + arrays with its base's arrays."""
-    _check_delta_doc(delta_doc, delta_path)
-    actual = artifact_fingerprint(base_path)
-    expected = delta_doc.get("base_fingerprint")
-    if actual != expected:
-        raise ArtifactDeltaError(
-            f"{delta_path}: base fingerprint mismatch — delta was built "
-            f"against {expected}, but {base_path} hashes to {actual}; "
-            "the base artifact changed since the delta was exported"
-        )
-    base_doc, base_arrays = _read_npz(base_path)
-    if base_doc.get("kind", "full") != "full":
-        raise ArtifactDeltaError(
-            f"{base_path}: delta bases must be full artifacts"
-        )
-    missing = [ref for ref in delta_doc["changed"] if ref not in base_arrays]
-    if missing:
-        raise ArtifactDeltaError(
-            f"{delta_path}: changed refs {missing} not present in the base"
-        )
-    merged = dict(base_arrays)
-    merged.update(delta_arrays)
-    return delta_doc["artifact"], merged
-
-
-def load_artifact(path: str, base_path: Optional[str] = None) -> ServingArtifact:
-    """Load an artifact; fails loudly on any schema mismatch.
-
-    ``base_path`` names the full base artifact a *delta* resolves
-    against: the base's content fingerprint must match the one recorded
-    in the delta, unchanged tables come from the base, changed ones from
-    the delta.  Loading a delta without ``base_path`` — or a full
-    artifact with one — is an error.
-    """
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    manifest_doc, arrays = _read_npz(path)
-    if manifest_doc.get("kind") == "delta":
-        if base_path is None:
-            raise ArtifactDeltaError(
-                f"{path}: this is a delta artifact; pass base_path= to "
-                "resolve it, or apply_artifact_delta() it into a full "
-                "artifact"
-            )
-        manifest_doc, arrays = _resolve_delta(
-            manifest_doc, arrays, base_path, path
-        )
-    elif base_path is not None:
-        raise ArtifactDeltaError(
-            f"{path}: base_path given but this is not a delta artifact"
-        )
-    return artifact_from_doc(manifest_doc, lambda ref: arrays[ref], path=path)
-
-
-def apply_artifact_delta(
-    base_path: str, delta_path: str, out_path: Optional[str] = None
-) -> str:
-    """Merge a delta into its base, writing a *full* artifact.
-
-    The merged file is published atomically (tmp + ``os.replace``), so
-    with ``out_path`` left at its default — overwrite the base in place
-    — a serving pool watching the file sees either the old artifact or
-    the new one, never a torn write.  Pair with
-    :meth:`repro.serve.api.Server.reload` to hot-swap the running pool.
-
-    Returns the output path.
-    """
-    if not delta_path.endswith(".npz"):
-        delta_path = delta_path + ".npz"
-    delta_doc, delta_arrays = _read_npz(delta_path)
-    full_doc, merged = _resolve_delta(
-        delta_doc, delta_arrays, base_path, delta_path
-    )
-    if out_path is None:
-        out_path = base_path
-    return _write_npz(out_path, full_doc, merged)

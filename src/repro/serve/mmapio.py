@@ -10,6 +10,7 @@ written with ``ZIP_STORED`` members, so the ``.npz`` file is mapped *in
 place* — one ``mmap``, with each member's ``.npy`` data exposed as a
 zero-copy ndarray view at its offset inside the archive.  A deflated
 member is not addressable and is rejected by name.
+``ArtifactMap(path).load()`` is the only way to read an artifact.
 
 The arrays come back **read-only** (any in-place write raises), so the
 "never copied, never mutated on the request path" invariant of
@@ -27,7 +28,7 @@ from typing import Dict, Optional
 import numpy as np
 from numpy.lib import format as npy_format
 
-from repro.serve.artifact import ArtifactSchemaError
+from repro.serve.artifact import ArtifactSchemaError, artifact_from_doc
 
 _LOCAL_HEADER_SIZE = 30  # fixed part of a zip local file header (PK\x03\x04)
 
@@ -95,7 +96,6 @@ class ArtifactMap:
         if not os.path.exists(path):
             raise FileNotFoundError(path)
         self.path = path
-        self._file = None
         self._mmap: Optional[mmap.mmap] = None
         self._arrays: Dict[str, np.ndarray] = {}
         self._open()
@@ -111,8 +111,9 @@ class ArtifactMap:
                     f"{self.path}: member {info.filename} is compressed and "
                     "cannot be mapped in place; re-export uncompressed"
                 )
-        self._file = open(self.path, "rb")
-        self._mmap = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+        # The map holds its own descriptor: the file closes at once.
+        with open(self.path, "rb") as f:
+            self._mmap = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
         for info in members:
             # The central directory's extra field can differ from the
             # local header's: read the local header to find the data.
@@ -165,23 +166,17 @@ class ArtifactMap:
     def load(self):
         """Build the :class:`~repro.serve.artifact.ServingArtifact` whose
         numpy payloads are views into this map (zero table copies)."""
-        from repro.serve.artifact import artifact_from_doc
-
         return artifact_from_doc(
             self.manifest_doc(), lambda ref: self._arrays[ref], path=self.path
         )
 
     def close(self) -> None:
         """Drop the mapping (arrays handed out keep it alive until GC'd)."""
+        # The mmap object stays referenced by any outstanding array
+        # views; closing it here would invalidate them, so just drop our
+        # handle and let refcounting reclaim the mapping.
         self._arrays = {}
-        if self._mmap is not None:
-            # The mmap object stays referenced by any outstanding array
-            # views; closing here would invalidate them, so just drop
-            # our handle and let refcounting reclaim the mapping.
-            self._mmap = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        self._mmap = None
 
     def __enter__(self) -> "ArtifactMap":
         return self

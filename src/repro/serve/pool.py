@@ -191,7 +191,6 @@ class Worker:
         batching: bool,
         max_batch: Optional[int],
         batch_window_seconds: float,
-        preload: bool,
         backend_factory: Optional[Callable],
         tracing: bool = False,
         trace_sample_rate: float = 1.0,
@@ -209,7 +208,6 @@ class Worker:
             batching=batching,
             max_batch=max_batch,
             max_wait_seconds=batch_window_seconds,
-            preload=preload,
         )
         factory = backend_factory or default_backend_factory
         self.servers: Dict[str, InferenceServer] = {}
@@ -290,11 +288,10 @@ class Worker:
     ) -> WorkerProfile:
         """Hot-swap a new artifact version into this worker.
 
-        Re-opens the artifact's path (whose bytes the caller has already
-        replaced — e.g. via
-        :func:`repro.serve.artifact.apply_artifact_delta`) unless the
-        pool hands over the fresh load it shares, and rebuilds the lane
-        around it.  The existing backend is **reused**: a weight update
+        Re-maps the artifact's path (which the caller has already
+        re-exported in place: a full export over the served path,
+        published atomically) unless the pool hands over the fresh load
+        it shares, and rebuilds the lane around it.  The existing backend is **reused**: a weight update
         must not rotate the key domain out from under clients that hold
         ciphertexts, so the swapped-in artifact is required to carry the
         *same* key manifest, so the rebuilt lane finds every key it

@@ -64,14 +64,14 @@ class InferenceServer:
             ``program``/``summary``/``preload`` in its shape).
         backend: the backend requests are encrypted under, built from
             ``artifact.manifest.to_params()``.  Its rotation keys are
-            generated here, before anything runs.
+            generated and the artifact's pre-encoded tables installed
+            in its caches here, before anything runs (a functional
+            backend installs none).
         batching: enable cross-request slot batching.
         max_batch: cap on the batch size (defaults to the program's
             slot capacity).
         max_wait_seconds: default deadline per request (queue order
             only; an idle worker never waits — see the scheduler).
-        preload: seed the backend's plaintext caches from the
-            artifact's pre-encoded tables at construction.
     """
 
     def __init__(
@@ -81,7 +81,6 @@ class InferenceServer:
         batching: bool = True,
         max_batch: Optional[int] = None,
         max_wait_seconds: float = 0.05,
-        preload: bool = True,
         tracer=None,
     ):
         from repro.core.compiler import OrionCompiler
@@ -127,9 +126,7 @@ class InferenceServer:
         # and observe-only — surfaced in ServerStats schema v2.
         self.noise = NoiseMonitor(delta_scale=backend.params.scale)
         backend.noise_monitor = self.noise
-        self.preloaded_plaintexts = (
-            artifact.preload(backend) if preload else 0
-        )
+        self.preloaded_plaintexts = artifact.preload(backend)
         # Serve-path purity: neither the compiler nor the placement
         # planner may run while this server lives.
         self._compiler_invocations_at_load = OrionCompiler.invocations

@@ -356,9 +356,9 @@ class TestIntegration:
         assert kinds == {"linear", "poly", "multjoin", "slice", "addjoin",
                          "square", "rotate"}
         compiled.export(str(tmp_path / "art"), params)
-        from repro.serve.artifact import load_artifact
+        from repro.serve import ArtifactMap
 
-        art = load_artifact(str(tmp_path / "art"))
+        art = ArtifactMap(str(tmp_path / "art")).load()
         payload, arrays = _payload(compiled.program)
         payload_loaded, arrays_loaded = _payload(art.program)
         assert json.dumps(payload_loaded) == json.dumps(payload)

@@ -35,7 +35,7 @@ from repro.nn import init
 from repro.orion import OrionNetwork
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import RnsPolynomial
-from repro.serve import load_artifact
+from repro.serve import ArtifactMap
 from repro.serve.artifact import build_artifact
 from repro.serve.grouping import (
     artifact_parameters,
@@ -352,7 +352,7 @@ def test_serve_and_export_then_load_agree(tmp_path):
     served = onet.serve(params)
     path = str(tmp_path / "resnet.npz")
     onet.export(path, params)
-    loaded = load_artifact(path)
+    loaded = ArtifactMap(path).load()
     chosen = loaded.manifest.to_params()
     assert chosen.ks_alpha > 1 and chosen.data_primes == params.data_primes
     assert served.backend.params == chosen and served.backend.params.primes == chosen.primes

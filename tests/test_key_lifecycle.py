@@ -2,14 +2,14 @@
 
 Covers the PRG-seeded switching keys (expansion bit-exact against the
 stored halves, across ``ks_alpha`` groupings and compressed level
-bounds), the one resident tensor per key, the weight-delta artifact
-format (resolution, atomic apply, fingerprint pinning, key-manifest
-pinning), the hot reload of a running pool, and the telemetry that
-reports it all (the stats schema gate, the key-bytes Prometheus
-gauge).
+bounds), the one resident tensor per key, byte-stable artifact
+re-export, the hot reload of a running pool after a re-export in place,
+and the telemetry that reports it all (the stats schema gate, the
+key-bytes Prometheus gauge).
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -29,13 +29,7 @@ from repro.ckks.params import toy_parameters
 from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
-from repro.serve import (
-    ArtifactDeltaError,
-    apply_artifact_delta,
-    load_artifact,
-    save_artifact,
-    save_artifact_delta,
-)
+from repro.serve import ArtifactMap, save_artifact
 from repro.serve.keys import default_backend_factory
 from repro.serve.runtime import InferenceServer
 from repro.serve.stats import (
@@ -80,20 +74,11 @@ def _make_net(seed=0, perturb_last=None):
 
 @pytest.fixture(scope="module")
 def mlp_deployment(tmp_path_factory):
-    """A base artifact, a weight-perturbed full re-export, and the delta
-    between them — the raw material for the lifecycle tests below."""
+    """A base artifact — the raw material for the lifecycle tests below."""
     params = _mlp_params()
-    root = tmp_path_factory.mktemp("lifecycle")
-    base_path = str(root / "base.npz")
+    base_path = str(tmp_path_factory.mktemp("lifecycle") / "base.npz")
     _make_net(seed=0).export(base_path, params)
-
-    onet2 = _make_net(seed=0, perturb_last=42)
-    full_path = str(root / "retrained_full.npz")
-    compiled2 = onet2.compile(params)
-    save_artifact(compiled2, params, full_path)
-    delta_path = str(root / "retrained_delta.npz")
-    save_artifact_delta(onet2.compile(params), params, base_path, delta_path)
-    return params, base_path, full_path, delta_path
+    return params, base_path
 
 
 class TestSeedExpansion:
@@ -257,78 +242,25 @@ class TestOneResidentTensor:
         assert resident == 2 * (93_890_528 - len(keys) * KEY_PRG_SEED_BYTES)
 
 
-class TestDeltaArtifacts:
-    def test_delta_is_smaller_and_resolves_bit_exact(self, mlp_deployment):
-        params, base_path, full_path, delta_path = mlp_deployment
-        import os
-
-        assert os.path.getsize(delta_path) < os.path.getsize(full_path)
-        resolved = load_artifact(delta_path, base_path=base_path)
-        full = load_artifact(full_path)
-        img = np.random.default_rng(3).normal(0, 0.5, (1, 8, 8))
-        assert np.array_equal(
-            resolved.program.run_cleartext_packed(img),
-            full.program.run_cleartext_packed(img),
-        )
-        assert np.array_equal(
-            resolved.program.run(ToyBackend(full.manifest.to_params(), seed=7), img),
-            full.program.run(ToyBackend(full.manifest.to_params(), seed=7), img),
-        )
-
-    def test_delta_without_base_fails_loudly(self, mlp_deployment):
-        _, base_path, _, delta_path = mlp_deployment
-        with pytest.raises(ArtifactDeltaError, match="base_path"):
-            load_artifact(delta_path)
-        with pytest.raises(ArtifactDeltaError, match="not a delta"):
-            load_artifact(base_path, base_path=base_path)
-
-    def test_apply_is_atomic_and_pins_fingerprint(
-        self, mlp_deployment, tmp_path
-    ):
-        params, base_path, full_path, delta_path = mlp_deployment
-        out = str(tmp_path / "merged.npz")
-        apply_artifact_delta(base_path, delta_path, out)
-        merged = load_artifact(out)  # a full artifact, loads standalone
-        full = load_artifact(full_path)
-        img = np.random.default_rng(4).normal(0, 0.5, (1, 8, 8))
-        assert np.array_equal(
-            merged.program.run(ToyBackend(full.manifest.to_params(), seed=7), img),
-            full.program.run(ToyBackend(full.manifest.to_params(), seed=7), img),
-        )
-        # A delta refuses to resolve against anything but its exact base.
-        with pytest.raises(ArtifactDeltaError, match="fingerprint"):
-            load_artifact(delta_path, base_path=out)
-
-    def test_reexport_is_byte_identical_and_takes_the_same_delta(
-        self, mlp_deployment, tmp_path
-    ):
+class TestArtifactFiles:
+    def test_reexport_is_byte_identical(self, mlp_deployment, tmp_path):
         """Artifact bytes are a function of the compile: no wall-clock
-        timing reaches the manifest, so a delta pinned to one export's
-        fingerprint applies to a re-export of the same network."""
-        params, _, full_path, _ = mlp_deployment
+        timing reaches the manifest, so exporting the same network twice
+        writes the same file."""
+        params, _ = mlp_deployment
         onet = _make_net(seed=0)
         first, again = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
         onet.export(first, params)
         onet.export(again, params)
         with open(first, "rb") as a, open(again, "rb") as b:
             assert a.read() == b.read()
-        delta = str(tmp_path / "delta.npz")
-        retrained = _make_net(seed=0, perturb_last=42).compile(params)
-        save_artifact_delta(retrained, params, first, delta)
-        apply_artifact_delta(again, delta)
-        img = np.random.default_rng(5).normal(0, 0.5, (1, 8, 8))
-        assert np.array_equal(
-            load_artifact(again).program.run_cleartext_packed(img),
-            load_artifact(full_path).program.run_cleartext_packed(img),
-        )
 
     def test_manifest_with_the_dropped_conjugation_flag(
         self, mlp_deployment, tmp_path
     ):
         """A base exported while the key manifest still carried
-        ``needs_conjugation`` (always false) loads as it did, but a delta
-        built against it is refused: the raw manifests differ."""
-        params, base_path, _, _ = mlp_deployment
+        ``needs_conjugation`` (always false) loads as it did."""
+        _, base_path = mlp_deployment
         with np.load(base_path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
         doc = json.loads(bytes(arrays.pop("__manifest__")).decode())
@@ -346,95 +278,60 @@ class TestDeltaArtifacts:
             __manifest__=np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8),
             **arrays,
         )
-        old, current = load_artifact(old_base), load_artifact(base_path)
+        old = ArtifactMap(old_base).load()
+        current = ArtifactMap(base_path).load()
         assert old.manifest == current.manifest
         img = np.random.default_rng(9).normal(0, 0.5, (1, 8, 8))
         assert np.array_equal(
             old.program.run(ToyBackend(old.manifest.to_params(), seed=7), img),
             current.program.run(ToyBackend(current.manifest.to_params(), seed=7), img),
         )
-        retrained = _make_net(seed=0, perturb_last=42).compile(params)
-        with pytest.raises(ArtifactDeltaError, match="key manifests differ"):
-            save_artifact_delta(retrained, params, old_base, str(tmp_path / "d.npz"))
-
-    def test_structural_mismatch_refuses_delta(self, mlp_deployment, tmp_path):
-        params, base_path, _, _ = mlp_deployment
-        init.seed_init(8)
-        other = OrionNetwork(SecureMlp(input_pixels=64, hidden=32), (1, 8, 8))
-        other.fit([np.random.default_rng(8).normal(0, 0.5, (8, 1, 8, 8))])
-        with pytest.raises((ArtifactDeltaError,)):
-            save_artifact_delta(
-                other.compile(params),
-                params,
-                base_path,
-                str(tmp_path / "bad.npz"),
-            )
 
 
 class TestHotReload:
-    def _solo(self, path, backend):
-        server = InferenceServer(
-            serve.ArtifactMap(path).load(),
-            backend,
-            batching=True,
-            max_wait_seconds=0.0,
-        )
-        return server
-
-    def test_pool_hot_swaps_delta_bit_exact(self, mlp_deployment, tmp_path):
-        """Apply a weight delta over the served file, ``reload()``, and
-        demand both phases bit-exact against a solo replay that swaps
-        artifacts at the same point with the same backend."""
-        params, base_path, _, delta_path = mlp_deployment
+    @pytest.mark.usefixtures("fork_deadline")
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_pool_hot_swaps_reexport_bit_exact(
+        self, mlp_deployment, tmp_path, mode
+    ):
+        """Export the retrained network over the served path: the pool
+        serves the file it mapped until ``reload()``, then the new one.
+        Every result is bit-equal to a solo replay that runs the old
+        file, then the new one, on one backend with the pool's key
+        seed."""
+        params, base_path = mlp_deployment
         served = str(tmp_path / "served.npz")
-        import shutil
-
         shutil.copy(base_path, served)
-        rng = np.random.default_rng(21)
-        img1, img2 = (rng.normal(0, 0.5, (1, 8, 8)) for _ in range(2))
+        images = list(np.random.default_rng(21).normal(0, 0.5, (3, 1, 8, 8)))
 
-        config = serve.ServerConfig(workers=1, batch_window_seconds=0.0)
+        def one(server, image):
+            server.submit(image, client_id="alice", now=0.0)
+            (result,) = server.drain()
+            return result.output
+
+        config = serve.ServerConfig(workers=1, mode=mode, batch_window_seconds=0.0)
         with serve.open(served, config) as server:
-            server.warm()
-            server.submit(img1, client_id="alice", now=0.0)
-            (r1,) = server.drain()
-            server.reload()  # same bytes: a no-op swap must be invisible
-            server.submit(img2, client_id="alice", now=0.0)
-            (r2,) = server.drain()
-
-        backend = default_backend_factory(load_artifact(served).manifest.to_params(), 0)
-        solo1 = self._solo(served, backend)
-        solo1.warm()
-        solo1.submit(img1, client_id="alice", now=0.0)
-        (s1,) = solo1.step(now=1e9)
-        solo2 = self._solo(served, backend)
-        solo2.submit(img2, client_id="alice", now=0.0)
-        (s2,) = solo2.step(now=1e9)
-        assert np.array_equal(r1.output, s1.output)
-        assert np.array_equal(r2.output, s2.output)
-
-        # Now actually swap the weights under the pool and re-check the
-        # output changes to the retrained network's.
-        with serve.open(served, config) as server:
-            server.warm()
-            server.submit(img1, client_id="alice", now=0.0)
-            (before,) = server.drain()
-            apply_artifact_delta(served, delta_path)
+            pool = [one(server, images[0])]
+            _make_net(seed=0, perturb_last=42).export(served, params)
+            pool.append(one(server, images[1]))  # still the old tables
             server.reload()
-            server.submit(img1, client_id="alice", now=0.0)
-            (after,) = server.drain()
-        assert not np.array_equal(before.output, after.output)
-        retrained = load_artifact(served)
-        expected = retrained.program.run_cleartext_packed(img1)
-        np.testing.assert_allclose(
-            after.output[: expected.size], expected.ravel(), atol=0.1
-        )
+            pool.append(one(server, images[2]))
+
+        old, new = ArtifactMap(base_path).load(), ArtifactMap(served).load()
+        backend = default_backend_factory(old.manifest.to_params(), config.key_seed)
+        solo_old = InferenceServer(old, backend, max_wait_seconds=0.0)
+        solo = [one(solo_old, images[0]), one(solo_old, images[1])]
+        solo.append(one(InferenceServer(new, backend, max_wait_seconds=0.0), images[2]))
+        for got, want in zip(pool, solo):
+            assert np.array_equal(got, want)
+        # The swap took: the retrained weights answer the last request.
+        expected = new.program.run_cleartext_packed(images[2])
+        assert not np.array_equal(old.program.run_cleartext_packed(images[2]), expected)
+        np.testing.assert_allclose(pool[2][: expected.size], expected.ravel(), atol=0.1)
 
     def test_reload_refuses_undrained_queues(self, mlp_deployment, tmp_path):
-        params, base_path, _, _ = mlp_deployment
+        params, base_path = mlp_deployment
         served = str(tmp_path / "served.npz")
-        import shutil
-
         shutil.copy(base_path, served)
         config = serve.ServerConfig(workers=1, batch_window_seconds=0.0)
         with serve.open(served, config) as server:
@@ -447,10 +344,8 @@ class TestHotReload:
     def test_reload_refuses_different_key_manifest(
         self, mlp_deployment, tmp_path
     ):
-        params, base_path, _, _ = mlp_deployment
+        params, base_path = mlp_deployment
         served = str(tmp_path / "served.npz")
-        import shutil
-
         shutil.copy(base_path, served)
         config = serve.ServerConfig(workers=1, batch_window_seconds=0.0)
         with serve.open(served, config) as server:
@@ -518,7 +413,7 @@ class TestTelemetry:
 
     def test_metrics_expose_key_material_gauges(self, mlp_deployment):
         """A lane reports the rotation-key bytes its own backend holds."""
-        params, base_path, _, _ = mlp_deployment
+        params, base_path = mlp_deployment
         config = serve.ServerConfig(workers=1, batch_window_seconds=0.0)
         with serve.open(base_path, config) as server:
             img = np.random.default_rng(6).normal(0, 0.5, (1, 8, 8))

@@ -25,7 +25,7 @@ from repro.ckks.params import toy_parameters
 from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
-from repro.serve import load_artifact
+from repro.serve import ArtifactMap
 from repro.serve.runtime import InferenceServer
 
 PARAMS = dict(ring_degree=512, max_level=6, boot_levels=1, scale_bits=24)
@@ -118,7 +118,7 @@ class TestLedgerFolds:
         onet, params, _ = mlp
         path = str(tmp_path / "mlp.npz")
         onet.export(path, params)
-        artifact = load_artifact(path)
+        artifact = ArtifactMap(path).load()
         server = InferenceServer(
             artifact, ToyBackend(artifact.manifest.to_params(), seed=4), batching=False
         )

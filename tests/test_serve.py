@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from repro import serve
 from repro.backend import SimBackend, ToyBackend
 from repro.ckks.keys import KeyManifest
 from repro.ckks.params import toy_parameters
@@ -23,12 +24,7 @@ from repro.core.placement.planner import solve_placement
 from repro.models import LolaCnn, SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
-from repro.serve import (
-    ArtifactSchemaError,
-    LaneStats,
-    load_artifact,
-    save_artifact_delta,
-)
+from repro.serve import ArtifactMap, ArtifactSchemaError, LaneStats
 from repro.serve.keys import backend_key_bytes, generate_lane_keys
 from repro.serve.runtime import InferenceServer
 from repro.serve.scheduler import SlotBatchingScheduler
@@ -72,7 +68,7 @@ class TestArtifactRoundTrip:
         path = str(tmp_path / f"mlp_a{ks_alpha}.npz")
         compiled = onet.compile(params)
         compiled.export(path, params)
-        loaded = load_artifact(path)
+        loaded = ArtifactMap(path).load()
         img = rng.normal(0, 0.5, (1, 8, 8))
         # Cleartext-packed execution is deterministic: bit-exact or bust.
         assert np.array_equal(
@@ -94,7 +90,7 @@ class TestArtifactRoundTrip:
         path = str(tmp_path / f"cnn_a{ks_alpha}.npz")
         compiled = onet.compile(params)
         compiled.export(path, params)
-        loaded = load_artifact(path)
+        loaded = ArtifactMap(path).load()
         img = rng.normal(0, 0.5, (1, 8, 8))
         assert np.array_equal(
             loaded.program.run_cleartext_packed(img),
@@ -107,9 +103,26 @@ class TestArtifactRoundTrip:
 
     def test_manifest_reconstructs_exact_params(self, mlp_artifact):
         _, _, params, path, _ = mlp_artifact
-        loaded = load_artifact(path)
+        loaded = ArtifactMap(path).load()
         assert loaded.manifest.to_params() == params
         assert loaded.manifest.rotation_steps  # a real manifest, not empty
+
+    @staticmethod
+    def _rewrite_manifest(path, bad_path, **fields):
+        """Copy the artifact at ``path`` to ``bad_path`` with ``fields``
+        overwritten in its manifest document."""
+        import json
+
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+        doc = json.loads(bytes(arrays.pop("__manifest__")).decode())
+        doc.update(fields)
+        np.savez(
+            bad_path,
+            __manifest__=np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8),
+            **arrays,
+        )
+        return bad_path
 
     @pytest.mark.parametrize("version", [99, 3, 4, 5])
     def test_schema_version_mismatch_fails_loudly(
@@ -118,33 +131,31 @@ class TestArtifactRoundTrip:
         """Any other version — the previous ones (3: per-term int64
         plaintexts; 4: diagonals pre-rolled by their giant step; 5: no
         compiled fold form) included — is one loud rejection, never a
-        compatibility branch, whether the file is loaded or used as a
-        delta base."""
-        import json
-
-        _, _, params, path, compiled = mlp_artifact
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {key: data[key] for key in data.files}
-        doc = json.loads(bytes(arrays.pop("__manifest__")).decode())
-        doc["schema_version"] = version
-        bad_path = str(tmp_path / "bad.npz")
-        np.savez(
-            bad_path,
-            __manifest__=np.frombuffer(json.dumps(doc).encode(), dtype=np.uint8),
-            **arrays,
+        compatibility branch."""
+        bad_path = self._rewrite_manifest(
+            mlp_artifact[3], str(tmp_path / "bad.npz"), schema_version=version
         )
         with pytest.raises(ArtifactSchemaError, match="schema version.*re-export"):
-            load_artifact(bad_path)
-        with pytest.raises(ArtifactSchemaError, match="schema version.*re-export"):
-            save_artifact_delta(
-                compiled, params, bad_path, str(tmp_path / "delta.npz")
-            )
+            ArtifactMap(bad_path).load()
+
+    @pytest.mark.parametrize("kind", ["delta", "weights"])
+    def test_only_full_artifacts_open(self, tmp_path, mlp_artifact, kind):
+        """The retired weight-delta kind, like any unknown kind, is
+        refused by name by the reader and by the front door alike."""
+        bad_path = self._rewrite_manifest(
+            mlp_artifact[3], str(tmp_path / "bad.npz"), kind=kind
+        )
+        match = f"artifact kind '{kind}'.*re-export"
+        with pytest.raises(ArtifactSchemaError, match=match):
+            ArtifactMap(bad_path).load()
+        with pytest.raises(ArtifactSchemaError, match=match):
+            serve.open(bad_path)
 
     def test_non_artifact_fails_loudly(self, tmp_path):
         path = str(tmp_path / "junk.npz")
         np.savez(path, stuff=np.arange(3))
         with pytest.raises(ArtifactSchemaError, match="not a serving artifact"):
-            load_artifact(path)
+            ArtifactMap(path).load()
 
     def test_header_gate_reports_first_mismatch_in_callers_error(self):
         """Artifacts and stats payloads share one header gate: it raises
@@ -171,7 +182,7 @@ class TestArtifactRoundTrip:
         """Lane keys generated at full capacity must suffice — no lazy
         keygen on the request path, single-shot or slot-batched."""
         _, rng, params, path, _ = mlp_artifact
-        loaded = load_artifact(path)
+        loaded = ArtifactMap(path).load()
         backend = ToyBackend(loaded.manifest.to_params(), seed=0)
         generate_lane_keys(backend, loaded.program)
         keys_before = backend.context.keys.num_rotation_keys()
@@ -181,7 +192,7 @@ class TestArtifactRoundTrip:
 
     def test_preload_skips_every_weight_encode(self, mlp_artifact):
         _, rng, params, path, _ = mlp_artifact
-        loaded = load_artifact(path)
+        loaded = ArtifactMap(path).load()
         backend = ToyBackend(loaded.manifest.to_params(), seed=2)
         installed = loaded.preload(backend)
         assert installed > 0
@@ -509,7 +520,7 @@ class TestLaneKeyGeneration:
 
     @pytest.fixture(scope="class")
     def artifact(self, mlp_artifact):
-        return load_artifact(mlp_artifact[3])
+        return ArtifactMap(mlp_artifact[3]).load()
 
     @staticmethod
     def _lane(artifact, max_batch=None, seed=0):
@@ -620,7 +631,6 @@ class TestLaneKeyGeneration:
             ToyBackend(artifact.manifest.to_params(), seed=5),
             batching=batching,
             max_batch=max_batch,
-            preload=False,
         )
         expected_capacity = (
             artifact.program.slot_batch_capacity() if cap is None else cap
@@ -635,7 +645,6 @@ class TestLaneKeyGeneration:
             artifact,
             ToyBackend(artifact.manifest.to_params(), seed=6),
             max_batch=2,
-            preload=False,
         )
         snapshot = dict(server.backend.context.keys.galois)
         server.warm()
@@ -649,7 +658,6 @@ class TestLaneKeyGeneration:
             params,
             backend=ToyBackend(artifact.manifest.to_params(), seed=4),
             max_batch=1,
-            preload=False,
         )
         assert self._same_key_material(
             server.backend, self._lane(artifact, 1, seed=4)
@@ -663,7 +671,7 @@ class TestInferenceServer:
         params = _toy_params()
         path = str(tmp_path_factory.mktemp("serve") / "mlp.npz")
         onet.export(path, params)
-        artifact = load_artifact(path)
+        artifact = ArtifactMap(path).load()
         backend = ToyBackend(artifact.manifest.to_params(), seed=9)
         server = InferenceServer(artifact, backend, max_wait_seconds=0.0)
         return onet, rng, params, artifact, server
@@ -714,12 +722,12 @@ class TestInferenceServer:
         batch size (block replication divides the slot count)."""
         _, _, params, artifact, _ = served
         server = InferenceServer(
-            artifact, ToyBackend(artifact.manifest.to_params(), seed=1), max_batch=3, preload=False
+            artifact, ToyBackend(artifact.manifest.to_params(), seed=1), max_batch=3
         )
         assert server.scheduler.capacity == 2
         with pytest.raises(ValueError, match="max_batch"):
             InferenceServer(
-                artifact, ToyBackend(artifact.manifest.to_params(), seed=1), max_batch=0, preload=False
+                artifact, ToyBackend(artifact.manifest.to_params(), seed=1), max_batch=0
             )
 
     def test_drain_flushes_queue(self, served):

@@ -19,6 +19,7 @@ The correctness gates of the pool PR:
   the pool opens, and nothing on the serving path adds one.
 """
 
+import gc
 import json
 import os
 import signal
@@ -26,6 +27,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from repro.serve import (
     WorkerLostError,
     is_mmap_backed,
 )
+from repro.serve.artifact import artifact_from_doc
 from repro.serve.keys import (
     backend_key_bytes,
     default_backend_factory,
@@ -421,10 +424,37 @@ class TestSharedMmapTables:
             with pytest.raises((ValueError, TypeError)):
                 array[...] = 0
 
+    def test_load_leaks_no_file_handle(self, artifact_path, monkeypatch):
+        """The map holds its own descriptor, so the file closes as soon
+        as it is mapped: a dropped ``ArtifactMap`` leaves no unclosed
+        file for the collector to warn about."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            artifact = ArtifactMap(artifact_path).load()
+            gc.collect()
+        assert artifact.program.instructions
+        assert unraisable == []
+
+    def test_arrays_outlive_close(self, artifact_path):
+        amap = ArtifactMap(artifact_path)
+        arrays = amap.arrays
+        amap.close()
+        assert amap.arrays == {}
+        with np.load(artifact_path, allow_pickle=False) as data:
+            for name, array in arrays.items():
+                assert is_mmap_backed(array)
+                assert np.array_equal(array, data[name]), name
+
     def test_verify_rejects_copied_tables(self, artifact_path):
-        """A worker built from a plain (heap-loaded) artifact must fail
-        the mmap audit — the guard actually detects copies."""
-        artifact = serve.load_artifact(artifact_path)
+        """A worker built from an artifact whose tables were copied to
+        the heap must fail the mmap audit — the guard actually detects
+        copies."""
+        amap = ArtifactMap(artifact_path)
+        artifact = artifact_from_doc(
+            amap.manifest_doc(), lambda ref: np.array(amap.arrays[ref])
+        )
         solo = InferenceServer(
             artifact,
             default_backend_factory(artifact.manifest.to_params(), 0),
@@ -466,7 +496,7 @@ class TestFrontDoor:
         assert config.workers == 2
 
     def test_open_accepts_loaded_artifact(self, artifact_path):
-        artifact = serve.load_artifact(artifact_path)
+        artifact = ArtifactMap(artifact_path).load()
         with serve.open(artifact, ServerConfig(batch_window_seconds=0.0)) as server:
             result = server.serve_now(_images(1)[0], client_id="alice")
             assert result.worker_id == 0
