@@ -64,6 +64,17 @@ __all__ = ["CkksContext", "HOISTED_SLAB", "galois_offset_key"]
 #: to per-call overhead, and each doubling from 4 adds a few MB of peak.
 HOISTED_SLAB = 8
 
+#: Limb rows per forward NTT while a switching key fills
+#: (:meth:`CkksContext._fill_switching_key`): a key's digits run through
+#: the transform, the ``b`` arithmetic and the slot-order gather in slabs
+#: of ``KEYGEN_SLAB_ROWS // len(chain)`` digits (at least one), so a
+#: key-switch chain's two NTT runs (special rows, data rows) cost two
+#: butterfly calls per stage per slab rather than per digit, while a
+#: whole key at once would grow each fill thread's working set with its
+#: digit count.  32 rows of int64 at N = 4096 is 1 MiB per operand
+#: (docs/keys.md).
+KEYGEN_SLAB_ROWS = 32
+
 
 def _fill_workers() -> int:
     """How many switching keys may fill at once: the CPUs this process
@@ -128,15 +139,11 @@ class CkksContext:
         return RnsPolynomial(self.basis, primes, np.stack(rows), is_ntt=True)
 
     def _noise_poly(self, primes) -> RnsPolynomial:
-        return self._lift_noise(
-            self.rng.gaussian(self.params.sigma, self.params.ring_degree), primes
-        )
-
-    def _lift_noise(self, noise: np.ndarray, primes) -> RnsPolynomial:
-        """A drawn noise vector as an evaluation-form polynomial.  The
+        """A fresh noise vector as an evaluation-form polynomial.  The
         forward NTT takes the small signed coefficients as they are (its
         twist multiply reduces them into ``(-q, q)`` and its output is
         canonical), so no per-limb reduction runs first."""
+        noise = self.rng.gaussian(self.params.sigma, self.params.ring_degree)
         rows = np.broadcast_to(noise, (len(primes), noise.size))
         data = self.basis.forward_chain(rows, primes)
         return RnsPolynomial(self.basis, primes, data, is_ntt=True)
@@ -214,7 +221,8 @@ class CkksContext:
     def _draw_switching_key(self, plan: _KeyPlan):
         """The draw half: everything a key takes from the context rng —
         its 32-byte PRG seed, then one noise vector per digit, the order
-        keygen has always drawn in — and the tensor the fill writes.
+        keygen has always drawn in (stacked ``(D, N)``) — and the tensor
+        the fill writes.
 
         Runs on the calling thread, so the rng stream never depends on
         which thread fills.  The tensor is allocated here too: a key
@@ -223,7 +231,9 @@ class CkksContext:
         """
         n = self.params.ring_degree
         seed = self.rng.bytes(KEY_PRG_SEED_BYTES)
-        noise = [self.rng.gaussian(self.params.sigma, n) for _ in range(plan.num_digits)]
+        noise = np.stack(
+            [self.rng.gaussian(self.params.sigma, n) for _ in range(plan.num_digits)]
+        )
         tensor = np.empty((2, plan.num_digits, len(plan.chain), n), dtype=np.uint32)
         return seed, noise, tensor
 
@@ -253,11 +263,14 @@ class CkksContext:
         ``plan.exponent`` is the Galois element whose rotated secret
         ``from_key`` is (1 for the relin key; a plan without a
         ``from_key`` rotates ``to_key`` here).  Rows are computed over
-        the key's own special-first chain and written through the
-        inverse permutation straight into the one resident uint32 tensor
-        (:class:`repro.ckks.keys.SwitchingKey`); the uniform ``a_i``
-        rows expand from the drawn 32-byte seed, so persistent storage
-        needs only the ``b_i`` rows plus the seed.
+        the key's own special-first chain, a slab of digits at a time
+        (:data:`KEYGEN_SLAB_ROWS` limb rows per transform), and written
+        through the inverse permutation straight into the one resident
+        uint32 tensor (:class:`repro.ckks.keys.SwitchingKey`); the
+        uniform ``a_i`` rows expand from the drawn 32-byte seed, so
+        persistent storage needs only the ``b_i`` rows plus the seed.
+        Every step is elementwise per digit, so a key is the same bytes
+        whatever the slab width.
         """
         chain = plan.chain
         ns = self.params.num_special_primes
@@ -272,17 +285,25 @@ class CkksContext:
         mod_col = self.basis.moduli_column(chain)
         special = self.basis.special_modulus()
         gadget = np.array([[special % q] for q in chain], dtype=np.int64)
-        for digit, e_i in enumerate(noise):
-            a_i = expand_a_half(seed, digit, self.basis, chain).data
-            own = slice(ns + digit * alpha, ns + min((digit + 1) * alpha, plan.num_data))
-            # b_i = e_i - a_i*s + g_i*s'; |.| < 2 q^2 < 2^63 for the
+        width = max(1, KEYGEN_SLAB_ROWS // len(chain))
+        for lo in range(0, plan.num_digits, width):
+            hi = min(lo + width, plan.num_digits)
+            a = np.stack([expand_a_half(seed, d, self.basis, chain).data for d in range(lo, hi)])
+            # b = e - a*s + g*s' per digit; |.| < 2 q^2 < 2^63 for the
             # < 2^31 primes the exact backend admits, so ONE reduction.
-            b_i = self._lift_noise(e_i, chain).data
-            b_i -= a_i * s_to
-            b_i[own] += gadget[own] * s_from[own]
-            b_i %= mod_col
-            tensor[0, digit] = np.take(b_i, order, axis=-1)
-            tensor[1, digit] = np.take(a_i, order, axis=-1)
+            # The forward NTT takes the small signed noise as it is (its
+            # twist multiply reduces it into (-q, q), its output is
+            # canonical), so no per-limb reduction runs first.
+            b = self.basis.forward_chain(
+                np.broadcast_to(noise[lo:hi, None, :], a.shape), chain
+            )
+            b -= a * s_to
+            for d in range(lo, hi):
+                own = slice(ns + d * alpha, ns + min((d + 1) * alpha, plan.num_data))
+                b[d - lo, own] += gadget[own] * s_from[own]
+            b %= mod_col
+            tensor[0, lo:hi] = np.take(b, order, axis=-1)
+            tensor[1, lo:hi] = np.take(a, order, axis=-1)
         return SwitchingKey(tensor, self.basis, plan.exponent, plan.max_level, seed)
 
     def _plan_galois_keys(self, requests) -> List[Tuple[int, object]]:

@@ -55,10 +55,12 @@ class ServerConfig:
             admission instead of queueing.
         routing_seed: seed folded into rendezvous routing, pinning the
             client -> worker assignment reproducibly.
-        key_seed: seed of the pool's key domain.  Every worker generates
-            the same keys from it, so any worker's response decrypts
-            under the pool key and a solo replay with this seed
-            reproduces any worker bit for bit.
+        key_seed: seed of the pool's key domain.  Every worker holds
+            the same keys from it (an inline pool generates them once
+            per artifact and shares them; a process worker generates
+            its own), so any worker's response decrypts under the pool
+            key and a solo replay with this seed reproduces any worker
+            bit for bit.
         backend_factory: ``(params, seed) -> FheBackend`` override
             (defaults to the exact toy backend for toy-sized primes).
         tracing: give every worker a :class:`repro.obs.Tracer` so each

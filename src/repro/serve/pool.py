@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.serve.artifact import ServingArtifact
-from repro.serve.keys import default_backend_factory
+from repro.serve.keys import KeyDomain, default_backend_factory
 from repro.serve.mmapio import ArtifactMap, is_mmap_backed
 from repro.serve.runtime import InferenceServer, ServeResult
 from repro.serve.stats import LaneStats, WorkerStats
@@ -180,6 +180,15 @@ class Worker:
     reproduces any worker bit for bit — and gets its rotation keys when
     the lane's server is constructed.  It is held for the worker's
     lifetime (a reload keeps it, and its keys).
+
+    Workers of an inline pool share one :class:`repro.serve.keys.KeyDomain`
+    per artifact (``shared_keys``): the first worker to open a lane
+    generates its keys, and every later worker's fresh backend installs
+    them — the same key objects and the rng state keygen left — so its
+    lane generates none.  A process worker keys itself in its own child.
+    Either way each lane's ``key_bytes_resident`` counts the tensors it
+    holds, so in an inline pool the sum over workers overstates the
+    physical key bytes by the worker count.
     """
 
     def __init__(
@@ -195,6 +204,7 @@ class Worker:
         tracing: bool = False,
         trace_sample_rate: float = 1.0,
         shared_artifacts: Optional[Dict[str, ServingArtifact]] = None,
+        shared_keys: Optional[Dict[str, Optional[KeyDomain]]] = None,
     ):
         self.worker_id = worker_id
         self.specs = tuple(specs)
@@ -215,12 +225,20 @@ class Worker:
         # Inner (per-server) ticket -> the dispatcher's global ticket.
         self._tickets: Dict[Tuple[str, int], int] = {}
         loaded = {} if shared_artifacts is None else shared_artifacts
+        domains = {} if shared_keys is None else shared_keys
         for spec in self.specs:
             if spec.artifact_id not in loaded:
                 loaded[spec.artifact_id] = self._load(spec)
             artifact = loaded[spec.artifact_id]
             backend = factory(artifact.manifest.to_params(), key_seed)
+            domain = domains.get(spec.artifact_id)
+            if domain is not None:
+                domain.install(backend)
             self._open_lane(spec, artifact, backend)
+            if spec.artifact_id not in domains:
+                # The server draws nothing after its keygen, so this is
+                # the state generate_lane_keys left.
+                domains[spec.artifact_id] = KeyDomain.of(backend)
 
     @staticmethod
     def _load(spec: ArtifactSpec) -> ServingArtifact:
@@ -613,8 +631,10 @@ class WorkerPool:
         if mode == "inline":
             # One shared load of each mmapped artifact for the whole
             # pool: the program object (and its mapped tables) is
-            # reference-shared; per-worker state lives in the backends.
+            # reference-shared; per-worker state lives in the backends,
+            # which hold the first worker's keys (one keygen per artifact).
             build_opts["shared_artifacts"] = {}
+            build_opts["shared_keys"] = {}
             transport = Worker
         elif mode == "process":
             transport = ProcessWorker

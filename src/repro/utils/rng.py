@@ -76,6 +76,11 @@ class SeededRng:
         e.g. to check that a refused operation drew no randomness."""
         return self._gen.bit_generator.state
 
+    def set_state(self, state: dict) -> None:
+        """Resume the stream from a :meth:`get_state` snapshot: the draws
+        that follow are the ones that followed the snapshot."""
+        self._gen.bit_generator.state = state
+
     @property
     def generator(self) -> np.random.Generator:
         """Access the underlying numpy generator."""

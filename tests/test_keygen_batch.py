@@ -6,6 +6,7 @@ a pool sized from the process's CPU affinity.  These tests pin it to the
 one-key-at-a-time loop in ``tests/reference/keygen_loop.py`` — keys,
 seeds, bounds, ``keys.galois`` order and the rng state afterwards — with
 the worker count forced to one (the inline path) and to two (the pool),
+and with a fill row budget that leaves a key's last digit slab short,
 and check that no pool thread outlives a call, even a failed one.
 """
 
@@ -18,6 +19,7 @@ import threading
 import pytest
 
 from reference import keygen_loop
+from repro.ckks import context as context_module
 from repro.ckks.context import CkksContext
 from repro.ckks.params import CkksParameters
 from repro.utils.rng import SeededRng
@@ -41,14 +43,14 @@ SCENARIOS = {
 }
 
 
-def _params(ks_alpha=1, num_special=1):
+def _params(ks_alpha=1, num_special=1, max_level=5):
     """Ring degree 64, six 10-bit data primes and 30-bit special primes:
     narrow enough that one special prime outweighs a three-limb digit,
     so every grouping in ``GROUPINGS`` is a valid parameter set."""
     return CkksParameters(
         ring_degree=64,
         scale_bits=10,
-        max_level=5,
+        max_level=max_level,
         first_prime_bits=10,
         special_prime_bits=30,
         boot_levels=1,
@@ -74,6 +76,37 @@ def _snapshot(context):
         for exponent, key in context.keys.galois.items()
     ]
     return keys, context.rng.get_state()
+
+
+def _ragged_slabs(monkeypatch, params):
+    """Set the fill's row budget (``KEYGEN_SLAB_ROWS``) to ``width``
+    full-chain digits, ``width`` at least two and not dividing the digit
+    count, so a full-chain key fills in two or more slabs and the last
+    one is short; returns the slab sizes."""
+    digits = -(-(params.max_level + 1) // params.ks_alpha)
+    width = next(w for w in range(2, digits) if digits % w)
+    rows = params.num_special_primes + params.max_level + 1
+    monkeypatch.setattr(context_module, "KEYGEN_SLAB_ROWS", width * rows)
+    return [width] * (digits // width) + [digits % width]
+
+
+def _assert_relin_equals_reference(params):
+    """The relin key a context builds equals the loop's, replayed from
+    the same seed, and leaves the same rng state."""
+    context = CkksContext(params, seed=4)
+    replay = CkksContext(params, seed=4)
+    replay.rng = SeededRng(4)
+    # The draws the constructor makes before the relin key: the
+    # secret, then the public key's uniform half and noise.
+    replay.rng.ternary(params.ring_degree)
+    replay._uniform_poly(replay.basis.primes)
+    replay._noise_poly(replay.basis.primes)
+    relin = keygen_loop.make_switching_key(
+        replay, replay.keys.secret_squared, replay.keys.secret
+    )
+    assert relin.tensor.tobytes() == context.keys.relin.tensor.tobytes()
+    assert relin.seed == context.keys.relin.seed
+    assert replay.rng.get_state() == context.rng.get_state()
 
 
 class TestByteIdenticalToTheLoop:
@@ -112,21 +145,7 @@ class TestByteIdenticalToTheLoop:
 
     @pytest.mark.parametrize("ks_alpha, num_special", GROUPINGS)
     def test_relin_key_equals_reference(self, ks_alpha, num_special):
-        params = _params(ks_alpha, num_special)
-        context = CkksContext(params, seed=4)
-        replay = CkksContext(params, seed=4)
-        replay.rng = SeededRng(4)
-        # The draws the constructor makes before the relin key: the
-        # secret, then the public key's uniform half and noise.
-        replay.rng.ternary(params.ring_degree)
-        replay._uniform_poly(replay.basis.primes)
-        replay._noise_poly(replay.basis.primes)
-        relin = keygen_loop.make_switching_key(
-            replay, replay.keys.secret_squared, replay.keys.secret
-        )
-        assert relin.tensor.tobytes() == context.keys.relin.tensor.tobytes()
-        assert relin.seed == context.keys.relin.seed
-        assert replay.rng.get_state() == context.rng.get_state()
+        _assert_relin_equals_reference(_params(ks_alpha, num_special))
 
     def test_refused_key_draws_nothing(self, cpus):
         """A key whose chain does not fit 32 bits refuses the whole call
@@ -141,6 +160,51 @@ class TestByteIdenticalToTheLoop:
         with pytest.raises(ValueError, match="32-bit"):
             context.generate_rotation_keys([2, 3, 4], levels={2: 1, 3: 0})
         assert _snapshot(context) == before
+
+
+class TestRaggedSlabs:
+    """A key fills ``KEYGEN_SLAB_ROWS // len(chain)`` digits per slab.
+    With seven data limbs every grouping has at least three full-chain
+    digits; the row budget is set so slabs hold two or three of them
+    and the last slab is short."""
+
+    @staticmethod
+    def _slab_sizes(context, monkeypatch):
+        """Digits per forward transform of each slab from here on."""
+        sizes = []
+        transform = context.basis.forward_chain
+
+        def spy(data, primes):
+            if data.ndim == 3:
+                sizes.append(data.shape[0])
+            return transform(data, primes)
+
+        monkeypatch.setattr(context.basis, "forward_chain", spy)
+        return sizes
+
+    @pytest.mark.parametrize("ks_alpha, num_special", GROUPINGS)
+    def test_rotation_keys_equal_reference(self, ks_alpha, num_special, cpus, monkeypatch):
+        params = _params(ks_alpha, num_special, max_level=6)
+        slabs = _ragged_slabs(monkeypatch, params)
+        batched = CkksContext(params, seed=21)
+        reference = CkksContext(params, seed=21)
+        sizes = self._slab_sizes(batched, monkeypatch)
+        full = [1, 2, 3, -1]
+        batched.generate_rotation_keys(full)
+        # Fill threads interleave their slabs: compare as multisets.
+        assert sorted(sizes) == sorted(slabs * len(full)) and slabs[-1] < slabs[0]
+        keygen_loop.generate_rotation_keys(reference, full)
+        assert _snapshot(batched) == _snapshot(reference)
+        levels = {4: 6, 5: 3, 6: 0}
+        batched.generate_rotation_keys(levels, levels)
+        keygen_loop.generate_rotation_keys(reference, levels, levels)
+        assert _snapshot(batched) == _snapshot(reference)
+
+    @pytest.mark.parametrize("ks_alpha, num_special", GROUPINGS)
+    def test_relin_key_equals_reference(self, ks_alpha, num_special, monkeypatch):
+        params = _params(ks_alpha, num_special, max_level=6)
+        _ragged_slabs(monkeypatch, params)
+        _assert_relin_equals_reference(params)
 
 
 class TestWorkers:

@@ -16,10 +16,14 @@ The correctness gates of the pool PR:
 - **typed stats** — ``ServerStats`` round-trips through JSON and
   rejects foreign schema versions;
 - **lane keys** — every lane holds its rotation keys from the moment
-  the pool opens, and nothing on the serving path adds one.
+  the pool opens, and nothing on the serving path adds one;
+- **one keygen per artifact** — an inline pool's workers hold the first
+  worker's key objects and rng state, a process pool's children key
+  themselves, and both equal a solo keygen byte for byte.
 """
 
 import gc
+import hashlib
 import json
 import os
 import signal
@@ -33,6 +37,8 @@ import numpy as np
 import pytest
 
 from repro import serve
+from repro.backend.sim import SimBackend
+from repro.ckks.context import CkksContext
 from repro.ckks.params import toy_parameters
 from repro.models import SecureMlp
 from repro.nn import init
@@ -40,6 +46,7 @@ from repro.orion import OrionNetwork
 from repro.serve import (
     AdmissionError,
     ArtifactMap,
+    ArtifactSpec,
     ServerConfig,
     ServerStats,
     StatsSchemaError,
@@ -48,6 +55,8 @@ from repro.serve import (
 )
 from repro.serve.artifact import artifact_from_doc
 from repro.serve.keys import (
+    KeyDomain,
+    KeyDomainError,
     backend_key_bytes,
     default_backend_factory,
     generate_lane_keys,
@@ -79,9 +88,9 @@ def _images(n, seed=7):
     return [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(n)]
 
 
-#: Lanes generate their keys when the pool opens, one set per batch view
-#: up to the cap, so the pools here cap batches at 2 unless a test needs
-#: more: a 4-worker pool then generates 61 keys per worker, not 91.
+#: Lanes get their keys when the pool opens, one set per batch view up
+#: to the cap, so the pools here cap batches at 2 unless a test needs
+#: more: a lane then holds 61 keys, not 91.
 POOL_MAX_BATCH = 2
 
 
@@ -616,6 +625,152 @@ class TestLaneKeys:
                 assert observe() == at_open
             server.reload()
             assert observe() == at_open
+
+
+def _key_census(backend):
+    """sha256 over every rotation key of a backend, in ``keys.galois``
+    order, and its rng state."""
+    digest = hashlib.sha256()
+    for exponent, key in backend.context.keys.galois.items():
+        digest.update(exponent.to_bytes(8, "big") + key.seed + key.tensor.tobytes())
+    digest.update(repr(backend.context.rng.get_state()).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """Every ``_fill_switching_key`` call from here on (forked children
+    inherit the spy and count their own)."""
+    calls = []
+    fill = CkksContext._fill_switching_key
+
+    def spy(self, *args):
+        calls.append(args[0].exponent)
+        return fill(self, *args)
+
+    monkeypatch.setattr(CkksContext, "_fill_switching_key", spy)
+    return calls
+
+
+@pytest.mark.usefixtures("fork_deadline")
+class TestSharedKeyDomain:
+    """An inline pool generates each artifact's rotation keys once, on
+    its first worker; every other worker holds those very key objects
+    and the rng state keygen left, so it is still bit-exact to a solo
+    replay.  A process pool keys every child on its own."""
+
+    ARTIFACTS = ("mlp-a", "mlp-b")
+
+    def _solo(self, artifact, fills):
+        """A solo lane's backend with its keys: ``(backend, relin fills,
+        rotation fills)``."""
+        before = len(fills)
+        backend = default_backend_factory(artifact.manifest.to_params(), 0)
+        relin = len(fills) - before
+        generate_lane_keys(backend, artifact.program, POOL_MAX_BATCH)
+        return backend, relin, len(fills) - before - relin
+
+    def test_one_keygen_per_artifact(self, artifact_path, fills):
+        source = {artifact_id: artifact_path for artifact_id in self.ARTIFACTS}
+        config = _pool_config(workers=3)
+        fills.clear()
+        with serve.open(source, config) as server:
+            pool_fills = len(fills)
+            workers = server._dispatcher.pool.workers
+            artifact = ArtifactMap(artifact_path).load()
+            solo, relin, rotation = self._solo(artifact, fills)
+            assert rotation > 0 and relin == 1
+            # Every backend makes its own relin key; the rotation keys
+            # are generated once per artifact, not once per worker.
+            assert pool_fills == len(workers) * len(source) * relin + len(source) * rotation
+            image = _images(1)[0]
+            for artifact_id in self.ARTIFACTS:
+                donor = workers[0].servers[artifact_id].backend.context.keys.galois
+                assert list(donor) == list(solo.context.keys.galois)
+                replay = InferenceServer(
+                    artifact,
+                    default_backend_factory(artifact.manifest.to_params(), 0),
+                    max_batch=POOL_MAX_BATCH,
+                    max_wait_seconds=0.0,
+                )
+                expected = replay.serve_now(image, client_id="alice")
+                for ticket, worker in enumerate(workers):
+                    backend = worker.servers[artifact_id].backend
+                    galois = backend.context.keys.galois
+                    assert list(galois) == list(donor)
+                    assert all(galois[e] is donor[e] for e in donor)
+                    assert backend.context.rng.get_state() == solo.context.rng.get_state()
+                    assert _key_census(backend) == _key_census(solo)
+                    result = worker.serve_now(ticket, artifact_id, "alice", image)
+                    assert np.array_equal(result.output, expected.output)
+
+    def test_process_children_key_themselves(self, artifact_path, fills, monkeypatch):
+        monkeypatch.setattr(
+            Worker,
+            "key_census",
+            lambda worker: (
+                len(fills),
+                [_key_census(s.backend) for s in worker.servers.values()],
+            ),
+            raising=False,
+        )
+        artifact = ArtifactMap(artifact_path).load()
+        solo, relin, rotation = self._solo(artifact, fills)
+        fills.clear()
+        config = _pool_config(workers=2, mode="process")
+        with serve.open(artifact_path, config) as server:
+            censuses = [w._call("key_census") for w in server._dispatcher.pool.workers]
+        assert fills == []  # the parent generated nothing
+        assert censuses == [(relin + rotation, [_key_census(solo)])] * 2
+
+    def test_foreign_backend_is_refused(self, artifact_path):
+        artifact = ArtifactMap(artifact_path).load()
+        params = artifact.manifest.to_params()
+        donor = default_backend_factory(params, 0)
+        generate_lane_keys(donor, artifact.program, POOL_MAX_BATCH)
+        domain = KeyDomain.of(donor)
+        other_params = toy_parameters(
+            ring_degree=1024, max_level=5, boot_levels=1, scale_bits=24
+        )
+        for recipient in (
+            default_backend_factory(params, 1),  # another secret
+            default_backend_factory(other_params, 0),  # another parameter set
+        ):
+            context = recipient.context
+            state = context.rng.get_state()
+            params_fp, secret_fp = KeyDomain._fingerprints(context)
+            assert (params_fp, secret_fp) != (
+                domain.params_fingerprint,
+                domain.secret_fingerprint,
+            )
+            with pytest.raises(KeyDomainError) as refused:
+                domain.install(recipient)
+            message = str(refused.value)
+            for name in (domain.params_fingerprint, domain.secret_fingerprint, params_fp, secret_fp):
+                assert name in message
+            assert context.keys.galois == {}
+            assert context.rng.get_state() == state
+
+    def test_keyless_lanes_share_nothing(self, artifact_path):
+        def functional(params, seed):
+            return SimBackend(params, seed=seed)
+
+        assert KeyDomain.of(functional(_params(), 0)) is None
+        domains = {}
+        spec = ArtifactSpec("mlp", path=artifact_path)
+        opts = dict(
+            key_seed=0,
+            batching=True,
+            max_batch=POOL_MAX_BATCH,
+            batch_window_seconds=0.0,
+            backend_factory=functional,
+            shared_keys=domains,
+        )
+        workers = [Worker(worker_id, (spec,), **opts) for worker_id in range(2)]
+        assert domains == {"mlp": None}
+        image = _images(1)[0]
+        outputs = [w.serve_now(0, "mlp", "alice", image).output for w in workers]
+        assert np.array_equal(outputs[0], outputs[1])
 
 
 @pytest.mark.usefixtures("fork_deadline")
