@@ -75,8 +75,8 @@ class CostModel:
     c_boot_base: float = 0.5
     c_boot_quad: float = 2.5e-3
     c_encode: float = 2.0e-3
-    # fused_fold_depth per level, filled on first use.
-    _fold_depths: Dict[int, int] = field(
+    # _fold_plan per (level, fold count), filled on first use.
+    _fold_plans: Dict[Tuple[int, int], Tuple[Tuple[int, ...], float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -191,58 +191,53 @@ class CostModel:
         ) * self._unit
 
     # -- aggregated helpers for the packing planner -----------------------
-    def _fold_prices(self, level: int, num_folds: int) -> Tuple[float, float]:
-        """``(expanded, sequential)`` price of a ``num_folds``-deep
-        Gazelle rotate-and-sum fold: ``num_folds`` full key switches on
-        successively accumulated ciphertexts, or ``2^num_folds - 1``
-        rotations of the *original* accumulator sharing one digit
-        decomposition and one deferred mod-down."""
-        expanded = (1 << num_folds) - 1
-        fused = (
-            self.ks_decompose(level)
-            + expanded * self.ks_inner_fused(level)
-            + self.ks_moddown(level)
-            + expanded * self.hadd(level)
-        )
-        sequential = num_folds * (self.hrot(level) + self.hadd(level))
-        return fused, sequential
+    def _fold_plan(self, level: int, num_folds: int) -> Tuple[Tuple[int, ...], float]:
+        """``(partition, price)`` of a ``num_folds``-deep fold ladder.
 
-    def fused_fold_cheaper(self, level: int, num_folds: int) -> bool:
-        """Whether the expanded fold is no dearer than the sequential one."""
-        fused, sequential = self._fold_prices(level, num_folds)
-        return fused <= sequential
-
-    def fused_fold_depth(self, level: int) -> int:
-        """Deepest fold ladder that runs expanded at ``level``.
-
-        The expanded price grows as ``2^k`` in the fold count ``k``, the
-        sequential one linearly, so :meth:`fused_fold_cheaper` holds
-        exactly for ``k <=`` this depth (at most log2 of the slot count,
-        the deepest fold there is).  The compiler stores it per linear
-        layer (``PackedMatVec.fused_folds``); :meth:`fold_cost` and the
-        attention trees read it too.
+        A group of ``g`` folds is one hoisted key switch: the composition
+        ``t -> t + rot(t, s)`` over its shifts expands into the
+        ``2^g - 1`` nonzero subset-sum rotations of the group's input,
+        sharing one digit decomposition and one deferred mod-down.
         """
-        depth = self._fold_depths.get(level)
-        if depth is None:
-            depth, deepest = 0, self.params.slot_count.bit_length() - 1
-            while depth < deepest and self.fused_fold_cheaper(level, depth + 1):
-                depth += 1
-            self._fold_depths[level] = depth
-        return depth
+        key = (level, num_folds)
+        plan = self._fold_plans.get(key)
+        if plan is None:
+            per_group = self.ks_decompose(level) + self.ks_moddown(level)
+            per_sum = self.ks_inner_fused(level) + self.hadd(level)
+            plan = ((), 0.0)
+            for groups in range(1, num_folds + 1):
+                # The group price is convex in its size, so the cheapest
+                # split into `groups` groups is the balanced one.
+                small, extra = divmod(num_folds, groups)
+                sizes = (small + 1,) * extra + (small,) * (groups - extra)
+                price = sum(per_group + ((1 << g) - 1) * per_sum for g in sizes)
+                if not plan[0] or price < plan[1]:
+                    plan = (sizes, price)
+            self._fold_plans[key] = plan
+        return plan
+
+    def fold_partition(self, level: int, num_folds: int) -> Tuple[int, ...]:
+        """Group sizes, in ladder order, of the cheapest way to run a
+        ``num_folds``-deep rotate-and-sum fold at ``level``: consecutive
+        groups, each one hoisted key switch over its subset sums
+        (docs/hoisting.md, "Fold partitions").  ``(1,) * num_folds`` is
+        the classic sequential fold, ``(num_folds,)`` the full
+        expansion.  The compiler stores it per linear layer
+        (``PackedMatVec.fold_groups``); the attention trees read it
+        too.  Memoized per ``(level, num_folds)``."""
+        return self._fold_plan(level, num_folds)[0]
 
     def fold_cost(self, level: int, num_folds: int, num_out: int = 1) -> float:
         """Price of the post-matvec Gazelle rotate-and-sum folds, in the
-        form :meth:`fused_fold_depth` picks.
+        partition :meth:`fold_partition` picks.
 
         Priced at the matvec's *input* level (like every other term of
-        :meth:`matvec_cost`), where the compiler fixes the fold form,
+        :meth:`matvec_cost`), where the compiler fixes the partition,
         even though the fold itself runs one level lower.
         """
         if num_folds <= 0:
             return 0.0
-        fused, sequential = self._fold_prices(level, num_folds)
-        expanded = num_folds <= self.fused_fold_depth(level)
-        return num_out * (fused if expanded else sequential)
+        return num_out * self._fold_plan(level, num_folds)[1]
 
     def matvec_fused_rotations(
         self, level: int, num_offsets: int, num_in: int = 1, num_out: int = 1

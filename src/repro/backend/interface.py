@@ -293,8 +293,7 @@ class FheBackend(abc.ABC):
 
         (Named to avoid confusion with
         :func:`repro.core.attention.rotate_sum`, the slot-folding tree —
-        which routes through this primitive when the cost model prices
-        it cheaper.)
+        which routes through this primitive, one call per fold group.)
 
         The Gazelle rotate-and-sum fold ``t -> t + rot(t, shift)``
         cannot be hoisted directly (each fold rotates a *different*
@@ -302,12 +301,13 @@ class FheBackend(abc.ABC):
         rotations of the original ciphertext by every subset sum of the
         shifts — and those *do* share a single digit decomposition plus
         one deferred mod-down (the same double-hoisting trick as
-        :meth:`matvec_fused`).  Callers pass the expanded nonzero steps.
+        :meth:`matvec_fused`).  Callers pass the expanded nonzero steps
+        of one fold group (``repro.core.packing.matvec.apply_fold_groups``).
 
         ``charged_rotations`` overrides the rotation *count* written to
-        the ledger (the matvec layer passes ``len(fold_shifts)`` so
-        "# Rots" stays comparable with the sequential fold and the
-        compile-time plan); the *seconds* charged are the fused price.
+        the ledger (a fold group passes its fold count so "# Rots"
+        stays comparable with the sequential fold and the compile-time
+        plan); the *seconds* charged are the fused price.
         """
         nonzero = sorted({s % self.slot_count for s in steps} - {0})
         if not nonzero:

@@ -35,55 +35,42 @@ import numpy as np
 
 from repro.core.approx.chebyshev import ChebyshevPoly, chebyshev_fit
 from repro.core.approx.evaluator import evaluate_chebyshev
+from repro.core.packing.matvec import apply_fold_groups
 
 
 # ---------------------------------------------------------------------------
 # Generic encrypted building blocks
 # ---------------------------------------------------------------------------
+def _fold(backend, ct, shifts):
+    """The rotate-and-sum ladder ``t -> t + rot(t, s)`` over ``shifts``,
+    run in the hoisted groups the cost model picks at ``ct``'s level
+    (:meth:`CostModel.fold_partition`); "# Rots" stays the ladder depth."""
+    groups = backend.costs.fold_partition(backend.level_of(ct), len(shifts))
+    return apply_fold_groups(backend, ct, shifts, groups)
+
+
 def rotate_sum(backend, ct, width: int):
     """Fold the first ``width`` (a power of two) slots into slot zero.
 
     After the fold, slot 0 holds the sum of slots 0..width-1 (other
-    slots hold rotated partial sums).  The log2(width) rotation tree
-    expands into ``width - 1`` rotations of the original ciphertext, so
-    it rides one shared key-switch digit decomposition and one deferred
-    mod-down (:meth:`FheBackend.rotate_sum_hoisted`) whenever the cost
-    model prices that cheaper; "# Rots" stays at the tree's log2(width).
+    slots hold rotated partial sums).  The log2(width)-deep rotation
+    tree runs in hoisted groups (:func:`_fold`).
     """
     if width & (width - 1):
         raise ValueError("rotate_sum needs a power-of-two width")
     num_folds = int(math.log2(width)) if width > 1 else 0
-    if 0 < num_folds <= backend.costs.fused_fold_depth(backend.level_of(ct)):
-        return backend.rotate_sum_hoisted(
-            ct, range(1, width), charged_rotations=num_folds
-        )
-    shift = 1
-    while shift < width:
-        ct = backend.add(ct, backend.rotate(ct, shift))
-        shift *= 2
-    return ct
+    return _fold(backend, ct, tuple(1 << i for i in range(num_folds)))
 
 
 def broadcast_slot0(backend, ct):
     """Replicate slot 0 into every slot (log2(n) rotations).
 
     The input must already be zero outside slot 0 (mask first).  Like
-    :func:`rotate_sum`, the tree expands into all n - 1 nonzero
-    rotations of the original ciphertext, hoisted onto one shared
-    decomposition when the cost model agrees (for large n the
-    sequential tree usually stays cheaper).
+    :func:`rotate_sum`, the tree runs in hoisted groups.
     """
     n = backend.slot_count
     num_folds = int(math.log2(n)) if n > 1 else 0
-    if 0 < num_folds <= backend.costs.fused_fold_depth(backend.level_of(ct)):
-        return backend.rotate_sum_hoisted(
-            ct, range(1, n), charged_rotations=num_folds
-        )
-    shift = 1
-    while shift < n:
-        ct = backend.add(ct, backend.rotate(ct, n - shift))
-        shift *= 2
-    return ct
+    return _fold(backend, ct, tuple(n - (1 << i) for i in range(num_folds)))
 
 
 def encrypted_inner_product(backend, a, b, width: int, post_factor: float = 1.0):

@@ -281,9 +281,10 @@ class OrionCompiler:
                 instr.boots_before = 0
             level_by_uid[instr.out_uid] = instr.exec_level
             if isinstance(instr, LinearInstr) and instr.packed is not None:
-                # The fold form, fixed once at the level the plan priced.
-                depth = self.costs.fused_fold_depth(instr.exec_level)
-                instr.packed.fused_folds = min(len(instr.packed.fold_shifts), depth)
+                # The fold partition, fixed once at the level the plan priced.
+                instr.packed.fold_groups = self.costs.fold_partition(
+                    instr.exec_level, len(instr.packed.fold_shifts)
+                )
 
         program = None
         if self.mode == "materialize":

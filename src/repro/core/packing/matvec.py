@@ -25,14 +25,16 @@ output block replaces the per-rotation mod-downs
 exactly as that path multiplies it — un-rotated — and the BSGS plan is
 kept purely as the paper's "# Rots" accounting (baby + giant counts).
 
-The Gazelle rotate-and-sum folds ride the same primitive when the
-compiler fixed that form (``fused_folds``, from
-``CostModel.fused_fold_depth`` at the layer's level): instead of
-log2(n/m2) sequential key switches on successively accumulated
-ciphertexts, the fold composition is expanded into rotations of the
-original accumulator by every subset sum of the shifts and executed via
+The log2(n/m2) Gazelle rotate-and-sum folds ride the same primitive, in
+the consecutive groups the compiler fixed (``fold_groups``, from
+``CostModel.fold_partition`` at the layer's level).  ``t -> t + rot(t,
+s)`` over one group's shifts expands into rotations of the group's input
+by every nonzero subset sum of those shifts, run as one
 ``FheBackend.rotate_sum_hoisted`` — one shared digit decomposition, one
-deferred mod-down.  Deep folds at low levels stay sequential.
+deferred mod-down; the groups run one after the other.  A group of one
+is the classic sequential fold step, one group of every shift the full
+expansion; the cost model picks the balanced split in between
+(docs/hoisting.md, "Fold partitions").
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ class PackedMatVec:
             only — execution never splits an offset).
         fold_shifts: rotate-and-sum shifts applied after accumulation
             (Gazelle hybrid; empty for the standard path).
-        fused_folds: the compiled fold form: a view (this layer or a
-            batched one) with at most this many ``fold_shifts`` folds
-            expanded, a deeper one sequentially (0, the default, always).
+        fold_groups: the compiled fold partition: consecutive runs of
+            ``fold_shifts``, each folded by one hoisted key switch
+            (sizes sum to ``len(fold_shifts)``; empty, the default,
+            means one group per shift).
         bias_vecs: optional per-output-block bias slot vectors.
         out_layout: layout of the produced tensor.
         name: label for ledger phases.
@@ -94,7 +97,7 @@ class PackedMatVec:
     plan: BsgsPlan
     out_layout: object
     fold_shifts: Tuple[int, ...] = ()
-    fused_folds: int = 0
+    fold_groups: Tuple[int, ...] = ()
     bias_vecs: Optional[List[np.ndarray]] = None
     name: str = "linear"
     # Weight/bias/zero plaintexts are static; encode once per (backend,
@@ -105,6 +108,15 @@ class PackedMatVec:
     # Batched (block-replicated) views for serve-time slot batching,
     # keyed by batch size (built lazily, shared across executions).
     _batched: Dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.fold_groups:
+            self.fold_groups = (1,) * len(self.fold_shifts)
+        if sum(self.fold_groups) != len(self.fold_shifts) or 0 in self.fold_groups:
+            raise ValueError(
+                f"{self.name}: fold groups {self.fold_groups} do not partition "
+                f"{len(self.fold_shifts)} fold shifts"
+            )
 
     @cached_property
     def stats(self) -> PackingStats:
@@ -117,38 +129,16 @@ class PackedMatVec:
             self.out_layout, self.slots, n1=self.plan.n1,
         )
 
-    @cached_property
-    def fold_expansion(self) -> List[int]:
-        """Composite rotation steps equivalent to the sequential fold.
-
-        ``t -> t + rot(t, s)`` applied over ``fold_shifts`` equals
-        ``sum_S rot(t0, sum(S))`` over every subset S of the shifts; for
-        the power-of-two shift ladders the builders emit the subset sums
-        are distinct, and the nonzero ones all rotate the *original*
-        accumulator, so one decomposition is shared.  Computed once (the
-        expansion is O(2^folds) entries).
-        """
-        sums = [0]
-        for shift in self.fold_shifts:
-            sums = sums + [(s + shift) % self.slots for s in sums]
-        return sorted(s for s in sums if s)
-
-    def folds_expanded(self) -> bool:
-        """Whether this layer's fold runs in the expanded form."""
-        return 0 < len(self.fold_shifts) <= self.fused_folds
-
     def required_rotation_steps(self) -> Tuple[int, ...]:
         """Exactly the rotation steps executing this layer asks the
         backend for — the layer's contribution to an artifact's key
         manifest (docs/serving.md): the diagonal offsets (each rotates
-        the input directly) and the fold in its compiled form.  Identity
-        rotations are never required.
+        the input directly) and every fold group's subset sums.
+        Identity rotations are never required.
         """
         steps = {off % self.slots for dmap in self.diags.values() for off in dmap}
-        if self.folds_expanded():
-            steps.update(self.fold_expansion)
-        else:
-            steps.update(s % self.slots for s in self.fold_shifts)
+        for group in fold_group_steps(self.fold_shifts, self.fold_groups, self.slots):
+            steps.update(group)
         return tuple(sorted(steps - {0}))
 
     def batched(self, batch: int) -> "PackedMatVec":
@@ -176,7 +166,8 @@ class PackedMatVec:
           out-of-block scratch (plain layers write final outputs, which
           fit the block by the layout check).
         - **Fold truncation.**  Fold shifts spanning a whole block or
-          more are dropped; the surviving suffix (S/2 ... m2) folds each
+          more are dropped from their groups (a group left empty
+          vanishes); the surviving suffix (S/2 ... m2) folds each
           client's row replicas inside its own block.
 
         The batched instance re-plans its "# Rots" accounting over the
@@ -238,6 +229,12 @@ class PackedMatVec:
         bias_vecs = None
         if self.bias_vecs is not None:
             bias_vecs = [replicate(vec) for vec in self.bias_vecs]
+        fold_groups, start = [], 0
+        for size in self.fold_groups:
+            kept = sum(s < block for s in self.fold_shifts[start:start + size])
+            start += size
+            if kept:
+                fold_groups.append(kept)
         view = PackedMatVec(
             slots=n,
             num_in=self.num_in,
@@ -246,7 +243,7 @@ class PackedMatVec:
             plan=plan_bsgs(sorted(acc), n),
             out_layout=BlockReplicatedLayout(self.out_layout, batch, n),
             fold_shifts=tuple(s for s in self.fold_shifts if s < block),
-            fused_folds=self.fused_folds,
+            fold_groups=tuple(fold_groups),
             bias_vecs=bias_vecs,
             name=f"{self.name}@x{batch}",
         )
@@ -262,17 +259,6 @@ class PackedMatVec:
             for (bo, bi), dmap in self.diags.items()
             for offset, vec in dmap.items()
         }
-
-    def _apply_folds(self, backend, total):
-        """Fold one output block in the compiled form (expanded or
-        the classic log-depth sequential fold)."""
-        if self.folds_expanded():
-            return backend.rotate_sum_hoisted(
-                total, self.fold_expansion, charged_rotations=len(self.fold_shifts)
-            )
-        for shift in self.fold_shifts:
-            total = backend.add(total, backend.rotate(total, shift))
-        return total
 
     # -- execution -------------------------------------------------------------
     def execute(self, backend, in_cts: List, pt_scale: Fraction):
@@ -317,7 +303,9 @@ class PackedMatVec:
                     per_backend[("zero",) + cache_fp] = zero_pt
                 total = backend.mul_plain(in_cts[0], zero_pt)
             total = backend.rescale(total)
-            total = self._apply_folds(backend, total)
+            total = apply_fold_groups(
+                backend, total, self.fold_shifts, self.fold_groups
+            )
             if self.bias_vecs is not None:
                 out_level = backend.level_of(total)
                 out_scale = backend.scale_of(total)
@@ -358,7 +346,7 @@ class PackedMatVec:
                 "giants": list(self.plan.giants),
             },
             "fold_shifts": list(self.fold_shifts),
-            "fused_folds": self.fused_folds,
+            "fold_groups": list(self.fold_groups),
             "out_layout": layout_payload(self.out_layout),
             "bias": None
             if self.bias_vecs is None
@@ -392,7 +380,7 @@ class PackedMatVec:
             plan=plan,
             out_layout=layout_from_payload(payload["out_layout"]),
             fold_shifts=tuple(payload["fold_shifts"]),
-            fused_folds=payload["fused_folds"],
+            fold_groups=tuple(payload["fold_groups"]),
             bias_vecs=bias_vecs,
             name=payload["name"],
         )
@@ -414,6 +402,35 @@ class PackedMatVec:
                 acc = acc + self.bias_vecs[bo]
             outputs.append(acc)
         return outputs
+
+
+def fold_group_steps(
+    shifts: Tuple[int, ...], groups: Tuple[int, ...], slots: int
+) -> List[List[int]]:
+    """Each fold group's rotation steps: ``t -> t + rot(t, s)`` over the
+    group's consecutive ``shifts`` equals ``sum_S rot(t, sum(S))`` over
+    every subset S of them, so the group is one hoisted key switch over
+    the sorted nonzero subset sums (mod ``slots``), distinct for the
+    power-of-two shift ladders the builders emit."""
+    steps, start = [], 0
+    for size in groups:
+        sums = [0]
+        for shift in shifts[start:start + size]:
+            sums = sums + [(s + shift) % slots for s in sums]
+        start += size
+        steps.append(sorted(set(sums) - {0}))
+    return steps
+
+
+def apply_fold_groups(backend, ct, shifts: Tuple[int, ...], groups: Tuple[int, ...]):
+    """Run the fold ladder ``t -> t + rot(t, s)`` over ``shifts`` as the
+    consecutive hoisted ``groups`` (:func:`fold_group_steps`).  Each
+    group charges its fold count as rotations, so "# Rots" is the
+    ladder depth whatever the partition."""
+    steps = fold_group_steps(shifts, groups, backend.slot_count)
+    for group_steps, size in zip(steps, groups):
+        ct = backend.rotate_sum_hoisted(ct, group_steps, charged_rotations=size)
+    return ct
 
 
 def layout_payload(layout) -> Dict:
@@ -476,7 +493,7 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
     (insertion-preserved) order.
 
     Requires identical slot counts, input block counts, fold shifts and
-    fold forms (``fold_shifts`` run per output block, so equal shift
+    fold partitions (``fold_shifts`` run per output block, so equal shift
     ladders fold each stacked block exactly as the separate layers did).
     """
     if len(packeds) < 2:
@@ -489,8 +506,8 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
             raise ValueError("merged layers must read the same input blocks")
         if p.fold_shifts != first.fold_shifts:
             raise ValueError("merged layers must share fold shifts")
-        if p.fused_folds != first.fused_folds:
-            raise ValueError("merged layers must share the fold form")
+        if p.fold_groups != first.fold_groups:
+            raise ValueError("merged layers must share the fold partition")
     union_offsets = sorted(
         {off for p in packeds for dmap in p.diags.values() for off in dmap}
     )
@@ -518,7 +535,7 @@ def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> Pa
             parts=tuple(p.out_layout for p in packeds), slots=first.slots
         ),
         fold_shifts=first.fold_shifts,
-        fused_folds=first.fused_folds,
+        fold_groups=first.fold_groups,
         bias_vecs=bias_vecs,
         name=name,
     )

@@ -506,7 +506,7 @@ class FheProgram:
         pipeline owns its own transform keys.
 
         Exactly the steps an inference of each view rotates by (a
-        layer's fold form is compiled, ``PackedMatVec.fused_folds``).
+        layer's fold partition is compiled, ``PackedMatVec.fold_groups``).
         A linear layer's rotations — diagonal offsets and its fold —
         key-switch at its ``exec_level`` (folds run one level *lower*,
         after the rescale, so ``exec_level`` bounds them too).  The

@@ -72,7 +72,11 @@ from repro.serve.grouping import artifact_parameters, fused_tables
 #
 # Version 6: every packed linear layer carries its compiled fold form
 # (``fused_folds``); a version-5 file has none and must be re-exported.
-SCHEMA_VERSION = 6
+#
+# Version 7: the fold form is a partition of the fold ladder into hoisted
+# groups (``fold_groups``); a version-6 file's expanded-or-sequential
+# depth is refused, not translated, and must be re-exported.
+SCHEMA_VERSION = 7
 FORMAT_NAME = "repro-serving-artifact"
 
 

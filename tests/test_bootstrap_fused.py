@@ -10,12 +10,16 @@ Three layers of coverage:
   (``ks_alpha=2``) configuration whose transform levels leave a partial
   last digit;
 - the fused Gazelle rotate-and-sum fold (``FheBackend.rotate_sum_hoisted``),
-  bit-exact against per-rotation raw accumulators and numerically
-  against the sequential fold, with "# Rots" ledger parity;
+  bit-exact against per-rotation raw accumulators, run in the compiled
+  partition of hoisted groups (``PackedMatVec.fold_groups``): one group
+  per shift is bit-exact against the sequential fold, one group of all
+  of them against a single expanded call, and every partition decrypts
+  to the cleartext product with "# Rots" ledger parity;
 - the cost model / placement planner, which now prices linear layers
   with the ``"fused"`` model by default.
 """
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,12 +29,17 @@ import pytest
 from reference.bigint import extend_primes_reference
 from repro.backend import SimBackend, ToyBackend
 from repro.backend.costs import CostModel
+from repro.backend.ledger import KeySwitch
 from repro.ckks.bootstrap import CkksBootstrapper
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.context import HOISTED_SLAB
 from repro.ckks.params import bootstrap_parameters, toy_parameters
 from repro.core.packing.layouts import VectorLayout
-from repro.core.packing.matvec import build_linear_packing
+from repro.core.packing.matvec import (
+    apply_fold_groups,
+    build_linear_packing,
+    fold_group_steps,
+)
 from repro.core.placement import LayerSpec, PlacementChain, solve_placement
 from repro.rns.poly import RnsPolynomial
 
@@ -210,18 +219,32 @@ def fold_setup(request):
     assert packed.fold_shifts, "expected the Gazelle hybrid plan"
     values = np.linspace(-1, 1, n)
     ct = backend.encode_encrypt(values)
-    # The form a compiler placing the layer at the top level fixes.
-    packed.fused_folds = min(
-        len(packed.fold_shifts), backend.costs.fused_fold_depth(ct.level)
+    # The partition a compiler placing the layer at the top level fixes:
+    # the 3-deep ladder runs as one group.
+    packed.fold_groups = backend.costs.fold_partition(
+        ct.level, len(packed.fold_shifts)
     )
-    assert packed.folds_expanded()
+    assert packed.fold_groups == (3,)
     return backend, packed, ct, values
+
+
+def _expansion(packed):
+    """Every nonzero subset sum of the layer's fold shifts (one group)."""
+    shifts = packed.fold_shifts
+    return fold_group_steps(shifts, (len(shifts),), packed.slots)[0]
+
+
+def _balanced_partitions(folds):
+    """The balanced split into m groups, larger groups first, for every m."""
+    for groups in range(1, folds + 1):
+        small, extra = divmod(folds, groups)
+        yield (small + 1,) * extra + (small,) * (groups - extra)
 
 
 class TestFusedGazelleFold:
     def test_fold_expansion_is_subset_sums(self, fold_setup):
         _, packed, _, _ = fold_setup
-        steps = packed.fold_expansion
+        steps = _expansion(packed)
         m2 = min(packed.fold_shifts)
         f = packed.slots // m2
         assert steps == [j * m2 for j in range(1, f)]
@@ -234,7 +257,7 @@ class TestFusedGazelleFold:
         ctx = backend.context
         for level in (ct.level, ct.level - 1):  # odd limb count -> partial digit
             a = backend.level_down(ct, level)
-            steps = packed.fold_expansion
+            steps = _expansion(packed)
             got = backend.rotate_sum_hoisted(a, steps)
             ks_chain = ctx._ks_chain(level)
             mod_ks = ctx.basis.moduli_column(ks_chain)
@@ -262,7 +285,7 @@ class TestFusedGazelleFold:
         row = rng.uniform(-1, 1, (1, n))
         ct = backend.encode_encrypt(rng.uniform(0, 0.1, n))
         deep = build_linear_packing(row, None, VectorLayout(n, n), name="row")
-        steps = deep.fold_expansion
+        steps = _expansion(deep)
         assert len(steps) > 2 * HOISTED_SLAB
         got = backend.rotate_sum_hoisted(ct, steps)
         level = ct.level
@@ -283,30 +306,70 @@ class TestFusedGazelleFold:
         want = backend.decrypt(sequential)
         assert np.abs(backend.decrypt(got) - want).max() < 2e-2 * max(1.0, np.abs(want).max())
 
-    def test_fused_execute_matches_cleartext_in_both_fold_forms(self, fold_setup):
-        """The compiled fold form (``fused_folds``) alone picks how the
-        fold runs: the fixture's 3-deep fold expanded, a 7-deep one (a
-        single output row) expanded and sequentially.  Every form
-        reproduces the cleartext product and charges the planned
-        rotation count; only the sequential one rotates un-hoisted."""
+    def test_partitions_reproduce_both_old_fold_forms(self, fold_setup):
+        """On a 7-deep ladder, one group per shift is bit for bit the
+        sequential fold ``t -> t + rot(t, s)``, and one group of every
+        shift is bit for bit a single hoisted call over all subset sums
+        — so neither form needs a path of its own."""
+        backend = fold_setup[0]
+        n = backend.slot_count
+        rng = np.random.default_rng(17)
+        deep = build_linear_packing(
+            rng.uniform(-1, 1, (1, n)), None, VectorLayout(n, n), name="row"
+        )
+        shifts = deep.fold_shifts
+        assert len(shifts) == 7
+        ct = backend.level_down(backend.encode_encrypt(rng.uniform(0, 0.1, n)), 4)
+        sequential = ct
+        for shift in shifts:
+            sequential = backend.add(sequential, backend.rotate(sequential, shift))
+        singles = apply_fold_groups(backend, ct, shifts, (1,) * 7)
+        whole = apply_fold_groups(backend, ct, shifts, (7,))
+        expanded = backend.rotate_sum_hoisted(ct, _expansion(deep))
+        for got, want in ((singles, sequential), (whole, expanded)):
+            assert np.array_equal(got.c0.data, want.c0.data)
+            assert np.array_equal(got.c1.data, want.c1.data)
+        # Whatever the partition, the fold charges one rotation per shift.
+        for groups in _balanced_partitions(7):
+            backend.ledger.reset()
+            apply_fold_groups(backend, ct, shifts, groups)
+            assert backend.ledger.rotations == len(shifts), groups
+
+    def test_fused_execute_matches_cleartext_in_every_partition(self, fold_setup):
+        """The compiled partition (``fold_groups``) alone picks how the
+        fold runs: the fixture's 3-deep fold and a 7-deep one (a single
+        output row) in every balanced partition.  Each reproduces the
+        cleartext product, charges the planned rotation count, and runs
+        exactly one hoisted key switch of ``2^g - 1`` products per group
+        of ``g`` folds — never an un-hoisted rotation."""
         backend, packed, ct, values = fold_setup
         n = backend.slot_count
         row = np.random.default_rng(12).uniform(-1, 1, (1, n))
         deep = build_linear_packing(row, None, VectorLayout(n, n), name="row")
         assert len(packed.fold_shifts) == 3 and len(deep.fold_shifts) == 7
-        cases = ((packed, 3, True), (deep, 7, True), (deep, 6, False), (deep, 0, False))
+        cases = [(packed, packed.fold_groups)]
+        cases += [(deep, groups) for groups in _balanced_partitions(7)]
+        assert (deep, (1,) * 7) in cases and (deep, (4, 3)) in cases
         pt_scale = Fraction(backend.params.data_primes[ct.level])
-        for layer, fused_folds, expanded in cases:
-            layer = replace(layer, fused_folds=fused_folds)
-            assert layer.folds_expanded() == expanded
+        fold_level = ct.level - 1
+        for layer, fold_groups in cases:
+            layer = replace(layer, fold_groups=fold_groups)
             expected = layer.execute_cleartext([values])[0]
             backend.ledger.reset()
             got = backend.decrypt(layer.execute(backend, [ct], pt_scale)[0])
             assert np.abs(got - expected).max() < 0.05 * max(1.0, np.abs(expected).max())
             assert backend.ledger.rotations == layer.stats.rotations
-            assert backend.ledger.counts.get("hrot", 0) == (
-                0 if expanded else len(layer.fold_shifts)
-            )
+            assert backend.ledger.counts.get("hrot", 0) == 0
+            folds = Counter({
+                ks: count
+                for ks, count in backend.ledger.key_switches.items()
+                if ks.level == fold_level
+            })
+            want = Counter()
+            for g in fold_groups:
+                k = (1 << g) - 1
+                want[KeySwitch(fold_level, products=k, gathers=k, table_rows=k)] += 1
+            assert folds == want, fold_groups
 
     def test_fold_ledger_rotations_match_plan(self, fold_setup):
         """The fused fold charges len(fold_shifts) rotations (not the
@@ -393,17 +456,28 @@ class TestFusedPlannerPricing:
         )
         assert priced == no_rotation_floor
 
-    def test_fold_cost_picks_cheaper_form(self):
+    def test_fold_cost_picks_the_cheapest_partition(self):
         costs = CostModel(toy_parameters(ring_degree=256, max_level=5))
         level = 5
-        # Shallow folds: the expansion (shared decomposition) wins.
-        assert costs.fused_fold_cheaper(level, 3)
+        sequential = lambda k: k * (costs.hrot(level) + costs.hadd(level))
+        group = lambda g: (
+            costs.ks_decompose(level)
+            + ((1 << g) - 1) * (costs.ks_inner_fused(level) + costs.hadd(level))
+            + costs.ks_moddown(level)
+        )
+        # Shallow folds: the full expansion (one shared decomposition) wins.
+        assert costs.fold_partition(level, 3) == (3,)
         shallow = costs.fold_cost(level, 3)
-        assert shallow < 3 * (costs.hrot(level) + costs.hadd(level))
-        # Pathologically deep folds: sequential is cheaper, and
-        # fold_cost must never exceed the sequential price.
-        deep = costs.fold_cost(level, 20)
-        assert deep <= 20 * (costs.hrot(level) + costs.hadd(level))
+        assert shallow < sequential(3)
+        # Deep folds split into balanced groups, never dearer than one
+        # group or one group per shift (hoisted or not).
+        for folds in (7, 20):
+            deep = costs.fold_cost(level, folds)
+            groups = costs.fold_partition(level, folds)
+            assert 1 < len(groups) < folds
+            assert deep <= group(folds)
+            assert deep <= folds * group(1)
+            assert deep < sequential(folds)
 
     def test_placement_under_fused_prices_is_valid(self):
         """The planner consumes the fused default price and still emits

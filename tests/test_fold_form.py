@@ -1,15 +1,19 @@
-"""A linear layer's fold form is compiled, and the key manifest is exact.
+"""A linear layer's fold partition is compiled, and the key manifest is exact.
 
-The compiler fixes each packed layer's Gazelle fold form once, after
-placement (``PackedMatVec.fused_folds``, from ``CostModel.
-fused_fold_depth`` at the layer's ``exec_level``); execution never asks
-a cost model.  So the rotations an inference performs are exactly the
-ones ``required_rotation_steps`` names, view by view — checked here on
-an exact backend by recording every Galois key the inference fetches —
-and the form survives every way a layer is copied: the artifact
-payload, batched views and sibling merges.
+The compiler fixes each packed layer's Gazelle fold partition once,
+after placement (``PackedMatVec.fold_groups``, from ``CostModel.
+fold_partition`` at the layer's ``exec_level``): consecutive groups of
+the fold ladder, each one hoisted key switch over its subset sums.
+Execution never asks a cost model.  So the rotations an inference
+performs are exactly the ones ``required_rotation_steps`` names, view
+by view — checked here on an exact backend by recording every Galois
+key the inference fetches — and the partition survives every way a
+layer is copied: the artifact payload, batched views and sibling
+merges.
 """
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +26,7 @@ from repro.core.packing.layouts import VectorLayout
 from repro.core.packing.matvec import (
     PackedMatVec,
     build_linear_packing,
+    fold_group_steps,
     merge_packed_matvecs,
 )
 from repro.core.program import LinearInstr
@@ -53,9 +58,9 @@ def _linear(program):
 @pytest.fixture(scope="module")
 def mlp():
     """SecureMlp(16, 8, 2) at N = 512: ``linear_5`` (2 outputs in 256
-    slots) folds 7 deep at level 1, one more than the cost model runs
-    expanded there — sequential alone, expanded in every batched view —
-    while the wider layers fold expanded throughout."""
+    slots) folds 7 deep at level 1, in two groups (4, 3); the wider
+    layers fold 5 deep as (3, 2).  Batched views drop the shifts that
+    span a block from their groups, down to a lone group."""
     init.seed_init(0)
     onet = OrionNetwork(SecureMlp(input_pixels=16, hidden=8, classes=2), (1, 4, 4))
     onet.fit([np.random.default_rng(0).normal(0, 0.5, (8, 1, 4, 4))])
@@ -63,74 +68,152 @@ def mlp():
     return params, onet.compile(params).program
 
 
-class TestFoldDepthThreshold:
+def _group_price(costs, level, size):
+    """One hoisted group of ``size`` folds: a decomposition, a mod-down,
+    and an inner product and an add per nonzero subset sum."""
+    return (
+        costs.ks_decompose(level)
+        + ((1 << size) - 1) * (costs.ks_inner_fused(level) + costs.hadd(level))
+        + costs.ks_moddown(level)
+    )
+
+
+def _compositions(total):
+    """Every ordered split of ``total`` folds into nonempty groups."""
+    for cuts in itertools.product((False, True), repeat=total - 1):
+        sizes, size = [], 1
+        for cut in cuts:
+            if cut:
+                sizes.append(size)
+                size = 0
+            size += 1
+        yield tuple(sizes + [size])
+
+
+class TestFoldPartition:
     @pytest.mark.parametrize("name", sorted(TOY_SETS) + ["paper"])
-    def test_expanded_folds_are_a_prefix_at_every_level(self, name):
+    def test_partition_is_the_cheapest_composition_at_every_level(self, name):
+        """The balanced search over group counts finds the brute-force
+        minimum over all compositions of the ladder, never dearer than
+        the full expansion or the sequential fold."""
         params = (
             paper_parameters() if name == "paper" else toy_parameters(**TOY_SETS[name])
         )
         costs = CostModel(params)
         for level in range(params.max_level + 1):
-            depth = costs.fused_fold_depth(level)
-            assert depth >= 1, f"level {level}: one fold must run expanded"
-            for folds in range(1, 33):
-                assert costs.fused_fold_cheaper(level, folds) == (folds <= depth), (
-                    f"level {level}, {folds} folds vs depth {depth}"
-                )
+            for folds in range(1, 9):
+                def price(sizes):
+                    return sum(_group_price(costs, level, g) for g in sizes)
 
-    def test_fold_cost_prices_the_form_the_depth_picks(self):
+                best = min(price(sizes) for sizes in _compositions(folds))
+                partition = costs.fold_partition(level, folds)
+                chosen = costs.fold_cost(level, folds)
+                where = f"level {level}, {folds} folds: {partition}"
+                assert sum(partition) == folds and min(partition) >= 1, where
+                assert max(partition) - min(partition) <= 1, where
+                assert list(partition) == sorted(partition, reverse=True), where
+                assert math.isclose(chosen, price(partition), rel_tol=1e-12), where
+                assert math.isclose(chosen, best, rel_tol=1e-12), where
+                for bound in (price((folds,)), price((1,) * folds)):
+                    assert chosen <= bound * (1 + 1e-12), where
+
+    def test_fold_cost_prices_the_partition_per_output(self):
         costs = CostModel(toy_parameters(**TOY_SETS["n256_l5"]))
         for level in range(6):
-            depth = costs.fused_fold_depth(level)
-            for folds in (depth, depth + 1):
-                fused, sequential = costs._fold_prices(level, folds)
-                want = fused if folds <= depth else sequential
-                assert costs.fold_cost(level, folds, num_out=3) == 3 * want
+            for folds in range(9):
+                partition = costs.fold_partition(level, folds)
+                want = sum(_group_price(costs, level, g) for g in partition)
+                got = costs.fold_cost(level, folds, num_out=3)
+                assert math.isclose(got, 3 * want, rel_tol=1e-12)
+
+    def test_a_second_call_does_no_pricing(self, monkeypatch):
+        costs = CostModel(toy_parameters(**TOY_SETS["n256_l5"]))
+        priced = []
+        decompose = CostModel.ks_decompose
+
+        def counting(self, level):
+            priced.append(level)
+            return decompose(self, level)
+
+        monkeypatch.setattr(CostModel, "ks_decompose", counting)
+        first = (costs.fold_partition(4, 7), costs.fold_cost(4, 7))
+        assert priced
+        priced.clear()
+        assert (costs.fold_partition(4, 7), costs.fold_cost(4, 7)) == first
+        assert costs.fold_cost(4, 7, num_out=2) == 2 * first[1]
+        assert priced == []
 
 
 class TestCompiledForm:
-    def test_the_network_has_a_layer_in_each_form(self, mlp):
+    def test_the_network_has_multi_group_and_truncated_partitions(self, mlp):
         _, program = mlp
-        forms = {
-            (i.name, len(i.packed.fold_shifts), i.packed.folds_expanded())
-            for i in _linear(program)
+        groups = {i.name: i.packed.fold_groups for i in _linear(program)}
+        assert groups == {"linear_1": (3, 2), "linear_3": (3, 2), "linear_5": (4, 3)}
+        # A batched view drops the shifts spanning a block (the largest,
+        # so from the first group); a group left empty vanishes.
+        want = {
+            2: {"linear_1": (2, 2), "linear_5": (3, 3)},
+            4: {"linear_1": (1, 2), "linear_5": (2, 3)},
+            8: {"linear_1": (2,), "linear_5": (1, 3)},
         }
-        assert ("linear_5", 7, False) in forms
-        assert any(expanded for _, folds, expanded in forms if folds)
-        batched = {i.name: i.packed for i in _linear(program.batched(2))}
-        assert len(batched["linear_5"].fold_shifts) == 6
-        assert batched["linear_5"].folds_expanded()
+        for batch, by_name in want.items():
+            view = {i.name: i.packed for i in _linear(program.batched(batch))}
+            for name, fold_groups in by_name.items():
+                assert view[name].fold_groups == fold_groups, (batch, name)
+                assert sum(fold_groups) == len(view[name].fold_shifts)
 
-    def test_form_comes_from_the_compilers_cost_model(self, mlp):
+    def test_partition_comes_from_the_compilers_cost_model(self, mlp):
         params, program = mlp
         costs = CostModel(params)
         for instr in _linear(program):
             packed = instr.packed
-            assert packed.fused_folds == min(
-                len(packed.fold_shifts), costs.fused_fold_depth(instr.exec_level)
+            assert packed.fold_groups == costs.fold_partition(
+                instr.exec_level, len(packed.fold_shifts)
             )
-        # A cost model that never prices the expansion cheaper compiles
-        # every fold sequential, whatever the executing backend's model.
+        # A cost model that prices every inner product dear compiles the
+        # sequential fold (one group per shift), one that prices the
+        # decomposition dear the full expansion (one group), whatever
+        # the executing backend's model.  Either way each group is one
+        # hoisted key switch over its subset sums, charging its folds.
         init.seed_init(0)
         onet = OrionNetwork(SecureMlp(input_pixels=16, hidden=8, classes=2), (1, 4, 4))
         onet.fit([np.random.default_rng(0).normal(0, 0.5, (8, 1, 4, 4))])
-        dear = CostModel(params, c_inner_fused=1.0)
-        assert dear.fused_fold_depth(params.max_level) == 0
-        compiled = onet.compile(params, cost_model=dear)
-        assert all(i.packed.fused_folds == 0 for i in _linear(compiled.program))
-        backend = ToyBackend(params, seed=3)
-        compiled.program.run(backend, np.zeros((1, 4, 4)))
-        folds = sum(len(i.packed.fold_shifts) for i in _linear(compiled.program))
-        assert backend.ledger.counts["hrot"] == folds
+        extremes = ((dict(c_inner_fused=1.0), True), (dict(c_decompose=10.0), False))
+        for model, single in extremes:
+            compiled = onet.compile(params, cost_model=CostModel(params, **model))
+            layers = _linear(compiled.program)
+            for instr in layers:
+                k = len(instr.packed.fold_shifts)
+                assert instr.packed.fold_groups == ((1,) * k if single else (k,))
+            backend = ToyBackend(params, seed=3)
+            calls = []
+            hoisted = backend.rotate_sum_hoisted
+
+            def recording(ct, steps, charged_rotations=None):
+                calls.append((len(steps), charged_rotations))
+                return hoisted(ct, steps, charged_rotations=charged_rotations)
+
+            backend.rotate_sum_hoisted = recording
+            compiled.program.run(backend, np.zeros((1, 4, 4)))
+            want = [
+                ((1 << g) - 1, g)
+                for instr in layers
+                for g in instr.packed.fold_groups
+            ]
+            assert calls == want
+            assert backend.ledger.counts.get("hrot", 0) == 0
 
 
 class TestManifestIsExact:
     def test_each_view_touches_exactly_its_required_steps(self, mlp):
         """The ROADMAP item B gate: on an exact backend, the Galois keys
         one inference fetches at batch size b are that view's
-        ``required_rotation_steps``, and their union over the views up
-        to b is ``required_rotation_step_levels(b)`` — each at no more
-        than the manifest's level."""
+        ``required_rotation_steps`` — the diagonal offsets and every
+        fold group's subset sums — and their union over the views up
+        to b is ``required_rotation_step_levels(b)``, each at no more
+        than the manifest's level.  At b = 2 ``linear_5``'s first group
+        has lost its block-spanning shift: none of the sums through it
+        is fetched."""
         params, program = mlp
         capacity = program.slot_batch_capacity()
         assert capacity >= 4
@@ -155,12 +238,32 @@ class TestManifestIsExact:
             touched.clear()
             shape = (1, 4, 4) if batch == 1 else (batch, 1, 4, 4)
             view.run(backend, rng.normal(0, 0.5, shape))
-            want = {
-                exponent(step)
-                for instr in _linear(view)
-                for step in instr.packed.required_rotation_steps()
-            }
+            want = set()
+            for instr in _linear(view):
+                packed = instr.packed
+                steps = {
+                    off % packed.slots for dmap in packed.diags.values() for off in dmap
+                }
+                for group in fold_group_steps(
+                    packed.fold_shifts, packed.fold_groups, packed.slots
+                ):
+                    steps.update(group)
+                assert set(packed.required_rotation_steps()) == steps - {0}
+                want |= {exponent(step) for step in steps - {0}}
             assert set(touched) == want, f"batch {batch}"
+            if batch == 2:
+                whole = {i.name: i.packed for i in _linear(program)}["linear_5"]
+                half = {i.name: i.packed for i in _linear(view)}["linear_5"]
+                dropped = whole.fold_shifts[0]
+                assert whole.fold_groups == (4, 3) and half.fold_groups == (3, 3)
+                assert dropped not in half.fold_shifts
+                lost = set(fold_group_steps(whole.fold_shifts, (4, 3), whole.slots)[0])
+                kept = set(fold_group_steps(half.fold_shifts, (3, 3), half.slots)[0])
+                assert dropped in lost and kept < lost
+                offsets = {
+                    off % half.slots for dmap in half.diags.values() for off in dmap
+                }
+                assert not {exponent(s) for s in lost - kept - offsets} & set(touched)
             for exp, level in touched.items():
                 union[exp] = max(union.get(exp, -1), level)
             levels = program.required_rotation_step_levels(batch)
@@ -168,6 +271,21 @@ class TestManifestIsExact:
             for step, level in levels.items():
                 assert union[exponent(step)] <= level
             batch *= 2
+
+    def test_pool_manifest_holds_its_exact_key_count(self):
+        """The e2e harness's ``serve_mlp_pool`` artifact (SecureMlp(64,
+        16) at N = 2048, L = 6) folds every 6-deep ladder as (3, 3): its
+        manifest over all slot-batch views holds 89 rotation keys (138
+        with each ladder fully expanded).  Lanes share those keys."""
+        init.seed_init(0)
+        onet = OrionNetwork(SecureMlp(input_pixels=64, hidden=16), (1, 8, 8))
+        onet.fit([np.random.default_rng(0).normal(0.0, 0.5, (8, 1, 8, 8))])
+        params = toy_parameters(
+            ring_degree=2048, max_level=6, boot_levels=1, scale_bits=24
+        )
+        program = onet.compile(params).program
+        assert [i.packed.fold_groups for i in _linear(program)] == [(3, 3)] * 3
+        assert len(program.required_rotation_step_levels()) == 89
 
 
 class TestFormSurvivesCopies:
@@ -179,12 +297,11 @@ class TestFormSurvivesCopies:
             rng.normal(size=(rows, 64)), rng.normal(size=rows),
             VectorLayout(64, self.N), force_mode="hybrid",
         )
-        assert packed.fold_shifts
+        assert len(packed.fold_shifts) == 7
         return packed
 
     def test_payload_round_trip_keeps_it(self):
-        packed = self._hybrid()
-        packed.fused_folds = 4
+        packed = replace(self._hybrid(), fold_groups=(3, 4))
         stored = {}
 
         def store(array):
@@ -192,36 +309,53 @@ class TestFormSurvivesCopies:
             return f"a{len(stored) - 1}"
 
         payload = packed.to_payload(store)
-        assert payload["fused_folds"] == 4
+        assert payload["fold_groups"] == [3, 4]
+        assert "fused_folds" not in payload
         loaded = PackedMatVec.from_payload(payload, stored.__getitem__)
-        assert loaded.fused_folds == 4
+        assert loaded.fold_groups == (3, 4)
         assert loaded.required_rotation_steps() == packed.required_rotation_steps()
 
-    def test_batched_views_inherit_it(self):
-        packed = self._hybrid()
-        packed.fused_folds = len(packed.fold_shifts) - 1
-        assert not packed.folds_expanded()
+    def test_batched_views_drop_truncated_shifts_from_their_groups(self):
+        packed = replace(self._hybrid(), fold_groups=(1, 3, 3))
+        assert packed.fold_shifts[0] == self.N // 2
         view = packed.batched(2)
-        assert view.fused_folds == packed.fused_folds
-        assert len(view.fold_shifts) == len(packed.fold_shifts) - 1
-        assert view.folds_expanded()
-        assert set(view.fold_expansion) <= set(view.required_rotation_steps())
+        assert view.fold_shifts == packed.fold_shifts[1:]
+        assert view.fold_groups == (3, 3)
+        view = packed.batched(8)
+        assert view.fold_shifts == packed.fold_shifts[3:]
+        assert view.fold_groups == (1, 3)
+        steps = fold_group_steps(view.fold_shifts, view.fold_groups, self.N)
+        assert {s for group in steps for s in group} <= set(view.required_rotation_steps())
+
+    def test_a_partition_must_cover_the_ladder(self):
+        with pytest.raises(ValueError, match="do not partition"):
+            replace(self._hybrid(), fold_groups=(3, 3))
+        with pytest.raises(ValueError, match="do not partition"):
+            replace(self._hybrid(), fold_groups=(7, 0))
+        assert self._hybrid().fold_groups == (1,) * 7
 
     def test_merged_layers_inherit_it_and_refuse_a_mix(self):
-        first, second = self._hybrid(seed=1), self._hybrid(seed=2)
-        first.fused_folds = second.fused_folds = 3
-        assert merge_packed_matvecs([first, second]).fused_folds == 3
-        with pytest.raises(ValueError, match="fold form"):
-            merge_packed_matvecs([first, replace(second, fused_folds=0)])
+        first = replace(self._hybrid(seed=1), fold_groups=(4, 3))
+        second = replace(self._hybrid(seed=2), fold_groups=(4, 3))
+        assert merge_packed_matvecs([first, second]).fold_groups == (4, 3)
+        with pytest.raises(ValueError, match="fold partition"):
+            merge_packed_matvecs([first, replace(second, fold_groups=(3, 4))])
 
-    def test_required_steps_name_one_form_only(self):
+    def test_required_steps_are_each_groups_subset_sums(self):
         packed = self._hybrid()
         offsets = {
             off % self.N for dmap in packed.diags.values() for off in dmap
         } - {0}
-        shifts = set(packed.fold_shifts)
-        expansion = set(packed.fold_expansion)
-        sequential = set(packed.required_rotation_steps())
-        assert sequential == offsets | shifts
-        packed.fused_folds = len(packed.fold_shifts)
-        assert set(packed.required_rotation_steps()) == offsets | expansion
+        shifts = packed.fold_shifts
+        assert set(packed.required_rotation_steps()) == offsets | set(shifts)
+        whole = {
+            sum(c) % self.N
+            for r in range(1, 8)
+            for c in itertools.combinations(shifts, r)
+        }
+        packed = replace(packed, fold_groups=(7,))
+        assert set(packed.required_rotation_steps()) == offsets | whole
+        packed = replace(packed, fold_groups=(4, 3))
+        head = {sum(c) for r in range(1, 5) for c in itertools.combinations(shifts[:4], r)}
+        tail = {sum(c) for r in range(1, 4) for c in itertools.combinations(shifts[4:], r)}
+        assert set(packed.required_rotation_steps()) == offsets | head | tail

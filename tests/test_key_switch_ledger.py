@@ -22,6 +22,7 @@ from reference.key_switch_tally import KeySwitchTally
 from repro.backend import SimBackend, ToyBackend
 from repro.backend.ledger import KeySwitch, OpLedger
 from repro.ckks.params import toy_parameters
+from repro.core.program import LinearInstr
 from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
@@ -61,8 +62,8 @@ def _every_key_switching_op(backend):
 
 @pytest.fixture(scope="module")
 def mlp():
-    """SecureMlp(16, 8, 2) at N = 512: expanded Gazelle folds, and one
-    layer folding sequentially when run alone."""
+    """SecureMlp(16, 8, 2) at N = 512: Gazelle folds in hoisted groups,
+    ``linear_5``'s 7-deep ladder in two of them."""
     init.seed_init(0)
     onet = OrionNetwork(SecureMlp(input_pixels=16, hidden=8, classes=2), (1, 4, 4))
     onet.fit([np.random.default_rng(0).normal(0, 0.5, (8, 1, 4, 4))])
@@ -98,8 +99,18 @@ class TestRecordingSites:
         assert toy.ledger.counts["hmult"] == sum(
             count for ks, count in shapes.items() if ks == KeySwitch(ks.level)
         )
-        # linear_5's sequential fold: plain rotations.
-        assert any(ks == KeySwitch(ks.level, gathers=1) for ks in shapes)
+        # Each fold group: one hoisted key switch over its 2^g - 1 subset
+        # sums, one level below its layer (after the rescale).
+        folds = Counter()
+        for instr in program.instructions:
+            if isinstance(instr, LinearInstr):
+                for g in instr.packed.fold_groups:
+                    k = (1 << g) - 1
+                    level = instr.exec_level - 1
+                    folds[KeySwitch(level, products=k, gathers=k, table_rows=k)] += 1
+        linear_5 = [i for i in program.instructions if i.name == "linear_5"][0]
+        assert linear_5.packed.fold_groups == (4, 3)
+        assert all(shapes[ks] == count for ks, count in folds.items())
 
 
 class TestLedgerFolds:

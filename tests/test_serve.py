@@ -124,13 +124,14 @@ class TestArtifactRoundTrip:
         )
         return bad_path
 
-    @pytest.mark.parametrize("version", [99, 3, 4, 5])
+    @pytest.mark.parametrize("version", [99, 3, 4, 5, 6])
     def test_schema_version_mismatch_fails_loudly(
         self, tmp_path, mlp_artifact, version
     ):
         """Any other version — the previous ones (3: per-term int64
         plaintexts; 4: diagonals pre-rolled by their giant step; 5: no
-        compiled fold form) included — is one loud rejection, never a
+        compiled fold form; 6: an expanded-or-sequential fold depth, not
+        a partition) included — is one loud rejection, never a
         compatibility branch."""
         bad_path = self._rewrite_manifest(
             mlp_artifact[3], str(tmp_path / "bad.npz"), schema_version=version
