@@ -100,6 +100,9 @@ class PackingStats:
     # Distinct nonzero (input block, offset) pairs: the key-switch inner
     # products of the fused execution path.
     _offsets: int
+    # A batched view's extra partial sums: each one's gather rotations
+    # (one key switch apiece, counted in ``rotations`` and the giants).
+    gathers: Tuple[int, ...] = ()
 
     def cost(self, level: int, cost_model, hoisting: str = "fused") -> float:
         """Modeled latency at the given level (drives placement).
@@ -109,18 +112,26 @@ class PackingStats:
         other ``hoisting`` values are analytic prices only (the paper's
         hoisting ablation, docs/hoisting.md); they count the Gazelle
         folds inside the giant count, the fused price counts them
-        separately (``CostModel.fold_cost``).
+        separately (``CostModel.fold_cost``).  A batched view's extra
+        partial sum adds a mod-down, a rescale, its gather rotations and
+        an add.
         """
-        return cost_model.matvec_cost(
+        price = cost_model.matvec_cost(
             level, self.pmults, self.rotations - self._giants, self._giants,
             hoisting, num_in=self.num_in_cts, num_out=self.num_out_cts,
             num_folds=self.num_folds, num_offsets=self._offsets,
         )
+        for steps in self.gathers:
+            price += (
+                cost_model.ks_moddown(level) + cost_model.rescale(level)
+                + steps * cost_model.hrot(level) + cost_model.hadd(level)
+            )
+        return price
 
 
 def _count_stats(
     bo, bi, off, num_in: int, num_out: int, fold_shifts, out_layout, slots: int,
-    n1: Optional[int] = None,
+    n1: Optional[int] = None, gathers: Tuple[int, ...] = (),
 ) -> PackingStats:
     """PackingStats of distinct (bo, bi, offset) diagonals, as columns.
 
@@ -129,6 +140,8 @@ def _count_stats(
     layer's own plan, or by default :func:`plan_bsgs` over the distinct
     offsets, which is how every plan is made.  Each of the
     ``len(fold_shifts)`` folds rotates every output ciphertext once.
+    A batched view's ``bo`` is its partial sum; ``gathers`` lists each
+    extra partial's gather rotations (``PackedMatVec.gathers``).
     """
     offsets = np.unique(off)
     if n1 is None:
@@ -139,7 +152,7 @@ def _count_stats(
     def distinct_nonzero(block, steps) -> int:
         return int(np.unique((block * slots + steps)[steps != 0]).size)
 
-    giants = distinct_nonzero(bo, giant) + len(fold_shifts) * num_out
+    giants = distinct_nonzero(bo, giant) + len(fold_shifts) * num_out + sum(gathers)
     return PackingStats(
         rotations=distinct_nonzero(bi, baby) + giants,
         pmults=int(off.size),
@@ -150,6 +163,7 @@ def _count_stats(
         _giants=giants,
         num_folds=len(fold_shifts),
         _offsets=distinct_nonzero(bi, off),
+        gathers=tuple(gathers),
     )
 
 

@@ -85,6 +85,11 @@ class PackedMatVec:
             ``fold_shifts``, each folded by one hoisted key switch
             (sizes sum to ``len(fold_shifts)``; empty, the default,
             means one group per shift).
+        gathers: a batched view's partial sums, one rotation-step chain
+            each (empty for every compiled layer): ``diags[(g, bi)]``
+            feeds partial ``g``, which is rotated by each step of
+            ``gathers[g]`` in turn after the rescale and added to
+            partial 0 (whose chain is empty) before the fold.
         bias_vecs: optional per-output-block bias slot vectors.
         out_layout: layout of the produced tensor.
         name: label for ledger phases.
@@ -98,6 +103,7 @@ class PackedMatVec:
     out_layout: object
     fold_shifts: Tuple[int, ...] = ()
     fold_groups: Tuple[int, ...] = ()
+    gathers: Tuple[Tuple[int, ...], ...] = ()
     bias_vecs: Optional[List[np.ndarray]] = None
     name: str = "linear"
     # Weight/bias/zero plaintexts are static; encode once per (backend,
@@ -121,22 +127,25 @@ class PackedMatVec:
     @cached_property
     def stats(self) -> PackingStats:
         """Rotation/PMult counts and modeled price of this layer (paper
-        Tables 2-4), from its own diagonal keys, plan and folds; computed
-        once per layer."""
+        Tables 2-4), from its own diagonal keys, plan, gathers and folds;
+        computed once per layer."""
         keys = [(bo, bi, off) for (bo, bi), dmap in self.diags.items() for off in dmap]
         return _count_stats(
             *_key_columns(keys), self.num_in, self.num_out, self.fold_shifts,
             self.out_layout, self.slots, n1=self.plan.n1,
+            gathers=tuple(len(steps) for steps in self.gathers[1:]),
         )
 
     def required_rotation_steps(self) -> Tuple[int, ...]:
         """Exactly the rotation steps executing this layer asks the
         backend for — the layer's contribution to an artifact's key
         manifest (docs/serving.md): the diagonal offsets (each rotates
-        the input directly) and every fold group's subset sums.
-        Identity rotations are never required.
+        the input directly), a batched view's gather steps and every
+        fold group's subset sums.  Identity rotations are never
+        required.
         """
         steps = {off % self.slots for dmap in self.diags.values() for off in dmap}
+        steps.update(step for chain in self.gathers for step in chain)
         for group in fold_group_steps(self.fold_shifts, self.fold_groups, self.slots):
             steps.update(group)
         return tuple(sorted(steps - {0}))
@@ -152,27 +161,33 @@ class PackedMatVec:
         single-client reads always land inside the input layout's
         occupied slots (see ``BlockReplicatedLayout``).
 
-        Two Gazelle-hybrid adjustments keep each client self-contained:
+        Two Gazelle-hybrid adjustments keep each client self-contained,
+        and neither rotates by a step this layer's own execution lacks,
+        so a view needs no key the single-client program does not hold:
 
-        - **Scratch relocation.**  Hybrid row replication writes some
+        - **Scratch gathers.**  Hybrid row replication writes some
           partial products at wrapped positions near the ring top
-          (rows j = c - offset < 0 mod n).  Replicated naively those
-          would land in the *previous* client's block, so any scratch
-          position outside [0, S) moves to j mod S — still congruent to
-          its row modulo m2 (S is a multiple of m2), so the in-block
-          fold collects it correctly — and its diagonal offset grows by
-          the displacement (a whole number of blocks), which keeps the
-          read on the client's own slots.  Only fold layers can have
-          out-of-block scratch (plain layers write final outputs, which
-          fit the block by the layout check).
+          (rows j = c - offset < 0 mod n), in block q >= 1.  Replicated
+          naively those would land in another client's block.  A piece
+          in block q keeps its offset; its replicated diagonal (which a
+          rotation by -q*S leaves unchanged) accumulates into partial
+          sum q of the same fused walk, so every ``rot(x, off)`` is
+          computed once and feeds every partial.  After the rescale,
+          partial q is rotated by q*S and added to partial 0 — the
+          single-client fold's shifts >= S did exactly that sum.  The
+          rotation runs as this layer's own fold steps, one subset sum
+          per fold group the shift spans (``gathers``).
+          Only fold layers can have out-of-block scratch (plain layers
+          write final outputs, which fit the block by the layout
+          check).
         - **Fold truncation.**  Fold shifts spanning a whole block or
           more are dropped from their groups (a group left empty
           vanishes); the surviving suffix (S/2 ... m2) folds each
           client's row replicas inside its own block.
 
-        The batched instance re-plans its "# Rots" accounting over the
-        (possibly enlarged) offset set, shares nothing mutable with the
-        original (fresh plaintext caches), and is cached per batch size.
+        The view re-plans its "# Rots" accounting over its offsets,
+        shares nothing mutable with the original (fresh plaintext
+        caches), and is cached per batch size.
         """
         if batch == 1:
             return self
@@ -190,45 +205,16 @@ class PackedMatVec:
                 f"{self.name}: output occupies {self.out_layout.total_slots} "
                 f"slots > block size {block} at batch {batch}"
             )
-        def replicate(vec: np.ndarray) -> np.ndarray:
-            """sum_j roll(vec, j*S) == tile of the block-folded vector."""
-            return np.tile(vec.reshape(batch, block).sum(axis=0), batch)
-
-        # new_offset -> {(out_block, in_block) -> out-position-indexed vector}
-        acc: Dict[int, Dict[Tuple[int, int], np.ndarray]] = {}
-        for (bo, bi), dmap in self.diags.items():
-            for offset, vec in dmap.items():
-                # Split scratch by the block it falls in; relocate every
-                # out-of-block piece into [0, S) with a compensating
-                # whole-block offset shift (reads are unchanged:
-                # j'' + off'' == j + off mod n).
-                pieces = vec.reshape(batch, block)
-                for q in range(batch):
-                    piece = pieces[q]
-                    if not piece.any():
-                        continue
-                    if q and not self.fold_shifts:
-                        raise ValueError(
-                            f"{self.name}: scratch escapes its block at "
-                            f"batch {batch} and there is no fold to "
-                            "relocate under"
-                        )
-                    new_offset = (offset + q * block) % n
-                    relocated = np.zeros(n)
-                    relocated[:block] = piece
-                    by_block = acc.setdefault(new_offset, {})
-                    if (bo, bi) in by_block:
-                        by_block[(bo, bi)] = by_block[(bo, bi)] + relocated
-                    else:
-                        by_block[(bo, bi)] = relocated
-
-        diags: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
-        for new_offset, by_block in acc.items():
-            for (bo, bi), vec in by_block.items():
-                diags.setdefault((bo, bi), {})[new_offset] = replicate(vec)
-        bias_vecs = None
-        if self.bias_vecs is not None:
-            bias_vecs = [replicate(vec) for vec in self.bias_vecs]
+        # block q -> {offset -> replicated block-q piece}, in this
+        # layer's offset order (the float summation order of a
+        # single-client run).
+        parts: Dict[int, Dict[int, np.ndarray]] = {}
+        for offset, vec in self.diags.get((0, 0), {}).items():
+            pieces = vec.reshape(batch, block)
+            for q in np.flatnonzero(pieces.any(axis=1)):
+                parts.setdefault(int(q), {})[offset] = np.tile(pieces[q], batch)
+        blocks = [0] + sorted(set(parts) - {0})
+        gathers = tuple(self._gather_steps(q * block, batch) for q in blocks)
         fold_groups, start = [], 0
         for size in self.fold_groups:
             kept = sum(s < block for s in self.fold_shifts[start:start + size])
@@ -237,18 +223,39 @@ class PackedMatVec:
                 fold_groups.append(kept)
         view = PackedMatVec(
             slots=n,
-            num_in=self.num_in,
-            num_out=self.num_out,
-            diags=diags,
-            plan=plan_bsgs(sorted(acc), n),
+            num_in=1,
+            num_out=1,
+            diags={(g, 0): parts[q] for g, q in enumerate(blocks) if q in parts},
+            plan=plan_bsgs(sorted({off for dmap in parts.values() for off in dmap}), n),
             out_layout=BlockReplicatedLayout(self.out_layout, batch, n),
             fold_shifts=tuple(s for s in self.fold_shifts if s < block),
             fold_groups=tuple(fold_groups),
-            bias_vecs=bias_vecs,
+            gathers=gathers if len(blocks) > 1 else (),
+            bias_vecs=None
+            if self.bias_vecs is None
+            else [np.tile(vec.reshape(batch, block).sum(axis=0), batch)
+                  for vec in self.bias_vecs],
             name=f"{self.name}@x{batch}",
         )
         self._batched[batch] = view
         return view
+
+    def _gather_steps(self, shift: int, batch: int) -> Tuple[int, ...]:
+        """A block shift as this layer's fold steps: per fold group, the
+        subset sum of its shifts among ``shift``'s binary digits (the
+        ladder is n/2, n/4, ..., m2), zero sums skipped."""
+        steps, start = [], 0
+        for size in self.fold_groups:
+            step = sum(s for s in self.fold_shifts[start:start + size] if shift & s)
+            start += size
+            if step:
+                steps.append(step)
+        if sum(steps) != shift:
+            raise ValueError(
+                f"{self.name}: scratch escapes its block at batch {batch} and "
+                f"the fold ladder {self.fold_shifts} cannot gather it"
+            )
+        return tuple(steps)
 
     def terms(self) -> Dict:
         """``diags`` flattened to ``(out_block, in_block, offset) ->
@@ -284,25 +291,36 @@ class PackedMatVec:
         # invariant that keeps a second request entering at a different
         # level from hitting a stale encode.
         cache_fp = backend.plaintext_cache_key(level, pt_scale)
+        stats = self.stats
         totals = backend.matvec_fused(
             in_cts,
             self.terms(),
-            self.num_out,
+            len(self.gathers) or self.num_out,
             pt_scale,
             pt_cache=per_backend.setdefault(("fused",) + cache_fp, {}),
-            # The BSGS plan's rotations; the folds charge themselves.
-            charged_rotations=self.stats.rotations
+            # The BSGS plan's rotations; gathers and folds charge
+            # themselves.
+            charged_rotations=stats.rotations - sum(stats.gathers)
             - len(self.fold_shifts) * self.num_out,
         )
-        outputs = []
-        for bo, total in enumerate(totals):
+        rescaled = []
+        for total in totals:
             if total is None:
                 zero_pt = per_backend.get(("zero",) + cache_fp)
                 if zero_pt is None:
                     zero_pt = backend.encode(np.zeros(self.slots), level, pt_scale)
                     per_backend[("zero",) + cache_fp] = zero_pt
                 total = backend.mul_plain(in_cts[0], zero_pt)
-            total = backend.rescale(total)
+            rescaled.append(backend.rescale(total))
+        if self.gathers:
+            total = rescaled[0]
+            for part, steps in zip(rescaled[1:], self.gathers[1:]):
+                for step in steps:
+                    part = backend.rotate(part, step)
+                total = backend.add(total, part)
+            rescaled = [total]
+        outputs = []
+        for bo, total in enumerate(rescaled):
             total = apply_fold_groups(
                 backend, total, self.fold_shifts, self.fold_groups
             )
@@ -387,8 +405,8 @@ class PackedMatVec:
 
     def execute_cleartext(self, in_vecs: List[np.ndarray]) -> List[np.ndarray]:
         """Reference execution with plain numpy (validates packing)."""
-        outputs = []
-        for bo in range(self.num_out):
+        partials = []
+        for bo in range(len(self.gathers) or self.num_out):
             acc = np.zeros(self.slots)
             for bi in range(self.num_in):
                 dmap = self.diags.get((bo, bi))
@@ -396,6 +414,14 @@ class PackedMatVec:
                     continue
                 for offset, vec in dmap.items():
                     acc += vec * np.roll(in_vecs[bi], -offset)
+            partials.append(acc)
+        if self.gathers:
+            acc = partials[0]
+            for part, steps in zip(partials[1:], self.gathers[1:]):
+                acc = acc + np.roll(part, -sum(steps))
+            partials = [acc]
+        outputs = []
+        for bo, acc in enumerate(partials):
             for shift in self.fold_shifts:
                 acc = acc + np.roll(acc, -shift)
             if self.bias_vecs is not None:

@@ -499,17 +499,21 @@ class FheProgram:
         request from the backend (docs/serving.md).
 
         ``None`` means the program's full slot-batch capacity — the key
-        manifest's union; a serving lane passes its own cap.  Batched
-        views count because batched Gazelle-hybrid layers relocate
-        wrapped scratch rows into extra diagonal offsets.  Bootstraps
-        are excluded: the oracle refresh rotates nothing, and a real
-        pipeline owns its own transform keys.
+        manifest's union; a serving lane passes its own cap.  A batched
+        view adds no step and raises no level: its Gazelle-hybrid layers
+        read wrapped scratch at the single-client offsets and gather it
+        with their own fold steps (``PackedMatVec.batched``), so every
+        cap keys the single-client set; the views are still visited, so
+        the manifest is what runs even if that ever stopped holding.
+        Bootstraps are excluded: the oracle refresh rotates nothing, and
+        a real pipeline owns its own transform keys.
 
         Exactly the steps an inference of each view rotates by (a
         layer's fold partition is compiled, ``PackedMatVec.fold_groups``).
-        A linear layer's rotations — diagonal offsets and its fold —
-        key-switch at its ``exec_level`` (folds run one level *lower*,
-        after the rescale, so ``exec_level`` bounds them too).  The
+        A linear layer's rotations — diagonal offsets, gathers and its
+        fold — key-switch at its ``exec_level`` (gathers and folds run
+        one level *lower*, after the rescale, so ``exec_level`` bounds
+        them too).  The
         per-step maximum is the level bound key generators need to emit
         *compressed* switching keys (:class:`repro.ckks.keys.
         SwitchingKey`): only the digits and limbs any key switch at

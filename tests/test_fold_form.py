@@ -10,6 +10,12 @@ by view — checked here on an exact backend by recording every Galois
 key the inference fetches — and the partition survives every way a
 layer is copied: the artifact payload, batched views and sibling
 merges.
+
+A slot-batched view rotates by no step the single-client program lacks:
+out-of-block scratch is gathered by a block-shift rotation made of the
+layer's own fold steps, so every view's manifest is the batch-1
+manifest.  The relocating form it replaced is the oracle
+``tests/reference/batched_relocation.py``.
 """
 
 import itertools
@@ -19,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.backend import ToyBackend
+from repro.backend import SimBackend, ToyBackend
 from repro.backend.costs import CostModel
 from repro.ckks.params import paper_parameters, toy_parameters
 from repro.core.packing.layouts import VectorLayout
@@ -34,6 +40,8 @@ from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
 from repro.serve.keys import generate_lane_keys
+
+from reference.batched_relocation import relocated_view
 
 TOY_SETS = {
     "n512_l6": dict(ring_degree=512, max_level=6, boot_levels=1, scale_bits=24),
@@ -66,6 +74,37 @@ def mlp():
     onet.fit([np.random.default_rng(0).normal(0, 0.5, (8, 1, 4, 4))])
     params = toy_parameters(**TOY_SETS["n512_l6"])
     return params, onet.compile(params).program
+
+
+def _mlp_program(pixels, hidden, ring_degree):
+    """``SecureMlp(pixels, hidden)`` as the e2e harness compiles it: at
+    N = 2048 the ``serve_mlp_pool`` artifact, at 4096 ``mlp_solo``."""
+    side = math.isqrt(pixels)
+    init.seed_init(0)
+    onet = OrionNetwork(SecureMlp(input_pixels=pixels, hidden=hidden), (1, side, side))
+    onet.fit([np.random.default_rng(0).normal(0.0, 0.5, (8, 1, side, side))])
+    params = toy_parameters(
+        ring_degree=ring_degree, max_level=6, boot_levels=1, scale_bits=24
+    )
+    return params, onet.compile(params).program
+
+
+@pytest.fixture(scope="module")
+def pool():
+    return _mlp_program(64, 16, 2048)
+
+
+@pytest.fixture(scope="module")
+def solo():
+    return _mlp_program(784, 128, 4096)
+
+
+def _views(program):
+    """Every slot-batched view of ``program``, smallest batch first."""
+    batch = 2
+    while batch <= program.slot_batch_capacity():
+        yield batch, program.batched(batch)
+        batch *= 2
 
 
 def _group_price(costs, level, size):
@@ -206,14 +245,15 @@ class TestCompiledForm:
 
 class TestManifestIsExact:
     def test_each_view_touches_exactly_its_required_steps(self, mlp):
-        """The ROADMAP item B gate: on an exact backend, the Galois keys
-        one inference fetches at batch size b are that view's
-        ``required_rotation_steps`` — the diagonal offsets and every
-        fold group's subset sums — and their union over the views up
-        to b is ``required_rotation_step_levels(b)``, each at no more
-        than the manifest's level.  At b = 2 ``linear_5``'s first group
-        has lost its block-spanning shift: none of the sums through it
-        is fetched."""
+        """The manifest gate: on an exact backend, the Galois keys one
+        inference fetches at batch size b are exactly that view's
+        ``required_rotation_steps`` — the diagonal offsets, the gather
+        steps and every fold group's subset sums — all of them steps of
+        the single-client manifest, each fetched at no more than the
+        level it records — and their union over the views up to b is
+        ``required_rotation_step_levels(b)``.  At b = 2 ``linear_5``'s first group has lost
+        its block-spanning shift: of the sums through it only the
+        gather, the shift itself, is fetched."""
         params, program = mlp
         capacity = program.slot_batch_capacity()
         assert capacity >= 4
@@ -231,7 +271,11 @@ class TestManifestIsExact:
 
         context.galois_key = recording
         rng = np.random.default_rng(5)
-        union = {}
+        single = {
+            exponent(step): level
+            for step, level in program.required_rotation_step_levels(1).items()
+        }
+        gathered, union = set(), {}
         batch = 1
         while batch <= capacity:
             view = program.batched(batch)
@@ -244,26 +288,34 @@ class TestManifestIsExact:
                 steps = {
                     off % packed.slots for dmap in packed.diags.values() for off in dmap
                 }
+                steps.update(step for chain in packed.gathers for step in chain)
                 for group in fold_group_steps(
                     packed.fold_shifts, packed.fold_groups, packed.slots
                 ):
                     steps.update(group)
                 assert set(packed.required_rotation_steps()) == steps - {0}
+                if packed.gathers:
+                    gathered.add(batch)
                 want |= {exponent(step) for step in steps - {0}}
             assert set(touched) == want, f"batch {batch}"
+            assert want <= set(single), f"batch {batch}"
+            for exp, level in touched.items():
+                assert level <= single[exp], f"batch {batch}"
             if batch == 2:
                 whole = {i.name: i.packed for i in _linear(program)}["linear_5"]
                 half = {i.name: i.packed for i in _linear(view)}["linear_5"]
                 dropped = whole.fold_shifts[0]
                 assert whole.fold_groups == (4, 3) and half.fold_groups == (3, 3)
                 assert dropped not in half.fold_shifts
+                assert half.gathers == ((), (dropped,))
                 lost = set(fold_group_steps(whole.fold_shifts, (4, 3), whole.slots)[0])
                 kept = set(fold_group_steps(half.fold_shifts, (3, 3), half.slots)[0])
                 assert dropped in lost and kept < lost
                 offsets = {
                     off % half.slots for dmap in half.diags.values() for off in dmap
                 }
-                assert not {exponent(s) for s in lost - kept - offsets} & set(touched)
+                unused = lost - kept - offsets - {dropped}
+                assert not {exponent(s) for s in unused} & set(touched)
             for exp, level in touched.items():
                 union[exp] = max(union.get(exp, -1), level)
             levels = program.required_rotation_step_levels(batch)
@@ -271,21 +323,103 @@ class TestManifestIsExact:
             for step, level in levels.items():
                 assert union[exponent(step)] <= level
             batch *= 2
+        assert gathered == {2, 4, 8, 16}
 
-    def test_pool_manifest_holds_its_exact_key_count(self):
+    @pytest.mark.parametrize("name", ["mlp", "pool", "solo", "solo_n65536"])
+    def test_no_view_adds_a_step(self, name, request):
+        """Every cap up to the capacity keys exactly the single-client
+        manifest, levels included: the e2e artifacts (``serve_mlp_pool``
+        up to 16 clients, ``mlp_solo`` 2) and ``mlp_solo``'s network at
+        the paper's ring, N = 2^16 (compiled only: its 157 steps are
+        what a lane there keys; the relocating views listed 876)."""
+        if name == "solo_n65536":
+            _, program = _mlp_program(784, 128, 1 << 16)
+        else:
+            _, program = request.getfixturevalue(name)
+        single = program.required_rotation_step_levels(1)
+        capacity = program.slot_batch_capacity()
+        assert capacity >= 2
+        for cap in range(2, capacity + 1):
+            assert program.required_rotation_step_levels(cap) == single, cap
+        assert program.required_rotation_step_levels() == single
+        sizes = {"mlp": 27, "pool": 29, "solo": 142, "solo_n65536": 157}
+        assert len(single) == sizes[name]
+
+    def test_pool_manifest_holds_its_exact_key_count(self, pool):
         """The e2e harness's ``serve_mlp_pool`` artifact (SecureMlp(64,
         16) at N = 2048, L = 6) folds every 6-deep ladder as (3, 3): its
-        manifest over all slot-batch views holds 89 rotation keys (138
-        with each ladder fully expanded).  Lanes share those keys."""
-        init.seed_init(0)
-        onet = OrionNetwork(SecureMlp(input_pixels=64, hidden=16), (1, 8, 8))
-        onet.fit([np.random.default_rng(0).normal(0.0, 0.5, (8, 1, 8, 8))])
-        params = toy_parameters(
-            ring_degree=2048, max_level=6, boot_levels=1, scale_bits=24
-        )
-        program = onet.compile(params).program
+        manifest over all slot-batch views holds 29 rotation keys, the
+        single-client set (89 while batched views relocated scratch
+        under new offsets, 138 with each ladder fully expanded).  Lanes
+        share those keys."""
+        _, program = pool
         assert [i.packed.fold_groups for i in _linear(program)] == [(3, 3)] * 3
-        assert len(program.required_rotation_step_levels()) == 89
+        assert len(program.required_rotation_step_levels()) == 29
+
+
+class TestGatheredViews:
+    """A batched view keeps each scratch piece's single-client offset and
+    gathers the out-of-block pieces with one block-shift rotation."""
+
+    @pytest.mark.parametrize("name", ["mlp", "pool", "solo"])
+    def test_pre_fold_vector_is_the_relocating_views(self, name, request):
+        """Before the fold, every layer of every view computes what the
+        relocating view computes, on random inputs (only the float
+        summation order differs), and folds with the same shifts."""
+        _, program = request.getfixturevalue(name)
+        rng = np.random.default_rng(3)
+
+        def pre_fold(packed, x):
+            bare = replace(packed, fold_shifts=(), fold_groups=(), bias_vecs=None)
+            return bare.execute_cleartext([x])[0]
+
+        for batch, view in _views(program):
+            for instr, layer in zip(_linear(program), _linear(view)):
+                packed, gathered = instr.packed, layer.packed
+                oracle = relocated_view(packed, batch)
+                x = rng.normal(size=packed.slots)
+                assert np.allclose(
+                    pre_fold(gathered, x), pre_fold(oracle, x), rtol=1e-12, atol=1e-12
+                ), (batch, instr.name)
+                assert gathered.fold_shifts == oracle.fold_shifts
+                assert gathered.fold_groups == oracle.fold_groups
+                assert np.array_equal(gathered.bias_vecs[0], oracle.bias_vecs[0])
+
+    def test_a_gather_is_one_subset_sum_per_fold_group(self, pool):
+        """``serve_mlp_pool`` (1024 slots, ladder 512 ... 16 as (3, 3)):
+        scratch falls in blocks 0 and B - 1 only, and the B = 16 shift,
+        960, is no single-client step, so it runs as 896 then 64."""
+        _, program = pool
+        shifts = {2: (512,), 4: (768,), 8: (896,), 16: (896, 64)}
+        for batch, view in _views(program):
+            for layer in _linear(view):
+                assert layer.packed.gathers == ((), shifts[batch]), batch
+                assert set(layer.packed.diags) == {(0, 0), (1, 0)}
+
+    @pytest.mark.parametrize("name", ["pool", "solo"])
+    def test_stats_count_what_a_view_charges(self, name, request):
+        """A view's ``stats`` are what its execution charges: offsets,
+        gather rotations and folds in "# Rots", one PMult per stored
+        diagonal, and the gathers as the only un-hoisted rotations."""
+        params, program = request.getfixturevalue(name)
+        for batch, view in _views(program):
+            backend = SimBackend(params, seed=0)
+            shape = (batch,) + program.input_layout.tensor_shape
+            view.run(backend, np.zeros(shape))
+            stats = [layer.packed.stats for layer in _linear(view)]
+            counts = backend.ledger.counts
+            assert backend.ledger.rotations == sum(s.rotations for s in stats)
+            assert counts["pmult"] == sum(s.pmults for s in stats)
+            assert counts["hrot"] == sum(sum(s.gathers) for s in stats) > 0
+
+    def test_scratch_without_a_fold_to_gather_it_is_refused(self):
+        packed = build_linear_packing(
+            np.ones((2, 64)), None, VectorLayout(64, 256), force_mode="hybrid"
+        )
+        bare = replace(packed, fold_shifts=(), fold_groups=())
+        assert any(vec[128:].any() for vec in bare.diags[(0, 0)].values())
+        with pytest.raises(ValueError, match="cannot gather"):
+            bare.batched(2)
 
 
 class TestFormSurvivesCopies:

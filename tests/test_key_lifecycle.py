@@ -237,12 +237,14 @@ class TestOneResidentTensor:
             manifest.rotation_steps, levels=manifest.step_level_map()
         )
         keys = [context.keys.relin] + list(context.keys.galois.values())
-        # 269 rotation keys: the folds run in hoisted groups (318 with
-        # every shallow ladder fully expanded).
-        assert len(context.keys.galois) == 269
-        assert sum(key.size_bytes() for key in keys) == 89_072_064
+        # 142 rotation keys, the single-client set: batched views gather
+        # scratch through the layers' own fold steps (269 while they
+        # relocated it under new offsets, 318 before that with every
+        # shallow ladder fully expanded).
+        assert len(context.keys.galois) == 142
+        assert sum(key.size_bytes() for key in keys) == 47_452_640
         resident = sum(key.tensor.nbytes for key in keys)
-        assert resident == 2 * (89_072_064 - len(keys) * KEY_PRG_SEED_BYTES)
+        assert resident == 2 * (47_452_640 - len(keys) * KEY_PRG_SEED_BYTES)
 
 
 class TestArtifactFiles:

@@ -200,7 +200,9 @@ class TestLinearPacking:
         into output slot ``j`` — un-rotated, the form the fused matvec
         reads — for every way a layer comes to exist, and through the
         artifact payload round-trip (batched views are re-derived from
-        the loaded layer, as a server does), bit for bit."""
+        the loaded layer, as a server does), bit for bit.  A batched
+        view's ``bo`` is a partial sum, rotated by its gather steps into
+        output block 0 before the fold."""
         wide, squat = VectorLayout(128, N), VectorLayout(64, N)
         if kind == "plain":
             packed = build_linear_packing(
@@ -230,15 +232,23 @@ class TestLinearPacking:
         loaded = PackedMatVec.from_payload(packed.to_payload(store), stored.__getitem__)
         if kind == "batched":
             packed, loaded = packed.batched(2), loaded.batched(2)
+            assert loaded.gathers == ((), (N // 2,))
         x = [RNG.normal(size=N) for _ in range(packed.num_in)]
         slots = np.arange(N)
-        expected = []
-        for bo in range(loaded.num_out):
+        partials = []
+        for bo in range(len(loaded.gathers) or loaded.num_out):
             acc = np.zeros(N)
             for (bo2, bi), dmap in loaded.diags.items():
                 if bo2 == bo:
                     for off, vec in dmap.items():
                         acc += vec * x[bi][(slots + off) % N]
+            partials.append(acc)
+        if loaded.gathers:
+            for part, steps in zip(partials[1:], loaded.gathers[1:]):
+                partials[0] = partials[0] + part[(slots + sum(steps)) % N]
+            partials = partials[:1]
+        expected = []
+        for bo, acc in enumerate(partials):
             for shift in loaded.fold_shifts:
                 acc = acc + acc[(slots + shift) % N]
             if loaded.bias_vecs is not None:
