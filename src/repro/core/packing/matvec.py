@@ -163,7 +163,9 @@ class PackedMatVec:
 
         Two Gazelle-hybrid adjustments keep each client self-contained,
         and neither rotates by a step this layer's own execution lacks,
-        so a view needs no key the single-client program does not hold:
+        so a view needs no key the single-client program does not hold
+        (a view that would is refused here, ``ValueError`` naming the
+        layer and the step):
 
         - **Scratch gathers.**  Hybrid row replication writes some
           partial products at wrapped positions near the ring top
@@ -237,6 +239,13 @@ class PackedMatVec:
                   for vec in self.bias_vecs],
             name=f"{self.name}@x{batch}",
         )
+        extra = set(view.required_rotation_steps()) - set(self.required_rotation_steps())
+        if extra:
+            raise ValueError(
+                f"{self.name}: the view at batch {batch} rotates by step "
+                f"{min(extra)}, which the layer itself never does, so the "
+                "key manifest would not cover it"
+            )
         self._batched[batch] = view
         return view
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -491,56 +491,41 @@ class FheProgram:
         return self.decrypt_output(backend, outs)
 
     # -- serving hooks ------------------------------------------------------
-    def required_rotation_step_levels(
-        self, max_batch: Optional[int] = None
-    ) -> Dict[int, int]:
+    def required_rotation_step_levels(self) -> Dict[int, int]:
         """``{step: highest execution level}`` of every rotation the
-        program's views up to ``max_batch`` requests per ciphertext can
-        request from the backend (docs/serving.md).
+        program can request from the backend — the key manifest's
+        source (docs/serving.md).
 
-        ``None`` means the program's full slot-batch capacity — the key
-        manifest's union; a serving lane passes its own cap.  A batched
-        view adds no step and raises no level: its Gazelle-hybrid layers
-        read wrapped scratch at the single-client offsets and gather it
-        with their own fold steps (``PackedMatVec.batched``), so every
-        cap keys the single-client set; the views are still visited, so
-        the manifest is what runs even if that ever stopped holding.
-        Bootstraps are excluded: the oracle refresh rotates nothing, and
-        a real pipeline owns its own transform keys.
+        It covers every batched view too: a view adds no step and raises
+        no level, because its Gazelle-hybrid layers read wrapped scratch
+        at the single-client offsets and gather it with their own fold
+        steps, and ``PackedMatVec.batched`` refuses a view that would
+        rotate by any other step; a view runs each layer at the layer's
+        own ``exec_level``.  Bootstraps are excluded: the oracle refresh
+        rotates nothing, and a real pipeline owns its own transform keys.
 
-        Exactly the steps an inference of each view rotates by (a
-        layer's fold partition is compiled, ``PackedMatVec.fold_groups``).
-        A linear layer's rotations — diagonal offsets, gathers and its
+        Exactly the steps an inference rotates by (a layer's fold
+        partition is compiled, ``PackedMatVec.fold_groups``).  A linear
+        layer's rotations — diagonal offsets, a view's gathers and its
         fold — key-switch at its ``exec_level`` (gathers and folds run
         one level *lower*, after the rescale, so ``exec_level`` bounds
-        them too).  The
-        per-step maximum is the level bound key generators need to emit
+        them too).  The per-step
+        maximum is the level bound key generators need to emit
         *compressed* switching keys (:class:`repro.ckks.keys.
         SwitchingKey`): only the digits and limbs any key switch at
         ``level <= bound`` consumes.
         """
         levels: Dict[int, int] = {}
-
-        def visit(program):
-            slots = program.input_layout.slots
-            for instr in program.instructions:
-                if isinstance(instr, LinearInstr):
-                    for step in instr.packed.required_rotation_steps():
-                        levels[step] = max(
-                            levels.get(step, -1), instr.exec_level
-                        )
-                elif isinstance(instr, RotateInstr):
-                    step = instr.steps % slots
-                    if step:
-                        levels[step] = max(levels.get(step, -1), instr.exec_level)
-
-        visit(self)
-        if max_batch is None:
-            max_batch = self.slot_batch_capacity()
-        batch = 2
-        while batch <= max_batch:
-            visit(self.batched(batch))
-            batch *= 2
+        slots = self.input_layout.slots
+        for instr in self.instructions:
+            if isinstance(instr, LinearInstr):
+                steps = instr.packed.required_rotation_steps()
+            elif isinstance(instr, RotateInstr) and instr.steps % slots:
+                steps = (instr.steps % slots,)
+            else:
+                continue
+            for step in steps:
+                levels[step] = max(levels.get(step, -1), instr.exec_level)
         return levels
 
     def slot_batch_capacity(self) -> int:

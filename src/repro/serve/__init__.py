@@ -14,10 +14,12 @@ north star needs (docs/serving.md).  The front door is::
 Behind it:
 
 - :mod:`repro.serve.api`      — :func:`open`, :class:`ServerConfig`,
-  :class:`Server`: the redesigned single entry point;
-- :mod:`repro.serve.pool`     — :class:`WorkerPool` /
-  :class:`Dispatcher`: sharded workers, rendezvous routing, admission
-  control (:class:`AdmissionError` backpressure);
+  :class:`Server`: the single entry point, which routes, admits
+  (:class:`AdmissionError` backpressure), steps and accounts for every
+  request;
+- :mod:`repro.serve.pool`     — the workers behind it: one
+  :class:`~repro.serve.pool.Worker` per shard, run inline or in a
+  forked child (:class:`WorkerLostError` when one vanishes);
 - :mod:`repro.serve.mmapio`   — :class:`ArtifactMap`: the one artifact
   reader, ``ArtifactMap(path).load()``, over shared read-only mmapped
   tables (one physical copy per machine);
@@ -31,16 +33,10 @@ Behind it:
 - :mod:`repro.serve.runtime`  — the per-worker inference loop.
 """
 
-from repro.serve.api import Server, ServerConfig, open
+from repro.serve.api import AdmissionError, Server, ServerConfig, open
 from repro.serve.artifact import ArtifactSchemaError, ServingArtifact, save_artifact
 from repro.serve.mmapio import ArtifactMap, is_mmap_backed
-from repro.serve.pool import (
-    AdmissionError,
-    ArtifactSpec,
-    Dispatcher,
-    WorkerLostError,
-    WorkerPool,
-)
+from repro.serve.pool import ArtifactSpec, WorkerLostError
 from repro.serve.runtime import ServeResult
 from repro.serve.scheduler import PendingRequest
 from repro.serve.stats import (
@@ -58,10 +54,8 @@ __all__ = [
     "open",
     "Server",
     "ServerConfig",
-    # pool
-    "WorkerPool",
-    "Dispatcher",
     "AdmissionError",
+    # pool
     "WorkerLostError",
     "ArtifactSpec",
     # shared artifact memory

@@ -1,11 +1,11 @@
-"""Key material for a serving lane, generated once from its program.
+"""Key material for a serving lane, generated once from its manifest.
 
 An artifact names its exact parameter set and the Galois steps its
 program will request (:class:`repro.ckks.keys.KeyManifest`).  A serving
 lane — one :class:`repro.serve.runtime.InferenceServer` — builds its
 backend from ``manifest.to_params()`` and, before anything runs, calls
-:func:`generate_lane_keys` for the batch views it can execute: every
-rotation key those views use, compressed to the level it is used at.
+:func:`generate_lane_keys` with that manifest: every rotation key the
+program uses at any batch size, compressed to the level it is used at.
 Nothing generates a key on the request path afterwards.  Lanes of one
 artifact built from one key seed would all draw the same keys, so an
 inline pool draws them once and shares a :class:`KeyDomain`.
@@ -48,22 +48,24 @@ def backend_key_bytes(backend) -> int:
     return sum(key.size_bytes() for key in context.keys.galois.values())
 
 
-def generate_lane_keys(backend, program, max_batch: Optional[int] = None) -> None:
-    """Generate the rotation keys ``program``'s views up to ``max_batch``
-    requests per ciphertext use (``None``: the program's full slot-batch
-    capacity, i.e. the key manifest), in step order, each compressed to
-    the highest level it key-switches at.
+def generate_lane_keys(backend, manifest) -> None:
+    """Generate the rotation keys an artifact's :class:`repro.ckks.keys.
+    KeyManifest` names, in step order, each compressed to the highest
+    level it key-switches at.  The manifest covers every batch size the
+    program can run (no batched view adds a step), so a lane keys it
+    whatever its cap.
 
     Keys the backend already holds at a covering bound are kept as they
-    are and draw no randomness, so a second call for the same program —
+    are and draw no randomness, so a second call for the same manifest —
     a hot reload over the same backend — changes nothing.  A functional
     backend holds no key material and is left untouched.
     """
     context = getattr(backend, "context", None)
     if context is None:
         return
-    levels = program.required_rotation_step_levels(max_batch)
-    context.generate_rotation_keys(sorted(levels), levels=levels)
+    context.generate_rotation_keys(
+        manifest.rotation_steps, levels=manifest.step_level_map()
+    )
 
 
 @dataclass(frozen=True)

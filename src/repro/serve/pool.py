@@ -1,34 +1,18 @@
-"""The sharded worker pool: dispatcher + N workers over shared tables.
+"""The sharded worker pool: N workers over shared tables.
 
-The asynchronous-architecture decoupling that fleet-scale serving
-needs: a front-of-house :class:`Dispatcher` that routes, admits, and
-accounts for requests, and a :class:`WorkerPool` of N workers each
-running *today's* :class:`repro.serve.runtime.InferenceServer` loop —
-one server per hosted artifact, slot-batching its own backlog by the
-scheduler's work-conserving rule.  Nothing about the execution hot path
-changes; the pool is pure orchestration:
+A pool is a list of shards, each running *today's*
+:class:`repro.serve.runtime.InferenceServer` loop — one server per
+hosted artifact, slot-batching its own backlog by the scheduler's
+work-conserving rule.  :class:`repro.serve.Server` routes, admits and
+accounts for requests in front of them; :func:`start_workers` is how it
+gets them.  Nothing about the execution hot path changes; the pool is
+pure orchestration:
 
 - **Shared read-only artifact memory.**  Workers open artifacts through
   :class:`repro.serve.mmapio.ArtifactMap`: the weight and pre-encoded
   plaintext tables are mmapped once per machine, so per-worker RSS
   stays flat as the pool grows (the tables are physically shared pages;
   ``verify_mmap_tables`` asserts no worker ever copied them).
-- **Deterministic routing.**  Rendezvous (highest-random-weight)
-  hashing of ``(routing_seed, artifact, client)`` over the workers:
-  a client's requests always land on the same worker, so its requests
-  coalesce into that worker's slot batches, and the assignment is
-  reproducible run-to-run — the property the bit-exactness gates are
-  built on.  Load imbalance surfaces as backpressure, never as
-  non-deterministic migration.
-- **Admission control.**  Per-worker queues are bounded
-  (``max_queue_depth``); once the routed worker is full — or its
-  backlog, priced at the batch time the dispatcher has *measured* on
-  that lane, exceeds the configured latency budget — the dispatcher
-  refuses the request with :class:`AdmissionError` carrying a
-  ``retry_after_ms`` hint, rather than letting queues grow without
-  bound.  Conservation holds at every instant:
-  ``submitted == admitted + rejected`` and
-  ``admitted == completed + in_flight``.
 - **One worker, two transports.**  A shard is a :class:`Worker`.
   ``inline`` calls it directly (deterministic, the reference every
   bit-exactness gate runs under); ``process`` runs the same class in a
@@ -43,8 +27,6 @@ changes; the pool is pure orchestration:
 
 from __future__ import annotations
 
-import hashlib
-import math
 import os
 import queue
 import traceback
@@ -62,42 +44,14 @@ from repro.serve.stats import LaneStats, WorkerStats
 #: that the child still exists.
 _LIVENESS_POLL_SECONDS = 0.5
 
-#: Weight of the newest batch in the dispatcher's exponentially weighted
-#: mean of measured batch seconds (fixed on purpose: not a serving knob).
-_BATCH_SECONDS_WEIGHT = 0.25
-
 
 class WorkerLostError(RuntimeError):
     """A fork worker exited (killed, OOM) without answering."""
 
 
-class AdmissionError(RuntimeError):
-    """The dispatcher refused a request (backpressure).
-
-    Attributes:
-        retry_after_ms: the dispatcher's hint for when capacity should
-            free up (the lane's measured batch time, or the backlog's
-            overhang past the latency budget at that batch time).
-        worker_id: the worker the request routed to.
-        queue_depth: that worker's queue depth at refusal time.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        retry_after_ms: float,
-        worker_id: int,
-        queue_depth: int,
-    ):
-        super().__init__(message)
-        self.retry_after_ms = retry_after_ms
-        self.worker_id = worker_id
-        self.queue_depth = queue_depth
-
-
 @dataclass(frozen=True)
 class WorkerProfile:
-    """What the dispatcher knows about one (worker, artifact) lane."""
+    """What the server knows about one (worker, artifact) lane."""
 
     capacity: int
     modeled_seconds: float
@@ -222,7 +176,7 @@ class Worker:
         factory = backend_factory or default_backend_factory
         self.servers: Dict[str, InferenceServer] = {}
         self.profiles: Dict[str, WorkerProfile] = {}
-        # Inner (per-server) ticket -> the dispatcher's global ticket.
+        # Inner (per-lane) ticket -> the pool-global ticket Server issued.
         self._tickets: Dict[Tuple[str, int], int] = {}
         loaded = {} if shared_artifacts is None else shared_artifacts
         domains = {} if shared_keys is None else shared_keys
@@ -355,9 +309,6 @@ class Worker:
             artifact_id: len(server.scheduler)
             for artifact_id, server in self.servers.items()
         }
-
-    def queue_depth(self) -> int:
-        return sum(self.queue_depths().values())
 
     def stats(self) -> WorkerStats:
         """This worker's one report: a frozen snapshot per lane."""
@@ -565,9 +516,6 @@ class ProcessWorker:
     def queue_depths(self) -> Dict[str, int]:
         return dict(self._depths)
 
-    def queue_depth(self) -> int:
-        return sum(self._depths.values())
-
     def _refresh(self) -> None:
         """Pull the child's telemetry bundle, if there is a child to ask.
         Trace spans accumulate (the child drains its buffer, so no span
@@ -613,237 +561,32 @@ class ProcessWorker:
         self._responses.close()
 
 
-class WorkerPool:
-    """N workers sharding the hosted artifacts (lifecycle owner)."""
+def start_workers(specs: Tuple[ArtifactSpec, ...], config) -> List:
+    """Start ``config.workers`` shards over ``specs`` (a
+    :class:`repro.serve.ServerConfig`), worker ids 0 .. N-1.
 
-    def __init__(
-        self,
-        specs: Tuple[ArtifactSpec, ...],
-        num_workers: int,
-        *,
-        mode: str = "inline",
-        **build_opts,
-    ):
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        self.specs = tuple(specs)
-        self.mode = mode
-        if mode == "inline":
-            # One shared load of each mmapped artifact for the whole
-            # pool: the program object (and its mapped tables) is
-            # reference-shared; per-worker state lives in the backends,
-            # which hold the first worker's keys (one keygen per artifact).
-            build_opts["shared_artifacts"] = {}
-            build_opts["shared_keys"] = {}
-            transport = Worker
-        elif mode == "process":
-            transport = ProcessWorker
-        else:
-            raise ValueError(f"unknown pool mode {mode!r}")
-        self.workers = [
-            transport(worker_id, self.specs, **build_opts)
-            for worker_id in range(num_workers)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.workers)
-
-    def reload(self, artifact_id: str) -> None:
-        """Hot-swap a new version of one artifact into every worker.
-
-        Inline pools re-open the (replaced) artifact file once and share
-        the fresh load across workers, mirroring construction; process
-        workers each re-map the file in their own child (page cache
-        makes the bytes physically shared anyway).
-        """
-        spec = next(
-            (s for s in self.specs if s.artifact_id == artifact_id), None
-        )
-        if spec is None:
-            raise KeyError(f"unknown artifact {artifact_id!r}")
-        fresh = None
-        if self.mode == "inline" and spec.path is not None:
-            fresh = ArtifactMap(spec.path).load()
-        for worker in self.workers:
-            worker.reload(artifact_id, fresh)
-
-    def close(self) -> None:
-        for worker in self.workers:
-            worker.close()
-
-
-class Dispatcher:
-    """Routing, admission, and conservation accounting for a pool."""
-
-    def __init__(
-        self,
-        pool: WorkerPool,
-        *,
-        max_queue_depth: int = 32,
-        admission_budget_seconds: Optional[float] = None,
-        routing_seed: int = 0,
-    ):
-        if max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be at least 1")
-        self.pool = pool
-        self.max_queue_depth = max_queue_depth
-        self.admission_budget_seconds = admission_budget_seconds
-        self.routing_seed = routing_seed
-        self.requests_submitted = 0
-        self.requests_admitted = 0
-        self.requests_rejected = 0
-        self.requests_completed = 0
-        self._next_ticket = 0
-        self._closed = False
-        # (worker id, artifact id) -> running mean of the batch wall
-        # seconds that lane's results reported.  A lane that has
-        # delivered nothing yet is absent, and priced at its profile's
-        # modeled seconds.
-        self._batch_seconds: Dict[Tuple[int, str], float] = {}
-
-    # -- routing -----------------------------------------------------------
-    def route(self, artifact_id: str, client_id: str) -> int:
-        """Rendezvous-hash the request onto a worker (deterministic)."""
-        best_worker, best_score = 0, -1
-        for worker_id in range(len(self.pool)):
-            digest = hashlib.sha256(
-                f"{self.routing_seed}/{artifact_id}/{client_id}/{worker_id}".encode()
-            ).digest()
-            score = int.from_bytes(digest[:8], "big")
-            if score > best_score:
-                best_worker, best_score = worker_id, score
-        return best_worker
-
-    # -- admission ---------------------------------------------------------
-    def batch_seconds(self, worker, artifact_id: str) -> float:
-        """What one batch on this lane takes: measured once the lane has
-        delivered, the cost model's figure until then."""
-        return self._batch_seconds.get(
-            (worker.worker_id, artifact_id),
-            worker.profiles[artifact_id].modeled_seconds,
-        )
-
-    def _delivered(self, results: List[ServeResult]) -> List[ServeResult]:
-        """Count deliveries and fold each batch's wall into its lane's mean."""
-        self.requests_completed += len(results)
-        index = 0
-        while index < len(results):
-            head = results[index]  # a batch's results arrive together
-            lane = (head.worker_id, head.artifact_id)
-            mean = self._batch_seconds.get(lane, head.wall_seconds)
-            self._batch_seconds[lane] = mean + _BATCH_SECONDS_WEIGHT * (
-                head.wall_seconds - mean
-            )
-            index += head.batch_size
-        return results
-
-    def _backlog_seconds(self, worker) -> float:
-        """Time to clear the worker's current queues at its batch times."""
-        total = 0.0
-        for artifact_id, depth in worker.queue_depths().items():
-            if depth == 0:
-                continue
-            capacity = max(1, worker.profiles[artifact_id].capacity)
-            total += math.ceil(depth / capacity) * self.batch_seconds(
-                worker, artifact_id
-            )
-        return total
-
-    def _admit(self, worker, artifact_id: str) -> None:
-        depth = worker.queue_depth()
-        batch_seconds = self.batch_seconds(worker, artifact_id)
-        if depth >= self.max_queue_depth:
-            retry_ms = max(1.0, batch_seconds * 1e3)
-            self.requests_rejected += 1
-            raise AdmissionError(
-                f"worker {worker.worker_id} queue is full "
-                f"({depth}/{self.max_queue_depth}); retry in ~{retry_ms:.0f}ms",
-                retry_after_ms=retry_ms,
-                worker_id=worker.worker_id,
-                queue_depth=depth,
-            )
-        if self.admission_budget_seconds is not None:
-            estimate = self._backlog_seconds(worker) + batch_seconds
-            if estimate > self.admission_budget_seconds:
-                overhang = estimate - self.admission_budget_seconds
-                retry_ms = max(1.0, overhang * 1e3)
-                self.requests_rejected += 1
-                raise AdmissionError(
-                    f"worker {worker.worker_id} backlog {estimate * 1e3:.0f}ms "
-                    f"exceeds the {self.admission_budget_seconds * 1e3:.0f}ms "
-                    f"latency budget; retry in ~{retry_ms:.0f}ms",
-                    retry_after_ms=retry_ms,
-                    worker_id=worker.worker_id,
-                    queue_depth=depth,
-                )
-
-    # -- request flow --------------------------------------------------------
-    def _admitted(self, artifact_id: str, client_id: str):
-        """Route, admit and ticket one request: ``(worker, ticket)``."""
-        if self._closed:
-            raise RuntimeError("dispatcher is closed")
-        worker = self.pool.workers[self.route(artifact_id, client_id)]
-        self.requests_submitted += 1
-        self._admit(worker, artifact_id)  # raises AdmissionError (counted)
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self.requests_admitted += 1
-        return worker, ticket
-
-    def submit(
-        self,
-        artifact_id: str,
-        client_id: str,
-        payload,
-        now: Optional[float] = None,
-        deadline: Optional[float] = None,
-    ) -> int:
-        worker, ticket = self._admitted(artifact_id, client_id)
-        worker.submit(ticket, artifact_id, client_id, payload, now, deadline)
-        return ticket
-
-    def serve_now(self, artifact_id: str, client_id: str, payload) -> ServeResult:
-        worker, ticket = self._admitted(artifact_id, client_id)
-        result = worker.serve_now(ticket, artifact_id, client_id, payload)
-        return self._delivered([result])[0]
-
-    def step(self, now: Optional[float] = None) -> List[ServeResult]:
-        """Run every worker's queue empty (process workers overlap)."""
-        for worker in self.pool.workers:
-            worker.begin_step(now)
-        results: List[ServeResult] = []
-        for worker in self.pool.workers:
-            results.extend(worker.finish_step(now))
-        return self._delivered(results)
-
-    def drain(self) -> List[ServeResult]:
-        """Flush every queue (graceful shutdown: zero in-flight after)."""
-        results: List[ServeResult] = []
-        for worker in self.pool.workers:
-            results.extend(worker.drain())
-        return self._delivered(results)
-
-    def reload(self, artifact_id: str) -> None:
-        """Hot-swap one artifact across the pool (quiesced swap).
-
-        Requires zero in-flight requests — call :meth:`drain` first —
-        so no request ever sees half a swap.  Routing, admission
-        counters, and tenant key domains all survive the reload.
-        """
-        if self._closed:
-            raise RuntimeError("dispatcher is closed")
-        if self.in_flight:
-            raise RuntimeError(
-                f"{self.in_flight} request(s) in flight; drain() before "
-                "reloading an artifact"
-            )
-        self.pool.reload(artifact_id)
-
-    def close(self) -> None:
-        self._closed = True
-        self.pool.close()
-
-    # -- observability -----------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return self.requests_admitted - self.requests_completed
+    ``inline`` builds :class:`Worker` objects that share one load of each
+    mmapped artifact — the program object (and its mapped tables) is
+    reference-shared; per-worker state lives in the backends — and one
+    :class:`KeyDomain` per artifact, so the first worker's keygen is the
+    pool's only one.  ``process`` forks one :class:`ProcessWorker` per
+    shard; each child maps the files and keys itself.
+    """
+    build_opts = dict(
+        key_seed=config.key_seed,
+        batching=config.batching,
+        max_batch=config.max_batch,
+        batch_window_seconds=config.batch_window_seconds,
+        backend_factory=config.backend_factory,
+        tracing=config.tracing,
+        trace_sample_rate=config.trace_sample_rate,
+    )
+    if config.mode == "inline":
+        build_opts.update(shared_artifacts={}, shared_keys={})
+        transport = Worker
+    else:
+        transport = ProcessWorker
+    return [
+        transport(worker_id, specs, **build_opts)
+        for worker_id in range(config.workers)
+    ]

@@ -8,7 +8,7 @@ Ties the serving pieces together (docs/serving.md):
 - owns one backend — one key domain: slot batching packs several
   requests into one ciphertext, which is only meaningful under one
   encryption key — and generates its rotation keys at construction,
-  from the program's views up to the lane's batch capacity
+  from the artifact's key manifest, which covers every batch size
   (:func:`repro.serve.keys.generate_lane_keys`), so no key is ever
   generated on the request path;
 - drives a :class:`repro.serve.scheduler.SlotBatchingScheduler`,
@@ -61,7 +61,8 @@ class InferenceServer:
 
     Args:
         artifact: a loaded :class:`ServingArtifact` (or anything with
-            ``program``/``summary``/``preload`` in its shape).
+            ``program``/``manifest``/``summary``/``preload`` in its
+            shape).
         backend: the backend requests are encrypted under, built from
             ``artifact.manifest.to_params()``.  Its rotation keys are
             generated and the artifact's pre-encoded tables installed
@@ -103,10 +104,10 @@ class InferenceServer:
         self.scheduler = SlotBatchingScheduler(
             capacity=capacity, max_wait_seconds=max_wait_seconds
         )
-        generate_lane_keys(backend, self.program, capacity)
+        generate_lane_keys(backend, artifact.manifest)
         #: cost-model seconds of one program execution (batched or
-        #: single — same ciphertext count); the dispatcher's estimate of
-        #: a batch until it has measured one.
+        #: single — same ciphertext count); admission's estimate of a
+        #: batch until the lane has measured one.
         self.modeled_seconds = float(artifact.summary.get("modeled_seconds", 0.0))
         self.state = ExecutionState(backend)
         self.ledger = OpLedger()

@@ -8,7 +8,7 @@ returns and ``Server.metrics()`` renders.
 - :class:`WorkerStats` — one worker: its lanes, with every worker-level
   attribute a sum or bucket merge over them, computed when read;
 - :class:`ServerStats` — the pool: per-worker stats plus the
-  dispatcher's admission-conservation counters, rendered to Prometheus
+  server's admission-conservation counters, rendered to Prometheus
   by :meth:`ServerStats.to_metrics`.
 
 All are frozen dataclasses.  ``ServerStats.to_json`` / ``from_json``
@@ -342,7 +342,7 @@ class ServerStats:
             registry.counter(
                 "repro_admission_requests_total",
                 count,
-                help="Dispatcher admission outcomes.",
+                help="Admission outcomes.",
                 outcome=outcome,
             )
         registry.counter(

@@ -290,7 +290,7 @@ class TestKeyCompression:
         image = rng.normal(0, 0.5, (1, 8, 8))
 
         eager = ToyBackend(params, seed=3)
-        generate_lane_keys(eager, program, max_batch=1)
+        generate_lane_keys(eager, KeyManifest.for_program(params, program))
         lazy = ToyBackend(params, seed=3)
         lazy_out = program.run(lazy, image)  # full-chain keys, made on use
         assert set(eager.context.keys.galois) == set(lazy.context.keys.galois)

@@ -27,7 +27,9 @@ import pytest
 
 from repro.backend import SimBackend, ToyBackend
 from repro.backend.costs import CostModel
+from repro.ckks.keys import KeyManifest
 from repro.ckks.params import paper_parameters, toy_parameters
+from repro.core.packing import matvec
 from repro.core.packing.layouts import VectorLayout
 from repro.core.packing.matvec import (
     PackedMatVec,
@@ -250,15 +252,16 @@ class TestManifestIsExact:
         ``required_rotation_steps`` — the diagonal offsets, the gather
         steps and every fold group's subset sums — all of them steps of
         the single-client manifest, each fetched at no more than the
-        level it records — and their union over the views up to b is
-        ``required_rotation_step_levels(b)``.  At b = 2 ``linear_5``'s first group has lost
-        its block-spanning shift: of the sums through it only the
-        gather, the shift itself, is fetched."""
+        level it records — and their union over the views up to any b is
+        the manifest, ``required_rotation_step_levels()``.  At b = 2
+        ``linear_5``'s first group has lost its block-spanning shift: of
+        the sums through it only the gather, the shift itself, is
+        fetched."""
         params, program = mlp
         capacity = program.slot_batch_capacity()
         assert capacity >= 4
         backend = ToyBackend(params, seed=1)
-        generate_lane_keys(backend, program)
+        generate_lane_keys(backend, KeyManifest.for_program(params, program))
         context = backend.context
         exponent = context.encoder.rotation_exponent
         fetch = context.galois_key
@@ -271,10 +274,8 @@ class TestManifestIsExact:
 
         context.galois_key = recording
         rng = np.random.default_rng(5)
-        single = {
-            exponent(step): level
-            for step, level in program.required_rotation_step_levels(1).items()
-        }
+        levels = program.required_rotation_step_levels()
+        single = {exponent(step): level for step, level in levels.items()}
         gathered, union = set(), {}
         batch = 1
         while batch <= capacity:
@@ -318,7 +319,6 @@ class TestManifestIsExact:
                 assert not {exponent(s) for s in unused} & set(touched)
             for exp, level in touched.items():
                 union[exp] = max(union.get(exp, -1), level)
-            levels = program.required_rotation_step_levels(batch)
             assert {exponent(step) for step in levels} == set(union)
             for step, level in levels.items():
                 assert union[exponent(step)] <= level
@@ -327,23 +327,24 @@ class TestManifestIsExact:
 
     @pytest.mark.parametrize("name", ["mlp", "pool", "solo", "solo_n65536"])
     def test_no_view_adds_a_step(self, name, request):
-        """Every cap up to the capacity keys exactly the single-client
-        manifest, levels included: the e2e artifacts (``serve_mlp_pool``
-        up to 16 clients, ``mlp_solo`` 2) and ``mlp_solo``'s network at
-        the paper's ring, N = 2^16 (compiled only: its 157 steps are
-        what a lane there keys; the relocating views listed 876)."""
+        """Every slot-batched view rotates only by steps of the
+        single-client manifest, at no higher level, so the manifest keys
+        a lane at any cap: the e2e artifacts (``serve_mlp_pool`` up to 16 clients,
+        ``mlp_solo`` 2) and ``mlp_solo``'s network at the paper's ring,
+        N = 2^16 (compiled only: its 157 steps are what a lane there
+        keys; the relocating views listed 876)."""
         if name == "solo_n65536":
             _, program = _mlp_program(784, 128, 1 << 16)
         else:
             _, program = request.getfixturevalue(name)
-        single = program.required_rotation_step_levels(1)
-        capacity = program.slot_batch_capacity()
-        assert capacity >= 2
-        for cap in range(2, capacity + 1):
-            assert program.required_rotation_step_levels(cap) == single, cap
-        assert program.required_rotation_step_levels() == single
+        manifest = program.required_rotation_step_levels()
+        views = list(_views(program))
+        assert views
+        for batch, view in views:
+            for step, level in view.required_rotation_step_levels().items():
+                assert step in manifest and level <= manifest[step], (batch, step)
         sizes = {"mlp": 27, "pool": 29, "solo": 142, "solo_n65536": 157}
-        assert len(single) == sizes[name]
+        assert len(manifest) == sizes[name]
 
     def test_pool_manifest_holds_its_exact_key_count(self, pool):
         """The e2e harness's ``serve_mlp_pool`` artifact (SecureMlp(64,
@@ -411,6 +412,30 @@ class TestGatheredViews:
             assert backend.ledger.rotations == sum(s.rotations for s in stats)
             assert counts["pmult"] == sum(s.pmults for s in stats)
             assert counts["hrot"] == sum(sum(s.gathers) for s in stats) > 0
+
+    def test_a_view_with_a_step_of_its_own_is_refused(self, monkeypatch):
+        """The relocating form's signature — one scratch piece moved into
+        partial 0 under the offset ``off + q*S`` — is a rotation the
+        layer never performs, so no manifest holds its key: ``batched``
+        refuses such a view, naming the layer and the step."""
+
+        class Relocating(PackedMatVec):
+            def __post_init__(self):
+                super().__post_init__()
+                if len(self.gathers) > 1:
+                    offset, vec = self.diags[(1, 0)].popitem()
+                    step = (offset + sum(self.gathers[1])) % self.slots
+                    self.diags[(0, 0)][step] = vec
+
+        packed = build_linear_packing(
+            np.ones((2, 64)), None, VectorLayout(64, 256), force_mode="hybrid"
+        )
+        assert packed.batched(2).gathers == ((), (128,))
+        packed = replace(packed, _batched={})
+        assert 129 not in packed.required_rotation_steps()
+        monkeypatch.setattr(matvec, "PackedMatVec", Relocating)
+        with pytest.raises(ValueError, match=r"^fc: the view at batch 2 rotates by step 129,"):
+            packed.batched(2)
 
     def test_scratch_without_a_fold_to_gather_it_is_refused(self):
         packed = build_linear_packing(

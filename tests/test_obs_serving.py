@@ -12,7 +12,7 @@ The acceptance gates of the observability PR:
   tracing on and off, inline and fork mode;
 - **metrics endpoint** — ``Server.metrics()`` renders the same lane
   snapshots ``Server.stats()`` returns (pickled over the pipe in fork
-  mode) plus dispatcher admission counters as Prometheus text;
+  mode) plus the server's admission counters as Prometheus text;
 - **exact aggregation** — a worker's histograms are bucket merges of
   its lanes', so its quantiles are those of one histogram fed every
   observation;
@@ -102,7 +102,7 @@ def traced_run(artifact_path):
                 artifact_id: dict(srv.ledger.counts)
                 for artifact_id, srv in worker.servers.items()
             }
-            for worker in server._dispatcher.pool.workers
+            for worker in server._workers
         }
     finally:
         server.close()

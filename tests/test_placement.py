@@ -98,13 +98,24 @@ class TestPlannerProperties:
 
     def test_linear_scaling_with_depth(self):
         """Paper Table 5: placement time grows ~linearly with layers."""
+        import gc
         import time
 
         def solve_n(n):
+            # Best of a few runs with the collector paused, as timeit does:
+            # one full collection of the suite's heap outlasts a 400-layer solve.
             chain = PlacementChain([layer(f"l{i}", depth=2) for i in range(n)])
-            start = time.perf_counter()
-            solve_placement(chain, l_eff=10, boot_cost=BOOT)
-            return time.perf_counter() - start
+            best = float("inf")
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(3):
+                    start = time.perf_counter()
+                    solve_placement(chain, l_eff=10, boot_cost=BOOT)
+                    best = min(best, time.perf_counter() - start)
+            finally:
+                gc.enable()
+            return best
 
         t_small = max(solve_n(50), 1e-4)
         t_large = solve_n(400)

@@ -185,7 +185,7 @@ class TestArtifactRoundTrip:
         _, rng, params, path, _ = mlp_artifact
         loaded = ArtifactMap(path).load()
         backend = ToyBackend(loaded.manifest.to_params(), seed=0)
-        generate_lane_keys(backend, loaded.program)
+        generate_lane_keys(backend, loaded.manifest)
         keys_before = backend.context.keys.num_rotation_keys()
         loaded.program.run(backend, rng.normal(0, 0.5, (1, 8, 8)))
         loaded.program.batched(4).run(backend, rng.normal(0, 0.5, (4, 1, 8, 8)))
@@ -487,13 +487,11 @@ class TestKeyManifest:
     def manifest(self, compiled):
         return KeyManifest.for_program(*compiled)
 
-    def test_manifest_keys_pregenerated(self, compiled, manifest):
-        """At full capacity a lane holds exactly the manifest's keys, each
-        at its recorded level; a lane capped below it holds the same
-        keys (no batched view rotates by a step of its own)."""
-        _, program = compiled
+    def test_manifest_keys_pregenerated(self, manifest):
+        """A lane holds exactly the manifest's keys, each at its recorded
+        level."""
         backend = ToyBackend(manifest.to_params(), seed=0)
-        generate_lane_keys(backend, program)
+        generate_lane_keys(backend, manifest)
         context = backend.context
         assert set(context.keys.galois) == {
             context.encoder.rotation_exponent(step)
@@ -503,9 +501,6 @@ class TestKeyManifest:
         for step, level in manifest.step_level_map().items():
             key = context.keys.galois[context.encoder.rotation_exponent(step)]
             assert key.max_level == (None if level >= top else level)
-        capped = ToyBackend(manifest.to_params(), seed=0)
-        generate_lane_keys(capped, program, max_batch=1)
-        assert set(capped.context.keys.galois) == set(context.keys.galois)
 
     def test_fingerprint_distinguishes_manifests(self, manifest):
         other = KeyManifest(
@@ -517,17 +512,18 @@ class TestKeyManifest:
 
 class TestLaneKeyGeneration:
     """``generate_lane_keys`` is the one way a serving lane gets rotation
-    keys: the steps of its program's batch views up to the lane's cap,
-    in step order, each compressed to the level it key-switches at."""
+    keys: the steps of its artifact's key manifest, which every batch
+    view of the program runs within, in step order, each compressed to
+    the level it key-switches at."""
 
     @pytest.fixture(scope="class")
     def artifact(self, mlp_artifact):
         return ArtifactMap(mlp_artifact[3]).load()
 
     @staticmethod
-    def _lane(artifact, max_batch=None, seed=0):
+    def _lane(artifact, seed=0):
         backend = ToyBackend(artifact.manifest.to_params(), seed=seed)
-        generate_lane_keys(backend, artifact.program, max_batch)
+        generate_lane_keys(backend, artifact.manifest)
         return backend
 
     @staticmethod
@@ -549,37 +545,31 @@ class TestLaneKeyGeneration:
             for e in keys_a
         )
 
-    def test_full_capacity_is_the_manifest(self, artifact):
-        program = artifact.program
-        levels = program.required_rotation_step_levels()
-        assert levels == program.required_rotation_step_levels(
-            program.slot_batch_capacity()
-        )
+    def test_the_manifest_is_the_programs_step_levels(self, artifact):
+        levels = artifact.program.required_rotation_step_levels()
         assert levels == artifact.manifest.step_level_map()
 
-    @pytest.mark.parametrize("cap", [1, 2])
-    def test_a_doubled_cap_keys_the_same_steps_at_the_same_levels(
-        self, artifact, cap
-    ):
-        program = artifact.program
-        smaller = program.required_rotation_step_levels(cap)
-        assert smaller
-        assert program.required_rotation_step_levels(2 * cap) == smaller
+    def test_the_loaded_program_batches_up_to_sixteen_clients(self, artifact):
+        assert artifact.program.slot_batch_capacity() == 16
 
-    @pytest.mark.parametrize("cap, views", [(3, 2), (5, 4)])
-    def test_a_cap_counts_the_power_of_two_views_below_it(
-        self, artifact, cap, views
+    @pytest.mark.parametrize("batch", [2, 4, 8, 16])
+    def test_every_loaded_view_keys_within_the_stored_manifest(
+        self, artifact, batch
     ):
-        program = artifact.program
-        assert program.required_rotation_step_levels(
-            cap
-        ) == program.required_rotation_step_levels(views)
+        """A lane keys the manifest the file stores, not its program's
+        views: every view the loaded program builds, up to its capacity,
+        rotates only by stored steps at no higher level."""
+        program, stored = artifact.program, artifact.manifest.step_level_map()
+        levels = program.batched(batch).required_rotation_step_levels()
+        assert levels
+        for step, level in levels.items():
+            assert step in stored and level <= stored[step], (batch, step)
 
     @pytest.mark.parametrize("cap", [1, 2, 4])
     def test_capped_lane_runs_every_view_it_admits_without_keygen(
         self, artifact, cap
     ):
-        backend = self._lane(artifact, cap)
+        backend = self._lane(artifact)
         snapshot = dict(backend.context.keys.galois)
         rng = np.random.default_rng(cap)
         artifact.program.run(backend, rng.normal(0, 0.5, (1, 8, 8)))
@@ -592,8 +582,8 @@ class TestLaneKeyGeneration:
         assert self._holds_exactly(backend, snapshot)
 
     def test_keys_are_generated_in_step_order_at_their_levels(self, artifact):
-        backend = self._lane(artifact, max_batch=2)
-        levels = artifact.program.required_rotation_step_levels(2)
+        backend = self._lane(artifact)
+        levels = artifact.manifest.step_level_map()
         context = backend.context
         assert list(context.keys.galois) == [
             context.encoder.rotation_exponent(step) for step in sorted(levels)
@@ -605,7 +595,7 @@ class TestLaneKeyGeneration:
 
     def test_keyless_backend_is_left_untouched(self, artifact):
         backend = SimBackend(artifact.manifest.to_params(), seed=0)
-        generate_lane_keys(backend, artifact.program)
+        generate_lane_keys(backend, artifact.manifest)
         assert not hasattr(backend, "context")
         assert backend_key_bytes(backend) == 0
 
@@ -613,12 +603,12 @@ class TestLaneKeyGeneration:
         backend = self._lane(artifact)
         snapshot = dict(backend.context.keys.galois)
         state = backend.context.rng.get_state()
-        generate_lane_keys(backend, artifact.program)
+        generate_lane_keys(backend, artifact.manifest)
         assert backend.context.rng.get_state() == state
         assert self._holds_exactly(backend, snapshot)
 
     def test_same_seed_same_keys(self, artifact):
-        first, again = (self._lane(artifact, 1, seed=3) for _ in range(2))
+        first, again = (self._lane(artifact, seed=3) for _ in range(2))
         assert self._same_key_material(first, again)
         assert backend_key_bytes(first) == backend_key_bytes(again) > 0
 
@@ -626,7 +616,7 @@ class TestLaneKeyGeneration:
         "batching, max_batch, cap",
         [(False, None, 1), (True, 1, 1), (True, 3, 2), (True, None, None)],
     )
-    def test_server_keys_are_the_functions_at_its_capacity(
+    def test_server_keys_are_the_functions_at_any_capacity(
         self, artifact, batching, max_batch, cap
     ):
         server = InferenceServer(
@@ -640,7 +630,7 @@ class TestLaneKeyGeneration:
         )
         assert server.scheduler.capacity == expected_capacity
         assert self._same_key_material(
-            server.backend, self._lane(artifact, cap, seed=5)
+            server.backend, self._lane(artifact, seed=5)
         )
 
     def test_warm_adds_no_keys_and_refuses_sizes_above_capacity(self, artifact):
@@ -663,7 +653,7 @@ class TestLaneKeyGeneration:
             max_batch=1,
         )
         assert self._same_key_material(
-            server.backend, self._lane(artifact, 1, seed=4)
+            server.backend, self._lane(artifact, seed=4)
         )
 
 

@@ -51,6 +51,7 @@ from repro.serve import (
     ServerStats,
     StatsSchemaError,
     WorkerLostError,
+    WorkerStats,
     is_mmap_backed,
 )
 from repro.serve.artifact import artifact_from_doc
@@ -61,7 +62,7 @@ from repro.serve.keys import (
     default_backend_factory,
     generate_lane_keys,
 )
-from repro.serve.pool import Dispatcher, Worker, WorkerProfile, verify_mmap_tables
+from repro.serve.pool import Worker, WorkerProfile, verify_mmap_tables
 from repro.serve.runtime import InferenceServer, ServeResult
 
 
@@ -88,9 +89,9 @@ def _images(n, seed=7):
     return [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(n)]
 
 
-#: Lanes get their keys when the pool opens, one set per batch view up
-#: to the cap, so the pools here cap batches at 2 unless a test needs
-#: more: a lane then holds 61 keys, not 91.
+#: The pools here cap batches at 2 unless a test needs more.  The cap
+#: does not move a lane's keys (29 at any cap: a batched view rotates by
+#: no step the single-client program lacks), only its batch sizes.
 POOL_MAX_BATCH = 2
 
 
@@ -135,8 +136,8 @@ class TestRouting:
 class TestBitExactness:
     def test_per_worker_matches_solo_server(self, artifact_path):
         """Each pool worker == a solo InferenceServer replaying its
-        share of the traffic (same key seed, same batch cap — hence the
-        same lane keys — and the same batching rule)."""
+        share of the traffic (same key seed — hence the same lane keys —
+        and the same batch cap and batching rule)."""
         images = _images(10)
         clients = [f"client-{i}" for i in range(len(images))]
         with serve.open(artifact_path, _pool_config()) as server:
@@ -232,7 +233,7 @@ class TestAdmission:
         # a second on the same worker overflows the backlog estimate.
         probe = serve.open(artifact_path, _pool_config())
         modeled = next(
-            iter(probe._dispatcher.pool.workers[0].profiles.values())
+            iter(probe._workers[0].profiles.values())
         ).modeled_seconds
         probe.close()
         config = _pool_config(
@@ -259,7 +260,7 @@ class TestAdmission:
 
 
 class _StubWorker:
-    """A dispatcher-facing worker whose batches report a scripted wall."""
+    """A server-facing worker whose batches report a scripted wall."""
 
     worker_id = 0
 
@@ -276,9 +277,6 @@ class _StubWorker:
 
     def queue_depths(self):
         return {"mlp": len(self.queue)}
-
-    def queue_depth(self):
-        return len(self.queue)
 
     def submit(self, ticket, artifact_id, client_id, payload, now, deadline):
         self.queue.append((ticket, client_id))
@@ -308,18 +306,19 @@ class _StubWorker:
             )
         return results
 
-
-class _StubPool:
-    def __init__(self, worker):
-        self.workers = [worker]
-
-    def __len__(self):
-        return len(self.workers)
+    def stats(self):
+        return WorkerStats(self.worker_id, ())
 
 
-def _refusal(dispatcher):
+def _stub_server(worker, **config):
+    """A :class:`serve.Server` in front of one stub worker."""
+    spec = ArtifactSpec("mlp", path="mlp.npz")
+    return serve.Server((spec,), [worker], ServerConfig(**config))
+
+
+def _refusal(server):
     with pytest.raises(AdmissionError) as exc_info:
-        dispatcher.submit("mlp", "alice", None)
+        server.submit(None, client_id="alice")
     return exc_info.value
 
 
@@ -331,49 +330,49 @@ class TestMeasuredAdmission:
 
     def test_retry_hint_tracks_measured_batch_time(self):
         walls = [0.18, 0.22, 0.21, 0.19, 0.2, 0.2]
-        worker = _StubWorker(self.MODELED, walls)
-        dispatcher = Dispatcher(_StubPool(worker), max_queue_depth=2)
+        server = _stub_server(_StubWorker(self.MODELED, walls), max_queue_depth=2)
         for round_index in range(len(walls)):
-            dispatcher.submit("mlp", "alice", None)
-            dispatcher.submit("mlp", "alice", None)
-            refusal = _refusal(dispatcher)  # queue full
+            server.submit(None, client_id="alice")
+            server.submit(None, client_id="alice")
+            refusal = _refusal(server)  # queue full
             if round_index == 0:  # nothing delivered yet: the model
                 assert refusal.retry_after_ms == pytest.approx(self.MODELED * 1e3)
             else:
                 assert refusal.retry_after_ms == pytest.approx(
                     self.MEASURED * 1e3, rel=0.25
                 )
-            assert len(dispatcher.step()) == 2
-        assert dispatcher.in_flight == 0
-        assert (
-            dispatcher.requests_submitted
-            == dispatcher.requests_admitted + dispatcher.requests_rejected
-        )
+            assert len(server.step()) == 2
+        stats = server.stats()  # ServerStats checks both conservation laws
+        assert stats.in_flight == 0
+        assert stats.requests_rejected == len(walls)
 
     def test_mean_observes_batches_not_requests(self):
-        worker = _StubWorker(self.MODELED, [0.18, 0.22])
-        dispatcher = Dispatcher(_StubPool(worker), max_queue_depth=4)
-        assert dispatcher.batch_seconds(worker, "mlp") == self.MODELED
+        server = _stub_server(_StubWorker(self.MODELED, [0.18, 0.22]), max_queue_depth=4)
         for _ in range(4):
-            dispatcher.submit("mlp", "alice", None)
-        dispatcher.step()  # two batches of two
+            server.submit(None, client_id="alice")
+        # A full queue's retry hint is one batch at the lane's price.
+        assert _refusal(server).retry_after_ms == pytest.approx(self.MODELED * 1e3)
+        server.step()  # two batches of two
+        for _ in range(4):
+            server.submit(None, client_id="alice")
         # The first measurement replaces the model outright; the second
         # moves the mean a quarter of the way, once.
-        assert dispatcher.batch_seconds(worker, "mlp") == pytest.approx(
-            0.18 + 0.25 * (0.22 - 0.18)
+        assert _refusal(server).retry_after_ms == pytest.approx(
+            (0.18 + 0.25 * (0.22 - 0.18)) * 1e3
         )
 
     def test_budget_rejects_on_measured_backlog(self):
         # 0.1 s of budget holds the modeled backlog (one queued batch +
         # the request's own = 0.04 s) but not the measured one (0.4 s).
-        worker = _StubWorker(self.MODELED, [self.MEASURED] * 4)
-        dispatcher = Dispatcher(
-            _StubPool(worker), max_queue_depth=64, admission_budget_seconds=0.1
+        server = _stub_server(
+            _StubWorker(self.MODELED, [self.MEASURED] * 4),
+            max_queue_depth=64,
+            admission_budget_seconds=0.1,
         )
-        dispatcher.submit("mlp", "alice", None)
-        dispatcher.submit("mlp", "alice", None)  # modeled backlog: admitted
-        dispatcher.step()
-        refusal = _refusal(dispatcher)
+        server.submit(None, client_id="alice")
+        server.submit(None, client_id="alice")  # modeled backlog: admitted
+        server.step()
+        refusal = _refusal(server)
         assert "budget" in str(refusal)
         assert refusal.retry_after_ms == pytest.approx(
             (self.MEASURED - 0.1) * 1e3
@@ -421,7 +420,7 @@ class TestSharedMmapTables:
             server.serve_now(_images(1)[0], client_id="alice")
             stats = server.stats()
             assert all(w.mmap_backed for w in stats.workers)
-            for worker in server._dispatcher.pool.workers:
+            for worker in server._workers:
                 for inner in worker.servers.values():
                     assert verify_mmap_tables(inner, artifact_path)
 
@@ -590,7 +589,7 @@ class TestLaneKeys:
         monkeypatch.setattr(Worker, "lane_keys", _lane_keys, raising=False)
         config = _pool_config(workers=2, mode=mode, max_batch=4)
         with serve.open(artifact_path, config) as server:
-            workers = server._dispatcher.pool.workers
+            workers = server._workers
 
             def observe():
                 held = [
@@ -605,8 +604,8 @@ class TestLaneKeys:
                 return held
 
             at_open = observe()
-            program = ArtifactMap(artifact_path).load().program
-            expected = len(program.required_rotation_step_levels(4))
+            manifest = ArtifactMap(artifact_path).load().manifest
+            expected = len(manifest.rotation_steps)
             assert at_open == [[(expected, at_open[0][0][1])]] * 2
             assert expected > 0 and at_open[0][0][1] > 0
 
@@ -667,7 +666,7 @@ class TestSharedKeyDomain:
         before = len(fills)
         backend = default_backend_factory(artifact.manifest.to_params(), 0)
         relin = len(fills) - before
-        generate_lane_keys(backend, artifact.program, POOL_MAX_BATCH)
+        generate_lane_keys(backend, artifact.manifest)
         return backend, relin, len(fills) - before - relin
 
     def test_one_keygen_per_artifact(self, artifact_path, fills):
@@ -676,7 +675,7 @@ class TestSharedKeyDomain:
         fills.clear()
         with serve.open(source, config) as server:
             pool_fills = len(fills)
-            workers = server._dispatcher.pool.workers
+            workers = server._workers
             artifact = ArtifactMap(artifact_path).load()
             solo, relin, rotation = self._solo(artifact, fills)
             assert rotation > 0 and relin == 1
@@ -719,7 +718,7 @@ class TestSharedKeyDomain:
         fills.clear()
         config = _pool_config(workers=2, mode="process")
         with serve.open(artifact_path, config) as server:
-            censuses = [w._call("key_census") for w in server._dispatcher.pool.workers]
+            censuses = [w._call("key_census") for w in server._workers]
         assert fills == []  # the parent generated nothing
         assert censuses == [(relin + rotation, [_key_census(solo)])] * 2
 
@@ -727,7 +726,7 @@ class TestSharedKeyDomain:
         artifact = ArtifactMap(artifact_path).load()
         params = artifact.manifest.to_params()
         donor = default_backend_factory(params, 0)
-        generate_lane_keys(donor, artifact.program, POOL_MAX_BATCH)
+        generate_lane_keys(donor, artifact.manifest)
         domain = KeyDomain.of(donor)
         other_params = toy_parameters(
             ring_degree=1024, max_level=5, boot_levels=1, scale_bits=24
@@ -802,7 +801,7 @@ class TestProcessMode:
         log = []
         server = serve.open(artifact_path, config)
         try:
-            workers = server._dispatcher.pool.workers
+            workers = server._workers
             submitted = 0
             for call, *args in script:
                 if call == "submit":
@@ -888,7 +887,7 @@ class TestProcessMode:
         threads = threading.active_count()
         # Two fill workers even on a one-CPU runner.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        generate_lane_keys(lane, artifact.program)
+        generate_lane_keys(lane, artifact.manifest)
         monkeypatch.undo()
         assert len(lane.context.keys.galois) > 2
         assert threading.active_count() == threads
@@ -908,7 +907,7 @@ class TestProcessMode:
         server = serve.open(artifact_path, config)
         try:
             server.warm()
-            worker = server._dispatcher.pool.workers[0]
+            worker = server._workers[0]
             server.submit(_images(1)[0], client_id="alice")
             os.kill(worker._process.pid, signal.SIGKILL)
             start = time.monotonic()
@@ -919,11 +918,39 @@ class TestProcessMode:
             server.close()
         assert not worker._process.is_alive()
 
-    def test_lost_worker_cannot_wedge_interpreter_exit(self, artifact_path):
+    #: The two ways a caller shuts a pool down after losing its worker:
+    #: by hand, and by leaving a ``with`` block, whose drain raises.
+    SHUTDOWNS = {
+        "close": """
+server = serve.open(sys.argv[1], config)
+lose_the_worker(server)
+try:
+    server.drain()
+except serve.WorkerLostError:
+    pass
+else:
+    sys.exit("drain() on a lost worker did not raise WorkerLostError")
+server.close()
+""",
+        "with": """
+try:
+    with serve.open(sys.argv[1], config) as server:
+        lose_the_worker(server)
+except serve.WorkerLostError:
+    pass
+else:
+    sys.exit("leaving the block on a lost worker did not raise WorkerLostError")
+""",
+    }
+
+    @pytest.mark.parametrize("shutdown", sorted(SHUTDOWNS))
+    def test_lost_worker_cannot_wedge_interpreter_exit(self, artifact_path, shutdown):
         """More than a pipe's worth (64 KB) of requests queued to a
-        SIGKILLed child: ``drain()`` raises, ``close()`` returns, and the
-        interpreter then exits — the queue's feeder thread, blocked on a
-        pipe nobody reads, used to hold it forever."""
+        SIGKILLed child: ``drain()`` raises, the pool still closes —
+        by hand, or on leaving the ``with`` block although its drain
+        raised — and the interpreter then exits.  The queue's feeder
+        thread, blocked on a pipe nobody reads, used to hold it forever
+        (and still does if ``close()`` is skipped)."""
         script = """
 import os, signal, sys, time
 import numpy as np
@@ -932,19 +959,14 @@ from repro import serve
 config = serve.ServerConfig(
     workers=1, mode="process", batch_window_seconds=0.0, max_queue_depth=1000
 )
-server = serve.open(sys.argv[1], config)
-child = server._dispatcher.pool.workers[0]._process
-os.kill(child.pid, signal.SIGKILL)
-child.join(5.0)
-for _ in range(400):  # 400 x 512-byte images
-    server.submit(np.zeros((1, 8, 8)), client_id="alice")
-try:
-    server.drain()
-except serve.WorkerLostError:
-    pass
-else:
-    sys.exit("drain() on a lost worker did not raise WorkerLostError")
-server.close()
+
+def lose_the_worker(server):
+    child = server._workers[0]._process
+    os.kill(child.pid, signal.SIGKILL)
+    child.join(5.0)
+    for _ in range(400):  # 400 x 512-byte images
+        server.submit(np.zeros((1, 8, 8)), client_id="alice")
+""" + self.SHUTDOWNS[shutdown] + """
 print("closed", time.time(), flush=True)
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -959,7 +981,7 @@ print("closed", time.time(), flush=True)
         except subprocess.TimeoutExpired:
             process.kill()
             process.communicate()
-            pytest.fail("the interpreter did not exit after close()")
+            pytest.fail(f"the interpreter did not exit after the pool shut down ({shutdown})")
         exited = time.time()
         assert process.returncode == 0, stdout
         marker, closed_at = stdout.split()

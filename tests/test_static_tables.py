@@ -311,7 +311,7 @@ class TestPreloadIsAView:
         # lane keys) builds for itself.
         image = np.random.default_rng(1).normal(0, 0.5, (1, 8, 8))
         cold = ToyBackend(artifact.manifest.to_params(), seed=2)
-        generate_lane_keys(cold, artifact.program, server.scheduler.capacity)
+        generate_lane_keys(cold, artifact.manifest)
         assert np.array_equal(
             artifact.program.run(backend, image), artifact.program.run(cold, image)
         )
