@@ -5,13 +5,17 @@ script, through the fleet front door (``repro.serve.open``):
 
 1. fit + compile an MNIST MLP and **export** it to a serving artifact
    (uncompressed, so workers can map the tables in place);
-2. **open** a 2-worker pool over the artifact (zero compiler
-   invocations — asserted; the weight tables are mmapped, shared by
-   every worker, never copied);
+2. **open** a pool of 2 forked worker processes over the artifact (zero
+   compiler invocations — asserted; the weight tables are mmapped,
+   shared by every worker, never copied);
 3. serve four clients **sequentially**, then the same four **batched**
    through the pool's slot-batching workers, verifying per-client
    outputs match;
-4. print the typed, schema-versioned pool telemetry.
+4. print the typed, schema-versioned pool telemetry and the span
+   tracks the forked workers recorded;
+5. **hot-reload**: re-export retrained weights over the served path,
+   ``reload()`` the running pool, and check that the same clients now
+   get the new network's answers.
 
 Run:  python examples/serve_mnist.py
 """
@@ -37,7 +41,8 @@ def main():
     # -- offline: compile once, export the artifact ---------------------
     init.seed_init(0)
     onet = OrionNetwork(SecureMlp(input_pixels=64, hidden=16), (1, 8, 8))
-    onet.fit([rng.normal(0, 0.5, (8, 1, 8, 8))])
+    calibration = rng.normal(0, 0.5, (8, 1, 8, 8))
+    onet.fit([calibration])
     params = toy_parameters(
         ring_degree=2048, max_level=6, boot_levels=1, scale_bits=24
     )
@@ -48,7 +53,9 @@ def main():
 
     # -- online: open a pool over the artifact (no compiler, ever) ------
     compilations = OrionCompiler.invocations
-    config = serve.ServerConfig(workers=2, max_queue_depth=8)
+    config = serve.ServerConfig(
+        workers=2, mode="process", max_queue_depth=8, tracing=True
+    )
     with serve.open(path, config) as server:
         artifact_id = server.artifact_ids[0]
         print(
@@ -112,6 +119,41 @@ def main():
             f"{p50 * 1e3:.0f} ms, modeled {modeled:.1f}s of FHE work, "
             f"mmap-backed={all(w.mmap_backed for w in stats.workers)}"
         )
+        tracks = server.trace()
+        batches = sum(
+            span["name"] == "serve.batch" for track in tracks for span in track["spans"]
+        )
+        print(f"trace: {batches} serve.batch spans on {len(tracks)} worker tracks")
+
+        # -- hot reload: retrained weights over the served path ----------
+        # A small update to the last layer keeps the key manifest, so
+        # every worker rebuilds its lane around the new tables with the
+        # keys it already holds.  The export publishes atomically; the
+        # pool serves the old file until reload().
+        weights = np.random.default_rng(1)
+        for param in onet.module.fc3.parameters():
+            param.data = param.data + weights.normal(0, 0.2, param.data.shape)
+        onet.fit([calibration])
+        onet.export(path, params)
+        server.reload()
+        retrained = [
+            serve.ArtifactMap(path).load().program.run_cleartext_packed(im)
+            for im in images
+        ]
+        tickets = {
+            server.submit(image, client_id=f"client-{index}"): index
+            for index, image in enumerate(images)
+        }
+        for result in server.drain():
+            index = tickets[result.ticket]
+            bits = OrionNetwork.precision_bits(result.output, retrained[index])
+            stale = OrionNetwork.precision_bits(result.output, reference[index])
+            assert bits > stale, f"client-{index} did not get the reloaded weights"
+            print(
+                f"  reloaded   client-{index}: {bits:.1f} bits against the "
+                f"retrained network, {stale:.1f} against the old one "
+                f"(worker {result.worker_id})"
+            )
 
 
 if __name__ == "__main__":

@@ -193,20 +193,6 @@ def square(a: Tensor) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def polynomial(a: Tensor, coeffs: Sequence[float]) -> Tensor:
-    """Evaluate a fixed polynomial elementwise, coeffs[k] * x^k."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    out_data = np.polynomial.polynomial.polyval(a.data, coeffs)
-    deriv = np.polynomial.polynomial.polyder(coeffs)
-    deriv_vals = np.polynomial.polynomial.polyval(a.data, deriv)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * deriv_vals)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
 # -- im2col convolution -----------------------------------------------------
 def _conv_output_size(size: int, kernel: int, stride: int, pad: int, dil: int) -> int:
     effective = dil * (kernel - 1) + 1
@@ -403,8 +389,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
             logp._accumulate(g)
 
     return Tensor._make(np.asarray(out), (logp,), backward)
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    diff = sub(pred, Tensor(np.asarray(target)))
-    return mean(mul(diff, diff))

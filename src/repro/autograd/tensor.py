@@ -68,9 +68,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 
@@ -162,11 +159,6 @@ class Tensor:
         from repro.autograd import functional as F
 
         return F.mean(self, axis=axis, keepdims=keepdims)
-
-    def transpose(self, axes=None):
-        from repro.autograd import functional as F
-
-        return F.transpose(self, axes)
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""

@@ -61,10 +61,6 @@ class FheBackend(abc.ABC):
     def slot_count(self) -> int:
         return self.params.slot_count
 
-    @property
-    def effective_level(self) -> int:
-        return self.params.effective_level
-
     # -- data movement -----------------------------------------------------
     @abc.abstractmethod
     def encode(self, values: Sequence[float], level: int, scale: ScaleLike):

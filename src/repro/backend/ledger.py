@@ -94,13 +94,6 @@ class OpLedger:
     def multiplies(self) -> int:
         return self.counts["pmult"] + self.counts["hmult"]
 
-    def phase_seconds(self, prefix: str) -> float:
-        """Sum of modeled seconds across phases starting with ``prefix``."""
-        return sum(
-            secs for phase, secs in self.seconds_by_phase.items()
-            if phase.startswith(prefix)
-        )
-
     def merge(self, other: "OpLedger") -> None:
         """Fold another ledger's charges into this one.
 

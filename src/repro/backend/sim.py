@@ -58,9 +58,6 @@ class SimCiphertext:
     scale: Fraction
     noise_std: float
 
-    def copy(self) -> "SimCiphertext":
-        return SimCiphertext(self.values.copy(), self.level, self.scale, self.noise_std)
-
 
 class SimBackend(FheBackend):
     """Functional CKKS simulation with exact level/scale bookkeeping.

@@ -48,12 +48,6 @@ class Ciphertext:
     slot_count: int
     c2: Optional[RnsPolynomial] = None
 
-    def components(self):
-        parts = [self.c0, self.c1]
-        if self.c2 is not None:
-            parts.append(self.c2)
-        return parts
-
     def __repr__(self) -> str:
         deg = 2 if self.c2 is not None else 1
         log_scale = int(self.scale).bit_length() - 1 if self.scale >= 1 else 0

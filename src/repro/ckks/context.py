@@ -306,19 +306,16 @@ class CkksContext:
             tensor[1, lo:hi] = np.take(a, order, axis=-1)
         return SwitchingKey(tensor, self.basis, plan.exponent, plan.max_level, seed)
 
-    def _plan_galois_keys(self, requests) -> List[Tuple[int, object]]:
+    def _plan_galois_keys(self, requests) -> List[Tuple[int, _KeyPlan]]:
         """What ``(exponent, bound)`` requests need, in request order.
 
         ``bound`` is the highest level the key must serve (``None`` or
         the top level: full chain).  Each request is judged against the
-        keys held *after the requests before it*: a full-chain key
-        covers a full-chain request and is restricted (bit-preserving,
-        :meth:`_restrict_switching_key`) to a compressed one; a
-        compressed key at a bound at least as high covers a compressed
-        request; anything else — no key, or a narrower compressed key a
+        keys held *after the requests before it*: a key whose bound is at
+        least the request's covers it (a full-chain key covers every
+        bound); anything else — no key, or a narrower compressed key a
         wider request outgrows — is generated fresh at the request's
-        bound.  Returns ``(exponent, job)`` per restricted or fresh key:
-        the bound to restrict to, or the fresh key's :class:`_KeyPlan`.
+        bound.  Returns ``(exponent, plan)`` per fresh key.
         """
         two_n = 2 * self.params.ring_degree
         top = self.params.max_level
@@ -332,25 +329,19 @@ class CkksContext:
                 covered[exponent] = (
                     -1 if key is None else top if key.max_level is None else key.max_level
                 )
-            held = covered[exponent]
-            if held == top:
-                if bound == top:
-                    continue
-                job = bound
-            elif bound <= held:
+            if bound <= covered[exponent]:
                 continue
-            else:
-                job = self._plan_switching_key(
-                    self.keys.secret, None if bound == top else bound, exponent
-                )
-            actions.append((exponent, job))
+            plan = self._plan_switching_key(
+                self.keys.secret, None if bound == top else bound, exponent
+            )
+            actions.append((exponent, plan))
             covered[exponent] = bound
         return actions
 
     def _generate_galois_keys(self, requests) -> None:
         """Make ``keys.galois`` cover every ``(exponent, bound)`` request
         (:meth:`_plan_galois_keys`) — the one place rotation keys are
-        generated, restricted or replaced.
+        generated or replaced.
 
         Every request is planned first, so a key that cannot be stored
         refuses the call before any draw.  Fresh keys are then drawn on
@@ -366,7 +357,7 @@ class CkksContext:
         its own key never is.
         """
         actions = self._plan_galois_keys(requests)
-        workers = min(_fill_workers(), sum(isinstance(j, _KeyPlan) for _, j in actions))
+        workers = min(_fill_workers(), len(actions))
         pool, ahead = None, 0
         if workers > 1:
             # Imported here: a process that never fills keys on a pool
@@ -376,13 +367,12 @@ class CkksContext:
             pool, ahead = ThreadPoolExecutor(workers), 2 * workers
         window = deque()
         try:
-            for exponent, job in actions:
-                if isinstance(job, _KeyPlan):
-                    draw = self._draw_switching_key(job)
-                    if pool is None:
-                        job = self._fill_switching_key(job, *draw)
-                    else:
-                        job = pool.submit(self._fill_switching_key, job, *draw)
+            for exponent, plan in actions:
+                draw = self._draw_switching_key(plan)
+                if pool is None:
+                    job = self._fill_switching_key(plan, *draw)
+                else:
+                    job = pool.submit(self._fill_switching_key, plan, *draw)
                 window.append((exponent, job))
                 if len(window) > ahead:
                     self._install_galois_key(*window.popleft())
@@ -393,11 +383,8 @@ class CkksContext:
                 pool.shutdown(wait=True, cancel_futures=True)
 
     def _install_galois_key(self, exponent: int, job) -> None:
-        """Store one planned key: the held key restricted to a bound
-        (an int), a filled key, or a pool fill's result."""
-        if isinstance(job, int):
-            job = self._restrict_switching_key(self.keys.galois[exponent], job)
-        elif not isinstance(job, SwitchingKey):
+        """Store one planned key: a filled key, or a pool fill's result."""
+        if not isinstance(job, SwitchingKey):
             job = job.result()
         self.keys.galois[exponent] = job
 
@@ -411,7 +398,7 @@ class CkksContext:
         level (full-chain keys always do); otherwise a new key is
         generated — full-chain by default, so lazy creation through the
         evaluator never produces a key that later key switches outgrow.
-        Use :meth:`generate_compressed_galois_key` to deliberately cache
+        Use :meth:`generate_rotation_keys` with ``levels`` to generate
         the level-bounded compressed form.
         """
         exponent %= 2 * self.params.ring_degree
@@ -422,53 +409,6 @@ class CkksContext:
             key = self.keys.galois[exponent]
         return key
 
-    def generate_compressed_galois_key(
-        self, exponent: int, max_level: int
-    ) -> SwitchingKey:
-        """Cache the compressed (level-bounded) key for sigma_t.
-
-        Stores only the digits and limbs any key switch at
-        ``level <= max_level`` consumes.  If a key for the exponent
-        already exists it is *restricted* — its tensor is truncated to
-        ``dnum(max_level)`` digits over the bounded chain, which leaves
-        every key switch at a covered level **bit-identical** to the
-        original key (each level reads exactly that prefix of the tensor
-        either way).  Fresh keys are generated directly in the
-        compressed form.  An existing *compressed* key that already
-        covers the bound is kept as is (never shrunk further — callers
-        ask per use site, and the widest recorded bound must survive).
-        """
-        exponent %= 2 * self.params.ring_degree
-        self._generate_galois_keys([(exponent, max_level)])
-        return self.keys.galois[exponent]
-
-    def _restrict_switching_key(
-        self, key: SwitchingKey, max_level: int
-    ) -> SwitchingKey:
-        """Compress an existing key by dropping digits and limbs.
-
-        Copies the prefix :meth:`SwitchingKey.chain_view` of
-        ``max_level`` (a copy, so the wider tensor is actually freed) —
-        exactly the rows any key switch at ``level <= max_level`` reads,
-        so results are bit-identical to the uncompressed key's.
-        """
-        if not key.covers(max_level):
-            raise ValueError(
-                f"cannot restrict a level-{key.max_level} key to level "
-                f"{max_level}"
-            )
-        # The seed survives restriction: the PRG is keyed by prime
-        # *value*, so re-expanding over the restricted chain regenerates
-        # exactly the rows kept here (asserted in the key-lifecycle
-        # tests).
-        return SwitchingKey(
-            key.chain_view(self._ks_num_digits(max_level), max_level).copy(),
-            self.basis,
-            key.exponent,
-            max_level,
-            key.seed,
-        )
-
     def generate_rotation_keys(
         self, steps: Iterable[int], levels: Optional[Dict[int, int]] = None
     ) -> None:
@@ -477,9 +417,12 @@ class CkksContext:
         ``levels`` optionally maps a step to the highest level it is
         used at (:meth:`repro.core.program.FheProgram.required_rotation_step_levels`);
         steps present in the map get compressed keys bounded at that
-        level, the rest get full-chain keys.  The fresh keys are filled
-        on every CPU the process may use and come out byte-identical to
-        generating them one at a time (:meth:`_generate_galois_keys`).
+        level, the rest get full-chain keys.  A held key whose bound is
+        at least the requested one is kept (a full-chain key covers
+        every bound); a narrower one is replaced by a fresh key.  The
+        fresh keys are filled on every CPU the process may use and come
+        out byte-identical to generating them one at a time
+        (:meth:`_generate_galois_keys`).
         """
         self._generate_galois_keys(
             (

@@ -47,9 +47,9 @@ def expand_uniform_row(
     The PRG is counter-based (numpy Philox) and keyed per
     ``(seed, digit index, prime value)``.  Keying by the prime *value*
     rather than its chain position is what makes seed expansion compose
-    with level compression: restricting a key to the ``Q_l * P`` chain
+    with level compression: a key compressed to the ``Q_l * P`` chain
     keeps the same prime values (a prefix of the data primes plus the
-    special primes), so the restricted rows regenerate bit-identically
+    special primes), so the compressed rows regenerate bit-identically
     from the same seed without knowing the original chain layout.
     """
     gen = np.random.Generator(np.random.Philox(key=_prg_key(seed, digit, prime)))
@@ -175,7 +175,7 @@ class SwitchingKey:
         ``b_rows`` is ``tensor[0]`` as stored — ``(D, K, N)`` in the
         key's own layout.  Each a row is regenerated for the prime its
         b row carries (the PRG is keyed by prime *value*), so a key
-        stored compressed (or restricted after storage) expands
+        stored compressed (or cut to a prefix after storage) expands
         bit-identically to the resident original.
         """
         if b_rows.dtype != np.uint32:

@@ -12,15 +12,13 @@
 
 from repro.core.approx.chebyshev import ChebyshevPoly, chebyshev_fit
 from repro.core.approx.remez import remez_odd_sign
-from repro.core.approx.sign import CompositeSign, relu_approximation_error
-from repro.core.approx.evaluator import evaluate_chebyshev, poly_eval_depth
+from repro.core.approx.sign import CompositeSign
+from repro.core.approx.evaluator import evaluate_chebyshev
 
 __all__ = [
     "ChebyshevPoly",
     "chebyshev_fit",
     "remez_odd_sign",
     "CompositeSign",
-    "relu_approximation_error",
     "evaluate_chebyshev",
-    "poly_eval_depth",
 ]

@@ -263,12 +263,6 @@ def measure_poly_depth(poly: ChebyshevPoly) -> int:
     return _DEPTH_CACHE[key]
 
 
-def poly_eval_depth(degree: int) -> int:
-    """Depth of a dense polynomial of the given degree."""
-    poly = ChebyshevPoly(tuple([0.0, 1.0] + [1e-3] * max(0, degree - 1)))
-    return measure_poly_depth(poly)
-
-
 def poly_eval_ops(degree: int) -> Dict[str, int]:
     """HMult/PMult/rescale counts of one evaluation (for cost models)."""
     from repro.backend.sim import SimBackend

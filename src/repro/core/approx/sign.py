@@ -76,14 +76,3 @@ class CompositeSign:
         rescaled/offset so the join multiply needs no extra constants."""
         *head, last = self.stages
         return tuple(head) + (last.scaled(0.5).plus_constant(0.5),)
-
-
-def relu_approximation_error(
-    composite: CompositeSign, samples: int = 20001
-) -> float:
-    """Max |relu_approx(x) - relu(x)| over [-1, 1] (dead zone included:
-    inside (-tau, tau) the error of x*(sign+1)/2 is at most ~tau)."""
-    x = np.linspace(-1.0, 1.0, samples)
-    sign_plus = composite(x)
-    approx = x * (sign_plus + 1.0) / 2.0
-    return float(np.abs(approx - np.maximum(x, 0.0)).max())

@@ -64,7 +64,6 @@ from repro.core.program import (
     LinearInstr,
     MultJoinInstr,
     PolyInstr,
-    RotateInstr,
     SliceInstr,
     SquareInstr,
 )
@@ -453,8 +452,6 @@ class _ProgramBuilder:
             return self._emit_fused_linear(node, chain)
         if kind == "slice":
             return self._emit_slice(node)
-        if kind == "rotate":
-            return self._emit_rotate(node, chain)
         raise ValueError(f"unsupported node kind {kind!r} for {node.name}")
 
     # -- linear layers -----------------------------------------------------
@@ -657,37 +654,6 @@ class _ProgramBuilder:
             )
         )
         return node.output
-
-    def _emit_rotate(self, node, chain: PlacementChain) -> int:
-        """An explicit slot rotation (orion.nn.Roll): one Galois key
-        switch per ciphertext, zero multiplicative depth."""
-        in_uid = self._resolve(node.inputs[0])
-        in_layout = self.layouts[in_uid]
-        out_uid = node.output
-        self.layouts[out_uid] = in_layout
-        if in_uid in self.pending:
-            self.pending[out_uid] = self.pending.pop(in_uid)
-        steps = node.module.shift % self.compiler.params.slot_count
-        num_cts = in_layout.num_ciphertexts
-        costs = self.compiler.costs
-        chain.items.append(
-            LayerSpec(
-                node.name,
-                depth=0,
-                cost_fn=lambda l: (num_cts * costs.hrot(l)) if steps else 0.0,
-                boot_units=num_cts,
-            )
-        )
-        self.instructions.append(
-            RotateInstr(
-                name=node.name, out_uid=out_uid, exec_level=0,
-                boots_before=0, in_uid=in_uid, steps=steps,
-            )
-        )
-        self.reports.append(
-            LayerReport(node.name, "rotate", num_cts if steps else 0, 0, 0, num_cts)
-        )
-        return out_uid
 
     # -- activations -------------------------------------------------------
     def _emit_relu(self, node, chain: PlacementChain) -> int:

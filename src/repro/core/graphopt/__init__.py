@@ -7,9 +7,7 @@ Toggle with ``OrionCompiler(optimize=...)`` or ``REPRO_GRAPH_OPT``.
 from repro.core.graphopt.fused import FusedLinear, Slice
 from repro.core.graphopt.passes import (
     OptContext,
-    cancel_rotations,
     concat_linear_fusion,
-    hoist_branch_rotations,
     infer_layouts,
 )
 from repro.core.graphopt.pipeline import (
@@ -24,9 +22,7 @@ __all__ = [
     "OptContext",
     "GraphOptReport",
     "PASSES",
-    "cancel_rotations",
     "concat_linear_fusion",
-    "hoist_branch_rotations",
     "infer_layouts",
     "optimize_graph",
 ]

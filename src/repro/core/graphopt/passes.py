@@ -19,7 +19,7 @@ applied.  The shared contract (docs/graphopt.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.backend.costs import CostModel
 from repro.core.packing.analysis import (
@@ -98,7 +98,7 @@ def infer_layouts(graph: LayerGraph, input_shape, slots: int) -> Dict[int, objec
         elif kind == "slice":
             layouts[node.output] = in_layout.parts[node.module.part]
         else:
-            # batchnorm / relu / poly / reshape / add / rotate: layout-
+            # batchnorm / relu / poly / reshape / add: layout-
             # preserving (reshapes alias; the builder keeps the packed
             # layout and maps logical indices through it).
             layouts[node.output] = in_layout
@@ -159,7 +159,7 @@ def sibling_profile(
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: concat-linear fusion
+# Concat-linear fusion
 # ---------------------------------------------------------------------------
 def concat_linear_fusion(graph: LayerGraph, ctx: OptContext) -> int:
     """Merge sibling linear/conv nodes consuming the same value.
@@ -257,116 +257,3 @@ def _apply_concat_fusion(graph, fork_uid, siblings, terminals, terminal_uids,
     dead = list(siblings) + [t for t in terminals if t is not None]
     graph.remove_nodes(dead)
     graph.insert_nodes(position, [fused_node] + slices)
-
-
-# ---------------------------------------------------------------------------
-# Pass 2: cross-branch rotation hoisting
-# ---------------------------------------------------------------------------
-def hoist_branch_rotations(graph: LayerGraph, ctx: OptContext) -> int:
-    """De-duplicate identical rotations of the same fork value.
-
-    When several consumers of a fork point rotate it by the same
-    offset (skip branches, attention heads), the rotation is computed
-    once and its result forwarded to every user — (k-1) Galois key
-    switches disappear.  Priced by the cost model for the pass
-    contract; a pure de-duplication is always a win.
-    """
-    rewrites = 0
-    changed = True
-    while changed:
-        changed = False
-        for fork_uid in graph.fork_uids():
-            rolls = [
-                node for node in graph.consumers().get(fork_uid, [])
-                if _kind(node) == "rotate"
-            ]
-            by_shift: Dict[int, List[TraceNode]] = {}
-            for node in rolls:
-                by_shift.setdefault(node.module.shift % ctx.slots, []).append(node)
-            for group in by_shift.values():
-                if len(group) < 2:
-                    continue
-                saved = (len(group) - 1) * ctx.costs.hrot(ctx.level)
-                if saved <= 0:
-                    continue
-                keep = group[0]
-                for dup in group[1:]:
-                    graph.rewire_value(dup.output, keep.output)
-                graph.remove_nodes(group[1:])
-                rewrites += len(group) - 1
-                changed = True
-                break
-            if changed:
-                break
-    return rewrites
-
-
-# ---------------------------------------------------------------------------
-# Pass 3: rotate/unrotate and layout-change elimination
-# ---------------------------------------------------------------------------
-def cancel_rotations(graph: LayerGraph, ctx: OptContext) -> int:
-    """Cancel no-op rotations, compose adjacent rotation pairs, and
-    drop redundant back-to-back reshapes.
-
-    ``Roll(a) -> Roll(b)`` composes into ``Roll(a + b)`` (one key
-    switch instead of two); a composed shift of zero — the
-    rotate/unrotate pattern — vanishes entirely.  Rewritten rotations
-    get a *fresh* module instance: trace nodes may share module objects
-    across call sites, so mutating a shift in place would corrupt the
-    other sites.
-    """
-    rewrites = 0
-    changed = True
-    while changed:
-        changed = False
-        consumers = graph.consumers()
-        producers = graph.producers()
-        for node in graph.nodes:
-            kind = _kind(node)
-            if kind == "rotate" and node.module.shift % ctx.slots == 0:
-                graph.rewire_value(node.output, node.inputs[0])
-                graph.remove_nodes([node])
-                rewrites += 1
-                changed = True
-                break
-            if kind == "rotate":
-                prev = producers.get(node.inputs[0])
-                if (
-                    prev is not None
-                    and _kind(prev) == "rotate"
-                    and consumers.get(prev.output) == [node]
-                ):
-                    combined = _fresh_roll(prev.module.shift + node.module.shift)
-                    merged = TraceNode(
-                        index=graph.fresh_index(),
-                        module=combined,
-                        inputs=prev.inputs,
-                        output=node.output,
-                        input_shapes=prev.input_shapes,
-                        output_shape=node.output_shape,
-                    )
-                    position = graph.position_of(prev)
-                    graph.remove_nodes([prev, node])
-                    graph.insert_nodes(position, [merged])
-                    rewrites += 1
-                    changed = True
-                    break
-            if kind == "reshape":
-                prev = producers.get(node.inputs[0])
-                if (
-                    prev is not None
-                    and _kind(prev) == "reshape"
-                    and consumers.get(prev.output) == [node]
-                ):
-                    graph.rewire_value(node.output, prev.output)
-                    graph.remove_nodes([node])
-                    rewrites += 1
-                    changed = True
-                    break
-    return rewrites
-
-
-def _fresh_roll(shift: int):
-    from repro.orion.nn import Roll
-
-    return Roll(shift)

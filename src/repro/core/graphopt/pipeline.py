@@ -7,12 +7,6 @@ structure trace (``repro.trace.trace_structure``) and program
 building, so every rewrite sees
 the whole network and the optimized graph flows through the unchanged
 placement solver and lowering.
-
-The pass order is deliberate: cancellation first (so hoisting and
-fusion see a minimal graph), hoisting second (de-duplicated rotations
-can expose new cancellations and new sibling pairs), cancellation
-again, then concat-linear fusion last (it consumes fork structure the
-earlier passes clean up).
 """
 
 from __future__ import annotations
@@ -22,20 +16,12 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.trace.graph import LayerGraph
 
-from repro.core.graphopt.passes import (
-    OptContext,
-    cancel_rotations,
-    concat_linear_fusion,
-    hoist_branch_rotations,
-)
+from repro.core.graphopt.passes import OptContext, concat_linear_fusion
 
 GraphPass = Callable[[LayerGraph, OptContext], int]
 
 #: (name, pass) pairs in execution order.
 PASSES: List[Tuple[str, GraphPass]] = [
-    ("cancel_rotations", cancel_rotations),
-    ("hoist_branch_rotations", hoist_branch_rotations),
-    ("cancel_rotations", cancel_rotations),
     ("concat_linear_fusion", concat_linear_fusion),
 ]
 

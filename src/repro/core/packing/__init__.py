@@ -8,10 +8,6 @@ against (Gazelle packed SISO, Lee et al. multiplexed parallel convs).
 
 from repro.core.packing.layouts import MultiplexedLayout, VectorLayout
 from repro.core.packing.bsgs import BsgsPlan, plan_bsgs
-from repro.core.packing.diagonal import (
-    extract_generalized_diagonals,
-    matvec_diagonal_cleartext,
-)
 from repro.core.packing.matvec import PackedMatVec, build_conv_packing, build_linear_packing
 from repro.core.packing.analysis import analyze_conv_packing
 from repro.core.packing.lee import lee_conv_rotations
@@ -21,8 +17,6 @@ __all__ = [
     "VectorLayout",
     "BsgsPlan",
     "plan_bsgs",
-    "extract_generalized_diagonals",
-    "matvec_diagonal_cleartext",
     "PackedMatVec",
     "build_conv_packing",
     "build_linear_packing",

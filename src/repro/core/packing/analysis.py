@@ -486,21 +486,6 @@ def analyze_conv_packing(
     ).stats
 
 
-def conv_offset_profile(
-    weight_shape: Tuple[int, int, int, int],
-    in_layout: MultiplexedLayout,
-    stride=(1, 1),
-    padding=(0, 0),
-    dilation=(1, 1),
-    groups: int = 1,
-) -> OffsetProfile:
-    """Offset structure of a conv (the form ``analyze_conv_packing``
-    counted: plain, or hybrid when ``num_folds > 0``)."""
-    return conv_structure(
-        weight_shape, in_layout, stride, padding, dilation, groups
-    ).profile
-
-
 def merged_packing_stats(profiles) -> PackingStats:
     """Counts of the concat-fused layer formed from sibling profiles.
 

@@ -43,10 +43,6 @@ class BsgsPlan:
         """Ciphertext rotations performed (rotation by 0 is free)."""
         return sum(1 for b in self.babies if b) + sum(1 for g in self.giants if g)
 
-    def split(self, offset: int) -> Tuple[int, int]:
-        baby = offset % self.n1
-        return offset - baby, baby
-
 
 def plan_bsgs(offsets: Union[Iterable[int], np.ndarray], slots: int) -> BsgsPlan:
     """Choose the rotation-minimizing power-of-two baby modulus.

@@ -373,35 +373,6 @@ class SliceInstr(Instruction):
 
 
 @dataclass
-class RotateInstr(Instruction):
-    """Cyclic slot rotation of a register (orion.nn.Roll).
-
-    One hoisted Galois key switch per ciphertext; a zero effective step
-    is a no-op (the graph optimizer cancels those away, but the
-    reference un-optimized path must still execute them safely).
-    """
-
-    span_category = "rotate"
-    kind = "rotate"
-
-    in_uid: int = 0
-    steps: int = 0
-
-    def execute(self, state: ExecutionState) -> None:
-        backend = state.backend
-        with backend.ledger.phase(f"rotate/{self.name}"):
-            (cts,) = self.prepare(state, [self.in_uid])
-            steps = self.steps % backend.slot_count
-            if steps:
-                cts = [backend.rotate(ct, steps) for ct in cts]
-            state.set(self.out_uid, list(cts))
-
-    def execute_cleartext(self, values, slots):
-        steps = self.steps % slots
-        return [np.roll(vec, -steps) if steps else vec for vec in values[self.in_uid]]
-
-
-@dataclass
 class FheProgram:
     """A fully compiled network ready to execute on a backend.
 
@@ -516,15 +487,10 @@ class FheProgram:
         ``level <= bound`` consumes.
         """
         levels: Dict[int, int] = {}
-        slots = self.input_layout.slots
         for instr in self.instructions:
-            if isinstance(instr, LinearInstr):
-                steps = instr.packed.required_rotation_steps()
-            elif isinstance(instr, RotateInstr) and instr.steps % slots:
-                steps = (instr.steps % slots,)
-            else:
+            if not isinstance(instr, LinearInstr):
                 continue
-            for step in steps:
+            for step in instr.packed.required_rotation_steps():
                 levels[step] = max(levels.get(step, -1), instr.exec_level)
         return levels
 
@@ -546,11 +512,6 @@ class FheProgram:
             if isinstance(instr, LinearInstr)
         ]
         if any(layout.num_ciphertexts != 1 for layout in occupied):
-            return 1
-        # A slot rotation crosses client-block boundaries, so rotated
-        # programs cannot slot-batch (each client would read a
-        # neighbor's slots).
-        if any(isinstance(instr, RotateInstr) for instr in self.instructions):
             return 1
         required = max(layout.total_slots for layout in occupied)
         return max(1, slots // next_power_of_two(required))

@@ -12,9 +12,7 @@ from repro.datasets.synthetic import (
     SyntheticClassification,
     SyntheticDetection,
     cifar_like,
-    imagenet_like,
     mnist_like,
-    tiny_imagenet_like,
     voc_like,
 )
 
@@ -24,7 +22,5 @@ __all__ = [
     "SyntheticDetection",
     "mnist_like",
     "cifar_like",
-    "tiny_imagenet_like",
-    "imagenet_like",
     "voc_like",
 ]

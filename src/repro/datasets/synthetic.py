@@ -95,16 +95,6 @@ def cifar_like(num_samples: int = 512, seed: int = 1) -> SyntheticClassification
     return _make_classification((3, 32, 32), 10, num_samples, seed)
 
 
-def tiny_imagenet_like(num_samples: int = 256, seed: int = 2) -> SyntheticClassification:
-    """64x64x3, 20 classes (stands in for Tiny ImageNet [49])."""
-    return _make_classification((3, 64, 64), 20, num_samples, seed)
-
-
-def imagenet_like(num_samples: int = 32, seed: int = 3) -> SyntheticClassification:
-    """224x224x3, 20 classes (stands in for ImageNet-1k [23])."""
-    return _make_classification((3, 224, 224), 20, num_samples, seed)
-
-
 @dataclass
 class SyntheticDetection:
     """Detection dataset: images + per-image box/class annotations.

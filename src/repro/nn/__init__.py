@@ -16,7 +16,7 @@ from repro.nn.layers import (
     Linear,
 )
 from repro.nn.activations import ReLU, SiLU, Square
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import SGD
 
 __all__ = [
     "Module",
@@ -33,5 +33,4 @@ __all__ = [
     "SiLU",
     "Square",
     "SGD",
-    "Adam",
 ]

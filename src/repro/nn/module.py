@@ -1,9 +1,9 @@
-"""Module base class: parameter registration, modes, state dicts."""
+"""Module base class: parameter registration and train/eval modes."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -21,8 +21,8 @@ class Module:
     """Base class with PyTorch-style attribute registration.
 
     Assigning a :class:`Parameter` or :class:`Module` to an attribute
-    registers it; ``parameters()``, ``state_dict()`` and ``train()``
-    walk the registry recursively.
+    registers it; ``parameters()`` and ``train()`` walk the registry
+    recursively.
     """
 
     def __init__(self):
@@ -54,18 +54,6 @@ class Module:
         for _, param in self.named_parameters():
             yield param
 
-    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield prefix.rstrip("."), self
-        for name, module in self._modules.items():
-            yield from module.named_modules(prefix=f"{prefix}{name}.")
-
-    def modules(self) -> Iterator["Module"]:
-        for _, module in self.named_modules():
-            yield module
-
-    def children(self) -> Iterator["Module"]:
-        return iter(self._modules.values())
-
     # -- modes -------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
         object.__setattr__(self, "training", mode)
@@ -75,43 +63,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
-    # -- (de)serialization ---------------------------------------------------
-    def state_dict(self, prefix: str = "") -> Dict[str, np.ndarray]:
-        state: Dict[str, np.ndarray] = {}
-        for name, param in self._parameters.items():
-            state[f"{prefix}{name}"] = param.data.copy()
-        for name, buf in self._buffers.items():
-            state[f"{prefix}{name}"] = np.array(buf, copy=True)
-        for name, module in self._modules.items():
-            state.update(module.state_dict(prefix=f"{prefix}{name}."))
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray], prefix: str = "") -> None:
-        for name, param in self._parameters.items():
-            key = f"{prefix}{name}"
-            if key not in state:
-                raise KeyError(f"missing parameter {key!r}")
-            param.data = np.array(state[key], dtype=np.float64, copy=True)
-        for name in self._buffers:
-            key = f"{prefix}{name}"
-            if key not in state:
-                raise KeyError(f"missing buffer {key!r}")
-            buf = getattr(self, name)
-            buf[...] = state[key]
-        for name, module in self._modules.items():
-            module.load_state_dict(state, prefix=f"{prefix}{name}.")
-
-    def save(self, path: str) -> None:
-        np.savez(path, **self.state_dict())
-
-    def load(self, path: str) -> None:
-        with np.load(path) as data:
-            self.load_state_dict({k: data[k] for k in data.files})
 
     # -- call ------------------------------------------------------------------
     def forward(self, *args, **kwargs):

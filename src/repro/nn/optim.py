@@ -41,44 +41,3 @@ class SGD:
     def zero_grad(self) -> None:
         for param in self.parameters:
             param.zero_grad()
-
-
-class Adam:
-    """Adam optimizer (used for the YOLO detection head)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        self.parameters: List[Parameter] = list(parameters)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * grad * grad
-            m_hat = m / (1 - self.beta1**self._t)
-            v_hat = v / (1 - self.beta2**self._t)
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()

@@ -3,7 +3,7 @@
 Three zero-dependency pillars (see docs/observability.md):
 
 - :mod:`repro.obs.tracing` — context-propagated span trees with ledger
-  op-count attribution, JSONL and Chrome ``trace_event`` export;
+  op-count attribution, Chrome ``trace_event`` export;
 - :mod:`repro.obs.metrics` — counters / gauges / histograms with a
   Prometheus text-exposition writer;
 - :mod:`repro.obs.noise`   — level/scale drift at rescale / mod-down /
@@ -19,8 +19,6 @@ from repro.obs.tracing import (
     Span,
     Tracer,
     chrome_trace,
-    disable,
-    enable,
     get_tracer,
     set_tracer,
     use_tracer,
@@ -36,8 +34,6 @@ __all__ = [
     "Span",
     "Tracer",
     "chrome_trace",
-    "disable",
-    "enable",
     "get_tracer",
     "set_tracer",
     "use_tracer",

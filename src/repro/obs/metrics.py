@@ -96,10 +96,6 @@ class MetricsRegistry:
     def histogram_value(self, name: str, **labels):
         return self._histograms.get(name, {}).get(_label_key(labels))
 
-    @property
-    def names(self) -> List[str]:
-        return sorted(self._meta)
-
     # -- Prometheus text exposition ---------------------------------------
     def to_prometheus_text(self) -> str:
         """Prometheus text exposition format (version 0.0.4).

@@ -107,22 +107,6 @@ class NoiseMonitor:
             "max_scale_drift_log2": self.max_scale_drift_log2,
         }
 
-    def merge(self, other: "NoiseMonitor") -> None:
-        for op, count in other.counts.items():
-            self.counts[op] = self.counts.get(op, 0) + count
-        if other.min_level is not None and (
-            self.min_level is None or other.min_level < self.min_level
-        ):
-            self.min_level = other.min_level
-        if other.max_scale_drift_log2 > self.max_scale_drift_log2:
-            self.max_scale_drift_log2 = other.max_scale_drift_log2
-
-    def reset(self) -> None:
-        self.counts = {op: 0 for op in _BOUNDARY_OPS}
-        self.min_level = None
-        self.max_scale_drift_log2 = 0.0
-        self.events = []
-
     def __repr__(self) -> str:
         return (
             f"NoiseMonitor(rescales={self.rescales}, "

@@ -34,7 +34,7 @@ Design constraints (docs/observability.md):
 - **Exportable.**  :meth:`Tracer.drain` returns JSON-safe span payloads;
   :func:`chrome_trace` converts per-worker tracks into Chrome
   ``trace_event`` JSON loadable in Perfetto (one thread track per pool
-  shard); :meth:`Tracer.to_jsonl` emits one flattened record per line.
+  shard).
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class Span:
     def duration(self) -> float:
         return self.end - self.start
 
-    def child_seconds(self) -> float:
-        """Wall-clock covered by direct children (coverage audits)."""
-        return sum(c.duration for c in self.children)
-
     # -- serialization -----------------------------------------------------
     def to_payload(self) -> Dict:
         payload = {
@@ -115,20 +111,6 @@ class Span:
         if self.children:
             payload["children"] = [c.to_payload() for c in self.children]
         return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "Span":
-        span = cls(payload["name"], payload.get("category", ""))
-        span.start = payload["start"]
-        span.end = payload["end"]
-        span.attrs = dict(payload.get("attrs", {}))
-        span.ops = dict(payload.get("ops", {}))
-        span.seconds = payload.get("modeled_seconds", 0.0)
-        span.noise = [tuple(event) for event in payload.get("noise", [])]
-        span.children = [
-            cls.from_payload(c) for c in payload.get("children", ())
-        ]
-        return span
 
     def __repr__(self) -> str:
         return (
@@ -282,7 +264,7 @@ class Tracer:
         """Return all finished root spans as payloads and clear them.
 
         The flush primitive: process workers drain on ``stats`` /
-        ``drain`` / ``close`` so telemetry recorded after the last step
+        ``telemetry`` / ``close`` so telemetry recorded after the last step
         is never lost, and repeated flushes never duplicate spans.
         """
         payloads = [span.to_payload() for span in self.roots]
@@ -295,34 +277,6 @@ class Tracer:
         self._skipping = 0
         self._acc = 0.0
         self.dropped_roots = 0
-
-    def to_jsonl(self) -> str:
-        """One flattened JSON record per span, depth-first."""
-        lines: List[str] = []
-
-        def walk(span: Span, depth: int, parent: Optional[str]):
-            record = {
-                "name": span.name,
-                "category": span.category,
-                "depth": depth,
-                "parent": parent,
-                "start": span.start + self.clock_offset,
-                "duration_seconds": span.duration,
-                "attrs": span.attrs,
-            }
-            if span.ops:
-                record["ops"] = span.ops
-            if span.seconds:
-                record["modeled_seconds"] = span.seconds
-            if span.noise:
-                record["noise"] = [list(event) for event in span.noise]
-            lines.append(json.dumps(record, sort_keys=True, default=str))
-            for child in span.children:
-                walk(child, depth + 1, span.name)
-
-        for root in self.roots:
-            walk(root, 0, None)
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 class _NullSpan:
@@ -381,9 +335,6 @@ class NullTracer:
     def reset(self):
         pass
 
-    def to_jsonl(self):
-        return ""
-
 
 NULL_SPAN = _NullSpan()
 NULL_TRACER = NullTracer()
@@ -400,17 +351,6 @@ def set_tracer(tracer) -> None:
     """Install ``tracer`` as the process-active tracer (None disables)."""
     global _active
     _active = NULL_TRACER if tracer is None else tracer
-
-
-def enable(sample_rate: float = 1.0, max_roots: int = 10_000) -> Tracer:
-    """Install and return a fresh enabled :class:`Tracer`."""
-    tracer = Tracer(sample_rate=sample_rate, max_roots=max_roots)
-    set_tracer(tracer)
-    return tracer
-
-
-def disable() -> None:
-    set_tracer(None)
 
 
 @contextmanager

@@ -78,32 +78,6 @@ class OrionNetwork:
         )
         return compiled.export(path, params)
 
-    def serve(
-        self,
-        params: CkksParameters,
-        backend=None,
-        cost_model: Optional[CostModel] = None,
-        **server_kwargs,
-    ):
-        """Compile in-process and stand up an :class:`InferenceServer`.
-
-        Convenience for single-process deployments and notebooks; the
-        production path is :meth:`export` +
-        ``repro.serve.ArtifactMap(path).load()`` on each worker.  Both
-        build the same artifact, so the default backend is built from
-        its key manifest's parameters — the digit grouping export chose
-        — and the server generates its rotation keys exactly as a
-        worker's lane would.
-        """
-        from repro.backend.toy import ToyBackend
-        from repro.serve.artifact import build_artifact
-        from repro.serve.runtime import InferenceServer
-
-        artifact = build_artifact(self.compile(params, cost_model), params)
-        if backend is None:
-            backend = ToyBackend(artifact.manifest.to_params())
-        return InferenceServer(artifact, backend, **server_kwargs)
-
     # -- cleartext reference -------------------------------------------------
     def forward_cleartext(self, images: np.ndarray) -> np.ndarray:
         """Exact (non-polynomial) forward pass for validation."""

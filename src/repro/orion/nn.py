@@ -157,39 +157,6 @@ class Flatten(Module, base_nn.Flatten):
         return (math.prod(shape),)
 
 
-class Roll(Module):
-    """Cyclic slot rotation by ``shift`` (positive = leftward, matching
-    the backend's ``rotate`` convention: slot i reads slot i + shift).
-
-    Cleartext semantics roll the flattened feature vector; under FHE
-    this lowers to one hoisted Galois rotation.  The graph optimizer
-    hoists identical rolls across fork branches and cancels
-    roll/unroll pairs.
-    """
-
-    orion_kind = "rotate"
-
-    def __init__(self, shift: int):
-        super().__init__()
-        self.shift = int(shift)
-
-    def forward(self, x: Tensor) -> Tensor:
-        batch = x.shape[0]
-        flat = np.roll(x.data.reshape(batch, -1), -self.shift, axis=1)
-        data = flat.reshape(x.shape)
-        shift = self.shift
-
-        def backward(grad):
-            if x.requires_grad:
-                rolled = np.roll(grad.reshape(batch, -1), shift, axis=1)
-                x._accumulate(rolled.reshape(x.shape))
-
-        return Tensor._make(np.asarray(data), (x,), backward)
-
-    def traced_shape(self, shape: Shape) -> Shape:
-        return shape
-
-
 class Add(Module):
     """Elementwise join for residual connections (paper Listing 1)."""
 
@@ -245,9 +212,6 @@ class ReLU(_ActivationBase):
         super().__init__()
         self.degrees = tuple(degrees)
 
-    def exact_fn(self, values):
-        return np.maximum(values, 0.0)
-
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
 
@@ -272,9 +236,6 @@ class Square(_ActivationBase):
     def __init__(self):
         super().__init__()
         self.degree = 2
-
-    def exact_fn(self, values):
-        return values * values
 
     def forward(self, x: Tensor) -> Tensor:
         return F.square(x)

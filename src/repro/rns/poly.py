@@ -71,9 +71,6 @@ class RnsPolynomial:
         data = np.zeros((len(tuple(primes)), basis.ring_degree), dtype=np.int64)
         return cls(basis, primes, data, is_ntt=is_ntt)
 
-    def copy(self) -> "RnsPolynomial":
-        return RnsPolynomial(self.basis, self.primes, self.data.copy(), self.is_ntt)
-
     # -- representation changes -------------------------------------------
     def to_ntt(self) -> "RnsPolynomial":
         if self.is_ntt:
@@ -122,16 +119,6 @@ class RnsPolynomial:
             raise ValueError("multiply polynomials in NTT form")
         data = (self.data * other.data) % self._moduli
         return RnsPolynomial(self.basis, self.primes, data, is_ntt=True)
-
-    def scalar_mul(self, scalar: ScalarPerLimb) -> "RnsPolynomial":
-        """Multiply by an integer (or one integer per limb)."""
-        if isinstance(scalar, (int, np.integer)):
-            factors = [int(scalar) % q for q in self.primes]
-        else:
-            factors = [int(s) % q for s, q in zip(scalar, self.primes)]
-        factor_col = np.array(factors, dtype=np.int64)[:, None]
-        data = (self.data * factor_col) % self._moduli
-        return RnsPolynomial(self.basis, self.primes, data, self.is_ntt)
 
     # -- automorphisms -------------------------------------------------------
     def automorphism(self, exponent: int) -> "RnsPolynomial":

@@ -44,7 +44,6 @@ from repro.serve.stats import (
     LaneStats,
     NoiseStats,
     ServerStats,
-    StatsSchemaError,
     WorkerStats,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "WorkerStats",
     "LaneStats",
     "NoiseStats",
-    "StatsSchemaError",
     "STATS_SCHEMA_VERSION",
     # artifacts
     "ArtifactSchemaError",

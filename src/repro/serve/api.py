@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
@@ -117,10 +117,6 @@ class ServerConfig:
                 "ServerConfig.trace_sample_rate must be in (0, 1], got "
                 f"{self.trace_sample_rate!r}"
             )
-
-    def with_overrides(self, **changes) -> "ServerConfig":
-        """A copy with ``changes`` applied (re-validated)."""
-        return replace(self, **changes)
 
 
 ArtifactSource = Union[str, ServingArtifact]
@@ -300,11 +296,11 @@ class Server:
         return self._delivered(results)
 
     def drain(self) -> List[ServeResult]:
-        """Flush every queue; afterwards ``stats().in_flight == 0``."""
-        results: List[ServeResult] = []
-        for worker in self._workers:
-            results.extend(worker.drain())
-        return self._delivered(results)
+        """Flush every queue; afterwards ``stats().in_flight == 0``.
+
+        One lock-step :meth:`step`: a step already runs every queue
+        empty, and process workers drain in parallel."""
+        return self.step()
 
     def warm(self, batch_sizes=None) -> None:
         """Pre-run plaintext-cache warm-up on every worker (off the books).

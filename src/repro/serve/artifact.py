@@ -24,8 +24,8 @@ Loading never invokes the compiler or the placement planner — the
 ``tests/test_serve.py`` and ``benchmarks/bench_serving_throughput.py``.
 
 Programs produced with the graph-level optimizer on (docs/graphopt.md)
-round-trip through the same schema unchanged: fused stacked layouts,
-``SliceInstr``, and ``RotateInstr`` all serialize through the existing
+round-trip through the same schema unchanged: fused stacked layouts
+and ``SliceInstr`` serialize through the existing
 layout/instruction payload kinds, so artifacts written by an optimized
 compile load on workers that never saw the optimizer.
 """
@@ -123,8 +123,6 @@ class ServingArtifact:
         self.encoded = encoded
 
     # -- capacity ----------------------------------------------------------
-    def slot_batch_capacity(self) -> int:
-        return self.program.slot_batch_capacity()
 
     # -- cache warm-up ------------------------------------------------------
     def preload(self, backend) -> int:

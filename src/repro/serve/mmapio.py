@@ -159,10 +159,6 @@ class ArtifactMap:
             raise ArtifactSchemaError(f"{self.path}: not a serving artifact")
         return json.loads(bytes(manifest).decode("utf-8"))
 
-    def mapped_bytes(self) -> int:
-        """Total bytes of table memory served from the map."""
-        return sum(array.nbytes for array in self.arrays.values())
-
     def load(self):
         """Build the :class:`~repro.serve.artifact.ServingArtifact` whose
         numpy payloads are views into this map (zero table copies)."""

@@ -248,9 +248,6 @@ class Worker:
                 results.append(self._stamp(result, artifact_id))
         return results
 
-    def drain(self) -> List[ServeResult]:
-        return self.finish_step(None)  # a step leaves nothing queued
-
     def warm(self, batch_sizes=None) -> None:
         for server in self.servers.values():
             server.warm(batch_sizes=batch_sizes)
@@ -327,8 +324,7 @@ class Worker:
         :class:`WorkerStats` and the trace-span backlog.  ``trace`` has
         drain semantics — each completed root span is returned exactly
         once — so callers accumulate without deduplicating; this is also
-        what makes the fork-mode flush on ``drain()``/``close()``
-        lossless."""
+        what makes the fork-mode flush on ``close()`` lossless."""
         tracer = self.tracer
         return {
             "stats": self.stats(),
@@ -416,8 +412,7 @@ class ProcessWorker:
         # The child's latest telemetry bundle (minus the trace spans,
         # which wait in _pending_trace until someone takes them).
         # Refreshed on stats()/telemetry() and — so the last batches
-        # before shutdown are never lost with the fork — on drain() and
-        # close().
+        # before shutdown are never lost with the fork — on close().
         self._bundle: Dict = {"stats": None, "clock_offset": 0.0, "dropped_roots": 0}
         self._pending_trace: List[Dict] = []
         self._process = context.Process(
@@ -497,11 +492,6 @@ class ProcessWorker:
 
     def finish_step(self, now: Optional[float]) -> List[ServeResult]:
         return self._delivered(self._await())
-
-    def drain(self) -> List[ServeResult]:
-        results = self._delivered(self._call("drain"))
-        self._refresh()
-        return results
 
     def warm(self, batch_sizes=None) -> None:
         self._call("warm", batch_sizes)

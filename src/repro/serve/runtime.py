@@ -205,9 +205,6 @@ class InferenceServer:
                 return results
             results.extend(self._run_batch(batch, now))
 
-    #: Work-conserving: a step already leaves nothing queued.
-    drain = step
-
     # -- execution -----------------------------------------------------------
     def _run_batch(
         self, batch: Batch, now: Optional[float] = None

@@ -17,13 +17,9 @@ an idle worker waiting for company.
 - **Full batch** — the queue holds a full ciphertext's worth of
   requests (the program's slot capacity): run a capacity-sized batch.
 - **Partial batch** — otherwise the largest power of two the backlog
-  holds, provided it passes the worthwhileness check below.
-- **Single** — one request waiting, or batching not worthwhile.
-- **Worthwhileness** — a batch of B is only formed when the modeled
-  batched run beats B sequential runs (it essentially always does —
-  the batched program runs the same ciphertext count — but the rule is
-  checked against the cost model, not assumed, so a future layout whose
-  batched view were more expensive would fall back to run-now).
+  holds (a batched run costs what a single run costs: the batched
+  program runs the same ciphertext count).
+- **Single** — one request waiting.
 
 Each request carries a deadline (explicit, or ``enqueued_at +
 max_wait_seconds``).  It never delays anyone: it is the
@@ -75,21 +71,13 @@ class SlotBatchingScheduler:
         max_wait_seconds: default deadline (``now + max_wait_seconds``)
             for requests submitted without one.  Orders the queue;
             never delays an idle worker.
-        batch_worthwhile: predicate ``(batch_size) -> bool`` from the
-            cost model; defaults to "always" for B >= 2.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        max_wait_seconds: float = 0.05,
-        batch_worthwhile=None,
-    ):
+    def __init__(self, capacity: int, max_wait_seconds: float = 0.05):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.max_wait_seconds = max_wait_seconds
-        self.batch_worthwhile = batch_worthwhile or (lambda size: size >= 2)
         self.queue: List[PendingRequest] = []
         self._next_ticket = 0
 
@@ -134,8 +122,6 @@ class SlotBatchingScheduler:
         if not self.queue:
             return None
         size = min(self.capacity, _floor_power_of_two(len(self.queue)))
-        if size >= 2 and not self.batch_worthwhile(size):
-            size = 1
         if size == 1:
             reason = "single"
         else:

@@ -11,23 +11,18 @@ returns and ``Server.metrics()`` renders.
   server's admission-conservation counters, rendered to Prometheus
   by :meth:`ServerStats.to_metrics`.
 
-All are frozen dataclasses.  ``ServerStats.to_json`` / ``from_json``
-run one codec over the dataclass fields, pinned by
-``STATS_SCHEMA_VERSION`` — a consumer reading a payload written by a
-different build fails loudly instead of mis-parsing it.
+All are frozen dataclasses, and ``ServerStats.schema_version`` names
+their layout (``STATS_SCHEMA_VERSION``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import typing
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.backend.ledger import LatencyHistogram
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.artifact import check_header
 from repro.serve.keys import backend_key_bytes
 
 #: Version 4: a worker row is its per-artifact ``lanes``, each carrying
@@ -35,13 +30,7 @@ from repro.serve.keys import backend_key_bytes
 #: ledger's op counts; the constant kernel name and the pool-side
 #: tenant key-cache fields are gone.  Version 3 added per-worker key-material
 #: accounting, version 2 the noise-budget telemetry (``WorkerStats.noise``).
-#: Payloads from any other version are rejected loudly by
-#: ``ServerStats.from_payload``.
 STATS_SCHEMA_VERSION = 4
-
-
-class StatsSchemaError(ValueError):
-    """A stats payload written by an incompatible schema version."""
 
 
 @dataclass(frozen=True)
@@ -233,12 +222,6 @@ class ServerStats:
             return 0.0
         return self.requests_rejected / self.requests_submitted
 
-    def worker(self, worker_id: int) -> WorkerStats:
-        for stats in self.workers:
-            if stats.worker_id == worker_id:
-                return stats
-        raise KeyError(f"no worker {worker_id}")
-
     # -- Prometheus ----------------------------------------------------------
     def to_metrics(self) -> MetricsRegistry:
         """The Prometheus view of these stats: the one place a serving
@@ -356,58 +339,3 @@ class ServerStats:
             help="Admitted requests not yet completed.",
         )
         return registry
-
-    # -- JSON ----------------------------------------------------------------
-    def to_payload(self) -> Dict:
-        return _encode(self)
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_payload(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "ServerStats":
-        check_header(
-            payload,
-            (("schema_version", "schema version", STATS_SCHEMA_VERSION),),
-            StatsSchemaError,
-            "stats payload",
-            "re-export from this build",
-        )
-        return _decode(cls, payload)
-
-    @classmethod
-    def from_json(cls, doc: str) -> "ServerStats":
-        return cls.from_payload(json.loads(doc))
-
-
-def _encode(value):
-    """Plain JSON for a stats value: a dataclass becomes the dict of its
-    fields, a tuple or list a list."""
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: _encode(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, (tuple, list)):
-        return [_encode(item) for item in value]
-    return value
-
-
-def _decode(kind, doc):
-    """Inverse of :func:`_encode`, directed by the field annotations."""
-    if dataclasses.is_dataclass(kind):
-        hints = typing.get_type_hints(kind)
-        return kind(**{
-            f.name: _decode(hints[f.name], doc[f.name])
-            for f in dataclasses.fields(kind)
-        })
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is typing.Union:  # Optional[...]
-        return None if doc is None else _decode(args[0], doc)
-    if origin is list:
-        return [_decode(args[0], item) for item in doc]
-    if origin is tuple:
-        if args[-1] is Ellipsis:
-            args = (args[0],) * len(doc)
-        return tuple(_decode(arg, item) for arg, item in zip(args, doc))
-    return kind(doc)

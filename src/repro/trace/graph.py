@@ -132,22 +132,6 @@ class LayerGraph:
         self.nodes = [node for node in self.nodes if id(node) not in doomed]
         self.invalidate()
 
-    def rewire_value(self, old_uid: int, new_uid: int) -> None:
-        """Replace every read of ``old_uid`` with ``new_uid``.
-
-        Used when a rewrite removes the producer of ``old_uid`` and an
-        equal value is available under ``new_uid`` (e.g. canceled
-        rotation pairs).  Also retargets the graph output.
-        """
-        for node in self.nodes:
-            if old_uid in node.inputs:
-                node.inputs = tuple(
-                    new_uid if uid == old_uid else uid for uid in node.inputs
-                )
-        if self.output_uid == old_uid:
-            self.output_uid = new_uid
-        self.invalidate()
-
 
 _ACTIVE_TRACE: List[LayerGraph] = []
 

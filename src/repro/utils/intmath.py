@@ -59,14 +59,3 @@ def bit_reverse_indices(n: int) -> np.ndarray:
         result = (result << 1) | (indices & 1)
         indices >>= 1
     return result
-
-
-def centered_mod(values: np.ndarray, modulus: int) -> np.ndarray:
-    """Map residues in ``[0, modulus)`` to the centered range.
-
-    Output lies in ``(-modulus/2, modulus/2]`` which is the standard lift
-    used when interpreting RNS residues as signed integers.
-    """
-    values = np.asarray(values)
-    half = modulus // 2
-    return np.where(values > half, values - modulus, values)

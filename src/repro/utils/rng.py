@@ -18,10 +18,6 @@ class SeededRng:
         self.seed = seed
         self._gen = np.random.default_rng(seed)
 
-    def fork(self, tag: int) -> "SeededRng":
-        """Derive an independent child stream (for per-layer use)."""
-        return SeededRng(hash((self.seed, tag)) & 0x7FFFFFFF)
-
     # -- generic draws -------------------------------------------------
     def uniform_mod(self, modulus: int, shape) -> np.ndarray:
         """Uniform integers in [0, modulus) as int64."""
@@ -58,15 +54,6 @@ class SeededRng:
     def normal(self, loc: float, scale: float, shape) -> np.ndarray:
         return self._gen.normal(loc, scale, size=shape)
 
-    def integers(self, low: int, high: int, shape) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)
-
-    def random(self, shape):
-        return self._gen.random(size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
     def bytes(self, length: int) -> bytes:
         """Draw ``length`` random bytes (PRG seeds for expandable keys)."""
         return self._gen.bytes(length)
@@ -80,8 +67,3 @@ class SeededRng:
         """Resume the stream from a :meth:`get_state` snapshot: the draws
         that follow are the ones that followed the snapshot."""
         self._gen.bit_generator.state = state
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """Access the underlying numpy generator."""
-        return self._gen

@@ -1,7 +1,7 @@
 """The diagonal method for dense matrices (paper Section 3.1, Fig. 2).
 
-Used directly for small dense matrices (tests, Figure 2 benchmark) and
-as the cleartext reference the packed executors are validated against.
+The cleartext form of the dataflow every packed matvec runs (rotate,
+multiply, accumulate), kept as a test oracle.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The form ``CkksContext.generate_rotation_keys`` had before keys were
 filled on a thread pool: walk the steps in order, and for each one keep
-the held key, restrict it, or draw and compute a fresh key right there —
+the held key if it covers the step's bound, or draw and compute a fresh
+key right there —
 the 32-byte PRG seed, then per digit one noise vector, its NTT, the
 expanded ``a_i`` half, the ``b_i`` row and the slot-order gather.  The
 batched path must leave the same keys, seeds, bounds, ``keys.galois``
@@ -65,17 +66,6 @@ def make_switching_key(context, from_key, to_key, max_level=None, exponent=1):
     return SwitchingKey(tensor, context.basis, exponent, max_level, seed)
 
 
-def restrict_switching_key(context, key, max_level):
-    """The prefix of ``key`` a key switch at ``level <= max_level`` reads."""
-    return SwitchingKey(
-        key.chain_view(context._ks_num_digits(max_level), max_level).copy(),
-        context.basis,
-        key.exponent,
-        max_level,
-        key.seed,
-    )
-
-
 def galois_key(context, exponent, max_level=None):
     exponent %= 2 * context.params.ring_degree
     need = context.params.max_level if max_level is None else max_level
@@ -87,21 +77,17 @@ def galois_key(context, exponent, max_level=None):
     return key
 
 
-def generate_compressed_galois_key(context, exponent, max_level):
+def bounded_galois_key(context, exponent, max_level):
     exponent %= 2 * context.params.ring_degree
     if max_level >= context.params.max_level:
         return galois_key(context, exponent)
     key = context.keys.galois.get(exponent)
-    if key is not None and key.max_level is not None and key.covers(max_level):
-        return key
-    if key is not None and key.covers(max_level):
-        key = restrict_switching_key(context, key, max_level)
-    else:
+    if key is None or not key.covers(max_level):
         rotated = context.keys.secret.automorphism(exponent)
         key = make_switching_key(
             context, rotated, context.keys.secret, max_level, exponent
         )
-    context.keys.galois[exponent] = key
+        context.keys.galois[exponent] = key
     return key
 
 
@@ -112,6 +98,6 @@ def generate_rotation_keys(
         exponent = context.encoder.rotation_exponent(step)
         bound = None if levels is None else levels.get(step)
         if bound is not None and bound < context.params.max_level:
-            generate_compressed_galois_key(context, exponent, bound)
+            bounded_galois_key(context, exponent, bound)
         else:
             galois_key(context, exponent)

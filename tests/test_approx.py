@@ -14,13 +14,25 @@ from repro.core.approx import (
     CompositeSign,
     chebyshev_fit,
     evaluate_chebyshev,
-    poly_eval_depth,
-    relu_approximation_error,
     remez_odd_sign,
 )
+from repro.core.approx.evaluator import measure_poly_depth
 from repro.core.approx.remez import _local_extrema
 from repro.core.approx.sign import _CACHE
 from reference.remez_loop import local_extrema_loop
+
+
+def relu_approximation_error(composite, samples=20001):
+    """Max |relu_approx(x) - relu(x)| over [-1, 1] (dead zone included:
+    inside (-tau, tau) the error of x*(sign+1)/2 is at most ~tau)."""
+    x = np.linspace(-1.0, 1.0, samples)
+    approx = x * (composite(x) + 1.0) / 2.0
+    return float(np.abs(approx - np.maximum(x, 0.0)).max())
+
+
+def poly_eval_depth(degree):
+    """Depth of a dense polynomial of the given degree."""
+    return measure_poly_depth(ChebyshevPoly(tuple([0.0, 1.0] + [1e-3] * max(0, degree - 1))))
 
 
 def _sha256(polys, error):

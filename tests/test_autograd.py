@@ -70,9 +70,6 @@ class TestElementwiseGrads:
     def test_square_grad(self):
         check_gradient(F.square, (10,))
 
-    def test_polynomial_grad(self):
-        check_gradient(F.polynomial, (8,), coeffs=[1.0, -2.0, 0.5, 3.0])
-
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=6))
     def test_matmul_grad(self, k):
@@ -234,14 +231,6 @@ class TestLosses:
         logits[1, 2] = 20.0
         loss = F.cross_entropy(Tensor(logits), np.array([1, 2]))
         assert loss.item() < 1e-8
-
-    def test_mse_loss(self):
-        pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = F.mse_loss(pred, np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
-        loss.backward()
-        assert np.allclose(pred.grad, [1.0, 2.0])
-
 
 class TestGraphMechanics:
     def test_no_grad_blocks_graph(self):

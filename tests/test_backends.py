@@ -20,7 +20,6 @@ class TestLedger:
         assert ledger.rotations == 1
         assert ledger.bootstraps == 1
         assert ledger.seconds == pytest.approx(10.6)
-        assert ledger.phase_seconds("conv") == pytest.approx(0.6)
 
     def test_nested_phases_restore(self):
         ledger = OpLedger()

@@ -12,8 +12,9 @@ Two tentpole mechanisms of the end-to-end bootstrap fast path:
   transform level leaves a *partial* last digit group.
 - **key compression**: grouped-digit switching keys store only the
   digits and limbs a key switch at their recorded maximum level
-  consumes (``SwitchingKey.max_level``).  Restriction-based compression
-  must be bit-identical to the full key at every covered level, fail
+  consumes (``SwitchingKey.max_level``).  A compressed key must be the
+  prefix of the full key the same draws make, so bit-identical at
+  every covered level; it must fail
   loudly above its bound, and measurably shrink stored key material —
   including through the serving path (placement level bounds ->
   a lane's eager compressed keygen, ``generate_lane_keys``).
@@ -194,46 +195,63 @@ def key_setup(request):
     return params, backend, vals
 
 
+def compressed_key(ctx, step, bound):
+    """Generate (or keep) the key for ``step`` bounded at ``bound``."""
+    ctx.generate_rotation_keys([step], {step: bound})
+    return ctx.keys.galois[ctx.encoder.rotation_exponent(step)]
+
+
 class TestKeyCompression:
-    def test_restricted_key_bitwise_at_covered_levels(self, key_setup):
-        """Compressing an existing key never changes a covered key
-        switch: restriction keeps exactly the rows the use-time tensor
-        extraction selects (partial last digit groups included)."""
-        params, backend, vals = key_setup
-        ctx = backend.context
-        exp = ctx.encoder.rotation_exponent(5)
+    def test_compressed_key_bitwise_at_covered_levels(self, key_setup):
+        """A compressed key is the prefix of the full-chain key the same
+        draws make: exactly the rows a key switch at a covered level
+        reads (partial last digit groups included), so every covered
+        key switch is bit-identical."""
+        params, _, vals = key_setup
+        full_backend = ToyBackend(params, seed=11)
+        small_backend = ToyBackend(params, seed=11)
+        exp = full_backend.context.encoder.rotation_exponent(5)
         bound = 4
-        refs = {}
-        for level in range(bound + 1):
-            ct = backend.encode_encrypt(vals, level=level)
-            refs[level] = (ct, ctx.rotate(ct, 5))
-        full_size = ctx.galois_key(exp).size_bytes()
-        key = ctx.generate_compressed_galois_key(exp, bound)
+        full = full_backend.context.galois_key(exp)
+        key = compressed_key(small_backend.context, 5, bound)
         assert key.max_level == bound
-        assert key.size_bytes() < full_size
-        for level, (ct, ref) in refs.items():
-            got = ctx.rotate(ct, 5)
+        assert key.size_bytes() < full.size_bytes()
+        digits = small_backend.context._ks_num_digits(bound)
+        assert np.array_equal(key.tensor, full.chain_view(digits, bound))
+        for level in range(bound + 1):
+            ct = full_backend.encode_encrypt(vals, level=level)
+            ref = full_backend.context.rotate(ct, 5)
+            got = small_backend.context.rotate(ct, 5)
             assert np.array_equal(got.c0.data, ref.c0.data), level
             assert np.array_equal(got.c1.data, ref.c1.data), level
+
+    @pytest.mark.parametrize("bound", range(9))
+    def test_full_chain_key_covers_every_bound(self, key_setup, bound):
+        """A held full-chain key serves any bound as it is: a bounded
+        request keeps the very key object and draws nothing."""
+        params = key_setup[0]
+        assert params.max_level == 8
+        ctx = ToyBackend(params, seed=11).context
+        full = ctx.galois_key(ctx.encoder.rotation_exponent(3))
+        state = ctx.rng.get_state()
+        assert compressed_key(ctx, 3, bound) is full
+        assert ctx.rng.get_state() == state
 
     def test_compressed_key_fails_loudly_above_bound(self, key_setup):
         params, backend, vals = key_setup
         ctx = backend.context
-        exp = ctx.encoder.rotation_exponent(7)
-        key = ctx.generate_compressed_galois_key(exp, 2)
+        key = compressed_key(ctx, 7, 2)
         ct = backend.encode_encrypt(vals, level=5)
         with pytest.raises(ValueError, match="compressed to level 2"):
             ctx._keyswitch(ct.c1, key, 5)
 
     def test_compressed_key_widens_on_larger_bound(self, key_setup):
         """A second program recording a *wider* bound for the same step
-        must get a covering key, not a ValueError from trying to
-        restrict the narrower cached one."""
+        must get a covering key, not the narrower cached one."""
         params, backend, vals = key_setup
         ctx = backend.context
-        exp = ctx.encoder.rotation_exponent(11)
-        narrow = ctx.generate_compressed_galois_key(exp, 2)
-        wide = ctx.generate_compressed_galois_key(exp, 4)
+        narrow = compressed_key(ctx, 11, 2)
+        wide = compressed_key(ctx, 11, 4)
         assert wide.max_level == 4
         assert wide.size_bytes() > narrow.size_bytes()
         ct = backend.encode_encrypt(vals, level=4)
@@ -246,7 +264,7 @@ class TestKeyCompression:
         params, backend, vals = key_setup
         ctx = backend.context
         exp = ctx.encoder.rotation_exponent(9)
-        ctx.generate_compressed_galois_key(exp, 1)
+        compressed_key(ctx, 9, 1)
         ct = backend.encode_encrypt(vals, level=6)
         got = backend.decrypt(ctx.rotate(ct, 9))
         assert np.abs(got - np.roll(vals, -9)).max() < 1e-2
@@ -259,11 +277,9 @@ class TestKeyCompression:
         params = bootstrap_parameters(ring_degree=64, ks_alpha=2)
         backend = ToyBackend(params, seed=3)
         ctx = backend.context
-        exp = ctx.encoder.rotation_exponent(1)
-        full = ctx.galois_key(exp)
-        full_size = full.size_bytes()
+        full_size = ctx.galois_key(ctx.encoder.rotation_exponent(2)).size_bytes()
         # STC-like level near the chain bottom: 3 of 16 limbs survive.
-        compressed = ctx.generate_compressed_galois_key(exp, 2)
+        compressed = compressed_key(ctx, 1, 2)
         assert compressed.size_bytes() * 4 < full_size
         # Digits: ceil(14/2)=7 -> ceil(3/2)=2; limbs: 16 -> 5.
         assert len(compressed.pairs) == 2

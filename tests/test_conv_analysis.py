@@ -15,7 +15,7 @@ from repro.core.packing import analysis
 from repro.core.packing.analysis import (
     ConvAnalysisTable,
     analyze_conv_packing,
-    conv_offset_profile,
+    conv_structure,
     merged_packing_stats,
 )
 from repro.core.packing.bsgs import plan_bsgs
@@ -47,7 +47,7 @@ def _geometries(kernel, groups_kind, gap):
 
 def _assert_matches_oracle(geometry):
     stats = analyze_conv_packing(*geometry)
-    profile = conv_offset_profile(*geometry)
+    profile = conv_structure(*geometry).profile
     ref_profile = brute.conv_offset_profile(*geometry)
     # Dataclass equality covers every field: rotations, pmults, ct
     # counts, num_unique_offsets, out_layout, _giants, num_folds, _offsets.
@@ -70,7 +70,7 @@ def test_stats_and_profile_match_bruteforce(kernel, groups_kind, gap):
         weight_shape, in_layout, stride, _, _, groups = geometry
         sibling = ((weight_shape[0], weight_shape[1], 1, 1), in_layout, stride,
                    (0, 0), (1, 1), groups)
-        side = conv_offset_profile(*sibling)
+        side = conv_structure(*sibling).profile
         if side.fold_shifts != profile.fold_shifts or side.num_in != profile.num_in:
             continue
         assert merged_packing_stats([profile, side]) == brute.merged_packing_stats(

@@ -6,7 +6,6 @@ from repro.datasets import (
     DataLoader,
     cifar_like,
     mnist_like,
-    tiny_imagenet_like,
     voc_like,
 )
 
@@ -15,7 +14,6 @@ class TestClassificationGenerators:
     def test_shapes(self):
         assert mnist_like(8).images.shape == (8, 1, 28, 28)
         assert cifar_like(8).images.shape == (8, 3, 32, 32)
-        assert tiny_imagenet_like(4).images.shape == (4, 3, 64, 64)
 
     def test_determinism(self):
         a = cifar_like(16, seed=5)

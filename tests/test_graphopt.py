@@ -110,39 +110,6 @@ class SkipBlock(on.Module):
         return self.act2(out)
 
 
-class RollFork(on.Module):
-    """Two branches rotating the fork value by the same offset."""
-
-    def __init__(self):
-        super().__init__()
-        self.flat = on.Flatten()
-        self.fc = on.Linear(16, 16)
-        self.roll_a = on.Roll(3)
-        self.roll_b = on.Roll(3)
-        self.sq_a = on.Square()
-        self.sq_b = on.Square()
-        self.add = on.Add()
-
-    def forward(self, x):
-        x = self.fc(self.flat(x))
-        return self.add(self.sq_a(self.roll_a(x)), self.sq_b(self.roll_b(x)))
-
-
-class RollCancel(on.Module):
-    """rotate/unrotate pair around a pointwise op — composes to zero."""
-
-    def __init__(self):
-        super().__init__()
-        self.flat = on.Flatten()
-        self.fc = on.Linear(16, 16)
-        self.roll_fwd = on.Roll(5)
-        self.sq = on.Square()
-        self.roll_back = on.Roll(-5)
-
-    def forward(self, x):
-        return self.roll_back(self.roll_fwd(self.sq(self.fc(self.flat(x)))))
-
-
 class Straight(on.Module):
     """No forks, no rotations: the optimizer must not touch it."""
 
@@ -160,7 +127,7 @@ class Straight(on.Module):
 class AllKinds(on.Module):
     """One of every instruction kind the compiler emits: linear layers,
     a ReLU (poly + multjoin), fused sibling convs (slice), their
-    residual add (addjoin), a Square and a Roll (rotate)."""
+    residual add (addjoin) and a Square."""
 
     def __init__(self):
         super().__init__()
@@ -172,12 +139,11 @@ class AllKinds(on.Module):
         self.sq = on.Square()
         self.flat = on.Flatten()
         self.fc = on.Linear(32, 16)
-        self.roll = on.Roll(3)
 
     def forward(self, x):
         x = self.act(self.conv1(x))
         x = self.sq(self.add(self.conv_a(x), self.conv_b(x)))
-        return self.roll(self.fc(self.flat(x)))
+        return self.fc(self.flat(x))
 
 
 # ---------------------------------------------------------------------------
@@ -213,35 +179,6 @@ class TestConcatFusion:
         assert [r.name for r in c_on.layer_reports] == [
             r.name for r in c_off.layer_reports
         ]
-
-
-# ---------------------------------------------------------------------------
-# rotation hoisting + cancellation
-# ---------------------------------------------------------------------------
-class TestRotationPasses:
-    def test_hoist_shared_branch_rotation(self, params):
-        onet, rng = make_net(RollFork, (1, 4, 4), seed=1)
-        c_on, c_off = assert_equivalent(onet, params, rng, (1, 4, 4))
-        assert c_on.graph_opt_report.rewrites.get("hoist_branch_rotations") == 1
-        assert c_on.total_rotations == c_off.total_rotations - 1
-
-    def test_cancel_rotate_unrotate_pair(self, params):
-        onet, rng = make_net(RollCancel, (1, 4, 4), seed=1)
-        c_on, c_off = assert_equivalent(onet, params, rng, (1, 4, 4))
-        # Roll(5) then Roll(-5) compose to Roll(0), which then vanishes.
-        assert c_on.graph_opt_report.rewrites.get("cancel_rotations") == 2
-        assert c_on.total_rotations == c_off.total_rotations - 2
-
-    def test_unoptimized_roll_still_executes(self, params):
-        """Roll lowers correctly on the reference path too."""
-        onet, rng = make_net(RollCancel, (1, 4, 4), seed=1)
-        compiled = onet.compile(params, optimize=False)
-        names = [r.name for r in compiled.layer_reports if r.kind == "rotate"]
-        assert len(names) == 2
-        img = rng.normal(0, 0.5, (1, 4, 4))
-        backend = ToyBackend(params)
-        compiled.run(backend, img)
-        assert backend.ledger.rotations == compiled.total_rotations
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +255,6 @@ class TestGraphCaches:
         assert n2.output not in graph.producers()
         assert graph.consumers().get(n1.output, []) == []
 
-    def test_caches_invalidate_on_rewire(self):
-        graph, n1, n2 = self._toy_graph()
-        graph.consumers()  # build
-        graph.rewire_value(n1.output, graph.input_uid)
-        assert graph.consumers()[graph.input_uid] == [n1, n2]
-
     def test_caches_invalidate_on_insert(self):
         graph, n1, n2 = self._toy_graph()
         graph.producers()  # build
@@ -354,7 +285,7 @@ class TestIntegration:
         compiled = onet.compile(params, optimize=True)
         kinds = {instr.kind for instr in compiled.program.instructions}
         assert kinds == {"linear", "poly", "multjoin", "slice", "addjoin",
-                         "square", "rotate"}
+                         "square"}
         compiled.export(str(tmp_path / "art"), params)
         from repro.serve import ArtifactMap
 
@@ -386,15 +317,15 @@ class TestIntegration:
             FheProgram.from_payload(payload, arrays.__getitem__)
 
     def test_each_kind_registers_its_own_class(self):
-        """The decode table holds the seven emitted kinds, each under the
+        """The decode table holds the six emitted kinds, each under the
         tag its class writes — nothing under the base class's empty tag."""
         from repro.core import program
 
         classes = (program.LinearInstr, program.PolyInstr, program.SquareInstr,
                    program.MultJoinInstr, program.AddJoinInstr,
-                   program.SliceInstr, program.RotateInstr)
+                   program.SliceInstr)
         assert program._KINDS == {cls.kind: cls for cls in classes}
-        assert len(program._KINDS) == 7
+        assert len(program._KINDS) == 6
 
     def test_new_kind_is_only_its_class(self, params, monkeypatch):
         """Defining a subclass is the whole of adding a kind: the program

@@ -240,10 +240,11 @@ class TestStackedHoistedRaw:
         bound = 2
         ct = toy_backend.level_down(ct, bound)
         steps = [1, 3, ("conj", 1)]
-        for step in steps:
-            ctx.generate_compressed_galois_key(
-                ctx.galois_offset_exponent(step), max_level=bound
-            )
+        exponents = [ctx.galois_offset_exponent(step) for step in steps]
+        for exponent in exponents:
+            ctx.keys.galois.pop(exponent, None)
+        ctx._generate_galois_keys([(exponent, bound) for exponent in exponents])
+        assert all(ctx.keys.galois[e].max_level == bound for e in exponents)
         got = ctx.rotate_hoisted_raw(ct, steps)
         assert_raw_equal(got, naive_hoisted_raw(ctx, ct, set(got)))
 
@@ -257,11 +258,13 @@ class TestStackedHoistedRaw:
         steps = [2, 6]
         exponent = ctx.galois_offset_exponent(2)
         ctx.keys.galois.pop(exponent, None)
-        narrow = ctx.generate_compressed_galois_key(exponent, 2)
+        ctx.generate_rotation_keys([2], {2: 2})
+        narrow = ctx.keys.galois[exponent]
         low = toy_backend.level_down(ct, 2)
         first = ctx.rotate_hoisted_raw(low, steps)
         assert_raw_equal(ctx.rotate_hoisted_raw(low, steps), first)
-        wide = ctx.generate_compressed_galois_key(exponent, 4)
+        ctx.generate_rotation_keys([2], {2: 4})
+        wide = ctx.keys.galois[exponent]
         assert wide is not narrow and wide.max_level == 4
         for level in (2, 4):
             at = toy_backend.level_down(ct, level)

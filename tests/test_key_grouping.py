@@ -35,7 +35,6 @@ from repro.nn import init
 from repro.orion import OrionNetwork
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import RnsPolynomial
-from repro.serve import ArtifactMap
 from repro.serve.artifact import build_artifact
 from repro.serve.grouping import (
     artifact_parameters,
@@ -44,7 +43,6 @@ from repro.serve.grouping import (
     key_switch_work,
     with_grouping,
 )
-from repro.serve.runtime import InferenceServer
 from repro.utils.primes import find_ntt_primes
 from test_trace import _zoo
 
@@ -99,7 +97,10 @@ class TestOnePassModDown:
 
     def test_rotate_with_a_compressed_key(self, backend, monkeypatch):
         ctx = backend.context
-        key = ctx.generate_compressed_galois_key(ctx.encoder.rotation_exponent(5), 3)
+        exponent = ctx.encoder.rotation_exponent(5)
+        ctx.keys.galois.pop(exponent, None)
+        ctx.generate_rotation_keys([5], {5: 3})
+        key = ctx.keys.galois[exponent]
         assert key.max_level == 3
         ct = _fresh(backend, level=2)
         _assert_bit_identical(*_one_pass_and_loop(monkeypatch, lambda: ctx.rotate(ct, 5)))
@@ -340,25 +341,3 @@ class TestChooser:
         assert secure.is_128_bit_secure() and chosen is secure
         insecure, regrouped = choose(4096)
         assert not insecure.is_128_bit_secure() and regrouped.ks_alpha > 1
-
-
-def test_serve_and_export_then_load_agree(tmp_path):
-    """One decision point: ``serve()`` builds the artifact export writes,
-    with the same (regrouped) parameters and the same lane keys, and
-    answers bit for bit what a worker built from the loaded manifest
-    answers."""
-    onet = _network(lambda: resnet_cifar(8, act=silu_act(15), width=2), (3, 8, 8))
-    params = toy_parameters(ring_degree=1024, max_level=12, boot_levels=3, scale_bits=24)
-    served = onet.serve(params)
-    path = str(tmp_path / "resnet.npz")
-    onet.export(path, params)
-    loaded = ArtifactMap(path).load()
-    chosen = loaded.manifest.to_params()
-    assert chosen.ks_alpha > 1 and chosen.data_primes == params.data_primes
-    assert served.backend.params == chosen and served.backend.params.primes == chosen.primes
-    worker = InferenceServer(loaded, ToyBackend(chosen))
-    # Both servers generated their keys at construction, the same way.
-    held = [s.backend.context.keys.galois for s in (served, worker)]
-    assert held[0] and held[0].keys() == held[1].keys()
-    image = np.random.default_rng(0).normal(0.0, 0.5, (8, 3, 8, 8))[0]
-    assert np.array_equal(served.serve_now(image).output, worker.serve_now(image).output)

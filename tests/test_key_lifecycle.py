@@ -16,7 +16,6 @@ import pytest
 
 from repro import serve
 from repro.backend import ToyBackend
-from repro.backend.ledger import LatencyHistogram
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import (
     KEY_PRG_SEED_BYTES,
@@ -32,14 +31,6 @@ from repro.orion import OrionNetwork
 from repro.serve import ArtifactMap, save_artifact
 from repro.serve.keys import default_backend_factory
 from repro.serve.runtime import InferenceServer
-from repro.serve.stats import (
-    STATS_SCHEMA_VERSION,
-    LaneStats,
-    NoiseStats,
-    ServerStats,
-    StatsSchemaError,
-    WorkerStats,
-)
 
 
 def _tiny_params(ks_alpha: int = 1, max_level: int = 4):
@@ -108,7 +99,7 @@ class TestSeedExpansion:
     def test_expansion_at_compressed_level_bounds(self, ks_alpha):
         """Compressed keys (per-step level bounds) expand from the same
         seed: rows are keyed by prime *value*, not chain position, so
-        restriction composes with seed expansion automatically."""
+        a compressed chain composes with seed expansion automatically."""
         params = _tiny_params(ks_alpha)
         context = CkksContext(params, seed=9)
         context.generate_rotation_keys([1], levels={1: params.max_level - 2})
@@ -159,7 +150,8 @@ class TestOneResidentTensor:
         if bound is None:
             key = context.galois_key(exponent)
         else:
-            key = context.generate_compressed_galois_key(exponent, bound)
+            context.generate_rotation_keys([1], {1: bound})
+            key = context.keys.galois[exponent]
         for key in (key, context.keys.relin):
             top = params.max_level if key.max_level is None else key.max_level
             assert key.tensor.dtype == np.uint32
@@ -311,7 +303,7 @@ class TestHotReload:
 
         def one(server, image):
             server.submit(image, client_id="alice", now=0.0)
-            (result,) = server.drain()
+            (result,) = server.step()
             return result.output
 
         config = serve.ServerConfig(workers=1, mode=mode, batch_window_seconds=0.0)
@@ -366,56 +358,7 @@ class TestHotReload:
                 server.reload()
 
 
-def _stats(**lane_overrides):
-    lane = dict(
-        artifact_id="mlp",
-        requests_served=1,
-        batches_run=1,
-        queue_depth=0,
-        capacity=8,
-        preloaded_plaintexts=0,
-        compilations_since_load=0,
-        placements_since_load=0,
-        mmap_backed=True,
-        key_bytes_resident=0,
-        modeled_seconds=0.0,
-        rotations=0,
-        bootstraps=0,
-        ops=(),
-        noise=NoiseStats(),
-        request_latency=LatencyHistogram(),
-        queue_wait=LatencyHistogram(),
-        phases=(),
-    )
-    lane.update(lane_overrides)
-    return ServerStats(
-        schema_version=STATS_SCHEMA_VERSION,
-        artifacts=("mlp",),
-        requests_submitted=1,
-        requests_admitted=1,
-        requests_rejected=0,
-        requests_completed=1,
-        in_flight=0,
-        workers=(WorkerStats(0, (LaneStats(**lane),)),),
-    )
-
-
 class TestTelemetry:
-    def test_stats_v2_payload_rejected(self):
-        payload = _stats().to_payload()
-        assert payload["schema_version"] == STATS_SCHEMA_VERSION == 4
-        payload["schema_version"] = 2
-        with pytest.raises(
-            StatsSchemaError, match="schema version 2, but this build reads schema version 4"
-        ):
-            ServerStats.from_payload(payload)
-
-    def test_stats_roundtrip_carries_key_bytes(self):
-        stats = _stats(key_bytes_resident=1024)
-        back = ServerStats.from_json(stats.to_json())
-        assert back == stats
-        assert back.workers[0].key_bytes_resident == 1024
-
     def test_metrics_expose_key_material_gauges(self, mlp_deployment):
         """A lane reports the rotation-key bytes its own backend holds."""
         params, base_path = mlp_deployment

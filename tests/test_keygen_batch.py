@@ -32,10 +32,10 @@ SLOTS = 32  # ring degree 64
 SCENARIOS = {
     "full-chain": [([1, 2, 3, 5, 7, -1], None)],
     "compressed": [([1, 2, 3, 4, 6], {1: 0, 2: 2, 3: 4, 4: 5, 6: 9})],
-    "cached-full-restricted": [([3, 6], None), ([1, 3, 6], {3: 2, 6: 0})],
+    "cached-full-kept": [([3, 6], None), ([1, 3, 6], {3: 2, 6: 0})],
     "narrow-compressed-widened": [([5, 2], {5: 1, 2: 0}), ([5, 2, 8], {5: 3, 2: 0, 8: 1})],
     "duplicate-steps": [([3, 3, 3], None), ([3, 3], {3: 1})],
-    # Steps s and s + SLOTS share an exponent: full then restricted,
+    # Steps s and s + SLOTS share an exponent: full then kept,
     # narrow then widened (two draws), wide then kept — inside one call.
     "one-exponent-twice-in-a-call": [
         ([2, 2 + SLOTS, 7, 7 + SLOTS, 9, 9 + SLOTS], {34: 1, 7: 1, 39: 3, 9: 3, 41: 1})
@@ -129,18 +129,24 @@ class TestByteIdenticalToTheLoop:
         reference = CkksContext(params, seed=5)
         exponent = batched.encoder.rotation_exponent
         for context, galois_key, compressed in (
-            (batched, batched.galois_key, batched.generate_compressed_galois_key),
+            (
+                batched,
+                batched.galois_key,
+                lambda step, bound: batched.generate_rotation_keys([step], {step: bound}),
+            ),
             (
                 reference,
                 lambda e, level=None: keygen_loop.galois_key(reference, e, level),
-                lambda e, bound: keygen_loop.generate_compressed_galois_key(reference, e, bound),
+                lambda step, bound: keygen_loop.generate_rotation_keys(
+                    reference, [step], {step: bound}
+                ),
             ),
         ):
-            compressed(exponent(1), 1)
+            compressed(1, 1)
             galois_key(exponent(1), 0)  # covered: kept
             galois_key(exponent(1), 3)  # outgrown: full chain
-            compressed(exponent(1), 2)  # restricted
-            compressed(exponent(4), 6)  # above the top: full chain
+            compressed(1, 2)  # a full chain covers it: kept
+            compressed(4, 6)  # above the top: full chain
         assert _snapshot(batched) == _snapshot(reference)
 
     @pytest.mark.parametrize("ks_alpha, num_special", GROUPINGS)

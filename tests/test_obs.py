@@ -28,7 +28,6 @@ from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
     NoiseMonitor,
-    Span,
     Tracer,
     chrome_trace,
     get_tracer,
@@ -129,19 +128,18 @@ class TestSpanTree:
             pass
         assert [p["name"] for p in tracer.drain()] == ["b"]
 
-    def test_span_payload_round_trip(self):
+    def test_span_payload_is_json_safe(self):
         ledger = OpLedger()
         tracer = Tracer()
         with tracer.span("root", category="serve", ledger=ledger, k=1):
             ledger.charge("hmult", 0.5)
             with tracer.span("child"):
                 pass
-        payload = tracer.roots[0].to_payload()
-        restored = Span.from_payload(json.loads(json.dumps(payload)))
-        assert restored.name == "root"
-        assert restored.ops == {"hmult": 1}
-        assert restored.attrs == {"k": 1}
-        assert [c.name for c in restored.children] == ["child"]
+        payload = json.loads(json.dumps(tracer.roots[0].to_payload()))
+        assert payload["name"] == "root"
+        assert payload["ops"] == {"hmult": 1}
+        assert payload["attrs"] == {"k": 1}
+        assert [c["name"] for c in payload["children"]] == ["child"]
 
 
 class TestNullTracer:
@@ -153,7 +151,6 @@ class TestNullTracer:
             assert span.set(a=1) is NULL_SPAN
         assert NULL_TRACER.record_span("x", 0.0, 1.0) is None
         assert NULL_TRACER.drain() == []
-        assert NULL_TRACER.to_jsonl() == ""
 
     def test_use_tracer_scopes_and_restores(self):
         # The CI tracing-on leg installs an ambient tracer, so pin the
@@ -183,15 +180,6 @@ class TestExports:
             with tracer.span("execute", category="serve"):
                 pass
         return tracer
-
-    def test_jsonl_flattens_depth_first(self):
-        tracer = self._tracer_with_tree()
-        lines = [json.loads(l) for l in tracer.to_jsonl().splitlines()]
-        assert [(r["name"], r["depth"], r["parent"]) for r in lines] == [
-            ("serve.batch", 0, None),
-            ("execute", 1, "serve.batch"),
-        ]
-        assert lines[0]["ops"] == {"hrot": 4}
 
     def test_chrome_trace_tracks_and_events(self):
         tracer = self._tracer_with_tree()
@@ -362,15 +350,6 @@ class TestNoiseMonitor:
             monitor.record("rescale", level, level - 1)
         assert len(monitor.events) == 2
         assert monitor.events[-1][2] == 0  # newest kept
-
-    def test_merge(self):
-        a = NoiseMonitor()
-        a.record("rescale", 3, 2)
-        b = NoiseMonitor()
-        b.record("bootstrap", 0, 6)
-        a.merge(b)
-        assert a.rescales == 1 and a.bootstraps == 1
-        assert a.min_level == 2
 
     def test_events_attach_to_active_span(self):
         monitor = NoiseMonitor()

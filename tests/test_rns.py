@@ -91,12 +91,6 @@ class TestRnsPolynomial:
             np.array([int(x) % q for x in expected], dtype=object),
         )
 
-    def test_scalar_mul(self, basis):
-        primes = basis.primes[:3]
-        ca, pa = self._random_poly(basis, primes, 6, magnitude=1000)
-        got = pa.scalar_mul(7).to_bigint_coeffs()
-        assert np.array_equal(got, ca * 7)
-
     def test_automorphism_composition(self, basis):
         """sigma_5 applied slot-count times is the identity."""
         primes = basis.primes[:2]

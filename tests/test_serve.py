@@ -376,14 +376,18 @@ class TestScheduler:
         assert batch.size == 2 and batch.reason == "partial"
         assert [r.ticket for r in batch.requests] == [0, 1]
 
-    def test_single_when_batching_not_worthwhile(self):
-        sched = SlotBatchingScheduler(
-            capacity=8, max_wait_seconds=0.0, batch_worthwhile=lambda size: False
-        )
-        sched.submit("a", 1, now=0.0)
-        sched.submit("b", 2, now=0.0)
+    @pytest.mark.parametrize("backlog", range(2, 10))
+    def test_a_backlog_always_batches(self, backlog):
+        """Any backlog of two or more leaves as the largest power of two
+        it holds, up to capacity: a batched run costs what a single run
+        costs, so there is no "not worthwhile" arm."""
+        sched = SlotBatchingScheduler(capacity=8, max_wait_seconds=0.0)
+        for i in range(backlog):
+            sched.submit(f"c{i}", i, now=0.0)
         batch = sched.next_batch()
-        assert batch.size == 1 and batch.reason == "single"
+        expected = min(8, 1 << (backlog.bit_length() - 1))
+        assert batch.size == expected
+        assert batch.reason == ("full" if expected == 8 else "partial")
 
     def test_backlog_drains_into_power_of_two_batches(self):
         sched = SlotBatchingScheduler(capacity=4, max_wait_seconds=100.0)
@@ -529,7 +533,7 @@ class TestLaneKeyGeneration:
     @staticmethod
     def _holds_exactly(backend, snapshot):
         """The backend's keys are the very objects of ``snapshot``: none
-        added, none regenerated, none restricted."""
+        added, none regenerated."""
         held = backend.context.keys.galois
         return list(held) == list(snapshot) and all(
             held[exponent] is key for exponent, key in snapshot.items()
@@ -645,18 +649,6 @@ class TestLaneKeyGeneration:
             server.warm(batch_sizes=(1, 4))
         assert self._holds_exactly(server.backend, snapshot)
 
-    def test_orion_network_serve_keys_like_a_lane(self, mlp_artifact, artifact):
-        onet, _, params, _, _ = mlp_artifact
-        server = onet.serve(
-            params,
-            backend=ToyBackend(artifact.manifest.to_params(), seed=4),
-            max_batch=1,
-        )
-        assert self._same_key_material(
-            server.backend, self._lane(artifact, seed=4)
-        )
-
-
 class TestInferenceServer:
     @pytest.fixture(scope="class")
     def served(self, tmp_path_factory):
@@ -723,10 +715,10 @@ class TestInferenceServer:
                 artifact, ToyBackend(artifact.manifest.to_params(), seed=1), max_batch=0
             )
 
-    def test_drain_flushes_queue(self, served):
+    def test_step_flushes_queue(self, served):
         _, rng, *_ , server = served
         for i in range(3):
             server.submit(rng.normal(0, 0.5, (1, 8, 8)), now=0.0)
-        results = server.drain()
+        results = server.step()
         assert len(results) == 3
         assert sorted(r.batch_size for r in results) == [1, 2, 2]

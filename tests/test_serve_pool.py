@@ -24,7 +24,6 @@ The correctness gates of the pool PR:
 
 import gc
 import hashlib
-import json
 import os
 import signal
 import subprocess
@@ -49,7 +48,6 @@ from repro.serve import (
     ArtifactSpec,
     ServerConfig,
     ServerStats,
-    StatsSchemaError,
     WorkerLostError,
     WorkerStats,
     is_mmap_backed,
@@ -160,7 +158,7 @@ class TestBitExactness:
             )
             for client, image in share:
                 solo.submit(image, client_id=client)
-            for solo_result in solo.drain():
+            for solo_result in solo.step():
                 pool_result = pool_results[solo_result.client_id]
                 assert pool_result.worker_id == worker_id
                 assert pool_result.batch_size == solo_result.batch_size
@@ -379,6 +377,32 @@ class TestMeasuredAdmission:
         )
 
 
+class TestLockStepDrain:
+    def test_drain_sends_every_step_before_reading_a_reply(self):
+        """``drain()`` is one lock-step step: every worker gets its step
+        before any reply is read, so process workers drain in parallel."""
+        log = []
+
+        class Recording(_StubWorker):
+            def begin_step(self, now):
+                log.append(("begin", self.worker_id))
+
+            def finish_step(self, now):
+                log.append(("finish", self.worker_id))
+                return super().finish_step(now)
+
+        workers = [Recording(0.02, [0.2] * 4) for _ in range(2)]
+        for worker_id, worker in enumerate(workers):
+            worker.worker_id = worker_id
+        spec = ArtifactSpec("mlp", path="mlp.npz")
+        server = serve.Server((spec,), workers, ServerConfig(workers=2))
+        for client in ("alice", "bob", "carol", "dave"):
+            server.submit(None, client_id=client)
+        assert len(server.drain()) == 4
+        assert log == [("begin", 0), ("begin", 1), ("finish", 0), ("finish", 1)]
+        assert server.stats().in_flight == 0
+
+
 class TestWorkConserving:
     def test_window_does_not_change_what_executes(self, artifact_path):
         """One scripted submit/step sequence at the default 50 ms window
@@ -426,7 +450,7 @@ class TestSharedMmapTables:
 
     def test_mapped_arrays_are_read_only(self, artifact_path):
         amap = ArtifactMap(artifact_path)
-        assert amap.mapped_bytes() > 0
+        assert sum(array.nbytes for array in amap.arrays.values()) > 0
         for name, array in amap.arrays.items():
             assert is_mmap_backed(array), name
             with pytest.raises((ValueError, TypeError)):
@@ -500,8 +524,6 @@ class TestFrontDoor:
             ServerConfig(max_queue_depth=0)
         with pytest.raises(ValueError):
             ServerConfig(admission_budget_seconds=0.0)
-        config = ServerConfig().with_overrides(workers=2)
-        assert config.workers == 2
 
     def test_open_accepts_loaded_artifact(self, artifact_path):
         artifact = ArtifactMap(artifact_path).load()
@@ -531,25 +553,15 @@ class TestFrontDoor:
 
 
 class TestStatsSchema:
-    def test_round_trip(self, artifact_path):
+    def test_one_row_per_worker(self, artifact_path):
         with serve.open(artifact_path, _pool_config()) as server:
             for i, image in enumerate(_images(5)):
                 server.submit(image, client_id=f"client-{i}")
             server.drain()
             stats = server.stats()
-        doc = stats.to_json(indent=2)
-        assert ServerStats.from_json(doc) == stats
-        payload = json.loads(doc)
-        assert payload["schema_version"] == serve.STATS_SCHEMA_VERSION
+        assert stats.schema_version == serve.STATS_SCHEMA_VERSION
         assert stats.reject_rate == 0.0
-        assert len(payload["workers"]) == 4
-
-    def test_foreign_schema_version_rejected(self, artifact_path):
-        with serve.open(artifact_path, ServerConfig()) as server:
-            payload = server.stats().to_payload()
-        payload["schema_version"] = 999
-        with pytest.raises(StatsSchemaError):
-            ServerStats.from_payload(payload)
+        assert len(stats.workers) == 4
 
     def test_conservation_enforced_by_schema(self):
         with pytest.raises(ValueError, match="conservation"):
@@ -895,7 +907,7 @@ class TestProcessMode:
         image = _images(1)[0]
         with serve.open(artifact_path, config) as server:
             forked = server.serve_now(image, client_id="alice")
-        with serve.open(artifact_path, config.with_overrides(mode="inline")) as server:
+        with serve.open(artifact_path, _pool_config(workers=1, mode="inline")) as server:
             inline = server.serve_now(image, client_id="alice")
         assert np.array_equal(forked.output, inline.output)
 

@@ -35,9 +35,9 @@ _WORD = re.compile(r"\w+")
 _CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
-def _py_files(roots):
+def _py_files(roots, base=None):
     for root in roots:
-        for directory, _, names in os.walk(os.path.join(REPO_ROOT, root)):
+        for directory, _, names in os.walk(os.path.join(base or REPO_ROOT, root)):
             for name in sorted(names):
                 if name.endswith(".py"):
                     yield os.path.join(directory, name)
@@ -60,17 +60,36 @@ def _constants(body):
                     yield name.id, statement.lineno
 
 
+def walk_defs(node, prefix=""):
+    """``(qualname, def_node)`` for each def/class statement under
+    ``node``, nested ones too; a nested name is dotted onto its
+    enclosing def's (``Class.method``, ``outer.inner``)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _DEFS):
+            yield prefix + child.name, child
+            yield from walk_defs(child, prefix + child.name + ".")
+        else:
+            yield from walk_defs(child, prefix)
+
+
+def src_trees(base=None):
+    """``(path, module_ast)`` for every ``*.py`` file under
+    ``<base>/src/`` (``base`` defaults to the repository root)."""
+    for path in _py_files(("src",), base):
+        with open(path, encoding="utf-8") as f:
+            yield path, ast.parse(f.read(), filename=path)
+
+
 def _definitions():
     """``[(name, file, line)]`` for every def/class, and every module- or
     class-level UPPER_CASE constant, under ``src/``."""
     found = []
-    for path in _py_files(("src",)):
-        with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), filename=path)
-        for node in ast.walk(tree):
-            if isinstance(node, _DEFS) and not node.name.startswith("__"):
+    for path, tree in src_trees():
+        found.extend((name, path, line) for name, line in _constants(tree.body))
+        for _, node in walk_defs(tree):
+            if not node.name.startswith("__"):
                 found.append((node.name, path, node.lineno))
-            if isinstance(node, (ast.Module, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
                 found.extend((name, path, line) for name, line in _constants(node.body))
     return found
 
