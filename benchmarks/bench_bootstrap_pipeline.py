@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 import pytest
-from bench_json_util import merge_json
+from json_util import merge_json
 
 from repro.backend.toy import ToyBackend
 from repro.ckks.bootstrap import CkksBootstrapper

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from bench_json_util import merge_json as _merge_json
+from json_util import merge_json as _merge_json
 
 from repro.backend import ToyBackend
 from repro.ckks.galois import galois_offset_key

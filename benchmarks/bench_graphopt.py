@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 import pytest
-from bench_json_util import merge_json as _merge_json
+from json_util import merge_json as _merge_json
 
 import repro.orion.nn as on
 from repro.backend import ToyBackend

@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 import pytest
-from bench_json_util import JSON_PATH, merge_json as _merge_json
+from json_util import JSON_PATH, merge_json as _merge_json
 
 from repro import serve
 from repro.ckks.params import toy_parameters

@@ -35,7 +35,7 @@ from repro.nn import init
 from repro.orion import OrionNetwork
 
 
-def main():
+def main(scratch):
     rng = np.random.default_rng(0)
 
     # -- offline: compile once, export the artifact ---------------------
@@ -46,7 +46,7 @@ def main():
     params = toy_parameters(
         ring_degree=2048, max_level=6, boot_levels=1, scale_bits=24
     )
-    path = os.path.join(tempfile.mkdtemp(), "mnist_mlp.npz")
+    path = os.path.join(scratch, "mnist_mlp.npz")
     print("Compiling and exporting the serving artifact ...")
     onet.export(path, params)
     print(f"  wrote {path} ({os.path.getsize(path) // 1024} KiB)")
@@ -157,4 +157,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    # The artifact lives as long as the example: the directory is removed
+    # after the pool has closed.
+    with tempfile.TemporaryDirectory() as scratch:
+        main(scratch)

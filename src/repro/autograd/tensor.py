@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -62,11 +63,11 @@ class Tensor:
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return len(self.shape)
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return math.prod(self.shape)
 
     def item(self) -> float:
         return float(self.data)

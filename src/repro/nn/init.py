@@ -1,6 +1,12 @@
-"""Weight initialization (Kaiming fan-in, matching torchvision defaults)."""
+"""Weight initialization (Kaiming fan-in, matching torchvision defaults).
+
+Draws are deferred (:class:`Draw`): a layer's weights are computed on
+their first read, so a compile that reads only shapes allocates none.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -13,11 +19,34 @@ def seed_init(seed: int) -> None:
     _INIT_RNG = np.random.default_rng(seed)
 
 
-def kaiming_uniform(shape, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return _INIT_RNG.uniform(-bound, bound, size=shape)
+class Draw:
+    """``uniform(-bound, bound, size=shape)`` at a fixed place in the init stream.
+
+    Construction copies the stream's PCG64 state and advances the stream
+    past ``prod(shape)`` outputs; calling replays the copy.
+    ``Generator.uniform`` uses exactly one 64-bit output per double, so
+    the values are byte-equal to an eager draw's, whatever order the
+    draws are replayed in.
+    """
+
+    __slots__ = ("shape", "bound", "state")
+
+    def __init__(self, shape, bound: float):
+        self.shape = tuple(int(d) for d in shape) if np.iterable(shape) else (int(shape),)
+        self.bound = bound
+        bit_generator = _INIT_RNG.bit_generator
+        self.state = bit_generator.state
+        bit_generator.advance(math.prod(self.shape))
+
+    def __call__(self) -> np.ndarray:
+        bit_generator = np.random.PCG64()
+        bit_generator.state = self.state
+        return np.random.Generator(bit_generator).uniform(-self.bound, self.bound, size=self.shape)
 
 
-def uniform_bias(shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in) if fan_in > 0 else 0.0
-    return _INIT_RNG.uniform(-bound, bound, size=shape)
+def kaiming_uniform(shape, fan_in: int) -> Draw:
+    return Draw(shape, np.sqrt(6.0 / fan_in))
+
+
+def uniform_bias(shape, fan_in: int) -> Draw:
+    return Draw(shape, 1.0 / np.sqrt(fan_in) if fan_in > 0 else 0.0)

@@ -8,13 +8,43 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.nn.init import Draw
+
+#: The slot a :class:`Tensor` keeps its array in; a Parameter's ``data``
+#: property wraps it.
+_DATA = Tensor.data
 
 
 class Parameter(Tensor):
-    """A trainable tensor (requires_grad is always on at creation)."""
+    """A trainable tensor (requires_grad is always on at creation).
+
+    Built from an init :class:`~repro.nn.init.Draw`, it holds no values
+    until ``.data`` is first read.  ``shape`` (and with it ``ndim`` and
+    ``size``) answers from the draw's shape; assigning ``.data``
+    replaces the draw.
+    """
 
     def __init__(self, data):
-        super().__init__(data, requires_grad=True)
+        deferred = isinstance(data, Draw)
+        super().__init__(() if deferred else data, requires_grad=True)
+        if deferred:
+            _DATA.__set__(self, data)
+
+    @property
+    def data(self) -> np.ndarray:
+        value = _DATA.__get__(self)
+        if isinstance(value, Draw):
+            value = value()
+            _DATA.__set__(self, value)
+        return value
+
+    @data.setter
+    def data(self, value) -> None:
+        _DATA.__set__(self, value)
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return _DATA.__get__(self).shape
 
 
 class Module:

@@ -1,12 +1,16 @@
 """Tests for the module system, layers, optimizers, and training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import models, nn
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, no_grad
 from repro.datasets import DataLoader, mnist_like
+from repro.nn import init
+from repro.nn.layers import Conv2d, Linear
 
 
 class TestModuleRegistry:
@@ -153,3 +157,125 @@ class TestEndToEndTraining:
             logits = model(Tensor(test.images)).data
         accuracy = (logits.argmax(axis=1) == test.labels).mean()
         assert accuracy > 0.6, f"accuracy {accuracy:.2f} too low"
+
+
+ZOO = {
+    "SecureMlp": lambda: models.SecureMlp(),
+    "LolaCnn": lambda: models.LolaCnn(),
+    "LeNet5": lambda: models.LeNet5(),
+    "AlexNet": lambda: models.AlexNet(width=8),
+    "Vgg16": lambda: models.Vgg16(width=8),
+    "resnet_cifar": lambda: models.resnet_cifar(20, width=8),
+    "resnet_imagenet": lambda: models.resnet_imagenet(50, width=8, classes=20),
+    "MobileNetV1": lambda: models.MobileNetV1(width=8, num_blocks=4, classes=20),
+    "YoloV1": lambda: models.YoloV1(grid=2, classes=4, width=8, head_width=16, fc_hidden=16),
+}
+
+
+@pytest.fixture
+def built_layers(monkeypatch):
+    """Every Conv2d / Linear built while the test runs, in construction order."""
+    layers = []
+    for cls in (Conv2d, Linear):
+        def recording_init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            layers.append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording_init)
+    return layers
+
+
+def eager_reference(layers, seed):
+    """What drawing at build time gives: one ``uniform`` per parameter, in
+    construction order, from a fresh ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for layer in layers:
+        if isinstance(layer, Conv2d):
+            kh, kw = layer.kernel_size
+            fan_in = layer.in_channels // layer.groups * kh * kw
+        else:
+            fan_in = layer.in_features
+        bound = np.sqrt(6.0 / fan_in)
+        out.append((layer.weight, rng.uniform(-bound, bound, size=layer.weight.shape)))
+        if layer.bias is not None:
+            bound = 1.0 / np.sqrt(fan_in)
+            out.append((layer.bias, rng.uniform(-bound, bound, size=layer.bias.shape)))
+    return out
+
+
+class TestDeferredInit:
+    @pytest.mark.parametrize("order", ["construction", "reverse"])
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_zoo_weights_equal_eager_draws(self, built_layers, name, order):
+        """Two models built back to back from one seed_init: every
+        parameter, whenever it is first read, holds the bytes an eager
+        draw at build time would have given."""
+        names = sorted(ZOO)
+        second = names[(names.index(name) + 1) % len(names)]
+        init.seed_init(11)
+        ZOO[name]()
+        ZOO[second]()
+        expected = eager_reference(built_layers, 11)
+        assert expected
+        pairs = expected if order == "construction" else expected[::-1]
+        drawn = [param.data for param, _ in pairs]
+        for value, (param, reference) in zip(drawn, pairs):
+            assert value.dtype == np.float64 and value.shape == param.shape
+            assert value.tobytes() == reference.tobytes()
+
+    def test_analyze_compile_of_resnet34_allocates_no_weight(self):
+        """ResNet-34's 21.8 M float64 weights are 168 MB; an analyze-mode
+        compile reads only their shapes, so building and compiling it
+        stays far below that."""
+        from repro.ckks.params import paper_parameters
+        from repro.orion import OrionNetwork
+
+        params = paper_parameters()
+        init.seed_init(0)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            net = OrionNetwork(models.resnet_imagenet(34, act=models.silu_act(127)), (3, 224, 224))
+            net.compile(params, mode="analyze")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_shape_queries_do_not_draw(self, monkeypatch):
+        draws = []
+        replay = init.Draw.__call__
+        monkeypatch.setattr(init.Draw, "__call__", lambda self: draws.append(self) or replay(self))
+        layer = nn.Conv2d(3, 8, kernel_size=3)
+        weight = layer.weight
+        assert (weight.shape, weight.ndim, weight.size) == ((8, 3, 3, 3), 4, 216)
+        assert (layer.bias.shape, layer.bias.ndim, layer.bias.size) == ((8,), 1, 8)
+        assert draws == []
+        first = weight.data
+        assert weight.data is first and len(draws) == 1
+
+    def test_sgd_step_on_an_undrawn_parameter(self):
+        init.seed_init(3)
+        layer = nn.Linear(4, 3)
+        bound = np.sqrt(6.0 / 4)
+        expected = np.random.default_rng(3).uniform(-bound, bound, size=(3, 4))
+        grad = np.arange(12.0).reshape(3, 4)
+        layer.weight.grad = grad
+        nn.SGD([layer.weight], lr=0.1).step()
+        assert np.array_equal(layer.weight.data, expected - 0.1 * grad)
+
+    def test_assignment_replaces_a_pending_draw(self):
+        init.seed_init(4)
+        first = nn.Linear(4, 3)
+        first.weight.data = np.ones((2, 5))
+        assert first.weight.shape == (2, 5) and first.weight.size == 10
+        assert np.array_equal(first.weight.data, np.ones((2, 5)))
+        # The stream already moved past the replaced draw at build time.
+        second = nn.Linear(4, 3, bias=False)
+        rng = np.random.default_rng(4)
+        rng.uniform(size=12 + 3)
+        bound = np.sqrt(6.0 / 4)
+        assert np.array_equal(second.weight.data, rng.uniform(-bound, bound, size=(3, 4)))
