@@ -227,7 +227,6 @@ def _assert_bit_exact_vs_solo(
         solo = InferenceServer(
             solo_artifact,
             default_backend_factory(solo_artifact.manifest.to_params(), 0),
-            batching=True,
             max_wait_seconds=0.0,
         )
         solo.warm()  # the pool warmed its workers; match the RNG stream

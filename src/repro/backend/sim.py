@@ -30,6 +30,7 @@ import numpy as np
 from repro.backend.costs import CostModel
 from repro.backend.interface import FheBackend, ScaleLike
 from repro.backend.ledger import KeySwitch
+from repro.ckks.context import BOOT_PRECISION_BITS, BOOT_RANGE_SLACK
 from repro.ckks.galois import galois_offset_key
 from repro.ckks.params import CkksParameters
 from repro.utils.rng import SeededRng
@@ -66,7 +67,6 @@ class SimBackend(FheBackend):
         params: CKKS parameters (production-shaped sets are fine here).
         seed: RNG seed for injected noise.
         noise_free: disable noise injection (for debugging/dissecting).
-        boot_precision_bits: bootstrap output precision (Bossuat et al.).
     """
 
     def __init__(
@@ -75,17 +75,10 @@ class SimBackend(FheBackend):
         cost_model: Optional[CostModel] = None,
         seed: int = 0,
         noise_free: bool = False,
-        boot_precision_bits: float = 20.0,
-        boot_range_slack: float = 1.5,
     ):
         super().__init__(params, cost_model)
         self.rng = SeededRng(seed)
         self.noise_free = noise_free
-        self.boot_precision_bits = boot_precision_bits
-        # Real CKKS bootstrapping tolerates modest overshoot beyond the
-        # nominal [-1, 1] range (the EvalMod sine interval has margin);
-        # gross violations still fail loudly.
-        self.boot_range_slack = boot_range_slack
         # Fresh-encryption noise std in *message* units, calibrated to the
         # toy backend: encryption noise ~ sigma * sqrt(2N/3) coefficients
         # -> slot error ~ that times sqrt(N), divided by Delta.
@@ -310,13 +303,13 @@ class SimBackend(FheBackend):
     def bootstrap(self, a: SimCiphertext) -> SimCiphertext:
         """Refresh to L_eff; inputs must be within [-1, 1] (Section 6)."""
         max_abs = float(np.max(np.abs(a.values))) if a.values.size else 0.0
-        if max_abs > self.boot_range_slack:
+        if max_abs > BOOT_RANGE_SLACK:
             raise ValueError(
                 f"bootstrap input out of range (max |slot| = {max_abs:.4f}); "
                 "range estimation should have scaled this down"
             )
         self.ledger.charge("bootstrap", self.costs.bootstrap())
-        std = 2.0 ** (-self.boot_precision_bits)
+        std = 2.0 ** (-BOOT_PRECISION_BITS)
         values = a.values + self._noise(self.slot_count, std)
         out = SimCiphertext(
             values,

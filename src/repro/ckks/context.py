@@ -75,6 +75,15 @@ HOISTED_SLAB = 8
 #: (docs/keys.md).
 KEYGEN_SLAB_ROWS = 32
 
+#: Output precision of the oracle bootstrap, in bits relative to the
+#: input range: published bootstrap precision (Bossuat et al. [11]).
+BOOT_PRECISION_BITS = 20.0
+
+#: Largest bootstrap input magnitude accepted.  Real CKKS bootstrapping
+#: tolerates modest overshoot beyond the nominal [-1, 1] range (the
+#: EvalMod sine interval has margin); gross violations still fail loudly.
+BOOT_RANGE_SLACK = 1.5
+
 
 def _fill_workers() -> int:
     """How many switching keys may fill at once: the CPUs this process
@@ -1034,16 +1043,14 @@ class CkksContext:
     # ------------------------------------------------------------------
     # Bootstrapping (oracle; documented substitution)
     # ------------------------------------------------------------------
-    def bootstrap(
-        self, ct: Ciphertext, precision_bits: float = 20.0, range_slack: float = 1.5
-    ) -> Ciphertext:
+    def bootstrap(self, ct: Ciphertext) -> Ciphertext:
         """Refresh a ciphertext to level L_eff (paper Section 2.5.4).
 
         Substitution: full CKKS bootstrapping (CoeffToSlot, EvalMod,
         SlotToCoeff) is replaced by an oracle refresh that decrypts with
         the context's own secret key, re-encrypts at L_eff, and injects
-        noise matching published bootstrap precision (~``precision_bits``
-        bits relative to the input range, following Bossuat et al. [11]).
+        noise matching published bootstrap precision
+        (:data:`BOOT_PRECISION_BITS` bits relative to the input range).
         The externally visible contract — level reset to L_eff, L_boot
         levels reserved out of L, bounded added error, and a large
         latency charged by the cost model — is exactly the paper's.
@@ -1051,12 +1058,12 @@ class CkksContext:
         """
         values = self.decrypt_decode(ct)
         max_abs = float(np.max(np.abs(values))) if values.size else 0.0
-        if max_abs > range_slack:
+        if max_abs > BOOT_RANGE_SLACK:
             raise ValueError(
                 f"bootstrap input out of range: max |slot| = {max_abs:.4f} > 1; "
                 "range estimation should have scaled this down"
             )
-        noise_std = 2.0 ** (-precision_bits)
+        noise_std = 2.0 ** (-BOOT_PRECISION_BITS)
         noisy = values + self.rng.normal(0.0, noise_std, values.shape)
         fresh = self.encode(noisy, level=self.params.effective_level)
         return self.encrypt(fresh)

@@ -25,7 +25,6 @@ Pipeline (paper Sections 4-6):
 from __future__ import annotations
 
 import functools
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -166,16 +165,13 @@ class OrionCompiler:
         params: CkksParameters,
         cost_model: Optional[CostModel] = None,
         mode: str = "materialize",
-        optimize: Optional[bool] = None,
+        optimize: bool = True,
     ):
         if mode not in ("materialize", "analyze"):
             raise ValueError("mode must be 'materialize' or 'analyze'")
         self.params = params
         self.costs = cost_model or CostModel(params)
         self.mode = mode
-        if optimize is None:
-            flag = os.environ.get("REPRO_GRAPH_OPT", "on").strip().lower()
-            optimize = flag not in ("off", "0", "false", "no")
         self.optimize = optimize
 
     # ------------------------------------------------------------------
@@ -184,15 +180,12 @@ class OrionCompiler:
         net,
         input_shape: Tuple[int, int, int],
         calibration_batches: Optional[List[np.ndarray]] = None,
-        entry_level: Optional[int] = None,
     ) -> CompiledNetwork:
         from repro.obs.tracing import get_tracer
 
         obs = get_tracer()
         if not obs.enabled:
-            return self._compile(
-                net, input_shape, calibration_batches, entry_level
-            )
+            return self._compile(net, input_shape, calibration_batches)
         with obs.span(
             "compile",
             category="compile",
@@ -200,9 +193,7 @@ class OrionCompiler:
             optimize=self.optimize,
             ring_degree=self.params.ring_degree,
         ) as span:
-            compiled = self._compile(
-                net, input_shape, calibration_batches, entry_level
-            )
+            compiled = self._compile(net, input_shape, calibration_batches)
             span.set(
                 rotations=compiled.total_rotations,
                 bootstraps=compiled.num_bootstraps,
@@ -215,7 +206,6 @@ class OrionCompiler:
         net,
         input_shape: Tuple[int, int, int],
         calibration_batches: Optional[List[np.ndarray]] = None,
-        entry_level: Optional[int] = None,
     ) -> CompiledNetwork:
         from repro.obs.tracing import get_tracer
 
@@ -258,7 +248,6 @@ class OrionCompiler:
                 build.chain,
                 l_eff=self.params.effective_level,
                 boot_cost=self.costs.bootstrap(),
-                entry_level=entry_level,
             )
             place_span.set(
                 entry_level=placement.entry_level,

@@ -1,7 +1,9 @@
 """Trace-level graph optimizer: cost-gated rewrites over the layer DAG.
 
 Runs between tracing and program building (see docs/graphopt.md).
-Toggle with ``OrionCompiler(optimize=...)`` or ``REPRO_GRAPH_OPT``.
+On by default; ``OrionCompiler(optimize=False)`` (or
+``OrionNetwork.compile(optimize=False)``) compiles the un-optimized
+reference lowering.
 """
 
 from repro.core.graphopt.fused import FusedLinear, Slice

@@ -24,6 +24,10 @@ from repro.core.placement.items import (
 )
 from repro.core.placement.planner import INF, LevelPolicy, PlacementResult
 
+#: Cap on the DaCapo-style search's improvement rounds (it stops early
+#: once a round finds no cheaper configuration).
+_DACAPO_ROUNDS = 200
+
 
 def _flatten(chain: PlacementChain) -> List[LayerSpec]:
     flat: List[LayerSpec] = []
@@ -121,7 +125,6 @@ def dacapo_style_placement(
     chain: PlacementChain,
     l_eff: int,
     boot_cost: float,
-    max_rounds: int = 200,
 ) -> PlacementResult:
     """Candidate-combination search in the spirit of DaCapo [17]."""
     start = time.perf_counter()
@@ -130,7 +133,7 @@ def dacapo_style_placement(
     current = frozenset(p.name for p in lazy.policies if p.bootstrap_before)
     current_cost = _evaluate_configuration(chain, current, l_eff, boot_cost)
 
-    for _ in range(max_rounds):
+    for _ in range(_DACAPO_ROUNDS):
         improved = False
         candidates = []
         for index, name in enumerate(names):

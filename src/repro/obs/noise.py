@@ -22,7 +22,7 @@ never written, so enabling the monitor cannot perturb bit-exactness.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: (op, level_before, level_after, drift_log2_after)
 NoiseEvent = Tuple[str, int, int, float]
@@ -33,17 +33,13 @@ _BOUNDARY_OPS = ("rescale", "mod_down", "bootstrap")
 class NoiseMonitor:
     """Accumulates level/scale drift at modulus-chain boundaries."""
 
-    def __init__(self, delta_scale=None, keep_events: int = 0):
+    def __init__(self, delta_scale=None):
         #: the context's Delta (int/Fraction); drift is measured
         #: against it.  None disables drift (counts/levels only).
         self.delta_scale = delta_scale
-        #: how many raw events to retain (0 = counts only; serving
-        #: keeps 0, tests and the example keep a window).
-        self.keep_events = keep_events
         self.counts: Dict[str, int] = {op: 0 for op in _BOUNDARY_OPS}
         self.min_level: Optional[int] = None
         self.max_scale_drift_log2 = 0.0
-        self.events: List[NoiseEvent] = []
 
     def record(
         self,
@@ -61,17 +57,13 @@ class NoiseMonitor:
         drift = self._drift_log2(scale_after)
         if drift > self.max_scale_drift_log2:
             self.max_scale_drift_log2 = drift
-        event: NoiseEvent = (op, level_before, level_after, drift)
-        if self.keep_events:
-            self.events.append(event)
-            if len(self.events) > self.keep_events:
-                del self.events[0]
         from repro.obs.tracing import get_tracer
 
         tracer = get_tracer()
         if tracer.enabled:
             span = tracer.current_span
             if span is not None:
+                event: NoiseEvent = (op, level_before, level_after, drift)
                 span.add_noise(event)
 
     def _drift_log2(self, scale) -> float:

@@ -1,4 +1,4 @@
-"""Structured span tracing: context-propagated, sampling-aware, cheap.
+"""Structured span tracing: context-propagated and cheap.
 
 One :class:`Tracer` per process (installed with :func:`set_tracer` /
 :func:`use_tracer`) records a tree of :class:`Span` objects.  Spans are
@@ -28,9 +28,6 @@ Design constraints (docs/observability.md):
 - **Op-count attribution.**  A span opened with ``ledger=`` snapshots
   the ledger's counters at entry and stores the delta at exit, so
   per-span op counts reconcile *exactly* against ``OpLedger`` totals.
-- **Sampling.**  ``sample_rate`` applies to *root* spans via
-  deterministic systematic sampling (every ``1/rate``-th root); an
-  unsampled root skips its entire subtree.
 - **Exportable.**  :meth:`Tracer.drain` returns JSON-safe span payloads;
   :func:`chrome_trace` converts per-worker tracks into Chrome
   ``trace_event`` JSON loadable in Perfetto (one thread track per pool
@@ -122,7 +119,7 @@ class Span:
 class _SpanContext:
     """The context manager ``Tracer.span`` returns (one per call)."""
 
-    __slots__ = ("tracer", "name", "category", "ledger", "attrs", "span")
+    __slots__ = ("tracer", "name", "category", "ledger", "attrs")
 
     def __init__(self, tracer, name, category, ledger, attrs):
         self.tracer = tracer
@@ -130,16 +127,9 @@ class _SpanContext:
         self.category = category
         self.ledger = ledger
         self.attrs = attrs
-        self.span = None
 
     def __enter__(self):
         tracer = self.tracer
-        if tracer._skipping:
-            tracer._skipping += 1
-            return NULL_SPAN
-        if not tracer._stack and not tracer._sample_root():
-            tracer._skipping = 1
-            return NULL_SPAN
         span = Span(self.name, self.category, self.attrs)
         ledger = self.ledger
         if ledger is not None:
@@ -148,15 +138,10 @@ class _SpanContext:
             span._seconds0 = ledger.seconds
         tracer._stack.append(span)
         span.start = tracer.clock()
-        self.span = span
         return span
 
     def __exit__(self, *exc):
         tracer = self.tracer
-        if self.span is None:
-            if tracer._skipping:
-                tracer._skipping -= 1
-            return False
         span = tracer._stack.pop()
         span.end = tracer.clock()
         ledger = span._ledger
@@ -174,11 +159,9 @@ class _SpanContext:
 
 
 class Tracer:
-    """An enabled tracer: records sampled span trees per process/worker.
+    """An enabled tracer: records span trees per process/worker.
 
     Args:
-        sample_rate: fraction of *root* spans recorded (systematic:
-            every ``1/rate``-th root; children follow their root).
         max_roots: bound on retained root spans; further roots are
             dropped (counted in :attr:`dropped_roots`) so a long-lived
             worker cannot grow without bound between flushes.
@@ -189,25 +172,15 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        sample_rate: float = 1.0,
-        max_roots: int = 10_000,
-        clock=time.perf_counter,
-    ):
-        if not 0.0 < sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in (0, 1]")
+    def __init__(self, max_roots: int = 10_000, clock=time.perf_counter):
         if max_roots < 1:
             raise ValueError("max_roots must be at least 1")
-        self.sample_rate = sample_rate
         self.max_roots = max_roots
         self.clock = clock
         self.clock_offset = time.time() - clock()
         self.roots: List[Span] = []
         self.dropped_roots = 0
         self._stack: List[Span] = []
-        self._skipping = 0
-        self._acc = 0.0
 
     # -- span lifecycle ----------------------------------------------------
     def span(
@@ -223,17 +196,12 @@ class Tracer:
         end: float,
         category: str = "",
         **attrs,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Record an externally-timed span (async request lifetimes).
 
         ``start``/``end`` must come from this tracer's :attr:`clock`.
-        The span lands under the current innermost span, or as a root
-        (root sampling applies, same as ``span()``).
+        The span lands under the current innermost span, or as a root.
         """
-        if self._skipping:
-            return None
-        if not self._stack and not self._sample_root():
-            return None
         span = Span(name, category, attrs)
         span.start = start
         span.end = end
@@ -243,13 +211,6 @@ class Tracer:
     @property
     def current_span(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
-
-    def _sample_root(self) -> bool:
-        self._acc += self.sample_rate
-        if self._acc < 1.0 - 1e-12:
-            return False
-        self._acc -= 1.0
-        return True
 
     def _attach(self, span: Span) -> None:
         if self._stack:
@@ -274,8 +235,6 @@ class Tracer:
     def reset(self) -> None:
         self.roots = []
         self._stack = []
-        self._skipping = 0
-        self._acc = 0.0
         self.dropped_roots = 0
 
 
@@ -312,7 +271,6 @@ class NullTracer:
     enabled = False
     clock = staticmethod(time.perf_counter)
     clock_offset = 0.0
-    sample_rate = 0.0
     dropped_roots = 0
 
     @property
@@ -369,10 +327,7 @@ def use_tracer(tracer):
 # -- Chrome trace_event export ----------------------------------------------
 
 
-def chrome_trace(
-    tracks: List[Dict],
-    process_name: str = "repro.serve",
-) -> Dict:
+def chrome_trace(tracks: List[Dict]) -> Dict:
     """Convert per-worker span tracks into Chrome ``trace_event`` JSON.
 
     Args:
@@ -391,7 +346,7 @@ def chrome_trace(
             "ph": "M",
             "pid": 0,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "repro.serve"},
         }
     ]
 
@@ -447,8 +402,8 @@ def _json_safe(value):
     return str(value)
 
 
-def write_chrome_trace(path: str, tracks: List[Dict], **kwargs) -> str:
+def write_chrome_trace(path: str, tracks: List[Dict]) -> str:
     """Write :func:`chrome_trace` JSON to ``path``; returns the path."""
     with open(path, "w") as f:
-        json.dump(chrome_trace(tracks, **kwargs), f)
+        json.dump(chrome_trace(tracks), f)
     return path

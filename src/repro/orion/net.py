@@ -9,6 +9,7 @@ forward pass.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -17,6 +18,9 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.backend.costs import CostModel
 from repro.ckks.params import CkksParameters
 from repro.core.compiler import CompiledNetwork, OrionCompiler
+
+#: Batches ``fit`` keeps for range estimation; later ones are ignored.
+CALIBRATION_BATCHES = 8
 
 
 class OrionNetwork:
@@ -28,12 +32,10 @@ class OrionNetwork:
         self._calibration: Optional[List[np.ndarray]] = None
 
     # -- paper API ---------------------------------------------------------
-    def fit(self, batches: Iterable[np.ndarray], max_batches: int = 8) -> None:
+    def fit(self, batches: Iterable[np.ndarray]) -> None:
         """Record calibration data for range estimation (net.fit())."""
         collected = []
-        for index, batch in enumerate(batches):
-            if index >= max_batches:
-                break
+        for batch in islice(batches, CALIBRATION_BATCHES):
             if isinstance(batch, tuple):
                 batch = batch[0]
             collected.append(np.asarray(batch))
@@ -46,26 +48,15 @@ class OrionNetwork:
         params: CkksParameters,
         cost_model: Optional[CostModel] = None,
         mode: str = "materialize",
-        entry_level: Optional[int] = None,
-        optimize: Optional[bool] = None,
+        optimize: bool = True,
     ) -> CompiledNetwork:
         compiler = OrionCompiler(params, cost_model, mode=mode, optimize=optimize)
         return compiler.compile(
-            self.module,
-            self.input_shape,
-            calibration_batches=self._calibration,
-            entry_level=entry_level,
+            self.module, self.input_shape, calibration_batches=self._calibration
         )
 
     # -- serving (docs/serving.md) -------------------------------------------
-    def export(
-        self,
-        path: str,
-        params: CkksParameters,
-        cost_model: Optional[CostModel] = None,
-        entry_level: Optional[int] = None,
-        optimize: Optional[bool] = None,
-    ):
+    def export(self, path: str, params: CkksParameters):
         """Compile once and write a serving artifact to ``path``.
 
         Returns the :class:`repro.serve.artifact.ServingArtifact`.  This
@@ -73,10 +64,7 @@ class OrionNetwork:
         ``repro.serve.ArtifactMap(path).load()`` and serve without ever
         touching the compiler or the planner.
         """
-        compiled = self.compile(
-            params, cost_model, entry_level=entry_level, optimize=optimize
-        )
-        return compiled.export(path, params)
+        return self.compile(params).export(path, params)
 
     # -- cleartext reference -------------------------------------------------
     def forward_cleartext(self, images: np.ndarray) -> np.ndarray:

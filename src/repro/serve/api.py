@@ -4,8 +4,8 @@
   serving knob (worker count, batch window, admission limits, key
   seed) instead of constructor-kwarg sprawl;
 - :func:`open` — the single entry point: give it an artifact path (or
-  several, or an already-loaded :class:`ServingArtifact`) and a config,
-  get a :class:`Server`;
+  an ``{id: path}`` dict of several) and a config, get a
+  :class:`Server`;
 - :class:`Server` — the one object in front of the workers: it routes,
   admits (:class:`AdmissionError` backpressure), steps and accounts for
   every request, and reports typed, schema-versioned
@@ -15,14 +15,12 @@
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import write_chrome_trace
-from repro.serve.artifact import ServingArtifact
 from repro.serve.mmapio import ArtifactMap
 from repro.serve.pool import ArtifactSpec, start_workers
 from repro.serve.runtime import ServeResult
@@ -46,20 +44,14 @@ class ServerConfig:
             the mode every correctness gate runs under) or ``"process"``
             (the same workers in forked children over the same mmapped
             files, called through a pipe).
-        batching: enable cross-request slot batching inside each worker.
-        max_batch: cap on the slot-batch size (power-of-two floored).
+        max_batch: cap on the slot-batch size (power-of-two floored;
+            ``1`` serves every request alone).
         batch_window_seconds: default deadline (``now +
             batch_window_seconds``) of a request submitted without one.
             Orders a worker's queue, earliest deadline first; never
             delays an idle worker — batches form from backlog only.
         max_queue_depth: bound on each worker's pending queue; beyond it
             the server rejects with :class:`AdmissionError`.
-        admission_budget_seconds: optional backlog latency budget; a
-            routed worker whose backlog (queued batches times the batch
-            time measured on that worker) would exceed it rejects at
-            admission instead of queueing.
-        routing_seed: seed folded into rendezvous routing, pinning the
-            client -> worker assignment reproducibly.
         key_seed: seed of the pool's key domain.  Every worker holds
             the same keys from it (an inline pool generates them once
             per artifact and shares them; a process worker generates
@@ -72,22 +64,16 @@ class ServerConfig:
             served batch produces a span tree; export the result with
             :meth:`Server.trace` / :meth:`Server.export_chrome_trace`.
             Observe-only: outputs are bit-identical either way.
-        trace_sample_rate: fraction of root spans recorded when tracing
-            (systematic sampling, in ``(0, 1]``).
     """
 
     workers: int = 1
     mode: str = "inline"
-    batching: bool = True
     max_batch: Optional[int] = None
     batch_window_seconds: float = 0.05
     max_queue_depth: int = 32
-    admission_budget_seconds: Optional[float] = None
-    routing_seed: int = 0
     key_seed: int = 0
     backend_factory: Optional[Callable] = None
     tracing: bool = False
-    trace_sample_rate: float = 1.0
 
     def __post_init__(self):
         if self.workers < 1:
@@ -105,53 +91,29 @@ class ServerConfig:
             )
         if self.max_queue_depth < 1:
             raise ValueError("ServerConfig.max_queue_depth must be at least 1")
-        if (
-            self.admission_budget_seconds is not None
-            and self.admission_budget_seconds <= 0
-        ):
-            raise ValueError(
-                "ServerConfig.admission_budget_seconds must be positive"
-            )
-        if not 0.0 < self.trace_sample_rate <= 1.0:
-            raise ValueError(
-                "ServerConfig.trace_sample_rate must be in (0, 1], got "
-                f"{self.trace_sample_rate!r}"
-            )
 
 
-ArtifactSource = Union[str, ServingArtifact]
+ArtifactPath = Union[str, os.PathLike]
 
 
 def _artifact_specs(
-    source: Union[ArtifactSource, Dict[str, ArtifactSource], List[ArtifactSource], Tuple],
+    source: Union[ArtifactPath, Dict[str, ArtifactPath]],
 ) -> Tuple[ArtifactSpec, ...]:
     """Normalize ``open``'s artifact argument into named specs."""
     if isinstance(source, dict):
         items = list(source.items())
-    elif isinstance(source, (list, tuple)):
-        items = [(None, entry) for entry in source]
-    else:
+    else:  # a lone path is named by its file stem
         items = [(None, source)]
     specs: List[ArtifactSpec] = []
-    seen = set()
-    for index, (artifact_id, entry) in enumerate(items):
-        if isinstance(entry, ServingArtifact):
-            name = artifact_id or f"artifact{index}"
-            spec = ArtifactSpec(artifact_id=name, artifact=entry)
-        elif isinstance(entry, (str, os.PathLike)):
-            path = os.fspath(entry)
-            stem = os.path.splitext(os.path.basename(path))[0]
-            name = artifact_id or stem
-            spec = ArtifactSpec(artifact_id=name, path=path)
-        else:
+    for artifact_id, path in items:
+        if not isinstance(path, (str, os.PathLike)):
             raise TypeError(
-                f"expected an artifact path or ServingArtifact, got "
-                f"{type(entry).__name__}"
+                "open() takes an artifact path or an {id: path} dict, got "
+                f"{type(path).__name__}"
             )
-        if spec.artifact_id in seen:
-            raise ValueError(f"duplicate artifact id {spec.artifact_id!r}")
-        seen.add(spec.artifact_id)
-        specs.append(spec)
+        path = os.fspath(path)
+        stem = os.path.splitext(os.path.basename(path))[0]
+        specs.append(ArtifactSpec(artifact_id=artifact_id or stem, path=path))
     if not specs:
         raise ValueError("open() needs at least one artifact")
     return tuple(specs)
@@ -162,8 +124,7 @@ class AdmissionError(RuntimeError):
 
     Attributes:
         retry_after_ms: the server's hint for when capacity should
-            free up (the lane's measured batch time, or the backlog's
-            overhang past the latency budget at that batch time).
+            free up (the lane's measured batch time).
         worker_id: the worker the request routed to.
         queue_depth: that worker's queue depth at refusal time.
     """
@@ -191,18 +152,17 @@ class Server:
     everything in front of the workers:
 
     - **Deterministic routing.**  Rendezvous (highest-random-weight)
-      hashing of ``(routing_seed, artifact, client)`` over the workers:
+      hashing of ``(artifact, client)`` over the workers:
       a client's requests always land on the same worker, so they
       coalesce into that worker's slot batches, and the assignment is
       reproducible run-to-run — the property the bit-exactness gates
       are built on.  Load imbalance surfaces as backpressure, never as
       non-deterministic migration.
     - **Admission control.**  Each worker's queue is bounded
-      (``max_queue_depth``); once the routed worker is full — or its
-      backlog, priced at the batch time *measured* on each of its lanes,
-      exceeds ``admission_budget_seconds`` — the request is refused with
-      :class:`AdmissionError` carrying a ``retry_after_ms`` hint rather
-      than queued without bound.  Conservation holds at every instant:
+      (``max_queue_depth``); once the routed worker is full the request
+      is refused with :class:`AdmissionError` carrying a
+      ``retry_after_ms`` hint — one batch at the time *measured* on that
+      lane — rather than queued without bound.  Conservation holds at every instant:
       ``submitted == admitted + rejected`` and
       ``admitted == completed + in_flight``.
     - **Lock-step stepping.**  :meth:`step` sends every worker its step
@@ -223,7 +183,7 @@ class Server:
 
     Example::
 
-        cfg = ServerConfig(workers=4, admission_budget_seconds=0.25)
+        cfg = ServerConfig(workers=4, max_queue_depth=16)
         with serve.open("mnist_mlp.npz", cfg) as server:
             ticket = server.submit(image, client_id="tenant-a")
             results = server.drain()
@@ -329,7 +289,7 @@ class Server:
         re-maps it in its own child.  Requires an idle pool —
         :meth:`drain` first, so no request ever sees half a swap;
         ``RuntimeError`` if requests are in flight or the manifest
-        changed, ``ValueError`` for in-memory (pathless) artifacts.
+        changed.
         Routing and the admission counters survive the reload.
         """
         artifact_id = self._resolve(artifact)
@@ -340,10 +300,9 @@ class Server:
                 f"{in_flight} request(s) in flight; drain() before "
                 "reloading an artifact"
             )
-        spec = self._specs[artifact_id]
         fresh = None
-        if self.config.mode == "inline" and spec.path is not None:
-            fresh = ArtifactMap(spec.path).load()
+        if self.config.mode == "inline":
+            fresh = ArtifactMap(self._specs[artifact_id].path).load()
         for worker in self._workers:
             worker.reload(artifact_id, fresh)
 
@@ -379,43 +338,19 @@ class Server:
         """Route, admit and ticket one request: ``(worker, ticket)``.
 
         Raises :class:`AdmissionError`, counted as rejected, when the
-        routed worker's queue is full or its backlog — every queued
-        lane's batches at their batch times, plus this request's own
-        batch — overruns the latency budget.
+        routed worker's queue is full.
         """
         self._check_open()
         worker = self._workers[self.route(client_id, artifact_id)]
         self._submitted += 1
-        depths = worker.queue_depths()
-        depth = sum(depths.values())
-        batch_seconds = self._lane_batch_seconds(worker, artifact_id)
-        budget = self.config.admission_budget_seconds
-        refusal = None
+        depth = sum(worker.queue_depths().values())
         if depth >= self.config.max_queue_depth:
-            retry_ms = max(1.0, batch_seconds * 1e3)
-            refusal = (
+            self._rejected += 1
+            retry_ms = max(1.0, self._lane_batch_seconds(worker, artifact_id) * 1e3)
+            raise AdmissionError(
                 f"worker {worker.worker_id} queue is full "
                 f"({depth}/{self.config.max_queue_depth}); "
-                f"retry in ~{retry_ms:.0f}ms"
-            )
-        elif budget is not None:
-            estimate = batch_seconds + sum(
-                math.ceil(queued / max(1, worker.profiles[lane].capacity))
-                * self._lane_batch_seconds(worker, lane)
-                for lane, queued in depths.items()
-                if queued
-            )
-            if estimate > budget:
-                retry_ms = max(1.0, (estimate - budget) * 1e3)
-                refusal = (
-                    f"worker {worker.worker_id} backlog {estimate * 1e3:.0f}ms "
-                    f"exceeds the {budget * 1e3:.0f}ms latency budget; "
-                    f"retry in ~{retry_ms:.0f}ms"
-                )
-        if refusal is not None:
-            self._rejected += 1
-            raise AdmissionError(
-                refusal,
+                f"retry in ~{retry_ms:.0f}ms",
                 retry_after_ms=retry_ms,
                 worker_id=worker.worker_id,
                 queue_depth=depth,
@@ -507,8 +442,10 @@ class Server:
         artifact_id = self._resolve(artifact)
         best_worker, best_score = 0, -1
         for worker_id in range(len(self._workers)):
+            # The "0/" prefix is part of the hashed string: without it
+            # every client would move to another worker.
             digest = hashlib.sha256(
-                f"{self.config.routing_seed}/{artifact_id}/{client_id}/{worker_id}".encode()
+                f"0/{artifact_id}/{client_id}/{worker_id}".encode()
             ).digest()
             score = int.from_bytes(digest[:8], "big")
             if score > best_score:
@@ -527,16 +464,14 @@ class Server:
 
 
 def open(
-    source: Union[ArtifactSource, Dict[str, ArtifactSource], List[ArtifactSource]],
+    source: Union[ArtifactPath, Dict[str, ArtifactPath]],
     config: Optional[ServerConfig] = None,
 ) -> Server:
     """Open a serving deployment over one or more artifacts.
 
     Args:
-        source: an artifact path (``.npz``), a loaded
-            :class:`ServingArtifact`, or a dict/list of either for
-            mixed-model serving (dict keys name the artifacts; paths
-            default to their file stem).
+        source: an artifact path (``.npz``, named by its file stem), or
+            an ``{id: path}`` dict for mixed-model serving.
         config: a :class:`ServerConfig`; defaults to a single inline
             worker.
 
@@ -545,9 +480,8 @@ def open(
         drained and shut down on exit.
 
     Paths are opened through :class:`repro.serve.mmapio.ArtifactMap`,
-    so every worker shares one mmapped copy of the tables.  In-memory
-    artifacts are accepted for ``inline`` pools only — process workers
-    need a path to map.  Only full artifacts open; a manifest of any
+    so every worker shares one mmapped copy of the tables.  Only full
+    artifacts open; a manifest of any
     other ``kind`` raises :class:`repro.serve.ArtifactSchemaError`.  To
     update weights, export the retrained network over the same path and
     call :meth:`Server.reload`.

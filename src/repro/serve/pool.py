@@ -53,9 +53,7 @@ class WorkerLostError(RuntimeError):
 class WorkerProfile:
     """What the server knows about one (worker, artifact) lane."""
 
-    capacity: int
     modeled_seconds: float
-    mmap_backed: bool
 
 
 def verify_mmap_tables(server: InferenceServer, artifact_path: str) -> bool:
@@ -111,15 +109,10 @@ def verify_mmap_tables(server: InferenceServer, artifact_path: str) -> bool:
 
 @dataclass(frozen=True)
 class ArtifactSpec:
-    """One artifact hosted by the pool."""
+    """One artifact hosted by the pool: its id and the file it maps."""
 
     artifact_id: str
-    path: Optional[str] = None
-    artifact: Optional[ServingArtifact] = None
-
-    def __post_init__(self):
-        if self.path is None and self.artifact is None:
-            raise ValueError("ArtifactSpec needs a path or a loaded artifact")
+    path: str
 
 
 class Worker:
@@ -151,12 +144,10 @@ class Worker:
         specs: Tuple[ArtifactSpec, ...],
         *,
         key_seed: int,
-        batching: bool,
         max_batch: Optional[int],
         batch_window_seconds: float,
         backend_factory: Optional[Callable],
         tracing: bool = False,
-        trace_sample_rate: float = 1.0,
         shared_artifacts: Optional[Dict[str, ServingArtifact]] = None,
         shared_keys: Optional[Dict[str, Optional[KeyDomain]]] = None,
     ):
@@ -164,12 +155,9 @@ class Worker:
         self.specs = tuple(specs)
         #: one tracer per worker shard — its spans become this worker's
         #: track in the Chrome-trace export.
-        self.tracer = (
-            Tracer(sample_rate=trace_sample_rate) if tracing else NULL_TRACER
-        )
+        self.tracer = Tracer() if tracing else NULL_TRACER
         # A lane rebuilt by reload() gets the options it was opened with.
         self._server_opts = dict(
-            batching=batching,
             max_batch=max_batch,
             max_wait_seconds=batch_window_seconds,
         )
@@ -182,7 +170,7 @@ class Worker:
         domains = {} if shared_keys is None else shared_keys
         for spec in self.specs:
             if spec.artifact_id not in loaded:
-                loaded[spec.artifact_id] = self._load(spec)
+                loaded[spec.artifact_id] = ArtifactMap(spec.path).load()
             artifact = loaded[spec.artifact_id]
             backend = factory(artifact.manifest.to_params(), key_seed)
             domain = domains.get(spec.artifact_id)
@@ -194,25 +182,15 @@ class Worker:
                 # the state generate_lane_keys left.
                 domains[spec.artifact_id] = KeyDomain.of(backend)
 
-    @staticmethod
-    def _load(spec: ArtifactSpec) -> ServingArtifact:
-        if spec.path is None:
-            return spec.artifact
-        return ArtifactMap(spec.path).load()
-
     def _open_lane(self, spec: ArtifactSpec, artifact, backend) -> WorkerProfile:
         """Stand up (or replace) the lane serving ``spec`` from ``artifact``."""
         server = InferenceServer(
             artifact, backend, tracer=self.tracer, **self._server_opts
         )
-        mmapped = spec.path is not None
-        if mmapped:
-            verify_mmap_tables(server, spec.path)
+        verify_mmap_tables(server, spec.path)
         self.servers[spec.artifact_id] = server
         self.profiles[spec.artifact_id] = profile = WorkerProfile(
-            capacity=server.scheduler.capacity,
-            modeled_seconds=server.modeled_seconds,
-            mmap_backed=mmapped,
+            modeled_seconds=server.modeled_seconds
         )
         return profile
 
@@ -275,13 +253,8 @@ class Worker:
                 f"{self.worker_id}; drain() before reload"
             )
         spec = next(s for s in self.specs if s.artifact_id == artifact_id)
-        if spec.path is None:
-            raise ValueError(
-                f"artifact {artifact_id!r} was opened in-memory; hot "
-                "reload needs a path-backed artifact"
-            )
         if artifact is None:
-            artifact = self._load(spec)
+            artifact = ArtifactMap(spec.path).load()
         if artifact.manifest.fingerprint() != old.artifact.manifest.fingerprint():
             raise RuntimeError(
                 f"artifact {artifact_id!r}: reload changes the key manifest "
@@ -312,9 +285,8 @@ class Worker:
         return WorkerStats(
             self.worker_id,
             tuple(
-                LaneStats.from_server(
-                    artifact_id, server, self.profiles[artifact_id].mmap_backed
-                )
+                # verify_mmap_tables vouched for every lane at open
+                LaneStats.from_server(artifact_id, server, mmap_backed=True)
                 for artifact_id, server in self.servers.items()
             ),
         )
@@ -394,12 +366,6 @@ class ProcessWorker:
     ):
         import multiprocessing
 
-        for spec in specs:
-            if spec.path is None:
-                raise ValueError(
-                    "process workers need artifact paths (shared mmap), "
-                    f"got an in-memory artifact for {spec.artifact_id!r}"
-                )
         if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only guard
             raise RuntimeError("process mode requires a fork-capable platform")
         context = multiprocessing.get_context("fork")
@@ -564,12 +530,10 @@ def start_workers(specs: Tuple[ArtifactSpec, ...], config) -> List:
     """
     build_opts = dict(
         key_seed=config.key_seed,
-        batching=config.batching,
         max_batch=config.max_batch,
         batch_window_seconds=config.batch_window_seconds,
         backend_factory=config.backend_factory,
         tracing=config.tracing,
-        trace_sample_rate=config.trace_sample_rate,
     )
     if config.mode == "inline":
         build_opts.update(shared_artifacts={}, shared_keys={})

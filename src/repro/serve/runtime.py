@@ -68,9 +68,8 @@ class InferenceServer:
             generated and the artifact's pre-encoded tables installed
             in its caches here, before anything runs (a functional
             backend installs none).
-        batching: enable cross-request slot batching.
         max_batch: cap on the batch size (defaults to the program's
-            slot capacity).
+            slot capacity; ``1`` serves every request alone).
         max_wait_seconds: default deadline per request (queue order
             only; an idle worker never waits — see the scheduler).
     """
@@ -79,7 +78,6 @@ class InferenceServer:
         self,
         artifact,
         backend,
-        batching: bool = True,
         max_batch: Optional[int] = None,
         max_wait_seconds: float = 0.05,
         tracer=None,
@@ -90,17 +88,13 @@ class InferenceServer:
         self.artifact = artifact
         self.program = artifact.program
         self.backend = backend
-        capacity = 1
-        if batching:
-            capacity = self.program.slot_batch_capacity()
-            if max_batch is not None:
-                if max_batch < 1:
-                    raise ValueError("max_batch must be at least 1")
-                # Batch sizes must be powers of two (block replication
-                # divides the slot count), so floor the cap to one.
-                capacity = min(
-                    capacity, 1 << (max_batch.bit_length() - 1)
-                )
+        capacity = self.program.slot_batch_capacity()
+        if max_batch is not None:
+            if max_batch < 1:
+                raise ValueError("max_batch must be at least 1")
+            # Batch sizes must be powers of two (block replication
+            # divides the slot count), so floor the cap to one.
+            capacity = min(capacity, 1 << (max_batch.bit_length() - 1))
         self.scheduler = SlotBatchingScheduler(
             capacity=capacity, max_wait_seconds=max_wait_seconds
         )

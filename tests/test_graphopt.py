@@ -366,16 +366,11 @@ class TestIntegration:
         assert np.array_equal(loaded.run_cleartext_packed(img),
                               -base.run_cleartext_packed(img))
 
-    def test_env_switch_controls_default(self, params, monkeypatch):
+    def test_optimizer_is_on_unless_the_caller_turns_it_off(self, params, monkeypatch):
+        # The environment does not switch it.
         monkeypatch.setenv("REPRO_GRAPH_OPT", "off")
-        assert OrionCompiler(params).optimize is False
-        monkeypatch.setenv("REPRO_GRAPH_OPT", "on")
         assert OrionCompiler(params).optimize is True
-        monkeypatch.delenv("REPRO_GRAPH_OPT")
-        assert OrionCompiler(params).optimize is True
-        # Explicit argument beats the environment.
-        monkeypatch.setenv("REPRO_GRAPH_OPT", "off")
-        assert OrionCompiler(params, optimize=True).optimize is True
+        assert OrionCompiler(params, optimize=False).optimize is False
 
     def test_summary_reports_graph_opt_seconds(self, params):
         onet, _ = make_net(Straight, (2, 4, 4))

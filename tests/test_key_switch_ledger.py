@@ -131,7 +131,7 @@ class TestLedgerFolds:
         onet.export(path, params)
         artifact = ArtifactMap(path).load()
         server = InferenceServer(
-            artifact, ToyBackend(artifact.manifest.to_params(), seed=4), batching=False
+            artifact, ToyBackend(artifact.manifest.to_params(), seed=4), max_batch=1
         )
         rng = np.random.default_rng(4)
         server.serve_now(rng.normal(0, 0.5, (1, 4, 4)))

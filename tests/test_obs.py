@@ -70,29 +70,6 @@ class TestSpanTree:
         assert outer.ops["pmult"] == ledger.counts["pmult"]
         assert outer.ops["hrot"] + 2 == ledger.counts["hrot"]
 
-    def test_systematic_root_sampling(self):
-        tracer = Tracer(sample_rate=0.5)
-        kept = 0
-        for _ in range(10):
-            with tracer.span("root"):
-                with tracer.span("child"):
-                    pass
-        kept = len(tracer.roots)
-        assert kept == 5  # systematic: exactly every other root
-        assert all(len(r.children) == 1 for r in tracer.roots)
-
-    def test_unsampled_root_skips_subtree(self):
-        tracer = Tracer(sample_rate=0.5)
-        spans = []
-        for _ in range(4):
-            with tracer.span("root") as r:
-                with tracer.span("child") as c:
-                    spans.append((r, c))
-        dropped = [pair for pair in spans if pair[0] is NULL_SPAN]
-        assert len(dropped) == 2
-        # the whole subtree of an unsampled root is the null span
-        assert all(c is NULL_SPAN for _, c in dropped)
-
     def test_record_span_lands_under_current(self):
         tracer = Tracer()
         with tracer.span("batch"):
@@ -102,12 +79,23 @@ class TestSpanTree:
         assert batch.children[0].attrs["ticket"] == 7
         assert batch.children[0].duration == pytest.approx(1.0)
 
-    def test_record_span_respects_root_sampling(self):
-        tracer = Tracer(sample_rate=0.5)
-        recorded = [
-            tracer.record_span("r", 0.0, 1.0) is not None for _ in range(10)
-        ]
-        assert sum(recorded) == 5
+    def test_every_root_and_its_subtree_is_kept(self):
+        tracer = Tracer()
+        opened = []
+        for _ in range(10):
+            with tracer.span("root") as root:
+                with tracer.span("child") as child:
+                    opened.append((root, child))
+        assert tracer.roots == [root for root, _ in opened]
+        for root, child in opened:
+            assert root is not NULL_SPAN and child is not NULL_SPAN
+            assert root.children == [child]
+
+    def test_record_span_without_an_open_span_is_a_root(self):
+        tracer = Tracer()
+        recorded = [tracer.record_span("r", float(i), i + 1.0) for i in range(10)]
+        assert tracer.roots == recorded
+        assert [span.duration for span in recorded] == [1.0] * 10
 
     def test_max_roots_bounds_memory(self):
         tracer = Tracer(max_roots=2)
@@ -116,6 +104,19 @@ class TestSpanTree:
                 pass
         assert len(tracer.roots) == 2
         assert tracer.dropped_roots == 3
+
+    def test_a_dropped_roots_children_stay_with_it(self):
+        tracer = Tracer(max_roots=1)
+        with tracer.span("kept") as kept:
+            with tracer.span("kept-child"):
+                pass
+        with tracer.span("dropped"):
+            with tracer.span("dropped-child"):
+                pass
+        assert tracer.roots == [kept]
+        assert [c.name for c in kept.children] == ["kept-child"]
+        assert tracer.dropped_roots == 1
+        assert tracer.current_span is None
 
     def test_drain_semantics(self):
         tracer = Tracer()
@@ -164,12 +165,6 @@ class TestNullTracer:
             assert get_tracer() is tracer
         assert get_tracer() is ambient
 
-    def test_invalid_sample_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(sample_rate=0.0)
-        with pytest.raises(ValueError):
-            Tracer(sample_rate=1.5)
-
 
 class TestExports:
     def _tracer_with_tree(self):
@@ -204,6 +199,16 @@ class TestExports:
         assert batch["args"]["ops"] == {"hrot": 4}
         thread = doc["traceEvents"][1]
         assert thread["args"]["name"] == "worker-3"
+
+    def test_chrome_trace_names_its_one_process(self):
+        doc = chrome_trace([{"tid": 0, "spans": []}, {"tid": 1, "spans": []}])
+        process, *threads = doc["traceEvents"]
+        assert process == {
+            "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+            "args": {"name": "repro.serve"},
+        }
+        assert [t["args"]["name"] for t in threads] == ["worker-0", "worker-1"]
+        assert all(t["pid"] == 0 for t in threads)
 
     def test_write_chrome_trace_is_json_loadable(self, tmp_path):
         tracer = self._tracer_with_tree()
@@ -344,12 +349,24 @@ class TestNoiseMonitor:
         # 3<<23 / 1<<24 = 1.5 -> |log2 1.5|
         assert stats["max_scale_drift_log2"] == pytest.approx(0.584962, abs=1e-5)
 
-    def test_event_window_is_bounded(self):
-        monitor = NoiseMonitor(keep_events=2)
-        for level in range(5, 0, -1):
+    def test_counts_cover_every_event_in_constant_memory(self):
+        monitor = NoiseMonitor()
+        for level in range(100, 0, -1):
             monitor.record("rescale", level, level - 1)
-        assert len(monitor.events) == 2
-        assert monitor.events[-1][2] == 0  # newest kept
+        assert monitor.stats()["rescales"] == 100
+        assert monitor.min_level == 0
+        assert not hasattr(monitor, "events")  # no per-event log to grow
+
+    def test_event_outside_any_span_is_counted_not_attached(self):
+        monitor = NoiseMonitor()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            monitor.record("bootstrap", 0, 6)
+            with tracer.span("after"):
+                pass
+        assert monitor.bootstraps == 1
+        span, = tracer.roots
+        assert span.noise == []
 
     def test_events_attach_to_active_span(self):
         monitor = NoiseMonitor()

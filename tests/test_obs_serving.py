@@ -215,13 +215,19 @@ class TestBitExactness:
         for client, output in base.items():
             assert np.array_equal(output, observed[client])
 
-    def test_sampled_tracing_is_also_observe_only(self, artifact_path):
+    def test_unbatched_tracing_is_also_observe_only(self, artifact_path):
         images = _images(4)
-        with serve.open(artifact_path, _config()) as plain:
+        with serve.open(artifact_path, _config(max_batch=1)) as plain:
             base = _serve_all(plain, images)
-        config = _config(tracing=True, trace_sample_rate=0.5)
-        with serve.open(artifact_path, config) as sampled:
-            observed = _serve_all(sampled, images)
+        with serve.open(artifact_path, _config(max_batch=1, tracing=True)) as traced:
+            observed = _serve_all(traced, images)
+            requests = [
+                root
+                for track in traced.trace()
+                for root in track["spans"]
+                if root["name"] == "serve.request"
+            ]
+        assert len(requests) == len(images)  # every request is traced
         for client, output in base.items():
             assert np.array_equal(output, observed[client])
 

@@ -616,17 +616,13 @@ class TestLaneKeyGeneration:
         assert self._same_key_material(first, again)
         assert backend_key_bytes(first) == backend_key_bytes(again) > 0
 
-    @pytest.mark.parametrize(
-        "batching, max_batch, cap",
-        [(False, None, 1), (True, 1, 1), (True, 3, 2), (True, None, None)],
-    )
+    @pytest.mark.parametrize("max_batch, cap", [(1, 1), (3, 2), (None, None)])
     def test_server_keys_are_the_functions_at_any_capacity(
-        self, artifact, batching, max_batch, cap
+        self, artifact, max_batch, cap
     ):
         server = InferenceServer(
             artifact,
             ToyBackend(artifact.manifest.to_params(), seed=5),
-            batching=batching,
             max_batch=max_batch,
         )
         expected_capacity = (
@@ -714,6 +710,23 @@ class TestInferenceServer:
             InferenceServer(
                 artifact, ToyBackend(artifact.manifest.to_params(), seed=1), max_batch=0
             )
+
+    def test_max_batch_one_serves_each_request_alone(self, served):
+        _, rng, _, artifact, _ = served
+        server = InferenceServer(
+            artifact,
+            ToyBackend(artifact.manifest.to_params(), seed=1),
+            max_batch=1,
+            max_wait_seconds=0.0,
+        )
+        imgs = [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(3)]
+        for im in imgs:
+            server.submit(im, now=0.0)
+        results = sorted(server.step(now=0.0), key=lambda r: r.ticket)
+        assert [r.batch_size for r in results] == [1, 1, 1]
+        for result, im in zip(results, imgs):
+            ref = artifact.program.run_cleartext_packed(im)
+            assert OrionNetwork.precision_bits(result.output, ref) > 5
 
     def test_step_flushes_queue(self, served):
         _, rng, *_ , server = served
