@@ -78,9 +78,9 @@ def served(tmp_path_factory):
     # Warm both execution shapes once: key material and weight-plaintext
     # caches are a one-time per-worker cost, not a per-request one.
     warm = [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(BATCH)]
-    server.serve_now(warm[0])
-    for image in warm:
-        server.submit(image, now=0.0)
+    server.serve_now(0, warm[0])
+    for ticket, image in enumerate(warm):
+        server.submit(ticket, image, now=0.0)
     server.step(now=1e9)
     assert OrionCompiler.invocations == compilations, "serve path compiled!"
     assert solve_placement.invocations == placements, "serve path planned!"
@@ -106,7 +106,7 @@ def test_serving_throughput(served, record_table):
     for _ in range(REPS):
         start = time.perf_counter()
         for index, image in enumerate(images):
-            result = server.serve_now(image, client_id=f"c{index}")
+            result = server.serve_now(index, image, client_id=f"c{index}")
             sequential_outputs[index] = result.output
         single_times.append((time.perf_counter() - start) / BATCH)
 
@@ -114,16 +114,14 @@ def test_serving_throughput(served, record_table):
     batched_times = []
     for _ in range(REPS):
         start = time.perf_counter()
-        tickets = {
-            server.submit(image, client_id=f"c{index}", now=0.0): index
-            for index, image in enumerate(images)
-        }
+        for index, image in enumerate(images):
+            server.submit(index, image, client_id=f"c{index}", now=0.0)
         results = server.step(now=1e9)
         batched_times.append((time.perf_counter() - start) / BATCH)
         assert len(results) == BATCH
         assert all(result.batch_size == BATCH for result in results)
         for result in results:
-            batched_outputs[tickets[result.ticket]] = result.output
+            batched_outputs[result.ticket] = result.output
 
     for index in range(BATCH):
         bits = OrionNetwork.precision_bits(

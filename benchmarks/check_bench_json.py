@@ -166,11 +166,6 @@ def _check_serving_pool(errors, config_key, data):
             f"(got {data.get('bit_exact_vs_solo')!r}) — pool outputs were "
             "not proven bit-exact against a solo server replay"
         )
-    if data.get("mmap_backed") is not True:
-        errors.append(
-            f"{prefix}.mmap_backed: must be true — a worker served from "
-            "copied (non-mmapped) tables"
-        )
     workers = data.get("workers")
     if not isinstance(workers, int) or workers < 4:
         errors.append(

@@ -116,8 +116,7 @@ def main(scratch):
             f"telemetry (schema v{stats.schema_version}): "
             f"{stats.requests_completed} requests in {total_batches} runs "
             f"across {len(stats.workers)} workers, request p50 "
-            f"{p50 * 1e3:.0f} ms, modeled {modeled:.1f}s of FHE work, "
-            f"mmap-backed={all(w.mmap_backed for w in stats.workers)}"
+            f"{p50 * 1e3:.0f} ms, modeled {modeled:.1f}s of FHE work"
         )
         tracks = server.trace()
         batches = sum(

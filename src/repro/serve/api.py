@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import write_chrome_trace
@@ -46,10 +46,10 @@ class ServerConfig:
             files, called through a pipe).
         max_batch: cap on the slot-batch size (power-of-two floored;
             ``1`` serves every request alone).
-        batch_window_seconds: default deadline (``now +
-            batch_window_seconds``) of a request submitted without one.
-            Orders a worker's queue, earliest deadline first; never
-            delays an idle worker — batches form from backlog only.
+        batch_window_seconds: every request's deadline after its
+            enqueue (``now + batch_window_seconds``).  Orders a worker's
+            queue, earliest deadline first; never delays an idle
+            worker — batches form from backlog only.
         max_queue_depth: bound on each worker's pending queue; beyond it
             the server rejects with :class:`AdmissionError`.
         key_seed: seed of the pool's key domain.  Every worker holds
@@ -58,8 +58,6 @@ class ServerConfig:
             its own), so any worker's response decrypts under the pool
             key and a solo replay with this seed reproduces any worker
             bit for bit.
-        backend_factory: ``(params, seed) -> FheBackend`` override
-            (defaults to the exact toy backend for toy-sized primes).
         tracing: give every worker a :class:`repro.obs.Tracer` so each
             served batch produces a span tree; export the result with
             :meth:`Server.trace` / :meth:`Server.export_chrome_trace`.
@@ -72,7 +70,6 @@ class ServerConfig:
     batch_window_seconds: float = 0.05
     max_queue_depth: int = 32
     key_seed: int = 0
-    backend_factory: Optional[Callable] = None
     tracing: bool = False
 
     def __post_init__(self):
@@ -159,7 +156,9 @@ class Server:
       are built on.  Load imbalance surfaces as backpressure, never as
       non-deterministic migration.
     - **Admission control.**  Each worker's queue is bounded
-      (``max_queue_depth``); once the routed worker is full the request
+      (``max_queue_depth``, against the server's own count of requests
+      admitted to that worker and not yet delivered — no worker keeps
+      one); once the routed worker is full the request
       is refused with :class:`AdmissionError` carrying a
       ``retry_after_ms`` hint — one batch at the time *measured* on that
       lane — rather than queued without bound.  Conservation holds at every instant:
@@ -199,13 +198,16 @@ class Server:
         self._specs = {spec.artifact_id: spec for spec in specs}
         self._workers = list(workers)
         self._closed = False
-        # Admission-conservation counters and the pool-global ticket.
+        # The books: admission-conservation counters, the ticket every
+        # admitted request carries to its lane and back, and each
+        # worker's queue depth (admitted there, not yet delivered).
         self._submitted = self._admitted = self._rejected = self._completed = 0
         self._next_ticket = 0
+        self._depths: Dict[int, int] = {worker.worker_id: 0 for worker in workers}
         # (worker id, artifact id) -> running mean of the batch wall
         # seconds that lane's results reported.  A lane that has
-        # delivered nothing yet is absent, and priced at its profile's
-        # modeled seconds.
+        # delivered nothing yet is absent, and priced at its modeled
+        # seconds.
         self._batch_seconds: Dict[Tuple[int, str], float] = {}
         # Accumulated per-worker trace tracks (worker_id -> track dict);
         # fed by _pump_telemetry, exported by trace().
@@ -218,16 +220,16 @@ class Server:
         client_id: str = "anon",
         artifact: Optional[str] = None,
         now: Optional[float] = None,
-        deadline: Optional[float] = None,
     ) -> int:
-        """Enqueue a request; returns its (pool-global) ticket.
+        """Enqueue a request; returns its ticket, the number its
+        ``ServeResult`` and its ``serve.request`` trace span carry.
 
         Raises :class:`AdmissionError` when the routed worker is
         saturated (backpressure — retry after the hint).
         """
         artifact_id = self._resolve(artifact)
         worker, ticket = self._admit(artifact_id, client_id)
-        worker.submit(ticket, artifact_id, client_id, image, now, deadline)
+        worker.submit(ticket, artifact_id, client_id, image, now)
         return ticket
 
     def serve_now(
@@ -239,7 +241,14 @@ class Server:
         """Run one request immediately on its routed worker."""
         artifact_id = self._resolve(artifact)
         worker, ticket = self._admit(artifact_id, client_id)
-        result = worker.serve_now(ticket, artifact_id, client_id, image)
+        try:
+            result = worker.serve_now(ticket, artifact_id, client_id, image)
+        except Exception:
+            # The run failed and nothing of the request waits on the
+            # worker, so it frees its queue slot (it stays admitted and
+            # never completes: in_flight shows it).
+            self._depths[worker.worker_id] -= 1
+            raise
         return self._delivered([result])[0]
 
     def step(self, now: Optional[float] = None) -> List[ServeResult]:
@@ -331,7 +340,7 @@ class Server:
         delivered, the cost model's figure until then."""
         return self._batch_seconds.get(
             (worker.worker_id, artifact_id),
-            worker.profiles[artifact_id].modeled_seconds,
+            worker.modeled_seconds[artifact_id],
         )
 
     def _admit(self, artifact_id: str, client_id: str):
@@ -343,7 +352,7 @@ class Server:
         self._check_open()
         worker = self._workers[self.route(client_id, artifact_id)]
         self._submitted += 1
-        depth = sum(worker.queue_depths().values())
+        depth = self._depths[worker.worker_id]
         if depth >= self.config.max_queue_depth:
             self._rejected += 1
             retry_ms = max(1.0, self._lane_batch_seconds(worker, artifact_id) * 1e3)
@@ -358,11 +367,14 @@ class Server:
         ticket = self._next_ticket
         self._next_ticket += 1
         self._admitted += 1
+        self._depths[worker.worker_id] += 1
         return worker, ticket
 
     def _delivered(self, results: List[ServeResult]) -> List[ServeResult]:
         """Count deliveries and fold each batch's wall into its lane's mean."""
         self._completed += len(results)
+        for result in results:
+            self._depths[result.worker_id] -= 1
         index = 0
         while index < len(results):
             head = results[index]  # a batch's results arrive together

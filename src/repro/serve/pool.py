@@ -18,11 +18,11 @@ pure orchestration:
   bit-exactness gate runs under); ``process`` runs the same class in a
   forked child behind :class:`ProcessWorker`, whose pipe carries
   ``(method, args)`` one way and the return value — or the exception —
-  back.  The parent keeps only what a parent alone can hold: the queue
-  depths it has itself caused (so admission never blocks on a round
-  trip), the lane profiles, the last telemetry bundle (so a closed or
-  dead child can still be reported on), and the liveness check that
-  turns a vanished child into :class:`WorkerLostError`.
+  back.  The parent keeps only what a parent alone can hold: the lanes'
+  modeled seconds, the last telemetry bundle (so a closed or dead child
+  can still be reported on), and the liveness check that turns a
+  vanished child into :class:`WorkerLostError`.  Tickets and queue
+  depths are the server's books, not a worker's.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 import queue
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.serve.artifact import ServingArtifact
@@ -47,13 +47,6 @@ _LIVENESS_POLL_SECONDS = 0.5
 
 class WorkerLostError(RuntimeError):
     """A fork worker exited (killed, OOM) without answering."""
-
-
-@dataclass(frozen=True)
-class WorkerProfile:
-    """What the server knows about one (worker, artifact) lane."""
-
-    modeled_seconds: float
 
 
 def verify_mmap_tables(server: InferenceServer, artifact_path: str) -> bool:
@@ -122,7 +115,8 @@ class Worker:
     directly; a process pool runs it in a forked child and calls it
     through :class:`ProcessWorker`.
 
-    Each lane's backend is built by the factory from ``key_seed`` —
+    Each lane's backend is the default backend for its artifact's
+    parameters, seeded with ``key_seed`` —
     every worker the same key domain, so a solo replay with that seed
     reproduces any worker bit for bit — and gets its rotation keys when
     the lane's server is constructed.  It is held for the worker's
@@ -146,7 +140,6 @@ class Worker:
         key_seed: int,
         max_batch: Optional[int],
         batch_window_seconds: float,
-        backend_factory: Optional[Callable],
         tracing: bool = False,
         shared_artifacts: Optional[Dict[str, ServingArtifact]] = None,
         shared_keys: Optional[Dict[str, Optional[KeyDomain]]] = None,
@@ -161,18 +154,17 @@ class Worker:
             max_batch=max_batch,
             max_wait_seconds=batch_window_seconds,
         )
-        factory = backend_factory or default_backend_factory
         self.servers: Dict[str, InferenceServer] = {}
-        self.profiles: Dict[str, WorkerProfile] = {}
-        # Inner (per-lane) ticket -> the pool-global ticket Server issued.
-        self._tickets: Dict[Tuple[str, int], int] = {}
+        #: artifact id -> the cost model's seconds for one batch on that
+        #: lane (admission's price until the lane has measured one).
+        self.modeled_seconds: Dict[str, float] = {}
         loaded = {} if shared_artifacts is None else shared_artifacts
         domains = {} if shared_keys is None else shared_keys
         for spec in self.specs:
             if spec.artifact_id not in loaded:
                 loaded[spec.artifact_id] = ArtifactMap(spec.path).load()
             artifact = loaded[spec.artifact_id]
-            backend = factory(artifact.manifest.to_params(), key_seed)
+            backend = default_backend_factory(artifact.manifest.to_params(), key_seed)
             domain = domains.get(spec.artifact_id)
             if domain is not None:
                 domain.install(backend)
@@ -182,17 +174,16 @@ class Worker:
                 # the state generate_lane_keys left.
                 domains[spec.artifact_id] = KeyDomain.of(backend)
 
-    def _open_lane(self, spec: ArtifactSpec, artifact, backend) -> WorkerProfile:
-        """Stand up (or replace) the lane serving ``spec`` from ``artifact``."""
+    def _open_lane(self, spec: ArtifactSpec, artifact, backend) -> float:
+        """Stand up (or replace) the lane serving ``spec`` from
+        ``artifact``; returns its modeled seconds."""
         server = InferenceServer(
             artifact, backend, tracer=self.tracer, **self._server_opts
         )
         verify_mmap_tables(server, spec.path)
         self.servers[spec.artifact_id] = server
-        self.profiles[spec.artifact_id] = profile = WorkerProfile(
-            modeled_seconds=server.modeled_seconds
-        )
-        return profile
+        self.modeled_seconds[spec.artifact_id] = server.modeled_seconds
+        return server.modeled_seconds
 
     # -- intake ------------------------------------------------------------
     def submit(
@@ -202,18 +193,14 @@ class Worker:
         client_id: str,
         payload,
         now: Optional[float],
-        deadline: Optional[float],
     ) -> None:
-        inner = self.servers[artifact_id].submit(
-            payload, client_id=client_id, now=now, deadline=deadline
-        )
-        self._tickets[(artifact_id, inner)] = ticket
+        self.servers[artifact_id].submit(ticket, payload, client_id, now)
 
     def serve_now(
         self, ticket: int, artifact_id: str, client_id: str, payload
     ) -> ServeResult:
-        result = self.servers[artifact_id].serve_now(payload, client_id=client_id)
-        return self._stamp(result, artifact_id, ticket)
+        server = self.servers[artifact_id]
+        return self._stamp(server.serve_now(ticket, payload, client_id), artifact_id)
 
     # -- execution ---------------------------------------------------------
     def begin_step(self, now: Optional[float]) -> None:
@@ -232,7 +219,7 @@ class Worker:
 
     def reload(
         self, artifact_id: str, artifact: Optional[ServingArtifact] = None
-    ) -> WorkerProfile:
+    ) -> float:
         """Hot-swap a new artifact version into this worker.
 
         Re-maps the artifact's path (which the caller has already
@@ -243,8 +230,8 @@ class Worker:
         ciphertexts, so the swapped-in artifact is required to carry the
         *same* key manifest, so the rebuilt lane finds every key it
         needs already there and generates none.  The lane's queue must
-        be empty (``drain()`` first).  Returns the refreshed
-        :class:`WorkerProfile`.
+        be empty (``drain()`` first).  Returns the lane's refreshed
+        modeled seconds.
         """
         old = self.servers[artifact_id]
         if len(old.scheduler):
@@ -263,30 +250,18 @@ class Worker:
             )
         return self._open_lane(spec, artifact, old.backend)
 
-    def _stamp(
-        self, result: ServeResult, artifact_id: str, ticket: Optional[int] = None
-    ) -> ServeResult:
-        if ticket is None:
-            ticket = self._tickets.pop((artifact_id, result.ticket))
-        result.ticket = ticket
+    def _stamp(self, result: ServeResult, artifact_id: str) -> ServeResult:
         result.artifact_id = artifact_id
         result.worker_id = self.worker_id
         return result
 
     # -- observability -----------------------------------------------------
-    def queue_depths(self) -> Dict[str, int]:
-        return {
-            artifact_id: len(server.scheduler)
-            for artifact_id, server in self.servers.items()
-        }
-
     def stats(self) -> WorkerStats:
         """This worker's one report: a frozen snapshot per lane."""
         return WorkerStats(
             self.worker_id,
             tuple(
-                # verify_mmap_tables vouched for every lane at open
-                LaneStats.from_server(artifact_id, server, mmap_backed=True)
+                LaneStats.from_server(artifact_id, server)
                 for artifact_id, server in self.servers.items()
             ),
         )
@@ -325,8 +300,8 @@ def _process_worker_main(
     page-cache residency — the whole point).  Every request is
     ``(method, args)`` and gets exactly one reply, in order:
     ``(True, return value)`` or ``(False, exception)``.  The first
-    reply, to the construction itself, is the lane profiles; ``None``
-    ends the loop.
+    reply, to the construction itself, is the lanes' modeled seconds;
+    ``None`` ends the loop.
     """
 
     def failed(exc: Exception):
@@ -338,7 +313,7 @@ def _process_worker_main(
     except Exception as exc:
         response_queue.put(failed(exc))
         return
-    response_queue.put((True, worker.profiles))
+    response_queue.put((True, worker.modeled_seconds))
     for method, args in iter(request_queue.get, None):
         try:
             reply = True, getattr(worker, method)(*args)
@@ -372,9 +347,6 @@ class ProcessWorker:
         self.worker_id = worker_id
         self._requests = context.Queue()
         self._responses = context.Queue()
-        # Requests this parent has queued and not yet seen delivered:
-        # admission reads them without a round trip into the child.
-        self._depths: Dict[str, int] = {spec.artifact_id: 0 for spec in specs}
         # The child's latest telemetry bundle (minus the trace spans,
         # which wait in _pending_trace until someone takes them).
         # Refreshed on stats()/telemetry() and — so the last batches
@@ -393,8 +365,8 @@ class ProcessWorker:
             daemon=True,
         )
         self._process.start()
-        self._unanswered = 1  # the construction's own reply: the profiles
-        self.profiles: Dict[str, WorkerProfile] = self._receive()
+        self._unanswered = 1  # the construction's own reply
+        self.modeled_seconds: Dict[str, float] = self._receive()
 
     # -- the wire ------------------------------------------------------------
     def _send(self, method: str, *args) -> None:
@@ -437,41 +409,30 @@ class ProcessWorker:
         self._send(method, *args)
         return self._await()
 
-    def _delivered(self, results: List[ServeResult]) -> List[ServeResult]:
-        for result in results:
-            self._depths[result.artifact_id] -= 1
-        return results
-
     # -- intake ------------------------------------------------------------
-    def submit(self, ticket, artifact_id, client_id, payload, now, deadline):
-        self._depths[artifact_id] += 1
-        self._send("submit", ticket, artifact_id, client_id, payload, now, deadline)
+    def submit(self, ticket, artifact_id, client_id, payload, now):
+        self._send("submit", ticket, artifact_id, client_id, payload, now)
 
     def serve_now(self, ticket, artifact_id, client_id, payload) -> ServeResult:
-        self._depths[artifact_id] += 1
-        result = self._call("serve_now", ticket, artifact_id, client_id, payload)
-        return self._delivered([result])[0]
+        return self._call("serve_now", ticket, artifact_id, client_id, payload)
 
     # -- execution ---------------------------------------------------------
     def begin_step(self, now: Optional[float]) -> None:
         self._send("finish_step", now)
 
     def finish_step(self, now: Optional[float]) -> List[ServeResult]:
-        return self._delivered(self._await())
+        return self._await()
 
     def warm(self, batch_sizes=None) -> None:
         self._call("warm", batch_sizes)
 
     def reload(
         self, artifact_id: str, artifact: Optional[ServingArtifact] = None
-    ) -> WorkerProfile:
-        self.profiles[artifact_id] = self._call("reload", artifact_id, artifact)
-        return self.profiles[artifact_id]
+    ) -> float:
+        self.modeled_seconds[artifact_id] = self._call("reload", artifact_id, artifact)
+        return self.modeled_seconds[artifact_id]
 
     # -- observability -----------------------------------------------------
-    def queue_depths(self) -> Dict[str, int]:
-        return dict(self._depths)
-
     def _refresh(self) -> None:
         """Pull the child's telemetry bundle, if there is a child to ask.
         Trace spans accumulate (the child drains its buffer, so no span
@@ -532,7 +493,6 @@ def start_workers(specs: Tuple[ArtifactSpec, ...], config) -> List:
         key_seed=config.key_seed,
         max_batch=config.max_batch,
         batch_window_seconds=config.batch_window_seconds,
-        backend_factory=config.backend_factory,
         tracing=config.tracing,
     )
     if config.mode == "inline":

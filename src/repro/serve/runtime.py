@@ -33,7 +33,7 @@ from repro.core.program import ExecutionState
 from repro.obs.noise import NoiseMonitor
 from repro.obs.tracing import NULL_TRACER, get_tracer, use_tracer
 from repro.serve.keys import generate_lane_keys
-from repro.serve.scheduler import Batch, SlotBatchingScheduler
+from repro.serve.scheduler import Batch, PendingRequest, SlotBatchingScheduler
 
 
 @dataclass
@@ -70,8 +70,9 @@ class InferenceServer:
             backend installs none).
         max_batch: cap on the batch size (defaults to the program's
             slot capacity; ``1`` serves every request alone).
-        max_wait_seconds: default deadline per request (queue order
-            only; an idle worker never waits — see the scheduler).
+        max_wait_seconds: each request's deadline after its enqueue
+            (queue order only; an idle worker never waits — see the
+            scheduler).
     """
 
     def __init__(
@@ -172,19 +173,20 @@ class InferenceServer:
     # -- request intake ------------------------------------------------------
     def submit(
         self,
+        ticket: int,
         image: np.ndarray,
         client_id: str = "anon",
         now: Optional[float] = None,
-        deadline: Optional[float] = None,
-    ) -> int:
-        """Enqueue a request; returns its ticket."""
-        request = self.scheduler.submit(client_id, image, now=now, deadline=deadline)
+    ) -> None:
+        """Enqueue a request under the caller's ticket."""
+        request = self.scheduler.submit(ticket, client_id, image, now=now)
         request.trace_enqueued = self.tracer.clock()
-        return request.ticket
 
-    def serve_now(self, image: np.ndarray, client_id: str = "anon") -> ServeResult:
+    def serve_now(
+        self, ticket: int, image: np.ndarray, client_id: str = "anon"
+    ) -> ServeResult:
         """Run one request immediately, bypassing the queue."""
-        request = self.scheduler.ticket(client_id, image)
+        request = PendingRequest(ticket, client_id, image, time.monotonic())
         request.trace_enqueued = self.tracer.clock()
         return self._run_batch(Batch(requests=[request], reason="single"))[0]
 

@@ -21,9 +21,10 @@ an idle worker waiting for company.
   program runs the same ciphertext count).
 - **Single** — one request waiting.
 
-Each request carries a deadline (explicit, or ``enqueued_at +
-max_wait_seconds``).  It never delays anyone: it is the
-earliest-deadline-first order in which requests leave the queue.
+Each request carries a deadline, ``enqueued_at + max_wait_seconds``.
+It never delays anyone: it is the earliest-deadline-first order in
+which requests leave the queue.  A request arrives with its ticket
+(the front door's); the scheduler keeps it and issues none.
 
 The scheduler is deterministic and clock-injected (pass ``now``) so the
 runtime — and the tests — fully control time.
@@ -40,11 +41,12 @@ from typing import List, Optional
 class PendingRequest:
     """One inference request, queued or about to run."""
 
+    ticket: int
     client_id: str
     payload: object
     enqueued_at: float
+    # ``None`` for a request run at once, which never queues.
     deadline: Optional[float] = None
-    ticket: int = 0
     # Enqueue timestamp on the *tracer* clock (perf_counter), stamped by
     # the serving runtime; ``enqueued_at`` stays on the scheduler's
     # injected monotonic clock, which tests control.
@@ -68,9 +70,9 @@ class SlotBatchingScheduler:
 
     Args:
         capacity: the program's slot-batch capacity (power of two).
-        max_wait_seconds: default deadline (``now + max_wait_seconds``)
-            for requests submitted without one.  Orders the queue;
-            never delays an idle worker.
+        max_wait_seconds: the deadline (``now + max_wait_seconds``) of
+            every request.  Orders the queue; never delays an idle
+            worker.
     """
 
     def __init__(self, capacity: int, max_wait_seconds: float = 0.05):
@@ -79,36 +81,19 @@ class SlotBatchingScheduler:
         self.capacity = capacity
         self.max_wait_seconds = max_wait_seconds
         self.queue: List[PendingRequest] = []
-        self._next_ticket = 0
 
     # -- queue -------------------------------------------------------------
-    def ticket(
-        self,
-        client_id: str,
-        payload,
-        now: Optional[float] = None,
-        deadline: Optional[float] = None,
+    def submit(
+        self, ticket: int, client_id: str, payload, now: Optional[float] = None
     ) -> PendingRequest:
-        """A ticketed request that is *not* queued (the run-now path)."""
         now = time.monotonic() if now is None else now
         request = PendingRequest(
+            ticket=ticket,
             client_id=client_id,
             payload=payload,
             enqueued_at=now,
-            deadline=deadline if deadline is not None else now + self.max_wait_seconds,
-            ticket=self._next_ticket,
+            deadline=now + self.max_wait_seconds,
         )
-        self._next_ticket += 1
-        return request
-
-    def submit(
-        self,
-        client_id: str,
-        payload,
-        now: Optional[float] = None,
-        deadline: Optional[float] = None,
-    ) -> PendingRequest:
-        request = self.ticket(client_id, payload, now=now, deadline=deadline)
         self.queue.append(request)
         return request
 

@@ -17,7 +17,6 @@ their layout (``STATS_SCHEMA_VERSION``).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -25,12 +24,13 @@ from repro.backend.ledger import LatencyHistogram
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.keys import backend_key_bytes
 
-#: Version 4: a worker row is its per-artifact ``lanes``, each carrying
-#: whole latency histograms (request, queue wait, per phase) and the
-#: ledger's op counts; the constant kernel name and the pool-side
-#: tenant key-cache fields are gone.  Version 3 added per-worker key-material
-#: accounting, version 2 the noise-budget telemetry (``WorkerStats.noise``).
-STATS_SCHEMA_VERSION = 4
+#: Version 5: a lane no longer reports ``mmap_backed`` (always true: a
+#: lane whose tables were copied off the map refuses to open).  Version 4
+#: made a worker row its per-artifact ``lanes``, each carrying whole
+#: latency histograms (request, queue wait, per phase) and the ledger's
+#: op counts.  Version 3 added per-worker key-material accounting,
+#: version 2 the noise-budget telemetry (``WorkerStats.noise``).
+STATS_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class LaneStats:
     preloaded_plaintexts: int
     compilations_since_load: int
     placements_since_load: int
-    mmap_backed: bool
     key_bytes_resident: int
     modeled_seconds: float
     rotations: int
@@ -86,7 +85,7 @@ class LaneStats:
     phases: Tuple[Tuple[str, LatencyHistogram], ...]
 
     @classmethod
-    def from_server(cls, artifact_id: str, server, mmap_backed: bool) -> "LaneStats":
+    def from_server(cls, artifact_id: str, server) -> "LaneStats":
         """Snapshot one :class:`repro.serve.runtime.InferenceServer`."""
         ledger = server.ledger
         return cls(
@@ -98,7 +97,6 @@ class LaneStats:
             preloaded_plaintexts=server.preloaded_plaintexts,
             compilations_since_load=server.compilations_since_load,
             placements_since_load=server.placements_since_load,
-            mmap_backed=mmap_backed,
             key_bytes_resident=backend_key_bytes(server.backend),
             modeled_seconds=ledger.seconds,
             rotations=ledger.rotations,
@@ -151,10 +149,6 @@ class WorkerStats:
     @property
     def capacity(self) -> int:
         return max(lane.capacity for lane in self.lanes)
-
-    @property
-    def mmap_backed(self) -> bool:
-        return all(lane.mmap_backed for lane in self.lanes)
 
     @property
     def request_latency(self) -> LatencyHistogram:

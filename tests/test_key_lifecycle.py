@@ -306,6 +306,11 @@ class TestHotReload:
             (result,) = server.step()
             return result.output
 
+        def solo_one(server, ticket, image):
+            server.submit(ticket, image, client_id="alice", now=0.0)
+            (result,) = server.step()
+            return result.output
+
         config = serve.ServerConfig(workers=1, mode=mode, batch_window_seconds=0.0)
         with serve.open(served, config) as server:
             pool = [one(server, images[0])]
@@ -317,8 +322,9 @@ class TestHotReload:
         old, new = ArtifactMap(base_path).load(), ArtifactMap(served).load()
         backend = default_backend_factory(old.manifest.to_params(), config.key_seed)
         solo_old = InferenceServer(old, backend, max_wait_seconds=0.0)
-        solo = [one(solo_old, images[0]), one(solo_old, images[1])]
-        solo.append(one(InferenceServer(new, backend, max_wait_seconds=0.0), images[2]))
+        solo = [solo_one(solo_old, 0, images[0]), solo_one(solo_old, 1, images[1])]
+        solo_new = InferenceServer(new, backend, max_wait_seconds=0.0)
+        solo.append(solo_one(solo_new, 2, images[2]))
         for got, want in zip(pool, solo):
             assert np.array_equal(got, want)
         # The swap took: the retrained weights answer the last request.

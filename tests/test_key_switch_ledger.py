@@ -134,11 +134,11 @@ class TestLedgerFolds:
             artifact, ToyBackend(artifact.manifest.to_params(), seed=4), max_batch=1
         )
         rng = np.random.default_rng(4)
-        server.serve_now(rng.normal(0, 0.5, (1, 4, 4)))
+        server.serve_now(0, rng.normal(0, 0.5, (1, 4, 4)))
         one = Counter(server.ledger.key_switches)
         assert one
         for k in range(2, 5):
-            server.serve_now(rng.normal(0, 0.5, (1, 4, 4)))
+            server.serve_now(k, rng.normal(0, 0.5, (1, 4, 4)))
             want = Counter({ks: k * count for ks, count in one.items()})
             assert server.ledger.key_switches == want
             assert server.backend.ledger.key_switches == want

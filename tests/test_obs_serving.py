@@ -204,6 +204,38 @@ class TestTraceTree:
         json.dumps(doc)  # JSON-serializable end to end
 
 
+@pytest.mark.usefixtures("fork_deadline")
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_request_spans_carry_the_clients_ticket(artifact_path, mode):
+    """Every ``serve.request`` span names the ticket its client holds —
+    the one ``submit`` / ``serve_now`` returned — so a trace joins to
+    client-side records.  Two workers make the case: tenant-0, -1 and -3
+    route to worker 0, tenant-2 to worker 1, so a lane that numbered its
+    own requests would label tenant-3's span 2 and tenant-2's 0."""
+    images = _images(6)
+    held = {}
+    server = serve.open(artifact_path, _config(mode=mode, tracing=True))
+    try:
+        assert [server.route(f"tenant-{i}") for i in range(4)] == [0, 0, 1, 0]
+        for i, image in enumerate(images[:4]):
+            held[f"tenant-{i}"] = server.submit(image, client_id=f"tenant-{i}")
+        server.step()
+        held["tenant-4"] = server.serve_now(images[4], client_id="tenant-4").ticket
+        held["tenant-5"] = server.submit(images[5], client_id="tenant-5")
+        results = server.drain()
+        spans = [
+            root["attrs"]
+            for track in server.trace()
+            for root in track["spans"]
+            if root["name"] == "serve.request"
+        ]
+    finally:
+        server.close()
+    assert [r.ticket for r in results] == [held["tenant-5"]]
+    assert sorted(span["ticket"] for span in spans) == list(range(6))
+    assert {span["client_id"]: span["ticket"] for span in spans} == held
+
+
 class TestBitExactness:
     def test_outputs_identical_tracing_on_off(self, artifact_path):
         images = _images(4)
@@ -410,7 +442,6 @@ def _lane(artifact_id, latencies, noise=NoiseStats()):
         preloaded_plaintexts=0,
         compilations_since_load=0,
         placements_since_load=0,
-        mmap_backed=True,
         key_bytes_resident=0,
         modeled_seconds=0.0,
         rotations=0,

@@ -336,7 +336,7 @@ def _simulate_open_loop(sched, arrivals, service_seconds):
     runs, clock, sent = [], 0.0, 0
     while sent < len(arrivals) or len(sched):
         while sent < len(arrivals) and arrivals[sent] <= clock:
-            sched.submit(f"c{sent}", sent, now=arrivals[sent])
+            sched.submit(sent, f"c{sent}", sent, now=arrivals[sent])
             sent += 1
         batch = sched.next_batch()
         if batch is None:
@@ -360,7 +360,7 @@ class TestScheduler:
     def test_full_queue_flushes_immediately(self):
         sched = SlotBatchingScheduler(capacity=4, max_wait_seconds=100.0)
         for i in range(5):
-            sched.submit(f"c{i}", i, now=0.0)
+            sched.submit(i, f"c{i}", i, now=0.0)
         batch = sched.next_batch()
         assert batch.size == 4 and batch.reason == "full"
         # The one left runs too, deadline far away or not.
@@ -371,7 +371,7 @@ class TestScheduler:
     def test_backlog_forms_partial_batch(self):
         sched = SlotBatchingScheduler(capacity=8, max_wait_seconds=1.0)
         for i in range(3):
-            sched.submit(f"c{i}", i, now=0.0)
+            sched.submit(i, f"c{i}", i, now=0.0)
         batch = sched.next_batch()  # no clock: nothing to wait for
         assert batch.size == 2 and batch.reason == "partial"
         assert [r.ticket for r in batch.requests] == [0, 1]
@@ -383,7 +383,7 @@ class TestScheduler:
         costs, so there is no "not worthwhile" arm."""
         sched = SlotBatchingScheduler(capacity=8, max_wait_seconds=0.0)
         for i in range(backlog):
-            sched.submit(f"c{i}", i, now=0.0)
+            sched.submit(i, f"c{i}", i, now=0.0)
         batch = sched.next_batch()
         expected = min(8, 1 << (backlog.bit_length() - 1))
         assert batch.size == expected
@@ -392,20 +392,24 @@ class TestScheduler:
     def test_backlog_drains_into_power_of_two_batches(self):
         sched = SlotBatchingScheduler(capacity=4, max_wait_seconds=100.0)
         for i in range(7):
-            sched.submit(f"c{i}", i, now=0.0)
+            sched.submit(i, f"c{i}", i, now=0.0)
         sizes = []
         while (batch := sched.next_batch()) is not None:
             sizes.append(batch.size)
         assert sizes == [4, 2, 1]
         assert len(sched) == 0
 
-    def test_ticket_never_touches_the_queue(self):
+    def test_ticket_passes_through_unchanged(self):
+        """The scheduler issues no ticket: a request leaves the queue
+        with the one it was submitted under (the front door's, which
+        the trace span and the result carry too)."""
         sched = SlotBatchingScheduler(capacity=4)
-        queued = sched.submit("a", 1, now=0.0)
-        loose = sched.ticket("b", 2, now=0.0)
-        assert (queued.ticket, loose.ticket) == (0, 1)
-        assert sched.queue == [queued]
-        assert sched.submit("c", 3, now=0.0).ticket == 2
+        for ticket in (17, 40, 41):
+            sched.submit(ticket, f"c{ticket}", ticket, now=0.0)
+        batch = sched.next_batch()
+        assert [r.ticket for r in batch.requests] == [17, 40]
+        assert [r.client_id for r in batch.requests] == ["c17", "c40"]
+        assert [r.ticket for r in sched.next_batch().requests] == [41]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_interleavings_conserve_and_order(self, seed):
@@ -437,11 +441,8 @@ class TestScheduler:
         for _ in range(200):
             clock += float(rng.exponential(0.01))
             if rng.random() < 0.6:
-                deadline = None
-                if rng.random() < 0.3:  # explicit, possibly out of order
-                    deadline = clock + float(rng.uniform(-0.1, 0.1))
                 submitted.append(
-                    sched.submit("c", None, now=clock, deadline=deadline).ticket
+                    sched.submit(len(submitted), "c", None, now=clock).ticket
                 )
             else:
                 take()
@@ -662,10 +663,9 @@ class TestInferenceServer:
         compilations_before = OrionCompiler.invocations
         placements_before = solve_placement.invocations
         imgs = [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(4)]
-        tickets = [
-            server.submit(im, client_id=f"c{i}", now=0.0)
-            for i, im in enumerate(imgs)
-        ]
+        tickets = [100 + i for i in range(len(imgs))]
+        for ticket, im in zip(tickets, imgs):
+            server.submit(ticket, im, client_id=f"c{ticket}", now=0.0)
         results = {r.ticket: r for r in server.step(now=10.0)}
         assert sorted(results) == sorted(tickets)
         assert all(r.batch_size == 4 for r in results.values())
@@ -682,14 +682,15 @@ class TestInferenceServer:
     def test_serve_now_single(self, served):
         _, rng, _, artifact, server = served
         img = rng.normal(0, 0.5, (1, 8, 8))
-        result = server.serve_now(img)
+        result = server.serve_now(7, img)
+        assert result.ticket == 7
         ref = artifact.program.run_cleartext_packed(img)
         assert OrionNetwork.precision_bits(result.output, ref) > 5
         assert result.batch_size == 1
 
     def test_telemetry_accumulates(self, served):
         *_, server = served
-        stats = LaneStats.from_server("mlp", server, mmap_backed=False)
+        stats = LaneStats.from_server("mlp", server)
         assert stats.requests_served >= 5
         assert stats.request_latency.count >= 5
         assert stats.modeled_seconds > 0
@@ -720,8 +721,8 @@ class TestInferenceServer:
             max_wait_seconds=0.0,
         )
         imgs = [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(3)]
-        for im in imgs:
-            server.submit(im, now=0.0)
+        for ticket, im in enumerate(imgs):
+            server.submit(ticket, im, now=0.0)
         results = sorted(server.step(now=0.0), key=lambda r: r.ticket)
         assert [r.batch_size for r in results] == [1, 1, 1]
         for result, im in zip(results, imgs):
@@ -731,7 +732,7 @@ class TestInferenceServer:
     def test_step_flushes_queue(self, served):
         _, rng, *_ , server = served
         for i in range(3):
-            server.submit(rng.normal(0, 0.5, (1, 8, 8)), now=0.0)
+            server.submit(i, rng.normal(0, 0.5, (1, 8, 8)), now=0.0)
         results = server.step()
         assert len(results) == 3
         assert sorted(r.batch_size for r in results) == [1, 2, 2]

@@ -61,7 +61,7 @@ from repro.serve.keys import (
     default_backend_factory,
     generate_lane_keys,
 )
-from repro.serve.pool import Worker, WorkerProfile, verify_mmap_tables
+from repro.serve.pool import Worker, verify_mmap_tables
 from repro.serve.runtime import InferenceServer, ServeResult
 
 
@@ -176,8 +176,8 @@ class TestBitExactness:
                 max_batch=POOL_MAX_BATCH,
                 max_wait_seconds=0.0,
             )
-            for client, image in share:
-                solo.submit(image, client_id=client)
+            for ticket, (client, image) in enumerate(share):
+                solo.submit(ticket, image, client_id=client)
             for solo_result in solo.step():
                 pool_result = pool_results[solo_result.client_id]
                 assert pool_result.worker_id == worker_id
@@ -195,7 +195,7 @@ class TestBitExactness:
             max_batch=POOL_MAX_BATCH,
             max_wait_seconds=0.0,
         )
-        solo_result = solo.serve_now(image, client_id="alice")
+        solo_result = solo.serve_now(0, image, client_id="alice")
         assert np.array_equal(pool_result.output, solo_result.output)
 
 
@@ -245,6 +245,23 @@ class TestAdmission:
             assert final.requests_completed == final.requests_admitted
             assert 0.0 < final.reject_rate < 1.0
 
+    @pytest.mark.usefixtures("fork_deadline")
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_failed_serve_now_frees_its_queue_slot(self, artifact_path, mode):
+        """A run that raises leaves nothing queued on its worker: the
+        next request is admitted, though the failed one stays in
+        flight (admitted, never completed)."""
+        config = _pool_config(workers=1, mode=mode, max_queue_depth=1)
+        with serve.open(artifact_path, config) as server:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    server.serve_now(np.zeros((3, 5)), client_id="alice")
+            result = server.serve_now(_images(1)[0], client_id="alice")
+            assert result.ticket == 2
+            stats = server.stats()
+            assert (stats.requests_rejected, stats.in_flight) == (0, 2)
+            assert server._depths == {0: 0}
+
     def test_drain_leaves_zero_in_flight(self, artifact_path):
         with serve.open(artifact_path, _pool_config()) as server:
             tickets = [
@@ -264,15 +281,12 @@ class _StubWorker:
     worker_id = 0
 
     def __init__(self, modeled_seconds, walls, capacity=2):
-        self.profiles = {"mlp": WorkerProfile(modeled_seconds=modeled_seconds)}
+        self.modeled_seconds = {"mlp": modeled_seconds}
         self.capacity = capacity
         self.walls = iter(walls)
         self.queue = []
 
-    def queue_depths(self):
-        return {"mlp": len(self.queue)}
-
-    def submit(self, ticket, artifact_id, client_id, payload, now, deadline):
+    def submit(self, ticket, artifact_id, client_id, payload, now):
         self.queue.append((ticket, client_id))
 
     def begin_step(self, now):
@@ -440,8 +454,6 @@ class TestSharedMmapTables:
     def test_worker_tables_are_mmap_backed(self, artifact_path):
         with serve.open(artifact_path, _pool_config()) as server:
             server.serve_now(_images(1)[0], client_id="alice")
-            stats = server.stats()
-            assert all(w.mmap_backed for w in stats.workers)
             for worker in server._workers:
                 for inner in worker.servers.values():
                     assert verify_mmap_tables(inner, artifact_path)
@@ -711,7 +723,7 @@ class TestSharedKeyDomain:
                     max_batch=POOL_MAX_BATCH,
                     max_wait_seconds=0.0,
                 )
-                expected = replay.serve_now(image, client_id="alice")
+                expected = replay.serve_now(0, image, client_id="alice")
                 for ticket, worker in enumerate(workers):
                     backend = worker.servers[artifact_id].backend
                     galois = backend.context.keys.galois
@@ -769,18 +781,18 @@ class TestSharedKeyDomain:
             assert context.keys.galois == {}
             assert context.rng.get_state() == state
 
-    def test_keyless_lanes_share_nothing(self, artifact_path):
+    def test_keyless_lanes_share_nothing(self, artifact_path, monkeypatch):
         def functional(params, seed):
             return SimBackend(params, seed=seed)
 
         assert KeyDomain.of(functional(_params(), 0)) is None
+        monkeypatch.setattr("repro.serve.pool.default_backend_factory", functional)
         domains = {}
         spec = ArtifactSpec("mlp", path=artifact_path)
         opts = dict(
             key_seed=0,
             max_batch=POOL_MAX_BATCH,
             batch_window_seconds=0.0,
-            backend_factory=functional,
             shared_keys=domains,
         )
         workers = [Worker(worker_id, (spec,), **opts) for worker_id in range(2)]
@@ -812,8 +824,10 @@ class TestProcessMode:
     @staticmethod
     def _play(artifact_path, mode, script):
         """Run ``script`` on a 2-worker pool; returns every observable:
-        the per-call log (what the call returned + every worker's queue
-        depths right after it) and the final typed stats."""
+        the per-call log (what the call returned + the server's queue
+        depth of every worker right after it) and the final typed stats.
+        After every call each of those depths must equal the sum of the
+        worker's own lane queue depths."""
         config = _pool_config(workers=2, mode=mode, max_queue_depth=16)
         images = iter(_images(16))
         log = []
@@ -840,7 +854,12 @@ class TestProcessMode:
                     ]
                 else:  # step / warm / reload / drain
                     returned = getattr(server, call)()
-                log.append((call, returned, [w.queue_depths() for w in workers]))
+                depths = [server._depths[w.worker_id] for w in workers]
+                queued = [
+                    sum(lane.queue_depth for lane in w.stats().lanes) for w in workers
+                ]
+                assert depths == queued, f"{mode}: queue depths after {call}"
+                log.append((call, returned, depths))
             stats = server.stats()
         finally:
             server.close()
@@ -854,8 +873,9 @@ class TestProcessMode:
     ):
         """The same call script through ``mode="inline"`` and
         ``mode="process"``: equal tickets, batches, bits, typed stats —
-        and equal queue depths after **every** call (the parent's depth
-        mirror used to go to -1 per ``serve_now``)."""
+        and equal queue depths after **every** call, each the server's
+        own count and each equal to what the worker's lanes hold (a
+        parent-side depth mirror once went to -1 per ``serve_now``)."""
         calls = self.SCRIPTS[script]
 
         def stamp(r):
@@ -873,12 +893,11 @@ class TestProcessMode:
             assert [stamp(r) for r in got] == [stamp(r) for r in want], call
             for a, b in zip(got, want):
                 assert np.array_equal(a.output, b.output), call
-        assert all(d == {"mlp": 0} for d in inline_log[-1][2])
+        assert inline_log[-1][2] == [0, 0]
         for a, b in zip(inline_stats.workers, process_stats.workers):
             assert (a.requests_served, a.batches_run, a.rotations, a.queue_depth) == (
                 b.requests_served, b.batches_run, b.rotations, b.queue_depth
             )
-            assert a.mmap_backed and b.mmap_backed
         assert process_stats.in_flight == inline_stats.in_flight == 0
         assert (
             process_stats.requests_completed
