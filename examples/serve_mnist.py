@@ -11,7 +11,7 @@ script, through the fleet front door (``repro.serve.open``):
 3. serve four clients **sequentially**, then the same four **batched**
    through the pool's slot-batching workers, verifying per-client
    outputs match;
-4. print the typed, schema-versioned pool telemetry and the span
+4. print the typed pool telemetry and the span
    tracks the forked workers recorded;
 5. **hot-reload**: re-export retrained weights over the served path,
    ``reload()`` the running pool, and check that the same clients now
@@ -113,7 +113,7 @@ def main(scratch):
         p50 = latency.quantile(0.5)
         modeled = sum(w.modeled_seconds for w in stats.workers)
         print(
-            f"telemetry (schema v{stats.schema_version}): "
+            f"telemetry: "
             f"{stats.requests_completed} requests in {total_batches} runs "
             f"across {len(stats.workers)} workers, request p50 "
             f"{p50 * 1e3:.0f} ms, modeled {modeled:.1f}s of FHE work"

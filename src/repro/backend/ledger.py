@@ -1,20 +1,20 @@
 """Operation ledger: counts and modeled latency for every FHE op.
 
-Every backend charges its operations here.  Benchmarks read rotation
-counts (paper Tables 2-4), bootstrap counts, and accumulated modeled
-latency from the ledger, optionally broken down by phase label (e.g.
-per layer) so conv-time vs bootstrap-time splits can be reported
-(paper Table 4).  Every key-switching charge also records the switch's
-shape (:class:`KeySwitch`), which export prices per digit grouping
-(:mod:`repro.serve.grouping`).
+Every backend charges its operations here.  Tests and benchmarks read
+rotation counts, bootstrap counts and accumulated modeled latency from
+the ledger; per-instruction and per-batch splits are the op deltas of
+:mod:`repro.obs.tracing` spans bound to it (paper Table 4's conv-time
+split is priced through ``PackingStats.cost`` instead).  Every key-switching
+charge also records the switch's shape (:class:`KeySwitch`), which
+export prices per digit grouping (:mod:`repro.serve.grouping`).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -44,40 +44,11 @@ class OpLedger:
         #: every key switch charged, by shape, with its multiplicity
         self.key_switches: Counter = Counter()
         self.seconds: float = 0.0
-        self.seconds_by_phase: Dict[str, float] = defaultdict(float)
-        self.counts_by_phase: Dict[str, Counter] = defaultdict(Counter)
-        self._phase: Optional[str] = None
-
-    # -- phases ----------------------------------------------------------
-    def set_phase(self, phase: Optional[str]) -> None:
-        """Label subsequent charges (e.g. 'conv1', 'bootstrap', 'act2')."""
-        self._phase = phase
-
-    class _PhaseScope:
-        def __init__(self, ledger: "OpLedger", phase: str):
-            self.ledger = ledger
-            self.phase = phase
-            self.previous: Optional[str] = None
-
-        def __enter__(self):
-            self.previous = self.ledger._phase
-            self.ledger.set_phase(self.phase)
-            return self.ledger
-
-        def __exit__(self, *exc):
-            self.ledger.set_phase(self.previous)
-            return False
-
-    def phase(self, name: str) -> "OpLedger._PhaseScope":
-        return OpLedger._PhaseScope(self, name)
 
     # -- charging ----------------------------------------------------------
     def charge(self, op: str, seconds: float, count: int = 1) -> None:
         self.counts[op] += count
         self.seconds += seconds
-        if self._phase is not None:
-            self.seconds_by_phase[self._phase] += seconds
-            self.counts_by_phase[self._phase][op] += count
 
     # -- queries -------------------------------------------------------------
     @property
@@ -94,28 +65,10 @@ class OpLedger:
     def multiplies(self) -> int:
         return self.counts["pmult"] + self.counts["hmult"]
 
-    def merge(self, other: "OpLedger") -> None:
-        """Fold another ledger's charges into this one.
-
-        The serving runtime gives every request a scratch ledger (so
-        per-request op counts and modeled latency are attributable) and
-        merges it into the server's cumulative ledger afterwards.
-        """
-        self.counts.update(other.counts)
-        self.key_switches.update(other.key_switches)
-        self.seconds += other.seconds
-        for phase, secs in other.seconds_by_phase.items():
-            self.seconds_by_phase[phase] += secs
-        for phase, counter in other.counts_by_phase.items():
-            self.counts_by_phase[phase].update(counter)
-
     def reset(self) -> None:
         self.counts.clear()
         self.key_switches.clear()
         self.seconds = 0.0
-        self.seconds_by_phase.clear()
-        self.counts_by_phase.clear()
-        self._phase = None
 
     def __repr__(self) -> str:
         return (

@@ -183,10 +183,7 @@ class OrionCompiler:
     ) -> CompiledNetwork:
         from repro.obs.tracing import get_tracer
 
-        obs = get_tracer()
-        if not obs.enabled:
-            return self._compile(net, input_shape, calibration_batches)
-        with obs.span(
+        with get_tracer().span(
             "compile",
             category="compile",
             mode=self.mode,

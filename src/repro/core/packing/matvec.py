@@ -92,7 +92,7 @@ class PackedMatVec:
             partial 0 (whose chain is empty) before the fold.
         bias_vecs: optional per-output-block bias slot vectors.
         out_layout: layout of the produced tensor.
-        name: label for ledger phases.
+        name: the layer's name, which error messages cite.
     """
 
     slots: int

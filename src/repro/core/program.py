@@ -97,8 +97,8 @@ _KINDS: Dict[str, type] = {}
 class Instruction:
     """Base instruction: placement metadata common to all ops."""
 
-    # Class attributes (no annotation: not dataclass fields): the span /
-    # phase category and the artifact payload tag of a concrete kind.
+    # Class attributes (no annotation: not dataclass fields): the span
+    # category and the artifact payload tag of a concrete kind.
     span_category = "op"
     kind = ""
 
@@ -163,12 +163,11 @@ class LinearInstr(Instruction):
 
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
-        with backend.ledger.phase(f"linear/{self.name}"):
-            (cts,) = self.prepare(state, [self.in_uid])
-            in_scale = backend.scale_of(cts[0])
-            q_exec = backend.params.data_primes[self.exec_level]
-            pt_scale = Fraction(q_exec) * Fraction(backend.params.scale) / in_scale
-            state.set(self.out_uid, self.packed.execute(backend, cts, pt_scale))
+        (cts,) = self.prepare(state, [self.in_uid])
+        in_scale = backend.scale_of(cts[0])
+        q_exec = backend.params.data_primes[self.exec_level]
+        pt_scale = Fraction(q_exec) * Fraction(backend.params.scale) / in_scale
+        state.set(self.out_uid, self.packed.execute(backend, cts, pt_scale))
 
     def execute_cleartext(self, values, slots):
         return self.packed.execute_cleartext(values[self.in_uid])
@@ -254,17 +253,16 @@ class PolyInstr(Instruction):
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
         pt_cache = self._pt_cache.setdefault(type(backend), {})
-        with backend.ledger.phase(f"act/{self.name}"):
-            (in_cts,) = self.prepare(state, [self.in_uid])
-            outs = []
-            for ct in in_cts:
-                out = evaluate_chebyshev(backend, ct, self.poly, pt_cache)
-                if self.target_kind == "delta":
-                    out = normalize_scale(
-                        backend, out, Fraction(backend.params.scale), pt_cache
-                    )
-                outs.append(out)
-            state.set(self.out_uid, outs)
+        (in_cts,) = self.prepare(state, [self.in_uid])
+        outs = []
+        for ct in in_cts:
+            out = evaluate_chebyshev(backend, ct, self.poly, pt_cache)
+            if self.target_kind == "delta":
+                out = normalize_scale(
+                    backend, out, Fraction(backend.params.scale), pt_cache
+                )
+            outs.append(out)
+        state.set(self.out_uid, outs)
 
     def execute_cleartext(self, values, slots):
         return [self.poly(vec) for vec in values[self.in_uid]]
@@ -281,10 +279,9 @@ class SquareInstr(Instruction):
 
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
-        with backend.ledger.phase(f"act/{self.name}"):
-            (in_cts,) = self.prepare(state, [self.in_uid])
-            outs = [backend.rescale(backend.mul(ct, ct)) for ct in in_cts]
-            state.set(self.out_uid, outs)
+        (in_cts,) = self.prepare(state, [self.in_uid])
+        outs = [backend.rescale(backend.mul(ct, ct)) for ct in in_cts]
+        state.set(self.out_uid, outs)
 
     def execute_cleartext(self, values, slots):
         return [v * v for v in values[self.in_uid]]
@@ -310,16 +307,15 @@ class MultJoinInstr(Instruction):
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
         pt_cache = self._pt_cache.setdefault(type(backend), {})
-        with backend.ledger.phase(f"act/{self.name}"):
-            x_cts, sign_cts = self.prepare(state, [self.x_uid, self.sign_uid])
-            outs = []
-            for x_ct, s_ct in zip(x_cts, sign_cts):
-                level = backend.level_of(s_ct)
-                target = Fraction(backend.params.data_primes[level - 1])
-                s_norm = normalize_scale(backend, s_ct, target, pt_cache)
-                x_aligned = backend.level_down(x_ct, backend.level_of(s_norm))
-                outs.append(backend.rescale(backend.mul(x_aligned, s_norm)))
-            state.set(self.out_uid, outs)
+        x_cts, sign_cts = self.prepare(state, [self.x_uid, self.sign_uid])
+        outs = []
+        for x_ct, s_ct in zip(x_cts, sign_cts):
+            level = backend.level_of(s_ct)
+            target = Fraction(backend.params.data_primes[level - 1])
+            s_norm = normalize_scale(backend, s_ct, target, pt_cache)
+            x_aligned = backend.level_down(x_ct, backend.level_of(s_norm))
+            outs.append(backend.rescale(backend.mul(x_aligned, s_norm)))
+        state.set(self.out_uid, outs)
 
     def execute_cleartext(self, values, slots):
         return [x * s for x, s in zip(values[self.x_uid], values[self.sign_uid])]
@@ -337,10 +333,9 @@ class AddJoinInstr(Instruction):
 
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
-        with backend.ledger.phase(f"join/{self.name}"):
-            a_cts, b_cts = self.prepare(state, [self.a_uid, self.b_uid])
-            outs = [backend.add(a, b) for a, b in zip(a_cts, b_cts)]
-            state.set(self.out_uid, outs)
+        a_cts, b_cts = self.prepare(state, [self.a_uid, self.b_uid])
+        outs = [backend.add(a, b) for a, b in zip(a_cts, b_cts)]
+        state.set(self.out_uid, outs)
 
     def execute_cleartext(self, values, slots):
         return [a + b for a, b in zip(values[self.a_uid], values[self.b_uid])]

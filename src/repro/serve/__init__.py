@@ -9,7 +9,7 @@ north star needs (docs/serving.md).  The front door is::
     with serve.open("model.npz", serve.ServerConfig(workers=4)) as server:
         ticket = server.submit(image, client_id="alice")
         results = server.drain()
-        stats = server.stats()          # typed, schema-versioned
+        stats = server.stats()          # typed ServerStats
 
 Behind it:
 
@@ -39,13 +39,7 @@ from repro.serve.mmapio import ArtifactMap, is_mmap_backed
 from repro.serve.pool import ArtifactSpec, WorkerLostError
 from repro.serve.runtime import ServeResult
 from repro.serve.scheduler import PendingRequest
-from repro.serve.stats import (
-    STATS_SCHEMA_VERSION,
-    LaneStats,
-    NoiseStats,
-    ServerStats,
-    WorkerStats,
-)
+from repro.serve.stats import LaneStats, NoiseStats, ServerStats, WorkerStats
 
 
 __all__ = [
@@ -65,7 +59,6 @@ __all__ = [
     "WorkerStats",
     "LaneStats",
     "NoiseStats",
-    "STATS_SCHEMA_VERSION",
     # artifacts
     "ArtifactSchemaError",
     "ServingArtifact",

@@ -8,8 +8,7 @@
   :class:`Server`;
 - :class:`Server` — the one object in front of the workers: it routes,
   admits (:class:`AdmissionError` backpressure), steps and accounts for
-  every request, and reports typed, schema-versioned
-  :meth:`Server.stats`.
+  every request, and reports typed :meth:`Server.stats`.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from repro.obs.tracing import write_chrome_trace
 from repro.serve.mmapio import ArtifactMap
 from repro.serve.pool import ArtifactSpec, start_workers
 from repro.serve.runtime import ServeResult
-from repro.serve.stats import (
-    STATS_SCHEMA_VERSION,
-    ServerStats,
-)
+from repro.serve.stats import ServerStats
 
 #: Weight of the newest batch in a lane's exponentially weighted mean of
 #: measured batch seconds (fixed on purpose: not a serving knob).
@@ -163,15 +159,19 @@ class Server:
       ``retry_after_ms`` hint — one batch at the time *measured* on that
       lane — rather than queued without bound.  Conservation holds at every instant:
       ``submitted == admitted + rejected`` and
-      ``admitted == completed + in_flight``.
+      ``admitted == completed + failed + in_flight``.
+    - **Failures close the books.**  A request whose batch raised comes
+      back as a :class:`ServeResult` carrying the exception (no output),
+      frees its queue slot and counts as failed; :meth:`serve_now`
+      raises it after booking it.
     - **Lock-step stepping.**  :meth:`step` sends every worker its step
       before reading any reply, so process workers run concurrently.
 
     The request surface is three calls: :meth:`submit` enqueues a
     request for slot batching (``step()`` later runs whatever queued),
     :meth:`serve_now` runs one request immediately, and :meth:`drain`
-    flushes everything queued.  Observability is :meth:`stats` (typed,
-    schema-versioned), :meth:`metrics` / :meth:`metrics_text`
+    flushes everything queued.  Observability is :meth:`stats` (typed),
+    :meth:`metrics` / :meth:`metrics_text`
     (Prometheus), and :meth:`trace` / :meth:`export_chrome_trace`
     (span tracks).  Lifecycle extras: :meth:`warm` pre-encodes the
     weight plaintexts, :meth:`reload` hot-swaps an updated artifact file
@@ -201,7 +201,8 @@ class Server:
         # The books: admission-conservation counters, the ticket every
         # admitted request carries to its lane and back, and each
         # worker's queue depth (admitted there, not yet delivered).
-        self._submitted = self._admitted = self._rejected = self._completed = 0
+        self._submitted = self._admitted = self._rejected = 0
+        self._completed = self._failed = 0
         self._next_ticket = 0
         self._depths: Dict[int, int] = {worker.worker_id: 0 for worker in workers}
         # (worker id, artifact id) -> running mean of the batch wall
@@ -238,24 +239,23 @@ class Server:
         client_id: str = "anon",
         artifact: Optional[str] = None,
     ) -> ServeResult:
-        """Run one request immediately on its routed worker."""
+        """Run one request immediately on its routed worker; raises
+        what its run raised, once the request is booked as failed."""
         artifact_id = self._resolve(artifact)
         worker, ticket = self._admit(artifact_id, client_id)
-        try:
-            result = worker.serve_now(ticket, artifact_id, client_id, image)
-        except Exception:
-            # The run failed and nothing of the request waits on the
-            # worker, so it frees its queue slot (it stays admitted and
-            # never completes: in_flight shows it).
-            self._depths[worker.worker_id] -= 1
-            raise
-        return self._delivered([result])[0]
+        result = worker.serve_now(ticket, artifact_id, client_id, image)
+        self._delivered([result])
+        if result.error is not None:
+            raise result.error
+        return result
 
     def step(self, now: Optional[float] = None) -> List[ServeResult]:
         """Run every worker's queue empty, in backlog-sized batches.
 
         Every worker is sent its step before any reply is read, so
-        process workers overlap; results come back in worker order.
+        process workers overlap; results come back in worker order.  A
+        request whose batch raised comes back with the exception in
+        ``error`` and no output; the other batches' results still arrive.
         """
         for worker in self._workers:
             worker.begin_step(now)
@@ -303,7 +303,7 @@ class Server:
         """
         artifact_id = self._resolve(artifact)
         self._check_open()
-        in_flight = self._admitted - self._completed
+        in_flight = self._in_flight()
         if in_flight:
             raise RuntimeError(
                 f"{in_flight} request(s) in flight; drain() before "
@@ -371,33 +371,42 @@ class Server:
         return worker, ticket
 
     def _delivered(self, results: List[ServeResult]) -> List[ServeResult]:
-        """Count deliveries and fold each batch's wall into its lane's mean."""
-        self._completed += len(results)
+        """Count deliveries, completed or failed, and fold each completed
+        batch's wall into its lane's mean."""
         for result in results:
             self._depths[result.worker_id] -= 1
+            if result.error is None:
+                self._completed += 1
+            else:
+                self._failed += 1
         index = 0
         while index < len(results):
             head = results[index]  # a batch's results arrive together
+            index += head.batch_size
+            if head.error is not None:
+                continue
             lane = (head.worker_id, head.artifact_id)
             mean = self._batch_seconds.get(lane, head.wall_seconds)
             self._batch_seconds[lane] = mean + _BATCH_SECONDS_WEIGHT * (
                 head.wall_seconds - mean
             )
-            index += head.batch_size
         return results
+
+    def _in_flight(self) -> int:
+        return self._admitted - self._completed - self._failed
 
     # -- observability -----------------------------------------------------
     def stats(self) -> ServerStats:
-        """Typed, schema-versioned pool telemetry (docs/serving.md):
-        every worker's lane snapshots plus the admission counters."""
+        """Typed pool telemetry (docs/serving.md): every worker's lane
+        snapshots plus the admission counters."""
         return ServerStats(
-            schema_version=STATS_SCHEMA_VERSION,
             artifacts=self.artifact_ids,
             requests_submitted=self._submitted,
             requests_admitted=self._admitted,
             requests_rejected=self._rejected,
             requests_completed=self._completed,
-            in_flight=self._admitted - self._completed,
+            requests_failed=self._failed,
+            in_flight=self._in_flight(),
             workers=tuple(worker.stats() for worker in self._workers),
         )
 

@@ -14,17 +14,21 @@ Ties the serving pieces together (docs/serving.md):
 - drives a :class:`repro.serve.scheduler.SlotBatchingScheduler`,
   executing whatever its queue holds through the program's
   block-replicated views and de-multiplexing per-client outputs;
-- attributes cost to requests: every run executes under a scratch
-  :class:`repro.backend.ledger.OpLedger` that is merged into the
-  server's cumulative ledger afterwards, while per-op and per-request
-  latency histograms accumulate the serving telemetry.
+- keeps one set of books per lane: a fresh
+  :class:`repro.backend.ledger.OpLedger` installed as the backend's
+  ledger when the lane opens, whose deltas price each batch and its
+  spans, while request-latency and queue-wait histograms accumulate
+  the serving telemetry;
+- closes the books on a batch that raises: each of its requests comes
+  back as a :class:`ServeResult` carrying the exception.
 """
 
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -38,22 +42,24 @@ from repro.serve.scheduler import Batch, PendingRequest, SlotBatchingScheduler
 
 @dataclass
 class ServeResult:
-    """One completed request.
+    """One finished request.
 
     ``artifact_id`` / ``worker_id`` are stamped by the worker pool
     (:mod:`repro.serve.pool`); a bare :class:`InferenceServer` leaves
-    them ``None``.
+    them ``None``.  A request whose batch raised carries the exception
+    in ``error`` and no ``output``.
     """
 
     ticket: int
     client_id: str
-    output: np.ndarray
+    output: Optional[np.ndarray]
     batch_size: int
     reason: str
     wall_seconds: float
     modeled_seconds: float
     artifact_id: Optional[str] = None
     worker_id: Optional[int] = None
+    error: Optional[Exception] = None
 
 
 class InferenceServer:
@@ -105,12 +111,10 @@ class InferenceServer:
         #: batch until the lane has measured one.
         self.modeled_seconds = float(artifact.summary.get("modeled_seconds", 0.0))
         self.state = ExecutionState(backend)
-        self.ledger = OpLedger()
         self.request_latency = LatencyHistogram()
         #: enqueue -> start of the batch that ran the request, on the
         #: scheduler's (injectable) clock.
         self.queue_wait = LatencyHistogram()
-        self.op_histograms: Dict[str, LatencyHistogram] = {}
         self.requests_served = 0
         self.batches_run = 0
         #: this server's repro.obs.Tracer: every batch run produces a
@@ -123,6 +127,9 @@ class InferenceServer:
         self.noise = NoiseMonitor(delta_scale=backend.params.scale)
         backend.noise_monitor = self.noise
         self.preloaded_plaintexts = artifact.preload(backend)
+        #: the lane's one ledger, and its backend's: it counts from zero
+        #: when the lane opens, a reloaded lane's too.
+        self.ledger = backend.ledger = OpLedger()
         # Serve-path purity: neither the compiler nor the placement
         # planner may run while this server lives.
         self._compiler_invocations_at_load = OrionCompiler.invocations
@@ -156,10 +163,7 @@ class InferenceServer:
                 f"batches of at most {capacity}"
             )
         shape = self.program.input_layout.tensor_shape
-        scratch = OpLedger()
-        main_ledger = self.backend.ledger
-        main_monitor = self.backend.noise_monitor
-        self.backend.ledger = scratch
+        self.backend.ledger = OpLedger()
         self.backend.noise_monitor = None
         try:
             for size in sorted(set(batch_sizes)):
@@ -167,8 +171,8 @@ class InferenceServer:
                 dummy = np.zeros(shape) if size == 1 else np.zeros((size,) + shape)
                 program.run(self.backend, dummy)
         finally:
-            self.backend.ledger = main_ledger
-            self.backend.noise_monitor = main_monitor
+            self.backend.ledger = self.ledger
+            self.backend.noise_monitor = self.noise
 
     # -- request intake ------------------------------------------------------
     def submit(
@@ -205,53 +209,59 @@ class InferenceServer:
     def _run_batch(
         self, batch: Batch, now: Optional[float] = None
     ) -> List[ServeResult]:
-        """Run one batch: a "serve.batch" root span (bound to the
-        scratch ledger, so its op counts are exactly this batch's) with
+        """Run one batch: a "serve.batch" root span (bound to the lane's
+        ledger, so its op counts are exactly this batch's) with
         encrypt / execute / decrypt children, plus one "serve.request"
         span per request covering enqueue → complete.  All spans are
         observe-only (bit-exactness with tracing on and off is asserted
-        by the tracing tests)."""
+        by the tracing tests).  A batch that raises still returns one
+        result per request, each carrying the exception."""
         size = batch.size
         started = time.monotonic() if now is None else now
         for request in batch.requests:
             self.queue_wait.observe(started - request.enqueued_at)
-        program = self.program.batched(size)
-        if size > 1:
-            inputs = np.stack([np.asarray(r.payload) for r in batch.requests])
-        else:
-            inputs = np.asarray(batch.requests[0].payload)
-        scratch = OpLedger()
-        main_ledger = self.backend.ledger
-        self.backend.ledger = scratch
+        ledger = self.ledger
+        seconds = ledger.seconds
         tracer = self.tracer
-        # Library spans land on this server's tree; a server without a
-        # tracer leaves whichever one the process has installed in place.
+        error = None
         try:
+            program = self.program.batched(size)
+            payloads = [np.asarray(r.payload) for r in batch.requests]
+            inputs = np.stack(payloads) if size > 1 else payloads[0]
+            # Library spans land on this server's tree; a server without
+            # a tracer leaves whichever one the process has installed.
             with use_tracer(tracer if tracer.enabled else get_tracer()):
                 with tracer.span(
                     "serve.batch",
                     category="serve",
-                    ledger=scratch,
+                    ledger=ledger,
                     batch_size=size,
                     reason=batch.reason,
                 ):
                     start = tracer.clock()
                     self.state.reset()
-                    with tracer.span("encrypt", category="serve", ledger=scratch):
+                    with tracer.span("encrypt", category="serve", ledger=ledger):
                         cts = program.encrypt_input(self.backend, inputs)
-                    with tracer.span("execute", category="serve", ledger=scratch):
+                    with tracer.span("execute", category="serve", ledger=ledger):
                         out_cts = program.execute(self.state, cts)
-                    with tracer.span("decrypt", category="serve", ledger=scratch):
+                    with tracer.span("decrypt", category="serve", ledger=ledger):
                         outputs = program.decrypt_output(self.backend, out_cts)
                     end = tracer.clock()
-        finally:
-            self.backend.ledger = main_ledger
-        wall = end - start
-        self._record(scratch, wall, size)
-        main_ledger.merge(scratch)
-        self.ledger.merge(scratch)
-        self.batches_run += 1
-        self.requests_served += size
+            wall = end - start
+        except Exception as exc:
+            # The lane keeps serving; the traceback travels as a note,
+            # which (unlike the frames) survives a fork worker's pipe.
+            exc.add_note(traceback.format_exc())
+            error, end, wall = exc, tracer.clock(), 0.0
+        if error is None:
+            # Every request in the batch sat through the full run, so the
+            # batch's execution wall is observed once per request (time
+            # in the queue is ``queue_wait``).
+            for _ in range(size):
+                self.request_latency.observe(wall)
+            self.batches_run += 1
+            self.requests_served += size
+        failed = {} if error is None else {"error": type(error).__name__}
         results = []
         for index, request in enumerate(batch.requests):
             tracer.record_span(
@@ -263,8 +273,11 @@ class InferenceServer:
                 ticket=request.ticket,
                 batch_size=size,
                 reason=batch.reason,
+                **failed,
             )
-            output = outputs[index] if size > 1 else outputs
+            output = None
+            if error is None:
+                output = outputs[index] if size > 1 else outputs
             results.append(
                 ServeResult(
                     ticket=request.ticket,
@@ -273,22 +286,8 @@ class InferenceServer:
                     batch_size=size,
                     reason=batch.reason,
                     wall_seconds=wall,
-                    modeled_seconds=scratch.seconds / size,
+                    modeled_seconds=(ledger.seconds - seconds) / size,
+                    error=error,
                 )
             )
         return results
-
-    def _record(self, scratch: OpLedger, wall: float, size: int) -> None:
-        # Every request in the batch sat through the full run, so the
-        # batch's execution wall is observed once per request (time in
-        # the queue is ``queue_wait``); amortized per-request cost lives
-        # in ServeResult.modeled_seconds and the throughput benchmarks.
-        for _ in range(size):
-            self.request_latency.observe(wall)
-        for phase, seconds in scratch.seconds_by_phase.items():
-            op = phase.split("/", 1)[0]
-            histogram = self.op_histograms.get(op)
-            if histogram is None:
-                histogram = LatencyHistogram()
-                self.op_histograms[op] = histogram
-            histogram.observe(seconds)

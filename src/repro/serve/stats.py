@@ -1,5 +1,5 @@
-"""Typed, schema-versioned serving telemetry: what ``Server.stats()``
-returns and ``Server.metrics()`` renders.
+"""Typed serving telemetry: what ``Server.stats()`` returns and
+``Server.metrics()`` renders.
 
 - :class:`LaneStats`   — one (worker, artifact) lane at one instant: its
   counters, the ledger's op counts, noise, key bytes, and copies of its
@@ -11,8 +11,9 @@ returns and ``Server.metrics()`` renders.
   server's admission-conservation counters, rendered to Prometheus
   by :meth:`ServerStats.to_metrics`.
 
-All are frozen dataclasses, and ``ServerStats.schema_version`` names
-their layout (``STATS_SCHEMA_VERSION``).
+All are frozen dataclasses.  Nothing stores them: a fork worker's
+:class:`WorkerStats` crosses its pipe pickled by the same code that
+reads it, so they carry no schema version.
 """
 
 from __future__ import annotations
@@ -24,18 +25,9 @@ from repro.backend.ledger import LatencyHistogram
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.keys import backend_key_bytes
 
-#: Version 5: a lane no longer reports ``mmap_backed`` (always true: a
-#: lane whose tables were copied off the map refuses to open).  Version 4
-#: made a worker row its per-artifact ``lanes``, each carrying whole
-#: latency histograms (request, queue wait, per phase) and the ledger's
-#: op counts.  Version 3 added per-worker key-material accounting,
-#: version 2 the noise-budget telemetry (``WorkerStats.noise``).
-STATS_SCHEMA_VERSION = 5
-
-
 @dataclass(frozen=True)
 class NoiseStats:
-    """Noise-budget telemetry of one lane (schema v2).
+    """Noise-budget telemetry of one lane.
 
     Summarizes a :class:`repro.obs.NoiseMonitor`: how many modulus-chain
     boundary events the lane executed, the lowest level any ciphertext
@@ -60,10 +52,9 @@ class NoiseStats:
 class LaneStats:
     """One (worker, artifact) lane's serving telemetry.
 
-    ``ops`` are the lane ledger's per-op counts; ``phases`` map a program
-    phase (``linear``, ``act``, ...) to the modeled-seconds histogram of
-    its per-batch charges.  ``key_bytes_resident`` is the stored
-    rotation-key bytes of the lane's backend.
+    ``ops`` are the lane ledger's per-op counts (per-instruction splits
+    are the op deltas of a traced run's spans).  ``key_bytes_resident``
+    is the stored rotation-key bytes of the lane's backend.
     """
 
     artifact_id: str
@@ -82,7 +73,6 @@ class LaneStats:
     noise: NoiseStats
     request_latency: LatencyHistogram
     queue_wait: LatencyHistogram
-    phases: Tuple[Tuple[str, LatencyHistogram], ...]
 
     @classmethod
     def from_server(cls, artifact_id: str, server) -> "LaneStats":
@@ -105,10 +95,6 @@ class LaneStats:
             noise=NoiseStats.from_monitor(server.noise),
             request_latency=server.request_latency.copy(),
             queue_wait=server.queue_wait.copy(),
-            phases=tuple(
-                (phase, histogram.copy())
-                for phase, histogram in sorted(server.op_histograms.items())
-            ),
         )
 
 
@@ -178,19 +164,20 @@ class WorkerStats:
 class ServerStats:
     """The pool-level view :meth:`repro.serve.Server.stats` returns.
 
-    Admission conservation is part of the schema, not just the tests:
+    Admission conservation is part of the type, not just the tests:
     ``requests_submitted == requests_admitted + requests_rejected`` and
-    ``requests_admitted == requests_completed + in_flight`` hold at
-    every observation point, so a consumer can audit that no request
-    was dropped silently.
+    ``requests_admitted == requests_completed + requests_failed +
+    in_flight`` hold at every observation point, so a consumer can audit
+    that no request was dropped silently.  A failed request is one whose
+    batch raised: it was delivered with the exception and no output.
     """
 
-    schema_version: int
     artifacts: Tuple[str, ...]
     requests_submitted: int
     requests_admitted: int
     requests_rejected: int
     requests_completed: int
+    requests_failed: int
     in_flight: int
     workers: Tuple[WorkerStats, ...]
 
@@ -203,11 +190,14 @@ class ServerStats:
                 f"({self.requests_submitted} != {self.requests_admitted} "
                 f"+ {self.requests_rejected})"
             )
-        if self.requests_admitted != self.requests_completed + self.in_flight:
+        if self.requests_admitted != (
+            self.requests_completed + self.requests_failed + self.in_flight
+        ):
             raise ValueError(
-                "conservation violated: admitted != completed + in_flight "
-                f"({self.requests_admitted} != {self.requests_completed} "
-                f"+ {self.in_flight})"
+                "conservation violated: admitted != completed + failed + "
+                f"in_flight ({self.requests_admitted} != "
+                f"{self.requests_completed} + {self.requests_failed} + "
+                f"{self.in_flight})"
             )
 
     @property
@@ -303,14 +293,6 @@ class ServerStats:
                     help="Time each request spent queued before its batch started.",
                     **labels,
                 )
-                for phase, histogram in lane.phases:
-                    registry.record_histogram(
-                        "repro_phase_modeled_seconds",
-                        histogram,
-                        help="Modeled seconds per batch, by program phase.",
-                        phase=phase,
-                        **labels,
-                    )
         for outcome, count in (
             ("submitted", self.requests_submitted),
             ("admitted", self.requests_admitted),
@@ -325,7 +307,12 @@ class ServerStats:
         registry.counter(
             "repro_requests_completed_total",
             self.requests_completed,
-            help="Requests whose results were delivered.",
+            help="Requests whose outputs were delivered.",
+        )
+        registry.counter(
+            "repro_requests_failed_total",
+            self.requests_failed,
+            help="Requests delivered with the error their batch raised.",
         )
         registry.gauge(
             "repro_in_flight_requests",

@@ -10,26 +10,6 @@ from repro.ckks.params import paper_parameters
 
 
 class TestLedger:
-    def test_phase_accounting(self):
-        ledger = OpLedger()
-        with ledger.phase("conv1"):
-            ledger.charge("hrot", 0.5)
-            ledger.charge("pmult", 0.1)
-        with ledger.phase("boot"):
-            ledger.charge("bootstrap", 10.0)
-        assert ledger.rotations == 1
-        assert ledger.bootstraps == 1
-        assert ledger.seconds == pytest.approx(10.6)
-
-    def test_nested_phases_restore(self):
-        ledger = OpLedger()
-        with ledger.phase("outer"):
-            with ledger.phase("inner"):
-                ledger.charge("hadd", 1.0)
-            ledger.charge("hadd", 2.0)
-        assert ledger.seconds_by_phase["inner"] == pytest.approx(1.0)
-        assert ledger.seconds_by_phase["outer"] == pytest.approx(2.0)
-
     def test_reset(self):
         ledger = OpLedger()
         ledger.charge("hrot", 1.0)

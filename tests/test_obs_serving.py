@@ -38,7 +38,6 @@ from repro.nn import init
 from repro.obs import Tracer, use_tracer
 from repro.orion import OrionNetwork
 from repro.serve import (
-    STATS_SCHEMA_VERSION,
     LaneStats,
     NoiseStats,
     ServerConfig,
@@ -420,13 +419,11 @@ class TestForkModeTelemetry:
 class TestStatsSchema:
     def test_stats_carry_histograms_and_noise(self, traced_run):
         _, _, stats, _, _ = traced_run
-        assert stats.schema_version == STATS_SCHEMA_VERSION
         worker = stats.workers[0]
         assert worker.noise.rescales > 0
         assert worker.noise.min_level is not None
         lane = worker.lanes[0]
         assert isinstance(lane.request_latency, LatencyHistogram)
-        assert dict(lane.phases)["linear"].count > 0
 
 
 def _lane(artifact_id, latencies, noise=NoiseStats()):
@@ -450,7 +447,6 @@ def _lane(artifact_id, latencies, noise=NoiseStats()):
         noise=noise,
         request_latency=request_latency,
         queue_wait=LatencyHistogram(),
-        phases=(),
     )
 
 

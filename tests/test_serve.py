@@ -696,7 +696,6 @@ class TestInferenceServer:
         assert stats.modeled_seconds > 0
         assert stats.rotations > 0
         assert dict(stats.ops)["pmult"] > 0
-        assert "linear" in dict(stats.phases)
         assert stats.preloaded_plaintexts > 0
 
     def test_max_batch_floored_to_power_of_two(self, served):

@@ -9,12 +9,13 @@ The correctness gates of the pool PR:
   bit-identical to a solo ``InferenceServer`` replaying the same
   requests (the pool is pure orchestration; the hot path is untouched);
 - **admission conservation** — ``submitted == admitted + rejected`` and
-  ``admitted == completed + in_flight`` at every observation point,
-  including under overload and after drain;
+  ``admitted == completed + failed + in_flight`` at every observation
+  point, including under overload, after drain and after a batch that
+  raised;
 - **shared mmap tables** — workers serve from read-only mmap-backed
   views of the artifact; no table is ever copied on the request path;
-- **typed stats** — ``ServerStats`` round-trips through JSON and
-  rejects foreign schema versions;
+- **typed stats** — ``ServerStats`` refuses counters that break
+  conservation;
 - **lane keys** — every lane holds its rotation keys from the moment
   the pool opens, and nothing on the serving path adds one;
 - **one keygen per artifact** — an inline pool's workers hold the first
@@ -248,9 +249,9 @@ class TestAdmission:
     @pytest.mark.usefixtures("fork_deadline")
     @pytest.mark.parametrize("mode", ["inline", "process"])
     def test_failed_serve_now_frees_its_queue_slot(self, artifact_path, mode):
-        """A run that raises leaves nothing queued on its worker: the
-        next request is admitted, though the failed one stays in
-        flight (admitted, never completed)."""
+        """A run that raises is booked as failed before ``serve_now``
+        re-raises it: it frees its queue slot and leaves nothing in
+        flight, so the next request is admitted."""
         config = _pool_config(workers=1, mode=mode, max_queue_depth=1)
         with serve.open(artifact_path, config) as server:
             for _ in range(2):
@@ -259,8 +260,56 @@ class TestAdmission:
             result = server.serve_now(_images(1)[0], client_id="alice")
             assert result.ticket == 2
             stats = server.stats()
-            assert (stats.requests_rejected, stats.in_flight) == (0, 2)
+            assert (stats.requests_rejected, stats.in_flight) == (0, 0)
+            assert (stats.requests_completed, stats.requests_failed) == (1, 2)
             assert server._depths == {0: 0}
+
+    @pytest.mark.usefixtures("fork_deadline")
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_failed_batch_closes_its_books(self, artifact_path, mode):
+        """A queued request whose batch raises comes back from ``step``
+        carrying the exception: nothing stays in flight, the worker's
+        queue has room again and the pool can reload."""
+        config = _pool_config(workers=1, mode=mode, max_queue_depth=2)
+        with serve.open(artifact_path, config) as server:
+            for ticket in range(2):
+                assert server.submit(np.zeros((3, 5)), client_id="alice") == ticket
+                (failed,) = server.step()
+                assert (failed.ticket, failed.output) == (ticket, None)
+                assert isinstance(failed.error, ValueError)
+                assert "_run_batch" in failed.error.__notes__[-1]  # its traceback
+            stats = server.stats()
+            assert (stats.in_flight, stats.requests_failed) == (0, 2)
+            assert stats.requests_completed == 0
+            metrics = server.metrics()
+            assert metrics.counter_value("repro_requests_failed_total") == 2
+            assert metrics.gauge_value("repro_in_flight_requests") == 0
+            assert server.submit(_images(1)[0], client_id="alice") == 2
+            (served,) = server.drain()
+            assert served.error is None and served.output is not None
+            server.reload()
+            assert server.stats().requests_completed == 1
+
+    @pytest.mark.usefixtures("fork_deadline")
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_failed_batch_spares_other_workers_results(self, artifact_path, mode):
+        """One worker's batch raises in the same ``step`` in which the
+        other worker's batch succeeds: both come back, each booked."""
+        config = _pool_config(workers=2, mode=mode)
+        with serve.open(artifact_path, config) as server:
+            clients = [f"client-{i}" for i in range(8)]
+            bad = next(c for c in clients if server.route(c) == 0)
+            good = next(c for c in clients if server.route(c) == 1)
+            server.submit(np.zeros((3, 5)), client_id=bad)
+            ticket = server.submit(_images(1)[0], client_id=good)
+            results = {r.client_id: r for r in server.step()}
+            assert isinstance(results[bad].error, ValueError)
+            assert results[good].error is None
+            assert (results[good].ticket, results[good].worker_id) == (ticket, 1)
+            assert results[good].output is not None
+            stats = server.stats()
+            assert (stats.in_flight, stats.requests_failed) == (0, 1)
+            assert stats.requests_completed == 1
 
     def test_drain_leaves_zero_in_flight(self, artifact_path):
         with serve.open(artifact_path, _pool_config()) as server:
@@ -578,19 +627,18 @@ class TestStatsSchema:
                 server.submit(image, client_id=f"client-{i}")
             server.drain()
             stats = server.stats()
-        assert stats.schema_version == serve.STATS_SCHEMA_VERSION
         assert stats.reject_rate == 0.0
         assert len(stats.workers) == 4
 
     def test_conservation_enforced_by_schema(self):
         with pytest.raises(ValueError, match="conservation"):
             ServerStats(
-                schema_version=serve.STATS_SCHEMA_VERSION,
                 artifacts=("mlp",),
                 requests_submitted=5,
                 requests_admitted=3,
                 requests_rejected=1,
                 requests_completed=3,
+                requests_failed=0,
                 in_flight=0,
                 workers=(),
             )
