@@ -30,7 +30,7 @@ def _run(seq_len: int, dim: int, seed: int = 0):
     counts = backend.ledger.counts
     return {
         "bits": -math.log2(err),
-        "rots": counts["hrot"],
+        "rots": backend.ledger.rotations,
         "hmults": counts["hmult"],
         "modeled": backend.ledger.seconds,
         "levels": PARAMS.max_level - backend.level_of(outs[0]),

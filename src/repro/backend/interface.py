@@ -2,13 +2,21 @@
 
 Handles (ciphertexts/plaintexts) are backend-specific opaque objects;
 the program executor only moves them between the operations below.
-Every operation charges the backend's :class:`OpLedger` using the shared
-:class:`CostModel`, so rotation/bootstrap counts and modeled latency are
-comparable across backends.  Every key-switching charge — a rotation,
-conjugation or relinearisation, and the hoisted groups below — also
-records its :class:`KeySwitch` shape on the ledger; export reads those
-shapes off one plain simulator run to pick an artifact's digit grouping
-(:func:`repro.serve.grouping.artifact_parameters`).
+
+:class:`FheBackend` books every operation and owns every piece of
+per-backend state.  Its public ops are the only code that checks
+operand levels and scales, charges the backend's :class:`OpLedger`
+using the shared :class:`CostModel` (so rotation/bootstrap counts and
+modeled latency are comparable across backends), records each key
+switch's :class:`KeySwitch` shape — a rotation, conjugation or
+relinearisation, and the hoisted groups below; export reads those shapes
+off one plain simulator run to pick an artifact's digit grouping
+(:func:`repro.serve.grouping.artifact_parameters`) — and reports
+modulus-chain crossings to the noise monitor.  It also caches the
+static plaintexts a program encodes at run time
+(:meth:`FheBackend.constant`).  A subclass implements only unbooked
+primitives (``_add``, ``_mul``, ``_rotate``, ``_matvec_fused``, ...):
+each computes its result and nothing else.
 """
 
 from __future__ import annotations
@@ -34,6 +42,12 @@ class FheBackend(abc.ABC):
     simulation).
     """
 
+    #: a real bootstrapping pipeline
+    #: (:class:`repro.ckks.bootstrap.CkksBootstrapper`), whose component
+    #: ops book themselves; ``None``: :meth:`bootstrap` is one refresh
+    #: priced by the cost model.
+    _bootstrapper = None
+
     def __init__(self, params: CkksParameters, cost_model: Optional[CostModel] = None):
         self.params = params
         self.costs = cost_model or CostModel(params)
@@ -42,6 +56,7 @@ class FheBackend(abc.ABC):
         #: record level/scale drift at rescale / mod-down / bootstrap
         #: boundaries (observe-only — reads metadata, never ciphertexts).
         self.noise_monitor = None
+        self._constants: Dict[tuple, object] = {}
 
     def _note_noise(self, op: str, before, after) -> None:
         """Record one modulus-chain boundary crossing on the attached
@@ -83,13 +98,13 @@ class FheBackend(abc.ABC):
 
         An encoded plaintext is only reusable at the exact (level,
         scale) it was produced for, over the exact prime chain and
-        key-switch digit grouping of this parameter set.  Every
-        plaintext cache in the serve-many path — ``PackedMatVec`` weight
-        tables, bootstrap transform tables, and the entries inside any
-        ``pt_cache`` handed to :meth:`matvec_fused` — must key entries
-        by this tuple so a second request entering at a different level
-        or scale (or an artifact preloaded for a different ks_alpha)
-        can never hit a stale encode.
+        key-switch digit grouping of this parameter set.  Every cache of
+        static encodes keys its entries by this tuple — a packed layer's
+        weight tables (``(bo, bi, fingerprint)``) and biases (``(bo,
+        fingerprint)``, :class:`repro.core.packing.matvec.PackedMatVec`)
+        and this backend's constants (:meth:`constant`) — so a second request
+        entering at a different level or scale (or an artifact preloaded
+        for a different ks_alpha) can never hit a stale encode.
         """
         params = self.params
         return (
@@ -100,6 +115,42 @@ class FheBackend(abc.ABC):
             params.primes,
         )
 
+    def constant(self, value, level: int, scale: ScaleLike):
+        """The plaintext of a static slot vector at an exact (level,
+        scale), encoded once per backend.
+
+        ``value`` is a scalar, which fills every slot (a Chebyshev
+        coefficient, the ones of a scale match, a matvec's zero block),
+        or a slot vector (an attention mask).  Entries are keyed by the
+        value plus :meth:`plaintext_cache_key`, so equal constants read
+        by several instructions are held once and none is ever served
+        at another level or scale.
+        """
+        values = np.asarray(value, dtype=np.float64)
+        key = (
+            values.tobytes() if values.ndim else float(values),
+            self.plaintext_cache_key(level, scale),
+        )
+        plaintext = self._constants.get(key)
+        if plaintext is None:
+            if not values.ndim:
+                values = np.full(self.slot_count, float(values))
+            plaintext = self._constants[key] = self.encode(values, level, scale)
+        return plaintext
+
+    def drop_constants(self) -> None:
+        """Forget every cached constant: a serving lane reopened on this
+        backend runs another program."""
+        self._constants.clear()
+
+    def encode_table(self, vectors: Sequence[np.ndarray], level: int, scale: ScaleLike):
+        """One fused-matvec group's diagonals (rows in
+        :func:`repro.ckks.galois.fused_term_groups` order) encoded as a
+        single static operand at (level, scale), or ``None`` — this
+        default — for a functional backend, which multiplies the
+        diagonals themselves."""
+        return None
+
     # -- metadata ------------------------------------------------------------
     @abc.abstractmethod
     def level_of(self, ciphertext) -> int: ...
@@ -107,30 +158,70 @@ class FheBackend(abc.ABC):
     @abc.abstractmethod
     def scale_of(self, ciphertext) -> Fraction: ...
 
-    # -- arithmetic ------------------------------------------------------------
-    @abc.abstractmethod
-    def add(self, a, b): ...
+    # -- arithmetic (booked) ------------------------------------------------------
+    @staticmethod
+    def _check(op: str, a, b, check_scale: bool = True) -> None:
+        """Refuse operands at different levels (or, for an addition,
+        different scales): one message for every backend."""
+        if a.level != b.level:
+            raise ValueError(f"{op}: level mismatch {a.level} vs {b.level}")
+        if check_scale and a.scale != b.scale:
+            raise ValueError(f"{op}: scale mismatch {a.scale} vs {b.scale}")
 
-    @abc.abstractmethod
-    def sub(self, a, b): ...
+    def add(self, a, b):
+        self._check("HAdd", a, b)
+        self.ledger.charge("hadd", self.costs.hadd(self.level_of(a)))
+        return self._add(a, b)
 
-    @abc.abstractmethod
-    def add_plain(self, a, plaintext): ...
+    def sub(self, a, b):
+        self._check("HSub", a, b)
+        self.ledger.charge("hadd", self.costs.hadd(self.level_of(a)))
+        return self._sub(a, b)
 
-    @abc.abstractmethod
-    def negate(self, a): ...
+    def add_plain(self, a, plaintext):
+        self._check("PAdd", a, plaintext)
+        self.ledger.charge("padd", self.costs.hadd(self.level_of(a)))
+        return self._add_plain(a, plaintext)
 
-    @abc.abstractmethod
-    def mul_plain(self, a, plaintext): ...
+    def negate(self, a):
+        """Slot-wise negation: free, so nothing is booked."""
+        return self._negate(a)
 
-    @abc.abstractmethod
-    def mul(self, a, b): ...
+    def mul_plain(self, a, plaintext):
+        """PMult: values multiply; scales multiply (paper Section 2.5.2)."""
+        self._check("PMult", a, plaintext, check_scale=False)
+        self.ledger.charge("pmult", self.costs.pmult(self.level_of(a)))
+        return self._mul_plain(a, plaintext)
 
-    @abc.abstractmethod
-    def rescale(self, a): ...
+    def mul(self, a, b):
+        """HMult with relinearisation: one key switch."""
+        self._check("HMult", a, b, check_scale=False)
+        level = self.level_of(a)
+        self.ledger.charge("hmult", self.costs.hmult(level))
+        self.ledger.key_switches[KeySwitch(level)] += 1
+        return self._mul(a, b)
 
-    @abc.abstractmethod
-    def level_down(self, a, target_level: int): ...
+    def rescale(self, a):
+        """Drop one level; divide the scale by that level's prime exactly."""
+        level = self.level_of(a)
+        if level == 0:
+            raise ValueError("cannot rescale at level 0: bootstrap required")
+        self.ledger.charge("rescale", self.costs.rescale(level))
+        out = self._rescale(a)
+        self._note_noise("rescale", a, out)
+        return out
+
+    def level_down(self, a, target_level: int):
+        """Drop limbs without dividing (free level adjustment)."""
+        level = self.level_of(a)
+        if target_level > level:
+            raise ValueError("cannot raise level without bootstrapping")
+        if target_level < 0:
+            raise ValueError("negative level")
+        out = self._level_down(a, target_level)
+        if target_level != level:
+            self._note_noise("mod_down", a, out)
+        return out
 
     def rotate(self, a, steps: int):
         """Rotate the slots left by ``steps``: one Galois key switch,
@@ -141,19 +232,26 @@ class FheBackend(abc.ABC):
         level = self.level_of(a)
         self.ledger.charge("hrot", self.costs.hrot(level))
         self.ledger.key_switches[KeySwitch(level, gathers=1)] += 1
-        return self._rotate_no_charge(a, steps)
+        return self._rotate(a, steps)
 
     def conjugate(self, a):
-        """Slot-wise complex conjugation (a Galois automorphism).
+        """Slot-wise complex conjugation: a Galois key switch, priced
+        like a rotation (the real bootstrapping pipeline's CoeffToSlot
+        folds it into its fused matvec instead)."""
+        level = self.level_of(a)
+        self.ledger.charge("hrot", self.costs.hrot(level))
+        self.ledger.key_switches[KeySwitch(level, gathers=1)] += 1
+        return self._conjugate(a)
 
-        Needed by the real bootstrapping pipeline's CoeffToSlot stage;
-        backends that only process real slot vectors may leave this
-        unimplemented.
-        """
-        raise NotImplementedError(f"{type(self).__name__} has no conjugation")
-
-    @abc.abstractmethod
-    def bootstrap(self, a): ...
+    def bootstrap(self, a):
+        """Refresh to L_eff (paper Section 2.5.4)."""
+        if self._bootstrapper is not None:
+            out = self._bootstrapper.bootstrap(a)
+        else:
+            out = self._bootstrap(a)
+            self.ledger.charge("bootstrap", self.costs.bootstrap())
+        self._note_noise("bootstrap", a, out)
+        return out
 
     # -- hoisted rotations (Section 3.3) ---------------------------------------
     def rotate_hoisted(self, a, steps: Sequence[int]) -> Dict[int, object]:
@@ -179,18 +277,8 @@ class FheBackend(abc.ABC):
             self.ledger.key_switches[
                 KeySwitch(level, products=count, gathers=count, moddowns=count)
             ] += 1
-            outputs.update(self._rotate_hoisted_no_charge(a, nonzero))
+            outputs.update(self._rotate_hoisted(a, nonzero))
         return outputs
-
-    def _rotate_hoisted_no_charge(self, a, steps: Sequence[int]) -> Dict[int, object]:
-        """Multi-rotation primitive without ledger charges.
-
-        ``steps`` are unique, nonzero, already reduced mod slot count.
-        Default: one independent rotation per step; exact backends
-        override this so the decomposition really is computed once (not
-        just priced once).
-        """
-        return {step: self._rotate_no_charge(a, step) for step in steps}
 
     # -- fused matvec (deferred mod-down, Section 3.3) --------------------------
     def matvec_fused(
@@ -199,7 +287,7 @@ class FheBackend(abc.ABC):
         terms: Dict,
         num_out: int,
         pt_scale: ScaleLike,
-        pt_cache: Optional[Dict] = None,
+        tables: Dict,
         charged_rotations: Optional[int] = None,
     ) -> List:
         """Fully-hoisted diagonal accumulation with deferred mod-down —
@@ -222,20 +310,22 @@ class FheBackend(abc.ABC):
         Returns one pre-rescale ciphertext per output block at scale
         ``input_scale * pt_scale`` (``None`` for blocks with no terms).
 
-        ``pt_cache`` persists the encoded weights across executions —
-        on the exact backend one static table per (out, in) block
-        group.  Backends key its entries by group *plus*
-        :meth:`plaintext_cache_key`, so one dict may be shared across
-        levels, scales, and key-switch configurations (the serve-many
-        artifact preload does exactly that) without ever serving a
-        stale encode.  ``charged_rotations`` overrides
+        All input ciphertexts must share one level and scale.
+        ``tables`` maps each ``(out_block, in_block)`` group to its
+        offsets in table-row order and its static weight table
+        (:meth:`encode_table`, at this call's level and ``pt_scale``):
+        what :func:`repro.core.packing.matvec.held_tables` returns from
+        the store a packed layer or a bootstrap transform keeps.
+        ``charged_rotations`` overrides
         the rotation *count* written to the ledger (the matvec layer
         passes its BSGS baby+giant count so "# Rots" accounting stays
         comparable with compile-time predictions and the paper tables);
         the *seconds* charged are always the fused price.
         """
-        outs = self._matvec_fused_no_charge(in_cts, terms, num_out, pt_scale, pt_cache)
+        for ct in in_cts[1:]:
+            self._check("matvec", ct, in_cts[0])
         level = self.level_of(in_cts[0])
+        outs = self._matvec_fused(in_cts, terms, num_out, pt_scale, tables)
         # Only blocks with nonzero offsets pay decompose / mod-down
         # (offset-0 terms are plain pt * ct products, no key switch).
         rotated = [(bo, bi, off) for (bo, bi, off) in terms if off]
@@ -270,17 +360,6 @@ class FheBackend(abc.ABC):
             self.ledger.charge("hadd", self.costs.hadd(level) * adds, adds)
         return outs
 
-    @abc.abstractmethod
-    def _matvec_fused_no_charge(
-        self,
-        in_cts: Sequence,
-        terms: Dict,
-        num_out: int,
-        pt_scale: ScaleLike,
-        pt_cache: Optional[Dict] = None,
-    ) -> List:
-        """Fused-matvec primitive without ledger charges."""
-
     # -- fused rotate-and-sum fold (Gazelle hybrid, Section 8.2) ---------------
     def rotate_sum_hoisted(
         self, a, steps: Sequence[int], charged_rotations: Optional[int] = None
@@ -308,7 +387,7 @@ class FheBackend(abc.ABC):
         nonzero = sorted({s % self.slot_count for s in steps} - {0})
         if not nonzero:
             return a
-        out = self._rotate_sum_no_charge(a, nonzero)
+        out = self._rotate_sum(a, nonzero)
         level, count = self.level_of(a), len(nonzero)
         rot_count = count if charged_rotations is None else charged_rotations
         self.ledger.charge(
@@ -320,13 +399,61 @@ class FheBackend(abc.ABC):
         self.ledger.charge("hadd", self.costs.hadd(level) * count, count)
         return out
 
+    # -- unbooked primitives: what a backend implements ---------------------------
+    # Each computes its result and nothing else; the public op above has
+    # already checked its operands and booked it.
     @abc.abstractmethod
-    def _rotate_sum_no_charge(self, a, steps: Sequence[int]):
-        """Fused rotate-and-sum primitive without ledger charges.
-
-        ``steps`` are unique, nonzero, already reduced mod slot count.
-        """
+    def _add(self, a, b): ...
 
     @abc.abstractmethod
-    def _rotate_no_charge(self, a, steps: int):
-        """Rotation primitive without ledger charges."""
+    def _sub(self, a, b): ...
+
+    @abc.abstractmethod
+    def _add_plain(self, a, plaintext): ...
+
+    @abc.abstractmethod
+    def _negate(self, a): ...
+
+    @abc.abstractmethod
+    def _mul_plain(self, a, plaintext): ...
+
+    @abc.abstractmethod
+    def _mul(self, a, b): ...
+
+    @abc.abstractmethod
+    def _rescale(self, a): ...
+
+    @abc.abstractmethod
+    def _level_down(self, a, target_level: int): ...
+
+    @abc.abstractmethod
+    def _rotate(self, a, steps: int):
+        """``steps`` is nonzero and already reduced mod the slot count."""
+
+    @abc.abstractmethod
+    def _conjugate(self, a): ...
+
+    @abc.abstractmethod
+    def _bootstrap(self, a):
+        """The refresh :meth:`bootstrap` prices as one op."""
+
+    def _rotate_hoisted(self, a, steps: Sequence[int]) -> Dict[int, object]:
+        """``steps`` are unique, nonzero, already reduced mod slot count.
+        Default: one independent rotation per step; the exact backend
+        overrides this so the decomposition really is computed once (not
+        just priced once)."""
+        return {step: self._rotate(a, step) for step in steps}
+
+    @abc.abstractmethod
+    def _matvec_fused(
+        self,
+        in_cts: Sequence,
+        terms: Dict,
+        num_out: int,
+        pt_scale: ScaleLike,
+        tables: Dict,
+    ) -> List: ...
+
+    @abc.abstractmethod
+    def _rotate_sum(self, a, steps: Sequence[int]):
+        """``steps`` are unique, nonzero, already reduced mod slot count."""

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.backend.costs import CostModel
 from repro.backend.interface import FheBackend, ScaleLike
-from repro.backend.ledger import KeySwitch
 from repro.ckks.context import BOOT_PRECISION_BITS, BOOT_RANGE_SLACK
 from repro.ckks.galois import galois_offset_key
 from repro.ckks.params import CkksParameters
@@ -122,45 +121,34 @@ class SimBackend(FheBackend):
     def scale_of(self, ciphertext: SimCiphertext) -> Fraction:
         return ciphertext.scale
 
-    # -- arithmetic -----------------------------------------------------------
-    def _check(self, a: SimCiphertext, b, op: str, check_scale: bool) -> None:
-        if a.level != b.level:
-            raise ValueError(f"{op}: level mismatch {a.level} vs {b.level}")
-        if check_scale and a.scale != b.scale:
-            raise ValueError(f"{op}: scale mismatch {a.scale} vs {b.scale}")
+    def plaintext_cache_key(self, level: int, scale: ScaleLike) -> tuple:
+        """The exact backend's fingerprint, marked: the simulator encodes
+        no weight tables, so the ``None`` a layer's store holds where it
+        ran never stands in for an exact backend's table of the same
+        parameter set."""
+        return super().plaintext_cache_key(level, scale) + ("sim",)
 
-    def add(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
-        self._check(a, b, "HAdd", check_scale=True)
-        self.ledger.charge("hadd", self.costs.hadd(a.level))
+    # -- unbooked primitives -------------------------------------------------
+    def _add(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
         std = float(np.hypot(a.noise_std, b.noise_std))
         return SimCiphertext(a.values + b.values, a.level, a.scale, std)
 
-    def sub(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
-        self._check(a, b, "HSub", check_scale=True)
-        self.ledger.charge("hadd", self.costs.hadd(a.level))
+    def _sub(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
         std = float(np.hypot(a.noise_std, b.noise_std))
         return SimCiphertext(a.values - b.values, a.level, a.scale, std)
 
-    def add_plain(self, a: SimCiphertext, p: SimPlaintext) -> SimCiphertext:
-        self._check(a, p, "PAdd", check_scale=True)
-        self.ledger.charge("padd", self.costs.hadd(a.level))
+    def _add_plain(self, a: SimCiphertext, p: SimPlaintext) -> SimCiphertext:
         return SimCiphertext(a.values + p.values, a.level, a.scale, a.noise_std)
 
-    def negate(self, a: SimCiphertext) -> SimCiphertext:
+    def _negate(self, a: SimCiphertext) -> SimCiphertext:
         return SimCiphertext(-a.values, a.level, a.scale, a.noise_std)
 
-    def mul_plain(self, a: SimCiphertext, p: SimPlaintext) -> SimCiphertext:
-        """PMult: values multiply; scales multiply (paper Section 2.5.2)."""
-        self._check(a, p, "PMult", check_scale=False)
-        self.ledger.charge("pmult", self.costs.pmult(a.level))
+    def _mul_plain(self, a: SimCiphertext, p: SimPlaintext) -> SimCiphertext:
         scale_mag = float(np.max(np.abs(p.values))) if p.values.size else 0.0
         std = a.noise_std * max(scale_mag, 1e-30)
         return SimCiphertext(a.values * p.values, a.level, a.scale * p.scale, std)
 
-    def mul(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
-        self._check(a, b, "HMult", check_scale=False)
-        self.ledger.charge("hmult", self.costs.hmult(a.level))
-        self.ledger.key_switches[KeySwitch(a.level)] += 1
+    def _mul(self, a: SimCiphertext, b: SimCiphertext) -> SimCiphertext:
         mag_a = float(np.max(np.abs(a.values))) if a.values.size else 0.0
         mag_b = float(np.max(np.abs(b.values))) if b.values.size else 0.0
         std = float(
@@ -170,52 +158,35 @@ class SimBackend(FheBackend):
         values = a.values * b.values + self._noise(self.slot_count, self._ks_noise)
         return SimCiphertext(values, a.level, a.scale * b.scale, std)
 
-    def rescale(self, a: SimCiphertext) -> SimCiphertext:
-        """Drop one level; divide the scale by that level's prime exactly."""
-        if a.level == 0:
-            raise ValueError("cannot rescale at level 0: bootstrap required")
-        self.ledger.charge("rescale", self.costs.rescale(a.level))
+    def _rescale(self, a: SimCiphertext) -> SimCiphertext:
         prime = self.params.data_primes[a.level]
-        new_scale = a.scale / prime
         added = self._rescale_noise
         values = a.values + self._noise(self.slot_count, added)
         std = float(np.hypot(a.noise_std, added))
-        out = SimCiphertext(values, a.level - 1, new_scale, std)
-        self._note_noise("rescale", a, out)
-        return out
+        return SimCiphertext(values, a.level - 1, a.scale / prime, std)
 
-    def level_down(self, a: SimCiphertext, target_level: int) -> SimCiphertext:
-        if target_level > a.level:
-            raise ValueError("cannot raise level without bootstrapping")
-        if target_level < 0:
-            raise ValueError("negative level")
-        out = SimCiphertext(a.values.copy(), target_level, a.scale, a.noise_std)
-        if target_level != a.level:
-            self._note_noise("mod_down", a, out)
-        return out
+    def _level_down(self, a: SimCiphertext, target_level: int) -> SimCiphertext:
+        return SimCiphertext(a.values.copy(), target_level, a.scale, a.noise_std)
 
-    def _rotate_no_charge(self, a: SimCiphertext, steps: int) -> SimCiphertext:
+    def _rotate(self, a: SimCiphertext, steps: int) -> SimCiphertext:
         values = np.roll(a.values, -steps) + self._noise(self.slot_count, self._ks_noise)
         std = float(np.hypot(a.noise_std, self._ks_noise))
         return SimCiphertext(values, a.level, a.scale, std)
 
-    def conjugate(self, a: SimCiphertext) -> SimCiphertext:
-        """Slot-wise conjugation: the identity on the simulator's real
-        slot vectors, but still a Galois key switch (priced and noised
-        like a rotation)."""
-        self.ledger.charge("hrot", self.costs.hrot(a.level))
-        self.ledger.key_switches[KeySwitch(a.level, gathers=1)] += 1
+    def _conjugate(self, a: SimCiphertext) -> SimCiphertext:
+        """The identity on the simulator's real slot vectors, noised like
+        the rotation it is priced as."""
         values = a.values + self._noise(self.slot_count, self._ks_noise)
         std = float(np.hypot(a.noise_std, self._ks_noise))
         return SimCiphertext(values, a.level, a.scale, std)
 
-    def _matvec_fused_no_charge(
+    def _matvec_fused(
         self,
         in_cts: Sequence[SimCiphertext],
         terms,
         num_out: int,
         pt_scale: ScaleLike,
-        pt_cache=None,
+        tables,
     ) -> list:
         """Functional fused matvec: exact SIMD semantics, fused noise.
 
@@ -231,16 +202,11 @@ class SimBackend(FheBackend):
         so the element contributes like a plain rotation by ``k`` while
         still counting as a distinct key-switch inner product in the
         noise model (``("conj", 0)`` is a real Galois map, unlike plain
-        offset 0).
+        offset 0).  The weights are the diagonals themselves: there are
+        no ``tables``.
         """
         level = in_cts[0].level
-        scale = in_cts[0].scale
-        for ct in in_cts:
-            if ct.level != level:
-                raise ValueError(f"matvec: level mismatch {ct.level} vs {level}")
-            if ct.scale != scale:
-                raise ValueError(f"matvec: scale mismatch {ct.scale} vs {scale}")
-        out_scale = scale * Fraction(pt_scale)
+        out_scale = in_cts[0].scale * Fraction(pt_scale)
         outputs = []
         for bo in range(num_out):
             bo_terms = sorted(
@@ -280,7 +246,7 @@ class SimBackend(FheBackend):
             outputs.append(SimCiphertext(values, level, out_scale, std))
         return outputs
 
-    def _rotate_sum_no_charge(self, a: SimCiphertext, steps) -> SimCiphertext:
+    def _rotate_sum(self, a: SimCiphertext, steps) -> SimCiphertext:
         """Functional fused rotate-and-sum fold with the fused noise
         model: one key-switch noise term per rotation plus one for the
         single deferred mod-down (the sequential fold instead compounds
@@ -300,7 +266,7 @@ class SimBackend(FheBackend):
         std = float(np.sqrt((num_rots + 1) * a.noise_std**2 + ks_std**2))
         return SimCiphertext(values, a.level, a.scale, std)
 
-    def bootstrap(self, a: SimCiphertext) -> SimCiphertext:
+    def _bootstrap(self, a: SimCiphertext) -> SimCiphertext:
         """Refresh to L_eff; inputs must be within [-1, 1] (Section 6)."""
         max_abs = float(np.max(np.abs(a.values))) if a.values.size else 0.0
         if max_abs > BOOT_RANGE_SLACK:
@@ -308,14 +274,11 @@ class SimBackend(FheBackend):
                 f"bootstrap input out of range (max |slot| = {max_abs:.4f}); "
                 "range estimation should have scaled this down"
             )
-        self.ledger.charge("bootstrap", self.costs.bootstrap())
         std = 2.0 ** (-BOOT_PRECISION_BITS)
         values = a.values + self._noise(self.slot_count, std)
-        out = SimCiphertext(
+        return SimCiphertext(
             values,
             self.params.effective_level,
             Fraction(self.params.scale),
             float(np.hypot(a.noise_std, std)),
         )
-        self._note_noise("bootstrap", a, out)
-        return out

@@ -1,8 +1,8 @@
 """Exact backend: real RNS-CKKS on small rings behind the common interface.
 
-Wraps :class:`repro.ckks.context.CkksContext`.  Ledger charges use the
-same analytical cost model as the simulator so counts and modeled
-latencies are comparable.  Its wall-clock and resident memory are what
+Wraps :class:`repro.ckks.context.CkksContext` in the unbooked
+primitives :class:`FheBackend` books, so counts and modeled latencies
+are the simulator's.  Its wall-clock and resident memory are what
 ``benchmarks/e2e`` measures (N up to 4096), so both matter here.
 """
 
@@ -16,28 +16,10 @@ import numpy as np
 from repro import kernels
 from repro.backend.costs import CostModel
 from repro.backend.interface import FheBackend, ScaleLike
-from repro.backend.ledger import KeySwitch
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import CkksContext
-from repro.ckks.galois import galois_offset_key
 from repro.ckks.params import CkksParameters
 from repro.rns.poly import RnsPolynomial
-
-
-def fused_term_groups(terms) -> Dict:
-    """``(out block, in block) -> offsets`` of a fused matvec's terms, in
-    the row order of the group's static table: its nonzero offsets in
-    :func:`galois_offset_key` order — the order
-    :meth:`CkksContext.rotate_hoisted_slabs` walks them in, so each slab
-    meets a contiguous run of the table's rows — then the ``off == 0``
-    term, if the group has one, as the single trailing row.
-    """
-    groups: Dict = {}
-    for bo, bi, off in terms:
-        groups.setdefault((bo, bi), []).append(off)
-    for offsets in groups.values():
-        offsets.sort(key=lambda off: (off == 0, galois_offset_key(off)))
-    return groups
 
 
 class ToyBackend(FheBackend):
@@ -52,7 +34,6 @@ class ToyBackend(FheBackend):
     ):
         super().__init__(params, cost_model)
         self.context = CkksContext(params, seed=seed)
-        self._bootstrapper = None
         if real_bootstrap:
             from repro.ckks.bootstrap import CkksBootstrapper
 
@@ -74,62 +55,54 @@ class ToyBackend(FheBackend):
     def scale_of(self, ciphertext: Ciphertext) -> Fraction:
         return ciphertext.scale
 
-    # -- arithmetic --------------------------------------------------------
-    def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self.ledger.charge("hadd", self.costs.hadd(a.level))
+    def encode_table(self, vectors, level: int, scale: ScaleLike) -> np.ndarray:
+        return self.context.encode_table(vectors, level, scale)
+
+    # -- unbooked primitives -------------------------------------------------
+    def _add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.context.add(a, b)
 
-    def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self.ledger.charge("hadd", self.costs.hadd(a.level))
+    def _sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.context.sub(a, b)
 
-    def add_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
-        self.ledger.charge("padd", self.costs.hadd(a.level))
+    def _add_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
         return self.context.add_plain(a, p)
 
-    def negate(self, a: Ciphertext) -> Ciphertext:
+    def _negate(self, a: Ciphertext) -> Ciphertext:
         return self.context.negate(a)
 
-    def mul_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
-        self.ledger.charge("pmult", self.costs.pmult(a.level))
+    def _mul_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
         return self.context.mul_plain(a, p)
 
-    def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self.ledger.charge("hmult", self.costs.hmult(a.level))
-        self.ledger.key_switches[KeySwitch(a.level)] += 1
+    def _mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.context.mul(a, b)
 
-    def rescale(self, a: Ciphertext) -> Ciphertext:
-        self.ledger.charge("rescale", self.costs.rescale(a.level))
-        out = self.context.rescale(a)
-        self._note_noise("rescale", a, out)
-        return out
+    def _rescale(self, a: Ciphertext) -> Ciphertext:
+        return self.context.rescale(a)
 
-    def level_down(self, a: Ciphertext, target_level: int) -> Ciphertext:
-        out = self.context.level_down(a, target_level)
-        if target_level != a.level:
-            self._note_noise("mod_down", a, out)
-        return out
+    def _level_down(self, a: Ciphertext, target_level: int) -> Ciphertext:
+        return self.context.level_down(a, target_level)
 
-    def _rotate_no_charge(self, a: Ciphertext, steps: int) -> Ciphertext:
+    def _rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
         return self.context.rotate(a, steps)
 
-    def _rotate_hoisted_no_charge(self, a: Ciphertext, steps) -> dict:
+    def _rotate_hoisted(self, a: Ciphertext, steps) -> dict:
         """Real hoisting: decompose c1 once, reuse it for every step."""
         return self.context.rotate_hoisted(a, steps)
 
-    def conjugate(self, a: Ciphertext) -> Ciphertext:
-        self.ledger.charge("hrot", self.costs.hrot(a.level))
-        self.ledger.key_switches[KeySwitch(a.level, gathers=1)] += 1
+    def _conjugate(self, a: Ciphertext) -> Ciphertext:
         return self.context.conjugate(a)
 
-    def _matvec_fused_no_charge(
+    def _bootstrap(self, a: Ciphertext) -> Ciphertext:
+        return self.context.bootstrap(a)
+
+    def _matvec_fused(
         self,
         in_cts: Sequence[Ciphertext],
         terms: Dict,
         num_out: int,
         pt_scale: ScaleLike,
-        pt_cache: Optional[Dict] = None,
+        tables: Dict,
         _max_chunk: Optional[int] = None,
     ) -> List[Optional[Ciphertext]]:
         """Exact fused diagonal accumulation (true double hoisting).
@@ -142,11 +115,12 @@ class ToyBackend(FheBackend):
 
         The weights of one ``(out block, in block)`` group are ONE
         static uint32 ``(T, ks_limbs, N)`` table
-        (:meth:`CkksContext.encode_table`, rows in
-        :func:`fused_term_groups` order), built on first use unless
-        ``pt_cache`` already holds it (:meth:`ServingArtifact.preload`
-        installs mmapped views).  Each hoisted slab is contracted in
-        place, as it arrives, into the running sums of every output
+        (:meth:`CkksContext.encode_table`, one row per offset, in the
+        order ``tables`` lists the group's offsets), held by the caller
+        (a packed layer's, which :meth:`ServingArtifact.preload` fills
+        with mmapped views).  Each hoisted
+        slab is contracted in place, as it arrives, into the running
+        sums of every output
         block that reads its offsets — the matching table rows against
         the raw Q_l * P accumulators, their data-limb prefix against the
         transformed c0s — and then dropped, so the working set is one
@@ -160,56 +134,36 @@ class ToyBackend(FheBackend):
         ctx = self.context
         level = in_cts[0].level
         scale = in_cts[0].scale
-        for ct in in_cts:
-            if ct.level != level:
-                raise ValueError(f"level mismatch: {ct.level} vs {level}")
-            if ct.scale != scale:
-                raise ValueError(f"scale mismatch: {ct.scale} vs {scale}")
-            if ct.c2 is not None:
-                raise ValueError("relinearize before a matvec")
+        if any(ct.c2 is not None for ct in in_cts):
+            raise ValueError("relinearize before a matvec")
         basis = ctx.basis
         n = basis.ring_degree
         ks_chain = ctx._ks_chain(level)
         data_primes = ctx._data_chain(level)
         mod_ks = basis.moduli_column(ks_chain)
         mod_q = basis.moduli_column(data_primes)
-        cache = {} if pt_cache is None else pt_cache
         pt_scale = Fraction(pt_scale)
-        # Tables are keyed by group + the full encode fingerprint, so a
-        # shared/preloaded cache can never serve a stale encode to a
-        # request entering at a different level, scale, or ks config.
-        cache_fp = self.plaintext_cache_key(level, pt_scale)
-        groups = fused_term_groups(terms)
-        tables = {}
-        for (bo, bi), offsets in groups.items():
-            table = cache.get((bo, bi, cache_fp))
-            if table is None:
-                table = ctx.encode_table(
-                    [terms[(bo, bi, off)] for off in offsets], level, pt_scale
-                )
-                cache[(bo, bi, cache_fp)] = table
-            tables[(bo, bi)] = table
 
         # Per output block: `direct` over Q_l (the c0-side products and
         # the off == 0 terms), `acc_ext` over Q_l * P (what the one
         # mod-down divides).  Both sum reduced (< 2^31) partials lazily:
         # int64 holds 2^32 of them, far more than slabs times blocks.
-        direct = {bo: np.zeros((2, level + 1, n), np.int64) for bo, _ in groups}
+        direct = {bo: np.zeros((2, level + 1, n), np.int64) for bo, _ in tables}
         acc_ext: Dict[int, np.ndarray] = {}
         chunk = kernels.lazy_reduction_chunk(max(ks_chain), _max_chunk)
-        for (bo, bi), offsets in groups.items():
+        for (bo, bi), (offsets, table) in tables.items():
             if offsets[-1] == 0:
-                plain = tables[(bo, bi)][-1, : level + 1]
+                plain = table[-1, : level + 1]
                 direct[bo][0] += plain * in_cts[bi].c0.data % mod_q
                 direct[bo][1] += plain * in_cts[bi].c1.data % mod_q
 
-        for bi in sorted({bi for _, bi in groups}):
+        for bi in sorted({bi for _, bi in tables}):
             # Each output block reading this input: its rotated offsets,
             # its table and a cursor — the slab walk meets the offsets in
             # table-row order, so each slab is a run of every group's rows.
             readers = [
-                [bo, offsets[: len(offsets) - (offsets[-1] == 0)], tables[(bo, bi)], 0]
-                for (bo, bi2), offsets in groups.items()
+                [bo, offsets[: len(offsets) - (offsets[-1] == 0)], table, 0]
+                for (bo, bi2), (offsets, table) in tables.items()
                 if bi2 == bi
             ]
             hoisted = {off for _, offsets, _, _ in readers for off in offsets}
@@ -269,9 +223,7 @@ class ToyBackend(FheBackend):
             )
         return outputs
 
-    def _rotate_sum_no_charge(
-        self, a: Ciphertext, steps: Sequence[int]
-    ) -> Ciphertext:
+    def _rotate_sum(self, a: Ciphertext, steps: Sequence[int]) -> Ciphertext:
         """Exact fused rotate-and-sum (the Gazelle fold, double-hoisted).
 
         All rotations share one digit decomposition of ``a.c1`` via
@@ -304,12 +256,3 @@ class ToyBackend(FheBackend):
             scale=a.scale,
             slot_count=a.slot_count,
         )
-
-    def bootstrap(self, a: Ciphertext) -> Ciphertext:
-        if self._bootstrapper is not None:
-            out = self._bootstrapper.bootstrap(a)
-        else:
-            self.ledger.charge("bootstrap", self.costs.bootstrap())
-            out = self.context.bootstrap(a)
-        self._note_noise("bootstrap", a, out)
-        return out

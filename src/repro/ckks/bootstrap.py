@@ -58,10 +58,7 @@ import numpy as np
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.params import RingType
 from repro.core.approx.chebyshev import ChebyshevPoly, chebyshev_fit
-from repro.core.approx.evaluator import (
-    cached_const_plaintext,
-    evaluate_chebyshev,
-)
+from repro.core.approx.evaluator import evaluate_chebyshev
 
 
 def overflow_bound(hamming_weight: int) -> int:
@@ -167,12 +164,11 @@ class CkksBootstrapper:
             self._stc_gain = 1.0
         self._build_transform_matrices()
         self._evalmod_depth: Optional[int] = None
-        # Per-transform diagonal plans (the nonzero diagonals and their
-        # "# Rots" accounting) plus encoded-plaintext caches, both
-        # persistent across bootstrap calls — the transforms always run
-        # at the same level and scale.
+        # Per-transform diagonal plans (the nonzero diagonals, their
+        # "# Rots" accounting and their encoded tables), persistent
+        # across bootstrap calls — the transforms always run at the same
+        # level and scale.
         self._plans: dict = {}
-        self._pt_caches: dict = {}
 
     # ------------------------------------------------------------------
     # Transform matrices
@@ -221,7 +217,9 @@ class CkksBootstrapper:
         - ``rot_count``: the BSGS rotation count (nonzero babies per
           input + nonzero giants, at the balanced split n1 ~ sqrt(n))
           reported to the ledger, keeping "# Rots" comparable with the
-          paper tables.  Rotation by 0 is free and never counted.
+          paper tables.  Rotation by 0 is free and never counted;
+        - ``tables``: the transform's encoded weight tables
+          (:func:`repro.core.packing.matvec.held_tables`).
         """
         plan = self._plans.get(table) if table is not None else None
         if plan is not None:
@@ -241,7 +239,7 @@ class CkksBootstrapper:
                 babies.add((i, k % n1))
                 giants.add(k - k % n1)
         rot_count = sum(1 for _, b in babies if b) + sum(1 for g in giants if g)
-        plan = {"terms": terms, "rot_count": rot_count}
+        plan = {"terms": terms, "rot_count": rot_count, "tables": {}}
         if table is not None:
             self._plans[table] = plan
         return plan
@@ -262,21 +260,25 @@ class CkksBootstrapper:
         (Bossuat et al. double hoisting).  A single rescale lands the
         output on the target scale.
         """
-        backend = self.backend
         plan = self._transform_plan(table, pairs)
-        level = backend.level_of(pairs[0][0])
-        cache = self._pt_caches.setdefault(
-            ("fused", table) + backend.plaintext_cache_key(level, pt_scale), {}
-        )
-        (out,) = backend.matvec_fused(
-            [ct for ct, _ in pairs],
+        (out,) = self._run_plan(plan, [ct for ct, _ in pairs], 1, pt_scale)
+        return self.backend.rescale(out)
+
+    def _run_plan(self, plan: dict, in_cts: Sequence[Ciphertext], num_out: int, pt_scale):
+        """One fused matvec over a transform plan, on the plan's tables."""
+        # Imported here: repro.core.packing imports repro.ckks.
+        from repro.core.packing.matvec import held_tables
+
+        backend = self.backend
+        level = backend.level_of(in_cts[0])
+        return backend.matvec_fused(
+            in_cts,
             plan["terms"],
-            1,
+            num_out,
             pt_scale,
-            pt_cache=cache,
+            held_tables(plan["tables"], backend, plan["terms"], level, pt_scale),
             charged_rotations=plan["rot_count"],
         )
-        return backend.rescale(out)
 
     # ------------------------------------------------------------------
     # Pipeline stages
@@ -301,20 +303,8 @@ class CkksBootstrapper:
             - math.log2(float(backend.scale_of(raised)))
             + math.log2(rescale_prime)
         )
-        ones = self._ones_pt(level, Fraction(1 << max(shift, 1)))
+        ones = backend.constant(1.0, level, Fraction(1 << max(shift, 1)))
         return backend.rescale(backend.mul_plain(raised, ones))
-
-    def _ones_pt(self, level: int, scale: Fraction):
-        """All-ones plaintext at an exact (level, scale), cached across
-        bootstrap calls (the pipeline re-centres scales with the same
-        handful of constants on every refresh)."""
-        return cached_const_plaintext(
-            self.backend,
-            1.0,
-            level,
-            scale,
-            self._pt_caches.setdefault("ones_consts", {}),
-        )
 
     def _shared_cts_plan(self) -> dict:
         """CoeffToSlot plan with the conjugation folded into the terms.
@@ -346,7 +336,7 @@ class CkksBootstrapper:
             for (_, i, k), diagonal in sub["terms"].items():
                 offset = k if i == 0 else ("conj", k)
                 terms[(bo, 0, offset)] = diagonal
-        plan = {"terms": terms, "rot_count": rot_count}
+        plan = {"terms": terms, "rot_count": rot_count, "tables": {}}
         self._plans["cts_shared"] = plan
         return plan
 
@@ -354,21 +344,8 @@ class CkksBootstrapper:
         self, raised: Ciphertext, pt_scale: Fraction
     ) -> Tuple[Ciphertext, Ciphertext]:
         """Both CoeffToSlot halves off one shared decomposition."""
-        backend = self.backend
-        plan = self._shared_cts_plan()
-        level = backend.level_of(raised)
-        cache = self._pt_caches.setdefault(
-            ("cts_shared",) + backend.plaintext_cache_key(level, pt_scale), {}
-        )
-        lo, hi = backend.matvec_fused(
-            [raised],
-            plan["terms"],
-            2,
-            pt_scale,
-            pt_cache=cache,
-            charged_rotations=plan["rot_count"],
-        )
-        return backend.rescale(lo), backend.rescale(hi)
+        lo, hi = self._run_plan(self._shared_cts_plan(), [raised], 2, pt_scale)
+        return self.backend.rescale(lo), self.backend.rescale(hi)
 
     def coeff_to_slot(self, raised: Ciphertext) -> Tuple[Ciphertext, Ciphertext]:
         """Move coefficients into slots: one shared multiplicative level.
@@ -401,12 +378,7 @@ class CkksBootstrapper:
         the reduced angle and squares its way back up, one level per
         doubling: cos(2t) = 2 cos(t)^2 - 1.
         """
-        out = evaluate_chebyshev(
-            self.backend,
-            ct,
-            self.evalmod_poly,
-            pt_cache=self._pt_caches.setdefault("evalmod_consts", {}),
-        )
+        out = evaluate_chebyshev(self.backend, ct, self.evalmod_poly)
         if self.double_angles:
             out = self._pin_scale_to_prime(out)
         for _ in range(self.double_angles):
@@ -426,15 +398,15 @@ class CkksBootstrapper:
         target = Fraction(self.params.primes[level - 1])
         ratio = target * self.params.primes[level] / backend.scale_of(ct)
         return backend.rescale(
-            backend.mul_plain(ct, self._ones_pt(level, ratio))
+            backend.mul_plain(ct, backend.constant(1.0, level, ratio))
         )
 
     def _double_angle_step(self, ct: Ciphertext) -> Ciphertext:
         backend = self.backend
         squared = backend.mul(ct, ct)
         doubled = backend.add(squared, squared)
-        minus_one = backend.encode(
-            -np.ones(self.n), backend.level_of(doubled), backend.scale_of(doubled)
+        minus_one = backend.constant(
+            -1.0, backend.level_of(doubled), backend.scale_of(doubled)
         )
         return backend.rescale(backend.add_plain(doubled, minus_one))
 

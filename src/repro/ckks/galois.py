@@ -13,6 +13,8 @@ exact-arithmetic context machinery.
 
 from __future__ import annotations
 
+from typing import Dict
+
 
 def galois_offset_key(offset):
     """Canonical sort key for hoisted Galois offsets.
@@ -24,3 +26,19 @@ def galois_offset_key(offset):
     if isinstance(offset, tuple):
         return (1, offset[1])
     return (0, offset)
+
+
+def fused_term_groups(terms) -> Dict:
+    """``(out block, in block) -> offsets`` of a fused matvec's terms, in
+    the row order of the group's static table: its nonzero offsets in
+    :func:`galois_offset_key` order — the order
+    :meth:`CkksContext.rotate_hoisted_slabs` walks them in, so each slab
+    meets a contiguous run of the table's rows — then the ``off == 0``
+    term, if the group has one, as the single trailing row.
+    """
+    groups: Dict = {}
+    for bo, bi, off in terms:
+        groups.setdefault((bo, bi), []).append(off)
+    for offsets in groups.values():
+        offsets.sort(key=lambda off: (off == 0, galois_offset_key(off)))
+    return groups

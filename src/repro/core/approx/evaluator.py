@@ -20,33 +20,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from repro.core.approx.chebyshev import ChebyshevPoly
 
 _COEFF_EPS = 1e-12
-
-
-def cached_const_plaintext(backend, value: float, level: int, scale, cache=None):
-    """Encode (or fetch) the all-``value`` plaintext at (level, scale).
-
-    ``cache`` entries are keyed by the constant's value *plus* the
-    backend's full encode fingerprint (level, scale, ks config, prime
-    chain), so one dict may serve many levels/scales/configs without
-    ever returning a stale encode.  ``None`` disables caching.  Shared
-    by the Chebyshev evaluator and the bootstrap pipeline's
-    scale-recentering constants.
-    """
-    if cache is None:
-        return backend.encode(np.full(backend.slot_count, value), level, scale)
-    key = (float(value), backend.plaintext_cache_key(level, scale))
-    pt = cache.get(key)
-    if pt is None:
-        pt = backend.encode(np.full(backend.slot_count, value), level, scale)
-        cache[key] = pt
-    return pt
 
 
 def _largest_giant(degree: int, m: int) -> int:
@@ -59,38 +39,23 @@ def _largest_giant(degree: int, m: int) -> int:
 class _ChebEvaluator:
     """One evaluation of a Chebyshev series on one ciphertext.
 
-    ``pt_cache`` (optional, caller-owned) persists the constant
-    plaintexts the evaluator encodes — coefficient vectors, scale-
-    matching ones, the T_{2a} correction — across evaluations.  Hot
-    repeated evaluations of one polynomial (the bootstrap EvalMod runs
-    the same series at the same levels and scales on every refresh)
-    then encode nothing after the first call.  Entries are keyed by the
-    constant's value *plus* the backend's full encode fingerprint
-    (level, scale, ks config, prime chain), so a shared cache can never
-    serve a stale encode.
+    The constant plaintexts it multiplies and adds — coefficients,
+    scale-matching ones, the T_{2a} correction — are the backend's
+    (:meth:`FheBackend.constant`), so hot repeated evaluations of one
+    polynomial (an activation on every request, the bootstrap EvalMod
+    on every refresh) encode nothing after the first call.
     """
 
-    def __init__(self, backend, ct, pt_cache: Optional[Dict] = None):
+    def __init__(self, backend, ct):
         self.backend = backend
         self.delta = Fraction(backend.params.scale)
         self.powers: Dict[int, object] = {1: ct}
-        self.pt_cache = pt_cache
 
     # -- scale/level plumbing ------------------------------------------------
     def _align_level(self, ct, level: int):
         if self.backend.level_of(ct) > level:
             return self.backend.level_down(ct, level)
         return ct
-
-    def _const_pt(self, value: float, level: int, scale: Fraction):
-        """Encode (or fetch) the all-``value`` plaintext at an exact
-        (level, scale)."""
-        return cached_const_plaintext(
-            self.backend, value, level, scale, self.pt_cache
-        )
-
-    def _ones(self, level: int, scale: Fraction):
-        return self._const_pt(1.0, level, scale)
 
     def _match(self, ct, target_scale: Fraction, level: int):
         """Bring ct to the pre-rescale scale ``target_scale`` by a
@@ -103,7 +68,7 @@ class _ChebEvaluator:
         ratio = target_scale / current
         if ratio < 1:
             raise ValueError("scale matching only raises scales")
-        return self.backend.mul_plain(ct, self._ones(level, ratio))
+        return self.backend.mul_plain(ct, self.backend.constant(1.0, level, ratio))
 
     def _double(self, ct):
         return self.backend.add(ct, ct)
@@ -124,7 +89,7 @@ class _ChebEvaluator:
         target = self.backend.scale_of(prod)
         if a == b:
             # T_{2a} = 2 T_a^2 - T_0; subtract the constant 1 exactly.
-            minus_one = self._const_pt(-1.0, level, target)
+            minus_one = self.backend.constant(-1.0, level, target)
             prod = self.backend.add_plain(prod, minus_one)
         else:
             correction = self._match(self.power(a - b), target, level)
@@ -145,11 +110,11 @@ class _ChebEvaluator:
                 continue
             tj = self._align_level(self.power(j), level)
             pt_scale = target / self.backend.scale_of(tj)
-            term = self.backend.mul_plain(tj, self._const_pt(c, level, pt_scale))
+            term = self.backend.mul_plain(tj, self.backend.constant(c, level, pt_scale))
             acc = term if acc is None else self.backend.add(acc, term)
         if acc is not None and abs(coeffs[0]) > _COEFF_EPS:
             acc = self.backend.add_plain(
-                acc, self._const_pt(coeffs[0], level, target)
+                acc, self.backend.constant(coeffs[0], level, target)
             )
         return acc
 
@@ -184,7 +149,7 @@ class _ChebEvaluator:
         q_val = self.evaluate(q, m)
         if isinstance(q_val, tuple):
             level = self.backend.level_of(tg)
-            pt = self._const_pt(q_val[1], level, self.delta)
+            pt = self.backend.constant(q_val[1], level, self.delta)
             prod = self.backend.mul_plain(self._align_level(tg, level), pt)
         else:
             level = min(self.backend.level_of(q_val), self.backend.level_of(tg))
@@ -201,7 +166,7 @@ class _ChebEvaluator:
             r_ct = self.base_terms(r[: r_degree + 1], level, target)
             if r_ct is None and abs(r[0]) > _COEFF_EPS:
                 prod = self.backend.add_plain(
-                    prod, self._const_pt(r[0], level, target)
+                    prod, self.backend.constant(r[0], level, target)
                 )
             elif r_ct is not None:
                 prod = self.backend.add(prod, r_ct)
@@ -209,7 +174,7 @@ class _ChebEvaluator:
             r_val = self.evaluate(r[: r_degree + 1], m)
             if isinstance(r_val, tuple):
                 prod = self.backend.add_plain(
-                    prod, self._const_pt(r_val[1], level, target)
+                    prod, self.backend.constant(r_val[1], level, target)
                 )
             else:
                 common = min(level, self.backend.level_of(r_val))
@@ -219,25 +184,18 @@ class _ChebEvaluator:
         return self.backend.rescale(prod)
 
 
-def evaluate_chebyshev(
-    backend,
-    ct,
-    poly: Union[ChebyshevPoly, "object"],
-    pt_cache: Optional[Dict] = None,
-):
+def evaluate_chebyshev(backend, ct, poly: Union[ChebyshevPoly, "object"]):
     """Evaluate a Chebyshev-basis polynomial on a ciphertext.
 
     The input ciphertext must hold values in [-1, 1] (range estimation
-    guarantees this for activations).  ``pt_cache`` (caller-owned)
-    persists the constant-plaintext encodes across evaluations of the
-    same polynomial — see :class:`_ChebEvaluator`.
+    guarantees this for activations).
     """
     coeffs = list(poly.coeffs)
     degree = len(coeffs) - 1
     if degree < 1:
         raise ValueError("constant polynomials need no evaluation")
     m = 1 << max(1, math.ceil(math.log2(math.sqrt(degree + 1))))
-    ev = _ChebEvaluator(backend, ct, pt_cache=pt_cache)
+    ev = _ChebEvaluator(backend, ct)
     result = ev.evaluate(coeffs, m)
     if isinstance(result, tuple):
         raise ValueError("polynomial reduced to a constant")

@@ -5,8 +5,9 @@ researchers to extend Orion to support new network layer types such as
 self-attention".  This module is that extension, built from the same
 primitives the rest of the reproduction uses:
 
-- **Projections** (Q = W_q x, ...) are plaintext-weight matvecs via the
-  diagonal method (Section 3) with the errorless scale discipline.
+- **Projections** (Q = W_q x, ...) are plaintext-weight packed layers
+  run by the fused diagonal matvec (Section 3) with the errorless scale
+  discipline.
 - **Scores** q_i . k_j are ciphertext-ciphertext inner products: one
   HMult followed by a rotate-and-sum tree, masked to slot zero and
   re-broadcast with a second rotation tree.
@@ -35,7 +36,8 @@ import numpy as np
 
 from repro.core.approx.chebyshev import ChebyshevPoly, chebyshev_fit
 from repro.core.approx.evaluator import evaluate_chebyshev
-from repro.core.packing.matvec import apply_fold_groups
+from repro.core.packing.layouts import VectorLayout
+from repro.core.packing.matvec import PackedMatVec, apply_fold_groups, build_linear_packing
 
 
 # ---------------------------------------------------------------------------
@@ -86,42 +88,34 @@ def encrypted_inner_product(backend, a, b, width: int, post_factor: float = 1.0)
     mask = np.zeros(backend.slot_count)
     mask[0] = post_factor
     prime = backend.params.data_primes[level]
-    masked = backend.mul_plain(summed, backend.encode(mask, level, Fraction(prime)))
+    masked = backend.mul_plain(summed, backend.constant(mask, level, Fraction(prime)))
     return broadcast_slot0(backend, backend.rescale(masked))
 
 
-def square_matvec(backend, ct, matrix: np.ndarray):
-    """Dense diagonal-method matvec with plaintext weights (one level).
-
-    The matrix must be square (d x d with d <= slot count); diagonals
-    are encoded at the current rescale prime so the output scale equals
-    the input scale exactly (the errorless discipline of Section 6).
-    """
+def square_packing(matrix: np.ndarray, slots: int) -> PackedMatVec:
+    """A square (d x d, d <= slots) plaintext matrix as a packed layer
+    over the embedding's first d slots, in the plain diagonal form: a
+    diagonal whose index wraps past d lands on two offsets, k and k - d
+    (mod the slot count), as Gazelle's wraparound split."""
     d = matrix.shape[0]
     if matrix.shape != (d, d):
-        raise ValueError("square_matvec needs a square matrix")
-    level = backend.level_of(ct)
-    n = backend.slot_count
-    prime = backend.params.data_primes[level]
-    indices = np.arange(d)
-    acc = None
-    for k in range(d):
-        diagonal = matrix[indices, (indices + k) % d]
-        if np.max(np.abs(diagonal)) < 1e-15:
-            continue
-        # The ciphertext rotates over all n slots, not d, so a diagonal
-        # whose index wraps past d splits into two rotations: positions
-        # i < d-k read the rotate-by-k copy, the wrapped tail positions
-        # read the rotate-by-(k-d) copy (Gazelle's wraparound split).
-        for rotation, live in ((k, indices < d - k), (k - d, indices >= d - k)):
-            if not np.any(np.abs(diagonal[live]) > 1e-15):
-                continue
-            padded = np.zeros(n)
-            padded[:d][live] = diagonal[live]
-            plaintext = backend.encode(padded, level, Fraction(prime))
-            term = backend.mul_plain(backend.rotate(ct, rotation % n), plaintext)
-            acc = term if acc is None else backend.add(acc, term)
-    return backend.rescale(acc)
+        raise ValueError("square_packing needs a square matrix")
+    return build_linear_packing(
+        matrix, None, VectorLayout(d, slots), name="attention", force_mode="plain"
+    )
+
+
+def square_matvec(backend, ct, packed: PackedMatVec):
+    """Dense diagonal-method matvec with plaintext weights (one level).
+
+    ``packed`` is a :func:`square_packing`.  The diagonals are encoded
+    at the current rescale prime, so the output scale equals the input
+    scale exactly (the errorless discipline of Section 6); the one
+    fused matvec runs them (:meth:`PackedMatVec.execute`).
+    """
+    prime = backend.params.data_primes[backend.level_of(ct)]
+    (out,) = packed.execute(backend, [ct], Fraction(prime))
+    return out
 
 
 def chebyshev_inverse(lo: float, hi: float, degree: int = 15) -> ChebyshevPoly:
@@ -143,18 +137,12 @@ def affine_to_unit(backend, ct, lo: float, hi: float):
     """Map slot values from [lo, hi] to [-1, 1] (one level)."""
     level = backend.level_of(ct)
     prime = backend.params.data_primes[level]
-    gain = 2.0 / (hi - lo)
-    pt_gain = backend.encode(
-        np.full(backend.slot_count, gain), level, Fraction(prime)
+    gain = backend.constant(2.0 / (hi - lo), level, Fraction(prime))
+    scaled = backend.rescale(backend.mul_plain(ct, gain))
+    offset = backend.constant(
+        -(hi + lo) / (hi - lo), backend.level_of(scaled), backend.scale_of(scaled)
     )
-    scaled = backend.rescale(backend.mul_plain(ct, pt_gain))
-    offset = -(hi + lo) / (hi - lo)
-    pt_offset = backend.encode(
-        np.full(backend.slot_count, offset),
-        backend.level_of(scaled),
-        backend.scale_of(scaled),
-    )
-    return backend.add_plain(scaled, pt_offset)
+    return backend.add_plain(scaled, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +187,9 @@ class EncryptedAttention:
         if self.dim & (self.dim - 1):
             raise ValueError("embedding dim must be a power of two (rotate_sum)")
         self.config = config
+        self.projections = [
+            square_packing(w, backend.slot_count) for w in (self.wq, self.wk, self.wv)
+        ]
         self.exp_poly = chebyshev_fit(
             lambda x: np.exp(config.exp_range * np.asarray(x)), config.exp_degree
         )
@@ -242,9 +233,10 @@ class EncryptedAttention:
         """
         backend = self.backend
         seq_len = len(token_cts)
-        queries = [square_matvec(backend, ct, self.wq) for ct in token_cts]
-        keys = [square_matvec(backend, ct, self.wk) for ct in token_cts]
-        values = [square_matvec(backend, ct, self.wv) for ct in token_cts]
+        queries, keys, values = (
+            [square_matvec(backend, ct, packed) for ct in token_cts]
+            for packed in self.projections
+        )
 
         temperature = 1.0 / (math.sqrt(self.dim) * self.config.exp_range)
         exps = [

@@ -281,7 +281,7 @@ class OrionCompiler:
                 output_layout=build.layouts[build.final_uid],
                 input_norm=ranges.norm(graph.input_uid),
                 output_denorm=ranges.norm(build.final_uid)
-                * build.pending.get(build.final_uid, 1.0),
+                * build.pending_factor(build.final_uid),
                 entry_level=placement.entry_level,
             )
         return CompiledNetwork(
@@ -344,7 +344,9 @@ class _ProgramBuilder:
         self.chain = PlacementChain()
         self.layouts: Dict[int, object] = {}
         self.alias: Dict[int, int] = {}
-        self.pending: Dict[int, float] = {}
+        #: uid -> (range factor, Square name): a Square's output still
+        #: owes m_in^2 / m_out, which every (linear) consumer applies.
+        self.pending: Dict[int, Tuple[float, str]] = {}
         self.final_uid = graph.input_uid
         channels, height, width = input_shape
         self.layouts[graph.input_uid] = MultiplexedLayout(
@@ -359,6 +361,21 @@ class _ProgramBuilder:
 
     def _num_cts(self, uid: int) -> int:
         return self.layouts[self._resolve(uid)].num_ciphertexts
+
+    def pending_factor(self, uid: int) -> float:
+        """The range factor a Square left on ``uid`` (1.0: none)."""
+        return self.pending[uid][0] if uid in self.pending else 1.0
+
+    def _refuse_pending(self, uid: int, consumer: str) -> None:
+        """Only a linear layer can absorb a Square's pending range factor
+        (it folds it into its weights): refuse any other consumer."""
+        if uid in self.pending:
+            factor, square = self.pending[uid]
+            raise ValueError(
+                f"{consumer} reads the output of Square {square}, whose range "
+                f"factor {factor:.6g} only a linear layer can apply; put a "
+                f"linear layer between {square} and {consumer}"
+            )
 
     def _poly_cost_fn(self, degree: int, num_cts: int):
         ops = _POLY_OPS_CACHE.get(degree)
@@ -398,10 +415,9 @@ class _ProgramBuilder:
         join = region.join
         a_uid = self._resolve(join.inputs[0])
         b_uid = self._resolve(join.inputs[1])
-        if self.pending.get(a_uid, 1.0) != self.pending.get(b_uid, 1.0):
-            raise ValueError("mismatched pending scale factors at a join")
+        self._refuse_pending(a_uid, join.name)
+        self._refuse_pending(b_uid, join.name)
         self.layouts[join.output] = self.layouts[a_uid]
-        self.pending[join.output] = self.pending.get(a_uid, 1.0)
         num_cts = self._num_cts(a_uid) + self._num_cts(b_uid)
         costs = self.compiler.costs
         spec = JoinSpec(
@@ -441,14 +457,14 @@ class _ProgramBuilder:
         raise ValueError(f"unsupported node kind {kind!r} for {node.name}")
 
     # -- linear layers -----------------------------------------------------
-    def _pop_factor(self, in_uid: int, out_uid: int) -> float:
+    def _range_factor(self, in_uid: int, out_uid: int) -> float:
         """The fused scale-down of paper Section 6: the packed layer
         computes out/M_out from in/M_in, so its weights scale by
         M_in/M_out, times any pending factor a preceding Square left on
-        the input (popped: only the first consumer applies it)."""
+        the input (every consumer applies it)."""
         m_in = self.ranges.norm(in_uid)
         m_out = self.ranges.norm(out_uid)
-        return (m_in / m_out) * self.pending.pop(in_uid, 1.0)
+        return (m_in / m_out) * self.pending_factor(in_uid)
 
     def _effective_linear_params(self, node, factor: float, out_uid: int):
         """A linear node's packed ``(weight, bias)``: its planned BN fold
@@ -480,7 +496,7 @@ class _ProgramBuilder:
         name = node.name
         in_uid = self._resolve(node.inputs[0])
         in_layout = self.layouts[in_uid]
-        factor = self._pop_factor(in_uid, out_uid)
+        factor = self._range_factor(in_uid, out_uid)
         type_name = type(module).__name__
 
         if type_name in ("AvgPool2d", "AdaptiveAvgPool2d"):
@@ -574,16 +590,14 @@ class _ProgramBuilder:
         """Lower a FusedLinear rewrite: pack every sibling against the
         shared input, merge into one stacked matvec.
 
-        Bit-exactness bookkeeping: the pending scale factor (if any) is
-        popped once and applied to the *first* sibling only — exactly
-        what the un-optimized lowering does, where the first consumer
-        pops it and later siblings see 1.0.
+        Every sibling applies the input's pending scale factor (if any),
+        exactly as each consumer does in the un-optimized lowering.
         """
         fmod = node.module
         in_uid = self._resolve(node.inputs[0])
         in_layout = self.layouts[in_uid]
         m_in = self.ranges.norm(in_uid)
-        pending = self.pending.pop(in_uid, 1.0)
+        pending = self.pending_factor(in_uid)
 
         if self.compiler.mode == "analyze":  # geometry only
             profiles = [
@@ -593,13 +607,9 @@ class _ProgramBuilder:
             merged, stats = None, merged_packing_stats(profiles)
         else:
             packeds = []
-            for part, (sib, term_uid) in enumerate(
-                zip(fmod.siblings, fmod.terminal_uids)
-            ):
+            for sib, term_uid in zip(fmod.siblings, fmod.terminal_uids):
                 module = sib.module
-                factor = (m_in / self.ranges.norm(term_uid)) * (
-                    pending if part == 0 else 1.0
-                )
+                factor = (m_in / self.ranges.norm(term_uid)) * pending
                 params = functools.partial(
                     self._effective_linear_params, sib, factor, term_uid
                 )
@@ -645,6 +655,7 @@ class _ProgramBuilder:
     def _emit_relu(self, node, chain: PlacementChain) -> int:
         module = node.module
         in_uid = self._resolve(node.inputs[0])
+        self._refuse_pending(in_uid, node.name)
         out_uid = node.output
         m_in = self.ranges.norm(in_uid)
         m_out = self.ranges.norm(out_uid)
@@ -703,6 +714,7 @@ class _ProgramBuilder:
     def _emit_poly(self, node, chain: PlacementChain) -> int:
         module = node.module
         in_uid = self._resolve(node.inputs[0])
+        self._refuse_pending(in_uid, node.name)
         out_uid = node.output
         self.layouts[out_uid] = self.layouts[in_uid]
         num_cts = self._num_cts(in_uid)
@@ -711,9 +723,9 @@ class _ProgramBuilder:
         costs = self.compiler.costs
 
         if type(module).__name__ == "Square":
-            self.pending[out_uid] = (m_in * m_in / m_out) * self.pending.pop(
-                in_uid, 1.0
-            )
+            factor = m_in * m_in / m_out
+            if factor != 1.0:
+                self.pending[out_uid] = (factor, node.name)
             chain.items.append(
                 LayerSpec(
                     node.name,
@@ -764,7 +776,7 @@ class _ProgramBuilder:
         in_uid = self._resolve(node.inputs[0])
         in_layout = self.layouts[in_uid]
         m_out = self.ranges.norm(node.output)
-        factor = self._pop_factor(in_uid, node.output)
+        factor = self._range_factor(in_uid, node.output)
         vector = isinstance(in_layout, VectorLayout)
         c = node.module.num_features
 

@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.ckks.galois import fused_term_groups
 from repro.core.packing.analysis import (
     DiagonalStructure,
     PackingStats,
@@ -106,11 +106,16 @@ class PackedMatVec:
     gathers: Tuple[Tuple[int, ...], ...] = ()
     bias_vecs: Optional[List[np.ndarray]] = None
     name: str = "linear"
-    # Weight/bias/zero plaintexts are static; encode once per (backend,
-    # level, scale) and reuse across executions ("pre-processable").
-    _pt_cache: WeakKeyDictionary = field(
-        default_factory=WeakKeyDictionary, repr=False, compare=False
-    )
+    # The encoded weight tables ("pre-processable"): one per (out, in)
+    # block group, keyed ``(bo, bi, plaintext_cache_key)``, so every
+    # exact backend of one parameter set shares them (encoding is
+    # deterministic; the simulator's fingerprint is its own) and none
+    # is served at another level or scale.
+    # Read and written through :meth:`encoded_tables` /
+    # :meth:`install_table`, never indexed elsewhere.
+    _tables: Dict = field(default_factory=dict, repr=False, compare=False)
+    # The encoded biases, keyed ``(bo, plaintext_cache_key)`` the same way.
+    _biases: Dict = field(default_factory=dict, repr=False, compare=False)
     # Batched (block-replicated) views for serve-time slot batching,
     # keyed by batch size (built lazily, shared across executions).
     _batched: Dict = field(default_factory=dict, repr=False, compare=False)
@@ -188,8 +193,8 @@ class PackedMatVec:
           client's row replicas inside its own block.
 
         The view re-plans its "# Rots" accounting over its offsets,
-        shares nothing mutable with the original (fresh plaintext
-        caches), and is cached per batch size.
+        shares nothing mutable with the original (its own table store),
+        and is cached per batch size.
         """
         if batch == 1:
             return self
@@ -276,6 +281,25 @@ class PackedMatVec:
             for offset, vec in dmap.items()
         }
 
+    # -- encoded weight tables ---------------------------------------------------
+    def encoded_tables(self, backend) -> List[Tuple[int, int, int, Fraction, object]]:
+        """``(bo, bi, level, pt_scale, table)`` of every weight table this
+        layer holds under ``backend``'s parameter set: the (level, scale)
+        it executed at, with the table there (``None`` under a functional
+        backend, which encodes none)."""
+        held = []
+        for (bo, bi, fingerprint), table in self._tables.items():
+            level, pt_scale = fingerprint[:2]
+            if fingerprint == backend.plaintext_cache_key(level, pt_scale):
+                held.append((bo, bi, level, pt_scale, table))
+        return held
+
+    def install_table(self, backend, bo: int, bi: int, level: int, pt_scale, table) -> None:
+        """Hold ``table`` (a pre-encoded uint32 operand, e.g. a view of a
+        mapped artifact) as group ``(bo, bi)``'s weights at (level,
+        pt_scale) under ``backend``'s parameter set."""
+        self._tables[(bo, bi, backend.plaintext_cache_key(level, pt_scale))] = table
+
     # -- execution -------------------------------------------------------------
     def execute(self, backend, in_cts: List, pt_scale: Fraction):
         """Run the matvec homomorphically (fused, deferred mod-down).
@@ -291,22 +315,14 @@ class PackedMatVec:
             list of output ciphertexts at level-1, scale input*pt/q.
         """
         level = backend.level_of(in_cts[0])
-        per_backend = self._pt_cache.get(backend)
-        if per_backend is None:
-            per_backend = {}
-            self._pt_cache[backend] = per_backend
-        # All weight/zero/bias encodes are keyed by the backend's full
-        # encode fingerprint (level, scale, ks config) — the serve-many
-        # invariant that keeps a second request entering at a different
-        # level from hitting a stale encode.
-        cache_fp = backend.plaintext_cache_key(level, pt_scale)
+        terms = self.terms()
         stats = self.stats
         totals = backend.matvec_fused(
             in_cts,
-            self.terms(),
+            terms,
             len(self.gathers) or self.num_out,
             pt_scale,
-            pt_cache=per_backend.setdefault(("fused",) + cache_fp, {}),
+            held_tables(self._tables, backend, terms, level, pt_scale),
             # The BSGS plan's rotations; gathers and folds charge
             # themselves.
             charged_rotations=stats.rotations - sum(stats.gathers)
@@ -315,11 +331,8 @@ class PackedMatVec:
         rescaled = []
         for total in totals:
             if total is None:
-                zero_pt = per_backend.get(("zero",) + cache_fp)
-                if zero_pt is None:
-                    zero_pt = backend.encode(np.zeros(self.slots), level, pt_scale)
-                    per_backend[("zero",) + cache_fp] = zero_pt
-                total = backend.mul_plain(in_cts[0], zero_pt)
+                zero = backend.constant(0.0, level, pt_scale)
+                total = backend.mul_plain(in_cts[0], zero)
             rescaled.append(backend.rescale(total))
         if self.gathers:
             total = rescaled[0]
@@ -334,16 +347,14 @@ class PackedMatVec:
                 backend, total, self.fold_shifts, self.fold_groups
             )
             if self.bias_vecs is not None:
-                out_level = backend.level_of(total)
-                out_scale = backend.scale_of(total)
-                bias_key = ("bias", bo) + backend.plaintext_cache_key(
-                    out_level, out_scale
-                )
-                bias_pt = per_backend.get(bias_key)
-                if bias_pt is None:
-                    bias_pt = backend.encode(self.bias_vecs[bo], out_level, out_scale)
-                    per_backend[bias_key] = bias_pt
-                total = backend.add_plain(total, bias_pt)
+                out_level, out_scale = backend.level_of(total), backend.scale_of(total)
+                key = (bo, backend.plaintext_cache_key(out_level, out_scale))
+                bias = self._biases.get(key)
+                if bias is None:
+                    bias = self._biases[key] = backend.encode(
+                        self.bias_vecs[bo], out_level, out_scale
+                    )
+                total = backend.add_plain(total, bias)
             outputs.append(total)
         return outputs
 
@@ -455,6 +466,27 @@ def fold_group_steps(
         start += size
         steps.append(sorted(set(sums) - {0}))
     return steps
+
+
+def held_tables(store: Dict, backend, terms: Dict, level: int, pt_scale) -> Dict:
+    """``{(bo, bi): (offsets, table)}`` for the groups of a fused matvec's
+    ``terms`` at (level, pt_scale) — the ``tables`` argument of
+    :meth:`FheBackend.matvec_fused`: each group's offsets in table-row
+    order (:func:`fused_term_groups`) and its weight table, read from
+    ``store`` — the caller's ``{(bo, bi, plaintext_cache_key): table}``
+    dict, a packed layer's or a bootstrap transform's — where each group
+    it lacks is encoded once by :meth:`FheBackend.encode_table` and
+    stored."""
+    fingerprint = backend.plaintext_cache_key(level, pt_scale)
+    tables = {}
+    for (bo, bi), offsets in fused_term_groups(terms).items():
+        key = (bo, bi, fingerprint)
+        if key not in store:
+            store[key] = backend.encode_table(
+                [terms[(bo, bi, off)] for off in offsets], level, pt_scale
+            )
+        tables[(bo, bi)] = offsets, store[key]
+    return tables
 
 
 def apply_fold_groups(backend, ct, shifts: Tuple[int, ...], groups: Tuple[int, ...]):

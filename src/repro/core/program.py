@@ -36,7 +36,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core.approx.chebyshev import ChebyshevPoly
-from repro.core.approx.evaluator import cached_const_plaintext, evaluate_chebyshev
+from repro.core.approx.evaluator import evaluate_chebyshev
 from repro.core.packing.layouts import BlockReplicatedLayout
 from repro.core.packing.matvec import (
     PackedMatVec,
@@ -50,7 +50,7 @@ class ExecutionState:
 
     Serving reuses one state object per worker: :meth:`reset` clears the
     registers between requests without touching the backend (whose
-    plaintext caches and ledger must persist across requests).
+    constants and ledger must persist across requests).
     """
 
     def __init__(self, backend):
@@ -189,16 +189,7 @@ def scale_log2(scale) -> float:
         return 0.0
 
 
-def _const_cache_field():
-    """Per-instruction cache of the constant plaintexts its activation
-    encodes, persistent across requests.  Entries are keyless encodes
-    keyed by value + :meth:`FheBackend.plaintext_cache_key`, so tenants
-    (backend instances) share them; one sub-dict per backend *type*
-    keeps exact and simulated plaintexts apart."""
-    return field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def normalize_scale(backend, ct, target_scale: Fraction, pt_cache=None):
+def normalize_scale(backend, ct, target_scale: Fraction):
     """Bring a ciphertext to an exact target scale, spending one level.
 
     Multiplies by a ones-plaintext at scale target * q_l / s and
@@ -215,7 +206,7 @@ def normalize_scale(backend, ct, target_scale: Fraction, pt_cache=None):
     ratio = Fraction(target_scale) * q / backend.scale_of(ct)
     if ratio < 1:
         raise ValueError("scale normalization ratio below one")
-    ones = cached_const_plaintext(backend, 1.0, level, ratio, pt_cache)
+    ones = backend.constant(1.0, level, ratio)
     return backend.rescale(backend.mul_plain(ct, ones))
 
 
@@ -234,7 +225,6 @@ class PolyInstr(Instruction):
     in_uid: int = 0
     poly: ChebyshevPoly = None
     target_kind: str = "delta"
-    _pt_cache: Dict = _const_cache_field()
 
     def to_payload(self, store) -> Dict:
         # ``poly`` travels as its coefficient list under "coeffs"; moving
@@ -252,15 +242,12 @@ class PolyInstr(Instruction):
 
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
-        pt_cache = self._pt_cache.setdefault(type(backend), {})
         (in_cts,) = self.prepare(state, [self.in_uid])
         outs = []
         for ct in in_cts:
-            out = evaluate_chebyshev(backend, ct, self.poly, pt_cache)
+            out = evaluate_chebyshev(backend, ct, self.poly)
             if self.target_kind == "delta":
-                out = normalize_scale(
-                    backend, out, Fraction(backend.params.scale), pt_cache
-                )
+                out = normalize_scale(backend, out, Fraction(backend.params.scale))
             outs.append(out)
         state.set(self.out_uid, outs)
 
@@ -302,17 +289,15 @@ class MultJoinInstr(Instruction):
 
     x_uid: int = 0
     sign_uid: int = 0
-    _pt_cache: Dict = _const_cache_field()
 
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
-        pt_cache = self._pt_cache.setdefault(type(backend), {})
         x_cts, sign_cts = self.prepare(state, [self.x_uid, self.sign_uid])
         outs = []
         for x_ct, s_ct in zip(x_cts, sign_cts):
             level = backend.level_of(s_ct)
             target = Fraction(backend.params.data_primes[level - 1])
-            s_norm = normalize_scale(backend, s_ct, target, pt_cache)
+            s_norm = normalize_scale(backend, s_ct, target)
             x_aligned = backend.level_down(x_ct, backend.level_of(s_norm))
             outs.append(backend.rescale(backend.mul(x_aligned, s_norm)))
         state.set(self.out_uid, outs)

@@ -12,8 +12,8 @@ A :class:`ServingArtifact` is a single ``.npz`` file containing
 - optionally, the tables **pre-encoded** at the exact (level, scale)
   each layer executes at — one uint32 residue table per layer and
   (out-block, in-block) group, in the layout the fused matvec contracts
-  in place — so a worker seeds its backend's caches with views of the
-  mapped file before the first request ever arrives.
+  in place — so a worker installs views of the mapped file as its
+  layers' tables before the first request ever arrives.
 
 Keys are deliberately absent: they derive from a secret, and are
 generated from the key manifest by whoever holds it — today each
@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ckks.galois import fused_term_groups
 from repro.ckks.keys import KeyManifest
 from repro.core.program import FheProgram, LinearInstr
 from repro.serve.grouping import artifact_parameters, fused_tables
@@ -126,21 +127,20 @@ class ServingArtifact:
 
     # -- cache warm-up ------------------------------------------------------
     def preload(self, backend) -> int:
-        """Seed ``backend``'s weight-plaintext caches with the artifact's
-        pre-encoded tables; returns the number of plaintexts (table
+        """Install the artifact's pre-encoded tables in its program's
+        layers for ``backend``; returns the number of plaintexts (table
         rows) installed.
 
-        A load, not a computation: each cache entry *is* the shipped
-        table — a view of the mapped file when the artifact came through
-        :class:`repro.serve.mmapio.ArtifactMap` — installed under the
-        backend's full encode fingerprint (level, scale, ks_alpha, prime
-        chain), so a backend built for different parameters simply — and
-        loudly — cannot consume them.
+        A load, not a computation: each layer's table *is* the shipped
+        one — a view of the mapped file when the artifact came through
+        :class:`repro.serve.mmapio.ArtifactMap` — installed
+        (:meth:`PackedMatVec.install_table`) under the backend's full
+        encode fingerprint (level, scale, ks_alpha, prime chain), so a
+        backend built for different parameters simply — and loudly —
+        cannot consume them.
         """
         if not self.encoded:
             return 0
-        from repro.backend.toy import fused_term_groups
-
         context = getattr(backend, "context", None)
         if context is None:
             return 0  # functional backends encode for free
@@ -162,13 +162,9 @@ class ServingArtifact:
                 continue
             level = section["level"]
             pt_scale = Fraction(*section["pt_scale"])
-            fp = backend.plaintext_cache_key(level, pt_scale)
             packed = instr.packed
             rows = fused_term_groups(packed.terms())
             limbs = len(context._ks_chain(level))
-            cache = packed._pt_cache.setdefault(backend, {}).setdefault(
-                ("fused",) + fp, {}
-            )
             for group in section["groups"]:
                 bo, bi, table = group["bo"], group["bi"], group["table"]
                 want = (len(rows[(bo, bi)]), limbs, context.params.ring_degree)
@@ -179,7 +175,7 @@ class ServingArtifact:
                         f"uint32 {want}; re-export the artifact"
                     )
                 table.setflags(write=False)
-                cache[(bo, bi, fp)] = table
+                packed.install_table(backend, bo, bi, level, pt_scale, table)
                 installed += table.shape[0]
         return installed
 

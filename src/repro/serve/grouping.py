@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.backend.ledger import KeySwitch
 from repro.backend.sim import SimBackend
+from repro.ckks.galois import fused_term_groups
 from repro.ckks.keys import KEY_PRG_SEED_BYTES
 from repro.ckks.params import CkksParameters, RingType
 from repro.utils.intmath import int_log2
@@ -53,16 +54,14 @@ def fused_tables(program, backend) -> Iterator[Tuple[object, int, Fraction, Dict
     """``(instr, level, pt_scale, {(bo, bi): offsets})`` for every linear
     layer ``backend`` ran through the fused matvec: the (level, scale)
     its weight tables execute at and their rows, in table order."""
-    from repro.backend.toy import fused_term_groups
     from repro.core.program import LinearInstr
 
     for instr in program.instructions:
         if not isinstance(instr, LinearInstr):
             continue
-        per_backend = instr.packed._pt_cache.get(backend) or {}
-        fused_keys = [key for key in per_backend if key[0] == "fused"]
-        if fused_keys:
-            (_, level, pt_scale, *_rest) = fused_keys[0]
+        held = instr.packed.encoded_tables(backend)
+        if held:
+            _, _, level, pt_scale, _ = held[0]
             yield instr, level, pt_scale, fused_term_groups(instr.packed.terms())
 
 

@@ -54,9 +54,9 @@ def verify_mmap_tables(server: InferenceServer, artifact_path: str) -> bool:
 
     Checks both table tiers an artifact ships: the float diagonal/bias
     weight tables inside every linear instruction, and the pre-encoded
-    residue tables preloading installed into the backend's caches — the
-    whole operand the fused matvec multiplies, data and special limbs
-    alike.  Raises ``RuntimeError`` naming the offender on violation —
+    residue tables every layer holds for the worker's parameter set —
+    the whole operand the fused matvec multiplies, data and special
+    limbs alike.  Raises ``RuntimeError`` naming the offender on violation —
     a copied table silently multiplies fleet RSS by the worker count,
     which is exactly the regression this guard exists to catch.
     """
@@ -81,22 +81,12 @@ def verify_mmap_tables(server: InferenceServer, artifact_path: str) -> bool:
                         f"{artifact_path}: bias table of {instr.name} was "
                         "copied off the artifact map"
                     )
-        per_backend = packed._pt_cache.get(server.backend)
-        if not per_backend:
-            continue
-        # Only the ("fused", ...) caches hold the artifact's pre-encoded
-        # tables (artifact.preload installs them there); zero/bias
-        # plaintexts under other keys are small runtime encodes, not
-        # table copies.
-        for key, cache in per_backend.items():
-            if not (isinstance(key, tuple) and key and key[0] == "fused"):
-                continue
-            for table in cache.values():
-                if not is_mmap_backed(table):
-                    raise RuntimeError(
-                        f"{artifact_path}: pre-encoded plaintext table of "
-                        f"{instr.name} was copied off the artifact map"
-                    )
+        for _, _, _, _, table in packed.encoded_tables(server.backend):
+            if table is not None and not is_mmap_backed(table):
+                raise RuntimeError(
+                    f"{artifact_path}: pre-encoded plaintext table of "
+                    f"{instr.name} was copied off the artifact map"
+                )
     return True
 
 

@@ -72,8 +72,8 @@ class InferenceServer:
         backend: the backend requests are encrypted under, built from
             ``artifact.manifest.to_params()``.  Its rotation keys are
             generated and the artifact's pre-encoded tables installed
-            in its caches here, before anything runs (a functional
-            backend installs none).
+            in its program's layers here, before anything runs (a
+            functional backend installs none).
         max_batch: cap on the batch size (defaults to the program's
             slot capacity; ``1`` serves every request alone).
         max_wait_seconds: each request's deadline after its enqueue
@@ -128,8 +128,10 @@ class InferenceServer:
         backend.noise_monitor = self.noise
         self.preloaded_plaintexts = artifact.preload(backend)
         #: the lane's one ledger, and its backend's: it counts from zero
-        #: when the lane opens, a reloaded lane's too.
+        #: when the lane opens, a reloaded lane's too, whose backend also
+        #: forgets the old program's constants.
         self.ledger = backend.ledger = OpLedger()
+        backend.drop_constants()
         # Serve-path purity: neither the compiler nor the placement
         # planner may run while this server lives.
         self._compiler_invocations_at_load = OrionCompiler.invocations
@@ -151,7 +153,7 @@ class InferenceServer:
     # -- warm-up -------------------------------------------------------------
     def warm(self, batch_sizes=None) -> None:
         """Run a zeros inference through the given execution shapes so
-        the weight-plaintext caches are populated before the first real
+        the weight tables and constants are encoded before the first real
         request (off the books: nothing is recorded).  The keys already
         exist; a size above the lane's capacity has none and is refused."""
         capacity = self.scheduler.capacity

@@ -1,8 +1,8 @@
 """The key switches of a program run, listed by a backend of their own.
 
 Export once priced an artifact's digit grouping on this list: a
-noise-free :class:`SimBackend` whose five key-switching overrides each
-re-derive the shape the base class charges.  The ledger now records
+noise-free :class:`SimBackend` whose key-switching primitive overrides
+each re-derive the shape the base class charges.  The ledger now records
 those shapes where they are charged (``OpLedger.key_switches``); the
 tally stays as the oracle that multiset is pinned against.
 """
@@ -29,27 +29,29 @@ class KeySwitchTally(SimBackend):
         super().__init__(params, noise_free=True)
         self.switches: List[KeySwitch] = []
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         self.switches.append(KeySwitch(a.level))
-        return super().mul(a, b)
+        return super()._mul(a, b)
 
-    def rotate(self, a, steps: int):
+    def _rotate(self, a, steps: int):
         if steps % self.slot_count:
             self.switches.append(KeySwitch(a.level, gathers=1))
-        return super().rotate(a, steps)
+        return super()._rotate(a, steps)
 
-    def conjugate(self, a):
+    def _conjugate(self, a):
         self.switches.append(KeySwitch(a.level, gathers=1))
-        return super().conjugate(a)
+        return super()._conjugate(a)
 
-    def _rotate_hoisted_no_charge(self, a, steps):
+    def _rotate_hoisted(self, a, steps):
         count = len(steps)
         self.switches.append(
             KeySwitch(a.level, products=count, gathers=count, moddowns=count)
         )
-        return super()._rotate_hoisted_no_charge(a, steps)
+        # The simulator's own rotations, not this tally's: one hoisted
+        # group is one key switch.
+        return {step: SimBackend._rotate(self, a, step) for step in steps}
 
-    def _matvec_fused_no_charge(self, in_cts, terms, num_out, pt_scale, pt_cache=None):
+    def _matvec_fused(self, in_cts, terms, num_out, pt_scale, tables):
         rotated = [(bo, bi, off) for (bo, bi, off) in terms if off]
         if rotated:
             offsets = len({(bi, off) for (_, bi, off) in rotated})
@@ -63,11 +65,11 @@ class KeySwitchTally(SimBackend):
                     moddowns=len({bo for (bo, _, _) in rotated}),
                 )
             )
-        return super()._matvec_fused_no_charge(in_cts, terms, num_out, pt_scale, pt_cache)
+        return super()._matvec_fused(in_cts, terms, num_out, pt_scale, tables)
 
-    def _rotate_sum_no_charge(self, a, steps):
+    def _rotate_sum(self, a, steps):
         count = len(steps)
         self.switches.append(
             KeySwitch(a.level, products=count, gathers=count, table_rows=count)
         )
-        return super()._rotate_sum_no_charge(a, steps)
+        return super()._rotate_sum(a, steps)

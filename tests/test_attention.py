@@ -24,6 +24,7 @@ from repro.core.attention import (
     encrypted_inner_product,
     rotate_sum,
     square_matvec,
+    square_packing,
 )
 
 PARAMS = paper_parameters(max_level=24)
@@ -102,7 +103,8 @@ class TestSquareMatvec:
         d = int(rng.choice([4, 8, 16]))
         matrix = rng.normal(size=(d, d))
         vec = rng.uniform(-1, 1, d)
-        out = square_matvec(backend, _encrypt(backend, vec), matrix)
+        packed = square_packing(matrix, backend.slot_count)
+        out = square_matvec(backend, _encrypt(backend, vec), packed)
         assert np.abs(backend.decrypt(out)[:d] - matrix @ vec).max() < 1e-9
 
     def test_wraparound_diagonals(self, backend):
@@ -112,24 +114,26 @@ class TestSquareMatvec:
         for i in range(d):
             matrix[i, (i + 5) % d] = 1.0
         vec = np.arange(1.0, d + 1)
-        out = square_matvec(backend, _encrypt(backend, vec), matrix)
+        packed = square_packing(matrix, backend.slot_count)
+        out = square_matvec(backend, _encrypt(backend, vec), packed)
         assert np.allclose(backend.decrypt(out)[:d], np.roll(vec, -5), atol=1e-9)
 
     def test_sparse_matrix_skips_zero_diagonals(self, backend):
         d = 8
         before = backend.ledger.counts["pmult"]
-        square_matvec(backend, _encrypt(backend, np.ones(d)), np.eye(d))
+        packed = square_packing(np.eye(d), backend.slot_count)
+        square_matvec(backend, _encrypt(backend, np.ones(d)), packed)
         # identity = one diagonal, no wraparound half
         assert backend.ledger.counts["pmult"] - before == 1
 
     def test_rejects_rectangular(self, backend):
         with pytest.raises(ValueError, match="square"):
-            square_matvec(backend, _encrypt(backend, np.ones(4)), np.ones((4, 8)))
+            square_packing(np.ones((4, 8)), backend.slot_count)
 
     def test_output_scale_is_input_scale(self, backend):
         """Errorless discipline: encoded-at-prime diagonals keep scale."""
         ct = _encrypt(backend, np.ones(4))
-        out = square_matvec(backend, ct, np.eye(4))
+        out = square_matvec(backend, ct, square_packing(np.eye(4), backend.slot_count))
         assert backend.scale_of(out) == backend.scale_of(ct)
 
 

@@ -15,7 +15,14 @@ import repro.orion.nn as on
 from repro.backend import SimBackend, ToyBackend
 from repro.ckks.params import paper_parameters, toy_parameters
 from repro.core import compiler
-from repro.models import LolaCnn, SecureMlp, resnet_cifar, resnet_imagenet, silu_act
+from repro.models import (
+    LolaCnn,
+    SecureMlp,
+    resnet_cifar,
+    resnet_imagenet,
+    silu_act,
+    square_act,
+)
 from repro.models.resnet import BasicBlock
 from repro.nn import init
 from repro.orion import OrionNetwork
@@ -136,6 +143,46 @@ class TestResNetCompilation:
         backend = SimBackend(paper_parameters(), seed=8)
         compiled.run(backend, rng.normal(0, 0.5, (3, 8, 8)))
         assert backend.ledger.rotations == compiled.total_rotations
+
+
+class _SquareTwoConsumers(on.Module):
+    """Linear -> Square -> two Linear siblings -> Add: the Square's range
+    factor must reach both consumers."""
+
+    def __init__(self):
+        super().__init__()
+        self.flat = on.Flatten()
+        self.fc1 = on.Linear(16, 8)
+        self.sq = on.Square()
+        self.fc_a = on.Linear(8, 4)
+        self.fc_b = on.Linear(8, 4)
+        self.add = on.Add()
+
+    def forward(self, x):
+        x = self.sq(self.fc1(self.flat(x)))
+        return self.add(self.fc_a(x), self.fc_b(x))
+
+
+class TestSquareConsumers:
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_every_linear_consumer_applies_the_factor(self, optimize):
+        tparams = toy_parameters(2048, max_level=8)
+        onet, rng = make_net(_SquareTwoConsumers, (1, 4, 4))
+        compiled = onet.compile(tparams, optimize=optimize)
+        if optimize:
+            assert compiled.graph_opt_report.rewrites.get("concat_linear_fusion") == 1
+        img = rng.normal(0, 0.5, (1, 4, 4))
+        clear = onet.forward_cleartext(img)
+        fhe = compiled.run(SimBackend(tparams, noise_free=True), img)
+        assert np.abs(fhe - clear).max() < 1e-9
+        assert np.abs(compiled.program.run_cleartext_packed(img) - clear).max() < 1e-9
+
+    def test_square_into_a_join_is_refused_at_compile(self):
+        onet, _ = make_net(
+            lambda: resnet_cifar(8, act=square_act(), width=4), (3, 8, 8)
+        )
+        with pytest.raises(ValueError, match=r"add_\d+ reads the output of Square square_\d+"):
+            onet.compile(toy_parameters(2048, max_level=12, boot_levels=2))
 
 
 class TestReluNetworks:

@@ -31,6 +31,7 @@ from repro.ckks.bootstrap import CkksBootstrapper
 from repro.ckks.galois import galois_offset_key
 from repro.ckks.keys import KeyManifest
 from repro.ckks.params import bootstrap_parameters, toy_parameters
+from repro.core.packing.matvec import held_tables
 
 BOOT_PARAM_SETS = {
     # alpha2's transform levels have an odd limb count, so the last
@@ -169,7 +170,10 @@ class TestSharedConjugation:
         ct = sim.encode_encrypt(vals)
         ones = np.ones(params.slot_count)
         terms = {(0, 0, ("conj", 4)): ones, (0, 0, 2): ones}
-        (out,) = sim.matvec_fused([ct], terms, 1, Fraction(params.scale))
+        pt_scale = Fraction(params.scale)
+        (out,) = sim.matvec_fused(
+            [ct], terms, 1, pt_scale, held_tables({}, sim, terms, ct.level, pt_scale)
+        )
         expected = np.roll(vals, -4) + np.roll(vals, -2)
         assert np.abs(sim.decrypt(out) - expected).max() < 1e-2
         assert out.noise_std > ct.noise_std  # two inner products + moddown

@@ -27,7 +27,11 @@ from repro.backend.interface import FheBackend
 from repro.backend.sim import SimBackend
 from repro.ckks.params import CkksParameters, toy_parameters
 from repro.core.packing.layouts import VectorLayout
-from repro.core.packing.matvec import _DiagAccumulator, build_linear_packing
+from repro.core.packing.matvec import (
+    _DiagAccumulator,
+    build_linear_packing,
+    held_tables,
+)
 from repro.rns.poly import RnsPolynomial
 
 
@@ -283,8 +287,10 @@ class TestFusedMatvec:
         chunks, fast lifts) must match the slow exact reference of the
         same deferred-mod-down computation bit-for-bit."""
         backend, packed, ct, _, pt_scale = setup
-        got = backend._matvec_fused_no_charge(
-            [ct], packed.terms(), packed.num_out, pt_scale
+        terms = packed.terms()
+        got = backend._matvec_fused(
+            [ct], terms, packed.num_out, pt_scale,
+            held_tables({}, backend, terms, ct.level, pt_scale),
         )
         ref = reference_fused_matvec(backend, packed, [ct], pt_scale)
         assert len(got) == len(ref) and got
@@ -345,7 +351,7 @@ class TestFusedMatvec:
         assert sim.ledger.rotations == packed.stats.rotations
 
     @pytest.mark.parametrize(
-        "missing", ["_matvec_fused_no_charge", "_rotate_sum_no_charge"]
+        "missing", ["_matvec_fused", "_rotate_sum"]
     )
     def test_backend_without_a_fused_primitive_fails_at_construction(
         self, setup, missing

@@ -47,13 +47,15 @@ def compile_both(onet, params, **kwargs):
 
 
 def assert_equivalent(onet, params, rng, shape):
-    """The core contract: bitwise cleartext-packed parity, encrypted
+    """The core contract: bitwise cleartext-packed parity, both equal to
+    the network itself (the x^2 nets here are exact), encrypted
     tolerance, and ledger/report rotation parity."""
     c_on, c_off = compile_both(onet, params)
     img = rng.normal(0, 0.5, shape)
     clear_on = c_on.program.run_cleartext_packed(img)
     clear_off = c_off.program.run_cleartext_packed(img)
     assert np.array_equal(clear_on, clear_off)
+    assert np.abs(clear_on - onet.forward_cleartext(img)).max() < 1e-9
 
     b_on, b_off = ToyBackend(params), ToyBackend(params)
     enc_on = c_on.run(b_on, img)

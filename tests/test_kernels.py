@@ -27,6 +27,7 @@ from repro.backend.sim import SimBackend
 from repro.ckks.context import HOISTED_SLAB
 from repro.ckks.galois import galois_offset_key
 from repro.ckks.params import toy_parameters
+from repro.core.packing.matvec import held_tables
 from repro.ntt import galois_eval_permutation
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -312,9 +313,10 @@ class TestGroupedFusedMatvec:
         ]
         terms = _matvec_terms(toy_backend, 2, 3, self.OFFS)
         scale = toy_backend.params.scale
-        base = toy_backend._matvec_fused_no_charge(cts, terms, 3, scale)
-        forced = toy_backend._matvec_fused_no_charge(
-            cts, terms, 3, scale, _max_chunk=1
+        tables = held_tables({}, toy_backend, terms, cts[0].level, scale)
+        base = toy_backend._matvec_fused(cts, terms, 3, scale, tables)
+        forced = toy_backend._matvec_fused(
+            cts, terms, 3, scale, tables, _max_chunk=1
         )
         for got, want in zip(forced, base):
             assert np.array_equal(got.c0.data, want.c0.data)
@@ -333,8 +335,9 @@ class TestSimBatchedGathers:
         ]
         offs = [[0, 1, 3], [("conj", 2), 5], [0, ("conj", 0)]]
         terms = _matvec_terms(backend, 2, 3, offs)
-        outs = backend._matvec_fused_no_charge(
-            cts, terms, 3, backend.params.scale
+        scale = backend.params.scale
+        outs = backend._matvec_fused(
+            cts, terms, 3, scale, held_tables({}, backend, terms, cts[0].level, scale)
         )
         for bo, out in enumerate(outs):
             want = np.zeros(backend.slot_count)
@@ -356,7 +359,7 @@ class TestSimBatchedGathers:
         backend = SimBackend(toy_parameters(ring_degree=256), noise_free=True)
         ct = backend.encode_encrypt(np.sin(np.arange(backend.slot_count)))
         steps = [1, 4, 9]
-        out = backend._rotate_sum_no_charge(ct, steps)
+        out = backend._rotate_sum(ct, steps)
         want = ct.values.copy()
         for step in steps:
             want = want + np.roll(ct.values, -step)

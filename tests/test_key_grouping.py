@@ -29,6 +29,7 @@ from repro.backend import ToyBackend
 from repro.backend.ledger import KeySwitch
 from repro.ckks.context import CkksContext
 from repro.ckks.params import CkksParameters, toy_parameters
+from repro.core.packing.matvec import held_tables
 from repro.core.program import LinearInstr
 from repro.models import SecureMlp, resnet_cifar, silu_act
 from repro.nn import init
@@ -134,7 +135,10 @@ class TestOnePassModDown:
         _assert_bit_identical(
             *_one_pass_and_loop(
                 monkeypatch,
-                lambda: backend._matvec_fused_no_charge([ct], terms, 2, pt_scale),
+                lambda: backend._matvec_fused(
+                    [ct], terms, 2, pt_scale,
+                    held_tables({}, backend, terms, ct.level, pt_scale),
+                ),
             )
         )
 
@@ -142,7 +146,7 @@ class TestOnePassModDown:
         ct = _fresh(backend, level=3)
         _assert_bit_identical(
             *_one_pass_and_loop(
-                monkeypatch, lambda: backend._rotate_sum_no_charge(ct, [1, 2, 3])
+                monkeypatch, lambda: backend._rotate_sum(ct, [1, 2, 3])
             )
         )
 

@@ -7,7 +7,9 @@ simulator run.  Pinned here:
 - each charging site records exactly what the reference tally
   (``tests/reference/key_switch_tally.py``) lists for the same ops;
 - the exact and the functional backend record the same Counter for one
-  compiled program;
+  compiled program, and book the same counts and seconds for one that
+  holds every instruction kind — the booking is ``FheBackend``'s, and
+  both refuse mismatched operands with the same message;
 - ``reset`` clears the Counter, and a serving lane's one ledger (its
   backend's too) after k requests holds k times one request's.
 """
@@ -18,10 +20,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import repro.orion.nn as on
 from reference.key_switch_tally import KeySwitchTally
 from repro.backend import SimBackend, ToyBackend
 from repro.backend.ledger import KeySwitch, OpLedger
 from repro.ckks.params import toy_parameters
+from repro.core.packing.matvec import held_tables
 from repro.core.program import LinearInstr
 from repro.models import SecureMlp
 from repro.nn import init
@@ -54,8 +58,11 @@ def _every_key_switching_op(backend):
         for bi in range(2)
         for off in ([0, 1, 4, ("conj", 0)] if bo == 0 else [0, 4])
     }
-    backend.matvec_fused([ct, ct], terms, 2, pt_scale)
-    backend.matvec_fused([ct], {(0, 0, 0): values}, 1, pt_scale)
+    tables = held_tables({}, backend, terms, ct.level, pt_scale)
+    backend.matvec_fused([ct, ct], terms, 2, pt_scale, tables)
+    terms = {(0, 0, 0): values}
+    tables = held_tables({}, backend, terms, ct.level, pt_scale)
+    backend.matvec_fused([ct], terms, 1, pt_scale, tables)
     backend.rotate_sum_hoisted(ct, [1, 2, 3])
     backend.rotate_sum_hoisted(ct, [0])
 
@@ -111,6 +118,75 @@ class TestRecordingSites:
         linear_5 = [i for i in program.instructions if i.name == "linear_5"][0]
         assert linear_5.packed.fold_groups == (4, 3)
         assert all(shapes[ks] == count for ks, count in folds.items())
+
+
+class EveryKind(on.Module):
+    """One of every instruction kind the compiler emits: linear layers, a
+    ReLU (poly + multjoin), fused sibling convs (slice), their residual
+    add (addjoin), a Square and a SiLU (poly with its scale pin)."""
+
+    def __init__(self):
+        super().__init__()
+        self.conv1 = on.Conv2d(2, 2, 3, padding=1, bias=True)
+        self.act = on.ReLU(degrees=(3, 3))
+        self.conv_a = on.Conv2d(2, 2, 3, padding=1, bias=True)
+        self.conv_b = on.Conv2d(2, 2, 3, padding=1, bias=False)
+        self.add = on.Add()
+        self.sq = on.Square()
+        self.flat = on.Flatten()
+        self.fc = on.Linear(32, 16)
+        self.silu = on.SiLU(degree=7)
+        self.out = on.Linear(16, 4)
+
+    def forward(self, x):
+        x = self.act(self.conv1(x))
+        x = self.sq(self.add(self.conv_a(x), self.conv_b(x)))
+        return self.out(self.silu(self.fc(self.flat(x))))
+
+
+class TestOneBook:
+    def test_every_instruction_kind_books_alike(self):
+        init.seed_init(0)
+        rng = np.random.default_rng(0)
+        onet = OrionNetwork(EveryKind(), (2, 4, 4))
+        onet.fit([rng.normal(0, 0.5, (8, 2, 4, 4))])
+        params = toy_parameters(ring_degree=2048, max_level=8, boot_levels=1, scale_bits=24)
+        program = onet.compile(params, optimize=True).program
+        assert {instr.kind for instr in program.instructions} == {
+            "linear", "poly", "multjoin", "slice", "addjoin", "square"
+        }
+        image = rng.normal(0, 0.5, (2, 4, 4))
+        toy, sim = ToyBackend(params, seed=3), SimBackend(params, seed=3)
+        for backend in (toy, sim):
+            program.run(backend, image)
+        assert toy.ledger.bootstraps > 0
+        assert toy.ledger.counts == sim.ledger.counts
+        assert toy.ledger.seconds == sim.ledger.seconds
+        assert toy.ledger.key_switches == sim.ledger.key_switches
+
+    @pytest.mark.parametrize("op", ["add", "sub", "add_plain", "mul_plain", "mul"])
+    def test_level_mismatch_reads_alike(self, op):
+        assert len(set(self._refusals(op, level=3, scale=1))) == 1
+
+    @pytest.mark.parametrize("op", ["add", "sub", "add_plain"])
+    def test_scale_mismatch_reads_alike(self, op):
+        assert len(set(self._refusals(op, level=4, scale=2))) == 1
+
+    @staticmethod
+    def _refusals(op, level, scale):
+        """The message each backend refuses ``op`` with, on a level-4
+        ciphertext and an operand at ``level`` and ``scale`` x Delta."""
+        params = toy_parameters(**PARAMS)
+        messages = []
+        for backend in ToyBackend(params, seed=1), SimBackend(params, seed=1):
+            values = np.linspace(-0.5, 0.5, backend.slot_count)
+            a = backend.level_down(backend.encode_encrypt(values), 4)
+            plain = backend.encode(values, level, params.scale * scale)
+            b = plain if op in ("add_plain", "mul_plain") else backend.encrypt(plain)
+            with pytest.raises(ValueError, match="mismatch") as refused:
+                getattr(backend, op)(a, b)
+            messages.append(str(refused.value))
+        return messages
 
 
 class TestLedgerFolds:

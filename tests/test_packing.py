@@ -1,5 +1,9 @@
 """Tests for single-shot multiplexed packing (paper Section 4)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -372,3 +376,15 @@ class TestLeeBaseline:
         lee = lee_conv_rotations(lay, (3, 3), 64)
         orion = analyze_conv_packing((64, 64, 3, 3), lay, padding=(1, 1)).rotations
         assert orion < lee
+
+
+@pytest.mark.parametrize("module", ["repro.core.packing", "repro.ckks", "repro.core.attention"])
+def test_imports_first_in_a_fresh_interpreter(module):
+    """``repro.ckks``' bootstrapper runs packed tables and
+    ``repro.core.packing`` orders them by ``repro.ckks.galois``: either
+    package may be a process's first import (a paper bench's is)."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", f"import {module}"], check=True, env=env)

@@ -111,11 +111,12 @@ class TestProgramInvariants:
 
 
 class TestActivationConstantCache:
-    def test_second_tenant_encodes_no_activation_constants(self):
-        """PolyInstr / MultJoinInstr keep their keyless constant
-        plaintexts (coefficients, scale-matching ones) across requests
-        and tenants: after one inference the activation path encodes
-        nothing, and cached runs equal uncached ones bit for bit."""
+    def test_second_request_encodes_no_activation_constants(self):
+        """A backend keeps the keyless constant plaintexts its
+        activations encode (coefficients, scale-matching ones) across
+        requests: after one inference the activation path encodes
+        nothing, and cached runs equal uncached ones bit for bit.  The
+        program holds none of them: a second backend encodes its own."""
         from repro.core.program import MultJoinInstr, PolyInstr
         from repro.models import relu_act
 
@@ -129,8 +130,8 @@ class TestActivationConstantCache:
         assert {type(i) for i in acts} == {PolyInstr, MultJoinInstr}
         img = rng.normal(0, 0.5, (1, 4, 4))
 
-        def run_counting(seed):
-            backend = SimBackend(paper_parameters(), seed=seed)
+        def counting_backend():
+            backend = SimBackend(paper_parameters(), seed=5)
             encode, consts = backend.encode, []
 
             def counting(values, level, scale):
@@ -140,12 +141,21 @@ class TestActivationConstantCache:
                 return encode(values, level, scale)
 
             backend.encode = counting
+            return backend, consts
+
+        def run(backend, consts):
+            consts.clear()
             return program.run(backend, img), len(consts)
 
-        cold_out, cold_consts = run_counting(seed=5)
-        assert cold_consts > 0 and all(i._pt_cache[SimBackend] for i in acts)
-        warm_out, warm_consts = run_counting(seed=5)
-        assert warm_consts == 0
+        (a, a_consts), (b, b_consts) = counting_backend(), counting_backend()
+        first_a, cold_a = run(a, a_consts)
+        first_b, cold_b = run(b, b_consts)
+        assert cold_a == cold_b > 0
+        assert np.array_equal(first_a, first_b)
+        warm_out, warm_consts = run(a, a_consts)
+        b.drop_constants()
+        cold_out, cold_consts = run(b, b_consts)
+        assert warm_consts == 0 and cold_consts == cold_a
         assert np.array_equal(warm_out, cold_out)
 
 

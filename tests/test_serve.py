@@ -19,7 +19,7 @@ from repro.ckks.keys import KeyManifest
 from repro.ckks.params import toy_parameters
 from repro.core.compiler import OrionCompiler
 from repro.core.packing.layouts import BlockReplicatedLayout, VectorLayout
-from repro.core.packing.matvec import build_linear_packing
+from repro.core.packing.matvec import build_linear_packing, held_tables
 from repro.core.placement.planner import solve_placement
 from repro.models import LolaCnn, SecureMlp
 from repro.nn import init
@@ -277,12 +277,13 @@ class TestSlotBatching:
 
 
 class TestStaleCacheRegression:
-    """Serve-many cache hazard: one pt_cache dict shared across scales
-    and levels (exactly what artifact preloading does) must never serve
-    a stale encode.  Before the fingerprinted cache keys this silently
-    corrupted the second request's output by the scale ratio."""
+    """Serve-many cache hazard: one table store shared across scales and
+    levels (exactly what a preloaded layer holds) must never serve a
+    stale encode, and neither may a backend's constants.  Before the
+    fingerprinted cache keys this silently corrupted the second
+    request's output by the scale ratio."""
 
-    def test_shared_pt_cache_across_scales_and_levels(self):
+    def test_shared_table_store_across_scales_and_levels(self):
         params = toy_parameters(ring_degree=64, max_level=6, scale_bits=20)
         backend = ToyBackend(params)
         n = params.slot_count
@@ -291,20 +292,34 @@ class TestStaleCacheRegression:
         terms = {(0, 0, 1): vec}
         x = rng.normal(size=n) * 0.1
         reference = vec * np.roll(x, -1)
-        shared_cache = {}
+        store = {}
         for level, scale_mult in ((5, 1), (5, 2), (3, 1), (5, 1)):
             ct = backend.encrypt(backend.encode(x, level, params.scale))
             pt_scale = Fraction(params.data_primes[level]) * scale_mult
-            outs = backend.matvec_fused(
-                [ct], terms, 1, pt_scale, pt_cache=shared_cache
-            )
+            tables = held_tables(store, backend, terms, level, pt_scale)
+            outs = backend.matvec_fused([ct], terms, 1, pt_scale, tables)
             got = backend.decrypt(backend.rescale(outs[0]))
             assert np.max(np.abs(got - reference)) < 1e-3, (
                 f"stale encode served at level {level}, scale x{scale_mult}"
             )
         # One entry per distinct (level, scale) fingerprint, re-used on
         # the repeat — not one entry total, not one per call.
-        assert len(shared_cache) == 3
+        assert len(store) == 3
+
+    def test_constants_across_scales_and_levels(self):
+        params = toy_parameters(ring_degree=64, max_level=6, scale_bits=20)
+        backend = ToyBackend(params)
+        x = np.random.default_rng(3).normal(size=params.slot_count) * 0.1
+        seen = []
+        for level, scale_mult, value in ((5, 1, 0.5), (5, 2, 0.5), (3, 1, 0.5), (5, 1, -0.5)):
+            ct = backend.encrypt(backend.encode(x, level, params.scale))
+            pt_scale = Fraction(params.data_primes[level]) * scale_mult
+            pt = backend.constant(value, level, pt_scale)
+            assert backend.constant(value, level, pt_scale) is pt
+            got = backend.decrypt(backend.rescale(backend.mul_plain(ct, pt)))
+            assert np.max(np.abs(got - value * x)) < 1e-3
+            seen.append(pt)
+        assert len({id(pt) for pt in seen}) == 4
 
     def test_packed_matvec_across_levels_on_one_backend(self):
         params = toy_parameters(ring_degree=64, max_level=6, scale_bits=20)
@@ -697,6 +712,20 @@ class TestInferenceServer:
         assert stats.rotations > 0
         assert dict(stats.ops)["pmult"] > 0
         assert stats.preloaded_plaintexts > 0
+
+    def test_a_lane_reopened_on_its_backend_drops_its_constants(self, served):
+        """``reload`` keeps a lane's backend, not the old program's
+        constants: what the backend cached goes when a lane opens on it.
+        (This x² MLP encodes none of its own — its biases sit in its
+        layers — so the old program's constant is cached by hand.)"""
+        _, rng, _, artifact, _ = served
+        backend = ToyBackend(artifact.manifest.to_params(), seed=4)
+        server = InferenceServer(artifact, backend, max_batch=1)
+        server.serve_now(1, rng.normal(0, 0.5, (1, 8, 8)))
+        backend.constant(0.5, 1, backend.params.scale)
+        assert backend._constants
+        InferenceServer(artifact, backend, max_batch=1)
+        assert not backend._constants
 
     def test_max_batch_floored_to_power_of_two(self, served):
         """A non-power-of-two cap must not produce an unexecutable

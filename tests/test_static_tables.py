@@ -21,10 +21,10 @@ import pytest
 from reference.bigint import extend_primes_reference
 from repro import kernels
 from repro.backend import ToyBackend
-from repro.backend.toy import fused_term_groups
 from repro.ckks.context import HOISTED_SLAB
-from repro.ckks.galois import galois_offset_key
+from repro.ckks.galois import fused_term_groups, galois_offset_key
 from repro.ckks.params import toy_parameters
+from repro.core.packing.matvec import held_tables
 from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
@@ -100,21 +100,23 @@ class TestStaticTables:
             for _ in range(num_in)
         ]
         pt_scale = Fraction(backend.params.data_primes[3])
-        cache = {}
-        got = backend._matvec_fused_no_charge(
-            cts, terms, num_out, pt_scale, pt_cache=cache, _max_chunk=max_chunk
+        store = {}
+        got = backend._matvec_fused(
+            cts, terms, num_out, pt_scale,
+            held_tables(store, backend, terms, 3, pt_scale), _max_chunk=max_chunk,
         )
         want = reference_per_term(backend, cts, terms, num_out, pt_scale)
         for out, (c0, c1) in zip(got, want):
             assert np.array_equal(out.c0.data, c0)
             assert np.array_equal(out.c1.data, c1)
-        # One cache entry per group, and a warm call builds nothing.
-        assert len(cache) == num_in * num_out
-        tables = dict(cache)
-        again = backend._matvec_fused_no_charge(
-            cts, terms, num_out, pt_scale, pt_cache=cache, _max_chunk=max_chunk
+        # One stored table per group, and a warm call builds nothing.
+        assert len(store) == num_in * num_out
+        tables = dict(store)
+        again = backend._matvec_fused(
+            cts, terms, num_out, pt_scale,
+            held_tables(store, backend, terms, 3, pt_scale), _max_chunk=max_chunk,
         )
-        assert all(cache[key] is table for key, table in tables.items())
+        assert all(store[key] is table for key, table in tables.items())
         for out, (c0, c1) in zip(again, want):
             assert np.array_equal(out.c0.data, c0)
             assert np.array_equal(out.c1.data, c1)
@@ -129,7 +131,10 @@ class TestStaticTables:
         }
         ct = backend.encode_encrypt(rng.normal(size=slots) * 0.1)
         pt_scale = Fraction(backend.params.data_primes[ct.level])
-        (got,) = backend._matvec_fused_no_charge([ct], terms, 1, pt_scale)
+        (got,) = backend._matvec_fused(
+            [ct], terms, 1, pt_scale,
+            held_tables({}, backend, terms, ct.level, pt_scale),
+        )
         ((c0, c1),) = reference_per_term(backend, [ct], terms, 1, pt_scale)
         assert np.array_equal(got.c0.data, c0)
         assert np.array_equal(got.c1.data, c1)
@@ -155,8 +160,10 @@ class TestStaticTables:
         slots = backend.slot_count
         terms = {(0, 0, off): np.full(slots, 0.1) for off in (1, -1)}
         ct = backend.encode_encrypt(np.zeros(slots))
+        scale = backend.params.scale
+        tables = held_tables({}, backend, terms, ct.level, scale)
         with pytest.raises(ValueError, match="not reduced"):
-            backend._matvec_fused_no_charge([ct], terms, 1, backend.params.scale)
+            backend._matvec_fused([ct], terms, 1, scale, tables)
 
     @pytest.mark.parametrize("level", [4, 1])
     def test_ks_chain_encode_equals_exact_extension(self, level):
@@ -199,7 +206,8 @@ class TestStaticTables:
         terms = _terms(rng, slots, 2, 2)
         cts = [backend.encode_encrypt(rng.normal(size=slots) * 0.1) for _ in range(2)]
         pt_scale = Fraction(backend.params.data_primes[cts[0].level])
-        backend._matvec_fused_no_charge(cts, terms, 2, pt_scale)  # keys exist
+        tables = held_tables({}, backend, terms, cts[0].level, pt_scale)
+        backend._matvec_fused(cts, terms, 2, pt_scale, tables)  # keys exist
         level = cts[0].level
         block_of = {
             ctx._ks_decompose(ct.c1, level).tobytes(): bi for bi, ct in enumerate(cts)
@@ -223,7 +231,7 @@ class TestStaticTables:
             return real(digits, keys, *args)
 
         monkeypatch.setattr(kernels, "ks_inner_stacked", spy)
-        backend._matvec_fused_no_charge(cts, terms, 2, pt_scale)
+        backend._matvec_fused(cts, terms, 2, pt_scale, tables)
         wanted = {(bi, off) for (_, bi, off) in terms if off}
         assert calls == Counter(dict.fromkeys(wanted, 1))
         distinct = len(wanted) // 2  # both inputs hoist the same offsets
@@ -239,11 +247,11 @@ class TestStaticTables:
         terms = {(0, 0, off): rng.normal(size=slots) * 0.1 for off in offsets}
         ct = backend.encode_encrypt(rng.normal(size=slots) * 0.1)
         pt_scale = Fraction(backend.params.data_primes[ct.level])
-        cache = {}
-        backend._matvec_fused_no_charge([ct], terms, 1, pt_scale, pt_cache=cache)
+        tables = held_tables({}, backend, terms, ct.level, pt_scale)
+        backend._matvec_fused([ct], terms, 1, pt_scale, tables)
         tracemalloc.start()
         try:
-            backend._matvec_fused_no_charge([ct], terms, 1, pt_scale, pt_cache=cache)
+            backend._matvec_fused([ct], terms, 1, pt_scale, tables)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -267,14 +275,6 @@ def mapped_artifact(tmp_path_factory):
     return params, path
 
 
-def _fused_caches(packed, backend):
-    return {
-        key: cache
-        for key, cache in packed._pt_cache[backend].items()
-        if key[0] == "fused"
-    }
-
-
 class TestPreloadIsAView:
     @pytest.fixture()
     def preloaded(self, mapped_artifact):
@@ -294,10 +294,7 @@ class TestPreloadIsAView:
     def test_preload_installs_mapped_tables(self, preloaded):
         params, path, artifact, backend, server, linears, mapped = preloaded
         tables = [
-            table
-            for packed in linears
-            for cache in _fused_caches(packed, backend).values()
-            for table in cache.values()
+            table for packed in linears for *_, table in packed.encoded_tables(backend)
         ]
         assert server.preloaded_plaintexts == sum(t.shape[0] for t in tables)
         assert server.preloaded_plaintexts == sum(
@@ -307,8 +304,8 @@ class TestPreloadIsAView:
             assert table.dtype == np.uint32 and not table.flags.writeable
             assert is_mmap_backed(table)
         assert verify_mmap_tables(server, path)
-        # Preloaded tables are the ones a cold backend (holding the same
-        # lane keys) builds for itself.
+        # A cold backend of the same parameter set (holding the same lane
+        # keys) runs on the preloaded tables and gets what the lane gets.
         image = np.random.default_rng(1).normal(0, 0.5, (1, 8, 8))
         cold = ToyBackend(artifact.manifest.to_params(), seed=2)
         generate_lane_keys(cold, artifact.manifest)
@@ -321,18 +318,19 @@ class TestPreloadIsAView:
         for packed in linears:
             for vec in packed.terms().values():
                 assert any(np.shares_memory(vec, m) for m in mapped)
+        # Preloaded tables are the ones the backend would encode itself.
         for packed in linears:
-            built = _fused_caches(packed, cold)
-            for key, cache in _fused_caches(packed, backend).items():
-                for group, table in cache.items():
-                    assert np.array_equal(table, built[key][group])
+            terms = packed.terms()
+            groups = fused_term_groups(terms)
+            for bo, bi, level, pt_scale, table in packed.encoded_tables(cold):
+                rows = [terms[(bo, bi, off)] for off in groups[(bo, bi)]]
+                assert np.array_equal(table, cold.encode_table(rows, level, pt_scale))
 
     def test_verify_checks_the_whole_operand(self, preloaded):
         """The audit covers the array the matvec multiplies — special
         limb included — so an anonymous copy of it is caught."""
         _, path, _, backend, server, linears, _ = preloaded
-        (cache,) = _fused_caches(linears[0], backend).values()
-        group = next(iter(cache))
-        cache[group] = cache[group].copy()
+        bo, bi, level, pt_scale, table = linears[0].encoded_tables(backend)[0]
+        linears[0].install_table(backend, bo, bi, level, pt_scale, table.copy())
         with pytest.raises(RuntimeError, match="copied off the artifact map"):
             verify_mmap_tables(server, path)
