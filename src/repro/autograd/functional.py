@@ -12,6 +12,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.utils.intmath import conv_output_size
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -194,17 +195,12 @@ def square(a: Tensor) -> Tensor:
 
 
 # -- im2col convolution -----------------------------------------------------
-def _conv_output_size(size: int, kernel: int, stride: int, pad: int, dil: int) -> int:
-    effective = dil * (kernel - 1) + 1
-    return (size + 2 * pad - effective) // stride + 1
-
-
 def _im2col_indices(c, h, w, kh, kw, stride, dilation):
     """Gather indices turning (C,H,W) into (C*kh*kw, L) patch columns."""
     sh, sw = stride
     dh, dw = dilation
-    out_h = (h - dh * (kh - 1) - 1) // sh + 1
-    out_w = (w - dw * (kw - 1) - 1) // sw + 1
+    out_h = conv_output_size(h, kh, sh, 0, dh)
+    out_w = conv_output_size(w, kw, sw, 0, dw)
     i0 = np.repeat(np.arange(kh) * dh, kw)
     j0 = np.tile(np.arange(kw) * dw, kh)
     i1 = sh * np.repeat(np.arange(out_h), out_w)
@@ -290,8 +286,8 @@ def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     """Average pooling (the paper replaces all max pools with this)."""
     stride = kernel if stride is None else stride
     batch, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
+    out_h = conv_output_size(h, kernel, stride, 0, 1)
+    out_w = conv_output_size(w, kernel, stride, 0, 1)
     window = np.lib.stride_tricks.sliding_window_view(x.data, (kernel, kernel), (2, 3))
     strided = window[:, :, ::stride, ::stride]
     out = strided.mean(axis=(-1, -2))

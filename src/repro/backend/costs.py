@@ -12,13 +12,17 @@ paper-scale parameters (N = 2^16, L_eff = 10) land in the regime Table 2
 reports (PMult ~ 10 ms, HRot ~ 100 ms, bootstrap ~ 10 s, ResNet-20
 end-to-end in the hundreds of seconds).  Absolute values are a model;
 every benchmark reports shapes and ratios, not wall-clock claims.
+
+The constants are class attributes of :class:`CostModel`, not settings:
+``CostModel(params)`` is the only constructor, and a test that prices
+with other constants patches the class attributes for its duration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import ClassVar, Dict, Tuple
 
 from repro.ckks.params import CkksParameters
 
@@ -27,15 +31,15 @@ from repro.ckks.params import CkksParameters
 class CostModel:
     """Level-dependent operation latencies in (modeled) seconds.
 
-    Attributes:
-        params: the CKKS parameter set being priced.
-        alpha: limbs per key-switch digit; dnum = ceil(limbs / alpha).
-            Rising dnum with level is what makes bootstrap superlinear
-            (paper Section 2.4, citing Han-Ki [33]).
+    ``params`` (the CKKS parameter set being priced) is the only field.
+    The per-unit constants below are class attributes shared by every
+    instance; ``alpha`` is the limbs per key-switch digit, dnum =
+    ceil(limbs / alpha).  Rising dnum with level is what makes bootstrap
+    superlinear (paper Section 2.4, citing Han-Ki [33]).
     """
 
     params: CkksParameters
-    alpha: int = 4
+    alpha: ClassVar[int] = 4
     # Per-unit constants (seconds at the N = 2^16 normalization point).
     #
     # c_decompose / c_inner were calibrated against medians measured on
@@ -66,15 +70,15 @@ class CostModel:
     # c_inner + c_moddown path) is untouched, so bootstrap and
     # per-rotation prices — and with them the Table 5 placement
     # economics — stay exactly where PR 4 calibrated them.
-    c_add: float = 2.0e-4
-    c_pmult: float = 1.5e-3
-    c_decompose: float = 3.8e-3
-    c_inner: float = 1.5e-4
-    c_inner_fused: float = 0.9e-4
-    c_moddown: float = 1.5e-3
-    c_boot_base: float = 0.5
-    c_boot_quad: float = 2.5e-3
-    c_encode: float = 2.0e-3
+    c_add: ClassVar[float] = 2.0e-4
+    c_pmult: ClassVar[float] = 1.5e-3
+    c_decompose: ClassVar[float] = 3.8e-3
+    c_inner: ClassVar[float] = 1.5e-4
+    c_inner_fused: ClassVar[float] = 0.9e-4
+    c_moddown: ClassVar[float] = 1.5e-3
+    c_boot_base: ClassVar[float] = 0.5
+    c_boot_quad: ClassVar[float] = 2.5e-3
+    c_encode: ClassVar[float] = 2.0e-3
     # _fold_plan per (level, fold count), filled on first use.
     _fold_plans: Dict[Tuple[int, int], Tuple[Tuple[int, ...], float]] = field(
         default_factory=dict, init=False, repr=False, compare=False

@@ -48,9 +48,9 @@ class FheBackend(abc.ABC):
     #: priced by the cost model.
     _bootstrapper = None
 
-    def __init__(self, params: CkksParameters, cost_model: Optional[CostModel] = None):
+    def __init__(self, params: CkksParameters):
         self.params = params
-        self.costs = cost_model or CostModel(params)
+        self.costs = CostModel(params)
         self.ledger = OpLedger()
         #: optional :class:`repro.obs.NoiseMonitor`; when set, backends
         #: record level/scale drift at rescale / mod-down / bootstrap

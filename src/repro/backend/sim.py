@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.backend.costs import CostModel
 from repro.backend.interface import FheBackend, ScaleLike
 from repro.ckks.context import BOOT_PRECISION_BITS, BOOT_RANGE_SLACK
 from repro.ckks.galois import galois_offset_key
@@ -71,11 +70,11 @@ class SimBackend(FheBackend):
     def __init__(
         self,
         params: CkksParameters,
-        cost_model: Optional[CostModel] = None,
+        *,
         seed: int = 0,
         noise_free: bool = False,
     ):
-        super().__init__(params, cost_model)
+        super().__init__(params)
         self.rng = SeededRng(seed)
         self.noise_free = noise_free
         # Fresh-encryption noise std in *message* units, calibrated to the

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import kernels
-from repro.backend.costs import CostModel
 from repro.backend.interface import FheBackend, ScaleLike
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import CkksContext
@@ -28,11 +27,11 @@ class ToyBackend(FheBackend):
     def __init__(
         self,
         params: CkksParameters,
-        cost_model: Optional[CostModel] = None,
+        *,
         seed: int = 0,
         real_bootstrap: bool = False,
     ):
-        super().__init__(params, cost_model)
+        super().__init__(params)
         self.context = CkksContext(params, seed=seed)
         if real_bootstrap:
             from repro.ckks.bootstrap import CkksBootstrapper
@@ -103,7 +102,6 @@ class ToyBackend(FheBackend):
         num_out: int,
         pt_scale: ScaleLike,
         tables: Dict,
-        _max_chunk: Optional[int] = None,
     ) -> List[Optional[Ciphertext]]:
         """Exact fused diagonal accumulation (true double hoisting).
 
@@ -129,7 +127,6 @@ class ToyBackend(FheBackend):
         widened or copied per request.  Sums are lazy int64
         (``kernels.ks_inner``); modular sums are invariant under
         regrouping, so outputs are bit-identical to a per-term loop.
-        ``_max_chunk`` forces the chunked reduction for tests.
         """
         ctx = self.context
         level = in_cts[0].level
@@ -150,7 +147,7 @@ class ToyBackend(FheBackend):
         # int64 holds 2^32 of them, far more than slabs times blocks.
         direct = {bo: np.zeros((2, level + 1, n), np.int64) for bo, _ in tables}
         acc_ext: Dict[int, np.ndarray] = {}
-        chunk = kernels.lazy_reduction_chunk(max(ks_chain), _max_chunk)
+        chunk = kernels.lazy_reduction_chunk(max(ks_chain))
         for (bo, bi), (offsets, table) in tables.items():
             if offsets[-1] == 0:
                 plain = table[-1, : level + 1]
@@ -167,9 +164,7 @@ class ToyBackend(FheBackend):
                 if bi2 == bi
             ]
             hoisted = {off for _, offsets, _, _ in readers for off in offsets}
-            for slab, rot0, acc in ctx.rotate_hoisted_slabs(
-                in_cts[bi], hoisted, _max_chunk
-            ):
+            for slab, rot0, acc in ctx.rotate_hoisted_slabs(in_cts[bi], hoisted):
                 where = {off: i for i, off in enumerate(slab)}
                 for reader in readers:
                     bo, offsets, table, lo = reader

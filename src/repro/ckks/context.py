@@ -794,7 +794,6 @@ class CkksContext:
         digits: np.ndarray,
         keys: Sequence[SwitchingKey],
         level: int,
-        _max_chunk: Optional[int] = None,
     ) -> np.ndarray:
         """Inner products sum_i digit_i * key_i over the Q_l * P chain,
         one per switching key, against one shared digit tensor.
@@ -820,10 +819,8 @@ class CkksContext:
         Products are summed lazily in int64:
         :func:`repro.kernels.lazy_reduction_chunk` digits fit before a
         reduction is needed, so the hot path performs a single ``%`` on
-        the accumulator.  ``_max_chunk`` caps the chunk (tests force the
-        chunked fallback real parameter sets only hit with ~31-bit
-        primes).  A compressed key used above its bound is a caller bug
-        and fails loudly rather than silently dropping digits.
+        the accumulator.  A compressed key used above its bound is a
+        caller bug and fails loudly rather than silently dropping digits.
         """
         for key in keys:
             if not key.covers(level):
@@ -839,7 +836,7 @@ class CkksContext:
             [key.chain_view(num_digits, level) for key in keys],
             self.params.num_special_primes,
             self.basis.moduli_column(ks_chain),
-            kernels.lazy_reduction_chunk(max(ks_chain), _max_chunk),
+            kernels.lazy_reduction_chunk(max(ks_chain)),
         )
 
     def _ks_moddown(self, acc: np.ndarray, level: int):
@@ -895,7 +892,6 @@ class CkksContext:
         self,
         ct: Ciphertext,
         steps_list: Iterable,
-        _max_chunk: Optional[int] = None,
     ):
         """The hoisted key switch: Galois maps of ``ct`` left in the
         extended Q_l * P basis, yielded :data:`HOISTED_SLAB` offsets at a
@@ -923,8 +919,7 @@ class CkksContext:
         rotate-the-digits formulation, element by element).  Every
         offset's inner product is computed exactly once, and modular
         sums are invariant under regrouping, so consumers are
-        bit-identical to a per-offset loop; ``_max_chunk`` forces the
-        chunked fallback for tests.
+        bit-identical to a per-offset loop.
 
         Offsets are plain rotation steps (``int``) or conjugation-
         composed elements ``("conj", k)`` — conjugate, then rotate by
@@ -977,7 +972,7 @@ class CkksContext:
                     offsets,
                     np.take(c0, perms.reshape(-1), axis=-1).reshape(-1, num, n),
                     np.take(
-                        self._ks_inner(digits, keys, level, _max_chunk).reshape(
+                        self._ks_inner(digits, keys, level).reshape(
                             2, -1, num * n
                         ),
                         flat_idx,
@@ -989,7 +984,6 @@ class CkksContext:
         self,
         ct: Ciphertext,
         steps_list: Iterable,
-        _max_chunk: Optional[int] = None,
     ) -> Dict:
         """Every slab of :meth:`rotate_hoisted_slabs`, kept, as
         ``{offset: (rot0, acc)}``: ``rot0`` the transformed c0
@@ -1003,9 +997,7 @@ class CkksContext:
                 RnsPolynomial(self.basis, ct.c0.primes, rot0[:, i], is_ntt=True),
                 acc[:, :, i],
             )
-            for offsets, rot0, acc in self.rotate_hoisted_slabs(
-                ct, steps_list, _max_chunk
-            )
+            for offsets, rot0, acc in self.rotate_hoisted_slabs(ct, steps_list)
             for i, offset in enumerate(offsets)
         }
 

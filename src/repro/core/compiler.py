@@ -163,14 +163,14 @@ class OrionCompiler:
     def __init__(
         self,
         params: CkksParameters,
-        cost_model: Optional[CostModel] = None,
+        *,
         mode: str = "materialize",
         optimize: bool = True,
     ):
         if mode not in ("materialize", "analyze"):
             raise ValueError("mode must be 'materialize' or 'analyze'")
         self.params = params
-        self.costs = cost_model or CostModel(params)
+        self.costs = CostModel(params)
         self.mode = mode
         self.optimize = optimize
 

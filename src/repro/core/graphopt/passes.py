@@ -32,6 +32,7 @@ from repro.core.packing.layouts import (
     MultiplexedLayout,
     StackedLayout,
     VectorLayout,
+    conv_output_layout,
 )
 from repro.trace.graph import LayerGraph, TraceNode
 
@@ -108,31 +109,18 @@ def infer_layouts(graph: LayerGraph, input_shape, slots: int) -> Dict[int, objec
 def _linear_out_layout(node: TraceNode, in_layout, slots: int):
     module = node.module
     type_name = type(module).__name__
-    if type_name == "AvgPool2d":
-        k, s = module.kernel_size, module.stride
-        return MultiplexedLayout(
-            channels=in_layout.channels,
-            height=(in_layout.height - k) // s + 1,
-            width=(in_layout.width - k) // s + 1,
-            gap=in_layout.gap * s,
-            slots=slots,
-        )
-    if type_name == "AdaptiveAvgPool2d":
-        k = in_layout.global_pool_kernel(node.name)
-        return MultiplexedLayout(
-            channels=in_layout.channels, height=1, width=1,
-            gap=in_layout.gap * k, slots=slots,
+    if type_name in ("AvgPool2d", "AdaptiveAvgPool2d"):
+        if type_name == "AvgPool2d":
+            k, s = module.kernel_size, module.stride
+        else:
+            k = s = in_layout.global_pool_kernel(node.name)
+        return conv_output_layout(
+            in_layout, in_layout.channels, (k, k), (s, s), (0, 0), (1, 1)
         )
     if getattr(module, "kernel_size", None) is not None:  # convolution
-        kh, kw = module.kernel_size
-        sh, sw = module.stride
-        ph, pw = module.padding
-        dh, dw = module.dilation
-        out_h = (in_layout.height + 2 * ph - dh * (kh - 1) - 1) // sh + 1
-        out_w = (in_layout.width + 2 * pw - dw * (kw - 1) - 1) // sw + 1
-        return MultiplexedLayout(
-            channels=module.out_channels, height=out_h, width=out_w,
-            gap=in_layout.gap * sh, slots=slots,
+        return conv_output_layout(
+            in_layout, module.out_channels, module.kernel_size, module.stride,
+            module.padding, module.dilation,
         )
     return VectorLayout(module.out_features, slots)
 

@@ -80,6 +80,7 @@ from repro.core.packing.layouts import (
     MultiplexedLayout,
     StackedLayout,
     VectorLayout,
+    conv_output_layout,
 )
 from repro.utils.intmath import int_log2, next_power_of_two
 
@@ -104,7 +105,7 @@ class PackingStats:
     # (one key switch apiece, counted in ``rotations`` and the giants).
     gathers: Tuple[int, ...] = ()
 
-    def cost(self, level: int, cost_model, hoisting: str = "fused") -> float:
+    def cost(self, level: int, costs, hoisting: str = "fused") -> float:
         """Modeled latency at the given level (drives placement).
 
         Defaults to the ``"fused"`` price — what
@@ -116,15 +117,15 @@ class PackingStats:
         partial sum adds a mod-down, a rescale, its gather rotations and
         an add.
         """
-        price = cost_model.matvec_cost(
+        price = costs.matvec_cost(
             level, self.pmults, self.rotations - self._giants, self._giants,
             hoisting, num_in=self.num_in_cts, num_out=self.num_out_cts,
             num_folds=self.num_folds, num_offsets=self._offsets,
         )
         for steps in self.gathers:
             price += (
-                cost_model.ks_moddown(level) + cost_model.rescale(level)
-                + steps * cost_model.hrot(level) + cost_model.hadd(level)
+                costs.ks_moddown(level) + costs.rescale(level)
+                + steps * costs.hrot(level) + costs.hadd(level)
             )
         return price
 
@@ -316,15 +317,10 @@ def conv_diagonal_keys(
     """
     c_out, c_in_g, kh, kw = weight_shape
     sh, sw = stride
-    out_h = (in_layout.height + 2 * padding[0] - dilation[0] * (kh - 1) - 1) // sh + 1
-    out_w = (in_layout.width + 2 * padding[1] - dilation[1] * (kw - 1) - 1) // sw + 1
-    out_layout = MultiplexedLayout(
-        channels=c_out,
-        height=out_h,
-        width=out_w,
-        gap=in_layout.gap * sh,
-        slots=in_layout.slots,
+    out_layout = conv_output_layout(
+        in_layout, c_out, (kh, kw), stride, padding, dilation
     )
+    out_h, out_w = out_layout.height, out_layout.width
     n = in_layout.slots
     num_in = in_layout.num_ciphertexts
 

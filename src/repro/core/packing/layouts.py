@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.intmath import ceil_div
+from repro.utils.intmath import ceil_div, conv_output_size
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,37 @@ class MultiplexedLayout:
             f"MultiplexedLayout(c={self.channels}, h={self.height}, "
             f"w={self.width}, gap={self.gap}, cts={self.num_ciphertexts})"
         )
+
+
+def conv_output_layout(
+    in_layout: MultiplexedLayout,
+    channels: int,
+    kernel,
+    stride,
+    padding,
+    dilation,
+) -> MultiplexedLayout:
+    """The layout a convolution or pool over ``in_layout`` writes.
+
+    Each spatial size is :func:`conv_output_size` of its axis, and the
+    gap grows by the stride (paper Figure 5b).  One gap serves both
+    axes, so a stride that differs between them is refused here, the
+    one place every packing path (materialize and analyze modes, the
+    graph optimizer, the Lee et al. baseline) gets its output layout.
+    """
+    (kh, kw), (sh, sw) = kernel, stride
+    if sh != sw:
+        raise ValueError(
+            f"anisotropic strides are not supported: stride {tuple(stride)} "
+            "needs one gap per axis, and a multiplexed layout has one"
+        )
+    return MultiplexedLayout(
+        channels=channels,
+        height=conv_output_size(in_layout.height, kh, sh, padding[0], dilation[0]),
+        width=conv_output_size(in_layout.width, kw, sw, padding[1], dilation[1]),
+        gap=in_layout.gap * sh,
+        slots=in_layout.slots,
+    )
 
 
 @dataclass(frozen=True)

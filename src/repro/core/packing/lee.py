@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from repro.core.packing.layouts import MultiplexedLayout
+from repro.core.packing.layouts import MultiplexedLayout, conv_output_layout
 from repro.trace.graph import trace_structure
 
 
@@ -101,26 +101,24 @@ def lee_network_rotations(net, input_shape, slots: int) -> Tuple[int, int]:
                 in_layout, module.kernel_size, module.out_channels, stride
             )
             total_depth += lee_conv_depth(stride)
-            c, h, w = module.output_shape(
-                (in_layout.channels, in_layout.height, in_layout.width)
-            )
-            layouts[node.output] = MultiplexedLayout(
-                c, h, w, in_layout.gap * stride, slots
+            layouts[node.output] = conv_output_layout(
+                in_layout, module.out_channels, module.kernel_size,
+                module.stride, module.padding, module.dilation,
             )
         elif kind == "linear" and type_name == "AvgPool2d":
             k = module.kernel_size
             total_rotations += lee_avgpool_rotations(in_layout, k)
             total_depth += lee_conv_depth(k)
-            c, h, w = module.output_shape(
-                (in_layout.channels, in_layout.height, in_layout.width)
+            s = module.stride
+            layouts[node.output] = conv_output_layout(
+                in_layout, in_layout.channels, (k, k), (s, s), (0, 0), (1, 1)
             )
-            layouts[node.output] = MultiplexedLayout(c, h, w, in_layout.gap * k, slots)
         elif kind == "linear" and type_name == "AdaptiveAvgPool2d":
             k = in_layout.global_pool_kernel(node.name)
             total_rotations += lee_avgpool_rotations(in_layout, k)
             total_depth += lee_conv_depth(k)
-            layouts[node.output] = MultiplexedLayout(
-                in_layout.channels, 1, 1, in_layout.gap * k, slots
+            layouts[node.output] = conv_output_layout(
+                in_layout, in_layout.channels, (k, k), (k, k), (0, 0), (1, 1)
             )
         elif kind == "linear":  # fully connected
             total_rotations += lee_fc_rotations(

@@ -63,6 +63,7 @@ from repro.core.packing.layouts import (
     MultiplexedLayout,
     StackedLayout,
     VectorLayout,
+    conv_output_layout,
 )
 
 
@@ -677,16 +678,6 @@ class _DiagAccumulator:
         )
 
 
-def _conv_geometry(in_layout: MultiplexedLayout, kernel, stride, padding, dilation):
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    dh, dw = dilation
-    out_h = (in_layout.height + 2 * ph - dh * (kh - 1) - 1) // sh + 1
-    out_w = (in_layout.width + 2 * pw - dw * (kw - 1) - 1) // sw + 1
-    return out_h, out_w
-
-
 def build_conv_packing(
     weight: np.ndarray,
     bias: Optional[np.ndarray],
@@ -696,7 +687,6 @@ def build_conv_packing(
     dilation=(1, 1),
     groups: int = 1,
     name: str = "conv",
-    force_hybrid: Optional[bool] = None,
 ) -> PackedMatVec:
     """Compile a convolution into a single-shot multiplexed matvec.
 
@@ -705,23 +695,17 @@ def build_conv_packing(
     slot gaps, and the row permutation that achieves this is folded into
     the weight matrix — consuming one level total.  For a small
     single-ciphertext output the Gazelle hybrid (replicated rows +
-    rotate-and-sum fold; paper Section 8.2) may apply: ``force_hybrid``
-    True/False picks the form, None the one whose key set costs fewer
-    rotations (``DiagonalStructure``; one pass over the taps without
-    values finds the plain offsets).  Either way the layer is packed once.
+    rotate-and-sum fold; paper Section 8.2) applies when its key set
+    costs fewer rotations (``DiagonalStructure``; one pass over the taps
+    without values finds the plain offsets).  Either way the layer is
+    packed once.
     """
     c_out, c_in_g, kh, kw = weight.shape
     sh, sw = stride
-    if sh != sw:
-        raise ValueError("anisotropic strides are not supported")
-    out_h, out_w = _conv_geometry(in_layout, (kh, kw), stride, padding, dilation)
-    out_layout = MultiplexedLayout(
-        channels=c_out,
-        height=out_h,
-        width=out_w,
-        gap=in_layout.gap * sh,
-        slots=in_layout.slots,
+    out_layout = conv_output_layout(
+        in_layout, c_out, (kh, kw), stride, padding, dilation
     )
+    out_h, out_w = out_layout.height, out_layout.width
     n = in_layout.slots
     co_per_group = c_out // groups
     ci_per_group = in_layout.channels // groups if groups > 1 else c_in_g
@@ -761,19 +745,18 @@ def build_conv_packing(
     # smaller than the slot count, replicate the matrix rows modulo the
     # padded output length; diagonal offsets then collapse into [0, m2)
     # and a log2(n/m2) rotate-and-sum fold finishes the product.
-    m2 = conv_hybrid_modulus(in_layout, out_layout)
-    if force_hybrid and m2 is None:
-        raise ValueError("hybrid conv packing requires a small single-ct output")
-    if force_hybrid is None and m2 is not None:
+    hybrid_m2 = conv_hybrid_modulus(in_layout, out_layout)
+    if hybrid_m2 is not None:
         seen = np.zeros(n, dtype=bool)  # one ciphertext: keys are offsets
         for out_slot_v, in_slot_v, _ in taps():
             seen[(in_slot_v - out_slot_v) % n] = True
         off = np.flatnonzero(seen)
         zeros = np.zeros_like(off)
-        force_hybrid = bool(
-            DiagonalStructure(zeros, zeros, off, 1, 1, out_layout, n, m2).stats.num_folds
+        structure = DiagonalStructure(
+            zeros, zeros, off, 1, 1, out_layout, n, hybrid_m2
         )
-    hybrid_m2 = m2 if force_hybrid else None
+        if not structure.stats.num_folds:
+            hybrid_m2 = None
 
     acc = _DiagAccumulator(n)
     for out_slot_v, in_slot_v, index in taps():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -160,31 +160,31 @@ def solve_placement(
     chain: PlacementChain,
     l_eff: int,
     boot_cost: float,
-    entry_level: Optional[int] = None,
 ) -> PlacementResult:
     """Solve bootstrap placement and level management for a network.
+
+    The input and output levels are chosen, not given: the cheapest
+    (entry, exit) pair over every level is taken (paper Fig. 6b
+    considers every input node), and the result records both.
 
     Args:
         chain: the network as a nested placement chain.
         l_eff: effective level after bootstrapping (paper Table 1).
         boot_cost: modeled bootstrap latency (paper Fig. 1c).
-        entry_level: fix the input ciphertext level; default: the
-            planner chooses (paper Fig. 6b considers every input node).
     """
     solve_placement.invocations += 1
     start = time.perf_counter()
     solved = _solve_chain(chain, l_eff, boot_cost)
     matrix = solved.matrix
 
-    if entry_level is not None:
-        candidates = [(matrix[entry_level, o], entry_level, o) for o in range(l_eff + 1)]
-    else:
-        candidates = [
+    cost, a_star, o_star = min(
+        (
             (matrix[a, o], a, o)
             for a in range(l_eff + 1)
             for o in range(l_eff + 1)
-        ]
-    cost, a_star, o_star = min(candidates, key=lambda t: t[0])
+        ),
+        key=lambda t: t[0],
+    )
     if cost == INF:
         raise ValueError(
             "no feasible level policy: some layer needs more depth than "

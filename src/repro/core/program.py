@@ -43,6 +43,7 @@ from repro.core.packing.matvec import (
     layout_from_payload,
     layout_payload,
 )
+from repro.core.scale import ErrorlessScalePolicy
 
 
 class ExecutionState:
@@ -164,9 +165,9 @@ class LinearInstr(Instruction):
     def execute(self, state: ExecutionState) -> None:
         backend = state.backend
         (cts,) = self.prepare(state, [self.in_uid])
-        in_scale = backend.scale_of(cts[0])
-        q_exec = backend.params.data_primes[self.exec_level]
-        pt_scale = Fraction(q_exec) * Fraction(backend.params.scale) / in_scale
+        pt_scale = ErrorlessScalePolicy().plaintext_scale(
+            backend, self.exec_level, backend.scale_of(cts[0])
+        )
         state.set(self.out_uid, self.packed.execute(backend, cts, pt_scale))
 
     def execute_cleartext(self, values, slots):

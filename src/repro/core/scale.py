@@ -18,7 +18,9 @@ import numpy as np
 
 
 class ErrorlessScalePolicy:
-    """Weight plaintexts at q_level * Delta / input_scale (Figure 7)."""
+    """Weight plaintexts at q_level * Delta / input_scale (Figure 7):
+    the scale every compiled linear layer encodes at
+    (``LinearInstr.execute``)."""
 
     name = "errorless"
 

@@ -14,8 +14,6 @@ key-switch inner products and the fused-matvec accumulation use it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 _INT64_MAX = 2**63 - 1
@@ -24,7 +22,7 @@ _INT64_MAX = 2**63 - 1
 # ---------------------------------------------------------------------------
 # Shared lazy-accumulator bound
 # ---------------------------------------------------------------------------
-def lazy_reduction_chunk(max_q: int, max_chunk: Optional[int] = None) -> int:
+def lazy_reduction_chunk(max_q: int) -> int:
     """How many ``< max_q`` residue products fit one int64 lazy pass.
 
     The accumulator may already hold a *reduced* value (``<= max_q - 1``
@@ -35,10 +33,11 @@ def lazy_reduction_chunk(max_q: int, max_chunk: Optional[int] = None) -> int:
 
     This is the conservative form: it is also safe for a fresh (zero)
     accumulator, so every lazy int64 accumulation in the codebase uses
-    this one helper.  ``max_chunk`` caps the result (tests force the
-    chunked fallback that real parameter sets only hit with ~31-bit
-    primes).  Raises when even a single product overflows — the exact
-    backend needs < 32-bit primes.
+    this one helper, and calls it through the package
+    (``kernels.lazy_reduction_chunk``), which is how tests patch in a
+    smaller chunk to force the chunked fallback that real parameter sets
+    only hit with ~31-bit primes.  Raises when even a single product
+    overflows — the exact backend needs < 32-bit primes.
     """
     chunk = (_INT64_MAX - (max_q - 1)) // ((max_q - 1) ** 2)
     if chunk < 1:
@@ -46,10 +45,6 @@ def lazy_reduction_chunk(max_q: int, max_chunk: Optional[int] = None) -> int:
             f"key-switch primes near 2^{max_q.bit_length()} overflow the "
             "int64 lazy accumulator; the exact backend needs < 32-bit primes"
         )
-    if max_chunk is not None:
-        chunk = min(chunk, int(max_chunk))
-        if chunk < 1:
-            raise ValueError("max_chunk must be at least 1")
     return chunk
 
 

@@ -10,6 +10,7 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn.module import Module, Parameter
+from repro.utils.intmath import conv_output_size
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -70,8 +71,8 @@ class Conv2d(Module):
         """(C,H,W) -> (C,H,W) shape inference used by the Orion compiler."""
         _, h, w = input_shape
         kh, kw = self.kernel_size
-        out_h = F._conv_output_size(h, kh, self.stride[0], self.padding[0], self.dilation[0])
-        out_w = F._conv_output_size(w, kw, self.stride[1], self.padding[1], self.dilation[1])
+        out_h = conv_output_size(h, kh, self.stride[0], self.padding[0], self.dilation[0])
+        out_w = conv_output_size(w, kw, self.stride[1], self.padding[1], self.dilation[1])
         return (self.out_channels, out_h, out_w)
 
 
@@ -167,8 +168,8 @@ class AvgPool2d(Module):
 
     def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         c, h, w = input_shape
-        out_h = (h - self.kernel_size) // self.stride + 1
-        out_w = (w - self.kernel_size) // self.stride + 1
+        out_h = conv_output_size(h, self.kernel_size, self.stride, 0, 1)
+        out_w = conv_output_size(w, self.kernel_size, self.stride, 0, 1)
         return (c, out_h, out_w)
 
 

@@ -15,7 +15,6 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
-from repro.backend.costs import CostModel
 from repro.ckks.params import CkksParameters
 from repro.core.compiler import CompiledNetwork, OrionCompiler
 
@@ -46,11 +45,11 @@ class OrionNetwork:
     def compile(
         self,
         params: CkksParameters,
-        cost_model: Optional[CostModel] = None,
+        *,
         mode: str = "materialize",
         optimize: bool = True,
     ) -> CompiledNetwork:
-        compiler = OrionCompiler(params, cost_model, mode=mode, optimize=optimize)
+        compiler = OrionCompiler(params, mode=mode, optimize=optimize)
         return compiler.compile(
             self.module, self.input_shape, calibration_batches=self._calibration
         )

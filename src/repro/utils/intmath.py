@@ -34,6 +34,13 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def conv_output_size(size: int, kernel: int, stride: int, pad: int, dil: int) -> int:
+    """Output length of a convolution or pool along one axis:
+    ``(size + 2 pad - dil (kernel - 1) - 1) // stride + 1``."""
+    effective = dil * (kernel - 1) + 1
+    return (size + 2 * pad - effective) // stride + 1
+
+
 def mod_pow(base: int, exponent: int, modulus: int) -> int:
     """Modular exponentiation (thin wrapper for readability)."""
     return pow(base, exponent, modulus)

@@ -27,9 +27,10 @@ class SeededRng:
         """Rounded discrete Gaussian used for RLWE noise."""
         return np.rint(self._gen.normal(0.0, sigma, size=shape)).astype(np.int64)
 
-    def ternary(self, shape, hamming_fraction: float = 2.0 / 3.0) -> np.ndarray:
-        """Ternary secret in {-1, 0, 1} with given nonzero fraction."""
-        mask = self._gen.random(shape) < hamming_fraction
+    def ternary(self, shape) -> np.ndarray:
+        """Ternary secret in {-1, 0, 1}, each entry nonzero with
+        probability 2/3."""
+        mask = self._gen.random(shape) < 2.0 / 3.0
         signs = self._gen.integers(0, 2, size=shape, dtype=np.int64) * 2 - 1
         return np.where(mask, signs, 0).astype(np.int64)
 

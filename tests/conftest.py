@@ -7,6 +7,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.backend import SimBackend, ToyBackend
 from repro.ckks.context import CkksContext
 from repro.ckks.params import paper_parameters, toy_parameters
@@ -77,3 +78,27 @@ def sim_backend(sim_params):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def force_chunk(monkeypatch):
+    """``force_chunk(cap)`` caps the int64 lazy-reduction chunk at
+    ``cap`` for the rest of the test, forcing the chunked fallback real
+    parameter sets only reach with ~31-bit primes.  Every lazy
+    accumulation reads its chunk through the package
+    (``repro.kernels.lazy_reduction_chunk``), so patching it there
+    reaches them all.  Returns the list of ``max_q`` the capped bound
+    is asked for, so a test can check that the cap was read."""
+    true_chunk = kernels.lazy_reduction_chunk
+
+    def force(cap):
+        asked = []
+
+        def capped(max_q):
+            asked.append(max_q)
+            return min(cap, true_chunk(max_q))
+
+        monkeypatch.setattr(kernels, "lazy_reduction_chunk", capped)
+        return asked
+
+    return force

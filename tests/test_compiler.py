@@ -248,6 +248,30 @@ class TestAnalyzeMode:
         assert analyzed.num_bootstraps == materialized.num_bootstraps
         assert analyzed.modeled_seconds == materialized.modeled_seconds
 
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_anisotropic_stride_is_refused_in_both_modes(self, optimize):
+        """One gap serves both axes of a multiplexed layout, so a conv
+        striding (2, 1) is refused when analyzed exactly as when packed,
+        and by the Lee et al. walk: all read its output layout from one
+        rule."""
+        from repro.core.packing.lee import lee_network_rotations
+
+        tparams = toy_parameters(1024, max_level=6)
+
+        def build():
+            return on.Sequential(on.Conv2d(1, 2, 3, stride=(2, 1), padding=1))
+
+        onet, _ = make_net(build, (1, 8, 8))
+        messages = set()
+        for mode in ("materialize", "analyze"):
+            with pytest.raises(ValueError, match="anisotropic strides") as err:
+                onet.compile(tparams, mode=mode, optimize=optimize)
+            messages.add(str(err.value))
+        with pytest.raises(ValueError, match="anisotropic strides") as err:
+            lee_network_rotations(build(), (1, 8, 8), tparams.slot_count)
+        messages.add(str(err.value))
+        assert len(messages) == 1, messages
+
     def test_analyze_cannot_run(self, params):
         onet, _ = make_net(lambda: SecureMlp(64, 8), (1, 8, 8))
         compiled = onet.compile(params, mode="analyze")

@@ -203,7 +203,7 @@ class TestCompiledForm:
                 assert view[name].fold_groups == fold_groups, (batch, name)
                 assert sum(fold_groups) == len(view[name].fold_shifts)
 
-    def test_partition_comes_from_the_compilers_cost_model(self, mlp):
+    def test_partition_comes_from_the_compilers_cost_model(self, mlp, monkeypatch):
         params, program = mlp
         costs = CostModel(params)
         for instr in _linear(program):
@@ -211,17 +211,21 @@ class TestCompiledForm:
             assert packed.fold_groups == costs.fold_partition(
                 instr.exec_level, len(packed.fold_shifts)
             )
-        # A cost model that prices every inner product dear compiles the
-        # sequential fold (one group per shift), one that prices the
+        # Prices that make every inner product dear compile the
+        # sequential fold (one group per shift), prices that make the
         # decomposition dear the full expansion (one group), whatever
-        # the executing backend's model.  Either way each group is one
+        # the executing backend's prices: the constants are patched
+        # around the compile only.  Either way each group is one
         # hoisted key switch over its subset sums, charging its folds.
         init.seed_init(0)
         onet = OrionNetwork(SecureMlp(input_pixels=16, hidden=8, classes=2), (1, 4, 4))
         onet.fit([np.random.default_rng(0).normal(0, 0.5, (8, 1, 4, 4))])
         extremes = ((dict(c_inner_fused=1.0), True), (dict(c_decompose=10.0), False))
         for model, single in extremes:
-            compiled = onet.compile(params, cost_model=CostModel(params, **model))
+            with monkeypatch.context() as patch:
+                for constant, value in model.items():
+                    patch.setattr(CostModel, constant, value)
+                compiled = onet.compile(params)
             layers = _linear(compiled.program)
             for instr in layers:
                 k = len(instr.packed.fold_shifts)

@@ -337,7 +337,7 @@ class TestHoistedKeySwitch:
         backend.rotate_hoisted(ct, [1, 2, 3])
         assert backend.ledger.counts["hrot_hoisted"] == 3
 
-    def test_chunked_inner_product_matches_fast_path(self, backend):
+    def test_chunked_inner_product_matches_fast_path(self, backend, force_chunk):
         """Force the overflow-safe chunked accumulation (only reached
         with ~31-bit primes in real configs) and compare exactly."""
         ctx = backend.context
@@ -346,8 +346,10 @@ class TestHoistedKeySwitch:
         key = ctx.galois_key(ctx.encoder.rotation_exponent(1))
         digits = ctx._ks_decompose(ct.c1, ct.level)
         fast = ctx._ks_inner(digits, [key], ct.level)
-        for max_chunk in (1, 2, 3):
-            chunked = ctx._ks_inner(digits, [key], ct.level, _max_chunk=max_chunk)
+        for cap in (1, 2, 3):
+            asked = force_chunk(cap)
+            chunked = ctx._ks_inner(digits, [key], ct.level)
+            assert asked
             assert np.array_equal(fast, chunked)
 
     def test_rejects_degree_two(self, backend):

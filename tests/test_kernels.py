@@ -10,9 +10,9 @@ Two layers:
   in place from its one resident tensor) vs a per-offset loop over
   natural-layout keys (across ks_alpha values, partial digit groups,
   mixed int and ``("conj", k)`` offsets, walks of several slabs,
-  compressed keys at their level bound, and a forced ``_max_chunk``
-  fallback), the grouped fused matvec and the simulator's batched
-  gathers.
+  compressed keys at their level bound, and a chunk forced down by
+  patching ``lazy_reduction_chunk``), the grouped fused matvec and the
+  simulator's batched gathers.
 
 There is one implementation of each kernel and nothing selects between
 them (docs/kernels.md); ``TestTelemetry`` pins that.
@@ -75,11 +75,6 @@ class TestLazyReductionChunk:
         assert found is not None
         loose = (2**63 - 1) // ((found - 1) ** 2)
         assert kernels.lazy_reduction_chunk(found) == loose - 1
-
-    def test_max_chunk_cap(self):
-        assert kernels.lazy_reduction_chunk(2**20, max_chunk=3) == 3
-        with pytest.raises(ValueError, match="max_chunk"):
-            kernels.lazy_reduction_chunk(2**20, max_chunk=0)
 
     def test_overflowing_primes_rejected(self):
         with pytest.raises(ValueError, match="32-bit primes"):
@@ -228,11 +223,13 @@ class TestStackedHoistedRaw:
         got = ctx.rotate_hoisted_raw(ct, [1, 5, ("conj", 1)])
         assert_raw_equal(got, naive_hoisted_raw(ctx, ct, set(got)))
 
-    def test_forced_chunk_fallback(self, toy_backend):
+    def test_forced_chunk_fallback(self, toy_backend, force_chunk):
         ctx = toy_backend.context
         ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
         baseline = ctx.rotate_hoisted_raw(ct, [1, 4, 6])
-        forced = ctx.rotate_hoisted_raw(ct, [1, 4, 6], _max_chunk=1)
+        asked = force_chunk(1)
+        forced = ctx.rotate_hoisted_raw(ct, [1, 4, 6])
+        assert asked
         assert_raw_equal(forced, baseline)
 
     def test_compressed_keys_at_level_bound(self, toy_backend):
@@ -306,7 +303,7 @@ def _matvec_terms(backend, num_in, num_out, offs):
 class TestGroupedFusedMatvec:
     OFFS = [[0, 1, 3], [0, ("conj", 1), 2], [1, ("conj", 0)]]
 
-    def test_forced_chunk_fallback_bit_exact(self, toy_backend):
+    def test_forced_chunk_fallback_bit_exact(self, toy_backend, force_chunk):
         cts = [
             toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count)),
             toy_backend.encode_encrypt(np.linspace(1, -1, toy_backend.slot_count)),
@@ -315,9 +312,9 @@ class TestGroupedFusedMatvec:
         scale = toy_backend.params.scale
         tables = held_tables({}, toy_backend, terms, cts[0].level, scale)
         base = toy_backend._matvec_fused(cts, terms, 3, scale, tables)
-        forced = toy_backend._matvec_fused(
-            cts, terms, 3, scale, tables, _max_chunk=1
-        )
+        asked = force_chunk(1)
+        forced = toy_backend._matvec_fused(cts, terms, 3, scale, tables)
+        assert asked
         for got, want in zip(forced, base):
             assert np.array_equal(got.c0.data, want.c0.data)
             assert np.array_equal(got.c1.data, want.c1.data)

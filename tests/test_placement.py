@@ -83,11 +83,6 @@ class TestPlannerProperties:
         result = solve_placement(chain, l_eff=5, boot_cost=1.0)
         assert result.num_bootstraps == 5  # one refresh of 5 ciphertexts
 
-    def test_entry_level_constraint(self):
-        chain = PlacementChain([layer("l0", depth=2)])
-        result = solve_placement(chain, l_eff=5, boot_cost=BOOT, entry_level=2)
-        assert result.entry_level == 2
-
     def test_total_depth(self):
         backbone = PlacementChain([layer("a", depth=3), layer("b", depth=2)])
         region = PlacementRegion(

@@ -90,7 +90,9 @@ def reference_per_term(backend, in_cts, terms, num_out, pt_scale):
 class TestStaticTables:
     @pytest.mark.parametrize("max_chunk", [None, 1, 2])
     @pytest.mark.parametrize("num_in, num_out", [(1, 1), (2, 1), (1, 2), (2, 2)])
-    def test_table_path_equals_per_term_reference(self, num_in, num_out, max_chunk):
+    def test_table_path_equals_per_term_reference(
+        self, num_in, num_out, max_chunk, force_chunk
+    ):
         backend = _backend()
         rng = np.random.default_rng(num_in * 10 + num_out)
         slots = backend.slot_count
@@ -100,12 +102,14 @@ class TestStaticTables:
             for _ in range(num_in)
         ]
         pt_scale = Fraction(backend.params.data_primes[3])
+        want = reference_per_term(backend, cts, terms, num_out, pt_scale)
+        asked = force_chunk(max_chunk) if max_chunk is not None else None
         store = {}
         got = backend._matvec_fused(
             cts, terms, num_out, pt_scale,
-            held_tables(store, backend, terms, 3, pt_scale), _max_chunk=max_chunk,
+            held_tables(store, backend, terms, 3, pt_scale),
         )
-        want = reference_per_term(backend, cts, terms, num_out, pt_scale)
+        assert asked is None or asked
         for out, (c0, c1) in zip(got, want):
             assert np.array_equal(out.c0.data, c0)
             assert np.array_equal(out.c1.data, c1)
@@ -114,7 +118,7 @@ class TestStaticTables:
         tables = dict(store)
         again = backend._matvec_fused(
             cts, terms, num_out, pt_scale,
-            held_tables(store, backend, terms, 3, pt_scale), _max_chunk=max_chunk,
+            held_tables(store, backend, terms, 3, pt_scale),
         )
         assert all(store[key] is table for key, table in tables.items())
         for out, (c0, c1) in zip(again, want):
