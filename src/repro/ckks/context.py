@@ -68,8 +68,8 @@ HOISTED_SLAB = 8
 #: (:meth:`CkksContext._fill_switching_key`): a key's digits run through
 #: the transform, the ``b`` arithmetic and the slot-order gather in slabs
 #: of ``KEYGEN_SLAB_ROWS // len(chain)`` digits (at least one), so a
-#: key-switch chain's two NTT runs (special rows, data rows) cost two
-#: butterfly calls per stage per slab rather than per digit, while a
+#: key-switch chain's NTT runs (first prime, data rows, special rows)
+#: cost their numpy calls per slab rather than per digit, while a
 #: whole key at once would grow each fill thread's working set with its
 #: digit count.  32 rows of int64 at N = 4096 is 1 MiB per operand
 #: (docs/keys.md).
@@ -448,25 +448,38 @@ class CkksContext:
     def slot_count(self) -> int:
         return self.params.slot_count
 
+    def _encode_rows(self, vectors: Sequence, primes, scale) -> np.ndarray:
+        """Slot vectors -> ``(T, len(primes), N)`` evaluation-form
+        residues at ``scale``, one row per vector (zero-padded to the slot
+        count).  Rows whose rounded coefficients fit int64 (all of them at
+        toy scales) take one batched slots -> coeffs, one broadcast % and
+        one batched transform; a wider row takes the bigint reduction."""
+        slots = np.zeros((len(vectors), self.slot_count), dtype=np.complex128)
+        for row, values in zip(slots, vectors):
+            values = np.asarray(values)
+            if values.size > self.slot_count:
+                raise ValueError(
+                    f"{values.size} values do not fit in {self.slot_count} slots"
+                )
+            row[: values.size] = values
+        rounded = np.rint(self.encoder.slots_to_coeffs(slots) * float(scale))
+        fits = np.all(np.abs(rounded) < 2.0**62, axis=-1)
+        residues = rounded[fits].astype(np.int64)[:, None, :] % self.basis.moduli_column(primes)
+        encoded = self.basis.forward_chain(residues, primes)
+        if fits.all():
+            return encoded
+        out = np.empty((len(vectors),) + encoded.shape[1:], dtype=np.int64)
+        out[fits] = encoded
+        for t in np.flatnonzero(~fits):
+            out[t] = RnsPolynomial.from_bigint_coeffs(
+                self.basis, primes, rounded[t].astype(object)
+            ).data
+        return out
+
     def _encode_poly(self, values: Sequence[float], primes, scale) -> RnsPolynomial:
         """Slot vector -> evaluation-form polynomial over ``primes``."""
-        slots = np.zeros(self.slot_count, dtype=np.complex128)
-        values = np.asarray(values)
-        if values.size > self.slot_count:
-            raise ValueError(
-                f"{values.size} values do not fit in {self.slot_count} slots"
-            )
-        slots[: values.size] = values
-        coeffs = self.encoder.slots_to_coeffs(slots) * float(scale)
-        rounded = np.rint(coeffs)
-        if np.all(np.abs(rounded) < 2.0**62):
-            # Hot path: rounded coefficients fit int64 (always true for
-            # toy scales), so RNS reduction is one broadcasted %.
-            data = rounded.astype(np.int64)[None, :] % self.basis.moduli_column(primes)
-            return RnsPolynomial(self.basis, primes, data, is_ntt=False).to_ntt()
-        return RnsPolynomial.from_bigint_coeffs(
-            self.basis, primes, rounded.astype(object)
-        )
+        data = self._encode_rows([values], primes, scale)[0]
+        return RnsPolynomial(self.basis, primes, data, is_ntt=True)
 
     def encode(
         self,
@@ -494,12 +507,7 @@ class CkksContext:
         Residues are < 2^31, so 32 bits lose nothing; multiply the table
         only against int64 operands (uint32 * uint32 wraps silently).
         """
-        ks_chain = self._ks_chain(level)
-        table = np.empty(
-            (len(vectors), len(ks_chain), self.params.ring_degree), dtype=np.uint32
-        )
-        for row, vec in zip(table, vectors):
-            row[...] = self._encode_poly(vec, ks_chain, scale).data
+        table = self._encode_rows(vectors, self._ks_chain(level), scale).astype(np.uint32)
         table.setflags(write=False)
         return table
 

@@ -67,16 +67,17 @@ class SlotEncoder:
 
         The conjugate-symmetric completion makes the coefficients real.
         Returns unrounded float64 coefficients; the caller multiplies by
-        Delta and rounds.
+        Delta and rounds.  Leading dimensions are a batch: each row is
+        transformed exactly as it would be alone.
         """
         slots = np.asarray(slots, dtype=np.complex128)
-        if slots.shape != (self.slot_count,):
+        if slots.shape[-1:] != (self.slot_count,):
             raise ValueError(
                 f"expected {self.slot_count} slots, got {slots.shape}"
             )
-        evals = np.zeros(self.ring_degree, dtype=np.complex128)
-        evals[self._slot_bins] = slots
-        evals[self._conj_bins] = np.conj(slots)
+        evals = np.zeros(slots.shape[:-1] + (self.ring_degree,), dtype=np.complex128)
+        evals[..., self._slot_bins] = slots
+        evals[..., self._conj_bins] = np.conj(slots)
         coeffs = np.fft.ifft(evals) * np.conj(self._twist)
         return coeffs.real
 

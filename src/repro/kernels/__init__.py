@@ -1,7 +1,8 @@
-"""Hot-path kernels (key-switch inner products, NTT stages).
+"""Hot-path kernels (the key-switch inner products).
 
-Plain numpy functions, one implementation each, called directly.  See
-:mod:`repro.kernels.ops` and ``docs/kernels.md``.
+Plain numpy functions, one implementation each, called directly.  The
+NTT is :class:`repro.ntt.NttChainEngine`, two BLAS matrix products per
+transform.  See :mod:`repro.kernels.ops` and ``docs/kernels.md``.
 """
 
 from types import SimpleNamespace
@@ -10,7 +11,6 @@ from repro.kernels.ops import (
     ks_inner,
     ks_inner_stacked,
     lazy_reduction_chunk,
-    ntt_stage,
 )
 
 
@@ -34,5 +34,4 @@ __all__ = [
     "ks_inner",
     "ks_inner_stacked",
     "lazy_reduction_chunk",
-    "ntt_stage",
 ]

@@ -1,6 +1,6 @@
-"""The hot-path kernels: key-switch inner products and NTT stages.
+"""The hot-path kernels: the key-switch inner products.
 
-Three plain numpy functions, called directly by the evaluator.  Results
+Two plain numpy functions, called directly by the evaluator.  Results
 are exact int64 modular arithmetic; the static operand of an inner
 product (key views, weight tables) is uint32 and numpy promotes it
 against the int64 one exactly.  ``docs/kernels.md`` has the contract and
@@ -157,32 +157,3 @@ def ks_inner_stacked(digits, keys, num_special, mod_col, chunk):
         out += part
     out %= mod_col[:, None]
     return out
-
-
-# ---------------------------------------------------------------------------
-# ntt_stage: one lazy butterfly stage across all limbs
-# ---------------------------------------------------------------------------
-def ntt_stage(a, out, twiddles, q, scratch):
-    """One lazy constant-geometry (Pease) butterfly stage, ``a`` -> ``out``.
-
-    ``a``, ``out``: distinct int64 ``(..., K, N)`` buffers, ``a`` holding
-    signed lazy residues; ``twiddles``: ``(K, N // 2)`` — pair ``m``
-    (``a[..., 2m]``, ``a[..., 2m + 1]``) uses ``twiddles[:, m]`` — or
-    ``None`` for the all-ones first stage, which needs ``|a| < q``;
-    ``q``: ``(K, 1)`` moduli; ``scratch``: ``(..., K, N // 2)`` product
-    buffer.  Sums land in ``out[..., :N // 2]``, differences in
-    ``out[..., N // 2:]``, so every operand of every call is an ``N // 2``
-    long run whatever the stage.  Exactly one modular reduction (the
-    twiddle product) plus one add and one subtract: ``|out| <= |a| + q``,
-    the laziness contract of :class:`repro.ntt.chain.NttChainEngine`.
-    """
-    half = a.shape[-1] // 2
-    even = a[..., 0::2]
-    t = a[..., 1::2]
-    if twiddles is not None:
-        np.multiply(t, twiddles, out=scratch)
-        # fmod, not %: the butterfly only needs a congruent |t| < q, and
-        # numpy's floor-mod costs ~2.5x more on mixed-sign int64.
-        t = np.fmod(scratch, q, out=scratch)
-    np.add(even, t, out=out[..., :half])
-    np.subtract(even, t, out=out[..., half:])

@@ -1,55 +1,151 @@
 """Limb-batched negacyclic NTT across a whole RNS prime chain.
 
-:class:`NttChainEngine` stacks the per-prime twiddle/twist tables of
-:class:`repro.ntt.transform.NttContext` into ``(K, ...)`` arrays so that
-an entire ``(L, N)`` residue matrix (or a ``(D, L, N)`` stack of digit
-matrices) moves through every butterfly stage in a single vectorized
-numpy pass, instead of one Python-level transform per limb.
+:class:`NttChainEngine` runs the transform of
+:class:`repro.ntt.transform.NttContext` on a whole ``(L, N)`` residue
+matrix (or a ``(D, L, N)`` stack of digit matrices) at once, as Bailey's
+four-step factorisation ``N = n1 * n2``: an ``n1``-point DFT with the psi
+twist folded into its matrix, one elementwise twiddle multiply, and an
+``n2``-point DFT.  Both DFTs are float64 matrix products, so BLAS does
+the ``O(N sqrt N)`` multiply-adds and numpy only a fixed number of
+``O(N)`` elementwise passes per transform.
 
-Butterflies are fully lazy: each stage performs exactly one modular
-reduction (the twiddle product, truncated ``np.fmod`` — any congruent
-value with ``|t| < q`` serves, and floor-``%`` on mixed-sign int64 costs
-~2.5x more) plus one add and one subtract, letting the signed residues
-drift by +-q per stage (``|t| < q`` under either reduction, so the
-bound is unchanged).  A growth budget derived from ``q_max^2`` bounds
-how many stages fit before a product could overflow int64 — with the
-< 2^31 primes :class:`NttContext` admits the budget is always >= 2, and
-with the <= 29-bit primes the toy parameter sets use it exceeds 30
-stages, so transforms up to N = 2^30 run with a single trailing
-canonicalization and no per-stage corrections at all.
+Exactness is an invariant, checked per prime when the engine is built:
+operands are kept centred, ``|x| <= q // 2 + 1``, and a table is split
+into centred 15-bit slices until every partial sum of every product,
+plus the reduction ``y - rint(y / q) * q`` after it, stays an integer
+below ``2**53``.  A float64 sum of such integers is exact whatever the
+summation order, FMA use or thread count, so the result is bit for bit
+the one :class:`NttContext` computes.  ``docs/kernels.md`` ("Why two
+matrix products") has the bounds and the measured shapes.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels
-from repro.ntt.transform import NttContext, _bit_reverse_cache
+from repro.ntt.transform import NttContext
+
+_EXACT = 1 << 53  # float64 holds every integer of magnitude <= 2^53
+_SLICE_BITS = 15
+_MAX_SLICES = 4
+_CHUNK = 1 << 15  # elements per chunk of the leading dimensions
 
 
-class _ChainTables(NamedTuple):
-    """Tables for the whole prime chain; a sub-chain reads row slices."""
+class _Steps(NamedTuple):
+    """One direction's three factors over a band, each ``(K, s, ...)``:
+    ``s`` centred slices whose ``2^(15 j)``-weighted sum is the table."""
 
-    q: np.ndarray  # (K, 1) moduli column
-    twist: np.ndarray  # (K, N) forward twist psi^i, bit-reversed order
-    twist_inv_n: np.ndarray  # (K, N) fused psi^-i / N for the inverse
-    # Per-stage (K, N/2) twiddle rows, one entry per butterfly pair;
-    # stage 0 is all ones and stored as None.
-    stages: List[Optional[np.ndarray]]
-    stages_inv: List[Optional[np.ndarray]]
+    first: np.ndarray  # (K, s, a, a): DFT over the input's slow axis
+    twiddle: np.ndarray  # (K, s, b, a): elementwise, stored transposed
+    second: np.ndarray  # (K, s, b, b): DFT over the input's fast axis
 
 
-def _pair_rows(per_prime: Sequence[List[np.ndarray]], n: int) -> List[Optional[np.ndarray]]:
-    """Per-stage ``(K, N/2)`` twiddle rows from ``per_prime[k][s]``, prime
-    k's ``half = 2^s`` long stage table.  Pair m of stage s takes entry
-    ``m >> (log2 N - 1 - s)``: each entry is repeated so the row lines up
-    with the pairs and a stage needs no indexing."""
-    return [
-        np.repeat(np.stack([t[s] for t in per_prime]), (n // 2) >> s, axis=1) if s else None
-        for s in range(len(per_prime[0]))
+class _Band(NamedTuple):
+    """Consecutive chain rows whose primes share one slice count."""
+
+    start: int
+    q: np.ndarray  # (K, 1, 1) float64 moduli
+    forward: _Steps
+    inverse: _Steps
+
+    def rows(self, chain: slice) -> "_Band":
+        """The band restricted to a row slice: views, never copies."""
+        return _Band(
+            self.start + chain.start,
+            self.q[chain],
+            _Steps(*(t[chain] for t in self.forward)),
+            _Steps(*(t[chain] for t in self.inverse)),
+        )
+
+
+def _gathers(n1: int, n2: int) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    """``(index, sign, length)`` of the six factor tables, shared by every
+    prime: entry ``psi^e`` is ``sign * psi^index`` with ``index = e mod N``
+    (``psi^N = -1``), and ``length`` is how many terms a product with the
+    table sums.  Forward ``(n1 x n1, n2 x n1, n2 x n2)``, inverse
+    ``(n2 x n2, n1 x n2, n1 x n1)``; twiddles are stored transposed.
+
+    Forward, input ``a[n2 i1 + i2]`` read as ``(n1, n2)``, output
+    ``X[k1 + n1 k2]`` written as ``(n2, n1)``: ``X = sum_i a_i
+    psi^(i (2k+1))`` splits into ``psi^(n2 i1 (2k1+1))`` (first),
+    ``psi^(i2 (2k1+1))`` (twiddle) and ``psi^(2 n1 i2 k2)`` (second).  The
+    inverse is the same product of the conjugate factors, in the other
+    order, with ``1/N`` folded into its last matrix.
+    """
+    n = n1 * n2
+    k1 = np.arange(n1, dtype=np.int64)[:, None]
+    k2 = np.arange(n2, dtype=np.int64)[:, None]
+    odd = 2 * k1 + 1
+    exponents = [
+        (n2 * odd * k1.T, n1),
+        (k2 * odd.T, 1),
+        (2 * n1 * k2 * k2.T, n2),
+        (2 * n1 * k2 * k2.T, n2),
+        (odd * k2.T, 1),
+        (n2 * k1 * odd.T, n1),
     ]
+    gathers = []
+    for e, length in exponents:
+        e = e % (2 * n)
+        gathers.append((e % n, np.where(e >= n, -1, 1), length))
+    return gathers
+
+
+def _slices(table: np.ndarray, count: int) -> np.ndarray:
+    """``count`` centred base-2^15 digits of a centred int64 table, low
+    digit first; the top one keeps whatever is left."""
+    if count == 1:
+        return table[None]
+    half = 1 << (_SLICE_BITS - 1)
+    digits = []
+    rest = table
+    for _ in range(count - 1):
+        low = ((rest + half) & ((1 << _SLICE_BITS) - 1)) - half
+        digits.append(low)
+        rest = (rest - low) >> _SLICE_BITS
+    digits.append(rest)
+    return np.stack(digits)
+
+
+def _fits(slices: np.ndarray, length: int, bound: int) -> bool:
+    """Whether a product of the slices with ``length``-long operands of
+    magnitude ``<= bound`` stays exact through its Horner combination:
+    the carried ``reduced * 2^15``, plus one slice's sum, plus the
+    multiple of ``q <= 2 * bound`` the reduction subtracts, must stay
+    within ``2**53`` (checked in Python ints)."""
+    top = len(slices) - 1
+    for j, digit in enumerate(slices):
+        carry = 1 << _SLICE_BITS if j < top else 0
+        if bound * (carry + length * int(np.abs(digit).max()) + 2) > _EXACT:
+            return False
+    return True
+
+
+def _prime_tables(ctx: NttContext, gathers) -> Tuple[int, List[np.ndarray]]:
+    """One prime's six centred factor tables (:func:`_gathers`), sliced
+    into the fewest slices for which every product with them is exact."""
+    q = ctx.q
+
+    def centred(row):
+        return row - q * (row > q // 2)
+
+    fwd, inv = centred(ctx._twist), centred(ctx._twist_inv)
+    inv_n = centred(ctx._twist_inv * ctx.n_inv % q)
+    tables = [
+        (row[index] * sign, length)
+        for row, (index, sign, length) in zip((fwd, fwd, fwd, inv, inv, inv_n), gathers)
+    ]
+    bound = q // 2 + 1
+    for count in range(1, _MAX_SLICES + 1):
+        sliced = [_slices(t, count) for t, _ in tables]
+        if all(_fits(s, length, bound) for s, (_, length) in zip(sliced, tables)):
+            return count, sliced
+    raise ValueError(
+        f"prime {q} at N = {ctx.n}: no split into {_MAX_SLICES} or fewer "
+        f"{_SLICE_BITS}-bit slices keeps the float64 transform below 2^53"
+    )
 
 
 class NttChainEngine:
@@ -57,7 +153,7 @@ class NttChainEngine:
 
     Args:
         contexts: one :class:`NttContext` per prime, in chain order.
-            Their precomputed tables are stacked; nothing is recomputed.
+            The factor tables are gathered from their psi-power rows.
 
     Transforms accept arrays of shape ``(..., K, N)`` where ``K`` equals
     the number of selected rows and the transform runs along the last
@@ -72,98 +168,92 @@ class NttChainEngine:
         self.n = n = contexts[0].n
         if any(c.n != n for c in contexts):
             raise ValueError("all NTT contexts must share the ring degree")
-        q_max = max(c.q for c in contexts)
-        # Signed residues grow by at most q per butterfly stage; a value
-        # bounded by g*q multiplied by a twiddle (< q) must fit int64,
-        # so up to ``budget`` stages may run between renormalizations.
-        self._growth_budget = max(1, (2**63 - 1) // (q_max * q_max))
-        self._full = _ChainTables(
-            q=np.array([c.q for c in contexts], dtype=np.int64)[:, None],
-            twist=np.take([c._twist for c in contexts], _bit_reverse_cache(n), axis=-1),
-            twist_inv_n=np.stack(
-                [(c._twist_inv * c.n_inv) % c.q for c in contexts]
-            ),
-            stages=_pair_rows([c._stage_twiddles for c in contexts], n),
-            stages_inv=_pair_rows([c._stage_twiddles_inv for c in contexts], n),
-        )
-
-    @staticmethod
-    def _plan(rows: Sequence[int]) -> List[Tuple[slice, slice]]:
-        """``(limb-axis slice of the data, row slice of the tables)`` for
-        each maximal ascending run ``r, r+1, ...`` of ``rows``.  A data
-        chain is one run, a key-switch chain two (data prefix, special
-        rows); descending or repeated rows degrade to one-row runs.
-        Slices, so a sub-chain reads *views* of the one full table set —
-        a context uses ~40 sub-chains, and gathered copies of the
-        pair-length stage rows would cost tens of MB."""
-        plan = []
+        log_n = n.bit_length() - 1
+        self._n1 = n1 = 1 << (log_n // 2)
+        self._n2 = n2 = n // n1
+        gathers = _gathers(n1, n2)
+        per_prime = [_prime_tables(c, gathers) for c in contexts]
+        self._bands: List[_Band] = []
         start = 0
-        for pos in range(1, len(rows) + 1):
-            if pos == len(rows) or rows[pos] != rows[pos - 1] + 1:
-                lo = rows[start]
-                plan.append((slice(start, pos), slice(lo, lo + pos - start)))
+        for pos in range(1, len(contexts) + 1):
+            if pos == len(contexts) or per_prime[pos][0] != per_prime[start][0]:
+                stack = [
+                    np.stack([tables[t] for _, tables in per_prime[start:pos]]).astype(np.float64)
+                    for t in range(6)
+                ]
+                q = np.array([float(c.q) for c in contexts[start:pos]])[:, None, None]
+                self._bands.append(_Band(start, q, _Steps(*stack[:3]), _Steps(*stack[3:])))
                 start = pos
+        self._plans: Dict[Tuple[int, ...], List[Tuple[slice, _Band]]] = {}
+
+    def _plan(self, rows: Sequence[int]) -> List[Tuple[slice, _Band]]:
+        """``(limb-axis slice of the data, band rows)`` for each maximal
+        run ``r, r+1, ...`` of ``rows`` inside one band.  A data chain is
+        two runs (the wide first prime, the rest), a key-switch chain
+        three (plus the special rows); descending or repeated rows
+        degrade to one-row runs.  Row slices, so a sub-chain reads
+        *views* of the one table set."""
+        key = tuple(rows)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = []
+            start = 0
+            for pos in range(1, len(key) + 1):
+                band = self._band(key[start])
+                if pos == len(key) or key[pos] != key[pos - 1] + 1 or self._band(key[pos]) is not band:
+                    lo = key[start] - band.start
+                    plan.append((slice(start, pos), band.rows(slice(lo, lo + pos - start))))
+                    start = pos
+            self._plans[key] = plan
         return plan
 
-    def _transform(self, data: np.ndarray, rows: Sequence[int], inverse: bool) -> np.ndarray:
-        """Twist + iterative cyclic FFT (or its inverse) of every limb.
+    def _band(self, row: int) -> _Band:
+        return next(b for b in reversed(self._bands) if b.start <= row)
 
-        The butterflies are the decimation-in-time ones in Pease's
-        constant-geometry schedule: after ONE bit-reverse gather every
-        stage pairs ``src[2m]`` with ``src[2m+1]`` and writes sum and
-        difference to ``dst[m]`` / ``dst[m + N/2]`` of a ping-pong
-        buffer, so each numpy call streams N/2-long operands at every
-        stage (an in-place stage's contiguous run is ``half`` = 1, 2,
-        4 ...) and the last stage leaves natural order.
-        """
-        n = self.n
-        budget = self._growth_budget
-        full = self._full
-        stages = full.stages_inv if inverse else full.stages
-        # np.take, not data[..., idx]: fancy indexing returns the indexed
-        # axis slowest-varying, which would turn every inner loop below
-        # into a K-long strided one.  The gather also materializes
-        # broadcast (stride-0) inputs.
-        a = np.take(np.asarray(data, dtype=np.int64), _bit_reverse_cache(n), axis=-1)
-        b = np.empty_like(a)
-        scratch = np.empty(a.shape[:-1] + (n // 2,), dtype=np.int64)
-        for limbs, chain in self._plan(rows):
-            src, dst, products = a[..., limbs, :], b[..., limbs, :], scratch[..., limbs, :]
-            q = full.q[chain]
-            if not inverse:
-                np.multiply(src, full.twist[chain], out=src)
-                np.fmod(src, q, out=src)
-            growth = 1
-            for twiddles in stages:
-                if growth > budget:
-                    # Rare (primes >= 30 bits or huge N): renormalize so
-                    # the next twiddle product fits in int64 again.
-                    src %= q
-                    growth = 1
-                # Signed drift is bounded by +q per stage, repaired at the end.
-                kernels.ntt_stage(
-                    src, dst, None if twiddles is None else twiddles[chain], q, products
-                )
-                src, dst = dst, src
-                growth += 1
-            if inverse:
-                if growth > budget:
-                    src %= q
-                # The fused twist * 1/N multiply rides the final reduction:
-                # |src| < growth*q and twist < q keep the product inside int64.
-                np.multiply(src, full.twist_inv_n[chain], out=src)
-            self._canonicalize(src, q)
-        # An even number of ping-pongs ends in the buffer it started from.
-        return a if len(stages) % 2 == 0 else b
+    def _transform(self, data: np.ndarray, rows: Sequence[int], inverse: bool) -> np.ndarray:
+        """``out = second @ (reduce(first @ x) * twiddle)^T`` per limb,
+        with the input read as an ``(a, b)`` matrix and the output
+        written as ``(b, a)``: forward ``(a, b) = (n1, n2)``, inverse
+        ``(n2, n1)``, so both leave natural order.  Leading dimensions
+        run in chunks of about ``_CHUNK`` elements: a chunk's five or
+        six float64 intermediates stay in cache, and a large batch (a
+        weight table's rows) never holds them at full size."""
+        a, b = (self._n2, self._n1) if inverse else (self._n1, self._n2)
+        data = np.asarray(data)
+        out = np.empty(data.shape, dtype=np.int64)
+        if not data.size:
+            return out
+        k = data.shape[-2]
+        rows_in = data.reshape(-1, k, self.n)
+        outs = out.reshape(-1, k, b, a)
+        step = max(1, _CHUNK // (k * self.n))
+        buffer = np.empty((min(step, len(rows_in)), k, a, b))
+        plan = self._plan(rows)
+        for lo in range(0, len(rows_in), step):
+            xs = buffer[: len(rows_in[lo : lo + step])]
+            # The float copy materializes broadcast (stride-0) inputs too.
+            np.copyto(xs.reshape(-1, k, self.n), rows_in[lo : lo + step])
+            for limbs, band in plan:
+                q = band.q
+                steps = band.inverse if inverse else band.forward
+                block = _reduce(xs[:, limbs], q)
+                y = _combine(np.matmul(steps.first, block[:, :, None]), q)
+                # Transposed here, so the second product's operand is
+                # C-contiguous (BLAS takes a transposed one ~1.6x slower).
+                y = _combine(y.swapaxes(-1, -2)[:, :, None] * steps.twiddle, q)
+                y = np.matmul(steps.second, y[:, :, None])
+                # The last reduction floors instead of rounding: [0, q).
+                outs[lo : lo + step, limbs] = _combine(y, q, np.floor)
+        return out
 
     def forward(self, data: np.ndarray, rows: Sequence[int]) -> np.ndarray:
         """Coefficient -> evaluation form for every selected limb.
 
         Args:
             data: int64 array of shape ``(..., len(rows), N)``.  Values
-                may be any signed residues with ``|v| < 2^31``; the twist
-                multiply renormalizes them into ``(-q, q)``.  Broadcast
-                (stride-0) views are fine — the gather materializes them.
+                may be any signed residues with ``|v| < 2^31``; the first
+                reduction centres them.  Broadcast (stride-0) views are
+                fine — the float64 copy materializes them.
             rows: indices into the engine's prime chain, one per limb
                 row of ``data`` (repeats allowed).
         """
@@ -173,11 +263,26 @@ class NttChainEngine:
         """Evaluation -> coefficient form; expects residues in [0, q)."""
         return self._transform(data, rows, inverse=True)
 
-    @staticmethod
-    def _canonicalize(a: np.ndarray, q: np.ndarray) -> None:
-        """Signed lazy residues -> ``[0, q)``, in place: truncated
-        ``fmod`` into ``(-q, q)``, then add ``q`` where negative."""
-        np.fmod(a, q, out=a)
-        fix = a >> 63  # -1 where negative, else 0 ...
-        fix &= q  # ... so q exactly where a needs it
-        a += fix
+
+def _reduce(y: np.ndarray, q: np.ndarray, rounding=np.rint) -> np.ndarray:
+    """``y - rint(y / q) * q`` in place, for integer ``|y| < 2^53``.  A
+    true division is off by less than ``1/q`` there, so ``rint`` lands in
+    ``|y| <= q // 2 + 1`` and ``floor`` exactly in ``[0, q)``."""
+    t = np.divide(y, q)
+    rounding(t, out=t)
+    t *= q
+    y -= t
+    return y
+
+
+def _combine(products: np.ndarray, q: np.ndarray, last=np.rint) -> np.ndarray:
+    """Horner over the slice axis (``-3``) of the per-slice products:
+    ``acc = reduce(acc) * 2^15 + products[j]`` from the top slice down,
+    then one last reduction, rounding by ``last``; returns the reduced
+    view."""
+    acc = products[..., -1, :, :]
+    for j in range(products.shape[-3] - 2, -1, -1):
+        _reduce(acc, q)
+        acc *= 1 << _SLICE_BITS
+        acc += products[..., j, :, :]
+    return _reduce(acc, q, last)

@@ -75,11 +75,18 @@ class NttContext:
         self._stage_twiddles_inv = self._build_stage_twiddles(self.omega_inv)
 
     def _powers(self, base: int, count: int) -> np.ndarray:
+        """``base^0 .. base^(count-1) mod q`` by doubling: the filled
+        prefix times ``base^filled`` is the next block (products of two
+        residues < 2^31 fit int64)."""
         out = np.empty(count, dtype=np.int64)
-        acc = 1
-        for i in range(count):
-            out[i] = acc
-            acc = (acc * base) % self.q
+        out[:1] = 1
+        filled, step = 1, base % self.q
+        while filled < count:
+            block = out[filled : 2 * filled]
+            np.multiply(out[: len(block)], step, out=block)
+            block %= self.q
+            filled += len(block)
+            step = step * step % self.q
         return out
 
     def _build_stage_twiddles(self, omega: int):

@@ -16,12 +16,12 @@ from reference.bigint import (
     extend_primes_reference,
     negacyclic_convolve_reference,
 )
-from repro import kernels
 from repro.backend import ToyBackend
 from repro.ckks.params import toy_parameters
 from repro.ntt import (
     NttChainEngine,
     NttContext,
+    chain,
     galois_eval_permutation,
 )
 from repro.rns import RnsBasis, RnsPolynomial
@@ -57,6 +57,24 @@ def _per_prime(contexts, rows, data, inverse=False):
     )
 
 
+def _slice_count(engine, row):
+    """How many 15-bit slices the engine multiplies row ``row`` by."""
+    return engine._band(row).forward.first.shape[1]
+
+
+def _full_table(sliced):
+    """One prime's centred int64 table from its ``(1, s, r, c)`` slices."""
+    weights = 2.0 ** (chain._SLICE_BITS * np.arange(sliced.shape[1]))
+    return np.rint(np.tensordot(weights, sliced[0], axes=1)).astype(np.int64)
+
+
+def _worst_column(table, half):
+    """The ``(cols, 1)`` operand column that maximizes ``|table @ x|``
+    over ``|x| <= half``, on the row with the largest absolute sum."""
+    row = table[np.abs(table).sum(axis=1).argmax()]
+    return (np.sign(row) * half)[:, None]
+
+
 class TestBatchedNtt:
     @pytest.mark.parametrize("rows", ROW_SELECTIONS.values(), ids=ROW_SELECTIONS.keys())
     @pytest.mark.parametrize("n", [1, 2, 4, 64, 4096])
@@ -82,14 +100,14 @@ class TestBatchedNtt:
                 assert np.array_equal(out, _per_prime(contexts, rows, x, inverse))
         assert np.array_equal(engine.inverse(engine.forward(data, rows), rows), data)
 
-    def test_wide_primes_renormalize_inside_the_stage_loop(self):
-        """Three 31-bit primes + one 24-bit: the growth budget is 2, so
-        the in-loop renormalisation runs (every other test prime is
-        <= 29 bits and never reaches it)."""
+    def test_wide_primes_take_the_sliced_form(self):
+        """Three 31-bit primes + one 24-bit: the wide rows multiply by
+        their tables in 15-bit slices, the narrow one in one product per
+        step, and both agree with NttContext."""
         primes = find_ntt_primes(31, 3, N) + find_ntt_primes(24, 1, N)
         wide_contexts = [NttContext(q, N) for q in primes]
         engine = NttChainEngine(wide_contexts)
-        assert engine._growth_budget == 2
+        assert [_slice_count(engine, row) for row in range(4)] == [2, 2, 2, 1]
         rows = range(len(primes))
         rng = np.random.default_rng(31)
         a, b = (np.stack([rng.integers(0, q, (3, N)) for q in primes], axis=1) for _ in "ab")
@@ -110,38 +128,68 @@ class TestBatchedNtt:
             engine.forward(signed, rows), _per_prime(wide_contexts, rows, signed)
         )
 
-    @pytest.mark.parametrize("first_stage", [False, True])
-    def test_ntt_stage_matches_naive_butterfly(self, basis, first_stage):
-        """The kernel against a Python-int butterfly on lazy residues,
-        and its laziness bound: one stage adds at most q."""
-        rng = np.random.default_rng(5)
-        primes = basis.primes
-        q = np.array(primes, dtype=np.int64)[:, None]
-        growth = 1 if first_stage else 8
-        a = rng.integers(-(growth * q) + 1, growth * q, (2, len(primes), N))
-        twiddles = None if first_stage else rng.integers(0, q, (len(primes), N // 2))
-        out = np.full_like(a, -1)
-        kernels.ntt_stage(a, out, twiddles, q, np.empty(a.shape[:-1] + (N // 2,), np.int64))
-        for d, k, m in np.ndindex(2, len(primes), N // 2):
-            even, t = int(a[d, k, 2 * m]), int(a[d, k, 2 * m + 1])
-            if not first_stage:
-                t *= int(twiddles[k, m])
-                t = abs(t) % primes[k] * (1 if t >= 0 else -1)  # truncated, like fmod
-            assert (out[d, k, m], out[d, k, m + N // 2]) == (even + t, even - t)
-        assert (np.abs(out).max(axis=(0, 2)) <= np.abs(a).max(axis=(0, 2)) + q[:, 0]).all()
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_toy_primes_take_one_product_per_step(self, n):
+        """The toy sets' 24-bit data primes need no slicing; their 29-bit
+        first and special primes do."""
+        primes = find_ntt_primes(24, 2, n) + find_ntt_primes(29, 1, n)
+        engine = NttChainEngine([NttContext(q, n) for q in primes])
+        assert [_slice_count(engine, row) for row in range(3)] == [1, 1, 2]
+        for band in engine._bands:
+            for table in (*band.forward, *band.inverse):
+                assert table.dtype == np.float64 and table.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 2048, 4096, 8192])
+    @pytest.mark.parametrize("bits", [24, 28, 30, 31])
+    def test_worst_case_inputs_stay_exact(self, bits, n):
+        """Inputs that drive each matrix product's partial sums to their
+        bound.  Every column of the operand of the product with table M
+        is ``sign(M[k, j]) * (q // 2)`` for the row k with the largest
+        ``sum_j |M[k, j]|``, so every term of that row's sum is
+        ``|M[k, j]| * (q // 2)`` with one sign.  The first product is fed
+        directly; the second through the input whose intermediate is that
+        operand (built with the reference transform).  Both directions,
+        prime by prime against NttContext."""
+        q = find_ntt_primes(bits, 1, max(n, 2))[0]
+        ctx = NttContext(q, n)
+        engine = NttChainEngine([ctx])
+        band = engine._bands[0]
+        half = q // 2
+        for inverse, steps in ((False, band.forward), (True, band.inverse)):
+            ours = engine.inverse if inverse else engine.forward
+            reference = ctx.inverse if inverse else ctx.forward
+            opposite = ctx.forward if inverse else ctx.inverse
+            first, second = _full_table(steps.first), _full_table(steps.second)
+            a, b = first.shape[0], second.shape[0]
+            x = np.repeat(_worst_column(first, half), b, axis=1).reshape(1, n)
+            assert np.array_equal(ours(x, [0]), reference(x))
+            z = np.repeat(_worst_column(second, half), a, axis=1)  # (b, a)
+            out = (second.astype(object) @ z.astype(object)) % q
+            x = opposite(out.reshape(n).astype(np.int64))[None]
+            assert np.array_equal(ours(x, [0]), reference(x))
+
+    def test_no_split_that_fits_raises(self, monkeypatch):
+        """Exactness is checked when the engine is built, not assumed."""
+        monkeypatch.setattr(chain, "_EXACT", 1 << 40)
+        with pytest.raises(ValueError, match="2\\^53"):
+            NttChainEngine([NttContext(find_ntt_primes(24, 1, N)[0], N)])
 
     def test_sub_chain_tables_are_views_of_the_full_tables(self, basis):
-        """~40 sub-chains per context: a copied stage table each would
-        cost tens of MB, so every run reads slices of the one full set."""
+        """~40 sub-chains per context: each reads row slices of the one
+        table set, cached per row tuple, never a gathered copy."""
         engine = basis.engine
         special = basis.num_data_primes
-        assert engine._plan((0, 1, 2)) == [(slice(0, 3), slice(0, 3))]
+        assert [limbs for limbs, _ in engine._plan((0, 1, 2))] == [slice(0, 3)]
         ks_plan = engine._plan((0, 1, special))
-        assert ks_plan == [(slice(0, 2), slice(0, 2)), (slice(2, 3), slice(special, special + 1))]
-        full = engine._full
-        for _, chain in ks_plan:
-            for table in (full.twist, full.twist_inv_n, *full.stages[1:], *full.stages_inv[1:]):
-                assert np.shares_memory(table[chain], table)
+        assert [limbs for limbs, _ in ks_plan] == [slice(0, 2), slice(2, 3)]
+        assert engine._plan([0, 1, special]) is ks_plan
+        for (_, run), start in zip(ks_plan, (0, special)):
+            assert run.start == start
+            whole = engine._band(start)
+            for part, table in zip(
+                (run.q, *run.forward, *run.inverse), (whole.q, *whole.forward, *whole.inverse)
+            ):
+                assert np.shares_memory(part, table)
 
     def test_chain_roundtrip_all_levels(self, basis):
         rng = np.random.default_rng(0)

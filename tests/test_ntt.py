@@ -61,6 +61,24 @@ class TestNttContext:
         rhs = (ctx.forward(a) + ctx.forward(b)) % ctx.q
         assert np.array_equal(lhs, rhs)
 
+    @pytest.mark.parametrize("bits", [24, 30])
+    def test_powers_match_the_sequential_loop(self, bits):
+        """The doubling table equals the one-multiply-at-a-time loop it
+        replaced, for every power count the tables use (N, each stage's
+        half) and a count that is no power of two."""
+        n = 4096
+        q = find_ntt_primes(bits, 1, n)[0]
+        context = NttContext(q, n)
+        for base in (context.psi, context.psi_inv, context.omega):
+            for count in (1, 2, 3, 1000, n // 2, n):
+                acc, loop = 1, []
+                for _ in range(count):
+                    loop.append(acc)
+                    acc = acc * base % q
+                powers = context._powers(base, count)
+                assert powers.dtype == np.int64
+                assert powers.tolist() == loop
+
     def test_rejects_large_prime(self):
         with pytest.raises(ValueError):
             NttContext((1 << 62) + 1, 64)

@@ -28,6 +28,7 @@ from repro.core.packing.matvec import held_tables
 from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
+from repro.rns import RnsPolynomial
 from repro.serve import ArtifactMap, is_mmap_backed
 from repro.serve.keys import generate_lane_keys
 from repro.serve.pool import verify_mmap_tables
@@ -188,6 +189,35 @@ class TestStaticTables:
             poly = ctx.encode(vec, level=level, scale=scale).poly
             assert np.array_equal(row[: level + 1], poly.data)
             assert np.array_equal(row, extend_primes_reference(poly, ks_chain).data)
+
+    def test_batched_encode_equals_the_row_by_row_stack(self):
+        """One batched slots -> coeffs, % and transform over all rows is
+        byte-equal to encoding each row alone, short rows zero-padded,
+        and a row whose coefficients overflow int64 takes the bigint
+        path inside the same table."""
+        backend = _backend()
+        ctx = backend.context
+        rng = np.random.default_rng(11)
+        level = 3
+        scale = Fraction(backend.params.data_primes[level]) * 5 / 9
+        vectors = [rng.normal(size=backend.slot_count) for _ in range(4)]
+        vectors += [rng.normal(size=5), 2.0**50 * rng.normal(size=backend.slot_count)]
+        ks_chain = ctx._ks_chain(level)
+        rows = []
+        for vec in vectors:  # one row at a time, as encode_table used to
+            slots = np.zeros(backend.slot_count, dtype=np.complex128)
+            slots[: vec.size] = vec
+            rounded = np.rint(ctx.encoder.slots_to_coeffs(slots) * float(scale))
+            if np.all(np.abs(rounded) < 2.0**62):
+                data = rounded.astype(np.int64)[None] % ctx.basis.moduli_column(ks_chain)
+                poly = RnsPolynomial(ctx.basis, ks_chain, data, is_ntt=False).to_ntt()
+            else:
+                poly = RnsPolynomial.from_bigint_coeffs(ctx.basis, ks_chain, rounded.astype(object))
+            rows.append(poly.data)
+        assert not np.all(np.abs(rounded) < 2.0**62)  # the last row is the bigint one
+        table = ctx.encode_table(vectors, level, scale)
+        assert table.tobytes() == np.stack(rows).astype(np.uint32).tobytes()
+        assert np.array_equal(ctx._encode_poly(vectors[-1], ks_chain, scale).data, rows[-1])
 
     def test_a_table_multiplies_only_against_int64(self):
         """Why consumers never combine two static operands: the product
