@@ -1,16 +1,16 @@
-"""Graph-level optimizer: end-to-end speedup on a branchy network.
+"""Sibling fusion: end-to-end speedup on a branchy network.
 
 A ResNet/inception-style network of fork blocks — two sibling 3x3
 convolutions consuming the same value, joined by an Add — is compiled
-twice, with the trace-level graph optimizer on and off, and executed on
-the exact toy backend.  Concat-linear fusion merges each sibling pair
+twice, with ``optimize`` on and off, and executed on the exact toy
+backend.  Concat-linear fusion merges each sibling pair
 into one stacked BSGS matvec that shares a single digit decomposition
 and de-duplicates the siblings' common (input block, offset) inner
 products, so the optimized program performs strictly fewer rotations.
 
 Correctness is asserted before timing is believed: the optimized
 program's cleartext-packed output is **bit-exact** against the
-un-optimized program (the optimizer's core contract, docs/graphopt.md),
+un-optimized program (fusion's core contract, docs/graphopt.md),
 and the encrypted outputs agree within toy-backend precision.
 
 Medians merge into ``BENCH_ckks_hotpath.json`` (section ``graph_opt``)

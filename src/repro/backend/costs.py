@@ -270,7 +270,7 @@ class CostModel:
         merged_offsets: int,
         num_siblings: int,
     ) -> float:
-        """Modeled win of concat-fusing sibling matvecs (graph optimizer).
+        """Modeled win of concat-fusing sibling matvecs (docs/graphopt.md).
 
         Separately, each of the ``num_siblings`` layers pays its own
         digit decomposition per input block and its own inner products

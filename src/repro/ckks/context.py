@@ -106,6 +106,56 @@ class _KeyPlan(NamedTuple):
     num_digits: int
 
 
+def encode_rows(basis: RnsBasis, encoder, vectors: Sequence, primes, scale) -> np.ndarray:
+    """Slot vectors -> ``(T, len(primes), N)`` evaluation-form residues at
+    ``scale``, one row per vector (zero-padded to the slot count).  Needs
+    the ring's basis and slot encoder only, no keys.  Rows whose rounded
+    coefficients fit int64 (all of them at toy scales) take one batched
+    slots -> coeffs, one broadcast % and one batched transform; a wider
+    row takes the bigint reduction."""
+    slots = np.zeros((len(vectors), encoder.slot_count), dtype=np.complex128)
+    for row, values in zip(slots, vectors):
+        values = np.asarray(values)
+        if values.size > encoder.slot_count:
+            raise ValueError(
+                f"{values.size} values do not fit in {encoder.slot_count} slots"
+            )
+        row[: values.size] = values
+    rounded = np.rint(encoder.slots_to_coeffs(slots) * float(scale))
+    fits = np.all(np.abs(rounded) < 2.0**62, axis=-1)
+    residues = rounded[fits].astype(np.int64)[:, None, :] % basis.moduli_column(primes)
+    encoded = basis.forward_chain(residues, primes)
+    if fits.all():
+        return encoded
+    out = np.empty((len(vectors),) + encoded.shape[1:], dtype=np.int64)
+    out[fits] = encoded
+    for t in np.flatnonzero(~fits):
+        out[t] = RnsPolynomial.from_bigint_coeffs(
+            basis, primes, rounded[t].astype(object)
+        ).data
+    return out
+
+
+def encode_table(basis: RnsBasis, encoder, vectors: Sequence, level: int,
+                 scale) -> np.ndarray:
+    """Static slot vectors -> one read-only uint32 ``(T, ks_limbs, N)``
+    residue table, the operand the fused matvec contracts in place.
+
+    Row ``t`` is ``vectors[t]`` encoded **directly over the key-switch
+    chain** of ``level`` — limb rows in chain order ``(data...,
+    special)`` — so ``table[:, : level + 1]`` is a view holding exactly
+    :meth:`CkksContext.encode`'s data-chain residues and the whole row
+    their basis extension to Q_l * P (:meth:`RnsBasis.convert_residues`):
+    one array where a plaintext and its Q_l * P extension used to be
+    two.  Residues are < 2^31, so 32 bits lose nothing; multiply the
+    table only against int64 operands (uint32 * uint32 wraps silently).
+    """
+    chain = basis.primes[: level + 1] + basis.special_primes
+    table = encode_rows(basis, encoder, vectors, chain, scale).astype(np.uint32)
+    table.setflags(write=False)
+    return table
+
+
 class CkksContext:
     """Owns parameters, keys, and all homomorphic operations.
 
@@ -448,37 +498,9 @@ class CkksContext:
     def slot_count(self) -> int:
         return self.params.slot_count
 
-    def _encode_rows(self, vectors: Sequence, primes, scale) -> np.ndarray:
-        """Slot vectors -> ``(T, len(primes), N)`` evaluation-form
-        residues at ``scale``, one row per vector (zero-padded to the slot
-        count).  Rows whose rounded coefficients fit int64 (all of them at
-        toy scales) take one batched slots -> coeffs, one broadcast % and
-        one batched transform; a wider row takes the bigint reduction."""
-        slots = np.zeros((len(vectors), self.slot_count), dtype=np.complex128)
-        for row, values in zip(slots, vectors):
-            values = np.asarray(values)
-            if values.size > self.slot_count:
-                raise ValueError(
-                    f"{values.size} values do not fit in {self.slot_count} slots"
-                )
-            row[: values.size] = values
-        rounded = np.rint(self.encoder.slots_to_coeffs(slots) * float(scale))
-        fits = np.all(np.abs(rounded) < 2.0**62, axis=-1)
-        residues = rounded[fits].astype(np.int64)[:, None, :] % self.basis.moduli_column(primes)
-        encoded = self.basis.forward_chain(residues, primes)
-        if fits.all():
-            return encoded
-        out = np.empty((len(vectors),) + encoded.shape[1:], dtype=np.int64)
-        out[fits] = encoded
-        for t in np.flatnonzero(~fits):
-            out[t] = RnsPolynomial.from_bigint_coeffs(
-                self.basis, primes, rounded[t].astype(object)
-            ).data
-        return out
-
     def _encode_poly(self, values: Sequence[float], primes, scale) -> RnsPolynomial:
         """Slot vector -> evaluation-form polynomial over ``primes``."""
-        data = self._encode_rows([values], primes, scale)[0]
+        data = encode_rows(self.basis, self.encoder, [values], primes, scale)[0]
         return RnsPolynomial(self.basis, primes, data, is_ntt=True)
 
     def encode(
@@ -494,22 +516,8 @@ class CkksContext:
         return Plaintext(poly=poly, level=level, scale=scale, slot_count=self.slot_count)
 
     def encode_table(self, vectors: Sequence, level: int, scale) -> np.ndarray:
-        """Static slot vectors -> one read-only uint32 ``(T, ks_limbs, N)``
-        residue table, the operand the fused matvec contracts in place.
-
-        Row ``t`` is ``vectors[t]`` encoded **directly over the
-        key-switch chain** of ``level`` — limb rows in chain order
-        ``(data..., special)`` — so ``table[:, : level + 1]`` is a view
-        holding exactly :meth:`encode`'s data-chain residues and the
-        whole row their basis extension to Q_l * P
-        (:meth:`RnsBasis.convert_residues`): one array
-        where a plaintext and its Q_l * P extension used to be two.
-        Residues are < 2^31, so 32 bits lose nothing; multiply the table
-        only against int64 operands (uint32 * uint32 wraps silently).
-        """
-        table = self._encode_rows(vectors, self._ks_chain(level), scale).astype(np.uint32)
-        table.setflags(write=False)
-        return table
+        """This context's :func:`encode_table`."""
+        return encode_table(self.basis, self.encoder, vectors, level, scale)
 
     def decode(self, plaintext: Plaintext) -> np.ndarray:
         """Plaintext polynomial -> cleartext vector of real parts."""

@@ -15,7 +15,9 @@ Pipeline (paper Sections 4-6):
    paper-scale networks the layer's diagonal key set from its geometry
    alone).  Either way the layer's ``PackingStats`` — counted from the
    key set by ``packing.analysis._count_stats`` — prices it for
-   placement and fills its report.
+   placement and fills its report.  With ``optimize`` on, the two
+   linear layers that open a region fuse into one stacked matvec where
+   that prices cheaper (docs/graphopt.md).
 5. **Approximate** activations: composite minimax sign for ReLU,
    Chebyshev fits for SiLU/custom, direct squaring for x^2.
 6. **Place bootstraps** with the level-digraph planner and stamp every
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,10 +38,9 @@ from repro.ckks.params import CkksParameters
 from repro.core.approx.chebyshev import chebyshev_fit
 from repro.core.approx.evaluator import poly_eval_ops
 from repro.core.approx.sign import CompositeSign
-from repro.core.graphopt import OptContext, optimize_graph
-from repro.core.graphopt.passes import sibling_profile
 from repro.core.packing.analysis import (
     ConvAnalysisTable,
+    OffsetProfile,
     linear_structure,
     merged_packing_stats,
 )
@@ -68,7 +69,7 @@ from repro.core.program import (
 )
 from repro.core.ranges import RangeEstimate, estimate_ranges
 from repro.trace.graph import LayerGraph, TraceNode, trace_structure
-from repro.trace.sese import Chain, RegionItem, build_region_tree
+from repro.trace.sese import Chain, LayerItem, RegionItem, build_region_tree
 
 
 @dataclass
@@ -93,8 +94,7 @@ class CompiledNetwork:
     layer_reports: List[LayerReport]
     multiplicative_depth: int
     compile_seconds: float = 0.0
-    graph_opt_seconds: float = 0.0
-    graph_opt_report: object = None
+    graph_opt_report: Optional["GraphOptReport"] = None
 
     @property
     def total_rotations(self) -> int:
@@ -147,8 +147,22 @@ class CompiledNetwork:
             **self.artifact_summary(),
             "placement_seconds": self.placement.solve_seconds,
             "compile_seconds": self.compile_seconds,
-            "graph_opt_seconds": self.graph_opt_seconds,
         }
+
+
+@dataclass
+class GraphOptReport:
+    """What ``optimize=True`` fused: rewrite counts by name (None on a
+    compile with ``optimize=False``)."""
+
+    rewrites: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def total(self) -> int:
+        return sum(self.rewrites.values())
+
+    def summary(self) -> Dict[str, int]:
+        return dict(self.rewrites, total=self.total)
 
 
 class OrionCompiler:
@@ -212,33 +226,8 @@ class OrionCompiler:
         graph = trace_structure(net, input_shape)
         folds = plan_batchnorm_folds(graph)
         ranges = self._ranges(net, graph, calibration_batches)
-        # One conv analysis table per compile: the optimizer's gate, the
-        # fused lowering and the emitter share an entry per geometry,
-        # and nothing outlives this call.
-        analysis = ConvAnalysisTable()
-
-        # Graph-level optimizer: cost-gated rewrites over the traced DAG
-        # (docs/graphopt.md).  Runs after range estimation — rewrites
-        # preserve the original value ids their results flow into, so
-        # the estimates stay valid — and before region parsing.
-        graph_opt_seconds = 0.0
-        graph_opt_report = None
-        if self.optimize:
-            opt_start = time.perf_counter()
-            ctx = OptContext(
-                params=self.params,
-                costs=self.costs,
-                input_shape=tuple(input_shape),
-                folds=folds,
-                analysis=analysis,
-            )
-            with get_tracer().span("graph_opt", category="compile"):
-                graph_opt_report = optimize_graph(graph, ctx)
-            graph_opt_seconds = time.perf_counter() - opt_start
-
-        tree = build_region_tree(graph)
-        build = _ProgramBuilder(self, graph, folds, ranges, input_shape, analysis)
-        build.walk(tree)
+        build = _ProgramBuilder(self, graph, folds, ranges, input_shape)
+        build.lower(build_region_tree(graph))
 
         with get_tracer().span("placement", category="compile") as place_span:
             placement = solve_placement(
@@ -271,6 +260,10 @@ class OrionCompiler:
                     instr.exec_level, len(instr.packed.fold_shifts)
                 )
 
+        report = None
+        if self.optimize:
+            fused = {"concat_linear_fusion": build.fusions} if build.fusions else {}
+            report = GraphOptReport(fused)
         program = None
         if self.mode == "materialize":
             program = FheProgram(
@@ -291,8 +284,7 @@ class OrionCompiler:
             layer_reports=build.reports,
             multiplicative_depth=build.chain.total_depth(),
             compile_seconds=time.perf_counter() - start,
-            graph_opt_seconds=graph_opt_seconds,
-            graph_opt_report=graph_opt_report,
+            graph_opt_report=report,
         )
 
     # ------------------------------------------------------------------
@@ -331,14 +323,20 @@ def plan_batchnorm_folds(graph: LayerGraph) -> Dict[int, TraceNode]:
 class _ProgramBuilder:
     """Walks the region tree emitting instructions + placement items."""
 
-    def __init__(self, compiler: OrionCompiler, graph, folds, ranges,
-                 input_shape, analysis: ConvAnalysisTable):
+    def __init__(self, compiler: OrionCompiler, graph, folds, ranges, input_shape):
         self.compiler = compiler
         self.graph = graph
         self.folds = folds
         self.folded_bns = {bn.index for bn in folds.values()}
         self.ranges = ranges
-        self.analysis = analysis
+        # The compile's conv structures, one per geometry: the fusion
+        # gate and the analyze-mode emitter share an entry.
+        self.analysis = ConvAnalysisTable()
+        #: Sibling fusions lowered so far (their ordinal names them).
+        self.fusions = 0
+        #: ReLU sign stages emitted so far; stage j holds the provisional
+        #: register -(j + 1) until :meth:`lower` numbers it.
+        self._sign_stages = 0
         self.instructions: List[Instruction] = []
         self.reports: List[LayerReport] = []
         self.chain = PlacementChain()
@@ -394,24 +392,61 @@ class _ProgramBuilder:
         return cost
 
     # -- tree walk -----------------------------------------------------------
-    def walk(self, tree: Chain, target: Optional[PlacementChain] = None) -> int:
-        """Emit a chain; returns the uid carrying the chain's output."""
-        chain = self.chain if target is None else target
+    def lower(self, tree: Chain) -> None:
+        """Emit the whole network into ``self.chain``.
+
+        Register ids: traced values keep their uids; fused outputs take
+        fresh ones in walk order; the ReLU sign stages take the ids after
+        all of those, in emission order.  That is the numbering
+        artifacts carry, so a ReLU lowered before a fusion does not shift
+        the fused output's register.
+        """
+        self.final_uid = self._resolve(self.walk(tree.items, self.chain))
+        base = self.graph.fresh_uid()
+        for instr in self.instructions:
+            for attr in ("in_uid", "out_uid", "sign_uid"):
+                uid = getattr(instr, attr, 0)
+                if uid < 0:
+                    setattr(instr, attr, base - 1 - uid)
+
+    def walk(self, items, chain: PlacementChain) -> Optional[int]:
+        """Emit ``items`` into ``chain``; returns the uid carrying their
+        output (None for no items)."""
         last_uid = None
-        for item in tree.items:
+        for item in items:
             if isinstance(item, RegionItem):
                 last_uid = self._emit_region(item, chain)
             else:
                 last_uid = self._emit_node(item.node, chain)
-        if target is None and last_uid is not None:
-            self.final_uid = self._resolve(last_uid)
         return last_uid
 
     def _emit_region(self, region: RegionItem, chain: PlacementChain) -> int:
-        branch_a = PlacementChain()
-        branch_b = PlacementChain()
-        self.walk(region.branch_a, branch_a)
-        self.walk(region.branch_b, branch_b)
+        branches = (region.branch_a, region.branch_b)
+        fusion = self._sibling_fusion(region)
+        if fusion is not None:
+            # The merged head goes before the region; each branch opens
+            # with its free slice and lowers from its second item.  The
+            # k-th fusion is fusedlinear_{N+3k} (N traced nodes), its
+            # slices slice_{N+3k+1+part}.
+            siblings, terminal_uids, merged_stats = fusion
+            index = len(self.graph.nodes) + 3 * self.fusions
+            self.fusions += 1
+            fused_uid = self._emit_fused_linear(
+                f"fusedlinear_{index}", siblings, terminal_uids, merged_stats,
+                chain,
+            )
+        placed = []
+        for part, branch in enumerate(branches):
+            sub = PlacementChain()
+            items = branch.items
+            if fusion is not None:
+                self._emit_slice(
+                    f"slice_{index + 1 + part}", fused_uid, part,
+                    terminal_uids[part],
+                )
+                items = items[1:]
+            self.walk(items, sub)
+            placed.append(sub)
         join = region.join
         a_uid = self._resolve(join.inputs[0])
         b_uid = self._resolve(join.inputs[1])
@@ -423,7 +458,7 @@ class _ProgramBuilder:
         spec = JoinSpec(
             join.name, depth=0, cost_fn=lambda l: costs.hadd(l), boot_units=num_cts
         )
-        chain.items.append(PlacementRegion(branch_a, branch_b, spec))
+        chain.items.append(PlacementRegion(*placed, spec))
         self.instructions.append(
             AddJoinInstr(
                 name=join.name,
@@ -450,10 +485,6 @@ class _ProgramBuilder:
             return self._emit_relu(node, chain)
         if kind == "poly":
             return self._emit_poly(node, chain)
-        if kind == "fused_linear":
-            return self._emit_fused_linear(node, chain)
-        if kind == "slice":
-            return self._emit_slice(node)
         raise ValueError(f"unsupported node kind {kind!r} for {node.name}")
 
     # -- linear layers -----------------------------------------------------
@@ -488,11 +519,15 @@ class _ProgramBuilder:
             bias = np.asarray(bias) / self.ranges.norm(out_uid)
         return weight, bias
 
+    def _terminal_uid(self, node) -> int:
+        """A linear node's output uid: a folded-away BN redirects it to
+        the BN's."""
+        bn = self.folds.get(node.index)
+        return node.output if bn is None else bn.output
+
     def _emit_linear(self, node, chain: PlacementChain) -> int:
         module = node.module
-        # A folded-away BN redirects the conv's output uid to the BN's.
-        bn = self.folds.get(node.index)
-        out_uid = node.output if bn is None else bn.output
+        out_uid = self._terminal_uid(node)
         name = node.name
         in_uid = self._resolve(node.inputs[0])
         in_layout = self.layouts[in_uid]
@@ -585,35 +620,93 @@ class _ProgramBuilder:
             return packed, packed.stats
         return None, linear_structure(weight_shape[0], in_layout, diagonal).stats
 
-    # -- graph-optimizer rewrite artifacts ---------------------------------
-    def _emit_fused_linear(self, node, chain: PlacementChain) -> int:
-        """Lower a FusedLinear rewrite: pack every sibling against the
-        shared input, merge into one stacked matvec.
+    # -- sibling fusion (docs/graphopt.md) -----------------------------------
+    def _sibling_profile(self, module, in_layout) -> Optional[OffsetProfile]:
+        """Geometry-only offset profile of a fusable linear node (None for
+        layers fusion does not handle, e.g. pools)."""
+        if getattr(module, "weight", None) is None:
+            return None
+        if getattr(module, "kernel_size", None) is not None:
+            if not isinstance(in_layout, MultiplexedLayout):
+                return None
+            return self.analysis.lookup(
+                module.weight.shape, in_layout,
+                stride=module.stride, padding=module.padding,
+                dilation=module.dilation, groups=module.groups,
+            ).profile
+        if hasattr(module, "out_features"):
+            return linear_structure(module.out_features, in_layout).profile
+        return None
+
+    def _sibling_fusion(self, region: RegionItem):
+        """``(siblings, terminal uids, merged stats)`` when the region's
+        two branches open with linear layers reading its fork value and
+        concat-fusing them prices cheaper at the effective level; else
+        None.  The gate reads geometry only, never a weight, so analyze
+        and materialize compiles decide alike."""
+        if not self.compiler.optimize:
+            return None
+        heads = [branch.items[0] if branch.items else None
+                 for branch in (region.branch_a, region.branch_b)]
+        if not all(isinstance(head, LayerItem) for head in heads):
+            return None
+        siblings = [head.node for head in heads]
+        if any(getattr(node.module, "orion_kind", None) != "linear"
+               for node in siblings):
+            return None
+        in_layout = self.layouts[self._resolve(siblings[0].inputs[0])]
+        profiles = [self._sibling_profile(node.module, in_layout)
+                    for node in siblings]
+        if any(p is None for p in profiles):
+            return None
+        if (profiles[0].num_in != profiles[1].num_in
+                or profiles[0].fold_shifts != profiles[1].fold_shifts):
+            return None
+        costs = self.compiler.costs
+        level = self.compiler.params.effective_level
+        merged = merged_packing_stats(profiles)
+        stats = [p.stats() for p in profiles]
+        separate = sum(s.cost(level, costs) for s in stats)
+        gain = costs.sibling_fusion_gain(
+            level,
+            num_in=profiles[0].num_in,
+            total_offsets=sum(s._offsets for s in stats),
+            merged_offsets=merged._offsets,
+            num_siblings=len(profiles),
+        )
+        if gain <= 0 or merged.cost(level, costs) >= separate:
+            return None
+        terminal_uids = [self._terminal_uid(node) for node in siblings]
+        if self.graph.output_uid in terminal_uids:
+            # Slicing straight into the program output complicates
+            # nothing downstream but the denorm bookkeeping; skip.
+            return None
+        return siblings, terminal_uids, merged
+
+    def _emit_fused_linear(self, name, siblings, terminal_uids, merged_stats,
+                           chain: PlacementChain) -> int:
+        """Pack every sibling against the shared input and merge them into
+        one stacked matvec; returns the stacked output's uid.
 
         Every sibling applies the input's pending scale factor (if any),
-        exactly as each consumer does in the un-optimized lowering.
+        exactly as each consumer does in the un-fused lowering.
         """
-        fmod = node.module
-        in_uid = self._resolve(node.inputs[0])
+        in_uid = self._resolve(siblings[0].inputs[0])
         in_layout = self.layouts[in_uid]
         m_in = self.ranges.norm(in_uid)
         pending = self.pending_factor(in_uid)
 
         if self.compiler.mode == "analyze":  # geometry only
-            profiles = [
-                sibling_profile(sib.module, in_layout, self.analysis)
-                for sib in fmod.siblings
-            ]
-            merged, stats = None, merged_packing_stats(profiles)
+            merged, stats = None, merged_stats
         else:
             packeds = []
-            for sib, term_uid in zip(fmod.siblings, fmod.terminal_uids):
+            for sib, term_uid in zip(siblings, terminal_uids):
                 module = sib.module
                 factor = (m_in / self.ranges.norm(term_uid)) * pending
                 params = functools.partial(
                     self._effective_linear_params, sib, factor, term_uid
                 )
-                sub_name = f"{node.name}/{sib.name}"
+                sub_name = f"{name}/{sib.name}"
                 if getattr(module, "kernel_size", None) is not None:
                     packed, _ = self._pack_conv(
                         module.weight.shape, params, in_layout, module.stride,
@@ -624,32 +717,28 @@ class _ProgramBuilder:
                         module.weight.shape, params, in_layout, sub_name
                     )
                 packeds.append(packed)
-            merged = merge_packed_matvecs(packeds, name=node.name)
+            merged = merge_packed_matvecs(packeds, name=name)
             stats = merged.stats
-        self.layouts[node.output] = stats.out_layout
-        self._append_packed(
-            chain, node.name, "linear", in_uid, node.output, merged, stats
-        )
-        return node.output
+        out_uid = self.graph.fresh_uid()
+        self.layouts[out_uid] = stats.out_layout
+        self._append_packed(chain, name, "linear", in_uid, out_uid, merged, stats)
+        return out_uid
 
-    def _emit_slice(self, node) -> int:
+    def _emit_slice(self, name, in_uid: int, part: int, out_uid: int) -> None:
         """A free ciphertext-list slice out of a stacked fused output.
 
         No placement item and no layer report: slicing moves list
         references, performing zero homomorphic operations.
         """
-        in_uid = self._resolve(node.inputs[0])
         stacked = self.layouts[in_uid]
-        part = node.module.part
         start, stop = stacked.ct_ranges()[part]
-        self.layouts[node.output] = stacked.parts[part]
+        self.layouts[out_uid] = stacked.parts[part]
         self.instructions.append(
             SliceInstr(
-                name=node.name, out_uid=node.output, exec_level=0,
-                boots_before=0, in_uid=in_uid, start=start, stop=stop,
+                name=name, out_uid=out_uid, exec_level=0, boots_before=0,
+                in_uid=in_uid, start=start, stop=stop,
             )
         )
-        return node.output
 
     # -- activations -------------------------------------------------------
     def _emit_relu(self, node, chain: PlacementChain) -> int:
@@ -669,7 +758,8 @@ class _ProgramBuilder:
         prev_uid = in_uid
         for stage_index, stage in enumerate(stages):
             stage_name = f"{node.name}_sign{stage_index}"
-            stage_uid = self.graph.fresh_uid()
+            self._sign_stages += 1
+            stage_uid = -self._sign_stages
             self.layouts[stage_uid] = self.layouts[in_uid]
             branch.items.append(
                 LayerSpec(

@@ -9,7 +9,7 @@ fused path's key-switch inner products, the modeled price).  Every
 source of a key set goes through it: a materialized
 :class:`~repro.core.packing.matvec.PackedMatVec` (its ``stats``), the
 closed-form conv and FC structures below (analyze-mode compiles, paper
-Tables 2-5 at scale), and the graph optimizer's fused-sibling gate.
+Tables 2-5 at scale), and the sibling-fusion gate.
 
 **Plain or hybrid, decided on key sets.**  The Gazelle hybrid (paper
 Section 8.2) replicates matrix rows modulo the padded output length
@@ -42,9 +42,9 @@ How a conv's offset table is formed (:func:`conv_diagonal_keys`):
   the handful of keys is sorted with ``np.unique`` instead, so the
   working set never exceeds the smaller of the two.
 
-A compile owns one :class:`ConvAnalysisTable`, so the optimizer's fusion
-gate, the fused lowering and the emitter read one entry per distinct
-geometry; the table dies with the compile.  The tap-enumerating form
+A compile owns one :class:`ConvAnalysisTable`, so the sibling-fusion
+gate and the emitter read one entry per distinct geometry; the table
+dies with the compile.  The tap-enumerating form
 survives as the test oracle ``tests/reference/conv_analysis_bruteforce.py``.
 
 **Where the conv analysis is not exact.**  Evaluating each tap at one
@@ -414,7 +414,7 @@ def linear_structure(out_features: int, in_layout,
 
 
 # ---------------------------------------------------------------------------
-# Offset profiles: the geometry the graph optimizer's fusion gate needs
+# Offset profiles: the geometry the sibling-fusion gate needs
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class OffsetProfile:
@@ -443,11 +443,10 @@ class OffsetProfile:
 class ConvAnalysisTable:
     """The conv structures of one compile, one per distinct geometry.
 
-    ``OrionCompiler._compile`` creates one and hands it to the graph
-    optimizer's context and to the program builder, so the fusion gate
-    (and its re-scans), the fused lowering and the per-layer emitter
-    share entries — a ResNet stage repeats one geometry 5-11 times.
-    Deliberately not a module-level cache: nothing outlives the compile.
+    The program builder owns one, so the sibling-fusion gate and the
+    analyze-mode emitter share entries — a ResNet stage repeats one
+    geometry 5-11 times.  Deliberately not a module-level cache: nothing
+    outlives the compile.
     """
 
     def __init__(self):

@@ -168,7 +168,7 @@ def conv_output_layout(
     gap grows by the stride (paper Figure 5b).  One gap serves both
     axes, so a stride that differs between them is refused here, the
     one place every packing path (materialize and analyze modes, the
-    graph optimizer, the Lee et al. baseline) gets its output layout.
+    sibling-fusion gate, the Lee et al. baseline) gets its output layout.
     """
     (kh, kw), (sh, sw) = kernel, stride
     if sh != sw:
@@ -227,8 +227,8 @@ class VectorLayout:
 class StackedLayout:
     """Several independent layouts stacked along the ciphertext axis.
 
-    The fused output of merged sibling linear layers (graph optimizer's
-    concat-linear pass): output block b of part k lives at ciphertext
+    The fused output of merged sibling linear layers (sibling fusion,
+    docs/graphopt.md): output block b of part k lives at ciphertext
     index ``offset(k) + b``, where ``offset`` accumulates the earlier
     parts' ciphertext counts.  A cheap SliceInstr then splits the stack
     back into per-branch values, so downstream layers see the exact

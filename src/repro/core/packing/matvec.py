@@ -546,7 +546,7 @@ def layout_from_payload(payload: Dict):
 def merge_packed_matvecs(packeds: List[PackedMatVec], name: str = "fused") -> PackedMatVec:
     """Concatenate sibling layers reading the same input into one layer.
 
-    The graph optimizer's concat-linear fusion: all siblings' diagonal
+    Sibling fusion (docs/graphopt.md): all siblings' diagonal
     tables join into one layer (re-planned over the union of their
     offsets for the "# Rots" accounting), so the fused execution shares
     a single digit decomposition per input block and de-duplicates (input block, offset) inner products the

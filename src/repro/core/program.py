@@ -331,8 +331,8 @@ class AddJoinInstr(Instruction):
 class SliceInstr(Instruction):
     """Take ciphertexts [start, stop) of a stacked register.
 
-    The split that follows a concat-fused linear layer (graph
-    optimizer): the fused output stacks every sibling's blocks along the
+    The split that follows a concat-fused linear layer (sibling
+    fusion): the fused output stacks every sibling's blocks along the
     ciphertext axis, and each branch resumes from its slice.  Free under
     FHE — no rotation, no level, no noise; the sliced list shares
     ciphertext objects with its source (bootstraps *replace* list

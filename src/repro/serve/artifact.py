@@ -23,11 +23,10 @@ Loading never invokes the compiler or the placement planner — the
 "zero compiler invocations on the serve path" contract asserted by
 ``tests/test_serve.py`` and ``benchmarks/bench_serving_throughput.py``.
 
-Programs produced with the graph-level optimizer on (docs/graphopt.md)
-round-trip through the same schema unchanged: fused stacked layouts
-and ``SliceInstr`` serialize through the existing
-layout/instruction payload kinds, so artifacts written by an optimized
-compile load on workers that never saw the optimizer.
+Programs compiled with sibling fusion on (docs/graphopt.md) round-trip
+through the same schema unchanged: fused stacked layouts and
+``SliceInstr`` serialize through the existing layout/instruction
+payload kinds.
 """
 
 from __future__ import annotations
@@ -39,9 +38,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ckks.context import encode_table
+from repro.ckks.encoding import get_encoder
 from repro.ckks.galois import fused_term_groups
 from repro.ckks.keys import KeyManifest
 from repro.core.program import FheProgram, LinearInstr
+from repro.rns.basis import RnsBasis
 from repro.serve.grouping import artifact_parameters, fused_tables
 
 # Version 2: the key manifest gained ``rotation_step_levels`` — the
@@ -61,7 +63,7 @@ from repro.serve.grouping import artifact_parameters, fused_tables
 #
 # Version 4: the pre-encoded section ships one uint32 ``(T, ks_limbs, N)``
 # table per layer and (out-block, in-block) group, encoded over the
-# key-switch chain (:meth:`repro.ckks.context.CkksContext.encode_table`),
+# key-switch chain (:func:`repro.ckks.context.encode_table`),
 # where version 3 shipped one int64 data-chain polynomial per term and
 # left the Q_l * P extension to ``preload``.
 #
@@ -302,15 +304,15 @@ def _pre_encode_tables(program: FheProgram, params, sim) -> List[Dict]:
     weights at q_l * Delta / s_in), so the (level, scale) pairs are
     *observed* — ``sim``, the plain noise-free :class:`SimBackend`
     export priced the grouping with, ran one dummy input at exact
-    scales — rather than re-derived here.  Encoding itself needs no
-    keys — only the ring and prime chain.
+    scales — rather than re-derived here.  Encoding needs no keys: the
+    tables come from the ring's basis and slot encoder alone, through
+    the same :func:`repro.ckks.context.encode_table` the toy backend
+    calls.
     """
-    from repro.ckks.context import CkksContext
-
-    # An encode-only context: CkksContext generates keys too, but at
-    # artifact-export scale that one-time cost is irrelevant and it
-    # guarantees the encoder/basis match the toy backend bit for bit.
-    context = CkksContext(params, seed=0)
+    basis = RnsBasis(
+        params.primes, params.ring_degree, num_special=params.num_special_primes
+    )
+    encoder = get_encoder(params.ring_degree)
     sections: List[Dict] = []
     for instr, level, pt_scale, term_groups in fused_tables(program, sim):
         terms = instr.packed.terms()
@@ -318,8 +320,9 @@ def _pre_encode_tables(program: FheProgram, params, sim) -> List[Dict]:
             {
                 "bo": bo,
                 "bi": bi,
-                "table": context.encode_table(
-                    [terms[(bo, bi, off)] for off in offsets], level, pt_scale
+                "table": encode_table(
+                    basis, encoder, [terms[(bo, bi, off)] for off in offsets],
+                    level, pt_scale,
                 ),
             }
             for (bo, bi), offsets in sorted(term_groups.items())

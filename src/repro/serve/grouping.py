@@ -46,7 +46,13 @@ from repro.utils.primes import find_ntt_primes
 #: a Galois gather or a table contraction row costs ~5 of them (they are
 #: memory-bound; the multiply-add streams a resident uint32 key) ...
 REDUCED_ROW = 5
-#: ... and a transformed row ~5 per butterfly stage.
+#: ... and a transformed row 5 per log2(N) "stage".  That 5 was measured
+#: on the radix-2 butterfly NTT, since replaced by the four-step
+#: transform (ntt/chain.py), whose rows are ~2.8x cheaper: ~1.8 today.
+#: The value is kept because it pins export's digit groupings: at a
+#: weight of 2.1 or less ResNet-8 (N = 2048, L = 12) exports at
+#: (ks_alpha, special primes) = (1, 1) instead of (2, 2); the MLPs'
+#: (1, 1) holds for every weight from 1 to 5.
 NTT_ROW_PER_STAGE = 5
 
 
@@ -121,8 +127,8 @@ def key_switch_work(params: CkksParameters, switches: Mapping[KeySwitch, int]) -
       when ``ns > 1``, forward-transforms ``2 * (l + 1)`` and divides
       ``2 * (l + 1)``.
 
-    A transformed row weighs :data:`NTT_ROW_PER_STAGE` per butterfly
-    stage, a reduced row :data:`REDUCED_ROW`.
+    A transformed row weighs :data:`NTT_ROW_PER_STAGE` per log2(N), a
+    reduced row :data:`REDUCED_ROW`.
     """
     ntt = NTT_ROW_PER_STAGE * int_log2(params.ring_degree)
     alpha = params.ks_alpha

@@ -61,76 +61,26 @@ class LayerGraph:
 
     ``nodes`` are in execution order (a valid topological order).
     Value ids: ``input_uid`` is the network input; every node output
-    introduces a fresh uid.
-
-    The producer/consumer maps are cached (the graph optimizer queries
-    them heavily); every mutation must go through the rewrite API below
-    (or call :meth:`invalidate` itself) so the caches never go stale.
+    introduces a fresh uid.  Nothing edits a graph once traced.
     """
 
     nodes: List[TraceNode] = field(default_factory=list)
     input_uid: int = 0
     output_uid: Optional[int] = None
     _uid_counter: itertools.count = field(default_factory=itertools.count)
-    _producers: Optional[Dict[int, TraceNode]] = field(
-        default=None, repr=False, compare=False
-    )
-    _consumers: Optional[Dict[int, List[TraceNode]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def fresh_uid(self) -> int:
         return next(self._uid_counter)
 
-    def invalidate(self) -> None:
-        """Drop the cached producer/consumer maps after a mutation."""
-        self._producers = None
-        self._consumers = None
-
     def producers(self) -> Dict[int, TraceNode]:
-        if self._producers is None:
-            self._producers = {node.output: node for node in self.nodes}
-        return self._producers
+        return {node.output: node for node in self.nodes}
 
     def consumers(self) -> Dict[int, List[TraceNode]]:
-        if self._consumers is None:
-            out: Dict[int, List[TraceNode]] = {}
-            for node in self.nodes:
-                for uid in node.inputs:
-                    out.setdefault(uid, []).append(node)
-            self._consumers = out
-        return self._consumers
-
-    def fork_uids(self) -> List[int]:
-        """Value ids consumed by more than one node (fork points)."""
-        return [uid for uid, nodes in self.consumers().items() if len(nodes) > 1]
-
-    # -- rewrite API (repro.core.graphopt) ---------------------------------
-    def fresh_index(self) -> int:
-        """An unused node index for a rewrite-created node.
-
-        Node indices key the compiler's batch-norm fold plan and the
-        ``name`` property, so rewrites must never reuse one.
-        """
-        return max((node.index for node in self.nodes), default=-1) + 1
-
-    def position_of(self, node: TraceNode) -> int:
-        """Position of ``node`` in the execution-ordered node list."""
-        for pos, candidate in enumerate(self.nodes):
-            if candidate is node:
-                return pos
-        raise ValueError(f"{node.name} is not in this graph")
-
-    def insert_nodes(self, position: int, new_nodes: List[TraceNode]) -> None:
-        """Insert nodes at a list position (caller keeps topo order)."""
-        self.nodes[position:position] = list(new_nodes)
-        self.invalidate()
-
-    def remove_nodes(self, dead: List[TraceNode]) -> None:
-        """Remove nodes by identity."""
-        doomed = {id(node) for node in dead}
-        self.nodes = [node for node in self.nodes if id(node) not in doomed]
-        self.invalidate()
+        out: Dict[int, List[TraceNode]] = {}
+        for node in self.nodes:
+            for uid in node.inputs:
+                out.setdefault(uid, []).append(node)
+        return out
 
 
 _ACTIVE_TRACE: List[LayerGraph] = []
@@ -177,7 +127,6 @@ def record_node(
     )
     graph.nodes.append(node)
     graph.output_uid = out.uid
-    graph.invalidate()
     return out
 
 

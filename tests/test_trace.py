@@ -69,7 +69,8 @@ class TestTracing:
 
     def test_fork_detection(self):
         graph = trace_net(_ResidualNet())
-        assert len(graph.fork_uids()) == 1
+        forks = [uid for uid, users in graph.consumers().items() if len(users) > 1]
+        assert len(forks) == 1
 
     def test_not_tracing_runs_plain(self):
         net = _ChainNet()
