@@ -147,6 +147,24 @@ class AllKinds(on.Module):
         return self.fc(self.flat(x))
 
 
+class PoolAndConv(on.Module):
+    """A downsampling fork whose heads are a strided conv and an average
+    pool: the pool has no weights to stack, so the fork stays unfused."""
+
+    def __init__(self):
+        super().__init__()
+        self.conv0 = on.Conv2d(2, 2, 3, padding=1, bias=True)
+        self.act0 = on.Square()
+        self.conv = on.Conv2d(2, 2, 3, 2, 1, bias=False)
+        self.pool = on.AvgPool2d(2, 2)
+        self.add = on.Add()
+        self.act1 = on.Square()
+
+    def forward(self, x):
+        x = self.act0(self.conv0(x))
+        return self.act1(self.add(self.conv(x), self.pool(x)))
+
+
 class TwoForks(on.Module):
     """Two fusable forks with a ReLU before each: inception-style sibling
     convs, then a projection block whose BN-folded 1x1 shortcut feeds
@@ -213,6 +231,19 @@ class TestConcatFusion:
         assert [r.name for r in c_on.layer_reports] == [
             r.name for r in c_off.layer_reports
         ]
+
+    def test_fork_with_a_weightless_head_stays_unfused(self, params):
+        onet, rng = make_net(PoolAndConv, (2, 8, 8))
+        c_on, c_off = assert_equivalent(onet, params, rng, (2, 8, 8))
+        assert c_on.graph_opt_report.total == 0
+        assert [(i.name, i.kind) for i in c_on.program.instructions] == [
+            (i.name, i.kind) for i in c_off.program.instructions
+        ]
+        assert c_on.chain.layer_names() == [
+            "conv2d_0", "square_1", "conv2d_2", "avgpool2d_3", "add_4",
+            "square_5",
+        ]
+        assert c_on.total_rotations == c_off.total_rotations
 
 
     def test_two_forks_keep_their_names_order_and_registers(self, params):

@@ -21,7 +21,7 @@ import pytest
 from reference.bigint import extend_primes_reference
 from repro import kernels
 from repro.backend import ToyBackend
-from repro.ckks.context import HOISTED_SLAB
+from repro.ckks.context import HOISTED_SLAB, CkksContext
 from repro.ckks.galois import fused_term_groups, galois_offset_key
 from repro.ckks.params import toy_parameters
 from repro.core.packing.matvec import held_tables
@@ -30,6 +30,7 @@ from repro.nn import init
 from repro.orion import OrionNetwork
 from repro.rns import RnsPolynomial
 from repro.serve import ArtifactMap, is_mmap_backed
+from repro.serve.artifact import build_artifact
 from repro.serve.keys import generate_lane_keys
 from repro.serve.pool import verify_mmap_tables
 from repro.serve.runtime import InferenceServer
@@ -307,6 +308,40 @@ def mapped_artifact(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("static") / "mlp.npz")
     onet.export(path, params)
     return params, path
+
+
+def test_export_encodes_its_tables_without_keys(monkeypatch):
+    """Export builds every table from the ring's basis and slot encoder
+    alone: with key generation made to fail it still exports, and each
+    table is byte-equal to the one a keyed context encodes."""
+    init.seed_init(0)
+    onet = OrionNetwork(SecureMlp(input_pixels=64, hidden=16), (1, 8, 8))
+    onet.fit([np.random.default_rng(0).normal(0, 0.5, (8, 1, 8, 8))])
+    params = toy_parameters(ring_degree=1024, max_level=6, boot_levels=1, scale_bits=24)
+    compiled = onet.compile(params)
+
+    def no_keys(*args, **kwargs):
+        raise AssertionError("export generated keys")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CkksContext, "__init__", no_keys)
+        artifact = build_artifact(compiled, params)
+    assert artifact.encoded
+    keyed = ToyBackend(artifact.manifest.to_params(), seed=2)
+    by_name = {instr.name: instr for instr in artifact.program.instructions}
+    checked = 0
+    for section in artifact.encoded:
+        terms = by_name[section["name"]].packed.terms()
+        groups = fused_term_groups(terms)
+        for group in section["groups"]:
+            rows = [terms[(group["bo"], group["bi"], off)]
+                    for off in groups[(group["bo"], group["bi"])]]
+            want = keyed.encode_table(rows, section["level"],
+                                      Fraction(*section["pt_scale"]))
+            assert group["table"].dtype == want.dtype
+            assert group["table"].tobytes() == want.tobytes()
+            checked += 1
+    assert checked == sum(len(s["groups"]) for s in artifact.encoded)
 
 
 class TestPreloadIsAView:
