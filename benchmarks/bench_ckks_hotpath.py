@@ -116,7 +116,7 @@ def legacy_keyswitch(ctx, d: RnsPolynomial, pairs, level: int):
     ``pairs`` is the seed's key storage — natural per-digit
     ``(b_i, a_i)`` polynomials — which callers derive from
     ``SwitchingKey.pairs`` once, outside any timed region."""
-    ks_chain = ctx._ks_chain(level)
+    ks_chain = ctx.basis.key_switch_primes(level + 1)
     alpha = ctx.params.ks_alpha
     acc0 = RnsPolynomial.zero(ctx.basis, ks_chain)
     acc1 = RnsPolynomial.zero(ctx.basis, ks_chain)
@@ -148,15 +148,16 @@ def legacy_keyswitch(ctx, d: RnsPolynomial, pairs, level: int):
     return acc0, acc1
 
 
-def natural_key_tensors(ctx, offsets, level):
+def natural_key_tensors(backend, offsets, level):
     """``{offset: (2, digits, ks_limbs, N)}`` natural-layout key stacks
     for the per-offset loop (the seed's use-time extraction), rebuilt
     from each key's derived ``pairs``."""
-    ks_chain = ctx._ks_chain(level)
-    num_digits = ctx._ks_num_digits(level)
+    ctx = backend.context
+    ks_chain = ctx.basis.key_switch_primes(level + 1)
+    num_digits = ctx.params.ks_digits(level)
     out = {}
     for offset in offsets:
-        key = ctx.galois_key(ctx.galois_offset_exponent(offset), max_level=level)
+        key = ctx.galois_key(backend.galois_offset_exponent(offset), max_level=level)
         pairs = key.pairs[:num_digits]
         out[offset] = np.stack(
             [
@@ -167,18 +168,18 @@ def natural_key_tensors(ctx, offsets, level):
     return out
 
 
-def legacy_rotate_hoisted_raw(ctx, ct, offsets, natural):
+def legacy_rotate_hoisted_raw(backend, ct, offsets, natural):
     """Seed-faithful hoisted raw rotations: one shared digit
     decomposition, then a per-offset Python loop of individual inner
     products against ``natural`` (:func:`natural_key_tensors`)."""
-    digits = ctx._ks_decompose(ct.c1, ct.level)
-    ks_chain = ctx._ks_chain(ct.level)
-    mod_col = ctx.basis.moduli_column(ks_chain)
+    digits = backend._ks_decompose(ct.c1, ct.level)
+    ks_chain = backend.basis.key_switch_primes(ct.level + 1)
+    mod_col = backend.basis.moduli_column(ks_chain)
     chunk = (2**63 - 1 - (max(ks_chain) - 1)) // ((max(ks_chain) - 1) ** 2)
-    n = ctx.params.ring_degree
+    n = backend.params.ring_degree
     out = {}
     for offset in offsets:
-        exponent = ctx.galois_offset_exponent(offset)
+        exponent = backend.galois_offset_exponent(offset)
         perm = galois_eval_permutation(n, exponent)
         ba = natural[offset]
         permuted = digits[..., perm]
@@ -270,7 +271,7 @@ def test_hotpath_microbench(setup, record_table):
     coeff = poly.to_coeff()
     exponent = ctx.encoder.rotation_exponent(1)
     key = ctx.galois_key(exponent)
-    prod = ctx.mul_plain(ct, pt)
+    prod = backend.mul_plain(ct, pt)
     hoist_steps = list(range(1, 9))
     # The seed stored keys as natural per-digit pairs; derive them once
     # here so no timed region pays for the layout conversion.
@@ -287,16 +288,16 @@ def test_hotpath_microbench(setup, record_table):
         legacy_automorphism(poly, exponent).data, poly.automorphism(exponent).data
     )
     lk0, lk1 = legacy_keyswitch(ctx, rot1, pairs_by_step[1], ct.level)
-    nk0, nk1 = ctx._keyswitch(ct.c1, key, ct.level)
+    nk0, nk1 = backend._keyswitch(ct.c1, key, ct.level)
     assert np.array_equal(lk0.data, nk0.data)
     assert np.array_equal(lk1.data, nk1.data)
     lr0, lr1 = legacy_rotate(ctx, ct, 1, pairs_by_step)
-    nr = ctx.rotate(ct, 1)
+    nr = backend._rotate(ct, 1)
     assert np.array_equal(lr0.data, nr.c0.data)
     assert np.array_equal(lr1.data, nr.c1.data)
     assert np.array_equal(
         legacy_divide_and_round_by_last(prod.c0).data,
-        prod.c0.divide_and_round_by_last().data,
+        backend.basis.divide_round_last(prod.c0.data, prod.c0.primes, is_ntt=True),
     )
 
     rows = []
@@ -324,17 +325,17 @@ def test_hotpath_microbench(setup, record_table):
     bench(
         "keyswitch",
         lambda: legacy_keyswitch(ctx, rot1, pairs_by_step[1], ct.level),
-        lambda: ctx._keyswitch(ct.c1, key, ct.level),
+        lambda: backend._keyswitch(ct.c1, key, ct.level),
     )
     bench(
         "rotate",
         lambda: legacy_rotate(ctx, ct, 1, pairs_by_step),
-        lambda: ctx.rotate(ct, 1),
+        lambda: backend._rotate(ct, 1),
     )
     bench(
         "rotate_x8_hoisted",
         lambda: [legacy_rotate(ctx, ct, s, pairs_by_step) for s in hoist_steps],
-        lambda: ctx.rotate_hoisted(ct, hoist_steps),
+        lambda: backend._rotate_hoisted(ct, hoist_steps),
     )
     bench(
         "rescale",
@@ -342,7 +343,7 @@ def test_hotpath_microbench(setup, record_table):
             legacy_divide_and_round_by_last(prod.c0),
             legacy_divide_and_round_by_last(prod.c1),
         ),
-        lambda: ctx.rescale(prod),
+        lambda: backend._rescale(prod),
     )
 
     record_table(
@@ -390,15 +391,14 @@ def test_stacked_keyswitch(record_table):
         seed=11,
     )
     ct = backend.encode_encrypt(np.linspace(-1, 1, backend.slot_count))
-    ctx = backend.context
     steps = list(range(1, STACKED_OFFSETS)) + [("conj", 0)]
 
     # Bit-exactness before timing: the stacked product-sum must equal
     # the per-offset loop on every offset, rot0 and accumulator alike.
-    stacked = ctx.rotate_hoisted_raw(ct, steps)
+    stacked = backend.rotate_hoisted_raw(ct, steps)
     offsets = sorted(stacked, key=galois_offset_key)
-    natural = natural_key_tensors(ctx, offsets, ct.level)
-    legacy = legacy_rotate_hoisted_raw(ctx, ct, offsets, natural)
+    natural = natural_key_tensors(backend, offsets, ct.level)
+    legacy = legacy_rotate_hoisted_raw(backend, ct, offsets, natural)
     for offset in offsets:
         rot0_l, acc_l = legacy[offset]
         rot0_s, acc_s = stacked[offset]
@@ -406,8 +406,8 @@ def test_stacked_keyswitch(record_table):
         assert np.array_equal(np.asarray(acc_s), acc_l)
 
     (loop_ms, loop_med), (stacked_ms, stacked_med) = _time_stats_paired(
-        lambda: legacy_rotate_hoisted_raw(ctx, ct, offsets, natural),
-        lambda: ctx.rotate_hoisted_raw(ct, steps),
+        lambda: legacy_rotate_hoisted_raw(backend, ct, offsets, natural),
+        lambda: backend.rotate_hoisted_raw(ct, steps),
     )
     record_table(
         "ckks_hotpath_stacked_keyswitch",

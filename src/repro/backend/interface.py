@@ -16,7 +16,11 @@ modulus-chain crossings to the noise monitor.  It also caches the
 static plaintexts a program encodes at run time
 (:meth:`FheBackend.constant`).  A subclass implements only unbooked
 primitives (``_add``, ``_mul``, ``_rotate``, ``_matvec_fused``, ...):
-each computes its result and nothing else.
+each computes its result and nothing else.  The exact evaluator is one
+such subclass, :class:`repro.backend.toy.ToyBackend`, whose primitives
+are the RNS-CKKS arithmetic itself; its client
+(:class:`repro.ckks.context.CkksContext`) holds keys and encryption and
+evaluates nothing.
 """
 
 from __future__ import annotations

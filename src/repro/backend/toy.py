@@ -1,15 +1,39 @@
-"""Exact backend: real RNS-CKKS on small rings behind the common interface.
+"""The exact evaluator: real RNS-CKKS on small rings behind the common
+interface.
 
-Wraps :class:`repro.ckks.context.CkksContext` in the unbooked
-primitives :class:`FheBackend` books, so counts and modeled latencies
-are the simulator's.  Its wall-clock and resident memory are what
-``benchmarks/e2e`` measures (N up to 4096), so both matter here.
+:class:`ToyBackend` implements the unbooked primitives
+:class:`FheBackend` books — so counts and modeled latencies are the
+simulator's — directly on ciphertexts: real NTT arithmetic, real hybrid
+key switching with a special prime, real rescaling.  Operand levels and
+scales are checked by the public ops, never here.  The client half of
+the scheme (keys, encoding, encryption, decryption and the oracle
+refresh) is :class:`repro.ckks.context.CkksContext`, held as
+``self.context``; the evaluator reaches it for nothing else.
+
+Evaluation runs on the limb-batched hot-path engine: representation
+changes go through :class:`repro.ntt.NttChainEngine`, rotations apply
+Galois maps as evaluation-form permutations, and hybrid key switching
+is factored into decompose / inner-product / mod-down stages so one
+digit decomposition serves many rotation keys (paper Section 3.3
+hoisting).  Digit decomposition supports grouping
+(``CkksParameters.ks_alpha`` limbs per digit, dnum = ceil((l+1)/alpha),
+with a matching multi-prime special basis), which shrinks both the
+decompose NTT batch and the inner product width.
+:meth:`ToyBackend.rotate_hoisted_slabs`, the one hoisted walk,
+additionally defers the mod-down: it yields raw accumulators in the
+extended Q_l * P basis a fixed-width slab of offsets at a time, so fused
+consumers (the BSGS matvec, the fold) sum many plaintext-weighted
+rotations into running sums and divide by P once per output — true
+double hoisting (Bossuat et al. [11]) — without ever holding every
+offset's accumulator at once.  No evaluator operation allocates
+object-dtype (bigint) arrays.  Its wall-clock and resident memory are
+what ``benchmarks/e2e`` measures (N up to 4096), so both matter here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -17,8 +41,22 @@ from repro import kernels
 from repro.backend.interface import FheBackend, ScaleLike
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import CkksContext
+from repro.ckks.encoding import get_encoder
+from repro.ckks.galois import galois_offset_key
+from repro.ckks.keys import SwitchingKey
 from repro.ckks.params import CkksParameters
+from repro.ntt import galois_eval_permutation
+from repro.obs.tracing import get_tracer
 from repro.rns.poly import RnsPolynomial
+
+#: Distinct offsets per slab of a hoisted key switch
+#: (:meth:`ToyBackend.rotate_hoisted_slabs`): wide enough that the
+#: per-slab dispatches vanish against the key stream, narrow enough that
+#: a slab's accumulators stay a few MB at N = 4096 however many offsets
+#: a layer hoists.  Chosen by a sweep (docs/hoisting.md, "Static
+#: operands"): 4 to 16 run a 128-offset matvec equally fast, 1 or 2 lose
+#: to per-call overhead, and each doubling from 4 adds a few MB of peak.
+HOISTED_SLAB = 8
 
 
 class ToyBackend(FheBackend):
@@ -33,6 +71,10 @@ class ToyBackend(FheBackend):
     ):
         super().__init__(params)
         self.context = CkksContext(params, seed=seed)
+        # Public structure of the parameter set, shared with the client
+        # rather than rebuilt (the basis holds every prime's NTT tables).
+        self.basis = self.context.basis
+        self.encoder = get_encoder(params.ring_degree)
         if real_bootstrap:
             from repro.ckks.bootstrap import CkksBootstrapper
 
@@ -57,44 +99,406 @@ class ToyBackend(FheBackend):
     def encode_table(self, vectors, level: int, scale: ScaleLike) -> np.ndarray:
         return self.context.encode_table(vectors, level, scale)
 
-    # -- unbooked primitives -------------------------------------------------
+    # -- unbooked primitives: arithmetic (paper Section 2.5) ---------------
     def _add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self.context.add(a, b)
+        return Ciphertext(
+            c0=a.c0 + b.c0,
+            c1=a.c1 + b.c1,
+            level=a.level,
+            scale=a.scale,
+            slot_count=a.slot_count,
+        )
 
     def _sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self.context.sub(a, b)
+        return Ciphertext(
+            c0=a.c0 - b.c0,
+            c1=a.c1 - b.c1,
+            level=a.level,
+            scale=a.scale,
+            slot_count=a.slot_count,
+        )
 
     def _add_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
-        return self.context.add_plain(a, p)
+        return Ciphertext(
+            c0=a.c0 + p.poly,
+            c1=a.c1,
+            level=a.level,
+            scale=a.scale,
+            slot_count=a.slot_count,
+        )
 
     def _negate(self, a: Ciphertext) -> Ciphertext:
-        return self.context.negate(a)
+        return Ciphertext(
+            c0=-a.c0, c1=-a.c1, level=a.level, scale=a.scale, slot_count=a.slot_count
+        )
 
     def _mul_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
-        return self.context.mul_plain(a, p)
+        return Ciphertext(
+            c0=a.c0 * p.poly,
+            c1=a.c1 * p.poly,
+            level=a.level,
+            scale=a.scale * p.scale,
+            slot_count=a.slot_count,
+        )
 
     def _mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self.context.mul(a, b)
+        """HMult: the tensor product, then relinearization."""
+        return self._relinearize(self._tensor(a, b))
 
-    def _rescale(self, a: Ciphertext) -> Ciphertext:
-        return self.context.rescale(a)
+    def _tensor(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
+        """The degree-2 product ``(c0, c1, c2)``, before relinearization."""
+        return Ciphertext(
+            c0=a.c0 * b.c0,
+            c1=a.c0 * b.c1 + a.c1 * b.c0,
+            c2=a.c1 * b.c1,
+            level=a.level,
+            scale=a.scale * b.scale,
+            slot_count=a.slot_count,
+        )
 
-    def _level_down(self, a: Ciphertext, target_level: int) -> Ciphertext:
-        return self.context.level_down(a, target_level)
+    def _relinearize(self, ct: Ciphertext) -> Ciphertext:
+        """Reduce a degree-2 ciphertext back to degree 1 via the relin key."""
+        p0, p1 = self._keyswitch(ct.c2, self.context.keys.relin, ct.level)
+        return Ciphertext(
+            c0=ct.c0 + p0,
+            c1=ct.c1 + p1,
+            level=ct.level,
+            scale=ct.scale,
+            slot_count=ct.slot_count,
+        )
 
-    def _rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
-        return self.context.rotate(a, steps)
+    def _rescale(self, ct: Ciphertext) -> Ciphertext:
+        """Divide by the last prime; level drops by one (Section 2.5.2).
 
-    def _rotate_hoisted(self, a: Ciphertext, steps) -> dict:
-        """Real hoisting: decompose c1 once, reuse it for every step."""
-        return self.context.rotate_hoisted(a, steps)
+        All ciphertext components are stacked through one batched
+        divide-and-round pass (they share the dropped limb's inverse
+        NTT and the lift's forward NTT).
+        """
+        polys = [ct.c0, ct.c1] + ([] if ct.c2 is None else [ct.c2])
+        primes = polys[0].primes
+        stacked = self.basis.divide_round_last(
+            np.stack([p.data for p in polys]), primes, is_ntt=True
+        )
+        divided = [
+            RnsPolynomial(self.basis, primes[:-1], row, is_ntt=True) for row in stacked
+        ]
+        return Ciphertext(
+            c0=divided[0],
+            c1=divided[1],
+            c2=divided[2] if ct.c2 is not None else None,
+            level=ct.level - 1,
+            scale=ct.scale / primes[-1],
+            slot_count=ct.slot_count,
+        )
 
-    def _conjugate(self, a: Ciphertext) -> Ciphertext:
-        return self.context.conjugate(a)
+    def _level_down(self, ct: Ciphertext, target_level: int) -> Ciphertext:
+        drop = ct.level - target_level
+        if drop == 0:
+            return ct
+        return Ciphertext(
+            c0=ct.c0.drop_limbs(drop),
+            c1=ct.c1.drop_limbs(drop),
+            c2=None if ct.c2 is None else ct.c2.drop_limbs(drop),
+            level=target_level,
+            scale=ct.scale,
+            slot_count=ct.slot_count,
+        )
 
     def _bootstrap(self, a: Ciphertext) -> Ciphertext:
         return self.context.bootstrap(a)
 
+    # -- unbooked primitives: Galois maps (Section 2.5.3) --------------------
+    def _rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
+        return self._apply_galois(ct, self.encoder.rotation_exponent(steps))
+
+    def _conjugate(self, ct: Ciphertext) -> Ciphertext:
+        return self._apply_galois(ct, self.encoder.conjugation_exponent)
+
+    def _apply_galois(self, ct: Ciphertext, exponent: int) -> Ciphertext:
+        if ct.c2 is not None:
+            raise ValueError("relinearize before rotating")
+        key = self.context.galois_key(exponent, max_level=ct.level)
+        p0, p1 = self._keyswitch(ct.c1, key, ct.level)
+        return Ciphertext(
+            c0=ct.c0.automorphism(exponent) + p0,
+            c1=p1,
+            level=ct.level,
+            scale=ct.scale,
+            slot_count=ct.slot_count,
+        )
+
+    # -- hybrid key switching --------------------------------------------------
+    def _ks_decompose(self, d: RnsPolynomial, level: int) -> np.ndarray:
+        """Digit-decompose ``d`` for hybrid key switching (the hoistable
+        part: one inverse NTT of ``d`` plus one batched forward NTT of
+        every digit raised to the Q_l * P chain).
+
+        With ks_alpha = 1 each digit is one centered limb; with grouped
+        decomposition (ks_alpha > 1, dnum = ceil((level+1)/alpha)) each
+        digit is the exact int64 CRT lift of its alpha limbs, all digits
+        in one :meth:`RnsBasis.decompose_digits` pass, shrinking both the
+        digit count and the forward-NTT batch.
+
+        Returns an int64 array of shape ``(dnum, len(ks_chain), N)``
+        in evaluation form.  The decomposition commutes with Galois
+        automorphisms, so hoisted rotations reuse it across many keys.
+        """
+        ks_chain = self.basis.key_switch_primes(level + 1)
+        num_limbs = level + 1
+        alpha = self.params.ks_alpha
+        d_coeff = d.to_coeff()
+        if alpha == 1:
+            src = d_coeff.data[:num_limbs]
+            src_col = self.basis.moduli_column(d.primes[:num_limbs])
+            centered = np.where(src > src_col // 2, src - src_col, src)
+            # Stride-0 broadcast across the ks chain: the engine's twist
+            # multiply materializes and reduces, so no explicit % pass here.
+            shape = (num_limbs, len(ks_chain), centered.shape[-1])
+            lifted = np.broadcast_to(centered[:, None, :], shape)
+        else:
+            lifted = self.basis.decompose_digits(
+                d_coeff.data[:num_limbs], d.primes[:num_limbs], ks_chain, alpha
+            )
+        return self.basis.forward_chain(lifted, ks_chain)
+
+    def _ks_inner(
+        self,
+        digits: np.ndarray,
+        keys: Sequence[SwitchingKey],
+        level: int,
+    ) -> np.ndarray:
+        """Inner products sum_i digit_i * key_i over the Q_l * P chain,
+        one per switching key, against one shared digit tensor.
+
+        Returns a ``(2, ks_limbs, len(keys), N)`` evaluation-form tensor
+        (limb rows in ``(data..., special)`` chain order) through the
+        ``ks_inner_stacked`` kernel, which reads each key's prefix
+        :meth:`SwitchingKey.chain_view` in place — no key material is
+        copied, stacked or cached per level or offset group.
+
+        Galois keys are stored slot-axis *inverse-permuted*: with
+        ``key_inv[..., perm_t] == key`` the product-sum runs directly
+        against the UN-rotated digit tensor —
+
+            acc[c, k, n] = sum_d digits[d, k, perm_t[n]] * key[c, d, k, n]
+                         = (sum_d digits * key_inv)[c, k, perm_t[n]]
+
+        so column ``o`` is the accumulator of ``sigma_t(d)`` *before*
+        its Galois gather, which the caller applies to the small
+        accumulator instead of the D-times-larger digit stack (the relin
+        key's permutation is the identity).
+
+        Products are summed lazily in int64:
+        :func:`repro.kernels.lazy_reduction_chunk` digits fit before a
+        reduction is needed, so the hot path performs a single ``%`` on
+        the accumulator.  A compressed key used above its bound is a
+        caller bug and fails loudly rather than silently dropping digits.
+        """
+        for key in keys:
+            if not key.covers(level):
+                raise ValueError(
+                    f"switching key is compressed to level {key.max_level} "
+                    f"but the key switch runs at level {level}; regenerate "
+                    "the key (or raise its bound in the key manifest)"
+                )
+        ks_chain = self.basis.key_switch_primes(level + 1)
+        num_digits = self.params.ks_digits(level)
+        return kernels.ks_inner_stacked(
+            digits,
+            [key.chain_view(num_digits, level) for key in keys],
+            self.params.num_special_primes,
+            self.basis.moduli_column(ks_chain),
+            kernels.lazy_reduction_chunk(max(ks_chain)),
+        )
+
+    def _ks_moddown(self, acc: np.ndarray, level: int):
+        """Divide both accumulators by the special modulus P.
+
+        ``acc`` is a (Galois-gathered) ``(2, ks_limbs, N)`` column of
+        :meth:`_ks_inner`; both rows share one divide-and-round pass,
+        whatever the number of special primes: inverse-transform the
+        special rows, lift their centered value to Q_l, one forward NTT,
+        subtract, multiply by P^{-1} (docs/hoisting.md).
+        """
+        ns = self.params.num_special_primes
+        chain = self.basis.key_switch_primes(level + 1)
+        acc = self.basis.divide_round_last(acc, chain, is_ntt=True, count=ns)
+        return (
+            RnsPolynomial(self.basis, chain[:-ns], acc[0], is_ntt=True),
+            RnsPolynomial(self.basis, chain[:-ns], acc[1], is_ntt=True),
+        )
+
+    def _keyswitch(self, d: RnsPolynomial, key: SwitchingKey, level: int):
+        """Hybrid key switch of ``sigma_t(d)`` at the given level, ``t``
+        being the key's Galois element (``d`` itself for the relin key).
+
+        Decomposes the UN-rotated d into digits, multiplies by the
+        switching key over Q_l * P, Galois-gathers the accumulator, and
+        divides by the special modulus P.  All stages are limb-batched;
+        see :meth:`rotate_hoisted_slabs` for the walk that shares the
+        decomposition across many keys.
+        """
+        digits = self._ks_decompose(d, level)
+        acc = self._ks_inner(digits, [key], level)[:, :, 0]
+        if key.exponent != 1:
+            perm = galois_eval_permutation(self.params.ring_degree, key.exponent)
+            acc = np.take(acc, perm, axis=-1)
+        return self._ks_moddown(acc, level)
+
+    def galois_offset_exponent(self, offset) -> int:
+        """Galois exponent of a hoisted offset (int or ``("conj", k)``).
+
+        A conjugation-composed offset applies sigma_conj first, then the
+        rotation: automorphisms compose by multiplying their exponents
+        mod 2N, so the pair is ONE Galois element — one switching key,
+        one inner product — rather than two chained key switches.
+        """
+        if isinstance(offset, tuple):
+            conj = self.encoder.conjugation_exponent
+            return (conj * self.encoder.rotation_exponent(offset[1])) % (
+                2 * self.params.ring_degree
+            )
+        return self.encoder.rotation_exponent(offset)
+
+    # -- the hoisted walk (Section 3.3) ------------------------------------------
+    def rotate_hoisted_slabs(
+        self,
+        ct: Ciphertext,
+        steps_list: Iterable,
+    ):
+        """The hoisted key switch: Galois maps of ``ct`` left in the
+        extended Q_l * P basis, yielded :data:`HOISTED_SLAB` offsets at a
+        time — the one walk every hoisted consumer is built from.
+        Unbooked: the public ops that consume it book themselves.
+
+        ``ct.c1`` is digit-decomposed ONCE (the digit tensor commutes
+        with Galois permutations); the mod-down is deferred.  The
+        distinct nonzero offsets are walked in :func:`galois_offset_key`
+        order, and each slab yields ``(offsets, rot0, acc)``: ``rot0``
+        the ``(level + 1, S, N)`` transformed c0s over Q_l and ``acc``
+        the raw ``(2, ks_limbs, S, N)`` evaluation-form key-switch
+        accumulators still over Q_l * P, the offset axis second to last
+        in both.  The walk keeps no reference to a slab once it has
+        yielded it: a consumer that reduces each slab where it lies
+        (the fused matvec contracts it against its table rows, the fold
+        sums it) never holds more than one slab, whatever the number of
+        offsets.
+
+        Per slab, the shared digit tensor meets every offset's
+        inverse-permuted switching key in ONE dispatch of
+        :meth:`_ks_inner` (each key read in place as a prefix view of
+        its resident tensor), and only the small accumulator is
+        Galois-permuted — one flat gather over the fused offset-slot
+        axis (see :meth:`_ks_inner` for why that equals the
+        rotate-the-digits formulation, element by element).  Every
+        offset's inner product is computed exactly once, and modular
+        sums are invariant under regrouping, so consumers are
+        bit-identical to a per-offset loop.
+
+        Offsets are plain rotation steps (``int``) or conjugation-
+        composed elements ``("conj", k)`` — conjugate, then rotate by
+        ``k``.  The composition is a single Galois automorphism, so the
+        bootstrap CoeffToSlot conjugation rides the *same* digit
+        decomposition as the transform rotations instead of paying its
+        own standalone key switch.  Step 0 is skipped (it needs no key
+        switch; callers handle it as the identity) — but
+        ``("conj", 0)`` is a real Galois map and is walked like any
+        other element.
+        """
+        if ct.c2 is not None:
+            raise ValueError("relinearize before rotating")
+        unique = {
+            ("conj", s[1] % self.slot_count)
+            if isinstance(s, tuple)
+            else s % self.slot_count
+            for s in steps_list
+        }
+        nonzero = sorted(unique - {0}, key=galois_offset_key)
+        if not nonzero:
+            return
+        n = self.params.ring_degree
+        level = ct.level
+        # Observe-only span (one per hoisted key switch, not per slab; it
+        # stays open across the yields, so it also brackets what the
+        # consumer does with each slab); the null-tracer context manager
+        # costs two trivial calls, far below the NTT work it brackets
+        # (gated by tracing_overhead).
+        with get_tracer().span(
+            "keyswitch.hoisted",
+            category="keyswitch",
+            level=level,
+            num_offsets=len(nonzero),
+        ):
+            digits = self._ks_decompose(ct.c1, level)
+            c0 = ct.c0.to_ntt().data
+            for start in range(0, len(nonzero), HOISTED_SLAB):
+                offsets = nonzero[start : start + HOISTED_SLAB]
+                num = len(offsets)
+                exponents = [self.galois_offset_exponent(o) for o in offsets]
+                keys = [self.context.galois_key(e, max_level=level) for e in exponents]
+                perms = np.stack([galois_eval_permutation(n, e) for e in exponents])
+                # The (C, K, S, N) layout fuses the offset and slot axes,
+                # so the slab's permutations are ONE flat gather each for
+                # the accumulator and c0.  Both are yielded as unnamed
+                # temporaries: the walk holds no slab across a yield.
+                flat_idx = (np.arange(num)[:, None] * n + perms).reshape(-1)
+                yield (
+                    offsets,
+                    np.take(c0, perms.reshape(-1), axis=-1).reshape(-1, num, n),
+                    np.take(
+                        self._ks_inner(digits, keys, level).reshape(
+                            2, -1, num * n
+                        ),
+                        flat_idx,
+                        axis=-1,
+                    ).reshape(2, -1, num, n),
+                )
+
+    def rotate_hoisted_raw(
+        self,
+        ct: Ciphertext,
+        steps_list: Iterable,
+    ) -> Dict:
+        """Every slab of :meth:`rotate_hoisted_slabs`, kept, as
+        ``{offset: (rot0, acc)}``: ``rot0`` the transformed c0
+        polynomial, ``acc`` its raw ``(2, ks_limbs, N)`` accumulator —
+        views of the slabs.  Applying :meth:`_ks_moddown` to each
+        ``acc`` reproduces :meth:`rotate_hoisted` (or the standalone
+        :meth:`conjugate` key switch) bit-for-bit.  Unbooked.
+        """
+        return {
+            offset: (
+                RnsPolynomial(self.basis, ct.c0.primes, rot0[:, i], is_ntt=True),
+                acc[:, :, i],
+            )
+            for offsets, rot0, acc in self.rotate_hoisted_slabs(ct, steps_list)
+            for i, offset in enumerate(offsets)
+        }
+
+    def _rotate_hoisted(self, ct: Ciphertext, steps: Sequence[int]) -> Dict[int, Ciphertext]:
+        """Real hoisting: the expensive part of a rotation — inverse-
+        transforming c1 and raising every digit to the Q_l * P basis —
+        depends only on c1, not on the rotation amount, because digit
+        decomposition commutes with Galois automorphisms.  It is
+        computed once (in :meth:`rotate_hoisted_slabs`); each step then
+        costs one inner product with its switching key, one
+        evaluation-form permutation of the accumulator, and the
+        mod-down."""
+        outputs: Dict[int, Ciphertext] = {}
+        for offsets, rot0, acc in self.rotate_hoisted_slabs(ct, steps):
+            for i, step in enumerate(offsets):
+                p0, p1 = self._ks_moddown(acc[:, :, i], ct.level)
+                c0 = RnsPolynomial(self.basis, ct.c0.primes, rot0[:, i], is_ntt=True)
+                outputs[step] = Ciphertext(
+                    c0=c0 + p0,
+                    c1=p1,
+                    level=ct.level,
+                    scale=ct.scale,
+                    slot_count=ct.slot_count,
+                )
+        return outputs
+
+    # -- fused consumers of the walk ---------------------------------------------
     def _matvec_fused(
         self,
         in_cts: Sequence[Ciphertext],
@@ -107,9 +511,9 @@ class ToyBackend(FheBackend):
 
         Every Galois offset of an input ciphertext — plain rotations
         *and* conjugation-composed ``("conj", k)`` elements — reuses one
-        digit decomposition (:meth:`CkksContext.rotate_hoisted_slabs`)
-        and a single ``_ks_moddown`` per output block replaces one
-        mod-down per rotation.
+        digit decomposition (:meth:`rotate_hoisted_slabs`) and a single
+        :meth:`_ks_moddown` per output block replaces one mod-down per
+        rotation.
 
         The weights of one ``(out block, in block)`` group are ONE
         static uint32 ``(T, ks_limbs, N)`` table
@@ -128,15 +532,14 @@ class ToyBackend(FheBackend):
         (``kernels.ks_inner``); modular sums are invariant under
         regrouping, so outputs are bit-identical to a per-term loop.
         """
-        ctx = self.context
         level = in_cts[0].level
         scale = in_cts[0].scale
         if any(ct.c2 is not None for ct in in_cts):
             raise ValueError("relinearize before a matvec")
-        basis = ctx.basis
+        basis = self.basis
         n = basis.ring_degree
-        ks_chain = ctx._ks_chain(level)
-        data_primes = ctx._data_chain(level)
+        ks_chain = basis.key_switch_primes(level + 1)
+        data_primes = basis.data_primes(level + 1)
         mod_ks = basis.moduli_column(ks_chain)
         mod_q = basis.moduli_column(data_primes)
         pt_scale = Fraction(pt_scale)
@@ -164,7 +567,7 @@ class ToyBackend(FheBackend):
                 if bi2 == bi
             ]
             hoisted = {off for _, offsets, _, _ in readers for off in offsets}
-            for slab, rot0, acc in ctx.rotate_hoisted_slabs(in_cts[bi], hoisted):
+            for slab, rot0, acc in self.rotate_hoisted_slabs(in_cts[bi], hoisted):
                 where = {off: i for i, off in enumerate(slab)}
                 for reader in readers:
                     bo, offsets, table, lo = reader
@@ -203,7 +606,7 @@ class ToyBackend(FheBackend):
                 continue
             out = direct[bo]
             if bo in acc_ext:
-                p0, p1 = ctx._ks_moddown(acc_ext.pop(bo) % mod_ks, level)
+                p0, p1 = self._ks_moddown(acc_ext.pop(bo) % mod_ks, level)
                 out[0] += p0.data
                 out[1] += p1.data
             out %= mod_q
@@ -222,31 +625,30 @@ class ToyBackend(FheBackend):
         """Exact fused rotate-and-sum (the Gazelle fold, double-hoisted).
 
         All rotations share one digit decomposition of ``a.c1`` via
-        :meth:`CkksContext.rotate_hoisted_slabs`; each slab's raw
-        Q_l * P accumulators and transformed c0s are summed lazily in
-        int64 as it arrives, and a single :meth:`CkksContext._ks_moddown`
-        replaces the per-fold key switches of the sequential path.
+        :meth:`rotate_hoisted_slabs`; each slab's raw Q_l * P
+        accumulators and transformed c0s are summed lazily in int64 as
+        it arrives, and a single :meth:`_ks_moddown` replaces the
+        per-fold key switches of the sequential path.
         """
-        ctx = self.context
         level = a.level
-        ks_chain = ctx._ks_chain(level)
-        data_primes = ctx._data_chain(level)
-        mod_ks = ctx.basis.moduli_column(ks_chain)
-        mod_q = ctx.basis.moduli_column(data_primes)
+        ks_chain = self.basis.key_switch_primes(level + 1)
+        data_primes = self.basis.data_primes(level + 1)
+        mod_ks = self.basis.moduli_column(ks_chain)
+        mod_q = self.basis.moduli_column(data_primes)
         # Entries stay < max prime (~2^31), so len(steps)+1 summands fit
         # int64 with > 2^31 headroom: no intermediate reductions needed.
         acc_sum = 0
         c0_data = a.c0.data
-        for _, rot0, acc in ctx.rotate_hoisted_slabs(a, steps):
+        for _, rot0, acc in self.rotate_hoisted_slabs(a, steps):
             acc_sum = acc_sum + acc.sum(axis=2)
             c0_data = c0_data + rot0.sum(axis=1)
             del rot0, acc
-        p0, p1 = ctx._ks_moddown(acc_sum % mod_ks, level)
+        p0, p1 = self._ks_moddown(acc_sum % mod_ks, level)
         c0_data = (c0_data + p0.data) % mod_q
         c1_data = (a.c1.data + p1.data) % mod_q
         return Ciphertext(
-            c0=RnsPolynomial(ctx.basis, data_primes, c0_data, is_ntt=True),
-            c1=RnsPolynomial(ctx.basis, data_primes, c1_data, is_ntt=True),
+            c0=RnsPolynomial(self.basis, data_primes, c0_data, is_ntt=True),
+            c1=RnsPolynomial(self.basis, data_primes, c1_data, is_ntt=True),
             level=level,
             scale=a.scale,
             slot_count=a.slot_count,

@@ -2,10 +2,12 @@
 
 This package is the cryptographic substrate of the reproduction: the
 datatypes (cleartext / plaintext / ciphertext), canonical-embedding
-encoding, RLWE encryption, and the homomorphic evaluator (PAdd, HAdd,
-PMult, HMult, HRot, conjugation, rescaling, hybrid key switching) from
-paper Section 2.  Bootstrapping comes in two flavours: the *oracle*
-primitive used by default (paper's external contract — level reset to
+encoding, keys and RLWE encryption from paper Section 2 — the client
+half, :class:`CkksContext`.  The homomorphic evaluator (PAdd, HAdd,
+PMult, HMult, HRot, conjugation, rescaling, hybrid key switching) is
+the exact backend, :class:`repro.backend.toy.ToyBackend`.
+Bootstrapping comes in two flavours: the *oracle* primitive used by
+default (paper's external contract — level reset to
 L_eff, fixed L_boot budget, calibrated noise; docs/substitutions.md)
 and the
 *real* ModRaise -> CoeffToSlot -> EvalMod -> SlotToCoeff pipeline in

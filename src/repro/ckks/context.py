@@ -1,28 +1,16 @@
-"""The toy CKKS context: keygen, encoding, encryption, and evaluation.
+"""The toy CKKS client: keygen, encoding, encryption and decryption.
 
 Everything here is *exact* RNS-CKKS on small rings: real NTT arithmetic,
-real RLWE encryption, real hybrid key switching with a special prime,
-real rescaling.  The single substituted primitive is bootstrapping,
-which is an oracle refresh with the paper's external contract (see
-``bootstrap`` below and docs/substitutions.md).
-
-Evaluation runs on the limb-batched hot-path engine: representation
-changes go through :class:`repro.ntt.NttChainEngine`, rotations apply
-Galois maps as evaluation-form permutations, and hybrid key switching
-is factored into decompose / inner-product / mod-down stages so
-:meth:`CkksContext.rotate_hoisted` can share one digit decomposition
-across many rotation keys (paper Section 3.3 hoisting).  Digit
-decomposition supports grouping (``CkksParameters.ks_alpha`` limbs per
-digit, dnum = ceil((l+1)/alpha), with a matching multi-prime special
-basis), which shrinks both the decompose NTT batch and the inner
-product width.  :meth:`CkksContext.rotate_hoisted_slabs`, the one
-hoisted walk, additionally defers the mod-down: it yields raw
-accumulators in the extended Q_l * P basis a fixed-width slab of
-offsets at a time, so fused consumers (the BSGS matvec, the fold) sum
-many plaintext-weighted rotations into running sums and divide by P
-once per output — true double hoisting (Bossuat et al. [11]) — without
-ever holding every offset's accumulator at once.  No evaluator
-operation allocates object-dtype (bigint) arrays.
+real RLWE encryption, real hybrid switching keys with a special prime.
+:class:`CkksContext` is the half of the scheme that holds the secret —
+parameters, rng, basis and encoder, every key and all keygen, encode /
+decode, encrypt / decrypt, and the oracle ``bootstrap``, the one
+substituted primitive, which decrypts and so belongs with the secret
+(docs/substitutions.md).  Homomorphic evaluation — arithmetic, Galois
+maps, hybrid key switching and the hoisted walk — is the exact
+evaluator :class:`repro.backend.toy.ToyBackend`, which reaches this
+context only for switching keys, encode / encrypt / decrypt and the
+oracle refresh.
 """
 
 from __future__ import annotations
@@ -34,10 +22,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encoding import get_encoder
-from repro.ckks.galois import galois_offset_key
 from repro.ckks.keys import (
     KEY_PRG_SEED_BYTES,
     KeyChain,
@@ -47,22 +33,11 @@ from repro.ckks.keys import (
     key_slot_order,
 )
 from repro.ckks.params import CkksParameters, RingType
-from repro.ntt import galois_eval_permutation
-from repro.obs.tracing import get_tracer
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import RnsPolynomial
 from repro.utils.rng import SeededRng
 
-__all__ = ["CkksContext", "HOISTED_SLAB", "galois_offset_key"]
-
-#: Distinct offsets per slab of a hoisted key switch
-#: (:meth:`CkksContext.rotate_hoisted_slabs`): wide enough that the
-#: per-slab dispatches vanish against the key stream, narrow enough that
-#: a slab's accumulators stay a few MB at N = 4096 however many offsets
-#: a layer hoists.  Chosen by a sweep (docs/hoisting.md, "Static
-#: operands"): 4 to 16 run a 128-offset matvec equally fast, 1 or 2 lose
-#: to per-call overhead, and each doubling from 4 adds a few MB of peak.
-HOISTED_SLAB = 8
+__all__ = ["CkksContext"]
 
 #: Limb rows per forward NTT while a switching key fills
 #: (:meth:`CkksContext._fill_switching_key`): a key's digits run through
@@ -150,14 +125,14 @@ def encode_table(basis: RnsBasis, encoder, vectors: Sequence, level: int,
     two.  Residues are < 2^31, so 32 bits lose nothing; multiply the
     table only against int64 operands (uint32 * uint32 wraps silently).
     """
-    chain = basis.primes[: level + 1] + basis.special_primes
+    chain = basis.key_switch_primes(level + 1)
     table = encode_rows(basis, encoder, vectors, chain, scale).astype(np.uint32)
     table.setflags(write=False)
     return table
 
 
 class CkksContext:
-    """Owns parameters, keys, and all homomorphic operations.
+    """The client: parameters, keys, encoding and encryption.
 
     Args:
         params: a :class:`CkksParameters` whose primes fit the NTT bound
@@ -182,16 +157,6 @@ class CkksContext:
     # ------------------------------------------------------------------
     # Key generation
     # ------------------------------------------------------------------
-    def _full_chain(self):
-        return self.basis.primes
-
-    def _data_chain(self, level: int):
-        return self.basis.primes[: level + 1]
-
-    def _ks_chain(self, level: int):
-        """Prime chain used during key switching at the given level."""
-        return self._data_chain(level) + self.basis.special_primes
-
     def _uniform_poly(self, primes) -> RnsPolynomial:
         n = self.params.ring_degree
         rows = [self.rng.uniform_mod(q, n) for q in primes]
@@ -209,7 +174,7 @@ class CkksContext:
 
     def _generate_keys(self) -> KeyChain:
         n = self.params.ring_degree
-        chain = self._full_chain()
+        chain = self.basis.primes
         if self.params.secret_hamming_weight:
             secret_coeffs = self.rng.sparse_ternary(
                 n, self.params.secret_hamming_weight
@@ -235,10 +200,6 @@ class CkksContext:
             public=public,
             relin=relin,
         )
-
-    def _ks_num_digits(self, level: int) -> int:
-        """dnum at the given level: ceil((level+1) / ks_alpha) digits."""
-        return -(-(level + 1) // self.params.ks_alpha)
 
     def _make_switching_key(
         self,
@@ -274,7 +235,7 @@ class CkksContext:
                 f"prime {max(chain)} does not fit the 32-bit residues a "
                 "switching key stores"
             )
-        num_digits = self._ks_num_digits(num_data - 1)
+        num_digits = self.params.ks_digits(num_data - 1)
         return _KeyPlan(to_key, from_key, exponent, max_level, chain, num_data, num_digits)
 
     def _draw_switching_key(self, plan: _KeyPlan):
@@ -512,7 +473,7 @@ class CkksContext:
         """Cleartext vector -> plaintext polynomial (paper Section 2.2)."""
         level = self.params.max_level if level is None else level
         scale = Fraction(self.params.scale) if scale is None else Fraction(scale)
-        poly = self._encode_poly(values, self._data_chain(level), scale)
+        poly = self._encode_poly(values, self.basis.data_primes(level + 1), scale)
         return Plaintext(poly=poly, level=level, scale=scale, slot_count=self.slot_count)
 
     def encode_table(self, vectors: Sequence, level: int, scale) -> np.ndarray:
@@ -527,7 +488,7 @@ class CkksContext:
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:
         """Public-key RLWE encryption (paper Section 2.3)."""
-        primes = self._data_chain(plaintext.level)
+        primes = self.basis.data_primes(plaintext.level + 1)
         pk0 = self._restrict(self.keys.public[0], primes)
         pk1 = self._restrict(self.keys.public[1], primes)
         u_coeffs = self.rng.ternary(self.params.ring_degree)
@@ -550,7 +511,7 @@ class CkksContext:
         )
 
     def decrypt(self, ciphertext: Ciphertext) -> Plaintext:
-        primes = self._data_chain(ciphertext.level)
+        primes = self.basis.data_primes(ciphertext.level + 1)
         secret = self._restrict(self.keys.secret, primes)
         message = ciphertext.c0 + ciphertext.c1 * secret
         if ciphertext.c2 is not None:
@@ -586,7 +547,7 @@ class CkksContext:
             raise ValueError("mod_raise expects a level-0 ciphertext")
         if ct.c2 is not None:
             raise ValueError("relinearize before mod_raise")
-        chain = self._data_chain(self.params.max_level)
+        chain = self.basis.data_primes(self.params.max_level + 1)
 
         def raise_poly(poly: RnsPolynomial) -> RnsPolynomial:
             centered = poly.to_bigint_coeffs()
@@ -600,453 +561,10 @@ class CkksContext:
             slot_count=ct.slot_count,
         )
 
-    def encode_encrypt(self, values: Sequence[float], level=None) -> Ciphertext:
-        return self.encrypt(self.encode(values, level=level))
-
     def _restrict(self, poly: RnsPolynomial, primes) -> RnsPolynomial:
         """Restrict a full-chain polynomial to a sub-chain of its primes."""
         index = [poly.primes.index(q) for q in primes]
         return RnsPolynomial(self.basis, primes, poly.data[index], poly.is_ntt)
-
-    # ------------------------------------------------------------------
-    # Homomorphic operations (paper Section 2.5)
-    # ------------------------------------------------------------------
-    def _check_levels(self, a: Ciphertext, b) -> None:
-        if a.level != b.level:
-            raise ValueError(f"level mismatch: {a.level} vs {b.level}")
-
-    def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """HAdd: SIMD addition of two ciphertexts (same level and scale)."""
-        self._check_levels(a, b)
-        if a.scale != b.scale:
-            raise ValueError(f"scale mismatch: {a.scale} vs {b.scale}")
-        return Ciphertext(
-            c0=a.c0 + b.c0,
-            c1=a.c1 + b.c1,
-            level=a.level,
-            scale=a.scale,
-            slot_count=a.slot_count,
-        )
-
-    def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check_levels(a, b)
-        if a.scale != b.scale:
-            raise ValueError(f"scale mismatch: {a.scale} vs {b.scale}")
-        return Ciphertext(
-            c0=a.c0 - b.c0,
-            c1=a.c1 - b.c1,
-            level=a.level,
-            scale=a.scale,
-            slot_count=a.slot_count,
-        )
-
-    def add_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
-        """PAdd: plaintext + ciphertext (same level and scale)."""
-        self._check_levels(a, p)
-        if a.scale != p.scale:
-            raise ValueError(f"scale mismatch: {a.scale} vs {p.scale}")
-        return Ciphertext(
-            c0=a.c0 + p.poly,
-            c1=a.c1,
-            level=a.level,
-            scale=a.scale,
-            slot_count=a.slot_count,
-        )
-
-    def negate(self, a: Ciphertext) -> Ciphertext:
-        return Ciphertext(
-            c0=-a.c0, c1=-a.c1, level=a.level, scale=a.scale, slot_count=a.slot_count
-        )
-
-    def mul_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
-        """PMult: SIMD multiply by a plaintext; output scale multiplies."""
-        self._check_levels(a, p)
-        return Ciphertext(
-            c0=a.c0 * p.poly,
-            c1=a.c1 * p.poly,
-            level=a.level,
-            scale=a.scale * p.scale,
-            slot_count=a.slot_count,
-        )
-
-    def mul(self, a: Ciphertext, b: Ciphertext, relinearize: bool = True) -> Ciphertext:
-        """HMult: ciphertext * ciphertext with relinearization."""
-        self._check_levels(a, b)
-        d0 = a.c0 * b.c0
-        d1 = a.c0 * b.c1 + a.c1 * b.c0
-        d2 = a.c1 * b.c1
-        out = Ciphertext(
-            c0=d0,
-            c1=d1,
-            c2=d2,
-            level=a.level,
-            scale=a.scale * b.scale,
-            slot_count=a.slot_count,
-        )
-        return self.relinearize(out) if relinearize else out
-
-    def relinearize(self, ct: Ciphertext) -> Ciphertext:
-        """Reduce a degree-2 ciphertext back to degree 1 via the relin key."""
-        if ct.c2 is None:
-            return ct
-        p0, p1 = self._keyswitch(ct.c2, self.keys.relin, ct.level)
-        return Ciphertext(
-            c0=ct.c0 + p0,
-            c1=ct.c1 + p1,
-            level=ct.level,
-            scale=ct.scale,
-            slot_count=ct.slot_count,
-        )
-
-    def square(self, a: Ciphertext) -> Ciphertext:
-        return self.mul(a, a)
-
-    def rescale(self, ct: Ciphertext) -> Ciphertext:
-        """Divide by the last prime; level drops by one (Section 2.5.2).
-
-        All ciphertext components are stacked through one batched
-        divide-and-round pass (they share the dropped limb's inverse
-        NTT and the lift's forward NTT).
-        """
-        if ct.level == 0:
-            raise ValueError("cannot rescale a level-0 ciphertext")
-        last_prime = self._data_chain(ct.level)[-1]
-        polys = [ct.c0, ct.c1] + ([] if ct.c2 is None else [ct.c2])
-        primes = polys[0].primes
-        if all(p.is_ntt and p.primes == primes for p in polys):
-            stacked = self.basis.divide_round_last(
-                np.stack([p.data for p in polys]), primes, is_ntt=True
-            )
-            divided = [
-                RnsPolynomial(self.basis, primes[:-1], row, is_ntt=True)
-                for row in stacked
-            ]
-        else:
-            divided = [p.divide_and_round_by_last() for p in polys]
-        return Ciphertext(
-            c0=divided[0],
-            c1=divided[1],
-            c2=divided[2] if ct.c2 is not None else None,
-            level=ct.level - 1,
-            scale=ct.scale / last_prime,
-            slot_count=ct.slot_count,
-        )
-
-    def level_down(self, ct: Ciphertext, target_level: int) -> Ciphertext:
-        """Drop limbs without dividing (free level adjustment)."""
-        if target_level > ct.level:
-            raise ValueError("cannot raise level without bootstrapping")
-        drop = ct.level - target_level
-        if drop == 0:
-            return ct
-        return Ciphertext(
-            c0=ct.c0.drop_limbs(drop),
-            c1=ct.c1.drop_limbs(drop),
-            c2=None if ct.c2 is None else ct.c2.drop_limbs(drop),
-            level=target_level,
-            scale=ct.scale,
-            slot_count=ct.slot_count,
-        )
-
-    def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
-        """HRot: cyclic rotation of slots "up" by ``steps`` (Section 2.5.3)."""
-        steps %= self.slot_count
-        if steps == 0:
-            return ct
-        exponent = self.encoder.rotation_exponent(steps)
-        return self._apply_galois(ct, exponent)
-
-    def conjugate(self, ct: Ciphertext) -> Ciphertext:
-        return self._apply_galois(ct, self.encoder.conjugation_exponent)
-
-    def _apply_galois(self, ct: Ciphertext, exponent: int) -> Ciphertext:
-        if ct.c2 is not None:
-            raise ValueError("relinearize before rotating")
-        key = self.galois_key(exponent, max_level=ct.level)
-        p0, p1 = self._keyswitch(ct.c1, key, ct.level)
-        return Ciphertext(
-            c0=ct.c0.automorphism(exponent) + p0,
-            c1=p1,
-            level=ct.level,
-            scale=ct.scale,
-            slot_count=ct.slot_count,
-        )
-
-    def _ks_decompose(self, d: RnsPolynomial, level: int) -> np.ndarray:
-        """Digit-decompose ``d`` for hybrid key switching (the hoistable
-        part: one inverse NTT of ``d`` plus one batched forward NTT of
-        every digit raised to the Q_l * P chain).
-
-        With ks_alpha = 1 each digit is one centered limb; with grouped
-        decomposition (ks_alpha > 1, dnum = ceil((level+1)/alpha)) each
-        digit is the exact int64 CRT lift of its alpha limbs, all digits
-        in one :meth:`RnsBasis.decompose_digits` pass, shrinking both the
-        digit count and the forward-NTT batch.
-
-        Returns an int64 array of shape ``(dnum, len(ks_chain), N)``
-        in evaluation form.  The decomposition commutes with Galois
-        automorphisms, so hoisted rotations reuse it across many keys.
-        """
-        ks_chain = self._ks_chain(level)
-        num_limbs = level + 1
-        alpha = self.params.ks_alpha
-        d_coeff = d.to_coeff()
-        if alpha == 1:
-            src = d_coeff.data[:num_limbs]
-            src_col = self.basis.moduli_column(d.primes[:num_limbs])
-            centered = np.where(src > src_col // 2, src - src_col, src)
-            # Stride-0 broadcast across the ks chain: the engine's twist
-            # multiply materializes and reduces, so no explicit % pass here.
-            shape = (num_limbs, len(ks_chain), centered.shape[-1])
-            lifted = np.broadcast_to(centered[:, None, :], shape)
-        else:
-            lifted = self.basis.decompose_digits(
-                d_coeff.data[:num_limbs], d.primes[:num_limbs], ks_chain, alpha
-            )
-        return self.basis.forward_chain(lifted, ks_chain)
-
-    def _ks_inner(
-        self,
-        digits: np.ndarray,
-        keys: Sequence[SwitchingKey],
-        level: int,
-    ) -> np.ndarray:
-        """Inner products sum_i digit_i * key_i over the Q_l * P chain,
-        one per switching key, against one shared digit tensor.
-
-        Returns a ``(2, ks_limbs, len(keys), N)`` evaluation-form tensor
-        (limb rows in ``(data..., special)`` chain order) through the
-        ``ks_inner_stacked`` kernel, which reads each key's prefix
-        :meth:`SwitchingKey.chain_view` in place — no key material is
-        copied, stacked or cached per level or offset group.
-
-        Galois keys are stored slot-axis *inverse-permuted*: with
-        ``key_inv[..., perm_t] == key`` the product-sum runs directly
-        against the UN-rotated digit tensor —
-
-            acc[c, k, n] = sum_d digits[d, k, perm_t[n]] * key[c, d, k, n]
-                         = (sum_d digits * key_inv)[c, k, perm_t[n]]
-
-        so column ``o`` is the accumulator of ``sigma_t(d)`` *before*
-        its Galois gather, which the caller applies to the small
-        accumulator instead of the D-times-larger digit stack (the relin
-        key's permutation is the identity).
-
-        Products are summed lazily in int64:
-        :func:`repro.kernels.lazy_reduction_chunk` digits fit before a
-        reduction is needed, so the hot path performs a single ``%`` on
-        the accumulator.  A compressed key used above its bound is a
-        caller bug and fails loudly rather than silently dropping digits.
-        """
-        for key in keys:
-            if not key.covers(level):
-                raise ValueError(
-                    f"switching key is compressed to level {key.max_level} "
-                    f"but the key switch runs at level {level}; regenerate "
-                    "the key (or raise its bound in the key manifest)"
-                )
-        ks_chain = self._ks_chain(level)
-        num_digits = self._ks_num_digits(level)
-        return kernels.ks_inner_stacked(
-            digits,
-            [key.chain_view(num_digits, level) for key in keys],
-            self.params.num_special_primes,
-            self.basis.moduli_column(ks_chain),
-            kernels.lazy_reduction_chunk(max(ks_chain)),
-        )
-
-    def _ks_moddown(self, acc: np.ndarray, level: int):
-        """Divide both accumulators by the special modulus P.
-
-        ``acc`` is a (Galois-gathered) ``(2, ks_limbs, N)`` column of
-        :meth:`_ks_inner`; both rows share one divide-and-round pass,
-        whatever the number of special primes: inverse-transform the
-        special rows, lift their centered value to Q_l, one forward NTT,
-        subtract, multiply by P^{-1} (docs/hoisting.md).
-        """
-        ns = self.params.num_special_primes
-        chain = self._ks_chain(level)
-        acc = self.basis.divide_round_last(acc, chain, is_ntt=True, count=ns)
-        return (
-            RnsPolynomial(self.basis, chain[:-ns], acc[0], is_ntt=True),
-            RnsPolynomial(self.basis, chain[:-ns], acc[1], is_ntt=True),
-        )
-
-    def _keyswitch(self, d: RnsPolynomial, key: SwitchingKey, level: int):
-        """Hybrid key switch of ``sigma_t(d)`` at the given level, ``t``
-        being the key's Galois element (``d`` itself for the relin key).
-
-        Decomposes the UN-rotated d into digits, multiplies by the
-        switching key over Q_l * P, Galois-gathers the accumulator, and
-        divides by the special modulus P.  All stages are limb-batched;
-        see :meth:`rotate_hoisted` for the variant that shares the
-        decomposition across many keys.
-        """
-        digits = self._ks_decompose(d, level)
-        acc = self._ks_inner(digits, [key], level)[:, :, 0]
-        if key.exponent != 1:
-            perm = galois_eval_permutation(self.params.ring_degree, key.exponent)
-            acc = np.take(acc, perm, axis=-1)
-        return self._ks_moddown(acc, level)
-
-    def galois_offset_exponent(self, offset) -> int:
-        """Galois exponent of a hoisted offset (int or ``("conj", k)``).
-
-        A conjugation-composed offset applies sigma_conj first, then the
-        rotation: automorphisms compose by multiplying their exponents
-        mod 2N, so the pair is ONE Galois element — one switching key,
-        one inner product — rather than two chained key switches.
-        """
-        if isinstance(offset, tuple):
-            conj = self.encoder.conjugation_exponent
-            return (conj * self.encoder.rotation_exponent(offset[1])) % (
-                2 * self.params.ring_degree
-            )
-        return self.encoder.rotation_exponent(offset)
-
-    def rotate_hoisted_slabs(
-        self,
-        ct: Ciphertext,
-        steps_list: Iterable,
-    ):
-        """The hoisted key switch: Galois maps of ``ct`` left in the
-        extended Q_l * P basis, yielded :data:`HOISTED_SLAB` offsets at a
-        time — the one walk every hoisted consumer is built from.
-
-        ``ct.c1`` is digit-decomposed ONCE (the digit tensor commutes
-        with Galois permutations); the mod-down is deferred.  The
-        distinct nonzero offsets are walked in :func:`galois_offset_key`
-        order, and each slab yields ``(offsets, rot0, acc)``: ``rot0``
-        the ``(level + 1, S, N)`` transformed c0s over Q_l and ``acc``
-        the raw ``(2, ks_limbs, S, N)`` evaluation-form key-switch
-        accumulators still over Q_l * P, the offset axis second to last
-        in both.  The walk keeps no reference to a slab once it has
-        yielded it: a consumer that reduces each slab where it lies
-        (the fused matvec contracts it against its table rows, the fold
-        sums it) never holds more than one slab, whatever the number of
-        offsets.
-
-        Per slab, the shared digit tensor meets every offset's
-        inverse-permuted switching key in ONE dispatch of
-        :meth:`_ks_inner` (each key read in place as a prefix view of
-        its resident tensor), and only the small accumulator is
-        Galois-permuted — one flat gather over the fused offset-slot
-        axis (see :meth:`_ks_inner` for why that equals the
-        rotate-the-digits formulation, element by element).  Every
-        offset's inner product is computed exactly once, and modular
-        sums are invariant under regrouping, so consumers are
-        bit-identical to a per-offset loop.
-
-        Offsets are plain rotation steps (``int``) or conjugation-
-        composed elements ``("conj", k)`` — conjugate, then rotate by
-        ``k``.  The composition is a single Galois automorphism, so the
-        bootstrap CoeffToSlot conjugation rides the *same* digit
-        decomposition as the transform rotations instead of paying its
-        own standalone key switch.  Step 0 is skipped (it needs no key
-        switch; callers handle it as the identity) — but
-        ``("conj", 0)`` is a real Galois map and is walked like any
-        other element.
-        """
-        if ct.c2 is not None:
-            raise ValueError("relinearize before rotating")
-        unique = {
-            ("conj", s[1] % self.slot_count)
-            if isinstance(s, tuple)
-            else s % self.slot_count
-            for s in steps_list
-        }
-        nonzero = sorted(unique - {0}, key=galois_offset_key)
-        if not nonzero:
-            return
-        n = self.params.ring_degree
-        level = ct.level
-        # Observe-only span (one per hoisted key switch, not per slab; it
-        # stays open across the yields, so it also brackets what the
-        # consumer does with each slab); the null-tracer context manager
-        # costs two trivial calls, far below the NTT work it brackets
-        # (gated by tracing_overhead).
-        with get_tracer().span(
-            "keyswitch.hoisted",
-            category="keyswitch",
-            level=level,
-            num_offsets=len(nonzero),
-        ):
-            digits = self._ks_decompose(ct.c1, level)
-            c0 = ct.c0.to_ntt().data
-            for start in range(0, len(nonzero), HOISTED_SLAB):
-                offsets = nonzero[start : start + HOISTED_SLAB]
-                num = len(offsets)
-                exponents = [self.galois_offset_exponent(o) for o in offsets]
-                keys = [self.galois_key(e, max_level=level) for e in exponents]
-                perms = np.stack([galois_eval_permutation(n, e) for e in exponents])
-                # The (C, K, S, N) layout fuses the offset and slot axes,
-                # so the slab's permutations are ONE flat gather each for
-                # the accumulator and c0.  Both are yielded as unnamed
-                # temporaries: the walk holds no slab across a yield.
-                flat_idx = (np.arange(num)[:, None] * n + perms).reshape(-1)
-                yield (
-                    offsets,
-                    np.take(c0, perms.reshape(-1), axis=-1).reshape(-1, num, n),
-                    np.take(
-                        self._ks_inner(digits, keys, level).reshape(
-                            2, -1, num * n
-                        ),
-                        flat_idx,
-                        axis=-1,
-                    ).reshape(2, -1, num, n),
-                )
-
-    def rotate_hoisted_raw(
-        self,
-        ct: Ciphertext,
-        steps_list: Iterable,
-    ) -> Dict:
-        """Every slab of :meth:`rotate_hoisted_slabs`, kept, as
-        ``{offset: (rot0, acc)}``: ``rot0`` the transformed c0
-        polynomial, ``acc`` its raw ``(2, ks_limbs, N)`` accumulator —
-        views of the slabs.  Applying :meth:`_ks_moddown` to each
-        ``acc`` reproduces :meth:`rotate_hoisted` (or the standalone
-        :meth:`conjugate` key switch) bit-for-bit.
-        """
-        return {
-            offset: (
-                RnsPolynomial(self.basis, ct.c0.primes, rot0[:, i], is_ntt=True),
-                acc[:, :, i],
-            )
-            for offsets, rot0, acc in self.rotate_hoisted_slabs(ct, steps_list)
-            for i, offset in enumerate(offsets)
-        }
-
-    def rotate_hoisted(self, ct: Ciphertext, steps_list: Iterable[int]) -> Dict[int, Ciphertext]:
-        """Rotate one ciphertext by many step amounts, hoisting the
-        key-switch digit decomposition (Section 3.3 "double hoisting").
-
-        The expensive part of a rotation — inverse-transforming c1 and
-        raising every digit to the Q_l * P basis — depends only on c1,
-        not on the rotation amount, because digit decomposition commutes
-        with Galois automorphisms.  It is computed once (in
-        :meth:`rotate_hoisted_slabs`); each step then costs one inner
-        product with its switching key, one evaluation-form permutation
-        of the accumulator, and the mod-down.
-
-        Returns ``{step: rotated ciphertext}``; step 0 maps to ``ct``.
-        """
-        outputs: Dict[int, Ciphertext] = {}
-        unique_steps = {s % self.slot_count for s in steps_list}
-        if 0 in unique_steps:
-            outputs[0] = ct
-        for steps, rot0, acc in self.rotate_hoisted_slabs(ct, unique_steps):
-            for i, step in enumerate(steps):
-                p0, p1 = self._ks_moddown(acc[:, :, i], ct.level)
-                c0 = RnsPolynomial(self.basis, ct.c0.primes, rot0[:, i], is_ntt=True)
-                outputs[step] = Ciphertext(
-                    c0=c0 + p0,
-                    c1=p1,
-                    level=ct.level,
-                    scale=ct.scale,
-                    slot_count=ct.slot_count,
-                )
-        return outputs
 
     # ------------------------------------------------------------------
     # Bootstrapping (oracle; documented substitution)

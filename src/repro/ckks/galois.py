@@ -1,14 +1,15 @@
 """Shared helpers for hoisted Galois offsets.
 
-A hoisted offset — the unit `FheBackend.matvec_fused` and
-`CkksContext.rotate_hoisted_raw` operate on — is either a plain
+A hoisted offset — the unit `FheBackend.matvec_fused` and the exact
+evaluator's hoisted walk (`ToyBackend.rotate_hoisted_slabs`) operate
+on — is either a plain
 rotation step (``int``) or a conjugation-composed element
 ``("conj", step)``: conjugate first, then rotate by ``step`` (one
 Galois automorphism, exponent ``conj_exp * 5^step mod 2N``).
 
 This module is deliberately dependency-free so the lightweight
 functional simulator can order mixed offsets without importing the
-exact-arithmetic context machinery.
+exact evaluator.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def fused_term_groups(terms) -> Dict:
     """``(out block, in block) -> offsets`` of a fused matvec's terms, in
     the row order of the group's static table: its nonzero offsets in
     :func:`galois_offset_key` order — the order
-    :meth:`CkksContext.rotate_hoisted_slabs` walks them in, so each slab
+    :meth:`ToyBackend.rotate_hoisted_slabs` walks them in, so each slab
     meets a contiguous run of the table's rows — then the ``off == 0``
     term, if the group has one, as the single trailing row.
     """

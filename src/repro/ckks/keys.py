@@ -10,6 +10,11 @@ the special modulus (product of the special primes, which must outweigh
 every digit modulus).  Summing digit * key products and dividing by P
 (mod-down) keeps the switching noise a factor P smaller than the naive
 method; ks_alpha = 1 recovers the per-limb decomposition.
+
+The client (:class:`repro.ckks.context.CkksContext`) generates and
+holds these keys; the exact evaluator
+(:class:`repro.backend.toy.ToyBackend`) reads them in place, in its
+key-switch inner products, and never writes them.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ class SwitchingKey:
       the natural evaluation-form key; identity for the relin key,
       ``exponent == 1``) — the product-sum runs against the UN-rotated
       digit tensor and only the small accumulator is gathered
-      (:meth:`CkksContext._ks_inner`).
+      (:meth:`ToyBackend._ks_inner`).
 
     ``max_level`` marks a *compressed* key: the tensor carries only the
     digits and limbs a key switch at ``level <= max_level`` consumes

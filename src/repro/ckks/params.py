@@ -154,10 +154,14 @@ class CkksParameters:
         """L_eff = L - L_boot: the level a bootstrap refreshes up to."""
         return self.max_level - self.boot_levels
 
+    def ks_digits(self, level: int) -> int:
+        """Key-switch digits at ``level``: ceil((level+1) / ks_alpha)."""
+        return -(-(level + 1) // self.ks_alpha)
+
     @property
     def dnum(self) -> int:
         """Key-switch decomposition number at the top level."""
-        return -(-(self.max_level + 1) // self.ks_alpha)
+        return self.ks_digits(self.max_level)
 
     @property
     def data_primes(self) -> Tuple[int, ...]:

@@ -290,7 +290,7 @@ class OrionCompiler:
     # ------------------------------------------------------------------
     def _ranges(self, net, graph, calibration_batches) -> RangeEstimate:
         if calibration_batches is None:
-            return RangeEstimate({}, margin=1.0)
+            return RangeEstimate({})
         return estimate_ranges(net, graph, calibration_batches)
 
 

@@ -114,12 +114,12 @@ class PackedMatVec:
     # is served at another level or scale.
     # Read and written through :meth:`encoded_tables` /
     # :meth:`install_table`, never indexed elsewhere.
-    _tables: Dict = field(default_factory=dict, repr=False, compare=False)
+    _tables: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The encoded biases, keyed ``(bo, plaintext_cache_key)`` the same way.
-    _biases: Dict = field(default_factory=dict, repr=False, compare=False)
+    _biases: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Batched (block-replicated) views for serve-time slot batching,
     # keyed by batch size (built lazily, shared across executions).
-    _batched: Dict = field(default_factory=dict, repr=False, compare=False)
+    _batched: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fold_groups:

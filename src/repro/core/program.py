@@ -378,7 +378,7 @@ class FheProgram:
     entry_level: int
     # Batched (slot-replicated) views for serving, keyed by batch size.
     _batched: Dict[int, "FheProgram"] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def encrypt_input(self, backend, image: np.ndarray) -> List:

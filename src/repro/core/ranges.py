@@ -22,6 +22,10 @@ import numpy as np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.trace.graph import LayerGraph, TracedValue, tracer
 
+#: Safety factor on observed maxima: unseen data may slightly exceed
+#: the calibration range.
+RANGE_MARGIN = 1.5
+
 
 class _UnionFind:
     def __init__(self):
@@ -45,9 +49,8 @@ class _UnionFind:
 class RangeEstimate:
     """Per-value normalization constants keyed by trace uid."""
 
-    def __init__(self, norms: Dict[int, float], margin: float):
+    def __init__(self, norms: Dict[int, float]):
         self._norms = norms
-        self.margin = margin
 
     def norm(self, uid: int) -> float:
         return self._norms.get(uid, 1.0)
@@ -57,16 +60,14 @@ def estimate_ranges(
     net,
     graph: LayerGraph,
     calibration_batches: Iterable[np.ndarray],
-    margin: float = 1.5,
 ) -> RangeEstimate:
-    """Compute normalization constants from calibration data.
+    """Compute normalization constants from calibration data: each is
+    the value's observed maximum times :data:`RANGE_MARGIN`.
 
     Args:
         net: the orion network (eval mode recommended).
         graph: a trace of the network (provides the join structure).
         calibration_batches: iterable of input arrays (B, C, H, W).
-        margin: safety factor on observed maxima (unseen data may
-            slightly exceed the calibration range).
     """
     maxima: Dict[int, float] = {}
     with no_grad():
@@ -104,5 +105,5 @@ def estimate_ranges(
     norms = {}
     for uid in list(maxima) + [graph.input_uid]:
         peak = group_max[groups.find(uid)]
-        norms[uid] = max(peak * margin, 1e-6)
-    return RangeEstimate(norms, margin)
+        norms[uid] = max(peak * RANGE_MARGIN, 1e-6)
+    return RangeEstimate(norms)

@@ -1,6 +1,7 @@
 """The hot-path kernels: the key-switch inner products.
 
-Two plain numpy functions, called directly by the evaluator.  Results
+Two plain numpy functions, called directly by the exact evaluator
+(:class:`repro.backend.toy.ToyBackend`).  Results
 are exact int64 modular arithmetic; the static operand of an inner
 product (key views, weight tables) is uint32 and numpy promotes it
 against the int64 one exactly.  ``docs/kernels.md`` has the contract and
@@ -112,7 +113,7 @@ def ks_inner_stacked(digits, keys, num_special, mod_col, chunk):
     The key-switch hot path: the shared digit tensor stays
     cache-resident while the keys stream from where they live, and no
     per-offset digit gather is needed (the keys are stored
-    inverse-permuted; see ``CkksContext._ks_inner``).
+    inverse-permuted; see ``ToyBackend._ks_inner``).
 
     ``digits``: int64 ``(D, K, N)`` shared digit tensor, limb rows in
     chain order ``(data..., special)``; ``keys``: O uint32 switching-key

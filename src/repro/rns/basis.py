@@ -72,6 +72,11 @@ class RnsBasis:
             raise ValueError("requested more limbs than data primes")
         return self.primes[:num_limbs]
 
+    def key_switch_primes(self, num_limbs: int) -> Tuple[int, ...]:
+        """The Q_l * P chain of a key switch over ``num_limbs`` data
+        limbs: those data primes, then the special primes."""
+        return self.data_primes(num_limbs) + self.special_primes
+
     def modulus(self, num_limbs: int) -> int:
         """Q_l = product of the first ``num_limbs`` data primes."""
         q = 1

@@ -2,14 +2,16 @@
 
 An :class:`RnsPolynomial` holds one residue row per active prime and a
 flag saying whether rows are in coefficient or NTT (evaluation) form.
-Pointwise ring operations act limb-wise; rescaling and mod-down move
-between levels of the modulus chain (paper Sections 2.4-2.5).
+Pointwise ring operations act limb-wise; dropping limbs moves down the
+modulus chain (paper Section 2.4), and the divide-and-round behind
+rescaling and mod-down is :meth:`RnsBasis.divide_round_last`, which
+the evaluator runs on stacked residue tensors.
 
 Hot-path design: representation changes run through the basis's
 :class:`repro.ntt.NttChainEngine` (all limbs in one vectorized pass),
 Galois automorphisms on evaluation-form data are a cached slot-index
-gather (no transforms), rescaling inverse-transforms only the dropped
-limb, and basis extension uses fast int64 conversion.  No operation
+gather (no transforms), and basis extension uses fast int64
+conversion.  No operation
 here allocates an object-dtype (Python bigint) array except the
 explicit ``to_bigint_coeffs`` / ``from_bigint_coeffs`` conversions.
 """
@@ -160,25 +162,6 @@ class RnsPolynomial:
         return RnsPolynomial(
             self.basis, self.primes[:-count], self.data[:-count].copy(), self.is_ntt
         )
-
-    def divide_and_round_by_last(self) -> "RnsPolynomial":
-        """Divide by the last prime in the chain and round (exactly).
-
-        This is the core of both CKKS rescaling (divide by q_l, paper
-        Section 2.5.2) and the key-switch mod-down (divide by the special
-        prime P).  Computes round(x / q_last) limb-wise:
-        (x_i - [x]_{q_last}) * q_last^{-1} mod q_i, with a centered lift
-        of [x]_{q_last} so the result is a proper rounding.
-
-        Evaluation-form inputs stay in evaluation form: only the dropped
-        limb is inverse-transformed, its centered lift is re-transformed
-        onto the remaining limbs in one batched pass, and the division
-        happens pointwise — no full NTT round-trip.  The tensor core
-        lives in :meth:`RnsBasis.divide_round_last` so rescaling can
-        batch (c0, c1) pairs through it in one call.
-        """
-        data = self.basis.divide_round_last(self.data, self.primes, self.is_ntt)
-        return RnsPolynomial(self.basis, self.primes[:-1], data, self.is_ntt)
 
     def __repr__(self) -> str:
         form = "ntt" if self.is_ntt else "coeff"

@@ -143,8 +143,8 @@ class ServingArtifact:
         """
         if not self.encoded:
             return 0
-        context = getattr(backend, "context", None)
-        if context is None:
+        basis = getattr(backend, "basis", None)
+        if basis is None:
             return 0  # functional backends encode for free
         if tuple(backend.params.primes) != tuple(
             self.manifest.params_dict["primes"]
@@ -166,10 +166,10 @@ class ServingArtifact:
             pt_scale = Fraction(*section["pt_scale"])
             packed = instr.packed
             rows = fused_term_groups(packed.terms())
-            limbs = len(context._ks_chain(level))
+            limbs = len(basis.key_switch_primes(level + 1))
             for group in section["groups"]:
                 bo, bi, table = group["bo"], group["bi"], group["table"]
-                want = (len(rows[(bo, bi)]), limbs, context.params.ring_degree)
+                want = (len(rows[(bo, bi)]), limbs, basis.ring_degree)
                 if table.shape != want or table.dtype != np.uint32:
                     raise ArtifactSchemaError(
                         f"{section['name']}[bo={bo},bi={bi}]: table is "

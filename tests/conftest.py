@@ -9,7 +9,6 @@ import pytest
 
 from repro import kernels
 from repro.backend import SimBackend, ToyBackend
-from repro.ckks.context import CkksContext
 from repro.ckks.params import paper_parameters, toy_parameters
 from repro.obs import Tracer, set_tracer
 
@@ -57,7 +56,7 @@ def toy_params():
 
 @pytest.fixture(scope="session")
 def ckks(toy_params):
-    return CkksContext(toy_params, seed=1234)
+    return ToyBackend(toy_params, seed=1234)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ order and rng state behind.
 
 Every function takes the context as its first argument and reads only
 its parameters, basis, secret and rng, plus the small helpers that did
-not change (``_noise_poly``, ``_restrict``, ``_ks_num_digits``).
+not change (``_noise_poly``, ``_restrict``, ``params.ks_digits``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def make_switching_key(context, from_key, to_key, max_level=None, exponent=1):
         num_data = max_level + 1
     ns = params.num_special_primes
     alpha = params.ks_alpha
-    num_digits = context._ks_num_digits(num_data - 1)
+    num_digits = context.params.ks_digits(num_data - 1)
     chain = key_chain_primes(context.basis, ns + num_data)
     if max(chain) >= 2**32:
         raise ValueError(

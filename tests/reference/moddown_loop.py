@@ -26,13 +26,13 @@ import numpy as np
 from repro.rns.poly import RnsPolynomial
 
 
-def moddown_loop(context, acc: np.ndarray, level: int):
-    """``CkksContext._ks_moddown`` one special prime at a time."""
-    chain = context._ks_chain(level)
-    for _ in range(context.params.num_special_primes):
-        acc = context.basis.divide_round_last(acc, chain, is_ntt=True)
+def moddown_loop(backend, acc: np.ndarray, level: int):
+    """``ToyBackend._ks_moddown`` one special prime at a time."""
+    chain = backend.basis.key_switch_primes(level + 1)
+    for _ in range(backend.params.num_special_primes):
+        acc = backend.basis.divide_round_last(acc, chain, is_ntt=True)
         chain = chain[:-1]
     return (
-        RnsPolynomial(context.basis, chain, acc[0], is_ntt=True),
-        RnsPolynomial(context.basis, chain, acc[1], is_ntt=True),
+        RnsPolynomial(backend.basis, chain, acc[0], is_ntt=True),
+        RnsPolynomial(backend.basis, chain, acc[1], is_ntt=True),
     )

@@ -32,7 +32,7 @@ from repro.backend.costs import CostModel
 from repro.backend.ledger import KeySwitch
 from repro.ckks.bootstrap import CkksBootstrapper
 from repro.ckks.ciphertext import Ciphertext
-from repro.ckks.context import HOISTED_SLAB
+from repro.backend.toy import HOISTED_SLAB
 from repro.ckks.params import bootstrap_parameters, toy_parameters
 from repro.core.packing.layouts import VectorLayout
 from repro.core.packing.matvec import (
@@ -78,13 +78,13 @@ def per_rotation_matvec_sum(bs, pairs, pt_scale, table):
     """Per-rotation reference: fresh decomposition per rotation,
     immediate reductions, one deferred mod-down — the same exact math
     as the fused path, organized one rotation at a time."""
-    ctx = bs.backend.context
+    backend, ctx = bs.backend, bs.backend.context
     plan = bs._transform_plan(table, pairs)
     in_cts = [ct for ct, _ in pairs]
     level = in_cts[0].level
-    ks_chain = ctx._ks_chain(level)
+    ks_chain = ctx.basis.key_switch_primes(level + 1)
     mod_ks = ctx.basis.moduli_column(ks_chain)
-    data_primes = ctx._data_chain(level)
+    data_primes = ctx.basis.data_primes(level + 1)
     mod_q = ctx.basis.moduli_column(data_primes)
     acc_ext = np.zeros((2, len(ks_chain), ctx.basis.ring_degree), dtype=np.int64)
     acc_c0 = np.zeros((len(data_primes), ctx.basis.ring_degree), dtype=np.int64)
@@ -97,11 +97,11 @@ def per_rotation_matvec_sum(bs, pairs, pt_scale, table):
                 acc_c1 = np.zeros_like(acc_c0)
             acc_c1 = (acc_c1 + pt.poly.data * in_cts[i].c1.data) % mod_q
             continue
-        rot0, acc = ctx.rotate_hoisted_raw(in_cts[i], [k])[k]
+        rot0, acc = backend.rotate_hoisted_raw(in_cts[i], [k])[k]
         pt_ext = extend_primes_reference(pt.poly, ks_chain).data
         acc_ext = (acc_ext + pt_ext * acc) % mod_ks
         acc_c0 = (acc_c0 + pt.poly.data * rot0.data) % mod_q
-    p0, p1 = ctx._ks_moddown(acc_ext, level)
+    p0, p1 = backend._ks_moddown(acc_ext, level)
     c0 = (acc_c0 + p0.data) % mod_q
     c1 = p1.data if acc_c1 is None else (acc_c1 + p1.data) % mod_q
     out = Ciphertext(
@@ -111,7 +111,7 @@ def per_rotation_matvec_sum(bs, pairs, pt_scale, table):
         scale=in_cts[0].scale * Fraction(pt_scale),
         slot_count=in_cts[0].slot_count,
     )
-    return ctx.rescale(out)
+    return backend.rescale(out)
 
 
 class TestFusedBootstrapTransforms:
@@ -259,17 +259,17 @@ class TestFusedGazelleFold:
             a = backend.level_down(ct, level)
             steps = _expansion(packed)
             got = backend.rotate_sum_hoisted(a, steps)
-            ks_chain = ctx._ks_chain(level)
+            ks_chain = ctx.basis.key_switch_primes(level + 1)
             mod_ks = ctx.basis.moduli_column(ks_chain)
-            data_primes = ctx._data_chain(level)
+            data_primes = ctx.basis.data_primes(level + 1)
             mod_q = ctx.basis.moduli_column(data_primes)
             acc = np.zeros((2, len(ks_chain), ctx.basis.ring_degree), dtype=np.int64)
             c0 = a.c0.data.copy()
             for step in steps:
-                rot0, raw = ctx.rotate_hoisted_raw(a, [step])[step]
+                rot0, raw = backend.rotate_hoisted_raw(a, [step])[step]
                 acc = (acc + raw) % mod_ks
                 c0 = (c0 + rot0.data) % mod_q
-            p0, p1 = ctx._ks_moddown(acc, level)
+            p0, p1 = backend._ks_moddown(acc, level)
             assert np.array_equal(got.c0.data, (c0 + p0.data) % mod_q)
             assert np.array_equal(got.c1.data, (a.c1.data + p1.data) % mod_q)
 
@@ -289,15 +289,15 @@ class TestFusedGazelleFold:
         assert len(steps) > 2 * HOISTED_SLAB
         got = backend.rotate_sum_hoisted(ct, steps)
         level = ct.level
-        ks_chain = ctx._ks_chain(level)
+        ks_chain = ctx.basis.key_switch_primes(level + 1)
         mod_ks = ctx.basis.moduli_column(ks_chain)
-        mod_q = ctx.basis.moduli_column(ctx._data_chain(level))
+        mod_q = ctx.basis.moduli_column(ctx.basis.data_primes(level + 1))
         acc = np.zeros((2, len(ks_chain), ctx.basis.ring_degree), dtype=np.int64)
         c0 = ct.c0.data.copy()
-        for step, (rot0, raw) in ctx.rotate_hoisted_raw(ct, steps).items():
+        for step, (rot0, raw) in backend.rotate_hoisted_raw(ct, steps).items():
             acc = (acc + raw) % mod_ks
             c0 = (c0 + rot0.data) % mod_q
-        p0, p1 = ctx._ks_moddown(acc, level)
+        p0, p1 = backend._ks_moddown(acc, level)
         assert np.array_equal(got.c0.data, (c0 + p0.data) % mod_q)
         assert np.array_equal(got.c1.data, (ct.c1.data + p1.data) % mod_q)
         sequential = ct

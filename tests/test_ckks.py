@@ -11,6 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ckks.context import CkksContext
 from repro.ckks.encoding import SlotEncoder
 from repro.ckks.params import CkksParameters, RingType, toy_parameters
 
@@ -103,46 +104,48 @@ class TestHomomorphicOps:
     def test_encrypt_decrypt(self, ckks, data):
         a, _ = data
         ct = ckks.encode_encrypt(a)
-        assert np.abs(ckks.decrypt_decode(ct) - a).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(ct) - a).max() < TOLERANCE
 
     def test_hadd(self, ckks, data):
         a, b = data
         out = ckks.add(ckks.encode_encrypt(a), ckks.encode_encrypt(b))
-        assert np.abs(ckks.decrypt_decode(out) - (a + b)).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(out) - (a + b)).max() < TOLERANCE
 
     def test_hsub(self, ckks, data):
         a, b = data
         out = ckks.sub(ckks.encode_encrypt(a), ckks.encode_encrypt(b))
-        assert np.abs(ckks.decrypt_decode(out) - (a - b)).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(out) - (a - b)).max() < TOLERANCE
 
     def test_padd(self, ckks, data):
         a, b = data
-        out = ckks.add_plain(ckks.encode_encrypt(a), ckks.encode(b))
-        assert np.abs(ckks.decrypt_decode(out) - (a + b)).max() < TOLERANCE
+        ca = ckks.encode_encrypt(a)
+        out = ckks.add_plain(ca, ckks.encode(b, ca.level, ca.scale))
+        assert np.abs(ckks.decrypt(out) - (a + b)).max() < TOLERANCE
 
     def test_pmult_with_rescale(self, ckks, data):
         a, b = data
-        out = ckks.rescale(ckks.mul_plain(ckks.encode_encrypt(a), ckks.encode(b)))
+        ca = ckks.encode_encrypt(a)
+        out = ckks.rescale(ckks.mul_plain(ca, ckks.encode(b, ca.level, ca.scale)))
         assert out.level == ckks.params.max_level - 1
-        assert np.abs(ckks.decrypt_decode(out) - a * b).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(out) - a * b).max() < TOLERANCE
 
     def test_hmult_with_rescale(self, ckks, data):
         a, b = data
         out = ckks.rescale(ckks.mul(ckks.encode_encrypt(a), ckks.encode_encrypt(b)))
-        assert np.abs(ckks.decrypt_decode(out) - a * b).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(out) - a * b).max() < TOLERANCE
 
     def test_hmult_without_relin_still_decrypts(self, ckks, data):
         a, b = data
-        out = ckks.mul(ckks.encode_encrypt(a), ckks.encode_encrypt(b), relinearize=False)
+        out = ckks._tensor(ckks.encode_encrypt(a), ckks.encode_encrypt(b))
         assert out.c2 is not None
-        vals = ckks.decrypt_decode(ckks.rescale(out))
+        vals = ckks.decrypt(ckks.rescale(out))
         assert np.abs(vals - a * b).max() < TOLERANCE
 
     def test_rotation(self, ckks, data):
         a, _ = data
         for k in (1, 7, 100):
             out = ckks.rotate(ckks.encode_encrypt(a), k)
-            assert np.abs(ckks.decrypt_decode(out) - np.roll(a, -k)).max() < TOLERANCE
+            assert np.abs(ckks.decrypt(out) - np.roll(a, -k)).max() < TOLERANCE
 
     def test_rotation_by_zero_is_identity(self, ckks, data):
         a, _ = data
@@ -152,34 +155,34 @@ class TestHomomorphicOps:
     def test_conjugate_on_real_data_is_identity(self, ckks, data):
         a, _ = data
         out = ckks.conjugate(ckks.encode_encrypt(a))
-        assert np.abs(ckks.decrypt_decode(out) - a).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(out) - a).max() < TOLERANCE
 
     def test_level_down(self, ckks, data):
         a, _ = data
         ct = ckks.level_down(ckks.encode_encrypt(a), 2)
         assert ct.level == 2
-        assert np.abs(ckks.decrypt_decode(ct) - a).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(ct) - a).max() < TOLERANCE
 
     def test_errorless_scale_trick(self, ckks, data):
         """Encoding weights at scale q_l makes rescale land exactly on Delta."""
         a, b = data
         ct = ckks.encode_encrypt(a)
         q_top = ckks.params.data_primes[ct.level]
-        pt = ckks.encode(b, level=ct.level, scale=Fraction(q_top))
+        pt = ckks.encode(b, ct.level, Fraction(q_top))
         out = ckks.rescale(ckks.mul_plain(ct, pt))
         assert out.scale == Fraction(ckks.params.scale)
-        assert np.abs(ckks.decrypt_decode(out) - a * b).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(out) - a * b).max() < TOLERANCE
 
     def test_deep_chain_to_level_zero(self, ckks, data):
         a, _ = data
         ct = ckks.encode_encrypt(a)
         expected = a.copy()
         for _ in range(ckks.params.max_level):
-            pt = ckks.encode(np.full(ckks.slot_count, 0.9), level=ct.level)
+            pt = ckks.encode(np.full(ckks.slot_count, 0.9), ct.level, ckks.params.scale)
             ct = ckks.rescale(ckks.mul_plain(ct, pt))
             expected *= 0.9
         assert ct.level == 0
-        assert np.abs(ckks.decrypt_decode(ct) - expected).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(ct) - expected).max() < TOLERANCE
 
     def test_mismatched_levels_raise(self, ckks, data):
         a, b = data
@@ -195,13 +198,48 @@ class TestHomomorphicOps:
             ckks.rescale(ct)
 
 
+class TestOneEvaluator:
+    """The backend is the only evaluator: the client context holds no
+    homomorphic op, and every operand check is ``FheBackend._check``'s."""
+
+    MOVED = (
+        "add", "sub", "add_plain", "negate", "mul_plain", "mul", "relinearize",
+        "square", "rescale", "level_down", "rotate", "conjugate", "rotate_hoisted",
+        "rotate_hoisted_raw", "rotate_hoisted_slabs", "galois_offset_exponent",
+        "encode_encrypt", "_apply_galois", "_keyswitch", "_ks_decompose",
+        "_ks_inner", "_ks_moddown", "_check_levels", "_full_chain", "_data_chain",
+        "_ks_chain",
+    )
+
+    def test_context_has_no_evaluator_op(self):
+        assert [name for name in self.MOVED if hasattr(CkksContext, name)] == []
+
+    def test_mismatches_raise_the_backend_message(self, ckks, data):
+        a, b = data
+        ct = ckks.encode_encrypt(a)
+        low = ckks.level_down(ckks.encode_encrypt(b), 1)
+        top = ct.level
+        pt = ckks.encode(b, top, ct.scale)
+        squared = ckks.mul_plain(ct, pt)
+        with pytest.raises(ValueError, match=f"^HAdd: level mismatch {top} vs 1$"):
+            ckks.add(ct, low)
+        with pytest.raises(ValueError, match="^HAdd: scale mismatch "):
+            ckks.add(ct, squared)
+        with pytest.raises(ValueError, match=f"^PAdd: level mismatch 1 vs {top}$"):
+            ckks.add_plain(low, pt)
+        with pytest.raises(ValueError, match="^PAdd: scale mismatch "):
+            ckks.add_plain(squared, pt)
+        with pytest.raises(ValueError, match=f"^HMult: level mismatch {top} vs 1$"):
+            ckks.mul(ct, low)
+
+
 class TestBootstrap:
     def test_bootstrap_restores_levels(self, ckks, data):
         a, _ = data
         ct = ckks.level_down(ckks.encode_encrypt(a), 0)
         boosted = ckks.bootstrap(ct)
         assert boosted.level == ckks.params.effective_level
-        assert np.abs(ckks.decrypt_decode(boosted) - a).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(boosted) - a).max() < TOLERANCE
 
     def test_bootstrap_rejects_out_of_range(self, ckks):
         big = np.full(ckks.slot_count, 3.0)
@@ -213,16 +251,16 @@ class TestBootstrap:
         a, _ = data
         ct = ckks.level_down(ckks.encode_encrypt(a), 0)
         boosted = ckks.bootstrap(ct)
-        pt = ckks.encode(np.full(ckks.slot_count, 0.5), level=boosted.level)
+        pt = ckks.encode(np.full(ckks.slot_count, 0.5), boosted.level, ckks.params.scale)
         out = ckks.rescale(ckks.mul_plain(boosted, pt))
-        assert np.abs(ckks.decrypt_decode(out) - 0.5 * a).max() < TOLERANCE
+        assert np.abs(ckks.decrypt(out) - 0.5 * a).max() < TOLERANCE
 
 
 class TestKeyManagement:
     def test_rotation_keys_cached(self, ckks):
-        before = ckks.keys.num_rotation_keys()
-        ckks.generate_rotation_keys([3, 3, 3])
-        after = ckks.keys.num_rotation_keys()
+        before = ckks.context.keys.num_rotation_keys()
+        ckks.context.generate_rotation_keys([3, 3, 3])
+        after = ckks.context.keys.num_rotation_keys()
         assert after <= before + 1
 
     def test_public_key_encryption_differs_from_plain(self, ckks, data):

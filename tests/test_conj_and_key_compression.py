@@ -4,7 +4,7 @@ Two tentpole mechanisms of the end-to-end bootstrap fast path:
 
 - **shared conjugation**: a conjugation-composed Galois element
   ``("conj", k)`` rides the same key-switch digit decomposition as
-  plain rotations (``CkksContext.rotate_hoisted_raw``), so the
+  plain rotations (``ToyBackend.rotate_hoisted_raw``), so the
   bootstrap CoeffToSlot pays one extra inner product instead of a
   standalone key switch.  The raw accumulator plus the shared mod-down
   must reproduce the standalone key switch **bit for bit** on the exact
@@ -57,16 +57,15 @@ def boot_setup(request):
 
 class TestSharedConjugation:
     def test_conj_raw_bitwise_equals_standalone_keyswitch(self, boot_setup):
-        """moddown(raw ("conj", 0) accumulator) == context.conjugate,
+        """moddown(raw ("conj", 0) accumulator) == backend.conjugate,
         bit for bit: the shared decomposition performs the identical
         exact modular arithmetic, just hoisted."""
         params, backend, bs, _, _, raised = boot_setup
-        ctx = backend.context
         for level in (backend.level_of(raised), backend.level_of(raised) - 1):
             ct = backend.level_down(raised, level)
-            rot0, acc = ctx.rotate_hoisted_raw(ct, [("conj", 0)])[("conj", 0)]
-            p0, p1 = ctx._ks_moddown(acc, level)
-            ref = ctx.conjugate(ct)
+            rot0, acc = backend.rotate_hoisted_raw(ct, [("conj", 0)])[("conj", 0)]
+            p0, p1 = backend._ks_moddown(acc, level)
+            ref = backend.conjugate(ct)
             assert np.array_equal((rot0 + p0).data, ref.c0.data)
             assert np.array_equal(p1.data, ref.c1.data)
 
@@ -74,31 +73,29 @@ class TestSharedConjugation:
         """("conj", k) == the standalone key switch of the *composed*
         Galois element (one automorphism, exponent conj * 5^k)."""
         params, backend, bs, _, _, raised = boot_setup
-        ctx = backend.context
         level = backend.level_of(raised)
         for k in (1, 3, params.slot_count // 2):
             offset = ("conj", k)
-            rot0, acc = ctx.rotate_hoisted_raw(raised, [offset])[offset]
-            p0, p1 = ctx._ks_moddown(acc, level)
-            exponent = ctx.galois_offset_exponent(offset)
-            ref = ctx._apply_galois(raised, exponent)
+            rot0, acc = backend.rotate_hoisted_raw(raised, [offset])[offset]
+            p0, p1 = backend._ks_moddown(acc, level)
+            exponent = backend.galois_offset_exponent(offset)
+            ref = backend._apply_galois(raised, exponent)
             assert np.array_equal((rot0 + p0).data, ref.c0.data)
             assert np.array_equal(p1.data, ref.c1.data)
 
     def test_composed_element_semantics(self, boot_setup):
         """("conj", k) really is conjugate-then-rotate at the slot level."""
         params, backend, bs, _, _, _ = boot_setup
-        ctx = backend.context
         rng = np.random.default_rng(5)
         vals = rng.uniform(-1, 1, params.slot_count)
         ct = backend.encode_encrypt(vals, level=2)
         offset = ("conj", 3)
-        rot0, acc = ctx.rotate_hoisted_raw(ct, [offset])[offset]
-        p0, p1 = ctx._ks_moddown(acc, 2)
+        rot0, acc = backend.rotate_hoisted_raw(ct, [offset])[offset]
+        p0, p1 = backend._ks_moddown(acc, 2)
         composed = type(ct)(
             c0=rot0 + p0, c1=p1, level=2, scale=ct.scale, slot_count=ct.slot_count
         )
-        two_step = ctx.rotate(ctx.conjugate(ct), 3)
+        two_step = backend.rotate(backend.conjugate(ct), 3)
         # Real slots: conjugation is the identity on the decoded values.
         assert np.abs(
             backend.decrypt(composed) - np.roll(vals, -3)
@@ -122,9 +119,9 @@ class TestSharedConjugation:
         lo, hi = bs._coeff_to_slot_shared(raised, pt_scale)
 
         plan = bs._shared_cts_plan()
-        ks_chain = ctx._ks_chain(level)
+        ks_chain = ctx.basis.key_switch_primes(level + 1)
         mod_ks = ctx.basis.moduli_column(ks_chain)
-        data_primes = ctx._data_chain(level)
+        data_primes = ctx.basis.data_primes(level + 1)
         mod_q = ctx.basis.moduli_column(data_primes)
         for bo, got in enumerate((lo, hi)):
             acc_ext = np.zeros(
@@ -148,11 +145,11 @@ class TestSharedConjugation:
                         acc_c1 = np.zeros_like(acc_c0)
                     acc_c1 = (acc_c1 + pt.poly.data * raised.c1.data) % mod_q
                     continue
-                rot0, acc = ctx.rotate_hoisted_raw(raised, [off])[off]
+                rot0, acc = backend.rotate_hoisted_raw(raised, [off])[off]
                 pt_ext = extend_primes_reference(pt.poly, ks_chain).data
                 acc_ext = (acc_ext + pt_ext * acc) % mod_ks
                 acc_c0 = (acc_c0 + pt.poly.data * rot0.data) % mod_q
-            p0, p1 = ctx._ks_moddown(acc_ext, level)
+            p0, p1 = backend._ks_moddown(acc_ext, level)
             c0 = (acc_c0 + p0.data) % mod_q
             c1 = (acc_c1 + p1.data) % mod_q
             rescaled = ctx.basis.divide_round_last(
@@ -220,12 +217,12 @@ class TestKeyCompression:
         key = compressed_key(small_backend.context, 5, bound)
         assert key.max_level == bound
         assert key.size_bytes() < full.size_bytes()
-        digits = small_backend.context._ks_num_digits(bound)
+        digits = small_backend.context.params.ks_digits(bound)
         assert np.array_equal(key.tensor, full.chain_view(digits, bound))
         for level in range(bound + 1):
             ct = full_backend.encode_encrypt(vals, level=level)
-            ref = full_backend.context.rotate(ct, 5)
-            got = small_backend.context.rotate(ct, 5)
+            ref = full_backend.rotate(ct, 5)
+            got = small_backend.rotate(ct, 5)
             assert np.array_equal(got.c0.data, ref.c0.data), level
             assert np.array_equal(got.c1.data, ref.c1.data), level
 
@@ -247,7 +244,7 @@ class TestKeyCompression:
         key = compressed_key(ctx, 7, 2)
         ct = backend.encode_encrypt(vals, level=5)
         with pytest.raises(ValueError, match="compressed to level 2"):
-            ctx._keyswitch(ct.c1, key, 5)
+            backend._keyswitch(ct.c1, key, 5)
 
     def test_compressed_key_widens_on_larger_bound(self, key_setup):
         """A second program recording a *wider* bound for the same step
@@ -259,7 +256,7 @@ class TestKeyCompression:
         assert wide.max_level == 4
         assert wide.size_bytes() > narrow.size_bytes()
         ct = backend.encode_encrypt(vals, level=4)
-        got = backend.decrypt(ctx.rotate(ct, 11))
+        got = backend.decrypt(backend.rotate(ct, 11))
         assert np.abs(got - np.roll(vals, -11)).max() < 1e-2
 
     def test_galois_key_upgrades_outgrown_compressed_key(self, key_setup):
@@ -270,7 +267,7 @@ class TestKeyCompression:
         exp = ctx.encoder.rotation_exponent(9)
         compressed_key(ctx, 9, 1)
         ct = backend.encode_encrypt(vals, level=6)
-        got = backend.decrypt(ctx.rotate(ct, 9))
+        got = backend.decrypt(backend.rotate(ct, 9))
         assert np.abs(got - np.roll(vals, -9)).max() < 1e-2
         assert ctx.keys.galois[exp].covers(6)
 

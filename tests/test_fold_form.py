@@ -435,7 +435,7 @@ class TestGatheredViews:
             np.ones((2, 64)), None, VectorLayout(64, 256), force_mode="hybrid"
         )
         assert packed.batched(2).gathers == ((), (128,))
-        packed = replace(packed, _batched={})
+        packed = replace(packed)
         assert 129 not in packed.required_rotation_steps()
         monkeypatch.setattr(matvec, "PackedMatVec", Relocating)
         with pytest.raises(ValueError, match=r"^fc: the view at batch 2 rotates by step 129,"):

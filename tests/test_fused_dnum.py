@@ -46,7 +46,7 @@ def reference_keyswitch(ctx, d, key, level):
     """Per-digit key switch of ``d`` with exact big-integer digit lifts,
     against the key's natural ``pairs`` (derived from its one resident
     tensor, so the stored layout is itself under test)."""
-    ks_chain = ctx._ks_chain(level)
+    ks_chain = ctx.basis.key_switch_primes(level + 1)
     pairs = key.pairs
     acc0 = RnsPolynomial.zero(ctx.basis, ks_chain)
     acc1 = RnsPolynomial.zero(ctx.basis, ks_chain)
@@ -59,8 +59,16 @@ def reference_keyswitch(ctx, d, key, level):
         acc0 = acc0 + digit_poly * ctx._restrict(b_i, ks_chain)
         acc1 = acc1 + digit_poly * ctx._restrict(a_i, ks_chain)
     for _ in range(ctx.params.num_special_primes):
-        acc0 = acc0.divide_and_round_by_last()
-        acc1 = acc1.divide_and_round_by_last()
+        ks_chain = ks_chain[:-1]
+        acc0, acc1 = (
+            RnsPolynomial(
+                ctx.basis,
+                ks_chain,
+                ctx.basis.divide_round_last(acc.data, acc.primes, is_ntt=True),
+                is_ntt=True,
+            )
+            for acc in (acc0, acc1)
+        )
     return acc0, acc1
 
 
@@ -142,7 +150,7 @@ class TestGroupedDecomposition:
         key = ctx.galois_key(ctx.encoder.rotation_exponent(1))
         rot1 = ct.c1.automorphism(key.exponent)
         ref0, ref1 = reference_keyswitch(ctx, rot1, key, ct.level)
-        got0, got1 = ctx._keyswitch(ct.c1, key, ct.level)
+        got0, got1 = backend._keyswitch(ct.c1, key, ct.level)
         assert np.array_equal(ref0.data, got0.data)
         assert np.array_equal(ref1.data, got1.data)
 
@@ -155,7 +163,7 @@ class TestGroupedDecomposition:
         key = ctx.galois_key(ctx.encoder.rotation_exponent(1))
         rot1 = ct.c1.automorphism(key.exponent)
         ref0, ref1 = reference_keyswitch(ctx, rot1, key, ct.level)
-        got0, got1 = ctx._keyswitch(ct.c1, key, ct.level)
+        got0, got1 = alpha3_backend._keyswitch(ct.c1, key, ct.level)
         assert np.array_equal(ref0.data, got0.data)
         assert np.array_equal(ref1.data, got1.data)
 
@@ -167,12 +175,11 @@ class TestGroupedDecomposition:
             assert np.abs(got - np.roll(values, -step)).max() < 2e-2
 
     def test_rotate_hoisted_bitwise_equals_rotate(self, backend):
-        ctx = backend.context
         values = np.linspace(-1, 1, backend.slot_count)
         ct = backend.encode_encrypt(values)
-        hoisted = ctx.rotate_hoisted(ct, [1, 2, 5])
+        hoisted = backend.rotate_hoisted(ct, [1, 2, 5])
         for step in (1, 2, 5):
-            plain = ctx.rotate(ct, step)
+            plain = backend.rotate(ct, step)
             assert np.array_equal(hoisted[step].c0.data, plain.c0.data)
             assert np.array_equal(hoisted[step].c1.data, plain.c1.data)
 
@@ -187,34 +194,31 @@ class TestRawHoistedRotation:
     def test_moddown_of_raw_equals_rotate_hoisted(self, backend):
         """The deferred-accumulator contract: raw + mod-down must equal
         the materialized hoisted rotation bit-for-bit."""
-        ctx = backend.context
         values = np.linspace(-1, 1, backend.slot_count)
         ct = backend.encode_encrypt(values)
         steps = [1, 4, 7]
-        raw = ctx.rotate_hoisted_raw(ct, steps)
-        full = ctx.rotate_hoisted(ct, steps)
+        raw = backend.rotate_hoisted_raw(ct, steps)
+        full = backend.rotate_hoisted(ct, steps)
         assert sorted(raw) == steps
         for step in steps:
             rot0, acc = raw[step]
             assert acc.shape[0] == 2 and acc.dtype == np.int64
-            p0, p1 = ctx._ks_moddown(acc, ct.level)
+            p0, p1 = backend._ks_moddown(acc, ct.level)
             assert np.array_equal((rot0 + p0).data, full[step].c0.data)
             assert np.array_equal(p1.data, full[step].c1.data)
 
     def test_raw_excludes_zero_and_dedups(self, backend):
-        ctx = backend.context
         values = np.linspace(-1, 1, backend.slot_count)
         ct = backend.encode_encrypt(values)
-        raw = ctx.rotate_hoisted_raw(ct, [0, 2, 2, -backend.slot_count + 2])
+        raw = backend.rotate_hoisted_raw(ct, [0, 2, 2, -backend.slot_count + 2])
         assert sorted(raw) == [2]
 
     def test_raw_rejects_degree_two(self, backend):
-        ctx = backend.context
         values = np.linspace(-1, 1, backend.slot_count)
         ct = backend.encode_encrypt(values)
-        sq = ctx.mul(ct, ct, relinearize=False)
+        sq = backend._tensor(ct, ct)
         with pytest.raises(ValueError):
-            ctx.rotate_hoisted_raw(sq, [1])
+            backend.rotate_hoisted_raw(sq, [1])
 
 
 def reference_fused_matvec(backend, packed, in_cts, pt_scale):
@@ -223,9 +227,9 @@ def reference_fused_matvec(backend, packed, in_cts, pt_scale):
     immediate modular reductions, one mod-down per output block."""
     ctx = backend.context
     level = in_cts[0].level
-    ks_chain = ctx._ks_chain(level)
+    ks_chain = ctx.basis.key_switch_primes(level + 1)
     mod_ks = ctx.basis.moduli_column(ks_chain)
-    data_chain = ctx._data_chain(level)
+    data_chain = ctx.basis.data_primes(level + 1)
     terms = packed.terms()
     outs = []
     for bo in range(packed.num_out):
@@ -260,7 +264,7 @@ def reference_fused_matvec(backend, packed, in_cts, pt_scale):
             acc = (acc + pt_ext.data * t) % mod_ks
             c0 = c0 + pt.poly * in_cts[bi].c0.automorphism(exponent)
         if rotated:
-            p0, p1 = ctx._ks_moddown(acc, level)
+            p0, p1 = backend._ks_moddown(acc, level)
             c0 = c0 + p0
             c1 = c1 + p1
         outs.append((c0, c1))

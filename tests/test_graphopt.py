@@ -423,7 +423,7 @@ class TestIntegration:
                              exec_level=last.exec_level, boots_before=0,
                              in_uid=base.output_uid)
         extended = replace(base, instructions=base.instructions + [negate],
-                           output_uid=negate.out_uid, _batched={})
+                           output_uid=negate.out_uid)
         payload, arrays = _payload(extended)
         assert payload["instructions"][-1] == {
             "name": "negate", "out_uid": last.out_uid + 1,

@@ -24,7 +24,7 @@ import pytest
 from repro import kernels
 from repro.backend import ToyBackend
 from repro.backend.sim import SimBackend
-from repro.ckks.context import HOISTED_SLAB
+from repro.backend.toy import HOISTED_SLAB
 from repro.ckks.galois import galois_offset_key
 from repro.ckks.params import toy_parameters
 from repro.core.packing.matvec import held_tables
@@ -144,8 +144,8 @@ def natural_key_tensor(ctx, key, level):
     """``(2, digits, ks_limbs, N)`` over the level's ``(data...,
     special)`` chain in natural slot order, rebuilt from the key's
     derived ``pairs`` — independent of the resident tensor's layout."""
-    ks_chain = ctx._ks_chain(level)
-    pairs = key.pairs[: ctx._ks_num_digits(level)]
+    ks_chain = ctx.basis.key_switch_primes(level + 1)
+    pairs = key.pairs[: ctx.params.ks_digits(level)]
     return np.stack(
         [
             np.stack([ctx._restrict(pair[half], ks_chain).data for pair in pairs])
@@ -154,16 +154,17 @@ def natural_key_tensor(ctx, key, level):
     )
 
 
-def naive_hoisted_raw(ctx, ct, offsets):
+def naive_hoisted_raw(backend, ct, offsets):
     """Per-offset rotate_hoisted_raw: the seed's loop (rotate the digit
     tensor, multiply the natural key), kernel-free."""
-    digits = ctx._ks_decompose(ct.c1, ct.level)
-    ks_chain = ctx._ks_chain(ct.level)
+    ctx = backend.context
+    digits = backend._ks_decompose(ct.c1, ct.level)
+    ks_chain = ctx.basis.key_switch_primes(ct.level + 1)
     mod_col = ctx.basis.moduli_column(ks_chain)
     n = ctx.params.ring_degree
     out = {}
     for offset in sorted(offsets, key=galois_offset_key):
-        exponent = ctx.galois_offset_exponent(offset)
+        exponent = backend.galois_offset_exponent(offset)
         key = ctx.galois_key(exponent, max_level=ct.level)
         perm = galois_eval_permutation(n, exponent)
         ba = natural_key_tensor(ctx, key, ct.level)
@@ -198,11 +199,10 @@ class TestStackedHoistedRaw:
         ],
     )
     def test_bit_exact_vs_per_offset_loop(self, toy_backend, steps, level_drop):
-        ctx = toy_backend.context
         ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
         ct = toy_backend.level_down(ct, ct.level - level_drop)
-        got = ctx.rotate_hoisted_raw(ct, steps)
-        want = naive_hoisted_raw(ctx, ct, set(got))
+        got = toy_backend.rotate_hoisted_raw(ct, steps)
+        want = naive_hoisted_raw(toy_backend, ct, set(got))
         assert_raw_equal(got, want)
 
     def test_alpha3_partial_digit_group(self):
@@ -216,19 +216,17 @@ class TestStackedHoistedRaw:
             ),
             seed=13,
         )
-        ctx = backend.context
         ct = backend.encode_encrypt(np.linspace(-1, 1, backend.slot_count))
         # level 3 -> 4 limbs -> dnum 2 with a partial (1-limb) group.
         ct = backend.level_down(ct, 3)
-        got = ctx.rotate_hoisted_raw(ct, [1, 5, ("conj", 1)])
-        assert_raw_equal(got, naive_hoisted_raw(ctx, ct, set(got)))
+        got = backend.rotate_hoisted_raw(ct, [1, 5, ("conj", 1)])
+        assert_raw_equal(got, naive_hoisted_raw(backend, ct, set(got)))
 
     def test_forced_chunk_fallback(self, toy_backend, force_chunk):
-        ctx = toy_backend.context
         ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
-        baseline = ctx.rotate_hoisted_raw(ct, [1, 4, 6])
+        baseline = toy_backend.rotate_hoisted_raw(ct, [1, 4, 6])
         asked = force_chunk(1)
-        forced = ctx.rotate_hoisted_raw(ct, [1, 4, 6])
+        forced = toy_backend.rotate_hoisted_raw(ct, [1, 4, 6])
         assert asked
         assert_raw_equal(forced, baseline)
 
@@ -238,13 +236,13 @@ class TestStackedHoistedRaw:
         bound = 2
         ct = toy_backend.level_down(ct, bound)
         steps = [1, 3, ("conj", 1)]
-        exponents = [ctx.galois_offset_exponent(step) for step in steps]
+        exponents = [toy_backend.galois_offset_exponent(step) for step in steps]
         for exponent in exponents:
             ctx.keys.galois.pop(exponent, None)
         ctx._generate_galois_keys([(exponent, bound) for exponent in exponents])
         assert all(ctx.keys.galois[e].max_level == bound for e in exponents)
-        got = ctx.rotate_hoisted_raw(ct, steps)
-        assert_raw_equal(got, naive_hoisted_raw(ctx, ct, set(got)))
+        got = toy_backend.rotate_hoisted_raw(ct, steps)
+        assert_raw_equal(got, naive_hoisted_raw(toy_backend, ct, set(got)))
 
     def test_regenerated_key_is_used_by_the_next_call(self, toy_backend):
         """No key-derived state outlives a key object: a compressed key
@@ -254,31 +252,30 @@ class TestStackedHoistedRaw:
         ctx = toy_backend.context
         ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
         steps = [2, 6]
-        exponent = ctx.galois_offset_exponent(2)
+        exponent = toy_backend.galois_offset_exponent(2)
         ctx.keys.galois.pop(exponent, None)
         ctx.generate_rotation_keys([2], {2: 2})
         narrow = ctx.keys.galois[exponent]
         low = toy_backend.level_down(ct, 2)
-        first = ctx.rotate_hoisted_raw(low, steps)
-        assert_raw_equal(ctx.rotate_hoisted_raw(low, steps), first)
+        first = toy_backend.rotate_hoisted_raw(low, steps)
+        assert_raw_equal(toy_backend.rotate_hoisted_raw(low, steps), first)
         ctx.generate_rotation_keys([2], {2: 4})
         wide = ctx.keys.galois[exponent]
         assert wide is not narrow and wide.max_level == 4
         for level in (2, 4):
             at = toy_backend.level_down(ct, level)
-            regen = ctx.rotate_hoisted_raw(at, steps)
-            assert_raw_equal(regen, naive_hoisted_raw(ctx, at, set(regen)))
+            regen = toy_backend.rotate_hoisted_raw(at, steps)
+            assert_raw_equal(regen, naive_hoisted_raw(toy_backend, at, set(regen)))
         assert not np.array_equal(
-            np.asarray(ctx.rotate_hoisted_raw(low, steps)[2][1]),
+            np.asarray(toy_backend.rotate_hoisted_raw(low, steps)[2][1]),
             np.asarray(first[2][1]),
         )
         del ctx.keys.galois[exponent]  # leave the shared fixture full-chain
 
     def test_single_offset_path_matches_stack(self, toy_backend):
-        ctx = toy_backend.context
         ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
-        single = ctx.rotate_hoisted_raw(ct, [5])
-        multi = ctx.rotate_hoisted_raw(ct, [5, 1])
+        single = toy_backend.rotate_hoisted_raw(ct, [5])
+        multi = toy_backend.rotate_hoisted_raw(ct, [5, 1])
         rot0_s, acc_s = single[5]
         rot0_m, acc_m = multi[5]
         assert np.array_equal(rot0_s.data, rot0_m.data)
@@ -372,10 +369,9 @@ class TestTelemetry:
 
     def test_environment_selects_nothing(self, toy_backend, monkeypatch):
         """REPRO_KERNELS used to pick a backend; src/ no longer reads it."""
-        ctx = toy_backend.context
         ct = toy_backend.encode_encrypt(np.linspace(-1, 1, toy_backend.slot_count))
         steps = [1, 3, ("conj", 2)]
-        want = ctx.rotate_hoisted_raw(ct, steps)
+        want = toy_backend.rotate_hoisted_raw(ct, steps)
         monkeypatch.setenv("REPRO_KERNELS", "threaded")
         assert kernels.active_backend() == "numpy"
-        assert_raw_equal(ctx.rotate_hoisted_raw(ct, steps), want)
+        assert_raw_equal(toy_backend.rotate_hoisted_raw(ct, steps), want)

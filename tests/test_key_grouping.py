@@ -27,7 +27,6 @@ from reference.key_switch_tally import KeySwitchTally
 from reference.moddown_loop import moddown_loop
 from repro.backend import ToyBackend
 from repro.backend.ledger import KeySwitch
-from repro.ckks.context import CkksContext
 from repro.ckks.params import CkksParameters, toy_parameters
 from repro.core.packing.matvec import held_tables
 from repro.core.program import LinearInstr
@@ -63,7 +62,7 @@ def backend(request):
 def _fresh(backend, level=None):
     values = np.linspace(-0.9, 0.9, backend.slot_count)
     ct = backend.encode_encrypt(values)
-    return ct if level is None else backend.context.level_down(ct, level)
+    return ct if level is None else backend.level_down(ct, level)
 
 
 def _one_pass_and_loop(monkeypatch, op):
@@ -71,7 +70,7 @@ def _one_pass_and_loop(monkeypatch, op):
     per-prime reference loop."""
     one_pass = op()
     with monkeypatch.context() as patch:
-        patch.setattr(CkksContext, "_ks_moddown", moddown_loop)
+        patch.setattr(ToyBackend, "_ks_moddown", moddown_loop)
         loop = op()
     return one_pass, loop
 
@@ -90,9 +89,9 @@ def _assert_bit_identical(one_pass, loop):
 
 class TestOnePassModDown:
     def test_rotate(self, backend, monkeypatch):
-        ctx, ct = backend.context, _fresh(backend)
-        _assert_bit_identical(*_one_pass_and_loop(monkeypatch, lambda: ctx.rotate(ct, 3)))
-        got = backend.decrypt(ctx.rotate(ct, 3))
+        ct = _fresh(backend)
+        _assert_bit_identical(*_one_pass_and_loop(monkeypatch, lambda: backend.rotate(ct, 3)))
+        got = backend.decrypt(backend.rotate(ct, 3))
         want = np.roll(np.linspace(-0.9, 0.9, backend.slot_count), -3)
         assert np.abs(got - want).max() < 2e-2
 
@@ -104,22 +103,22 @@ class TestOnePassModDown:
         key = ctx.keys.galois[exponent]
         assert key.max_level == 3
         ct = _fresh(backend, level=2)
-        _assert_bit_identical(*_one_pass_and_loop(monkeypatch, lambda: ctx.rotate(ct, 5)))
+        _assert_bit_identical(*_one_pass_and_loop(monkeypatch, lambda: backend.rotate(ct, 5)))
 
     def test_conjugate(self, backend, monkeypatch):
-        ctx, ct = backend.context, _fresh(backend)
-        _assert_bit_identical(*_one_pass_and_loop(monkeypatch, lambda: ctx.conjugate(ct)))
+        ct = _fresh(backend)
+        _assert_bit_identical(*_one_pass_and_loop(monkeypatch, lambda: backend.conjugate(ct)))
 
     @pytest.mark.parametrize("level", [6, 3, 0])
     def test_mul_relinearize(self, backend, monkeypatch, level):
-        ctx, ct = backend.context, _fresh(backend, level)
-        _assert_bit_identical(*_one_pass_and_loop(monkeypatch, lambda: ctx.mul(ct, ct)))
+        ct = _fresh(backend, level)
+        _assert_bit_identical(*_one_pass_and_loop(monkeypatch, lambda: backend.mul(ct, ct)))
 
     def test_rotate_hoisted(self, backend, monkeypatch):
-        ctx, ct = backend.context, _fresh(backend, level=4)
+        ct = _fresh(backend, level=4)
         steps = [0, 1, 2, 7, -1, 2]
         _assert_bit_identical(
-            *_one_pass_and_loop(monkeypatch, lambda: ctx.rotate_hoisted(ct, steps))
+            *_one_pass_and_loop(monkeypatch, lambda: backend.rotate_hoisted(ct, steps))
         )
 
     def test_matvec_fused_with_conjugation_offsets(self, backend, monkeypatch):

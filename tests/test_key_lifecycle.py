@@ -159,7 +159,7 @@ class TestOneResidentTensor:
             assert key.tensor.shape[2] == num_special + top + 1
             assert key.primes[:num_special] == context.basis.special_primes
             for level in range(top + 1):
-                num_digits = context._ks_num_digits(level)
+                num_digits = context.params.ks_digits(level)
                 view = key.chain_view(num_digits, level)
                 assert np.shares_memory(view, key.tensor)
                 assert view.shape == (
@@ -167,7 +167,7 @@ class TestOneResidentTensor:
                 )
                 assert (
                     key.primes[num_special : view.shape[2]] + key.primes[:num_special]
-                    == context._ks_chain(level)
+                    == context.basis.key_switch_primes(level + 1)
                 )
 
     def test_request_path_allocates_nothing_key_sized(self):
@@ -184,12 +184,13 @@ class TestOneResidentTensor:
         # with the residue width): what a call may legitimately hand
         # back is one (2, K, O, N) int64 accumulator — a seventh of
         # these ten keys — and it retains none of it.
-        budget = 2 * len(context._ks_chain(ct.level)) * len(steps) * 1024 * 8
+        limbs = len(context.basis.key_switch_primes(ct.level + 1))
+        budget = 2 * limbs * len(steps) * 1024 * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for at in (ct, low):
-                context.rotate_hoisted_raw(at, steps)
+                backend.rotate_hoisted_raw(at, steps)
                 grown = tracemalloc.get_traced_memory()[0] - before
                 assert grown < budget, (grown, budget)
         finally:

@@ -21,7 +21,8 @@ import pytest
 from reference.bigint import extend_primes_reference
 from repro import kernels
 from repro.backend import ToyBackend
-from repro.ckks.context import HOISTED_SLAB, CkksContext
+from repro.backend.toy import HOISTED_SLAB
+from repro.ckks.context import CkksContext
 from repro.ckks.galois import fused_term_groups, galois_offset_key
 from repro.ckks.params import toy_parameters
 from repro.core.packing.matvec import held_tables
@@ -65,9 +66,9 @@ def reference_per_term(backend, in_cts, terms, num_out, pt_scale):
     Q_l * P extension per term; immediate reductions; one mod-down."""
     ctx = backend.context
     level = in_cts[0].level
-    ks_chain = ctx._ks_chain(level)
+    ks_chain = ctx.basis.key_switch_primes(level + 1)
     mod_ks = ctx.basis.moduli_column(ks_chain)
-    mod_q = ctx.basis.moduli_column(ctx._data_chain(level))
+    mod_q = ctx.basis.moduli_column(ctx.basis.data_primes(level + 1))
     outs = []
     for bo in range(num_out):
         acc_ext = np.zeros((2, len(ks_chain), ctx.basis.ring_degree), dtype=np.int64)
@@ -81,10 +82,10 @@ def reference_per_term(backend, in_cts, terms, num_out, pt_scale):
                 c0 = (c0 + pt.data * in_cts[bi].c0.data) % mod_q
                 c1 = (c1 + pt.data * in_cts[bi].c1.data) % mod_q
                 continue
-            rot0, acc = ctx.rotate_hoisted_raw(in_cts[bi], [off])[off]
+            rot0, acc = backend.rotate_hoisted_raw(in_cts[bi], [off])[off]
             acc_ext = (acc_ext + extend_primes_reference(pt, ks_chain).data * acc) % mod_ks
             c0 = (c0 + pt.data * rot0.data) % mod_q
-        p0, p1 = ctx._ks_moddown(acc_ext, level)
+        p0, p1 = backend._ks_moddown(acc_ext, level)
         outs.append(((c0 + p0.data) % mod_q, (c1 + p1.data) % mod_q))
     return outs
 
@@ -153,7 +154,7 @@ class TestStaticTables:
         groups = fused_term_groups(terms)
         assert groups == {(0, 0): [2, 7, ("conj", 1), 0], (1, 0): [2]}
         ct = backend.encode_encrypt(np.zeros(backend.slot_count))
-        walk = backend.context.rotate_hoisted_slabs(ct, groups[(0, 0)])
+        walk = backend.rotate_hoisted_slabs(ct, groups[(0, 0)])
         order = [off for slab, _, _ in walk for off in slab]
         assert order == groups[(0, 0)][:-1]
         assert order == sorted(order, key=galois_offset_key)
@@ -182,7 +183,7 @@ class TestStaticTables:
         vectors = [rng.normal(size=backend.slot_count) for _ in range(3)]
         scale = Fraction(backend.params.data_primes[level]) * 3 / 7
         table = ctx.encode_table(vectors, level, scale)
-        ks_chain = ctx._ks_chain(level)
+        ks_chain = ctx.basis.key_switch_primes(level + 1)
         assert table.dtype == np.uint32 and table.shape == (3, len(ks_chain), 64)
         assert not table.flags.writeable
         assert np.shares_memory(table[:, : level + 1], table)
@@ -203,7 +204,7 @@ class TestStaticTables:
         scale = Fraction(backend.params.data_primes[level]) * 5 / 9
         vectors = [rng.normal(size=backend.slot_count) for _ in range(4)]
         vectors += [rng.normal(size=5), 2.0**50 * rng.normal(size=backend.slot_count)]
-        ks_chain = ctx._ks_chain(level)
+        ks_chain = ctx.basis.key_switch_primes(level + 1)
         rows = []
         for vec in vectors:  # one row at a time, as encode_table used to
             slots = np.zeros(backend.slot_count, dtype=np.complex128)
@@ -245,10 +246,10 @@ class TestStaticTables:
         backend._matvec_fused(cts, terms, 2, pt_scale, tables)  # keys exist
         level = cts[0].level
         block_of = {
-            ctx._ks_decompose(ct.c1, level).tobytes(): bi for bi, ct in enumerate(cts)
+            backend._ks_decompose(ct.c1, level).tobytes(): bi for bi, ct in enumerate(cts)
         }
         offset_of = {
-            ctx.galois_offset_exponent(off): off for (_, _, off) in terms if off
+            backend.galois_offset_exponent(off): off for (_, _, off) in terms if off
         }
         calls = Counter()
         slabs = []
