@@ -9,7 +9,7 @@ and de-duplicates the siblings' common (input block, offset) inner
 products, so the optimized program performs strictly fewer rotations.
 
 Correctness is asserted before timing is believed: the optimized
-program's cleartext-packed output is **bit-exact** against the
+program's noise-free simulator run is **bit-exact** against the
 un-optimized program (fusion's core contract, docs/graphopt.md),
 and the encrypted outputs agree within toy-backend precision.
 
@@ -29,7 +29,7 @@ import pytest
 from json_util import merge_json as _merge_json
 
 import repro.orion.nn as on
-from repro.backend import ToyBackend
+from repro.backend import SimBackend, ToyBackend
 from repro.ckks.params import toy_parameters
 from repro.nn import init
 from repro.orion import OrionNetwork
@@ -91,10 +91,10 @@ def test_graphopt_speedup(compiled_pair, record_table):
     report = optimized.graph_opt_report
     assert report is not None and report.rewrites.get("concat_linear_fusion") == BLOCKS
     image = rng.normal(0, 0.5, shape)
-    clear_opt = optimized.program.run_cleartext_packed(image)
-    clear_base = baseline.program.run_cleartext_packed(image)
+    clear_opt = optimized.run(SimBackend(params, noise_free=True), image)
+    clear_base = baseline.run(SimBackend(params, noise_free=True), image)
     assert np.array_equal(clear_opt, clear_base), (
-        "optimized cleartext-packed output is not bit-exact vs un-optimized"
+        "optimized noise-free simulator output is not bit-exact vs un-optimized"
     )
     assert optimized.total_rotations < baseline.total_rotations
 

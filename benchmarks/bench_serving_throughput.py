@@ -12,7 +12,7 @@ same requests two ways on the exact toy backend —
 
 Correctness is asserted before timing is believed: batched per-client
 outputs are **bit-exact** against sequential execution on the
-deterministic cleartext-packed path, and within the usual precision
+deterministic noise-free simulator, and within the usual precision
 bound of the noisy exact backend.  The batched path must then clear a
 requests/sec floor of 2x over sequential (wall-clock; the modeled
 speedup is also recorded).
@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 from json_util import JSON_PATH, merge_json as _merge_json
 
-from repro.backend import ToyBackend
+from repro.backend import SimBackend, ToyBackend
 from repro.ckks.params import toy_parameters
 from repro.core.compiler import OrionCompiler
 from repro.core.placement.planner import solve_placement
@@ -93,12 +93,11 @@ def test_serving_throughput(served, record_table):
     images = [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(BATCH)]
 
     # -- correctness first: batched == sequential, per client ------------
-    sequential_packed = np.stack(
-        [program.run_cleartext_packed(image) for image in images]
-    )
-    batched_packed = program.batched(BATCH).run_cleartext_packed(np.stack(images))
+    reference = SimBackend(artifact.manifest.to_params(), noise_free=True)
+    sequential_packed = np.stack([program.run(reference, image) for image in images])
+    batched_packed = program.batched(BATCH).run(reference, np.stack(images))
     assert np.array_equal(batched_packed, sequential_packed), (
-        "batched cleartext-packed outputs are not bit-exact vs sequential"
+        "batched noise-free simulator outputs are not bit-exact vs sequential"
     )
 
     sequential_outputs = {}

@@ -27,12 +27,21 @@ import time
 import numpy as np
 
 from repro import serve
+from repro.backend import SimBackend
 from repro.backend.ledger import LatencyHistogram
 from repro.ckks.params import toy_parameters
 from repro.core.compiler import OrionCompiler
 from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
+
+
+def noise_free_outputs(path, images):
+    """The reference outputs of the artifact at ``path``: its program run
+    on the noise-free simulator at the artifact's own parameters."""
+    artifact = serve.ArtifactMap(path).load()
+    backend = SimBackend(artifact.manifest.to_params(), noise_free=True)
+    return [artifact.program.run(backend, image) for image in images]
 
 
 def main(scratch):
@@ -65,10 +74,7 @@ def main(scratch):
         server.warm(batch_sizes=(1, 4))
 
         images = [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(4)]
-        reference = [
-            serve.ArtifactMap(path).load().program.run_cleartext_packed(im)
-            for im in images
-        ]
+        reference = noise_free_outputs(path, images)
 
         # -- sequential serving -----------------------------------------
         start = time.perf_counter()
@@ -135,10 +141,7 @@ def main(scratch):
         onet.fit([calibration])
         onet.export(path, params)
         server.reload()
-        retrained = [
-            serve.ArtifactMap(path).load().program.run_cleartext_packed(im)
-            for im in images
-        ]
+        retrained = noise_free_outputs(path, images)
         tickets = {
             server.submit(image, client_id=f"client-{index}"): index
             for index, image in enumerate(images)

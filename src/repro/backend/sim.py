@@ -64,7 +64,9 @@ class SimBackend(FheBackend):
     Args:
         params: CKKS parameters (production-shaped sets are fine here).
         seed: RNG seed for injected noise.
-        noise_free: disable noise injection (for debugging/dissecting).
+        noise_free: disable noise injection.  A noise-free run is a
+            program's reference run (exact slot arithmetic, every level
+            and scale checked) and export's shape pass.
     """
 
     def __init__(

@@ -14,16 +14,18 @@ scale q_l * Delta / s_in so the post-layer rescale lands exactly back
 on Delta, whatever s_in the preceding activation produced.
 
 Instruction protocol: each instruction kind is one dataclass that owns
-everything about itself — its artifact payload tag ``kind``, its fields,
-:meth:`Instruction.execute` under FHE and
-:meth:`Instruction.execute_cleartext` over plain slot vectors.  The
-artifact codec is generic: :meth:`Instruction.to_payload` writes the
-common placement fields, ``"kind"``, then the kind's own init fields in
-declaration order, and :meth:`Instruction.from_payload` calls
-``cls(**fields)``; a kind whose fields are not plain JSON (a packed
-matvec, a Chebyshev polynomial) overrides the pair.  Defining the class
-registers its ``kind``, so :class:`FheProgram` encodes, decodes and runs
-in the clear by looping over instructions, never by branching on them.
+everything about itself — its artifact payload tag ``kind``, its fields
+and :meth:`Instruction.execute` against a backend.  The artifact codec
+is generic: :meth:`Instruction.to_payload` writes the common placement
+fields, ``"kind"``, then the kind's own init fields in declaration
+order, and :meth:`Instruction.from_payload` calls ``cls(**fields)``; a
+kind whose fields are not plain JSON (a packed matvec, a Chebyshev
+polynomial) overrides the pair.  Defining the class registers its
+``kind``, so :class:`FheProgram` encodes, decodes and runs by looping
+over instructions, never by branching on them.  The reference run of a
+program is :meth:`FheProgram.run` on a noise-free
+:class:`repro.backend.SimBackend`: the same slot-vector arithmetic, with
+every level and scale checked as under FHE.
 """
 
 from __future__ import annotations
@@ -121,13 +123,6 @@ class Instruction:
     def execute(self, state: ExecutionState) -> None:
         raise NotImplementedError
 
-    def execute_cleartext(
-        self, values: Dict[int, List[np.ndarray]], slots: int
-    ) -> List[np.ndarray]:
-        """The same step over plain slot vectors: reads its operands from
-        ``values`` (uid -> vectors) and returns the output register."""
-        raise NotImplementedError
-
     # -- artifact codec (docs/serving.md) ------------------------------------
     def to_payload(self, store) -> Dict:
         """JSON-safe entry: the common fields, ``"kind"``, then this kind's
@@ -169,9 +164,6 @@ class LinearInstr(Instruction):
             backend, self.exec_level, backend.scale_of(cts[0])
         )
         state.set(self.out_uid, self.packed.execute(backend, cts, pt_scale))
-
-    def execute_cleartext(self, values, slots):
-        return self.packed.execute_cleartext(values[self.in_uid])
 
 
 def scale_log2(scale) -> float:
@@ -252,9 +244,6 @@ class PolyInstr(Instruction):
             outs.append(out)
         state.set(self.out_uid, outs)
 
-    def execute_cleartext(self, values, slots):
-        return [self.poly(vec) for vec in values[self.in_uid]]
-
 
 @dataclass
 class SquareInstr(Instruction):
@@ -270,9 +259,6 @@ class SquareInstr(Instruction):
         (in_cts,) = self.prepare(state, [self.in_uid])
         outs = [backend.rescale(backend.mul(ct, ct)) for ct in in_cts]
         state.set(self.out_uid, outs)
-
-    def execute_cleartext(self, values, slots):
-        return [v * v for v in values[self.in_uid]]
 
 
 @dataclass
@@ -303,9 +289,6 @@ class MultJoinInstr(Instruction):
             outs.append(backend.rescale(backend.mul(x_aligned, s_norm)))
         state.set(self.out_uid, outs)
 
-    def execute_cleartext(self, values, slots):
-        return [x * s for x, s in zip(values[self.x_uid], values[self.sign_uid])]
-
 
 @dataclass
 class AddJoinInstr(Instruction):
@@ -322,9 +305,6 @@ class AddJoinInstr(Instruction):
         a_cts, b_cts = self.prepare(state, [self.a_uid, self.b_uid])
         outs = [backend.add(a, b) for a, b in zip(a_cts, b_cts)]
         state.set(self.out_uid, outs)
-
-    def execute_cleartext(self, values, slots):
-        return [a + b for a, b in zip(values[self.a_uid], values[self.b_uid])]
 
 
 @dataclass
@@ -348,9 +328,6 @@ class SliceInstr(Instruction):
 
     def execute(self, state: ExecutionState) -> None:
         state.set(self.out_uid, list(state.get(self.in_uid)[self.start : self.stop]))
-
-    def execute_cleartext(self, values, slots):
-        return list(values[self.in_uid][self.start : self.stop])
 
 
 @dataclass
@@ -581,20 +558,3 @@ class FheProgram:
             output_denorm=payload["output_denorm"],
             entry_level=payload["entry_level"],
         )
-
-    def run_cleartext_packed(self, image: np.ndarray) -> np.ndarray:
-        """Reference: run the packed linear algebra without encryption.
-
-        Executes the same compiled program over plain slot vectors
-        (exact polynomial activations included), isolating packing
-        correctness from CKKS noise.
-        """
-        values: Dict[int, List[np.ndarray]] = {}
-        values[self.input_uid] = self.input_layout.pack(
-            np.asarray(image) / self.input_norm
-        )
-        slots = self.input_layout.slots
-        for instr in self.instructions:
-            values[instr.out_uid] = instr.execute_cleartext(values, slots)
-        out = values[self.output_uid]
-        return self.output_layout.unpack(out) * self.output_denorm

@@ -5,7 +5,9 @@ program must reproduce the cleartext network output on both backends,
 with levels, scales, and bootstraps all enforced exactly.
 """
 
+import inspect
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ import repro.orion.nn as on
 from repro.backend import SimBackend, ToyBackend
 from repro.ckks.params import paper_parameters, toy_parameters
 from repro.core import compiler
+from repro.core.program import _KINDS, AddJoinInstr, FheProgram, PolyInstr
 from repro.models import (
     LolaCnn,
     SecureMlp,
@@ -103,15 +106,38 @@ class TestResNetCompilation:
         assert np.abs(fhe - clear).max() < 0.05
         assert backend.ledger.bootstraps == compiled.num_bootstraps
 
-    def test_packed_cleartext_isolates_approximation(self, compiled_resnet):
-        """Packed (noise-free) execution differs from the exact forward
-        only by the polynomial activation approximation."""
-        onet, rng, compiled = compiled_resnet
+    def test_reference_run_refuses_what_fhe_refuses(self, compiled_resnet, params):
+        """The reference run is the noise-free simulator, so it refuses a
+        program FHE would refuse: a residual join whose activation input
+        is left at the sign branch's prime scale (``target_kind="prime"``)
+        is a scale mismatch there, not a clean output.  No instruction
+        kind keeps a second, unchecked way to run."""
+        _, rng, compiled = compiled_resnet
+        program = compiled.program
+        joined = {
+            uid
+            for instr in program.instructions
+            if isinstance(instr, AddJoinInstr)
+            for uid in (instr.a_uid, instr.b_uid)
+        }
+        poly = next(
+            instr for instr in program.instructions
+            if isinstance(instr, PolyInstr) and instr.out_uid in joined
+        )
+        broken = replace(program, instructions=[
+            replace(instr, target_kind="prime") if instr is poly else instr
+            for instr in program.instructions
+        ])
         img = rng.normal(0, 0.5, (3, 8, 8))
-        packed = compiled.program.run_cleartext_packed(img)
-        backend = SimBackend(paper_parameters(), seed=6, noise_free=True)
-        fhe = compiled.run(backend, img)
-        assert np.abs(packed - fhe).max() < 1e-6
+        program.run(SimBackend(params, noise_free=True), img)
+        with pytest.raises(ValueError, match="scale mismatch"):
+            broken.run(SimBackend(params, noise_free=True), img)
+        # The kinds run one way (``execute``) and a program one way (``run``).
+        for cls in _KINDS.values():
+            protocol = {name for name, _ in inspect.getmembers(cls, callable)
+                        if not name.startswith("_")}
+            assert protocol == {"execute", "prepare", "to_payload", "from_payload"}
+        assert [name for name in vars(FheProgram) if name.startswith("run")] == ["run"]
 
     def test_scale_invariant_delta_between_layers(self, compiled_resnet):
         """Errorless scale management: linear-layer outputs sit at
@@ -175,7 +201,6 @@ class TestSquareConsumers:
         clear = onet.forward_cleartext(img)
         fhe = compiled.run(SimBackend(tparams, noise_free=True), img)
         assert np.abs(fhe - clear).max() < 1e-9
-        assert np.abs(compiled.program.run_cleartext_packed(img) - clear).max() < 1e-9
 
     def test_square_into_a_join_is_refused_at_compile(self):
         onet, _ = make_net(
@@ -206,7 +231,7 @@ class TestReluNetworks:
         compiled = onet.compile(params)
         img = rng.normal(0, 0.3, (2, 8, 8))
         clear = onet.forward_cleartext(img)
-        packed = compiled.program.run_cleartext_packed(img)
+        packed = compiled.run(SimBackend(params, noise_free=True), img)
         assert np.abs(packed - clear).max() < 1e-9
 
 

@@ -1,8 +1,8 @@
 """Sibling-fusion tests: bit-exactness and cost parity.
 
 The contract (docs/graphopt.md) is that every fusion is
-semantics-preserving on the packed cleartext path — the optimized
-program's ``run_cleartext_packed`` output is *bitwise* identical to the
+semantics-preserving on the reference run — the optimized program's
+output on a noise-free ``SimBackend`` is *bitwise* identical to the
 un-optimized program's — and never increases the modeled cost.  The
 encrypted outputs are compared with a tolerance instead: placement may
 legally choose different execution levels for the restructured chain,
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.orion.nn as on
-from repro.backend import ToyBackend
+from repro.backend import SimBackend, ToyBackend
 from repro.ckks.params import toy_parameters
 from repro.core.compiler import OrionCompiler
 from repro.models import resnet_cifar, silu_act
@@ -46,13 +46,13 @@ def compile_both(onet, params, **kwargs):
 
 
 def assert_equivalent(onet, params, rng, shape):
-    """The core contract: bitwise cleartext-packed parity, both equal to
+    """The core contract: bitwise reference-run parity, both equal to
     the network itself (the x^2 nets here are exact), encrypted
     tolerance, and ledger/report rotation parity."""
     c_on, c_off = compile_both(onet, params)
     img = rng.normal(0, 0.5, shape)
-    clear_on = c_on.program.run_cleartext_packed(img)
-    clear_off = c_off.program.run_cleartext_packed(img)
+    clear_on = c_on.run(SimBackend(params, noise_free=True), img)
+    clear_off = c_off.run(SimBackend(params, noise_free=True), img)
     assert np.array_equal(clear_on, clear_off)
     assert np.abs(clear_on - onet.forward_cleartext(img)).max() < 1e-9
 
@@ -279,8 +279,8 @@ class TestConcatFusion:
             ("linear_16", "linear", 17),
         ]
         img = rng.normal(0, 0.5, (2, 8, 8))
-        assert np.array_equal(c_on.program.run_cleartext_packed(img),
-                              c_off.program.run_cleartext_packed(img))
+        assert np.array_equal(c_on.run(SimBackend(params, noise_free=True), img),
+                              c_off.run(SimBackend(params, noise_free=True), img))
         assert c_on.total_rotations < c_off.total_rotations
 
 
@@ -367,8 +367,8 @@ class TestIntegration:
         assert len(arrays_loaded) == len(arrays)
         assert all(np.array_equal(a, b) for a, b in zip(arrays, arrays_loaded))
         img = rng.normal(0, 0.5, (2, 4, 4))
-        a = compiled.program.run_cleartext_packed(img)
-        b = art.program.run_cleartext_packed(img)
+        a = compiled.run(SimBackend(params, noise_free=True), img)
+        b = art.program.run(SimBackend(art.manifest.to_params(), noise_free=True), img)
         assert np.array_equal(a, b)
 
     def test_unknown_instruction_kind_is_rejected(self, params):
@@ -400,7 +400,7 @@ class TestIntegration:
 
     def test_new_kind_is_only_its_class(self, params, monkeypatch):
         """Defining a subclass is the whole of adding a kind: the program
-        encodes, decodes and runs it in the clear with no other change."""
+        encodes, decodes and runs it with no other change."""
         from dataclasses import dataclass, replace
 
         from repro.core import program
@@ -413,8 +413,9 @@ class TestIntegration:
 
             in_uid: int = 0
 
-            def execute_cleartext(self, values, slots):
-                return [-vec for vec in values[self.in_uid]]
+            def execute(self, state):
+                (cts,) = self.prepare(state, [self.in_uid])
+                state.set(self.out_uid, [state.backend.negate(ct) for ct in cts])
 
         onet, rng = make_net(Straight, (2, 4, 4))
         base = onet.compile(params).program
@@ -434,8 +435,8 @@ class TestIntegration:
         assert isinstance(loaded.instructions[-1], NegateInstr)
         assert loaded.instructions[-1] == negate
         img = rng.normal(0, 0.5, (2, 4, 4))
-        assert np.array_equal(loaded.run_cleartext_packed(img),
-                              -base.run_cleartext_packed(img))
+        assert np.array_equal(loaded.run(SimBackend(params, noise_free=True), img),
+                              -base.run(SimBackend(params, noise_free=True), img))
 
     def test_optimizer_is_on_unless_the_caller_turns_it_off(self, params, monkeypatch):
         # The environment does not switch it.

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import serve
-from repro.backend import ToyBackend
+from repro.backend import SimBackend, ToyBackend
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import (
     KEY_PRG_SEED_BYTES,
@@ -329,8 +329,11 @@ class TestHotReload:
         for got, want in zip(pool, solo):
             assert np.array_equal(got, want)
         # The swap took: the retrained weights answer the last request.
-        expected = new.program.run_cleartext_packed(images[2])
-        assert not np.array_equal(old.program.run_cleartext_packed(images[2]), expected)
+        expected = new.program.run(
+            SimBackend(new.manifest.to_params(), noise_free=True), images[2])
+        stale = old.program.run(
+            SimBackend(old.manifest.to_params(), noise_free=True), images[2])
+        assert not np.array_equal(stale, expected)
         np.testing.assert_allclose(pool[2][: expected.size], expected.ravel(), atol=0.1)
 
     def test_reload_refuses_undrained_queues(self, mlp_deployment, tmp_path):

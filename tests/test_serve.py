@@ -2,7 +2,7 @@
 
 Covers the artifact store (bit-exact round-trips, loud schema
 failures), cross-request SIMD slot batching (bit-exact against
-sequential execution on the cleartext-packed path, precision-equal on
+sequential execution on the noise-free simulator, precision-equal on
 the exact backend), the scheduler's cost/deadline decision rule, the
 key manifest and a lane's eagerly generated keys, the inference
 server's zero-compilation serve path, and the serve-many stale-cache
@@ -70,10 +70,10 @@ class TestArtifactRoundTrip:
         compiled.export(path, params)
         loaded = ArtifactMap(path).load()
         img = rng.normal(0, 0.5, (1, 8, 8))
-        # Cleartext-packed execution is deterministic: bit-exact or bust.
+        # The noise-free simulator run is deterministic: bit-exact or bust.
         assert np.array_equal(
-            loaded.program.run_cleartext_packed(img),
-            compiled.program.run_cleartext_packed(img),
+            loaded.program.run(SimBackend(loaded.manifest.to_params(), noise_free=True), img),
+            compiled.run(SimBackend(params, noise_free=True), img),
         )
         # Exact backend with the same seed: identical ciphertext math.
         assert np.array_equal(
@@ -93,8 +93,8 @@ class TestArtifactRoundTrip:
         loaded = ArtifactMap(path).load()
         img = rng.normal(0, 0.5, (1, 8, 8))
         assert np.array_equal(
-            loaded.program.run_cleartext_packed(img),
-            compiled.program.run_cleartext_packed(img),
+            loaded.program.run(SimBackend(loaded.manifest.to_params(), noise_free=True), img),
+            compiled.run(SimBackend(params, noise_free=True), img),
         )
         assert np.array_equal(
             loaded.program.run(ToyBackend(loaded.manifest.to_params(), seed=11), img),
@@ -222,8 +222,9 @@ class TestSlotBatching:
         batch = min(4, capacity)
         assert batch >= 4, f"expected capacity >= 4, got {capacity}"
         imgs = [rng.normal(0, 0.5, shape) for _ in range(batch)]
-        sequential = np.stack([program.run_cleartext_packed(im) for im in imgs])
-        batched = program.batched(batch).run_cleartext_packed(np.stack(imgs))
+        reference = SimBackend(params, noise_free=True)
+        sequential = np.stack([program.run(reference, im) for im in imgs])
+        batched = program.batched(batch).run(reference, np.stack(imgs))
         assert np.array_equal(batched, sequential)
 
     def test_batched_encrypted_matches_sequential_precision(self):
@@ -232,7 +233,8 @@ class TestSlotBatching:
         compiled = onet.compile(params)
         program = compiled.program
         imgs = [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(4)]
-        packed = np.stack([program.run_cleartext_packed(im) for im in imgs])
+        reference = SimBackend(params, noise_free=True)
+        packed = np.stack([program.run(reference, im) for im in imgs])
         outs = program.batched(4).run(ToyBackend(params, seed=5), np.stack(imgs))
         for j in range(4):
             bits = OrionNetwork.precision_bits(outs[j], packed[j])
@@ -684,7 +686,8 @@ class TestInferenceServer:
         results = {r.ticket: r for r in server.step(now=10.0)}
         assert sorted(results) == sorted(tickets)
         assert all(r.batch_size == 4 for r in results.values())
-        packed = [artifact.program.run_cleartext_packed(im) for im in imgs]
+        reference = SimBackend(artifact.manifest.to_params(), noise_free=True)
+        packed = [artifact.program.run(reference, im) for im in imgs]
         for ticket, im, ref in zip(tickets, imgs, packed):
             bits = OrionNetwork.precision_bits(results[ticket].output, ref)
             assert bits > 5
@@ -699,7 +702,9 @@ class TestInferenceServer:
         img = rng.normal(0, 0.5, (1, 8, 8))
         result = server.serve_now(7, img)
         assert result.ticket == 7
-        ref = artifact.program.run_cleartext_packed(img)
+        ref = artifact.program.run(
+            SimBackend(artifact.manifest.to_params(), noise_free=True), img
+        )
         assert OrionNetwork.precision_bits(result.output, ref) > 5
         assert result.batch_size == 1
 
@@ -753,8 +758,9 @@ class TestInferenceServer:
             server.submit(ticket, im, now=0.0)
         results = sorted(server.step(now=0.0), key=lambda r: r.ticket)
         assert [r.batch_size for r in results] == [1, 1, 1]
+        reference = SimBackend(artifact.manifest.to_params(), noise_free=True)
         for result, im in zip(results, imgs):
-            ref = artifact.program.run_cleartext_packed(im)
+            ref = artifact.program.run(reference, im)
             assert OrionNetwork.precision_bits(result.output, ref) > 5
 
     def test_step_flushes_queue(self, served):
