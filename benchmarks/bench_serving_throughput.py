@@ -93,8 +93,12 @@ def test_serving_throughput(served, record_table):
     images = [rng.normal(0, 0.5, (1, 8, 8)) for _ in range(BATCH)]
 
     # -- correctness first: batched == sequential, per client ------------
+    # (a lone client runs the capacity view, whose folds stop at the
+    # block; distinct clients derive from the block-level program, so
+    # that is the sequential form they match bit for bit)
     reference = SimBackend(artifact.manifest.to_params(), noise_free=True)
-    sequential_packed = np.stack([program.run(reference, image) for image in images])
+    block_level = program.block_level()
+    sequential_packed = np.stack([block_level.run(reference, image) for image in images])
     batched_packed = program.batched(BATCH).run(reference, np.stack(images))
     assert np.array_equal(batched_packed, sequential_packed), (
         "batched noise-free simulator outputs are not bit-exact vs sequential"

@@ -17,7 +17,8 @@ Pipeline (paper Sections 4-6):
    key set by ``packing.analysis._count_stats`` — prices it for
    placement and fills its report.  With ``optimize`` on, the two
    linear layers that open a region fuse into one stacked matvec where
-   that prices cheaper (docs/graphopt.md).
+   that prices cheaper, and only if the fused program still beats the
+   unfused one on what a lone client runs (docs/graphopt.md).
 5. **Approximate** activations: composite minimax sign for ReLU,
    Chebyshev fits for SiLU/custom, direct squaring for x^2.
 6. **Place bootstraps** with the level-digraph planner and stamp every
@@ -27,6 +28,7 @@ Pipeline (paper Sections 4-6):
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -43,11 +45,13 @@ from repro.core.packing.analysis import (
     OffsetProfile,
     linear_structure,
     merged_packing_stats,
+    slot_batch_capacity,
 )
 from repro.core.packing.layouts import MultiplexedLayout, VectorLayout
 from repro.core.packing.matvec import (
     build_conv_packing,
     build_linear_packing,
+    cut_fold_groups,
     merge_packed_matvecs,
 )
 from repro.core.placement.items import (
@@ -226,8 +230,8 @@ class OrionCompiler:
         graph = trace_structure(net, input_shape)
         folds = plan_batchnorm_folds(graph)
         ranges = self._ranges(net, graph, calibration_batches)
-        build = _ProgramBuilder(self, graph, folds, ranges, input_shape)
-        build.lower(build_region_tree(graph))
+        build = self._lower(graph, folds, ranges, input_shape)
+        block = self.params.slot_count // build.price_capacity_view()
 
         with get_tracer().span("placement", category="compile") as place_span:
             placement = solve_placement(
@@ -255,9 +259,12 @@ class OrionCompiler:
                 instr.boots_before = 0
             level_by_uid[instr.out_uid] = instr.exec_level
             if isinstance(instr, LinearInstr) and instr.packed is not None:
-                # The fold partition, fixed once at the level the plan priced.
-                instr.packed.fold_groups = self.costs.fold_partition(
-                    instr.exec_level, len(instr.packed.fold_shifts)
+                # The fold partition, fixed once at the level the plan
+                # priced and cut at the slot-batch block.
+                shifts = instr.packed.fold_shifts
+                instr.packed.fold_groups = cut_fold_groups(
+                    shifts, self.costs.fold_partition(instr.exec_level, len(shifts)),
+                    block,
                 )
 
         report = None
@@ -276,7 +283,7 @@ class OrionCompiler:
                 output_denorm=ranges.norm(build.final_uid)
                 * build.pending_factor(build.final_uid),
                 entry_level=placement.entry_level,
-            )
+            ).capacity_view()
         return CompiledNetwork(
             program=program,
             placement=placement,
@@ -286,6 +293,40 @@ class OrionCompiler:
             compile_seconds=time.perf_counter() - start,
             graph_opt_report=report,
         )
+
+    def _lower(self, graph, folds, ranges, input_shape) -> "_ProgramBuilder":
+        """The lowered network, with its sibling fusions only when they
+        pay on what runs.
+
+        Each fusion the gate takes is cheaper on block-level counts, but
+        a fused register stacks two ciphertexts, so any fusion drops the
+        program's slot-batch capacity to 1 and gives up the capacity
+        view's fold savings on every layer.  The choice is whole-program:
+        a geometry-only lowering with the gate's fusions is priced
+        against the same program unfused (:meth:`_ProgramBuilder.fusion_pays`),
+        and the network lowers unfused when that is cheaper.
+        """
+        tree = build_region_tree(graph)
+        analysis = ConvAnalysisTable()
+        first_uid = graph.fresh_uid()  # each lowering numbers from here
+
+        def lowered(mode: str, fuse: bool) -> _ProgramBuilder:
+            build = _ProgramBuilder(
+                self, graph, folds, ranges, input_shape, mode, fuse, analysis,
+                first_uid,
+            )
+            build.lower(tree)
+            return build
+
+        if not self.optimize or not any(
+            isinstance(item, RegionItem) for item in tree.items
+        ):
+            return lowered(self.mode, False)
+        geometry = lowered("analyze", True)
+        fuse = geometry.fusion_pays()
+        if self.mode == "analyze" and (fuse or not geometry.fusions):
+            return geometry
+        return lowered(self.mode, fuse)
 
     # ------------------------------------------------------------------
     def _ranges(self, net, graph, calibration_batches) -> RangeEstimate:
@@ -323,22 +364,34 @@ def plan_batchnorm_folds(graph: LayerGraph) -> Dict[int, TraceNode]:
 class _ProgramBuilder:
     """Walks the region tree emitting instructions + placement items."""
 
-    def __init__(self, compiler: OrionCompiler, graph, folds, ranges, input_shape):
+    def __init__(self, compiler: OrionCompiler, graph, folds, ranges, input_shape,
+                 mode: str, fuse: bool, analysis: ConvAnalysisTable,
+                 first_uid: int):
         self.compiler = compiler
         self.graph = graph
         self.folds = folds
         self.folded_bns = {bn.index for bn in folds.values()}
         self.ranges = ranges
+        #: "materialize" packs weights; "analyze" counts geometry only.
+        self.mode = mode
+        #: whether the sibling-fusion gate runs at all
+        self.fuse = fuse
         # The compile's conv structures, one per geometry: the fusion
         # gate and the analyze-mode emitter share an entry.
-        self.analysis = ConvAnalysisTable()
+        self.analysis = analysis
         #: Sibling fusions lowered so far (their ordinal names them).
         self.fusions = 0
+        #: the registers this lowering adds, after the traced ones
+        self._uids = itertools.count(first_uid)
+        #: each fusion's merged stats and its siblings' own stats
+        self.fused_stats: List[Tuple[object, List[object]]] = []
         #: ReLU sign stages emitted so far; stage j holds the provisional
         #: register -(j + 1) until :meth:`lower` numbers it.
         self._sign_stages = 0
         self.instructions: List[Instruction] = []
         self.reports: List[LayerReport] = []
+        #: each packed layer's placement item, report and block-level stats
+        self.packed_items: List[Tuple[LayerSpec, LayerReport, object]] = []
         self.chain = PlacementChain()
         self.layouts: Dict[int, object] = {}
         self.alias: Dict[int, int] = {}
@@ -402,7 +455,7 @@ class _ProgramBuilder:
         the fused output's register.
         """
         self.final_uid = self._resolve(self.walk(tree.items, self.chain))
-        base = self.graph.fresh_uid()
+        base = next(self._uids)
         for instr in self.instructions:
             for attr in ("in_uid", "out_uid", "sign_uid"):
                 uid = getattr(instr, attr, 0)
@@ -428,13 +481,14 @@ class _ProgramBuilder:
             # with its free slice and lowers from its second item.  The
             # k-th fusion is fusedlinear_{N+3k} (N traced nodes), its
             # slices slice_{N+3k+1+part}.
-            siblings, terminal_uids, merged_stats = fusion
+            siblings, terminal_uids, merged_stats, sibling_stats = fusion
             index = len(self.graph.nodes) + 3 * self.fusions
             self.fusions += 1
             fused_uid = self._emit_fused_linear(
                 f"fusedlinear_{index}", siblings, terminal_uids, merged_stats,
                 chain,
             )
+            self.fused_stats.append((self.packed_items[-1][2], sibling_stats))
         placed = []
         for part, branch in enumerate(branches):
             sub = PlacementChain()
@@ -566,34 +620,76 @@ class _ProgramBuilder:
         return out_uid
 
     def _append_packed(self, chain, name, kind, in_uid, out_uid, packed, stats):
-        """One packed layer: its placement item (priced by ``stats``), its
+        """One packed layer: its placement item (priced by ``stats``, the
+        block-level counts until :meth:`price_capacity_view`), its
         instruction (``packed`` is None in analyze mode) and its report."""
         costs = self.compiler.costs
-        chain.items.append(
-            LayerSpec(
-                name,
-                depth=1,
-                cost_fn=lambda l: stats.cost(l, costs),
-                boot_units=stats.num_in_cts,
-                cost_obj=stats,
-            )
+        spec = LayerSpec(
+            name,
+            depth=1,
+            cost_fn=lambda l: stats.cost(l, costs),
+            boot_units=stats.num_in_cts,
+            cost_obj=stats,
         )
+        report = LayerReport(
+            name=name,
+            kind=kind,
+            rotations=stats.rotations,
+            pmults=stats.pmults,
+            depth=1,
+            num_cts=stats.out_layout.num_ciphertexts,
+        )
+        chain.items.append(spec)
         self.instructions.append(
             LinearInstr(
                 name=name, out_uid=out_uid, exec_level=0, boots_before=0,
                 in_uid=in_uid, packed=packed,
             )
         )
-        self.reports.append(
-            LayerReport(
-                name=name,
-                kind=kind,
-                rotations=stats.rotations,
-                pmults=stats.pmults,
-                depth=1,
-                num_cts=stats.out_layout.num_ciphertexts,
-            )
+        self.reports.append(report)
+        self.packed_items.append((spec, report, stats))
+
+    def _capacity(self, stats) -> int:
+        """The slot-batch capacity of a program whose packed layers count
+        ``stats``, by the rule ``FheProgram.slot_batch_capacity`` applies
+        to its layouts."""
+        return slot_batch_capacity(
+            [self.layouts[self.graph.input_uid]] + [s.out_layout for s in stats]
         )
+
+    def fusion_pays(self) -> bool:
+        """Whether this lowering's fusions make it cheaper to run than
+        the same program with every fusion undone (each merged layer
+        back to its two siblings): both priced at the effective level,
+        each at its own capacity's view."""
+        fused = [stats for _, _, stats in self.packed_items]
+        merged = {id(stats) for stats, _ in self.fused_stats}
+        unfused = [stats for stats in fused if id(stats) not in merged] + [
+            sibling for _, siblings in self.fused_stats for sibling in siblings
+        ]
+        level = self.compiler.params.effective_level
+        costs = self.compiler.costs
+
+        def cost(stats) -> float:
+            capacity = self._capacity(stats)
+            return sum(s.capacity_view(capacity).cost(level, costs) for s in stats)
+
+        return bool(self.fused_stats) and cost(fused) < cost(unfused)
+
+    def price_capacity_view(self) -> int:
+        """The program's slot-batch capacity C (:meth:`_capacity`); at
+        C > 1 every packed layer's item and report now count what a lone
+        client runs, the layer's ``PackingStats.capacity_view`` (its
+        folds stop at the block).  Either compile mode, before
+        placement."""
+        capacity = self._capacity([stats for _, _, stats in self.packed_items])
+        costs = self.compiler.costs
+        for spec, report, stats in self.packed_items:
+            view = stats.capacity_view(capacity)
+            spec.cost_fn = lambda l, view=view: view.cost(l, costs)
+            spec.cost_obj = view
+            report.rotations = view.rotations
+        return capacity
 
     # Each returns ``(packed or None, PackingStats)``.  ``params()``
     # yields a layer's ``(weight, bias)`` and is called in materialize
@@ -601,7 +697,7 @@ class _ProgramBuilder:
     # the input layout.
     def _pack_conv(self, weight_shape, params, in_layout, stride, padding,
                    dilation, groups, name):
-        if self.compiler.mode == "materialize":
+        if self.mode == "materialize":
             weight, bias = params()
             packed = build_conv_packing(
                 weight, bias, in_layout, stride=stride, padding=padding,
@@ -614,7 +710,7 @@ class _ProgramBuilder:
         ).stats
 
     def _pack_fc(self, weight_shape, params, in_layout, name, diagonal=False):
-        if self.compiler.mode == "materialize":
+        if self.mode == "materialize":
             weight, bias = params()
             packed = build_linear_packing(weight, bias, in_layout, name=name)
             return packed, packed.stats
@@ -639,12 +735,14 @@ class _ProgramBuilder:
         return None
 
     def _sibling_fusion(self, region: RegionItem):
-        """``(siblings, terminal uids, merged stats)`` when the region's
-        two branches open with linear layers reading its fork value and
-        concat-fusing them prices cheaper at the effective level; else
-        None.  The gate reads geometry only, never a weight, so analyze
+        """``(siblings, terminal uids, merged stats, siblings' stats)``
+        when the region's two branches open with linear layers reading
+        its fork value and concat-fusing them prices cheaper at the
+        effective level; else None.  Block-level counts: what fusing
+        costs the program's capacity is :meth:`fusion_pays`'s call.  The
+        gate reads geometry only, never a weight, so analyze
         and materialize compiles decide alike."""
-        if not self.compiler.optimize:
+        if not self.fuse:
             return None
         heads = [branch.items[0] if branch.items else None
                  for branch in (region.branch_a, region.branch_b)]
@@ -681,7 +779,7 @@ class _ProgramBuilder:
             # Slicing straight into the program output complicates
             # nothing downstream but the denorm bookkeeping; skip.
             return None
-        return siblings, terminal_uids, merged
+        return siblings, terminal_uids, merged, stats
 
     def _emit_fused_linear(self, name, siblings, terminal_uids, merged_stats,
                            chain: PlacementChain) -> int:
@@ -696,7 +794,7 @@ class _ProgramBuilder:
         m_in = self.ranges.norm(in_uid)
         pending = self.pending_factor(in_uid)
 
-        if self.compiler.mode == "analyze":  # geometry only
+        if self.mode == "analyze":  # geometry only
             merged, stats = None, merged_stats
         else:
             packeds = []
@@ -719,7 +817,7 @@ class _ProgramBuilder:
                 packeds.append(packed)
             merged = merge_packed_matvecs(packeds, name=name)
             stats = merged.stats
-        out_uid = self.graph.fresh_uid()
+        out_uid = next(self._uids)
         self.layouts[out_uid] = stats.out_layout
         self._append_packed(chain, name, "linear", in_uid, out_uid, merged, stats)
         return out_uid

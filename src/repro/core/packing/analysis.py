@@ -69,7 +69,7 @@ structure (:func:`linear_structure`) is exact per block pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -128,6 +128,35 @@ class PackingStats:
                 + steps * costs.hrot(level) + costs.hadd(level)
             )
         return price
+
+    def capacity_view(self, capacity: int) -> "PackingStats":
+        """These counts for one client run in all ``capacity`` blocks of
+        the ring (``PackedMatVec.capacity_view``): the same diagonals,
+        and of the fold ladder n/2, ..., m2 only the shifts below the
+        block, so its first log2(capacity) folds go."""
+        folds = min(self.num_folds, int_log2(capacity))
+        dropped = folds * self.num_out_cts
+        return replace(
+            self, rotations=self.rotations - dropped, _giants=self._giants - dropped,
+            num_folds=self.num_folds - folds,
+        )
+
+
+def slot_batch_capacity(layouts) -> int:
+    """Largest power-of-two client count one ciphertext can carry for a
+    program whose registers have ``layouts`` (its input and every linear
+    layer's output; all over one slot count).
+
+    Each client takes a block of n/C slots, so every layout must be one
+    ciphertext and fit a block: C is n over the largest layout padded to
+    a power of two, and 1 when any layout spans several ciphertexts.
+    ``FheProgram.slot_batch_capacity`` and the compiler's pricing both
+    ask this rule.
+    """
+    if any(layout.num_ciphertexts != 1 for layout in layouts):
+        return 1
+    required = max(layout.total_slots for layout in layouts)
+    return max(1, layouts[0].slots // next_power_of_two(required))
 
 
 def _count_stats(

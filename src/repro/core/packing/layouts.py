@@ -370,3 +370,36 @@ class BlockReplicatedLayout:
 
     def __repr__(self) -> str:
         return f"BlockReplicatedLayout(batch={self.batch}, inner={self.inner!r})"
+
+
+@dataclass(frozen=True)
+class TiledLayout(BlockReplicatedLayout):
+    """One client's tensor in every one of the ``batch`` blocks.
+
+    The layout of a lone client's run at the program's slot-batch
+    capacity (``FheProgram.capacity_view``): ``pack`` takes one tensor
+    shaped for the inner layout and copies it into each block of S =
+    n/B slots, so every register is S-periodic; ``unpack`` reads block
+    0.
+    """
+
+    @property
+    def logical_length(self) -> int:
+        return self.inner.logical_length
+
+    @property
+    def tensor_shape(self) -> tuple:
+        return tuple(self.inner.tensor_shape)
+
+    def pack(self, tensor) -> list:
+        block = self.inner.pack(tensor)[0][: self.block_slots]
+        return [np.tile(block, self.batch)]
+
+    def unpack(self, vectors: list) -> np.ndarray:
+        (flat,) = vectors
+        padded = np.zeros(self.inner.slots)
+        padded[: self.block_slots] = flat[: self.block_slots]
+        return self.inner.unpack([padded])
+
+    def __repr__(self) -> str:
+        return f"TiledLayout(copies={self.batch}, inner={self.inner!r})"

@@ -25,20 +25,29 @@ output block replaces the per-rotation mod-downs
 exactly as that path multiplies it — un-rotated — and the BSGS plan is
 kept purely as the paper's "# Rots" accounting (baby + giant counts).
 
-The log2(n/m2) Gazelle rotate-and-sum folds ride the same primitive, in
-the consecutive groups the compiler fixed (``fold_groups``, from
-``CostModel.fold_partition`` at the layer's level).  ``t -> t + rot(t,
-s)`` over one group's shifts expands into rotations of the group's input
-by every nonzero subset sum of those shifts, run as one
-``FheBackend.rotate_sum_hoisted`` — one shared digit decomposition, one
-deferred mod-down; the groups run one after the other.  A group of one
-is the classic sequential fold step, one group of every shift the full
-expansion; the cost model picks the balanced split in between
-(docs/hoisting.md, "Fold partitions").
+The Gazelle rotate-and-sum folds ride the same primitive, in the
+consecutive groups the compiler fixed (``fold_groups``, from
+``CostModel.fold_partition`` at the layer's level, cut at the program's
+slot-batch block).  ``t -> t + rot(t, s)`` over one group's shifts
+expands into rotations of the group's input by every nonzero subset sum
+of those shifts, run as one ``FheBackend.rotate_sum_hoisted`` — one
+shared digit decomposition, one deferred mod-down; the groups run one
+after the other.  A group of one is the classic sequential fold step,
+one group of every shift the full expansion; the cost model picks the
+balanced split in between (docs/hoisting.md, "Fold partitions").
+
+A built layer is block-level: its ladder n/2, ..., m2 folds log2(n/m2)
+times over the whole ring.  What runs derives from it.  In a program
+whose registers all fit a block of S = n/C slots, a lone client fills
+every block (:meth:`PackedMatVec.capacity_view`): the ladder stops at
+the block, log2(S/m2) folds, as the paper's replicated Gazelle input
+needs.  B distinct clients share one ciphertext through
+:meth:`PackedMatVec.batched`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -62,6 +71,7 @@ from repro.core.packing.layouts import (
     BlockReplicatedLayout,
     MultiplexedLayout,
     StackedLayout,
+    TiledLayout,
     VectorLayout,
     conv_output_layout,
 )
@@ -117,9 +127,6 @@ class PackedMatVec:
     _tables: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The encoded biases, keyed ``(bo, plaintext_cache_key)`` the same way.
     _biases: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # Batched (block-replicated) views for serve-time slot batching,
-    # keyed by batch size (built lazily, shared across executions).
-    _batched: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fold_groups:
@@ -157,8 +164,8 @@ class PackedMatVec:
         return tuple(sorted(steps - {0}))
 
     def batched(self, batch: int) -> "PackedMatVec":
-        """A view of this layer acting on ``batch`` block-replicated
-        clients packed into one ciphertext (serve-time slot batching).
+        """A view of this layer acting on ``batch`` distinct clients
+        packed into one ciphertext (serve-time slot batching).
 
         Block-replicating every diagonal and bias vector into all B
         blocks of S = slots/B slots makes the *same* rotation/multiply
@@ -169,7 +176,7 @@ class PackedMatVec:
 
         Two Gazelle-hybrid adjustments keep each client self-contained,
         and neither rotates by a step this layer's own execution lacks,
-        so a view needs no key the single-client program does not hold
+        so a view needs no key the block-level layer does not use
         (a view that would is refused here, ``ValueError`` naming the
         layer and the step):
 
@@ -182,7 +189,7 @@ class PackedMatVec:
           sum q of the same fused walk, so every ``rot(x, off)`` is
           computed once and feeds every partial.  After the rescale,
           partial q is rotated by q*S and added to partial 0 — the
-          single-client fold's shifts >= S did exactly that sum.  The
+          block-level fold's shifts >= S did exactly that sum.  The
           rotation runs as this layer's own fold steps, one subset sum
           per fold group the shift spans (``gathers``).
           Only fold layers can have out-of-block scratch (plain layers
@@ -193,36 +200,83 @@ class PackedMatVec:
           vanishes); the surviving suffix (S/2 ... m2) folds each
           client's row replicas inside its own block.
 
-        The view re-plans its "# Rots" accounting over its offsets,
-        shares nothing mutable with the original (its own table store),
-        and is cached per batch size.
+        The view re-plans its "# Rots" accounting over its offsets and
+        shares nothing mutable with the original (its own table store);
+        the program caches it (``FheProgram.batched``).  Its diagonals
+        are derived from this layer's when read (:class:`BlockDiagonals`),
+        never stored: an exact backend reads them only to encode a table
+        it does not hold yet.  One client alone runs
+        :meth:`capacity_view` instead.
         """
         if batch == 1:
             return self
-        cached = self._batched.get(batch)
-        if cached is not None:
-            return cached
+        block = self._block_slots(batch)
+        # block q -> offsets with a nonzero piece there, in this layer's
+        # offset order (the float summation order of a block-level run).
+        diagonals = self.diags.get((0, 0), {})
+        parts: Dict[int, List[int]] = {}
+        for offset, vec in diagonals.items():
+            for q in np.flatnonzero(vec.reshape(batch, block).any(axis=1)):
+                parts.setdefault(int(q), []).append(offset)
+        blocks = [0] + sorted(set(parts) - {0})
+        gathers = tuple(self._gather_steps(q * block, batch) for q in blocks)
+        return self._block_view(
+            batch,
+            {
+                (g, 0): BlockDiagonals(diagonals, batch, q, parts[q])
+                for g, q in enumerate(blocks) if q in parts
+            },
+            gathers if len(blocks) > 1 else (),
+            BlockReplicatedLayout(self.out_layout, batch, self.slots),
+            f"{self.name}@x{batch}",
+        )
+
+    def capacity_view(self, capacity: int) -> "PackedMatVec":
+        """This layer for one client whose input fills every one of the
+        ``capacity`` blocks of S = slots/capacity slots (``TiledLayout``):
+        the program's slot-batch capacity spent on a lone client.
+
+        It is :meth:`batched` at ``capacity`` with every block holding
+        the same client.  Each register is then S-periodic, so the
+        scratch gather (a rotation by q*S) is the identity: the block-q
+        pieces of a diagonal are summed into one block-replicated
+        diagonal and there is a single partial.  The fold keeps only
+        its shifts below S (``fold_groups`` restricted to them; the
+        compiler cuts its partition at S, so no group straddles the
+        block).  Same offsets, same output as the block-level layer up
+        to float summation order, log2(capacity) fewer folds.
+
+        """
+        if capacity == 1:
+            return self
+        self._block_slots(capacity)
+        diagonals = self.diags.get((0, 0), {})
+        diags = BlockDiagonals(diagonals, capacity, None, list(diagonals))
+        return self._block_view(
+            capacity, {(0, 0): diags}, (),
+            TiledLayout(self.out_layout, capacity, self.slots), self.name,
+        )
+
+    def _block_slots(self, batch: int) -> int:
+        """S = slots/batch, after checking the layer fits one block."""
         if self.num_in != 1 or self.num_out != 1:
             raise ValueError("slot batching requires a single-ciphertext layer")
         if batch < 1 or self.slots % batch:
             raise ValueError(f"batch {batch} must divide {self.slots} slots")
-        n = self.slots
-        block = n // batch
+        block = self.slots // batch
         if self.out_layout.total_slots > block:
             raise ValueError(
                 f"{self.name}: output occupies {self.out_layout.total_slots} "
                 f"slots > block size {block} at batch {batch}"
             )
-        # block q -> {offset -> replicated block-q piece}, in this
-        # layer's offset order (the float summation order of a
-        # single-client run).
-        parts: Dict[int, Dict[int, np.ndarray]] = {}
-        for offset, vec in self.diags.get((0, 0), {}).items():
-            pieces = vec.reshape(batch, block)
-            for q in np.flatnonzero(pieces.any(axis=1)):
-                parts.setdefault(int(q), {})[offset] = np.tile(pieces[q], batch)
-        blocks = [0] + sorted(set(parts) - {0})
-        gathers = tuple(self._gather_steps(q * block, batch) for q in blocks)
+        return block
+
+    def _block_view(self, batch: int, diags, gathers, out_layout, name) -> "PackedMatVec":
+        """A view over blocks of S = slots/batch slots: ``diags`` and
+        ``gathers`` as given, the fold ladder and its groups cut to the
+        shifts below S, the biases' blocks summed and replicated.
+        Refuses a view that rotates by a step this layer never does."""
+        block = self.slots // batch
         fold_groups, start = [], 0
         for size in self.fold_groups:
             kept = sum(s < block for s in self.fold_shifts[start:start + size])
@@ -230,20 +284,22 @@ class PackedMatVec:
             if kept:
                 fold_groups.append(kept)
         view = PackedMatVec(
-            slots=n,
+            slots=self.slots,
             num_in=1,
             num_out=1,
-            diags={(g, 0): parts[q] for g, q in enumerate(blocks) if q in parts},
-            plan=plan_bsgs(sorted({off for dmap in parts.values() for off in dmap}), n),
-            out_layout=BlockReplicatedLayout(self.out_layout, batch, n),
+            diags=diags,
+            plan=plan_bsgs(
+                sorted({off for dmap in diags.values() for off in dmap}), self.slots
+            ),
+            out_layout=out_layout,
             fold_shifts=tuple(s for s in self.fold_shifts if s < block),
             fold_groups=tuple(fold_groups),
-            gathers=gathers if len(blocks) > 1 else (),
+            gathers=gathers,
             bias_vecs=None
             if self.bias_vecs is None
             else [np.tile(vec.reshape(batch, block).sum(axis=0), batch)
                   for vec in self.bias_vecs],
-            name=f"{self.name}@x{batch}",
+            name=name,
         )
         extra = set(view.required_rotation_steps()) - set(self.required_rotation_steps())
         if extra:
@@ -252,7 +308,6 @@ class PackedMatVec:
                 f"{min(extra)}, which the layer itself never does, so the "
                 "key manifest would not cover it"
             )
-        self._batched[batch] = view
         return view
 
     def _gather_steps(self, shift: int, batch: int) -> Tuple[int, ...]:
@@ -272,15 +327,12 @@ class PackedMatVec:
             )
         return tuple(steps)
 
-    def terms(self) -> Dict:
+    def terms(self) -> "Terms":
         """``diags`` flattened to ``(out_block, in_block, offset) ->
         vector`` — the shape :meth:`FheBackend.matvec_fused` consumes.
-        The vectors are the stored arrays themselves, never copies."""
-        return {
-            (bo, bi, offset): vec
-            for (bo, bi), dmap in self.diags.items()
-            for offset, vec in dmap.items()
-        }
+        A vector is read from ``diags`` when looked up: the stored array
+        itself, never a copy (a capacity view's sum is computed then)."""
+        return Terms(self.diags)
 
     # -- encoded weight tables ---------------------------------------------------
     def encoded_tables(self, backend) -> List[Tuple[int, int, int, Fraction, object]]:
@@ -451,6 +503,55 @@ class PackedMatVec:
         return outputs
 
 
+class Terms(Mapping):
+    """A packed layer's ``diags`` as ``(out_block, in_block, offset) ->
+    vector``, in ``diags`` order, each vector looked up when read."""
+
+    def __init__(self, diags: Dict[Tuple[int, int], Mapping]):
+        self._diags = diags
+
+    def __getitem__(self, key) -> np.ndarray:
+        bo, bi, offset = key
+        return self._diags[(bo, bi)][offset]
+
+    def __iter__(self):
+        for (bo, bi), dmap in self._diags.items():
+            for offset in dmap:
+                yield bo, bi, offset
+
+    def __len__(self) -> int:
+        return sum(len(dmap) for dmap in self._diags.values())
+
+
+class BlockDiagonals(Mapping):
+    """``{offset: diagonal}`` of a view over ``batch`` blocks of S =
+    slots/batch slots, derived from the block-level ``diagonals`` when
+    read and never stored: block ``q``'s piece of each diagonal tiled
+    into every block (partial q of a distinct-client batch), or with
+    ``q`` None the sum of its blocks tiled (a lone client's capacity
+    view).  ``offsets`` are the keys, in order."""
+
+    def __init__(self, diagonals: Dict[int, np.ndarray], batch: int,
+                 q: Optional[int], offsets):
+        self._diagonals = diagonals
+        self._batch = batch
+        self._q = q
+        self._offsets = dict.fromkeys(offsets)
+
+    def __getitem__(self, offset) -> np.ndarray:
+        if offset not in self._offsets:
+            raise KeyError(offset)
+        blocks = self._diagonals[offset].reshape(self._batch, -1)
+        piece = blocks.sum(axis=0) if self._q is None else blocks[self._q]
+        return np.tile(piece, self._batch)
+
+    def __iter__(self):
+        return iter(self._offsets)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+
 def fold_group_steps(
     shifts: Tuple[int, ...], groups: Tuple[int, ...], slots: int
 ) -> List[List[int]]:
@@ -467,6 +568,27 @@ def fold_group_steps(
         start += size
         steps.append(sorted(set(sums) - {0}))
     return steps
+
+
+def cut_fold_groups(
+    shifts: Tuple[int, ...], groups: Tuple[int, ...], block: int
+) -> Tuple[int, ...]:
+    """The partition ``groups`` of the descending fold ladder ``shifts``
+    with each group that holds shifts on both sides of ``block`` split
+    in two there (the compiler cuts at the slot-batch block S).
+
+    A view over blocks of S slots folds only the shifts below S, so an
+    uncut group would run there truncated, and its scratch gather then
+    adds in another order than the block-level fold: a distinct-client
+    batch at the capacity would differ from block-level runs in the
+    last bit.
+    """
+    cut, start = [], 0
+    for size in groups:
+        above = sum(s >= block for s in shifts[start:start + size])
+        start += size
+        cut.extend(part for part in (above, size - above) if part)
+    return tuple(cut)
 
 
 def held_tables(store: Dict, backend, terms: Dict, level: int, pt_scale) -> Dict:
@@ -744,7 +866,8 @@ def build_conv_packing(
     # Gazelle hybrid (paper Section 8.2): when the output is much
     # smaller than the slot count, replicate the matrix rows modulo the
     # padded output length; diagonal offsets then collapse into [0, m2)
-    # and a log2(n/m2) rotate-and-sum fold finishes the product.
+    # and the rotate-and-sum ladder n/2, ..., m2 finishes the product
+    # (a lone client's capacity view stops it at the block).
     hybrid_m2 = conv_hybrid_modulus(in_layout, out_layout)
     if hybrid_m2 is not None:
         seen = np.zeros(n, dtype=bool)  # one ciphertext: keys are offsets
@@ -797,7 +920,10 @@ def build_linear_packing(
     (paper Section 8.2: "for small networks ... we rely on Gazelle's
     hybrid method"): replicate the squat matrix's rows modulo m2 (m
     padded to a power of two), BSGS over the m2 diagonal offsets, then
-    rotate-and-sum fold log2(n/m2) times.  ``linear_hybrid_rule`` says
+    rotate-and-sum down the ladder n/2, ..., m2 — log2(n/m2) folds here,
+    log2(S/m2) in the capacity view a lone client runs when the program
+    fits blocks of S slots (:meth:`PackedMatVec.capacity_view`).
+    ``linear_hybrid_rule`` says
     when; where it races the two forms, the race runs on the nonzero
     entries' key sets (``DiagonalStructure``) and the layer is packed
     once.

@@ -26,6 +26,16 @@ over instructions, never by branching on them.  The reference run of a
 program is :meth:`FheProgram.run` on a noise-free
 :class:`repro.backend.SimBackend`: the same slot-vector arithmetic, with
 every level and scale checked as under FHE.
+
+Views (docs/serving.md, "Slot batching").  The compiler's program is
+block-level: each client's tensors sit in slots [0, S) of ciphertexts of
+their own.  When every register fits a block of S = n/C slots for a
+slot-batch capacity C > 1, what runs is a view of it:
+:meth:`FheProgram.capacity_view` for a lone client (its input in all C
+blocks, each Gazelle fold stopping at the block) and
+:meth:`FheProgram.batched` for B distinct clients.  The compiler hands
+out the lone client's view, an artifact stores the block-level program,
+and every view derives from that.
 """
 
 from __future__ import annotations
@@ -33,13 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.approx.chebyshev import ChebyshevPoly
 from repro.core.approx.evaluator import evaluate_chebyshev
-from repro.core.packing.layouts import BlockReplicatedLayout
+from repro.core.packing.analysis import slot_batch_capacity
+from repro.core.packing.layouts import BlockReplicatedLayout, TiledLayout
 from repro.core.packing.matvec import (
     PackedMatVec,
     layout_from_payload,
@@ -353,9 +364,14 @@ class FheProgram:
     input_norm: float
     output_denorm: float
     entry_level: int
-    # Batched (slot-replicated) views for serving, keyed by batch size.
+    # What runs for a batch of b clients, keyed by b (1: the capacity
+    # view), built lazily on the block-level program.
     _batched: Dict[int, "FheProgram"] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    # A capacity view's block-level program (None: this one).
+    _block: Optional["FheProgram"] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def encrypt_input(self, backend, image: np.ndarray) -> List:
@@ -425,13 +441,20 @@ class FheProgram:
         program can request from the backend — the key manifest's
         source (docs/serving.md).
 
-        It covers every batched view too: a view adds no step and raises
-        no level, because its Gazelle-hybrid layers read wrapped scratch
-        at the single-client offsets and gather it with their own fold
-        steps, and ``PackedMatVec.batched`` refuses a view that would
-        rotate by any other step; a view runs each layer at the layer's
-        own ``exec_level``.  Bootstraps are excluded: the oracle refresh
-        rotates nothing, and a real pipeline owns its own transform keys.
+        The union over the views that run: the one-client
+        :meth:`capacity_view` and each distinct-client view
+        :meth:`batched` from 2 up to :meth:`slot_batch_capacity` (one
+        view, the block-level program, at capacity 1).  Every step is a
+        step of the block-level layers: views keep their offsets, fold
+        subsets of their fold groups (the compiler cuts those at the
+        capacity's block) and gather with subset sums of them, and
+        ``PackedMatVec`` refuses a view that would rotate by any other
+        step.  A view runs each layer at the layer's own
+        ``exec_level``.  The views are built through :meth:`batched`
+        and stay cached for the batches that run them; building one
+        copies no diagonal (``matvec.BlockDiagonals``).  Bootstraps are excluded: the oracle refresh
+        rotates nothing, and a real pipeline owns its own transform
+        keys.
 
         Exactly the steps an inference rotates by (a layer's fold
         partition is compiled, ``PackedMatVec.fold_groups``).  A linear
@@ -444,78 +467,107 @@ class FheProgram:
         SwitchingKey`): only the digits and limbs any key switch at
         ``level <= bound`` consumes.
         """
+        views = [
+            self.batched(1 << k)
+            for k in range(self.slot_batch_capacity().bit_length())
+        ]
         levels: Dict[int, int] = {}
-        for instr in self.instructions:
-            if not isinstance(instr, LinearInstr):
-                continue
-            for step in instr.packed.required_rotation_steps():
-                levels[step] = max(levels.get(step, -1), instr.exec_level)
+        for view in views:
+            for instr in view.instructions:
+                if not isinstance(instr, LinearInstr):
+                    continue
+                for step in instr.packed.required_rotation_steps():
+                    levels[step] = max(levels.get(step, -1), instr.exec_level)
         return levels
 
     def slot_batch_capacity(self) -> int:
-        """Largest power-of-two client count one ciphertext can carry.
+        """Largest power-of-two client count one ciphertext can carry
+        (``analysis.slot_batch_capacity`` over the block-level input and
+        linear output layouts): 1 when the program cannot batch
+        (multi-ciphertext registers or a full ciphertext already)."""
+        block = self.block_level()
+        return slot_batch_capacity(
+            [block.input_layout]
+            + [i.packed.out_layout for i in block.instructions if isinstance(i, LinearInstr)]
+        )
 
-        The batched view places each client in a block of n/B slots, so
-        every register's layout must be single-ciphertext and fit one
-        block.  Returns 1 when the program cannot batch (multi-
-        ciphertext registers or a full ciphertext already).
-        """
-        from repro.utils.intmath import next_power_of_two
+    def block_level(self) -> "FheProgram":
+        """The program as compiled: each client's tensors in slots [0,
+        S) of a ciphertext to itself.  It is what the views derive from
+        and what an artifact stores; it runs only when asked for by
+        name (the capacity view runs a lone client)."""
+        return self if self._block is None else self._block
 
-        slots = self.input_layout.slots
-        occupied = [self.input_layout]
-        occupied += [
-            instr.packed.out_layout
-            for instr in self.instructions
-            if isinstance(instr, LinearInstr)
-        ]
-        if any(layout.num_ciphertexts != 1 for layout in occupied):
-            return 1
-        required = max(layout.total_slots for layout in occupied)
-        return max(1, slots // next_power_of_two(required))
+    def capacity_view(self) -> "FheProgram":
+        """What one client's inference runs: at slot-batch capacity C >
+        1, the block-level program with the input tiled into all C
+        blocks (``TiledLayout``) and every linear layer's
+        ``PackedMatVec.capacity_view`` — the scratch gathers vanish and
+        the Gazelle folds stop at the block.  At capacity 1 the
+        block-level program itself.  Built once."""
+        block = self.block_level()
+        view = block._batched.get(1)
+        if view is None:
+            capacity = block.slot_batch_capacity()
+            view = block
+            if capacity > 1:
+                slots = block.input_layout.slots
+                view = block._view(
+                    lambda layout: TiledLayout(layout, capacity, slots),
+                    lambda packed: packed.capacity_view(capacity),
+                )
+                view._block = block
+            block._batched[1] = view
+        return view
 
     def batched(self, batch: int) -> "FheProgram":
-        """The same network over ``batch`` clients packed into one
-        ciphertext (cross-request SIMD slot batching; docs/serving.md).
+        """What a batch of ``batch`` clients runs (cross-request SIMD
+        slot batching; docs/serving.md): the :meth:`capacity_view` for
+        one, else the block-level program over ``batch`` distinct
+        clients packed into one ciphertext.
 
-        Linear layers swap in their block-replicated views; elementwise
-        activations and joins are batch-transparent.  ``run`` on the
-        returned program takes a stacked ``(batch, C, H, W)`` input and
-        returns stacked per-client outputs.  Views are cached, so the
-        weight-plaintext caches inside the batched layers persist across
-        requests just like the single-shot ones.
+        Linear layers swap in their block-replicated views
+        (``PackedMatVec.batched``); elementwise activations and joins
+        are batch-transparent.  ``run`` on a distinct-client view takes
+        a stacked ``(batch, C, H, W)`` input and returns stacked
+        per-client outputs.  Views are cached, so the weight-plaintext
+        caches inside the batched layers persist across requests just
+        like the single-shot ones.
         """
         if batch == 1:
-            return self
-        cached = self._batched.get(batch)
-        if cached is not None:
-            return cached
-        capacity = self.slot_batch_capacity()
-        if batch > capacity:
-            raise ValueError(
-                f"batch {batch} exceeds this program's slot capacity {capacity}"
-            )
-        slots = self.input_layout.slots
-        instructions = []
-        for instr in self.instructions:
-            if isinstance(instr, LinearInstr):
-                instructions.append(
-                    replace(instr, packed=instr.packed.batched(batch))
+            return self.capacity_view()
+        block = self.block_level()
+        view = block._batched.get(batch)
+        if view is None:
+            capacity = block.slot_batch_capacity()
+            if batch > capacity:
+                raise ValueError(
+                    f"batch {batch} exceeds this program's slot capacity {capacity}"
                 )
-            else:
-                instructions.append(replace(instr))
-        view = FheProgram(
-            instructions=instructions,
+            slots = block.input_layout.slots
+            view = block._batched[batch] = block._view(
+                lambda layout: BlockReplicatedLayout(layout, batch, slots),
+                lambda packed: packed.batched(batch),
+            )
+        return view
+
+    def _view(self, layout, layer) -> "FheProgram":
+        """This program with ``layout(l)`` for its input and output
+        layouts and ``layer(packed)`` for each linear layer."""
+        return FheProgram(
+            instructions=[
+                replace(instr, packed=layer(instr.packed))
+                if isinstance(instr, LinearInstr) else replace(instr)
+                for instr in self.instructions
+            ],
             input_uid=self.input_uid,
             output_uid=self.output_uid,
-            input_layout=BlockReplicatedLayout(self.input_layout, batch, slots),
-            output_layout=BlockReplicatedLayout(self.output_layout, batch, slots),
+            input_layout=layout(self.input_layout),
+            output_layout=layout(self.output_layout),
             input_norm=self.input_norm,
             output_denorm=self.output_denorm,
             entry_level=self.entry_level,
         )
-        self._batched[batch] = view
-        return view
 
     # -- artifact serialization (docs/serving.md) ----------------------------
     def to_payload(self, store) -> Dict:
@@ -524,24 +576,27 @@ class FheProgram:
         ``store(array) -> ref`` registers numpy payloads (diagonal
         tables, biases) with the artifact's array registry; everything
         else — uids, levels, Chebyshev coefficients, layouts — is plain
-        JSON, so the format is inspectable and versionable.
+        JSON, so the format is inspectable and versionable.  It is the
+        block-level program's: every view derives from it.
         """
+        block = self.block_level()
         return {
-            "input_uid": self.input_uid,
-            "output_uid": self.output_uid,
-            "entry_level": self.entry_level,
-            "input_norm": self.input_norm,
-            "output_denorm": self.output_denorm,
-            "input_layout": layout_payload(self.input_layout),
-            "output_layout": layout_payload(self.output_layout),
-            "instructions": [instr.to_payload(store) for instr in self.instructions],
+            "input_uid": block.input_uid,
+            "output_uid": block.output_uid,
+            "entry_level": block.entry_level,
+            "input_norm": block.input_norm,
+            "output_denorm": block.output_denorm,
+            "input_layout": layout_payload(block.input_layout),
+            "output_layout": layout_payload(block.output_layout),
+            "instructions": [instr.to_payload(store) for instr in block.instructions],
         }
 
     @classmethod
     def from_payload(cls, payload: Dict, fetch) -> "FheProgram":
         """Rebuild a program saved by :meth:`to_payload` (bit-exact:
         float norms round-trip through JSON's repr, arrays through the
-        artifact's npz registry)."""
+        artifact's npz registry) as what runs: its
+        :meth:`capacity_view`."""
         instructions: List[Instruction] = []
         for entry in payload["instructions"]:
             instr_cls = _KINDS.get(entry["kind"])
@@ -557,4 +612,4 @@ class FheProgram:
             input_norm=payload["input_norm"],
             output_denorm=payload["output_denorm"],
             entry_level=payload["entry_level"],
-        )
+        ).capacity_view()

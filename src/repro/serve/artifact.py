@@ -13,7 +13,10 @@ A :class:`ServingArtifact` is a single ``.npz`` file containing
   each layer executes at — one uint32 residue table per layer and
   (out-block, in-block) group, in the layout the fused matvec contracts
   in place — so a worker installs views of the mapped file as its
-  layers' tables before the first request ever arrives.
+  layers' tables before the first request ever arrives.  They are the
+  tables of what a lone client runs, the program's capacity view
+  (``FheProgram.capacity_view``); at a slot-batch capacity C > 1 each
+  section records ``"copies": C``, the blocks its diagonals fill.
 
 Keys are deliberately absent: they derive from a secret, and are
 generated from the key manifest by whoever holds it — today each
@@ -152,6 +155,7 @@ class ServingArtifact:
             raise ValueError(
                 "backend parameters do not match the artifact's key manifest"
             )
+        copies = self.program.slot_batch_capacity()
         by_name = {
             instr.name: instr
             for instr in self.program.instructions
@@ -162,6 +166,12 @@ class ServingArtifact:
             instr = by_name.get(section["name"])
             if instr is None:
                 continue
+            if section.get("copies", 1) != copies:
+                raise ArtifactSchemaError(
+                    f"{section['name']}: tables encoded for "
+                    f"{section.get('copies', 1)} copies of a client, the "
+                    f"program runs {copies}; re-export the artifact"
+                )
             level = section["level"]
             pt_scale = Fraction(*section["pt_scale"])
             packed = instr.packed
@@ -297,7 +307,9 @@ def save_artifact(compiled, params, path: str) -> ServingArtifact:
 def _pre_encode_tables(program: FheProgram, params, sim) -> List[Dict]:
     """Encode every linear layer's fused diagonals into the static
     tables the exact backend contracts in place — one per (out-block,
-    in-block) group, at the layer's runtime (level, scale).
+    in-block) group, at the layer's runtime (level, scale).  ``program``
+    is what a lone client runs, so at a slot-batch capacity C > 1 these
+    are its capacity view's layers and each section says ``"copies": C``.
 
     The runtime scale of each layer depends on what the preceding
     activation produced (paper Section 6's errorless policy encodes
@@ -313,6 +325,7 @@ def _pre_encode_tables(program: FheProgram, params, sim) -> List[Dict]:
         params.primes, params.ring_degree, num_special=params.num_special_primes
     )
     encoder = get_encoder(params.ring_degree)
+    copies = program.slot_batch_capacity()
     sections: List[Dict] = []
     for instr, level, pt_scale, term_groups in fused_tables(program, sim):
         terms = instr.packed.terms()
@@ -327,14 +340,15 @@ def _pre_encode_tables(program: FheProgram, params, sim) -> List[Dict]:
             }
             for (bo, bi), offsets in sorted(term_groups.items())
         ]
-        sections.append(
-            {
-                "name": instr.name,
-                "level": level,
-                "pt_scale": [pt_scale.numerator, pt_scale.denominator],
-                "groups": groups,
-            }
-        )
+        section = {
+            "name": instr.name,
+            "level": level,
+            "pt_scale": [pt_scale.numerator, pt_scale.denominator],
+            "groups": groups,
+        }
+        if copies > 1:
+            section["copies"] = copies
+        sections.append(section)
     return sections
 
 

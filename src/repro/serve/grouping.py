@@ -189,9 +189,11 @@ def choose_key_grouping(
 def artifact_parameters(program, params: CkksParameters):
     """``(chosen parameters, backend)`` for exporting ``program``
     compiled at ``params``: ``backend`` is the noise-free
-    :class:`SimBackend` that ran one dummy inference, whose ledger lists
-    the key switches priced and whose run fixes what the artifact
-    pre-encodes (:func:`fused_tables`).  Only the exact backend realises
+    :class:`SimBackend` that ran one dummy inference — a lone client's,
+    the program's capacity view — whose ledger lists the key switches
+    priced and whose run fixes what the artifact pre-encodes
+    (:func:`fused_tables`); the key bytes weighed are the manifest's,
+    the union over every view that runs.  Only the exact backend realises
     a grouping or reads pre-encoded tables: for a parameter set it
     cannot run this is ``(params, None)``."""
     if params.ring_type is not RingType.STANDARD or max(params.primes) >= 2**31:

@@ -53,16 +53,19 @@ def verify_mmap_tables(server: InferenceServer, artifact_path: str) -> bool:
     """Assert the worker's tables are mmap-backed views, never copies.
 
     Checks both table tiers an artifact ships: the float diagonal/bias
-    weight tables inside every linear instruction, and the pre-encoded
-    residue tables every layer holds for the worker's parameter set —
-    the whole operand the fused matvec multiplies, data and special
-    limbs alike.  Raises ``RuntimeError`` naming the offender on violation —
-    a copied table silently multiplies fleet RSS by the worker count,
-    which is exactly the regression this guard exists to catch.
+    weight tables inside every linear instruction of the block-level
+    program, and the pre-encoded residue tables every layer that runs
+    holds for the worker's parameter set — the whole operand the fused
+    matvec multiplies, data and special limbs alike.  (A capacity
+    view stores no float diagonal: it sums the mapped blocks when a
+    simulator run or a missing table reads one.)  Raises
+    ``RuntimeError`` naming the offender on violation — a copied table silently multiplies fleet RSS by the
+    worker count, which is exactly the regression this guard exists to
+    catch.
     """
     from repro.core.program import LinearInstr
 
-    for instr in server.program.instructions:
+    for instr in server.program.block_level().instructions:
         if not isinstance(instr, LinearInstr):
             continue
         packed = instr.packed
@@ -81,7 +84,10 @@ def verify_mmap_tables(server: InferenceServer, artifact_path: str) -> bool:
                         f"{artifact_path}: bias table of {instr.name} was "
                         "copied off the artifact map"
                     )
-        for _, _, _, _, table in packed.encoded_tables(server.backend):
+    for instr in server.program.instructions:
+        if not isinstance(instr, LinearInstr):
+            continue
+        for _, _, _, _, table in instr.packed.encoded_tables(server.backend):
             if table is not None and not is_mmap_backed(table):
                 raise RuntimeError(
                     f"{artifact_path}: pre-encoded plaintext table of "

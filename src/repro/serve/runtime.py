@@ -12,8 +12,10 @@ Ties the serving pieces together (docs/serving.md):
   (:func:`repro.serve.keys.generate_lane_keys`), so no key is ever
   generated on the request path;
 - drives a :class:`repro.serve.scheduler.SlotBatchingScheduler`,
-  executing whatever its queue holds through the program's
-  block-replicated views and de-multiplexing per-client outputs;
+  executing whatever its queue holds through the program's views —
+  a batch of one through the lone client's capacity view, B clients
+  through the block-replicated distinct-client view — and
+  de-multiplexing per-client outputs;
 - keeps one set of books per lane: a fresh
   :class:`repro.backend.ledger.OpLedger` installed as the backend's
   ledger when the lane opens, whose deltas price each batch and its
@@ -106,9 +108,11 @@ class InferenceServer:
             capacity=capacity, max_wait_seconds=max_wait_seconds
         )
         generate_lane_keys(backend, artifact.manifest)
-        #: cost-model seconds of one program execution (batched or
-        #: single — same ciphertext count); admission's estimate of a
-        #: batch until the lane has measured one.
+        #: cost-model seconds of a lone client's execution (a batch of
+        #: distinct clients runs the same ciphertext count, plus its
+        #: scratch gathers and the folds a lone client skips);
+        #: admission's estimate of a batch until the lane has measured
+        #: one.
         self.modeled_seconds = float(artifact.summary.get("modeled_seconds", 0.0))
         self.state = ExecutionState(backend)
         self.request_latency = LatencyHistogram()

@@ -192,7 +192,9 @@ class _SquareTwoConsumers(on.Module):
 class TestSquareConsumers:
     @pytest.mark.parametrize("optimize", [False, True])
     def test_every_linear_consumer_applies_the_factor(self, optimize):
-        tparams = toy_parameters(2048, max_level=8)
+        # A 16-slot ring the first layer fills, so fusing its consumers
+        # costs no slot-batch capacity and pays.
+        tparams = toy_parameters(32, max_level=8)
         onet, rng = make_net(_SquareTwoConsumers, (1, 4, 4))
         compiled = onet.compile(tparams, optimize=optimize)
         if optimize:
@@ -309,6 +311,7 @@ class TestCompileDoesEachAnalysisOnce:
     polynomial op-count cache are exercised by counting calls."""
 
     def test_one_key_table_per_conv_geometry_per_compile(self, params, monkeypatch):
+        from repro.core import compiler
         from repro.core.packing import analysis
         from repro.models import relu_act
 
@@ -323,13 +326,23 @@ class TestCompileDoesEachAnalysisOnce:
             return real(weight_shape, in_layout, stride, padding, dilation, groups)
 
         monkeypatch.setattr(analysis, "conv_diagonal_keys", counting)
+        fusions = []
+        pays = compiler._ProgramBuilder.fusion_pays
+
+        def recording(build):
+            fusions.append(build.fusions)
+            return pays(build)
+
+        monkeypatch.setattr(compiler._ProgramBuilder, "fusion_pays", recording)
         init.seed_init(0)
         onet = OrionNetwork(resnet_cifar(20, act=relu_act()), (3, 32, 32))
         compiled = onet.compile(params, mode="analyze", optimize=True)
         first = list(built)
-        # The optimizer's gate, the fused lowering and the emitter all
-        # asked; every distinct geometry was still built exactly once.
-        assert compiled.graph_opt_report.total > 0
+        # The optimizer's gate and the fused lowering asked, then the
+        # network lowered again unfused (its fusions would have cost the
+        # slot-batch capacity, 2); every distinct geometry was still
+        # built exactly once.
+        assert fusions == [2] and compiled.graph_opt_report.total == 0
         assert len(first) == len(set(first))
         convs = sum(r.kind == "linear" for r in compiled.layer_reports)
         assert 0 < len(first) < convs  # a stage repeats one geometry

@@ -290,8 +290,9 @@ class TestKeyCompression:
 
     def test_lane_keys_are_compressed_from_the_program(self):
         """Placement level bounds -> eager *compressed* lane keys: the
-        rotation set lazy keygen builds on the request path, in fewer
-        stored bytes, with the same results."""
+        rotation set lazy keygen builds on the request path (a lone
+        client's run; the manifest adds the distinct-client views'
+        steps), in fewer stored bytes, with the same results."""
         from repro.models import SecureMlp
         from repro.nn import init
         from repro.orion import OrionNetwork
@@ -310,7 +311,15 @@ class TestKeyCompression:
         generate_lane_keys(eager, KeyManifest.for_program(params, program))
         lazy = ToyBackend(params, seed=3)
         lazy_out = program.run(lazy, image)  # full-chain keys, made on use
-        assert set(eager.context.keys.galois) == set(lazy.context.keys.galois)
+        exponent = lazy.context.encoder.rotation_exponent
+        own = {
+            exponent(step)
+            for instr in program.instructions if hasattr(instr, "packed")
+            for step in instr.packed.required_rotation_steps()
+        }
+        manifest = program.required_rotation_step_levels()
+        assert set(lazy.context.keys.galois) == own
+        assert set(eager.context.keys.galois) == {exponent(s) for s in manifest}
         assert backend_key_bytes(eager) < backend_key_bytes(lazy)
         assert all(k.max_level is None for k in lazy.context.keys.galois.values())
         assert any(

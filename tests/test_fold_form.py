@@ -2,8 +2,9 @@
 
 The compiler fixes each packed layer's Gazelle fold partition once,
 after placement (``PackedMatVec.fold_groups``, from ``CostModel.
-fold_partition`` at the layer's ``exec_level``): consecutive groups of
-the fold ladder, each one hoisted key switch over its subset sums.
+fold_partition`` at the layer's ``exec_level``, cut at the program's
+slot-batch block so no group straddles it): consecutive groups of the
+fold ladder, each one hoisted key switch over its subset sums.
 Execution never asks a cost model.  So the rotations an inference
 performs are exactly the ones ``required_rotation_steps`` names, view
 by view — checked here on an exact backend by recording every Galois
@@ -11,10 +12,12 @@ key the inference fetches — and the partition survives every way a
 layer is copied: the artifact payload, batched views and sibling
 merges.
 
-A slot-batched view rotates by no step the single-client program lacks:
-out-of-block scratch is gathered by a block-shift rotation made of the
-layer's own fold steps, so every view's manifest is the batch-1
-manifest.  The relocating form it replaced is the oracle
+The key manifest is the union over the views that run: a lone
+client's (``FheProgram.capacity_view``, folding below the block only)
+and each distinct-client view.  No view rotates by a step the
+block-level layers lack: out-of-block scratch is gathered by a
+block-shift rotation made of the layer's own fold steps.  The
+relocating form it replaced is the oracle
 ``tests/reference/batched_relocation.py``.
 """
 
@@ -34,6 +37,7 @@ from repro.core.packing.layouts import VectorLayout
 from repro.core.packing.matvec import (
     PackedMatVec,
     build_linear_packing,
+    cut_fold_groups,
     fold_group_steps,
     merge_packed_matvecs,
 )
@@ -67,10 +71,11 @@ def _linear(program):
 
 @pytest.fixture(scope="module")
 def mlp():
-    """SecureMlp(16, 8, 2) at N = 512: ``linear_5`` (2 outputs in 256
-    slots) folds 7 deep at level 1, in two groups (4, 3); the wider
-    layers fold 5 deep as (3, 2).  Batched views drop the shifts that
-    span a block from their groups, down to a lone group."""
+    """SecureMlp(16, 8, 2) at N = 512, slot-batch capacity 16 (blocks
+    of 16 slots): ``linear_5`` (2 outputs in 256 slots) folds 7 deep at
+    level 1, in two groups (4, 3); the wider layers fold 5 deep as
+    (3, 2), cut at the block to (3, 1, 1).  Views drop the shifts that
+    span their block from their groups, down to a lone group."""
     init.seed_init(0)
     onet = OrionNetwork(SecureMlp(input_pixels=16, hidden=8, classes=2), (1, 4, 4))
     onet.fit([np.random.default_rng(0).normal(0, 0.5, (8, 1, 4, 4))])
@@ -101,8 +106,23 @@ def solo():
     return _mlp_program(784, 128, 4096)
 
 
+def _parent_steps(params, program):
+    """The block-level layers' steps under the partitions placement
+    compiled, before the cut at the block: the key manifest as it was
+    while a lone client ran the whole ladder."""
+    costs = CostModel(params)
+    steps = set()
+    for instr in _linear(program.block_level()):
+        packed = instr.packed
+        groups = costs.fold_partition(instr.exec_level, len(packed.fold_shifts))
+        steps |= {off % packed.slots for dmap in packed.diags.values() for off in dmap}
+        for group in fold_group_steps(packed.fold_shifts, groups, packed.slots):
+            steps |= set(group)
+    return steps - {0}
+
+
 def _views(program):
-    """Every slot-batched view of ``program``, smallest batch first."""
+    """Every distinct-client view of ``program``, smallest batch first."""
     batch = 2
     while batch <= program.slot_batch_capacity():
         yield batch, program.batched(batch)
@@ -188,14 +208,29 @@ class TestFoldPartition:
 class TestCompiledForm:
     def test_the_network_has_multi_group_and_truncated_partitions(self, mlp):
         _, program = mlp
-        groups = {i.name: i.packed.fold_groups for i in _linear(program)}
-        assert groups == {"linear_1": (3, 2), "linear_3": (3, 2), "linear_5": (4, 3)}
-        # A batched view drops the shifts spanning a block (the largest,
-        # so from the first group); a group left empty vanishes.
+        assert program.slot_batch_capacity() == 16
+        groups = {i.name: i.packed.fold_groups for i in _linear(program.block_level())}
+        # (3, 2) over 128 ... 8 has 16 and 8 in one group: cut at the
+        # 16-slot block.  (4, 3) ends its first group at 16 already.
+        assert groups == {
+            "linear_1": (3, 1, 1), "linear_3": (3, 1, 1), "linear_5": (4, 3),
+        }
+        # A lone client folds below the block only.
+        lone = {i.name: i.packed for i in _linear(program)}
+        assert {name: p.fold_shifts for name, p in lone.items()} == {
+            "linear_1": (8,), "linear_3": (8,), "linear_5": (8, 4, 2),
+        }
+        assert {name: p.fold_groups for name, p in lone.items()} == {
+            "linear_1": (1,), "linear_3": (1,), "linear_5": (3,),
+        }
+        # A distinct-client view drops the shifts spanning its block
+        # (the largest, so from the first group); a group left empty
+        # vanishes.
         want = {
-            2: {"linear_1": (2, 2), "linear_5": (3, 3)},
-            4: {"linear_1": (1, 2), "linear_5": (2, 3)},
-            8: {"linear_1": (2,), "linear_5": (1, 3)},
+            2: {"linear_1": (2, 1, 1), "linear_5": (3, 3)},
+            4: {"linear_1": (1, 1, 1), "linear_5": (2, 3)},
+            8: {"linear_1": (1, 1), "linear_5": (1, 3)},
+            16: {"linear_1": (1,), "linear_5": (3,)},
         }
         for batch, by_name in want.items():
             view = {i.name: i.packed for i in _linear(program.batched(batch))}
@@ -206,10 +241,13 @@ class TestCompiledForm:
     def test_partition_comes_from_the_compilers_cost_model(self, mlp, monkeypatch):
         params, program = mlp
         costs = CostModel(params)
-        for instr in _linear(program):
+        block = params.slot_count // program.slot_batch_capacity()
+        for instr in _linear(program.block_level()):
             packed = instr.packed
-            assert packed.fold_groups == costs.fold_partition(
-                instr.exec_level, len(packed.fold_shifts)
+            assert packed.fold_groups == cut_fold_groups(
+                packed.fold_shifts,
+                costs.fold_partition(instr.exec_level, len(packed.fold_shifts)),
+                block,
             )
         # Prices that make every inner product dear compile the
         # sequential fold (one group per shift), prices that make the
@@ -255,12 +293,12 @@ class TestManifestIsExact:
         inference fetches at batch size b are exactly that view's
         ``required_rotation_steps`` — the diagonal offsets, the gather
         steps and every fold group's subset sums — all of them steps of
-        the single-client manifest, each fetched at no more than the
-        level it records — and their union over the views up to any b is
-        the manifest, ``required_rotation_step_levels()``.  At b = 2
-        ``linear_5``'s first group has lost its block-spanning shift: of
-        the sums through it only the gather, the shift itself, is
-        fetched."""
+        the manifest, each fetched at no more than the level it records
+        — and their union over the views that run (a lone client's at
+        b = 1, then each distinct-client view) is the manifest,
+        ``required_rotation_step_levels()``.  At b = 2 ``linear_5``'s
+        first group has lost its block-spanning shift: of the sums
+        through it only the gather, the shift itself, is fetched."""
         params, program = mlp
         capacity = program.slot_batch_capacity()
         assert capacity >= 4
@@ -307,7 +345,8 @@ class TestManifestIsExact:
             for exp, level in touched.items():
                 assert level <= single[exp], f"batch {batch}"
             if batch == 2:
-                whole = {i.name: i.packed for i in _linear(program)}["linear_5"]
+                block_level = _linear(program.block_level())
+                whole = {i.name: i.packed for i in block_level}["linear_5"]
                 half = {i.name: i.packed for i in _linear(view)}["linear_5"]
                 dropped = whole.fold_shifts[0]
                 assert whole.fold_groups == (4, 3) and half.fold_groups == (3, 3)
@@ -323,43 +362,56 @@ class TestManifestIsExact:
                 assert not {exponent(s) for s in unused} & set(touched)
             for exp, level in touched.items():
                 union[exp] = max(union.get(exp, -1), level)
-            assert {exponent(step) for step in levels} == set(union)
-            for step, level in levels.items():
-                assert union[exponent(step)] <= level
             batch *= 2
+        assert {exponent(step) for step in levels} == set(union)
+        for step, level in levels.items():
+            assert union[exponent(step)] <= level
         assert gathered == {2, 4, 8, 16}
 
     @pytest.mark.parametrize("name", ["mlp", "pool", "solo", "solo_n65536"])
     def test_no_view_adds_a_step(self, name, request):
-        """Every slot-batched view rotates only by steps of the
-        single-client manifest, at no higher level, so the manifest keys
-        a lane at any cap: the e2e artifacts (``serve_mlp_pool`` up to 16 clients,
-        ``mlp_solo`` 2) and ``mlp_solo``'s network at the paper's ring,
-        N = 2^16 (compiled only: its 157 steps are what a lane there
-        keys; the relocating views listed 876)."""
+        """Every view that runs — a lone client's and each distinct-client
+        view — rotates only by steps of the manifest, at no higher level,
+        so the manifest keys a lane at any cap; and every manifest step
+        is a subset sum of a group the placement compiled (or an
+        offset), so the cut at the block only drops keys.  The e2e
+        artifacts (``serve_mlp_pool`` up to 16 clients, ``mlp_solo`` 2)
+        and ``mlp_solo``'s network at the paper's ring, N = 2^16
+        (compiled only: its 146 steps are what a lane there keys; 157
+        while a lone client folded the whole ladder, 876 with relocating
+        views)."""
         if name == "solo_n65536":
-            _, program = _mlp_program(784, 128, 1 << 16)
+            params, program = _mlp_program(784, 128, 1 << 16)
         else:
-            _, program = request.getfixturevalue(name)
+            params, program = request.getfixturevalue(name)
         manifest = program.required_rotation_step_levels()
-        views = list(_views(program))
-        assert views
+        views = [(1, program)] + list(_views(program))
+        assert len(views) > 1
         for batch, view in views:
             for step, level in view.required_rotation_step_levels().items():
                 assert step in manifest and level <= manifest[step], (batch, step)
-        sizes = {"mlp": 27, "pool": 29, "solo": 142, "solo_n65536": 157}
-        assert len(manifest) == sizes[name]
+        parent = _parent_steps(params, program)
+        assert set(manifest) <= parent
+        sizes = {"mlp": (22, 27), "pool": (25, 29), "solo": (135, 142),
+                 "solo_n65536": (146, 157)}
+        assert (len(manifest), len(parent)) == sizes[name]
 
     def test_pool_manifest_holds_its_exact_key_count(self, pool):
         """The e2e harness's ``serve_mlp_pool`` artifact (SecureMlp(64,
-        16) at N = 2048, L = 6) folds every 6-deep ladder as (3, 3): its
-        manifest over all slot-batch views holds 29 rotation keys, the
-        single-client set (89 while batched views relocated scratch
-        under new offsets, 138 with each ladder fully expanded).  Lanes
-        share those keys."""
+        16) at N = 2048, L = 6, capacity 16) compiles every 6-deep ladder
+        as (3, 3), cut at the 64-slot block to (3, 1, 2); a lone client
+        folds (32, 16) as one group.  Its manifest over all views holds
+        25 rotation keys (29 while a lone client folded the whole
+        ladder, 89 while batched views relocated scratch under new
+        offsets, 138 with each ladder fully expanded).  Lanes share
+        those keys."""
         _, program = pool
-        assert [i.packed.fold_groups for i in _linear(program)] == [(3, 3)] * 3
-        assert len(program.required_rotation_step_levels()) == 29
+        block_level = _linear(program.block_level())
+        assert [i.packed.fold_groups for i in block_level] == [(3, 1, 2)] * 3
+        assert [(i.packed.fold_shifts, i.packed.fold_groups) for i in _linear(program)] == [
+            ((32, 16), (2,))
+        ] * 3
+        assert len(program.required_rotation_step_levels()) == 25
 
 
 class TestGatheredViews:
@@ -379,7 +431,7 @@ class TestGatheredViews:
             return bare.execute_cleartext([x])[0]
 
         for batch, view in _views(program):
-            for instr, layer in zip(_linear(program), _linear(view)):
+            for instr, layer in zip(_linear(program.block_level()), _linear(view)):
                 packed, gathered = instr.packed, layer.packed
                 oracle = relocated_view(packed, batch)
                 x = rng.normal(size=packed.slots)
@@ -391,9 +443,9 @@ class TestGatheredViews:
                 assert np.array_equal(gathered.bias_vecs[0], oracle.bias_vecs[0])
 
     def test_a_gather_is_one_subset_sum_per_fold_group(self, pool):
-        """``serve_mlp_pool`` (1024 slots, ladder 512 ... 16 as (3, 3)):
+        """``serve_mlp_pool`` (1024 slots, ladder 512 ... 16 as (3, 1, 2)):
         scratch falls in blocks 0 and B - 1 only, and the B = 16 shift,
-        960, is no single-client step, so it runs as 896 then 64."""
+        960, is no block-level step, so it runs as 896 then 64."""
         _, program = pool
         shifts = {2: (512,), 4: (768,), 8: (896,), 16: (896, 64)}
         for batch, view in _views(program):
@@ -427,9 +479,12 @@ class TestGatheredViews:
             def __post_init__(self):
                 super().__post_init__()
                 if len(self.gathers) > 1:
-                    offset, vec = self.diags[(1, 0)].popitem()
+                    # A view's diagonals are read-only maps: copy them.
+                    scratch = dict(self.diags[(1, 0)])
+                    offset, vec = scratch.popitem()
                     step = (offset + sum(self.gathers[1])) % self.slots
-                    self.diags[(0, 0)][step] = vec
+                    self.diags[(1, 0)] = scratch
+                    self.diags[(0, 0)] = {**self.diags[(0, 0)], step: vec}
 
         packed = build_linear_packing(
             np.ones((2, 64)), None, VectorLayout(64, 256), force_mode="hybrid"

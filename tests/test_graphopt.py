@@ -7,17 +7,30 @@ un-optimized program's — and never increases the modeled cost.  The
 encrypted outputs are compared with a tolerance instead: placement may
 legally choose different execution levels for the restructured chain,
 which changes plaintext-encoding rounding without changing semantics.
+
+The bitwise comparison is between block-level forms at the compiled
+fold partitions (:func:`uncut`).  A fused program stacks two registers,
+so its slot-batch capacity is 1, and its partitions are the compiled
+ones; its unfused twin may batch, and then the compiler cuts its
+partitions at the slot-batch block, which regroups the fold's float
+additions.  The cost is priced on what runs: the compiler fuses only
+where the fused program at capacity 1 beats its unfused twin's
+capacity view (:meth:`TestConcatFusion.test_a_fusion_that_costs_the_capacity_is_declined`).
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.orion.nn as on
 from repro.backend import SimBackend, ToyBackend
+from repro.backend.costs import CostModel
 from repro.ckks.params import toy_parameters
-from repro.core.compiler import OrionCompiler
+from repro.core.compiler import OrionCompiler, _ProgramBuilder
+from repro.core.packing.matvec import cut_fold_groups
+from repro.core.program import LinearInstr
 from repro.models import resnet_cifar, silu_act
 from repro.nn import init
 from repro.orion import OrionNetwork
@@ -45,16 +58,36 @@ def compile_both(onet, params, **kwargs):
     )
 
 
+def uncut(compiled, params):
+    """``compiled``'s block-level program with every layer's fold
+    partition as placement compiled it, before the cut at the slot-batch
+    block — asserting that cut is the only difference."""
+    program = compiled.program.block_level()
+    block = params.slot_count // program.slot_batch_capacity()
+    costs = CostModel(params)
+    instructions = []
+    for instr in program.instructions:
+        if isinstance(instr, LinearInstr):
+            shifts = instr.packed.fold_shifts
+            groups = costs.fold_partition(instr.exec_level, len(shifts))
+            assert instr.packed.fold_groups == cut_fold_groups(shifts, groups, block)
+            instr = replace(instr, packed=replace(instr.packed, fold_groups=groups))
+        instructions.append(instr)
+    return replace(program, instructions=instructions)
+
+
 def assert_equivalent(onet, params, rng, shape):
     """The core contract: bitwise reference-run parity, both equal to
     the network itself (the x^2 nets here are exact), encrypted
     tolerance, and ledger/report rotation parity."""
     c_on, c_off = compile_both(onet, params)
     img = rng.normal(0, 0.5, shape)
-    clear_on = c_on.run(SimBackend(params, noise_free=True), img)
-    clear_off = c_off.run(SimBackend(params, noise_free=True), img)
+    clear_on = uncut(c_on, params).run(SimBackend(params, noise_free=True), img)
+    clear_off = uncut(c_off, params).run(SimBackend(params, noise_free=True), img)
     assert np.array_equal(clear_on, clear_off)
-    assert np.abs(clear_on - onet.forward_cleartext(img)).max() < 1e-9
+    for compiled in (c_on, c_off):
+        clear = compiled.run(SimBackend(params, noise_free=True), img)
+        assert np.abs(clear - onet.forward_cleartext(img)).max() < 1e-9
 
     b_on, b_off = ToyBackend(params), ToyBackend(params)
     enc_on = c_on.run(b_on, img)
@@ -246,12 +279,16 @@ class TestConcatFusion:
         assert c_on.total_rotations == c_off.total_rotations
 
 
-    def test_two_forks_keep_their_names_order_and_registers(self, params):
+    def test_two_forks_keep_their_names_order_and_registers(self):
         """The fusion ordinal names the merged layer and its slices
         (fusedlinear_{N+3k}, N = 17 traced nodes); each slice opens its
         branch, a folded BN's slice lands on the BN's output; the ReLU
         sign stages number after both fused outputs (registers 18, 19).
-        An artifact's bytes depend on all three."""
+        An artifact's bytes depend on all three.  The 256-slot ring the
+        network's tensors fill leaves no slot-batch capacity to lose,
+        so both fusions pay."""
+        params = toy_parameters(ring_degree=512, max_level=6, boot_levels=1,
+                                scale_bits=24)
         onet, rng = make_net(TwoForks, (2, 8, 8))
         chain_names = [
             "conv2d_0", "relu_1_sign0", "relu_1_sign1", "relu_1_mult",
@@ -278,10 +315,46 @@ class TestConcatFusion:
             ("add_13", "addjoin", 14), ("square_14", "square", 15),
             ("linear_16", "linear", 17),
         ]
+        assert c_on.program.slot_batch_capacity() == 1
+        assert c_off.program.slot_batch_capacity() == 1
         img = rng.normal(0, 0.5, (2, 8, 8))
         assert np.array_equal(c_on.run(SimBackend(params, noise_free=True), img),
                               c_off.run(SimBackend(params, noise_free=True), img))
         assert c_on.total_rotations < c_off.total_rotations
+
+    def test_a_fusion_that_costs_the_capacity_is_declined(self, params, monkeypatch):
+        """On the 1024-slot ring TwoForks' unfused program batches four
+        clients, so a lone client folds two shifts fewer per hybrid
+        layer (82 rotations).  Fusing stacks two ciphertexts and drops
+        the capacity to 1: 87 rotations, though fewer on the block-level
+        layers the gate prices (87 against 94).  The compiler prices
+        what runs and keeps the siblings apart."""
+        onet, rng = make_net(TwoForks, (2, 8, 8))
+        c_on, c_off = compile_both(onet, params)
+        assert c_on.graph_opt_report.total == 0
+        assert [(i.name, i.kind) for i in c_on.program.instructions] == [
+            (i.name, i.kind) for i in c_off.program.instructions
+        ]
+        assert c_on.program.slot_batch_capacity() == 4
+        assert c_on.total_rotations <= c_off.total_rotations
+        assert c_on.total_rotations == 82
+
+        monkeypatch.setattr(_ProgramBuilder, "fusion_pays", lambda build: True)
+        fused = onet.compile(params, optimize=True)
+        assert fused.graph_opt_report.total == 2
+        assert fused.program.slot_batch_capacity() == 1
+        block = [
+            sum(i.packed.stats.rotations for i in c.program.block_level().instructions
+                if isinstance(i, LinearInstr))
+            for c in (fused, c_off)
+        ]
+        assert block == [87, 94]
+        assert fused.total_rotations == 87
+        img = rng.normal(0, 0.5, (2, 8, 8))
+        assert np.array_equal(
+            uncut(fused, params).run(SimBackend(params, noise_free=True), img),
+            uncut(c_off, params).run(SimBackend(params, noise_free=True), img),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +474,7 @@ class TestIntegration:
     def test_new_kind_is_only_its_class(self, params, monkeypatch):
         """Defining a subclass is the whole of adding a kind: the program
         encodes, decodes and runs it with no other change."""
-        from dataclasses import dataclass, replace
+        from dataclasses import dataclass
 
         from repro.core import program
 
@@ -419,11 +492,12 @@ class TestIntegration:
 
         onet, rng = make_net(Straight, (2, 4, 4))
         base = onet.compile(params).program
+        block = base.block_level()  # what a payload holds
         last = base.instructions[-1]
         negate = NegateInstr(name="negate", out_uid=last.out_uid + 1,
                              exec_level=last.exec_level, boots_before=0,
                              in_uid=base.output_uid)
-        extended = replace(base, instructions=base.instructions + [negate],
+        extended = replace(block, instructions=block.instructions + [negate],
                            output_uid=negate.out_uid)
         payload, arrays = _payload(extended)
         assert payload["instructions"][-1] == {

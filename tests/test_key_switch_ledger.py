@@ -116,7 +116,8 @@ class TestRecordingSites:
                     level = instr.exec_level - 1
                     folds[KeySwitch(level, products=k, gathers=k, table_rows=k)] += 1
         linear_5 = [i for i in program.instructions if i.name == "linear_5"][0]
-        assert linear_5.packed.fold_groups == (4, 3)
+        # (4, 3) block-level; a lone client folds below the block only.
+        assert linear_5.packed.fold_groups == (3,)
         assert all(shapes[ks] == count for ks, count in folds.items())
 
 
@@ -150,7 +151,9 @@ class TestOneBook:
         rng = np.random.default_rng(0)
         onet = OrionNetwork(EveryKind(), (2, 4, 4))
         onet.fit([rng.normal(0, 0.5, (8, 2, 4, 4))])
-        params = toy_parameters(ring_degree=2048, max_level=8, boot_levels=1, scale_bits=24)
+        # The 32-slot ring the input fills: with room to batch clients,
+        # the compiler would keep the siblings apart (no slice).
+        params = toy_parameters(ring_degree=64, max_level=8, boot_levels=1, scale_bits=24)
         program = onet.compile(params, optimize=True).program
         assert {instr.kind for instr in program.instructions} == {
             "linear", "poly", "multjoin", "slice", "addjoin", "square"

@@ -214,18 +214,26 @@ class TestSlotBatching:
         ids=["mlp", "conv"],
     )
     def test_batched_cleartext_bit_exact_vs_sequential(self, builder, shape):
+        """Every distinct-client batch size, up to the capacity, gives
+        each client the block-level single-client form's output bit for
+        bit.  At the capacity a fold group spanning the block's edge
+        would run truncated after the scratch gather and add in another
+        order; the compiled partition is cut there."""
         onet, rng = _make_net(builder, shape, seed=2)
         params = _toy_params()
         compiled = onet.compile(params)
         program = compiled.program
+        block_level = program.block_level()
         capacity = program.slot_batch_capacity()
-        batch = min(4, capacity)
-        assert batch >= 4, f"expected capacity >= 4, got {capacity}"
-        imgs = [rng.normal(0, 0.5, shape) for _ in range(batch)]
+        assert capacity == 16, f"expected capacity 16, got {capacity}"
         reference = SimBackend(params, noise_free=True)
-        sequential = np.stack([program.run(reference, im) for im in imgs])
-        batched = program.batched(batch).run(reference, np.stack(imgs))
-        assert np.array_equal(batched, sequential)
+        batch = 2
+        while batch <= capacity:
+            imgs = [rng.normal(0, 0.5, shape) for _ in range(batch)]
+            sequential = np.stack([block_level.run(reference, im) for im in imgs])
+            batched = program.batched(batch).run(reference, np.stack(imgs))
+            assert np.array_equal(batched, sequential), batch
+            batch *= 2
 
     def test_batched_encrypted_matches_sequential_precision(self):
         onet, rng = _make_net(lambda: SecureMlp(input_pixels=64, hidden=16), (1, 8, 8))

@@ -382,10 +382,12 @@ class TestPreloadIsAView:
         assert np.array_equal(
             artifact.program.run(backend, image), artifact.program.run(cold, image)
         )
-        # Still true after a run: the float diagonals the fused matvec is
-        # handed are the mapped vectors themselves, never heap copies.
+        # Still true after a run: the block-level float diagonals, which
+        # every view derives from, are the mapped vectors themselves,
+        # never heap copies (a capacity view sums their blocks).
         assert verify_mmap_tables(server, path)
-        for packed in linears:
+        block = artifact.program.block_level()
+        for packed in (i.packed for i in block.instructions if hasattr(i, "packed")):
             for vec in packed.terms().values():
                 assert any(np.shares_memory(vec, m) for m in mapped)
         # Preloaded tables are the ones the backend would encode itself.
