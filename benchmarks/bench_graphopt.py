@@ -11,7 +11,8 @@ products, so the optimized program performs strictly fewer rotations.
 Correctness is asserted before timing is believed: the optimized
 program's noise-free simulator run is **bit-exact** against the
 un-optimized program (fusion's core contract, docs/graphopt.md),
-and the encrypted outputs agree within toy-backend precision.
+and each encrypted output decrypts to that reference within toy-backend
+precision.
 
 Medians merge into ``BENCH_ckks_hotpath.json`` (section ``graph_opt``)
 and the CI bench-gate (``check_bench_json.py``) enforces the 1.2x
@@ -41,6 +42,10 @@ CHANNELS = 8
 BLOCKS = 2 if QUICK else 3
 REPS = 3 if QUICK else 5
 SPEEDUP_FLOOR = 1.2
+# Bits of agreement each exact run keeps with the noise-free simulator,
+# relative to the output's peak: both programs read 11.9 quick and 9.4
+# full (the full network adds a fork block and a bootstrap).
+PRECISION_FLOOR_BITS = 11.5 if QUICK else 9
 
 CONFIG_KEY = f"N{RING_DEGREE}_L{MAX_LEVEL}_alpha1_{'quick' if QUICK else 'full'}"
 
@@ -107,7 +112,14 @@ def test_graphopt_speedup(compiled_pair, record_table):
     out_opt = optimized.run(backend_opt, image)
     baseline.run(backend_base, image)
     out_base = baseline.program.block_level().run(ToyBackend(params, seed=1), image)
-    assert OrionNetwork.precision_bits(out_opt, out_base) > 10
+    # Each program runs the baby/giant split priced cheapest for its own
+    # layers (a merged layer's key set is not its siblings'), so the two
+    # exact runs draw different keys and noise and need not match each
+    # other bit for bit: each must decrypt to the noise-free reference.
+    peak = float(np.max(np.abs(clear_base)))
+    for out in (out_opt, out_base):
+        bits = OrionNetwork.precision_bits(out / peak, clear_base / peak)
+        assert bits > PRECISION_FLOOR_BITS
     # The ledger sees exactly the rotations the reports promise.
     assert backend_opt.ledger.rotations == optimized.total_rotations
     assert backend_base.ledger.rotations == baseline.total_rotations

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.backend.costs import CostModel
 from repro.backend.ledger import KeySwitch, OpLedger
+from repro.ckks.galois import split_offset
 from repro.ckks.params import CkksParameters
 
 ScaleLike = Union[int, Fraction]
@@ -292,6 +293,7 @@ class FheBackend(abc.ABC):
         num_out: int,
         pt_scale: ScaleLike,
         tables: Dict,
+        n1: Optional[int],
         charged_rotations: Optional[int] = None,
     ) -> List:
         """Fully-hoisted diagonal accumulation with deferred mod-down —
@@ -299,17 +301,24 @@ class FheBackend(abc.ABC):
 
         ``terms`` maps ``(out_block, in_block, offset)`` to the slot
         vector of that diagonal: entry ``j`` multiplies input slot
-        ``j + offset``, so every offset rotates the input ciphertext
-        directly and all rotations of one input share a single
-        key-switch digit decomposition.  An offset is a plain rotation
-        step (``int``) or a conjugation-composed Galois element
-        ``("conj", k)`` — conjugate the input, then rotate by ``k``, as
-        ONE Galois element riding the same decomposition (one extra
-        inner product; the bootstrap CoeffToSlot uses it so the
-        conjugation never pays a standalone key switch).  Exact
-        backends keep the per-offset products in the extended Q_l * P
-        basis and mod down once per output block (Bossuat et al. [11]
-        double hoisting).
+        ``j + offset``.  ``n1`` is the walk's baby modulus (``None``:
+        unsplit).  Each offset splits into a baby ``offset % n1``, a
+        rotation of the input ciphertext — all babies of one input share
+        a single key-switch digit decomposition — and a giant ``offset -
+        offset % n1``: per output block, each nonzero giant's partial sum
+        is modded down once and rotated by the giant with its own
+        decomposition and inner product (the table holds its diagonals
+        pre-rotated by the negated giant:
+        :func:`repro.core.packing.matvec.table_vector`).
+        Unsplit, or with ``n1`` above every offset, every offset rotates
+        the input directly.  An offset is a plain rotation step
+        (``int``) or a conjugation-composed Galois element ``("conj",
+        k)`` — conjugate the input, then rotate by ``k``, as ONE Galois
+        element riding the same decomposition (one extra inner product;
+        the bootstrap CoeffToSlot uses it, unsplit, so the conjugation
+        never pays a standalone key switch).  Exact backends keep the
+        per-offset products in the extended Q_l * P basis and mod down
+        once per output block (Bossuat et al. [11] double hoisting).
 
         Returns one pre-rescale ciphertext per output block at scale
         ``input_scale * pt_scale`` (``None`` for blocks with no terms).
@@ -324,35 +333,47 @@ class FheBackend(abc.ABC):
         the rotation *count* written to the ledger (the matvec layer
         passes its BSGS baby+giant count so "# Rots" accounting stays
         comparable with compile-time predictions and the paper tables);
-        the *seconds* charged are always the fused price.
+        the *seconds* charged are always the fused price of the split
+        that runs, and its :class:`KeySwitch` shape counts each giant's
+        decomposition, inner product, gather and partial mod-down.
         """
         for ct in in_cts[1:]:
             self._check("matvec", ct, in_cts[0])
         level = self.level_of(in_cts[0])
-        outs = self._matvec_fused(in_cts, terms, num_out, pt_scale, tables)
+        outs = self._matvec_fused(in_cts, terms, num_out, pt_scale, tables, n1)
         # Only blocks with nonzero offsets pay decompose / mod-down
         # (offset-0 terms are plain pt * ct products, no key switch).
-        rotated = [(bo, bi, off) for (bo, bi, off) in terms if off]
-        num_offsets = len({(bi, off) for (_, bi, off) in rotated})
-        num_in_used = len({bi for (_, bi, _) in rotated})
-        num_out_used = len({bo for (bo, _, _) in rotated})
-        rot_count = num_offsets if charged_rotations is None else charged_rotations
+        babies, giants, giant_moddowns, outputs, rows = set(), set(), set(), set(), 0
+        for bo, bi, off in terms:
+            if not off:
+                continue
+            giant, baby = split_offset(off, n1)
+            outputs.add(bo)
+            if baby:
+                babies.add((bi, baby))
+                rows += 1
+            if giant:
+                giants.add((bo, giant))
+                if baby:
+                    giant_moddowns.add((bo, giant))
+        decompositions = len({bi for bi, _ in babies}) + len(giants)
+        products = len(babies) + len(giants)
+        moddowns = len(outputs) + len(giant_moddowns)
+        rot_count = products if charged_rotations is None else charged_rotations
         self.ledger.charge(
             "hrot_hoisted",
-            self.costs.matvec_fused_rotations(
-                level, num_offsets, num_in_used, num_out_used
-            ),
+            self.costs.matvec_fused_rotations(level, products, decompositions, moddowns),
             rot_count,
         )
-        if rotated:
+        if outputs:
             self.ledger.key_switches[
                 KeySwitch(
                     level,
-                    decompositions=num_in_used,
-                    products=num_offsets,
-                    gathers=num_offsets,
-                    table_rows=len(rotated),
-                    moddowns=num_out_used,
+                    decompositions=decompositions,
+                    products=products,
+                    gathers=products,
+                    table_rows=rows,
+                    moddowns=moddowns,
                 )
             ] += 1
         self.ledger.charge(
@@ -456,6 +477,7 @@ class FheBackend(abc.ABC):
         num_out: int,
         pt_scale: ScaleLike,
         tables: Dict,
+        n1: Optional[int],
     ) -> List: ...
 
     @abc.abstractmethod

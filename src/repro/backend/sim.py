@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.backend.interface import FheBackend, ScaleLike
 from repro.ckks.context import BOOT_PRECISION_BITS, BOOT_RANGE_SLACK
-from repro.ckks.galois import galois_offset_key
+from repro.ckks.galois import galois_offset_key, split_offset
 from repro.ckks.params import CkksParameters
 from repro.utils.rng import SeededRng
 
@@ -188,15 +188,19 @@ class SimBackend(FheBackend):
         num_out: int,
         pt_scale: ScaleLike,
         tables,
+        n1,
     ) -> list:
         """Functional fused matvec: exact SIMD semantics, fused noise.
 
         Mirrors the exact backend's fused path: every diagonal offset
-        rotates the input directly (one hoisted decomposition per input
-        block) and each output block pays a single deferred mod-down, so
-        one key-switch noise term is injected per distinct offset plus
-        one for the mod-down — slightly *less* noise than one mod-down
-        per rotation, matching Bossuat et al. [11].
+        rotates the input (one hoisted decomposition per input block)
+        and each output block pays a single deferred mod-down, so one
+        key-switch noise term is injected per distinct offset plus one
+        for the mod-down — slightly *less* noise than one mod-down per
+        rotation, matching Bossuat et al. [11] — and, split by the baby
+        modulus ``n1``, one more per giant (its partial's mod-down and
+        rotation).  The values are the per-term sum whatever the split:
+        a noise-free run is bitwise the same at every ``n1``.
 
         Conjugation-composed offsets ``("conj", k)`` are supported: on
         the simulator's real slot vectors conjugation is the identity,
@@ -239,8 +243,10 @@ class SimBackend(FheBackend):
                 mag = float(np.max(np.abs(vec))) if np.size(vec) else 0.0
                 var += (in_cts[bi].noise_std * max(mag, 1e-30)) ** 2
             num_rots = len({(bi, off) for bi, off in bo_terms if off})
-            # One ks noise per distinct offset plus one for the deferred
-            # mod-down; blocks without rotations perform no key switch.
+            num_rots += len({split_offset(off, n1)[0] for _, off in bo_terms} - {0})
+            # One ks noise per distinct offset and giant plus one for the
+            # deferred mod-down; blocks without rotations perform no key
+            # switch.
             ks_std = self._ks_noise * np.sqrt(num_rots + 1.0) if num_rots else 0.0
             values = values + self._noise(self.slot_count, ks_std)
             std = float(np.sqrt(var + ks_std**2))

@@ -33,6 +33,7 @@ what ``benchmarks/e2e`` measures (N up to 4096), so both matter here.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.backend.interface import FheBackend, ScaleLike
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import CkksContext
 from repro.ckks.encoding import get_encoder
-from repro.ckks.galois import galois_offset_key
+from repro.ckks.galois import galois_offset_key, split_offset
 from repro.ckks.keys import SwitchingKey
 from repro.ckks.params import CkksParameters
 from repro.ntt import galois_eval_permutation
@@ -506,31 +507,39 @@ class ToyBackend(FheBackend):
         num_out: int,
         pt_scale: ScaleLike,
         tables: Dict,
+        n1: Optional[int],
     ) -> List[Optional[Ciphertext]]:
-        """Exact fused diagonal accumulation (true double hoisting).
+        """Exact fused diagonal accumulation (true double hoisting),
+        split by the baby modulus ``n1`` (``None``: unsplit).
 
-        Every Galois offset of an input ciphertext — plain rotations
-        *and* conjugation-composed ``("conj", k)`` elements — reuses one
-        digit decomposition (:meth:`rotate_hoisted_slabs`) and a single
+        Every baby of an input ciphertext — plain rotations *and*
+        conjugation-composed ``("conj", k)`` elements — reuses one digit
+        decomposition (:meth:`rotate_hoisted_slabs`) and a single
         :meth:`_ks_moddown` per output block replaces one mod-down per
-        rotation.
+        rotation.  Each nonzero giant of an output block sums its own
+        partial the same way; the partial is modded down once, rotated
+        by the giant with its own decomposition and inner product
+        (:meth:`rotate_hoisted_slabs` over the one step), and its raw
+        accumulator joins the output's deferred mod-down.  Unsplit there
+        is no giant: every offset rotates the input directly.
 
         The weights of one ``(out block, in block)`` group are ONE
         static uint32 ``(T, ks_limbs, N)`` table
         (:meth:`CkksContext.encode_table`, one row per offset, in the
-        order ``tables`` lists the group's offsets), held by the caller
-        (a packed layer's, which :meth:`ServingArtifact.preload` fills
-        with mmapped views).  Each hoisted
-        slab is contracted in place, as it arrives, into the running
-        sums of every output
-        block that reads its offsets — the matching table rows against
-        the raw Q_l * P accumulators, their data-limb prefix against the
-        transformed c0s — and then dropped, so the working set is one
-        slab whatever the layer's offset count; the trailing
-        ``off == 0`` row meets the input itself.  Nothing is re-stacked,
-        widened or copied per request.  Sums are lazy int64
+        order ``tables`` lists the group's offsets: giant by giant, a
+        giant's rows pre-rotated by the negated giant), held by the
+        caller (a packed layer's, which :meth:`ServingArtifact.preload`
+        fills with mmapped views).  Each hoisted slab is contracted in
+        place, as it arrives, into the running sums of every (output
+        block, giant) partial that reads its babies — the matching table
+        rows against the raw Q_l * P accumulators, their data-limb
+        prefix against the transformed c0s — and then dropped, so the
+        working set is one slab whatever the layer's offset count; a
+        giant's baby-0 row meets the input itself.  Nothing is
+        re-stacked, widened or copied per request.  Sums are lazy int64
         (``kernels.ks_inner``); modular sums are invariant under
-        regrouping, so outputs are bit-identical to a per-term loop.
+        regrouping, so unsplit outputs are bit-identical to a per-term
+        loop.
         """
         level = in_cts[0].level
         scale = in_cts[0].scale
@@ -544,82 +553,92 @@ class ToyBackend(FheBackend):
         mod_q = basis.moduli_column(data_primes)
         pt_scale = Fraction(pt_scale)
 
-        # Per output block: `direct` over Q_l (the c0-side products and
-        # the off == 0 terms), `acc_ext` over Q_l * P (what the one
-        # mod-down divides).  Both sum reduced (< 2^31) partials lazily:
-        # int64 holds 2^32 of them, far more than slabs times blocks.
-        direct = {bo: np.zeros((2, level + 1, n), np.int64) for bo, _ in tables}
-        acc_ext: Dict[int, np.ndarray] = {}
+        # Per (output block, giant) partial: `direct` over Q_l (the
+        # c0-side products and the baby-0 terms), `acc_ext` over Q_l * P
+        # (what its mod-down divides).  Both sum reduced (< 2^31)
+        # partials lazily: int64 holds 2^32 of them, far more than slabs
+        # times blocks.
+        direct = {(bo, 0): np.zeros((2, level + 1, n), np.int64) for bo, _ in tables}
+        acc_ext: Dict[tuple, np.ndarray] = {}
         chunk = kernels.lazy_reduction_chunk(max(ks_chain))
+        # Per input block, the partials reading it: each one's rotated
+        # babies, its table rows and a cursor — the slab walk meets the
+        # babies in row order, so each slab is a run of every partial's
+        # rows.
+        readers: Dict[int, list] = {}
         for (bo, bi), (offsets, table) in tables.items():
-            if offsets[-1] == 0:
-                plain = table[-1, : level + 1]
-                direct[bo][0] += plain * in_cts[bi].c0.data % mod_q
-                direct[bo][1] += plain * in_cts[bi].c1.data % mod_q
+            start = 0
+            for giant, run in groupby(offsets, key=lambda off: split_offset(off, n1)[0]):
+                babies = [split_offset(off, n1)[1] for off in run]
+                rows = table[start : start + len(babies)]
+                start += len(babies)
+                if (bo, giant) not in direct:
+                    direct[(bo, giant)] = np.zeros((2, level + 1, n), np.int64)
+                if babies[-1] == 0:
+                    plain = rows[-1, : level + 1]
+                    direct[(bo, giant)][0] += plain * in_cts[bi].c0.data % mod_q
+                    direct[(bo, giant)][1] += plain * in_cts[bi].c1.data % mod_q
+                    babies, rows = babies[:-1], rows[:-1]
+                if babies:
+                    readers.setdefault(bi, []).append([(bo, giant), babies, rows, 0])
 
-        for bi in sorted({bi for _, bi in tables}):
-            # Each output block reading this input: its rotated offsets,
-            # its table and a cursor — the slab walk meets the offsets in
-            # table-row order, so each slab is a run of every group's rows.
-            readers = [
-                [bo, offsets[: len(offsets) - (offsets[-1] == 0)], table, 0]
-                for (bo, bi2), (offsets, table) in tables.items()
-                if bi2 == bi
-            ]
-            hoisted = {off for _, offsets, _, _ in readers for off in offsets}
+        for bi in sorted(readers):
+            hoisted = {off for _, babies, _, _ in readers[bi] for off in babies}
             for slab, rot0, acc in self.rotate_hoisted_slabs(in_cts[bi], hoisted):
                 where = {off: i for i, off in enumerate(slab)}
-                for reader in readers:
-                    bo, offsets, table, lo = reader
+                for reader in readers[bi]:
+                    key, babies, rows, lo = reader
                     hi = lo
-                    while hi < len(offsets) and offsets[hi] in where:
+                    while hi < len(babies) and babies[hi] in where:
                         hi += 1
                     if hi == lo:
                         continue
                     reader[3] = hi
                     r0, a = rot0, acc
                     if hi - lo != len(slab):
-                        # This output reads a subset of the slab (its
-                        # offsets are shared with other output blocks).
-                        cols = [where[off] for off in offsets[lo:hi]]
+                        # This partial reads a subset of the slab (its
+                        # babies are shared with other partials).
+                        cols = [where[off] for off in babies[lo:hi]]
                         r0, a = rot0.take(cols, axis=1), acc.take(cols, axis=2)
-                    rows = table[lo:hi]
-                    acc_ext[bo] = acc_ext.get(bo, 0) + kernels.ks_inner(
-                        rows, a.swapaxes(1, 2), mod_ks, chunk
+                    acc_ext[key] = acc_ext.get(key, 0) + kernels.ks_inner(
+                        rows[lo:hi], a.swapaxes(1, 2), mod_ks, chunk
                     )
-                    direct[bo][0] += kernels.ks_inner(
-                        rows[:, : level + 1], r0.swapaxes(0, 1)[None], mod_q, chunk
+                    direct[key][0] += kernels.ks_inner(
+                        rows[lo:hi, : level + 1], r0.swapaxes(0, 1)[None], mod_q, chunk
                     )[0]
                 # Drop the slab before the walk computes the next one.
                 rot0 = acc = r0 = a = None
-            for bo, offsets, _, done in readers:
-                if done != len(offsets):
+            for (bo, _), babies, _, done in readers[bi]:
+                if done != len(babies):
                     raise ValueError(
-                        f"offset {offsets[done]!r} of block ({bo}, {bi}) is not "
+                        f"offset {babies[done]!r} of block ({bo}, {bi}) is not "
                         "reduced mod the slot count"
                     )
 
-        outputs: List[Optional[Ciphertext]] = []
-        for bo in range(num_out):
-            if bo not in direct:
-                outputs.append(None)
-                continue
-            out = direct[bo]
-            if bo in acc_ext:
-                p0, p1 = self._ks_moddown(acc_ext.pop(bo) % mod_ks, level)
+        def modded_down(key) -> Ciphertext:
+            """Partial ``key`` over Q_l: its Q_l * P sum divided by P
+            into its Q_l sum."""
+            out = direct.pop(key)
+            if key in acc_ext:
+                p0, p1 = self._ks_moddown(acc_ext.pop(key) % mod_ks, level)
                 out[0] += p0.data
                 out[1] += p1.data
             out %= mod_q
-            outputs.append(
-                Ciphertext(
-                    c0=RnsPolynomial(basis, data_primes, out[0], is_ntt=True),
-                    c1=RnsPolynomial(basis, data_primes, out[1], is_ntt=True),
-                    level=level,
-                    scale=scale * pt_scale,
-                    slot_count=in_cts[0].slot_count,
-                )
+            return Ciphertext(
+                c0=RnsPolynomial(basis, data_primes, out[0], is_ntt=True),
+                c1=RnsPolynomial(basis, data_primes, out[1], is_ntt=True),
+                level=level,
+                scale=scale * pt_scale,
+                slot_count=in_cts[0].slot_count,
             )
-        return outputs
+
+        # Each giant's partial, rotated into place, joins its output's
+        # sums ahead of the output's one mod-down.
+        for bo, giant in sorted(key for key in direct if key[1]):
+            for _, rot0, acc in self.rotate_hoisted_slabs(modded_down((bo, giant)), [giant]):
+                direct[(bo, 0)][0] += rot0[:, 0]
+                acc_ext[(bo, 0)] = acc_ext.get((bo, 0), 0) + acc[:, :, 0]
+        return [modded_down((bo, 0)) if (bo, 0) in direct else None for bo in range(num_out)]
 
     def _rotate_sum(self, a: Ciphertext, steps: Sequence[int]) -> Ciphertext:
         """Exact fused rotate-and-sum (the Gazelle fold, double-hoisted).

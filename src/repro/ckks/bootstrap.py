@@ -276,7 +276,8 @@ class CkksBootstrapper:
             plan["terms"],
             num_out,
             pt_scale,
-            held_tables(plan["tables"], backend, plan["terms"], level, pt_scale),
+            held_tables(plan["tables"], backend, plan["terms"], level, pt_scale, None),
+            None,  # the transforms run unsplit
             charged_rotations=plan["rot_count"],
         )
 

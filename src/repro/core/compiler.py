@@ -259,13 +259,16 @@ class OrionCompiler:
                 instr.boots_before = 0
             level_by_uid[instr.out_uid] = instr.exec_level
             if isinstance(instr, LinearInstr) and instr.packed is not None:
-                # The fold partition, fixed once at the level the plan
-                # priced and cut at the slot-batch block.
-                shifts = instr.packed.fold_shifts
-                instr.packed.fold_groups = cut_fold_groups(
+                # The fold partition and the fused walk's split, fixed
+                # once at the level the plan priced; the partition cut
+                # at the slot-batch block.
+                packed = instr.packed
+                shifts = packed.fold_shifts
+                packed.fold_groups = cut_fold_groups(
                     shifts, self.costs.fold_partition(instr.exec_level, len(shifts)),
                     block,
                 )
+                packed.split = packed.stats.split(instr.exec_level, self.costs)
 
         report = None
         if self.optimize:

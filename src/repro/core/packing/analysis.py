@@ -5,7 +5,8 @@ output ciphertext, input ciphertext, slot offset ``(in_slot -
 out_slot) mod n`` — plus a Gazelle rotate-and-sum fold ladder and a BSGS
 baby modulus ``n1``.  :func:`_count_stats` is the one function that
 turns that key set into a :class:`PackingStats` (rotations, PMults, the
-fused path's key-switch inner products, the modeled price).  Every
+fused path's key-switch inner products, the baby/giant splits its walk
+can run, the modeled price).  Every
 source of a key set goes through it: a materialized
 :class:`~repro.core.packing.matvec.PackedMatVec` (its ``stats``), the
 closed-form conv and FC structures below (analyze-mode compiles, paper
@@ -75,7 +76,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.packing.bsgs import plan_bsgs
+from repro.core.packing.bsgs import plan_bsgs, rotation_minimal_modulus, split_counts
 from repro.core.packing.layouts import (
     MultiplexedLayout,
     StackedLayout,
@@ -101,6 +102,10 @@ class PackingStats:
     # Distinct nonzero (input block, offset) pairs: the key-switch inner
     # products of the fused execution path.
     _offsets: int
+    # The baby/giant splits of the fused walk that can pay at some level
+    # (:func:`_paying_splits`): ``(n1, products, decompositions,
+    # moddowns)``, each count the split's change from the unsplit walk.
+    splits: Tuple[Tuple[int, int, int, int], ...]
     # A batched view's extra partial sums: each one's gather rotations
     # (one key switch apiece, counted in ``rotations`` and the giants).
     gathers: Tuple[int, ...] = ()
@@ -109,25 +114,50 @@ class PackingStats:
         """Modeled latency at the given level (drives placement).
 
         Defaults to the ``"fused"`` price — what
-        :meth:`repro.core.packing.matvec.PackedMatVec.execute` runs.  The
-        other ``hoisting`` values are analytic prices only (the paper's
-        hoisting ablation, docs/hoisting.md); they count the Gazelle
-        folds inside the giant count, the fused price counts them
-        separately (``CostModel.fold_cost``).  A batched view's extra
-        partial sum adds a mod-down, a rescale, its gather rotations and
-        an add.
+        :meth:`repro.core.packing.matvec.PackedMatVec.execute` runs, in
+        the cheapest split (:meth:`split`).  The other ``hoisting``
+        values are analytic prices only (the paper's hoisting ablation,
+        docs/hoisting.md); they count the Gazelle folds inside the giant
+        count, the fused price counts them separately
+        (``CostModel.fold_cost``).  A batched view's extra partial sum
+        adds a mod-down, a rescale, its gather rotations and an add.
         """
         price = costs.matvec_cost(
             level, self.pmults, self.rotations - self._giants, self._giants,
             hoisting, num_in=self.num_in_cts, num_out=self.num_out_cts,
             num_folds=self.num_folds, num_offsets=self._offsets,
         )
+        if hoisting == "fused":
+            price += self._cheapest_split(level, costs)[1]
         for steps in self.gathers:
             price += (
                 costs.ks_moddown(level) + costs.rescale(level)
                 + steps * costs.hrot(level) + costs.hadd(level)
             )
         return price
+
+    def split(self, level: int, costs) -> Optional[int]:
+        """The baby modulus ``n1`` of the fused walk priced cheapest at
+        ``level`` (``None``: unsplit, every offset rotates the input) —
+        what the compiler fixes as ``PackedMatVec.split``."""
+        return self._cheapest_split(level, costs)[0]
+
+    def _cheapest_split(self, level: int, costs) -> Tuple[Optional[int], float]:
+        """``(n1, price change)`` of the cheapest split; ``(None, 0.0)``
+        when none is cheaper than the unsplit walk."""
+        best = (None, 0.0)
+        if not self.splits:
+            return best
+        # CostModel.matvec_fused_rotations of each change, its unit
+        # prices read once.
+        decompose = costs.ks_decompose(level)
+        inner = costs.ks_inner_fused(level)
+        moddown = costs.ks_moddown(level)
+        for n1, products, decompositions, moddowns in self.splits:
+            change = decompositions * decompose + products * inner + moddowns * moddown
+            if change < best[1]:
+                best = (n1, change)
+        return best
 
     def capacity_view(self, capacity: int) -> "PackingStats":
         """These counts for one client run in all ``capacity`` blocks of
@@ -171,20 +201,23 @@ def _count_stats(
     offsets, which is how every plan is made.  Each of the
     ``len(fold_shifts)`` folds rotates every output ciphertext once.
     A batched view's ``bo`` is its partial sum; ``gathers`` lists each
-    extra partial's gather rotations (``PackedMatVec.gathers``).
+    extra partial's gather rotations (``PackedMatVec.gathers``).  Every
+    split is counted once, here, from one :func:`split_counts` table;
+    the level only picks among them.
     """
+    counts = split_counts(bo, bi, off, slots)
     offsets = np.unique(off)
     if n1 is None:
-        n1 = plan_bsgs(offsets, slots).n1
-    baby = off % n1
-    giant = off - baby
-
-    def distinct_nonzero(block, steps) -> int:
-        return int(np.unique((block * slots + steps)[steps != 0]).size)
-
-    giants = distinct_nonzero(bo, giant) + len(fold_shifts) * num_out + sum(gathers)
+        # One block's counts are the table plan_bsgs would count again;
+        # reusing them keeps a second count per layer off analyze
+        # compiles, which plan_bsgs alone slows by ~18 % (ResNet-20) and
+        # ~10 % (ResNet-34), best of 15 runs each.
+        single = not (bo.any() or bi.any())
+        n1 = rotation_minimal_modulus(counts) if single else plan_bsgs(offsets, slots).n1
+    k = int_log2(n1)
+    giants = int(counts.giants[k]) + len(fold_shifts) * num_out + sum(gathers)
     return PackingStats(
-        rotations=distinct_nonzero(bi, baby) + giants,
+        rotations=int(counts.babies[k]) + giants,
         pmults=int(off.size),
         num_in_cts=num_in,
         num_out_cts=num_out,
@@ -192,8 +225,50 @@ def _count_stats(
         out_layout=out_layout,
         _giants=giants,
         num_folds=len(fold_shifts),
-        _offsets=distinct_nonzero(bi, off),
+        _offsets=int(counts.babies[-1]),
+        splits=_paying_splits(counts, int(offsets[-1]) if offsets.size else 0),
         gathers=tuple(gathers),
+    )
+
+
+def _paying_splits(counts, max_offset: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """``(n1, products, decompositions, moddowns)`` per split ``n1 <=
+    max_offset`` whose giants can pay at some level, largest ``n1``
+    first.
+
+    A giant is one more key switch of its own (a decomposition, an inner
+    product, the mod-down of its partial sum; ``CostModel`` prices it
+    ``ks_decompose + ks_inner_fused + ks_moddown``), so against the
+    unsplit walk a split changes the inner products by ``babies +
+    giants - offsets``, the decompositions by ``baby inputs + giants -
+    inputs`` and adds a mod-down per giant holding a nonzero baby.
+    Every unit price is positive, so a split that saves neither an inner
+    product nor a decomposition never pays, nor does one that another
+    split matches or beats on all three counts; both are dropped here.
+    """
+    offsets, inputs = int(counts.babies[-1]), int(counts.baby_inputs[-1])
+    candidates = []
+    for k in range(max_offset.bit_length() - 1, -1, -1):
+        giants = int(counts.giants[k])
+        change = (
+            1 << k,
+            int(counts.babies[k]) + giants - offsets,
+            int(counts.baby_inputs[k]) + giants - inputs,
+            int(counts.giant_moddowns[k]),
+        )
+        if change[1] < 0 or change[2] < 0:
+            candidates.append(change)
+
+    def beats(other, change) -> bool:  # matches or beats on every count
+        return all(a <= b for a, b in zip(other[1:], change[1:]))
+
+    # Of equal counts the first, largest n1, stays.
+    return tuple(
+        change for i, change in enumerate(candidates)
+        if not any(
+            beats(other, change) and (j < i or not beats(change, other))
+            for j, other in enumerate(candidates) if j != i
+        )
     )
 
 

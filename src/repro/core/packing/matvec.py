@@ -16,14 +16,22 @@ layer's counts and price are its ``stats``, derived from its own
 diagonal keys by ``analysis._count_stats`` like every other count.
 
 Execution is the fused double-hoisted path of paper Section 3.3
-(Bossuat et al. [11]), the one way a diagonal matvec runs: every
-diagonal offset rotates the *input* ciphertext directly, all rotations
-of one input share a single key-switch digit decomposition, products
-accumulate in the extended Q_l * P basis and one deferred mod-down per
-output block replaces the per-rotation mod-downs
-(``FheBackend.matvec_fused``).  ``diags`` therefore stores each diagonal
-exactly as that path multiplies it — un-rotated — and the BSGS plan is
-kept purely as the paper's "# Rots" accounting (baby + giant counts).
+(Bossuat et al. [11]), the one way a diagonal matvec runs
+(``FheBackend.matvec_fused``): each offset splits at the layer's
+compiled baby modulus ``split`` into a baby, a rotation of the *input*
+ciphertext — all babies of one input share a single key-switch digit
+decomposition, products accumulate in the extended Q_l * P basis and
+one deferred mod-down per output block replaces the per-rotation
+mod-downs — and a giant, one more key switch per giant of an output
+block, whose partial sum is modded down once and rotated.  The compiler
+picks the split the cost model prices cheapest at the layer's level
+(``PackingStats.split``); unsplit (``None``, the default until then)
+every offset is a baby.  ``diags`` stores each diagonal as the
+functional path multiplies it — un-rotated; the exact backend's tables
+hold a giant's diagonals pre-rotated by the negated giant
+(:func:`table_vector`).  The BSGS ``plan`` is the paper's "# Rots"
+accounting (baby + giant counts of the rotation-minimal split), which
+the executed split need not match.
 
 The Gazelle rotate-and-sum folds ride the same primitive, in the
 consecutive groups the compiler fixed (``fold_groups``, from
@@ -55,7 +63,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ckks.galois import fused_term_groups
+from repro.ckks.galois import fused_term_groups, split_offset
 from repro.core.packing.analysis import (
     DiagonalStructure,
     PackingStats,
@@ -88,8 +96,8 @@ class PackedMatVec:
         diags: (out_block, in_block) -> {offset -> diagonal vector};
             ``diags[(bo, bi)][off][j]`` multiplies input slot
             ``(j + off) % slots`` into output slot ``j``.
-        plan: the BSGS split shared by all blocks ("# Rots" accounting
-            only — execution never splits an offset).
+        plan: the rotation-minimal BSGS split shared by all blocks
+            ("# Rots" accounting only).
         fold_shifts: rotate-and-sum shifts applied after accumulation
             (Gazelle hybrid; empty for the standard path).
         fold_groups: the compiled fold partition: consecutive runs of
@@ -101,6 +109,8 @@ class PackedMatVec:
             feeds partial ``g``, which is rotated by each step of
             ``gathers[g]`` in turn after the rescale and added to
             partial 0 (whose chain is empty) before the fold.
+        split: the compiled baby modulus ``n1`` of the fused walk
+            (``None``: unsplit, every offset rotates the input).
         bias_vecs: optional per-output-block bias slot vectors.
         out_layout: layout of the produced tensor.
         name: the layer's name, which error messages cite.
@@ -115,6 +125,7 @@ class PackedMatVec:
     fold_shifts: Tuple[int, ...] = ()
     fold_groups: Tuple[int, ...] = ()
     gathers: Tuple[Tuple[int, ...], ...] = ()
+    split: Optional[int] = None
     bias_vecs: Optional[List[np.ndarray]] = None
     name: str = "linear"
     # The encoded weight tables ("pre-processable"): one per (out, in)
@@ -152,12 +163,18 @@ class PackedMatVec:
     def required_rotation_steps(self) -> Tuple[int, ...]:
         """Exactly the rotation steps executing this layer asks the
         backend for — the layer's contribution to an artifact's key
-        manifest (docs/serving.md): the diagonal offsets (each rotates
-        the input directly), a batched view's gather steps and every
+        manifest (docs/serving.md): the babies and giants of the
+        diagonal offsets under the compiled ``split`` (unsplit, the
+        offsets themselves), a batched view's gather steps and every
         fold group's subset sums.  Identity rotations are never
         required.
         """
-        steps = {off % self.slots for dmap in self.diags.values() for off in dmap}
+        steps = {
+            part
+            for dmap in self.diags.values()
+            for off in dmap
+            for part in split_offset(off % self.slots, self.split)
+        }
         steps.update(step for chain in self.gathers for step in chain)
         for group in fold_group_steps(self.fold_shifts, self.fold_groups, self.slots):
             steps.update(group)
@@ -295,6 +312,7 @@ class PackedMatVec:
             fold_shifts=tuple(s for s in self.fold_shifts if s < block),
             fold_groups=tuple(fold_groups),
             gathers=gathers,
+            split=self.split,
             bias_vecs=None
             if self.bias_vecs is None
             else [np.tile(vec.reshape(batch, block).sum(axis=0), batch)
@@ -375,7 +393,8 @@ class PackedMatVec:
             terms,
             len(self.gathers) or self.num_out,
             pt_scale,
-            held_tables(self._tables, backend, terms, level, pt_scale),
+            held_tables(self._tables, backend, terms, level, pt_scale, self.split),
+            self.split,
             # The BSGS plan's rotations; gathers and folds charge
             # themselves.
             charged_rotations=stats.rotations - sum(stats.gathers)
@@ -443,6 +462,9 @@ class PackedMatVec:
             if self.bias_vecs is None
             else store(np.stack(self.bias_vecs)),
             "diags": diag_groups,
+            # An unsplit layer writes no key, so its payload is what it
+            # was before layers could split.
+            **({} if self.split is None else {"split": self.split}),
         }
 
     @classmethod
@@ -472,6 +494,7 @@ class PackedMatVec:
             out_layout=layout_from_payload(payload["out_layout"]),
             fold_shifts=tuple(payload["fold_shifts"]),
             fold_groups=tuple(payload["fold_groups"]),
+            split=payload.get("split"),
             bias_vecs=bias_vecs,
             name=payload["name"],
         )
@@ -591,25 +614,39 @@ def cut_fold_groups(
     return tuple(cut)
 
 
-def held_tables(store: Dict, backend, terms: Dict, level: int, pt_scale) -> Dict:
+def held_tables(store: Dict, backend, terms: Dict, level: int, pt_scale, n1) -> Dict:
     """``{(bo, bi): (offsets, table)}`` for the groups of a fused matvec's
-    ``terms`` at (level, pt_scale) — the ``tables`` argument of
-    :meth:`FheBackend.matvec_fused`: each group's offsets in table-row
-    order (:func:`fused_term_groups`) and its weight table, read from
-    ``store`` — the caller's ``{(bo, bi, plaintext_cache_key): table}``
-    dict, a packed layer's or a bootstrap transform's — where each group
-    it lacks is encoded once by :meth:`FheBackend.encode_table` and
-    stored."""
+    ``terms`` at (level, pt_scale), split by the baby modulus ``n1`` —
+    the ``tables`` argument of :meth:`FheBackend.matvec_fused`: each
+    group's offsets in table-row order (:func:`fused_term_groups`) and
+    its weight table, read from ``store`` — the caller's ``{(bo, bi,
+    plaintext_cache_key): table}`` dict, a packed layer's (whose split
+    is fixed) or a bootstrap transform's — where each group it lacks is
+    encoded once by :meth:`FheBackend.encode_table` from its rows'
+    :func:`table_vector` and stored."""
     fingerprint = backend.plaintext_cache_key(level, pt_scale)
     tables = {}
-    for (bo, bi), offsets in fused_term_groups(terms).items():
+    for (bo, bi), offsets in fused_term_groups(terms, n1).items():
         key = (bo, bi, fingerprint)
         if key not in store:
             store[key] = backend.encode_table(
-                [terms[(bo, bi, off)] for off in offsets], level, pt_scale
+                [table_vector(terms, bo, bi, off, n1) for off in offsets],
+                level, pt_scale,
             )
         tables[(bo, bi)] = offsets, store[key]
     return tables
+
+
+def table_vector(terms: Dict, bo: int, bi: int, offset, n1) -> np.ndarray:
+    """The slot vector of diagonal ``(bo, bi, offset)``'s table row
+    under the baby modulus ``n1``: the diagonal pre-rotated by the
+    negated giant, so the row multiplies the input rotated by the baby
+    and the giant's rotation of the partial sum moves it into place
+    (entry ``j`` of the diagonal lands at ``j + giant``); the diagonal
+    itself when the giant is 0."""
+    giant = split_offset(offset, n1)[0]
+    vector = terms[(bo, bi, offset)]
+    return np.roll(vector, giant) if giant else vector
 
 
 def apply_fold_groups(backend, ct, shifts: Tuple[int, ...], groups: Tuple[int, ...]):

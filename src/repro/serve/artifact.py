@@ -45,6 +45,7 @@ from repro.ckks.context import encode_table
 from repro.ckks.encoding import get_encoder
 from repro.ckks.galois import fused_term_groups
 from repro.ckks.keys import KeyManifest
+from repro.core.packing.matvec import table_vector
 from repro.core.program import FheProgram, LinearInstr
 from repro.rns.basis import RnsBasis
 from repro.serve.grouping import artifact_parameters, fused_tables
@@ -82,6 +83,15 @@ from repro.serve.grouping import artifact_parameters, fused_tables
 # Version 7: the fold form is a partition of the fold ladder into hoisted
 # groups (``fold_groups``); a version-6 file's expanded-or-sequential
 # depth is refused, not translated, and must be re-exported.
+#
+# Still version 7: a packed linear layer may carry a baby/giant split,
+# the payload key ``"split"`` (its baby modulus ``n1``).  A split layer's
+# pre-encoded rows are ordered giant by giant and each row is rolled by
+# its giant (``matvec.table_vector``), with the shapes and dtypes of an
+# unsplit table.  An unsplit layer writes no key, so an artifact without
+# split layers is byte-identical to what version 7 always wrote; an
+# artifact with one needs a reader that knows ``"split"``, since a
+# reader that ignores the key would multiply by the rolled rows.
 SCHEMA_VERSION = 7
 FORMAT_NAME = "repro-serving-artifact"
 
@@ -175,7 +185,7 @@ class ServingArtifact:
             level = section["level"]
             pt_scale = Fraction(*section["pt_scale"])
             packed = instr.packed
-            rows = fused_term_groups(packed.terms())
+            rows = fused_term_groups(packed.terms(), packed.split)
             limbs = len(basis.key_switch_primes(level + 1))
             for group in section["groups"]:
                 bo, bi, table = group["bo"], group["bi"], group["table"]
@@ -328,13 +338,14 @@ def _pre_encode_tables(program: FheProgram, params, sim) -> List[Dict]:
     copies = program.slot_batch_capacity()
     sections: List[Dict] = []
     for instr, level, pt_scale, term_groups in fused_tables(program, sim):
-        terms = instr.packed.terms()
+        terms, split = instr.packed.terms(), instr.packed.split
         groups = [
             {
                 "bo": bo,
                 "bi": bi,
                 "table": encode_table(
-                    basis, encoder, [terms[(bo, bi, off)] for off in offsets],
+                    basis, encoder,
+                    [table_vector(terms, bo, bi, off, split) for off in offsets],
                     level, pt_scale,
                 ),
             }

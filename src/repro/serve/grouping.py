@@ -68,7 +68,8 @@ def fused_tables(program, backend) -> Iterator[Tuple[object, int, Fraction, Dict
         held = instr.packed.encoded_tables(backend)
         if held:
             _, _, level, pt_scale, _ = held[0]
-            yield instr, level, pt_scale, fused_term_groups(instr.packed.terms())
+            packed = instr.packed
+            yield instr, level, pt_scale, fused_term_groups(packed.terms(), packed.split)
 
 
 def with_grouping(params: CkksParameters, ks_alpha: int, num_special: int) -> CkksParameters:
@@ -128,7 +129,9 @@ def key_switch_work(params: CkksParameters, switches: Mapping[KeySwitch, int]) -
       ``2 * (l + 1)``.
 
     A transformed row weighs :data:`NTT_ROW_PER_STAGE` per log2(N), a
-    reduced row :data:`REDUCED_ROW`.
+    reduced row :data:`REDUCED_ROW`.  A split fused matvec's shape
+    counts each giant's decomposition, inner product, gather and
+    partial mod-down beside its babies' (``FheBackend.matvec_fused``).
     """
     ntt = NTT_ROW_PER_STAGE * int_log2(params.ring_degree)
     alpha = params.ks_alpha

@@ -148,6 +148,9 @@ def analyze_conv_packing(
         _giants=giants,
         num_folds=0,
         _offsets=nonzero_offsets,
+        splits=splits_by_sets(
+            zip(bo_of_key.tolist(), bi_of_key.tolist(), (unique_keys % n).tolist()), n
+        ),
     )
 
     # Mirror build_conv_packing's Gazelle-hybrid choice for small outputs.
@@ -168,6 +171,7 @@ def analyze_conv_packing(
                 _giants=sum(1 for g in plan_h.giants if g) + folds,
                 num_folds=folds,
                 _offsets=int(np.count_nonzero(hybrid_offsets)),
+                splits=splits_by_sets(((0, 0, int(off)) for off in hybrid_offsets), n),
             )
     return stats
 
@@ -201,7 +205,48 @@ def stats_from_keys(
         _giants=giants + folds * num_out,
         num_folds=folds,
         _offsets=nonzero,
+        splits=splits_by_sets(keys, slots),
     )
+
+
+def splits_by_sets(keys, slots: int):
+    """``PackingStats.splits`` by sets: for every ``n1 = 2**k`` up to
+    the largest offset, the split's change from the unsplit walk in
+    inner products, decompositions and mod-downs, kept when it saves an
+    inner product or a decomposition and no other split matches or
+    beats it on all three (the first of equals stays), largest ``n1``
+    first."""
+    keys = list(keys)
+    if not keys:
+        return ()
+    products = len({(bi, off) for _, bi, off in keys if off})
+    inputs = len({bi for _, bi, off in keys if off})
+    candidates = []
+    n1 = 1
+    while n1 <= max(off for _, _, off in keys):
+        babies = {(bi, off % n1) for _, bi, off in keys if off % n1}
+        giants = {(bo, off - off % n1) for bo, _, off in keys if off - off % n1}
+        moddowns = {(bo, off - off % n1) for bo, _, off in keys
+                    if off - off % n1 and off % n1}
+        change = (
+            n1,
+            len(babies) + len(giants) - products,
+            len({bi for bi, _ in babies}) + len(giants) - inputs,
+            len(moddowns),
+        )
+        if change[1] < 0 or change[2] < 0:
+            candidates.append(change)
+        n1 *= 2
+    candidates.reverse()
+    kept = []
+    for i, c in enumerate(candidates):
+        beaten = any(
+            all(a <= b for a, b in zip(o[1:], c[1:])) and (j < i or o[1:] != c[1:])
+            for j, o in enumerate(candidates) if j != i
+        )
+        if not beaten:
+            kept.append(c)
+    return tuple(kept)
 
 
 def conv_offset_profile(

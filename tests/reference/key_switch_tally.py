@@ -51,21 +51,30 @@ class KeySwitchTally(SimBackend):
         # group is one key switch.
         return {step: SimBackend._rotate(self, a, step) for step in steps}
 
-    def _matvec_fused(self, in_cts, terms, num_out, pt_scale, tables):
+    def _matvec_fused(self, in_cts, terms, num_out, pt_scale, tables, n1):
+        def parts(off):
+            """(giant, baby) of an offset: split at n1, ints only."""
+            if n1 is None or isinstance(off, tuple):
+                return 0, off
+            return off - off % n1, off % n1
+
         rotated = [(bo, bi, off) for (bo, bi, off) in terms if off]
         if rotated:
-            offsets = len({(bi, off) for (_, bi, off) in rotated})
+            babies = {(bi, parts(off)[1]) for (_, bi, off) in rotated if parts(off)[1]}
+            giants = {(bo, parts(off)[0]) for (bo, _, off) in rotated if parts(off)[0]}
+            split = {(bo, parts(off)[0]) for (bo, _, off) in rotated
+                     if parts(off)[0] and parts(off)[1]}
             self.switches.append(
                 KeySwitch(
                     in_cts[0].level,
-                    decompositions=len({bi for (_, bi, _) in rotated}),
-                    products=offsets,
-                    gathers=offsets,
-                    table_rows=len(rotated),
-                    moddowns=len({bo for (bo, _, _) in rotated}),
+                    decompositions=len({bi for bi, _ in babies}) + len(giants),
+                    products=len(babies) + len(giants),
+                    gathers=len(babies) + len(giants),
+                    table_rows=sum(1 for (_, _, off) in rotated if parts(off)[1]),
+                    moddowns=len({bo for (bo, _, _) in rotated}) + len(split),
                 )
             )
-        return super()._matvec_fused(in_cts, terms, num_out, pt_scale, tables)
+        return super()._matvec_fused(in_cts, terms, num_out, pt_scale, tables, n1)
 
     def _rotate_sum(self, a, steps):
         count = len(steps)

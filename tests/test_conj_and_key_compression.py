@@ -169,7 +169,8 @@ class TestSharedConjugation:
         terms = {(0, 0, ("conj", 4)): ones, (0, 0, 2): ones}
         pt_scale = Fraction(params.scale)
         (out,) = sim.matvec_fused(
-            [ct], terms, 1, pt_scale, held_tables({}, sim, terms, ct.level, pt_scale)
+            [ct], terms, 1, pt_scale,
+            held_tables({}, sim, terms, ct.level, pt_scale, None), None,
         )
         expected = np.roll(vals, -4) + np.roll(vals, -2)
         assert np.abs(sim.decrypt(out) - expected).max() < 1e-2

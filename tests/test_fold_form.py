@@ -109,13 +109,18 @@ def solo():
 def _parent_steps(params, program):
     """The block-level layers' steps under the partitions placement
     compiled, before the cut at the block: the key manifest as it was
-    while a lone client ran the whole ladder."""
+    while a lone client ran the whole ladder, with each layer's offsets
+    and, under its compiled split, their babies and giants."""
     costs = CostModel(params)
     steps = set()
     for instr in _linear(program.block_level()):
         packed = instr.packed
         groups = costs.fold_partition(instr.exec_level, len(packed.fold_shifts))
-        steps |= {off % packed.slots for dmap in packed.diags.values() for off in dmap}
+        offsets = {off % packed.slots for dmap in packed.diags.values() for off in dmap}
+        steps |= offsets
+        if packed.split is not None:
+            steps |= {off % packed.split for off in offsets}
+            steps |= {off - off % packed.split for off in offsets}
         for group in fold_group_steps(packed.fold_shifts, groups, packed.slots):
             steps |= set(group)
     return steps - {0}
@@ -373,13 +378,15 @@ class TestManifestIsExact:
         """Every view that runs — a lone client's and each distinct-client
         view — rotates only by steps of the manifest, at no higher level,
         so the manifest keys a lane at any cap; and every manifest step
-        is a subset sum of a group the placement compiled (or an
-        offset), so the cut at the block only drops keys.  The e2e
-        artifacts (``serve_mlp_pool`` up to 16 clients, ``mlp_solo`` 2)
-        and ``mlp_solo``'s network at the paper's ring, N = 2^16
-        (compiled only: its 146 steps are what a lane there keys; 157
+        is a subset sum of a group the placement compiled (or an offset,
+        or a baby or giant of the compiled split), so the cut at the
+        block only drops keys.  The e2e artifacts (``serve_mlp_pool`` up
+        to 16 clients, ``mlp_solo`` 2) and ``mlp_solo``'s network at the
+        paper's ring, N = 2^16 (compiled only: its 86 steps are what a
+        lane there keys; 146 while every offset rotated the input, 157
         while a lone client folded the whole ladder, 876 with relocating
-        views)."""
+        views).  ``mlp_solo`` keys 75 (135 unsplit): its two 128-offset
+        layers walk 63 babies and one giant."""
         if name == "solo_n65536":
             params, program = _mlp_program(784, 128, 1 << 16)
         else:
@@ -392,8 +399,8 @@ class TestManifestIsExact:
                 assert step in manifest and level <= manifest[step], (batch, step)
         parent = _parent_steps(params, program)
         assert set(manifest) <= parent
-        sizes = {"mlp": (22, 27), "pool": (25, 29), "solo": (135, 142),
-                 "solo_n65536": (146, 157)}
+        sizes = {"mlp": (22, 27), "pool": (25, 29), "solo": (75, 142),
+                 "solo_n65536": (86, 157)}
         assert (len(manifest), len(parent)) == sizes[name]
 
     def test_pool_manifest_holds_its_exact_key_count(self, pool):

@@ -294,7 +294,8 @@ class TestFusedMatvec:
         terms = packed.terms()
         got = backend._matvec_fused(
             [ct], terms, packed.num_out, pt_scale,
-            held_tables({}, backend, terms, ct.level, pt_scale),
+            held_tables({}, backend, terms, ct.level, pt_scale, None),
+            None,
         )
         ref = reference_fused_matvec(backend, packed, [ct], pt_scale)
         assert len(got) == len(ref) and got

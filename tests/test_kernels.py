@@ -307,10 +307,10 @@ class TestGroupedFusedMatvec:
         ]
         terms = _matvec_terms(toy_backend, 2, 3, self.OFFS)
         scale = toy_backend.params.scale
-        tables = held_tables({}, toy_backend, terms, cts[0].level, scale)
-        base = toy_backend._matvec_fused(cts, terms, 3, scale, tables)
+        tables = held_tables({}, toy_backend, terms, cts[0].level, scale, None)
+        base = toy_backend._matvec_fused(cts, terms, 3, scale, tables, None)
         asked = force_chunk(1)
-        forced = toy_backend._matvec_fused(cts, terms, 3, scale, tables)
+        forced = toy_backend._matvec_fused(cts, terms, 3, scale, tables, None)
         assert asked
         for got, want in zip(forced, base):
             assert np.array_equal(got.c0.data, want.c0.data)
@@ -331,7 +331,8 @@ class TestSimBatchedGathers:
         terms = _matvec_terms(backend, 2, 3, offs)
         scale = backend.params.scale
         outs = backend._matvec_fused(
-            cts, terms, 3, scale, held_tables({}, backend, terms, cts[0].level, scale)
+            cts, terms, 3, scale,
+            held_tables({}, backend, terms, cts[0].level, scale, None), None,
         )
         for bo, out in enumerate(outs):
             want = np.zeros(backend.slot_count)

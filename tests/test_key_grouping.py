@@ -136,7 +136,8 @@ class TestOnePassModDown:
                 monkeypatch,
                 lambda: backend._matvec_fused(
                     [ct], terms, 2, pt_scale,
-                    held_tables({}, backend, terms, ct.level, pt_scale),
+                    held_tables({}, backend, terms, ct.level, pt_scale, None),
+                    None,
                 ),
             )
         )

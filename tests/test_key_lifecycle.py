@@ -230,16 +230,18 @@ class TestOneResidentTensor:
             manifest.rotation_steps, levels=manifest.step_level_map()
         )
         keys = [context.keys.relin] + list(context.keys.galois.values())
-        # 135 rotation keys: the lone client's run, whose folds stop at
-        # the 1024-slot block, and the two-client view, which gathers
-        # scratch through the layers' own fold steps.  142 while every
-        # ladder ran whole and its partition straddled the block, 269
-        # while batched views relocated scratch under new offsets, 318
-        # before that with every shallow ladder fully expanded.
-        assert len(context.keys.galois) == 135
-        assert sum(key.size_bytes() for key in keys) == 45_158_656
+        # 75 rotation keys: both 128-diagonal layers walk 63 babies and
+        # one giant (64), the lone client's folds stop at the 1024-slot
+        # block, and the two-client view gathers scratch through the
+        # layers' own fold steps.  135 while every offset rotated the
+        # input, 142 while every ladder ran whole and its partition
+        # straddled the block, 269 while batched views relocated scratch
+        # under new offsets, 318 before that with every shallow ladder
+        # fully expanded.
+        assert len(context.keys.galois) == 75
+        assert sum(key.size_bytes() for key in keys) == 24_807_808
         resident = sum(key.tensor.nbytes for key in keys)
-        assert resident == 2 * (45_158_656 - len(keys) * KEY_PRG_SEED_BYTES)
+        assert resident == 2 * (24_807_808 - len(keys) * KEY_PRG_SEED_BYTES)
 
 
 class TestArtifactFiles:

@@ -58,11 +58,11 @@ def _every_key_switching_op(backend):
         for bi in range(2)
         for off in ([0, 1, 4, ("conj", 0)] if bo == 0 else [0, 4])
     }
-    tables = held_tables({}, backend, terms, ct.level, pt_scale)
-    backend.matvec_fused([ct, ct], terms, 2, pt_scale, tables)
+    tables = held_tables({}, backend, terms, ct.level, pt_scale, None)
+    backend.matvec_fused([ct, ct], terms, 2, pt_scale, tables, None)
     terms = {(0, 0, 0): values}
-    tables = held_tables({}, backend, terms, ct.level, pt_scale)
-    backend.matvec_fused([ct], terms, 1, pt_scale, tables)
+    tables = held_tables({}, backend, terms, ct.level, pt_scale, None)
+    backend.matvec_fused([ct], terms, 1, pt_scale, tables, None)
     backend.rotate_sum_hoisted(ct, [1, 2, 3])
     backend.rotate_sum_hoisted(ct, [0])
 

@@ -306,8 +306,8 @@ class TestStaleCacheRegression:
         for level, scale_mult in ((5, 1), (5, 2), (3, 1), (5, 1)):
             ct = backend.encrypt(backend.encode(x, level, params.scale))
             pt_scale = Fraction(params.data_primes[level]) * scale_mult
-            tables = held_tables(store, backend, terms, level, pt_scale)
-            outs = backend.matvec_fused([ct], terms, 1, pt_scale, tables)
+            tables = held_tables(store, backend, terms, level, pt_scale, None)
+            outs = backend.matvec_fused([ct], terms, 1, pt_scale, tables, None)
             got = backend.decrypt(backend.rescale(outs[0]))
             assert np.max(np.abs(got - reference)) < 1e-3, (
                 f"stale encode served at level {level}, scale x{scale_mult}"

@@ -25,7 +25,7 @@ from repro.backend.toy import HOISTED_SLAB
 from repro.ckks.context import CkksContext
 from repro.ckks.galois import fused_term_groups, galois_offset_key
 from repro.ckks.params import toy_parameters
-from repro.core.packing.matvec import held_tables
+from repro.core.packing.matvec import held_tables, table_vector
 from repro.models import SecureMlp
 from repro.nn import init
 from repro.orion import OrionNetwork
@@ -110,7 +110,8 @@ class TestStaticTables:
         store = {}
         got = backend._matvec_fused(
             cts, terms, num_out, pt_scale,
-            held_tables(store, backend, terms, 3, pt_scale),
+            held_tables(store, backend, terms, 3, pt_scale, None),
+            None,
         )
         assert asked is None or asked
         for out, (c0, c1) in zip(got, want):
@@ -121,7 +122,8 @@ class TestStaticTables:
         tables = dict(store)
         again = backend._matvec_fused(
             cts, terms, num_out, pt_scale,
-            held_tables(store, backend, terms, 3, pt_scale),
+            held_tables(store, backend, terms, 3, pt_scale, None),
+            None,
         )
         assert all(store[key] is table for key, table in tables.items())
         for out, (c0, c1) in zip(again, want):
@@ -140,7 +142,8 @@ class TestStaticTables:
         pt_scale = Fraction(backend.params.data_primes[ct.level])
         (got,) = backend._matvec_fused(
             [ct], terms, 1, pt_scale,
-            held_tables({}, backend, terms, ct.level, pt_scale),
+            held_tables({}, backend, terms, ct.level, pt_scale, None),
+            None,
         )
         ((c0, c1),) = reference_per_term(backend, [ct], terms, 1, pt_scale)
         assert np.array_equal(got.c0.data, c0)
@@ -151,7 +154,7 @@ class TestStaticTables:
         terms = dict.fromkeys(
             [(0, 0, 0), (0, 0, 7), (0, 0, ("conj", 1)), (0, 0, 2), (1, 0, 2)]
         )
-        groups = fused_term_groups(terms)
+        groups = fused_term_groups(terms, None)
         assert groups == {(0, 0): [2, 7, ("conj", 1), 0], (1, 0): [2]}
         ct = backend.encode_encrypt(np.zeros(backend.slot_count))
         walk = backend.rotate_hoisted_slabs(ct, groups[(0, 0)])
@@ -168,9 +171,9 @@ class TestStaticTables:
         terms = {(0, 0, off): np.full(slots, 0.1) for off in (1, -1)}
         ct = backend.encode_encrypt(np.zeros(slots))
         scale = backend.params.scale
-        tables = held_tables({}, backend, terms, ct.level, scale)
+        tables = held_tables({}, backend, terms, ct.level, scale, None)
         with pytest.raises(ValueError, match="not reduced"):
-            backend._matvec_fused([ct], terms, 1, scale, tables)
+            backend._matvec_fused([ct], terms, 1, scale, tables, None)
 
     @pytest.mark.parametrize("level", [4, 1])
     def test_ks_chain_encode_equals_exact_extension(self, level):
@@ -242,8 +245,8 @@ class TestStaticTables:
         terms = _terms(rng, slots, 2, 2)
         cts = [backend.encode_encrypt(rng.normal(size=slots) * 0.1) for _ in range(2)]
         pt_scale = Fraction(backend.params.data_primes[cts[0].level])
-        tables = held_tables({}, backend, terms, cts[0].level, pt_scale)
-        backend._matvec_fused(cts, terms, 2, pt_scale, tables)  # keys exist
+        tables = held_tables({}, backend, terms, cts[0].level, pt_scale, None)
+        backend._matvec_fused(cts, terms, 2, pt_scale, tables, None)  # keys exist
         level = cts[0].level
         block_of = {
             backend._ks_decompose(ct.c1, level).tobytes(): bi for bi, ct in enumerate(cts)
@@ -267,7 +270,7 @@ class TestStaticTables:
             return real(digits, keys, *args)
 
         monkeypatch.setattr(kernels, "ks_inner_stacked", spy)
-        backend._matvec_fused(cts, terms, 2, pt_scale, tables)
+        backend._matvec_fused(cts, terms, 2, pt_scale, tables, None)
         wanted = {(bi, off) for (_, bi, off) in terms if off}
         assert calls == Counter(dict.fromkeys(wanted, 1))
         distinct = len(wanted) // 2  # both inputs hoist the same offsets
@@ -283,11 +286,11 @@ class TestStaticTables:
         terms = {(0, 0, off): rng.normal(size=slots) * 0.1 for off in offsets}
         ct = backend.encode_encrypt(rng.normal(size=slots) * 0.1)
         pt_scale = Fraction(backend.params.data_primes[ct.level])
-        tables = held_tables({}, backend, terms, ct.level, pt_scale)
-        backend._matvec_fused([ct], terms, 1, pt_scale, tables)
+        tables = held_tables({}, backend, terms, ct.level, pt_scale, None)
+        backend._matvec_fused([ct], terms, 1, pt_scale, tables, None)
         tracemalloc.start()
         try:
-            backend._matvec_fused([ct], terms, 1, pt_scale, tables)
+            backend._matvec_fused([ct], terms, 1, pt_scale, tables, None)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,11 +335,13 @@ def test_export_encodes_its_tables_without_keys(monkeypatch):
     by_name = {instr.name: instr for instr in artifact.program.instructions}
     checked = 0
     for section in artifact.encoded:
-        terms = by_name[section["name"]].packed.terms()
-        groups = fused_term_groups(terms)
+        packed = by_name[section["name"]].packed
+        terms = packed.terms()
+        groups = fused_term_groups(terms, packed.split)
         for group in section["groups"]:
-            rows = [terms[(group["bo"], group["bi"], off)]
-                    for off in groups[(group["bo"], group["bi"])]]
+            bo, bi = group["bo"], group["bi"]
+            rows = [table_vector(terms, bo, bi, off, packed.split)
+                    for off in groups[(bo, bi)]]
             want = keyed.encode_table(rows, section["level"],
                                       Fraction(*section["pt_scale"]))
             assert group["table"].dtype == want.dtype
@@ -393,9 +398,10 @@ class TestPreloadIsAView:
         # Preloaded tables are the ones the backend would encode itself.
         for packed in linears:
             terms = packed.terms()
-            groups = fused_term_groups(terms)
+            groups = fused_term_groups(terms, packed.split)
             for bo, bi, level, pt_scale, table in packed.encoded_tables(cold):
-                rows = [terms[(bo, bi, off)] for off in groups[(bo, bi)]]
+                rows = [table_vector(terms, bo, bi, off, packed.split)
+                        for off in groups[(bo, bi)]]
                 assert np.array_equal(table, cold.encode_table(rows, level, pt_scale))
 
     def test_verify_checks_the_whole_operand(self, preloaded):
