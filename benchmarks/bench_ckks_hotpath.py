@@ -61,6 +61,12 @@ def merge_json(section: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # Seed-faithful legacy implementations (per-limb Python loops)
 # ---------------------------------------------------------------------------
+def as_poly(basis, rows: np.ndarray) -> RnsPolynomial:
+    """One ciphertext component's (or a plaintext's) evaluation-form
+    data-chain rows as the polynomial the seed computed on."""
+    return RnsPolynomial(basis, basis.data_primes(rows.shape[0]), rows, is_ntt=True)
+
+
 def legacy_to_ntt(poly: RnsPolynomial) -> RnsPolynomial:
     rows = [
         poly.basis.ntts[q].forward(row) for q, row in zip(poly.primes, poly.data)
@@ -118,8 +124,8 @@ def legacy_keyswitch(ctx, d: RnsPolynomial, pairs, level: int):
     ``SwitchingKey.pairs`` once, outside any timed region."""
     ks_chain = ctx.basis.key_switch_primes(level + 1)
     alpha = ctx.params.ks_alpha
-    acc0 = RnsPolynomial.zero(ctx.basis, ks_chain)
-    acc1 = RnsPolynomial.zero(ctx.basis, ks_chain)
+    zeros = np.zeros((len(ks_chain), ctx.params.ring_degree), dtype=np.int64)
+    acc0 = acc1 = RnsPolynomial(ctx.basis, ks_chain, zeros, is_ntt=True)
     d_coeff = legacy_to_coeff(d)
     for digit_index, lo in enumerate(range(0, level + 1, alpha)):
         hi = min(lo + alpha, level + 1)
@@ -172,7 +178,7 @@ def legacy_rotate_hoisted_raw(backend, ct, offsets, natural):
     """Seed-faithful hoisted raw rotations: one shared digit
     decomposition, then a per-offset Python loop of individual inner
     products against ``natural`` (:func:`natural_key_tensors`)."""
-    digits = backend._ks_decompose(ct.c1, ct.level)
+    digits = backend._ks_decompose(ct.data[1], ct.level)
     ks_chain = backend.basis.key_switch_primes(ct.level + 1)
     mod_col = backend.basis.moduli_column(ks_chain)
     chunk = (2**63 - 1 - (max(ks_chain) - 1)) // ((max(ks_chain) - 1) ** 2)
@@ -191,14 +197,15 @@ def legacy_rotate_hoisted_raw(backend, ct, offsets, natural):
                 part = permuted[start : start + chunk] * ba[:, start : start + chunk]
                 acc += part.sum(axis=1) % mod_col
             acc %= mod_col
-        out[offset] = (ct.c0.automorphism(exponent), acc)
+        out[offset] = (np.take(ct.data[0], perm, axis=-1), acc)
     return out
 
 
 def legacy_rotate(ctx, ct, steps: int, pairs_by_step):
     exponent = ctx.encoder.rotation_exponent(steps)
-    rot0 = legacy_automorphism(ct.c0, exponent)
-    rot1 = legacy_automorphism(ct.c1, exponent)
+    c0, c1 = (as_poly(ctx.basis, rows) for rows in ct.data)
+    rot0 = legacy_automorphism(c0, exponent)
+    rot1 = legacy_automorphism(c1, exponent)
     p0, p1 = legacy_keyswitch(ctx, rot1, pairs_by_step[steps], ct.level)
     return rot0 + p0, p1
 
@@ -267,9 +274,14 @@ def setup():
 def test_hotpath_microbench(setup, record_table):
     backend, ct, pt, values = setup
     ctx = backend.context
-    poly = ct.c0
+    basis = ctx.basis
+    primes = basis.data_primes(ct.level + 1)
+    c0_rows = ct.data[0]
+    poly = as_poly(basis, c0_rows)
     coeff = poly.to_coeff()
+    coeff_rows = coeff.data
     exponent = ctx.encoder.rotation_exponent(1)
+    perm = galois_eval_permutation(backend.params.ring_degree, exponent)
     key = ctx.galois_key(exponent)
     prod = backend.mul_plain(ct, pt)
     hoist_steps = list(range(1, 9))
@@ -279,25 +291,26 @@ def test_hotpath_microbench(setup, record_table):
         s: ctx.galois_key(ctx.encoder.rotation_exponent(s)).pairs for s in hoist_steps
     }
     # _keyswitch takes the UN-rotated c1 and switches sigma_t(c1).
-    rot1 = ct.c1.automorphism(exponent)
+    rot1 = as_poly(basis, ct.data[1]).automorphism(exponent)
+    prod0, prod1 = (as_poly(basis, rows) for rows in prod.data)
 
     # Correctness cross-checks: legacy and batched must agree bit-for-bit.
-    assert np.array_equal(legacy_to_ntt(coeff).data, coeff.to_ntt().data)
-    assert np.array_equal(legacy_to_coeff(poly).data, poly.to_coeff().data)
+    assert np.array_equal(legacy_to_ntt(coeff).data, basis.forward_chain(coeff_rows, primes))
+    assert np.array_equal(legacy_to_coeff(poly).data, coeff_rows)
     assert np.array_equal(
-        legacy_automorphism(poly, exponent).data, poly.automorphism(exponent).data
+        legacy_automorphism(poly, exponent).data, np.take(c0_rows, perm, axis=-1)
     )
     lk0, lk1 = legacy_keyswitch(ctx, rot1, pairs_by_step[1], ct.level)
-    nk0, nk1 = backend._keyswitch(ct.c1, key, ct.level)
-    assert np.array_equal(lk0.data, nk0.data)
-    assert np.array_equal(lk1.data, nk1.data)
+    nk0, nk1 = backend._keyswitch(ct.data[1], key, ct.level)
+    assert np.array_equal(lk0.data, nk0)
+    assert np.array_equal(lk1.data, nk1)
     lr0, lr1 = legacy_rotate(ctx, ct, 1, pairs_by_step)
     nr = backend._rotate(ct, 1)
-    assert np.array_equal(lr0.data, nr.c0.data)
-    assert np.array_equal(lr1.data, nr.c1.data)
+    assert np.array_equal(lr0.data, nr.data[0])
+    assert np.array_equal(lr1.data, nr.data[1])
     assert np.array_equal(
-        legacy_divide_and_round_by_last(prod.c0).data,
-        backend.basis.divide_round_last(prod.c0.data, prod.c0.primes, is_ntt=True),
+        legacy_divide_and_round_by_last(prod0).data,
+        basis.divide_round_last(prod.data[0], primes, is_ntt=True),
     )
 
     rows = []
@@ -315,17 +328,23 @@ def test_hotpath_microbench(setup, record_table):
         }
         rows.append((name, f"{before:.3f}", f"{after:.3f}", f"{before / after:.2f}x"))
 
-    bench("ntt_forward", lambda: legacy_to_ntt(coeff), lambda: coeff.to_ntt())
-    bench("ntt_inverse", lambda: legacy_to_coeff(poly), lambda: poly.to_coeff())
+    bench(
+        "ntt_forward",
+        lambda: legacy_to_ntt(coeff),
+        lambda: basis.forward_chain(coeff_rows, primes),
+    )
+    bench(
+        "ntt_inverse", lambda: legacy_to_coeff(poly), lambda: basis.inverse_chain(c0_rows, primes)
+    )
     bench(
         "automorphism",
         lambda: legacy_automorphism(poly, exponent),
-        lambda: poly.automorphism(exponent),
+        lambda: np.take(c0_rows, perm, axis=-1),
     )
     bench(
         "keyswitch",
         lambda: legacy_keyswitch(ctx, rot1, pairs_by_step[1], ct.level),
-        lambda: backend._keyswitch(ct.c1, key, ct.level),
+        lambda: backend._keyswitch(ct.data[1], key, ct.level),
     )
     bench(
         "rotate",
@@ -340,8 +359,8 @@ def test_hotpath_microbench(setup, record_table):
     bench(
         "rescale",
         lambda: (
-            legacy_divide_and_round_by_last(prod.c0),
-            legacy_divide_and_round_by_last(prod.c1),
+            legacy_divide_and_round_by_last(prod0),
+            legacy_divide_and_round_by_last(prod1),
         ),
         lambda: backend._rescale(prod),
     )
@@ -402,7 +421,7 @@ def test_stacked_keyswitch(record_table):
     for offset in offsets:
         rot0_l, acc_l = legacy[offset]
         rot0_s, acc_s = stacked[offset]
-        assert np.array_equal(rot0_s.data, rot0_l.data)
+        assert np.array_equal(rot0_s, rot0_l)
         assert np.array_equal(np.asarray(acc_s), acc_l)
 
     (loop_ms, loop_med), (stacked_ms, stacked_med) = _time_stats_paired(

@@ -4,8 +4,14 @@ interface.
 :class:`ToyBackend` implements the unbooked primitives
 :class:`FheBackend` books — so counts and modeled latencies are the
 simulator's — directly on ciphertexts: real NTT arithmetic, real hybrid
-key switching with a special prime, real rescaling.  Operand levels and
-scales are checked by the public ops, never here.  The client half of
+key switching with a special prime, real rescaling.  A ciphertext is one
+``(2, l+1, N)`` evaluation-form residue tensor
+(:mod:`repro.ckks.ciphertext`); every primitive reads it and writes a
+fresh one through :class:`repro.rns.RnsBasis` (moduli columns, chain
+transforms, divide-and-round), never a view of an operand, and HMult's
+degree-2 product stays a raw tensor between :meth:`ToyBackend._tensor`
+and :meth:`ToyBackend._relinearize`.  Operand levels and scales are
+checked by the public ops, never here.  The client half of
 the scheme (keys, encoding, encryption, decryption and the oracle
 refresh) is :class:`repro.ckks.context.CkksContext`, held as
 ``self.context``; the evaluator reaches it for nothing else.
@@ -48,7 +54,6 @@ from repro.ckks.keys import SwitchingKey
 from repro.ckks.params import CkksParameters
 from repro.ntt import galois_eval_permutation
 from repro.obs.tracing import get_tracer
-from repro.rns.poly import RnsPolynomial
 
 #: Distinct offsets per slab of a hoisted key switch
 #: (:meth:`ToyBackend.rotate_hoisted_slabs`): wide enough that the
@@ -101,109 +106,73 @@ class ToyBackend(FheBackend):
         return self.context.encode_table(vectors, level, scale)
 
     # -- unbooked primitives: arithmetic (paper Section 2.5) ---------------
+    def _moduli(self, level: int) -> np.ndarray:
+        """The ``(level + 1, 1)`` data-prime column a level-``level``
+        tensor reduces against."""
+        return self.basis.moduli_column(self.basis.data_primes(level + 1))
+
     def _add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return Ciphertext(
-            c0=a.c0 + b.c0,
-            c1=a.c1 + b.c1,
-            level=a.level,
-            scale=a.scale,
-            slot_count=a.slot_count,
-        )
+        data = (a.data + b.data) % self._moduli(a.level)
+        return Ciphertext(data, a.level, a.scale, a.slot_count)
 
     def _sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return Ciphertext(
-            c0=a.c0 - b.c0,
-            c1=a.c1 - b.c1,
-            level=a.level,
-            scale=a.scale,
-            slot_count=a.slot_count,
-        )
+        data = (a.data - b.data) % self._moduli(a.level)
+        return Ciphertext(data, a.level, a.scale, a.slot_count)
 
     def _add_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
-        return Ciphertext(
-            c0=a.c0 + p.poly,
-            c1=a.c1,
-            level=a.level,
-            scale=a.scale,
-            slot_count=a.slot_count,
-        )
+        data = a.data.copy()
+        data[0] = (a.data[0] + p.data) % self._moduli(a.level)
+        return Ciphertext(data, a.level, a.scale, a.slot_count)
 
     def _negate(self, a: Ciphertext) -> Ciphertext:
-        return Ciphertext(
-            c0=-a.c0, c1=-a.c1, level=a.level, scale=a.scale, slot_count=a.slot_count
-        )
+        return Ciphertext((-a.data) % self._moduli(a.level), a.level, a.scale, a.slot_count)
 
     def _mul_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
-        return Ciphertext(
-            c0=a.c0 * p.poly,
-            c1=a.c1 * p.poly,
-            level=a.level,
-            scale=a.scale * p.scale,
-            slot_count=a.slot_count,
-        )
+        data = a.data * p.data % self._moduli(a.level)
+        return Ciphertext(data, a.level, a.scale * p.scale, a.slot_count)
 
     def _mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """HMult: the tensor product, then relinearization."""
-        return self._relinearize(self._tensor(a, b))
+        data = self._relinearize(self._tensor(a, b))
+        return Ciphertext(data, a.level, a.scale * b.scale, a.slot_count)
 
-    def _tensor(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """The degree-2 product ``(c0, c1, c2)``, before relinearization."""
-        return Ciphertext(
-            c0=a.c0 * b.c0,
-            c1=a.c0 * b.c1 + a.c1 * b.c0,
-            c2=a.c1 * b.c1,
-            level=a.level,
-            scale=a.scale * b.scale,
-            slot_count=a.slot_count,
-        )
+    def _tensor(self, a: Ciphertext, b: Ciphertext) -> np.ndarray:
+        """The degree-2 product ``(d0, d1, d2)`` as a raw
+        ``(3, level + 1, N)`` tensor, before relinearization — never a
+        :class:`Ciphertext`."""
+        mod = self._moduli(a.level)
+        (a0, a1), (b0, b1) = a.data, b.data
+        out = np.empty((3,) + a0.shape, dtype=np.int64)
+        out[0] = a0 * b0 % mod
+        out[1] = (a0 * b1 % mod + a1 * b0 % mod) % mod
+        out[2] = a1 * b1 % mod
+        return out
 
-    def _relinearize(self, ct: Ciphertext) -> Ciphertext:
-        """Reduce a degree-2 ciphertext back to degree 1 via the relin key."""
-        p0, p1 = self._keyswitch(ct.c2, self.context.keys.relin, ct.level)
-        return Ciphertext(
-            c0=ct.c0 + p0,
-            c1=ct.c1 + p1,
-            level=ct.level,
-            scale=ct.scale,
-            slot_count=ct.slot_count,
-        )
+    def _relinearize(self, product: np.ndarray) -> np.ndarray:
+        """Key-switch ``d2`` of a :meth:`_tensor` product with the relin
+        key into the ``(2, level + 1, N)`` degree-1 tensor."""
+        level = product.shape[1] - 1
+        out = self._keyswitch(product[2], self.context.keys.relin, level)
+        out += product[:2]
+        out %= self._moduli(level)
+        return out
 
     def _rescale(self, ct: Ciphertext) -> Ciphertext:
         """Divide by the last prime; level drops by one (Section 2.5.2).
 
-        All ciphertext components are stacked through one batched
-        divide-and-round pass (they share the dropped limb's inverse
-        NTT and the lift's forward NTT).
+        Both components go through one batched divide-and-round pass
+        (they share the dropped limb's inverse NTT and the lift's
+        forward NTT).
         """
-        polys = [ct.c0, ct.c1] + ([] if ct.c2 is None else [ct.c2])
-        primes = polys[0].primes
-        stacked = self.basis.divide_round_last(
-            np.stack([p.data for p in polys]), primes, is_ntt=True
-        )
-        divided = [
-            RnsPolynomial(self.basis, primes[:-1], row, is_ntt=True) for row in stacked
-        ]
-        return Ciphertext(
-            c0=divided[0],
-            c1=divided[1],
-            c2=divided[2] if ct.c2 is not None else None,
-            level=ct.level - 1,
-            scale=ct.scale / primes[-1],
-            slot_count=ct.slot_count,
-        )
+        primes = self.basis.data_primes(ct.level + 1)
+        data = self.basis.divide_round_last(ct.data, primes, is_ntt=True)
+        return Ciphertext(data, ct.level - 1, ct.scale / primes[-1], ct.slot_count)
 
     def _level_down(self, ct: Ciphertext, target_level: int) -> Ciphertext:
-        drop = ct.level - target_level
-        if drop == 0:
+        if target_level == ct.level:
             return ct
-        return Ciphertext(
-            c0=ct.c0.drop_limbs(drop),
-            c1=ct.c1.drop_limbs(drop),
-            c2=None if ct.c2 is None else ct.c2.drop_limbs(drop),
-            level=target_level,
-            scale=ct.scale,
-            slot_count=ct.slot_count,
-        )
+        data = np.ascontiguousarray(ct.data[:, : target_level + 1])
+        return Ciphertext(data, target_level, ct.scale, ct.slot_count)
 
     def _bootstrap(self, a: Ciphertext) -> Ciphertext:
         return self.context.bootstrap(a)
@@ -216,23 +185,18 @@ class ToyBackend(FheBackend):
         return self._apply_galois(ct, self.encoder.conjugation_exponent)
 
     def _apply_galois(self, ct: Ciphertext, exponent: int) -> Ciphertext:
-        if ct.c2 is not None:
-            raise ValueError("relinearize before rotating")
         key = self.context.galois_key(exponent, max_level=ct.level)
-        p0, p1 = self._keyswitch(ct.c1, key, ct.level)
-        return Ciphertext(
-            c0=ct.c0.automorphism(exponent) + p0,
-            c1=p1,
-            level=ct.level,
-            scale=ct.scale,
-            slot_count=ct.slot_count,
-        )
+        data = self._keyswitch(ct.data[1], key, ct.level)
+        perm = galois_eval_permutation(self.params.ring_degree, exponent)
+        data[0] = (np.take(ct.data[0], perm, axis=-1) + data[0]) % self._moduli(ct.level)
+        return Ciphertext(data, ct.level, ct.scale, ct.slot_count)
 
     # -- hybrid key switching --------------------------------------------------
-    def _ks_decompose(self, d: RnsPolynomial, level: int) -> np.ndarray:
-        """Digit-decompose ``d`` for hybrid key switching (the hoistable
-        part: one inverse NTT of ``d`` plus one batched forward NTT of
-        every digit raised to the Q_l * P chain).
+    def _ks_decompose(self, d: np.ndarray, level: int) -> np.ndarray:
+        """Digit-decompose the evaluation-form ``(level + 1, N)``
+        residues ``d`` for hybrid key switching (the hoistable part: one
+        inverse NTT of ``d`` plus one batched forward NTT of every digit
+        raised to the Q_l * P chain).
 
         With ks_alpha = 1 each digit is one centered limb; with grouped
         decomposition (ks_alpha > 1, dnum = ceil((level+1)/alpha)) each
@@ -245,21 +209,18 @@ class ToyBackend(FheBackend):
         automorphisms, so hoisted rotations reuse it across many keys.
         """
         ks_chain = self.basis.key_switch_primes(level + 1)
-        num_limbs = level + 1
+        data_primes = self.basis.data_primes(level + 1)
         alpha = self.params.ks_alpha
-        d_coeff = d.to_coeff()
+        d_coeff = self.basis.inverse_chain(d, data_primes)
         if alpha == 1:
-            src = d_coeff.data[:num_limbs]
-            src_col = self.basis.moduli_column(d.primes[:num_limbs])
-            centered = np.where(src > src_col // 2, src - src_col, src)
+            src_col = self.basis.moduli_column(data_primes)
+            centered = np.where(d_coeff > src_col // 2, d_coeff - src_col, d_coeff)
             # Stride-0 broadcast across the ks chain: the engine's twist
             # multiply materializes and reduces, so no explicit % pass here.
-            shape = (num_limbs, len(ks_chain), centered.shape[-1])
+            shape = (level + 1, len(ks_chain), centered.shape[-1])
             lifted = np.broadcast_to(centered[:, None, :], shape)
         else:
-            lifted = self.basis.decompose_digits(
-                d_coeff.data[:num_limbs], d.primes[:num_limbs], ks_chain, alpha
-            )
+            lifted = self.basis.decompose_digits(d_coeff, data_primes, ks_chain, alpha)
         return self.basis.forward_chain(lifted, ks_chain)
 
     def _ks_inner(
@@ -312,31 +273,32 @@ class ToyBackend(FheBackend):
             kernels.lazy_reduction_chunk(max(ks_chain)),
         )
 
-    def _ks_moddown(self, acc: np.ndarray, level: int):
+    def _ks_moddown(self, acc: np.ndarray, level: int) -> np.ndarray:
         """Divide both accumulators by the special modulus P.
 
         ``acc`` is a (Galois-gathered) ``(2, ks_limbs, N)`` column of
         :meth:`_ks_inner`; both rows share one divide-and-round pass,
         whatever the number of special primes: inverse-transform the
         special rows, lift their centered value to Q_l, one forward NTT,
-        subtract, multiply by P^{-1} (docs/hoisting.md).
+        subtract, multiply by P^{-1} (docs/hoisting.md).  Returns the
+        fresh ``(2, level + 1, N)`` evaluation-form tensor.
         """
-        ns = self.params.num_special_primes
         chain = self.basis.key_switch_primes(level + 1)
-        acc = self.basis.divide_round_last(acc, chain, is_ntt=True, count=ns)
-        return (
-            RnsPolynomial(self.basis, chain[:-ns], acc[0], is_ntt=True),
-            RnsPolynomial(self.basis, chain[:-ns], acc[1], is_ntt=True),
+        return self.basis.divide_round_last(
+            acc, chain, is_ntt=True, count=self.params.num_special_primes
         )
 
-    def _keyswitch(self, d: RnsPolynomial, key: SwitchingKey, level: int):
+    def _keyswitch(self, d: np.ndarray, key: SwitchingKey, level: int) -> np.ndarray:
         """Hybrid key switch of ``sigma_t(d)`` at the given level, ``t``
-        being the key's Galois element (``d`` itself for the relin key).
+        being the key's Galois element (``d`` itself for the relin key),
+        ``d`` the ``(level + 1, N)`` evaluation-form residues of one
+        component.
 
         Decomposes the UN-rotated d into digits, multiplies by the
         switching key over Q_l * P, Galois-gathers the accumulator, and
-        divides by the special modulus P.  All stages are limb-batched;
-        see :meth:`rotate_hoisted_slabs` for the walk that shares the
+        divides by the special modulus P into a fresh ``(2, level + 1,
+        N)`` tensor.  All stages are limb-batched; see
+        :meth:`rotate_hoisted_slabs` for the walk that shares the
         decomposition across many keys.
         """
         digits = self._ks_decompose(d, level)
@@ -372,8 +334,8 @@ class ToyBackend(FheBackend):
         time — the one walk every hoisted consumer is built from.
         Unbooked: the public ops that consume it book themselves.
 
-        ``ct.c1`` is digit-decomposed ONCE (the digit tensor commutes
-        with Galois permutations); the mod-down is deferred.  The
+        ``ct.data[1]`` (c1) is digit-decomposed ONCE (the digit tensor
+        commutes with Galois permutations); the mod-down is deferred.  The
         distinct nonzero offsets are walked in :func:`galois_offset_key`
         order, and each slab yields ``(offsets, rot0, acc)``: ``rot0``
         the ``(level + 1, S, N)`` transformed c0s over Q_l and ``acc``
@@ -406,8 +368,6 @@ class ToyBackend(FheBackend):
         ``("conj", 0)`` is a real Galois map and is walked like any
         other element.
         """
-        if ct.c2 is not None:
-            raise ValueError("relinearize before rotating")
         unique = {
             ("conj", s[1] % self.slot_count)
             if isinstance(s, tuple)
@@ -430,8 +390,8 @@ class ToyBackend(FheBackend):
             level=level,
             num_offsets=len(nonzero),
         ):
-            digits = self._ks_decompose(ct.c1, level)
-            c0 = ct.c0.to_ntt().data
+            digits = self._ks_decompose(ct.data[1], level)
+            c0 = ct.data[0]
             for start in range(0, len(nonzero), HOISTED_SLAB):
                 offsets = nonzero[start : start + HOISTED_SLAB]
                 num = len(offsets)
@@ -461,17 +421,14 @@ class ToyBackend(FheBackend):
         steps_list: Iterable,
     ) -> Dict:
         """Every slab of :meth:`rotate_hoisted_slabs`, kept, as
-        ``{offset: (rot0, acc)}``: ``rot0`` the transformed c0
-        polynomial, ``acc`` its raw ``(2, ks_limbs, N)`` accumulator —
-        views of the slabs.  Applying :meth:`_ks_moddown` to each
-        ``acc`` reproduces :meth:`rotate_hoisted` (or the standalone
+        ``{offset: (rot0, acc)}``: ``rot0`` the transformed c0's
+        ``(level + 1, N)`` residues, ``acc`` its raw ``(2, ks_limbs, N)``
+        accumulator — views of the slabs.  Applying :meth:`_ks_moddown` to
+        each ``acc`` reproduces :meth:`rotate_hoisted` (or the standalone
         :meth:`conjugate` key switch) bit-for-bit.  Unbooked.
         """
         return {
-            offset: (
-                RnsPolynomial(self.basis, ct.c0.primes, rot0[:, i], is_ntt=True),
-                acc[:, :, i],
-            )
+            offset: (rot0[:, i], acc[:, :, i])
             for offsets, rot0, acc in self.rotate_hoisted_slabs(ct, steps_list)
             for i, offset in enumerate(offsets)
         }
@@ -486,17 +443,12 @@ class ToyBackend(FheBackend):
         evaluation-form permutation of the accumulator, and the
         mod-down."""
         outputs: Dict[int, Ciphertext] = {}
+        mod_q = self._moduli(ct.level)
         for offsets, rot0, acc in self.rotate_hoisted_slabs(ct, steps):
             for i, step in enumerate(offsets):
-                p0, p1 = self._ks_moddown(acc[:, :, i], ct.level)
-                c0 = RnsPolynomial(self.basis, ct.c0.primes, rot0[:, i], is_ntt=True)
-                outputs[step] = Ciphertext(
-                    c0=c0 + p0,
-                    c1=p1,
-                    level=ct.level,
-                    scale=ct.scale,
-                    slot_count=ct.slot_count,
-                )
+                data = self._ks_moddown(acc[:, :, i], ct.level)
+                data[0] = (rot0[:, i] + data[0]) % mod_q
+                outputs[step] = Ciphertext(data, ct.level, ct.scale, ct.slot_count)
         return outputs
 
     # -- fused consumers of the walk ---------------------------------------------
@@ -543,8 +495,6 @@ class ToyBackend(FheBackend):
         """
         level = in_cts[0].level
         scale = in_cts[0].scale
-        if any(ct.c2 is not None for ct in in_cts):
-            raise ValueError("relinearize before a matvec")
         basis = self.basis
         n = basis.ring_degree
         ks_chain = basis.key_switch_primes(level + 1)
@@ -576,8 +526,7 @@ class ToyBackend(FheBackend):
                     direct[(bo, giant)] = np.zeros((2, level + 1, n), np.int64)
                 if babies[-1] == 0:
                     plain = rows[-1, : level + 1]
-                    direct[(bo, giant)][0] += plain * in_cts[bi].c0.data % mod_q
-                    direct[(bo, giant)][1] += plain * in_cts[bi].c1.data % mod_q
+                    direct[(bo, giant)] += plain * in_cts[bi].data % mod_q
                     babies, rows = babies[:-1], rows[:-1]
                 if babies:
                     readers.setdefault(bi, []).append([(bo, giant), babies, rows, 0])
@@ -620,17 +569,9 @@ class ToyBackend(FheBackend):
             into its Q_l sum."""
             out = direct.pop(key)
             if key in acc_ext:
-                p0, p1 = self._ks_moddown(acc_ext.pop(key) % mod_ks, level)
-                out[0] += p0.data
-                out[1] += p1.data
+                out += self._ks_moddown(acc_ext.pop(key) % mod_ks, level)
             out %= mod_q
-            return Ciphertext(
-                c0=RnsPolynomial(basis, data_primes, out[0], is_ntt=True),
-                c1=RnsPolynomial(basis, data_primes, out[1], is_ntt=True),
-                level=level,
-                scale=scale * pt_scale,
-                slot_count=in_cts[0].slot_count,
-            )
+            return Ciphertext(out, level, scale * pt_scale, in_cts[0].slot_count)
 
         # Each giant's partial, rotated into place, joins its output's
         # sums ahead of the output's one mod-down.
@@ -643,32 +584,24 @@ class ToyBackend(FheBackend):
     def _rotate_sum(self, a: Ciphertext, steps: Sequence[int]) -> Ciphertext:
         """Exact fused rotate-and-sum (the Gazelle fold, double-hoisted).
 
-        All rotations share one digit decomposition of ``a.c1`` via
+        All rotations share one digit decomposition of ``a``'s c1 via
         :meth:`rotate_hoisted_slabs`; each slab's raw Q_l * P
         accumulators and transformed c0s are summed lazily in int64 as
         it arrives, and a single :meth:`_ks_moddown` replaces the
         per-fold key switches of the sequential path.
         """
         level = a.level
-        ks_chain = self.basis.key_switch_primes(level + 1)
-        data_primes = self.basis.data_primes(level + 1)
-        mod_ks = self.basis.moduli_column(ks_chain)
-        mod_q = self.basis.moduli_column(data_primes)
+        mod_ks = self.basis.moduli_column(self.basis.key_switch_primes(level + 1))
         # Entries stay < max prime (~2^31), so len(steps)+1 summands fit
         # int64 with > 2^31 headroom: no intermediate reductions needed.
         acc_sum = 0
-        c0_data = a.c0.data
+        c0 = a.data[0]
         for _, rot0, acc in self.rotate_hoisted_slabs(a, steps):
             acc_sum = acc_sum + acc.sum(axis=2)
-            c0_data = c0_data + rot0.sum(axis=1)
+            c0 = c0 + rot0.sum(axis=1)
             del rot0, acc
-        p0, p1 = self._ks_moddown(acc_sum % mod_ks, level)
-        c0_data = (c0_data + p0.data) % mod_q
-        c1_data = (a.c1.data + p1.data) % mod_q
-        return Ciphertext(
-            c0=RnsPolynomial(self.basis, data_primes, c0_data, is_ntt=True),
-            c1=RnsPolynomial(self.basis, data_primes, c1_data, is_ntt=True),
-            level=level,
-            scale=a.scale,
-            slot_count=a.slot_count,
-        )
+        data = self._ks_moddown(acc_sum % mod_ks, level)
+        data[0] += c0
+        data[1] += a.data[1]
+        data %= self._moduli(level)
+        return Ciphertext(data, level, a.scale, a.slot_count)

@@ -1,54 +1,78 @@
 """CKKS datatypes: plaintexts and ciphertexts (paper Section 2.1).
 
+A ciphertext is the pair (c0, c1) in R_Q x R_Q held as ONE int64
+``(2, level + 1, N)`` evaluation-form residue tensor, a plaintext one
+``(level + 1, N)`` tensor: limb row ``i`` is the residue modulo the
+``i``-th data prime, so a level-l value lives on the first l+1 primes
+(paper Section 2.4).  There is no degree-2 ciphertext: HMult's tensor
+product is a raw ``(3, level + 1, N)`` array inside the evaluator,
+relinearized before it becomes a :class:`Ciphertext` again (Section 2.5).
+
 Both carry the metadata the compiler reasons about — multiplicative
 level and an *exact* scaling factor (a ``fractions.Fraction``, so the
 errorless scale-management invariant "scale is precisely Delta between
-layers" can be asserted, not approximated).
+layers" can be asserted, not approximated).  Both are values: frozen,
+with a tensor that is read-only once constructed, so no operation can
+alias an operand into its result and later write through it; a new
+label is a new object (``dataclasses.replace``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from repro.rns.poly import RnsPolynomial
+import numpy as np
 
 
-@dataclass
+def _check_residues(data: np.ndarray, shape: tuple, what: str) -> None:
+    if data.dtype != np.int64:
+        raise TypeError(f"{what} residues are int64, got {data.dtype}")
+    if data.shape[:-1] != shape or not data.flags.c_contiguous:
+        raise ValueError(
+            f"{what} residues must be a C-contiguous {shape + ('N',)} array, "
+            f"got {data.shape}"
+        )
+    data.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
 class Plaintext:
     """An encoded (but unencrypted) polynomial [m].
 
     Attributes:
-        poly: the RNS polynomial encoding of the cleartext.
+        data: int64 ``(level + 1, N)`` evaluation-form residues.
         level: multiplicative level (limb count - 1).
         scale: exact scaling factor used during encoding.
         slot_count: number of meaningful slots packed.
     """
 
-    poly: RnsPolynomial
+    data: np.ndarray
     level: int
     scale: Fraction
     slot_count: int
 
+    def __post_init__(self):
+        _check_residues(self.data, (self.level + 1,), "a plaintext's")
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class Ciphertext:
     """An RLWE ciphertext [[m]] = (c0, c1) in R_Q x R_Q.
 
-    Degree-2 ciphertexts (after HMult, before relinearization) carry the
-    extra ``c2`` component.  ``level`` counts remaining rescalings; a
-    ciphertext at level l has l+1 active limbs (paper Section 2.4).
+    ``data[0]`` is c0 and ``data[1]`` is c1, both in evaluation form.
+    ``level`` counts remaining rescalings; a ciphertext at level l has
+    l+1 active limbs (paper Section 2.4).
     """
 
-    c0: RnsPolynomial
-    c1: RnsPolynomial
+    data: np.ndarray
     level: int
     scale: Fraction
     slot_count: int
-    c2: Optional[RnsPolynomial] = None
+
+    def __post_init__(self):
+        _check_residues(self.data, (2, self.level + 1), "a ciphertext's")
 
     def __repr__(self) -> str:
-        deg = 2 if self.c2 is not None else 1
         log_scale = int(self.scale).bit_length() - 1 if self.scale >= 1 else 0
-        return f"Ciphertext(level={self.level}, scale~2^{log_scale}, degree={deg})"
+        return f"Ciphertext(level={self.level}, scale~2^{log_scale})"

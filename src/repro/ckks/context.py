@@ -11,6 +11,12 @@ maps, hybrid key switching and the hoisted walk — is the exact
 evaluator :class:`repro.backend.toy.ToyBackend`, which reaches this
 context only for switching keys, encode / encrypt / decrypt and the
 oracle refresh.
+
+Key material — the secret, the public pair and the polynomials a
+switching key is drawn from — is :class:`repro.rns.RnsPolynomial`;
+plaintexts and ciphertexts are the bare evaluation-form residue tensors
+of :mod:`repro.ckks.ciphertext`, which encode, encrypt, decrypt and
+``mod_raise`` read and write through the basis directly.
 """
 
 from __future__ import annotations
@@ -105,9 +111,9 @@ def encode_rows(basis: RnsBasis, encoder, vectors: Sequence, primes, scale) -> n
     out = np.empty((len(vectors),) + encoded.shape[1:], dtype=np.int64)
     out[fits] = encoded
     for t in np.flatnonzero(~fits):
-        out[t] = RnsPolynomial.from_bigint_coeffs(
-            basis, primes, rounded[t].astype(object)
-        ).data
+        out[t] = basis.forward_chain(
+            basis.reduce_bigints(rounded[t].astype(object), primes), primes
+        )
     return out
 
 
@@ -162,15 +168,14 @@ class CkksContext:
         rows = [self.rng.uniform_mod(q, n) for q in primes]
         return RnsPolynomial(self.basis, primes, np.stack(rows), is_ntt=True)
 
-    def _noise_poly(self, primes) -> RnsPolynomial:
-        """A fresh noise vector as an evaluation-form polynomial.  The
-        forward NTT takes the small signed coefficients as they are (its
-        twist multiply reduces them into ``(-q, q)`` and its output is
-        canonical), so no per-limb reduction runs first."""
+    def _noise_rows(self, primes) -> np.ndarray:
+        """A fresh noise vector as ``(len(primes), N)`` evaluation-form
+        residues.  The forward NTT takes the small signed coefficients as
+        they are (its twist multiply reduces them into ``(-q, q)`` and
+        its output is canonical), so no per-limb reduction runs first."""
         noise = self.rng.gaussian(self.params.sigma, self.params.ring_degree)
         rows = np.broadcast_to(noise, (len(primes), noise.size))
-        data = self.basis.forward_chain(rows, primes)
-        return RnsPolynomial(self.basis, primes, data, is_ntt=True)
+        return self.basis.forward_chain(rows, primes)
 
     def _generate_keys(self) -> KeyChain:
         n = self.params.ring_degree
@@ -187,19 +192,12 @@ class CkksContext:
             secret_coeffs[None, :] % self.basis.moduli_column(chain),
             is_ntt=False,
         ).to_ntt()
-        secret_squared = secret * secret
-
         a = self._uniform_poly(chain)
-        e = self._noise_poly(chain)
+        e = RnsPolynomial(self.basis, chain, self._noise_rows(chain), is_ntt=True)
         public = ((-(a * secret)) + e, a)
 
-        relin = self._make_switching_key(secret_squared, secret)
-        return KeyChain(
-            secret=secret,
-            secret_squared=secret_squared,
-            public=public,
-            relin=relin,
-        )
+        relin = self._make_switching_key(secret * secret, secret)
+        return KeyChain(secret=secret, public=public, relin=relin)
 
     def _make_switching_key(
         self,
@@ -459,11 +457,6 @@ class CkksContext:
     def slot_count(self) -> int:
         return self.params.slot_count
 
-    def _encode_poly(self, values: Sequence[float], primes, scale) -> RnsPolynomial:
-        """Slot vector -> evaluation-form polynomial over ``primes``."""
-        data = encode_rows(self.basis, self.encoder, [values], primes, scale)[0]
-        return RnsPolynomial(self.basis, primes, data, is_ntt=True)
-
     def encode(
         self,
         values: Sequence[float],
@@ -473,8 +466,9 @@ class CkksContext:
         """Cleartext vector -> plaintext polynomial (paper Section 2.2)."""
         level = self.params.max_level if level is None else level
         scale = Fraction(self.params.scale) if scale is None else Fraction(scale)
-        poly = self._encode_poly(values, self.basis.data_primes(level + 1), scale)
-        return Plaintext(poly=poly, level=level, scale=scale, slot_count=self.slot_count)
+        primes = self.basis.data_primes(level + 1)
+        data = encode_rows(self.basis, self.encoder, [values], primes, scale)[0]
+        return Plaintext(data, level, scale, self.slot_count)
 
     def encode_table(self, vectors: Sequence, level: int, scale) -> np.ndarray:
         """This context's :func:`encode_table`."""
@@ -482,51 +476,39 @@ class CkksContext:
 
     def decode(self, plaintext: Plaintext) -> np.ndarray:
         """Plaintext polynomial -> cleartext vector of real parts."""
-        bigints = plaintext.poly.to_bigint_coeffs()
-        coeffs = bigints.astype(np.float64) / float(plaintext.scale)
-        return self.encoder.coeffs_to_slots(coeffs).real
+        return self.decode_complex(plaintext).real
+
+    def centered_coeffs(self, data: np.ndarray, level: int) -> np.ndarray:
+        """Evaluation-form ``(level + 1, N)`` residues -> the centered
+        big-integer coefficients they represent (exact CRT)."""
+        primes = self.basis.data_primes(level + 1)
+        return self.basis.crt_reconstruct(self.basis.inverse_chain(data, primes), primes)
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:
-        """Public-key RLWE encryption (paper Section 2.3)."""
-        primes = self.basis.data_primes(plaintext.level + 1)
-        pk0 = self._restrict(self.keys.public[0], primes)
-        pk1 = self._restrict(self.keys.public[1], primes)
-        u_coeffs = self.rng.ternary(self.params.ring_degree)
-        u = RnsPolynomial(
-            self.basis,
-            primes,
-            u_coeffs[None, :] % self.basis.moduli_column(primes),
-            is_ntt=False,
-        ).to_ntt()
-        e0 = self._noise_poly(primes)
-        e1 = self._noise_poly(primes)
-        c0 = pk0 * u + e0 + plaintext.poly
-        c1 = pk1 * u + e1
-        return Ciphertext(
-            c0=c0,
-            c1=c1,
-            level=plaintext.level,
-            scale=plaintext.scale,
-            slot_count=plaintext.slot_count,
-        )
+        """Public-key RLWE encryption (paper Section 2.3): draws u, then
+        e0, then e1."""
+        level = plaintext.level
+        primes = self.basis.data_primes(level + 1)
+        mod = self.basis.moduli_column(primes)
+        public = np.stack([half.data[: level + 1] for half in self.keys.public])
+        u = self.basis.forward_chain(self.rng.ternary(self.params.ring_degree) % mod, primes)
+        data = public * u % mod
+        data[0] += self._noise_rows(primes)
+        data[1] += self._noise_rows(primes)
+        data[0] += plaintext.data
+        data %= mod
+        return Ciphertext(data, level, plaintext.scale, plaintext.slot_count)
 
     def decrypt(self, ciphertext: Ciphertext) -> Plaintext:
-        primes = self.basis.data_primes(ciphertext.level + 1)
-        secret = self._restrict(self.keys.secret, primes)
-        message = ciphertext.c0 + ciphertext.c1 * secret
-        if ciphertext.c2 is not None:
-            secret_sq = self._restrict(self.keys.secret_squared, primes)
-            message = message + ciphertext.c2 * secret_sq
-        return Plaintext(
-            poly=message,
-            level=ciphertext.level,
-            scale=ciphertext.scale,
-            slot_count=ciphertext.slot_count,
-        )
+        level = ciphertext.level
+        mod = self.basis.moduli_column(self.basis.data_primes(level + 1))
+        c0, c1 = ciphertext.data
+        message = (c0 + c1 * self.keys.secret.data[: level + 1] % mod) % mod
+        return Plaintext(message, level, ciphertext.scale, ciphertext.slot_count)
 
     def decode_complex(self, plaintext: Plaintext) -> np.ndarray:
         """Like :meth:`decode` but keeping the imaginary slot parts."""
-        bigints = plaintext.poly.to_bigint_coeffs()
+        bigints = self.centered_coeffs(plaintext.data, plaintext.level)
         coeffs = bigints.astype(np.float64) / float(plaintext.scale)
         return self.encoder.coeffs_to_slots(coeffs)
 
@@ -545,21 +527,13 @@ class CkksContext:
         """
         if ct.level != 0:
             raise ValueError("mod_raise expects a level-0 ciphertext")
-        if ct.c2 is not None:
-            raise ValueError("relinearize before mod_raise")
-        chain = self.basis.data_primes(self.params.max_level + 1)
-
-        def raise_poly(poly: RnsPolynomial) -> RnsPolynomial:
-            centered = poly.to_bigint_coeffs()
-            return RnsPolynomial.from_bigint_coeffs(self.basis, chain, centered)
-
-        return Ciphertext(
-            c0=raise_poly(ct.c0),
-            c1=raise_poly(ct.c1),
-            level=self.params.max_level,
-            scale=Fraction(declared_scale),
-            slot_count=ct.slot_count,
+        top = self.params.max_level
+        chain = self.basis.data_primes(top + 1)
+        raised = np.stack(
+            [self.basis.reduce_bigints(self.centered_coeffs(row, 0), chain) for row in ct.data]
         )
+        data = self.basis.forward_chain(raised, chain)
+        return Ciphertext(data, top, Fraction(declared_scale), ct.slot_count)
 
     def _restrict(self, poly: RnsPolynomial, primes) -> RnsPolynomial:
         """Restrict a full-chain polynomial to a sub-chain of its primes."""

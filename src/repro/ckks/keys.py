@@ -214,7 +214,6 @@ class KeyChain:
 
     Attributes:
         secret: s in NTT form over the full prime chain.
-        secret_squared: s^2 (for relinearization key generation).
         public: RLWE encryption of zero used for public-key encryption.
         relin: switching key s^2 -> s.
         galois: switching keys sigma_t(s) -> s, keyed by the Galois
@@ -222,7 +221,6 @@ class KeyChain:
     """
 
     secret: RnsPolynomial
-    secret_squared: RnsPolynomial
     public: Tuple[RnsPolynomial, RnsPolynomial]
     relin: SwitchingKey
     galois: Dict[int, SwitchingKey] = field(default_factory=dict)

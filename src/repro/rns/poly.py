@@ -1,32 +1,28 @@
-"""RNS polynomials: the working datatype of the toy CKKS backend.
+"""RNS polynomials: the client's key material.
 
 An :class:`RnsPolynomial` holds one residue row per active prime and a
 flag saying whether rows are in coefficient or NTT (evaluation) form.
-Pointwise ring operations act limb-wise; dropping limbs moves down the
-modulus chain (paper Section 2.4), and the divide-and-round behind
-rescaling and mod-down is :meth:`RnsBasis.divide_round_last`, which
-the evaluator runs on stacked residue tensors.
+The client builds its secret, public pair and switching-key sources
+from them (:class:`repro.ckks.context.CkksContext`), and
+:attr:`repro.ckks.keys.SwitchingKey.pairs` hands a key back as them;
+plaintexts and ciphertexts are bare residue tensors instead
+(:mod:`repro.ckks.ciphertext`), which the evaluator reads through
+:class:`RnsBasis` directly.
 
-Hot-path design: representation changes run through the basis's
-:class:`repro.ntt.NttChainEngine` (all limbs in one vectorized pass),
-Galois automorphisms on evaluation-form data are a cached slot-index
-gather (no transforms), and basis extension uses fast int64
-conversion.  No operation
-here allocates an object-dtype (Python bigint) array except the
-explicit ``to_bigint_coeffs`` / ``from_bigint_coeffs`` conversions.
+Pointwise ring operations act limb-wise.  Representation changes run
+through the basis's :class:`repro.ntt.NttChainEngine` (all limbs in one
+vectorized pass), and a Galois automorphism is a cached slot-index
+gather on evaluation-form data.  No operation here allocates an
+object-dtype (Python bigint) array except the explicit
+``to_bigint_coeffs`` / ``from_bigint_coeffs`` conversions.
 """
 
 from __future__ import annotations
-
-from typing import Sequence, Union
 
 import numpy as np
 
 from repro.ntt import galois_eval_permutation
 from repro.rns.basis import RnsBasis
-
-ScalarPerLimb = Union[int, Sequence[int]]
-
 
 class RnsPolynomial:
     """A polynomial in R_{Q} = Z_Q[X]/(X^N + 1), RNS-decomposed.
@@ -67,11 +63,6 @@ class RnsPolynomial:
         data = basis.reduce_bigints(np.asarray(coeffs, dtype=object), primes)
         poly = cls(basis, primes, data, is_ntt=False)
         return poly.to_ntt() if to_ntt else poly
-
-    @classmethod
-    def zero(cls, basis: RnsBasis, primes, is_ntt: bool = True) -> "RnsPolynomial":
-        data = np.zeros((len(tuple(primes)), basis.ring_degree), dtype=np.int64)
-        return cls(basis, primes, data, is_ntt=is_ntt)
 
     # -- representation changes -------------------------------------------
     def to_ntt(self) -> "RnsPolynomial":
@@ -124,43 +115,15 @@ class RnsPolynomial:
 
     # -- automorphisms -------------------------------------------------------
     def automorphism(self, exponent: int) -> "RnsPolynomial":
-        """Apply the Galois map X -> X^exponent (exponent odd mod 2N).
-
-        Used for slot rotations (exponent = 5^k) and conjugation
-        (exponent = 2N - 1); see paper Section 2.5.3.  On evaluation-form
-        data this is a cached slot-index permutation (one gather, no NTT
-        round-trips); on coefficient-form data it is the signed
-        coefficient permutation.
-        """
-        n = self.basis.ring_degree
-        two_n = 2 * n
-        if exponent % 2 == 0:
-            raise ValueError("automorphism exponent must be odd")
-        exponent %= two_n
-        if self.is_ntt:
-            perm = galois_eval_permutation(n, exponent)
-            return RnsPolynomial(
-                self.basis, self.primes, np.take(self.data, perm, axis=-1), is_ntt=True
-            )
-        src = np.arange(n, dtype=np.int64)
-        dest = (src * exponent) % two_n
-        sign_flip = dest >= n
-        dest = np.where(sign_flip, dest - n, dest)
-        signed = np.where(sign_flip[None, :], -self.data, self.data)
-        out = np.zeros_like(self.data)
-        out[:, dest] = signed
-        out %= self._moduli
-        return RnsPolynomial(self.basis, self.primes, out, is_ntt=False)
-
-    # -- level movement ---------------------------------------------------
-    def drop_limbs(self, count: int = 1) -> "RnsPolynomial":
-        """Forget the last ``count`` limbs without dividing (mod-reduce)."""
-        if count <= 0:
-            return self
-        if count >= len(self.primes):
-            raise ValueError("cannot drop all limbs")
+        """Apply the Galois map X -> X^exponent (exponent odd mod 2N) to
+        evaluation-form data: a cached slot-index permutation, one
+        gather and no NTT round-trips (paper Section 2.5.3).  Keygen
+        rotates the secret with it."""
+        if not self.is_ntt:
+            raise ValueError("apply automorphisms in evaluation form")
+        perm = galois_eval_permutation(self.basis.ring_degree, exponent)
         return RnsPolynomial(
-            self.basis, self.primes[:-count], self.data[:-count].copy(), self.is_ntt
+            self.basis, self.primes, np.take(self.data, perm, axis=-1), is_ntt=True
         )
 
     def __repr__(self) -> str:

@@ -11,7 +11,7 @@ order and rng state behind.
 
 Every function takes the context as its first argument and reads only
 its parameters, basis, secret and rng, plus the small helpers that did
-not change (``_noise_poly``, ``_restrict``, ``params.ks_digits``).
+not change (``_noise_rows``, ``_restrict``, ``params.ks_digits``).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def make_switching_key(context, from_key, to_key, max_level=None, exponent=1):
     for digit in range(num_digits):
         a_i = expand_a_half(seed, digit, context.basis, chain).data
         own = slice(ns + digit * alpha, ns + min((digit + 1) * alpha, num_data))
-        b_i = context._noise_poly(chain).data - a_i * s_to
+        b_i = context._noise_rows(chain) - a_i * s_to
         b_i[own] += gadget[own] * s_from[own]
         b_i %= mod_col
         tensor[0, digit] = np.take(b_i, order, axis=-1)

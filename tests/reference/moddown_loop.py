@@ -23,16 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rns.poly import RnsPolynomial
 
-
-def moddown_loop(backend, acc: np.ndarray, level: int):
+def moddown_loop(backend, acc: np.ndarray, level: int) -> np.ndarray:
     """``ToyBackend._ks_moddown`` one special prime at a time."""
     chain = backend.basis.key_switch_primes(level + 1)
     for _ in range(backend.params.num_special_primes):
         acc = backend.basis.divide_round_last(acc, chain, is_ntt=True)
         chain = chain[:-1]
-    return (
-        RnsPolynomial(backend.basis, chain, acc[0], is_ntt=True),
-        RnsPolynomial(backend.basis, chain, acc[1], is_ntt=True),
-    )
+    return acc

@@ -7,6 +7,7 @@ the exact toy arithmetic.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,11 @@ from repro.ckks.params import (
 from repro.utils.rng import SeededRng
 
 PARAMS = bootstrap_parameters()
+
+
+def coeffs(ctx, plaintext):
+    """A plaintext's centered big-integer coefficients."""
+    return ctx.centered_coeffs(plaintext.data, plaintext.level)
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +107,8 @@ class TestModRaise:
         pt = ctx.encode(msg, level=0)
         ct = ctx.encrypt(pt)
         raised = ctx.mod_raise(ct, Fraction(1))
-        u_orig = pt.poly.to_bigint_coeffs()
-        u_full = ctx.decrypt(raised).poly.to_bigint_coeffs()
+        u_orig = coeffs(ctx, pt)
+        u_full = coeffs(ctx, ctx.decrypt(raised))
         q0 = PARAMS.primes[0]
         overflow = (u_full - u_orig) % q0
         # decryption noise shifts u by a few hundred units (the ternary
@@ -121,7 +127,7 @@ class TestModRaise:
             pt = ctx.encode(msg, level=0)
             ct = ctx.encrypt(pt)
             raised = ctx.mod_raise(ct, Fraction(1))
-            diff = ctx.decrypt(raised).poly.to_bigint_coeffs() - pt.poly.to_bigint_coeffs()
+            diff = coeffs(ctx, ctx.decrypt(raised)) - coeffs(ctx, pt)
             overflow = np.rint(diff.astype(np.float64) / q0)
             assert np.abs(overflow).max() <= bound
         del rng
@@ -149,7 +155,7 @@ class TestTransforms:
         pt = ctx.encode(msg, level=0)
         ct = ctx.encrypt(pt)
         raised = ctx.mod_raise(ct, Fraction(bs.q0) * bs.window)
-        u_full = ctx.decrypt(raised).poly.to_bigint_coeffs().astype(np.float64)
+        u_full = coeffs(ctx, ctx.decrypt(raised)).astype(np.float64)
         lo, hi = bs.coeff_to_slot(bs._prescale(raised))
         n = PARAMS.slot_count
         denominator = float(bs.q0 * bs.window)
@@ -179,13 +185,13 @@ class TestTransforms:
         msg = np.random.default_rng(13).uniform(-0.5, 0.5, PARAMS.slot_count)
         ct = backend.encode_encrypt(msg, level=0)
         raised = ctx.mod_raise(ct, Fraction(bs.q0) * bs.window)
-        u_full = ctx.decrypt(raised).poly.to_bigint_coeffs().astype(np.float64)
+        u_full = coeffs(ctx, ctx.decrypt(raised)).astype(np.float64)
         lo, hi = bs.coeff_to_slot(bs._prescale(raised))
         # Re-declare the slot contents from u/(q0*B) to u/Delta (a pure
         # relabeling; no homomorphic op needed).
         factor = Fraction(bs.q0) * bs.window / PARAMS.scale
-        lo.scale = lo.scale / factor
-        hi.scale = hi.scale / factor
+        lo = replace(lo, scale=lo.scale / factor)
+        hi = replace(hi, scale=hi.scale / factor)
         back = bs.slot_to_coeff(lo, hi)
         got = ctx.decrypt_decode(back)
         expected = ctx.encoder.coeffs_to_slots(u_full).real / PARAMS.scale
@@ -249,7 +255,7 @@ class TestEndToEnd:
 
     def test_rejects_off_scale_input(self, backend):
         ct = backend.encode_encrypt(np.zeros(4), level=0)
-        ct.scale = ct.scale * 2
+        ct = replace(ct, scale=ct.scale * 2)
         with pytest.raises(ValueError, match="scale"):
             backend.bootstrap(ct)
 

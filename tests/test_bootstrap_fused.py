@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference.bigint import extend_primes_reference
+from reference.bigint import extend_rows_reference
 from repro.backend import SimBackend, ToyBackend
 from repro.backend.costs import CostModel
 from repro.backend.ledger import KeySwitch
@@ -41,7 +41,6 @@ from repro.core.packing.matvec import (
     fold_group_steps,
 )
 from repro.core.placement import LayerSpec, PlacementChain, solve_placement
-from repro.rns.poly import RnsPolynomial
 
 BOOT_PARAM_SETS = {
     # Small ring keeps the suite fast; alpha2's transform levels have an
@@ -92,24 +91,20 @@ def per_rotation_matvec_sum(bs, pairs, pt_scale, table):
     for (_, i, k) in sorted(plan["terms"]):
         pt = ctx.encode(plan["terms"][(0, i, k)], level=level, scale=Fraction(pt_scale))
         if k == 0:
-            acc_c0 = (acc_c0 + pt.poly.data * in_cts[i].c0.data) % mod_q
+            acc_c0 = (acc_c0 + pt.data * in_cts[i].data[0]) % mod_q
             if acc_c1 is None:
                 acc_c1 = np.zeros_like(acc_c0)
-            acc_c1 = (acc_c1 + pt.poly.data * in_cts[i].c1.data) % mod_q
+            acc_c1 = (acc_c1 + pt.data * in_cts[i].data[1]) % mod_q
             continue
         rot0, acc = backend.rotate_hoisted_raw(in_cts[i], [k])[k]
-        pt_ext = extend_primes_reference(pt.poly, ks_chain).data
+        pt_ext = extend_rows_reference(ctx.basis, pt.data, data_primes, ks_chain)
         acc_ext = (acc_ext + pt_ext * acc) % mod_ks
-        acc_c0 = (acc_c0 + pt.poly.data * rot0.data) % mod_q
+        acc_c0 = (acc_c0 + pt.data * rot0) % mod_q
     p0, p1 = backend._ks_moddown(acc_ext, level)
-    c0 = (acc_c0 + p0.data) % mod_q
-    c1 = p1.data if acc_c1 is None else (acc_c1 + p1.data) % mod_q
+    c0 = (acc_c0 + p0) % mod_q
+    c1 = p1 if acc_c1 is None else (acc_c1 + p1) % mod_q
     out = Ciphertext(
-        c0=RnsPolynomial(ctx.basis, data_primes, c0, is_ntt=True),
-        c1=RnsPolynomial(ctx.basis, data_primes, c1, is_ntt=True),
-        level=level,
-        scale=in_cts[0].scale * Fraction(pt_scale),
-        slot_count=in_cts[0].slot_count,
+        np.stack([c0, c1]), level, in_cts[0].scale * Fraction(pt_scale), in_cts[0].slot_count
     )
     return backend.rescale(out)
 
@@ -120,8 +115,7 @@ class TestFusedBootstrapTransforms:
         for table, table_pairs in pairs.items():
             got = fused._matvec_sum(table_pairs, pt_scale, table)
             ref = per_rotation_matvec_sum(fused, table_pairs, pt_scale, table)
-            assert np.array_equal(got.c0.data, ref.c0.data), table
-            assert np.array_equal(got.c1.data, ref.c1.data), table
+            assert np.array_equal(got.data, ref.data), table
 
     def test_matches_cleartext_transform_to_noise_precision(self, boot_setup):
         """The transform computes sum_i M_i x_i: its decryption matches
@@ -264,14 +258,14 @@ class TestFusedGazelleFold:
             data_primes = ctx.basis.data_primes(level + 1)
             mod_q = ctx.basis.moduli_column(data_primes)
             acc = np.zeros((2, len(ks_chain), ctx.basis.ring_degree), dtype=np.int64)
-            c0 = a.c0.data.copy()
+            c0 = a.data[0].copy()
             for step in steps:
                 rot0, raw = backend.rotate_hoisted_raw(a, [step])[step]
                 acc = (acc + raw) % mod_ks
-                c0 = (c0 + rot0.data) % mod_q
+                c0 = (c0 + rot0) % mod_q
             p0, p1 = backend._ks_moddown(acc, level)
-            assert np.array_equal(got.c0.data, (c0 + p0.data) % mod_q)
-            assert np.array_equal(got.c1.data, (a.c1.data + p1.data) % mod_q)
+            assert np.array_equal(got.data[0], (c0 + p0) % mod_q)
+            assert np.array_equal(got.data[1], (a.data[1] + p1) % mod_q)
 
     def test_fold_across_slabs_equals_sequential_fold(self, fold_setup):
         """A fold whose expansion spans several hoisted slabs (a single
@@ -293,13 +287,13 @@ class TestFusedGazelleFold:
         mod_ks = ctx.basis.moduli_column(ks_chain)
         mod_q = ctx.basis.moduli_column(ctx.basis.data_primes(level + 1))
         acc = np.zeros((2, len(ks_chain), ctx.basis.ring_degree), dtype=np.int64)
-        c0 = ct.c0.data.copy()
+        c0 = ct.data[0].copy()
         for step, (rot0, raw) in backend.rotate_hoisted_raw(ct, steps).items():
             acc = (acc + raw) % mod_ks
-            c0 = (c0 + rot0.data) % mod_q
+            c0 = (c0 + rot0) % mod_q
         p0, p1 = backend._ks_moddown(acc, level)
-        assert np.array_equal(got.c0.data, (c0 + p0.data) % mod_q)
-        assert np.array_equal(got.c1.data, (ct.c1.data + p1.data) % mod_q)
+        assert np.array_equal(got.data[0], (c0 + p0) % mod_q)
+        assert np.array_equal(got.data[1], (ct.data[1] + p1) % mod_q)
         sequential = ct
         for shift in deep.fold_shifts:
             sequential = backend.add(sequential, backend.rotate(sequential, shift))
@@ -327,8 +321,7 @@ class TestFusedGazelleFold:
         whole = apply_fold_groups(backend, ct, shifts, (7,))
         expanded = backend.rotate_sum_hoisted(ct, _expansion(deep))
         for got, want in ((singles, sequential), (whole, expanded)):
-            assert np.array_equal(got.c0.data, want.c0.data)
-            assert np.array_equal(got.c1.data, want.c1.data)
+            assert np.array_equal(got.data, want.data)
         # Whatever the partition, the fold charges one rotation per shift.
         for groups in _balanced_partitions(7):
             backend.ledger.reset()

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference.bigint import extend_primes_reference
+from reference.bigint import extend_rows_reference
 from repro.backend import SimBackend, ToyBackend
 from repro.ckks.bootstrap import CkksBootstrapper
 from repro.ckks.galois import galois_offset_key
@@ -66,8 +66,8 @@ class TestSharedConjugation:
             rot0, acc = backend.rotate_hoisted_raw(ct, [("conj", 0)])[("conj", 0)]
             p0, p1 = backend._ks_moddown(acc, level)
             ref = backend.conjugate(ct)
-            assert np.array_equal((rot0 + p0).data, ref.c0.data)
-            assert np.array_equal(p1.data, ref.c1.data)
+            assert np.array_equal((rot0 + p0) % backend._moduli(level), ref.data[0])
+            assert np.array_equal(p1, ref.data[1])
 
     def test_composed_conj_rotation_bitwise_equals_standalone(self, boot_setup):
         """("conj", k) == the standalone key switch of the *composed*
@@ -80,8 +80,8 @@ class TestSharedConjugation:
             p0, p1 = backend._ks_moddown(acc, level)
             exponent = backend.galois_offset_exponent(offset)
             ref = backend._apply_galois(raised, exponent)
-            assert np.array_equal((rot0 + p0).data, ref.c0.data)
-            assert np.array_equal(p1.data, ref.c1.data)
+            assert np.array_equal((rot0 + p0) % backend._moduli(level), ref.data[0])
+            assert np.array_equal(p1, ref.data[1])
 
     def test_composed_element_semantics(self, boot_setup):
         """("conj", k) really is conjugate-then-rotate at the slot level."""
@@ -91,10 +91,9 @@ class TestSharedConjugation:
         ct = backend.encode_encrypt(vals, level=2)
         offset = ("conj", 3)
         rot0, acc = backend.rotate_hoisted_raw(ct, [offset])[offset]
-        p0, p1 = backend._ks_moddown(acc, 2)
-        composed = type(ct)(
-            c0=rot0 + p0, c1=p1, level=2, scale=ct.scale, slot_count=ct.slot_count
-        )
+        data = backend._ks_moddown(acc, 2)
+        data[0] = (rot0 + data[0]) % backend._moduli(2)
+        composed = type(ct)(data, 2, ct.scale, ct.slot_count)
         two_step = backend.rotate(backend.conjugate(ct), 3)
         # Real slots: conjugation is the identity on the decoded values.
         assert np.abs(
@@ -140,23 +139,22 @@ class TestSharedConjugation:
                     plan["terms"][(bo, 0, off)], level=level, scale=pt_scale
                 )
                 if off == 0:
-                    acc_c0 = (acc_c0 + pt.poly.data * raised.c0.data) % mod_q
+                    acc_c0 = (acc_c0 + pt.data * raised.data[0]) % mod_q
                     if acc_c1 is None:
                         acc_c1 = np.zeros_like(acc_c0)
-                    acc_c1 = (acc_c1 + pt.poly.data * raised.c1.data) % mod_q
+                    acc_c1 = (acc_c1 + pt.data * raised.data[1]) % mod_q
                     continue
                 rot0, acc = backend.rotate_hoisted_raw(raised, [off])[off]
-                pt_ext = extend_primes_reference(pt.poly, ks_chain).data
+                pt_ext = extend_rows_reference(ctx.basis, pt.data, data_primes, ks_chain)
                 acc_ext = (acc_ext + pt_ext * acc) % mod_ks
-                acc_c0 = (acc_c0 + pt.poly.data * rot0.data) % mod_q
+                acc_c0 = (acc_c0 + pt.data * rot0) % mod_q
             p0, p1 = backend._ks_moddown(acc_ext, level)
-            c0 = (acc_c0 + p0.data) % mod_q
-            c1 = (acc_c1 + p1.data) % mod_q
+            c0 = (acc_c0 + p0) % mod_q
+            c1 = (acc_c1 + p1) % mod_q
             rescaled = ctx.basis.divide_round_last(
                 np.stack([c0, c1]), data_primes, is_ntt=True
             )
-            assert np.array_equal(got.c0.data, rescaled[0]), bo
-            assert np.array_equal(got.c1.data, rescaled[1]), bo
+            assert np.array_equal(got.data, rescaled), bo
 
     def test_sim_backend_conj_offsets(self):
         """The simulator accepts conjugation-composed offsets with the
@@ -224,8 +222,7 @@ class TestKeyCompression:
             ct = full_backend.encode_encrypt(vals, level=level)
             ref = full_backend.rotate(ct, 5)
             got = small_backend.rotate(ct, 5)
-            assert np.array_equal(got.c0.data, ref.c0.data), level
-            assert np.array_equal(got.c1.data, ref.c1.data), level
+            assert np.array_equal(got.data, ref.data), level
 
     @pytest.mark.parametrize("bound", range(9))
     def test_full_chain_key_covers_every_bound(self, key_setup, bound):
@@ -245,7 +242,7 @@ class TestKeyCompression:
         key = compressed_key(ctx, 7, 2)
         ct = backend.encode_encrypt(vals, level=5)
         with pytest.raises(ValueError, match="compressed to level 2"):
-            backend._keyswitch(ct.c1, key, 5)
+            backend._keyswitch(ct.data[1], key, 5)
 
     def test_compressed_key_widens_on_larger_bound(self, key_setup):
         """A second program recording a *wider* bound for the same step

@@ -42,14 +42,26 @@ def _digit_groups(level, alpha):
     ]
 
 
+def _poly(ctx, rows):
+    """Evaluation-form data-chain residues as a polynomial, for the
+    big-integer references."""
+    return RnsPolynomial(ctx.basis, ctx.basis.data_primes(rows.shape[0]), rows, is_ntt=True)
+
+
+def _zero(ctx, primes):
+    return RnsPolynomial(
+        ctx.basis, primes, np.zeros((len(primes), ctx.params.ring_degree), np.int64), True
+    )
+
+
 def reference_keyswitch(ctx, d, key, level):
     """Per-digit key switch of ``d`` with exact big-integer digit lifts,
     against the key's natural ``pairs`` (derived from its one resident
     tensor, so the stored layout is itself under test)."""
     ks_chain = ctx.basis.key_switch_primes(level + 1)
     pairs = key.pairs
-    acc0 = RnsPolynomial.zero(ctx.basis, ks_chain)
-    acc1 = RnsPolynomial.zero(ctx.basis, ks_chain)
+    acc0 = _zero(ctx, ks_chain)
+    acc1 = _zero(ctx, ks_chain)
     d_coeff = d.to_coeff()
     for digit, lo, hi in _digit_groups(level, ctx.params.ks_alpha):
         group = d.primes[lo:hi]
@@ -148,11 +160,11 @@ class TestGroupedDecomposition:
         # _keyswitch takes the UN-rotated polynomial and switches
         # sigma_t(d); the reference switches the rotated one it is given.
         key = ctx.galois_key(ctx.encoder.rotation_exponent(1))
-        rot1 = ct.c1.automorphism(key.exponent)
+        rot1 = _poly(ctx, ct.data[1]).automorphism(key.exponent)
         ref0, ref1 = reference_keyswitch(ctx, rot1, key, ct.level)
-        got0, got1 = backend._keyswitch(ct.c1, key, ct.level)
-        assert np.array_equal(ref0.data, got0.data)
-        assert np.array_equal(ref1.data, got1.data)
+        got0, got1 = backend._keyswitch(ct.data[1], key, ct.level)
+        assert np.array_equal(ref0.data, got0)
+        assert np.array_equal(ref1.data, got1)
 
     def test_keyswitch_alpha3_matches_bigint_reference(self, alpha3_backend):
         ctx = alpha3_backend.context
@@ -161,11 +173,11 @@ class TestGroupedDecomposition:
         # _keyswitch takes the UN-rotated polynomial and switches
         # sigma_t(d); the reference switches the rotated one it is given.
         key = ctx.galois_key(ctx.encoder.rotation_exponent(1))
-        rot1 = ct.c1.automorphism(key.exponent)
+        rot1 = _poly(ctx, ct.data[1]).automorphism(key.exponent)
         ref0, ref1 = reference_keyswitch(ctx, rot1, key, ct.level)
-        got0, got1 = alpha3_backend._keyswitch(ct.c1, key, ct.level)
-        assert np.array_equal(ref0.data, got0.data)
-        assert np.array_equal(ref1.data, got1.data)
+        got0, got1 = alpha3_backend._keyswitch(ct.data[1], key, ct.level)
+        assert np.array_equal(ref0.data, got0)
+        assert np.array_equal(ref1.data, got1)
 
     def test_rotate_decrypts_correctly(self, backend):
         values = np.linspace(-1, 1, backend.slot_count)
@@ -180,8 +192,7 @@ class TestGroupedDecomposition:
         hoisted = backend.rotate_hoisted(ct, [1, 2, 5])
         for step in (1, 2, 5):
             plain = backend.rotate(ct, step)
-            assert np.array_equal(hoisted[step].c0.data, plain.c0.data)
-            assert np.array_equal(hoisted[step].c1.data, plain.c1.data)
+            assert np.array_equal(hoisted[step].data, plain.data)
 
     def test_mul_relinearize_under_grouping(self, backend):
         values = np.linspace(-0.9, 0.9, backend.slot_count)
@@ -204,21 +215,14 @@ class TestRawHoistedRotation:
             rot0, acc = raw[step]
             assert acc.shape[0] == 2 and acc.dtype == np.int64
             p0, p1 = backend._ks_moddown(acc, ct.level)
-            assert np.array_equal((rot0 + p0).data, full[step].c0.data)
-            assert np.array_equal(p1.data, full[step].c1.data)
+            assert np.array_equal((rot0 + p0) % backend._moduli(ct.level), full[step].data[0])
+            assert np.array_equal(p1, full[step].data[1])
 
     def test_raw_excludes_zero_and_dedups(self, backend):
         values = np.linspace(-1, 1, backend.slot_count)
         ct = backend.encode_encrypt(values)
         raw = backend.rotate_hoisted_raw(ct, [0, 2, 2, -backend.slot_count + 2])
         assert sorted(raw) == [2]
-
-    def test_raw_rejects_degree_two(self, backend):
-        values = np.linspace(-1, 1, backend.slot_count)
-        ct = backend.encode_encrypt(values)
-        sq = backend._tensor(ct, ct)
-        with pytest.raises(ValueError):
-            backend.rotate_hoisted_raw(sq, [1])
 
 
 def reference_fused_matvec(backend, packed, in_cts, pt_scale):
@@ -238,19 +242,21 @@ def reference_fused_matvec(backend, packed, in_cts, pt_scale):
             outs.append(None)
             continue
         acc = np.zeros((2, len(ks_chain), ctx.params.ring_degree), dtype=np.int64)
-        c0 = RnsPolynomial.zero(ctx.basis, data_chain)
-        c1 = RnsPolynomial.zero(ctx.basis, data_chain)
+        c0 = _zero(ctx, data_chain)
+        c1 = _zero(ctx, data_chain)
         rotated = False
         for bi, off in bo_terms:
             pt = ctx.encode(terms[(bo, bi, off)], level=level, scale=Fraction(pt_scale))
+            pt_poly = _poly(ctx, pt.data)
+            in0, in1 = (_poly(ctx, rows) for rows in in_cts[bi].data)
             if off == 0:
-                c0 = c0 + pt.poly * in_cts[bi].c0
-                c1 = c1 + pt.poly * in_cts[bi].c1
+                c0 = c0 + pt_poly * in0
+                c1 = c1 + pt_poly * in1
                 continue
             rotated = True
             exponent = ctx.encoder.rotation_exponent(off)
             pairs = ctx.galois_key(exponent).pairs
-            rot1 = in_cts[bi].c1.automorphism(exponent)
+            rot1 = in1.automorphism(exponent)
             t = np.zeros_like(acc)
             d_coeff = rot1.to_coeff()
             for digit, lo, hi in _digit_groups(level, ctx.params.ks_alpha):
@@ -260,13 +266,13 @@ def reference_fused_matvec(backend, packed, in_cts, pt_scale):
                 b_i, a_i = pairs[digit]
                 t[0] = (t[0] + dig.data * ctx._restrict(b_i, ks_chain).data) % mod_ks
                 t[1] = (t[1] + dig.data * ctx._restrict(a_i, ks_chain).data) % mod_ks
-            pt_ext = extend_primes_reference(pt.poly, ks_chain)
+            pt_ext = extend_primes_reference(pt_poly, ks_chain)
             acc = (acc + pt_ext.data * t) % mod_ks
-            c0 = c0 + pt.poly * in_cts[bi].c0.automorphism(exponent)
+            c0 = c0 + pt_poly * in0.automorphism(exponent)
         if rotated:
             p0, p1 = backend._ks_moddown(acc, level)
-            c0 = c0 + p0
-            c1 = c1 + p1
+            c0 = c0 + _poly(ctx, p0)
+            c1 = c1 + _poly(ctx, p1)
         outs.append((c0, c1))
     return outs
 
@@ -303,8 +309,8 @@ class TestFusedMatvec:
             assert (g is None) == (r is None)
             if g is None:
                 continue
-            assert np.array_equal(g.c0.data, r[0].data)
-            assert np.array_equal(g.c1.data, r[1].data)
+            assert np.array_equal(g.data[0], r[0].data)
+            assert np.array_equal(g.data[1], r[1].data)
 
     def test_fused_execute_matches_cleartext(self, setup):
         """To noise precision; the bitwise contract is against

@@ -1,7 +1,7 @@
 """Tests for the limb-batched hot-path engine.
 
 Covers the chain-level NTT against the schoolbook negacyclic reference,
-NTT-domain automorphisms against the coefficient-domain path, fast RNS
+NTT-domain automorphisms against the coefficient-domain reference, fast RNS
 basis conversion against exact CRT, hoisted key switching against the
 unhoisted path, and a regression guard that the evaluator hot paths
 never allocate object-dtype (Python bigint) arrays.
@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.bigint import (
+    automorphism_coeff_reference,
     extend_primes_reference,
     negacyclic_convolve_reference,
 )
 from repro.backend import ToyBackend
+from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.params import toy_parameters
 from repro.ntt import (
     NttChainEngine,
@@ -277,7 +279,7 @@ class TestNttDomainAutomorphism:
         fast = poly.automorphism(exponent)
         assert fast.is_ntt
         assert fast.data.flags.c_contiguous
-        slow = poly.to_coeff().automorphism(exponent).to_ntt()
+        slow = automorphism_coeff_reference(poly.to_coeff(), exponent).to_ntt()
         assert np.array_equal(fast.data, slow.data)
 
     def test_permutation_is_cached(self):
@@ -357,16 +359,14 @@ class TestHoistedKeySwitch:
         assert hoisted[0] is ct
         for step in (1, 3, 5):
             plain = backend.rotate(ct, step)
-            assert np.array_equal(hoisted[step].c0.data, plain.c0.data)
-            assert np.array_equal(hoisted[step].c1.data, plain.c1.data)
+            assert np.array_equal(hoisted[step].data, plain.data)
 
     def test_galois_outputs_keep_the_slot_axis_contiguous(self, backend):
         """A slot permutation is np.take(..., axis=-1): fancy indexing
         would hand every later ufunc a slot-slowest array."""
         ct = backend.encode_encrypt(np.linspace(-1, 1, backend.slot_count))
         for out in (backend.rotate(ct, 1), backend.conjugate(ct)):
-            assert out.c0.data.flags.c_contiguous
-            assert out.c1.data.flags.c_contiguous
+            assert out.data.flags.c_contiguous
 
     def test_rotate_hoisted_uses_real_hoisting(self, backend):
         values = np.linspace(-1, 1, backend.slot_count)
@@ -390,7 +390,7 @@ class TestHoistedKeySwitch:
         values = np.linspace(-1, 1, backend.slot_count)
         ct = backend.encode_encrypt(values)
         key = ctx.galois_key(ctx.encoder.rotation_exponent(1))
-        digits = backend._ks_decompose(ct.c1, ct.level)
+        digits = backend._ks_decompose(ct.data[1], ct.level)
         fast = backend._ks_inner(digits, [key], ct.level)
         for cap in (1, 2, 3):
             asked = force_chunk(cap)
@@ -399,11 +399,14 @@ class TestHoistedKeySwitch:
             assert np.array_equal(fast, chunked)
 
     def test_rejects_degree_two(self, backend):
+        """A tensor product before relinearization is a raw (3, l+1, N)
+        array, and no ciphertext can hold it."""
         values = np.linspace(-1, 1, backend.slot_count)
         ct = backend.encode_encrypt(values)
         sq = backend._tensor(ct, ct)
+        assert sq.shape == (3, ct.level + 1, backend.params.ring_degree)
         with pytest.raises(ValueError):
-            backend.rotate_hoisted(sq, [1])
+            Ciphertext(sq, ct.level, ct.scale * ct.scale, ct.slot_count)
 
 
 class TestNoBigintOnHotPaths:
@@ -427,44 +430,54 @@ class TestNoBigintOnHotPaths:
         monkeypatch.setattr(RnsBasis, "reduce_bigints", forbid)
         monkeypatch.setattr(RnsPolynomial, "to_bigint_coeffs", forbid)
         monkeypatch.setattr(RnsPolynomial, "from_bigint_coeffs", forbid)
-        original_init = RnsPolynomial.__init__
 
-        def checked_init(self, basis, primes, data, is_ntt):
-            assert data.dtype == np.int64, f"object-dtype poly: {data.dtype}"
-            original_init(self, basis, primes, data, is_ntt)
+        def no_poly(*args, **kwargs):
+            raise AssertionError("the evaluator built an RnsPolynomial")
 
-        monkeypatch.setattr(RnsPolynomial, "__init__", checked_init)
+        # Evaluation builds no polynomial objects at all, so every value
+        # it makes is a Ciphertext or Plaintext: check each one's tensor
+        # before the class's own validation runs.
+        monkeypatch.setattr(RnsPolynomial, "__init__", no_poly)
+        for cls in (Ciphertext, Plaintext):
+
+            def checked(self, original=cls.__post_init__):
+                assert self.data.dtype == np.int64, (
+                    f"object-dtype {type(self).__name__}: {self.data.dtype}"
+                )
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", checked)
         return backend, pt, ct
 
     def test_encrypt(self, guarded_backend):
         backend, pt, _ = guarded_backend
         ct = backend.encrypt(pt)
-        assert ct.c0.data.dtype == np.int64
+        assert ct.data.dtype == np.int64
 
     def test_rotate(self, guarded_backend):
         backend, _, ct = guarded_backend
         out = backend.rotate(ct, 1)
-        assert out.c0.data.dtype == np.int64
+        assert out.data.dtype == np.int64
 
     def test_rotate_hoisted(self, guarded_backend):
         backend, _, ct = guarded_backend
         outs = backend.rotate_hoisted(ct, [1])
-        assert outs[1].c1.data.dtype == np.int64
+        assert outs[1].data.dtype == np.int64
 
     def test_mul_and_relinearize(self, guarded_backend):
         backend, _, ct = guarded_backend
         out = backend.mul(ct, ct)
-        assert out.c0.data.dtype == np.int64
+        assert out.data.dtype == np.int64
 
     def test_mul_plain(self, guarded_backend):
         backend, pt, ct = guarded_backend
         out = backend.mul_plain(ct, pt)
-        assert out.c0.data.dtype == np.int64
+        assert out.data.dtype == np.int64
 
     def test_rescale(self, guarded_backend):
         backend, pt, ct = guarded_backend
         out = backend.rescale(backend.mul_plain(ct, pt))
-        assert out.c0.data.dtype == np.int64
+        assert out.data.dtype == np.int64
 
 
 class TestBatchedRescale:
@@ -476,9 +489,10 @@ class TestBatchedRescale:
         pt = backend.encode(values, ct.level, params.scale)
         prod = backend.mul_plain(ct, pt)
         fast = backend.rescale(prod)
-        for got, poly in ((fast.c0, prod.c0), (fast.c1, prod.c1)):
-            alone = backend.basis.divide_round_last(poly.data, poly.primes, is_ntt=True)
-            assert np.array_equal(got.data, alone)
+        primes = backend.basis.data_primes(prod.level + 1)
+        for got, rows in zip(fast.data, prod.data):
+            alone = backend.basis.divide_round_last(rows, primes, is_ntt=True)
+            assert np.array_equal(got, alone)
 
     def test_coeff_form_division_matches_reference(self, basis):
         """The non-NTT divide path agrees with integer rounding."""

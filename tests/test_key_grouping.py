@@ -83,8 +83,7 @@ def _assert_bit_identical(one_pass, loop):
         one_pass, loop = [one_pass], [loop]
     for a, b in zip(one_pass, loop):
         assert a.level == b.level and a.scale == b.scale
-        assert np.array_equal(a.c0.data, b.c0.data)
-        assert np.array_equal(a.c1.data, b.c1.data)
+        assert np.array_equal(a.data, b.data)
 
 
 class TestOnePassModDown:

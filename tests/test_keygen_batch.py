@@ -100,10 +100,9 @@ def _assert_relin_equals_reference(params):
     # secret, then the public key's uniform half and noise.
     replay.rng.ternary(params.ring_degree)
     replay._uniform_poly(replay.basis.primes)
-    replay._noise_poly(replay.basis.primes)
-    relin = keygen_loop.make_switching_key(
-        replay, replay.keys.secret_squared, replay.keys.secret
-    )
+    replay._noise_rows(replay.basis.primes)
+    secret = replay.keys.secret
+    relin = keygen_loop.make_switching_key(replay, secret * secret, secret)
     assert relin.tensor.tobytes() == context.keys.relin.tensor.tobytes()
     assert relin.seed == context.keys.relin.seed
     assert replay.rng.get_state() == context.rng.get_state()

@@ -152,8 +152,7 @@ class TestSplitWalk:
             backend = ToyBackend(PARAMS, seed=2)
             outs[n1], _ = _run(backend, packed, vectors, n1)
         for a, b in zip(outs[None], outs[PARAMS.slot_count]):
-            assert np.array_equal(a.c0.data, b.c0.data)
-            assert np.array_equal(a.c1.data, b.c1.data)
+            assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("length", [64, 400])
     def test_a_forced_split_decrypts_within_the_noise_floor(self, length):

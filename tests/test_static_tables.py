@@ -18,11 +18,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference.bigint import extend_primes_reference
+from reference.bigint import extend_rows_reference
 from repro import kernels
 from repro.backend import ToyBackend
 from repro.backend.toy import HOISTED_SLAB
-from repro.ckks.context import CkksContext
+from repro.ckks.context import CkksContext, encode_rows
 from repro.ckks.galois import fused_term_groups, galois_offset_key
 from repro.ckks.params import toy_parameters
 from repro.core.packing.matvec import held_tables, table_vector
@@ -68,7 +68,8 @@ def reference_per_term(backend, in_cts, terms, num_out, pt_scale):
     level = in_cts[0].level
     ks_chain = ctx.basis.key_switch_primes(level + 1)
     mod_ks = ctx.basis.moduli_column(ks_chain)
-    mod_q = ctx.basis.moduli_column(ctx.basis.data_primes(level + 1))
+    data_primes = ctx.basis.data_primes(level + 1)
+    mod_q = ctx.basis.moduli_column(data_primes)
     outs = []
     for bo in range(num_out):
         acc_ext = np.zeros((2, len(ks_chain), ctx.basis.ring_degree), dtype=np.int64)
@@ -77,16 +78,17 @@ def reference_per_term(backend, in_cts, terms, num_out, pt_scale):
         for (bo2, bi, off), vec in terms.items():
             if bo2 != bo:
                 continue
-            pt = ctx.encode(vec, level=level, scale=pt_scale).poly
+            pt = ctx.encode(vec, level=level, scale=pt_scale).data
             if off == 0:
-                c0 = (c0 + pt.data * in_cts[bi].c0.data) % mod_q
-                c1 = (c1 + pt.data * in_cts[bi].c1.data) % mod_q
+                c0 = (c0 + pt * in_cts[bi].data[0]) % mod_q
+                c1 = (c1 + pt * in_cts[bi].data[1]) % mod_q
                 continue
             rot0, acc = backend.rotate_hoisted_raw(in_cts[bi], [off])[off]
-            acc_ext = (acc_ext + extend_primes_reference(pt, ks_chain).data * acc) % mod_ks
-            c0 = (c0 + pt.data * rot0.data) % mod_q
+            pt_ext = extend_rows_reference(ctx.basis, pt, data_primes, ks_chain)
+            acc_ext = (acc_ext + pt_ext * acc) % mod_ks
+            c0 = (c0 + pt * rot0) % mod_q
         p0, p1 = backend._ks_moddown(acc_ext, level)
-        outs.append(((c0 + p0.data) % mod_q, (c1 + p1.data) % mod_q))
+        outs.append(((c0 + p0) % mod_q, (c1 + p1) % mod_q))
     return outs
 
 
@@ -115,8 +117,7 @@ class TestStaticTables:
         )
         assert asked is None or asked
         for out, (c0, c1) in zip(got, want):
-            assert np.array_equal(out.c0.data, c0)
-            assert np.array_equal(out.c1.data, c1)
+            assert np.array_equal(out.data, np.stack([c0, c1]))
         # One stored table per group, and a warm call builds nothing.
         assert len(store) == num_in * num_out
         tables = dict(store)
@@ -127,8 +128,7 @@ class TestStaticTables:
         )
         assert all(store[key] is table for key, table in tables.items())
         for out, (c0, c1) in zip(again, want):
-            assert np.array_equal(out.c0.data, c0)
-            assert np.array_equal(out.c1.data, c1)
+            assert np.array_equal(out.data, np.stack([c0, c1]))
 
     def test_table_path_at_ring_degree_4096(self):
         backend = _backend(ring_degree=4096, max_level=2, seed=5)
@@ -146,8 +146,7 @@ class TestStaticTables:
             None,
         )
         ((c0, c1),) = reference_per_term(backend, [ct], terms, 1, pt_scale)
-        assert np.array_equal(got.c0.data, c0)
-        assert np.array_equal(got.c1.data, c1)
+        assert np.array_equal(got.data, np.stack([c0, c1]))
 
     def test_rows_follow_the_hoisted_offset_axis(self):
         backend = _backend()
@@ -191,9 +190,11 @@ class TestStaticTables:
         assert not table.flags.writeable
         assert np.shares_memory(table[:, : level + 1], table)
         for row, vec in zip(table, vectors):
-            poly = ctx.encode(vec, level=level, scale=scale).poly
-            assert np.array_equal(row[: level + 1], poly.data)
-            assert np.array_equal(row, extend_primes_reference(poly, ks_chain).data)
+            rows = ctx.encode(vec, level=level, scale=scale).data
+            assert np.array_equal(row[: level + 1], rows)
+            assert np.array_equal(
+                row, extend_rows_reference(ctx.basis, rows, ks_chain[: level + 1], ks_chain)
+            )
 
     def test_batched_encode_equals_the_row_by_row_stack(self):
         """One batched slots -> coeffs, % and transform over all rows is
@@ -222,7 +223,9 @@ class TestStaticTables:
         assert not np.all(np.abs(rounded) < 2.0**62)  # the last row is the bigint one
         table = ctx.encode_table(vectors, level, scale)
         assert table.tobytes() == np.stack(rows).astype(np.uint32).tobytes()
-        assert np.array_equal(ctx._encode_poly(vectors[-1], ks_chain, scale).data, rows[-1])
+        assert np.array_equal(
+            encode_rows(ctx.basis, ctx.encoder, vectors[-1:], ks_chain, scale)[0], rows[-1]
+        )
 
     def test_a_table_multiplies_only_against_int64(self):
         """Why consumers never combine two static operands: the product
@@ -249,7 +252,7 @@ class TestStaticTables:
         backend._matvec_fused(cts, terms, 2, pt_scale, tables, None)  # keys exist
         level = cts[0].level
         block_of = {
-            backend._ks_decompose(ct.c1, level).tobytes(): bi for bi, ct in enumerate(cts)
+            backend._ks_decompose(ct.data[1], level).tobytes(): bi for bi, ct in enumerate(cts)
         }
         offset_of = {
             backend.galois_offset_exponent(off): off for (_, _, off) in terms if off
