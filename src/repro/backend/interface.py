@@ -126,10 +126,12 @@ class FheBackend(abc.ABC):
 
         ``value`` is a scalar, which fills every slot (a Chebyshev
         coefficient, the ones of a scale match, a matvec's zero block),
-        or a slot vector (an attention mask).  Entries are keyed by the
-        value plus :meth:`plaintext_cache_key`, so equal constants read
-        by several instructions are held once and none is ever served
-        at another level or scale.
+        or a slot vector (an attention mask).  A scalar is held at its
+        information size (:meth:`_encode_scalar`): on the exact backend
+        one residue per prime, where a slot vector takes ``N``.  Entries
+        are keyed by the value plus :meth:`plaintext_cache_key`, so
+        equal constants read by several instructions are held once and
+        none is ever served at another level or scale.
         """
         values = np.asarray(value, dtype=np.float64)
         key = (
@@ -138,9 +140,11 @@ class FheBackend(abc.ABC):
         )
         plaintext = self._constants.get(key)
         if plaintext is None:
-            if not values.ndim:
-                values = np.full(self.slot_count, float(values))
-            plaintext = self._constants[key] = self.encode(values, level, scale)
+            if values.ndim:
+                plaintext = self.encode(values, level, scale)
+            else:
+                plaintext = self._encode_scalar(float(values), level, scale)
+            self._constants[key] = plaintext
         return plaintext
 
     def drop_constants(self) -> None:
@@ -427,6 +431,13 @@ class FheBackend(abc.ABC):
     # -- unbooked primitives: what a backend implements ---------------------------
     # Each computes its result and nothing else; the public op above has
     # already checked its operands and booked it.
+    @abc.abstractmethod
+    def _encode_scalar(self, value: float, level: int, scale: ScaleLike):
+        """:meth:`constant`'s scalar case: ``value`` in every slot at
+        (level, scale), held at its information size, and bit for bit
+        what :meth:`encode` makes of the filled slot vector wherever an
+        op reads it."""
+
     @abc.abstractmethod
     def _add(self, a, b): ...
 

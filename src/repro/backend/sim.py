@@ -36,7 +36,8 @@ from repro.utils.rng import SeededRng
 
 @dataclass
 class SimPlaintext:
-    """Encoded vector with level/scale metadata."""
+    """Encoded vector with level/scale metadata; a scalar constant's
+    ``values`` is one float (:meth:`SimBackend._encode_scalar`)."""
 
     values: np.ndarray
     level: int
@@ -104,10 +105,18 @@ class SimBackend(FheBackend):
         return arr
 
     # -- data movement ---------------------------------------------------
-    def encode(self, values, level: int, scale: ScaleLike) -> SimPlaintext:
+    def _check_level(self, level: int) -> int:
         if level < 0 or level > self.params.max_level:
             raise ValueError(f"level {level} out of range")
-        return SimPlaintext(self._pad(values), level, Fraction(scale))
+        return level
+
+    def encode(self, values, level: int, scale: ScaleLike) -> SimPlaintext:
+        return SimPlaintext(self._pad(values), self._check_level(level), Fraction(scale))
+
+    def _encode_scalar(self, value: float, level: int, scale: ScaleLike) -> SimPlaintext:
+        """One float, which slot arithmetic broadcasts exactly as the
+        filled slot vector it stands for."""
+        return SimPlaintext(np.float64(value), self._check_level(level), Fraction(scale))
 
     def encrypt(self, plaintext: SimPlaintext) -> SimCiphertext:
         values = plaintext.values + self._noise(self.slot_count, self._fresh_noise)

@@ -105,6 +105,24 @@ class ToyBackend(FheBackend):
     def encode_table(self, vectors, level: int, scale: ScaleLike) -> np.ndarray:
         return self.context.encode_table(vectors, level, scale)
 
+    def _encode_scalar(self, value: float, level: int, scale: ScaleLike) -> Plaintext:
+        """``value`` in every slot as a read-only ``(level + 1, 1)``
+        evaluation-form column, which ``_add_plain`` / ``_mul_plain``
+        broadcast over the ring.
+
+        The encoder maps a constant slot vector to exactly ``(value, 0,
+        ..., 0)``, rounded as ``rint(value * float(scale))``
+        (:func:`repro.ckks.context.encode_rows`), and a constant
+        polynomial holds that constant at every evaluation point: row
+        ``i`` is its residue mod the ``i``-th prime, no transform.  The
+        rounded value reduces as a Python integer, so past 2^62 it is
+        the encoder's bigint path.
+        """
+        rounded = int(np.rint(value * float(scale)))
+        primes = self.basis.data_primes(level + 1)
+        column = np.array([[rounded % q] for q in primes], dtype=np.int64)
+        return Plaintext(column, level, Fraction(scale), self.slot_count)
+
     # -- unbooked primitives: arithmetic (paper Section 2.5) ---------------
     def _moduli(self, level: int) -> np.ndarray:
         """The ``(level + 1, 1)`` data-prime column a level-``level``

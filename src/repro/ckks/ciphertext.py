@@ -2,11 +2,12 @@
 
 A ciphertext is the pair (c0, c1) in R_Q x R_Q held as ONE int64
 ``(2, level + 1, N)`` evaluation-form residue tensor, a plaintext one
-``(level + 1, N)`` tensor: limb row ``i`` is the residue modulo the
-``i``-th data prime, so a level-l value lives on the first l+1 primes
-(paper Section 2.4).  There is no degree-2 ciphertext: HMult's tensor
-product is a raw ``(3, level + 1, N)`` array inside the evaluator,
-relinearized before it becomes a :class:`Ciphertext` again (Section 2.5).
+``(level + 1, N)`` tensor (a constant's one ``(level + 1, 1)`` column):
+limb row ``i`` is the residue modulo the ``i``-th data prime, so a
+level-l value lives on the first l+1 primes (paper Section 2.4).  There
+is no degree-2 ciphertext: HMult's tensor product is a raw
+``(3, level + 1, N)`` array inside the evaluator, relinearized before it
+becomes a :class:`Ciphertext` again (Section 2.5).
 
 Both carry the metadata the compiler reasons about — multiplicative
 level and an *exact* scaling factor (a ``fractions.Fraction``, so the
@@ -40,8 +41,16 @@ def _check_residues(data: np.ndarray, shape: tuple, what: str) -> None:
 class Plaintext:
     """An encoded (but unencrypted) polynomial [m].
 
+    A constant polynomial — a scalar in every slot
+    (:meth:`repro.backend.interface.FheBackend.constant`) — holds the
+    same residue at every evaluation point, so its ``data`` is the
+    ``(level + 1, 1)`` column of those residues, which the evaluator's
+    plaintext ops broadcast over the ring: ``level + 1`` words where the
+    full form takes ``(level + 1) * N`` (12.5 MiB at N = 2^16, L = 24).
+
     Attributes:
-        data: int64 ``(level + 1, N)`` evaluation-form residues.
+        data: int64 ``(level + 1, N)`` evaluation-form residues, or the
+            ``(level + 1, 1)`` column of a constant.
         level: multiplicative level (limb count - 1).
         scale: exact scaling factor used during encoding.
         slot_count: number of meaningful slots packed.

@@ -132,15 +132,13 @@ class TestActivationConstantCache:
 
         def counting_backend():
             backend = SimBackend(paper_parameters(), seed=5)
-            encode, consts = backend.encode, []
+            encode, consts = backend._encode_scalar, []
 
-            def counting(values, level, scale):
-                values = np.asarray(values)
-                if values.size == backend.slot_count and np.all(values == values.flat[0]):
-                    consts.append(level)
-                return encode(values, level, scale)
+            def counting(value, level, scale):
+                consts.append(level)
+                return encode(value, level, scale)
 
-            backend.encode = counting
+            backend._encode_scalar = counting
             return backend, consts
 
         def run(backend, consts):

@@ -7,9 +7,11 @@ to alias an operand into its result — a sliced ``level_down``, the
 corrupt a value some other instruction still reads (a Square feeding
 two linears was once broken this way).  For every public
 :class:`ToyBackend` op, every operand's bytes are the same after the
-call, including a cached :meth:`FheBackend.constant` plaintext and an
+call, including a cached :meth:`FheBackend.constant` plaintext (a
+scalar's ``(l+1, 1)`` column, which the plaintext ops broadcast) and an
 :class:`ExecutionState` register that two instructions read, and every
-tensor an op returns is read-only.
+tensor an op returns is a fresh, read-only, C-contiguous
+``(2, l+1, N)`` ciphertext.
 """
 
 import dataclasses
@@ -101,12 +103,16 @@ def test_no_op_writes_an_operand(backend, operands, name):
     assert _bytes(operands) == before
     out = _values(result)
     assert out
+    n = backend.params.ring_degree
     for value in out:
-        assert isinstance(value, (Ciphertext, Plaintext))
+        assert isinstance(value, Ciphertext)
+        assert value.data.shape == (2, value.level + 1, n)
+        assert value.data.flags.c_contiguous
         assert not value.data.flags.writeable
     # The cached constant is the same object, still holding its bytes.
     a, _, const = operands
     assert backend.constant(0.25, a.level, a.scale) is const
+    assert const.data.shape == (LEVEL + 1, 1)
 
 
 def test_a_returned_tensor_refuses_writes(backend, operands):
