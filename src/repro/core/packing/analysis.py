@@ -30,18 +30,23 @@ How a conv's offset table is formed (:func:`conv_diagonal_keys`):
   slots ``A_in(ci) + Si(tap)``: two channel vectors computed once per
   geometry, two scalars per tap.  Taps valid at no output position
   (tiny maps) contribute nothing.
-- **Per-tap outer difference.**  A diagonal ``(bo, bi, diag)`` is
+- **Blocked outer difference.**  A diagonal ``(bo, bi, diag)`` is
   encoded as the integer ``(bo * B + bi) * n + diag`` with ``B`` the
-  input ciphertext count.  Per tap these are one ``(c_out, c_in/groups)``
-  outer difference of the channel vectors; no array ever has a kernel
-  axis.
+  input ciphertext count.  Per tap these are the ``(c_out,
+  c_in/groups)`` outer difference of the channel vectors, formed one
+  block of output channels at a time, :data:`BLOCK_ENTRIES` entries at
+  most (a dense layer's rows are blocked by the same rule); with
+  ``groups == 1`` every block shares one 1-D input-channel vector.  No
+  array has a kernel axis or a layer's full channel product.
 - **Bitmap de-dup over a bounded key space.**  Keys live in ``[0,
   num_out * B * n)``, so the distinct set is a scatter into a boolean
-  bitmap of that size followed by ``flatnonzero`` (which also sorts).
-  When the bitmap would outweigh the keys themselves (``space > 8 *
-  count``: many ciphertexts, few channels — a network's first layers)
-  the handful of keys is sorted with ``np.unique`` instead, so the
-  working set never exceeds the smaller of the two.
+  bitmap of that size followed by ``flatnonzero`` (which also sorts);
+  block order cannot change it.  When the bitmap would outweigh the keys
+  themselves (``space > 8 * count``: many ciphertexts, few channels — a
+  network's first layers) the handful of keys is sorted with
+  ``np.unique`` instead.  The working set is that bitmap or those keys
+  plus one block's temporaries: ResNet-34/50's 512→512 3×3 geometry at
+  ``paper_parameters()`` peaks at 5.3 MiB traced.
 
 A compile owns one :class:`ConvAnalysisTable`, so the sibling-fusion
 gate and the emitter read one entry per distinct geometry; the table
@@ -390,6 +395,19 @@ def _tap_positions(kernel, dil, pad, stride, in_size, out_size) -> np.ndarray:
     return reps
 
 
+#: Matrix entries one analysis step keys at once: a conv tap's block of
+#: output channels, a dense layer's block of rows.  Each temporary of a
+#: step is at most this many int64 words (128 KiB), whatever the layer's
+#: channel product.
+BLOCK_ENTRIES = 1 << 14
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` entries per step: :data:`BLOCK_ENTRIES` worth,
+    at least one."""
+    return max(1, BLOCK_ENTRIES // width)
+
+
 def _distinct(key_arrays, count: int, space: int) -> np.ndarray:
     """Sorted distinct values of ``count`` integers in ``[0, space)``,
     handed over as an iterable of arrays.
@@ -438,20 +456,25 @@ def conv_diagonal_keys(
         0, oy * sh + dy * dilation[0] - padding[0], ox * sw + dx * dilation[1] - padding[1]
     )
 
-    # Channel terms: output channel co reads input channels ci[co, :].
-    co = np.arange(c_out)
+    # Channel terms, one block of output channels at a time: channel co
+    # reads input channels ci[co, :], one shared 1-D row when groups == 1.
+    chan_out = out_layout.slot(np.arange(c_out), 0, 0)
     ci_per_group = in_layout.channels // groups if groups > 1 else c_in_g
-    ci = (co // (c_out // groups))[:, None] * ci_per_group + np.arange(c_in_g)
-    chan_out = out_layout.slot(co, 0, 0)[:, None]
-    chan_in = in_layout.slot(ci, 0, 0)
+    rows = _block_rows(c_in_g)
 
-    def tap_keys():
-        for s_out, s_in in zip(tap_out.tolist(), tap_in.tolist()):
-            yield _diagonal_keys(chan_out + s_out, chan_in + s_in, num_in, n)
+    def block_keys():
+        for start in range(0, c_out, rows):
+            co = np.arange(start, min(start + rows, c_out))
+            ci = np.arange(c_in_g)
+            if groups > 1:
+                ci = (co // (c_out // groups))[:, None] * ci_per_group + ci
+            block_out, block_in = chan_out[co, None], in_layout.slot(ci, 0, 0)
+            for s_out, s_in in zip(tap_out.tolist(), tap_in.tolist()):
+                yield _diagonal_keys(block_out + s_out, block_in + s_in, num_in, n)
 
     keys = _distinct(
-        tap_keys(),
-        count=tap_out.size * ci.size,
+        block_keys(),
+        count=tap_out.size * c_out * c_in_g,
         space=out_layout.num_ciphertexts * num_in * n,
     )
     return keys, out_layout
@@ -472,19 +495,21 @@ def conv_structure(weight_shape, in_layout, stride=(1, 1), padding=(0, 0),
     )
 
 
-def _dense_columns(out_features: int, in_layout, chunk_rows: int = 64):
+def _dense_columns(out_features: int, in_layout):
     """Distinct (bo, bi, off) diagonals of a dense ``out_features x L``
-    matrix over ``in_layout``: every entry's key, ``chunk_rows`` rows at
-    a time, de-duplicated like a conv's (:func:`_distinct`)."""
+    matrix over ``in_layout``: every entry's key, one block of rows at a
+    time (:func:`_block_rows`), de-duplicated like a conv's
+    (:func:`_distinct`)."""
     n = in_layout.slots
     num_in = in_layout.num_ciphertexts
     length = in_layout.logical_length
     in_slots = np.asarray(in_layout.slot_of_logical(np.arange(length)))
+    rows = _block_rows(length)
 
     def row_keys():
-        for start in range(0, out_features, chunk_rows):
-            rows = np.arange(start, min(start + chunk_rows, out_features))
-            yield _diagonal_keys(rows[:, None], in_slots[None, :], num_in, n)
+        for start in range(0, out_features, rows):
+            block = np.arange(start, min(start + rows, out_features))
+            yield _diagonal_keys(block[:, None], in_slots[None, :], num_in, n)
 
     keys = _distinct(
         row_keys(),

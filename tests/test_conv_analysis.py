@@ -7,10 +7,12 @@ channel vectors and one outer difference per tap;
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.ckks.params import paper_parameters
 from repro.core.packing import analysis
 from repro.core.packing.analysis import (
     ConvAnalysisTable,
@@ -29,12 +31,20 @@ C_IN, SIZE = 8, 8
 #: outputs); 4096: everything is single-ciphertext and small outputs are
 #: hybrid-eligible.
 SLOT_COUNTS = (256, 4096)
+#: (groups, c_out) per groups kind, over C_IN input channels.
+GROUPS_KINDS = {"dense": (1, 16), "two": (2, 16), "depthwise": (C_IN, C_IN)}
+#: ``analysis.BLOCK_ENTRIES`` values each geometry runs under: the
+#: module's own (one block here), one output channel per block, and two
+#: that split channels 5 and 24 entries at a time -- several blocks, a
+#: ragged last one and, grouped, a block across a group boundary
+#: (``test_block_bounds_reach_the_corner_cases``).
+BLOCK_BOUNDS = (analysis.BLOCK_ENTRIES, 1, 5, 24)
 
 
 def _geometries(kernel, groups_kind, gap):
     """(weight_shape, in_layout, stride, padding, dilation, groups) over
     stride x padding x dilation x slot count; empty outputs skipped."""
-    groups, c_out = {"dense": (1, 16), "two": (2, 16), "depthwise": (C_IN, C_IN)}[groups_kind]
+    groups, c_out = GROUPS_KINDS[groups_kind]
     for stride, pad, dil, slots in itertools.product((1, 2), (0, 1, 3), (1, 2), SLOT_COUNTS):
         if SIZE + 2 * pad - dil * (kernel - 1) - 1 < 0:
             continue
@@ -45,37 +55,68 @@ def _geometries(kernel, groups_kind, gap):
         )
 
 
-def _assert_matches_oracle(geometry):
-    stats = analyze_conv_packing(*geometry)
-    profile = conv_structure(*geometry).profile
-    ref_profile = brute.conv_offset_profile(*geometry)
+def _oracle(geometry):
+    return brute.analyze_conv_packing(*geometry), brute.conv_offset_profile(*geometry)
+
+
+def _assert_matches(geometry, oracle):
+    ref_stats, ref_profile = oracle
+    structure = conv_structure(*geometry)
+    stats, profile = structure.stats, structure.profile
     # Dataclass equality covers every field: rotations, pmults, ct
     # counts, num_unique_offsets, out_layout, _giants, num_folds, _offsets.
-    assert stats == brute.analyze_conv_packing(*geometry), geometry
+    assert stats == ref_stats, geometry
     assert profile == ref_profile, geometry  # keys, fold_shifts, num_in, num_out
     assert profile.stats() == stats, geometry
-    return stats, profile, ref_profile
+    return stats, profile
+
+
+def _assert_matches_oracle(geometry):
+    return _assert_matches(geometry, _oracle(geometry))
 
 
 @pytest.mark.parametrize("gap", (1, 2, 4))
 @pytest.mark.parametrize("groups_kind", ("dense", "two", "depthwise"))
 @pytest.mark.parametrize("kernel", (1, 2, 3, 7))
-def test_stats_and_profile_match_bruteforce(kernel, groups_kind, gap):
+def test_stats_and_profile_match_bruteforce(kernel, groups_kind, gap, monkeypatch):
     cases = list(_geometries(kernel, groups_kind, gap))
     assert cases
     for geometry in cases:
-        _, profile, ref_profile = _assert_matches_oracle(geometry)
+        oracle = _oracle(geometry)
         # The ResNet projection pattern: a 1x1 sibling of equal stride
         # over the same input, merged onto one stacked output.
         weight_shape, in_layout, stride, _, _, groups = geometry
         sibling = ((weight_shape[0], weight_shape[1], 1, 1), in_layout, stride,
                    (0, 0), (1, 1), groups)
-        side = conv_structure(*sibling).profile
-        if side.fold_shifts != profile.fold_shifts or side.num_in != profile.num_in:
-            continue
-        assert merged_packing_stats([profile, side]) == brute.merged_packing_stats(
-            [ref_profile, brute.conv_offset_profile(*sibling)]
-        ), geometry
+        side_oracle = _oracle(sibling)
+        merged = brute.merged_packing_stats([oracle[1], side_oracle[1]])
+        for entries in BLOCK_BOUNDS:
+            monkeypatch.setattr(analysis, "BLOCK_ENTRIES", entries)
+            _, profile = _assert_matches(geometry, oracle)
+            _, side = _assert_matches(sibling, side_oracle)
+            if side.fold_shifts != profile.fold_shifts or side.num_in != profile.num_in:
+                continue
+            assert merged_packing_stats([profile, side]) == merged, (geometry, entries)
+
+
+def test_block_bounds_reach_the_corner_cases(monkeypatch):
+    """The bounds above are only coverage if they split every groups
+    kind into several blocks with a ragged last one, and a grouped
+    kind's blocks cross a group boundary."""
+    for kind, (groups, c_out) in GROUPS_KINDS.items():
+        per_group = c_out // groups
+        multi = ragged = spans = False
+        for entries in BLOCK_BOUNDS:
+            monkeypatch.setattr(analysis, "BLOCK_ENTRIES", entries)
+            rows = analysis._block_rows(C_IN // groups)
+            starts = range(0, c_out, rows)
+            multi |= len(starts) > 1
+            ragged |= c_out % rows != 0
+            spans |= any(
+                start // per_group != (min(start + rows, c_out) - 1) // per_group
+                for start in starts
+            )
+        assert multi and ragged and spans == (groups > 1), kind
 
 
 def test_grid_reaches_the_corner_cases():
@@ -114,9 +155,31 @@ def test_paper_scale_geometry_matches_bruteforce():
     shape at reduced width, 147 456 taps for 2 667 diagonals, where the
     bitmap (not ``np.unique``) de-duplicates."""
     geometry = ((128, 128, 3, 3), MultiplexedLayout(128, 7, 7, 32, 1 << 15), (1, 1), (1, 1), (1, 1), 1)
-    stats, _, _ = _assert_matches_oracle(geometry)
+    stats, _ = _assert_matches_oracle(geometry)
     assert stats.pmults == 2667
     assert 8 * 9 * 128 * 128 >= stats.num_in_cts * stats.num_out_cts * (1 << 15)
+
+
+def test_last_stage_geometry_working_set():
+    """ResNet-34/50's 512->512 3x3 last stage at the paper's ring holds
+    one block of keys at a time, not the (c_out, c_in) channel product:
+    13 725 diagonals from 2.4 M taps in 5.3 MiB traced (14.1 MiB when
+    each tap formed the whole outer difference)."""
+    geometry = (
+        (512, 512, 3, 3),
+        MultiplexedLayout(channels=512, height=7, width=7, gap=8,
+                          slots=paper_parameters().slot_count),
+        (1, 1), (1, 1),
+    )
+    conv_structure(*geometry)  # warm the per-process caches
+    tracemalloc.start()
+    try:
+        stats = conv_structure(*geometry).stats
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.pmults == 13725
+    assert peak < 8 << 20, peak
 
 
 def test_distinct_bitmap_and_sort_paths_agree():
